@@ -258,6 +258,39 @@ func BenchmarkModelEvalLatency(b *testing.B) {
 	})
 }
 
+// BenchmarkRankOp is the cold-path ranking cost per model kind and op: one
+// RankOpInto over the 16 Gadi candidates through a reused scratch, on the
+// benchmark artefact's training set-up (Gadi, quick, 120 shapes, seed 11)
+// with the selection forced to one kind. The boosters rank through their
+// batch method and everything else through the per-row loop, so a model or
+// pipeline change that silently falls off the batch path shows up here as a
+// several-fold row (and a non-zero allocs/op as a broken zero-alloc pin).
+func BenchmarkRankOp(b *testing.B) {
+	opts := TrainOptions{Platform: "Gadi", Quick: true, Shapes: 120, Seed: 11, Ops: []Op{OpSYRK, OpSYR2K}}
+	cfg, err := buildConfig(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, spec := range core.DefaultModels(opts.Seed, true) {
+		cfg.Models = []core.ModelSpec{spec}
+		res, err := core.Train(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lib := res.Library
+		scratch := lib.NewScratch()
+		for _, op := range lib.TrainedOps() {
+			b.Run(spec.Kind+"/"+op.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					// A never-repeating walk of the small domain, as cold_small.
+					lib.RankOpInto(op, 4+i%61, 4+(i/61)%61, 4+(i/3721)%61, scratch, nil)
+				}
+			})
+		}
+	}
+}
+
 func featRow(m, k, n, t int, lib *core.Library) []float64 {
 	// The library may restrict columns; PredictSeconds handles that, so use
 	// the pipeline width directly via a probe call.

@@ -209,7 +209,15 @@ func TestReloadFlags(t *testing.T) {
 // artefact through POST /admin/reload, and checks the generation advances
 // while the server keeps answering.
 func TestDaemonAdminReload(t *testing.T) {
-	path := savedLibrary(t)
+	// A private copy: the test rewrites the artefact the daemon reloads.
+	blob, err := os.ReadFile(savedLibrary(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lib.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
 	cfg, err := parseFlags([]string{"-lib", path, "-admin-token", "sesame"}, &out)
 	if err != nil {
@@ -243,6 +251,33 @@ func TestDaemonAdminReload(t *testing.T) {
 	}
 	if h, err = client.Healthz(); err != nil || h.Generation != 1 || h.Status != "ok" {
 		t.Errorf("healthz after reload = (%+v, %v)", h, err)
+	}
+
+	// An artefact that decodes but would panic inside the ranking path (here
+	// a candidate of zero threads) is refused by the load, so the reload
+	// fails and the previous artefact keeps answering, same generation.
+	before, err := client.Predict(300, 200, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Replace(blob, []byte(`"candidates": [`), []byte(`"candidates": [0,`), 1)
+	if bytes.Equal(bad, blob) {
+		t.Fatal("artefact has no candidates array to corrupt")
+	}
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Reload(context.Background(), "sesame"); err == nil {
+		t.Error("reload of an artefact with a zero-thread candidate succeeded")
+	}
+	if after, err := client.Predict(300, 200, 100); err != nil || after != before {
+		t.Errorf("predict after refused reload = (%d, %v), want %d", after, err, before)
+	}
+	if miss, err := client.Predict(301, 200, 100); err != nil || miss < 1 {
+		t.Errorf("cache miss after refused reload = (%d, %v)", miss, err)
+	}
+	if h, err = client.Healthz(); err != nil || h.Generation != 1 || h.Status != "ok" {
+		t.Errorf("healthz after refused reload = (%+v, %v)", h, err)
 	}
 }
 

@@ -256,49 +256,6 @@ type OpModel struct {
 	// by the feature-set ablation.
 	Columns     []string
 	EvalSeconds float64 // measured model-evaluation latency per selection
-
-	colOnce sync.Once
-	colIdx  []int
-}
-
-// featureIndices resolves Columns into indices of features.Columns().
-func (m *OpModel) featureIndices() []int {
-	//adsala:ignore zeroalloc Once.Do inlines its fast path so the literal never escapes; pinned by TestRankOpIntoZeroAlloc
-	m.colOnce.Do(func() {
-		if len(m.Columns) == 0 {
-			return
-		}
-		all := features.Columns()
-		for _, want := range m.Columns {
-			for i, c := range all {
-				if c == want {
-					m.colIdx = append(m.colIdx, i)
-					break
-				}
-			}
-		}
-	})
-	return m.colIdx
-}
-
-// rawRow builds the (possibly column-restricted) raw feature row.
-func (m *OpModel) rawRow(mm, k, n, threads int) []float64 {
-	full := features.Row(mm, k, n, threads)
-	idx := m.featureIndices()
-	if idx == nil {
-		return full
-	}
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = full[j]
-	}
-	return out
-}
-
-// predictSeconds is the uncached single-configuration estimate.
-func (m *OpModel) predictSeconds(mm, k, n, threads int) float64 {
-	row := m.Pipeline.Transform(m.rawRow(mm, k, n, threads))
-	return m.Pipeline.UntransformTarget(m.Model.Predict(row))
 }
 
 // Library is the deployable ADSALA artefact: a versioned per-operation
@@ -307,11 +264,14 @@ func (m *OpModel) predictSeconds(mm, k, n, threads int) float64 {
 // fallback for operations without a model of their own, so a library
 // trained pre-registry keeps answering every op exactly as before.
 type Library struct {
-	Platform   string
+	Platform string
+	// Candidates must be final before the first SetModel: each model is
+	// compiled against them.
 	Candidates []int
 
-	// models is indexed by ops.Op; nil entries fall back to GEMM.
-	models []*OpModel
+	// plans is indexed by ops.Op, one per installed model; nil entries fall
+	// back to GEMM.
+	plans []*rankPlan
 
 	// format is the artefact format version this library was loaded from
 	// (0 for libraries built in-process, which save as the current
@@ -329,36 +289,53 @@ func (l *Library) Format() int {
 	return l.format
 }
 
-// SetModel installs the trained model for an operation.
-func (l *Library) SetModel(op ops.Op, m *OpModel) {
-	for len(l.models) <= int(op) {
-		l.models = append(l.models, nil)
+// SetModel installs the trained model for an operation, compiled against
+// the library's Candidates. It is the one checkpoint between a model and the
+// ranking path: a model whose pipeline, columns or trees could index outside
+// the feature row (or a candidate below one thread) is refused here, with
+// the offending field named, instead of panicking inside RankOpInto.
+func (l *Library) SetModel(op ops.Op, m *OpModel) error {
+	p, err := compilePlan(m, l.Candidates)
+	if err != nil {
+		return fmt.Errorf("core: set %v model: %w", op, err)
 	}
-	l.models[op] = m
+	for len(l.plans) <= int(op) {
+		l.plans = append(l.plans, nil)
+	}
+	l.plans[op] = p
+	return nil
+}
+
+// planFor returns the op's compiled model, falling back to GEMM's.
+func (l *Library) planFor(op ops.Op) *rankPlan {
+	if l.HasModel(op) {
+		return l.plans[op]
+	}
+	if l.HasModel(ops.GEMM) {
+		return l.plans[ops.GEMM]
+	}
+	return nil
 }
 
 // ModelFor returns the operation's model, falling back to the GEMM model
 // when the op has none of its own. Nil only on an empty (untrained) bundle.
 func (l *Library) ModelFor(op ops.Op) *OpModel {
-	if int(op) < len(l.models) && l.models[op] != nil {
-		return l.models[op]
-	}
-	if int(ops.GEMM) < len(l.models) {
-		return l.models[ops.GEMM]
+	if p := l.planFor(op); p != nil {
+		return p.mod
 	}
 	return nil
 }
 
 // HasModel reports whether the op has a model of its own (no fallback).
 func (l *Library) HasModel(op ops.Op) bool {
-	return int(op) < len(l.models) && l.models[op] != nil
+	return int(op) < len(l.plans) && l.plans[op] != nil
 }
 
 // TrainedOps returns the operations with a model of their own, in op order.
 func (l *Library) TrainedOps() []ops.Op {
 	var out []ops.Op
-	for i, m := range l.models {
-		if m != nil {
+	for i, p := range l.plans {
+		if p != nil {
 			out = append(out, ops.Op(i))
 		}
 	}
@@ -386,68 +363,85 @@ func (l *Library) EvalSeconds() float64 {
 // sized for every model in the bundle. A Scratch is not safe for concurrent
 // use; pool one per goroutine (the serve engine keeps them in a sync.Pool).
 type Scratch struct {
-	raw        []float64 // full Table II feature row
-	restricted []float64 // column-restricted row (ablation libraries)
-	buf        []float64 // pipeline output row fed to the model
+	raw  []float64 // full Table II feature row
+	x    []float64 // model input, candidates × kept columns, row-major
+	pred []float64 // the model's prediction per candidate (target space)
 }
 
-// NewScratch returns ranking buffers sized for this library (the maximum
-// over its per-op models, so one scratch serves any op).
+// NewScratch returns ranking buffers sized for this library (the widest of
+// its per-op models, so one scratch serves any op).
 func (l *Library) NewScratch() *Scratch {
-	maxKeep, maxIdx := 0, 0
-	for _, m := range l.models {
-		if m == nil {
-			continue
-		}
-		if n := len(m.Pipeline.Keep); n > maxKeep {
-			maxKeep = n
-		}
-		if n := len(m.featureIndices()); n > maxIdx {
-			maxIdx = n
+	width := 0
+	for _, p := range l.plans {
+		if p != nil && len(p.cols) > width {
+			width = len(p.cols)
 		}
 	}
-	s := &Scratch{
-		raw: make([]float64, len(features.Columns())),
-		buf: make([]float64, maxKeep),
+	rows, raw := len(l.Candidates), len(features.Columns())
+	buf := make([]float64, raw+rows*width+rows)
+	return &Scratch{
+		raw:  buf[:raw:raw],
+		x:    buf[raw : raw+rows*width : raw+rows*width],
+		pred: buf[raw+rows*width:],
 	}
-	if maxIdx > 0 {
-		s.restricted = make([]float64, maxIdx)
-	}
-	return s
 }
 
 // RankOpInto ranks every candidate thread count by the op's predicted
 // runtime using the scratch buffers and returns the index of the argmin in
-// Candidates. When scores is non-nil it must have len(Candidates) and
-// receives the predicted wall time in seconds for each candidate (target
-// untransformed). The library itself is read-only here, so concurrent calls
-// with distinct scratches are safe.
+// Candidates (the first, on ties). When scores is non-nil it must have
+// len(Candidates) and receives the predicted wall time in seconds for each
+// candidate (target untransformed). The library itself is read-only here, so
+// concurrent calls with distinct scratches are safe.
+//
+// All candidates are scored in one pass over a candidates × columns matrix:
+// a shape-only column is transformed once and broadcast, the thread-count
+// column was transformed when the model was installed, and only the Group 2
+// columns are transformed per candidate. Every cell is the value the
+// single-configuration path (PredictOpSecondsInto) computes for that
+// candidate, and ml.PredictRows returns Predict's bits, so scores and
+// decisions are exactly those of ranking one candidate at a time.
 //
 //adsala:zeroalloc
 func (l *Library) RankOpInto(op ops.Op, m, k, n int, s *Scratch, scores []float64) int {
-	mod := l.ModelFor(op)
-	idx := mod.featureIndices()
-	buf := s.buf[:len(mod.Pipeline.Keep)]
-	bestIdx, bt := 0, 0.0
-	for i, cand := range l.Candidates {
-		features.RowInto(m, k, n, cand, s.raw)
-		row := s.raw
-		if idx != nil {
-			row = s.restricted[:len(idx)]
-			for j, jj := range idx {
-				row[j] = s.raw[jj]
-			}
+	p := l.planFor(op)
+	pipe := p.mod.Pipeline
+	w := len(p.cols)
+	x, pred := s.x[:len(l.Candidates)*w], s.pred[:len(l.Candidates)]
+	copy(x, p.base)
+	features.RowInto(m, k, n, l.Candidates[0], s.raw)
+	for i, c := range p.cols {
+		if c.dep != features.ShapeOnly {
+			continue
 		}
-		mod.Pipeline.TransformInto(row, buf)
-		pred := mod.Model.Predict(buf)
-		if scores != nil {
-			scores[i] = mod.Pipeline.UntransformTarget(pred)
-		}
-		if i == 0 || pred < bt {
-			bestIdx, bt = i, pred
+		v := pipe.TransformColumn(c.in, s.raw[c.src])
+		for j := i; j < len(x); j += w {
+			x[j] = v
 		}
 	}
-	return bestIdx
+	if p.mixed {
+		for r, cand := range l.Candidates {
+			if r > 0 {
+				features.RowInto(m, k, n, cand, s.raw)
+			}
+			row := x[r*w : (r+1)*w]
+			for i, c := range p.cols {
+				if c.dep == features.Mixed {
+					row[i] = pipe.TransformColumn(c.in, s.raw[c.src])
+				}
+			}
+		}
+	}
+	ml.PredictRows(p.mod.Model, x, w, p.uniform, pred)
+	best := 0
+	for i, v := range pred {
+		if v < pred[best] {
+			best = i
+		}
+		if scores != nil {
+			scores[i] = pipe.UntransformTarget(v)
+		}
+	}
+	return best
 }
 
 // RankInto is RankOpInto for the primary GEMM model.
@@ -472,7 +466,7 @@ func (l *Library) OptimalThreads(m, k, n int) int {
 // PredictOpSeconds returns the op model's runtime estimate for one
 // configuration.
 func (l *Library) PredictOpSeconds(op ops.Op, m, k, n, threads int) float64 {
-	return l.ModelFor(op).predictSeconds(m, k, n, threads)
+	return l.PredictOpSecondsInto(op, m, k, n, threads, l.NewScratch())
 }
 
 // PredictOpSecondsInto is PredictOpSeconds evaluated through the scratch
@@ -483,18 +477,14 @@ func (l *Library) PredictOpSeconds(op ops.Op, m, k, n, threads int) float64 {
 //
 //adsala:zeroalloc
 func (l *Library) PredictOpSecondsInto(op ops.Op, mm, k, n, threads int, s *Scratch) float64 {
-	mod := l.ModelFor(op)
+	p := l.planFor(op)
+	pipe := p.mod.Pipeline
 	features.RowInto(mm, k, n, threads, s.raw)
-	row := s.raw
-	if idx := mod.featureIndices(); idx != nil {
-		row = s.restricted[:len(idx)]
-		for j, jj := range idx {
-			row[j] = s.raw[jj]
-		}
+	row := s.x[:len(p.cols)]
+	for i, c := range p.cols {
+		row[i] = pipe.TransformColumn(c.in, s.raw[c.src])
 	}
-	buf := s.buf[:len(mod.Pipeline.Keep)]
-	mod.Pipeline.TransformInto(row, buf)
-	return mod.Pipeline.UntransformTarget(mod.Model.Predict(buf))
+	return pipe.UntransformTarget(p.mod.Model.Predict(row))
 }
 
 // PredictSeconds is PredictOpSeconds for GEMM.

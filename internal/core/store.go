@@ -56,7 +56,7 @@ func (l *Library) Save(path string) error {
 		FormatVersion: formatVersion,
 		Platform:      l.Platform,
 		Candidates:    l.Candidates,
-		Ops:           make(map[string]opModelFile, len(l.models)),
+		Ops:           make(map[string]opModelFile, len(l.plans)),
 	}
 	for _, op := range l.TrainedOps() {
 		m := l.ModelFor(op)
@@ -147,10 +147,12 @@ func loadV1(path string, blob []byte) (*Library, error) {
 		Model:       f.Model,
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: library %s op %v: %w", path, ops.GEMM, err)
 	}
 	lib := &Library{Platform: f.Platform, Candidates: sortedCopy(f.Candidates), format: formatVersionV1}
-	lib.SetModel(ops.GEMM, m)
+	if err := lib.SetModel(ops.GEMM, m); err != nil {
+		return nil, fmt.Errorf("core: library %s: %w", path, err)
+	}
 	return lib, nil
 }
 
@@ -181,7 +183,9 @@ func loadV2(path string, blob []byte) (*Library, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: library %s op %s: %w", path, name, err)
 		}
-		lib.SetModel(op, m)
+		if err := lib.SetModel(op, m); err != nil {
+			return nil, fmt.Errorf("core: library %s: %w", path, err)
+		}
 	}
 	if !lib.HasModel(ops.GEMM) {
 		return nil, fmt.Errorf("core: library %s lacks the primary gemm model", path)

@@ -141,11 +141,15 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: train %v: %w", op, err)
 		}
-		lib.SetModel(op, model)
+		if op == ops.GEMM {
+			lib.Candidates = candidatesOf(data[0])
+		}
+		if err := lib.SetModel(op, model); err != nil {
+			return nil, err
+		}
 		res.OpReports[op] = reports
 		res.OpData[op] = data
 		if op == ops.GEMM {
-			lib.Candidates = candidatesOf(data[0])
 			res.Reports = reports
 			res.Data = data
 			res.TestIdx = testIdx
@@ -170,7 +174,9 @@ func TrainOnDataWithColumns(cfg TrainConfig, data []ShapeTimings, cols []string)
 		return nil, err
 	}
 	lib := &Library{Platform: cfg.Platform, Candidates: candidatesOf(data[0])}
-	lib.SetModel(ops.GEMM, model)
+	if err := lib.SetModel(ops.GEMM, model); err != nil {
+		return nil, err
+	}
 	return &TrainResult{
 		Library:   lib,
 		Reports:   reports,
@@ -266,11 +272,17 @@ func trainSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string) 
 		models[spec.Kind] = model
 
 		rmse := ml.RMSE(ml.PredictBatch(model, testX), testY)
-		probe := probeLibrary(cfg.Platform, candidates, op, &OpModel{
+		// A throwaway single-model bundle, ranked through one scratch — the
+		// path (and the cost) the serving engine has.
+		probe := &Library{Platform: cfg.Platform, Candidates: candidates}
+		if err := probe.SetModel(op, &OpModel{
 			Kind: spec.Kind, Model: model, Pipeline: pipe, Columns: cols,
-		})
-		evalSec := measureEvalLatency(probe, op, testData)
-		idealMean, idealAgg := speedups(probe, op, testData, cfg.ReferenceThreads, 0)
+		}); err != nil {
+			return nil, nil, nil, err
+		}
+		scratch := probe.NewScratch()
+		evalSec := measureEvalLatency(probe, op, testData, scratch)
+		idealMean, idealAgg := speedups(probe, op, testData, cfg.ReferenceThreads, 0, scratch)
 		// The paper's timing protocol (§V-B.3) runs each shape in a
 		// 10-iteration loop with the §III-C prediction cache active, so one
 		// model evaluation amortises over the loop. Charge the same way.
@@ -278,7 +290,7 @@ func trainSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string) 
 		if iters < 1 {
 			iters = 10
 		}
-		estMean, estAgg := speedups(probe, op, testData, cfg.ReferenceThreads, evalSec/float64(iters))
+		estMean, estAgg := speedups(probe, op, testData, cfg.ReferenceThreads, evalSec/float64(iters), scratch)
 		reports = append(reports, ModelReport{
 			Op:   op.String(),
 			Name: spec.Name, Kind: spec.Kind, GridChoice: grid.Best.Label,
@@ -316,18 +328,10 @@ func trainSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string) 
 	}, reports, testIdx, nil
 }
 
-// probeLibrary builds a throwaway single-model bundle for candidate-model
-// evaluation during training.
-func probeLibrary(platform string, candidates []int, op ops.Op, m *OpModel) *Library {
-	lib := &Library{Platform: platform, Candidates: candidates}
-	lib.SetModel(op, m)
-	return lib
-}
-
 // speedups evaluates the model's thread choices on held-out shapes against
 // the reference thread count, returning mean and aggregate speedups. evalSec
 // is added to the ADSALA time per call (0 for the "ideal" columns).
-func speedups(lib *Library, op ops.Op, test []ShapeTimings, refThreads int, evalSec float64) (mean, agg float64) {
+func speedups(lib *Library, op ops.Op, test []ShapeTimings, refThreads int, evalSec float64, s *Scratch) (mean, agg float64) {
 	var sumRatio, sumRef, sumADSALA float64
 	n := 0
 	for _, st := range test {
@@ -335,7 +339,7 @@ func speedups(lib *Library, op ops.Op, test []ShapeTimings, refThreads int, eval
 		if !ok {
 			continue
 		}
-		choice := lib.OptimalThreadsOp(op, st.Shape.M, st.Shape.K, st.Shape.N)
+		choice := lib.Candidates[lib.RankOpInto(op, st.Shape.M, st.Shape.K, st.Shape.N, s, nil)]
 		chosen, ok := st.TimeAt(choice)
 		if !ok {
 			continue
@@ -354,8 +358,13 @@ func speedups(lib *Library, op ops.Op, test []ShapeTimings, refThreads int, eval
 
 // measureEvalLatency times the full thread-selection (pipeline transform +
 // model evaluation across every candidate) on this host, averaged over a
-// sample of shapes — the t_eval of §IV-D.
-func measureEvalLatency(lib *Library, op ops.Op, test []ShapeTimings) float64 {
+// sample of shapes — the t_eval of §IV-D. It ranks through a reused Scratch,
+// as the serving engine does, so the latency that decides model selection is
+// the one a cache miss pays and not that plus a per-call allocation; and it
+// keeps the fastest of several passes, because a pass is a few hundred
+// microseconds and one preemption inside a mean is enough to flip the
+// selection between two models whose estimated speedups are close.
+func measureEvalLatency(lib *Library, op ops.Op, test []ShapeTimings, s *Scratch) float64 {
 	probe := test
 	if len(probe) > 32 {
 		probe = probe[:32]
@@ -363,18 +372,19 @@ func measureEvalLatency(lib *Library, op ops.Op, test []ShapeTimings) float64 {
 	if len(probe) == 0 {
 		return 0
 	}
-	// Warm up code paths so the measurement excludes first-call effects.
-	for _, st := range probe {
-		lib.OptimalThreadsOp(op, st.Shape.M, st.Shape.K, st.Shape.N)
-	}
-	start := time.Now()
-	const reps = 3
-	for r := 0; r < reps; r++ {
+	pass := func() float64 {
+		start := time.Now()
 		for _, st := range probe {
-			lib.OptimalThreadsOp(op, st.Shape.M, st.Shape.K, st.Shape.N)
+			lib.RankOpInto(op, st.Shape.M, st.Shape.K, st.Shape.N, s, nil)
 		}
+		return time.Since(start).Seconds()
 	}
-	return time.Since(start).Seconds() / float64(reps*len(probe))
+	pass() // warms code paths; not timed
+	best := pass()
+	for r := 1; r < 9; r++ {
+		best = math.Min(best, pass())
+	}
+	return best / float64(len(probe))
 }
 
 // stratifiedShapeSplit picks testFrac of shape indices, stratified by the

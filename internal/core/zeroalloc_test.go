@@ -8,9 +8,8 @@ import (
 
 // TestRankOpIntoZeroAlloc pins the //adsala:zeroalloc contract on the
 // ranking hot path: with a caller-owned Scratch and scores slice, a full
-// candidate ranking allocates nothing — including the lazy column-index
-// resolution inside featureIndices (Once.Do's fast path keeps its closure
-// on the stack; see the //adsala:ignore there).
+// candidate ranking allocates nothing (every model kind and candidate-set
+// length is pinned in TestBatchedRankMatchesPerCandidate).
 func TestRankOpIntoZeroAlloc(t *testing.T) {
 	res := quickTrain(t, 40)
 	lib := res.Library

@@ -22,6 +22,33 @@ var columns = []string{
 // group1 is the number of Group 1 columns; the remainder are Group 2.
 const group1 = 9
 
+// Dep says which inputs of Row a column's value depends on. A ranking pass
+// evaluates one shape at every candidate thread count, so a ShapeOnly column
+// is one value per pass and a ThreadsOnly column one value per candidate,
+// whatever the shape.
+type Dep uint8
+
+const (
+	ShapeOnly   Dep = iota // m, k, n and their products (Group 1 less n_threads)
+	ThreadsOnly            // n_threads
+	Mixed                  // Group 2: work divided by the thread count
+)
+
+// threadsCol is the index of "n_threads", the one Group 1 column that is not
+// a function of the shape.
+const threadsCol = 3
+
+// DepOf classifies column col of Columns().
+func DepOf(col int) Dep {
+	switch {
+	case col == threadsCol:
+		return ThreadsOnly
+	case col < group1:
+		return ShapeOnly
+	}
+	return Mixed
+}
+
 // Columns returns the full Table II feature names in order.
 func Columns() []string { return append([]string(nil), columns...) }
 

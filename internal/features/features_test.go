@@ -95,6 +95,36 @@ func TestRowConsistencyProperty(t *testing.T) {
 	}
 }
 
+// TestDepOfMatchesRow checks the declared dependency classes against what
+// RowInto actually computes: a ShapeOnly column must not move with the thread
+// count, a ThreadsOnly column must not move with the shape, and every column
+// must move with something it is declared to depend on.
+func TestDepOfMatchesRow(t *testing.T) {
+	if columns[threadsCol] != "n_threads" {
+		t.Fatalf("threadsCol names %q", columns[threadsCol])
+	}
+	base := Row(37, 53, 71, 6)
+	otherThreads := Row(37, 53, 71, 11)
+	otherShape := Row(41, 59, 73, 6)
+	counts := map[Dep]int{}
+	for c := range base {
+		dep := DepOf(c)
+		counts[dep]++
+		movesWithThreads := base[c] != otherThreads[c]
+		movesWithShape := base[c] != otherShape[c]
+		want := map[Dep][2]bool{
+			ShapeOnly: {false, true}, ThreadsOnly: {true, false}, Mixed: {true, true},
+		}[dep]
+		if movesWithThreads != want[0] || movesWithShape != want[1] {
+			t.Errorf("column %q declared %d: moves with threads %v, with shape %v",
+				columns[c], dep, movesWithThreads, movesWithShape)
+		}
+	}
+	if counts[ShapeOnly] != 8 || counts[ThreadsOnly] != 1 || counts[Mixed] != 8 {
+		t.Errorf("class sizes %v, want 8 shape-only, 1 threads-only, 8 mixed", counts)
+	}
+}
+
 // TestRowIntoZeroAlloc pins the //adsala:zeroalloc contract: filling a
 // caller-owned row allocates nothing.
 func TestRowIntoZeroAlloc(t *testing.T) {

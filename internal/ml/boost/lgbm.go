@@ -118,7 +118,7 @@ func (l *LGBM) Predict(v []float64) float64 {
 	// Feature rows are narrow — Table II has 17 columns — so a stack-backed
 	// array keeps the bin buffer off the heap; the make fallback only fires
 	// for rows wider than anything the project produces.
-	var binsArr [32]uint16
+	var binsArr [maxStackWidth]uint16
 	var bins []uint16
 	if len(v) <= len(binsArr) {
 		bins = binsArr[:len(v)]
@@ -130,10 +130,14 @@ func (l *LGBM) Predict(v []float64) float64 {
 	}
 	s := l.Base
 	for _, t := range l.Trees {
-		s += p.LearningRate * evalBinnedTree(t, bins)
+		s += float64(p.LearningRate * evalBinnedTree(t, bins)) // rounded before the add, as in XGB.Predict
 	}
 	return s
 }
+
+// maxStackWidth is the widest row whose bins Predict and PredictRows keep on
+// the stack.
+const maxStackWidth = 32
 
 func evalBinnedTree(nodes []xgbNode, bins []uint16) float64 {
 	i := 0

@@ -144,9 +144,13 @@ func (x *XGB) Fit(X [][]float64, y []float64) error {
 
 // Predict implements ml.Regressor.
 func (x *XGB) Predict(v []float64) float64 {
+	lr := x.Params.withDefaults().LearningRate
 	s := x.Base
 	for _, t := range x.Trees {
-		s += x.Params.withDefaults().LearningRate * evalTree(t, v)
+		// The conversion rounds the product before the add, so no
+		// architecture fuses the two: PredictRows adds the same rounded
+		// product and must give the same bits.
+		s += float64(lr * evalTree(t, v))
 	}
 	return s
 }

@@ -156,3 +156,32 @@ func TestEnsemblePersistence(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckWidth: fitted ensembles pass at their own width; an empty
+// ensemble, a nil or out-of-range member tree, or AdaBoost weights that do
+// not pair with the trees are refused.
+func TestCheckWidth(t *testing.T) {
+	X, y := friedman(120, 0.3, 5)
+	forest := NewRandomForest(ForestParams{NTrees: 4, Seed: 1})
+	ada := NewAdaBoostR2(AdaParams{NEstimators: 4, Seed: 1})
+	for _, m := range []ml.Regressor{forest, ada} {
+		if err := m.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		if err := ml.CheckWidth(m, len(X[0])); err != nil {
+			t.Errorf("%s: fitted model rejected: %v", m.Name(), err)
+		}
+		if err := ml.CheckWidth(m, 1); err == nil {
+			t.Errorf("%s: accepted rows narrower than its splits", m.Name())
+		}
+	}
+	if err := (&RandomForest{}).CheckWidth(5); err == nil {
+		t.Error("empty forest accepted")
+	}
+	if err := (&RandomForest{Trees: []*tree.Regressor{nil}}).CheckWidth(5); err == nil {
+		t.Error("forest with a nil tree accepted")
+	}
+	if err := (&AdaBoostR2{Trees: ada.Trees, Betas: ada.Betas[:1]}).CheckWidth(len(X[0])); err == nil {
+		t.Error("adaboost with fewer betas than trees accepted")
+	}
+}

@@ -118,6 +118,28 @@ func (f *RandomForest) Predict(x []float64) float64 {
 	return s / float64(len(f.Trees))
 }
 
+// checkTrees applies tree.Regressor.CheckWidth to every member of a
+// non-empty ensemble.
+func checkTrees(trees []*tree.Regressor, width int) error {
+	if len(trees) == 0 {
+		return fmt.Errorf("no trees")
+	}
+	for i, t := range trees {
+		if err := t.CheckWidth(width); err != nil {
+			return fmt.Errorf("trees[%d]: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// CheckWidth implements ml.WidthChecker.
+func (f *RandomForest) CheckWidth(width int) error {
+	if err := checkTrees(f.Trees, width); err != nil {
+		return fmt.Errorf("ensemble: forest %w", err)
+	}
+	return nil
+}
+
 var _ ml.Regressor = (*RandomForest)(nil)
 
 // AdaParams configures AdaBoost.R2. Zero values select defaults.
@@ -256,6 +278,17 @@ func (a *AdaBoostR2) Predict(x []float64) float64 {
 		}
 	}
 	return ps[len(ps)-1].pred
+}
+
+// CheckWidth implements ml.WidthChecker.
+func (a *AdaBoostR2) CheckWidth(width int) error {
+	if len(a.Betas) != len(a.Trees) {
+		return fmt.Errorf("ensemble: adaboost has %d betas for %d trees", len(a.Betas), len(a.Trees))
+	}
+	if err := checkTrees(a.Trees, width); err != nil {
+		return fmt.Errorf("ensemble: adaboost %w", err)
+	}
+	return nil
 }
 
 var _ ml.Regressor = (*AdaBoostR2)(nil)

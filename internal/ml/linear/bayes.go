@@ -146,6 +146,9 @@ func (b *BayesianRidge) Predict(x []float64) float64 {
 	return dot(b.Weights, x) + b.Intercept
 }
 
+// CheckWidth implements ml.WidthChecker.
+func (b *BayesianRidge) CheckWidth(width int) error { return checkWeights(b.Weights, width) }
+
 func converged(old, new, tol float64) bool {
 	diff := old - new
 	if diff < 0 {

@@ -122,6 +122,9 @@ func (e *ElasticNet) Predict(x []float64) float64 {
 	return dot(e.Weights, x) + e.Intercept
 }
 
+// CheckWidth implements ml.WidthChecker.
+func (e *ElasticNet) CheckWidth(width int) error { return checkWeights(e.Weights, width) }
+
 func softThreshold(v, t float64) float64 {
 	switch {
 	case v > t:

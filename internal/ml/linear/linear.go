@@ -131,6 +131,18 @@ func solveDense(a [][]float64, b []float64) ([]float64, error) {
 	return x, nil
 }
 
+// checkWeights is the shared ml.WidthChecker body of the three linear
+// models: one weight per input column.
+func checkWeights(weights []float64, width int) error {
+	if len(weights) != width {
+		return fmt.Errorf("linear: %d weights, model input has %d columns", len(weights), width)
+	}
+	return nil
+}
+
+// CheckWidth implements ml.WidthChecker.
+func (r *Regression) CheckWidth(width int) error { return checkWeights(r.Weights, width) }
+
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {

@@ -242,3 +242,24 @@ func TestSolveDenseSingular(t *testing.T) {
 		t.Error("singular system should error")
 	}
 }
+
+// TestCheckWidth: all three linear models want exactly one weight per
+// input column.
+func TestCheckWidth(t *testing.T) {
+	w := []float64{1, 2, 3}
+	models := map[string]interface{ CheckWidth(int) error }{
+		"linear":     &Regression{Weights: w},
+		"elasticnet": &ElasticNet{Weights: w},
+		"bayesridge": &BayesianRidge{Weights: w},
+	}
+	for kind, m := range models {
+		if err := m.CheckWidth(3); err != nil {
+			t.Errorf("%s: %v", kind, err)
+		}
+		for _, width := range []int{2, 4} {
+			if err := m.CheckWidth(width); err == nil {
+				t.Errorf("%s: 3 weights accepted for %d columns", kind, width)
+			}
+		}
+	}
+}

@@ -33,6 +33,48 @@ func PredictBatch(r Regressor, X [][]float64) []float64 {
 	return out
 }
 
+// RowsPredictor is the optional batch form of Predict for models that can
+// share work between rows (the boosters walk each tree once for a whole set
+// of rows). x is a row-major matrix of len(out) rows of the given width;
+// uniform[f] promises that column f holds the same value in every row, so a
+// split on it is decided once. out[i] must receive exactly Predict(row i) —
+// same operations in the same order, hence the same bits. A model may
+// decline an input it cannot batch by returning false with out untouched.
+type RowsPredictor interface {
+	PredictRows(x []float64, width int, uniform []bool, out []float64) bool
+}
+
+// PredictRows evaluates every row of the row-major matrix x into out, through
+// the model's RowsPredictor when it has one and one Predict per row
+// otherwise.
+//
+//adsala:zeroalloc
+func PredictRows(r Regressor, x []float64, width int, uniform []bool, out []float64) {
+	if b, ok := r.(RowsPredictor); ok && b.PredictRows(x, width, uniform, out) {
+		return
+	}
+	for i := range out {
+		out[i] = r.Predict(x[i*width : (i+1)*width])
+	}
+}
+
+// WidthChecker is implemented by models that can verify, without evaluating
+// anything, that Predict on rows of the given width stays inside their own
+// trained state (no feature or child index out of range). The runtime
+// library asks once when a model is installed, so a corrupt artefact is
+// refused at load instead of panicking on its first prediction.
+type WidthChecker interface {
+	CheckWidth(width int) error
+}
+
+// CheckWidth runs the model's WidthChecker, if it has one.
+func CheckWidth(r Regressor, width int) error {
+	if c, ok := r.(WidthChecker); ok {
+		return c.CheckWidth(width)
+	}
+	return nil
+}
+
 // ValidateXY checks the shape invariants shared by every Fit implementation.
 func ValidateXY(X [][]float64, y []float64) error {
 	if len(X) == 0 {

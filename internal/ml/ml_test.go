@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -93,6 +94,78 @@ func TestPredictBatch(t *testing.T) {
 	out := PredictBatch(m, [][]float64{{1}, {2}, {3}})
 	if len(out) != 3 || out[0] != 7 || out[2] != 7 {
 		t.Errorf("PredictBatch = %v", out)
+	}
+}
+
+// sumModel predicts the sum of its row; batchModel adds a RowsPredictor that
+// can be told to decline.
+type sumModel struct{ constModel }
+
+func (s *sumModel) Predict(x []float64) float64 {
+	var t float64
+	for _, v := range x {
+		t += v
+	}
+	return t
+}
+
+type batchModel struct {
+	sumModel
+	decline bool
+	calls   int
+}
+
+func (b *batchModel) PredictRows(x []float64, width int, uniform []bool, out []float64) bool {
+	b.calls++
+	if b.decline {
+		return false
+	}
+	for i := range out {
+		out[i] = -b.Predict(x[i*width : (i+1)*width]) // negated: tells the two paths apart
+	}
+	return true
+}
+
+func (b *batchModel) CheckWidth(width int) error {
+	if width != 2 {
+		return fmt.Errorf("want 2 columns")
+	}
+	return nil
+}
+
+// TestPredictRowsDispatch: a plain model goes through one Predict per row, a
+// RowsPredictor is used when it accepts and falls back to the row loop when
+// it declines — and none of the three allocates.
+func TestPredictRowsDispatch(t *testing.T) {
+	x := []float64{1, 2, 3, 4, 5, 6}
+	out := make([]float64, 3)
+	uniform := make([]bool, 2)
+
+	PredictRows(&sumModel{}, x, 2, uniform, out)
+	if out[0] != 3 || out[1] != 7 || out[2] != 11 {
+		t.Errorf("row loop = %v", out)
+	}
+	b := &batchModel{}
+	PredictRows(b, x, 2, uniform, out)
+	if b.calls != 1 || out[0] != -3 || out[2] != -11 {
+		t.Errorf("batch path = %v after %d calls", out, b.calls)
+	}
+	b.decline = true
+	PredictRows(b, x, 2, uniform, out)
+	if b.calls != 2 || out[0] != 3 || out[2] != 11 {
+		t.Errorf("declined batch = %v after %d calls, want the row loop's answer", out, b.calls)
+	}
+	for _, m := range []Regressor{&sumModel{}, &batchModel{}, b} {
+		if n := testing.AllocsPerRun(100, func() { PredictRows(m, x, 2, uniform, out) }); n != 0 {
+			t.Errorf("%T: PredictRows allocates %.1f/op, want 0", m, n)
+		}
+	}
+
+	if err := CheckWidth(&sumModel{}, 9); err != nil {
+		t.Errorf("model without a WidthChecker: %v", err)
+	}
+	if CheckWidth(b, 2) != nil || CheckWidth(b, 3) == nil {
+		t.Error("CheckWidth does not reach the model's checker")
 	}
 }
 

@@ -100,6 +100,31 @@ func (t *Regressor) Predict(x []float64) float64 {
 	return n.Value
 }
 
+// CheckWidth implements ml.WidthChecker: every split reads a column of the
+// row and has both children.
+func (t *Regressor) CheckWidth(width int) error {
+	if t == nil || t.Root == nil {
+		return fmt.Errorf("tree: no root node")
+	}
+	return checkNode(t.Root, width)
+}
+
+func checkNode(n *Node, width int) error {
+	if n.Feature < 0 {
+		return nil
+	}
+	if n.Feature >= width {
+		return fmt.Errorf("tree: split on f = %d, model input has %d columns", n.Feature, width)
+	}
+	if n.Left == nil || n.Right == nil {
+		return fmt.Errorf("tree: split on f = %d lacks a child", n.Feature)
+	}
+	if err := checkNode(n.Left, width); err != nil {
+		return err
+	}
+	return checkNode(n.Right, width)
+}
+
 // Depth returns the height of the fitted tree (leaf-only tree has depth 0).
 func (t *Regressor) Depth() int { return depth(t.Root) }
 

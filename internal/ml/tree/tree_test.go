@@ -208,3 +208,33 @@ func TestTreeDeterminismProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckWidth: a fitted tree passes at its own width, and each way a
+// decoded tree could make Predict index outside the row or follow a nil
+// child is refused.
+func TestCheckWidth(t *testing.T) {
+	X, y := stepData(80, 2)
+	fitted := NewRegressor(Params{MaxDepth: 4})
+	if err := fitted.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	if err := fitted.CheckWidth(2); err != nil {
+		t.Errorf("fitted tree rejected: %v", err)
+	}
+	leaf := &Node{Feature: -1, Value: 1}
+	bad := map[string]*Regressor{
+		"no root":              {},
+		"feature out of range": {Root: &Node{Feature: 2, Left: leaf, Right: leaf}},
+		"missing child":        {Root: &Node{Feature: 0, Left: leaf}},
+		"deep feature":         {Root: &Node{Feature: 0, Left: leaf, Right: &Node{Feature: 9, Left: leaf, Right: leaf}}},
+	}
+	for name, r := range bad {
+		if err := r.CheckWidth(2); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	var none *Regressor
+	if err := none.CheckWidth(2); err == nil {
+		t.Error("nil tree accepted")
+	}
+}

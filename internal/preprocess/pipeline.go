@@ -147,21 +147,20 @@ func (p *Pipeline) Transform(row []float64) []float64 {
 	}
 	out := make([]float64, len(p.Keep))
 	for i, j := range p.Keep {
-		z := p.YJ[j].Transform(row[j])
-		out[i] = (z - p.Scaler.Mean[j]) / p.Scaler.Std[j]
+		out[i] = p.TransformColumn(j, row[j])
 	}
 	return out
 }
 
-// TransformInto is Transform without allocation; dst must have len(p.Keep).
-func (p *Pipeline) TransformInto(row, dst []float64) {
-	if len(dst) != len(p.Keep) {
-		panic("preprocess: TransformInto dst width mismatch")
-	}
-	for i, j := range p.Keep {
-		z := p.YJ[j].Transform(row[j])
-		dst[i] = (z - p.Scaler.Mean[j]) / p.Scaler.Std[j]
-	}
+// TransformColumn maps one raw value of input column j (an index into
+// InputCols) to the model's input space: Yeo-Johnson, then standardise. It is
+// the pipeline's only per-value transform — Transform and the runtime
+// library's ranking plan both go through it, so a row assembled column by
+// column is bit-identical to a transformed row.
+//
+//adsala:zeroalloc
+func (p *Pipeline) TransformColumn(j int, v float64) float64 {
+	return (p.YJ[j].Transform(v) - p.Scaler.Mean[j]) / p.Scaler.Std[j]
 }
 
 // UntransformTarget maps a model prediction back to seconds.
@@ -190,15 +189,44 @@ func UnmarshalPipeline(data []byte) (*Pipeline, error) {
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("preprocess: decode pipeline: %w", err)
 	}
-	if len(p.YJ) != len(p.InputCols) || len(p.Scaler.Mean) != len(p.InputCols) {
-		return nil, fmt.Errorf("preprocess: pipeline shape inconsistent")
-	}
-	for _, j := range p.Keep {
-		if j < 0 || j >= len(p.InputCols) {
-			return nil, fmt.Errorf("preprocess: keep index %d out of range", j)
-		}
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	return &p, nil
+}
+
+// Validate checks that the pipeline can transform any row of InputCols width
+// into finite values: every per-column slice matches InputCols, every Keep
+// index is in range, and each kept column has a finite λ and mean and a
+// finite positive std. Fit only produces valid pipelines; this is the gate
+// for one decoded from an artefact.
+func (p *Pipeline) Validate() error {
+	w := len(p.InputCols)
+	if len(p.YJ) != w {
+		return fmt.Errorf("preprocess: pipeline yeo_johnson has %d entries for %d input_cols", len(p.YJ), w)
+	}
+	if len(p.Scaler.Mean) != w {
+		return fmt.Errorf("preprocess: pipeline scaler.mean has %d entries for %d input_cols", len(p.Scaler.Mean), w)
+	}
+	if len(p.Scaler.Std) != w {
+		return fmt.Errorf("preprocess: pipeline scaler.std has %d entries for %d input_cols", len(p.Scaler.Std), w)
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for i, j := range p.Keep {
+		if j < 0 || j >= w {
+			return fmt.Errorf("preprocess: pipeline keep[%d] = %d outside %d input_cols", i, j, w)
+		}
+		if l := p.YJ[j].Lambda; !finite(l) {
+			return fmt.Errorf("preprocess: pipeline yeo_johnson[%d].lambda = %v", j, l)
+		}
+		if m := p.Scaler.Mean[j]; !finite(m) {
+			return fmt.Errorf("preprocess: pipeline scaler.mean[%d] = %v", j, m)
+		}
+		if sd := p.Scaler.Std[j]; !(sd > 0) || !finite(sd) {
+			return fmt.Errorf("preprocess: pipeline scaler.std[%d] = %v, want finite and positive", j, sd)
+		}
+	}
+	return nil
 }
 
 // pruneCorrelated drops one feature from every pair with |corr| above the

@@ -3,6 +3,7 @@ package preprocess
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -248,13 +249,14 @@ func TestPipelineFitTransformConsistency(t *testing.T) {
 			t.Fatalf("Transform produced %v", v)
 		}
 	}
-	// TransformInto agrees with Transform.
-	dst := make([]float64, len(train.Cols))
-	p.TransformInto(d.X[0], dst)
-	for i := range dst {
-		if dst[i] != row[i] {
-			t.Fatal("TransformInto disagrees with Transform")
+	// A row assembled column by column is the transformed row.
+	for i, j := range p.Keep {
+		if got := p.TransformColumn(j, d.X[0][j]); got != row[i] {
+			t.Fatalf("TransformColumn(%d) = %v, Transform gives %v", j, got, row[i])
 		}
+	}
+	if n := testing.AllocsPerRun(100, func() { p.TransformColumn(p.Keep[0], d.X[0][p.Keep[0]]) }); n != 0 {
+		t.Errorf("TransformColumn allocates %.1f/op, want 0", n)
 	}
 	// Log target: train targets are ln(y); Untransform inverts.
 	if !p.LogTarget {
@@ -334,6 +336,47 @@ func TestUnmarshalPipelineRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := UnmarshalPipeline([]byte(`{"input_cols":["a"],"yeo_johnson":[{"lambda":1}],"scaler":{"mean":[0],"std":[1]},"keep":[7]}`)); err == nil {
 		t.Error("out-of-range keep index should error")
+	}
+	if _, err := UnmarshalPipeline([]byte(`{"input_cols":["a"],"yeo_johnson":[{"lambda":1}],"scaler":{"mean":[0],"std":[]},"keep":[0]}`)); err == nil {
+		t.Error("short scaler.std should error")
+	}
+	if _, err := UnmarshalPipeline([]byte(`{"input_cols":["a"],"yeo_johnson":[{"lambda":1}],"scaler":{"mean":[0],"std":[0]},"keep":[0]}`)); err == nil {
+		t.Error("zero scaler.std on a kept column should error")
+	}
+}
+
+// TestPipelineValidateNonFinite covers the values JSON cannot carry but an
+// in-process pipeline can: a NaN or infinite parameter on a kept column
+// would turn every score into NaN, so Validate names it.
+func TestPipelineValidateNonFinite(t *testing.T) {
+	mk := func() *Pipeline {
+		return &Pipeline{
+			InputCols: []string{"a", "b"},
+			YJ:        []YeoJohnson{{Lambda: 1}, {Lambda: 0.5}},
+			Scaler:    StandardScaler{Mean: []float64{0, 1}, Std: []float64{1, 2}},
+			Keep:      []int{1},
+		}
+	}
+	if err := mk().Validate(); err != nil {
+		t.Fatalf("valid pipeline rejected: %v", err)
+	}
+	cases := map[string]func(*Pipeline){
+		"scaler.std":  func(p *Pipeline) { p.Scaler.Std[1] = math.NaN() },
+		"scaler.mean": func(p *Pipeline) { p.Scaler.Mean[1] = math.Inf(1) },
+		"lambda":      func(p *Pipeline) { p.YJ[1].Lambda = math.NaN() },
+	}
+	for field, corrupt := range cases {
+		p := mk()
+		corrupt(p)
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("corrupt %s: err = %v, want an error naming the field", field, err)
+		}
+	}
+	// A dropped column's parameters are never read, so they are not checked.
+	p := mk()
+	p.Scaler.Std[0] = 0
+	if err := p.Validate(); err != nil {
+		t.Errorf("zero std on a pruned column rejected: %v", err)
 	}
 }
 
