@@ -54,7 +54,7 @@ type (
 type TrainOptions struct {
 	// Platform selects the timing substrate: "Setonix" or "Gadi" train
 	// against the corresponding simulated HPC node; "local" times the
-	// built-in pure-Go GEMM on this machine.
+	// built-in GEMM kernels on this machine.
 	Platform string
 	// CapMB bounds the aggregate GEMM footprint of the sampled shapes
 	// (paper: 100 or 500). Default 500 for simulated platforms, 64 for
@@ -240,7 +240,7 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 		Seed:       seed,
 	}
 	if platform == "local" {
-		// Local timing of the pure-Go kernels: keep shapes small enough to
+		// Local timing of the built-in kernels: keep shapes small enough to
 		// finish quickly.
 		gather.Domain.MaxDim = 768
 	}

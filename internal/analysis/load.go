@@ -94,7 +94,8 @@ func FuncKey(fn *types.Func) string {
 }
 
 // FuncSource returns the module source of fn, or nil when fn is not a
-// module function with a body (external, interface method, builtin).
+// module function with a Go body (external, interface method, builtin,
+// assembly-backed).
 func (m *Module) FuncSource(fn *types.Func) *FuncSource {
 	if fn == nil || fn.Pkg() == nil || !m.InModule(fn.Pkg().Path()) {
 		return nil
@@ -214,8 +215,10 @@ func checkPackage(fset *token.FileSet, imp types.Importer, lp *listPackage) (*Pa
 	return &Package{Path: lp.ImportPath, Dir: lp.Dir, Files: files, Types: tpkg, Info: info}, nil
 }
 
-// indexFuncs registers every function declaration of pkg under its
-// canonical key.
+// indexFuncs registers every function declaration of pkg that has a Go body
+// under its canonical key. A body-less declaration is implemented in
+// assembly: it stays out of the index on purpose, which is what makes it a
+// trusted leaf of the zeroalloc walk (see ZeroAlloc).
 func indexFuncs(mod *Module, pkg *Package) {
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {

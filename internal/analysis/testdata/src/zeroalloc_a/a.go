@@ -115,3 +115,25 @@ func boxesPointer(p *point) {
 func boxesConst() {
 	sink(7)
 }
+
+// asmLeaf has no Go body (leaf.s stands in for its assembly): a trusted
+// leaf. Calling it from an annotated function is fine.
+//
+//go:noescape
+func asmLeaf(acc *[4]float32, x *float32, n int)
+
+//adsala:zeroalloc
+func callsAsmLeaf(x []float32) float32 {
+	var acc [4]float32
+	asmLeaf(&acc, &x[0], len(x))
+	return acc[0]
+}
+
+// The wrapper around the leaf is still checked.
+//
+//adsala:zeroalloc
+func boxesBeforeAsmLeaf(x []float32) {
+	var acc [4]float32
+	sink(x) // want `passing \[\]float32 as interface .* boxes and allocates`
+	asmLeaf(&acc, &x[0], len(x))
+}

@@ -18,7 +18,13 @@ import (
 // non-pointer-shaped values at call boundaries or explicit conversions.
 // Dynamic calls (interface methods, function values) and calls out of the
 // module cannot be inspected and are trusted — the AllocsPerRun tests
-// cover that gap.
+// cover that gap. So is a body-less module function, i.e. one implemented
+// in assembly: it has no Go construct to inspect and cannot reach the
+// allocator without calling back into Go. The rule is deliberate, not a
+// lookup miss — the annotated Go wrapper around it is still checked
+// (boxing or slicing on the way in is flagged), the declaration should be
+// //go:noescape so its pointer arguments stay on the caller's stack, and the
+// wrapper's AllocsPerRun test pins the pair.
 var ZeroAlloc = &Analyzer{
 	Name: "zeroalloc",
 	Doc:  "reject allocating constructs in //adsala:zeroalloc functions, transitively through same-module callees",
@@ -117,7 +123,7 @@ func (st *zeroAllocState) findAlloc(key string, visiting map[string]bool) *alloc
 	defer delete(visiting, key)
 	fs := st.mod.funcs[key]
 	if fs == nil {
-		return nil
+		return nil // no Go body in the module: a trusted leaf (see ZeroAlloc)
 	}
 	facts := st.factsFor(fs)
 	if len(facts.local) > 0 {

@@ -1,10 +1,11 @@
-// Package blas implements the level-3 GEMM routine (C ← αAB + βC) in pure
-// Go, following the BLIS five-loop blocked-and-packed design: the operand
+// Package blas implements the level-3 GEMM routine (C ← αAB + βC) in Go,
+// following the BLIS five-loop blocked-and-packed design: the operand
 // matrices are partitioned into cache-sized panels (NC/KC/MC), panels are
 // packed into contiguous buffers, and an MR×NR register micro-kernel performs
-// the innermost rank-KC update. A persistent worker team parallelises the
-// packing and MC loops, mirroring how MKL/BLIS thread the same loops with an
-// OpenMP thread pool.
+// the innermost rank-KC update — an AVX2/FMA assembly tile on amd64 CPUs
+// that have it, a pure-Go 4×4 tile everywhere else (kernel.go). A persistent
+// worker team parallelises the packing and MC loops, mirroring how MKL/BLIS
+// thread the same loops with an OpenMP thread pool.
 //
 // The package plays the role of the paper's vendor BLAS: ADSALA treats it as
 // a black box whose only tunable is the thread count. Its cost structure —
@@ -30,27 +31,51 @@ type Params struct {
 	MR, NR     int // register micro-tile
 }
 
-// DefaultParams returns blocking parameters sized for typical L1/L2/L3
-// capacities. The 4×4 micro-tile is the fastest of the supported set under
-// the gc register allocator (see kernel.go); 8×4 and 4×8 are available for
-// experimentation via SGEMMWithParams.
-func DefaultParams() Params {
-	return Params{MC: 128, KC: 256, NC: 2048, MR: defaultMR, NR: defaultNR}
+// DefaultParams returns the blocking parameters every entry point without an
+// explicit Params uses, for element type T on this CPU. The cache blocks are
+// sized for typical L1/L2/L3 capacities and are multiples of both tiles; the
+// register tile is the one place the default depends on T and the machine:
+// the vector tile (6×16 in float32, 6×8 in float64) where the CPU probe
+// found AVX2 and FMA, the Go 4×4 tile everywhere else (see kernel.go).
+func DefaultParams[T float32 | float64]() Params {
+	p := Params{MC: 120, KC: 256, NC: 2048, MR: goMR, NR: goNR}
+	if useVec {
+		p.MR, p.NR = vecMR, vecNR[T]()
+	}
+	return p
 }
 
-// Validate reports whether the parameters can drive the packed kernel.
+// Validate reports whether the parameters can drive the packed kernel in
+// some precision on this CPU.
 func (p Params) Validate() error {
 	if p.MC < 1 || p.KC < 1 || p.NC < 1 {
 		return fmt.Errorf("blas: non-positive block sizes %+v", p)
 	}
-	if !supportedTile(p.MR, p.NR) {
-		return fmt.Errorf("blas: micro-tile %dx%d unsupported (have 4x4, 8x4, 4x8)", p.MR, p.NR)
+	vec := useVec && p.MR == vecMR && (p.NR == vecNR[float32]() || p.NR == vecNR[float64]())
+	if !vec && (p.MR != goMR || p.NR != goNR) {
+		have := "4x4"
+		if useVec {
+			have = "4x4, 6x16 in float32, 6x8 in float64"
+		}
+		return fmt.Errorf("blas: micro-tile %dx%d unsupported (have %s)", p.MR, p.NR, have)
 	}
 	if p.MC%p.MR != 0 {
 		return fmt.Errorf("blas: MC=%d must be a multiple of MR=%d", p.MC, p.MR)
 	}
 	if p.NC%p.NR != 0 {
 		return fmt.Errorf("blas: NC=%d must be a multiple of NR=%d", p.NC, p.NR)
+	}
+	return nil
+}
+
+// checkParams is Validate plus the half of the tile rule that needs the
+// element type: the vector tile's width is fixed per precision.
+func checkParams[T float32 | float64](p Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if p.MR == vecMR && p.NR != vecNR[T]() {
+		return fmt.Errorf("blas: micro-tile %dx%d is the other precision's (want %dx%d)", p.MR, p.NR, vecMR, vecNR[T]())
 	}
 	return nil
 }
@@ -63,8 +88,9 @@ func (p Params) Validate() error {
 // allocates nothing in steady state.
 func SGEMM(transA, transB bool, alpha float32, a *mat.F32, b *mat.F32, beta float32, c *mat.F32, threads int) error {
 	ctx := ctxPool.Get().(*Context)
-	// Deferred so a panicking inner call (indexing bug, corrupted operand
-	// headers) does not leak the pooled context and its worker team.
+	// Deferred so a panicking inner call (an indexing bug; malformed operand
+	// headers are refused with an error before any work starts) does not
+	// leak the pooled context and its worker team.
 	defer ctxPool.Put(ctx)
 	return ctx.SGEMM(transA, transB, alpha, a, b, beta, c, threads)
 }
@@ -77,7 +103,7 @@ func DGEMM(transA, transB bool, alpha float64, a *mat.F64, b *mat.F64, beta floa
 }
 
 // SGEMMWithParams is SGEMM with explicit blocking parameters; it exists for
-// the blocking-parameter benchmarks and the wide micro-tile variants.
+// the blocking-parameter benchmarks and the micro-tile comparison.
 func SGEMMWithParams(transA, transB bool, alpha float32, a *mat.F32, b *mat.F32, beta float32, c *mat.F32, threads int, p Params) error {
 	ctx := ctxPool.Get().(*Context)
 	defer ctxPool.Put(ctx)
@@ -98,6 +124,43 @@ type view[T float32 | float64] struct {
 }
 
 func (v view[T]) at(i, j int) T { return v.data[i*v.stride+j] }
+
+// checkOperands validates the three operand headers of one call (SYRK
+// passes its A twice). The drivers call it before any work is handed to the
+// team: a panic on a worker goroutine cannot be recovered by the caller.
+func checkOperands[T float32 | float64](op string, a, b, c view[T]) error {
+	if err := a.check(op, "A"); err != nil {
+		return err
+	}
+	if err := b.check(op, "B"); err != nil {
+		return err
+	}
+	return c.check(op, "C")
+}
+
+// check reports a header the kernels would index out of range with: a
+// stride shorter than a row, or data that ends before the last element. A
+// strided sub-matrix view whose data ends with its last row is valid. The
+// test is a handful of compares on the call path; describing the defect is
+// kept out of line.
+func (v view[T]) check(op, name string) error {
+	if v.rows == 0 || v.cols == 0 ||
+		v.rows > 0 && v.cols > 0 && v.stride >= v.cols && len(v.data) >= (v.rows-1)*v.stride+v.cols {
+		return nil
+	}
+	return v.headerError(op, name)
+}
+
+func (v view[T]) headerError(op, name string) error {
+	switch {
+	case v.rows < 0 || v.cols < 0:
+		return fmt.Errorf("blas: %s operand %s: negative dimensions %dx%d", op, name, v.rows, v.cols)
+	case v.stride < v.cols:
+		return fmt.Errorf("blas: %s operand %s: Stride %d < Cols %d", op, name, v.stride, v.cols)
+	}
+	return fmt.Errorf("blas: %s operand %s: len(Data) %d < %d needed for %dx%d with Stride %d",
+		op, name, len(v.data), (v.rows-1)*v.stride+v.cols, v.rows, v.cols, v.stride)
+}
 
 // opDims returns the dimensions of op(X).
 func opDims[T float32 | float64](v view[T], trans bool) (rows, cols int) {

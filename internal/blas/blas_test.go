@@ -189,28 +189,37 @@ func TestThreadCountClamping(t *testing.T) {
 }
 
 func TestParamsValidate(t *testing.T) {
-	good := DefaultParams()
+	good := DefaultParams[float32]()
 	if err := good.Validate(); err != nil {
 		t.Errorf("default params invalid: %v", err)
+	}
+	if err := DefaultParams[float64]().Validate(); err != nil {
+		t.Errorf("default float64 params invalid: %v", err)
 	}
 	bad := good
 	bad.MC = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("MC=0 should fail")
 	}
-	bad = good
-	bad.MR, bad.NR = 8, 8
-	if err := bad.Validate(); err == nil {
-		t.Error("unsupported micro-tile should fail")
+	for _, tile := range [][2]int{{8, 8}, {8, 4}, {4, 8}, {6, 4}, {4, 16}} {
+		bad = Params{MC: 16 * tile[0], KC: 64, NC: 16 * tile[1], MR: tile[0], NR: tile[1]}
+		if err := bad.Validate(); err == nil {
+			t.Errorf("unsupported micro-tile %dx%d should fail", tile[0], tile[1])
+		}
 	}
 	bad = good
-	bad.MC = 130 // not a multiple of MR=4
+	bad.MC = 130 // a multiple of neither MR
 	if err := bad.Validate(); err == nil {
 		t.Error("MC not multiple of MR should fail")
 	}
-	for _, tile := range [][2]int{{4, 4}, {8, 4}, {4, 8}} {
-		wide := Params{MC: 16 * tile[0], KC: 64, NC: 16 * tile[1], MR: tile[0], NR: tile[1]}
-		if err := wide.Validate(); err != nil {
+	bad = good
+	bad.NC = 2050
+	if err := bad.Validate(); err == nil {
+		t.Error("NC not multiple of NR should fail")
+	}
+	for _, tile := range append(testTiles[float32](), testTiles[float64]()...) {
+		p := Params{MC: 16 * tile[0], KC: 64, NC: 16 * tile[1], MR: tile[0], NR: tile[1]}
+		if err := p.Validate(); err != nil {
 			t.Errorf("tile %dx%d should validate: %v", tile[0], tile[1], err)
 		}
 	}

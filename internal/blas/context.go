@@ -46,12 +46,12 @@ func (c *Context) Close() {
 // SGEMM computes C ← alpha·op(A)·op(B) + beta·C in single precision on this
 // context with the given number of threads (values < 1 mean 1).
 func (c *Context) SGEMM(transA, transB bool, alpha float32, a, b *mat.F32, beta float32, cm *mat.F32, threads int) error {
-	return c.SGEMMWithParams(transA, transB, alpha, a, b, beta, cm, threads, DefaultParams())
+	return c.SGEMMWithParams(transA, transB, alpha, a, b, beta, cm, threads, DefaultParams[float32]())
 }
 
 // DGEMM is the double-precision counterpart of SGEMM.
 func (c *Context) DGEMM(transA, transB bool, alpha float64, a, b *mat.F64, beta float64, cm *mat.F64, threads int) error {
-	return c.DGEMMWithParams(transA, transB, alpha, a, b, beta, cm, threads, DefaultParams())
+	return c.DGEMMWithParams(transA, transB, alpha, a, b, beta, cm, threads, DefaultParams[float64]())
 }
 
 // SGEMMWithParams is SGEMM with explicit blocking parameters.
@@ -161,7 +161,10 @@ func (c *Context) ensureTeam(workers int) *team {
 // gemmCtx is the five-loop driver: argument checking, degenerate cases, the
 // small-shape fast path, buffer/team setup, and the worker dispatch.
 func gemmCtx[T float32 | float64](ctx *Context, transA, transB bool, alpha T, a, b view[T], beta T, c view[T], threads int, prm Params) error {
-	if err := prm.Validate(); err != nil {
+	if err := checkParams[T](prm); err != nil {
+		return err
+	}
+	if err := checkOperands("GEMM", a, b, c); err != nil {
 		return err
 	}
 	m, ka := opDims(a, transA)
@@ -191,7 +194,7 @@ func gemmCtx[T float32 | float64](ctx *Context, transA, transB bool, alpha T, a,
 	// blocking takes this path — explicit Params mean the caller is
 	// studying the packed algorithm (ablations, micro-tile comparisons)
 	// and must get exactly the configuration they asked for.
-	if prm == DefaultParams() && smallShape(m, n, k) {
+	if prm == DefaultParams[T]() && smallShape(m, n, k) {
 		smallGemm(transA, transB, alpha, a, b, beta, c, m, n, k)
 		return nil
 	}

@@ -1,30 +1,35 @@
 package blas
 
-// Register micro-kernels. The macro-kernel dispatches on the (MR, NR) pair
-// from Params; Validate restricts callers to the tiles implemented here.
-//
-// Tile selection (measured on the development machine, see BENCH_gemm.json):
-// the gc compiler has only 16 XMM registers, so the 8×4 and 4×8 tiles spill
-// accumulators to the stack and run ~35% slower than 4×4 despite touching
-// more FLOPs per loop. The 4×4 kernel with the k-loop unrolled 4× is the
-// fastest pure-Go variant (~1.5× the rolled kernel) and is the default; the
-// wide tiles remain available through Params for platforms with more vector
-// registers (and for the blocking-parameter ablation experiments).
+import "unsafe"
+
+// Register micro-kernels. There are two tiles. The vector tile is 6 rows by
+// two YMM registers (6×16 in float32, 6×8 in float64): twelve accumulator
+// registers, two for the streamed B row and two for the broadcast A values
+// fill the sixteen YMM registers of AVX2, and it runs an order of magnitude
+// faster than anything gc compiles from Go, which keeps one scalar per XMM
+// register. It is hand-written assembly (kernel_amd64.s) and the default
+// wherever it can run. The Go 4×4 tile with the k loop unrolled 4× is the
+// portable fallback: every non-amd64 GOARCH, and amd64 without AVX2/FMA.
+// The macro-kernels dispatch on the (MR, NR) pair from Params; Validate
+// restricts callers to these two.
 const (
-	defaultMR = 4
-	defaultNR = 4
-	// maxTile is the largest MR*NR product across supported tiles; the
+	goMR, goNR = 4, 4
+	vecMR      = 6
+	// maxTile is the largest MR*NR product across the tiles (6×16); the
 	// macro-kernel's accumulator block is sized to it.
-	maxTile = 32
+	maxTile = vecMR * 16
 )
 
-// supportedTile reports whether an (mr, nr) micro-tile has a kernel.
-func supportedTile(mr, nr int) bool {
-	switch {
-	case mr == 4 && nr == 4, mr == 8 && nr == 4, mr == 4 && nr == 8:
-		return true
-	}
-	return false
+// useVec is the CPU probe's answer, taken once: whether the vector tile is
+// the default tile and accepted by Validate. A variable only so in-package
+// tests can force the fallback on an AVX2 machine.
+var useVec = cpuHasVectorTile()
+
+// vecNR is the vector tile's width in elements of T: two 32-byte YMM
+// registers.
+func vecNR[T float32 | float64]() int {
+	var z T
+	return 64 / int(unsafe.Sizeof(z))
 }
 
 // macroKernel multiplies the packed mc×kc A block with the packed kc×nc B
@@ -42,12 +47,10 @@ func macroKernel[T float32 | float64](alpha T, packedA, packedB []T, beta T, c v
 			jb := min(nr, nc-j0)
 			bPanel := packedB[(j0/nr)*kc*nr:]
 			switch {
-			case mr == 4 && nr == 4:
+			case mr == goMR:
 				micro4x4(aPanel, bPanel, kc, &acc)
-			case mr == 8 && nr == 4:
-				micro8x4(aPanel, bPanel, kc, &acc)
-			default: // 4x8, enforced by Validate
-				micro4x8(aPanel, bPanel, kc, &acc)
+			default: // the vector tile of T, enforced by checkParams
+				microVec(aPanel, bPanel, kc, &acc)
 			}
 			storeTile(alpha, beta, first, &acc, c, ic+i0, jc+j0, ib, jb, nr)
 		}
@@ -179,127 +182,21 @@ func micro4x4[T float32 | float64](aPanel, bPanel []T, kc int, acc *[maxTile]T) 
 	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
 }
 
-// micro8x4 computes one 8×4 tile (row-major acc layout, stride 4).
+// microVec computes one vector tile (6×vecNR, row-major acc) over kc rank-1
+// updates in assembly. The slice expressions are the bounds check: the
+// assembly reads exactly the kc·6 and kc·vecNR elements they cover, and
+// writes only acc. The pointer type switch picks the precision without
+// boxing anything.
 //
 //adsala:zeroalloc
-func micro8x4[T float32 | float64](aPanel, bPanel []T, kc int, acc *[maxTile]T) {
-	var c00, c01, c02, c03 T
-	var c10, c11, c12, c13 T
-	var c20, c21, c22, c23 T
-	var c30, c31, c32, c33 T
-	var c40, c41, c42, c43 T
-	var c50, c51, c52, c53 T
-	var c60, c61, c62, c63 T
-	var c70, c71, c72, c73 T
-	for p := 0; p < kc; p++ {
-		a := aPanel[p*8 : p*8+8]
-		b := bPanel[p*4 : p*4+4]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		a0, a1 := a[0], a[1]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		a2, a3 := a[2], a[3]
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-		a4, a5 := a[4], a[5]
-		c40 += a4 * b0
-		c41 += a4 * b1
-		c42 += a4 * b2
-		c43 += a4 * b3
-		c50 += a5 * b0
-		c51 += a5 * b1
-		c52 += a5 * b2
-		c53 += a5 * b3
-		a6, a7 := a[6], a[7]
-		c60 += a6 * b0
-		c61 += a6 * b1
-		c62 += a6 * b2
-		c63 += a6 * b3
-		c70 += a7 * b0
-		c71 += a7 * b1
-		c72 += a7 * b2
-		c73 += a7 * b3
+func microVec[T float32 | float64](aPanel, bPanel []T, kc int, acc *[maxTile]T) {
+	a, b := aPanel[:kc*vecMR], bPanel[:kc*vecNR[T]()]
+	switch acc := any(acc).(type) {
+	case *[maxTile]float32:
+		sgemmKernel6x16(any(&a[0]).(*float32), any(&b[0]).(*float32), kc, acc)
+	case *[maxTile]float64:
+		dgemmKernel6x8(any(&a[0]).(*float64), any(&b[0]).(*float64), kc, acc)
 	}
-	acc[0], acc[1], acc[2], acc[3] = c00, c01, c02, c03
-	acc[4], acc[5], acc[6], acc[7] = c10, c11, c12, c13
-	acc[8], acc[9], acc[10], acc[11] = c20, c21, c22, c23
-	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
-	acc[16], acc[17], acc[18], acc[19] = c40, c41, c42, c43
-	acc[20], acc[21], acc[22], acc[23] = c50, c51, c52, c53
-	acc[24], acc[25], acc[26], acc[27] = c60, c61, c62, c63
-	acc[28], acc[29], acc[30], acc[31] = c70, c71, c72, c73
-}
-
-// micro4x8 computes one 4×8 tile (row-major acc layout, stride 8).
-//
-//adsala:zeroalloc
-func micro4x8[T float32 | float64](aPanel, bPanel []T, kc int, acc *[maxTile]T) {
-	var c00, c01, c02, c03, c04, c05, c06, c07 T
-	var c10, c11, c12, c13, c14, c15, c16, c17 T
-	var c20, c21, c22, c23, c24, c25, c26, c27 T
-	var c30, c31, c32, c33, c34, c35, c36, c37 T
-	for p := 0; p < kc; p++ {
-		a := aPanel[p*4 : p*4+4]
-		b := bPanel[p*8 : p*8+8]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		b4, b5, b6, b7 := b[4], b[5], b[6], b[7]
-		a0 := a[0]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c04 += a0 * b4
-		c05 += a0 * b5
-		c06 += a0 * b6
-		c07 += a0 * b7
-		a1 := a[1]
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c14 += a1 * b4
-		c15 += a1 * b5
-		c16 += a1 * b6
-		c17 += a1 * b7
-		a2 := a[2]
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c24 += a2 * b4
-		c25 += a2 * b5
-		c26 += a2 * b6
-		c27 += a2 * b7
-		a3 := a[3]
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-		c34 += a3 * b4
-		c35 += a3 * b5
-		c36 += a3 * b6
-		c37 += a3 * b7
-	}
-	acc[0], acc[1], acc[2], acc[3] = c00, c01, c02, c03
-	acc[4], acc[5], acc[6], acc[7] = c04, c05, c06, c07
-	acc[8], acc[9], acc[10], acc[11] = c10, c11, c12, c13
-	acc[12], acc[13], acc[14], acc[15] = c14, c15, c16, c17
-	acc[16], acc[17], acc[18], acc[19] = c20, c21, c22, c23
-	acc[20], acc[21], acc[22], acc[23] = c24, c25, c26, c27
-	acc[24], acc[25], acc[26], acc[27] = c30, c31, c32, c33
-	acc[28], acc[29], acc[30], acc[31] = c34, c35, c36, c37
 }
 
 // storeTile writes the accumulated tile into C with alpha/beta handling,

@@ -1,7 +1,7 @@
 package blas
 
-// Cross-validation of every execution path of the packed GEMM — all
-// supported micro-tiles × all four transpose combinations × edge dimensions
+// Cross-validation of every execution path of the packed GEMM — both
+// micro-tiles × all four transpose combinations × edge dimensions
 // (1, MR±1, non-multiples of MC/KC/NC) × non-unit strides — against the
 // naive reference, plus the same matrix through the small-shape path, a
 // context-reuse test, steady-state allocation checks, and a concurrent
@@ -25,6 +25,26 @@ func forcePath(t *testing.T, limit int) {
 	old := smallShapeLimit
 	smallShapeLimit = limit
 	t.Cleanup(func() { smallShapeLimit = old })
+}
+
+// forceGoTile makes the CPU probe answer "no vector tile" for the duration
+// of a test: DefaultParams resolves to the Go 4×4 tile and Validate rejects
+// the vector one, as on a machine without AVX2/FMA.
+func forceGoTile(t *testing.T) {
+	t.Helper()
+	old := useVec
+	useVec = false
+	t.Cleanup(func() { useVec = old })
+}
+
+// testTiles returns the micro-tiles T has a kernel for on this machine: the
+// Go 4×4 tile, and the vector tile where the CPU runs it.
+func testTiles[T float32 | float64]() [][2]int {
+	tiles := [][2]int{{goMR, goNR}}
+	if useVec {
+		tiles = append(tiles, [2]int{vecMR, vecNR[T]()})
+	}
+	return tiles
 }
 
 const (
@@ -100,7 +120,7 @@ func matrixDims(r int) []int {
 func TestPackedMatchesNaiveMatrix(t *testing.T) {
 	forcePath(t, forcePacked)
 	rng := rand.New(rand.NewSource(20))
-	for _, tile := range [][2]int{{4, 4}, {8, 4}, {4, 8}} {
+	for _, tile := range testTiles[float32]() {
 		mr, nr := tile[0], tile[1]
 		prm := Params{MC: 2 * mr, KC: 10, NC: 2 * nr, MR: mr, NR: nr}
 		if err := prm.Validate(); err != nil {
@@ -189,33 +209,6 @@ func TestSmallPathMatchesNaiveMatrix(t *testing.T) {
 				if d := c.Clone().MaxAbsDiff(want); d > tolF64(k) {
 					t.Errorf("m=%d k=%d n=%d ta=%v tb=%v: max diff %v", m, k, n, transA, transB, d)
 				}
-			}
-		}
-	}
-}
-
-// TestPackedThreadDeterminism pins the bit-exactness guarantee on the packed
-// path: block ownership depends only on (w, parts), and per-element
-// summation order is independent of the team size, so any thread count must
-// reproduce the serial result exactly.
-func TestPackedThreadDeterminism(t *testing.T) {
-	forcePath(t, forcePacked)
-	rng := rand.New(rand.NewSource(22))
-	for _, sh := range [][3]int{{97, 53, 41}, {129, 256, 65}, {64, 300, 48}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := randF32(m, k, rng)
-		b := randF32(k, n, rng)
-		ref := mat.NewF32(m, n)
-		if err := SGEMM(false, false, 1, a, b, 0, ref, 1); err != nil {
-			t.Fatal(err)
-		}
-		for _, threads := range []int{2, 3, 5, 8} {
-			c := mat.NewF32(m, n)
-			if err := SGEMM(false, false, 1, a, b, 0, c, threads); err != nil {
-				t.Fatal(err)
-			}
-			if d := c.MaxAbsDiff(ref); d != 0 {
-				t.Errorf("shape %v threads=%d: differs from serial by %v (want bit-identical)", sh, threads, d)
 			}
 		}
 	}

@@ -7,11 +7,14 @@ package blas
 // always streams a contiguous row of B (or of C), which is what the packed
 // layout would have bought anyway at these sizes.
 
-// smallShapeLimit bounds m·n·k for the no-packing path (tuned on the
-// development machine: the crossover sits between 32³ and 48³; see
-// BenchmarkSGEMMTiny). A variable rather than a constant so the test matrix
-// can force either path.
-var smallShapeLimit = 40 * 40 * 40
+// smallShapeLimit bounds m·n·k for the no-packing path. It was re-measured
+// against the vector tile (BenchmarkSmallCrossover, single thread): the
+// packed path overtakes the loops below at 8³ for GEMM and at about 10³ for
+// SYRK — 16³ already runs five times faster packed — so the limit is 8³. Against
+// the scalar Go tile it was 40³; the fallback tile shares the new limit at
+// no cost, it runs within 10 % of these loops from 12³ to 48³. A variable
+// rather than a constant so the test matrix can force either path.
+var smallShapeLimit = 8 * 8 * 8
 
 // smallShape reports whether an m×n×k problem should skip packing. It must
 // depend only on the dimensions — never on the thread count — so that

@@ -17,7 +17,7 @@ func TestSyr2kPackedMatchesNaiveMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	alphas := []float32{0, 1, 1.25}
 	betas := []float32{0, 1, -0.5}
-	for _, tile := range [][2]int{{4, 4}, {8, 4}, {4, 8}} {
+	for _, tile := range testTiles[float32]() {
 		mr, nr := tile[0], tile[1]
 		prm := Params{MC: 2 * mr, KC: 10, NC: 2 * nr, MR: mr, NR: nr}
 		if err := prm.Validate(); err != nil {
@@ -140,31 +140,6 @@ func TestSyr2kSymmetryAndReference(t *testing.T) {
 				if got.At(i, j) != got.At(j, i) {
 					t.Fatalf("%+v: asymmetric at (%d,%d)", tc, i, j)
 				}
-			}
-		}
-	}
-}
-
-// TestSyr2kThreadDeterminism pins the bit-exactness guarantee: any thread
-// count must reproduce the serial result exactly on the packed path.
-func TestSyr2kThreadDeterminism(t *testing.T) {
-	forcePath(t, forcePacked)
-	rng := rand.New(rand.NewSource(43))
-	for _, sh := range [][2]int{{97, 53}, {129, 256}, {64, 300}} {
-		n, k := sh[0], sh[1]
-		a := randF32(n, k, rng)
-		b := randF32(n, k, rng)
-		ref := mat.NewF32(n, n)
-		if err := SSYR2K(false, 1, a, b, 0, ref, 1); err != nil {
-			t.Fatal(err)
-		}
-		for _, threads := range []int{2, 3, 5, 8} {
-			c := mat.NewF32(n, n)
-			if err := SSYR2K(false, 1, a, b, 0, c, threads); err != nil {
-				t.Fatal(err)
-			}
-			if d := c.MaxAbsDiff(ref); d != 0 {
-				t.Errorf("n=%d k=%d threads=%d: differs from serial by %v (want bit-identical)", n, k, threads, d)
 			}
 		}
 	}

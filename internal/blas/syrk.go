@@ -60,12 +60,12 @@ func DSYRKWithParams(trans bool, alpha float64, a *mat.F64, beta float64, c *mat
 // SSYRK computes C ← alpha·op(A)·op(A)ᵀ + beta·C in single precision on this
 // context with the given number of threads (values < 1 mean 1).
 func (c *Context) SSYRK(trans bool, alpha float32, a *mat.F32, beta float32, cm *mat.F32, threads int) error {
-	return c.SSYRKWithParams(trans, alpha, a, beta, cm, threads, DefaultParams())
+	return c.SSYRKWithParams(trans, alpha, a, beta, cm, threads, DefaultParams[float32]())
 }
 
 // DSYRK is the double-precision counterpart of SSYRK.
 func (c *Context) DSYRK(trans bool, alpha float64, a *mat.F64, beta float64, cm *mat.F64, threads int) error {
-	return c.DSYRKWithParams(trans, alpha, a, beta, cm, threads, DefaultParams())
+	return c.DSYRKWithParams(trans, alpha, a, beta, cm, threads, DefaultParams[float64]())
 }
 
 // SSYRKWithParams is SSYRK with explicit blocking parameters.
@@ -86,7 +86,10 @@ func (c *Context) DSYRKWithParams(trans bool, alpha float64, a *mat.F64, beta fl
 // small-shape fast path, buffer/team setup and the worker dispatch. It
 // mirrors gemmCtx with m = n and B = op(A)ᵀ.
 func syrkCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a view[T], beta T, c view[T], threads int, prm Params) error {
-	if err := prm.Validate(); err != nil {
+	if err := checkParams[T](prm); err != nil {
+		return err
+	}
+	if err := checkOperands("SYRK", a, a, c); err != nil {
 		return err
 	}
 	n, k := opDims(a, trans)
@@ -108,7 +111,7 @@ func syrkCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a view[T], 
 	// Small shapes skip packing entirely, as in GEMM. The threshold depends
 	// only on the dimensions, so results stay bit-identical across thread
 	// counts.
-	if prm == DefaultParams() && smallShape(n, n, k) {
+	if prm == DefaultParams[T]() && smallShape(n, n, k) {
 		smallSyrk(trans, alpha, a, beta, c, n, k)
 		mirrorLower(c, 0, n)
 		return nil
@@ -276,12 +279,10 @@ func syrkMacroKernel[T float32 | float64](alpha T, packedA, packedB []T, beta T,
 			jb := min(nr, jLim-j0)
 			bPanel := packedB[(j0/nr)*kc*nr:]
 			switch {
-			case mr == 4 && nr == 4:
+			case mr == goMR:
 				micro4x4(aPanel, bPanel, kc, &acc)
-			case mr == 8 && nr == 4:
-				micro8x4(aPanel, bPanel, kc, &acc)
-			default: // 4x8, enforced by Validate
-				micro4x8(aPanel, bPanel, kc, &acc)
+			default: // the vector tile of T, enforced by checkParams
+				microVec(aPanel, bPanel, kc, &acc)
 			}
 			ci, cj := ic+i0, jc+j0
 			if cj+jb-1 <= ci {

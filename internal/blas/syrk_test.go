@@ -72,7 +72,7 @@ func TestSyrkPackedMatchesNaiveMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	alphas := []float32{0, 1, 1.25}
 	betas := []float32{0, 1, -0.5}
-	for _, tile := range [][2]int{{4, 4}, {8, 4}, {4, 8}} {
+	for _, tile := range testTiles[float32]() {
 		mr, nr := tile[0], tile[1]
 		prm := Params{MC: 2 * mr, KC: 10, NC: 2 * nr, MR: mr, NR: nr}
 		if err := prm.Validate(); err != nil {
@@ -154,32 +154,6 @@ func TestDSYRKMatchesNaiveMatrix(t *testing.T) {
 				if d := c.Clone().MaxAbsDiff(want); d > tolF64(k) {
 					t.Errorf("limit=%d n=%d k=%d trans=%v: max diff %v", limit, n, k, trans, d)
 				}
-			}
-		}
-	}
-}
-
-// TestSyrkThreadDeterminism pins the bit-exactness guarantee on the packed
-// SYRK path: block ownership and the mirror band split affect only which
-// worker computes an element, never its summation order, so any thread
-// count must reproduce the serial result exactly.
-func TestSyrkThreadDeterminism(t *testing.T) {
-	forcePath(t, forcePacked)
-	rng := rand.New(rand.NewSource(32))
-	for _, sh := range [][2]int{{97, 53}, {129, 256}, {64, 300}} {
-		n, k := sh[0], sh[1]
-		a := randF32(n, k, rng)
-		ref := mat.NewF32(n, n)
-		if err := SSYRK(false, 1, a, 0, ref, 1); err != nil {
-			t.Fatal(err)
-		}
-		for _, threads := range []int{2, 3, 5, 8} {
-			c := mat.NewF32(n, n)
-			if err := SSYRK(false, 1, a, 0, c, threads); err != nil {
-				t.Fatal(err)
-			}
-			if d := c.MaxAbsDiff(ref); d != 0 {
-				t.Errorf("n=%d k=%d threads=%d: differs from serial by %v (want bit-identical)", n, k, threads, d)
 			}
 		}
 	}
@@ -340,7 +314,7 @@ func TestTriangularBands(t *testing.T) {
 // TestSyrkBlockRangePartition checks that the per-panel block partition is a
 // disjoint contiguous cover of all blocks for every worker count.
 func TestSyrkBlockRangePartition(t *testing.T) {
-	prm := DefaultParams()
+	prm := DefaultParams[float32]()
 	for _, n := range []int{1, 100, 257, 1000} {
 		for _, parts := range []int{1, 2, 3, 7, 16} {
 			for jc := 0; jc < n; jc += prm.NC {
