@@ -144,8 +144,8 @@ func (r *Report) Best(kind string) (core.ModelReport, bool) {
 
 // Library is a trained ADSALA artefact: a per-operation model bundle plus
 // one shared serving engine that every runtime facade created from it
-// (BLAS, the deprecated NewGemm/NewSyrk wrappers, NewServer with default
-// options) observes — one decision cache, one set of statistics.
+// (BLAS, NewServer with default options) observes — one decision cache, one
+// set of statistics.
 type Library struct {
 	inner *core.Library
 
@@ -294,11 +294,6 @@ func (l *Library) Candidates() []int {
 	return append([]int(nil), l.inner.Candidates...)
 }
 
-// OptimalThreads predicts the fastest thread count for an m×k×n GEMM.
-func (l *Library) OptimalThreads(m, k, n int) int {
-	return l.inner.OptimalThreads(m, k, n)
-}
-
 // OptimalThreadsOp predicts the fastest thread count for one operation at
 // its canonical (m, k, n) feature triple (symmetric updates pass (n, k, n)),
 // using the op's own model when trained and the GEMM model otherwise.
@@ -306,25 +301,14 @@ func (l *Library) OptimalThreadsOp(op Op, m, k, n int) int {
 	return l.inner.OptimalThreadsOp(op, m, k, n)
 }
 
-// PredictRuntime returns the model's wall-time estimate in seconds for one
-// GEMM configuration.
-func (l *Library) PredictRuntime(m, k, n, threads int) float64 {
-	return l.inner.PredictSeconds(m, k, n, threads)
-}
-
-// PredictRuntimeOp is PredictRuntime under an explicit operation kind.
+// PredictRuntimeOp returns the op model's wall-time estimate in seconds for
+// one configuration.
 func (l *Library) PredictRuntimeOp(op Op, m, k, n, threads int) float64 {
 	return l.inner.PredictOpSeconds(op, m, k, n, threads)
 }
 
 // EvalLatency returns the measured model-evaluation latency per selection.
 func (l *Library) EvalLatency() float64 { return l.inner.EvalSeconds() }
-
-// Predictor returns a caching thread-count predictor (the Fig 3 runtime
-// path) bound to this library. Each Predictor keeps its own last-shape
-// cache; see Gemm for the full execution front end and Engine for the
-// concurrent many-shape cache.
-func (l *Library) Predictor() *core.Predictor { return l.inner.NewPredictor() }
 
 // Serving-layer re-exports so external callers can name the types without
 // importing internal packages.
@@ -370,8 +354,8 @@ func (l *Library) sharedEngine() *serve.Engine {
 // Engine returns a concurrent prediction engine bound to this library: a
 // sharded LRU decision cache plus a batch ranking path over reusable
 // buffers. The zero Options select the library's shared engine — the same
-// decision cache and statistics every facade (BLAS, NewGemm, NewSyrk)
-// observes; non-zero Options build a private engine with that
+// decision cache and statistics every BLAS facade observes; non-zero
+// Options build a private engine with that
 // configuration. Safe for concurrent use; see the internal/serve package.
 func (l *Library) Engine(opts ServeOptions) *serve.Engine {
 	if opts == (serve.Options{}) {

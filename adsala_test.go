@@ -33,10 +33,10 @@ func TestTrainAndFacade(t *testing.T) {
 	if len(lib.Candidates()) == 0 || lib.Candidates()[0] != 1 {
 		t.Errorf("candidates = %v", lib.Candidates())
 	}
-	if got := lib.OptimalThreads(512, 512, 512); got < 1 || got > 96 {
+	if got := lib.OptimalThreadsOp(OpGEMM, 512, 512, 512); got < 1 || got > 96 {
 		t.Errorf("OptimalThreads = %d", got)
 	}
-	if rt := lib.PredictRuntime(512, 512, 512, 8); rt <= 0 {
+	if rt := lib.PredictRuntimeOp(OpGEMM, 512, 512, 512, 8); rt <= 0 {
 		t.Errorf("PredictRuntime = %v", rt)
 	}
 	if lib.EvalLatency() <= 0 {
@@ -60,14 +60,14 @@ func TestSaveLoadFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.OptimalThreads(300, 300, 300) != lib.OptimalThreads(300, 300, 300) {
+	if back.OptimalThreadsOp(OpGEMM, 300, 300, 300) != lib.OptimalThreadsOp(OpGEMM, 300, 300, 300) {
 		t.Error("choice changed after reload")
 	}
 }
 
 func TestGemmProducesCorrectResult(t *testing.T) {
 	lib, _ := trainQuick(t)
-	g := lib.NewGemm()
+	g := lib.BLAS()
 	rng := rand.New(rand.NewSource(1))
 	m, k, n := 33, 47, 29
 	a := NewMatrixF32(m, k)
@@ -100,11 +100,11 @@ func TestGemmProducesCorrectResult(t *testing.T) {
 
 func TestGemmCacheAndClamp(t *testing.T) {
 	lib, _ := trainQuick(t)
-	g := lib.NewGemm()
+	g := lib.BLAS()
 	g.SetMaxLocalThreads(2)
 	// LastChoice is a read-only peek: before any call the shape is uncached
 	// and it must report 0 without running a prediction or moving counters.
-	if got := g.LastChoice(16, 16, 16); got != 0 {
+	if got := g.LastChoice(OpGEMM, 16, 16, 16); got != 0 {
 		t.Errorf("LastChoice before any call = %d, want 0", got)
 	}
 	if hits, misses := g.CacheStats(); hits != 0 || misses != 0 {
@@ -127,7 +127,7 @@ func TestGemmCacheAndClamp(t *testing.T) {
 	}
 	// Now cached: LastChoice reports the clamped selection, still without
 	// counting.
-	if got := g.LastChoice(16, 16, 16); got < 1 || got > 2 {
+	if got := g.LastChoice(OpGEMM, 16, 16, 16); got < 1 || got > 2 {
 		t.Errorf("LastChoice after calls = %d, want in [1,2]", got)
 	}
 	if h2, m2 := g.CacheStats(); h2 != hits || m2 != misses {
@@ -137,7 +137,7 @@ func TestGemmCacheAndClamp(t *testing.T) {
 
 func TestSyrkFacade(t *testing.T) {
 	lib, _ := trainQuick(t)
-	s := lib.NewSyrk()
+	s := lib.BLAS()
 	s.SetMaxLocalThreads(2)
 	rng := rand.New(rand.NewSource(3))
 	a := NewMatrixF32(24, 9)
@@ -157,7 +157,7 @@ func TestSyrkFacade(t *testing.T) {
 	if c.At(2, 5) != c.At(5, 2) {
 		t.Error("result not symmetric")
 	}
-	if got := s.LastChoice(24, 9); got < 1 || got > 2 {
+	if got := s.LastChoice(OpSYRK, 24, 9, 24); got < 1 || got > 2 {
 		t.Errorf("LastChoice = %d, want clamped selection in [1,2]", got)
 	}
 	// Transposed double-precision path.
@@ -189,7 +189,7 @@ func TestTrainLocalSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := lib.OptimalThreads(256, 256, 256); got < 1 {
+	if got := lib.OptimalThreadsOp(OpGEMM, 256, 256, 256); got < 1 {
 		t.Errorf("local OptimalThreads = %d", got)
 	}
 }

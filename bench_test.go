@@ -9,6 +9,7 @@ package adsala
 // Run with: go test -bench=. -benchmem
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -197,9 +198,11 @@ func BenchmarkMicroTiles(b *testing.B) {
 		p := def
 		p.MR, p.NR = tile[0], tile[1]
 		b.Run(fmt.Sprintf("%dx%d", tile[0], tile[1]), func(b *testing.B) {
+			ctx := &blas.Context{Params: p}
+			defer ctx.Close()
 			b.SetBytes(2 * 256 * 256 * 256)
 			for i := 0; i < b.N; i++ {
-				if err := blas.SGEMMWithParams(false, false, 1, A, B, 0, C, 1, p); err != nil {
+				if err := ctx.SGEMM(false, false, 1, A, B, 0, C, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -226,8 +229,10 @@ func BenchmarkBlockingParams(b *testing.B) {
 		{"deep-k", blas.Params{MC: 16 * def.MR, KC: 512, NC: 64 * def.NR, MR: def.MR, NR: def.NR}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
+			ctx := &blas.Context{Params: cfg.p}
+			defer ctx.Close()
 			for i := 0; i < b.N; i++ {
-				if err := blas.SGEMMWithParams(false, false, 1, A, B, 0, C, 1, cfg.p); err != nil {
+				if err := ctx.SGEMM(false, false, 1, A, B, 0, C, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -249,7 +254,7 @@ func BenchmarkModelEvalLatency(b *testing.B) {
 	lib := res.Library
 	b.Run("full-selection", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			lib.OptimalThreads(512, 512, 512)
+			lib.OptimalThreadsOp(OpGEMM, 512, 512, 512)
 		}
 	})
 	b.Run("single-predict", func(b *testing.B) {
@@ -298,31 +303,8 @@ func BenchmarkRankOp(b *testing.B) {
 func featRow(m, k, n, t int, lib *core.Library) []float64 {
 	// The library may restrict columns; PredictSeconds handles that, so use
 	// the pipeline width directly via a probe call.
-	_ = lib.PredictSeconds(m, k, n, t)
+	_ = lib.PredictOpSeconds(OpGEMM, m, k, n, t)
 	return make([]float64, len(lib.ModelFor(ops.GEMM).Pipeline.InputCols))
-}
-
-// BenchmarkPredictorCached measures the §III-C repeated-shape cache against
-// the uncached selection path.
-func BenchmarkPredictorCached(b *testing.B) {
-	p, _ := experiments.PlatformByName("Gadi")
-	res, err := lab().Train(p, 500, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("cached-repeat", func(b *testing.B) {
-		pred := res.Library.NewPredictor()
-		pred.OptimalThreads(700, 700, 700)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pred.OptimalThreads(700, 700, 700)
-		}
-	})
-	b.Run("uncached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res.Library.OptimalThreads(700, 700, 700)
-		}
-	})
 }
 
 // --- substrate micro-benchmarks -------------------------------------------
@@ -398,7 +380,7 @@ func BenchmarkGemmEndToEnd(b *testing.B) {
 		b.Fatal(err)
 	}
 	lib := &Library{inner: res.Library}
-	g := lib.NewGemm()
+	g := lib.BLAS()
 	g.SetMaxLocalThreads(2)
 	rng := rand.New(rand.NewSource(4))
 	A := mat.NewF32(128, 128)
@@ -431,9 +413,9 @@ func benchServeShapes(n int) []sampling.Shape {
 	return s.Sample(n)
 }
 
-// BenchmarkConcurrentPrediction compares the single-mutex §III-C Predictor
-// against the sharded serve cache under concurrent mixed-shape traffic (8
-// goroutines, the multi-tenant scenario the serving subsystem targets).
+// BenchmarkConcurrentPrediction measures the sharded serve cache under
+// concurrent mixed-shape traffic (8 goroutines, the multi-tenant scenario
+// the serving subsystem targets).
 func BenchmarkConcurrentPrediction(b *testing.B) {
 	p, _ := experiments.PlatformByName("Gadi")
 	res, err := lab().Train(p, 500, true)
@@ -442,27 +424,16 @@ func BenchmarkConcurrentPrediction(b *testing.B) {
 	}
 	shapes := benchServeShapes(64)
 
-	b.Run("mutex-predictor", func(b *testing.B) {
-		pred := res.Library.NewPredictor()
-		b.SetParallelism(8)
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				sh := shapes[i%len(shapes)]
-				pred.OptimalThreads(sh.M, sh.K, sh.N)
-				i++
-			}
-		})
-	})
 	b.Run("sharded-cache", func(b *testing.B) {
 		eng := serve.NewEngine(res.Library, serve.Options{CacheSize: 256, Shards: 16})
-		eng.PredictBatch(shapes, nil) // warm
+		ctx := context.Background()
+		eng.PredictBatchOpCtx(ctx, OpGEMM, shapes, nil) // warm
 		b.SetParallelism(8)
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
 			for pb.Next() {
 				sh := shapes[i%len(shapes)]
-				eng.Predict(sh.M, sh.K, sh.N)
+				eng.PredictOpCtx(ctx, OpGEMM, sh.M, sh.K, sh.N)
 				i++
 			}
 		})
@@ -485,17 +456,17 @@ func BenchmarkBatchPredict(b *testing.B) {
 				name = "pool"
 			}
 			b.Run(fmt.Sprintf("n%d-%s", size, name), func(b *testing.B) {
-				// A tiny single-shard cache reset outside the timer keeps
-				// every ranking a cache miss without measuring engine
-				// construction.
+				// A tiny single-shard cache, replaced by an empty one outside
+				// the timer (a swap to the same library), keeps every
+				// ranking a cache miss without measuring engine construction.
 				eng := serve.NewEngine(res.Library, serve.Options{Workers: workers, CacheSize: 1, Shards: 1})
 				out := make([]int, len(shapes))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					eng.Cache().Reset()
+					eng.SwapLibrary(res.Library)
 					b.StartTimer()
-					eng.PredictBatch(shapes, out)
+					eng.PredictBatchOpCtx(context.Background(), OpGEMM, shapes, out)
 				}
 			})
 		}

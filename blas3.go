@@ -1,6 +1,7 @@
 package adsala
 
 import (
+	"context"
 	"runtime"
 	"time"
 
@@ -28,11 +29,10 @@ func NewMatrixF64(rows, cols int) *MatrixF64 { return mat.NewF64(rows, cols) }
 // Thread counts are clamped to the local GOMAXPROCS so a library trained
 // for a larger platform still runs correctly here.
 //
-// Every facade obtained from the same Library — BLAS() calls, the
-// deprecated NewGemm/NewSyrk wrappers, Engine with default options —
-// shares that one engine, so CacheStats and a serving daemon's /stats
-// always agree and a decision warmed through any front end serves all of
-// them.
+// Every facade obtained from the same Library — BLAS() calls, Engine with
+// default options — shares that one engine, so CacheStats and a serving
+// daemon's /stats always agree and a decision warmed through any front end
+// serves all of them.
 //
 // The full predict→execute path is allocation-free in steady state: cache
 // hits rank nothing, and execution draws a warmed blas.Context (packed
@@ -79,7 +79,8 @@ func clampThreads(threads, max int) int {
 // choose returns the model-selected thread count for one op at its
 // canonical feature triple, clamped for local execution.
 func (b *BLAS) choose(op Op, m, k, n int) int {
-	return clampThreads(b.eng.PredictOp(op, m, k, n), b.localClamp())
+	threads, _ := b.eng.PredictOpCtx(context.Background(), op, m, k, n)
+	return clampThreads(threads, b.localClamp())
 }
 
 // opDims32 returns the (m, n, k) dimensions of op(A)·op(B).
@@ -218,9 +219,12 @@ func (b *BLAS) LastChoice(op Op, m, k, n int) int {
 	return clampThreads(threads, b.localClamp())
 }
 
-// CacheStats reports (hits, misses) of the shared decision cache —
+// CacheStats reports the serving (hits, misses) of the shared engine —
 // aggregated across every op and every facade of the library.
-func (b *BLAS) CacheStats() (hits, misses int64) { return b.eng.Cache().Stats() }
+func (b *BLAS) CacheStats() (hits, misses int64) {
+	st := b.eng.Stats()
+	return st.CacheHits, st.CacheMisses
+}
 
 // Stats returns the shared engine's full serving counters.
 func (b *BLAS) Stats() serve.Stats { return b.eng.Stats() }

@@ -14,6 +14,7 @@ package main
 // only the request/response JSON.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -108,8 +109,9 @@ func runServeBench(cfg serveBenchConfig) error {
 		defer stop()
 		base = addr
 	}
+	ctx := context.Background()
 	client := serve.NewClient(base, nil)
-	if h, err := client.Healthz(); err != nil {
+	if h, err := client.Healthz(ctx); err != nil {
 		return fmt.Errorf("serve bench: daemon at %s not ready: %w", base, err)
 	} else if !h.Ready {
 		return fmt.Errorf("serve bench: daemon at %s reports %q", base, h.Status)
@@ -160,13 +162,13 @@ func runServeBench(cfg serveBenchConfig) error {
 				t0 := time.Now()
 				if cfg.batch == 1 {
 					sh := set[(i*7+ci*13)%len(set)]
-					_, err = cl.PredictOp(op, sh.M, sh.K, sh.N)
+					_, err = cl.Predict(ctx, serve.PredictRequest{M: sh.M, K: sh.K, N: sh.N, Op: op.String()})
 				} else {
 					for j := range reqs {
 						sh := set[(i*7+ci*13+j)%len(set)]
 						reqs[j] = serve.PredictRequest{M: sh.M, K: sh.K, N: sh.N, Op: op.String()}
 					}
-					_, err = cl.PredictBatchRequests(reqs)
+					_, err = cl.PredictBatch(ctx, reqs)
 				}
 				hist.ObserveSince(t0)
 				requests++
@@ -208,7 +210,7 @@ func runServeBench(cfg serveBenchConfig) error {
 	run.P99Micros = merged.QuantileScaled(0.99) * 1e6
 	run.MeanMicros = merged.Mean() * 1e6
 
-	if st, err := client.Stats(); err == nil {
+	if st, err := client.Stats(ctx); err == nil {
 		run.ServerHitRate = st.Engine.HitRate
 		run.ServerPredictions = st.Engine.Predictions
 	}

@@ -51,7 +51,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	lg.Debugf("library format v%d, trained ops %v", lib.FormatVersion(), lib.TrainedOps())
-	opt := lib.OptimalThreads(*m, *k, *n)
+	opt := lib.OptimalThreadsOp(adsala.OpGEMM, *m, *k, *n)
 	fmt.Fprintf(out, "library: platform=%s model=%s\n", lib.Platform(), lib.ModelKind())
 	fmt.Fprintf(out, "GEMM %dx%dx%d -> optimal threads: %d\n\n", *m, *k, *n, opt)
 
@@ -61,7 +61,7 @@ func run(args []string, out io.Writer) error {
 		if c == opt {
 			mark = "<== selected"
 		}
-		tb.Row(tabulate.D(c), tabulate.F(lib.PredictRuntime(*m, *k, *n, c)*1e6, 2), mark)
+		tb.Row(tabulate.D(c), tabulate.F(lib.PredictRuntimeOp(adsala.OpGEMM, *m, *k, *n, c)*1e6, 2), mark)
 	}
 	fmt.Fprint(out, tb.String())
 	return nil

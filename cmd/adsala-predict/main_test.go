@@ -55,7 +55,7 @@ func TestRunPrintsRanking(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	opt := lib.OptimalThreads(512, 512, 512)
+	opt := lib.OptimalThreadsOp(adsala.OpGEMM, 512, 512, 512)
 	if !strings.Contains(got, "optimal threads: "+strconv.Itoa(opt)) {
 		t.Errorf("output missing the selected optimum %d:\n%s", opt, got)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"os"
@@ -61,7 +62,7 @@ func fixture(t *testing.T) (libPath, tracePrefix string, decisions int) {
 		}
 		eng := serve.NewEngine(clib, serve.Options{})
 		eng.SetRecorder(rec)
-		if _, err := eng.Warmup(sampling.DefaultDomain().WithCapMB(100), 8, 3, serve.OpGEMM); err != nil {
+		if _, err := eng.Warmup(context.Background(), sampling.DefaultDomain().WithCapMB(100), 8, 3, serve.OpGEMM); err != nil {
 			fixErr = err
 			return
 		}
@@ -72,15 +73,15 @@ func fixture(t *testing.T) (libPath, tracePrefix string, decisions int) {
 		}
 		shapes := sampler.Sample(25)
 		for _, sh := range shapes {
-			eng.PredictOp(serve.OpGEMM, sh.M, sh.K, sh.N)
-			eng.PredictOp(serve.OpGEMM, sh.M, sh.K, sh.N) // repeat: cache hits
+			eng.PredictOpCtx(context.Background(), serve.OpGEMM, sh.M, sh.K, sh.N)
+			eng.PredictOpCtx(context.Background(), serve.OpGEMM, sh.M, sh.K, sh.N) // repeat: cache hits
 		}
 		fixN = 2 * len(shapes)
 		// Measurement records at 2x the model's estimate: residual_log2 is
 		// exactly -1 per record, which the -drift tests trip on. Thread counts
 		// come straight from the library so no extra decisions are recorded.
 		for _, sh := range shapes {
-			threads := clib.OptimalThreads(sh.M, sh.K, sh.N)
+			threads := clib.OptimalThreadsOp(adsala.OpGEMM, sh.M, sh.K, sh.N)
 			ns := int64(clib.PredictOpSeconds(serve.OpGEMM, sh.M, sh.K, sh.N, threads) * 2e9)
 			if ns <= 0 {
 				ns = 2

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -49,7 +50,7 @@ func TestDaemonDriftMonitoring(t *testing.T) {
 	// Report measurements 4x slower than the model's estimate: residual_log2
 	// is -2 per record, past the 0.5 threshold once 4 samples land.
 	lib := srv.Engine().Library()
-	threads := lib.OptimalThreads(256, 256, 256)
+	threads := lib.OptimalThreadsOp(serve.OpGEMM, 256, 256, 256)
 	ns := int64(lib.PredictOpSeconds(serve.OpGEMM, 256, 256, 256, threads) * 4e9)
 	if ns <= 0 {
 		ns = 4
@@ -58,12 +59,12 @@ func TestDaemonDriftMonitoring(t *testing.T) {
 	for i := range records {
 		records[i] = serve.MeasuredRecord{Op: "gemm", M: 256, K: 256, N: 256, Threads: threads, MeasuredNs: ns}
 	}
-	accepted, err := cl.ReportMeasured(records)
+	accepted, err := cl.ReportMeasured(context.Background(), records)
 	if err != nil || accepted != len(records) {
 		t.Fatalf("ReportMeasured = %d, %v", accepted, err)
 	}
 
-	rep, err := cl.Drift()
+	rep, err := cl.Drift(context.Background())
 	if err != nil {
 		t.Fatalf("Drift: %v", err)
 	}

@@ -240,7 +240,7 @@ func warmFunc(cfg config, lg *logx.Logger) func(*serve.Engine) {
 	return func(eng *serve.Engine) {
 		start := time.Now()
 		dom := sampling.DefaultDomain().WithCapMB(cfg.warmupCapMB)
-		n, err := eng.Warmup(dom, cfg.warmup, cfg.warmupSeed)
+		n, err := eng.Warmup(context.Background(), dom, cfg.warmup, cfg.warmupSeed)
 		if err != nil {
 			lg.Infof("post-reload warm-up failed: %v", err)
 			return
@@ -252,8 +252,8 @@ func warmFunc(cfg config, lg *logx.Logger) func(*serve.Engine) {
 // prepare runs the potentially slow boot phases — snapshot restore and
 // cache warm-up. The daemon runs it with the listener already up and
 // readiness off, so probes see 503 "starting" rather than connection
-// refused during a long warm-up.
-func prepare(cfg config, srv *serve.Server, out io.Writer) error {
+// refused during a long warm-up; cancelling ctx abandons the warm-up.
+func prepare(ctx context.Context, cfg config, srv *serve.Server, out io.Writer) error {
 	lg := logx.New(out, cfg.level)
 	eng := srv.Engine()
 	if cfg.snapshot != "" {
@@ -283,7 +283,7 @@ func prepare(cfg config, srv *serve.Server, out io.Writer) error {
 		start := time.Now()
 		dom := sampling.DefaultDomain().WithCapMB(cfg.warmupCapMB)
 		// Warms every op the library holds a trained model for.
-		n, err := eng.Warmup(dom, cfg.warmup, cfg.warmupSeed)
+		n, err := eng.Warmup(ctx, dom, cfg.warmup, cfg.warmupSeed)
 		if err != nil {
 			return err
 		}
@@ -300,7 +300,7 @@ func newServer(cfg config, out io.Writer) (*serve.Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := prepare(cfg, srv, out); err != nil {
+	if err := prepare(context.Background(), cfg, srv, out); err != nil {
 		return nil, err
 	}
 	srv.SetReady(true)
@@ -366,7 +366,7 @@ func run(args []string, out io.Writer) error {
 	// Restore and warm with the listener already up: /healthz answers 503
 	// "starting" until the cache is ready, /livez and /metrics work
 	// throughout.
-	if err := prepare(cfg, handler, out); err != nil {
+	if err := prepare(ctx, cfg, handler, out); err != nil {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(shutdownCtx)

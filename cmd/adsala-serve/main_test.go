@@ -27,6 +27,12 @@ var (
 )
 
 // savedLibrary trains one quick library and saves it for the daemon tests.
+// predictGEMM asks the server's engine for one GEMM decision.
+func predictGEMM(srv *serve.Server, m, k, n int) int {
+	threads, _ := srv.Engine().PredictOpCtx(context.Background(), serve.OpGEMM, m, k, n)
+	return threads
+}
+
 func savedLibrary(t *testing.T) string {
 	t.Helper()
 	libOnce.Do(func() {
@@ -120,7 +126,7 @@ func TestCacheSnapshotAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := srv.Engine().Predict(320, 640, 320)
+	want := predictGEMM(srv, 320, 640, 320)
 	// The daemon's shutdown path saves the snapshot.
 	if err := srv.Engine().Cache().Save(snap); err != nil {
 		t.Fatal(err)
@@ -138,7 +144,7 @@ func TestCacheSnapshotAcrossRestart(t *testing.T) {
 		t.Errorf("restored decision = (%d, %v), want (%d, true)", got, ok, want)
 	}
 	// Serving the restored shape is a cache hit, no ranking.
-	if got := srv2.Engine().Predict(320, 640, 320); got != want {
+	if got := predictGEMM(srv2, 320, 640, 320); got != want {
 		t.Errorf("restored cache served %d, want %d", got, want)
 	}
 	if st := srv2.Engine().Stats(); st.CacheHits != 1 || st.CacheMisses != 0 {
@@ -178,7 +184,7 @@ func TestCorruptSnapshotStartsCold(t *testing.T) {
 		t.Errorf("cache holds %d entries after rejected snapshot", st.CacheLen)
 	}
 	// The daemon still serves.
-	if got := srv.Engine().Predict(64, 64, 64); got < 1 {
+	if got := predictGEMM(srv, 64, 64, 64); got < 1 {
 		t.Errorf("cold daemon predicted %d", got)
 	}
 }
@@ -231,7 +237,7 @@ func TestDaemonAdminReload(t *testing.T) {
 	defer ts.Close()
 	client := serve.NewClient(ts.URL, nil)
 
-	if _, err := client.Predict(96, 96, 96); err != nil {
+	if _, err := client.Predict(context.Background(), serve.PredictRequest{M: 96, K: 96, N: 96}); err != nil {
 		t.Fatal(err)
 	}
 	h, err := client.Reload(context.Background(), "sesame")
@@ -246,17 +252,17 @@ func TestDaemonAdminReload(t *testing.T) {
 		t.Error("wrong admin token accepted")
 	}
 	// Still serving after the swap.
-	if _, err := client.Predict(96, 96, 96); err != nil {
+	if _, err := client.Predict(context.Background(), serve.PredictRequest{M: 96, K: 96, N: 96}); err != nil {
 		t.Errorf("predict after reload: %v", err)
 	}
-	if h, err = client.Healthz(); err != nil || h.Generation != 1 || h.Status != "ok" {
+	if h, err = client.Healthz(context.Background()); err != nil || h.Generation != 1 || h.Status != "ok" {
 		t.Errorf("healthz after reload = (%+v, %v)", h, err)
 	}
 
 	// An artefact that decodes but would panic inside the ranking path (here
 	// a candidate of zero threads) is refused by the load, so the reload
 	// fails and the previous artefact keeps answering, same generation.
-	before, err := client.Predict(300, 200, 100)
+	before, err := client.Predict(context.Background(), serve.PredictRequest{M: 300, K: 200, N: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,13 +276,13 @@ func TestDaemonAdminReload(t *testing.T) {
 	if _, err := client.Reload(context.Background(), "sesame"); err == nil {
 		t.Error("reload of an artefact with a zero-thread candidate succeeded")
 	}
-	if after, err := client.Predict(300, 200, 100); err != nil || after != before {
+	if after, err := client.Predict(context.Background(), serve.PredictRequest{M: 300, K: 200, N: 100}); err != nil || after != before {
 		t.Errorf("predict after refused reload = (%d, %v), want %d", after, err, before)
 	}
-	if miss, err := client.Predict(301, 200, 100); err != nil || miss < 1 {
+	if miss, err := client.Predict(context.Background(), serve.PredictRequest{M: 301, K: 200, N: 100}); err != nil || miss < 1 {
 		t.Errorf("cache miss after refused reload = (%d, %v)", miss, err)
 	}
-	if h, err = client.Healthz(); err != nil || h.Generation != 1 || h.Status != "ok" {
+	if h, err = client.Healthz(context.Background()); err != nil || h.Generation != 1 || h.Status != "ok" {
 		t.Errorf("healthz after refused reload = (%+v, %v)", h, err)
 	}
 }
@@ -308,7 +314,7 @@ func TestDaemonRoundTrip(t *testing.T) {
 	}
 
 	// /healthz
-	h, err := client.Healthz()
+	h, err := client.Healthz(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,11 +323,11 @@ func TestDaemonRoundTrip(t *testing.T) {
 	}
 
 	// /predict agrees with the loaded library.
-	threads, err := client.Predict(256, 1024, 256)
+	threads, err := client.Predict(context.Background(), serve.PredictRequest{M: 256, K: 1024, N: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := lib.OptimalThreads(256, 1024, 256); threads != want {
+	if want := lib.OptimalThreadsOp(adsala.OpGEMM, 256, 1024, 256); threads != want {
 		t.Errorf("daemon chose %d, library %d", threads, want)
 	}
 
@@ -342,12 +348,12 @@ func TestDaemonRoundTrip(t *testing.T) {
 	if len(br.Threads) != 2 {
 		t.Fatalf("batch answered %d decisions", len(br.Threads))
 	}
-	if want := lib.OptimalThreads(2048, 2048, 2048); br.Threads[1] != want {
+	if want := lib.OptimalThreadsOp(adsala.OpGEMM, 2048, 2048, 2048); br.Threads[1] != want {
 		t.Errorf("batch chose %d for 2048^3, library %d", br.Threads[1], want)
 	}
 
 	// /stats reflects the traffic and the warm-up.
-	st, err := client.Stats()
+	st, err := client.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func TestRunServesSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	gcfg.Timer = timer
-	want, err := core.Gather(gcfg)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g := lib.NewGemm()
+	g := lib.BLAS()
 
 	// Block power iteration: V <- normalise(A·V), A is n×n, V is n×b.
 	const n, b, iters = 300, 8, 25
@@ -79,7 +79,7 @@ func main() {
 	hits, misses := g.CacheStats()
 	fmt.Printf("%d iterations of V <- A·V (%dx%d times %dx%d) in %v\n", iters, n, n, n, b, elapsed)
 	fmt.Printf("leading eigenvalue estimate: %.4f\n", rayleigh)
-	fmt.Printf("model-selected threads for the solver GEMM: %d\n", g.LastChoice(n, n, b))
+	fmt.Printf("model-selected threads for the solver GEMM: %d\n", g.LastChoice(adsala.OpGEMM, n, n, b))
 	fmt.Printf("prediction cache: %d hits / %d misses — the model ran %d time(s) for %d GEMMs\n",
 		hits, misses, misses, hits+misses)
 	fmt.Printf("amortised selection overhead: %.2f us per GEMM (single eval %.2f us)\n",

@@ -8,11 +8,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	adsala "repro"
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/simtime"
 	"repro/internal/tabulate"
@@ -61,10 +61,10 @@ func main() {
 
 	tb := tabulate.New("layer", "m", "k", "n", "default us", "ml threads", "adsala us", "speedup")
 	var totDefault, totML float64
-	pred := libPredictor(lib)
+	eng := lib.Engine(adsala.ServeOptions{}) // the library's shared decision cache
 	for _, l := range resnetLayers() {
 		tDef := sim.MeasureMean(l.filters, l.patch, l.pixels, defaultThreads, 3) * repeats
-		threads := pred.OptimalThreads(l.filters, l.patch, l.pixels)
+		threads, _ := eng.PredictOpCtx(context.Background(), adsala.OpGEMM, l.filters, l.patch, l.pixels)
 		tML := sim.MeasureMean(l.filters, l.patch, l.pixels, threads, 3)*repeats + lib.EvalLatency()
 		totDefault += tDef
 		totML += tML
@@ -76,10 +76,4 @@ func main() {
 	fmt.Printf("\nnetwork GEMM time over %d passes: default %.2f ms, ADSALA %.2f ms — %.2fx speedup\n",
 		repeats, totDefault*1e3, totML*1e3, totDefault/totML)
 	fmt.Println("(one model evaluation per distinct layer shape; repeats hit the cache)")
-}
-
-// libPredictor exposes the cached predictor of a facade library for the
-// simulation-side comparison.
-func libPredictor(lib *adsala.Library) *core.Predictor {
-	return lib.Predictor()
 }

@@ -62,7 +62,7 @@ func main() {
 	for _, s := range shapes {
 		cells := []string{fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2])}
 		for _, p := range plats {
-			threads := p.lib.OptimalThreads(s[0], s[1], s[2])
+			threads := p.lib.OptimalThreadsOp(adsala.OpGEMM, s[0], s[1], s[2])
 			tML := p.sim.MeasureMean(s[0], s[1], s[2], threads, 3)
 			tRef := p.sim.MeasureMean(s[0], s[1], s[2], p.ref, 3)
 			cells = append(cells, tabulate.D(threads), tabulate.F(tRef/tML, 2))

@@ -43,8 +43,8 @@ func main() {
 		{6000, 6000, 6000}, // large square: wants the whole machine
 	}
 	for _, s := range shapes {
-		threads := lib.OptimalThreads(s[0], s[1], s[2])
-		pred := lib.PredictRuntime(s[0], s[1], s[2], threads)
+		threads := lib.OptimalThreadsOp(adsala.OpGEMM, s[0], s[1], s[2])
+		pred := lib.PredictRuntimeOp(adsala.OpGEMM, s[0], s[1], s[2], threads)
 		fmt.Printf("  %5dx%5dx%5d -> %3d threads (predicted %8.1f us)\n",
 			s[0], s[1], s[2], threads, pred*1e6)
 	}

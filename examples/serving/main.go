@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -19,6 +20,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 
 	// 1. Installation (quick mode, simulated Gadi node).
 	fmt.Println("== training a quick library for Gadi ==")
@@ -31,7 +33,7 @@ func main() {
 	// 2. Build the engine, warm the decision cache from the trained
 	// sampling domain, and serve it over HTTP on an ephemeral port.
 	eng := lib.Engine(serve.Options{CacheSize: 1024, Shards: 16})
-	warmed, err := eng.Warmup(sampling.DefaultDomain().WithCapMB(100), 128, 1)
+	warmed, err := eng.Warmup(ctx, sampling.DefaultDomain().WithCapMB(100), 128, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func main() {
 	client := serve.NewClient(base, nil)
 	fmt.Println("== /predict ==")
 	for _, s := range [][3]int{{64, 64, 64}, {64, 2048, 64}, {4000, 4000, 4000}} {
-		threads, err := client.Predict(s[0], s[1], s[2])
+		threads, err := client.Predict(ctx, serve.PredictRequest{M: s[0], K: s[1], N: s[2]})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -68,8 +70,12 @@ func main() {
 		log.Fatal(err)
 	}
 	shapes := sampler.Sample(32)
+	reqs := make([]serve.PredictRequest, len(shapes))
+	for i, sh := range shapes {
+		reqs[i] = serve.PredictRequest{M: sh.M, K: sh.K, N: sh.N}
+	}
 	start := time.Now()
-	threads, err := client.PredictBatch(shapes)
+	threads, err := client.PredictBatch(ctx, reqs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +86,7 @@ func main() {
 	fmt.Printf("  ... and %d more\n", len(shapes)-4)
 
 	// 5. Metrics.
-	st, err := client.Stats()
+	st, err := client.Stats(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

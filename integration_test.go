@@ -34,8 +34,8 @@ func TestArchitectureAwareness(t *testing.T) {
 	// Large square GEMM: each platform should commit a large fraction of its
 	// own machine — so the two decisions must differ substantially, because
 	// the machines do.
-	sBig := setonix.OptimalThreads(8000, 8000, 8000)
-	gBig := gadi.OptimalThreads(8000, 8000, 8000)
+	sBig := setonix.OptimalThreadsOp(OpGEMM, 8000, 8000, 8000)
+	gBig := gadi.OptimalThreadsOp(OpGEMM, 8000, 8000, 8000)
 	if sBig < 64 {
 		t.Errorf("Setonix big-GEMM choice %d; want a large fraction of 256", sBig)
 	}
@@ -60,7 +60,7 @@ func TestArchitectureAwareness(t *testing.T) {
 	} {
 		sim := simtime.New(simtime.DefaultConfig(tc.node()))
 		const m, k, n = 200, 200, 200
-		choice := tc.lib.OptimalThreads(m, k, n)
+		choice := tc.lib.OptimalThreadsOp(OpGEMM, m, k, n)
 		tChoice := sim.Breakdown(m, k, n, choice).Total()
 		best := tChoice
 		for p := 1; p <= sim.MaxThreads(); p++ {
@@ -89,11 +89,11 @@ func TestEndToEndArtefactPortability(t *testing.T) {
 	// The restored artefact must reproduce decisions AND run numerically
 	// correct GEMMs through the front end.
 	for _, sh := range [][3]int{{100, 200, 50}, {64, 2048, 64}, {2000, 2000, 2000}} {
-		if a, b := setonix.OptimalThreads(sh[0], sh[1], sh[2]), lib.OptimalThreads(sh[0], sh[1], sh[2]); a != b {
+		if a, b := setonix.OptimalThreadsOp(OpGEMM, sh[0], sh[1], sh[2]), lib.OptimalThreadsOp(OpGEMM, sh[0], sh[1], sh[2]); a != b {
 			t.Errorf("shape %v: decision changed %d -> %d across save/load", sh, a, b)
 		}
 	}
-	g := lib.NewGemm()
+	g := lib.BLAS()
 	rng := rand.New(rand.NewSource(5))
 	const m, k, n = 31, 63, 17
 	a := NewMatrixF32(m, k)
@@ -118,7 +118,7 @@ func TestSkinnyShapeDecisionQuality(t *testing.T) {
 	// pathological 64×2048×64, the trained model must choose a count whose
 	// *simulated* runtime beats max threads by a wide margin.
 	_, gadi := trainBoth(t)
-	choice := gadi.OptimalThreads(64, 2048, 64)
+	choice := gadi.OptimalThreadsOp(OpGEMM, 64, 2048, 64)
 	if choice > 48 {
 		t.Errorf("chose %d threads for 64x2048x64; paper's model chose 14", choice)
 	}

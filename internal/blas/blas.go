@@ -31,8 +31,8 @@ type Params struct {
 	MR, NR     int // register micro-tile
 }
 
-// DefaultParams returns the blocking parameters every entry point without an
-// explicit Params uses, for element type T on this CPU. The cache blocks are
+// DefaultParams returns the blocking parameters a Context whose Params field
+// is zero uses, for element type T on this CPU. The cache blocks are
 // sized for typical L1/L2/L3 capacities and are multiples of both tiles; the
 // register tile is the one place the default depends on T and the machine:
 // the vector tile (6×16 in float32, 6×8 in float64) where the CPU probe
@@ -100,21 +100,6 @@ func DGEMM(transA, transB bool, alpha float64, a *mat.F64, b *mat.F64, beta floa
 	ctx := ctxPool.Get().(*Context)
 	defer ctxPool.Put(ctx)
 	return ctx.DGEMM(transA, transB, alpha, a, b, beta, c, threads)
-}
-
-// SGEMMWithParams is SGEMM with explicit blocking parameters; it exists for
-// the blocking-parameter benchmarks and the micro-tile comparison.
-func SGEMMWithParams(transA, transB bool, alpha float32, a *mat.F32, b *mat.F32, beta float32, c *mat.F32, threads int, p Params) error {
-	ctx := ctxPool.Get().(*Context)
-	defer ctxPool.Put(ctx)
-	return ctx.SGEMMWithParams(transA, transB, alpha, a, b, beta, c, threads, p)
-}
-
-// DGEMMWithParams is DGEMM with explicit blocking parameters.
-func DGEMMWithParams(transA, transB bool, alpha float64, a *mat.F64, b *mat.F64, beta float64, c *mat.F64, threads int, p Params) error {
-	ctx := ctxPool.Get().(*Context)
-	defer ctxPool.Put(ctx)
-	return ctx.DGEMMWithParams(transA, transB, alpha, a, b, beta, c, threads, p)
 }
 
 // view is a type-parameterised matrix header over a flat backing slice.

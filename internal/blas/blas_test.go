@@ -233,7 +233,9 @@ func TestCustomParams(t *testing.T) {
 	NaiveSGEMM(false, false, 1, a, b, 0, want)
 	p := Params{MC: 16, KC: 8, NC: 12, MR: 4, NR: 4}
 	c := mat.NewF32(50, 40)
-	if err := SGEMMWithParams(false, false, 1, a, b, 0, c, 3, p); err != nil {
+	ctx := &Context{Params: p}
+	defer ctx.Close()
+	if err := ctx.SGEMM(false, false, 1, a, b, 0, c, 3); err != nil {
 		t.Fatal(err)
 	}
 	if d := c.MaxAbsDiff(want); d > tolF32(70) {

@@ -24,6 +24,13 @@ import (
 // Close has a GC cleanup that stops its workers once the Context is
 // unreachable, so pooled Contexts do not leak goroutines.
 type Context struct {
+	// Params overrides the blocking parameters of every call on this
+	// context; the zero value means DefaultParams for the call's element
+	// type. It exists for the blocking benchmarks and the micro-tile test
+	// matrices — the pooled contexts behind the package functions never
+	// set it.
+	Params Params
+
 	tm  *team
 	bar barrier
 	f32 ctxBufs[float32]
@@ -43,31 +50,29 @@ func (c *Context) Close() {
 	}
 }
 
+// paramsFor resolves the context's blocking parameters for element type T.
+func paramsFor[T float32 | float64](c *Context) Params {
+	if c.Params == (Params{}) {
+		return DefaultParams[T]()
+	}
+	return c.Params
+}
+
 // SGEMM computes C ← alpha·op(A)·op(B) + beta·C in single precision on this
 // context with the given number of threads (values < 1 mean 1).
 func (c *Context) SGEMM(transA, transB bool, alpha float32, a, b *mat.F32, beta float32, cm *mat.F32, threads int) error {
-	return c.SGEMMWithParams(transA, transB, alpha, a, b, beta, cm, threads, DefaultParams[float32]())
+	av := view[float32]{a.Rows, a.Cols, a.Stride, a.Data}
+	bv := view[float32]{b.Rows, b.Cols, b.Stride, b.Data}
+	cv := view[float32]{cm.Rows, cm.Cols, cm.Stride, cm.Data}
+	return gemmCtx(c, transA, transB, alpha, av, bv, beta, cv, threads, paramsFor[float32](c))
 }
 
 // DGEMM is the double-precision counterpart of SGEMM.
 func (c *Context) DGEMM(transA, transB bool, alpha float64, a, b *mat.F64, beta float64, cm *mat.F64, threads int) error {
-	return c.DGEMMWithParams(transA, transB, alpha, a, b, beta, cm, threads, DefaultParams[float64]())
-}
-
-// SGEMMWithParams is SGEMM with explicit blocking parameters.
-func (c *Context) SGEMMWithParams(transA, transB bool, alpha float32, a, b *mat.F32, beta float32, cm *mat.F32, threads int, p Params) error {
-	av := view[float32]{a.Rows, a.Cols, a.Stride, a.Data}
-	bv := view[float32]{b.Rows, b.Cols, b.Stride, b.Data}
-	cv := view[float32]{cm.Rows, cm.Cols, cm.Stride, cm.Data}
-	return gemmCtx(c, transA, transB, alpha, av, bv, beta, cv, threads, p)
-}
-
-// DGEMMWithParams is DGEMM with explicit blocking parameters.
-func (c *Context) DGEMMWithParams(transA, transB bool, alpha float64, a, b *mat.F64, beta float64, cm *mat.F64, threads int, p Params) error {
 	av := view[float64]{a.Rows, a.Cols, a.Stride, a.Data}
 	bv := view[float64]{b.Rows, b.Cols, b.Stride, b.Data}
 	cv := view[float64]{cm.Rows, cm.Cols, cm.Stride, cm.Data}
-	return gemmCtx(c, transA, transB, alpha, av, bv, beta, cv, threads, p)
+	return gemmCtx(c, transA, transB, alpha, av, bv, beta, cv, threads, paramsFor[float64](c))
 }
 
 // ctxPool backs the package-level SGEMM/DGEMM entry points: steady-state

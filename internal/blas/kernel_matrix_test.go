@@ -126,6 +126,8 @@ func TestPackedMatchesNaiveMatrix(t *testing.T) {
 		if err := prm.Validate(); err != nil {
 			t.Fatalf("tile %dx%d params: %v", mr, nr, err)
 		}
+		ctx := &Context{Params: prm}
+		defer ctx.Close()
 		mDims := matrixDims(mr)
 		nDims := matrixDims(nr)
 		kDims := []int{1, 9, 10, 11, 21}
@@ -157,7 +159,7 @@ func TestPackedMatchesNaiveMatrix(t *testing.T) {
 					c := stridedF32(m, n, extra, rng)
 					want := c.Clone()
 					NaiveSGEMM(transA, transB, alpha, a, b, beta, want)
-					if err := SGEMMWithParams(transA, transB, alpha, a, b, beta, c, threads, prm); err != nil {
+					if err := ctx.SGEMM(transA, transB, alpha, a, b, beta, c, threads); err != nil {
 						t.Fatalf("tile %dx%d m=%d k=%d n=%d ta=%v tb=%v: %v", mr, nr, m, k, n, transA, transB, err)
 					}
 					if d := c.Clone().MaxAbsDiff(want); d > tolF32(k) {

@@ -38,47 +38,22 @@ func DSYR2K(trans bool, alpha float64, a, b *mat.F64, beta float64, c *mat.F64, 
 	return ctx.DSYR2K(trans, alpha, a, b, beta, c, threads)
 }
 
-// SSYR2KWithParams is SSYR2K with explicit blocking parameters; it exists
-// for the edge-case test matrix and blocking ablations.
-func SSYR2KWithParams(trans bool, alpha float32, a, b *mat.F32, beta float32, c *mat.F32, threads int, p Params) error {
-	ctx := ctxPool.Get().(*Context)
-	defer ctxPool.Put(ctx)
-	return ctx.SSYR2KWithParams(trans, alpha, a, b, beta, c, threads, p)
-}
-
-// DSYR2KWithParams is DSYR2K with explicit blocking parameters.
-func DSYR2KWithParams(trans bool, alpha float64, a, b *mat.F64, beta float64, c *mat.F64, threads int, p Params) error {
-	ctx := ctxPool.Get().(*Context)
-	defer ctxPool.Put(ctx)
-	return ctx.DSYR2KWithParams(trans, alpha, a, b, beta, c, threads, p)
-}
-
 // SSYR2K computes C ← alpha·(op(A)·op(B)ᵀ + op(B)·op(A)ᵀ) + beta·C in single
 // precision on this context with the given number of threads (values < 1
 // mean 1).
 func (c *Context) SSYR2K(trans bool, alpha float32, a, b *mat.F32, beta float32, cm *mat.F32, threads int) error {
-	return c.SSYR2KWithParams(trans, alpha, a, b, beta, cm, threads, DefaultParams[float32]())
+	av := view[float32]{a.Rows, a.Cols, a.Stride, a.Data}
+	bv := view[float32]{b.Rows, b.Cols, b.Stride, b.Data}
+	cv := view[float32]{cm.Rows, cm.Cols, cm.Stride, cm.Data}
+	return syr2kCtx(c, trans, alpha, av, bv, beta, cv, threads, paramsFor[float32](c))
 }
 
 // DSYR2K is the double-precision counterpart of SSYR2K.
 func (c *Context) DSYR2K(trans bool, alpha float64, a, b *mat.F64, beta float64, cm *mat.F64, threads int) error {
-	return c.DSYR2KWithParams(trans, alpha, a, b, beta, cm, threads, DefaultParams[float64]())
-}
-
-// SSYR2KWithParams is SSYR2K with explicit blocking parameters.
-func (c *Context) SSYR2KWithParams(trans bool, alpha float32, a, b *mat.F32, beta float32, cm *mat.F32, threads int, p Params) error {
-	av := view[float32]{a.Rows, a.Cols, a.Stride, a.Data}
-	bv := view[float32]{b.Rows, b.Cols, b.Stride, b.Data}
-	cv := view[float32]{cm.Rows, cm.Cols, cm.Stride, cm.Data}
-	return syr2kCtx(c, trans, alpha, av, bv, beta, cv, threads, p)
-}
-
-// DSYR2KWithParams is DSYR2K with explicit blocking parameters.
-func (c *Context) DSYR2KWithParams(trans bool, alpha float64, a, b *mat.F64, beta float64, cm *mat.F64, threads int, p Params) error {
 	av := view[float64]{a.Rows, a.Cols, a.Stride, a.Data}
 	bv := view[float64]{b.Rows, b.Cols, b.Stride, b.Data}
 	cv := view[float64]{cm.Rows, cm.Cols, cm.Stride, cm.Data}
-	return syr2kCtx(c, trans, alpha, av, bv, beta, cv, threads, p)
+	return syr2kCtx(c, trans, alpha, av, bv, beta, cv, threads, paramsFor[float64](c))
 }
 
 // syr2kCtx is the SYR2K driver: argument checking, degenerate cases, the

@@ -42,44 +42,19 @@ func DSYRK(trans bool, alpha float64, a *mat.F64, beta float64, c *mat.F64, thre
 	return ctx.DSYRK(trans, alpha, a, beta, c, threads)
 }
 
-// SSYRKWithParams is SSYRK with explicit blocking parameters; it exists for
-// the edge-case test matrix and blocking ablations.
-func SSYRKWithParams(trans bool, alpha float32, a *mat.F32, beta float32, c *mat.F32, threads int, p Params) error {
-	ctx := ctxPool.Get().(*Context)
-	defer ctxPool.Put(ctx)
-	return ctx.SSYRKWithParams(trans, alpha, a, beta, c, threads, p)
-}
-
-// DSYRKWithParams is DSYRK with explicit blocking parameters.
-func DSYRKWithParams(trans bool, alpha float64, a *mat.F64, beta float64, c *mat.F64, threads int, p Params) error {
-	ctx := ctxPool.Get().(*Context)
-	defer ctxPool.Put(ctx)
-	return ctx.DSYRKWithParams(trans, alpha, a, beta, c, threads, p)
-}
-
 // SSYRK computes C ← alpha·op(A)·op(A)ᵀ + beta·C in single precision on this
 // context with the given number of threads (values < 1 mean 1).
 func (c *Context) SSYRK(trans bool, alpha float32, a *mat.F32, beta float32, cm *mat.F32, threads int) error {
-	return c.SSYRKWithParams(trans, alpha, a, beta, cm, threads, DefaultParams[float32]())
+	av := view[float32]{a.Rows, a.Cols, a.Stride, a.Data}
+	cv := view[float32]{cm.Rows, cm.Cols, cm.Stride, cm.Data}
+	return syrkCtx(c, trans, alpha, av, beta, cv, threads, paramsFor[float32](c))
 }
 
 // DSYRK is the double-precision counterpart of SSYRK.
 func (c *Context) DSYRK(trans bool, alpha float64, a *mat.F64, beta float64, cm *mat.F64, threads int) error {
-	return c.DSYRKWithParams(trans, alpha, a, beta, cm, threads, DefaultParams[float64]())
-}
-
-// SSYRKWithParams is SSYRK with explicit blocking parameters.
-func (c *Context) SSYRKWithParams(trans bool, alpha float32, a *mat.F32, beta float32, cm *mat.F32, threads int, p Params) error {
-	av := view[float32]{a.Rows, a.Cols, a.Stride, a.Data}
-	cv := view[float32]{cm.Rows, cm.Cols, cm.Stride, cm.Data}
-	return syrkCtx(c, trans, alpha, av, beta, cv, threads, p)
-}
-
-// DSYRKWithParams is DSYRK with explicit blocking parameters.
-func (c *Context) DSYRKWithParams(trans bool, alpha float64, a *mat.F64, beta float64, cm *mat.F64, threads int, p Params) error {
 	av := view[float64]{a.Rows, a.Cols, a.Stride, a.Data}
 	cv := view[float64]{cm.Rows, cm.Cols, cm.Stride, cm.Data}
-	return syrkCtx(c, trans, alpha, av, beta, cv, threads, p)
+	return syrkCtx(c, trans, alpha, av, beta, cv, threads, paramsFor[float64](c))
 }
 
 // syrkCtx is the SYRK driver: argument checking, degenerate cases, the

@@ -134,7 +134,7 @@ func TestSaveLoadV2Bundle(t *testing.T) {
 	if got := fwd.TrainedOps(); len(got) != 2 {
 		t.Errorf("forward-compat load trained ops = %v, want the 2 known ops", got)
 	}
-	if fwd.OptimalThreads(512, 512, 512) != back.OptimalThreads(512, 512, 512) {
+	if fwd.OptimalThreadsOp(ops.GEMM, 512, 512, 512) != back.OptimalThreadsOp(ops.GEMM, 512, 512, 512) {
 		t.Error("forward-compat load changed GEMM decisions")
 	}
 }
@@ -145,11 +145,11 @@ func TestGatherRejectsUnknownOpTimer(t *testing.T) {
 	g := quickGather(12)
 	g.Timer = timerOnly{g.Timer}
 	g.Op = ops.SYRK
-	if _, err := Gather(g); err == nil {
+	if _, err := gather(g); err == nil {
 		t.Error("gather with a GEMM-only timer should error for syrk")
 	}
 	g.Op = ops.Op(250)
-	if _, err := Gather(g); err == nil {
+	if _, err := gather(g); err == nil {
 		t.Error("gather with an unknown op should error")
 	}
 }

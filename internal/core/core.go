@@ -5,14 +5,13 @@
 //
 // The split mirrors Figs 2 and 3 of the paper: Train produces the two
 // artefacts (preprocessing config + trained model) that the runtime
-// Predictor loads and evaluates on the hot path.
+// Library loads and the serve engine evaluates on the hot path.
 package core
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/features"
 	"repro/internal/ml"
@@ -111,24 +110,19 @@ type Gatherer interface {
 	Gather(ctx context.Context, cfg GatherConfig) ([]ShapeTimings, error)
 }
 
-// LocalGatherer is the in-process Gatherer: the plain Gather call. The
-// context is consulted between measurements only — a single kernel timing
-// is not interruptible.
+// LocalGatherer is the in-process Gatherer. The context is consulted before
+// the sweep only — a running sweep is not interruptible.
 type LocalGatherer struct{}
 
-// Gather implements Gatherer by running the sweep on cfg.Timer locally.
+// Gather implements Gatherer on cfg.Timer locally: it samples NumShapes
+// quasi-random shapes and times each at every candidate thread count with
+// the configured operation's kernel.
 func (LocalGatherer) Gather(ctx context.Context, cfg GatherConfig) ([]ShapeTimings, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	return Gather(cfg)
-}
-
-// Gather samples NumShapes quasi-random shapes and times each at every
-// candidate thread count with the configured operation's kernel.
-func Gather(cfg GatherConfig) ([]ShapeTimings, error) {
 	if cfg.Timer == nil {
 		return nil, fmt.Errorf("core: GatherConfig.Timer is nil")
 	}
@@ -444,23 +438,11 @@ func (l *Library) RankOpInto(op ops.Op, m, k, n int, s *Scratch, scores []float6
 	return best
 }
 
-// RankInto is RankOpInto for the primary GEMM model.
-//
-//adsala:zeroalloc
-func (l *Library) RankInto(m, k, n int, s *Scratch, scores []float64) int {
-	return l.RankOpInto(ops.GEMM, m, k, n, s, scores)
-}
-
 // OptimalThreadsOp ranks every candidate thread count by the op's predicted
 // runtime and returns the argmin (§IV-A). This is the uncached path; use
 // the serve engine on hot loops.
 func (l *Library) OptimalThreadsOp(op ops.Op, m, k, n int) int {
 	return l.Candidates[l.RankOpInto(op, m, k, n, l.NewScratch(), nil)]
-}
-
-// OptimalThreads is OptimalThreadsOp for GEMM.
-func (l *Library) OptimalThreads(m, k, n int) int {
-	return l.OptimalThreadsOp(ops.GEMM, m, k, n)
 }
 
 // PredictOpSeconds returns the op model's runtime estimate for one
@@ -485,59 +467,6 @@ func (l *Library) PredictOpSecondsInto(op ops.Op, mm, k, n, threads int, s *Scra
 		row[i] = pipe.TransformColumn(c.in, s.raw[c.src])
 	}
 	return pipe.UntransformTarget(p.mod.Model.Predict(row))
-}
-
-// PredictSeconds is PredictOpSeconds for GEMM.
-func (l *Library) PredictSeconds(m, k, n, threads int) float64 {
-	return l.PredictOpSeconds(ops.GEMM, m, k, n, threads)
-}
-
-// Predictor is the runtime-side wrapper (Fig 3): it remembers the last GEMM
-// shape and skips re-evaluation when the same dimensions repeat, the common
-// pattern of GEMM inside application loops (§III-C). Safe for concurrent use.
-type Predictor struct {
-	lib *Library
-
-	mu                  sync.Mutex
-	lastM, lastK, lastN int
-	lastChoice          int
-	valid               bool
-	hits, misses        int64
-	scratch             *Scratch
-}
-
-// NewPredictor returns a Predictor bound to the library.
-func (l *Library) NewPredictor() *Predictor {
-	return &Predictor{lib: l, scratch: l.NewScratch()}
-}
-
-// OptimalThreads returns the thread count to use for an m×k×n GEMM,
-// re-using the cached decision when the shape matches the previous call.
-func (p *Predictor) OptimalThreads(m, k, n int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.valid && p.lastM == m && p.lastK == k && p.lastN == n {
-		p.hits++
-		return p.lastChoice
-	}
-	p.misses++
-	best := p.lib.Candidates[p.lib.RankInto(m, k, n, p.scratch, nil)]
-	p.lastM, p.lastK, p.lastN, p.lastChoice, p.valid = m, k, n, best, true
-	return best
-}
-
-// CacheStats reports (hits, misses) of the repeated-shape cache.
-func (p *Predictor) CacheStats() (hits, misses int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits, p.misses
-}
-
-// Reset clears the cached decision (e.g. after a NUMA policy change).
-func (p *Predictor) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.valid = false
 }
 
 // sortedCopy returns a sorted copy of xs (helper shared by train/report).

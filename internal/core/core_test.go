@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
+	"repro/internal/ops"
 	"strings"
 	"testing"
 
@@ -13,6 +15,11 @@ import (
 )
 
 // quickGather returns a small simulated-Gadi gather config for tests.
+// gather runs the in-process sweep.
+func gather(cfg GatherConfig) ([]ShapeTimings, error) {
+	return LocalGatherer{}.Gather(context.Background(), cfg)
+}
+
 func quickGather(shapes int) GatherConfig {
 	sim := simtime.New(simtime.DefaultConfig(machine.Gadi()))
 	return GatherConfig{
@@ -52,7 +59,7 @@ func TestGatherLocalItersExact(t *testing.T) {
 		Iters:      3,
 		Seed:       1,
 	}
-	data, err := Gather(cfg)
+	data, err := gather(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,22 +94,22 @@ func TestDefaultCandidates(t *testing.T) {
 }
 
 func TestGatherValidation(t *testing.T) {
-	if _, err := Gather(GatherConfig{}); err == nil {
+	if _, err := gather(GatherConfig{}); err == nil {
 		t.Error("nil timer should error")
 	}
 	cfg := quickGather(0)
-	if _, err := Gather(cfg); err == nil {
+	if _, err := gather(cfg); err == nil {
 		t.Error("zero shapes should error")
 	}
 	cfg = quickGather(3)
 	cfg.Candidates = nil
-	if _, err := Gather(cfg); err == nil {
+	if _, err := gather(cfg); err == nil {
 		t.Error("no candidates should error")
 	}
 }
 
 func TestGatherShapes(t *testing.T) {
-	data, err := Gather(quickGather(12))
+	data, err := gather(quickGather(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +141,7 @@ func TestGatherShapes(t *testing.T) {
 }
 
 func TestRecordsFlattening(t *testing.T) {
-	data, _ := Gather(quickGather(4))
+	data, _ := gather(quickGather(4))
 	recs := Records(data)
 	if len(recs) != 4*len(DefaultCandidates(96)) {
 		t.Fatalf("%d records", len(recs))
@@ -187,7 +194,7 @@ func TestTrainEndToEnd(t *testing.T) {
 }
 
 func TestTrainOnDataValidation(t *testing.T) {
-	data, _ := Gather(quickGather(12))
+	data, _ := gather(quickGather(12))
 	cfg := DefaultTrainConfig(quickGather(12), "Gadi", 48)
 	cfg.Models = DefaultModels(1, true)
 
@@ -217,45 +224,15 @@ func TestLibraryPredictSeconds(t *testing.T) {
 	// Predicted seconds are positive, and the ranking makes argmin coherent:
 	// the optimal thread count's prediction is the smallest.
 	m, k, n := 512, 512, 512
-	opt := lib.OptimalThreads(m, k, n)
-	pOpt := lib.PredictSeconds(m, k, n, opt)
+	opt := lib.OptimalThreadsOp(ops.GEMM, m, k, n)
+	pOpt := lib.PredictOpSeconds(ops.GEMM, m, k, n, opt)
 	if pOpt <= 0 {
 		t.Fatalf("predicted %v", pOpt)
 	}
 	for _, c := range lib.Candidates {
-		if lib.PredictSeconds(m, k, n, c) < pOpt-1e-15 {
+		if lib.PredictOpSeconds(ops.GEMM, m, k, n, c) < pOpt-1e-15 {
 			t.Fatalf("candidate %d predicted faster than chosen %d", c, opt)
 		}
-	}
-}
-
-func TestPredictorCaching(t *testing.T) {
-	res := quickTrain(t, 60)
-	p := res.Library.NewPredictor()
-	a := p.OptimalThreads(300, 300, 300)
-	b := p.OptimalThreads(300, 300, 300)
-	if a != b {
-		t.Fatal("cached decision changed")
-	}
-	hits, misses := p.CacheStats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("cache stats = %d/%d, want 1/1", hits, misses)
-	}
-	// Different shape invalidates.
-	p.OptimalThreads(301, 300, 300)
-	_, misses = p.CacheStats()
-	if misses != 2 {
-		t.Errorf("misses = %d, want 2", misses)
-	}
-	// Uncached library path agrees with predictor.
-	if got := res.Library.OptimalThreads(300, 300, 300); got != a {
-		t.Errorf("library %d vs predictor %d", got, a)
-	}
-	p.Reset()
-	p.OptimalThreads(301, 300, 300)
-	_, misses = p.CacheStats()
-	if misses != 3 {
-		t.Errorf("Reset did not clear cache")
 	}
 }
 
@@ -273,8 +250,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("metadata changed: %+v", back)
 	}
 	for _, sh := range [][3]int{{64, 64, 64}, {1000, 500, 2000}, {4096, 64, 64}} {
-		a := res.Library.OptimalThreads(sh[0], sh[1], sh[2])
-		b := back.OptimalThreads(sh[0], sh[1], sh[2])
+		a := res.Library.OptimalThreadsOp(ops.GEMM, sh[0], sh[1], sh[2])
+		b := back.OptimalThreadsOp(ops.GEMM, sh[0], sh[1], sh[2])
 		if a != b {
 			t.Errorf("shape %v: choice changed %d -> %d after reload", sh, a, b)
 		}
@@ -306,8 +283,8 @@ func TestTrainedModelPicksFewThreadsForSkinnyShapes(t *testing.T) {
 	// choose far fewer threads for 64×2048×64 than for a large square GEMM.
 	res := quickTrain(t, 90)
 	lib := res.Library
-	skinny := lib.OptimalThreads(64, 2048, 64)
-	square := lib.OptimalThreads(6000, 6000, 6000)
+	skinny := lib.OptimalThreadsOp(ops.GEMM, 64, 2048, 64)
+	square := lib.OptimalThreadsOp(ops.GEMM, 6000, 6000, 6000)
 	if skinny >= square {
 		t.Errorf("skinny choice %d not below square choice %d", skinny, square)
 	}

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/ops"
 )
 
 func TestDirectThreadModel(t *testing.T) {
-	data, err := Gather(quickGather(60))
+	data, err := gather(quickGather(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,31 +33,6 @@ func TestDirectThreadModel(t *testing.T) {
 	}
 }
 
-func TestPredictorConcurrentUse(t *testing.T) {
-	res := quickTrain(t, 50)
-	p := res.Library.NewPredictor()
-	var wg sync.WaitGroup
-	shapes := [][3]int{{100, 100, 100}, {200, 300, 400}, {64, 2048, 64}}
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				sh := shapes[(w+i)%len(shapes)]
-				if got := p.OptimalThreads(sh[0], sh[1], sh[2]); got < 1 || got > 96 {
-					t.Errorf("bad choice %d", got)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	hits, misses := p.CacheStats()
-	if hits+misses != 8*200 {
-		t.Errorf("stats %d+%d != 1600", hits, misses)
-	}
-}
-
 func TestLibraryColumnsRestriction(t *testing.T) {
 	res := quickTrain(t, 50)
 	// Rebuild a library restricted to Group 1 columns via the training path.
@@ -68,7 +42,7 @@ func TestLibraryColumnsRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sub.Library.OptimalThreads(500, 500, 500); got < 1 || got > 96 {
+	if got := sub.Library.OptimalThreadsOp(ops.GEMM, 500, 500, 500); got < 1 || got > 96 {
 		t.Errorf("restricted library choice %d", got)
 	}
 	if len(sub.Library.ModelFor(ops.GEMM).Pipeline.InputCols) != 5 {

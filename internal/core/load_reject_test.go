@@ -154,7 +154,7 @@ func TestLoadRejectsWhatWouldPanicOnFirstMiss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("uncorrupted v1 rearrangement: %v", err)
 	}
-	if a, b := back.OptimalThreads(300, 200, 100), res.Library.OptimalThreads(300, 200, 100); a != b {
+	if a, b := back.OptimalThreadsOp(ops.GEMM, 300, 200, 100), res.Library.OptimalThreadsOp(ops.GEMM, 300, 200, 100); a != b {
 		t.Errorf("v1 rearrangement decides %d, trained library %d", a, b)
 	}
 }

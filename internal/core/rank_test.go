@@ -160,7 +160,7 @@ func TestBatchedRankMatchesPerCandidate(t *testing.T) {
 // which have no per-candidate transform left at all.
 func TestBatchedRankColumnRestricted(t *testing.T) {
 	cfg := DefaultTrainConfig(quickGather(40), "Gadi", 48)
-	data, err := Gather(cfg.Gather)
+	data, err := gather(cfg.Gather)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ func TestRankOpIntoZeroAlloc(t *testing.T) {
 		t.Errorf("RankOpInto allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		lib.RankInto(512, 256, 384, s, nil)
+		lib.RankOpInto(ops.GEMM, 512, 256, 384, s, nil)
 	}); n != 0 {
-		t.Errorf("RankInto allocates %.1f/op, want 0", n)
+		t.Errorf("RankOpInto without scores allocates %.1f/op, want 0", n)
 	}
 }
 

@@ -95,7 +95,7 @@ func AblationTarget(w io.Writer, lab *Lab) error {
 		if !ok {
 			continue
 		}
-		if t, ok := st.TimeAt(full.Library.OptimalThreads(st.Shape.M, st.Shape.K, st.Shape.N)); ok {
+		if t, ok := st.TimeAt(full.Library.OptimalThreadsOp(ops.GEMM, st.Shape.M, st.Shape.K, st.Shape.N)); ok {
 			runtimeSp = append(runtimeSp, ref/t)
 		}
 		if t, ok := nearestTime(st, direct.Predict(st.Shape.M, st.Shape.K, st.Shape.N)); ok {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"repro/internal/ops"
 
 	"repro/internal/core"
 	"repro/internal/sampling"
@@ -84,7 +85,7 @@ func figMemoryBuckets(w io.Writer, lab *Lab, platform string) error {
 			b = 4
 		}
 		ref, _ := st.TimeAt(p.RefThreads)
-		choice := res.Library.OptimalThreads(st.Shape.M, st.Shape.K, st.Shape.N)
+		choice := res.Library.OptimalThreadsOp(ops.GEMM, st.Shape.M, st.Shape.K, st.Shape.N)
 		chosen, ok := st.TimeAt(choice)
 		if !ok {
 			continue
@@ -152,7 +153,7 @@ func figPredesigned(w io.Writer, lab *Lab, platform string) error {
 	for _, pt := range grid {
 		sh := pt.Shape
 		tDef := sim.MeasureMean(sh.M, sh.K, sh.N, max, lab.Scale.Iters)
-		ml := res.Library.OptimalThreads(sh.M, sh.K, sh.N)
+		ml := res.Library.OptimalThreadsOp(ops.GEMM, sh.M, sh.K, sh.N)
 		tML := sim.MeasureMean(sh.M, sh.K, sh.N, ml, lab.Scale.Iters) + res.Library.EvalSeconds()/float64(lab.Scale.Iters)
 		sp := tDef / tML
 		if sp > bestSpeedup {
@@ -198,7 +199,7 @@ func Fig14(w io.Writer, lab *Lab) error {
 func holdoutChoiceAgreement(lib *core.Library, holdout []core.ShapeTimings) float64 {
 	good := 0
 	for _, st := range holdout {
-		choice := lib.OptimalThreads(st.Shape.M, st.Shape.K, st.Shape.N)
+		choice := lib.OptimalThreadsOp(ops.GEMM, st.Shape.M, st.Shape.K, st.Shape.N)
 		chosen, ok := st.TimeAt(choice)
 		if !ok {
 			continue

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"repro/internal/ops"
 
 	"repro/internal/core"
 	"repro/internal/stats"
@@ -53,7 +54,7 @@ func speedupRow(lib *core.Library, holdout []core.ShapeTimings, refThreads, iter
 		if !ok {
 			continue
 		}
-		choice := lib.OptimalThreads(st.Shape.M, st.Shape.K, st.Shape.N)
+		choice := lib.OptimalThreadsOp(ops.GEMM, st.Shape.M, st.Shape.K, st.Shape.N)
 		chosen, ok := st.TimeAt(choice)
 		if !ok {
 			continue
@@ -150,7 +151,7 @@ func Table7(w io.Writer, lab *Lab) error {
 	tb := tabulate.New("m,k,n", "config", "threads", "total", "sync+spawn", "kernel", "copy")
 	for _, c := range cases {
 		m, k, n := c[0], c[1], c[2]
-		ml := res.Library.OptimalThreads(m, k, n)
+		ml := res.Library.OptimalThreadsOp(ops.GEMM, m, k, n)
 		for _, cfg := range []struct {
 			label   string
 			threads int

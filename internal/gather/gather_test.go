@@ -71,7 +71,7 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 	for _, op := range ops.All() {
 		t.Run(op.String(), func(t *testing.T) {
 			gcfg, spec := testGatherConfig(t, op, 14)
-			want, err := core.Gather(gcfg)
+			want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestCoordinatorFeedsTrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := lib.OptimalThreads(512, 512, 512); got < 1 {
+	if got := lib.OptimalThreadsOp(ops.GEMM, 512, 512, 512); got < 1 {
 		t.Fatalf("loaded library predicted %d threads", got)
 	}
 
@@ -132,7 +132,7 @@ func TestCoordinatorFeedsTrain(t *testing.T) {
 	// produced. (Model *selection* additionally depends on eval latency
 	// measured on the wall clock, so decisions — not data — may differ
 	// between any two Train runs, distributed or not.)
-	want, err := core.Gather(gcfg)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCoordinatorFeedsTrain(t *testing.T) {
 // accounted for exactly once.
 func TestKilledWorkerMidUnit(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 14)
-	want, err := core.Gather(gcfg)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestKilledWorkerMidUnit(t *testing.T) {
 // it elsewhere.
 func TestSlowWorkerReassigned(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 9)
-	want, err := core.Gather(gcfg)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func (b *byzantineWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 // exactly once and a byte-identical sweep.
 func TestDuplicateResultRejected(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 12)
-	want, err := core.Gather(gcfg)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func recordingWorker(t *testing.T, opts WorkerOptions) (*httptest.Server, *sync.
 // while the merged sweep still matches single-node exactly.
 func TestCheckpointResume(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 15) // 5 units of 3
-	want, err := core.Gather(gcfg)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func (b *blippyWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 // in-flight unit or count toward retiring the worker.
 func TestTransientPollBlipDoesNotDiscardUnit(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 6)
-	want, err := core.Gather(gcfg)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestCheckpointRejectsForeignSweep(t *testing.T) {
 // truncated final line is discarded, earlier units still resume.
 func TestCheckpointToleratesPartialLine(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 9)
-	want, err := core.Gather(gcfg)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +556,7 @@ func TestCheckpointToleratesPartialLine(t *testing.T) {
 // units — the -race exercise of the dispatch/merge machinery.
 func TestConcurrentMerge(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 32)
-	want, err := core.Gather(gcfg)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestDrainVsInflightResultRace(t *testing.T) {
 // correctness.
 func TestChaosGatherMatchesSingleNode(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 12)
-	want, err := core.Gather(gcfg)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -37,7 +38,7 @@ func TestDriftOnlineReplayAgreement(t *testing.T) {
 	// nonzero spread with ~zero mean — below threshold, so no drift trips.
 	shapes := testShapes(60)
 	for i, sh := range shapes {
-		threads := eng.PredictOp(serve.OpGEMM, sh.M, sh.K, sh.N)
+		threads, _ := eng.PredictOpCtx(context.Background(), serve.OpGEMM, sh.M, sh.K, sh.N)
 		pred := l.PredictOpSeconds(serve.OpGEMM, sh.M, sh.K, sh.N, threads)
 		factor := math.Sqrt2
 		if i%2 == 1 {
@@ -133,7 +134,7 @@ func TestDriftRunDetectsInjectedDrift(t *testing.T) {
 	eng := serve.NewEngine(l, serve.Options{})
 	eng.SetRecorder(rec)
 	for _, sh := range testShapes(30) {
-		threads := eng.PredictOp(serve.OpGEMM, sh.M, sh.K, sh.N)
+		threads, _ := eng.PredictOpCtx(context.Background(), serve.OpGEMM, sh.M, sh.K, sh.N)
 		ns := int64(l.PredictOpSeconds(serve.OpGEMM, sh.M, sh.K, sh.N, threads) * 4e9)
 		if ns <= 0 {
 			ns = 4

@@ -230,9 +230,7 @@ func Run(lib *core.Library, files []string, cfg Config) (*Report, error) {
 	if rep.Decisions > 0 {
 		rep.Agreement = float64(rep.Agreed) / float64(rep.Decisions)
 	}
-	if hits, misses := eng.Cache().Stats(); hits+misses > 0 {
-		rep.CacheHitRate = float64(hits) / float64(hits+misses)
-	}
+	rep.CacheHitRate = eng.Stats().HitRate
 	for op, st := range perOp {
 		if st == nil {
 			continue

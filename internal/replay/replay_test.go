@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -60,12 +61,12 @@ func capture(t *testing.T, l *core.Library, shapes []sampling.Shape, warm int, b
 	eng := serve.NewEngine(l, serve.Options{})
 	eng.SetRecorder(rec)
 	if warm > 0 {
-		if _, err := eng.Warmup(sampling.DefaultDomain().WithCapMB(100), warm, 3, serve.OpGEMM); err != nil {
+		if _, err := eng.Warmup(context.Background(), sampling.DefaultDomain().WithCapMB(100), warm, 3, serve.OpGEMM); err != nil {
 			t.Fatalf("Warmup: %v", err)
 		}
 	}
 	for _, sh := range shapes {
-		threads := eng.PredictOp(serve.OpGEMM, sh.M, sh.K, sh.N)
+		threads, _ := eng.PredictOpCtx(context.Background(), serve.OpGEMM, sh.M, sh.K, sh.N)
 		// Synthesise a measurement at the model's own estimate so the
 		// labelled-data path has plausible pred/measured pairs.
 		ns := int64(l.PredictOpSeconds(serve.OpGEMM, sh.M, sh.K, sh.N, threads) * 1e9)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 )
 
 // shapeKey identifies one (operation, shape) configuration in the decision
@@ -148,29 +147,15 @@ func (s *shard) len() int {
 	return len(s.slots)
 }
 
-func (s *shard) reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for key := range s.slots {
-		delete(s.slots, key)
-	}
-	s.head, s.tail = -1, -1
-	s.free = s.free[:0]
-	for i := len(s.entries) - 1; i >= 0; i-- {
-		s.free = append(s.free, i)
-	}
-}
-
-// Cache is a sharded, power-of-two-sized LRU decision cache mapping GEMM
-// shapes to chosen thread counts. Shards are selected by shape hash; each
-// shard has its own lock, and the hit/miss counters are atomic, so the
-// cache is safe for heavy concurrent use.
+// Cache is a sharded, power-of-two-sized LRU decision cache mapping
+// (operation, shape) to the chosen thread count. Shards are selected by
+// shape hash and each has its own lock, so the cache is safe for heavy
+// concurrent use. It keeps no counters: hits and misses are booked by the
+// engine, per op.
 type Cache struct {
 	shards    []*shard
 	shardMask uint64
 	capacity  int
-	hits      atomic.Int64
-	misses    atomic.Int64
 }
 
 // Sizing bounds: decisions are a few words each, so a million entries is
@@ -226,22 +211,16 @@ func NewCache(capacity, shards int) *Cache {
 	return c
 }
 
-// Get returns the cached decision for an op over an m×k×n shape, counting a
-// hit or miss.
+// Get returns the cached decision for an op over an m×k×n shape, promoting
+// it to most recently used.
 func (c *Cache) Get(op Op, m, k, n int) (threads int, ok bool) {
 	key := shapeKey{op, m, k, n}
-	threads, ok = c.shards[key.hash()&c.shardMask].get(key)
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return threads, ok
+	return c.shards[key.hash()&c.shardMask].get(key)
 }
 
-// Peek returns the cached decision without touching the hit/miss counters or
-// the LRU order — the read-only introspection path (Gemm.LastChoice and
-// friends), which must not distort serving statistics or retention.
+// Peek returns the cached decision without touching the LRU order — the
+// read-only introspection path (BLAS.LastChoice), which must not distort
+// retention.
 func (c *Cache) Peek(op Op, m, k, n int) (threads int, ok bool) {
 	key := shapeKey{op, m, k, n}
 	s := c.shards[key.hash()&c.shardMask]
@@ -279,20 +258,6 @@ func (c *Cache) ShardLen(i int) int { return c.shards[i].len() }
 
 // Shards returns the shard count.
 func (c *Cache) Shards() int { return len(c.shards) }
-
-// Stats returns the cumulative (hits, misses) counters.
-func (c *Cache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// Reset empties every shard and zeroes the counters.
-func (c *Cache) Reset() {
-	for _, s := range c.shards {
-		s.reset()
-	}
-	c.hits.Store(0)
-	c.misses.Store(0)
-}
 
 // Cache snapshots: Save/Load persist the decisions across daemon restarts
 // (adsala-serve -cache-snapshot), so a restarted server answers its warmed
@@ -339,8 +304,7 @@ func (c *Cache) Snapshot() []SnapshotEntry {
 // Save writes the cached decisions to path as JSON. The write is atomic
 // (temp file + rename), so a crash mid-save leaves the previous snapshot
 // intact instead of a torn file the next boot refuses to load. Decisions
-// recorded while Save walks the shards may or may not be included; the
-// hit/miss counters are not persisted.
+// recorded while Save walks the shards may or may not be included.
 func (c *Cache) Save(path string) error {
 	blob, err := json.Marshal(cacheSnapshot{Format: snapshotFormat, Entries: c.Snapshot()})
 	if err != nil {
@@ -374,7 +338,7 @@ func (c *Cache) Save(path string) error {
 // Load replays a snapshot written by Save into the cache and returns the
 // number of decisions restored. Entries beyond the capacity evict in LRU
 // order as usual; unknown ops or malformed files error without touching the
-// counters.
+// cache.
 func (c *Cache) Load(path string) (int, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {

@@ -49,22 +49,6 @@ func TestCacheGetPut(t *testing.T) {
 	if th, ok := c.Get(OpGEMM, 3, 2, 1); !ok || th != 4 {
 		t.Fatalf("permuted key collided: (%d,%v)", th, ok)
 	}
-	hits, misses := c.Stats()
-	if hits != 3 || misses != 1 {
-		t.Fatalf("stats (%d,%d), want (3,1)", hits, misses)
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("Len %d after Reset", c.Len())
-	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatalf("stats (%d,%d) after Reset", h, m)
-	}
-	// Reusable after reset.
-	c.Put(OpGEMM, 9, 9, 9, 2)
-	if th, ok := c.Get(OpGEMM, 9, 9, 9); !ok || th != 2 {
-		t.Fatalf("post-reset put lost: (%d,%v)", th, ok)
-	}
 }
 
 // TestCacheLRUEviction drives one shard past capacity and checks that the

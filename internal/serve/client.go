@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/retry"
-	"repro/internal/sampling"
 )
 
 // maxResponseBytes caps how much of a response body the client will read.
@@ -87,8 +86,8 @@ func NewClient(baseURL string, httpClient *http.Client, opts ...ClientOption) *C
 }
 
 // do issues one request under the retry policy and decodes the JSON answer
-// into out.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// into out. header, when non-nil, holds extra request headers.
+func (c *Client) do(ctx context.Context, method, path string, header http.Header, body, out any) error {
 	var blob []byte
 	if body != nil {
 		var err error
@@ -97,7 +96,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		}
 	}
 	return retry.Do(ctx, c.retry, func(ctx context.Context) error {
-		return c.attempt(ctx, method, path, blob, out)
+		return c.attempt(ctx, method, path, header, blob, out)
 	})
 }
 
@@ -105,7 +104,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 // every path, caps reads at maxResponseBytes, and classifies failures:
 // transport errors and torn/garbled bodies are retryable, 4xx (except 429)
 // fatal.
-func (c *Client) attempt(ctx context.Context, method, path string, blob []byte, out any) error {
+func (c *Client) attempt(ctx context.Context, method, path string, header http.Header, blob []byte, out any) error {
 	var rd io.Reader
 	if blob != nil {
 		rd = bytes.NewReader(blob)
@@ -116,6 +115,9 @@ func (c *Client) attempt(ctx context.Context, method, path string, blob []byte, 
 	}
 	if blob != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	for name, vals := range header {
+		req.Header[name] = vals
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -153,86 +155,31 @@ func (c *Client) attempt(ctx context.Context, method, path string, blob []byte, 
 	return nil
 }
 
-// Predict asks the server for the optimal thread count of one GEMM shape.
-func (c *Client) Predict(m, k, n int) (int, error) {
-	return c.PredictCtx(context.Background(), m, k, n) //adsala:ignore ctxflow context-less compat method; use the Ctx sibling to bound the call
-}
-
-// PredictCtx is Predict bounded by the caller's context.
-func (c *Client) PredictCtx(ctx context.Context, m, k, n int) (int, error) {
-	return c.PredictOpCtx(ctx, OpGEMM, m, k, n)
-}
-
-// PredictOp asks the server for the optimal thread count of one shape under
-// an explicit operation kind (SYRK shapes pass the (n, k, n) triple).
-func (c *Client) PredictOp(op Op, m, k, n int) (int, error) {
-	return c.PredictOpCtx(context.Background(), op, m, k, n) //adsala:ignore ctxflow context-less compat method; use the Ctx sibling to bound the call
-}
-
-// PredictOpCtx is PredictOp bounded by the caller's context.
-func (c *Client) PredictOpCtx(ctx context.Context, op Op, m, k, n int) (int, error) {
+// Predict asks the server for the optimal thread count of one shape; the
+// request names its operation kind (empty = GEMM; SYRK and SYR2K shapes
+// pass the (n, k, n) triple).
+func (c *Client) Predict(ctx context.Context, req PredictRequest) (int, error) {
 	var resp PredictResponse
-	if err := c.do(ctx, http.MethodPost, "/predict", PredictRequest{M: m, K: k, N: n, Op: op.String()}, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/predict", nil, req, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Threads, nil
 }
 
-// PredictDetail returns the full candidate ranking for one GEMM shape.
-func (c *Client) PredictDetail(m, k, n int) (PredictResponse, error) {
-	return c.PredictDetailOpCtx(context.Background(), OpGEMM, m, k, n) //adsala:ignore ctxflow context-less compat method; use the Ctx sibling to bound the call
-}
-
-// PredictDetailOp is PredictDetail under an explicit operation kind.
-func (c *Client) PredictDetailOp(op Op, m, k, n int) (PredictResponse, error) {
-	return c.PredictDetailOpCtx(context.Background(), op, m, k, n) //adsala:ignore ctxflow context-less compat method; use the Ctx sibling to bound the call
-}
-
-// PredictDetailOpCtx is PredictDetailOp bounded by the caller's context.
-func (c *Client) PredictDetailOpCtx(ctx context.Context, op Op, m, k, n int) (PredictResponse, error) {
+// PredictDetail returns the full candidate ranking for one shape.
+func (c *Client) PredictDetail(ctx context.Context, req PredictRequest) (PredictResponse, error) {
 	var resp PredictResponse
-	err := c.do(ctx, http.MethodPost, "/predict?detail=1", PredictRequest{M: m, K: k, N: n, Op: op.String()}, &resp)
+	err := c.do(ctx, http.MethodPost, "/predict?detail=1", nil, req, &resp)
 	return resp, err
 }
 
-// PredictBatch asks the server for the optimal thread counts of many GEMM
-// shapes in one round trip.
-func (c *Client) PredictBatch(shapes []sampling.Shape) ([]int, error) {
-	return c.PredictBatchCtx(context.Background(), shapes) //adsala:ignore ctxflow context-less compat method; use the Ctx sibling to bound the call
-}
-
-// PredictBatchCtx is PredictBatch bounded by the caller's context.
-func (c *Client) PredictBatchCtx(ctx context.Context, shapes []sampling.Shape) ([]int, error) {
-	return c.PredictBatchOpCtx(ctx, OpGEMM, shapes)
-}
-
-// PredictBatchOp is PredictBatch under an explicit operation kind.
-func (c *Client) PredictBatchOp(op Op, shapes []sampling.Shape) ([]int, error) {
-	return c.PredictBatchOpCtx(context.Background(), op, shapes) //adsala:ignore ctxflow context-less compat method; use the Ctx sibling to bound the call
-}
-
-// PredictBatchOpCtx is PredictBatchOp bounded by the caller's context.
-func (c *Client) PredictBatchOpCtx(ctx context.Context, op Op, shapes []sampling.Shape) ([]int, error) {
-	reqs := make([]PredictRequest, len(shapes))
-	for i, sh := range shapes {
-		reqs[i] = PredictRequest{M: sh.M, K: sh.K, N: sh.N, Op: op.String()}
-	}
-	return c.PredictBatchRequestsCtx(ctx, reqs)
-}
-
-// PredictBatchRequests sends a mixed-operation batch in one round trip:
-// each request names its own op (empty = GEMM). Answers align with the
+// PredictBatch sends a batch in one round trip: each request names its own
+// op (empty = GEMM), so a batch may mix operations. Answers align with the
 // request order — the server splits per op and maps every decision back to
 // its slot.
-func (c *Client) PredictBatchRequests(reqs []PredictRequest) ([]int, error) {
-	return c.PredictBatchRequestsCtx(context.Background(), reqs) //adsala:ignore ctxflow context-less compat method; use the Ctx sibling to bound the call
-}
-
-// PredictBatchRequestsCtx is PredictBatchRequests bounded by the caller's
-// context.
-func (c *Client) PredictBatchRequestsCtx(ctx context.Context, reqs []PredictRequest) ([]int, error) {
+func (c *Client) PredictBatch(ctx context.Context, reqs []PredictRequest) ([]int, error) {
 	var resp BatchResponse
-	if err := c.do(ctx, http.MethodPost, "/batch", BatchRequest{Shapes: reqs}, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/batch", nil, BatchRequest{Shapes: reqs}, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Threads) != len(reqs) {
@@ -245,14 +192,9 @@ func (c *Client) PredictBatchRequestsCtx(ctx context.Context, reqs []PredictRequ
 // through POST /measured, feeding its drift monitor and flight recorder.
 // Returns the number of records the server accepted (the whole batch, or
 // zero — ingestion is all-or-nothing).
-func (c *Client) ReportMeasured(records []MeasuredRecord) (int, error) {
-	return c.ReportMeasuredCtx(context.Background(), records) //adsala:ignore ctxflow context-less compat method; use the Ctx sibling to bound the call
-}
-
-// ReportMeasuredCtx is ReportMeasured bounded by the caller's context.
-func (c *Client) ReportMeasuredCtx(ctx context.Context, records []MeasuredRecord) (int, error) {
+func (c *Client) ReportMeasured(ctx context.Context, records []MeasuredRecord) (int, error) {
 	var resp MeasuredResponse
-	if err := c.do(ctx, http.MethodPost, "/measured", MeasuredRequest{Records: records}, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/measured", nil, MeasuredRequest{Records: records}, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Accepted, nil
@@ -260,40 +202,25 @@ func (c *Client) ReportMeasuredCtx(ctx context.Context, records []MeasuredRecord
 
 // Drift fetches the server's online drift report (404 unless the daemon
 // runs with drift monitoring on).
-func (c *Client) Drift() (*DriftReport, error) {
-	return c.DriftCtx(context.Background()) //adsala:ignore ctxflow context-less compat method; use the Ctx sibling to bound the call
-}
-
-// DriftCtx is Drift bounded by the caller's context.
-func (c *Client) DriftCtx(ctx context.Context) (*DriftReport, error) {
+func (c *Client) Drift(ctx context.Context) (*DriftReport, error) {
 	var resp DriftReport
-	if err := c.do(ctx, http.MethodGet, "/drift", nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/drift", nil, nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
 // Stats fetches the server's engine and HTTP metrics.
-func (c *Client) Stats() (StatsResponse, error) {
-	return c.StatsCtx(context.Background()) //adsala:ignore ctxflow context-less compat method; use the Ctx sibling to bound the call
-}
-
-// StatsCtx is Stats bounded by the caller's context.
-func (c *Client) StatsCtx(ctx context.Context) (StatsResponse, error) {
+func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 	var resp StatsResponse
-	err := c.do(ctx, http.MethodGet, "/stats", nil, &resp)
+	err := c.do(ctx, http.MethodGet, "/stats", nil, nil, &resp)
 	return resp, err
 }
 
-// Healthz checks server liveness.
-func (c *Client) Healthz() (HealthResponse, error) {
-	return c.HealthzCtx(context.Background()) //adsala:ignore ctxflow context-less compat method; use the Ctx sibling to bound the call
-}
-
-// HealthzCtx is Healthz bounded by the caller's context.
-func (c *Client) HealthzCtx(ctx context.Context) (HealthResponse, error) {
+// Healthz checks server readiness.
+func (c *Client) Healthz(ctx context.Context) (HealthResponse, error) {
 	var resp HealthResponse
-	err := c.do(ctx, http.MethodGet, "/healthz", nil, &resp)
+	err := c.do(ctx, http.MethodGet, "/healthz", nil, nil, &resp)
 	return resp, err
 }
 
@@ -302,40 +229,7 @@ func (c *Client) HealthzCtx(ctx context.Context) (HealthResponse, error) {
 // health body (new generation, format version and op list).
 func (c *Client) Reload(ctx context.Context, token string) (HealthResponse, error) {
 	var resp HealthResponse
-	err := retry.Do(ctx, c.retry, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/admin/reload", nil)
-		if err != nil {
-			return retry.Fatalf("serve: build request: %w", err)
-		}
-		req.Header.Set("X-Adsala-Admin-Token", token)
-		hr, err := c.http.Do(req)
-		if err != nil {
-			return fmt.Errorf("serve: POST /admin/reload: %w", err)
-		}
-		defer func() {
-			// Drain a bounded remainder before closing so the keep-alive
-			// connection is reusable (same contract as attempt).
-			_, _ = io.Copy(io.Discard, io.LimitReader(hr.Body, 4096))
-			hr.Body.Close()
-		}()
-		limited := io.LimitReader(hr.Body, maxResponseBytes)
-		if hr.StatusCode != http.StatusOK {
-			sErr := &StatusError{Status: hr.StatusCode}
-			var apiErr apiError
-			if json.NewDecoder(limited).Decode(&apiErr) == nil && apiErr.Error != "" {
-				sErr.Message = apiErr.Error
-			}
-			wrapped := fmt.Errorf("serve: POST /admin/reload: %w", sErr)
-			if !sErr.Retryable() {
-				return retry.Fatal(wrapped)
-			}
-			return wrapped
-		}
-		if err := json.NewDecoder(limited).Decode(&resp); err != nil {
-			return fmt.Errorf("serve: decode /admin/reload response: %w", err)
-		}
-		return nil
-	})
+	err := c.do(ctx, http.MethodPost, "/admin/reload", http.Header{"X-Adsala-Admin-Token": {token}}, nil, &resp)
 	return resp, err
 }
 

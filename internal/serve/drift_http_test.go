@@ -43,7 +43,7 @@ func TestMeasuredAndDriftRoundTrip(t *testing.T) {
 		if i > 0 {
 			body.WriteByte(',')
 		}
-		threads := lib.OptimalThreads(256, 256, 256)
+		threads := lib.OptimalThreadsOp(OpGEMM, 256, 256, 256)
 		ns := int64(lib.PredictOpSeconds(OpGEMM, 256, 256, 256, threads) * 1e9)
 		if ns < 1 {
 			ns = 1
@@ -100,7 +100,7 @@ func TestMeasuredAndDriftRoundTrip(t *testing.T) {
 	// The windowed samples feed /metrics and /healthz stays 200 (degraded
 	// is a body bit, not an HTTP failure).
 	cl := NewClient(ts.URL, nil)
-	h, err := cl.Healthz()
+	h, err := cl.Healthz(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +109,13 @@ func TestMeasuredAndDriftRoundTrip(t *testing.T) {
 	}
 
 	// The typed client wraps both endpoints.
-	accepted, err := cl.ReportMeasured([]MeasuredRecord{
+	accepted, err := cl.ReportMeasured(bg, []MeasuredRecord{
 		{Op: "gemm", M: 128, K: 128, N: 128, Threads: 4, MeasuredNs: 10_000},
 	})
 	if err != nil || accepted != 1 {
 		t.Fatalf("client.ReportMeasured = %d, %v", accepted, err)
 	}
-	rep2, err := cl.Drift()
+	rep2, err := cl.Drift(bg)
 	if err != nil {
 		t.Fatalf("client.Drift: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestMeasuredDegradedHealth(t *testing.T) {
 	// Measurements 8x slower than the model's estimate: residual_log2 mean
 	// is about -3, far past the 0.5 threshold.
 	lib := srv.Engine().Library()
-	threads := lib.OptimalThreads(256, 256, 256)
+	threads := lib.OptimalThreadsOp(OpGEMM, 256, 256, 256)
 	ns := int64(lib.PredictOpSeconds(OpGEMM, 256, 256, 256, threads) * 8e9)
 	if ns < 8 {
 		ns = 8

@@ -41,53 +41,35 @@ type Options struct {
 // and the op always keys the decision cache, so decisions never alias
 // across operations either way.
 type Engine struct {
-	// state bundles the served library with a scratch pool sized for it;
-	// SwapLibrary replaces the whole bundle atomically, so a ranking in
-	// flight always pairs a library with scratches sized for that library
-	// even while a hot reload lands.
-	state   atomic.Pointer[libState]
-	cache   *Cache
-	workers int
+	// state bundles everything a decision depends on — library, scratch
+	// pool, decision cache and generation. SwapLibrary publishes a fresh
+	// bundle in one atomic store, and every call loads it once and uses
+	// only what it holds, so a decision ranked with one artefact can never
+	// land in (or be served from) another artefact's cache.
+	state atomic.Pointer[libState]
+	opts  Options // Workers resolved; the cache geometry serves every generation
 
-	// generation counts artefact swaps (0 = the boot artefact); /healthz
-	// surfaces it so an operator can confirm a reload took effect even
-	// when old and new artefacts share a format version.
-	generation atomic.Int64
+	// The decision ledger: per-op {hits, misses}, one set for serving
+	// traffic and one for warm-up passes (indexed by ops.Op). They are the
+	// only decision counters: decision counts, aggregates and the warm-up
+	// totals are sums taken when Stats or /metrics reads them.
+	serving []opCounters
+	warmup  []opCounters
 
-	predictions atomic.Int64 // selections served (cached or computed)
-	fallbacks   atomic.Int64 // selections answered by the heuristic fallback
-	evalNanos   atomic.Int64 // cumulative time spent in cache-miss ranking
-	evals       atomic.Int64 // cache-miss rankings performed
+	fallbacks atomic.Int64 // selections answered by the heuristic fallback
 
 	// decLatency holds one latency histogram per op for the cache-miss
-	// ranking path (nanosecond observations, exposed as seconds), and
-	// batchSizes the /batch request-size distribution. Both live on the
-	// engine from construction — recording is a few atomic adds — and are
-	// attached to a Prometheus registry by RegisterMetrics.
+	// ranking path (nanosecond observations, exposed as seconds) — also the
+	// source of Stats.MeanEvalMicros — and batchSizes the /batch
+	// request-size distribution. Both live on the engine from construction
+	// — recording is a few atomic adds — and are attached to a Prometheus
+	// registry by RegisterMetrics.
 	decLatency []*obs.Histogram
 	batchSizes *obs.Histogram
 
-	// perOp splits the serving counters by operation (indexed by ops.Op);
-	// the aggregate counters above stay authoritative for compatibility.
-	perOp []opCounters
-
-	// Warm-up traffic recorded so Stats can report serving counters that
-	// exclude it: a warmed cache otherwise starts with thousands of
-	// synthetic misses and the /stats hit_rate understates real serving
-	// behaviour for its whole lifetime.
-	warmPredictions atomic.Int64
-	warmHits        atomic.Int64
-	warmMisses      atomic.Int64
-	warmPerOp       []opCounters
-
 	// recorder is the optional flight recorder (nil when tracing is off —
-	// the hot path pays one atomic pointer load). warming is the number of
-	// Warmup passes in flight; decisions recorded while it is non-zero are
-	// flagged as warm-up traffic, matching the /stats exclusion contract
-	// (requests served concurrently with a warm pass may be attributed to
-	// it, as Warmup already documents for the counters).
+	// the hot path pays one atomic pointer load).
 	recorder atomic.Pointer[trace.Recorder]
-	warming  atomic.Int64
 
 	// drift is the optional online model-quality monitor (nil when drift
 	// monitoring is off — the measured hot path pays one atomic pointer
@@ -95,20 +77,26 @@ type Engine struct {
 	drift atomic.Pointer[drift.Monitor]
 }
 
-// opCounters is one operation's share of the serving counters.
+// opCounters is one operation's entry in a ledger set.
 type opCounters struct {
-	predictions atomic.Int64
-	hits        atomic.Int64
-	misses      atomic.Int64
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
-// libState pairs a library with a scratch pool sized for its models. The
-// pool lives and dies with the library: after a swap, scratches sized for
-// the old bundle drain into the old pool and are collected, so a reloaded
-// artefact with wider feature rows can never receive an undersized buffer.
+// libState is one artefact generation: the library, a scratch pool sized
+// for its models and the decision cache its rankings fill. All three live
+// and die together: after a swap, scratches sized for the old bundle drain
+// into the old pool and old-model decisions into the old cache, and both
+// are collected — a reloaded artefact can receive neither an undersized
+// buffer nor a decision it did not make.
 type libState struct {
 	lib     *core.Library
 	scratch sync.Pool // *rankScratch
+	cache   *Cache
+	// generation counts artefact swaps (0 = the boot artefact); /healthz
+	// surfaces it so an operator can confirm a reload took effect even
+	// when old and new artefacts share a format version.
+	generation int64
 }
 
 // rankScratch is one pooled ranking workspace: the model-evaluation scratch
@@ -120,8 +108,9 @@ type rankScratch struct {
 	scores []float64
 }
 
-func newLibState(lib *core.Library) *libState {
-	st := &libState{lib: lib}
+// newState builds generation 0 of lib; SwapLibrary numbers later ones.
+func (e *Engine) newState(lib *core.Library) *libState {
+	st := &libState{lib: lib, cache: NewCache(e.opts.CacheSize, e.opts.Shards)}
 	st.scratch.New = func() any {
 		return &rankScratch{s: lib.NewScratch(), scores: make([]float64, len(lib.Candidates))}
 	}
@@ -130,22 +119,20 @@ func newLibState(lib *core.Library) *libState {
 
 // NewEngine returns an Engine over the library with the given options.
 func NewEngine(lib *core.Library, opts Options) *Engine {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
-		cache:      NewCache(opts.CacheSize, opts.Shards),
-		workers:    workers,
-		perOp:      make([]opCounters, ops.NumOps()),
-		warmPerOp:  make([]opCounters, ops.NumOps()),
+		opts:       opts,
+		serving:    make([]opCounters, ops.NumOps()),
+		warmup:     make([]opCounters, ops.NumOps()),
 		decLatency: make([]*obs.Histogram, ops.NumOps()),
 		batchSizes: obs.NewHistogram(1),
 	}
 	for i := range e.decLatency {
 		e.decLatency[i] = obs.NewHistogram(1e-9)
 	}
-	e.state.Store(newLibState(lib))
+	e.state.Store(e.newState(lib))
 	return e
 }
 
@@ -154,64 +141,69 @@ func NewEngine(lib *core.Library, opts Options) *Engine {
 func (e *Engine) Library() *core.Library { return e.state.Load().lib }
 
 // SwapLibrary atomically replaces the served artefact — the hot-reload
-// path. The decision cache is reset (its decisions rank with the old
-// models and would otherwise be served as if the new artefact made them)
-// and the generation counter advances; the caller re-warms in the
-// background. Requests in flight finish against whichever artefact they
-// started with; no request ever observes a half-swapped state.
+// path. The new generation starts with an empty decision cache of the same
+// geometry (the old one's decisions rank with the old models); the caller
+// re-warms in the background. Requests in flight finish against whichever
+// generation they started with, cache included; no request ever observes a
+// half-swapped state.
 func (e *Engine) SwapLibrary(lib *core.Library) {
-	e.state.Store(newLibState(lib))
-	e.cache.Reset()
-	e.generation.Add(1)
+	next := e.newState(lib)
+	for {
+		old := e.state.Load()
+		next.generation = old.generation + 1
+		if e.state.CompareAndSwap(old, next) {
+			return
+		}
+	}
 }
 
 // Generation returns the number of artefact swaps since boot.
-func (e *Engine) Generation() int64 { return e.generation.Load() }
+func (e *Engine) Generation() int64 { return e.state.Load().generation }
 
-// Cache returns the engine's decision cache.
-func (e *Engine) Cache() *Cache { return e.cache }
+// Cache returns the decision cache of the generation currently served.
+func (e *Engine) Cache() *Cache { return e.state.Load().cache }
 
-// Predict returns the model-selected thread count for an m×k×n GEMM,
-// serving repeated shapes from the sharded cache.
-func (e *Engine) Predict(m, k, n int) int { return e.PredictOp(OpGEMM, m, k, n) }
-
-// PredictOp is Predict for an explicit operation kind: the decision ranks
-// with the op's model and is cached under (op, shape). SYRK and SYR2K
-// callers pass the (n, k, n) triple of the equivalent output shape.
-func (e *Engine) PredictOp(op Op, m, k, n int) int {
-	threads, _ := e.PredictOpCtx(context.Background(), op, m, k, n) //adsala:ignore ctxflow context-less compat method; use the Ctx sibling to bound the call
-	return threads
+// PredictOpCtx returns the model-selected thread count for one operation at
+// its canonical (m, k, n) triple (SYRK and SYR2K callers pass the (n, k, n)
+// triple of the equivalent output shape): the decision ranks with the op's
+// model and is cached under (op, shape). It degrades instead of failing —
+// the answer is never an error. Cached decisions are served regardless of
+// ctx (a cache read is nanoseconds). A cache miss ranks the candidates
+// unless the artefact holds no model for the op or ctx has already expired
+// (an overloaded or deadline-blown request must not queue behind a model
+// evaluation it has no time for) — in those cases the deterministic
+// heuristic answers instead, fallback returns true, and the decision is NOT
+// cached, so the model takes over the moment it can answer again.
+func (e *Engine) PredictOpCtx(ctx context.Context, op Op, m, k, n int) (threads int, fallback bool) {
+	return e.decide(ctx, e.state.Load(), false, op, m, k, n)
 }
 
-// PredictOpCtx is PredictOp with a request deadline and graceful
-// degradation: the answer is never an error. Cached decisions are served
-// regardless of ctx (a cache read is nanoseconds). A cache miss ranks the
-// candidates unless the artefact holds no model for the op or ctx has
-// already expired (an overloaded or deadline-blown request must not queue
-// behind a model evaluation it has no time for) — in those cases the
-// deterministic heuristic answers instead, fallback returns true, and the
-// decision is NOT cached, so the model takes over the moment it can answer
-// again.
-func (e *Engine) PredictOpCtx(ctx context.Context, op Op, m, k, n int) (threads int, fallback bool) {
-	e.predictions.Add(1)
-	oc := e.opCounters(op)
-	oc.predictions.Add(1)
-	if threads, ok := e.cache.Get(op, m, k, n); ok {
-		oc.hits.Add(1)
-		e.traceDecision(op, m, k, n, threads, 0, trace.FlagCacheHit)
+// decide is PredictOpCtx against one loaded state, booked in the warm-up
+// ledger (and flagged as warm-up in the trace) when warm is set.
+func (e *Engine) decide(ctx context.Context, st *libState, warm bool, op Op, m, k, n int) (threads int, fallback bool) {
+	if threads, ok := st.cache.Get(op, m, k, n); ok {
+		e.counters(warm, op).hits.Add(1)
+		e.traceDecision(warm, op, m, k, n, threads, 0, trace.FlagCacheHit)
 		return threads, false
 	}
-	oc.misses.Add(1)
-	st := e.state.Load()
+	return e.miss(ctx, st, warm, op, m, k, n, nil)
+}
+
+// miss answers one decision the cache did not: a full ranking with st's
+// model (per-candidate seconds into scores when non-nil), cached; or, when
+// there is no model or no time left, the heuristic — counted and traced as
+// degraded-mode traffic and never cached.
+func (e *Engine) miss(ctx context.Context, st *libState, warm bool, op Op, m, k, n int, scores []float64) (threads int, fallback bool) {
+	e.counters(warm, op).misses.Add(1)
 	if st.lib.ModelFor(op) == nil || ctx.Err() != nil {
 		e.fallbacks.Add(1)
 		threads = heuristicChoice(st.lib.Candidates, op, m, k, n)
-		e.traceDecision(op, m, k, n, threads, 0, trace.FlagFallback)
+		e.traceDecision(warm, op, m, k, n, threads, 0, trace.FlagFallback)
 		return threads, true
 	}
-	threads, predNs := e.rankWith(st, op, m, k, n, nil)
-	e.cache.Put(op, m, k, n, threads)
-	e.traceDecision(op, m, k, n, threads, predNs, 0)
+	threads, predNs := e.rankWith(st, op, m, k, n, scores)
+	st.cache.Put(op, m, k, n, threads)
+	e.traceDecision(warm, op, m, k, n, threads, predNs, 0)
 	return threads, false
 }
 
@@ -261,19 +253,22 @@ func heuristicChoice(candidates []int, op Op, m, k, n int) int {
 	return best
 }
 
-// opCounters returns the op's counter slot (GEMM for out-of-range ops, so a
-// miscast op can never panic the hot path).
-func (e *Engine) opCounters(op Op) *opCounters {
-	if int(op) >= len(e.perOp) {
+// counters returns the op's entry in the serving or the warm-up ledger
+// (GEMM for out-of-range ops, so a miscast op can never panic the hot path).
+func (e *Engine) counters(warm bool, op Op) *opCounters {
+	if int(op) >= len(e.serving) {
 		op = OpGEMM
 	}
-	return &e.perOp[op]
+	if warm {
+		return &e.warmup[op]
+	}
+	return &e.serving[op]
 }
 
 // CachedChoice returns the cached decision for (op, shape) without ranking,
 // counting, or LRU promotion — the read-only introspection path.
 func (e *Engine) CachedChoice(op Op, m, k, n int) (threads int, ok bool) {
-	return e.cache.Peek(op, m, k, n)
+	return e.state.Load().cache.Peek(op, m, k, n)
 }
 
 // rankWith runs one full candidate ranking with the given library state's
@@ -297,10 +292,7 @@ func (e *Engine) rankWith(st *libState, op Op, m, k, n int, scores []float64) (b
 	start := time.Now()
 	idx := st.lib.RankOpInto(op, m, k, n, rs.s, sc)
 	best = st.lib.Candidates[idx]
-	ns := time.Since(start).Nanoseconds()
-	e.evalNanos.Add(ns)
-	e.evals.Add(1)
-	e.latencyHist(op).Observe(ns)
+	e.latencyHist(op).Observe(time.Since(start).Nanoseconds())
 	if sc != nil && idx < len(sc) {
 		predNs = int64(sc[idx] * 1e9)
 	}
@@ -309,7 +301,7 @@ func (e *Engine) rankWith(st *libState, op Op, m, k, n int, scores []float64) (b
 }
 
 // latencyHist returns the op's decision-latency histogram (GEMM for
-// out-of-range ops, mirroring opCounters).
+// out-of-range ops, mirroring counters).
 func (e *Engine) latencyHist(op Op) *obs.Histogram {
 	if int(op) >= len(e.decLatency) {
 		op = OpGEMM
@@ -322,66 +314,43 @@ func (e *Engine) Candidates() []int {
 	return append([]int(nil), e.state.Load().lib.Candidates...)
 }
 
-// Rank returns the per-candidate predicted runtimes (seconds, aligned with
-// Candidates()) and the selected thread count for one GEMM shape.
-func (e *Engine) Rank(m, k, n int) (scores []float64, best int) {
-	return e.RankOp(OpGEMM, m, k, n)
-}
-
-// RankOp is Rank for an explicit operation kind. The cache cannot answer it
-// (it stores decisions, not score vectors), so every call ranks afresh and
-// is counted as one prediction and one cache miss — keeping the /stats
-// hit_rate consistent with the work actually performed. On a model-less
-// artefact the heuristic answers with zeroed scores (there is no model to
-// score with) and the fallback counter advances.
-func (e *Engine) RankOp(op Op, m, k, n int) (scores []float64, best int) {
-	e.predictions.Add(1)
-	e.cache.misses.Add(1)
-	oc := e.opCounters(op)
-	oc.predictions.Add(1)
-	oc.misses.Add(1)
+// RankOpCtx returns the per-candidate predicted runtimes (seconds, aligned
+// with Candidates()) and the selected thread count for one shape. The cache
+// cannot answer it (it stores decisions, not score vectors), so every call
+// ranks afresh and is counted as one cache miss — keeping the /stats
+// hit_rate consistent with the work actually performed. It degrades exactly
+// as PredictOpCtx does: on a model-less artefact or an expired ctx the
+// heuristic answers with zeroed scores (nothing was scored), fallback is
+// true and nothing is cached.
+func (e *Engine) RankOpCtx(ctx context.Context, op Op, m, k, n int) (scores []float64, best int, fallback bool) {
 	st := e.state.Load()
 	scores = make([]float64, len(st.lib.Candidates))
-	if st.lib.ModelFor(op) == nil {
-		e.fallbacks.Add(1)
-		best = heuristicChoice(st.lib.Candidates, op, m, k, n)
-		e.traceDecision(op, m, k, n, best, 0, trace.FlagFallback)
-		return scores, best
-	}
-	best, predNs := e.rankWith(st, op, m, k, n, scores)
-	e.cache.Put(op, m, k, n, best)
-	e.traceDecision(op, m, k, n, best, predNs, 0)
-	return scores, best
+	best, fallback = e.miss(ctx, st, false, op, m, k, n, scores)
+	return scores, best, fallback
 }
 
-// PredictBatch ranks every shape and writes the chosen thread counts into
-// out (allocated when nil or too short). Identical shapes within the batch
-// are deduplicated before ranking, so a batch of N repeated cache misses
-// costs one model evaluation, not N; distinct shapes already cached are
-// served from the cache, and the remaining distinct misses are ranked in
-// parallel across the engine's worker pool. Duplicates resolved from the
-// batch-local memoisation are counted as predictions and cache hits, so the
-// Stats counters keep per-request semantics. Batches of n shapes use O(n)
-// dedup scratch; the no-allocation guarantee applies to the per-shape
+// PredictBatchOpCtx ranks every shape under one operation kind (mixed-op
+// batches split per op at the HTTP layer) and writes the chosen thread
+// counts into out (allocated when nil or too short). Identical shapes
+// within the batch are deduplicated before ranking, so a batch of N
+// repeated cache misses costs one model evaluation, not N; distinct shapes
+// already cached are served from the cache, and the remaining distinct
+// misses are ranked in parallel across the engine's worker pool. Duplicates
+// resolved from the batch-local memoisation are counted as cache hits, so
+// the Stats counters keep per-request semantics. Batches of n shapes use
+// O(n) dedup scratch; the no-allocation guarantee applies to the per-shape
 // ranking path, not the batch bookkeeping.
-func (e *Engine) PredictBatch(shapes []sampling.Shape, out []int) []int {
-	return e.PredictBatchOp(OpGEMM, shapes, out)
-}
-
-// PredictBatchOp is PredictBatch for an explicit operation kind applied to
-// every shape in the batch (mixed-op batches split per op at the HTTP
-// layer).
-func (e *Engine) PredictBatchOp(op Op, shapes []sampling.Shape, out []int) []int {
-	out, _ = e.PredictBatchOpCtx(context.Background(), op, shapes, out) //adsala:ignore ctxflow context-less compat method; use the Ctx sibling to bound the call
-	return out
-}
-
-// PredictBatchOpCtx is PredictBatchOp with a request deadline and graceful
-// degradation. fallback is nil when every decision came from the cache or a
-// model; otherwise it has len(shapes) with true at each slot answered by
-// the deterministic heuristic (ctx expired mid-batch, or the artefact holds
-// no model for the op).
+//
+// It degrades like PredictOpCtx: fallback is nil when every decision came
+// from the cache or a model; otherwise it has len(shapes) with true at each
+// slot answered by the deterministic heuristic (ctx expired mid-batch, or
+// the artefact holds no model for the op).
 func (e *Engine) PredictBatchOpCtx(ctx context.Context, op Op, shapes []sampling.Shape, out []int) (threads []int, fallback []bool) {
+	return e.decideBatch(ctx, e.state.Load(), false, op, shapes, out)
+}
+
+// decideBatch is PredictBatchOpCtx against one loaded state and ledger.
+func (e *Engine) decideBatch(ctx context.Context, st *libState, warm bool, op Op, shapes []sampling.Shape, out []int) (threads []int, fallback []bool) {
 	if len(out) < len(shapes) {
 		out = make([]int, len(shapes))
 	}
@@ -391,7 +360,7 @@ func (e *Engine) PredictBatchOpCtx(ctx context.Context, op Op, shapes []sampling
 	}
 	e.batchSizes.Observe(int64(len(shapes)))
 	if len(shapes) == 1 {
-		t, fb := e.PredictOpCtx(ctx, op, shapes[0].M, shapes[0].K, shapes[0].N)
+		t, fb := e.decide(ctx, st, warm, op, shapes[0].M, shapes[0].K, shapes[0].N)
 		out[0] = t
 		if fb {
 			return out, []bool{true}
@@ -413,22 +382,18 @@ func (e *Engine) PredictBatchOpCtx(ctx context.Context, op Op, shapes []sampling
 		slot[i] = u
 	}
 	if dups := len(shapes) - len(uniq); dups > 0 {
-		e.predictions.Add(int64(dups))
-		e.cache.hits.Add(int64(dups))
-		oc := e.opCounters(op)
-		oc.predictions.Add(int64(dups))
-		oc.hits.Add(int64(dups))
+		e.counters(warm, op).hits.Add(int64(dups))
 	}
 
 	vals := make([]int, len(uniq))
 	fbs := make([]bool, len(uniq))
-	workers := e.workers
+	workers := e.opts.Workers
 	if workers > len(uniq) {
 		workers = len(uniq)
 	}
 	if workers <= 1 {
 		for u, sh := range uniq {
-			vals[u], fbs[u] = e.PredictOpCtx(ctx, op, sh.M, sh.K, sh.N)
+			vals[u], fbs[u] = e.decide(ctx, st, warm, op, sh.M, sh.K, sh.N)
 		}
 	} else {
 		var next atomic.Int64
@@ -443,7 +408,7 @@ func (e *Engine) PredictBatchOpCtx(ctx context.Context, op Op, shapes []sampling
 						return
 					}
 					sh := uniq[u]
-					vals[u], fbs[u] = e.PredictOpCtx(ctx, op, sh.M, sh.K, sh.N)
+					vals[u], fbs[u] = e.decide(ctx, st, warm, op, sh.M, sh.K, sh.N)
 				}
 			}()
 		}
@@ -476,20 +441,24 @@ func (e *Engine) PredictBatchOpCtx(ctx context.Context, op Op, shapes []sampling
 // bundle is empty), so SYRK/SYR2K caches pre-populate alongside GEMM on a
 // per-op-trained library. Shapes are canonicalised per op before warming
 // (symmetric updates fold to their (n, k, n) triple — the form runtime
-// queries arrive in). Returns the number of decisions computed across ops.
+// queries arrive in). Returns the number of decisions computed across ops;
+// a cancelled ctx stops the pass between operations.
 //
-// The counter deltas incurred by the warm pass are recorded and excluded
-// from the serving statistics (Stats reports them separately, aggregate and
-// per op): warm-up is synthetic traffic, and its near-100% miss rate would
-// otherwise depress the reported hit_rate long into real serving. Warm-up
-// is intended to run before traffic arrives; requests served concurrently
-// with a warm pass may be attributed to it.
-func (e *Engine) Warmup(dom sampling.Domain, n int, seed int64, opSet ...Op) (int, error) {
+// Warm-up is synthetic traffic — its near-100% miss rate would otherwise
+// depress the reported hit_rate long into real serving — so the whole pass
+// is booked in the warm-up ledger (Stats reports it separately, aggregate
+// and per op) and flagged as warm-up in the trace; requests served while it
+// runs are booked as serving traffic, exactly. The pass works against the
+// generation current when it started: overtaken by a SwapLibrary, it
+// finishes into the cache that was swapped out and the new generation
+// sees none of it.
+func (e *Engine) Warmup(ctx context.Context, dom sampling.Domain, n int, seed int64, opSet ...Op) (int, error) {
 	if n <= 0 {
 		return 0, nil
 	}
+	st := e.state.Load()
 	if len(opSet) == 0 {
-		opSet = e.Library().TrainedOps()
+		opSet = st.lib.TrainedOps()
 		if len(opSet) == 0 {
 			opSet = []Op{OpGEMM}
 		}
@@ -499,10 +468,11 @@ func (e *Engine) Warmup(dom sampling.Domain, n int, seed int64, opSet ...Op) (in
 			return 0, fmt.Errorf("serve: warmup: unknown op %v", op)
 		}
 	}
-	e.warming.Add(1)
-	defer e.warming.Add(-1)
 	total := 0
 	for _, op := range opSet {
+		if err := ctx.Err(); err != nil {
+			return total, fmt.Errorf("serve: warmup: %w", err)
+		}
 		sampler, err := sampling.NewSampler(dom, seed)
 		if err != nil {
 			return total, fmt.Errorf("serve: warmup: %w", err)
@@ -512,21 +482,7 @@ func (e *Engine) Warmup(dom sampling.Domain, n int, seed int64, opSet ...Op) (in
 		for i, sh := range shapes {
 			shapes[i] = canon(sh)
 		}
-
-		oc := e.opCounters(op)
-		p0 := e.predictions.Load()
-		op0, oh0, om0 := oc.predictions.Load(), oc.hits.Load(), oc.misses.Load()
-		h0, m0 := e.cache.Stats()
-		e.PredictBatchOp(op, shapes, nil)
-		p1 := e.predictions.Load()
-		h1, m1 := e.cache.Stats()
-		e.warmPredictions.Add(p1 - p0)
-		e.warmHits.Add(h1 - h0)
-		e.warmMisses.Add(m1 - m0)
-		woc := &e.warmPerOp[op]
-		woc.predictions.Add(oc.predictions.Load() - op0)
-		woc.hits.Add(oc.hits.Load() - oh0)
-		woc.misses.Add(oc.misses.Load() - om0)
+		e.decideBatch(ctx, st, true, op, shapes, nil)
 		total += len(shapes)
 	}
 	return total, nil
@@ -549,8 +505,8 @@ type Stats struct {
 	Fallbacks int64 `json:"fallbacks,omitempty"`
 	// Generation counts hot artefact reloads since boot.
 	Generation int64 `json:"artefact_generation"`
-	// WarmupDecisions / WarmupHits / WarmupMisses are the counter deltas of
-	// Warmup passes, excluded from the serving counters above.
+	// WarmupDecisions / WarmupHits / WarmupMisses are the decisions of
+	// Warmup passes, which never enter the serving counters above.
 	WarmupDecisions int64 `json:"warmup_decisions,omitempty"`
 	WarmupHits      int64 `json:"warmup_hits,omitempty"`
 	WarmupMisses    int64 `json:"warmup_misses,omitempty"`
@@ -570,92 +526,55 @@ type OpStats struct {
 	HitRate     float64 `json:"hit_rate"`
 }
 
-// Stats returns the current counters. Every atomic is loaded exactly once
-// into a local snapshot before any derived field is computed, so one
-// response is internally consistent: the reported HitRate is exactly
-// CacheHits/(CacheHits+CacheMisses) of the same response, and the Warmup*
-// fields are the same values that were subtracted from the serving
-// counters — a concurrent Warmup or Reset between loads can no longer
-// produce a response whose parts disagree. Load order matters for the
-// cross-counter inequalities too: warm-up deltas are read before the
-// counters they are subtracted from (a delta is recorded only after its
-// underlying counter moved, so warm ≤ counter holds), and the prediction
-// counters are read after the hit/miss counters (a hit/miss is only
-// recorded after its prediction), keeping Predictions ≥ CacheHits +
-// CacheMisses within one response under concurrent traffic. Serving
-// counters are still clamped at zero: Cache().Reset() zeroes the cache's
-// hit/miss counters but not the recorded warm-up deltas, and a negative
-// count must never reach the /stats JSON.
-func (e *Engine) Stats() Stats {
-	// Raw snapshot — each atomic loaded exactly once, deltas first.
-	warmPred := e.warmPredictions.Load()
-	warmHits := e.warmHits.Load()
-	warmMisses := e.warmMisses.Load()
-	type opSnap struct{ warmPred, warmHits, warmMisses, pred, hits, misses int64 }
-	perOp := make([]opSnap, len(e.perOp))
-	for i := range e.perOp {
-		woc := &e.warmPerOp[i]
-		perOp[i].warmPred = woc.predictions.Load()
-		perOp[i].warmHits = woc.hits.Load()
-		perOp[i].warmMisses = woc.misses.Load()
-	}
-	rawHits, rawMisses := e.cache.Stats()
-	for i := range e.perOp {
-		oc := &e.perOp[i]
-		perOp[i].hits = oc.hits.Load()
-		perOp[i].misses = oc.misses.Load()
-	}
-	pred := e.predictions.Load()
-	for i := range e.perOp {
-		perOp[i].pred = e.perOp[i].predictions.Load()
-	}
-	evals := e.evals.Load()
-	evalNanos := e.evalNanos.Load()
-
-	hits := max0(rawHits - warmHits)
-	misses := max0(rawMisses - warmMisses)
-	st := Stats{
-		Predictions:     max0(pred - warmPred),
-		CacheHits:       hits,
-		CacheMisses:     misses,
-		Fallbacks:       e.fallbacks.Load(),
-		Generation:      e.generation.Load(),
-		CacheLen:        e.cache.Len(),
-		CacheCap:        e.cache.Capacity(),
-		Shards:          e.cache.Shards(),
-		WarmupDecisions: warmPred,
-		WarmupHits:      warmHits,
-		WarmupMisses:    warmMisses,
-	}
-	if total := hits + misses; total > 0 {
-		st.HitRate = float64(hits) / float64(total)
-	}
-	if evals > 0 {
-		st.MeanEvalMicros = float64(evalNanos) / float64(evals) / 1e3
-	}
-	for i, snap := range perOp {
-		os := OpStats{
-			Predictions: max0(snap.pred - snap.warmPred),
-			CacheHits:   max0(snap.hits - snap.warmHits),
-			CacheMisses: max0(snap.misses - snap.warmMisses),
-		}
-		if os.Predictions == 0 && os.CacheHits == 0 && os.CacheMisses == 0 {
-			continue
-		}
-		if total := os.CacheHits + os.CacheMisses; total > 0 {
-			os.HitRate = float64(os.CacheHits) / float64(total)
-		}
-		if st.PerOp == nil {
-			st.PerOp = make(map[string]OpStats, len(perOp))
-		}
-		st.PerOp[Op(i).String()] = os
-	}
-	return st
-}
-
-func max0(v int64) int64 {
-	if v < 0 {
+// hitRate is hits/(hits+misses), 0 with no traffic.
+func hitRate(hits, misses int64) float64 {
+	if hits+misses == 0 {
 		return 0
 	}
-	return v
+	return float64(hits) / float64(hits+misses)
+}
+
+// Stats returns the current counters. Each ledger atomic is loaded exactly
+// once and every other figure is a sum or ratio of those loads, so one
+// response is internally consistent by construction: Predictions is
+// CacheHits + CacheMisses, HitRate is their ratio, and the aggregates are
+// the sums of the per-op rows of the same response.
+func (e *Engine) Stats() Stats {
+	st := e.state.Load()
+	s := Stats{
+		Fallbacks:  e.fallbacks.Load(),
+		Generation: st.generation,
+		CacheLen:   st.cache.Len(),
+		CacheCap:   st.cache.Capacity(),
+		Shards:     st.cache.Shards(),
+	}
+	var evals, evalNanos int64
+	for i := range e.serving {
+		hits, misses := e.serving[i].hits.Load(), e.serving[i].misses.Load()
+		s.CacheHits += hits
+		s.CacheMisses += misses
+		s.WarmupHits += e.warmup[i].hits.Load()
+		s.WarmupMisses += e.warmup[i].misses.Load()
+		evals += e.decLatency[i].Count()
+		evalNanos += e.decLatency[i].Sum()
+		if hits+misses == 0 {
+			continue
+		}
+		if s.PerOp == nil {
+			s.PerOp = make(map[string]OpStats, len(e.serving))
+		}
+		s.PerOp[Op(i).String()] = OpStats{
+			Predictions: hits + misses,
+			CacheHits:   hits,
+			CacheMisses: misses,
+			HitRate:     hitRate(hits, misses),
+		}
+	}
+	s.Predictions = s.CacheHits + s.CacheMisses
+	s.HitRate = hitRate(s.CacheHits, s.CacheMisses)
+	s.WarmupDecisions = s.WarmupHits + s.WarmupMisses
+	if evals > 0 {
+		s.MeanEvalMicros = float64(evalNanos) / float64(evals) / 1e3
+	}
+	return s
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +45,31 @@ func lib(t *testing.T) *core.Library {
 	return testLib
 }
 
+// bg is the context of test calls that carry no deadline.
+var bg = context.Background()
+
+// predict is PredictOpCtx without a deadline, fallback flag dropped.
+func predict(e *Engine, op Op, m, k, n int) int {
+	threads, _ := e.PredictOpCtx(bg, op, m, k, n)
+	return threads
+}
+
+// predictBatch is PredictBatchOpCtx without a deadline, fallback flags
+// dropped.
+func predictBatch(e *Engine, op Op, shapes []sampling.Shape, out []int) []int {
+	out, _ = e.PredictBatchOpCtx(bg, op, shapes, out)
+	return out
+}
+
+// requests is the wire form of shapes under one op.
+func requests(op Op, shapes []sampling.Shape) []PredictRequest {
+	reqs := make([]PredictRequest, len(shapes))
+	for i, sh := range shapes {
+		reqs[i] = PredictRequest{M: sh.M, K: sh.K, N: sh.N, Op: op.String()}
+	}
+	return reqs
+}
+
 // mixedShapes returns n deterministic mixed GEMM shapes.
 func mixedShapes(n int) []sampling.Shape {
 	sampler, err := sampling.NewSampler(sampling.DefaultDomain().WithCapMB(100), 7)
@@ -62,19 +88,19 @@ func TestEngineMatchesLibrary(t *testing.T) {
 	shapes := mixedShapes(40)
 	want := make([]int, len(shapes))
 	for i, sh := range shapes {
-		want[i] = l.OptimalThreads(sh.M, sh.K, sh.N)
+		want[i] = l.OptimalThreadsOp(OpGEMM, sh.M, sh.K, sh.N)
 	}
 	for i, sh := range shapes {
-		if got := eng.Predict(sh.M, sh.K, sh.N); got != want[i] {
+		if got := predict(eng, OpGEMM, sh.M, sh.K, sh.N); got != want[i] {
 			t.Fatalf("cold %v: engine %d, library %d", sh, got, want[i])
 		}
 	}
 	for i, sh := range shapes { // now served from cache
-		if got := eng.Predict(sh.M, sh.K, sh.N); got != want[i] {
+		if got := predict(eng, OpGEMM, sh.M, sh.K, sh.N); got != want[i] {
 			t.Fatalf("cached %v: engine %d, library %d", sh, got, want[i])
 		}
 	}
-	batch := eng.PredictBatch(shapes, nil)
+	batch := predictBatch(eng, OpGEMM, shapes, nil)
 	for i := range shapes {
 		if batch[i] != want[i] {
 			t.Fatalf("batch %v: engine %d, library %d", shapes[i], batch[i], want[i])
@@ -95,7 +121,7 @@ func TestEngineMatchesLibrary(t *testing.T) {
 func TestEngineRankDetail(t *testing.T) {
 	l := lib(t)
 	eng := NewEngine(l, Options{})
-	scores, best := eng.Rank(512, 512, 512)
+	scores, best, _ := eng.RankOpCtx(bg, OpGEMM, 512, 512, 512)
 	cands := eng.Candidates()
 	if len(scores) != len(cands) {
 		t.Fatalf("%d scores for %d candidates", len(scores), len(cands))
@@ -112,7 +138,7 @@ func TestEngineRankDetail(t *testing.T) {
 	if cands[bestIdx] != best {
 		t.Errorf("argmin of scores is %d, Rank chose %d", cands[bestIdx], best)
 	}
-	if got := l.OptimalThreads(512, 512, 512); got != best {
+	if got := l.OptimalThreadsOp(OpGEMM, 512, 512, 512); got != best {
 		t.Errorf("Rank chose %d, library %d", best, got)
 	}
 }
@@ -120,8 +146,8 @@ func TestEngineRankDetail(t *testing.T) {
 func TestEngineBatchWorkers(t *testing.T) {
 	l := lib(t)
 	shapes := mixedShapes(33)
-	seq := NewEngine(l, Options{Workers: 1}).PredictBatch(shapes, nil)
-	par := NewEngine(l, Options{Workers: 8}).PredictBatch(shapes, nil)
+	seq := predictBatch(NewEngine(l, Options{Workers: 1}), OpGEMM, shapes, nil)
+	par := predictBatch(NewEngine(l, Options{Workers: 8}), OpGEMM, shapes, nil)
 	for i := range shapes {
 		if seq[i] != par[i] {
 			t.Fatalf("shape %v: sequential %d, parallel %d", shapes[i], seq[i], par[i])
@@ -130,7 +156,7 @@ func TestEngineBatchWorkers(t *testing.T) {
 	// Reusing an output slice must not reallocate.
 	eng := NewEngine(l, Options{})
 	out := make([]int, len(shapes))
-	got := eng.PredictBatch(shapes, out)
+	got := predictBatch(eng, OpGEMM, shapes, out)
 	if &got[0] != &out[0] {
 		t.Error("PredictBatch reallocated a sufficient out slice")
 	}
@@ -148,9 +174,9 @@ func TestEngineBatchDedup(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		eng := NewEngine(l, Options{Workers: workers})
-		out := eng.PredictBatch(batch, nil)
+		out := predictBatch(eng, OpGEMM, batch, nil)
 		for i, sh := range batch {
-			if want := l.OptimalThreads(sh.M, sh.K, sh.N); out[i] != want {
+			if want := l.OptimalThreadsOp(OpGEMM, sh.M, sh.K, sh.N); out[i] != want {
 				t.Fatalf("workers=%d shape %v: got %d, want %d", workers, sh, out[i], want)
 			}
 		}
@@ -171,9 +197,9 @@ func TestEngineBatchDedup(t *testing.T) {
 	// Order must be preserved when duplicates are interleaved.
 	interleaved := []sampling.Shape{base[0], base[1], base[0], base[2], base[1], base[0]}
 	eng := NewEngine(l, Options{Workers: 1})
-	out := eng.PredictBatch(interleaved, nil)
+	out := predictBatch(eng, OpGEMM, interleaved, nil)
 	for i, sh := range interleaved {
-		if want := l.OptimalThreads(sh.M, sh.K, sh.N); out[i] != want {
+		if want := l.OptimalThreadsOp(OpGEMM, sh.M, sh.K, sh.N); out[i] != want {
 			t.Fatalf("interleaved %d (%v): got %d, want %d", i, sh, out[i], want)
 		}
 	}
@@ -183,7 +209,7 @@ func TestEngineWarmup(t *testing.T) {
 	l := lib(t)
 	eng := NewEngine(l, Options{CacheSize: 512})
 	dom := sampling.DefaultDomain().WithCapMB(100)
-	n, err := eng.Warmup(dom, 100, 7)
+	n, err := eng.Warmup(bg, dom, 100, 7)
 	if err != nil || n != 100 {
 		t.Fatalf("Warmup = (%d, %v)", n, err)
 	}
@@ -191,24 +217,45 @@ func TestEngineWarmup(t *testing.T) {
 		t.Fatal("warm-up left the cache empty")
 	}
 	// The warmed shapes (same domain, same seed) now hit.
-	h0, _ := eng.Cache().Stats()
-	eng.PredictBatch(mixedShapes(100), nil)
-	h1, m1 := eng.Cache().Stats()
-	if h1-h0 != 100 {
-		t.Errorf("warmed shapes produced %d hits (misses %d), want 100", h1-h0, m1)
+	predictBatch(eng, OpGEMM, mixedShapes(100), nil)
+	if st := eng.Stats(); st.CacheHits != 100 || st.CacheMisses != 0 {
+		t.Errorf("warmed shapes produced %d hits (misses %d), want 100", st.CacheHits, st.CacheMisses)
 	}
-	if n, err := eng.Warmup(dom, 0, 1); n != 0 || err != nil {
+	if n, err := eng.Warmup(bg, dom, 0, 1); n != 0 || err != nil {
 		t.Errorf("Warmup(0) = (%d, %v)", n, err)
 	}
-	if _, err := eng.Warmup(sampling.Domain{}, 5, 1); err == nil {
+	if _, err := eng.Warmup(bg, sampling.Domain{}, 5, 1); err == nil {
 		t.Error("invalid domain should error")
 	}
 }
 
+// mutexPredictor is the paper's Fig 3 runtime path taken literally — the
+// last GEMM shape remembered behind one mutex — kept only as the foil of
+// TestShardedThroughputVsMutexPredictor.
+type mutexPredictor struct {
+	lib *core.Library
+
+	mu         sync.Mutex
+	m, k, n    int
+	lastChoice int
+	scratch    *core.Scratch
+}
+
+func (p *mutexPredictor) OptimalThreads(m, k, n int) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.lastChoice > 0 && p.m == m && p.k == k && p.n == n {
+		return p.lastChoice
+	}
+	best := p.lib.Candidates[p.lib.RankOpInto(OpGEMM, m, k, n, p.scratch, nil)]
+	p.m, p.k, p.n, p.lastChoice = m, k, n, best
+	return best
+}
+
 // TestShardedThroughputVsMutexPredictor is the tentpole acceptance check:
 // with 8 goroutines issuing mixed-shape predictions, the warmed sharded
-// cache must deliver at least 5x the throughput of the single-mutex
-// core.Predictor, while agreeing on every decision.
+// cache must deliver at least 5x the throughput of the single-mutex,
+// single-entry predictor, while agreeing on every decision.
 func TestShardedThroughputVsMutexPredictor(t *testing.T) {
 	l := lib(t)
 	shapes := mixedShapes(64)
@@ -234,18 +281,18 @@ func TestShardedThroughputVsMutexPredictor(t *testing.T) {
 	}
 
 	eng := NewEngine(l, Options{CacheSize: 256, Shards: 16})
-	eng.PredictBatch(shapes, nil) // warm the sharded cache
-	pred := l.NewPredictor()
+	predictBatch(eng, OpGEMM, shapes, nil) // warm the sharded cache
+	pred := &mutexPredictor{lib: l, scratch: l.NewScratch()}
 
 	// Decisions must agree exactly before any timing comparison.
 	for _, sh := range shapes {
-		if e, p := eng.Predict(sh.M, sh.K, sh.N), pred.OptimalThreads(sh.M, sh.K, sh.N); e != p {
+		if e, p := predict(eng, OpGEMM, sh.M, sh.K, sh.N), pred.OptimalThreads(sh.M, sh.K, sh.N); e != p {
 			t.Fatalf("shape %v: engine %d, predictor %d", sh, e, p)
 		}
 	}
 
 	mutexTime := run(pred.OptimalThreads)
-	shardedTime := run(eng.Predict)
+	shardedTime := run(func(m, k, n int) int { return predict(eng, OpGEMM, m, k, n) })
 	ratio := float64(mutexTime) / float64(shardedTime)
 	t.Logf("mixed-shape throughput: mutex predictor %v, sharded cache %v (%.0fx)",
 		mutexTime, shardedTime, ratio)

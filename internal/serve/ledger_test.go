@@ -1,0 +1,268 @@
+package serve
+
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/ml"
+	"repro/internal/sampling"
+)
+
+// parkingModel is a regressor whose Predict parks until released, so a test
+// can hold a ranking in flight across a SwapLibrary.
+type parkingModel struct {
+	entered chan struct{} // receives once a Predict has started
+	release chan struct{} // closed to let every Predict return
+}
+
+func newParkingModel() *parkingModel {
+	return &parkingModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+func (*parkingModel) Name() string                     { return "parked" }
+func (*parkingModel) Fit([][]float64, []float64) error { return nil }
+func (p *parkingModel) Predict(x []float64) float64 {
+	select {
+	case p.entered <- struct{}{}:
+	default:
+	}
+	<-p.release
+	return 0
+}
+
+// constModel scores every candidate alike, so the first one wins.
+type constModel struct{}
+
+func (constModel) Name() string                     { return "const" }
+func (constModel) Fit([][]float64, []float64) error { return nil }
+func (constModel) Predict([]float64) float64        { return 0 }
+
+// stubLibrary is a GEMM-only artefact over the given candidates whose model
+// is the given stub (behind the shared test library's pipeline).
+func stubLibrary(t *testing.T, candidates []int, model ml.Regressor) *core.Library {
+	t.Helper()
+	l := &core.Library{Platform: "stub", Candidates: candidates}
+	mod := &core.OpModel{Kind: model.Name(), Model: model, Pipeline: lib(t).ModelFor(OpGEMM).Pipeline}
+	if err := l.SetModel(OpGEMM, mod); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// TestReloadDoesNotPoisonCache pins the hot-reload race: a cache miss (or a
+// whole warm pass) that loaded artefact A and is still ranking when
+// SwapLibrary(B) lands must finish into A's cache, not B's. Artefact A's
+// only candidate is 7 and B lists {1, 2}, so a leaked decision is a thread
+// count the new artefact cannot even produce.
+func TestReloadDoesNotPoisonCache(t *testing.T) {
+	libB := stubLibrary(t, []int{1, 2}, constModel{})
+
+	t.Run("miss", func(t *testing.T) {
+		park := newParkingModel()
+		e := NewEngine(stubLibrary(t, []int{7}, park), Options{CacheSize: 64, Shards: 2})
+		inFlight := make(chan int)
+		go func() { inFlight <- predict(e, OpGEMM, 64, 64, 64) }()
+		<-park.entered
+		e.SwapLibrary(libB)
+		close(park.release)
+		if got := <-inFlight; got != 7 {
+			t.Errorf("the request in flight answered %d, want 7 from the artefact it started with", got)
+		}
+		if e.Generation() != 1 {
+			t.Errorf("generation %d after one swap, want 1", e.Generation())
+		}
+		if th, ok := e.CachedChoice(OpGEMM, 64, 64, 64); ok && th != 1 && th != 2 {
+			t.Errorf("new generation's cache holds %d for the shape: an old-model decision leaked across the swap", th)
+		}
+		if got := predict(e, OpGEMM, 64, 64, 64); got != 1 && got != 2 {
+			t.Errorf("first decision after the swap is %d, not one of the new artefact's candidates {1, 2}", got)
+		}
+	})
+
+	t.Run("warmup", func(t *testing.T) {
+		park := newParkingModel()
+		e := NewEngine(stubLibrary(t, []int{7}, park), Options{CacheSize: 64, Shards: 2})
+		dom := sampling.DefaultDomain().WithCapMB(100)
+		warmed := make(chan error)
+		go func() {
+			_, err := e.Warmup(bg, dom, 8, 1, OpGEMM)
+			warmed <- err
+		}()
+		<-park.entered
+		e.SwapLibrary(libB)
+		close(park.release)
+		if err := <-warmed; err != nil {
+			t.Fatal(err)
+		}
+		if n := e.Cache().Len(); n != 0 {
+			t.Errorf("the overtaken warm pass left %d decisions in the new generation's cache, want 0", n)
+		}
+		if st := e.Stats(); st.WarmupDecisions != 8 || st.Predictions != 0 {
+			t.Errorf("warm pass booked as %d warm-up / %d serving decisions, want 8 / 0", st.WarmupDecisions, st.Predictions)
+		}
+	})
+}
+
+// TestWarmupAttributionExact pins the one-ledger contract: the ledger a
+// decision is booked in is decided by who asked, not by what else is
+// running. K serving calls racing a large warm pass leave exactly K serving
+// predictions and exactly n × ops warm-up decisions.
+func TestWarmupAttributionExact(t *testing.T) {
+	e := NewEngine(lib(t), Options{CacheSize: 1024, Shards: 8})
+	dom := sampling.DefaultDomain().WithCapMB(100)
+	const n, perCaller, callers = 400, 300, 4
+	warmOps := []Op{OpGEMM, OpSYRK, OpSYR2K}
+	shapes := mixedShapes(64)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := e.Warmup(bg, dom, n, 9, warmOps...); err != nil {
+			t.Error(err)
+		}
+	}()
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				sh := shapes[(i*5+c)%len(shapes)]
+				predict(e, Op((i+c)%3), sh.M, sh.K, sh.N)
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	st := e.Stats()
+	if st.Predictions != callers*perCaller {
+		t.Errorf("serving predictions %d, want exactly %d", st.Predictions, callers*perCaller)
+	}
+	if want := int64(n * len(warmOps)); st.WarmupDecisions != want {
+		t.Errorf("warm-up decisions %d, want exactly %d", st.WarmupDecisions, want)
+	}
+	checkStatsConsistent(t, st)
+}
+
+// metricValue returns the value of one series of a Prometheus text
+// exposition, or fails the test when it is absent.
+func metricValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("series %s not in the exposition", series)
+	return 0
+}
+
+// TestStatsAndMetricsAgree runs one request mix — warm-up, hits, misses, a
+// deduplicated batch, a detail ranking, a malformed request, a measurement
+// report — and then reads /stats and /metrics back to back: both are
+// renderings of the same atomics, so every figure that appears on both
+// must reconcile exactly.
+func TestStatsAndMetricsAgree(t *testing.T) {
+	srv, ts := testServer(t)
+	client := NewClient(ts.URL, nil)
+	dom := sampling.DefaultDomain().WithCapMB(100)
+	if _, err := srv.Engine().Warmup(bg, dom, 12, 5, OpGEMM, OpSYRK); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Engine().Warmup(bg, dom, 12, 5, OpGEMM); err != nil { // all warm-up hits
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		for _, op := range []Op{OpGEMM, OpSYRK, OpSYR2K} {
+			if _, err := client.Predict(bg, PredictRequest{M: 96, K: 64, N: 96, Op: op.String()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	batch := requests(OpSYR2K, []sampling.Shape{{M: 50, K: 50, N: 50}, {M: 50, K: 50, N: 50}, {M: 60, K: 60, N: 60}})
+	if _, err := client.PredictBatch(bg, batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.PredictDetail(bg, PredictRequest{M: 200, K: 100, N: 200, Op: "syrk"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Predict(bg, PredictRequest{M: -1, K: 1, N: 1}); err == nil {
+		t.Fatal("malformed request accepted")
+	}
+	if _, err := client.ReportMeasured(bg, []MeasuredRecord{{M: 96, K: 64, N: 96, Threads: 2, MeasuredNs: 1000}}); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var stats StatsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	text := rec.Body.String()
+
+	eng := stats.Engine
+	if eng.Predictions != 13 || eng.WarmupDecisions != 36 || eng.WarmupHits != 12 {
+		t.Fatalf("request mix booked as %+v, want 13 serving predictions and 36 warm-up decisions (12 hits)", eng)
+	}
+	// Per op, /metrics counts serving + warm-up; the warm-up share per op is
+	// known from the two passes above.
+	warm := map[string][2]int64{"gemm": {12, 12}, "syrk": {0, 12}, "syr2k": {0, 0}} // {hits, misses}
+	var evalCount, evalSum float64
+	for op, w := range warm {
+		per := eng.PerOp[op]
+		lbl := `{op="` + op + `"}`
+		if got, want := metricValue(t, text, "adsala_serve_cache_hits_total"+lbl), float64(per.CacheHits+w[0]); got != want {
+			t.Errorf("%s hits: /metrics %v, /stats + warm-up %v", op, got, want)
+		}
+		if got, want := metricValue(t, text, "adsala_serve_cache_misses_total"+lbl), float64(per.CacheMisses+w[1]); got != want {
+			t.Errorf("%s misses: /metrics %v, /stats + warm-up %v", op, got, want)
+		}
+		if got, want := metricValue(t, text, "adsala_serve_decisions_total"+lbl), float64(per.Predictions+w[0]+w[1]); got != want {
+			t.Errorf("%s decisions: /metrics %v, /stats + warm-up %v", op, got, want)
+		}
+		evalCount += metricValue(t, text, "adsala_serve_decision_latency_seconds_count"+lbl)
+		evalSum += metricValue(t, text, "adsala_serve_decision_latency_seconds_sum"+lbl)
+	}
+	for series, want := range map[string]int64{
+		"adsala_serve_warmup_decisions_total": eng.WarmupDecisions,
+		"adsala_serve_warmup_hits_total":      eng.WarmupHits,
+		"adsala_serve_warmup_misses_total":    eng.WarmupMisses,
+		"adsala_serve_fallbacks_total":        eng.Fallbacks,
+		"adsala_serve_artefact_generation":    eng.Generation,
+	} {
+		if got := metricValue(t, text, series); got != float64(want) {
+			t.Errorf("%s = %v, /stats says %d", series, got, want)
+		}
+	}
+	// mean_eval_micros is the latency histograms' sum over their count.
+	if want := evalSum / evalCount * 1e6; eng.MeanEvalMicros <= 0 || eng.MeanEvalMicros < want*0.999 || eng.MeanEvalMicros > want*1.001 {
+		t.Errorf("mean_eval_micros %v, histograms give %v", eng.MeanEvalMicros, want)
+	}
+	for route, hs := range stats.HTTP {
+		lbl := `route="` + route + `"}`
+		ok := metricValue(t, text, `adsala_http_requests_total{result="ok",`+lbl)
+		bad := metricValue(t, text, `adsala_http_requests_total{result="error",`+lbl)
+		if ok+bad != float64(hs.Requests) || bad != float64(hs.Errors) {
+			t.Errorf("route %s: /metrics ok %v + error %v, /stats requests %d errors %d", route, ok, bad, hs.Requests, hs.Errors)
+		}
+		if got := metricValue(t, text, `adsala_http_request_seconds_count{`+lbl); got != float64(hs.Requests) {
+			t.Errorf("route %s: latency histogram counts %v requests, /stats %d", route, got, hs.Requests)
+		}
+	}
+	if p := stats.HTTP["predict"]; p.Requests != 11 || p.Errors != 1 {
+		t.Errorf("predict route = %+v, want 11 requests with 1 error", p)
+	}
+}

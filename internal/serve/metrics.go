@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -9,22 +10,21 @@ import (
 // RegisterMetrics attaches the engine's counters to a Prometheus registry.
 // Everything hot-path is already recorded on the engine itself (plain atomic
 // adds, no allocation); registration only wires scrape-time views over those
-// atomics, so it is safe to call after traffic has started and idempotent on
-// the same registry.
+// atomics — the ones Stats reads — so it is safe to call after traffic has
+// started and idempotent on the same registry.
 func (e *Engine) RegisterMetrics(r *obs.Registry) {
-	for i := range e.perOp {
-		op := Op(i)
-		oc := &e.perOp[i]
-		lbl := obs.L("op", op.String())
+	for i := range e.serving {
+		sv, wu := &e.serving[i], &e.warmup[i]
+		lbl := obs.L("op", Op(i).String())
 		r.CounterFunc("adsala_serve_decisions_total",
 			"Thread-count decisions served (cached or ranked), including warm-up.",
-			counterView(&oc.predictions), lbl)
+			sumView(&sv.hits, &sv.misses, &wu.hits, &wu.misses), lbl)
 		r.CounterFunc("adsala_serve_cache_hits_total",
 			"Decisions answered from the decision cache, including warm-up.",
-			counterView(&oc.hits), lbl)
+			sumView(&sv.hits, &wu.hits), lbl)
 		r.CounterFunc("adsala_serve_cache_misses_total",
 			"Decisions that required a full candidate ranking, including warm-up.",
-			counterView(&oc.misses), lbl)
+			sumView(&sv.misses, &wu.misses), lbl)
 		r.RegisterHistogram("adsala_serve_decision_latency_seconds",
 			"Latency of one cache-miss candidate ranking.",
 			e.decLatency[i], lbl)
@@ -34,38 +34,51 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 
 	r.CounterFunc("adsala_serve_fallbacks_total",
 		"Decisions answered by the deterministic heuristic fallback instead of a model.",
-		counterView(&e.fallbacks))
+		sumView(&e.fallbacks))
 	r.GaugeFunc("adsala_serve_artefact_generation",
 		"Hot artefact reloads since boot.",
-		func() float64 { return float64(e.generation.Load()) })
+		func() float64 { return float64(e.Generation()) })
 
+	var warmHits, warmMisses []*atomic.Int64
+	for i := range e.warmup {
+		warmHits = append(warmHits, &e.warmup[i].hits)
+		warmMisses = append(warmMisses, &e.warmup[i].misses)
+	}
 	r.CounterFunc("adsala_serve_warmup_decisions_total",
 		"Decisions attributed to cache warm-up passes.",
-		counterView(&e.warmPredictions))
+		sumView(append(warmHits, warmMisses...)...))
 	r.CounterFunc("adsala_serve_warmup_hits_total",
 		"Cache hits attributed to warm-up passes.",
-		counterView(&e.warmHits))
+		sumView(warmHits...))
 	r.CounterFunc("adsala_serve_warmup_misses_total",
 		"Cache misses attributed to warm-up passes.",
-		counterView(&e.warmMisses))
+		sumView(warmMisses...))
 
-	c := e.cache
-	for i := 0; i < c.Shards(); i++ {
+	// Cache geometry is fixed by Options; occupancy reads through to the
+	// current generation's cache.
+	for i := 0; i < e.Cache().Shards(); i++ {
 		shard := i
 		r.GaugeFunc("adsala_serve_cache_entries",
 			"Decision-cache occupancy per shard.",
-			func() float64 { return float64(c.ShardLen(shard)) },
+			func() float64 { return float64(e.Cache().ShardLen(shard)) },
 			obs.L("shard", fmt.Sprintf("%d", shard)))
 	}
 	r.GaugeFunc("adsala_serve_cache_capacity_entries",
 		"Total decision-cache capacity.",
-		func() float64 { return float64(c.Capacity()) })
+		func() float64 { return float64(e.Cache().Capacity()) })
 	r.GaugeFunc("adsala_serve_cache_shards",
 		"Decision-cache shard count.",
-		func() float64 { return float64(c.Shards()) })
+		func() float64 { return float64(e.Cache().Shards()) })
 }
 
-// counterView adapts an engine atomic into a scrape-time counter reader.
-func counterView(v interface{ Load() int64 }) func() float64 {
-	return func() float64 { return float64(v.Load()) }
+// sumView is a scrape-time counter reader over ledger atomics: /metrics
+// series are sums of the same atomics Stats sums for /stats.
+func sumView(vs ...*atomic.Int64) func() float64 {
+	return func() float64 {
+		var total int64
+		for _, v := range vs {
+			total += v.Load()
+		}
+		return float64(total)
+	}
 }

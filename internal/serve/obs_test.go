@@ -14,12 +14,12 @@ import (
 
 // TestStatsConsistentUnderLoad is the torn-read regression test: it
 // hammers the engine from several goroutines while polling Stats, and
-// asserts that every snapshot is internally consistent — the derived
-// HitRate equals exactly CacheHits/(CacheHits+CacheMisses) of the same
-// snapshot, and the counting inequalities the load order guarantees hold.
-// Before Stats snapshotted each atomic exactly once, HitRate was computed
-// from a second, later load of the hit/miss counters and this test failed
-// under -race-style interleavings.
+// asserts that every snapshot is internally consistent — Predictions is
+// exactly CacheHits + CacheMisses, the derived HitRate exactly
+// CacheHits/(CacheHits+CacheMisses) of the same snapshot, aggregate and per
+// op, and the aggregates exactly the sums of the per-op rows. Every figure
+// is derived from one load of each per-op {hits, misses} pair, so no
+// interleaving can pull them apart.
 func TestStatsConsistentUnderLoad(t *testing.T) {
 	e := NewEngine(lib(t), Options{CacheSize: 64, Shards: 4})
 	shapes := mixedShapes(48)
@@ -33,7 +33,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				sh := shapes[(i*7+seed)%len(shapes)]
 				op := Op((i + seed) % 3)
-				e.PredictOp(op, sh.M, sh.K, sh.N)
+				predict(e, op, sh.M, sh.K, sh.N)
 			}
 		}(w)
 	}
@@ -56,9 +56,13 @@ func checkStatsConsistent(t *testing.T, st Stats) {
 			t.Fatalf("negative counter in %+v", st)
 		}
 	}
-	if st.Predictions < st.CacheHits+st.CacheMisses {
-		t.Fatalf("predictions %d < hits %d + misses %d",
+	if st.Predictions != st.CacheHits+st.CacheMisses {
+		t.Fatalf("predictions %d != hits %d + misses %d",
 			st.Predictions, st.CacheHits, st.CacheMisses)
+	}
+	if st.WarmupDecisions != st.WarmupHits+st.WarmupMisses {
+		t.Fatalf("warm-up decisions %d != hits %d + misses %d",
+			st.WarmupDecisions, st.WarmupHits, st.WarmupMisses)
 	}
 	if total := st.CacheHits + st.CacheMisses; total > 0 {
 		if want := float64(st.CacheHits) / float64(total); st.HitRate != want {
@@ -68,9 +72,10 @@ func checkStatsConsistent(t *testing.T, st Stats) {
 	} else if st.HitRate != 0 {
 		t.Fatalf("hit rate %v with no traffic", st.HitRate)
 	}
+	var hits, misses int64
 	for name, os := range st.PerOp {
-		if os.Predictions < os.CacheHits+os.CacheMisses {
-			t.Fatalf("op %s: predictions %d < hits %d + misses %d",
+		if os.Predictions != os.CacheHits+os.CacheMisses {
+			t.Fatalf("op %s: predictions %d != hits %d + misses %d",
 				name, os.Predictions, os.CacheHits, os.CacheMisses)
 		}
 		if total := os.CacheHits + os.CacheMisses; total > 0 {
@@ -78,6 +83,12 @@ func checkStatsConsistent(t *testing.T, st Stats) {
 				t.Fatalf("op %s: torn hit rate %v != %v", name, os.HitRate, want)
 			}
 		}
+		hits += os.CacheHits
+		misses += os.CacheMisses
+	}
+	if hits != st.CacheHits || misses != st.CacheMisses {
+		t.Fatalf("per-op rows sum to %d hits / %d misses, aggregates say %d / %d",
+			hits, misses, st.CacheHits, st.CacheMisses)
 	}
 }
 
@@ -86,7 +97,7 @@ func checkStatsConsistent(t *testing.T, st Stats) {
 func TestStatsWarmupConsistent(t *testing.T) {
 	e := NewEngine(lib(t), Options{CacheSize: 256, Shards: 4})
 	dom := sampling.DefaultDomain().WithCapMB(100)
-	if _, err := e.Warmup(dom, 16, 3, OpGEMM); err != nil {
+	if _, err := e.Warmup(bg, dom, 16, 3, OpGEMM); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -156,10 +167,10 @@ func TestServerReadiness(t *testing.T) {
 func TestServerMetricsEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	client := NewClient(ts.URL, nil)
-	if _, err := client.Predict(96, 96, 96); err != nil {
+	if _, err := client.Predict(bg, PredictRequest{M: 96, K: 96, N: 96}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.PredictBatch(mixedShapes(5)); err != nil {
+	if _, err := client.PredictBatch(bg, requests(OpGEMM, mixedShapes(5))); err != nil {
 		t.Fatal(err)
 	}
 

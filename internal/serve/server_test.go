@@ -20,8 +20,8 @@ func TestServerPredictRoundTrip(t *testing.T) {
 	srv, ts := testServer(t)
 	client := NewClient(ts.URL, nil)
 
-	want := srv.Engine().Library().OptimalThreads(512, 512, 512)
-	got, err := client.Predict(512, 512, 512)
+	want := srv.Engine().Library().OptimalThreadsOp(OpGEMM, 512, 512, 512)
+	got, err := client.Predict(bg, PredictRequest{M: 512, K: 512, N: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestServerPredictRoundTrip(t *testing.T) {
 	}
 
 	// Detail mode carries the full ranking.
-	detail, err := client.PredictDetail(64, 2048, 64)
+	detail, err := client.PredictDetail(bg, PredictRequest{M: 64, K: 2048, N: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +57,12 @@ func TestServerBatchRoundTrip(t *testing.T) {
 	srv, ts := testServer(t)
 	client := NewClient(ts.URL, nil)
 	shapes := mixedShapes(20)
-	got, err := client.PredictBatch(shapes)
+	got, err := client.PredictBatch(bg, requests(OpGEMM, shapes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, sh := range shapes {
-		want := srv.Engine().Library().OptimalThreads(sh.M, sh.K, sh.N)
+		want := srv.Engine().Library().OptimalThreadsOp(OpGEMM, sh.M, sh.K, sh.N)
 		if got[i] != want {
 			t.Errorf("shape %v: batch %d, library %d", sh, got[i], want)
 		}
@@ -73,7 +73,7 @@ func TestServerStatsAndHealth(t *testing.T) {
 	_, ts := testServer(t)
 	client := NewClient(ts.URL, nil)
 
-	h, err := client.Healthz()
+	h, err := client.Healthz(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +81,17 @@ func TestServerStatsAndHealth(t *testing.T) {
 		t.Errorf("healthz = %+v", h)
 	}
 
-	if _, err := client.Predict(100, 100, 100); err != nil {
+	if _, err := client.Predict(bg, PredictRequest{M: 100, K: 100, N: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Predict(100, 100, 100); err != nil {
+	if _, err := client.Predict(bg, PredictRequest{M: 100, K: 100, N: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.PredictBatch(mixedShapes(5)); err != nil {
+	if _, err := client.PredictBatch(bg, requests(OpGEMM, mixedShapes(5))); err != nil {
 		t.Fatal(err)
 	}
 
-	st, err := client.Stats()
+	st, err := client.Stats(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +156,10 @@ func TestServerErrors(t *testing.T) {
 
 	// Client surfaces server-side errors.
 	client := NewClient(ts.URL, nil)
-	if _, err := client.Predict(-1, 1, 1); err == nil {
+	if _, err := client.Predict(bg, PredictRequest{M: -1, K: 1, N: 1}); err == nil {
 		t.Error("client.Predict(-1,...) should error")
 	}
-	if _, err := client.PredictBatch(nil); err == nil {
-		t.Error("client.PredictBatch(nil) should error")
+	if _, err := client.PredictBatch(bg, nil); err == nil {
+		t.Error("client.PredictBatch(bg, nil) should error")
 	}
 }

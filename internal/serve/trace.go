@@ -16,16 +16,16 @@ func (e *Engine) SetRecorder(r *trace.Recorder) { e.recorder.Store(r) }
 func (e *Engine) Recorder() *trace.Recorder { return e.recorder.Load() }
 
 // traceDecision appends one decision record to the attached recorder, if
-// any. Warm-up attribution happens here (not at the call sites) so every
-// decision path inherits it.
+// any, flagged as warm-up traffic when the decision belongs to a Warmup
+// pass.
 //
 //adsala:zeroalloc
-func (e *Engine) traceDecision(op Op, m, k, n, threads int, predNs int64, flags uint8) {
+func (e *Engine) traceDecision(warm bool, op Op, m, k, n, threads int, predNs int64, flags uint8) {
 	r := e.recorder.Load()
 	if r == nil {
 		return
 	}
-	if e.warming.Load() > 0 {
+	if warm {
 		flags |= trace.FlagWarmup
 	}
 	r.Record(trace.Record{
@@ -67,10 +67,6 @@ func (e *Engine) RecordMeasured(op Op, m, k, n, threads int, measuredNs int64) {
 	if r == nil {
 		return
 	}
-	flags := trace.FlagMeasured
-	if e.warming.Load() > 0 {
-		flags |= trace.FlagWarmup
-	}
 	r.Record(trace.Record{
 		MeasuredNs: measuredNs,
 		M:          int32(m),
@@ -78,6 +74,6 @@ func (e *Engine) RecordMeasured(op Op, m, k, n, threads int, measuredNs int64) {
 		N:          int32(n),
 		Threads:    int32(threads),
 		Op:         op,
-		Flags:      flags,
+		Flags:      trace.FlagMeasured,
 	})
 }

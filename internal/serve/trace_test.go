@@ -46,9 +46,9 @@ func TestEngineTraceFlags(t *testing.T) {
 	e := NewEngine(lib(t), Options{})
 	_, collect := openRecorder(t, e)
 
-	missThreads := e.PredictOp(OpGEMM, 512, 256, 384)
-	hitThreads := e.PredictOp(OpGEMM, 512, 256, 384)
-	ctx, cancel := context.WithCancel(context.Background())
+	missThreads := predict(e, OpGEMM, 512, 256, 384)
+	hitThreads := predict(e, OpGEMM, 512, 256, 384)
+	ctx, cancel := context.WithCancel(bg)
 	cancel() // expired context forces the heuristic fallback on a miss
 	fbThreads, fb := e.PredictOpCtx(ctx, OpGEMM, 100, 100, 100)
 	if !fb {
@@ -112,14 +112,14 @@ func TestEngineTraceWarmupFlagged(t *testing.T) {
 	_, collect := openRecorder(t, e)
 
 	dom := sampling.DefaultDomain().WithCapMB(100)
-	warmed, err := e.Warmup(dom, 16, 3, OpGEMM)
+	warmed, err := e.Warmup(bg, dom, 16, 3, OpGEMM)
 	if err != nil {
 		t.Fatalf("Warmup: %v", err)
 	}
 	if warmed == 0 {
 		t.Fatal("Warmup warmed nothing")
 	}
-	e.PredictOp(OpGEMM, 512, 256, 384) // real traffic after the warm pass
+	predict(e, OpGEMM, 512, 256, 384) // real traffic after the warm pass
 
 	// The warm pass dedups shapes batch-locally, so it records one decision
 	// per unique shape (≤ warmed); the final record is the serving call.
@@ -143,12 +143,12 @@ func TestEngineTraceDetached(t *testing.T) {
 	e := NewEngine(lib(t), Options{})
 	rec, collect := openRecorder(t, e)
 
-	e.PredictOp(OpGEMM, 512, 256, 384)
+	predict(e, OpGEMM, 512, 256, 384)
 	e.SetRecorder(nil)
 	if e.Recorder() != nil {
 		t.Fatal("Recorder() non-nil after detach")
 	}
-	e.PredictOp(OpGEMM, 128, 128, 128)
+	predict(e, OpGEMM, 128, 128, 128)
 	if got := collect(); len(got) != 1 {
 		t.Fatalf("captured %d records after detach, want 1", len(got))
 	}

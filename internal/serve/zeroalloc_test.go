@@ -29,6 +29,38 @@ func TestRankWithZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPredictZeroAlloc pins the untraced serve path end to end: a cache hit
+// (state load, shard probe, one ledger add), a full cache miss (rank, cache
+// insert with eviction) and RecordMeasured with nothing attached all stay
+// at 0 allocs/op.
+func TestPredictZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by the race detector")
+	}
+	e := NewEngine(lib(t), Options{CacheSize: 16, Shards: 1})
+	predict(e, OpGEMM, 512, 256, 384)
+	if n := testing.AllocsPerRun(200, func() {
+		predict(e, OpGEMM, 512, 256, 384)
+	}); n != 0 {
+		t.Errorf("cache-hit PredictOpCtx allocates %.1f/op, want 0", n)
+	}
+	m := 1000
+	for ; m < 1032; m++ { // fill the cache, so every further miss evicts
+		predict(e, OpGEMM, m, 64, 64)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		predict(e, OpGEMM, m, 64, 64)
+		m++
+	}); n != 0 {
+		t.Errorf("cache-miss PredictOpCtx allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		e.RecordMeasured(OpGEMM, 512, 256, 384, 8, 12345)
+	}); n != 0 {
+		t.Errorf("RecordMeasured with nothing attached allocates %.1f/op, want 0", n)
+	}
+}
+
 // TestPredictTracedZeroAlloc pins that attaching a flight recorder keeps
 // the serve path allocation-free: both the cache-hit path (traceDecision +
 // ring push) and the cache-miss path (rankWith with the pooled score
@@ -49,9 +81,9 @@ func TestPredictTracedZeroAlloc(t *testing.T) {
 	e.SetRecorder(rec)
 
 	// Cache-hit path: one miss to seed, then hits.
-	e.PredictOp(OpGEMM, 512, 256, 384)
+	predict(e, OpGEMM, 512, 256, 384)
 	if n := testing.AllocsPerRun(200, func() {
-		e.PredictOp(OpGEMM, 512, 256, 384)
+		predict(e, OpGEMM, 512, 256, 384)
 	}); n != 0 {
 		t.Errorf("traced cache-hit PredictOp allocates %.1f/op, want 0", n)
 	}

@@ -11,15 +11,14 @@ import (
 )
 
 // TestSharedEngineAcrossFacades is the regression test for the split-cache
-// bug: NewGemm()/NewSyrk() used to construct a private serve.Engine each,
-// so two facades from the same library kept disjoint decision caches and
-// their CacheStats never agreed with Library.Engine's /stats. Every facade
-// must now observe one cache.
+// bug: facades used to construct a private serve.Engine each, so two from
+// the same library kept disjoint decision caches and their CacheStats never
+// agreed with Library.Engine's /stats. Every facade must observe one cache.
 func TestSharedEngineAcrossFacades(t *testing.T) {
 	lib, _ := trainQuick(t)
 	b := lib.BLAS()
-	g := lib.NewGemm()
-	s := lib.NewSyrk()
+	g := lib.BLAS()
+	s := lib.BLAS()
 	g.SetMaxLocalThreads(2)
 
 	rng := rand.New(rand.NewSource(9))
@@ -116,7 +115,7 @@ func TestV1ArtefactBackwardCompat(t *testing.T) {
 		t.Fatal("empty golden file")
 	}
 	for _, g := range golden {
-		if got := lib.OptimalThreads(g.Shape[0], g.Shape[1], g.Shape[2]); got != g.Threads {
+		if got := lib.OptimalThreadsOp(OpGEMM, g.Shape[0], g.Shape[1], g.Shape[2]); got != g.Threads {
 			t.Errorf("shape %v: v1 artefact now predicts %d, recorded %d", g.Shape, got, g.Threads)
 		}
 	}
@@ -131,7 +130,7 @@ func TestV1ArtefactBackwardCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range golden {
-		if got := back.OptimalThreads(g.Shape[0], g.Shape[1], g.Shape[2]); got != g.Threads {
+		if got := back.OptimalThreadsOp(OpGEMM, g.Shape[0], g.Shape[1], g.Shape[2]); got != g.Threads {
 			t.Errorf("shape %v: v1→v2 rewrite predicts %d, recorded %d", g.Shape, got, g.Threads)
 		}
 	}
