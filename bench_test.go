@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -176,6 +177,76 @@ func BenchmarkSGEMMContext(b *testing.B) {
 		if err := ctx.SGEMM(false, false, 1, A, B, 0, C, 2); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTeamDispatch is the price of a parallel region: a 48³ SGEMM
+// (about 4 µs of kernel) on an owned context, at one thread — no team — and
+// at two, where every call is a dispatch, two barriers per blocking
+// iteration and a join. The difference in ns/call is what the team costs a
+// call too small to gain from it.
+func BenchmarkTeamDispatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	A, B, C := mat.NewF32(48, 48), mat.NewF32(48, 48), mat.NewF32(48, 48)
+	A.FillRandom(rng)
+	B.FillRandom(rng)
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			ctx := blas.NewContext()
+			defer ctx.Close()
+			for i := 0; i < b.N; i++ {
+				if err := ctx.SGEMM(false, false, 1, A, B, 0, C, threads); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkKernelConcurrentCallers is the oversubscription row: 1, 2 and 4
+// goroutines, each with its own context and matrices, each running 256³
+// SGEMMs at threads = GOMAXPROCS, so with c callers c·GOMAXPROCS parts
+// share GOMAXPROCS processors and every wait in the team has to give way.
+// b.N calls are split between the callers; the metric is their aggregate
+// GFLOP/s.
+func BenchmarkKernelConcurrentCallers(b *testing.B) {
+	const n = 256
+	threads := runtime.GOMAXPROCS(0)
+	for _, callers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			type caller struct {
+				ctx     *blas.Context
+				a, b, c *mat.F32
+			}
+			cs := make([]caller, callers)
+			for i := range cs {
+				cs[i] = caller{blas.NewContext(), mat.NewF32(n, n), mat.NewF32(n, n), mat.NewF32(n, n)}
+				cs[i].a.FillRandom(rng)
+				cs[i].b.FillRandom(rng)
+				defer cs[i].ctx.Close()
+			}
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for i := range cs {
+				calls := b.N / callers
+				if i < b.N%callers {
+					calls++
+				}
+				wg.Add(1)
+				go func(c caller, calls int) {
+					defer wg.Done()
+					for ; calls > 0; calls-- {
+						if err := c.ctx.SGEMM(false, false, 1, c.a, c.b, 0, c.c, threads); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(cs[i], calls)
+			}
+			wg.Wait()
+			b.ReportMetric(2*n*n*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

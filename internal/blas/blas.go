@@ -9,9 +9,9 @@
 //
 // The package plays the role of the paper's vendor BLAS: ADSALA treats it as
 // a black box whose only tunable is the thread count. Its cost structure —
-// fork/join (here: team wakeups), per-panel packing copies, per-iteration
-// barriers and the FLOP kernel — is exactly the decomposition the paper's
-// VTune profiling reports in Table VII.
+// fork/join (here: the team's dispatch and join), per-panel packing copies,
+// per-iteration barriers and the FLOP kernel — is exactly the decomposition
+// the paper's VTune profiling reports in Table VII.
 //
 // Execution state (packed-panel buffers, the worker team) lives in a
 // Context. The package-level entry points draw Contexts from an internal
@@ -112,7 +112,8 @@ func (v view[T]) at(i, j int) T { return v.data[i*v.stride+j] }
 
 // checkOperands validates the three operand headers of one call (SYRK
 // passes its A twice). The drivers call it before any work is handed to the
-// team: a panic on a worker goroutine cannot be recovered by the caller.
+// team, so that input alone can never make a part panic; a part that panics
+// anyway (an indexing bug) fails the call with an error (runCall).
 func checkOperands[T float32 | float64](op string, a, b, c view[T]) error {
 	if err := a.check(op, "A"); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -10,11 +11,12 @@ import (
 // A Context owns the resources of the GEMM hot path: the packed-A and
 // packed-B panel buffers and a persistent worker team. Reusing a Context
 // across calls makes steady-state GEMM allocation-free and replaces the
-// per-call (previously per-blocking-iteration) goroutine fork/join with
-// channel wakeups of parked workers — directly attacking two of the four
+// per-call goroutine fork/join with a dispatch to workers that are still
+// polling for the next round (one atomic store) or, after an idle spell,
+// parked on a channel (one send each) — directly attacking two of the four
 // overhead classes in the paper's Table VII cost breakdown (thread create/
-// join and scheduling barriers; the specialised packing loops attack the
-// third, data copy).
+// join, here dispatch and join, and scheduling barriers; the specialised
+// packing loops attack the third, data copy). See team.go for the rules.
 //
 // A Context serialises one GEMM at a time and is NOT safe for concurrent
 // use. Concurrent callers either use one Context each or call the package
@@ -135,18 +137,64 @@ func (b *ctxBufs[T]) ensure(parts, aLen, bLen int) {
 // ensureBody returns the pre-built worker closure, creating it on first
 // parallel use. One closure serves both operations: it dispatches on the
 // published args, so dispatching a call writes a struct instead of
-// allocating a fresh closure.
+// allocating a fresh closure. A panic in a part is recovered here, on the
+// goroutine it happened on, and becomes the round's fault (see barrier).
 func (b *ctxBufs[T]) ensureBody(ctx *Context) func(w int) {
 	if b.body == nil {
 		b.body = func(w int) {
-			if b.args.syrk {
-				syrkWorker(ctx, b, w)
-			} else {
-				gemmWorker(ctx, b, w)
-			}
+			defer ctx.bar.recoverPart(w)
+			b.work(ctx, w)
 		}
 	}
 	return b.body
+}
+
+// work runs part w of the published call.
+func (b *ctxBufs[T]) work(ctx *Context, w int) {
+	if b.args.syrk {
+		syrkWorker(ctx, b, w)
+	} else {
+		gemmWorker(ctx, b, w)
+	}
+}
+
+// runCall runs the call published in bufs.args: one part on the calling
+// goroutine, or a round of the team with the caller as part 0. A part that
+// panicked on the team fails the call with an error instead of hanging its
+// peers; the context stays usable. (A one-part call has no peers to hang and
+// no team, so there a panic is the caller's own, as in any Go call.)
+func runCall[T float32 | float64](ctx *Context, bufs *ctxBufs[T], op string) error {
+	ar := &bufs.args
+	if ar.parts == 1 {
+		ctx.bar.n = 1 // every wait returns at once; nothing else is read
+		bufs.work(ctx, 0)
+		return nil
+	}
+	ctx.bar.reset(ar.parts)
+	ctx.ensureTeam(ar.parts-1).run(ar.parts, bufs.ensureBody(ctx))
+	if ctx.bar.broken.Load() {
+		return fmt.Errorf("blas: %s m=%d n=%d k=%d: part %d of %d panicked: %v",
+			op, ar.m, ar.n, ar.k, ctx.bar.faultPart, ar.parts, ctx.bar.faultValue)
+	}
+	return nil
+}
+
+// partHook, when set, is called by every part before each MC block of phase
+// 2 with the part index and the KC offset. In-package tests set it to inject
+// a fault on a chosen part and iteration; otherwise it is nil and costs one
+// compare per block.
+var partHook func(w, pc int)
+
+// bands is the number of MR-row bands of an m-row C: the unit of phase-2
+// ownership, and so the largest useful part count.
+func bands(m, mr int) int { return (m + mr - 1) / mr }
+
+// gemmRows returns the rows of C owned by part w: the bands are dealt
+// contiguously, bands·w/parts, so part sizes differ by at most one band and
+// every boundary is MR-aligned.
+func gemmRows(m, mr, w, parts int) (lo, hi int) {
+	nb := bands(m, mr)
+	return nb * w / parts * mr, min(nb*(w+1)/parts*mr, m)
 }
 
 // ensureTeam returns a team with at least the given worker count, stopping
@@ -205,9 +253,7 @@ func gemmCtx[T float32 | float64](ctx *Context, transA, transB bool, alpha T, a,
 	}
 
 	// No point having workers with no MR-row band to own.
-	if threads > m/prm.MR+1 {
-		threads = m/prm.MR + 1
-	}
+	threads = min(threads, bands(m, prm.MR))
 
 	// Buffers are sized to the actual problem (grow-only), so small GEMMs
 	// do not pay for full cache-sized panels.
@@ -224,35 +270,31 @@ func gemmCtx[T float32 | float64](ctx *Context, transA, transB bool, alpha T, a,
 		parts: threads,
 		prm:   prm,
 	}
-	ctx.bar.reset(threads)
-	if threads == 1 {
-		gemmWorker(ctx, bufs, 0)
-	} else {
-		ctx.ensureTeam(threads-1).run(threads, bufs.ensureBody(ctx))
-	}
+	err := runCall(ctx, bufs, "GEMM")
 	// Drop the operand views: a held (or pooled) Context must not pin the
 	// caller's matrices after the call returns.
 	bufs.args = callArgs[T]{}
-	return nil
+	return err
 }
 
 // gemmWorker is the per-part body of the five-loop algorithm. All parts
 // execute the same jc/pc loop structure; within each blocking iteration the
 // B panel is packed cooperatively (phase 1), a barrier publishes it, each
-// part then packs and multiplies its own band of MC blocks (phase 2), and a
-// second barrier closes the iteration before the shared B panel is reused.
-// Block ownership depends only on (w, parts), so the floating-point
-// summation order — and therefore the result — is identical for every
-// parts value.
+// part then walks its own MR-aligned row range of C in MC-sized blocks,
+// packing and multiplying each (phase 2), and a second barrier closes the
+// iteration before the shared B panel is reused. Ownership decides only who
+// computes a tile, never the order an element is summed in (ascending p
+// inside a KC chunk, chunks in order), so the result is bit-identical for
+// every parts value. A failed wait means a peer panicked: return.
 func gemmWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 	ar := &bufs.args
 	prm := ar.prm
 	parts := ar.parts
 	m, n, k := ar.m, ar.n, ar.k
+	rlo, rhi := gemmRows(m, prm.MR, w, parts)
 	for jc := 0; jc < n; jc += prm.NC {
 		nc := min(prm.NC, n-jc)
 		nPanels := (nc + prm.NR - 1) / prm.NR
-		nBlocks := (m + prm.MC - 1) / prm.MC
 		for pc := 0; pc < k; pc += prm.KC {
 			kc := min(prm.KC, k-pc)
 			first := pc == 0
@@ -260,17 +302,21 @@ func gemmWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 			lo := nPanels * w / parts
 			hi := nPanels * (w + 1) / parts
 			packBRange(ar.b, ar.transB, pc, jc, kc, nc, lo, hi, bufs.packedB, prm.NR)
-			ctx.bar.wait()
+			if !ctx.bar.wait() {
+				return
+			}
 
-			blo := nBlocks * w / parts
-			bhi := nBlocks * (w + 1) / parts
-			for blk := blo; blk < bhi; blk++ {
-				ic := blk * prm.MC
-				mc := min(prm.MC, m-ic)
+			for ic := rlo; ic < rhi; ic += prm.MC {
+				mc := min(prm.MC, rhi-ic)
+				if partHook != nil {
+					partHook(w, pc)
+				}
 				packA(ar.a, ar.transA, ic, pc, mc, kc, bufs.packedA[w], prm.MR)
 				macroKernel(ar.alpha, bufs.packedA[w], bufs.packedB, ar.beta, ar.c, ic, jc, mc, nc, kc, first, prm)
 			}
-			ctx.bar.wait()
+			if !ctx.bar.wait() {
+				return
+			}
 		}
 	}
 }

@@ -11,6 +11,11 @@ func sgemmKernel6x16(a, b *float32, kc int, acc *[maxTile]float32)
 //go:noescape
 func dgemmKernel6x8(a, b *float64, kc int, acc *[maxTile]float64)
 
+// spinHint is one PAUSE: it tells the core that the loop around it is a
+// spin-wait (see spinWait in team.go), which saves power, frees the sibling
+// hyper-thread and avoids the memory-order mis-speculation on loop exit.
+func spinHint()
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -98,6 +98,11 @@ TEXT ·sgemmKernel6x16(SB), NOSPLIT, $0-32
 TEXT ·dgemmKernel6x8(SB), NOSPLIT, $0-32
 	KERNEL(VMOVUPD, VBROADCASTSD, VFMADD231PD, 8)
 
+// func spinHint()
+TEXT ·spinHint(SB), NOSPLIT, $0-0
+	PAUSE
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

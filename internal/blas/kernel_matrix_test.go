@@ -47,6 +47,11 @@ func testTiles[T float32 | float64]() [][2]int {
 	return tiles
 }
 
+// matrixThreads is the thread-count rotation of the packed tile matrices
+// (GEMM, SYRK, SYR2K). TestTeamOversubscribed swaps in counts above
+// GOMAXPROCS.
+var matrixThreads = []int{1, 2, 3, 4}
+
 const (
 	forcePacked = 0       // every shape takes the packed kernel
 	forceSmall  = 1 << 40 // every shape takes the small path
@@ -137,7 +142,7 @@ func TestPackedMatchesNaiveMatrix(t *testing.T) {
 				for _, n := range nDims {
 					transA := combo&1 != 0
 					transB := combo&2 != 0
-					threads := 1 + combo%4
+					threads := matrixThreads[combo%len(matrixThreads)]
 					extra := (combo % 3) * 3 // 0, 3, 6 stride padding
 					alpha := float32(1.25)
 					beta := float32(0.5)

@@ -17,7 +17,7 @@ import (
 // the update is two SYRK-shaped passes over the same packed buffers, the
 // first computing lower(alpha·op(A)·op(B)ᵀ + beta·C), the second
 // accumulating lower(alpha·op(B)·op(A)ᵀ) and running the band-parallel
-// mirror. Block ownership and summation order depend only on the dimensions
+// mirror. Row ownership and summation order depend only on the dimensions
 // and the blocking parameters, so results are bit-identical across thread
 // counts, and both passes reuse the context's packed panels (steady-state
 // calls allocate nothing).
@@ -99,24 +99,13 @@ func syr2kCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a, b view[
 		return nil
 	}
 
-	if threads > n/prm.MR+1 {
-		threads = n/prm.MR + 1
-	}
+	threads = min(threads, bands(n, prm.MR))
 
 	kcEff := min(prm.KC, k)
 	ncEff := min(prm.NC, (n+prm.NR-1)/prm.NR*prm.NR)
 	mcEff := min(prm.MC, (n+prm.MR-1)/prm.MR*prm.MR)
 	bufs := bufsFor[T](ctx)
 	bufs.ensure(threads, mcEff*kcEff, kcEff*ncEff)
-
-	dispatch := func() {
-		ctx.bar.reset(threads)
-		if threads == 1 {
-			syrkWorker(ctx, bufs, 0)
-		} else {
-			ctx.ensureTeam(threads-1).run(threads, bufs.ensureBody(ctx))
-		}
-	}
 
 	// Pass 1: lower(C) ← alpha·op(A)·op(B)ᵀ + beta·lower(C), no mirror yet.
 	bufs.args = callArgs[T]{
@@ -128,22 +117,24 @@ func syr2kCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a, b view[
 		prm:   prm,
 		syrk:  true,
 	}
-	dispatch()
+	err := runCall(ctx, bufs, "SYR2K")
 
 	// Pass 2: lower(C) += alpha·op(B)·op(A)ᵀ (beta = 1 accumulates), then
 	// mirror the completed lower triangle band-parallel.
-	bufs.args = callArgs[T]{
-		transA: trans, transB: trans,
-		alpha: alpha, beta: 1,
-		a: b, b: a, c: c,
-		m: n, n: n, k: k,
-		parts: threads,
-		prm:   prm,
-		syrk:  true, mirror: true,
+	if err == nil {
+		bufs.args = callArgs[T]{
+			transA: trans, transB: trans,
+			alpha: alpha, beta: 1,
+			a: b, b: a, c: c,
+			m: n, n: n, k: k,
+			parts: threads,
+			prm:   prm,
+			syrk:  true, mirror: true,
+		}
+		err = runCall(ctx, bufs, "SYR2K")
 	}
-	dispatch()
 	bufs.args = callArgs[T]{}
-	return nil
+	return err
 }
 
 // smallSyr2k computes the lower triangle of

@@ -34,7 +34,7 @@ func TestSyr2kPackedMatchesNaiveMatrix(t *testing.T) {
 			}
 			for _, k := range kDims {
 				trans := combo&1 != 0
-				threads := 1 + combo%4
+				threads := matrixThreads[combo%len(matrixThreads)]
 				extra := (combo % 3) * 3 // 0, 3, 6 stride padding
 				alpha := alphas[combo%len(alphas)]
 				beta := betas[(combo/2)%len(betas)]

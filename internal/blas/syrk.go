@@ -22,9 +22,10 @@ import (
 // GEMM, specialised to the triangular output: op(A)ᵀ plays the role of B
 // (packBRange with the transpose flag flipped reads it straight out of A, no
 // extra buffer), macro-tiles that lie entirely above the diagonal are
-// skipped, diagonal-straddling tiles are masked at store time, and the MC
-// loop is partitioned by per-block tile weight so the triangular work stays
-// balanced across the persistent worker team.
+// skipped, diagonal-straddling tiles are masked at store time, and each part
+// of the worker team owns a contiguous run of MR-row bands of C chosen so
+// that the lower-triangle tiles, not the rows, are shared out evenly
+// (syrkRows).
 
 // SSYRK computes the single-precision symmetric rank-k update using the
 // given number of worker goroutines (threads < 1 is treated as 1). The call
@@ -92,9 +93,7 @@ func syrkCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a view[T], 
 		return nil
 	}
 
-	if threads > n/prm.MR+1 {
-		threads = n/prm.MR + 1
-	}
+	threads = min(threads, bands(n, prm.MR))
 
 	kcEff := min(prm.KC, k)
 	ncEff := min(prm.NC, (n+prm.NR-1)/prm.NR*prm.NR)
@@ -110,26 +109,22 @@ func syrkCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a view[T], 
 		prm:   prm,
 		syrk:  true, mirror: true,
 	}
-	ctx.bar.reset(threads)
-	if threads == 1 {
-		syrkWorker(ctx, bufs, 0)
-	} else {
-		ctx.ensureTeam(threads-1).run(threads, bufs.ensureBody(ctx))
-	}
+	err := runCall(ctx, bufs, "SYRK")
 	bufs.args = callArgs[T]{}
-	return nil
+	return err
 }
 
 // syrkWorker is the per-part body of the blocked SYRK. The loop structure is
 // the GEMM five-loop with B = op(A)ᵀ: within each (jc, pc) blocking
 // iteration the shared op(A)ᵀ panel is packed cooperatively (phase 1), a
-// barrier publishes it, each part then packs and multiplies its own
-// triangular-weighted share of the MC blocks that reach the lower triangle
-// (phase 2), and a second barrier closes the iteration. Block ownership
-// depends only on (w, parts) and per-element summation order only on the
-// blocking loops, so the result is bit-identical for every parts value.
-// After the last barrier the lower triangle is complete and each part
-// mirrors its own row band into the upper triangle.
+// barrier publishes it, each part then walks its own row range (syrkRows)
+// in MC-sized blocks, packing and multiplying those that reach the lower
+// triangle (phase 2), and a second barrier closes the iteration. Ownership
+// decides only who computes a tile and per-element summation order depends
+// only on the blocking loops, so the result is bit-identical for every
+// parts value. After the last barrier the lower triangle is complete and
+// each part mirrors its own row band into the upper triangle. A failed wait
+// means a peer panicked: return.
 func syrkWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 	ar := &bufs.args
 	prm := ar.prm
@@ -138,6 +133,7 @@ func syrkWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 	for jc := 0; jc < n; jc += prm.NC {
 		nc := min(prm.NC, n-jc)
 		nPanels := (nc + prm.NR - 1) / prm.NR
+		rlo, rhi := syrkRows(n, jc, nc, prm, w, parts)
 		for pc := 0; pc < k; pc += prm.KC {
 			kc := min(prm.KC, k-pc)
 			first := pc == 0
@@ -149,12 +145,12 @@ func syrkWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 			lo := nPanels * w / parts
 			hi := nPanels * (w + 1) / parts
 			packBRange(ar.b, !ar.transB, pc, jc, kc, nc, lo, hi, bufs.packedB, prm.NR)
-			ctx.bar.wait()
+			if !ctx.bar.wait() {
+				return
+			}
 
-			blo, bhi := syrkBlockRange(n, jc, nc, prm, w, parts)
-			for blk := blo; blk < bhi; blk++ {
-				ic := blk * prm.MC
-				mc := min(prm.MC, n-ic)
+			for ic := rlo; ic < rhi; ic += prm.MC {
+				mc := min(prm.MC, rhi-ic)
 				// Columns jc..jc+ncb-1 reach the lower triangle of this
 				// block (j ≤ i with i ≤ ic+mc-1); blocks entirely above the
 				// diagonal are skipped before paying the A-packing copy.
@@ -162,10 +158,15 @@ func syrkWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 				if ncb <= 0 {
 					continue
 				}
+				if partHook != nil {
+					partHook(w, pc)
+				}
 				packA(ar.a, ar.transA, ic, pc, mc, kc, bufs.packedA[w], prm.MR)
 				syrkMacroKernel(ar.alpha, bufs.packedA[w], bufs.packedB, ar.beta, ar.c, ic, jc, mc, ncb, kc, first, prm)
 			}
-			ctx.bar.wait()
+			if !ctx.bar.wait() {
+				return
+			}
 		}
 	}
 	// The final barrier above published the whole lower triangle; mirror it
@@ -179,55 +180,50 @@ func syrkWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 	mirrorLower(ar.c, lo, hi)
 }
 
-// syrkBlockWeight estimates the phase-2 cost of MC block blk within the
-// panel at jc: the NR tiles it computes plus one tile-equivalent for the
-// A-packing copy. Zero when the block lies entirely above the diagonal.
-func syrkBlockWeight(blk, n, jc, nc int, prm Params) int {
-	ic := blk * prm.MC
-	mc := min(prm.MC, n-ic)
-	ncb := min(nc, ic+mc-jc)
-	if ncb <= 0 {
+// syrkBandWeight is the phase-2 cost of MR band b within the panel at jc:
+// the NR tiles of its rows that reach the lower triangle,
+// ceil(min(nc, i0+ib-jc)/NR) for rows i0..i0+ib-1. Zero when the band lies
+// entirely above the diagonal.
+func syrkBandWeight(b, n, jc, nc int, prm Params) int {
+	i0 := b * prm.MR
+	ib := min(prm.MR, n-i0)
+	cols := min(nc, i0+ib-jc)
+	if cols <= 0 {
 		return 0
 	}
-	return (ncb+prm.NR-1)/prm.NR + 1
+	return (cols + prm.NR - 1) / prm.NR
 }
 
-// syrkBlockRange returns the half-open MC-block range owned by part w in the
-// jc panel. Blocks are split by cumulative tile weight — the SYRK analogue
-// of triangularBands, applied per panel so every barrier phase is balanced
-// — and the split depends only on (n, jc, nc, prm, parts), never on timing,
-// preserving deterministic ownership.
-func syrkBlockRange(n, jc, nc int, prm Params, w, parts int) (blo, bhi int) {
-	nBlocks := (n + prm.MC - 1) / prm.MC
+// syrkRows returns the rows of C owned by part w in the jc panel. A part
+// owns a contiguous run of MR bands; boundary x of the parts+1 boundaries is
+// the first band at which the running tile count reaches x/parts of the
+// panel's total, so every part's tile count is within one band's of
+// total/parts whatever the rows-per-part come to — at n = 378 and two parts
+// (6×16 tile) the split falls at row 270, 408 tiles against 376, where
+// whole MC blocks gave rows 0–359 to one part. The split is a pure function
+// of (n, jc, nc, prm, parts), never of timing.
+func syrkRows(n, jc, nc int, prm Params, w, parts int) (lo, hi int) {
 	if parts <= 1 {
-		return 0, nBlocks
+		return 0, n
 	}
+	nb := bands(n, prm.MR)
 	total := 0
-	for blk := 0; blk < nBlocks; blk++ {
-		total += syrkBlockWeight(blk, n, jc, nc, prm)
+	for b := 0; b < nb; b++ {
+		total += syrkBandWeight(b, n, jc, nc, prm)
 	}
-	if total == 0 {
-		return 0, 0
-	}
-	// bound(x) = first block whose weight prefix reaches x·total/parts.
-	loTarget := total * w / parts
-	hiTarget := total * (w + 1) / parts
-	acc := 0
-	blo, bhi = nBlocks, nBlocks
-	for blk := 0; blk < nBlocks; blk++ {
-		if acc >= loTarget && blo == nBlocks {
-			blo = blk
+	loTarget, hiTarget := total*w/parts, total*(w+1)/parts
+	blo, bhi := nb, nb
+	for b, acc := 0, 0; b < nb; b++ {
+		if blo == nb && acc >= loTarget {
+			blo = b
 		}
-		if acc >= hiTarget {
-			bhi = blk
+		if w+1 < parts && acc >= hiTarget {
+			bhi = b
 			break
 		}
-		acc += syrkBlockWeight(blk, n, jc, nc, prm)
+		acc += syrkBandWeight(b, n, jc, nc, prm)
 	}
-	if blo > bhi {
-		blo = bhi
-	}
-	return blo, bhi
+	return min(blo*prm.MR, n), min(bhi*prm.MR, n)
 }
 
 // syrkMacroKernel multiplies the packed mc×kc A block with the packed
@@ -365,14 +361,31 @@ func scaleLower[T float32 | float64](c view[T], beta T) {
 	}
 }
 
+// mirrorTile is the edge of the square tiles mirrorLower copies in: 16
+// float32 are one cache line.
+const mirrorTile = 16
+
 // mirrorLower copies the lower triangle into the upper for rows [lo, hi):
 // C(i, j) ← C(j, i) for j > i. Writes land in disjoint upper-triangle rows
-// and reads only the lower triangle, so disjoint bands run in parallel.
+// and reads only the lower triangle, so disjoint bands run in parallel. The
+// copy goes tile by tile — read mirrorTile row segments of the lower
+// triangle, write them as the columns of mirrorTile row segments of the
+// upper — so both sides of a tile stay in L1; walking a whole column of the
+// lower triangle per output row instead costs a cache line per element.
 func mirrorLower[T float32 | float64](c view[T], lo, hi int) {
-	for i := lo; i < hi; i++ {
-		row := c.data[i*c.stride : i*c.stride+c.cols]
-		for j := i + 1; j < c.cols; j++ {
-			row[j] = c.data[j*c.stride+i]
+	for i0 := lo; i0 < hi; i0 += mirrorTile {
+		i1 := min(i0+mirrorTile, hi)
+		for j0 := i0 + 1; j0 < c.cols; j0 += mirrorTile {
+			j1 := min(j0+mirrorTile, c.cols)
+			for j := j0; j < j1; j++ {
+				// Source row j, columns i0..min(i1, j)-1: all below the diagonal.
+				src := c.data[j*c.stride+i0 : j*c.stride+min(i1, j)]
+				dst := i0*c.stride + j
+				for _, v := range src {
+					c.data[dst] = v
+					dst += c.stride
+				}
+			}
 		}
 	}
 }

@@ -91,7 +91,7 @@ func TestSyrkPackedMatchesNaiveMatrix(t *testing.T) {
 			}
 			for _, k := range kDims {
 				trans := combo&1 != 0
-				threads := 1 + combo%4
+				threads := matrixThreads[combo%len(matrixThreads)]
 				extra := (combo % 3) * 3 // 0, 3, 6 stride padding
 				alpha := alphas[combo%len(alphas)]
 				beta := betas[(combo/2)%len(betas)]
@@ -267,8 +267,9 @@ func TestSSYRKAlphaZero(t *testing.T) {
 // triangularBands returns threads+1 row boundaries splitting the lower
 // triangle of an n×n matrix into bands of roughly equal element count (row i
 // carries i+1 elements). It was the pre-packed SSYRK's partitioner; the
-// packed path splits per panel with syrkBlockRange instead, so it survives
-// only as the reference the partition tests compare intuitions against.
+// packed path splits per panel with syrkRows instead (TestPartitionProperties),
+// so it survives only as the reference the partition tests compare
+// intuitions against.
 func triangularBands(n, threads int) []int {
 	total := float64(n) * float64(n+1) / 2
 	bounds := make([]int, threads+1)
@@ -313,34 +314,6 @@ func TestTriangularBands(t *testing.T) {
 	}
 }
 
-// TestSyrkBlockRangePartition checks that the per-panel block partition is a
-// disjoint contiguous cover of all blocks for every worker count.
-func TestSyrkBlockRangePartition(t *testing.T) {
-	prm := DefaultParams[float32]()
-	for _, n := range []int{1, 100, 257, 1000} {
-		for _, parts := range []int{1, 2, 3, 7, 16} {
-			for jc := 0; jc < n; jc += prm.NC {
-				nc := min(prm.NC, n-jc)
-				nBlocks := (n + prm.MC - 1) / prm.MC
-				next := 0
-				for w := 0; w < parts; w++ {
-					blo, bhi := syrkBlockRange(n, jc, nc, prm, w, parts)
-					if blo != next {
-						t.Fatalf("n=%d parts=%d jc=%d w=%d: range starts at %d, want %d", n, parts, jc, w, blo, next)
-					}
-					if bhi < blo {
-						t.Fatalf("n=%d parts=%d jc=%d w=%d: inverted range [%d,%d)", n, parts, jc, w, blo, bhi)
-					}
-					next = bhi
-				}
-				if next != nBlocks {
-					t.Fatalf("n=%d parts=%d jc=%d: partition covers %d of %d blocks", n, parts, jc, next, nBlocks)
-				}
-			}
-		}
-	}
-}
-
 // TestMirrorRangePartition checks the mirror-band split covers every row
 // exactly once.
 func TestMirrorRangePartition(t *testing.T) {
@@ -356,6 +329,65 @@ func TestMirrorRangePartition(t *testing.T) {
 			}
 			if next != n {
 				t.Fatalf("n=%d parts=%d: bands cover %d rows", n, parts, next)
+			}
+		}
+	}
+}
+
+// mirrorLowerRowwise is the row-by-row mirror mirrorLower replaced, kept as
+// the reference the tiled copy is compared with.
+func mirrorLowerRowwise[T float32 | float64](c view[T], lo, hi int) {
+	for i := lo; i < hi; i++ {
+		row := c.data[i*c.stride : i*c.stride+c.cols]
+		for j := i + 1; j < c.cols; j++ {
+			row[j] = c.data[j*c.stride+i]
+		}
+	}
+}
+
+// TestMirrorLowerTiled compares the tiled mirror with the row-by-row one for
+// every [lo, hi) band of every n ≤ 40 (so bands start and end off the tile
+// grid and n is mostly not a multiple of the tile) and for a few larger n,
+// with Stride > Cols: the same elements written, nothing else touched, and
+// the full-range result exactly symmetric.
+func TestMirrorLowerTiled(t *testing.T) {
+	check := func(n, lo, hi int) {
+		src := view[float32]{rows: n, cols: n, stride: n + 3, data: make([]float32, n*(n+3))}
+		for i := range src.data {
+			src.data[i] = float32(i + 1) // distinct everywhere, padding included
+		}
+		got, want := cloneView(src), cloneView(src)
+		mirrorLower(got, lo, hi)
+		mirrorLowerRowwise(want, lo, hi)
+		for i, v := range got.data {
+			if v != want.data[i] {
+				t.Fatalf("n=%d band [%d,%d): element (%d,%d) = %v, row-by-row mirror has %v",
+					n, lo, hi, i/src.stride, i%src.stride, v, want.data[i])
+			}
+		}
+		if lo == 0 && hi == n {
+			for i := 0; i < n; i++ {
+				for j := 0; j < i; j++ {
+					if got.at(i, j) != got.at(j, i) {
+						t.Fatalf("n=%d: asymmetric at (%d,%d)", n, i, j)
+					}
+				}
+			}
+		}
+	}
+	for n := 1; n <= 40; n++ {
+		for lo := 0; lo <= n; lo++ {
+			for hi := lo; hi <= n; hi++ {
+				check(n, lo, hi)
+			}
+		}
+	}
+	for _, n := range []int{63, 64, 65, 100, 257} {
+		check(n, 0, n)
+		for _, parts := range []int{2, 3, 5} {
+			for w := 0; w < parts; w++ {
+				lo, hi := mirrorRange(n, w, parts)
+				check(n, lo, hi)
 			}
 		}
 	}
