@@ -31,8 +31,8 @@ func NewMatrixF64(rows, cols int) *MatrixF64 { return mat.NewF64(rows, cols) }
 //
 // Every facade obtained from the same Library — BLAS() calls, Engine with
 // default options — shares that one engine, so CacheStats and a serving
-// daemon's /stats always agree and a decision warmed through any front end
-// serves all of them.
+// daemon's /stats always agree and a decision first made through any front
+// end is a cache hit for all of them.
 //
 // The full predict→execute path is allocation-free in steady state: cache
 // hits rank nothing, and execution draws a warmed blas.Context (packed

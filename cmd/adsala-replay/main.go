@@ -8,8 +8,8 @@
 // simulated decision-cache hit rate, per-op predicted-vs-measured residuals
 // and model-predicted regret (for traces carrying measurement records), and
 // latency tails — all computed in one constant-memory pass, so arbitrarily
-// large traces replay in a fixed footprint. Warm-up traffic is excluded by
-// default, matching the /stats contract.
+// large traces replay in a fixed footprint. Records that captures of earlier
+// daemons flag as synthetic warm-up traffic are skipped and counted.
 //
 // Usage:
 //
@@ -52,14 +52,13 @@ import (
 
 // config is the parsed command line.
 type config struct {
-	tracePath     string
-	libPath       string
-	baselinePath  string
-	jsonOut       bool
-	cacheSize     int
-	shards        int
-	includeWarmup bool
-	minAgreement  float64
+	tracePath    string
+	libPath      string
+	baselinePath string
+	jsonOut      bool
+	cacheSize    int
+	shards       int
+	minAgreement float64
 
 	driftMode       bool
 	driftWindow     time.Duration
@@ -78,7 +77,6 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	fs.BoolVar(&cfg.jsonOut, "json", false, "emit the report as JSON")
 	fs.IntVar(&cfg.cacheSize, "cache", 4096, "simulated decision cache capacity (match the recording daemon's -cache)")
 	fs.IntVar(&cfg.shards, "shards", 16, "simulated decision cache shard count")
-	fs.BoolVar(&cfg.includeWarmup, "include-warmup", false, "also score records flagged as warm-up traffic")
 	fs.Float64Var(&cfg.minAgreement, "min-agreement", -1, "exit non-zero when decision agreement falls below this fraction (negative disables)")
 	fs.BoolVar(&cfg.driftMode, "drift", false, "also run the online drift detector over the capture on the trace's own clock")
 	fs.DurationVar(&cfg.driftWindow, "drift-window", time.Minute, "drift detector sliding window")
@@ -149,11 +147,7 @@ func runOne(libPath string, files []string, cfg config) (*replay.Report, error) 
 	if err != nil {
 		return nil, err
 	}
-	return replay.Run(lib, files, replay.Config{
-		IncludeWarmup: cfg.includeWarmup,
-		CacheSize:     cfg.cacheSize,
-		Shards:        cfg.shards,
-	})
+	return replay.Run(lib, files, replay.Config{CacheSize: cfg.cacheSize, Shards: cfg.shards})
 }
 
 // printText renders one report as human-readable lines.
@@ -259,7 +253,7 @@ func run(args []string, out io.Writer) error {
 			Window:     cfg.driftWindow,
 			Threshold:  cfg.driftThreshold,
 			MinSamples: cfg.driftMinSamples,
-		}, cfg.includeWarmup)
+		})
 		if err != nil {
 			return fmt.Errorf("drift: %w", err)
 		}

@@ -28,7 +28,8 @@ var (
 )
 
 // fixture trains one quick library, saves it, and captures a trace of
-// traffic served by it (with a warm pass, so the filter path is exercised).
+// traffic served by it (behind eight records flagged the way earlier daemons
+// flagged their cache warm-up, so the filter path is exercised).
 func fixture(t *testing.T) (libPath, tracePrefix string, decisions int) {
 	t.Helper()
 	fixOnce.Do(func() {
@@ -62,9 +63,8 @@ func fixture(t *testing.T) (libPath, tracePrefix string, decisions int) {
 		}
 		eng := serve.NewEngine(clib, serve.Options{})
 		eng.SetRecorder(rec)
-		if _, err := eng.Warmup(context.Background(), sampling.DefaultDomain().WithCapMB(100), 8, 3, serve.OpGEMM); err != nil {
-			fixErr = err
-			return
+		for i := 0; i < 8; i++ {
+			rec.Record(trace.Record{M: int32(100 + i), K: 100, N: 100, Threads: 1, Op: serve.OpGEMM, Flags: trace.FlagWarmup})
 		}
 		sampler, err := sampling.NewSampler(sampling.DefaultDomain().WithCapMB(100), 17)
 		if err != nil {
@@ -112,6 +112,11 @@ func TestParseFlags(t *testing.T) {
 	}
 	if _, err := parseFlags([]string{"-trace", "cap", "-lib", "x", "-min-agreement", "1.5"}, io.Discard); err == nil {
 		t.Error("-min-agreement > 1 should error")
+	}
+	// -include-warmup is gone: a command line that still carries it fails
+	// loudly, naming it.
+	if _, err := parseFlags([]string{"-trace", "cap", "-lib", "x", "-include-warmup"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-include-warmup") {
+		t.Errorf("parseFlags(-include-warmup) = %v, want an error naming the flag", err)
 	}
 
 	cfg, err = parseFlags([]string{"-trace", "cap", "-lib", "x.json", "-drift",
@@ -205,8 +210,8 @@ func TestReplaySelfAgreement(t *testing.T) {
 	if rep.Agreement != 1.0 {
 		t.Errorf("Agreement = %v, want 1.0", rep.Agreement)
 	}
-	if rep.WarmupSkipped == 0 {
-		t.Error("warm-up records not skipped by default")
+	if rep.WarmupSkipped != 8 {
+		t.Errorf("WarmupSkipped = %d, want the 8 flagged records", rep.WarmupSkipped)
 	}
 	if rep.CacheHitRate <= 0 {
 		t.Errorf("CacheHitRate = %v, want > 0 (traffic repeats shapes)", rep.CacheHitRate)

@@ -10,7 +10,7 @@
 //	POST /measured              measured kernel wall times reported back by executing clients
 //	GET  /drift                 online model-quality drift report (requires -drift-window)
 //	GET  /stats                 cache, engine and HTTP latency metrics
-//	GET  /healthz               readiness probe: 503 while starting or draining
+//	GET  /healthz               readiness probe: 503 while draining
 //	GET  /livez                 liveness probe: 200 whenever the process answers
 //	GET  /metrics               Prometheus text exposition
 //
@@ -22,22 +22,18 @@
 //
 // Usage:
 //
-//	adsala-serve -lib gadi.adsala.json -addr :8080 -warmup 256
-//	adsala-serve -lib gadi.adsala.json -cache-snapshot decisions.json
+//	adsala-serve -lib gadi.adsala.json -addr :8080
 //	adsala-serve -lib gadi.adsala.json -reload-on SIGHUP -admin-token s3cret
 //
-// -warmup pre-populates the decision cache for every op the library holds
-// a trained model for. -cache-snapshot persists the decision cache across
-// restarts: the file is loaded at start when present and written on
-// graceful shutdown (SIGINT/SIGTERM), so a restarted daemon answers its
-// warmed working set immediately.
+// The decision cache starts empty and is filled by the traffic itself: the
+// first request for a shape ranks the candidates (microseconds), every
+// repeat is a cache hit. Nothing is persisted across restarts.
 //
 // Hot reload: -reload-on SIGHUP re-reads -lib and swaps the artefact
 // atomically on SIGHUP without dropping readiness; -admin-token
 // additionally mounts an authenticated POST /admin/reload doing the same
-// over HTTP. After a swap the decision cache resets and (when -warmup is
-// set) re-warms in the background while live traffic is answered against
-// the new models.
+// over HTTP. After a swap the decision cache starts empty again and live
+// traffic is answered against the new models.
 //
 // Overload protection: -max-inflight bounds concurrently served prediction
 // requests (excess waits briefly, then sheds with 429 + Retry-After);
@@ -71,7 +67,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"log"
 	"net/http"
 	"os"
@@ -84,24 +79,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/drift"
 	"repro/internal/logx"
-	"repro/internal/sampling"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
 // config is the parsed command line of the daemon.
 type config struct {
-	libPath     string
-	addr        string
-	cacheSize   int
-	shards      int
-	workers     int
-	warmup      int
-	warmupCapMB int
-	warmupSeed  int64
-	snapshot    string
-	pprof       bool
-	level       logx.Level
+	libPath   string
+	addr      string
+	cacheSize int
+	shards    int
+	workers   int
+	pprof     bool
+	level     logx.Level
 
 	adminToken  string
 	reloadOn    string
@@ -127,10 +117,6 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	fs.IntVar(&cfg.cacheSize, "cache", 4096, "decision cache capacity (entries, rounded to a power of two)")
 	fs.IntVar(&cfg.shards, "shards", 16, "decision cache shard count (rounded to a power of two)")
 	fs.IntVar(&cfg.workers, "workers", 0, "batch worker goroutines (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.warmup, "warmup", 0, "pre-populate the cache with this many sampled shapes")
-	fs.IntVar(&cfg.warmupCapMB, "warmup-cap", 100, "memory cap in MB of the warm-up sampling domain")
-	fs.Int64Var(&cfg.warmupSeed, "warmup-seed", 1, "warm-up sampling seed")
-	fs.StringVar(&cfg.snapshot, "cache-snapshot", "", "decision-cache snapshot file: loaded at start when present, saved on graceful shutdown")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 	fs.StringVar(&cfg.adminToken, "admin-token", "", "token authorising POST /admin/reload (empty disables the endpoint)")
 	fs.StringVar(&cfg.reloadOn, "reload-on", "", "signal triggering a hot artefact reload (only SIGHUP is supported; empty disables)")
@@ -150,12 +136,6 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 		return cfg, err
 	}
 	cfg.level = lvl
-	if cfg.warmup < 0 {
-		return cfg, fmt.Errorf("-warmup must be >= 0, got %d", cfg.warmup)
-	}
-	if cfg.warmupCapMB < 1 {
-		return cfg, fmt.Errorf("-warmup-cap must be >= 1, got %d", cfg.warmupCapMB)
-	}
 	switch strings.ToUpper(cfg.reloadOn) {
 	case "":
 	case "SIGHUP", "HUP":
@@ -166,10 +146,10 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	return cfg, nil
 }
 
-// buildServer loads the library and returns the HTTP front end over a cold
-// engine — cheap enough to run before the listener starts. Progress lines
-// go to out at the configured -log-level.
-func buildServer(cfg config, out io.Writer) (*serve.Server, error) {
+// newServer loads the library and returns the HTTP front end over its
+// engine, ready to serve. Progress lines go to out at the configured
+// -log-level.
+func newServer(cfg config, out io.Writer) (*serve.Server, error) {
 	lg := logx.New(out, cfg.level)
 	lib, err := adsala.Load(cfg.libPath)
 	if err != nil {
@@ -192,7 +172,6 @@ func buildServer(cfg config, out io.Writer) (*serve.Server, error) {
 		opts = append(opts, serve.WithReload(serve.ReloadConfig{
 			Load:  func() (*core.Library, error) { return core.Load(cfg.libPath) },
 			Token: cfg.adminToken,
-			Warm:  warmFunc(cfg, lg),
 			Logf:  lg.Infof,
 		}))
 	}
@@ -208,9 +187,8 @@ func buildServer(cfg config, out io.Writer) (*serve.Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("open flight recorder: %w", err)
 		}
-		// Attach before the warm-up in prepare() runs, so warm records get
-		// their flag; the recorder outlives the engine's serving life and is
-		// closed after graceful shutdown (via Engine().Recorder()).
+		// The recorder outlives the engine's serving life and is closed
+		// after graceful shutdown (via Engine().Recorder()).
 		eng.SetRecorder(rec)
 		rec.RegisterMetrics(srv.Registry())
 		lg.Infof("flight recorder capturing to %s-*.trace (rotate at %d MiB)", cfg.tracePrefix, cfg.traceMaxMB)
@@ -230,83 +208,6 @@ func buildServer(cfg config, out io.Writer) (*serve.Server, error) {
 	return srv, nil
 }
 
-// warmFunc returns the post-reload background re-warm, or nil when -warmup
-// is off. It runs off the request path: the freshly swapped artefact serves
-// (ranking cache misses live) while the warm pass refills the cache.
-func warmFunc(cfg config, lg *logx.Logger) func(*serve.Engine) {
-	if cfg.warmup <= 0 {
-		return nil
-	}
-	return func(eng *serve.Engine) {
-		start := time.Now()
-		dom := sampling.DefaultDomain().WithCapMB(cfg.warmupCapMB)
-		n, err := eng.Warmup(context.Background(), dom, cfg.warmup, cfg.warmupSeed)
-		if err != nil {
-			lg.Infof("post-reload warm-up failed: %v", err)
-			return
-		}
-		lg.Infof("re-warmed %d decisions in %v", n, time.Since(start).Round(time.Millisecond))
-	}
-}
-
-// prepare runs the potentially slow boot phases — snapshot restore and
-// cache warm-up. The daemon runs it with the listener already up and
-// readiness off, so probes see 503 "starting" rather than connection
-// refused during a long warm-up; cancelling ctx abandons the warm-up.
-func prepare(ctx context.Context, cfg config, srv *serve.Server, out io.Writer) error {
-	lg := logx.New(out, cfg.level)
-	eng := srv.Engine()
-	if cfg.snapshot != "" {
-		n, err := eng.Cache().Load(cfg.snapshot)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			// First boot: the snapshot appears on the first graceful
-			// shutdown.
-		case err != nil:
-			// A truncated, garbled or version-skewed snapshot must not keep
-			// the daemon down — a cold cache is merely slow. Move the file
-			// aside (not delete: the bytes stay for diagnosis, and the
-			// shutdown save cannot overwrite them) and log loudly.
-			aside := cfg.snapshot + ".corrupt"
-			if mvErr := os.Rename(cfg.snapshot, aside); mvErr != nil {
-				lg.Infof("WARNING: cache snapshot %s unreadable (%v); starting cold (move aside also failed: %v)",
-					cfg.snapshot, err, mvErr)
-			} else {
-				lg.Infof("WARNING: cache snapshot %s unreadable (%v); moved to %s, starting cold",
-					cfg.snapshot, err, aside)
-			}
-		default:
-			lg.Infof("restored %d cached decisions from %s", n, cfg.snapshot)
-		}
-	}
-	if cfg.warmup > 0 {
-		start := time.Now()
-		dom := sampling.DefaultDomain().WithCapMB(cfg.warmupCapMB)
-		// Warms every op the library holds a trained model for.
-		n, err := eng.Warmup(ctx, dom, cfg.warmup, cfg.warmupSeed)
-		if err != nil {
-			return err
-		}
-		lg.Infof("warmed %d decisions in %v", n, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
-}
-
-// newServer builds the fully prepared front end in one call — the
-// in-process construction path used by tests and embedders; the daemon's
-// run() interleaves the same two phases around the listener start.
-func newServer(cfg config, out io.Writer) (*serve.Server, error) {
-	srv, err := buildServer(cfg, out)
-	if err != nil {
-		return nil, err
-	}
-	if err := prepare(context.Background(), cfg, srv, out); err != nil {
-		return nil, err
-	}
-	srv.SetReady(true)
-	return srv, nil
-}
-
 func run(args []string, out io.Writer) error {
 	cfg, err := parseFlags(args, out)
 	if errors.Is(err, flag.ErrHelp) {
@@ -316,11 +217,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	lg := logx.New(out, cfg.level)
-	handler, err := buildServer(cfg, out)
+	handler, err := newServer(cfg, out)
 	if err != nil {
 		return err
 	}
-	handler.SetReady(false)
 	srv := &http.Server{Addr: cfg.addr, Handler: handler}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -363,18 +263,6 @@ func run(args []string, out io.Writer) error {
 		lg.Infof("serving on %s", cfg.addr)
 		errc <- srv.ListenAndServe()
 	}()
-	// Restore and warm with the listener already up: /healthz answers 503
-	// "starting" until the cache is ready, /livez and /metrics work
-	// throughout.
-	if err := prepare(ctx, cfg, handler, out); err != nil {
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutdownCtx)
-		closeTrace()
-		return err
-	}
-	handler.SetReady(true)
-	lg.Infof("ready")
 	// Drift events surface in the log on a slot-duration cadence — the
 	// monitor's own eviction granularity, so every window rotation gets one
 	// evaluation. The monitor itself is wait-free; only this logging loop
@@ -405,25 +293,11 @@ func run(args []string, out io.Writer) error {
 		lg.Infof("shutting down")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		shutdownErr := srv.Shutdown(shutdownCtx)
+		err := srv.Shutdown(shutdownCtx)
 		// The drained listener can no longer produce decisions; flush the
 		// capture so the trace on disk is complete before the process exits.
 		closeTrace()
-		// Save the snapshot even when graceful shutdown timed out: the
-		// cache is still valid, Save is atomic, and losing the warmed
-		// working set on exactly the restart path the snapshot exists for
-		// would defeat it.
-		if cfg.snapshot != "" {
-			cache := handler.Engine().Cache()
-			if err := cache.Save(cfg.snapshot); err != nil {
-				if shutdownErr != nil {
-					return fmt.Errorf("%w (and cache snapshot failed: %v)", shutdownErr, err)
-				}
-				return err
-			}
-			lg.Infof("saved %d cached decisions to %s", cache.Len(), cfg.snapshot)
-		}
-		return shutdownErr
+		return err
 	}
 }
 

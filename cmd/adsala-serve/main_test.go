@@ -58,11 +58,11 @@ func savedLibrary(t *testing.T) string {
 }
 
 func TestParseFlags(t *testing.T) {
-	cfg, err := parseFlags([]string{"-lib", "x.json", "-addr", ":9090", "-warmup", "32", "-cache", "100", "-shards", "3"}, io.Discard)
+	cfg, err := parseFlags([]string{"-lib", "x.json", "-addr", ":9090", "-cache", "100", "-shards", "3"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.libPath != "x.json" || cfg.addr != ":9090" || cfg.warmup != 32 || cfg.cacheSize != 100 || cfg.shards != 3 {
+	if cfg.libPath != "x.json" || cfg.addr != ":9090" || cfg.cacheSize != 100 || cfg.shards != 3 {
 		t.Errorf("parsed %+v", cfg)
 	}
 
@@ -75,13 +75,25 @@ func TestParseFlags(t *testing.T) {
 	}
 
 	for _, bad := range [][]string{
-		{"-warmup", "-1"},
-		{"-warmup-cap", "0"},
 		{"-no-such-flag"},
-		{"-warmup", "abc"},
+		{"-cache", "abc"},
 	} {
 		if _, err := parseFlags(bad, io.Discard); err == nil {
 			t.Errorf("parseFlags(%v) should error", bad)
+		}
+	}
+
+	// The cache pre-population flags are gone: a command line that still
+	// carries one fails loudly, naming it, instead of booting silently cold.
+	for _, retired := range [][]string{
+		{"-warmup", "256"},
+		{"-warmup-cap", "100"},
+		{"-warmup-seed", "1"},
+		{"-cache-snapshot", "f"},
+	} {
+		_, err := parseFlags(append([]string{"-lib", "x.json"}, retired...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), retired[0]) {
+			t.Errorf("parseFlags(%v) = %v, want an error naming %s", retired, err, retired[0])
 		}
 	}
 }
@@ -91,7 +103,7 @@ func TestHelpPrintsUsage(t *testing.T) {
 	if _, err := parseFlags([]string{"-h"}, &usage); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("parseFlags(-h) = %v, want flag.ErrHelp", err)
 	}
-	if !strings.Contains(usage.String(), "-lib") || !strings.Contains(usage.String(), "-warmup") {
+	if !strings.Contains(usage.String(), "-lib") || !strings.Contains(usage.String(), "-request-timeout") {
 		t.Errorf("usage text missing flags:\n%s", usage.String())
 	}
 	// run treats a help request as success.
@@ -107,85 +119,6 @@ func TestHelpPrintsUsage(t *testing.T) {
 func TestNewServerBadLibrary(t *testing.T) {
 	if _, err := newServer(config{libPath: "/does/not/exist.json"}, &bytes.Buffer{}); err == nil {
 		t.Error("missing library file should error")
-	}
-}
-
-// TestCacheSnapshotAcrossRestart simulates a daemon restart with
-// -cache-snapshot: decisions cached by the first instance are served warm
-// by the second.
-func TestCacheSnapshotAcrossRestart(t *testing.T) {
-	path := savedLibrary(t)
-	snap := filepath.Join(t.TempDir(), "decisions.json")
-	cfg, err := parseFlags([]string{"-lib", path, "-cache-snapshot", snap}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var out bytes.Buffer
-	srv, err := newServer(cfg, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := predictGEMM(srv, 320, 640, 320)
-	// The daemon's shutdown path saves the snapshot.
-	if err := srv.Engine().Cache().Save(snap); err != nil {
-		t.Fatal(err)
-	}
-
-	out.Reset()
-	srv2, err := newServer(cfg, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "restored 1 cached decisions") {
-		t.Errorf("restore not reported: %q", out.String())
-	}
-	if got, ok := srv2.Engine().CachedChoice(serve.OpGEMM, 320, 640, 320); !ok || got != want {
-		t.Errorf("restored decision = (%d, %v), want (%d, true)", got, ok, want)
-	}
-	// Serving the restored shape is a cache hit, no ranking.
-	if got := predictGEMM(srv2, 320, 640, 320); got != want {
-		t.Errorf("restored cache served %d, want %d", got, want)
-	}
-	if st := srv2.Engine().Stats(); st.CacheHits != 1 || st.CacheMisses != 0 {
-		t.Errorf("restored cache did not serve warm: %+v", st)
-	}
-}
-
-// TestCorruptSnapshotStartsCold pins the robustness satellite: a damaged
-// snapshot file must not kill the daemon at boot. It logs a warning, moves
-// the corrupt file aside (so the shutdown save cannot be blamed for
-// destroying evidence) and serves cold.
-func TestCorruptSnapshotStartsCold(t *testing.T) {
-	path := savedLibrary(t)
-	snap := filepath.Join(t.TempDir(), "decisions.json")
-	if err := os.WriteFile(snap, []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := parseFlags([]string{"-lib", path, "-cache-snapshot", snap}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	srv, err := newServer(cfg, &out)
-	if err != nil {
-		t.Fatalf("corrupt snapshot killed the boot: %v", err)
-	}
-	if !strings.Contains(out.String(), "WARNING") || !strings.Contains(out.String(), "starting cold") {
-		t.Errorf("corruption not reported: %q", out.String())
-	}
-	if _, err := os.Stat(snap); !os.IsNotExist(err) {
-		t.Errorf("corrupt snapshot still in place (stat err %v)", err)
-	}
-	if blob, err := os.ReadFile(snap + ".corrupt"); err != nil || string(blob) != "{torn" {
-		t.Errorf("corrupt bytes not preserved aside: (%q, %v)", blob, err)
-	}
-	if st := srv.Engine().Stats(); st.CacheLen != 0 {
-		t.Errorf("cache holds %d entries after rejected snapshot", st.CacheLen)
-	}
-	// The daemon still serves.
-	if got := predictGEMM(srv, 64, 64, 64); got < 1 {
-		t.Errorf("cold daemon predicted %d", got)
 	}
 }
 
@@ -293,7 +226,7 @@ func TestDaemonAdminReload(t *testing.T) {
 func TestDaemonRoundTrip(t *testing.T) {
 	path := savedLibrary(t)
 	var out bytes.Buffer
-	cfg, err := parseFlags([]string{"-lib", path, "-warmup", "16", "-cache", "256", "-shards", "8"}, &out)
+	cfg, err := parseFlags([]string{"-lib", path, "-cache", "256", "-shards", "8"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,8 +234,8 @@ func TestDaemonRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "warmed 16 decisions") {
-		t.Errorf("warm-up not reported: %q", out.String())
+	if !strings.Contains(out.String(), "cache 256 entries / 8 shards") {
+		t.Errorf("load not reported: %q", out.String())
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -352,21 +285,17 @@ func TestDaemonRoundTrip(t *testing.T) {
 		t.Errorf("batch chose %d for 2048^3, library %d", br.Threads[1], want)
 	}
 
-	// /stats reflects the traffic and the warm-up.
+	// /stats reflects the traffic, and nothing but the traffic filled the
+	// cache.
 	st, err := client.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Serving counters exclude the warm-up pass, which is reported
-	// separately.
 	if st.Engine.Predictions != 3 { // predict + batch of 2
-		t.Errorf("serving predictions %d, want 3", st.Engine.Predictions)
+		t.Errorf("predictions %d, want 3", st.Engine.Predictions)
 	}
-	if st.Engine.WarmupDecisions != 16 {
-		t.Errorf("warm-up decisions %d, want 16", st.Engine.WarmupDecisions)
-	}
-	if st.Engine.CacheLen == 0 {
-		t.Error("cache empty after warm-up")
+	if st.Engine.CacheLen != 3 {
+		t.Errorf("cache holds %d decisions after three distinct shapes, want 3", st.Engine.CacheLen)
 	}
 	if st.HTTP["predict"].Requests != 1 || st.HTTP["batch"].Requests != 1 {
 		t.Errorf("http stats %+v", st.HTTP)

@@ -15,15 +15,15 @@ import (
 )
 
 // TestDaemonTraceCapture pins the -trace wiring end to end in-process: the
-// daemon records its decisions (warm-up flagged), exposes the
-// adsala_trace_* metrics on /metrics, and the closed capture replays
-// against the serving artefact with exact decision agreement.
+// daemon records its decisions, exposes the adsala_trace_* metrics on
+// /metrics, and the closed capture replays against the serving artefact
+// with exact decision agreement.
 func TestDaemonTraceCapture(t *testing.T) {
 	path := savedLibrary(t)
 	prefix := filepath.Join(t.TempDir(), "cap")
 	var out bytes.Buffer
 	cfg, err := parseFlags([]string{
-		"-lib", path, "-warmup", "8", "-trace", prefix, "-trace-max-mb", "4",
+		"-lib", path, "-trace", prefix, "-trace-max-mb", "4",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +76,7 @@ func TestDaemonTraceCapture(t *testing.T) {
 	}
 
 	// Close the capture the way run() does after shutdown, then replay it
-	// against the recording artefact: agreement must be exact and the
-	// warm-up pass filtered.
+	// against the recording artefact: agreement must be exact.
 	rec := srv.Engine().Recorder()
 	if rec == nil {
 		t.Fatal("no recorder attached")
@@ -108,7 +107,8 @@ func TestDaemonTraceCapture(t *testing.T) {
 	if rep.Agreement != 1.0 {
 		t.Errorf("agreement %v, want 1.0", rep.Agreement)
 	}
-	if rep.WarmupSkipped == 0 {
-		t.Error("daemon warm-up records not flagged/skipped")
+	if rep.Records != 3 || rep.WarmupSkipped != 0 {
+		t.Errorf("capture holds %d records (%d flagged warm-up), want the 3 requests and no flagged record",
+			rep.Records, rep.WarmupSkipped)
 	}
 }

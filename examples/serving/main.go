@@ -30,14 +30,9 @@ func main() {
 	}
 	fmt.Printf("selected model: %s\n\n", lib.ModelKind())
 
-	// 2. Build the engine, warm the decision cache from the trained
-	// sampling domain, and serve it over HTTP on an ephemeral port.
+	// 2. Build the engine and serve it over HTTP on an ephemeral port. The
+	// decision cache starts empty; first-touch traffic fills it.
 	eng := lib.Engine(serve.Options{CacheSize: 1024, Shards: 16})
-	warmed, err := eng.Warmup(ctx, sampling.DefaultDomain().WithCapMB(100), 128, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("== warmed %d decisions into the sharded cache ==\n", warmed)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -7,8 +7,8 @@
 //
 // The registry exists so that extending the library to a new BLAS-3
 // operation (the paper's §VII future work) is one table entry plus a kernel
-// — serve, core, sampling-driven warm-up, the command-line tools and the
-// public facade all consume the table instead of switching on the op.
+// — serve, core, the command-line tools and the public facade all consume
+// the table instead of switching on the op.
 package ops
 
 import (

@@ -16,7 +16,7 @@ import (
 // traffic and see where it would have tripped — and it is the agreement
 // oracle for the online /drift endpoint: the same records through the same
 // code must produce the same residual statistics.
-func DriftRun(lib *core.Library, files []string, cfg drift.Config, includeWarmup bool) (*drift.Report, error) {
+func DriftRun(lib *core.Library, files []string, cfg drift.Config) (*drift.Report, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("replay: no trace files")
 	}
@@ -27,7 +27,7 @@ func DriftRun(lib *core.Library, files []string, cfg drift.Config, includeWarmup
 		if rec.IsDecision() {
 			return nil
 		}
-		if rec.IsWarmup() && !includeWarmup {
+		if rec.IsWarmup() {
 			return nil
 		}
 		if !rec.Op.Valid() {

@@ -59,7 +59,7 @@ func TestDriftOnlineReplayAgreement(t *testing.T) {
 		t.Fatalf("trace.Files: %v, %v", files, err)
 	}
 
-	offline, err := DriftRun(l, files, cfg, false)
+	offline, err := DriftRun(l, files, cfg)
 	if err != nil {
 		t.Fatalf("DriftRun: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestDriftOnlineReplayAgreement(t *testing.T) {
 
 // TestDriftRunDetectsInjectedDrift pins the offline threshold-tuning use:
 // a capture whose measurements run 4x slower than the model's estimate
-// must trip the detector, and the warm-up filter applies.
+// must trip the detector.
 func TestDriftRunDetectsInjectedDrift(t *testing.T) {
 	l := lib(t)
 	prefix := filepath.Join(t.TempDir(), "cap")
@@ -149,7 +149,7 @@ func TestDriftRunDetectsInjectedDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := DriftRun(l, files, drift.Config{Threshold: 1.0, MinSamples: 8}, false)
+	rep, err := DriftRun(l, files, drift.Config{Threshold: 1.0, MinSamples: 8})
 	if err != nil {
 		t.Fatalf("DriftRun: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestDriftRunDetectsInjectedDrift(t *testing.T) {
 		t.Fatalf("residual mean %.4f, want -2", m)
 	}
 
-	if _, err := DriftRun(l, nil, drift.Config{}, false); err == nil {
+	if _, err := DriftRun(l, nil, drift.Config{}); err == nil {
 		t.Fatal("DriftRun with no files should error")
 	}
 }

@@ -31,11 +31,6 @@ import (
 
 // Config tunes a replay run.
 type Config struct {
-	// IncludeWarmup also replays records flagged as warm-up traffic;
-	// by default they are excluded, matching the /stats serving-counter
-	// contract (warm-up is synthetic, and scoring it would let a candidate
-	// look good on traffic no user sent).
-	IncludeWarmup bool
 	// CacheSize and Shards configure the replay engine's decision cache;
 	// zero selects the serve defaults. Match the recording daemon's flags
 	// to make the simulated hit rate comparable.
@@ -110,8 +105,9 @@ type Report struct {
 	DroppedBlocks int64    `json:"trace_dropped_blocks,omitempty"`
 	DroppedBytes  int64    `json:"trace_dropped_bytes,omitempty"`
 	Corrupt       []string `json:"trace_corruption,omitempty"`
-	// WarmupSkipped counts records excluded as warm-up traffic (0 when
-	// Config.IncludeWarmup replays them).
+	// WarmupSkipped counts records excluded as warm-up traffic: captures
+	// written by earlier daemons flag synthetic cache pre-population, which
+	// no user sent and no candidate is scored on.
 	WarmupSkipped int64 `json:"warmup_skipped,omitempty"`
 
 	// Decisions / Agreed / Agreement aggregate the per-op decision replay.
@@ -169,7 +165,7 @@ func Run(lib *core.Library, files []string, cfg Config) (*Report, error) {
 	}
 
 	stats, err := trace.ScanFiles(files, func(rec *trace.Record) error {
-		if rec.IsWarmup() && !cfg.IncludeWarmup {
+		if rec.IsWarmup() {
 			rep.WarmupSkipped++
 			return nil
 		}

@@ -49,9 +49,11 @@ func lib(t *testing.T) *core.Library {
 	return testLib
 }
 
-// capture drives a recorder-attached engine over the given shapes (with a
-// warm-up pass when warm > 0) and returns the trace files.
-func capture(t *testing.T, l *core.Library, shapes []sampling.Shape, warm int, blockBytes int) []string {
+// capture drives a recorder-attached engine over the given shapes and
+// returns the trace files. legacyWarm > 0 prepends that many decision
+// records carrying trace.FlagWarmup, as captures of daemons that still had a
+// cache warm-up pass do.
+func capture(t *testing.T, l *core.Library, shapes []sampling.Shape, legacyWarm int, blockBytes int) []string {
 	t.Helper()
 	prefix := filepath.Join(t.TempDir(), "cap")
 	rec, err := trace.Open(prefix, trace.Options{FlushInterval: time.Hour, BlockBytes: blockBytes})
@@ -60,10 +62,8 @@ func capture(t *testing.T, l *core.Library, shapes []sampling.Shape, warm int, b
 	}
 	eng := serve.NewEngine(l, serve.Options{})
 	eng.SetRecorder(rec)
-	if warm > 0 {
-		if _, err := eng.Warmup(context.Background(), sampling.DefaultDomain().WithCapMB(100), warm, 3, serve.OpGEMM); err != nil {
-			t.Fatalf("Warmup: %v", err)
-		}
+	for i := 0; i < legacyWarm; i++ {
+		rec.Record(trace.Record{M: int32(100 + i), K: 100, N: 100, Threads: 1, Op: serve.OpGEMM, Flags: trace.FlagWarmup})
 	}
 	for _, sh := range shapes {
 		threads, _ := eng.PredictOpCtx(context.Background(), serve.OpGEMM, sh.M, sh.K, sh.N)
@@ -144,8 +144,9 @@ func TestReplayDeterministicAgreement(t *testing.T) {
 	}
 }
 
-// TestReplayFiltersWarmup is the satellite regression test: warm-up traffic
-// is excluded from scoring by default and included only on request.
+// TestReplayFiltersWarmup pins the legacy-capture contract: records flagged
+// as warm-up traffic by an earlier daemon are skipped, counted, and never
+// scored.
 func TestReplayFiltersWarmup(t *testing.T) {
 	l := lib(t)
 	files := capture(t, l, testShapes(30), 16, 0)
@@ -154,22 +155,11 @@ func TestReplayFiltersWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if rep.WarmupSkipped == 0 {
-		t.Fatal("WarmupSkipped = 0, want > 0 (trace contains a warm pass)")
+	if rep.WarmupSkipped != 16 {
+		t.Fatalf("WarmupSkipped = %d, want the 16 flagged records", rep.WarmupSkipped)
 	}
-	if rep.Decisions != 30 {
-		t.Fatalf("Decisions = %d, want 30 serving decisions only", rep.Decisions)
-	}
-
-	all, err := Run(l, files, Config{IncludeWarmup: true})
-	if err != nil {
-		t.Fatalf("Run(IncludeWarmup): %v", err)
-	}
-	if all.WarmupSkipped != 0 {
-		t.Fatalf("IncludeWarmup still skipped %d", all.WarmupSkipped)
-	}
-	if all.Decisions != 30+rep.WarmupSkipped {
-		t.Fatalf("IncludeWarmup Decisions = %d, want %d", all.Decisions, 30+rep.WarmupSkipped)
+	if rep.Decisions != 30 || rep.Agreement != 1.0 {
+		t.Fatalf("Decisions = %d at agreement %v, want the 30 serving decisions only, all agreeing", rep.Decisions, rep.Agreement)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package serve is the concurrent prediction-serving subsystem: a sharded
 // LRU decision cache generalising the single-shape runtime cache of §III-C,
-// a batch prediction engine over reusable buffers, a warm-up precomputation
-// pass, and an HTTP front end (server + client) so a trained library can
-// answer thread-selection queries over the wire.
+// a batch prediction engine over reusable buffers, and an HTTP front end
+// (server + client) so a trained library can answer thread-selection queries
+// over the wire. The cache is a memo of calls that happened: it starts empty
+// at boot and after every hot reload, and live traffic fills it.
 //
 // The paper's Fig 3 runtime path caches only the last GEMM shape behind one
 // mutex; under multi-tenant traffic (many goroutines, mixed shapes) that
@@ -12,12 +13,7 @@
 // core count.
 package serve
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"sync"
-)
+import "sync"
 
 // shapeKey identifies one (operation, shape) configuration in the decision
 // cache. Keying on the op keeps SYRK and GEMM decisions for the same shape
@@ -218,10 +214,10 @@ func (c *Cache) Get(op Op, m, k, n int) (threads int, ok bool) {
 	return c.shards[key.hash()&c.shardMask].get(key)
 }
 
-// Peek returns the cached decision without touching the LRU order — the
-// read-only introspection path (BLAS.LastChoice), which must not distort
-// retention.
-func (c *Cache) Peek(op Op, m, k, n int) (threads int, ok bool) {
+// peek returns the cached decision without touching the LRU order — the
+// read-only introspection path (Engine.CachedChoice), which must not
+// distort retention.
+func (c *Cache) peek(op Op, m, k, n int) (threads int, ok bool) {
 	key := shapeKey{op, m, k, n}
 	s := c.shards[key.hash()&c.shardMask]
 	s.mu.Lock()
@@ -240,8 +236,8 @@ func (c *Cache) Put(op Op, m, k, n, threads int) {
 	c.shards[key.hash()&c.shardMask].put(key, threads)
 }
 
-// Len returns the number of cached decisions.
-func (c *Cache) Len() int {
+// len returns the number of cached decisions.
+func (c *Cache) len() int {
 	total := 0
 	for _, s := range c.shards {
 		total += s.len()
@@ -252,121 +248,5 @@ func (c *Cache) Len() int {
 // Capacity returns the total entry capacity across shards.
 func (c *Cache) Capacity() int { return c.capacity }
 
-// ShardLen returns the number of cached decisions in shard i — the
-// per-shard occupancy gauge behind /metrics.
-func (c *Cache) ShardLen(i int) int { return c.shards[i].len() }
-
 // Shards returns the shard count.
 func (c *Cache) Shards() int { return len(c.shards) }
-
-// Cache snapshots: Save/Load persist the decisions across daemon restarts
-// (adsala-serve -cache-snapshot), so a restarted server answers its warmed
-// working set from the first request instead of re-ranking it.
-
-// snapshotFormat versions the snapshot file.
-const snapshotFormat = "adsala-cache-snapshot-v1"
-
-// SnapshotEntry is one cached decision in a snapshot file.
-type SnapshotEntry struct {
-	Op      string `json:"op"`
-	M       int    `json:"m"`
-	K       int    `json:"k"`
-	N       int    `json:"n"`
-	Threads int    `json:"threads"`
-}
-
-// cacheSnapshot is the JSON layout of a snapshot file.
-type cacheSnapshot struct {
-	Format  string          `json:"format"`
-	Entries []SnapshotEntry `json:"entries"`
-}
-
-// Snapshot returns every cached decision, ordered least- to most-recently
-// used within each shard, so replaying the slice through Put reproduces the
-// per-shard LRU order.
-func (c *Cache) Snapshot() []SnapshotEntry {
-	var out []SnapshotEntry
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for i := s.tail; i >= 0; i = s.entries[i].prev {
-			e := &s.entries[i]
-			out = append(out, SnapshotEntry{
-				Op: e.key.op.String(),
-				M:  e.key.m, K: e.key.k, N: e.key.n,
-				Threads: e.threads,
-			})
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// Save writes the cached decisions to path as JSON. The write is atomic
-// (temp file + rename), so a crash mid-save leaves the previous snapshot
-// intact instead of a torn file the next boot refuses to load. Decisions
-// recorded while Save walks the shards may or may not be included.
-func (c *Cache) Save(path string) error {
-	blob, err := json.Marshal(cacheSnapshot{Format: snapshotFormat, Entries: c.Snapshot()})
-	if err != nil {
-		return fmt.Errorf("serve: encode cache snapshot: %w", err)
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("serve: write cache snapshot: %w", err)
-	}
-	_, werr := f.Write(append(blob, '\n'))
-	if werr == nil {
-		// Flush data before the rename commits the name: without it a
-		// power loss can publish a torn snapshot the next boot refuses.
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: write cache snapshot: %w", werr)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: commit cache snapshot: %w", err)
-	}
-	return nil
-}
-
-// Load replays a snapshot written by Save into the cache and returns the
-// number of decisions restored. Entries beyond the capacity evict in LRU
-// order as usual; unknown ops or malformed files error without touching the
-// cache.
-func (c *Cache) Load(path string) (int, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("serve: read cache snapshot: %w", err)
-	}
-	var snap cacheSnapshot
-	if err := json.Unmarshal(blob, &snap); err != nil {
-		return 0, fmt.Errorf("serve: decode cache snapshot %s: %w", path, err)
-	}
-	if snap.Format != snapshotFormat {
-		return 0, fmt.Errorf("serve: %s is not a cache snapshot (format %q)", path, snap.Format)
-	}
-	// Validate everything before touching the cache: a corrupt file must
-	// not leave it half-loaded.
-	parsed := make([]Op, len(snap.Entries))
-	for i, e := range snap.Entries {
-		op, err := ParseOp(e.Op)
-		if err != nil {
-			return 0, fmt.Errorf("serve: cache snapshot entry %d: %w", i, err)
-		}
-		if e.M < 1 || e.K < 1 || e.N < 1 || e.Threads < 1 {
-			return 0, fmt.Errorf("serve: cache snapshot entry %d: invalid decision %dx%dx%d -> %d",
-				i, e.M, e.K, e.N, e.Threads)
-		}
-		parsed[i] = op
-	}
-	for i, e := range snap.Entries {
-		c.Put(parsed[i], e.M, e.K, e.N, e.Threads)
-	}
-	return len(snap.Entries), nil
-}

@@ -41,8 +41,8 @@ func TestCacheGetPut(t *testing.T) {
 	if th, _ := c.Get(OpGEMM, 1, 2, 3); th != 16 {
 		t.Fatalf("overwrite: got %d, want 16", th)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len %d, want 1", c.Len())
+	if c.len() != 1 {
+		t.Fatalf("len %d, want 1", c.len())
 	}
 	// Permuted dimensions are distinct keys.
 	c.Put(OpGEMM, 3, 2, 1, 4)
@@ -68,8 +68,8 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatalf("entry %d: (%d,%v)", want, th, ok)
 		}
 	}
-	if c.Len() != 4 {
-		t.Fatalf("Len %d, want 4", c.Len())
+	if c.len() != 4 {
+		t.Fatalf("len %d, want 4", c.len())
 	}
 }
 
@@ -80,8 +80,8 @@ func TestCacheEvictionChurn(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		c.Put(OpGEMM, i, i*7, i*13, 1+i%32)
 	}
-	if c.Len() > c.Capacity() {
-		t.Fatalf("Len %d exceeds capacity %d", c.Len(), c.Capacity())
+	if c.len() > c.Capacity() {
+		t.Fatalf("len %d exceeds capacity %d", c.len(), c.Capacity())
 	}
 	// The most recent keys of each shard should still resolve correctly.
 	found := 0
@@ -117,8 +117,8 @@ func TestCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > c.Capacity() {
-		t.Fatalf("Len %d exceeds capacity %d", c.Len(), c.Capacity())
+	if c.len() > c.Capacity() {
+		t.Fatalf("len %d exceeds capacity %d", c.len(), c.Capacity())
 	}
 }
 

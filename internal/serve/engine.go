@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -49,12 +48,10 @@ type Engine struct {
 	state atomic.Pointer[libState]
 	opts  Options // Workers resolved; the cache geometry serves every generation
 
-	// The decision ledger: per-op {hits, misses}, one set for serving
-	// traffic and one for warm-up passes (indexed by ops.Op). They are the
-	// only decision counters: decision counts, aggregates and the warm-up
-	// totals are sums taken when Stats or /metrics reads them.
+	// The decision ledger: per-op {hits, misses}, indexed by ops.Op. They
+	// are the only decision counters: decision counts and aggregates are
+	// sums taken when Stats or /metrics reads them.
 	serving []opCounters
-	warmup  []opCounters
 
 	fallbacks atomic.Int64 // selections answered by the heuristic fallback
 
@@ -77,7 +74,7 @@ type Engine struct {
 	drift atomic.Pointer[drift.Monitor]
 }
 
-// opCounters is one operation's entry in a ledger set.
+// opCounters is one operation's entry in the ledger.
 type opCounters struct {
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -125,7 +122,6 @@ func NewEngine(lib *core.Library, opts Options) *Engine {
 	e := &Engine{
 		opts:       opts,
 		serving:    make([]opCounters, ops.NumOps()),
-		warmup:     make([]opCounters, ops.NumOps()),
 		decLatency: make([]*obs.Histogram, ops.NumOps()),
 		batchSizes: obs.NewHistogram(1),
 	}
@@ -142,10 +138,10 @@ func (e *Engine) Library() *core.Library { return e.state.Load().lib }
 
 // SwapLibrary atomically replaces the served artefact — the hot-reload
 // path. The new generation starts with an empty decision cache of the same
-// geometry (the old one's decisions rank with the old models); the caller
-// re-warms in the background. Requests in flight finish against whichever
-// generation they started with, cache included; no request ever observes a
-// half-swapped state.
+// geometry (the old one's decisions rank with the old models) that live
+// traffic refills, one ranking per distinct shape. Requests in flight finish
+// against whichever generation they started with, cache included; no request
+// ever observes a half-swapped state.
 func (e *Engine) SwapLibrary(lib *core.Library) {
 	next := e.newState(lib)
 	for {
@@ -175,52 +171,44 @@ func (e *Engine) Cache() *Cache { return e.state.Load().cache }
 // heuristic answers instead, fallback returns true, and the decision is NOT
 // cached, so the model takes over the moment it can answer again.
 func (e *Engine) PredictOpCtx(ctx context.Context, op Op, m, k, n int) (threads int, fallback bool) {
-	return e.decide(ctx, e.state.Load(), false, op, m, k, n)
+	return e.decide(ctx, e.state.Load(), op, m, k, n)
 }
 
-// decide is PredictOpCtx against one loaded state, booked in the warm-up
-// ledger (and flagged as warm-up in the trace) when warm is set.
-func (e *Engine) decide(ctx context.Context, st *libState, warm bool, op Op, m, k, n int) (threads int, fallback bool) {
+// decide is PredictOpCtx against one loaded state.
+func (e *Engine) decide(ctx context.Context, st *libState, op Op, m, k, n int) (threads int, fallback bool) {
 	if threads, ok := st.cache.Get(op, m, k, n); ok {
-		e.counters(warm, op).hits.Add(1)
-		e.traceDecision(warm, op, m, k, n, threads, 0, trace.FlagCacheHit)
+		e.counters(op).hits.Add(1)
+		e.traceDecision(op, m, k, n, threads, 0, trace.FlagCacheHit)
 		return threads, false
 	}
-	return e.miss(ctx, st, warm, op, m, k, n, nil)
+	return e.miss(ctx, st, op, m, k, n, nil)
 }
 
 // miss answers one decision the cache did not: a full ranking with st's
 // model (per-candidate seconds into scores when non-nil), cached; or, when
 // there is no model or no time left, the heuristic — counted and traced as
 // degraded-mode traffic and never cached.
-func (e *Engine) miss(ctx context.Context, st *libState, warm bool, op Op, m, k, n int, scores []float64) (threads int, fallback bool) {
-	e.counters(warm, op).misses.Add(1)
+func (e *Engine) miss(ctx context.Context, st *libState, op Op, m, k, n int, scores []float64) (threads int, fallback bool) {
+	e.counters(op).misses.Add(1)
 	if st.lib.ModelFor(op) == nil || ctx.Err() != nil {
 		e.fallbacks.Add(1)
 		threads = heuristicChoice(st.lib.Candidates, op, m, k, n)
-		e.traceDecision(warm, op, m, k, n, threads, 0, trace.FlagFallback)
+		e.traceDecision(op, m, k, n, threads, 0, trace.FlagFallback)
 		return threads, true
 	}
 	threads, predNs := e.rankWith(st, op, m, k, n, scores)
 	st.cache.Put(op, m, k, n, threads)
-	e.traceDecision(warm, op, m, k, n, threads, predNs, 0)
+	e.traceDecision(op, m, k, n, threads, predNs, 0)
 	return threads, false
 }
 
-// HeuristicThreads is the deterministic degraded-mode thread choice: the
-// answer served when no model can (missing from the artefact, or no time
-// budget left to evaluate one). Exposed so tests and callers can pin the
-// degradation contract.
-func (e *Engine) HeuristicThreads(op Op, m, k, n int) int {
-	return heuristicChoice(e.state.Load().lib.Candidates, op, m, k, n)
-}
-
-// heuristicChoice picks a thread count without a model: the largest
-// candidate not exceeding GOMAXPROCS, clamped down for small problems
-// (fork/join overhead dominates tiny kernels — the same intuition the
-// paper's trained policy learns, reduced to a deterministic rule). Purely
-// a function of (candidates, op, shape, GOMAXPROCS): two replicas degrade
-// to identical answers.
+// heuristicChoice is the deterministic degraded-mode thread choice, served
+// when no model can answer (missing from the artefact, or no time budget
+// left to evaluate one): the largest candidate not exceeding GOMAXPROCS,
+// clamped down for small problems (fork/join overhead dominates tiny
+// kernels — the same intuition the paper's trained policy learns, reduced
+// to a deterministic rule). Purely a function of (candidates, op, shape,
+// GOMAXPROCS): two replicas degrade to identical answers.
 func heuristicChoice(candidates []int, op Op, m, k, n int) int {
 	if len(candidates) == 0 {
 		return 1
@@ -253,14 +241,11 @@ func heuristicChoice(candidates []int, op Op, m, k, n int) int {
 	return best
 }
 
-// counters returns the op's entry in the serving or the warm-up ledger
-// (GEMM for out-of-range ops, so a miscast op can never panic the hot path).
-func (e *Engine) counters(warm bool, op Op) *opCounters {
+// counters returns the op's entry in the ledger (GEMM for out-of-range ops,
+// so a miscast op can never panic the hot path).
+func (e *Engine) counters(op Op) *opCounters {
 	if int(op) >= len(e.serving) {
 		op = OpGEMM
-	}
-	if warm {
-		return &e.warmup[op]
 	}
 	return &e.serving[op]
 }
@@ -268,7 +253,7 @@ func (e *Engine) counters(warm bool, op Op) *opCounters {
 // CachedChoice returns the cached decision for (op, shape) without ranking,
 // counting, or LRU promotion — the read-only introspection path.
 func (e *Engine) CachedChoice(op Op, m, k, n int) (threads int, ok bool) {
-	return e.state.Load().cache.Peek(op, m, k, n)
+	return e.state.Load().cache.peek(op, m, k, n)
 }
 
 // rankWith runs one full candidate ranking with the given library state's
@@ -325,7 +310,7 @@ func (e *Engine) Candidates() []int {
 func (e *Engine) RankOpCtx(ctx context.Context, op Op, m, k, n int) (scores []float64, best int, fallback bool) {
 	st := e.state.Load()
 	scores = make([]float64, len(st.lib.Candidates))
-	best, fallback = e.miss(ctx, st, false, op, m, k, n, scores)
+	best, fallback = e.miss(ctx, st, op, m, k, n, scores)
 	return scores, best, fallback
 }
 
@@ -346,11 +331,7 @@ func (e *Engine) RankOpCtx(ctx context.Context, op Op, m, k, n int) (scores []fl
 // slot answered by the deterministic heuristic (ctx expired mid-batch, or
 // the artefact holds no model for the op).
 func (e *Engine) PredictBatchOpCtx(ctx context.Context, op Op, shapes []sampling.Shape, out []int) (threads []int, fallback []bool) {
-	return e.decideBatch(ctx, e.state.Load(), false, op, shapes, out)
-}
-
-// decideBatch is PredictBatchOpCtx against one loaded state and ledger.
-func (e *Engine) decideBatch(ctx context.Context, st *libState, warm bool, op Op, shapes []sampling.Shape, out []int) (threads []int, fallback []bool) {
+	st := e.state.Load()
 	if len(out) < len(shapes) {
 		out = make([]int, len(shapes))
 	}
@@ -360,7 +341,7 @@ func (e *Engine) decideBatch(ctx context.Context, st *libState, warm bool, op Op
 	}
 	e.batchSizes.Observe(int64(len(shapes)))
 	if len(shapes) == 1 {
-		t, fb := e.decide(ctx, st, warm, op, shapes[0].M, shapes[0].K, shapes[0].N)
+		t, fb := e.decide(ctx, st, op, shapes[0].M, shapes[0].K, shapes[0].N)
 		out[0] = t
 		if fb {
 			return out, []bool{true}
@@ -382,7 +363,7 @@ func (e *Engine) decideBatch(ctx context.Context, st *libState, warm bool, op Op
 		slot[i] = u
 	}
 	if dups := len(shapes) - len(uniq); dups > 0 {
-		e.counters(warm, op).hits.Add(int64(dups))
+		e.counters(op).hits.Add(int64(dups))
 	}
 
 	vals := make([]int, len(uniq))
@@ -393,7 +374,7 @@ func (e *Engine) decideBatch(ctx context.Context, st *libState, warm bool, op Op
 	}
 	if workers <= 1 {
 		for u, sh := range uniq {
-			vals[u], fbs[u] = e.decide(ctx, st, warm, op, sh.M, sh.K, sh.N)
+			vals[u], fbs[u] = e.decide(ctx, st, op, sh.M, sh.K, sh.N)
 		}
 	} else {
 		var next atomic.Int64
@@ -408,7 +389,7 @@ func (e *Engine) decideBatch(ctx context.Context, st *libState, warm bool, op Op
 						return
 					}
 					sh := uniq[u]
-					vals[u], fbs[u] = e.decide(ctx, st, warm, op, sh.M, sh.K, sh.N)
+					vals[u], fbs[u] = e.decide(ctx, st, op, sh.M, sh.K, sh.N)
 				}
 			}()
 		}
@@ -433,64 +414,7 @@ func (e *Engine) decideBatch(ctx context.Context, st *libState, warm bool, op Op
 	return out, fallback
 }
 
-// Warmup pre-populates the decision cache with n quasi-random shapes per
-// operation, drawn from the given sampling domain — the same
-// low-discrepancy generator used at installation time, so the warmed set
-// covers the trained distribution. opSet selects the operations to warm;
-// empty means every op the library holds a trained model for (GEMM when the
-// bundle is empty), so SYRK/SYR2K caches pre-populate alongside GEMM on a
-// per-op-trained library. Shapes are canonicalised per op before warming
-// (symmetric updates fold to their (n, k, n) triple — the form runtime
-// queries arrive in). Returns the number of decisions computed across ops;
-// a cancelled ctx stops the pass between operations.
-//
-// Warm-up is synthetic traffic — its near-100% miss rate would otherwise
-// depress the reported hit_rate long into real serving — so the whole pass
-// is booked in the warm-up ledger (Stats reports it separately, aggregate
-// and per op) and flagged as warm-up in the trace; requests served while it
-// runs are booked as serving traffic, exactly. The pass works against the
-// generation current when it started: overtaken by a SwapLibrary, it
-// finishes into the cache that was swapped out and the new generation
-// sees none of it.
-func (e *Engine) Warmup(ctx context.Context, dom sampling.Domain, n int, seed int64, opSet ...Op) (int, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	st := e.state.Load()
-	if len(opSet) == 0 {
-		opSet = st.lib.TrainedOps()
-		if len(opSet) == 0 {
-			opSet = []Op{OpGEMM}
-		}
-	}
-	for _, op := range opSet {
-		if !op.Valid() {
-			return 0, fmt.Errorf("serve: warmup: unknown op %v", op)
-		}
-	}
-	total := 0
-	for _, op := range opSet {
-		if err := ctx.Err(); err != nil {
-			return total, fmt.Errorf("serve: warmup: %w", err)
-		}
-		sampler, err := sampling.NewSampler(dom, seed)
-		if err != nil {
-			return total, fmt.Errorf("serve: warmup: %w", err)
-		}
-		shapes := sampler.Sample(n)
-		canon := op.Spec().Canon
-		for i, sh := range shapes {
-			shapes[i] = canon(sh)
-		}
-		e.decideBatch(ctx, st, true, op, shapes, nil)
-		total += len(shapes)
-	}
-	return total, nil
-}
-
-// Stats is a point-in-time snapshot of the engine's counters. Predictions,
-// CacheHits, CacheMisses and HitRate cover serving traffic only; warm-up
-// precomputation is reported separately under the Warmup* fields.
+// Stats is a point-in-time snapshot of the engine's counters.
 type Stats struct {
 	Predictions int64   `json:"predictions"`
 	CacheHits   int64   `json:"cache_hits"`
@@ -505,20 +429,15 @@ type Stats struct {
 	Fallbacks int64 `json:"fallbacks,omitempty"`
 	// Generation counts hot artefact reloads since boot.
 	Generation int64 `json:"artefact_generation"`
-	// WarmupDecisions / WarmupHits / WarmupMisses are the decisions of
-	// Warmup passes, which never enter the serving counters above.
-	WarmupDecisions int64 `json:"warmup_decisions,omitempty"`
-	WarmupHits      int64 `json:"warmup_hits,omitempty"`
-	WarmupMisses    int64 `json:"warmup_misses,omitempty"`
 	// MeanEvalMicros is the mean latency of one cache-miss candidate
 	// ranking in microseconds.
 	MeanEvalMicros float64 `json:"mean_eval_micros"`
-	// PerOp splits the serving counters (warm-up excluded, like the
-	// aggregates) by operation wire name; ops with no traffic are omitted.
+	// PerOp splits the counters by operation wire name; ops with no traffic
+	// are omitted.
 	PerOp map[string]OpStats `json:"per_op,omitempty"`
 }
 
-// OpStats is one operation's share of the serving counters.
+// OpStats is one operation's share of the counters.
 type OpStats struct {
 	Predictions int64   `json:"predictions"`
 	CacheHits   int64   `json:"cache_hits"`
@@ -544,7 +463,7 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		Fallbacks:  e.fallbacks.Load(),
 		Generation: st.generation,
-		CacheLen:   st.cache.Len(),
+		CacheLen:   st.cache.len(),
 		CacheCap:   st.cache.Capacity(),
 		Shards:     st.cache.Shards(),
 	}
@@ -553,8 +472,6 @@ func (e *Engine) Stats() Stats {
 		hits, misses := e.serving[i].hits.Load(), e.serving[i].misses.Load()
 		s.CacheHits += hits
 		s.CacheMisses += misses
-		s.WarmupHits += e.warmup[i].hits.Load()
-		s.WarmupMisses += e.warmup[i].misses.Load()
 		evals += e.decLatency[i].Count()
 		evalNanos += e.decLatency[i].Sum()
 		if hits+misses == 0 {
@@ -572,7 +489,6 @@ func (e *Engine) Stats() Stats {
 	}
 	s.Predictions = s.CacheHits + s.CacheMisses
 	s.HitRate = hitRate(s.CacheHits, s.CacheMisses)
-	s.WarmupDecisions = s.WarmupHits + s.WarmupMisses
 	if evals > 0 {
 		s.MeanEvalMicros = float64(evalNanos) / float64(evals) / 1e3
 	}

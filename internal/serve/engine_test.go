@@ -205,30 +205,6 @@ func TestEngineBatchDedup(t *testing.T) {
 	}
 }
 
-func TestEngineWarmup(t *testing.T) {
-	l := lib(t)
-	eng := NewEngine(l, Options{CacheSize: 512})
-	dom := sampling.DefaultDomain().WithCapMB(100)
-	n, err := eng.Warmup(bg, dom, 100, 7)
-	if err != nil || n != 100 {
-		t.Fatalf("Warmup = (%d, %v)", n, err)
-	}
-	if eng.Cache().Len() == 0 {
-		t.Fatal("warm-up left the cache empty")
-	}
-	// The warmed shapes (same domain, same seed) now hit.
-	predictBatch(eng, OpGEMM, mixedShapes(100), nil)
-	if st := eng.Stats(); st.CacheHits != 100 || st.CacheMisses != 0 {
-		t.Errorf("warmed shapes produced %d hits (misses %d), want 100", st.CacheHits, st.CacheMisses)
-	}
-	if n, err := eng.Warmup(bg, dom, 0, 1); n != 0 || err != nil {
-		t.Errorf("Warmup(0) = (%d, %v)", n, err)
-	}
-	if _, err := eng.Warmup(bg, sampling.Domain{}, 5, 1); err == nil {
-		t.Error("invalid domain should error")
-	}
-}
-
 // mutexPredictor is the paper's Fig 3 runtime path taken literally — the
 // last GEMM shape remembered behind one mutex — kept only as the foil of
 // TestShardedThroughputVsMutexPredictor.

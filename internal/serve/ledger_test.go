@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -56,7 +55,7 @@ func stubLibrary(t *testing.T, candidates []int, model ml.Regressor) *core.Libra
 }
 
 // TestReloadDoesNotPoisonCache pins the hot-reload race: a cache miss (or a
-// whole warm pass) that loaded artefact A and is still ranking when
+// whole batch) that loaded artefact A and is still ranking when
 // SwapLibrary(B) lands must finish into A's cache, not B's. Artefact A's
 // only candidate is 7 and B lists {1, 2}, so a leaked decision is a thread
 // count the new artefact cannot even produce.
@@ -85,69 +84,24 @@ func TestReloadDoesNotPoisonCache(t *testing.T) {
 		}
 	})
 
-	t.Run("warmup", func(t *testing.T) {
+	t.Run("batch", func(t *testing.T) {
 		park := newParkingModel()
 		e := NewEngine(stubLibrary(t, []int{7}, park), Options{CacheSize: 64, Shards: 2})
-		dom := sampling.DefaultDomain().WithCapMB(100)
-		warmed := make(chan error)
-		go func() {
-			_, err := e.Warmup(bg, dom, 8, 1, OpGEMM)
-			warmed <- err
-		}()
+		shapes := mixedShapes(8)
+		inFlight := make(chan []int)
+		go func() { inFlight <- predictBatch(e, OpGEMM, shapes, nil) }()
 		<-park.entered
 		e.SwapLibrary(libB)
 		close(park.release)
-		if err := <-warmed; err != nil {
-			t.Fatal(err)
+		for i, got := range <-inFlight {
+			if got != 7 {
+				t.Errorf("slot %d of the batch in flight answered %d, want 7 from the artefact it started with", i, got)
+			}
 		}
-		if n := e.Cache().Len(); n != 0 {
-			t.Errorf("the overtaken warm pass left %d decisions in the new generation's cache, want 0", n)
-		}
-		if st := e.Stats(); st.WarmupDecisions != 8 || st.Predictions != 0 {
-			t.Errorf("warm pass booked as %d warm-up / %d serving decisions, want 8 / 0", st.WarmupDecisions, st.Predictions)
+		if n := e.Cache().len(); n != 0 {
+			t.Errorf("the overtaken batch left %d decisions in the new generation's cache, want 0", n)
 		}
 	})
-}
-
-// TestWarmupAttributionExact pins the one-ledger contract: the ledger a
-// decision is booked in is decided by who asked, not by what else is
-// running. K serving calls racing a large warm pass leave exactly K serving
-// predictions and exactly n × ops warm-up decisions.
-func TestWarmupAttributionExact(t *testing.T) {
-	e := NewEngine(lib(t), Options{CacheSize: 1024, Shards: 8})
-	dom := sampling.DefaultDomain().WithCapMB(100)
-	const n, perCaller, callers = 400, 300, 4
-	warmOps := []Op{OpGEMM, OpSYRK, OpSYR2K}
-	shapes := mixedShapes(64)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := e.Warmup(bg, dom, n, 9, warmOps...); err != nil {
-			t.Error(err)
-		}
-	}()
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perCaller; i++ {
-				sh := shapes[(i*5+c)%len(shapes)]
-				predict(e, Op((i+c)%3), sh.M, sh.K, sh.N)
-			}
-		}(c)
-	}
-	wg.Wait()
-
-	st := e.Stats()
-	if st.Predictions != callers*perCaller {
-		t.Errorf("serving predictions %d, want exactly %d", st.Predictions, callers*perCaller)
-	}
-	if want := int64(n * len(warmOps)); st.WarmupDecisions != want {
-		t.Errorf("warm-up decisions %d, want exactly %d", st.WarmupDecisions, want)
-	}
-	checkStatsConsistent(t, st)
 }
 
 // metricValue returns the value of one series of a Prometheus text
@@ -167,7 +121,7 @@ func metricValue(t *testing.T, text, series string) float64 {
 	return 0
 }
 
-// TestStatsAndMetricsAgree runs one request mix — warm-up, hits, misses, a
+// TestStatsAndMetricsAgree runs one request mix — hits, misses, a
 // deduplicated batch, a detail ranking, a malformed request, a measurement
 // report — and then reads /stats and /metrics back to back: both are
 // renderings of the same atomics, so every figure that appears on both
@@ -175,13 +129,6 @@ func metricValue(t *testing.T, text, series string) float64 {
 func TestStatsAndMetricsAgree(t *testing.T) {
 	srv, ts := testServer(t)
 	client := NewClient(ts.URL, nil)
-	dom := sampling.DefaultDomain().WithCapMB(100)
-	if _, err := srv.Engine().Warmup(bg, dom, 12, 5, OpGEMM, OpSYRK); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Engine().Warmup(bg, dom, 12, 5, OpGEMM); err != nil { // all warm-up hits
-		t.Fatal(err)
-	}
 	for i := 0; i < 3; i++ {
 		for _, op := range []Op{OpGEMM, OpSYRK, OpSYR2K} {
 			if _, err := client.Predict(bg, PredictRequest{M: 96, K: 64, N: 96, Op: op.String()}); err != nil {
@@ -214,34 +161,27 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 	text := rec.Body.String()
 
 	eng := stats.Engine
-	if eng.Predictions != 13 || eng.WarmupDecisions != 36 || eng.WarmupHits != 12 {
-		t.Fatalf("request mix booked as %+v, want 13 serving predictions and 36 warm-up decisions (12 hits)", eng)
+	if eng.Predictions != 13 || len(eng.PerOp) != 3 {
+		t.Fatalf("request mix booked as %+v, want 13 predictions over three ops", eng)
 	}
-	// Per op, /metrics counts serving + warm-up; the warm-up share per op is
-	// known from the two passes above.
-	warm := map[string][2]int64{"gemm": {12, 12}, "syrk": {0, 12}, "syr2k": {0, 0}} // {hits, misses}
 	var evalCount, evalSum float64
-	for op, w := range warm {
-		per := eng.PerOp[op]
+	for op, per := range eng.PerOp {
 		lbl := `{op="` + op + `"}`
-		if got, want := metricValue(t, text, "adsala_serve_cache_hits_total"+lbl), float64(per.CacheHits+w[0]); got != want {
-			t.Errorf("%s hits: /metrics %v, /stats + warm-up %v", op, got, want)
+		if got, want := metricValue(t, text, "adsala_serve_cache_hits_total"+lbl), float64(per.CacheHits); got != want {
+			t.Errorf("%s hits: /metrics %v, /stats %v", op, got, want)
 		}
-		if got, want := metricValue(t, text, "adsala_serve_cache_misses_total"+lbl), float64(per.CacheMisses+w[1]); got != want {
-			t.Errorf("%s misses: /metrics %v, /stats + warm-up %v", op, got, want)
+		if got, want := metricValue(t, text, "adsala_serve_cache_misses_total"+lbl), float64(per.CacheMisses); got != want {
+			t.Errorf("%s misses: /metrics %v, /stats %v", op, got, want)
 		}
-		if got, want := metricValue(t, text, "adsala_serve_decisions_total"+lbl), float64(per.Predictions+w[0]+w[1]); got != want {
-			t.Errorf("%s decisions: /metrics %v, /stats + warm-up %v", op, got, want)
+		if got, want := metricValue(t, text, "adsala_serve_decisions_total"+lbl), float64(per.Predictions); got != want {
+			t.Errorf("%s decisions: /metrics %v, /stats %v", op, got, want)
 		}
 		evalCount += metricValue(t, text, "adsala_serve_decision_latency_seconds_count"+lbl)
 		evalSum += metricValue(t, text, "adsala_serve_decision_latency_seconds_sum"+lbl)
 	}
 	for series, want := range map[string]int64{
-		"adsala_serve_warmup_decisions_total": eng.WarmupDecisions,
-		"adsala_serve_warmup_hits_total":      eng.WarmupHits,
-		"adsala_serve_warmup_misses_total":    eng.WarmupMisses,
-		"adsala_serve_fallbacks_total":        eng.Fallbacks,
-		"adsala_serve_artefact_generation":    eng.Generation,
+		"adsala_serve_fallbacks_total":     eng.Fallbacks,
+		"adsala_serve_artefact_generation": eng.Generation,
 	} {
 		if got := metricValue(t, text, series); got != float64(want) {
 			t.Errorf("%s = %v, /stats says %d", series, got, want)

@@ -14,17 +14,17 @@ import (
 // started and idempotent on the same registry.
 func (e *Engine) RegisterMetrics(r *obs.Registry) {
 	for i := range e.serving {
-		sv, wu := &e.serving[i], &e.warmup[i]
+		c := &e.serving[i]
 		lbl := obs.L("op", Op(i).String())
 		r.CounterFunc("adsala_serve_decisions_total",
-			"Thread-count decisions served (cached or ranked), including warm-up.",
-			sumView(&sv.hits, &sv.misses, &wu.hits, &wu.misses), lbl)
+			"Thread-count decisions served (cached or ranked).",
+			sumView(&c.hits, &c.misses), lbl)
 		r.CounterFunc("adsala_serve_cache_hits_total",
-			"Decisions answered from the decision cache, including warm-up.",
-			sumView(&sv.hits, &wu.hits), lbl)
+			"Decisions answered from the decision cache.",
+			sumView(&c.hits), lbl)
 		r.CounterFunc("adsala_serve_cache_misses_total",
-			"Decisions that required a full candidate ranking, including warm-up.",
-			sumView(&sv.misses, &wu.misses), lbl)
+			"Decisions that required a full candidate ranking.",
+			sumView(&c.misses), lbl)
 		r.RegisterHistogram("adsala_serve_decision_latency_seconds",
 			"Latency of one cache-miss candidate ranking.",
 			e.decLatency[i], lbl)
@@ -39,28 +39,13 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		"Hot artefact reloads since boot.",
 		func() float64 { return float64(e.Generation()) })
 
-	var warmHits, warmMisses []*atomic.Int64
-	for i := range e.warmup {
-		warmHits = append(warmHits, &e.warmup[i].hits)
-		warmMisses = append(warmMisses, &e.warmup[i].misses)
-	}
-	r.CounterFunc("adsala_serve_warmup_decisions_total",
-		"Decisions attributed to cache warm-up passes.",
-		sumView(append(warmHits, warmMisses...)...))
-	r.CounterFunc("adsala_serve_warmup_hits_total",
-		"Cache hits attributed to warm-up passes.",
-		sumView(warmHits...))
-	r.CounterFunc("adsala_serve_warmup_misses_total",
-		"Cache misses attributed to warm-up passes.",
-		sumView(warmMisses...))
-
 	// Cache geometry is fixed by Options; occupancy reads through to the
 	// current generation's cache.
 	for i := 0; i < e.Cache().Shards(); i++ {
 		shard := i
 		r.GaugeFunc("adsala_serve_cache_entries",
 			"Decision-cache occupancy per shard.",
-			func() float64 { return float64(e.Cache().ShardLen(shard)) },
+			func() float64 { return float64(e.Cache().shards[shard].len()) },
 			obs.L("shard", fmt.Sprintf("%d", shard)))
 	}
 	r.GaugeFunc("adsala_serve_cache_capacity_entries",

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/sampling"
 )
 
 // TestStatsConsistentUnderLoad is the torn-read regression test: it
@@ -60,10 +58,6 @@ func checkStatsConsistent(t *testing.T, st Stats) {
 		t.Fatalf("predictions %d != hits %d + misses %d",
 			st.Predictions, st.CacheHits, st.CacheMisses)
 	}
-	if st.WarmupDecisions != st.WarmupHits+st.WarmupMisses {
-		t.Fatalf("warm-up decisions %d != hits %d + misses %d",
-			st.WarmupDecisions, st.WarmupHits, st.WarmupMisses)
-	}
 	if total := st.CacheHits + st.CacheMisses; total > 0 {
 		if want := float64(st.CacheHits) / float64(total); st.HitRate != want {
 			t.Fatalf("torn hit rate: got %v, counters give exactly %v (%+v)",
@@ -92,27 +86,8 @@ func checkStatsConsistent(t *testing.T, st Stats) {
 	}
 }
 
-// TestStatsWarmupConsistent checks the warm-up exclusion stays consistent
-// within one snapshot after warm passes.
-func TestStatsWarmupConsistent(t *testing.T) {
-	e := NewEngine(lib(t), Options{CacheSize: 256, Shards: 4})
-	dom := sampling.DefaultDomain().WithCapMB(100)
-	if _, err := e.Warmup(bg, dom, 16, 3, OpGEMM); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	checkStatsConsistent(t, st)
-	if st.WarmupDecisions != 16 {
-		t.Errorf("warmup decisions %d, want 16", st.WarmupDecisions)
-	}
-	if st.Predictions != 0 {
-		t.Errorf("serving predictions %d after warm-up only, want 0", st.Predictions)
-	}
-}
-
-// TestServerReadiness walks the probe lifecycle: ready at construction,
-// "starting" when flipped off before first SetReady(true), "ok" when
-// ready, "draining" after, with /livez 200 throughout.
+// TestServerReadiness walks the probe lifecycle: "ok" from construction,
+// "draining" once readiness is flipped off, with /livez 200 throughout.
 func TestServerReadiness(t *testing.T) {
 	srv, ts := testServer(t)
 
@@ -137,25 +112,16 @@ func TestServerReadiness(t *testing.T) {
 		t.Errorf("health body lacks artefact info: %+v", h)
 	}
 
-	srv.SetReady(false) // never explicitly ready yet → starting
-	if code, h := get("/healthz"); code != http.StatusServiceUnavailable || h.Status != "starting" {
-		t.Fatalf("pre-ready healthz = %d %+v", code, h)
-	}
-	if code, h := get("/livez"); code != http.StatusOK || h.Ready {
-		t.Fatalf("livez while starting = %d %+v", code, h)
+	if code, h := get("/livez"); code != http.StatusOK || !h.Ready {
+		t.Fatalf("fresh server livez = %d %+v", code, h)
 	}
 
-	srv.SetReady(true)
-	if code, h := get("/healthz"); code != http.StatusOK || h.Status != "ok" {
-		t.Fatalf("ready healthz = %d %+v", code, h)
-	}
-
-	srv.SetReady(false) // was ready → draining
-	if code, h := get("/healthz"); code != http.StatusServiceUnavailable || h.Status != "draining" {
+	srv.SetReady(false)
+	if code, h := get("/healthz"); code != http.StatusServiceUnavailable || h.Status != "draining" || h.Ready {
 		t.Fatalf("draining healthz = %d %+v", code, h)
 	}
-	if code, _ := get("/livez"); code != http.StatusOK {
-		t.Fatalf("livez while draining = %d", code)
+	if code, h := get("/livez"); code != http.StatusOK || h.Ready {
+		t.Fatalf("livez while draining = %d %+v", code, h)
 	}
 	if srv.Ready() {
 		t.Error("Ready() true after SetReady(false)")

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/ops"
-	"repro/internal/sampling"
 )
 
 func TestOpParseAndString(t *testing.T) {
@@ -45,26 +44,26 @@ func TestCacheOpKeying(t *testing.T) {
 	}
 }
 
-// TestCachePeekCountsNothing pins the read-only contract of Peek: the LRU
+// TestCachePeekCountsNothing pins the read-only contract of peek: the LRU
 // order is untouched (the cache itself keeps no hit or miss counters).
 func TestCachePeekCountsNothing(t *testing.T) {
 	c := NewCache(4, 1) // single shard, 4 slots
 	c.Put(OpGEMM, 1, 1, 1, 2)
-	if th, ok := c.Peek(OpGEMM, 1, 1, 1); !ok || th != 2 {
-		t.Fatalf("Peek = (%d, %v), want (2, true)", th, ok)
+	if th, ok := c.peek(OpGEMM, 1, 1, 1); !ok || th != 2 {
+		t.Fatalf("peek = (%d, %v), want (2, true)", th, ok)
 	}
-	if _, ok := c.Peek(OpGEMM, 9, 9, 9); ok {
-		t.Error("Peek of absent key reported present")
+	if _, ok := c.peek(OpGEMM, 9, 9, 9); ok {
+		t.Error("peek of absent key reported present")
 	}
-	// Peek must not refresh recency: fill the shard, peek the oldest, add
+	// peek must not refresh recency: fill the shard, peek the oldest, add
 	// one more — the peeked entry is still the LRU and must be evicted.
 	for i := 2; i <= 4; i++ {
 		c.Put(OpGEMM, i, i, i, i)
 	}
-	c.Peek(OpGEMM, 1, 1, 1)
+	c.peek(OpGEMM, 1, 1, 1)
 	c.Put(OpGEMM, 5, 5, 5, 5)
-	if _, ok := c.Peek(OpGEMM, 1, 1, 1); ok {
-		t.Error("peeked entry survived eviction: Peek refreshed the LRU order")
+	if _, ok := c.peek(OpGEMM, 1, 1, 1); ok {
+		t.Error("peeked entry survived eviction: peek refreshed the LRU order")
 	}
 }
 
@@ -117,37 +116,6 @@ func TestRankCountsConsistently(t *testing.T) {
 	}
 	if st = eng.Stats(); st.CacheHits != 1 {
 		t.Errorf("Predict after Rank should hit the cache: %+v", st)
-	}
-}
-
-// TestWarmupExcludedFromServingStats pins the satellite bugfix: warm-up
-// misses must not depress the serving hit_rate reported at /stats.
-func TestWarmupExcludedFromServingStats(t *testing.T) {
-	l := lib(t)
-	eng := NewEngine(l, Options{CacheSize: 512})
-	dom := sampling.DefaultDomain().WithCapMB(100)
-	n, err := eng.Warmup(bg, dom, 64, 7)
-	if n != 64 || err != nil {
-		t.Fatalf("Warmup = (%d, %v)", n, err)
-	}
-	st := eng.Stats()
-	if st.Predictions != 0 || st.CacheHits != 0 || st.CacheMisses != 0 {
-		t.Errorf("serving counters polluted by warm-up: %+v", st)
-	}
-	if st.WarmupDecisions != 64 || st.WarmupHits+st.WarmupMisses != 64 {
-		t.Errorf("warm-up accounting: %+v", st)
-	}
-	// Serving the warmed shapes is pure hits with hit_rate 1.
-	sampler, err := sampling.NewSampler(dom, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sh := range sampler.Sample(64) {
-		predict(eng, OpGEMM, sh.M, sh.K, sh.N)
-	}
-	st = eng.Stats()
-	if st.Predictions != 64 || st.CacheHits != 64 || st.CacheMisses != 0 || st.HitRate != 1 {
-		t.Errorf("warmed serving traffic: %+v, want 64 hits at rate 1", st)
 	}
 }
 

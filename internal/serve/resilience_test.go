@@ -348,7 +348,7 @@ func TestDegradedFallbackNoModel(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	wantThreads := eng.HeuristicThreads(OpGEMM, 512, 512, 512)
+	wantThreads := heuristicChoice(eng.Candidates(), OpGEMM, 512, 512, 512)
 	for i := 0; i < 2; i++ {
 		resp, err := http.Post(ts.URL+"/predict", "application/json",
 			strings.NewReader(`{"m":512,"k":512,"n":512}`))
@@ -391,7 +391,7 @@ func TestDegradedFallbackNoModel(t *testing.T) {
 
 	// Detail path degrades too: zero scores, heuristic best.
 	scores, best, fb := eng.RankOpCtx(bg, OpGEMM, 100, 100, 100)
-	if !fb || best != eng.HeuristicThreads(OpGEMM, 100, 100, 100) {
+	if !fb || best != heuristicChoice(eng.Candidates(), OpGEMM, 100, 100, 100) {
 		t.Errorf("RankOpCtx = (%d, fallback %v), want tagged heuristic", best, fb)
 	}
 	for _, s := range scores {
@@ -416,7 +416,7 @@ func TestRequestTimeoutFallsBack(t *testing.T) {
 	cancel() // expired before the call — the worst case
 
 	threads, fb := eng.PredictOpCtx(ctx, OpGEMM, 300, 300, 300)
-	if !fb || threads != eng.HeuristicThreads(OpGEMM, 300, 300, 300) {
+	if !fb || threads != heuristicChoice(eng.Candidates(), OpGEMM, 300, 300, 300) {
 		t.Fatalf("expired-ctx miss = (%d, %v), want tagged heuristic", threads, fb)
 	}
 	if st := eng.Stats(); st.Fallbacks != 1 {
@@ -455,7 +455,7 @@ func TestRequestTimeoutFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pr.Fallback || pr.Threads != eng.HeuristicThreads(OpGEMM, m, 300, 300) {
+		if !pr.Fallback || pr.Threads != heuristicChoice(eng.Candidates(), OpGEMM, m, 300, 300) {
 			t.Errorf("%s past its deadline = %+v, want the tagged heuristic answer", path, pr)
 		}
 		if _, ok := eng.CachedChoice(OpGEMM, m, 300, 300); ok {

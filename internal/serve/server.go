@@ -62,10 +62,9 @@ type BatchResponse struct {
 }
 
 // HealthResponse is the JSON answer of /healthz (and /livez). Status is
-// "ok" when the daemon is ready to serve, "starting" before warm-up and
-// snapshot restore complete, and "draining" once shutdown has begun; the
-// latter two answer with 503 so load balancers stop routing, while /livez
-// stays 200 for as long as the process can answer at all.
+// "ok" when the daemon is ready to serve and "draining" once shutdown has
+// begun; draining answers /healthz with 503 so load balancers stop routing,
+// while /livez stays 200 for as long as the process can answer at all.
 type HealthResponse struct {
 	Status   string `json:"status"`
 	Ready    bool   `json:"ready"`
@@ -268,9 +267,6 @@ type ReloadConfig struct {
 	// or X-Adsala-Admin-Token). Empty leaves the endpoint unmounted —
 	// reloads then happen only through Server.Reload (the SIGHUP path).
 	Token string
-	// Warm, when non-nil, re-warms the engine after a swap. It runs in the
-	// background: readiness is never dropped for a reload.
-	Warm func(*Engine)
 	// Logf receives reload progress lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -314,20 +310,14 @@ type Server struct {
 	reloadMu sync.Mutex
 
 	// ready gates /healthz: NewServer starts ready (an engine implies a
-	// loaded artefact), the daemon flips it false while restoring
-	// snapshots / warming and again when shutdown begins. everReady is set
-	// only by an explicit SetReady(true), so it distinguishes the two
-	// unready phases for the health body: not-yet-ready is "starting",
-	// previously-ready is "draining".
-	ready     atomic.Bool
-	everReady atomic.Bool
+	// loaded artefact) and the daemon flips it false when shutdown begins.
+	ready atomic.Bool
 }
 
 // NewServer returns an HTTP handler exposing the engine at /predict,
 // /batch, /stats, /healthz, /livez and /metrics. The server starts ready;
-// use SetReady to gate traffic around warm-up and drain. Overload
-// protection is on by default (see Limits); options adjust it, enable hot
-// reload, and so on.
+// use SetReady to gate traffic around drain. Overload protection is on by
+// default (see Limits); options adjust it, enable hot reload, and so on.
 func NewServer(engine *Engine, opts ...ServerOption) *Server {
 	s := &Server{engine: engine, mux: http.NewServeMux(), reg: obs.NewRegistry()}
 	for _, opt := range opts {
@@ -356,7 +346,7 @@ func NewServer(engine *Engine, opts ...ServerOption) *Server {
 	s.batch.register(s.reg, "batch")
 	s.measured.register(s.reg, "measured")
 	s.reg.GaugeFunc("adsala_serve_ready",
-		"1 when the daemon is accepting traffic, 0 while starting or draining.",
+		"1 when the daemon is accepting traffic, 0 while draining.",
 		func() float64 {
 			if s.ready.Load() {
 				return 1
@@ -381,10 +371,6 @@ func NewServer(engine *Engine, opts ...ServerOption) *Server {
 			func() float64 { return float64(s.limit.queued.Load()) })
 	}
 
-	// Ready by construction (the engine implies a loaded artefact), but
-	// deliberately not via SetReady: a daemon that immediately flips
-	// readiness off for its restore/warm-up phase should report "starting",
-	// not "draining".
 	s.ready.Store(true)
 	return s
 }
@@ -397,14 +383,9 @@ func (s *Server) Engine() *Engine { return s.engine }
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // SetReady flips the /healthz readiness gate. Daemons call SetReady(false)
-// before long restore/warm-up phases and at the start of graceful
-// shutdown — before the listener closes — so probes see the drain.
-func (s *Server) SetReady(ready bool) {
-	s.ready.Store(ready)
-	if ready {
-		s.everReady.Store(true)
-	}
-}
+// at the start of graceful shutdown — before the listener closes — so
+// probes see the drain.
+func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 // Ready reports whether the server currently answers /healthz with 200.
 func (s *Server) Ready() bool { return s.ready.Load() }
@@ -659,10 +640,7 @@ func (s *Server) healthBody(ready bool) HealthResponse {
 	lib := s.engine.Library()
 	status := "ok"
 	if !ready {
-		status = "starting"
-		if s.everReady.Load() {
-			status = "draining"
-		}
+		status = "draining"
 	}
 	trained := lib.TrainedOps()
 	names := make([]string, len(trained))
@@ -686,13 +664,13 @@ func (s *Server) healthBody(ready bool) HealthResponse {
 }
 
 // Reload swaps the served artefact through the configured ReloadConfig:
-// load the replacement library, swap it into the engine atomically (the new
-// generation starts with an empty decision cache), and kick the background
-// re-warm. Readiness is never dropped — requests keep answering against the
-// old artefact until the swap lands and against the new one after, with
-// cache misses ranked fresh while the warm pass refills. Serialised:
-// concurrent reloads apply one at a time. Returns the post-swap health body
-// (the /admin/reload answer and what SIGHUP handlers log).
+// load the replacement library and swap it into the engine atomically (the
+// new generation starts with an empty decision cache). Readiness is never
+// dropped — requests keep answering against the old artefact until the swap
+// lands and against the new one after, each distinct shape ranked once as
+// traffic refills the cache. Serialised: concurrent reloads apply one at a
+// time. Returns the post-swap health body (the /admin/reload answer and
+// what SIGHUP handlers log).
 func (s *Server) Reload() (HealthResponse, error) {
 	if s.reload == nil || s.reload.Load == nil {
 		return HealthResponse{}, fmt.Errorf("serve: reload is not configured")
@@ -713,9 +691,6 @@ func (s *Server) Reload() (HealthResponse, error) {
 	s.engine.SwapLibrary(lib)
 	logf("reloaded artefact: generation %d, format v%d, platform %s",
 		s.engine.Generation(), lib.Format(), lib.Platform)
-	if s.reload.Warm != nil {
-		go s.reload.Warm(s.engine)
-	}
 	return s.healthBody(s.ready.Load()), nil
 }
 
@@ -753,7 +728,7 @@ func (s *Server) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz is the readiness probe: 200 only when the daemon should
-// receive traffic, 503 while starting or draining.
+// receive traffic, 503 while draining.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	ready := s.ready.Load()
 	status := http.StatusOK

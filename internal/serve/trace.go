@@ -15,18 +15,13 @@ func (e *Engine) SetRecorder(r *trace.Recorder) { e.recorder.Store(r) }
 // off.
 func (e *Engine) Recorder() *trace.Recorder { return e.recorder.Load() }
 
-// traceDecision appends one decision record to the attached recorder, if
-// any, flagged as warm-up traffic when the decision belongs to a Warmup
-// pass.
+// traceDecision appends one decision record to the attached recorder, if any.
 //
 //adsala:zeroalloc
-func (e *Engine) traceDecision(warm bool, op Op, m, k, n, threads int, predNs int64, flags uint8) {
+func (e *Engine) traceDecision(op Op, m, k, n, threads int, predNs int64, flags uint8) {
 	r := e.recorder.Load()
 	if r == nil {
 		return
-	}
-	if warm {
-		flags |= trace.FlagWarmup
 	}
 	r.Record(trace.Record{
 		PredictedNs: predNs,

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sampling"
 	"repro/internal/trace"
 )
 
@@ -101,39 +100,6 @@ func TestEngineTraceFlags(t *testing.T) {
 		if recs[i].TS < recs[i-1].TS {
 			t.Errorf("timestamp regression at record %d", i)
 		}
-	}
-}
-
-// TestEngineTraceWarmupFlagged pins the satellite contract: Warmup traffic
-// is flagged in the trace (matching the /stats exclusion), and real serving
-// decisions recorded after the warm pass are not.
-func TestEngineTraceWarmupFlagged(t *testing.T) {
-	e := NewEngine(lib(t), Options{})
-	_, collect := openRecorder(t, e)
-
-	dom := sampling.DefaultDomain().WithCapMB(100)
-	warmed, err := e.Warmup(bg, dom, 16, 3, OpGEMM)
-	if err != nil {
-		t.Fatalf("Warmup: %v", err)
-	}
-	if warmed == 0 {
-		t.Fatal("Warmup warmed nothing")
-	}
-	predict(e, OpGEMM, 512, 256, 384) // real traffic after the warm pass
-
-	// The warm pass dedups shapes batch-locally, so it records one decision
-	// per unique shape (≤ warmed); the final record is the serving call.
-	recs := collect()
-	if len(recs) < 2 || len(recs) > warmed+1 {
-		t.Fatalf("captured %d records, want 2..%d", len(recs), warmed+1)
-	}
-	for i, r := range recs[:len(recs)-1] {
-		if !r.IsWarmup() {
-			t.Fatalf("warm-pass record %d not flagged: %+v", i, r)
-		}
-	}
-	if last := recs[len(recs)-1]; last.IsWarmup() {
-		t.Fatalf("post-warmup serving record flagged as warm-up: %+v", last)
 	}
 }
 

@@ -44,8 +44,9 @@ const (
 	// FlagFallback marks a decision answered by the deterministic heuristic
 	// instead of a model (degraded mode).
 	FlagFallback
-	// FlagWarmup marks synthetic cache warm-up traffic, so replay can
-	// exclude it the same way /stats does.
+	// FlagWarmup marks synthetic cache warm-up traffic. Reserved: nothing
+	// writes it any more, but captures of earlier daemons carry it and
+	// replay skips such records.
 	FlagWarmup
 	// FlagMeasured marks a measurement record: MeasuredNs holds the wall
 	// time of one executed call at the recorded thread count. Measurement
