@@ -1,116 +1,44 @@
-// adsala-bench regenerates the paper's tables and figures as text output,
-// and measures the executed-GEMM performance trajectory as JSON.
+// adsala-bench regenerates the paper's tables and figures as text output.
+// (The repository's performance numbers come from BENCHMARK.json + bench/.)
 //
 // Usage:
 //
 //	adsala-bench -list
 //	adsala-bench -exp table5
 //	adsala-bench -exp all -scale default
-//	adsala-bench -gemm-json BENCH_gemm.json
-//	adsala-bench -gemm-json - -gemm-smoke
-//	adsala-bench -syrk-json BENCH_syrk.json
-//	adsala-bench -syrk-json - -syrk-smoke
-//	adsala-bench -syr2k-json BENCH_syr2k.json
-//	adsala-bench -syr2k-json - -syr2k-smoke
-//	adsala-bench -serve-json BENCH_serve.json
-//	adsala-bench -serve-json - -serve-addr http://localhost:8080 -serve-duration 2s
-//
-// -serve-json appends a serving load-generator run (closed-loop mixed-op
-// clients, throughput and latency quantiles) to BENCH_serve.json; without
-// -serve-addr it boots an in-process daemon over a quick simulator
-// artefact (-serve-lib loads one instead).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/logx"
 )
 
-// benchLog carries the harnesses' per-case and summary progress lines
-// (stderr, so they never mix with JSON reports on stdout). main replaces it
-// once -log-level is parsed.
-var benchLog = logx.New(os.Stderr, logx.Info)
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("adsala-bench: ")
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("adsala-bench", flag.ContinueOnError)
+	fs.SetOutput(out)
 	var (
-		exp        = flag.String("exp", "all", "experiment id or \"all\"")
-		scale      = flag.String("scale", "default", "quick, default or paper")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		gemmJSON   = flag.String("gemm-json", "", "measure the GEMM kernel and write a JSON report to this file (\"-\" for stdout), then exit")
-		gemmSmoke  = flag.Bool("gemm-smoke", false, "with -gemm-json: run each case once without timing (CI regression guard)")
-		syrkJSON   = flag.String("syrk-json", "", "measure the SYRK kernel and write a JSON report to this file (\"-\" for stdout), then exit")
-		syrkSmoke  = flag.Bool("syrk-smoke", false, "with -syrk-json: run each case once without timing (CI regression guard)")
-		syr2kJSON  = flag.String("syr2k-json", "", "measure the SYR2K kernel and write a JSON report to this file (\"-\" for stdout), then exit")
-		syr2kSmoke = flag.Bool("syr2k-smoke", false, "with -syr2k-json: run each case once without timing (CI regression guard)")
-
-		serveJSON     = flag.String("serve-json", "", "run the serving load generator and append the run to this report file (\"-\" for stdout), then exit")
-		serveAddr     = flag.String("serve-addr", "", "with -serve-json: base URL of a running adsala-serve daemon (empty boots one in process)")
-		serveLib      = flag.String("serve-lib", "", "with -serve-json and no -serve-addr: artefact for the in-process daemon (empty trains a quick simulator one)")
-		serveClients  = flag.Int("serve-clients", 8, "with -serve-json: concurrent closed-loop clients")
-		serveDuration = flag.Duration("serve-duration", 5*time.Second, "with -serve-json: measured load duration")
-		serveOps      = flag.String("serve-ops", "gemm,syrk,syr2k", "with -serve-json: comma-separated operation mix")
-		serveBatch    = flag.Int("serve-batch", 1, "with -serve-json: shapes per request (1 = /predict, >1 = /batch)")
-		serveShapes   = flag.Int("serve-shapes", 512, "with -serve-json: distinct working-set shapes per op")
-		serveSeed     = flag.Int64("serve-seed", 17, "with -serve-json: working-set sampling seed")
-		levelStr      = logx.RegisterFlag(flag.CommandLine)
+		exp   = fs.String("exp", "all", "experiment id or \"all\"")
+		scale = fs.String("scale", "default", "quick, default or paper")
+		list  = fs.Bool("list", false, "list experiment ids and exit")
 	)
-	flag.Parse()
-
-	level, err := logx.ParseLevel(*levelStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	benchLog = logx.New(os.Stderr, level)
-
-	if *serveJSON != "" {
-		if err := runServeBench(serveBenchConfig{
-			out:      *serveJSON,
-			addr:     *serveAddr,
-			lib:      *serveLib,
-			clients:  *serveClients,
-			duration: *serveDuration,
-			ops:      *serveOps,
-			batch:    *serveBatch,
-			shapes:   *serveShapes,
-			seed:     *serveSeed,
-		}); err != nil {
-			log.Fatal(err)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
 		}
-		return
-	}
-
-	if *gemmJSON != "" {
-		if err := runGemmBench(*gemmJSON, *gemmSmoke); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *syrkJSON != "" {
-		if err := runSyrkBench(*syrkJSON, *syrkSmoke); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *syr2kJSON != "" {
-		if err := runSyr2kBench(*syr2kJSON, *syr2kSmoke); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return err
 	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Printf("%-18s %s\n", id, experiments.Describe(id))
+			fmt.Fprintf(out, "%-18s %s\n", id, experiments.Describe(id))
 		}
-		return
+		return nil
 	}
 
 	var sc experiments.Scale
@@ -122,17 +50,20 @@ func main() {
 	case "paper":
 		sc = experiments.PaperScale()
 	default:
-		log.Fatalf("unknown scale %q (want quick, default or paper)", *scale)
+		return fmt.Errorf("unknown scale %q (want quick, default or paper)", *scale)
 	}
 	lab := experiments.NewLab(sc)
 
 	if *exp == "all" {
-		if err := experiments.RunAll(os.Stdout, lab); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return experiments.RunAll(out, lab)
 	}
-	if err := experiments.Run(*exp, os.Stdout, lab); err != nil {
+	return experiments.Run(*exp, out, lab)
+}
+
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("adsala-bench: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
