@@ -183,7 +183,6 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 	}
 
 	var (
-		timer      simtime.Timer
 		timerSpec  simtime.Spec
 		maxThreads int
 		refThreads int
@@ -201,10 +200,6 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 		if err != nil {
 			return core.TrainConfig{}, err
 		}
-		scfg := simtime.DefaultConfig(node)
-		scfg.HT = !opts.NoHT
-		scfg.Seed = seed
-		timer = simtime.New(scfg)
 		timerSpec = simtime.SimSpec(name, seed, !opts.NoHT)
 		maxThreads = node.MaxThreads(!opts.NoHT)
 		refThreads = node.PhysicalCores()
@@ -216,8 +211,7 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 			shapes = 300
 		}
 	case "local":
-		timer = simtime.NewRealTimer(iters)
-		timerSpec = simtime.RealSpec(iters)
+		timerSpec = simtime.RealSpec()
 		maxThreads = runtime.GOMAXPROCS(0) * 2
 		refThreads = runtime.GOMAXPROCS(0)
 		platform = "local"
@@ -231,6 +225,12 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 		return core.TrainConfig{}, fmt.Errorf("adsala: unknown platform %q (want Setonix, Gadi or local)", opts.Platform)
 	}
 
+	// The constructor the workers use on the spec's wire form: coordinator
+	// and fleet time identically by construction.
+	timer, err := timerSpec.Build()
+	if err != nil {
+		return core.TrainConfig{}, err
+	}
 	gather := core.GatherConfig{
 		Timer:      timer,
 		Domain:     sampling.DefaultDomain().WithCapMB(capMB),

@@ -26,8 +26,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -38,34 +40,38 @@ import (
 	"repro/internal/logx"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("adsala-train: ")
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("adsala-train", flag.ContinueOnError)
 	var (
-		platform = flag.String("platform", "Gadi", "Setonix, Gadi (simulated) or local")
-		capMB    = flag.Int("cap", 0, "memory cap in MB for sampled GEMMs (0 = platform default)")
-		shapes   = flag.Int("shapes", 0, "number of sampled shapes (0 = platform default; paper used 1763)")
-		iters    = flag.Int("iters", 3, "timing repetitions per configuration (paper: 10)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		quick    = flag.Bool("quick", false, "smaller model grids and ensembles")
-		noHT     = flag.Bool("no-ht", false, "disable hyper-threading on the simulated platform")
-		opsFlag  = flag.String("ops", "gemm", "comma-separated operations to train models for (gemm,syrk,syr2k); gemm is always included")
-		workers  = flag.String("workers", "", "comma-separated adsala-worker addresses to shard the timing sweep across (empty = single-node gather)")
-		ckpt     = flag.String("checkpoint", "", "resumable gather checkpoint path prefix (distributed gather only; per-op suffix appended)")
-		out      = flag.String("out", "adsala.json", "output library file")
-		levelStr = logx.RegisterFlag(flag.CommandLine)
+		platform = fs.String("platform", "Gadi", "Setonix, Gadi (simulated) or local")
+		capMB    = fs.Int("cap", 0, "memory cap in MB for sampled GEMMs (0 = platform default)")
+		shapes   = fs.Int("shapes", 0, "number of sampled shapes (0 = platform default; paper used 1763)")
+		iters    = fs.Int("iters", 3, "timing repetitions per configuration (paper: 10)")
+		seed     = fs.Int64("seed", 1, "random seed")
+		quick    = fs.Bool("quick", false, "smaller model grids and ensembles")
+		noHT     = fs.Bool("no-ht", false, "disable hyper-threading on the simulated platform")
+		opsFlag  = fs.String("ops", "gemm", "comma-separated operations to train models for (gemm,syrk,syr2k); gemm is always included")
+		workers  = fs.String("workers", "", "comma-separated adsala-worker addresses to shard the timing sweep across (empty = single-node gather)")
+		ckpt     = fs.String("checkpoint", "", "resumable gather checkpoint path prefix (distributed gather only; per-op suffix appended)")
+		outPath  = fs.String("out", "adsala.json", "output library file")
+		levelStr = logx.RegisterFlag(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	level, err := logx.ParseLevel(*levelStr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lg := logx.New(os.Stderr, level)
 
 	trainOps, err := adsala.ParseOps(*opsFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var workerList []string
 	if *workers != "" {
@@ -75,11 +81,11 @@ func main() {
 			}
 		}
 		if len(workerList) == 0 {
-			log.Fatal("-workers lists no usable addresses")
+			return errors.New("-workers lists no usable addresses")
 		}
 	}
 	if *ckpt != "" && len(workerList) == 0 {
-		log.Fatal("-checkpoint requires -workers (the single-node gather is not checkpointed)")
+		return errors.New("-checkpoint requires -workers (the single-node gather is not checkpointed)")
 	}
 	// Ctrl-C / SIGTERM cancels the timing gather between units instead of
 	// killing the process mid-write: a checkpointed distributed sweep keeps
@@ -103,14 +109,23 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("Model comparison on %s:\n%s\n", lib.Platform(), report)
-	fmt.Printf("trained ops: %v\n", lib.TrainedOps())
-	fmt.Printf("selected model: %s (eval latency %.1f us)\n",
+	fmt.Fprintf(out, "Model comparison on %s:\n%s\n", lib.Platform(), report)
+	fmt.Fprintf(out, "trained ops: %v\n", lib.TrainedOps())
+	fmt.Fprintf(out, "selected model: %s (eval latency %.1f us)\n",
 		lib.ModelKind(), lib.EvalLatency()*1e6)
-	if err := lib.Save(*out); err != nil {
+	if err := lib.Save(*outPath); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "library written to %s\n", *outPath)
+	return nil
+}
+
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("adsala-train: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("library written to %s\n", *out)
 }

@@ -63,9 +63,9 @@ func main() {
 	var totDefault, totML float64
 	eng := lib.Engine(adsala.ServeOptions{}) // the library's shared decision cache
 	for _, l := range resnetLayers() {
-		tDef := sim.MeasureMean(l.filters, l.patch, l.pixels, defaultThreads, 3) * repeats
+		tDef := sim.Measure(adsala.OpGEMM, l.filters, l.patch, l.pixels, defaultThreads, 3) * repeats
 		threads, _ := eng.PredictOpCtx(context.Background(), adsala.OpGEMM, l.filters, l.patch, l.pixels)
-		tML := sim.MeasureMean(l.filters, l.patch, l.pixels, threads, 3)*repeats + lib.EvalLatency()
+		tML := sim.Measure(adsala.OpGEMM, l.filters, l.patch, l.pixels, threads, 3)*repeats + lib.EvalLatency()
 		totDefault += tDef
 		totML += tML
 		tb.Row(l.name, tabulate.D(l.filters), tabulate.D(l.patch), tabulate.D(l.pixels),

@@ -63,8 +63,8 @@ func main() {
 		cells := []string{fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2])}
 		for _, p := range plats {
 			threads := p.lib.OptimalThreadsOp(adsala.OpGEMM, s[0], s[1], s[2])
-			tML := p.sim.MeasureMean(s[0], s[1], s[2], threads, 3)
-			tRef := p.sim.MeasureMean(s[0], s[1], s[2], p.ref, 3)
+			tML := p.sim.Measure(adsala.OpGEMM, s[0], s[1], s[2], threads, 3)
+			tRef := p.sim.Measure(adsala.OpGEMM, s[0], s[1], s[2], p.ref, 3)
 			cells = append(cells, tabulate.D(threads), tabulate.F(tRef/tML, 2))
 		}
 		tb.Row(cells...)

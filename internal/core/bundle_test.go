@@ -139,24 +139,18 @@ func TestSaveLoadV2Bundle(t *testing.T) {
 	}
 }
 
-// TestGatherRejectsUnknownOpTimer pins the error path: a Timer without the
-// per-op interfaces cannot gather a non-GEMM sweep.
+// TestGatherRejectsUnknownOpTimer pins the sweep's input checks: an op the
+// registry does not know and a repetition count below 1 are errors, not
+// defaults.
 func TestGatherRejectsUnknownOpTimer(t *testing.T) {
 	g := quickGather(12)
-	g.Timer = timerOnly{g.Timer}
-	g.Op = ops.SYRK
-	if _, err := gather(g); err == nil {
-		t.Error("gather with a GEMM-only timer should error for syrk")
-	}
 	g.Op = ops.Op(250)
 	if _, err := gather(g); err == nil {
 		t.Error("gather with an unknown op should error")
 	}
+	g = quickGather(12)
+	g.Iters = 0
+	if _, err := gather(g); err == nil {
+		t.Error("gather with Iters 0 should error")
+	}
 }
-
-// timerOnly hides every interface beyond simtime.Timer.
-type timerOnly struct {
-	inner interface{ Time(m, k, n, p int) float64 }
-}
-
-func (t timerOnly) Time(m, k, n, p int) float64 { return t.inner.Time(m, k, n, p) }

@@ -82,19 +82,14 @@ type GatherConfig struct {
 	NumShapes  int
 	Candidates []int
 	// Iters is the number of timing repetitions averaged per configuration
-	// (the paper uses 10; §V-B.3).
+	// (the paper uses 10; §V-B.3). It must be at least 1: the one default
+	// is the facade's (adsala.TrainOptions.Iters), nothing below it guesses.
 	Iters int
 	Seed  int64
 	// Op selects the operation to time. The zero value is ops.GEMM (the
 	// paper's sweep); other ops map each sampled shape through the
-	// registry's canonical triple and require a per-op capable Timer
-	// (simtime.OpTimer — both the Simulator and the RealTimer qualify).
+	// registry's canonical triple.
 	Op ops.Op
-}
-
-// meanTimer is implemented by timers that average repetitions natively.
-type meanTimer interface {
-	MeasureMean(m, k, n, threads, iters int) float64
 }
 
 // Gatherer produces the timing sweep of one operation. Two implementations
@@ -162,71 +157,32 @@ func SampleOpShapes(dom sampling.Domain, seed int64, op ops.Op, start, count int
 }
 
 // MeasureSweep times every shape at every candidate thread count with the
-// op's kernel on the given timer, averaging iters repetitions per
-// configuration (minimum 1; zero selects the paper's 10). It is the inner
-// loop of Gather, exported so distributed workers execute their units
-// through exactly the code path of the single-node sweep.
+// op's kernel on the given timer, averaging iters repetitions (at least 1)
+// per configuration. It is the inner loop of Gather, exported so
+// distributed workers execute their units through exactly the code path of
+// the single-node sweep.
 func MeasureSweep(timer simtime.Timer, op ops.Op, shapes []sampling.Shape, candidates []int, iters int) ([]ShapeTimings, error) {
 	if timer == nil {
 		return nil, fmt.Errorf("core: MeasureSweep timer is nil")
+	}
+	if !op.Valid() {
+		return nil, fmt.Errorf("core: unknown op %v", op)
 	}
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("core: no candidate thread counts")
 	}
 	if iters < 1 {
-		iters = 10
-	}
-	measure, err := measureFunc(timer, op, iters)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: iters %d < 1", iters)
 	}
 	out := make([]ShapeTimings, 0, len(shapes))
 	for _, sh := range shapes {
 		st := ShapeTimings{Shape: sh, Times: make([]CandidateTime, 0, len(candidates))}
 		for _, p := range candidates {
-			st.Times = append(st.Times, CandidateTime{Threads: p, Seconds: measure(sh, p)})
+			st.Times = append(st.Times, CandidateTime{Threads: p, Seconds: timer.Measure(op, sh.M, sh.K, sh.N, p, iters)})
 		}
 		out = append(out, st)
 	}
 	return out, nil
-}
-
-// measureFunc resolves the timing closure for the op: GEMM keeps the paper's
-// Timer path byte-for-byte, other ops go through the per-op timing
-// interfaces of simtime.
-func measureFunc(timer simtime.Timer, op ops.Op, iters int) (func(sh sampling.Shape, threads int) float64, error) {
-	if !op.Valid() {
-		return nil, fmt.Errorf("core: unknown op %v", op)
-	}
-	if op == ops.GEMM {
-		if mt, ok := timer.(meanTimer); ok {
-			return func(sh sampling.Shape, p int) float64 {
-				return mt.MeasureMean(sh.M, sh.K, sh.N, p, iters)
-			}, nil
-		}
-		return func(sh sampling.Shape, p int) float64 {
-			var secs float64
-			for r := 0; r < iters; r++ {
-				secs += timer.Time(sh.M, sh.K, sh.N, p)
-			}
-			return secs / float64(iters)
-		}, nil
-	}
-	if mt, ok := timer.(simtime.MeanOpTimer); ok {
-		return func(sh sampling.Shape, p int) float64 {
-			return mt.MeasureMeanOp(op, sh.M, sh.K, sh.N, p, iters)
-		}, nil
-	}
-	if ot, ok := timer.(simtime.OpTimer); ok {
-		return func(sh sampling.Shape, p int) float64 {
-			var secs float64
-			for r := 0; r < iters; r++ {
-				secs += ot.TimeOp(op, sh.M, sh.K, sh.N, p)
-			}
-			return secs / float64(iters)
-		}, nil
-	}
-	return nil, fmt.Errorf("core: timer %T cannot time op %v", timer, op)
 }
 
 // Records flattens shape timings into per-(shape, threads) training records.

@@ -45,12 +45,11 @@ func quickTrain(t *testing.T, shapes int) *TrainResult {
 
 // TestGatherLocalItersExact pins the local-platform timing budget: one
 // Gather with Iters: 3 must run exactly NumShapes × len(Candidates) × 3
-// timed GEMMs. Before RealTimer implemented MeasureMean, Gather fell back
-// to its own Iters loop around Time — which itself averaged Iters
-// repetitions — squaring the repetition count (9 GEMMs per configuration
-// for Iters: 3) and silently tripling installation time.
+// timed GEMMs. When the timer carried a repetition count of its own the
+// two compounded (9 GEMMs per configuration for Iters: 3), silently
+// tripling installation time.
 func TestGatherLocalItersExact(t *testing.T) {
-	rt := simtime.NewRealTimer(3)
+	rt := simtime.NewRealTimer()
 	cfg := GatherConfig{
 		Timer:      rt,
 		Domain:     sampling.Domain{MaxDim: 32, MaxBytes: 1 << 20, ElemBytes: 4},

@@ -200,6 +200,9 @@ func trainSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string) 
 	if len(cfg.Models) == 0 {
 		return nil, nil, nil, fmt.Errorf("core: no model specs")
 	}
+	if cfg.Gather.Iters < 1 {
+		return nil, nil, nil, fmt.Errorf("core: Gather.Iters %d < 1", cfg.Gather.Iters)
+	}
 	if _, ok := data[0].TimeAt(cfg.ReferenceThreads); !ok {
 		return nil, nil, nil, fmt.Errorf("core: reference thread count %d not among timed candidates", cfg.ReferenceThreads)
 	}
@@ -286,11 +289,7 @@ func trainSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string) 
 		// The paper's timing protocol (§V-B.3) runs each shape in a
 		// 10-iteration loop with the §III-C prediction cache active, so one
 		// model evaluation amortises over the loop. Charge the same way.
-		iters := cfg.Gather.Iters
-		if iters < 1 {
-			iters = 10
-		}
-		estMean, estAgg := speedups(probe, op, testData, cfg.ReferenceThreads, evalSec/float64(iters), scratch)
+		estMean, estAgg := speedups(probe, op, testData, cfg.ReferenceThreads, evalSec/float64(cfg.Gather.Iters), scratch)
 		reports = append(reports, ModelReport{
 			Op:   op.String(),
 			Name: spec.Name, Kind: spec.Kind, GridChoice: grid.Best.Label,

@@ -1,15 +1,10 @@
 // Package dataset provides the column-named tabular container shared by the
-// sampling, preprocessing, training and experiment layers, with CSV
-// round-tripping for the install-time artefacts.
+// sampling, preprocessing, training and experiment layers.
 package dataset
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math/rand"
-	"sort"
-	"strconv"
 )
 
 // Dataset is a feature matrix with named columns and a regression target.
@@ -120,106 +115,4 @@ func (d *Dataset) Split(testFrac float64, seed int64) (train, test *Dataset) {
 	idx := rand.New(rand.NewSource(seed)).Perm(n)
 	nTest := int(float64(n)*testFrac + 0.5)
 	return d.Subset(idx[nTest:]), d.Subset(idx[:nTest])
-}
-
-// StratifiedSplit partitions rows into train/test keeping the distribution
-// of Y similar in both parts (§IV-C): rows are sorted by Y, grouped into
-// contiguous strata of size ~1/testFrac, and one random row per stratum
-// goes to the test set.
-func (d *Dataset) StratifiedSplit(testFrac float64, seed int64) (train, test *Dataset) {
-	n := d.Len()
-	if n == 0 || testFrac <= 0 {
-		return d.Subset(seqIndices(n)), New(d.Cols)
-	}
-	if testFrac >= 1 {
-		return New(d.Cols), d.Subset(seqIndices(n))
-	}
-	order := seqIndices(n)
-	sort.Slice(order, func(a, b int) bool { return d.Y[order[a]] < d.Y[order[b]] })
-
-	rng := rand.New(rand.NewSource(seed))
-	stratum := int(1/testFrac + 0.5)
-	if stratum < 2 {
-		stratum = 2
-	}
-	var trainIdx, testIdx []int
-	for lo := 0; lo < n; lo += stratum {
-		hi := lo + stratum
-		if hi > n {
-			hi = n
-		}
-		pick := lo + rng.Intn(hi-lo)
-		for i := lo; i < hi; i++ {
-			if i == pick && hi-lo > 1 {
-				testIdx = append(testIdx, order[i])
-			} else {
-				trainIdx = append(trainIdx, order[i])
-			}
-		}
-	}
-	return d.Subset(trainIdx), d.Subset(testIdx)
-}
-
-func seqIndices(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-// WriteCSV writes the dataset with a header row; the target column is
-// written last under the name "y".
-func (d *Dataset) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := append(append([]string(nil), d.Cols...), "y")
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("dataset: write header: %w", err)
-	}
-	rec := make([]string, len(header))
-	for i, row := range d.X {
-		for j, v := range row {
-			rec[j] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		rec[len(rec)-1] = strconv.FormatFloat(d.Y[i], 'g', -1, 64)
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("dataset: write row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV reads a dataset written by WriteCSV.
-func ReadCSV(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: read header: %w", err)
-	}
-	if len(header) < 1 || header[len(header)-1] != "y" {
-		return nil, fmt.Errorf("dataset: last column must be \"y\", got %v", header)
-	}
-	d := New(header[:len(header)-1])
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		row := make([]float64, len(rec)-1)
-		for j := range row {
-			if row[j], err = strconv.ParseFloat(rec[j], 64); err != nil {
-				return nil, fmt.Errorf("dataset: line %d col %d: %w", line, j, err)
-			}
-		}
-		y, err := strconv.ParseFloat(rec[len(rec)-1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d target: %w", line, err)
-		}
-		d.Append(row, y)
-	}
-	return d, nil
 }

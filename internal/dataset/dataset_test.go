@@ -1,13 +1,8 @@
 package dataset
 
 import (
-	"bytes"
-	"math"
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func sample(n int, seed int64) *Dataset {
@@ -99,88 +94,6 @@ func TestSplitSizes(t *testing.T) {
 	}
 }
 
-func TestStratifiedSplitDistribution(t *testing.T) {
-	d := sample(400, 3)
-	train, test := d.StratifiedSplit(0.25, 1)
-	if got := train.Len() + test.Len(); got != 400 {
-		t.Fatalf("rows lost: %d", got)
-	}
-	frac := float64(test.Len()) / 400
-	if frac < 0.2 || frac > 0.3 {
-		t.Errorf("test fraction = %v, want ~0.25", frac)
-	}
-	// Stratification: the medians of train and test targets should be close
-	// relative to the overall spread.
-	med := func(xs []float64) float64 {
-		s := append([]float64(nil), xs...)
-		sort.Float64s(s)
-		return s[len(s)/2]
-	}
-	all := append([]float64(nil), d.Y...)
-	sort.Float64s(all)
-	spread := all[len(all)-1] - all[0]
-	if diff := math.Abs(med(train.Y) - med(test.Y)); diff > spread*0.2 {
-		t.Errorf("train/test medians differ by %v (spread %v) — stratification failed", diff, spread)
-	}
-}
-
-func TestStratifiedSplitEdgeCases(t *testing.T) {
-	d := sample(10, 4)
-	train, test := d.StratifiedSplit(0, 1)
-	if train.Len() != 10 || test.Len() != 0 {
-		t.Errorf("frac=0 gave %d/%d", train.Len(), test.Len())
-	}
-	train, test = d.StratifiedSplit(1, 1)
-	if train.Len() != 0 || test.Len() != 10 {
-		t.Errorf("frac=1 gave %d/%d", train.Len(), test.Len())
-	}
-	empty := New([]string{"a"})
-	train, test = empty.StratifiedSplit(0.3, 1)
-	if train.Len() != 0 || test.Len() != 0 {
-		t.Error("empty dataset split should be empty")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	d := sample(25, 5)
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != d.Len() || len(got.Cols) != len(d.Cols) {
-		t.Fatalf("round trip changed shape: %d/%d", got.Len(), len(got.Cols))
-	}
-	for i := range d.X {
-		for j := range d.X[i] {
-			if got.X[i][j] != d.X[i][j] {
-				t.Fatalf("X[%d][%d] = %v, want %v", i, j, got.X[i][j], d.X[i][j])
-			}
-		}
-		if got.Y[i] != d.Y[i] {
-			t.Fatalf("Y[%d] = %v, want %v", i, got.Y[i], d.Y[i])
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("a,b\n")); err == nil {
-		t.Error("header without y should error")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,y\nnot-a-number,2\n")); err == nil {
-		t.Error("bad float should error")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,y\n1,nan-ish\n")); err == nil {
-		t.Error("bad target should error")
-	}
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty input should error")
-	}
-}
-
 func TestShuffleKeepsPairs(t *testing.T) {
 	d := New([]string{"v"})
 	for i := 0; i < 50; i++ {
@@ -191,37 +104,5 @@ func TestShuffleKeepsPairs(t *testing.T) {
 		if d.Y[i] != d.X[i][0]*10 {
 			t.Fatalf("row %d decoupled from target", i)
 		}
-	}
-}
-
-// Property: stratified split conserves every (x, y) pair exactly once.
-func TestStratifiedSplitConservationProperty(t *testing.T) {
-	f := func(nRaw uint8, fracRaw uint8, seed int64) bool {
-		n := int(nRaw%120) + 1
-		frac := float64(fracRaw%90+5) / 100
-		d := sample(n, seed)
-		train, test := d.StratifiedSplit(frac, seed)
-		if train.Len()+test.Len() != n {
-			return false
-		}
-		count := map[float64]int{}
-		for _, y := range d.Y {
-			count[y]++
-		}
-		for _, y := range train.Y {
-			count[y]--
-		}
-		for _, y := range test.Y {
-			count[y]--
-		}
-		for _, c := range count {
-			if c != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

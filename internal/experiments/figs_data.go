@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/features"
 	"repro/internal/machine"
+	"repro/internal/ops"
 	"repro/internal/preprocess"
 	"repro/internal/sampling"
 	"repro/internal/simtime"
@@ -18,7 +19,7 @@ import (
 func measuredOptimal(sim *simtime.Simulator, sh sampling.Shape, candidates []int, iters int) (int, float64) {
 	best, bt := candidates[0], math.Inf(1)
 	for _, p := range candidates {
-		if t := sim.MeasureMean(sh.M, sh.K, sh.N, p, iters); t < bt {
+		if t := sim.Measure(ops.GEMM, sh.M, sh.K, sh.N, p, iters); t < bt {
 			best, bt = p, t
 		}
 	}
@@ -141,7 +142,7 @@ func Fig4(w io.Writer, lab *Lab) error {
 		sh := sampler.Next()
 		recs = append(recs, features.Record{
 			Shape: sh, Threads: 128,
-			Seconds: sim.MeasureMean(sh.M, sh.K, sh.N, 128, lab.Scale.Iters),
+			Seconds: sim.Measure(ops.GEMM, sh.M, sh.K, sh.N, 128, lab.Scale.Iters),
 		})
 	}
 	d := features.Build(recs)
@@ -199,8 +200,8 @@ func Fig7(w io.Writer, lab *Lab) error {
 			}
 			var sumC, sumT float64
 			for _, sh := range shapes {
-				sumC += coreSim.MeasureMean(sh.M, sh.K, sh.N, th, lab.Scale.Iters)
-				sumT += threadSim.MeasureMean(sh.M, sh.K, sh.N, th, lab.Scale.Iters)
+				sumC += coreSim.Measure(ops.GEMM, sh.M, sh.K, sh.N, th, lab.Scale.Iters)
+				sumT += threadSim.Measure(ops.GEMM, sh.M, sh.K, sh.N, th, lab.Scale.Iters)
 			}
 			meanC := sumC / float64(nShapes) * 1e6
 			meanT := sumT / float64(nShapes) * 1e6

@@ -152,9 +152,9 @@ func figPredesigned(w io.Writer, lab *Lab, platform string) error {
 	var bestCase string
 	for _, pt := range grid {
 		sh := pt.Shape
-		tDef := sim.MeasureMean(sh.M, sh.K, sh.N, max, lab.Scale.Iters)
+		tDef := sim.Measure(ops.GEMM, sh.M, sh.K, sh.N, max, lab.Scale.Iters)
 		ml := res.Library.OptimalThreadsOp(ops.GEMM, sh.M, sh.K, sh.N)
-		tML := sim.MeasureMean(sh.M, sh.K, sh.N, ml, lab.Scale.Iters) + res.Library.EvalSeconds()/float64(lab.Scale.Iters)
+		tML := sim.Measure(ops.GEMM, sh.M, sh.K, sh.N, ml, lab.Scale.Iters) + res.Library.EvalSeconds()/float64(lab.Scale.Iters)
 		sp := tDef / tML
 		if sp > bestSpeedup {
 			bestSpeedup = sp

@@ -211,18 +211,13 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 	if _, err := sampling.NewSampler(gcfg.Domain, gcfg.Seed); err != nil {
 		return nil, err
 	}
-	iters := gcfg.Iters
-	if iters < 1 {
-		iters = 10
-	}
-
 	spec := SweepSpec{
 		Op:         gcfg.Op.String(),
 		Timer:      c.cfg.Timer,
 		Domain:     gcfg.Domain,
 		Seed:       gcfg.Seed,
 		Candidates: append([]int(nil), gcfg.Candidates...),
-		Iters:      iters,
+		Iters:      gcfg.Iters,
 	}
 	spec.Session = spec.Fingerprint()
 	spec.Run = newRunID()

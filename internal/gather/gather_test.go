@@ -614,7 +614,7 @@ func TestWorkerEndpoints(t *testing.T) {
 	}
 	// Real-backend sweep against a -sim worker.
 	real := sweep
-	real.Timer = simtime.RealSpec(2)
+	real.Timer = simtime.RealSpec()
 	real.Session = real.Fingerprint()
 	if resp := post("/register", real); resp.StatusCode != http.StatusConflict {
 		t.Errorf("-sim worker accepted a real sweep: HTTP %d, want 409", resp.StatusCode)

@@ -14,31 +14,30 @@ import (
 
 const alignBytes = 64
 
-// F32 is a dense row-major matrix of float32 values. Rows*Stride elements of
-// Data back the matrix; Stride >= Cols (leading dimension, as LDA/LDB/LDC in
-// the BLAS interface).
-type F32 struct {
+// Dense is a dense row-major matrix. Rows*Stride elements of Data back the
+// matrix; Stride >= Cols (leading dimension, as LDA/LDB/LDC in the BLAS
+// interface).
+type Dense[T float32 | float64] struct {
 	Rows, Cols int
 	Stride     int
-	Data       []float32
+	Data       []T
 }
 
-// F64 is the float64 counterpart of F32.
-type F64 struct {
-	Rows, Cols int
-	Stride     int
-	Data       []float64
-}
+type (
+	// F32 is the single-precision matrix.
+	F32 = Dense[float32]
+	// F64 is the double-precision matrix.
+	F64 = Dense[float64]
+)
 
-// alignedF32 allocates n float32 values whose first element sits on a
-// 64-byte boundary.
-func alignedF32(n int) []float32 {
+// aligned allocates n zeroed values whose first element sits on a 64-byte
+// boundary.
+func aligned[T float32 | float64](n int) []T {
 	if n == 0 {
 		return nil
 	}
-	const elem = 4
-	pad := alignBytes / elem
-	raw := make([]float32, n+pad)
+	elem := unsafe.Sizeof(T(0))
+	raw := make([]T, n+int(alignBytes/elem))
 	off := 0
 	addr := uintptr(unsafe.Pointer(&raw[0]))
 	if rem := addr % alignBytes; rem != 0 {
@@ -47,88 +46,44 @@ func alignedF32(n int) []float32 {
 	return raw[off : off+n : off+n]
 }
 
-// alignedF64 allocates n float64 values whose first element sits on a
-// 64-byte boundary.
-func alignedF64(n int) []float64 {
-	if n == 0 {
-		return nil
+func newDense[T float32 | float64](rows, cols int) *Dense[T] {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("mat: negative dimensions %d×%d", rows, cols))
 	}
-	const elem = 8
-	pad := alignBytes / elem
-	raw := make([]float64, n+pad)
-	off := 0
-	addr := uintptr(unsafe.Pointer(&raw[0]))
-	if rem := addr % alignBytes; rem != 0 {
-		off = int((alignBytes - rem) / elem)
-	}
-	return raw[off : off+n : off+n]
+	return &Dense[T]{Rows: rows, Cols: cols, Stride: cols, Data: aligned[T](rows * cols)}
 }
 
 // NewF32 allocates a zeroed rows × cols float32 matrix with Stride == cols.
 // It panics if rows or cols is negative.
-func NewF32(rows, cols int) *F32 {
-	checkDims(rows, cols)
-	return &F32{Rows: rows, Cols: cols, Stride: cols, Data: alignedF32(rows * cols)}
-}
+func NewF32(rows, cols int) *F32 { return newDense[float32](rows, cols) }
 
 // NewF64 allocates a zeroed rows × cols float64 matrix with Stride == cols.
-func NewF64(rows, cols int) *F64 {
-	checkDims(rows, cols)
-	return &F64{Rows: rows, Cols: cols, Stride: cols, Data: alignedF64(rows * cols)}
-}
-
-func checkDims(rows, cols int) {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("mat: negative dimensions %d×%d", rows, cols))
-	}
-}
+// It panics if rows or cols is negative.
+func NewF64(rows, cols int) *F64 { return newDense[float64](rows, cols) }
 
 // At returns the element at row i, column j.
-func (m *F32) At(i, j int) float32 { return m.Data[i*m.Stride+j] }
+func (m *Dense[T]) At(i, j int) T { return m.Data[i*m.Stride+j] }
 
 // Set stores v at row i, column j.
-func (m *F32) Set(i, j int, v float32) { m.Data[i*m.Stride+j] = v }
+func (m *Dense[T]) Set(i, j int, v T) { m.Data[i*m.Stride+j] = v }
 
-// At returns the element at row i, column j.
-func (m *F64) At(i, j int) float64 { return m.Data[i*m.Stride+j] }
-
-// Set stores v at row i, column j.
-func (m *F64) Set(i, j int, v float64) { m.Data[i*m.Stride+j] = v }
+// row returns the Cols live elements of row i.
+func (m *Dense[T]) row(i int) []T { return m.Data[i*m.Stride : i*m.Stride+m.Cols] }
 
 // FillRandom fills the matrix with uniform values in [-1, 1) from rng.
-func (m *F32) FillRandom(rng *rand.Rand) {
+func (m *Dense[T]) FillRandom(rng *rand.Rand) {
 	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
+		row := m.row(i)
 		for j := range row {
-			row[j] = float32(2*rng.Float64() - 1)
-		}
-	}
-}
-
-// FillRandom fills the matrix with uniform values in [-1, 1) from rng.
-func (m *F64) FillRandom(rng *rand.Rand) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		for j := range row {
-			row[j] = 2*rng.Float64() - 1
+			row[j] = T(2*rng.Float64() - 1)
 		}
 	}
 }
 
 // Fill sets every element of the matrix to v.
-func (m *F32) Fill(v float32) {
+func (m *Dense[T]) Fill(v T) {
 	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		for j := range row {
-			row[j] = v
-		}
-	}
-}
-
-// Fill sets every element of the matrix to v.
-func (m *F64) Fill(v float64) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
+		row := m.row(i)
 		for j := range row {
 			row[j] = v
 		}
@@ -136,26 +91,17 @@ func (m *F64) Fill(v float64) {
 }
 
 // Clone returns a deep copy with a compact stride.
-func (m *F32) Clone() *F32 {
-	c := NewF32(m.Rows, m.Cols)
+func (m *Dense[T]) Clone() *Dense[T] {
+	c := newDense[T](m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
-		copy(c.Data[i*c.Stride:i*c.Stride+c.Cols], m.Data[i*m.Stride:i*m.Stride+m.Cols])
-	}
-	return c
-}
-
-// Clone returns a deep copy with a compact stride.
-func (m *F64) Clone() *F64 {
-	c := NewF64(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		copy(c.Data[i*c.Stride:i*c.Stride+c.Cols], m.Data[i*m.Stride:i*m.Stride+m.Cols])
+		copy(c.row(i), m.row(i))
 	}
 	return c
 }
 
 // MaxAbsDiff returns the largest absolute element-wise difference between m
 // and other. It panics if shapes differ.
-func (m *F32) MaxAbsDiff(other *F32) float64 {
+func (m *Dense[T]) MaxAbsDiff(other *Dense[T]) float64 {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
 		panic(fmt.Sprintf("mat: shape mismatch %d×%d vs %d×%d", m.Rows, m.Cols, other.Rows, other.Cols))
 	}
@@ -171,54 +117,9 @@ func (m *F32) MaxAbsDiff(other *F32) float64 {
 	return max
 }
 
-// MaxAbsDiff returns the largest absolute element-wise difference between m
-// and other. It panics if shapes differ.
-func (m *F64) MaxAbsDiff(other *F64) float64 {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic(fmt.Sprintf("mat: shape mismatch %d×%d vs %d×%d", m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-	var max float64
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			d := math.Abs(m.At(i, j) - other.At(i, j))
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
-// GemmBytesF32 returns the aggregate memory footprint in bytes of an SGEMM
-// with the given dimensions: 4*(m*k + k*n + m*n), as defined in §IV-B.
-func GemmBytesF32(m, k, n int) int64 {
-	return 4 * (int64(m)*int64(k) + int64(k)*int64(n) + int64(m)*int64(n))
-}
-
-// GemmBytesF64 returns the aggregate memory footprint in bytes of a DGEMM:
-// 8*(m*k + k*n + m*n).
-func GemmBytesF64(m, k, n int) int64 {
-	return 8 * (int64(m)*int64(k) + int64(k)*int64(n) + int64(m)*int64(n))
-}
-
-// GemmFlops returns the floating-point operation count of C ← αAB + βC,
-// counted as 2*m*k*n (one multiply plus one add per inner-product term).
-func GemmFlops(m, k, n int) int64 {
-	return 2 * int64(m) * int64(k) * int64(n)
-}
-
 // Aligned reports whether the first element of the backing slice is on a
 // 64-byte boundary. Empty matrices are trivially aligned.
-func (m *F32) Aligned() bool {
-	if len(m.Data) == 0 {
-		return true
-	}
-	return uintptr(unsafe.Pointer(&m.Data[0]))%alignBytes == 0
-}
-
-// Aligned reports whether the first element of the backing slice is on a
-// 64-byte boundary. Empty matrices are trivially aligned.
-func (m *F64) Aligned() bool {
+func (m *Dense[T]) Aligned() bool {
 	if len(m.Data) == 0 {
 		return true
 	}

@@ -119,34 +119,6 @@ func TestMaxAbsDiffShapeMismatchPanics(t *testing.T) {
 	NewF64(2, 2).MaxAbsDiff(NewF64(2, 3))
 }
 
-func TestGemmAccounting(t *testing.T) {
-	if got := GemmBytesF32(10, 20, 30); got != 4*(200+600+300) {
-		t.Errorf("GemmBytesF32 = %d", got)
-	}
-	if got := GemmBytesF64(10, 20, 30); got != 8*(200+600+300) {
-		t.Errorf("GemmBytesF64 = %d", got)
-	}
-	if got := GemmFlops(2, 3, 4); got != 48 {
-		t.Errorf("GemmFlops = %d, want 48", got)
-	}
-	// The paper's 100 MB bound example: footprint must not overflow ints for
-	// paper-scale dims (up to ~74k).
-	if got := GemmBytesF32(74000, 74000, 74000); got <= 0 {
-		t.Errorf("overflow in GemmBytesF32 at paper-scale dims: %d", got)
-	}
-}
-
-// Property: GemmBytes is symmetric in swapping (m,n) (A and C transpose roles).
-func TestGemmBytesSymmetryProperty(t *testing.T) {
-	f := func(m, k, n uint16) bool {
-		a, b, c := int(m), int(k), int(n)
-		return GemmBytesF32(a, b, c) == GemmBytesF32(c, b, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: At/Set round-trips for arbitrary in-range coordinates.
 func TestAtSetProperty(t *testing.T) {
 	m := NewF64(17, 13)

@@ -152,27 +152,6 @@ func R2(pred, y []float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// Normalise divides each value by the maximum of the set, producing the
-// "normalised test RMSE" convention of Tables III/IV where the worst model
-// scores 1.00.
-func Normalise(values map[string]float64) map[string]float64 {
-	max := 0.0
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	out := make(map[string]float64, len(values))
-	for k, v := range values {
-		if max > 0 {
-			out[k] = v / max
-		} else {
-			out[k] = 0
-		}
-	}
-	return out
-}
-
 // SortedNames returns map keys in sorted order (stable table rendering).
 func SortedNames[V any](m map[string]V) []string {
 	names := make([]string, 0, len(m))

@@ -71,17 +71,6 @@ func TestValidateXY(t *testing.T) {
 	}
 }
 
-func TestNormalise(t *testing.T) {
-	out := Normalise(map[string]float64{"a": 1, "b": 4, "c": 2})
-	if out["b"] != 1 || out["a"] != 0.25 || out["c"] != 0.5 {
-		t.Errorf("Normalise = %v", out)
-	}
-	zero := Normalise(map[string]float64{"a": 0})
-	if zero["a"] != 0 {
-		t.Errorf("all-zero Normalise = %v", zero)
-	}
-}
-
 func TestSortedNames(t *testing.T) {
 	names := SortedNames(map[string]int{"z": 1, "a": 2, "m": 3})
 	if names[0] != "a" || names[1] != "m" || names[2] != "z" {

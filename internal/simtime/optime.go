@@ -1,32 +1,6 @@
 package simtime
 
-import (
-	"math"
-
-	"repro/internal/ops"
-)
-
-// Per-operation timing. The paper's data gathering times GEMM only; training
-// per-op models (ROADMAP: SYRK's triangular cost profile, SYR2K on the same
-// masked-tile machinery) needs timing backends that answer for any
-// registered op. Both backends implement OpTimer:
-//
-//   - the Simulator derives the op's analytic decomposition from the GEMM
-//     breakdown at the canonical triple, rescaling each Table VII component
-//     by how the masked-tile algorithm actually differs (see BreakdownOp);
-//   - the RealTimer (realtimer.go) executes the op's registry kernel on the
-//     local host.
-
-// OpTimer measures (or predicts) the wall time in seconds of one call of a
-// registered operation at its canonical (m, k, n) feature triple.
-type OpTimer interface {
-	TimeOp(op ops.Op, m, k, n, threads int) float64
-}
-
-// MeanOpTimer is implemented by op timers that average repetitions natively.
-type MeanOpTimer interface {
-	MeasureMeanOp(op ops.Op, m, k, n, threads, iters int) float64
-}
+import "repro/internal/ops"
 
 // BreakdownOp returns the noiseless wall-time decomposition of one call of
 // op at its canonical triple. GEMM is the base model; the symmetric updates
@@ -72,40 +46,3 @@ func (s *Simulator) BreakdownOp(op ops.Op, m, k, n, threads int) Breakdown {
 	b.Copy += mirror
 	return b
 }
-
-// TimeOpRep returns the rep-th noisy measurement of one op call. The noise
-// draw mixes the op into the hash, so per-op sweeps of the same triple see
-// independent measurement noise (as separate real runs would).
-func (s *Simulator) TimeOpRep(op ops.Op, m, k, n, threads, rep int) float64 {
-	if op == ops.GEMM {
-		return s.TimeRep(m, k, n, threads, rep)
-	}
-	t := s.BreakdownOp(op, m, k, n, threads).Total()
-	if s.cfg.NoiseSigma <= 0 {
-		return t
-	}
-	z := gaussian(hash6(s.cfg.Seed, int64(op)+0x5ca1ab1e, int64(m), int64(k), int64(n), int64(threads), int64(rep)))
-	return t * math.Exp(s.cfg.NoiseSigma*z-0.5*s.cfg.NoiseSigma*s.cfg.NoiseSigma)
-}
-
-// TimeOp returns one noisy wall-time measurement of the op configuration.
-func (s *Simulator) TimeOp(op ops.Op, m, k, n, threads int) float64 {
-	return s.TimeOpRep(op, m, k, n, threads, 0)
-}
-
-// MeasureMeanOp returns the mean of iters noisy per-op measurements.
-func (s *Simulator) MeasureMeanOp(op ops.Op, m, k, n, threads, iters int) float64 {
-	if iters < 1 {
-		iters = 1
-	}
-	var sum float64
-	for r := 0; r < iters; r++ {
-		sum += s.TimeOpRep(op, m, k, n, threads, r)
-	}
-	return sum / float64(iters)
-}
-
-var (
-	_ OpTimer     = (*Simulator)(nil)
-	_ MeanOpTimer = (*Simulator)(nil)
-)

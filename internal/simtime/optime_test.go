@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/machine"
@@ -11,12 +12,13 @@ func TestSimulatorOpTiming(t *testing.T) {
 	s := New(DefaultConfig(machine.Gadi()))
 	const m, k, n, p = 512, 256, 512, 8
 
-	// GEMM delegates: per-op timing must reproduce the paper path exactly.
-	if got, want := s.TimeOp(ops.GEMM, m, k, n, p), s.Time(m, k, n, p); got != want {
-		t.Errorf("TimeOp(gemm) = %v, Time = %v", got, want)
-	}
-	if got, want := s.MeasureMeanOp(ops.GEMM, m, k, n, p, 5), s.MeasureMean(m, k, n, p, 5); got != want {
-		t.Errorf("MeasureMeanOp(gemm) = %v, MeasureMean = %v", got, want)
+	// GEMM is the paper path exactly: the base breakdown under the original
+	// noise draw (no op mixed into the hash).
+	cfg := s.Config()
+	z := gaussian(hash6(cfg.Seed, m, k, n, p, 0))
+	want := s.Breakdown(m, k, n, p).Total() * math.Exp(cfg.NoiseSigma*z-0.5*cfg.NoiseSigma*cfg.NoiseSigma)
+	if got := s.Measure(ops.GEMM, m, k, n, p, 1); got != want {
+		t.Errorf("Measure(gemm) = %v, paper draw = %v", got, want)
 	}
 
 	// Cost ordering at a square triple: SYRK does roughly half the GEMM
@@ -38,19 +40,22 @@ func TestSimulatorOpTiming(t *testing.T) {
 	}
 
 	// Noise is deterministic per (op, config, rep) and distinct across ops.
-	if a, b := s.TimeOpRep(ops.SYRK, m, k, m, p, 1), s.TimeOpRep(ops.SYRK, m, k, m, p, 1); a != b {
+	if a, b := s.noise(ops.SYRK, m, k, m, p, 1), s.noise(ops.SYRK, m, k, m, p, 1); a != b {
 		t.Errorf("syrk noise not reproducible: %v vs %v", a, b)
 	}
-	ratio := s.TimeOpRep(ops.SYRK, m, k, m, p, 0) / s.TimeOpRep(ops.GEMM, m, k, m, p, 0)
+	if s.noise(ops.SYRK, m, k, m, p, 0) == s.noise(ops.GEMM, m, k, m, p, 0) {
+		t.Error("syrk and gemm share a noise draw")
+	}
+	ratio := s.Measure(ops.SYRK, m, k, m, p, 1) / s.Measure(ops.GEMM, m, k, m, p, 1)
 	if ratio <= 0 || ratio >= 1 {
 		t.Errorf("noisy syrk/gemm ratio %v, want in (0,1)", ratio)
 	}
 }
 
 func TestRealTimerOps(t *testing.T) {
-	rt := NewRealTimer(1)
+	rt := NewRealTimer()
 	for _, op := range ops.All() {
-		if secs := rt.MeasureMeanOp(op, 24, 16, 24, 1, 1); secs <= 0 {
+		if secs := rt.Measure(op, 24, 16, 24, 1, 1); secs <= 0 {
 			t.Errorf("%v measured %v seconds", op, secs)
 		}
 	}

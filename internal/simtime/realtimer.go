@@ -9,71 +9,42 @@ import (
 	"repro/internal/ops"
 )
 
-// RealTimer measures the pure-Go blas kernels on the local host with the
-// wall clock. Operands are allocated once per distinct (op, shape)
-// configuration through the operation registry's executor binding and
-// reused, and Iters timing iterations are averaged per call — the same loop
+// RealTimer measures the built-in blas kernels on the local host with the
+// wall clock: operands are allocated through the operation registry's
+// executor binding, and iters timed calls are averaged — the same loop
 // structure the paper uses for its data collection (§V-B.3).
 //
 // RealTimer exists so the full ADSALA workflow (sample → time → train →
 // select threads) runs end-to-end on real silicon: the quickstart example
 // and integration tests use it with small shapes. The paper-scale
-// experiments use the Simulator. It answers for every registered BLAS-3
-// operation (OpTimer), so per-op local training needs no extra plumbing.
+// experiments use the Simulator.
 type RealTimer struct {
-	// Iters is the number of timed repetitions to average (default 3).
-	Iters int
-
-	mu    sync.Mutex
-	runs  map[benchKey]func(threads int) error
+	mu sync.Mutex
+	// cur is the one (op, shape) configuration whose operands the timer
+	// keeps: a sweep visits each shape once (all candidates, then never
+	// again), so the previous set is garbage the moment the shape changes.
+	cur   bench
 	rng   *rand.Rand
 	calls atomic.Int64
 }
 
-// benchKey identifies one cached executor closure.
-type benchKey struct {
+// bench is one executor closure with the configuration its operands fit.
+type bench struct {
 	op      ops.Op
 	m, k, n int
+	run     func(threads int) error
 }
 
-// NewRealTimer returns a RealTimer averaging iters repetitions.
-func NewRealTimer(iters int) *RealTimer {
+// NewRealTimer returns a RealTimer.
+func NewRealTimer() *RealTimer {
+	return &RealTimer{rng: rand.New(rand.NewSource(42))}
+}
+
+// Measure returns the mean wall seconds of exactly iters timed calls of the
+// op's registry kernel.
+func (t *RealTimer) Measure(op ops.Op, m, k, n, threads, iters int) float64 {
 	if iters < 1 {
-		iters = 1
-	}
-	return &RealTimer{
-		Iters: iters,
-		runs:  make(map[benchKey]func(threads int) error),
-		rng:   rand.New(rand.NewSource(42)),
-	}
-}
-
-// Time runs the SGEMM threads-wide and returns the mean wall seconds over
-// Iters repetitions.
-func (t *RealTimer) Time(m, k, n, threads int) float64 {
-	return t.MeasureMeanOp(ops.GEMM, m, k, n, threads, t.Iters)
-}
-
-// TimeOp is Time for an explicit registered operation.
-func (t *RealTimer) TimeOp(op ops.Op, m, k, n, threads int) float64 {
-	return t.MeasureMeanOp(op, m, k, n, threads, t.Iters)
-}
-
-// MeasureMean returns the mean wall seconds of exactly iters timed GEMMs
-// (minimum 1). Implementing the core gather's meanTimer interface keeps the
-// repetition count in one place: without it, Gather would loop Iters times
-// over Time — which itself averages Iters repetitions — running Iters²
-// kernel calls per configuration and silently multiplying the
-// installation-time budget (Iters: 3 meant 9 timed GEMMs per point).
-func (t *RealTimer) MeasureMean(m, k, n, threads, iters int) float64 {
-	return t.MeasureMeanOp(ops.GEMM, m, k, n, threads, iters)
-}
-
-// MeasureMeanOp returns the mean wall seconds of exactly iters timed calls
-// of the op's registry kernel (minimum 1).
-func (t *RealTimer) MeasureMeanOp(op ops.Op, m, k, n, threads, iters int) float64 {
-	if iters < 1 {
-		iters = 1
+		panic("simtime: Measure needs iters >= 1")
 	}
 	run := t.benchFor(op, m, k, n)
 	var total time.Duration
@@ -95,22 +66,15 @@ func (t *RealTimer) MeasureMeanOp(op ops.Op, m, k, n, threads, iters int) float6
 // against.
 func (t *RealTimer) GemmCalls() int64 { return t.calls.Load() }
 
-// benchFor returns (building on first use) the executor closure for one
-// (op, shape) configuration, with its operands allocated and filled once.
+// benchFor returns the executor closure for one (op, shape) configuration,
+// building its operands unless it is the configuration already held. A
+// caller still timing the replaced configuration keeps that closure alive
+// for its own call, so concurrent callers on different shapes stay correct.
 func (t *RealTimer) benchFor(op ops.Op, m, k, n int) func(threads int) error {
-	key := benchKey{op, m, k, n}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if run, ok := t.runs[key]; ok {
-		return run
+	if c := t.cur; c.run == nil || c.op != op || c.m != m || c.k != k || c.n != n {
+		t.cur = bench{op, m, k, n, op.Spec().NewBench(m, k, n, t.rng)}
 	}
-	run := op.Spec().NewBench(m, k, n, t.rng)
-	t.runs[key] = run
-	return run
+	return t.cur.run
 }
-
-var (
-	_ Timer       = (*RealTimer)(nil)
-	_ OpTimer     = (*RealTimer)(nil)
-	_ MeanOpTimer = (*RealTimer)(nil)
-)

@@ -1,4 +1,4 @@
-// Package simtime provides GEMM wall-time measurement backends for ADSALA.
+// Package simtime provides BLAS-3 wall-time measurement backends for ADSALA.
 //
 // Two backends implement the Timer interface:
 //
@@ -10,8 +10,8 @@
 //     measurement noise. This stands in for exclusive access to the Setonix
 //     and Gadi nodes, which cannot be reproduced on this container.
 //
-//   - RealTimer (realtimer.go): wall-clock timing of the pure-Go blas GEMM
-//     on the local host, used by tests and the quickstart example.
+//   - RealTimer (realtimer.go): wall-clock timing of the built-in blas
+//     kernels on the local host, used by tests and the quickstart example.
 //
 // The mechanisms modelled, and the paper observations they reproduce:
 //
@@ -35,12 +35,16 @@ import (
 	"math"
 
 	"repro/internal/machine"
+	"repro/internal/ops"
 )
 
-// Timer measures (or predicts) the wall time in seconds of one GEMM of the
-// given dimensions executed with the given number of threads.
+// Timer is the install-time measuring step (Fig 2, §V-B.3): the mean wall
+// time in seconds of iters calls (at least 1) of a registered operation at
+// its canonical (m, k, n) feature triple on the given number of threads.
+// How a configuration is measured — repetitions, aggregation, operand reuse
+// — is each backend's Measure and nothing else.
 type Timer interface {
-	Time(m, k, n, threads int) float64
+	Measure(op ops.Op, m, k, n, threads, iters int) float64
 }
 
 // Precision selects the GEMM data type.
@@ -326,35 +330,39 @@ func (s *Simulator) kernelTime(m, k, n int, pl machine.Placement, prec int64, bw
 	return maxF(tFlops, tMem)
 }
 
-// Time returns one noisy wall-time measurement in seconds. The noise draw is
-// a deterministic function of (dims, threads, seed) and an internal sequence
-// position derived from the inputs, so identical experiments reproduce.
-func (s *Simulator) Time(m, k, n, threads int) float64 {
-	return s.TimeRep(m, k, n, threads, 0)
-}
-
-// TimeRep returns the rep-th noisy measurement of the configuration. Reps
-// differ only in their noise draw.
-func (s *Simulator) TimeRep(m, k, n, threads, rep int) float64 {
-	t := s.Breakdown(m, k, n, threads).Total()
-	if s.cfg.NoiseSigma <= 0 {
-		return t
-	}
-	z := gaussian(hash6(s.cfg.Seed, int64(m), int64(k), int64(n), int64(threads), int64(rep)))
-	return t * math.Exp(s.cfg.NoiseSigma*z-0.5*s.cfg.NoiseSigma*s.cfg.NoiseSigma)
-}
-
-// MeasureMean returns the mean of iters noisy measurements, matching the
-// paper's 10-iteration timing loop (§V-B.3).
-func (s *Simulator) MeasureMean(m, k, n, threads, iters int) float64 {
+// Measure returns the mean of iters noisy measurements of one op call,
+// matching the paper's 10-iteration timing loop (§V-B.3). It is a
+// deterministic function of its arguments and the configured seed, so
+// identical experiments reproduce.
+func (s *Simulator) Measure(op ops.Op, m, k, n, threads, iters int) float64 {
 	if iters < 1 {
-		iters = 1
+		panic("simtime: Measure needs iters >= 1")
 	}
+	t := s.BreakdownOp(op, m, k, n, threads).Total()
 	var sum float64
 	for r := 0; r < iters; r++ {
-		sum += s.TimeRep(m, k, n, threads, r)
+		sum += t * s.noise(op, m, k, n, threads, r)
 	}
 	return sum / float64(iters)
+}
+
+// noise returns the multiplicative log-normal error of the rep-th
+// measurement of the configuration (1 when noise is off). Non-GEMM ops mix
+// the op into the hash, so per-op sweeps of the same triple see independent
+// measurement noise (as separate real runs would); GEMM keeps the draw of
+// the paper's sweep.
+func (s *Simulator) noise(op ops.Op, m, k, n, threads, rep int) float64 {
+	sigma := s.cfg.NoiseSigma
+	if sigma <= 0 {
+		return 1
+	}
+	var h uint64
+	if op == ops.GEMM {
+		h = hash6(s.cfg.Seed, int64(m), int64(k), int64(n), int64(threads), int64(rep))
+	} else {
+		h = hash6(s.cfg.Seed, int64(op)+0x5ca1ab1e, int64(m), int64(k), int64(n), int64(threads), int64(rep))
+	}
+	return math.Exp(sigma*gaussian(h) - 0.5*sigma*sigma)
 }
 
 // GFLOPS returns the noiseless throughput of the configuration in GFLOPS.

@@ -2,10 +2,13 @@ package simtime
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/machine"
+	"repro/internal/ops"
 )
 
 func gadiSim() *Simulator {
@@ -190,7 +193,7 @@ func TestNoiseStatistics(t *testing.T) {
 	var sum float64
 	const reps = 400
 	for r := 0; r < reps; r++ {
-		v := s.TimeRep(512, 512, 512, 16, r)
+		v := base * s.noise(ops.GEMM, 512, 512, 512, 16, r)
 		if v <= 0 {
 			t.Fatalf("rep %d: non-positive time", r)
 		}
@@ -201,11 +204,11 @@ func TestNoiseStatistics(t *testing.T) {
 		t.Errorf("noisy mean %v deviates from base %v", mean, base)
 	}
 	// Determinism: same rep gives same draw.
-	if s.TimeRep(512, 512, 512, 16, 3) != s.TimeRep(512, 512, 512, 16, 3) {
+	if s.noise(ops.GEMM, 512, 512, 512, 16, 3) != s.noise(ops.GEMM, 512, 512, 512, 16, 3) {
 		t.Error("noise not deterministic")
 	}
 	// Different reps give different draws.
-	if s.TimeRep(512, 512, 512, 16, 1) == s.TimeRep(512, 512, 512, 16, 2) {
+	if s.noise(ops.GEMM, 512, 512, 512, 16, 1) == s.noise(ops.GEMM, 512, 512, 512, 16, 2) {
 		t.Error("noise constant across reps")
 	}
 }
@@ -214,17 +217,26 @@ func TestMeasureMeanMatchesManualAverage(t *testing.T) {
 	cfg := DefaultConfig(machine.Setonix())
 	cfg.NoiseSigma = 0.04
 	s := New(cfg)
+	base := s.Breakdown(300, 300, 300, 8).Total()
 	var manual float64
 	for r := 0; r < 10; r++ {
-		manual += s.TimeRep(300, 300, 300, 8, r)
+		manual += base * s.noise(ops.GEMM, 300, 300, 300, 8, r)
 	}
 	manual /= 10
-	if got := s.MeasureMean(300, 300, 300, 8, 10); got != manual {
-		t.Errorf("MeasureMean = %v, manual = %v", got, manual)
+	if got := s.Measure(ops.GEMM, 300, 300, 300, 8, 10); got != manual {
+		t.Errorf("Measure = %v, manual = %v", got, manual)
 	}
-	if got := s.MeasureMean(300, 300, 300, 8, 0); got <= 0 {
-		t.Error("iters<1 should clamp to 1")
-	}
+	mustPanic(t, func() { s.Measure(ops.GEMM, 300, 300, 300, 8, 0) })
+}
+
+func mustPanic(t *testing.T, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic; iters < 1 has no default below the facade")
+		}
+	}()
+	f()
 }
 
 func TestGFLOPSBelowPeak(t *testing.T) {
@@ -269,40 +281,89 @@ func TestTimePositiveProperty(t *testing.T) {
 }
 
 func TestRealTimerRuns(t *testing.T) {
-	rt := NewRealTimer(2)
-	t1 := rt.Time(64, 64, 64, 1)
+	rt := NewRealTimer()
+	t1 := rt.Measure(ops.GEMM, 64, 64, 64, 1, 2)
 	if t1 <= 0 {
 		t.Fatalf("real time = %v", t1)
 	}
 	// Bigger problem must take longer (same thread count).
-	t2 := rt.Time(256, 256, 256, 1)
+	t2 := rt.Measure(ops.GEMM, 256, 256, 256, 1, 2)
 	if t2 <= t1 {
 		t.Errorf("256³ (%v) not slower than 64³ (%v)", t2, t1)
 	}
-	// Operand cache: repeated shape reuses buffers (no crash, sane value).
-	if again := rt.Time(64, 64, 64, 2); again <= 0 {
-		t.Error("cached-shape timing failed")
-	}
-	if NewRealTimer(0).Iters != 1 {
-		t.Error("iters clamp failed")
+	// A shape whose operands were dropped is rebuilt (no crash, sane value).
+	if again := rt.Measure(ops.GEMM, 64, 64, 64, 2, 2); again <= 0 {
+		t.Error("revisited-shape timing failed")
 	}
 }
 
-// TestRealTimerRepetitionCount pins the repetition accounting: Time runs
-// exactly Iters GEMMs and MeasureMean exactly its iters argument —
-// MeasureMean must not additionally multiply by the constructor's Iters
-// (the iters² bug the core gather regression test guards end to end).
+// TestRealTimerRepetitionCount pins the repetition accounting: Measure runs
+// exactly its iters argument of kernel calls, and there is no second count
+// anywhere to compound with it (the iters² bug the core gather regression
+// test guards end to end).
 func TestRealTimerRepetitionCount(t *testing.T) {
-	rt := NewRealTimer(3)
-	if rt.Time(16, 16, 16, 1); rt.GemmCalls() != 3 {
-		t.Errorf("Time ran %d GEMMs, want Iters=3", rt.GemmCalls())
+	rt := NewRealTimer()
+	for _, iters := range []int{3, 5, 1} {
+		before := rt.GemmCalls()
+		if rt.Measure(ops.GEMM, 16, 16, 16, 1, iters); rt.GemmCalls()-before != int64(iters) {
+			t.Errorf("Measure(iters=%d) ran %d GEMMs", iters, rt.GemmCalls()-before)
+		}
 	}
-	before := rt.GemmCalls()
-	if rt.MeasureMean(16, 16, 16, 1, 5); rt.GemmCalls()-before != 5 {
-		t.Errorf("MeasureMean(iters=5) ran %d GEMMs, want 5", rt.GemmCalls()-before)
+	mustPanic(t, func() { rt.Measure(ops.GEMM, 16, 16, 16, 1, 0) })
+}
+
+// TestRealTimerKeepsOneOperandSet is the retention regression: a sweep
+// visits each shape once, so after 20 distinct shapes the timer must
+// reference the last operand set only — not all 20, which on a worker that
+// lives for a whole real-timing sweep grows until the OOM killer ends it.
+func TestRealTimerKeepsOneOperandSet(t *testing.T) {
+	const dim, shapes = 300, 20
+	oneSet := uint64(3 * (dim + shapes) * (dim + shapes) * 4) // A, B, C in f32
+	heapInuse := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the kernels' pooled contexts survive one cycle in sync.Pool's victim cache
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
 	}
-	before = rt.GemmCalls()
-	if rt.MeasureMean(16, 16, 16, 1, 0); rt.GemmCalls()-before != 1 {
-		t.Errorf("MeasureMean(iters=0) ran %d GEMMs, want clamp to 1", rt.GemmCalls()-before)
+
+	rt := NewRealTimer()
+	rt.Measure(ops.GEMM, dim, dim, dim, 1, 1) // the kernel's packing buffers are part of the baseline
+	before := heapInuse()
+	for i := 1; i <= shapes; i++ {
+		rt.Measure(ops.GEMM, dim+i, dim+i, dim+i, 1, 1)
+	}
+	after := heapInuse()
+
+	if c := rt.cur; c.m != dim+shapes || c.k != dim+shapes || c.n != dim+shapes || c.run == nil {
+		t.Errorf("slot holds %v %dx%dx%d, want the last shape measured", c.op, c.m, c.k, c.n)
+	}
+	if after > before && after-before > 3*oneSet {
+		t.Errorf("HeapInuse grew %d B over %d shapes, want under 3 operand sets (%d B)", after-before, shapes, 3*oneSet)
+	}
+	runtime.KeepAlive(rt)
+}
+
+// TestRealTimerConcurrentShapes: a worker shares one RealTimer across its
+// -concurrency units. Callers on different shapes evict each other's slot,
+// and each must still finish its own call on the operands it was handed.
+func TestRealTimerConcurrentShapes(t *testing.T) {
+	rt := NewRealTimer()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				op := ops.All()[(g+i)%ops.NumOps()]
+				if secs := rt.Measure(op, 24+g, 16, 24+g, 1+g%2, 2); secs <= 0 {
+					t.Errorf("goroutine %d: %v measured %v seconds", g, op, secs)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := rt.GemmCalls(), int64(4*20*2); got != want {
+		t.Errorf("timed calls = %d, want %d", got, want)
 	}
 }

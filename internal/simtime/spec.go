@@ -8,10 +8,11 @@ import (
 
 // Timing-backend specification. The distributed gather must tell remote
 // workers how to construct the exact timer the coordinator would use locally
-// — a Timer value cannot travel over the wire, but a Spec can, and Build on
-// the worker reproduces the coordinator's backend bit for bit (the Simulator
-// is a pure function of its Config, so a sim sweep sharded across any number
-// of workers merges byte-identical to the single-node gather).
+// — a Timer value cannot travel over the wire, but a Spec can. The training
+// path and the workers both construct their timer with Build, so they time
+// identically by construction (the Simulator is a pure function of its
+// Config, so a sim sweep sharded across any number of workers merges
+// byte-identical to the single-node gather).
 
 // Backend names accepted by Spec.
 const (
@@ -32,27 +33,22 @@ type Spec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// HT enables hyper-threading on the simulated node; sim backend only.
 	HT bool `json:"ht,omitempty"`
-	// Iters is the RealTimer's averaged repetition count; real backend only.
-	Iters int `json:"iters,omitempty"`
 }
 
 // SimSpec returns the Spec describing the Simulator that DefaultConfig
-// builds for the named platform with the given seed and HT setting — the
-// counterpart of the adsala training-config construction.
+// builds for the named platform with the given seed and HT setting.
 func SimSpec(platform string, seed int64, ht bool) Spec {
 	return Spec{Backend: BackendSim, Platform: platform, Seed: seed, HT: ht}
 }
 
-// RealSpec returns the Spec describing a local RealTimer averaging iters
-// repetitions.
-func RealSpec(iters int) Spec {
-	return Spec{Backend: BackendReal, Iters: iters}
+// RealSpec returns the Spec describing a local RealTimer.
+func RealSpec() Spec {
+	return Spec{Backend: BackendReal}
 }
 
-// Build constructs the described timer. The sim backend reproduces the
-// DefaultConfig the training path uses (same noise level, blocking
-// parameters and affinity policy), overriding only seed and HT, so any two
-// parties building the same Spec time identically.
+// Build constructs the described timer. The sim backend is DefaultConfig
+// (noise level, blocking parameters, affinity policy) with only seed and HT
+// overridden, so any two parties building the same Spec time identically.
 func (s Spec) Build() (Timer, error) {
 	switch s.Backend {
 	case BackendSim:
@@ -65,11 +61,7 @@ func (s Spec) Build() (Timer, error) {
 		cfg.Seed = s.Seed
 		return New(cfg), nil
 	case BackendReal:
-		iters := s.Iters
-		if iters < 1 {
-			iters = 3
-		}
-		return NewRealTimer(iters), nil
+		return NewRealTimer(), nil
 	default:
 		return nil, fmt.Errorf("simtime: spec: unknown backend %q (want %q or %q)",
 			s.Backend, BackendSim, BackendReal)

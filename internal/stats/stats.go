@@ -128,12 +128,6 @@ func NewHistogram(xs []float64, n int, lo, hi float64) *Histogram {
 	return h
 }
 
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
 // Render draws the histogram as an ASCII bar chart, one bin per line, with
 // bars scaled so the tallest bin spans width characters.
 func (h *Histogram) Render(width int) string {

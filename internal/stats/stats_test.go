@@ -75,11 +75,8 @@ func TestHistogramBinning(t *testing.T) {
 	}
 }
 
-func TestHistogramBinCenterAndRender(t *testing.T) {
+func TestHistogramRender(t *testing.T) {
 	h := NewHistogram([]float64{1, 1, 3}, 2, 0, 4)
-	if h.BinCenter(0) != 1 || h.BinCenter(1) != 3 {
-		t.Errorf("bin centers = %v, %v", h.BinCenter(0), h.BinCenter(1))
-	}
 	out := h.Render(10)
 	if !strings.Contains(out, "##########") {
 		t.Errorf("tallest bin should render full width:\n%s", out)
