@@ -83,21 +83,8 @@ func (b *BLAS) choose(op Op, m, k, n int) int {
 	return clampThreads(threads, b.localClamp())
 }
 
-// opDims32 returns the (m, n, k) dimensions of op(A)·op(B).
-func opDims32(a *MatrixF32, transA bool, bm *MatrixF32, transB bool) (m, n, k int) {
-	m, k = a.Rows, a.Cols
-	if transA {
-		m, k = a.Cols, a.Rows
-	}
-	n = bm.Cols
-	if transB {
-		n = bm.Rows
-	}
-	return m, n, k
-}
-
-// opDims64 is opDims32 for double precision.
-func opDims64(a *MatrixF64, transA bool, bm *MatrixF64, transB bool) (m, n, k int) {
+// opDims returns the (m, n, k) dimensions of op(A)·op(B).
+func opDims[T float32 | float64](a *mat.Dense[T], transA bool, bm *mat.Dense[T], transB bool) (m, n, k int) {
 	m, k = a.Rows, a.Cols
 	if transA {
 		m, k = a.Cols, a.Rows
@@ -128,7 +115,7 @@ func syrkDims(rows, cols int, trans bool) (n, k int) {
 // adsala-replay. The timing is two monotonic clock reads; no closures, no
 // allocation.
 func (b *BLAS) SGEMM(transA, transB bool, alpha float32, a, bm *MatrixF32, beta float32, c *MatrixF32) error {
-	m, n, k := opDims32(a, transA, bm, transB)
+	m, n, k := opDims(a, transA, bm, transB)
 	threads := b.choose(OpGEMM, m, k, n)
 	start := time.Now()
 	err := blas.SGEMM(transA, transB, alpha, a, bm, beta, c, threads)
@@ -140,7 +127,7 @@ func (b *BLAS) SGEMM(transA, transB bool, alpha float32, a, bm *MatrixF32, beta 
 
 // DGEMM is the double-precision counterpart of SGEMM.
 func (b *BLAS) DGEMM(transA, transB bool, alpha float64, a, bm *MatrixF64, beta float64, c *MatrixF64) error {
-	m, n, k := opDims64(a, transA, bm, transB)
+	m, n, k := opDims(a, transA, bm, transB)
 	threads := b.choose(OpGEMM, m, k, n)
 	start := time.Now()
 	err := blas.DGEMM(transA, transB, alpha, a, bm, beta, c, threads)

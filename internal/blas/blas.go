@@ -1,11 +1,22 @@
-// Package blas implements the level-3 GEMM routine (C ← αAB + βC) in Go,
-// following the BLIS five-loop blocked-and-packed design: the operand
-// matrices are partitioned into cache-sized panels (NC/KC/MC), panels are
-// packed into contiguous buffers, and an MR×NR register micro-kernel performs
-// the innermost rank-KC update — an AVX2/FMA assembly tile on amd64 CPUs
-// that have it, a pure-Go 4×4 tile everywhere else (kernel.go). A persistent
+// Package blas implements the level-3 routines GEMM (C ← αAB + βC), SYRK
+// (C ← αAAᵀ + βC) and SYR2K (C ← α(ABᵀ + BAᵀ) + βC) in Go, following the
+// BLIS five-loop blocked-and-packed design: the operand matrices are
+// partitioned into cache-sized panels (NC/KC/MC), panels are packed into
+// contiguous buffers, and an MR×NR register micro-kernel performs the
+// innermost rank-KC update — an AVX2/FMA assembly tile on amd64 CPUs that
+// have it, a pure-Go 4×4 tile everywhere else (kernel.go). A persistent
 // worker team parallelises the packing and MC loops, mirroring how MKL/BLIS
 // thread the same loops with an OpenMP thread pool.
+//
+// There is one of each layer, shared by the three operations: one matrix
+// header (mat.Dense, held by value), one driver (drive), one per-part worker,
+// one macro-kernel and one tile store. GEMM is the unmasked case. The
+// symmetric updates are the same loops run as a lower pass — B is op(b)ᵀ read
+// straight out of b, the column limits of an MC block and of an MR band stop
+// at the diagonal instead of at the panel edge (reach), the store of a
+// diagonal-straddling tile is masked to j ≤ i, and rows are dealt by triangle
+// area — followed by a mirror into the upper triangle; SYRK is one such pass
+// with b = a, SYR2K two.
 //
 // The package plays the role of the paper's vendor BLAS: ADSALA treats it as
 // a black box whose only tunable is the thread count. Its cost structure —
@@ -102,80 +113,80 @@ func DGEMM(transA, transB bool, alpha float64, a *mat.F64, b *mat.F64, beta floa
 	return ctx.DGEMM(transA, transB, alpha, a, b, beta, c, threads)
 }
 
-// view is a type-parameterised matrix header over a flat backing slice.
-type view[T float32 | float64] struct {
-	rows, cols, stride int
-	data               []T
-}
+// opKind names the operation a call runs. The driver (drive, in context.go) is
+// the one place that knows what differs between them.
+type opKind uint8
 
-func (v view[T]) at(i, j int) T { return v.data[i*v.stride+j] }
+const (
+	opGemm opKind = iota
+	opSyrk
+	opSyr2k
+)
+
+func (o opKind) String() string { return [...]string{"GEMM", "SYRK", "SYR2K"}[o] }
 
 // checkOperands validates the three operand headers of one call (SYRK
-// passes its A twice). The drivers call it before any work is handed to the
+// passes its A twice). The driver calls it before any work is handed to the
 // team, so that input alone can never make a part panic; a part that panics
 // anyway (an indexing bug) fails the call with an error (runCall).
-func checkOperands[T float32 | float64](op string, a, b, c view[T]) error {
-	if err := a.check(op, "A"); err != nil {
+func checkOperands[T float32 | float64](op opKind, a, b, c mat.Dense[T]) error {
+	if err := checkHeader(a, op, "A"); err != nil {
 		return err
 	}
-	if err := b.check(op, "B"); err != nil {
+	if err := checkHeader(b, op, "B"); err != nil {
 		return err
 	}
-	return c.check(op, "C")
+	return checkHeader(c, op, "C")
 }
 
-// check reports a header the kernels would index out of range with: a
+// checkHeader reports a header the kernels would index out of range with: a
 // stride shorter than a row, or data that ends before the last element. A
-// strided sub-matrix view whose data ends with its last row is valid. The
-// test is a handful of compares on the call path; describing the defect is
-// kept out of line.
-func (v view[T]) check(op, name string) error {
-	if v.rows == 0 || v.cols == 0 ||
-		v.rows > 0 && v.cols > 0 && v.stride >= v.cols && len(v.data) >= (v.rows-1)*v.stride+v.cols {
+// strided sub-matrix whose data ends with its last row is valid. The test is
+// a handful of compares on the call path; describing the defect is kept out
+// of line.
+func checkHeader[T float32 | float64](v mat.Dense[T], op opKind, name string) error {
+	if v.Rows == 0 || v.Cols == 0 ||
+		v.Rows > 0 && v.Cols > 0 && v.Stride >= v.Cols && len(v.Data) >= (v.Rows-1)*v.Stride+v.Cols {
 		return nil
 	}
-	return v.headerError(op, name)
+	return headerError(v, op, name)
 }
 
-func (v view[T]) headerError(op, name string) error {
+func headerError[T float32 | float64](v mat.Dense[T], op opKind, name string) error {
 	switch {
-	case v.rows < 0 || v.cols < 0:
-		return fmt.Errorf("blas: %s operand %s: negative dimensions %dx%d", op, name, v.rows, v.cols)
-	case v.stride < v.cols:
-		return fmt.Errorf("blas: %s operand %s: Stride %d < Cols %d", op, name, v.stride, v.cols)
+	case v.Rows < 0 || v.Cols < 0:
+		return fmt.Errorf("blas: %v operand %s: negative dimensions %dx%d", op, name, v.Rows, v.Cols)
+	case v.Stride < v.Cols:
+		return fmt.Errorf("blas: %v operand %s: Stride %d < Cols %d", op, name, v.Stride, v.Cols)
 	}
-	return fmt.Errorf("blas: %s operand %s: len(Data) %d < %d needed for %dx%d with Stride %d",
-		op, name, len(v.data), (v.rows-1)*v.stride+v.cols, v.rows, v.cols, v.stride)
+	return fmt.Errorf("blas: %v operand %s: len(Data) %d < %d needed for %dx%d with Stride %d",
+		op, name, len(v.Data), (v.Rows-1)*v.Stride+v.Cols, v.Rows, v.Cols, v.Stride)
 }
 
 // opDims returns the dimensions of op(X).
-func opDims[T float32 | float64](v view[T], trans bool) (rows, cols int) {
+func opDims[T float32 | float64](v mat.Dense[T], trans bool) (rows, cols int) {
 	if trans {
-		return v.cols, v.rows
+		return v.Cols, v.Rows
 	}
-	return v.rows, v.cols
+	return v.Rows, v.Cols
 }
 
 // opAt reads element (i, j) of op(X).
-func opAt[T float32 | float64](v view[T], trans bool, i, j int) T {
+func opAt[T float32 | float64](v mat.Dense[T], trans bool, i, j int) T {
 	if trans {
-		return v.at(j, i)
+		i, j = j, i
 	}
-	return v.at(i, j)
+	return v.At(i, j)
 }
 
-func errInnerDims(m, ka, kb, n int) error {
-	return fmt.Errorf("blas: inner dimensions differ: op(A) is %dx%d, op(B) is %dx%d", m, ka, kb, n)
-}
-
-func errCDims(rows, cols, m, n int) error {
-	return fmt.Errorf("blas: C is %dx%d, want %dx%d", rows, cols, m, n)
-}
-
-// scaleC applies C ← beta·C.
-func scaleC[T float32 | float64](c view[T], beta T) {
-	for i := 0; i < c.rows; i++ {
-		row := c.data[i*c.stride : i*c.stride+c.cols]
+// scaleC applies C ← beta·C, to the lower triangle only under lower.
+func scaleC[T float32 | float64](c mat.Dense[T], beta T, lower bool) {
+	for i := 0; i < c.Rows; i++ {
+		cols := c.Cols
+		if lower {
+			cols = i + 1
+		}
+		row := c.Data[i*c.Stride : i*c.Stride+cols]
 		if beta == 0 {
 			for j := range row {
 				row[j] = 0
@@ -188,11 +199,4 @@ func scaleC[T float32 | float64](c view[T], beta T) {
 			}
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -8,9 +8,9 @@ import (
 	"repro/internal/mat"
 )
 
-// A Context owns the resources of the GEMM hot path: the packed-A and
+// A Context owns the resources of the kernels' hot path: the packed-A and
 // packed-B panel buffers and a persistent worker team. Reusing a Context
-// across calls makes steady-state GEMM allocation-free and replaces the
+// across calls makes steady-state calls allocation-free and replaces the
 // per-call goroutine fork/join with a dispatch to workers that are still
 // polling for the next round (one atomic store) or, after an idle spell,
 // parked on a channel (one send each) — directly attacking two of the four
@@ -18,9 +18,9 @@ import (
 // join, here dispatch and join, and scheduling barriers; the specialised
 // packing loops attack the third, data copy). See team.go for the rules.
 //
-// A Context serialises one GEMM at a time and is NOT safe for concurrent
+// A Context serialises one call at a time and is NOT safe for concurrent
 // use. Concurrent callers either use one Context each or call the package
-// functions (SGEMM/DGEMM), which draw Contexts from an internal sync.Pool.
+// functions (SGEMM, DSYRK, …), which draw Contexts from an internal sync.Pool.
 //
 // Close releases the worker team. It is optional: a Context dropped without
 // Close has a GC cleanup that stops its workers once the Context is
@@ -63,22 +63,16 @@ func paramsFor[T float32 | float64](c *Context) Params {
 // SGEMM computes C ← alpha·op(A)·op(B) + beta·C in single precision on this
 // context with the given number of threads (values < 1 mean 1).
 func (c *Context) SGEMM(transA, transB bool, alpha float32, a, b *mat.F32, beta float32, cm *mat.F32, threads int) error {
-	av := view[float32]{a.Rows, a.Cols, a.Stride, a.Data}
-	bv := view[float32]{b.Rows, b.Cols, b.Stride, b.Data}
-	cv := view[float32]{cm.Rows, cm.Cols, cm.Stride, cm.Data}
-	return gemmCtx(c, transA, transB, alpha, av, bv, beta, cv, threads, paramsFor[float32](c))
+	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, paramsFor[float32](c))
 }
 
 // DGEMM is the double-precision counterpart of SGEMM.
 func (c *Context) DGEMM(transA, transB bool, alpha float64, a, b *mat.F64, beta float64, cm *mat.F64, threads int) error {
-	av := view[float64]{a.Rows, a.Cols, a.Stride, a.Data}
-	bv := view[float64]{b.Rows, b.Cols, b.Stride, b.Data}
-	cv := view[float64]{cm.Rows, cm.Cols, cm.Stride, cm.Data}
-	return gemmCtx(c, transA, transB, alpha, av, bv, beta, cv, threads, paramsFor[float64](c))
+	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, paramsFor[float64](c))
 }
 
-// ctxPool backs the package-level SGEMM/DGEMM entry points: steady-state
-// calls reuse a warmed Context and allocate nothing.
+// ctxPool backs the package-level entry points: steady-state calls reuse a
+// warmed Context and allocate nothing.
 var ctxPool = sync.Pool{New: func() any { return NewContext() }}
 
 // ctxBufs is the per-precision half of a Context: grow-only packing buffers
@@ -91,18 +85,18 @@ type ctxBufs[T float32 | float64] struct {
 	body    func(w int)
 }
 
-// callArgs carries one GEMM, SYRK or SYR2K call's parameters to the team
-// workers. Symmetric-update calls set syrk: the worker computes only the
+// callArgs carries one pass of a GEMM, SYRK or SYR2K call to the team
+// workers. Symmetric-update passes set lower: the worker computes only the
 // lower triangle of C, packing op(b)ᵀ as the B panel straight out of b (for
 // SYRK b = a, so op(A)ᵀ needs no second operand), and mirrors the lower
 // triangle into the upper when mirror is set (SYR2K's first pass leaves it
 // false so the mirror runs once, after the second product).
 type callArgs[T float32 | float64] struct {
 	transA, transB bool
-	syrk           bool
+	lower          bool
 	mirror         bool
 	alpha, beta    T
-	a, b, c        view[T]
+	a, b, c        mat.Dense[T]
 	m, n, k        int
 	parts          int
 	prm            Params
@@ -135,27 +129,18 @@ func (b *ctxBufs[T]) ensure(parts, aLen, bLen int) {
 }
 
 // ensureBody returns the pre-built worker closure, creating it on first
-// parallel use. One closure serves both operations: it dispatches on the
-// published args, so dispatching a call writes a struct instead of
-// allocating a fresh closure. A panic in a part is recovered here, on the
-// goroutine it happened on, and becomes the round's fault (see barrier).
+// parallel use. The closure reads the published args, so dispatching a call
+// writes a struct instead of allocating a fresh closure. A panic in a part is
+// recovered here, on the goroutine it happened on, and becomes the round's
+// fault (see barrier).
 func (b *ctxBufs[T]) ensureBody(ctx *Context) func(w int) {
 	if b.body == nil {
 		b.body = func(w int) {
 			defer ctx.bar.recoverPart(w)
-			b.work(ctx, w)
+			worker(ctx, b, w)
 		}
 	}
 	return b.body
-}
-
-// work runs part w of the published call.
-func (b *ctxBufs[T]) work(ctx *Context, w int) {
-	if b.args.syrk {
-		syrkWorker(ctx, b, w)
-	} else {
-		gemmWorker(ctx, b, w)
-	}
 }
 
 // runCall runs the call published in bufs.args: one part on the calling
@@ -163,17 +148,17 @@ func (b *ctxBufs[T]) work(ctx *Context, w int) {
 // panicked on the team fails the call with an error instead of hanging its
 // peers; the context stays usable. (A one-part call has no peers to hang and
 // no team, so there a panic is the caller's own, as in any Go call.)
-func runCall[T float32 | float64](ctx *Context, bufs *ctxBufs[T], op string) error {
+func runCall[T float32 | float64](ctx *Context, bufs *ctxBufs[T], op opKind) error {
 	ar := &bufs.args
 	if ar.parts == 1 {
 		ctx.bar.n = 1 // every wait returns at once; nothing else is read
-		bufs.work(ctx, 0)
+		worker(ctx, bufs, 0)
 		return nil
 	}
 	ctx.bar.reset(ar.parts)
 	ctx.ensureTeam(ar.parts-1).run(ar.parts, bufs.ensureBody(ctx))
 	if ctx.bar.broken.Load() {
-		return fmt.Errorf("blas: %s m=%d n=%d k=%d: part %d of %d panicked: %v",
+		return fmt.Errorf("blas: %v m=%d n=%d k=%d: part %d of %d panicked: %v",
 			op, ar.m, ar.n, ar.k, ctx.bar.faultPart, ar.parts, ctx.bar.faultValue)
 	}
 	return nil
@@ -211,26 +196,50 @@ func (c *Context) ensureTeam(workers int) *team {
 	return c.tm
 }
 
-// gemmCtx is the five-loop driver: argument checking, degenerate cases, the
-// small-shape fast path, buffer/team setup, and the worker dispatch.
-func gemmCtx[T float32 | float64](ctx *Context, transA, transB bool, alpha T, a, b view[T], beta T, c view[T], threads int, prm Params) error {
+// drive is the five-loop driver of every operation: argument checking,
+// degenerate cases, the small-shape fast path, buffer/team setup, and the
+// worker dispatch. What differs between the operations is all here — the
+// dimension rule and its error text, the small-shape gate and loop, and the
+// passes: GEMM is one full pass; SYRK is one lower-triangle pass with b = a
+// that ends in the mirror; SYR2K is two lower-triangle passes over the same
+// packed buffers, lower(alpha·op(A)·op(B)ᵀ + beta·C) and then
+// += lower(alpha·op(B)·op(A)ᵀ), the second ending in the mirror. The
+// symmetric updates pass their one transpose flag as both transA and transB.
+func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], threads int, prm Params) error {
 	if err := checkParams[T](prm); err != nil {
 		return err
 	}
-	if err := checkOperands("GEMM", a, b, c); err != nil {
+	if op == opSyrk {
+		b = a // the second operand of the lower pass is the first
+	}
+	if err := checkOperands(op, a, b, c); err != nil {
 		return err
 	}
-	m, ka := opDims(a, transA)
-	kb, n := opDims(b, transB)
-	if ka != kb {
-		return errInnerDims(m, ka, kb, n)
-	}
-	if c.rows != m || c.cols != n {
-		return errCDims(c.rows, c.cols, m, n)
-	}
-	k := ka
-	if threads < 1 {
-		threads = 1
+	lower := op != opGemm
+	m, k := opDims(a, transA)
+	n, kSmall := m, k
+	if lower {
+		if bn, bk := opDims(b, transB); bn != n || bk != k {
+			return fmt.Errorf("blas: %v op(B) is %dx%d, want %dx%d to match op(A)", op, bn, bk, n, k)
+		}
+		if c.Rows != n || c.Cols != n {
+			return fmt.Errorf("blas: %v C is %dx%d, want %dx%d", op, c.Rows, c.Cols, n, n)
+		}
+		if op == opSyr2k {
+			// The packed rank-2k update pays the fixed cost of a pass
+			// (packing, barriers) twice while smallSyr2k fuses both products
+			// into one sweep, so its crossover sits at about twice SYRK's
+			// n·n·k (measured: 12³ against about 10³).
+			kSmall = (k + 1) / 2
+		}
+	} else {
+		var kb int
+		if kb, n = opDims(b, transB); kb != k {
+			return fmt.Errorf("blas: inner dimensions differ: op(A) is %dx%d, op(B) is %dx%d", m, k, kb, n)
+		}
+		if c.Rows != m || c.Cols != n {
+			return fmt.Errorf("blas: C is %dx%d, want %dx%d", c.Rows, c.Cols, m, n)
+		}
 	}
 
 	// Degenerate cases per the BLAS spec: no FLOPs, only the beta scaling.
@@ -238,7 +247,10 @@ func gemmCtx[T float32 | float64](ctx *Context, transA, transB bool, alpha T, a,
 		return nil
 	}
 	if alpha == 0 || k == 0 {
-		scaleC(c, beta)
+		scaleC(c, beta, lower)
+		if lower {
+			mirrorLower(c, 0, n)
+		}
 		return nil
 	}
 
@@ -246,16 +258,28 @@ func gemmCtx[T float32 | float64](ctx *Context, transA, transB bool, alpha T, a,
 	// copies and phase barriers cost more than they save. Only the default
 	// blocking takes this path — explicit Params mean the caller is
 	// studying the packed algorithm (ablations, micro-tile comparisons)
-	// and must get exactly the configuration they asked for.
-	if prm == DefaultParams[T]() && smallShape(m, n, k) {
-		smallGemm(transA, transB, alpha, a, b, beta, c, m, n, k)
+	// and must get exactly the configuration they asked for. The gate
+	// depends only on the dimensions, so results stay bit-identical across
+	// thread counts.
+	if prm == DefaultParams[T]() && smallShape(m, n, kSmall) {
+		switch op {
+		case opGemm:
+			smallGemm(transA, transB, alpha, a, b, beta, c, m, n, k)
+		case opSyrk:
+			smallSyrk(transA, alpha, a, beta, c, n, k)
+		default:
+			smallSyr2k(transA, alpha, a, b, beta, c, n, k)
+		}
+		if lower {
+			mirrorLower(c, 0, n)
+		}
 		return nil
 	}
 
 	// No point having workers with no MR-row band to own.
-	threads = min(threads, bands(m, prm.MR))
+	threads = min(max(threads, 1), bands(m, prm.MR))
 
-	// Buffers are sized to the actual problem (grow-only), so small GEMMs
+	// Buffers are sized to the actual problem (grow-only), so small calls
 	// do not pay for full cache-sized panels.
 	kcEff := min(prm.KC, k)
 	ncEff := min(prm.NC, (n+prm.NR-1)/prm.NR*prm.NR)
@@ -264,29 +288,53 @@ func gemmCtx[T float32 | float64](ctx *Context, transA, transB bool, alpha T, a,
 	bufs.ensure(threads, mcEff*kcEff, kcEff*ncEff)
 	bufs.args = callArgs[T]{
 		transA: transA, transB: transB,
+		lower: lower, mirror: op == opSyrk,
 		alpha: alpha, beta: beta,
 		a: a, b: b, c: c,
 		m: m, n: n, k: k,
 		parts: threads,
 		prm:   prm,
 	}
-	err := runCall(ctx, bufs, "GEMM")
-	// Drop the operand views: a held (or pooled) Context must not pin the
+	err := runCall(ctx, bufs, op)
+	if err == nil && op == opSyr2k {
+		// Pass 2: lower(C) += alpha·op(B)·op(A)ᵀ (beta = 1 accumulates), then
+		// mirror the completed lower triangle band-parallel.
+		ar := &bufs.args
+		ar.a, ar.b, ar.beta, ar.mirror = b, a, 1, true
+		err = runCall(ctx, bufs, op)
+	}
+	// Drop the operands: a held (or pooled) Context must not pin the
 	// caller's matrices after the call returns.
 	bufs.args = callArgs[T]{}
 	return err
 }
 
-// gemmWorker is the per-part body of the five-loop algorithm. All parts
-// execute the same jc/pc loop structure; within each blocking iteration the
-// B panel is packed cooperatively (phase 1), a barrier publishes it, each
-// part then walks its own MR-aligned row range of C in MC-sized blocks,
-// packing and multiplying each (phase 2), and a second barrier closes the
-// iteration before the shared B panel is reused. Ownership decides only who
-// computes a tile, never the order an element is summed in (ascending p
-// inside a KC chunk, chunks in order), so the result is bit-identical for
-// every parts value. A failed wait means a peer panicked: return.
-func gemmWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
+// reach is how many of the nc columns of the panel at jc a run of rows ending
+// at iEnd−1 updates: all of them, or under lower only those on or below the
+// diagonal (j ≤ i). Not positive when the rows lie entirely above it.
+func reach(lower bool, nc, iEnd, jc int) int {
+	if lower {
+		return min(nc, iEnd-jc)
+	}
+	return nc
+}
+
+// worker is the per-part body of the five-loop algorithm. All parts execute
+// the same jc/pc loop structure; within each blocking iteration the B panel
+// is packed cooperatively (phase 1), a barrier publishes it, each part then
+// walks its own MR-aligned row range of C in MC-sized blocks, packing and
+// multiplying each (phase 2), and a second barrier closes the iteration
+// before the shared B panel is reused. Ownership decides only who computes a
+// tile, never the order an element is summed in (ascending p inside a KC
+// chunk, chunks in order), so the result is bit-identical for every parts
+// value. A failed wait means a peer panicked: return.
+//
+// A lower pass is the same loop with B = op(b)ᵀ and the work cut to the
+// triangle: flipping the transpose flag makes packBRange read op(b)ᵀ straight
+// out of b, rows are dealt per jc panel by lower-triangle tiles instead of by
+// bands (syrkRows), and blocks entirely above the diagonal are skipped before
+// paying the A-packing copy.
+func worker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 	ar := &bufs.args
 	prm := ar.prm
 	parts := ar.parts
@@ -295,28 +343,42 @@ func gemmWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 	for jc := 0; jc < n; jc += prm.NC {
 		nc := min(prm.NC, n-jc)
 		nPanels := (nc + prm.NR - 1) / prm.NR
+		if ar.lower {
+			rlo, rhi = syrkRows(n, jc, nc, prm, w, parts)
+		}
 		for pc := 0; pc < k; pc += prm.KC {
 			kc := min(prm.KC, k-pc)
 			first := pc == 0
 
 			lo := nPanels * w / parts
 			hi := nPanels * (w + 1) / parts
-			packBRange(ar.b, ar.transB, pc, jc, kc, nc, lo, hi, bufs.packedB, prm.NR)
+			packBRange(ar.b, ar.transB != ar.lower, pc, jc, kc, nc, lo, hi, bufs.packedB, prm.NR)
 			if !ctx.bar.wait() {
 				return
 			}
 
 			for ic := rlo; ic < rhi; ic += prm.MC {
 				mc := min(prm.MC, rhi-ic)
+				ncb := reach(ar.lower, nc, ic+mc, jc)
+				if ncb <= 0 {
+					continue
+				}
 				if partHook != nil {
 					partHook(w, pc)
 				}
 				packA(ar.a, ar.transA, ic, pc, mc, kc, bufs.packedA[w], prm.MR)
-				macroKernel(ar.alpha, bufs.packedA[w], bufs.packedB, ar.beta, ar.c, ic, jc, mc, nc, kc, first, prm)
+				macroKernel(ar.alpha, bufs.packedA[w], bufs.packedB, ar.beta, ar.c, ic, jc, mc, ncb, kc, first, ar.lower, prm)
 			}
 			if !ctx.bar.wait() {
 				return
 			}
 		}
+	}
+	// The final barrier above published the whole lower triangle; mirror it
+	// band-parallel (writes are disjoint rows of the upper triangle, reads
+	// are the now read-only lower triangle).
+	if ar.mirror {
+		lo, hi := mirrorRange(n, w, parts)
+		mirrorLower(ar.c, lo, hi)
 	}
 }

@@ -1,6 +1,10 @@
 package blas
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"repro/internal/mat"
+)
 
 // Register micro-kernels. There are two tiles. The vector tile is 6 rows by
 // two YMM registers (6×16 in float32, 6×8 in float64): twelve accumulator
@@ -10,7 +14,7 @@ import "unsafe"
 // register. It is hand-written assembly (kernel_amd64.s) and the default
 // wherever it can run. The Go 4×4 tile with the k loop unrolled 4× is the
 // portable fallback: every non-amd64 GOARCH, and amd64 without AVX2/FMA.
-// The macro-kernels dispatch on the (MR, NR) pair from Params; Validate
+// The macro-kernel dispatches on the (MR, NR) pair from Params; Validate
 // restricts callers to these two.
 const (
 	goMR, goNR = 4, 4
@@ -34,17 +38,22 @@ func vecNR[T float32 | float64]() int {
 
 // macroKernel multiplies the packed mc×kc A block with the packed kc×nc B
 // panel, updating C(ic:ic+mc, jc:jc+nc). first selects whether beta is
-// applied (only on the first KC iteration).
+// applied (only on the first KC iteration). Under lower only the elements on
+// or below the diagonal are updated: each MR band stops at the last tile that
+// reaches it, and diagonal-straddling tiles compute the full MR×NR tile (the
+// above-diagonal lanes are wasted FLOPs bounded by one tile per diagonal row)
+// and have their store cut to j ≤ i (storeTile's diag).
 //
 //adsala:zeroalloc
-func macroKernel[T float32 | float64](alpha T, packedA, packedB []T, beta T, c view[T], ic, jc, mc, nc, kc int, first bool, prm Params) {
+func macroKernel[T float32 | float64](alpha T, packedA, packedB []T, beta T, c mat.Dense[T], ic, jc, mc, nc, kc int, first, lower bool, prm Params) {
 	mr, nr := prm.MR, prm.NR
 	var acc [maxTile]T
 	for i0 := 0; i0 < mc; i0 += mr {
 		ib := min(mr, mc-i0)
+		jLim := reach(lower, nc, ic+i0+ib, jc)
 		aPanel := packedA[(i0/mr)*kc*mr:]
-		for j0 := 0; j0 < nc; j0 += nr {
-			jb := min(nr, nc-j0)
+		for j0 := 0; j0 < jLim; j0 += nr {
+			jb := min(nr, jLim-j0)
 			bPanel := packedB[(j0/nr)*kc*nr:]
 			switch {
 			case mr == goMR:
@@ -52,7 +61,12 @@ func macroKernel[T float32 | float64](alpha T, packedA, packedB []T, beta T, c v
 			default: // the vector tile of T, enforced by checkParams
 				microVec(aPanel, bPanel, kc, &acc)
 			}
-			storeTile(alpha, beta, first, &acc, c, ic+i0, jc+j0, ib, jb, nr)
+			ci, cj := ic+i0, jc+j0
+			diag := jb // cuts no row
+			if lower {
+				diag = ci - cj
+			}
+			storeTile(alpha, beta, first, &acc, c, ci, cj, ib, jb, nr, diag)
 		}
 	}
 }
@@ -200,11 +214,20 @@ func microVec[T float32 | float64](aPanel, bPanel []T, kc int, acc *[maxTile]T) 
 }
 
 // storeTile writes the accumulated tile into C with alpha/beta handling,
-// clipping to the ib×jb valid region. nr is the accumulator row stride.
-func storeTile[T float32 | float64](alpha, beta T, first bool, acc *[maxTile]T, c view[T], ci, cj, ib, jb, nr int) {
+// clipping to the ib×jb valid region. nr is the accumulator row stride. Row i
+// keeps its first diag+i+1 columns: with diag = ci−cj that is the j ≤ i mask
+// of the lower triangle (it cuts only diagonal-straddling tiles; a tile fully
+// below the diagonal has diag+1 ≥ jb), and any diag ≥ jb−1 cuts nothing. One
+// min per row instead of a branch on a mask flag: the flag cost a measurable
+// 4 % of a 64³ SGEMM.
+func storeTile[T float32 | float64](alpha, beta T, first bool, acc *[maxTile]T, c mat.Dense[T], ci, cj, ib, jb, nr, diag int) {
 	for i := 0; i < ib; i++ {
-		row := c.data[(ci+i)*c.stride+cj : (ci+i)*c.stride+cj+jb]
-		av := acc[i*nr : i*nr+jb]
+		jbRow := min(jb, diag+i+1)
+		if jbRow <= 0 {
+			continue
+		}
+		row := c.Data[(ci+i)*c.Stride+cj : (ci+i)*c.Stride+cj+jbRow]
+		av := acc[i*nr : i*nr+jbRow]
 		switch {
 		case !first:
 			if alpha == 1 {

@@ -9,6 +9,7 @@ package blas
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -53,8 +54,8 @@ func testTiles[T float32 | float64]() [][2]int {
 var matrixThreads = []int{1, 2, 3, 4}
 
 const (
-	forcePacked = 0       // every shape takes the packed kernel
-	forceSmall  = 1 << 40 // every shape takes the small path
+	forcePacked = 0           // every shape takes the packed kernel
+	forceSmall  = math.MaxInt // every shape takes the small path
 	sentinelF32 = float32(9.25e18)
 	sentinelF64 = float64(9.25e18)
 )
@@ -217,6 +218,24 @@ func TestSmallPathMatchesNaiveMatrix(t *testing.T) {
 					t.Errorf("m=%d k=%d n=%d ta=%v tb=%v: max diff %v", m, k, n, transA, transB, d)
 				}
 			}
+		}
+	}
+}
+
+// TestSmallShapeGate pins the gate itself at the default limit: the boundary
+// at 8³, and products that wrap an int — 2048³ and 65536²·1 are 0 in 32 bits
+// (GOARCH=386, where the first sent an 8.6-GFLOP call down the scalar loop),
+// 2²¹·2²¹·2²² is 0 in 64.
+func TestSmallShapeGate(t *testing.T) {
+	for _, tc := range []struct {
+		m, n, k int
+		want    bool
+	}{
+		{1, 1, 1, true}, {8, 8, 8, true}, {8, 8, 9, false}, {1, 512, 1, true}, {513, 1, 1, false},
+		{2048, 2048, 2048, false}, {65536, 65536, 1, false}, {1 << 21, 1 << 21, 1 << 22, false},
+	} {
+		if got := smallShape(tc.m, tc.n, tc.k); got != tc.want {
+			t.Errorf("smallShape(%d, %d, %d) = %v, want %v", tc.m, tc.n, tc.k, got, tc.want)
 		}
 	}
 }

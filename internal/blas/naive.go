@@ -5,18 +5,12 @@ import "repro/internal/mat"
 // NaiveSGEMM is the unblocked triple-loop reference used to validate the
 // packed kernel. It applies the same op()/alpha/beta semantics as SGEMM.
 func NaiveSGEMM(transA, transB bool, alpha float32, a *mat.F32, b *mat.F32, beta float32, c *mat.F32) {
-	av := view[float32]{a.Rows, a.Cols, a.Stride, a.Data}
-	bv := view[float32]{b.Rows, b.Cols, b.Stride, b.Data}
-	cv := view[float32]{c.Rows, c.Cols, c.Stride, c.Data}
-	naive(transA, transB, alpha, av, bv, beta, cv)
+	naive(transA, transB, alpha, *a, *b, beta, *c)
 }
 
 // NaiveDGEMM is the double-precision reference.
 func NaiveDGEMM(transA, transB bool, alpha float64, a *mat.F64, b *mat.F64, beta float64, c *mat.F64) {
-	av := view[float64]{a.Rows, a.Cols, a.Stride, a.Data}
-	bv := view[float64]{b.Rows, b.Cols, b.Stride, b.Data}
-	cv := view[float64]{c.Rows, c.Cols, c.Stride, c.Data}
-	naive(transA, transB, alpha, av, bv, beta, cv)
+	naive(transA, transB, alpha, *a, *b, beta, *c)
 }
 
 // NaiveSSYRK is the unblocked per-element SYRK reference (the pre-packed
@@ -24,40 +18,30 @@ func NaiveDGEMM(transA, transB bool, alpha float64, a *mat.F64, b *mat.F64, beta
 // lower triangle of alpha·op(A)·op(A)ᵀ + beta·C serially and mirrors it.
 // The packed SSYRK is validated — and its speedup measured — against it.
 func NaiveSSYRK(trans bool, alpha float32, a *mat.F32, beta float32, c *mat.F32) {
-	av := view[float32]{a.Rows, a.Cols, a.Stride, a.Data}
-	cv := view[float32]{c.Rows, c.Cols, c.Stride, c.Data}
-	naiveSyrk(trans, alpha, av, beta, cv)
+	naiveSyrk(trans, alpha, *a, beta, *c)
 }
 
 // NaiveDSYRK is the double-precision SYRK reference.
 func NaiveDSYRK(trans bool, alpha float64, a *mat.F64, beta float64, c *mat.F64) {
-	av := view[float64]{a.Rows, a.Cols, a.Stride, a.Data}
-	cv := view[float64]{c.Rows, c.Cols, c.Stride, c.Data}
-	naiveSyrk(trans, alpha, av, beta, cv)
+	naiveSyrk(trans, alpha, *a, beta, *c)
 }
 
 // NaiveSSYR2K is the unblocked per-element SYR2K reference: it computes the
 // lower triangle of alpha·(op(A)·op(B)ᵀ + op(B)·op(A)ᵀ) + beta·C serially
 // and mirrors it. The packed SSYR2K is validated against it.
 func NaiveSSYR2K(trans bool, alpha float32, a, b *mat.F32, beta float32, c *mat.F32) {
-	av := view[float32]{a.Rows, a.Cols, a.Stride, a.Data}
-	bv := view[float32]{b.Rows, b.Cols, b.Stride, b.Data}
-	cv := view[float32]{c.Rows, c.Cols, c.Stride, c.Data}
-	naiveSyr2k(trans, alpha, av, bv, beta, cv)
+	naiveSyr2k(trans, alpha, *a, *b, beta, *c)
 }
 
 // NaiveDSYR2K is the double-precision SYR2K reference.
 func NaiveDSYR2K(trans bool, alpha float64, a, b *mat.F64, beta float64, c *mat.F64) {
-	av := view[float64]{a.Rows, a.Cols, a.Stride, a.Data}
-	bv := view[float64]{b.Rows, b.Cols, b.Stride, b.Data}
-	cv := view[float64]{c.Rows, c.Cols, c.Stride, c.Data}
-	naiveSyr2k(trans, alpha, av, bv, beta, cv)
+	naiveSyr2k(trans, alpha, *a, *b, beta, *c)
 }
 
-func naiveSyr2k[T float32 | float64](trans bool, alpha T, a, b view[T], beta T, c view[T]) {
+func naiveSyr2k[T float32 | float64](trans bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T]) {
 	n, k := opDims(a, trans)
 	for i := 0; i < n; i++ {
-		row := c.data[i*c.stride:]
+		row := c.Data[i*c.Stride:]
 		for j := 0; j <= i; j++ {
 			var sum T
 			for p := 0; p < k; p++ {
@@ -70,10 +54,10 @@ func naiveSyr2k[T float32 | float64](trans bool, alpha T, a, b view[T], beta T, 
 	mirrorLower(c, 0, n)
 }
 
-func naiveSyrk[T float32 | float64](trans bool, alpha T, a view[T], beta T, c view[T]) {
+func naiveSyrk[T float32 | float64](trans bool, alpha T, a mat.Dense[T], beta T, c mat.Dense[T]) {
 	n, k := opDims(a, trans)
 	for i := 0; i < n; i++ {
-		row := c.data[i*c.stride:]
+		row := c.Data[i*c.Stride:]
 		for j := 0; j <= i; j++ {
 			var sum T
 			for p := 0; p < k; p++ {
@@ -85,7 +69,7 @@ func naiveSyrk[T float32 | float64](trans bool, alpha T, a view[T], beta T, c vi
 	mirrorLower(c, 0, n)
 }
 
-func naive[T float32 | float64](transA, transB bool, alpha T, a, b view[T], beta T, c view[T]) {
+func naive[T float32 | float64](transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T]) {
 	m, k := opDims(a, transA)
 	_, n := opDims(b, transB)
 	for i := 0; i < m; i++ {
@@ -94,7 +78,7 @@ func naive[T float32 | float64](transA, transB bool, alpha T, a, b view[T], beta
 			for p := 0; p < k; p++ {
 				sum += opAt(a, transA, i, p) * opAt(b, transB, p, j)
 			}
-			c.data[i*c.stride+j] = alpha*sum + beta*c.data[i*c.stride+j]
+			c.Data[i*c.Stride+j] = alpha*sum + beta*c.Data[i*c.Stride+j]
 		}
 	}
 }

@@ -4,7 +4,7 @@ package blas
 // transposes, scalars and blocking through every op × precision × tile ×
 // thread count, checked against the naive references, for exact symmetry,
 // for untouched padding, and for bit-identity across thread counts. It runs
-// on the generic drivers directly, so one body serves both precisions. The
+// on the generic driver directly, so one body serves both precisions. The
 // operand-header table test sits here too: it is the same stack's answer to
 // inputs no generator should produce.
 
@@ -14,37 +14,29 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/mat"
 )
-
-type opKind int
-
-const (
-	opGemm opKind = iota
-	opSyrk
-	opSyr2k
-)
-
-func (o opKind) String() string { return [...]string{"GEMM", "SYRK", "SYR2K"}[o] }
 
 // randView builds an r×c operand with a random Stride ≥ Cols, standard
 // normal content and sentinel padding; the data ends at the last used
 // element, the shortest valid header.
-func randView[T float32 | float64](r, c int, rng *rand.Rand) view[T] {
+func randView[T float32 | float64](r, c int, rng *rand.Rand) mat.Dense[T] {
 	stride := c + rng.Intn(3)*rng.Intn(9)
-	v := view[T]{rows: r, cols: c, stride: stride, data: make([]T, (r-1)*stride+c)}
-	for i := range v.data {
-		v.data[i] = T(sentinelF64)
+	v := mat.Dense[T]{Rows: r, Cols: c, Stride: stride, Data: make([]T, (r-1)*stride+c)}
+	for i := range v.Data {
+		v.Data[i] = T(sentinelF64)
 	}
 	for i := 0; i < r; i++ {
 		for j := 0; j < c; j++ {
-			v.data[i*stride+j] = T(rng.NormFloat64())
+			v.Data[i*stride+j] = T(rng.NormFloat64())
 		}
 	}
 	return v
 }
 
-func cloneView[T float32 | float64](v view[T]) view[T] {
-	v.data = append([]T(nil), v.data...)
+func cloneView[T float32 | float64](v mat.Dense[T]) mat.Dense[T] {
+	v.Data = append([]T(nil), v.Data...)
 	return v
 }
 
@@ -75,14 +67,14 @@ type propCase[T float32 | float64] struct {
 	op             opKind
 	transA, transB bool
 	alpha, beta    T
-	a, b, c        view[T]
+	a, b, c        mat.Dense[T]
 	nanC           bool // beta = 0 over a NaN-filled C: C must not be read
 }
 
 func (pc *propCase[T]) String() string {
 	m, k := opDims(pc.a, pc.transA)
 	return fmt.Sprintf("%v m=%d k=%d n=%d ta=%v tb=%v alpha=%v beta=%v nanC=%v strides=%d/%d/%d",
-		pc.op, m, k, pc.c.cols, pc.transA, pc.transB, pc.alpha, pc.beta, pc.nanC, pc.a.stride, pc.b.stride, pc.c.stride)
+		pc.op, m, k, pc.c.Cols, pc.transA, pc.transB, pc.alpha, pc.beta, pc.nanC, pc.a.Stride, pc.b.Stride, pc.c.Stride)
 }
 
 func randCase[T float32 | float64](op opKind, rng *rand.Rand) *propCase[T] {
@@ -110,7 +102,7 @@ func randCase[T float32 | float64](op opKind, rng *rand.Rand) *propCase[T] {
 	if op != opGemm { // symmetric input, as the references assume
 		for i := 0; i < m; i++ {
 			for j := i + 1; j < m; j++ {
-				pc.c.data[i*pc.c.stride+j] = pc.c.data[j*pc.c.stride+i]
+				pc.c.Data[i*pc.c.Stride+j] = pc.c.Data[j*pc.c.Stride+i]
 			}
 		}
 	}
@@ -118,17 +110,11 @@ func randCase[T float32 | float64](op opKind, rng *rand.Rand) *propCase[T] {
 	return pc
 }
 
-func (pc *propCase[T]) run(ctx *Context, c view[T], threads int, prm Params) error {
-	switch pc.op {
-	case opSyrk:
-		return syrkCtx(ctx, pc.transA, pc.alpha, pc.a, pc.beta, c, threads, prm)
-	case opSyr2k:
-		return syr2kCtx(ctx, pc.transA, pc.alpha, pc.a, pc.b, pc.beta, c, threads, prm)
-	}
-	return gemmCtx(ctx, pc.transA, pc.transB, pc.alpha, pc.a, pc.b, pc.beta, c, threads, prm)
+func (pc *propCase[T]) run(ctx *Context, c mat.Dense[T], threads int, prm Params) error {
+	return drive(ctx, pc.op, pc.transA, pc.transB, pc.alpha, pc.a, pc.b, pc.beta, c, threads, prm)
 }
 
-func (pc *propCase[T]) reference() view[T] {
+func (pc *propCase[T]) reference() mat.Dense[T] {
 	want := cloneView(pc.c)
 	switch pc.op {
 	case opSyrk:
@@ -143,12 +129,12 @@ func (pc *propCase[T]) reference() view[T] {
 
 // input returns the C a run starts from: the case's C, its logical region
 // NaN-filled when the case says C must not be read.
-func (pc *propCase[T]) input() view[T] {
+func (pc *propCase[T]) input() mat.Dense[T] {
 	c := cloneView(pc.c)
 	if pc.nanC {
-		for i := 0; i < c.rows; i++ {
-			for j := 0; j < c.cols; j++ {
-				c.data[i*c.stride+j] = T(math.NaN())
+		for i := 0; i < c.Rows; i++ {
+			for j := 0; j < c.Cols; j++ {
+				c.Data[i*c.Stride+j] = T(math.NaN())
 			}
 		}
 	}
@@ -180,7 +166,7 @@ func testKernelProperty[T float32 | float64](t *testing.T, seed int64, eps float
 				if rng.Intn(2) == 0 {
 					prm = Params{MC: tile[0] * (1 + rng.Intn(4)), KC: 1 + rng.Intn(48), NC: tile[1] * (1 + rng.Intn(4)), MR: tile[0], NR: tile[1]}
 				}
-				var serial view[T]
+				var serial mat.Dense[T]
 				for _, threads := range []int{1, 2, 3, 5, 8} {
 					got := pc.input()
 					if err := pc.run(ctx, got, threads, prm); err != nil {
@@ -191,9 +177,9 @@ func testKernelProperty[T float32 | float64](t *testing.T, seed int64, eps float
 						checkAgainst(t, pc, prm, got, want, tol)
 						continue
 					}
-					for j, v := range got.data {
-						if bitsOf(v) != bitsOf(serial.data[j]) {
-							t.Fatalf("%v %+v threads=%d: element %d differs from the serial result (%v vs %v)", pc, prm, threads, j, v, serial.data[j])
+					for j, v := range got.Data {
+						if bitsOf(v) != bitsOf(serial.Data[j]) {
+							t.Fatalf("%v %+v threads=%d: element %d differs from the serial result (%v vs %v)", pc, prm, threads, j, v, serial.Data[j])
 						}
 					}
 				}
@@ -204,21 +190,21 @@ func testKernelProperty[T float32 | float64](t *testing.T, seed int64, eps float
 
 // checkAgainst compares one result with the reference: logical region within
 // tol, padding untouched, and symmetric updates exactly symmetric.
-func checkAgainst[T float32 | float64](t *testing.T, pc *propCase[T], prm Params, got, want view[T], tol float64) {
+func checkAgainst[T float32 | float64](t *testing.T, pc *propCase[T], prm Params, got, want mat.Dense[T], tol float64) {
 	t.Helper()
-	for i := 0; i < got.rows; i++ {
-		for j := 0; j < got.cols; j++ {
-			g, w := float64(got.at(i, j)), float64(want.at(i, j))
+	for i := 0; i < got.Rows; i++ {
+		for j := 0; j < got.Cols; j++ {
+			g, w := float64(got.At(i, j)), float64(want.At(i, j))
 			if math.IsNaN(g) || math.Abs(g-w) > tol {
 				t.Fatalf("%v %+v: C(%d,%d) = %v, want %v (tol %g)", pc, prm, i, j, g, w, tol)
 			}
-			if pc.op != opGemm && bitsOf(got.at(i, j)) != bitsOf(got.at(j, i)) {
+			if pc.op != opGemm && bitsOf(got.At(i, j)) != bitsOf(got.At(j, i)) {
 				t.Fatalf("%v %+v: asymmetric at (%d,%d)", pc, prm, i, j)
 			}
 		}
-		if i < got.rows-1 {
-			for j := got.cols; j < got.stride; j++ {
-				if float64(got.data[i*got.stride+j]) != float64(T(sentinelF64)) {
+		if i < got.Rows-1 {
+			for j := got.Cols; j < got.Stride; j++ {
+				if float64(got.Data[i*got.Stride+j]) != float64(T(sentinelF64)) {
 					t.Fatalf("%v %+v: wrote outside C at (%d,%d)", pc, prm, i, j)
 				}
 			}
@@ -266,11 +252,11 @@ func testOperandHeaders[T float32 | float64](t *testing.T) {
 			for _, name := range operands {
 				for _, defect := range []string{"Data", "Stride"} {
 					pc := fresh()
-					v := map[string]*view[T]{"A": &pc.a, "B": &pc.b, "C": &pc.c}[name]
+					v := map[string]*mat.Dense[T]{"A": &pc.a, "B": &pc.b, "C": &pc.c}[name]
 					if defect == "Data" {
-						v.data = v.data[:len(v.data)-1]
+						v.Data = v.Data[:len(v.Data)-1]
 					} else {
-						v.stride = v.cols - 1
+						v.Stride = v.Cols - 1
 					}
 					err := pc.run(ctx, pc.c, threads, DefaultParams[T]())
 					if err == nil {

@@ -1,9 +1,11 @@
 package blas
 
+import "repro/internal/mat"
+
 // Small-shape fast path: below a FLOP threshold the packed algorithm's
 // panel copies, buffer setup and phase barriers dominate the useful work,
-// so tiny GEMMs run a single-threaded blocked loop directly on the operand
-// views instead. The loop order is chosen per transB so the innermost loop
+// so tiny GEMMs run a single-threaded blocked loop directly on the operands
+// instead. The loop order is chosen per transB so the innermost loop
 // always streams a contiguous row of B (or of C), which is what the packed
 // layout would have bought anyway at these sizes.
 
@@ -18,19 +20,21 @@ var smallShapeLimit = 8 * 8 * 8
 
 // smallShape reports whether an m×n×k problem should skip packing. It must
 // depend only on the dimensions — never on the thread count — so that
-// results stay bit-identical across thread counts.
+// results stay bit-identical across thread counts. The product is taken in
+// float64, exact far beyond any limit: in a 32-bit int 2048³ wraps to 0 and
+// would send an 8.6-GFLOP call down the scalar loop.
 func smallShape(m, n, k int) bool {
-	return m*n*k <= smallShapeLimit
+	return float64(m)*float64(n)*float64(k) <= float64(smallShapeLimit)
 }
 
 // smallGemm computes C ← alpha·op(A)·op(B) + beta·C without packing.
 // Callers have already handled the degenerate m/n/k = 0 and alpha = 0 cases.
-func smallGemm[T float32 | float64](transA, transB bool, alpha T, a, b view[T], beta T, c view[T], m, n, k int) {
+func smallGemm[T float32 | float64](transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], m, n, k int) {
 	if !transB {
 		// AXPY form: C(i, :) accumulates alpha·op(A)(i, p) · B(p, :), with
 		// the inner loop contiguous over both B's row and C's row.
 		for i := 0; i < m; i++ {
-			crow := c.data[i*c.stride : i*c.stride+n]
+			crow := c.Data[i*c.Stride : i*c.Stride+n]
 			if beta == 0 {
 				for j := range crow {
 					crow[j] = 0
@@ -43,11 +47,11 @@ func smallGemm[T float32 | float64](transA, transB bool, alpha T, a, b view[T], 
 			for p := 0; p < k; p++ {
 				var aip T
 				if transA {
-					aip = alpha * a.data[p*a.stride+i]
+					aip = alpha * a.Data[p*a.Stride+i]
 				} else {
-					aip = alpha * a.data[i*a.stride+p]
+					aip = alpha * a.Data[i*a.Stride+p]
 				}
-				brow := b.data[p*b.stride : p*b.stride+n]
+				brow := b.Data[p*b.Stride : p*b.Stride+n]
 				for j, bv := range brow {
 					crow[j] += aip * bv
 				}
@@ -57,16 +61,16 @@ func smallGemm[T float32 | float64](transA, transB bool, alpha T, a, b view[T], 
 	}
 	// Dot form: op(B)(p, j) = B(j, p), so B's row j is contiguous over p.
 	for i := 0; i < m; i++ {
-		crow := c.data[i*c.stride : i*c.stride+n]
+		crow := c.Data[i*c.Stride : i*c.Stride+n]
 		for j := 0; j < n; j++ {
-			brow := b.data[j*b.stride : j*b.stride+k]
+			brow := b.Data[j*b.Stride : j*b.Stride+k]
 			var sum T
 			if transA {
 				for p, bv := range brow {
-					sum += a.data[p*a.stride+i] * bv
+					sum += a.Data[p*a.Stride+i] * bv
 				}
 			} else {
-				arow := a.data[i*a.stride : i*a.stride+k]
+				arow := a.Data[i*a.Stride : i*a.Stride+k]
 				for p, av := range arow {
 					sum += av * brow[p]
 				}

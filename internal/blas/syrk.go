@@ -1,10 +1,6 @@
 package blas
 
-import (
-	"fmt"
-
-	"repro/internal/mat"
-)
+import "repro/internal/mat"
 
 // SYRK — symmetric rank-k update, C ← alpha·op(A)·op(A)ᵀ + beta·C with
 // op(A) = A (trans=false) or Aᵀ (trans=true). Only the lower triangle of C
@@ -18,14 +14,15 @@ import (
 // and triangular load imbalance across the thread team — so the serving
 // layer keys its decisions per operation (see internal/serve.Op).
 //
-// The implementation is the same five-loop blocked-and-packed algorithm as
-// GEMM, specialised to the triangular output: op(A)ᵀ plays the role of B
+// There is no SYRK kernel: the update is the lower pass of the one five-loop
+// (drive and worker in context.go) with b = a. op(A)ᵀ plays the role of B
 // (packBRange with the transpose flag flipped reads it straight out of A, no
 // extra buffer), macro-tiles that lie entirely above the diagonal are
 // skipped, diagonal-straddling tiles are masked at store time, and each part
 // of the worker team owns a contiguous run of MR-row bands of C chosen so
 // that the lower-triangle tiles, not the rows, are shared out evenly
-// (syrkRows).
+// (syrkRows). What this file holds is what only the symmetric updates need:
+// that partition, the no-packing loop, and the mirror.
 
 // SSYRK computes the single-precision symmetric rank-k update using the
 // given number of worker goroutines (threads < 1 is treated as 1). The call
@@ -46,138 +43,12 @@ func DSYRK(trans bool, alpha float64, a *mat.F64, beta float64, c *mat.F64, thre
 // SSYRK computes C ← alpha·op(A)·op(A)ᵀ + beta·C in single precision on this
 // context with the given number of threads (values < 1 mean 1).
 func (c *Context) SSYRK(trans bool, alpha float32, a *mat.F32, beta float32, cm *mat.F32, threads int) error {
-	av := view[float32]{a.Rows, a.Cols, a.Stride, a.Data}
-	cv := view[float32]{cm.Rows, cm.Cols, cm.Stride, cm.Data}
-	return syrkCtx(c, trans, alpha, av, beta, cv, threads, paramsFor[float32](c))
+	return drive(c, opSyrk, trans, trans, alpha, *a, *a, beta, *cm, threads, paramsFor[float32](c))
 }
 
 // DSYRK is the double-precision counterpart of SSYRK.
 func (c *Context) DSYRK(trans bool, alpha float64, a *mat.F64, beta float64, cm *mat.F64, threads int) error {
-	av := view[float64]{a.Rows, a.Cols, a.Stride, a.Data}
-	cv := view[float64]{cm.Rows, cm.Cols, cm.Stride, cm.Data}
-	return syrkCtx(c, trans, alpha, av, beta, cv, threads, paramsFor[float64](c))
-}
-
-// syrkCtx is the SYRK driver: argument checking, degenerate cases, the
-// small-shape fast path, buffer/team setup and the worker dispatch. It
-// mirrors gemmCtx with m = n and B = op(A)ᵀ.
-func syrkCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a view[T], beta T, c view[T], threads int, prm Params) error {
-	if err := checkParams[T](prm); err != nil {
-		return err
-	}
-	if err := checkOperands("SYRK", a, a, c); err != nil {
-		return err
-	}
-	n, k := opDims(a, trans)
-	if c.rows != n || c.cols != n {
-		return fmt.Errorf("blas: SYRK C is %dx%d, want %dx%d", c.rows, c.cols, n, n)
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	if n == 0 {
-		return nil
-	}
-	if alpha == 0 || k == 0 {
-		scaleLower(c, beta)
-		mirrorLower(c, 0, n)
-		return nil
-	}
-
-	// Small shapes skip packing entirely, as in GEMM. The threshold depends
-	// only on the dimensions, so results stay bit-identical across thread
-	// counts.
-	if prm == DefaultParams[T]() && smallShape(n, n, k) {
-		smallSyrk(trans, alpha, a, beta, c, n, k)
-		mirrorLower(c, 0, n)
-		return nil
-	}
-
-	threads = min(threads, bands(n, prm.MR))
-
-	kcEff := min(prm.KC, k)
-	ncEff := min(prm.NC, (n+prm.NR-1)/prm.NR*prm.NR)
-	mcEff := min(prm.MC, (n+prm.MR-1)/prm.MR*prm.MR)
-	bufs := bufsFor[T](ctx)
-	bufs.ensure(threads, mcEff*kcEff, kcEff*ncEff)
-	bufs.args = callArgs[T]{
-		transA: trans, transB: trans,
-		alpha: alpha, beta: beta,
-		a: a, b: a, c: c,
-		m: n, n: n, k: k,
-		parts: threads,
-		prm:   prm,
-		syrk:  true, mirror: true,
-	}
-	err := runCall(ctx, bufs, "SYRK")
-	bufs.args = callArgs[T]{}
-	return err
-}
-
-// syrkWorker is the per-part body of the blocked SYRK. The loop structure is
-// the GEMM five-loop with B = op(A)ᵀ: within each (jc, pc) blocking
-// iteration the shared op(A)ᵀ panel is packed cooperatively (phase 1), a
-// barrier publishes it, each part then walks its own row range (syrkRows)
-// in MC-sized blocks, packing and multiplying those that reach the lower
-// triangle (phase 2), and a second barrier closes the iteration. Ownership
-// decides only who computes a tile and per-element summation order depends
-// only on the blocking loops, so the result is bit-identical for every
-// parts value. After the last barrier the lower triangle is complete and
-// each part mirrors its own row band into the upper triangle. A failed wait
-// means a peer panicked: return.
-func syrkWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
-	ar := &bufs.args
-	prm := ar.prm
-	parts := ar.parts
-	n, k := ar.n, ar.k
-	for jc := 0; jc < n; jc += prm.NC {
-		nc := min(prm.NC, n-jc)
-		nPanels := (nc + prm.NR - 1) / prm.NR
-		rlo, rhi := syrkRows(n, jc, nc, prm, w, parts)
-		for pc := 0; pc < k; pc += prm.KC {
-			kc := min(prm.KC, k-pc)
-			first := pc == 0
-
-			// The B-side operand of the symmetric update is op(b)ᵀ: flipping
-			// the transpose flag makes packBRange read its panels straight
-			// out of b (which is a itself for SYRK, the second operand for
-			// each SYR2K pass).
-			lo := nPanels * w / parts
-			hi := nPanels * (w + 1) / parts
-			packBRange(ar.b, !ar.transB, pc, jc, kc, nc, lo, hi, bufs.packedB, prm.NR)
-			if !ctx.bar.wait() {
-				return
-			}
-
-			for ic := rlo; ic < rhi; ic += prm.MC {
-				mc := min(prm.MC, rhi-ic)
-				// Columns jc..jc+ncb-1 reach the lower triangle of this
-				// block (j ≤ i with i ≤ ic+mc-1); blocks entirely above the
-				// diagonal are skipped before paying the A-packing copy.
-				ncb := min(nc, ic+mc-jc)
-				if ncb <= 0 {
-					continue
-				}
-				if partHook != nil {
-					partHook(w, pc)
-				}
-				packA(ar.a, ar.transA, ic, pc, mc, kc, bufs.packedA[w], prm.MR)
-				syrkMacroKernel(ar.alpha, bufs.packedA[w], bufs.packedB, ar.beta, ar.c, ic, jc, mc, ncb, kc, first, prm)
-			}
-			if !ctx.bar.wait() {
-				return
-			}
-		}
-	}
-	// The final barrier above published the whole lower triangle; mirror it
-	// band-parallel (writes are disjoint rows of the upper triangle, reads
-	// are the now read-only lower triangle). SYR2K's first pass skips the
-	// mirror: its lower triangle is only half the update.
-	if !ar.mirror {
-		return
-	}
-	lo, hi := mirrorRange(n, w, parts)
-	mirrorLower(ar.c, lo, hi)
+	return drive(c, opSyrk, trans, trans, alpha, *a, *a, beta, *cm, threads, paramsFor[float64](c))
 }
 
 // syrkBandWeight is the phase-2 cost of MR band b within the panel at jc:
@@ -226,96 +97,17 @@ func syrkRows(n, jc, nc int, prm Params, w, parts int) (lo, hi int) {
 	return min(blo*prm.MR, n), min(bhi*prm.MR, n)
 }
 
-// syrkMacroKernel multiplies the packed mc×kc A block with the packed
-// op(A)ᵀ panel, updating only the lower-triangle part of
-// C(ic:ic+mc, jc:jc+ncb). Tiles fully below the diagonal store through the
-// ordinary storeTile; diagonal-straddling tiles compute the full MR×NR tile
-// (the above-diagonal lanes are wasted FLOPs bounded by one tile per
-// diagonal row) and mask the store to j ≤ i.
-//
-//adsala:zeroalloc
-func syrkMacroKernel[T float32 | float64](alpha T, packedA, packedB []T, beta T, c view[T], ic, jc, mc, ncb, kc int, first bool, prm Params) {
-	mr, nr := prm.MR, prm.NR
-	var acc [maxTile]T
-	for i0 := 0; i0 < mc; i0 += mr {
-		ib := min(mr, mc-i0)
-		// Tiles with j0 ≥ jLim have no element with j ≤ i for any row of
-		// this MR band.
-		jLim := min(ncb, ic+i0+ib-jc)
-		if jLim <= 0 {
-			continue
-		}
-		aPanel := packedA[(i0/mr)*kc*mr:]
-		for j0 := 0; j0 < jLim; j0 += nr {
-			jb := min(nr, jLim-j0)
-			bPanel := packedB[(j0/nr)*kc*nr:]
-			switch {
-			case mr == goMR:
-				micro4x4(aPanel, bPanel, kc, &acc)
-			default: // the vector tile of T, enforced by checkParams
-				microVec(aPanel, bPanel, kc, &acc)
-			}
-			ci, cj := ic+i0, jc+j0
-			if cj+jb-1 <= ci {
-				storeTile(alpha, beta, first, &acc, c, ci, cj, ib, jb, nr)
-			} else {
-				storeTileLower(alpha, beta, first, &acc, c, ci, cj, ib, jb, nr)
-			}
-		}
-	}
-}
-
-// storeTileLower is storeTile masked to the lower triangle: row ci+i keeps
-// only columns cj+j with j ≤ i.
-func storeTileLower[T float32 | float64](alpha, beta T, first bool, acc *[maxTile]T, c view[T], ci, cj, ib, jb, nr int) {
-	for i := 0; i < ib; i++ {
-		jbRow := ci + i - cj + 1
-		if jbRow > jb {
-			jbRow = jb
-		}
-		if jbRow <= 0 {
-			continue
-		}
-		row := c.data[(ci+i)*c.stride+cj : (ci+i)*c.stride+cj+jbRow]
-		av := acc[i*nr : i*nr+jbRow]
-		switch {
-		case !first:
-			if alpha == 1 {
-				for j, v := range av {
-					row[j] += v
-				}
-			} else {
-				for j, v := range av {
-					row[j] += alpha * v
-				}
-			}
-		case beta == 0:
-			if alpha == 1 {
-				copy(row, av)
-			} else {
-				for j, v := range av {
-					row[j] = alpha * v
-				}
-			}
-		default:
-			for j, v := range av {
-				row[j] = beta*row[j] + alpha*v
-			}
-		}
-	}
-}
-
 // smallSyrk computes the lower triangle of alpha·op(A)·op(A)ᵀ + beta·C
 // without packing. Callers handle the degenerate n/k = 0 and alpha = 0
 // cases and the mirror pass.
-func smallSyrk[T float32 | float64](trans bool, alpha T, a view[T], beta T, c view[T], n, k int) {
+func smallSyrk[T float32 | float64](trans bool, alpha T, a mat.Dense[T], beta T, c mat.Dense[T], n, k int) {
 	for i := 0; i < n; i++ {
-		row := c.data[i*c.stride : i*c.stride+i+1]
+		row := c.Data[i*c.Stride : i*c.Stride+i+1]
 		if !trans {
 			// op(A) = A: rows i and j of A are contiguous dot operands.
-			ai := a.data[i*a.stride : i*a.stride+k]
+			ai := a.Data[i*a.Stride : i*a.Stride+k]
 			for j := 0; j <= i; j++ {
-				aj := a.data[j*a.stride : j*a.stride+k]
+				aj := a.Data[j*a.Stride : j*a.Stride+k]
 				var sum T
 				for p, av := range ai {
 					sum += av * aj[p]
@@ -332,30 +124,12 @@ func smallSyrk[T float32 | float64](trans bool, alpha T, a view[T], beta T, c vi
 		for j := 0; j <= i; j++ {
 			var sum T
 			for p := 0; p < k; p++ {
-				sum += a.data[p*a.stride+i] * a.data[p*a.stride+j]
+				sum += a.Data[p*a.Stride+i] * a.Data[p*a.Stride+j]
 			}
 			if beta == 0 {
 				row[j] = alpha * sum
 			} else {
 				row[j] = alpha*sum + beta*row[j]
-			}
-		}
-	}
-}
-
-// scaleLower applies C ← beta·C to the lower triangle only.
-func scaleLower[T float32 | float64](c view[T], beta T) {
-	for i := 0; i < c.rows; i++ {
-		row := c.data[i*c.stride : i*c.stride+i+1]
-		if beta == 0 {
-			for j := range row {
-				row[j] = 0
-			}
-			continue
-		}
-		if beta != 1 {
-			for j := range row {
-				row[j] *= beta
 			}
 		}
 	}
@@ -372,18 +146,18 @@ const mirrorTile = 16
 // triangle, write them as the columns of mirrorTile row segments of the
 // upper — so both sides of a tile stay in L1; walking a whole column of the
 // lower triangle per output row instead costs a cache line per element.
-func mirrorLower[T float32 | float64](c view[T], lo, hi int) {
+func mirrorLower[T float32 | float64](c mat.Dense[T], lo, hi int) {
 	for i0 := lo; i0 < hi; i0 += mirrorTile {
 		i1 := min(i0+mirrorTile, hi)
-		for j0 := i0 + 1; j0 < c.cols; j0 += mirrorTile {
-			j1 := min(j0+mirrorTile, c.cols)
+		for j0 := i0 + 1; j0 < c.Cols; j0 += mirrorTile {
+			j1 := min(j0+mirrorTile, c.Cols)
 			for j := j0; j < j1; j++ {
 				// Source row j, columns i0..min(i1, j)-1: all below the diagonal.
-				src := c.data[j*c.stride+i0 : j*c.stride+min(i1, j)]
-				dst := i0*c.stride + j
+				src := c.Data[j*c.Stride+i0 : j*c.Stride+min(i1, j)]
+				dst := i0*c.Stride + j
 				for _, v := range src {
-					c.data[dst] = v
-					dst += c.stride
+					c.Data[dst] = v
+					dst += c.Stride
 				}
 			}
 		}

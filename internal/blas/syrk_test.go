@@ -336,11 +336,11 @@ func TestMirrorRangePartition(t *testing.T) {
 
 // mirrorLowerRowwise is the row-by-row mirror mirrorLower replaced, kept as
 // the reference the tiled copy is compared with.
-func mirrorLowerRowwise[T float32 | float64](c view[T], lo, hi int) {
+func mirrorLowerRowwise[T float32 | float64](c mat.Dense[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
-		row := c.data[i*c.stride : i*c.stride+c.cols]
-		for j := i + 1; j < c.cols; j++ {
-			row[j] = c.data[j*c.stride+i]
+		row := c.Data[i*c.Stride : i*c.Stride+c.Cols]
+		for j := i + 1; j < c.Cols; j++ {
+			row[j] = c.Data[j*c.Stride+i]
 		}
 	}
 }
@@ -352,23 +352,23 @@ func mirrorLowerRowwise[T float32 | float64](c view[T], lo, hi int) {
 // the full-range result exactly symmetric.
 func TestMirrorLowerTiled(t *testing.T) {
 	check := func(n, lo, hi int) {
-		src := view[float32]{rows: n, cols: n, stride: n + 3, data: make([]float32, n*(n+3))}
-		for i := range src.data {
-			src.data[i] = float32(i + 1) // distinct everywhere, padding included
+		src := mat.F32{Rows: n, Cols: n, Stride: n + 3, Data: make([]float32, n*(n+3))}
+		for i := range src.Data {
+			src.Data[i] = float32(i + 1) // distinct everywhere, padding included
 		}
 		got, want := cloneView(src), cloneView(src)
 		mirrorLower(got, lo, hi)
 		mirrorLowerRowwise(want, lo, hi)
-		for i, v := range got.data {
-			if v != want.data[i] {
+		for i, v := range got.Data {
+			if v != want.Data[i] {
 				t.Fatalf("n=%d band [%d,%d): element (%d,%d) = %v, row-by-row mirror has %v",
-					n, lo, hi, i/src.stride, i%src.stride, v, want.data[i])
+					n, lo, hi, i/src.Stride, i%src.Stride, v, want.Data[i])
 			}
 		}
 		if lo == 0 && hi == n {
 			for i := 0; i < n; i++ {
 				for j := 0; j < i; j++ {
-					if got.at(i, j) != got.at(j, i) {
+					if got.At(i, j) != got.At(j, i) {
 						t.Fatalf("n=%d: asymmetric at (%d,%d)", n, i, j)
 					}
 				}

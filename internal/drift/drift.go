@@ -334,12 +334,18 @@ type Report struct {
 // Snapshot builds the report at the current online time.
 func (m *Monitor) Snapshot() *Report { return m.SnapshotAt(m.nowNanos()) }
 
+// windowSeconds is the configured span of the sliding window. Divided, not
+// multiplied by 1e-9: 6e10 ns · 1e-9 is 60.00000000000001, 6e10 ns / 1e9 is 60.
+func (m *Monitor) windowSeconds() float64 {
+	return float64(m.slotNanos*int64(m.cfg.Slots)) / 1e9
+}
+
 // SnapshotAt builds the report with the sliding window ending at ts (the
 // last record's timestamp when replaying a capture).
 func (m *Monitor) SnapshotAt(ts int64) *Report {
 	rep := &Report{
 		Schema:        Schema,
-		WindowSeconds: float64(m.slotNanos*int64(m.cfg.Slots)) * 1e-9,
+		WindowSeconds: m.windowSeconds(),
 		Slots:         m.cfg.Slots,
 		Threshold:     m.cfg.Threshold,
 		MinSamples:    m.cfg.MinSamples,

@@ -71,7 +71,7 @@ func (m *Monitor) RegisterMetrics(r *obs.Registry) {
 		})
 	r.GaugeFunc("adsala_drift_window_seconds",
 		"Configured sliding-window span of the drift monitor.",
-		func() float64 { return float64(m.slotNanos*int64(m.cfg.Slots)) * 1e-9 })
+		m.windowSeconds)
 	r.GaugeFunc("adsala_drift_threshold_log2",
 		"Configured drift threshold on |windowed mean residual_log2|.",
 		func() float64 { return m.cfg.Threshold })

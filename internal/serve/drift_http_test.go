@@ -224,7 +224,7 @@ func TestDriftMetricsExposition(t *testing.T) {
 		`adsala_drift_abs_rel_err_mean{bucket="medium",op="gemm"}`,
 		`adsala_drift_op_drifting{op="gemm"} 0`,
 		"adsala_drift_degraded 0",
-		"adsala_drift_window_seconds 60",
+		"\nadsala_drift_window_seconds 60\n", // the whole line: CI greps ^…60$
 		"adsala_drift_threshold_log2 1",
 		`adsala_kernel_measured_seconds_count{op="gemm"} 1`,
 		`adsala_kernel_predicted_seconds_count{op="gemm"} 1`,
