@@ -511,8 +511,7 @@ func BenchmarkConcurrentPrediction(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchPredict measures the batch ranking path at several sizes,
-// sequential vs worker-pool.
+// BenchmarkBatchPredict measures the batch ranking path at two sizes.
 func BenchmarkBatchPredict(b *testing.B) {
 	p, _ := experiments.PlatformByName("Gadi")
 	res, err := lab().Train(p, 500, true)
@@ -521,26 +520,20 @@ func BenchmarkBatchPredict(b *testing.B) {
 	}
 	for _, size := range []int{16, 128} {
 		shapes := benchServeShapes(size)
-		for _, workers := range []int{1, 0} { // 0 = GOMAXPROCS
-			name := "seq"
-			if workers == 0 {
-				name = "pool"
+		b.Run(fmt.Sprintf("n%d", size), func(b *testing.B) {
+			// A tiny single-shard cache, replaced by an empty one outside
+			// the timer (a swap to the same library), keeps every
+			// ranking a cache miss without measuring engine construction.
+			eng := serve.NewEngine(res.Library, serve.Options{CacheSize: 1, Shards: 1})
+			out := make([]int, len(shapes))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng.SwapLibrary(res.Library)
+				b.StartTimer()
+				eng.PredictBatchOpCtx(context.Background(), OpGEMM, shapes, out)
 			}
-			b.Run(fmt.Sprintf("n%d-%s", size, name), func(b *testing.B) {
-				// A tiny single-shard cache, replaced by an empty one outside
-				// the timer (a swap to the same library), keeps every
-				// ranking a cache miss without measuring engine construction.
-				eng := serve.NewEngine(res.Library, serve.Options{Workers: workers, CacheSize: 1, Shards: 1})
-				out := make([]int, len(shapes))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					eng.SwapLibrary(res.Library)
-					b.StartTimer()
-					eng.PredictBatchOpCtx(context.Background(), OpGEMM, shapes, out)
-				}
-			})
-		}
+		})
 	}
 }
 

@@ -57,7 +57,7 @@ func TestDaemonDriftMonitoring(t *testing.T) {
 	}
 	records := make([]serve.MeasuredRecord, 8)
 	for i := range records {
-		records[i] = serve.MeasuredRecord{Op: "gemm", M: 256, K: 256, N: 256, Threads: threads, MeasuredNs: ns}
+		records[i] = serve.MeasuredRecord{PredictRequest: serve.PredictRequest{M: 256, K: 256, N: 256, Op: "gemm"}, Threads: threads, MeasuredNs: ns}
 	}
 	accepted, err := cl.ReportMeasured(context.Background(), records)
 	if err != nil || accepted != len(records) {

@@ -18,7 +18,7 @@
 // (default "gemm"); decisions are cached per (op, shape) and rank with the
 // op's own model when the library was trained with one (adsala-train
 // -ops gemm,syrk,...). Symmetric updates pass the (n, k, n) triple of the
-// output shape. Mixed-op batches split per op and preserve request order.
+// output shape. A batch may mix ops; it is answered in request order.
 //
 // Usage:
 //
@@ -89,7 +89,6 @@ type config struct {
 	addr      string
 	cacheSize int
 	shards    int
-	workers   int
 	pprof     bool
 	level     logx.Level
 
@@ -116,7 +115,6 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&cfg.cacheSize, "cache", 4096, "decision cache capacity (entries, rounded to a power of two)")
 	fs.IntVar(&cfg.shards, "shards", 16, "decision cache shard count (rounded to a power of two)")
-	fs.IntVar(&cfg.workers, "workers", 0, "batch worker goroutines (0 = GOMAXPROCS)")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 	fs.StringVar(&cfg.adminToken, "admin-token", "", "token authorising POST /admin/reload (empty disables the endpoint)")
 	fs.StringVar(&cfg.reloadOn, "reload-on", "", "signal triggering a hot artefact reload (only SIGHUP is supported; empty disables)")
@@ -158,7 +156,6 @@ func newServer(cfg config, out io.Writer) (*serve.Server, error) {
 	eng := lib.Engine(serve.Options{
 		CacheSize: cfg.cacheSize,
 		Shards:    cfg.shards,
-		Workers:   cfg.workers,
 	})
 	lg.Infof("loaded %s: platform=%s model=%s, cache %d entries / %d shards",
 		cfg.libPath, lib.Platform(), lib.ModelKind(), eng.Cache().Capacity(), eng.Cache().Shards())
@@ -221,7 +218,10 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Addr: cfg.addr, Handler: handler}
+	// ReadHeaderTimeout: a peer that opens sockets and trickles header bytes
+	// must not hold connection goroutines for ever (the handlers bound the
+	// bodies by size).
+	srv := &http.Server{Addr: cfg.addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

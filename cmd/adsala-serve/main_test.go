@@ -83,13 +83,15 @@ func TestParseFlags(t *testing.T) {
 		}
 	}
 
-	// The cache pre-population flags are gone: a command line that still
-	// carries one fails loudly, naming it, instead of booting silently cold.
+	// The cache pre-population flags and the batch fan-out knob are gone: a
+	// command line that still carries one fails loudly, naming it, instead
+	// of booting silently without it.
 	for _, retired := range [][]string{
 		{"-warmup", "256"},
 		{"-warmup-cap", "100"},
 		{"-warmup-seed", "1"},
 		{"-cache-snapshot", "f"},
+		{"-workers", "4"},
 	} {
 		_, err := parseFlags(append([]string{"-lib", "x.json"}, retired...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), retired[0]) {

@@ -114,7 +114,10 @@ func run(args []string, out io.Writer) error {
 		worker.EnablePprof()
 		lg.Infof("pprof enabled at /debug/pprof/")
 	}
-	srv := &http.Server{Addr: cfg.addr, Handler: worker}
+	// ReadHeaderTimeout: a peer that opens sockets and trickles header bytes
+	// must not hold connection goroutines for ever (the handlers bound the
+	// bodies by size).
+	srv := &http.Server{Addr: cfg.addr, Handler: worker, ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

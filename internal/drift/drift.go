@@ -259,47 +259,13 @@ func (m *Monitor) driftingAt(ts int64) []string {
 	return out
 }
 
-// Summary is the JSON form of a Moments aggregate — field-compatible with
-// replay's, so online and offline residual stats diff cleanly.
-type Summary struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	Std   float64 `json:"std"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-}
-
-func summarize(mo obs.Moments) Summary {
-	return Summary{Count: mo.Count(), Mean: mo.Mean(), Std: mo.Std(), Min: mo.Min(), Max: mo.Max()}
-}
-
-// Tails is the JSON form of a latency histogram (seconds) — field-
-// compatible with replay's.
-type Tails struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean_seconds"`
-	P50   float64 `json:"p50_seconds"`
-	P90   float64 `json:"p90_seconds"`
-	P99   float64 `json:"p99_seconds"`
-}
-
-func tails(h *obs.Histogram) Tails {
-	return Tails{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.QuantileScaled(0.50),
-		P90:   h.QuantileScaled(0.90),
-		P99:   h.QuantileScaled(0.99),
-	}
-}
-
 // BucketDrift is one (op, bucket) cell of the report. The windowed
 // summaries cover the sliding window only; Samples is cumulative.
 type BucketDrift struct {
-	Samples      int64   `json:"samples"`
-	ResidualLog2 Summary `json:"residual_log2"`
-	AbsRelErr    Summary `json:"abs_rel_err"`
-	Drifting     bool    `json:"drifting"`
+	Samples      int64       `json:"samples"`
+	ResidualLog2 obs.Summary `json:"residual_log2"`
+	AbsRelErr    obs.Summary `json:"abs_rel_err"`
+	Drifting     bool        `json:"drifting"`
 }
 
 // OpDrift is one op's section of the report. ResidualLog2 and AbsRelErr
@@ -308,10 +274,10 @@ type BucketDrift struct {
 type OpDrift struct {
 	Measured         int64                  `json:"measured"`
 	Unpredicted      int64                  `json:"unpredicted,omitempty"`
-	ResidualLog2     Summary                `json:"residual_log2"`
-	AbsRelErr        Summary                `json:"abs_rel_err"`
-	MeasuredLatency  Tails                  `json:"measured_latency"`
-	PredictedLatency Tails                  `json:"predicted_latency"`
+	ResidualLog2     obs.Summary            `json:"residual_log2"`
+	AbsRelErr        obs.Summary            `json:"abs_rel_err"`
+	MeasuredLatency  obs.Tails              `json:"measured_latency"`
+	PredictedLatency obs.Tails              `json:"predicted_latency"`
 	Drifting         bool                   `json:"drifting"`
 	Buckets          map[string]BucketDrift `json:"buckets,omitempty"`
 }
@@ -360,8 +326,8 @@ func (m *Monitor) SnapshotAt(ts int64) *Report {
 		od := OpDrift{
 			Measured:         measured,
 			Unpredicted:      a.unpredicted.Load(),
-			MeasuredLatency:  tails(a.measuredLat),
-			PredictedLatency: tails(a.predictedLat),
+			MeasuredLatency:  a.measuredLat.Tails(),
+			PredictedLatency: a.predictedLat.Tails(),
 		}
 		var res, abs obs.Moments
 		for b := 0; b < numBuckets; b++ {
@@ -376,8 +342,8 @@ func (m *Monitor) SnapshotAt(ts int64) *Report {
 			abs.Merge(babs)
 			bd := BucketDrift{
 				Samples:      samples,
-				ResidualLog2: summarize(bres),
-				AbsRelErr:    summarize(babs),
+				ResidualLog2: bres.Summary(),
+				AbsRelErr:    babs.Summary(),
 				Drifting:     m.isDrifting(bres),
 			}
 			if bd.Drifting {
@@ -388,8 +354,8 @@ func (m *Monitor) SnapshotAt(ts int64) *Report {
 			}
 			od.Buckets[bucketNames[b]] = bd
 		}
-		od.ResidualLog2 = summarize(res)
-		od.AbsRelErr = summarize(abs)
+		od.ResidualLog2 = res.Summary()
+		od.AbsRelErr = abs.Summary()
 		if od.Drifting {
 			rep.Degraded = true
 			rep.DriftingOps = append(rep.DriftingOps, ops.Op(op).String())

@@ -627,6 +627,23 @@ func TestWorkerEndpoints(t *testing.T) {
 	if resp := post("/register", sweep); resp.StatusCode != http.StatusOK {
 		t.Errorf("register: HTTP %d, want 200", resp.StatusCode)
 	}
+	// Bodies are read to maxBodyBytes and no further: all-blank bodies, so
+	// the decoder must read every byte looking for a value.
+	for _, path := range []string{"/register", "/work"} {
+		for _, tc := range []struct{ size, want int }{
+			{maxBodyBytes, http.StatusBadRequest},
+			{maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		} {
+			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(strings.Repeat(" ", tc.size)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s with a %d-byte body: HTTP %d, want %d", path, tc.size, resp.StatusCode, tc.want)
+			}
+		}
+	}
 	// Unknown unit result.
 	resp, err := http.Get(srv.URL + "/result?session=" + sweep.Session + "&id=42")
 	if err != nil {

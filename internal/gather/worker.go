@@ -3,6 +3,7 @@ package gather
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -191,14 +192,33 @@ func writeError(rw http.ResponseWriter, status int, format string, args ...any) 
 	writeJSON(rw, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes bounds the body of /register and /work: a sweep spec or a
+// work unit is a few hundred bytes (a spec's candidate list is one small
+// integer per thread count), so 16 KiB refuses nothing legitimate.
+const maxBodyBytes = 16 << 10
+
+// decodeBody decodes the JSON request body, of at most maxBodyBytes, into v.
+// A failure comes with its status: 413 when the body ran past the bound, 400
+// for anything else.
+func decodeBody(rw http.ResponseWriter, r *http.Request, v any) (status int, err error) {
+	if err = json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxBodyBytes)).Decode(v); err == nil {
+		return http.StatusOK, nil
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
+}
+
 func (w *Worker) handleRegister(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(rw, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
 	var spec SweepSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(rw, http.StatusBadRequest, "decode spec: %v", err)
+	if status, err := decodeBody(rw, r, &spec); err != nil {
+		writeError(rw, status, "decode spec: %v", err)
 		return
 	}
 	if err := spec.validate(); err != nil {
@@ -257,8 +277,8 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req WorkRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(rw, http.StatusBadRequest, "decode work request: %v", err)
+	if status, err := decodeBody(rw, r, &req); err != nil {
+		writeError(rw, status, "decode work request: %v", err)
 		return
 	}
 	if req.Unit.Start < 0 || req.Unit.Count < 1 {

@@ -13,11 +13,6 @@ import (
 // is bounded by 1/2^histSubBits (12.5%) across the whole int64 range with
 // a fixed ~4 KB footprint and no allocation ever — Observe is a handful
 // of atomic adds on a fixed array.
-//
-// Histograms are mergeable: per-shard or per-worker instances aggregate
-// with one streaming pass (Merge), the same spirit as the distributed
-// gather merge, so a fleet's latency distribution is the sum of its
-// parts without coordination on the hot path.
 type Histogram struct {
 	// scale converts raw observed units into exposition/quantile-report
 	// units (1e-9: nanoseconds in, seconds out; 1: raw units).
@@ -101,23 +96,6 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // Scale returns the exposition scale factor.
 func (h *Histogram) Scale() float64 { return h.scale }
 
-// Merge adds o's observations into h (one pass over the fixed bucket
-// array). Concurrent Observes on either side land entirely or not at all
-// per bucket; Merge itself takes no locks, so merging a live histogram
-// yields a momentary snapshot, which is exactly what a scrape wants.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.sum.Add(o.sum.Load())
-	h.count.Add(o.count.Load())
-}
-
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) in raw units: the upper
 // bound of the bucket where the cumulative count crosses q·count. The
 // estimate is exact for values below histSubCount and within 12.5% above.
@@ -147,11 +125,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return bucketUpper(histNumBuckets - 1)
 }
 
-// QuantileScaled is Quantile in exposition units (raw × scale).
-func (h *Histogram) QuantileScaled(q float64) float64 {
-	return float64(h.Quantile(q)) * h.scale
-}
-
 // Mean returns the mean observation in exposition units (0 when empty).
 func (h *Histogram) Mean() float64 {
 	n := h.count.Load()
@@ -159,6 +132,30 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return float64(h.sum.Load()) * h.scale / float64(n)
+}
+
+// Tails is the JSON form of a latency histogram in exposition units
+// (seconds): count, mean and three upper quantiles. The online /drift
+// report and the offline adsala-replay report both carry it, so the two
+// diff cleanly.
+type Tails struct {
+	Count int64   `json:"count"`
+	Mean  float64 `json:"mean_seconds"`
+	P50   float64 `json:"p50_seconds"`
+	P90   float64 `json:"p90_seconds"`
+	P99   float64 `json:"p99_seconds"`
+}
+
+// Tails returns the histogram's JSON summary.
+func (h *Histogram) Tails() Tails {
+	quantile := func(q float64) float64 { return float64(h.Quantile(q)) * h.scale }
+	return Tails{
+		Count: h.Count(),
+		Mean:  h.Mean(),
+		P50:   quantile(0.50),
+		P90:   quantile(0.90),
+		P99:   quantile(0.99),
+	}
 }
 
 // snapshotBuckets copies the non-empty buckets as (upperBound, count)

@@ -69,34 +69,6 @@ func TestHistogramSmallValuesExact(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge checks that merging per-worker histograms equals
-// observing everything into one — the fleet-aggregation contract.
-func TestHistogramMerge(t *testing.T) {
-	whole := NewHistogram(1)
-	parts := []*Histogram{NewHistogram(1), NewHistogram(1), NewHistogram(1)}
-	for i := int64(1); i <= 3000; i++ {
-		whole.Observe(i * 17)
-		parts[i%3].Observe(i * 17)
-	}
-	merged := NewHistogram(1)
-	for _, p := range parts {
-		merged.Merge(p)
-	}
-	if merged.Count() != whole.Count() || merged.Sum() != whole.Sum() {
-		t.Fatalf("merged count/sum = %d/%d, want %d/%d",
-			merged.Count(), merged.Sum(), whole.Count(), whole.Sum())
-	}
-	for i := range whole.buckets {
-		if m, w := merged.buckets[i].Load(), whole.buckets[i].Load(); m != w {
-			t.Fatalf("bucket %d: merged %d, whole %d", i, m, w)
-		}
-	}
-	merged.Merge(nil) // no-op
-	if q1, q2 := merged.Quantile(0.95), whole.Quantile(0.95); q1 != q2 {
-		t.Errorf("p95 diverged after merge: %d vs %d", q1, q2)
-	}
-}
-
 // TestObserveZeroAlloc pins the zero-allocation guarantee of the hot
 // path: Observe, ObserveSince and the counter/gauge operations must not
 // allocate.
@@ -121,11 +93,10 @@ func TestObserveZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrent hammers Observe/Merge/Quantile from many
-// goroutines (meaningful under -race) and checks the final tallies.
+// TestHistogramConcurrent hammers Observe/Quantile from many goroutines
+// (meaningful under -race) and checks the final tallies.
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewHistogram(1)
-	scratch := NewHistogram(1)
 	const workers, perWorker = 8, 5000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -135,7 +106,6 @@ func TestHistogramConcurrent(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				h.Observe(seed*1000 + int64(i))
 				if i%512 == 0 {
-					scratch.Merge(h)
 					_ = h.Quantile(0.99)
 				}
 			}

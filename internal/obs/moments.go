@@ -80,3 +80,19 @@ func (m *Moments) Min() float64 { return m.min }
 
 // Max returns the largest observation (0 with no observations).
 func (m *Moments) Max() float64 { return m.max }
+
+// Summary is the JSON form of a Moments aggregate. The online /drift report
+// and the offline adsala-replay report both carry it, so residual statistics
+// from the two diff cleanly.
+type Summary struct {
+	Count int64   `json:"count"`
+	Mean  float64 `json:"mean"`
+	Std   float64 `json:"std"`
+	Min   float64 `json:"min"`
+	Max   float64 `json:"max"`
+}
+
+// Summary returns the aggregate's JSON summary.
+func (m *Moments) Summary() Summary {
+	return Summary{Count: m.n, Mean: m.mean, Std: m.Std(), Min: m.min, Max: m.max}
+}

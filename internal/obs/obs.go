@@ -1,6 +1,6 @@
 // Package obs is the observability core of the serving and training
-// daemons: dependency-free atomic counters, gauges and mergeable
-// log-bucketed latency histograms, collected in a Registry that renders
+// daemons: dependency-free atomic counters, gauges and log-bucketed
+// latency histograms, collected in a Registry that renders
 // the Prometheus text exposition format.
 //
 // The design constraint is the serving hot path: recording a measurement

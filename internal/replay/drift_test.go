@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/drift"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -83,7 +84,7 @@ func TestDriftOnlineReplayAgreement(t *testing.T) {
 		t.Fatalf("offline per_op lacks gemm: %+v", offline.PerOp)
 	}
 
-	agree := func(name string, a, b drift.Summary) {
+	agree := func(name string, a, b obs.Summary) {
 		t.Helper()
 		if a.Count != b.Count {
 			t.Errorf("%s count online=%d offline=%d", name, a.Count, b.Count)

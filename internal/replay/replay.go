@@ -38,38 +38,6 @@ type Config struct {
 	Shards    int
 }
 
-// Summary is the JSON form of an obs.Moments aggregate.
-type Summary struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	Std   float64 `json:"std"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-}
-
-func summarize(m *obs.Moments) Summary {
-	return Summary{Count: m.Count(), Mean: m.Mean(), Std: m.Std(), Min: m.Min(), Max: m.Max()}
-}
-
-// Tails is the JSON form of a latency histogram (seconds).
-type Tails struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean_seconds"`
-	P50   float64 `json:"p50_seconds"`
-	P90   float64 `json:"p90_seconds"`
-	P99   float64 `json:"p99_seconds"`
-}
-
-func tails(h *obs.Histogram) Tails {
-	return Tails{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.QuantileScaled(0.50),
-		P90:   h.QuantileScaled(0.90),
-		P99:   h.QuantileScaled(0.99),
-	}
-}
-
 // OpReport is one operation's replay score.
 type OpReport struct {
 	// Decisions and Agreed cover replayed decision records: Agreed counts
@@ -82,18 +50,18 @@ type OpReport struct {
 	// PredictedRegretSeconds summarises, per measurement record, how much
 	// slower (by the candidate's own model) the recorded thread count is
 	// than the candidate's best choice — 0 when they agree; always ≥ 0.
-	PredictedRegretSeconds Summary `json:"predicted_regret_seconds"`
+	PredictedRegretSeconds obs.Summary `json:"predicted_regret_seconds"`
 	// ResidualLog2 summarises log2(predicted/measured) per measurement
 	// record: 0 is a perfect prediction, +1 predicts 2× too slow, -1
 	// predicts 2× too fast. Mean near 0 with small std means the model
 	// transfers to this traffic.
-	ResidualLog2 Summary `json:"residual_log2"`
+	ResidualLog2 obs.Summary `json:"residual_log2"`
 	// AbsRelErr summarises |predicted-measured|/measured.
-	AbsRelErr Summary `json:"abs_rel_err"`
+	AbsRelErr obs.Summary `json:"abs_rel_err"`
 	// MeasuredLatency and PredictedLatency are the wall-time tails of the
 	// measurement records and the candidate's predictions for them.
-	MeasuredLatency  Tails `json:"measured_latency"`
-	PredictedLatency Tails `json:"predicted_latency"`
+	MeasuredLatency  obs.Tails `json:"measured_latency"`
+	PredictedLatency obs.Tails `json:"predicted_latency"`
 }
 
 // Report is the replay score of one candidate artefact against one trace.
@@ -235,11 +203,11 @@ func Run(lib *core.Library, files []string, cfg Config) (*Report, error) {
 			Decisions:              st.decisions,
 			Agreed:                 st.agreed,
 			Measured:               st.measured,
-			PredictedRegretSeconds: summarize(&st.regret),
-			ResidualLog2:           summarize(&st.residual),
-			AbsRelErr:              summarize(&st.absRelErr),
-			MeasuredLatency:        tails(st.measuredLat),
-			PredictedLatency:       tails(st.predictedLat),
+			PredictedRegretSeconds: st.regret.Summary(),
+			ResidualLog2:           st.residual.Summary(),
+			AbsRelErr:              st.absRelErr.Summary(),
+			MeasuredLatency:        st.measuredLat.Tails(),
+			PredictedLatency:       st.predictedLat.Tails(),
 		}
 		if st.decisions > 0 {
 			or.Agreement = float64(st.agreed) / float64(st.decisions)

@@ -1,6 +1,7 @@
 // Package serve is the concurrent prediction-serving subsystem: a sharded
 // LRU decision cache generalising the single-shape runtime cache of §III-C,
-// a batch prediction engine over reusable buffers, and an HTTP front end
+// a decision engine over reusable buffers (one decision path: cache probe,
+// rank, put — a batch is that path once per shape), and an HTTP front end
 // (server + client) so a trained library can answer thread-selection queries
 // over the wire. The cache is a memo of calls that happened: it starts empty
 // at boot and after every hot reload, and live traffic fills it.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -19,12 +18,9 @@ type DriftReport = drift.Report
 // over-the-wire form of what the in-process BLAS facade feeds
 // Engine.RecordMeasured directly.
 type MeasuredRecord struct {
-	Op         string `json:"op,omitempty"`
-	M          int    `json:"m"`
-	K          int    `json:"k"`
-	N          int    `json:"n"`
-	Threads    int    `json:"threads"`
-	MeasuredNs int64  `json:"measured_ns"`
+	PredictRequest
+	Threads    int   `json:"threads"`
+	MeasuredNs int64 `json:"measured_ns"`
 }
 
 // MeasuredRequest is the JSON body of POST /measured.
@@ -57,8 +53,8 @@ func (s *Server) handleMeasured(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MeasuredRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode body: %v", err)
+	if status, err := decodeBody(w, r, maxMeasuredBody, &req); err != nil {
+		writeError(w, status, "decode body: %v", err)
 		return
 	}
 	if len(req.Records) == 0 {
@@ -72,14 +68,11 @@ func (s *Server) handleMeasured(w http.ResponseWriter, r *http.Request) {
 	// Validate everything before ingesting anything: a batch is accepted or
 	// rejected as a unit, so a client can safely retry a 400 after fixing it
 	// without double-counting a prefix.
-	type parsed struct {
-		op  Op
-		rec MeasuredRecord
-	}
-	recs := make([]parsed, len(req.Records))
+	opOf := make([]Op, len(req.Records))
 	for i, rec := range req.Records {
-		if rec.M < 1 || rec.K < 1 || rec.N < 1 {
-			writeError(w, http.StatusBadRequest, "record %d: dimensions must be positive, got %dx%dx%d", i, rec.M, rec.K, rec.N)
+		op, err := rec.parse()
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "record %d: %v", i, err)
 			return
 		}
 		if rec.Threads < 1 {
@@ -90,12 +83,7 @@ func (s *Server) handleMeasured(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "record %d: measured_ns must be positive, got %d", i, rec.MeasuredNs)
 			return
 		}
-		op, err := ParseOp(rec.Op)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "record %d: %v", i, err)
-			return
-		}
-		recs[i] = parsed{op: op, rec: rec}
+		opOf[i] = op
 	}
 	// Ingestion runs a model evaluation per record when a drift monitor is
 	// attached, so it sits under the same admission gate as the prediction
@@ -104,11 +92,11 @@ func (s *Server) handleMeasured(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	for _, p := range recs {
-		s.engine.RecordMeasured(p.op, p.rec.M, p.rec.K, p.rec.N, p.rec.Threads, p.rec.MeasuredNs)
+	for i, rec := range req.Records {
+		s.engine.RecordMeasured(opOf[i], rec.M, rec.K, rec.N, rec.Threads, rec.MeasuredNs)
 	}
 	failed = false
-	writeJSON(w, http.StatusOK, MeasuredResponse{Accepted: len(recs)})
+	writeJSON(w, http.StatusOK, MeasuredResponse{Accepted: len(req.Records)})
 }
 
 // handleDrift is GET /drift: the schema-versioned online drift report

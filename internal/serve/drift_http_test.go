@@ -110,7 +110,7 @@ func TestMeasuredAndDriftRoundTrip(t *testing.T) {
 
 	// The typed client wraps both endpoints.
 	accepted, err := cl.ReportMeasured(bg, []MeasuredRecord{
-		{Op: "gemm", M: 128, K: 128, N: 128, Threads: 4, MeasuredNs: 10_000},
+		{PredictRequest: PredictRequest{M: 128, K: 128, N: 128, Op: "gemm"}, Threads: 4, MeasuredNs: 10_000},
 	})
 	if err != nil || accepted != 1 {
 		t.Fatalf("client.ReportMeasured = %d, %v", accepted, err)

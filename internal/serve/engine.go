@@ -23,16 +23,14 @@ type Options struct {
 	// Shards is the cache shard count; rounded up to a power of two.
 	// 0 selects the default (16).
 	Shards int
-	// Workers bounds the goroutines used by PredictBatch. 0 selects
-	// GOMAXPROCS; 1 forces sequential batches.
-	Workers int
 }
 
 // Engine answers thread-selection queries for one trained library. It
 // generalises the §III-C repeated-shape cache: decisions are memoised in a
 // sharded LRU keyed by (operation, shape), misses rank the candidates with
-// pooled scratch buffers (no per-call allocation in steady state), and
-// batches fan out across a bounded worker pool. Safe for concurrent use.
+// pooled scratch buffers (no per-call allocation in steady state), and a
+// batch is the same decision once per shape, in order. Safe for concurrent
+// use; the parallelism is across calls, never inside one.
 //
 // Every ranking goes through the library's per-op model bundle: operations
 // with a trained model of their own (e.g. SYRK after Train(Ops:
@@ -46,7 +44,7 @@ type Engine struct {
 	// only what it holds, so a decision ranked with one artefact can never
 	// land in (or be served from) another artefact's cache.
 	state atomic.Pointer[libState]
-	opts  Options // Workers resolved; the cache geometry serves every generation
+	opts  Options // the cache geometry serves every generation
 
 	// The decision ledger: per-op {hits, misses}, indexed by ops.Op. They
 	// are the only decision counters: decision counts and aggregates are
@@ -57,12 +55,10 @@ type Engine struct {
 
 	// decLatency holds one latency histogram per op for the cache-miss
 	// ranking path (nanosecond observations, exposed as seconds) — also the
-	// source of Stats.MeanEvalMicros — and batchSizes the /batch
-	// request-size distribution. Both live on the engine from construction
-	// — recording is a few atomic adds — and are attached to a Prometheus
-	// registry by RegisterMetrics.
+	// source of Stats.MeanEvalMicros. They live on the engine from
+	// construction — recording is a few atomic adds — and are attached to a
+	// Prometheus registry by RegisterMetrics.
 	decLatency []*obs.Histogram
-	batchSizes *obs.Histogram
 
 	// recorder is the optional flight recorder (nil when tracing is off —
 	// the hot path pays one atomic pointer load).
@@ -116,14 +112,10 @@ func (e *Engine) newState(lib *core.Library) *libState {
 
 // NewEngine returns an Engine over the library with the given options.
 func NewEngine(lib *core.Library, opts Options) *Engine {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	e := &Engine{
 		opts:       opts,
 		serving:    make([]opCounters, ops.NumOps()),
 		decLatency: make([]*obs.Histogram, ops.NumOps()),
-		batchSizes: obs.NewHistogram(1),
 	}
 	for i := range e.decLatency {
 		e.decLatency[i] = obs.NewHistogram(1e-9)
@@ -314,101 +306,35 @@ func (e *Engine) RankOpCtx(ctx context.Context, op Op, m, k, n int) (scores []fl
 	return scores, best, fallback
 }
 
-// PredictBatchOpCtx ranks every shape under one operation kind (mixed-op
-// batches split per op at the HTTP layer) and writes the chosen thread
-// counts into out (allocated when nil or too short). Identical shapes
-// within the batch are deduplicated before ranking, so a batch of N
-// repeated cache misses costs one model evaluation, not N; distinct shapes
-// already cached are served from the cache, and the remaining distinct
-// misses are ranked in parallel across the engine's worker pool. Duplicates
-// resolved from the batch-local memoisation are counted as cache hits, so
-// the Stats counters keep per-request semantics. Batches of n shapes use
-// O(n) dedup scratch; the no-allocation guarantee applies to the per-shape
-// ranking path, not the batch bookkeeping.
+// PredictBatchOpCtx answers every shape under one operation kind, in
+// order, and writes the chosen thread counts into out (allocated when nil or
+// too short; a sufficient out makes the call allocation-free). A batch is a
+// loop over the one decision path on one loaded state: the first occurrence
+// of a shape the cache does not hold is a miss that ranks and caches it, and
+// every repeat — within the batch or from an earlier call — is a cache hit
+// like any other, counted and traced as one. A batch of N repeated cold
+// shapes therefore costs one model evaluation, not N, with no bookkeeping of
+// its own.
 //
 // It degrades like PredictOpCtx: fallback is nil when every decision came
 // from the cache or a model; otherwise it has len(shapes) with true at each
 // slot answered by the deterministic heuristic (ctx expired mid-batch, or
-// the artefact holds no model for the op).
+// the artefact holds no model for the op). Heuristic answers are never
+// cached, so a repeat of one is a second miss and a second fallback.
 func (e *Engine) PredictBatchOpCtx(ctx context.Context, op Op, shapes []sampling.Shape, out []int) (threads []int, fallback []bool) {
 	st := e.state.Load()
 	if len(out) < len(shapes) {
 		out = make([]int, len(shapes))
 	}
 	out = out[:len(shapes)]
-	if len(shapes) == 0 {
-		return out, nil
-	}
-	e.batchSizes.Observe(int64(len(shapes)))
-	if len(shapes) == 1 {
-		t, fb := e.decide(ctx, st, op, shapes[0].M, shapes[0].K, shapes[0].N)
-		out[0] = t
-		if fb {
-			return out, []bool{true}
-		}
-		return out, nil
-	}
-
-	// Dedup pass: slot[i] points each request at its distinct shape.
-	index := make(map[sampling.Shape]int, len(shapes))
-	slot := make([]int, len(shapes))
-	uniq := shapes[:0:0]
 	for i, sh := range shapes {
-		u, ok := index[sh]
-		if !ok {
-			u = len(uniq)
-			index[sh] = u
-			uniq = append(uniq, sh)
-		}
-		slot[i] = u
-	}
-	if dups := len(shapes) - len(uniq); dups > 0 {
-		e.counters(op).hits.Add(int64(dups))
-	}
-
-	vals := make([]int, len(uniq))
-	fbs := make([]bool, len(uniq))
-	workers := e.opts.Workers
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
-	if workers <= 1 {
-		for u, sh := range uniq {
-			vals[u], fbs[u] = e.decide(ctx, st, op, sh.M, sh.K, sh.N)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					u := int(next.Add(1)) - 1
-					if u >= len(uniq) {
-						return
-					}
-					sh := uniq[u]
-					vals[u], fbs[u] = e.decide(ctx, st, op, sh.M, sh.K, sh.N)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	any := false
-	for _, fb := range fbs {
+		var fb bool
+		out[i], fb = e.decide(ctx, st, op, sh.M, sh.K, sh.N)
 		if fb {
-			any = true
-			break
-		}
-	}
-	if any {
-		fallback = make([]bool, len(shapes))
-	}
-	for i, u := range slot {
-		out[i] = vals[u]
-		if any {
-			fallback[i] = fbs[u]
+			if fallback == nil {
+				fallback = make([]bool, len(shapes))
+			}
+			fallback[i] = true
 		}
 	}
 	return out, fallback

@@ -143,28 +143,10 @@ func TestEngineRankDetail(t *testing.T) {
 	}
 }
 
-func TestEngineBatchWorkers(t *testing.T) {
-	l := lib(t)
-	shapes := mixedShapes(33)
-	seq := predictBatch(NewEngine(l, Options{Workers: 1}), OpGEMM, shapes, nil)
-	par := predictBatch(NewEngine(l, Options{Workers: 8}), OpGEMM, shapes, nil)
-	for i := range shapes {
-		if seq[i] != par[i] {
-			t.Fatalf("shape %v: sequential %d, parallel %d", shapes[i], seq[i], par[i])
-		}
-	}
-	// Reusing an output slice must not reallocate.
-	eng := NewEngine(l, Options{})
-	out := make([]int, len(shapes))
-	got := predictBatch(eng, OpGEMM, shapes, out)
-	if &got[0] != &out[0] {
-		t.Error("PredictBatch reallocated a sufficient out slice")
-	}
-}
-
 // TestEngineBatchDedup verifies that identical shapes within one batch are
 // ranked once: a batch of N copies of a cold shape performs exactly one
-// model evaluation, and every copy receives the same (correct) decision.
+// model evaluation, and every copy receives the same (correct) decision —
+// the one PredictOpCtx gives the shape on its own.
 func TestEngineBatchDedup(t *testing.T) {
 	l := lib(t)
 	base := mixedShapes(4)
@@ -172,32 +154,40 @@ func TestEngineBatchDedup(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		batch = append(batch, base...)
 	}
-	for _, workers := range []int{1, 8} {
-		eng := NewEngine(l, Options{Workers: workers})
-		out := predictBatch(eng, OpGEMM, batch, nil)
-		for i, sh := range batch {
-			if want := l.OptimalThreadsOp(OpGEMM, sh.M, sh.K, sh.N); out[i] != want {
-				t.Fatalf("workers=%d shape %v: got %d, want %d", workers, sh, out[i], want)
-			}
+	eng := NewEngine(l, Options{})
+	buf := make([]int, len(batch))
+	out := predictBatch(eng, OpGEMM, batch, buf)
+	if &out[0] != &buf[0] {
+		t.Error("PredictBatch reallocated a sufficient out slice")
+	}
+	single := NewEngine(l, Options{})
+	for i, sh := range batch {
+		if want := l.OptimalThreadsOp(OpGEMM, sh.M, sh.K, sh.N); out[i] != want {
+			t.Fatalf("shape %v: got %d, want %d", sh, out[i], want)
 		}
-		st := eng.Stats()
-		if st.CacheMisses != int64(len(base)) {
-			t.Errorf("workers=%d: %d cache misses for %d distinct shapes (dedup not applied)",
-				workers, st.CacheMisses, len(base))
+		if one := predict(single, OpGEMM, sh.M, sh.K, sh.N); out[i] != one {
+			t.Fatalf("shape %v: batch %d, one at a time %d", sh, out[i], one)
 		}
-		// Counters keep per-request semantics: every served decision counts
-		// as a prediction, and batch-local duplicates count as hits.
-		if st.Predictions != int64(len(batch)) {
-			t.Errorf("workers=%d: predictions = %d, want %d", workers, st.Predictions, len(batch))
-		}
-		if want := int64(len(batch) - len(base)); st.CacheHits != want {
-			t.Errorf("workers=%d: cache hits = %d, want %d", workers, st.CacheHits, want)
-		}
+	}
+	st := eng.Stats()
+	if st.CacheMisses != int64(len(base)) {
+		t.Errorf("%d cache misses for %d distinct shapes (dedup not applied)", st.CacheMisses, len(base))
+	}
+	// Counters keep per-request semantics: every served decision counts
+	// as a prediction, and repeats within the batch count as hits.
+	if st.Predictions != int64(len(batch)) {
+		t.Errorf("predictions = %d, want %d", st.Predictions, len(batch))
+	}
+	if want := int64(len(batch) - len(base)); st.CacheHits != want {
+		t.Errorf("cache hits = %d, want %d", st.CacheHits, want)
+	}
+	if got := single.Stats(); got.CacheHits != st.CacheHits || got.CacheMisses != st.CacheMisses {
+		t.Errorf("batch booked %d hits / %d misses, the same shapes one at a time %d / %d",
+			st.CacheHits, st.CacheMisses, got.CacheHits, got.CacheMisses)
 	}
 	// Order must be preserved when duplicates are interleaved.
 	interleaved := []sampling.Shape{base[0], base[1], base[0], base[2], base[1], base[0]}
-	eng := NewEngine(l, Options{Workers: 1})
-	out := predictBatch(eng, OpGEMM, interleaved, nil)
+	out = predictBatch(NewEngine(l, Options{}), OpGEMM, interleaved, nil)
 	for i, sh := range interleaved {
 		if want := l.OptimalThreadsOp(OpGEMM, sh.M, sh.K, sh.N); out[i] != want {
 			t.Fatalf("interleaved %d (%v): got %d, want %d", i, sh, out[i], want)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -104,6 +105,25 @@ func TestReloadDoesNotPoisonCache(t *testing.T) {
 	})
 }
 
+// TestHeuristicRepeatIsNotAHit pins the ledger in degraded mode: a heuristic
+// answer is never cached, so the repeat of a shape inside a batch whose
+// deadline has expired is a second miss and a second fallback — hit_rate
+// must not rise exactly when the daemon has stopped ranking.
+func TestHeuristicRepeatIsNotAHit(t *testing.T) {
+	e := NewEngine(lib(t), Options{})
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	sh := sampling.Shape{M: 100, K: 100, N: 100}
+	_, fallback := e.PredictBatchOpCtx(ctx, OpGEMM, []sampling.Shape{sh, sh}, nil)
+	if len(fallback) != 2 || !fallback[0] || !fallback[1] {
+		t.Fatalf("fallback flags %v, want both slots degraded", fallback)
+	}
+	if st := e.Stats(); st.CacheHits != 0 || st.CacheMisses != 2 || st.Fallbacks != 2 {
+		t.Errorf("ledger booked %d hits / %d misses / %d fallbacks, want 0 / 2 / 2",
+			st.CacheHits, st.CacheMisses, st.Fallbacks)
+	}
+}
+
 // metricValue returns the value of one series of a Prometheus text
 // exposition, or fails the test when it is absent.
 func metricValue(t *testing.T, text, series string) float64 {
@@ -146,7 +166,7 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 	if _, err := client.Predict(bg, PredictRequest{M: -1, K: 1, N: 1}); err == nil {
 		t.Fatal("malformed request accepted")
 	}
-	if _, err := client.ReportMeasured(bg, []MeasuredRecord{{M: 96, K: 64, N: 96, Threads: 2, MeasuredNs: 1000}}); err != nil {
+	if _, err := client.ReportMeasured(bg, []MeasuredRecord{{PredictRequest: PredictRequest{M: 96, K: 64, N: 96}, Threads: 2, MeasuredNs: 1000}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -29,9 +29,6 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 			"Latency of one cache-miss candidate ranking.",
 			e.decLatency[i], lbl)
 	}
-	r.RegisterHistogram("adsala_serve_batch_size",
-		"Shapes per PredictBatch call.", e.batchSizes)
-
 	r.CounterFunc("adsala_serve_fallbacks_total",
 		"Decisions answered by the deterministic heuristic fallback instead of a model.",
 		sumView(&e.fallbacks))

@@ -139,6 +139,14 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if _, err := client.PredictBatch(bg, requests(OpGEMM, mixedShapes(5))); err != nil {
 		t.Fatal(err)
 	}
+	// An interleaved mixed-op batch is still one /batch request.
+	mixed := make([]PredictRequest, 6)
+	for i := range mixed {
+		mixed[i] = PredictRequest{M: 64 + i, K: 64, N: 64 + i, Op: Op(i % 3).String()}
+	}
+	if _, err := client.PredictBatch(bg, mixed); err != nil {
+		t.Fatal(err)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -174,6 +182,11 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition lacks %q", want)
 		}
+	}
+	// adsala_serve_batch_size is shapes per /batch request: one observation
+	// per request whatever ops it mixes.
+	if count, sum := metricValue(t, text, "adsala_serve_batch_size_count"), metricValue(t, text, "adsala_serve_batch_size_sum"); count != 2 || sum != 11 {
+		t.Errorf("batch size histogram holds %v requests of %v shapes, want 2 of 11", count, sum)
 	}
 	if strings.Contains(text, "-1") {
 		t.Errorf("negative value in exposition:\n%s", text)

@@ -4,8 +4,10 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -14,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/ops"
 	"repro/internal/sampling"
 )
 
@@ -27,6 +28,16 @@ type PredictRequest struct {
 	K  int    `json:"k"`
 	N  int    `json:"n"`
 	Op string `json:"op,omitempty"`
+}
+
+// parse is the one validation every wire shape passes — /predict, each
+// /batch slot, each /measured record: positive dimensions and a registered
+// operation name.
+func (r PredictRequest) parse() (Op, error) {
+	if r.M < 1 || r.K < 1 || r.N < 1 {
+		return 0, fmt.Errorf("dimensions must be positive, got %dx%dx%d", r.M, r.K, r.N)
+	}
+	return ParseOp(r.Op)
 }
 
 // PredictResponse is the JSON answer of /predict.
@@ -162,9 +173,35 @@ type StatsResponse struct {
 	HTTP   map[string]EndpointStats `json:"http"`
 }
 
-// MaxBatchShapes bounds one /batch request (guards against unbounded
-// request bodies monopolising the worker pool).
+// MaxBatchShapes bounds one /batch request, which holds its admission slot
+// for as long as deciding that many shapes one by one takes.
 const MaxBatchShapes = 16384
+
+// Request-body bounds, applied before decoding — MaxBatchShapes is otherwise
+// first checked on a slice the whole body has already become — and sized
+// from each route's own limit, so that every request the validation accepts
+// still fits: a wire shape with three 19-digit dimensions and the longest op
+// name is 86 bytes, a measured record 64 more, and the per-element figures
+// round those up to leave room for indentation.
+const (
+	maxPredictBody  = 4 << 10
+	maxBatchBody    = MaxBatchShapes*128 + 1<<10
+	maxMeasuredBody = MaxMeasuredRecords*256 + 1<<10
+)
+
+// decodeBody decodes the JSON request body, of at most limit bytes, into v.
+// A failure comes with its status: 413 when the body ran past the bound, 400
+// for anything else.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (status int, err error) {
+	if err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err == nil {
+		return http.StatusOK, nil
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
+}
 
 // Limits is the overload-protection configuration of a Server: bounded
 // in-flight admission with a short wait queue on the prediction endpoints,
@@ -296,6 +333,9 @@ type Server struct {
 	predict  endpointMetrics
 	batch    endpointMetrics
 	measured endpointMetrics
+	// batchSizes is the shapes-per-/batch-request distribution: one
+	// observation per request, however many ops it mixes.
+	batchSizes *obs.Histogram
 
 	// Overload protection: limits is resolved at construction; limit is
 	// nil when admission control is disabled.
@@ -328,6 +368,7 @@ func NewServer(engine *Engine, opts ...ServerOption) *Server {
 	s.predict.latency = obs.NewHistogram(1e-9)
 	s.batch.latency = obs.NewHistogram(1e-9)
 	s.measured.latency = obs.NewHistogram(1e-9)
+	s.batchSizes = obs.NewHistogram(1)
 	s.mux.HandleFunc("/predict", s.handlePredict)
 	s.mux.HandleFunc("/batch", s.handleBatch)
 	s.mux.HandleFunc("/measured", s.handleMeasured)
@@ -345,6 +386,8 @@ func NewServer(engine *Engine, opts ...ServerOption) *Server {
 	s.predict.register(s.reg, "predict")
 	s.batch.register(s.reg, "batch")
 	s.measured.register(s.reg, "measured")
+	s.reg.RegisterHistogram("adsala_serve_batch_size",
+		"Shapes per /batch request.", s.batchSizes)
 	s.reg.GaugeFunc("adsala_serve_ready",
 		"1 when the daemon is accepting traffic, 0 while draining.",
 		func() float64 {
@@ -478,37 +521,30 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // parsePredict extracts a shape and operation kind from either query
-// parameters (GET) or a JSON body (POST).
-func parsePredict(r *http.Request) (PredictRequest, Op, error) {
-	var req PredictRequest
+// parameters (GET) or a JSON body (POST); a failure comes with its status.
+func parsePredict(w http.ResponseWriter, r *http.Request, query url.Values) (req PredictRequest, op Op, status int, err error) {
 	switch r.Method {
 	case http.MethodGet:
 		for _, f := range []struct {
 			name string
 			dst  *int
 		}{{"m", &req.M}, {"k", &req.K}, {"n", &req.N}} {
-			v, err := strconv.Atoi(r.URL.Query().Get(f.name))
+			v, err := strconv.Atoi(query.Get(f.name))
 			if err != nil {
-				return req, 0, fmt.Errorf("query parameter %q: want a positive integer", f.name)
+				return req, 0, http.StatusBadRequest, fmt.Errorf("query parameter %q: want a positive integer", f.name)
 			}
 			*f.dst = v
 		}
-		req.Op = r.URL.Query().Get("op")
+		req.Op = query.Get("op")
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return req, 0, fmt.Errorf("decode body: %v", err)
+		if status, err := decodeBody(w, r, maxPredictBody, &req); err != nil {
+			return req, 0, status, fmt.Errorf("decode body: %v", err)
 		}
 	default:
-		return req, 0, fmt.Errorf("method %s not allowed", r.Method)
+		return req, 0, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method)
 	}
-	if req.M < 1 || req.K < 1 || req.N < 1 {
-		return req, 0, fmt.Errorf("dimensions must be positive, got %dx%dx%d", req.M, req.K, req.N)
-	}
-	op, err := ParseOp(req.Op)
-	if err != nil {
-		return req, 0, err
-	}
-	return req, op, nil
+	op, err = req.parse()
+	return req, op, http.StatusBadRequest, err
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -516,12 +552,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	failed := true
 	defer func() { s.predict.observe(time.Since(start), failed) }()
 
-	req, op, err := parsePredict(r)
+	// Parsed once: every Query call re-parses the raw query into a new map.
+	query := r.URL.Query()
+	req, op, status, err := parsePredict(w, r, query)
 	if err != nil {
-		status := http.StatusBadRequest
-		if r.Method != http.MethodGet && r.Method != http.MethodPost {
-			status = http.StatusMethodNotAllowed
-		}
 		writeError(w, status, "%v", err)
 		return
 	}
@@ -533,7 +567,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	resp := PredictResponse{M: req.M, K: req.K, N: req.N, Op: op.String()}
-	if r.URL.Query().Get("detail") == "1" {
+	if query.Get("detail") == "1" {
 		var scores []float64
 		scores, resp.Threads, resp.Fallback = s.engine.RankOpCtx(ctx, op, req.M, req.K, req.N)
 		resp.Candidates = s.engine.Candidates()
@@ -558,8 +592,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode body: %v", err)
+	if status, err := decodeBody(w, r, maxBatchBody, &req); err != nil {
+		writeError(w, status, "decode body: %v", err)
 		return
 	}
 	if len(req.Shapes) == 0 {
@@ -576,41 +610,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	// Mixed-op batches are split into one engine batch per registered
-	// operation (the dedup and worker fan-out happen per op); slots maps
-	// each sub-batch entry back to its request index. The split is sized by
-	// the registry, so new ops flow through without touching this handler.
-	shapes := make([][]sampling.Shape, ops.NumOps())
-	slots := make([][]int, ops.NumOps())
+	// Validate the whole request, in request order, before deciding any of it.
+	shapes := make([]sampling.Shape, len(req.Shapes))
+	opOf := make([]Op, len(req.Shapes))
 	for i, sh := range req.Shapes {
-		if sh.M < 1 || sh.K < 1 || sh.N < 1 {
-			writeError(w, http.StatusBadRequest, "shape %d: dimensions must be positive, got %dx%dx%d", i, sh.M, sh.K, sh.N)
-			return
-		}
-		op, err := ParseOp(sh.Op)
+		op, err := sh.parse()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "shape %d: %v", i, err)
 			return
 		}
-		shapes[op] = append(shapes[op], sampling.Shape{M: sh.M, K: sh.K, N: sh.N})
-		slots[op] = append(slots[op], i)
+		shapes[i], opOf[i] = sampling.Shape{M: sh.M, K: sh.K, N: sh.N}, op
 	}
-	threads := make([]int, len(req.Shapes))
+	s.batchSizes.Observe(int64(len(shapes)))
+	// The engine decides one operation per call, so a mixed-op batch goes to
+	// it as its runs of consecutive same-op shapes, each answered in place:
+	// the response is in request order by construction.
+	threads := make([]int, len(shapes))
 	var fallback []bool
-	for op, batch := range shapes {
-		if len(batch) == 0 {
-			continue
+	for i := 0; i < len(shapes); {
+		j := i + 1
+		for j < len(shapes) && opOf[j] == opOf[i] {
+			j++
 		}
-		vals, fbs := s.engine.PredictBatchOpCtx(ctx, Op(op), batch, nil)
-		for j, t := range vals {
-			threads[slots[op][j]] = t
-			if fbs != nil && fbs[j] {
-				if fallback == nil {
-					fallback = make([]bool, len(req.Shapes))
-				}
-				fallback[slots[op][j]] = true
+		_, fbs := s.engine.PredictBatchOpCtx(ctx, opOf[i], shapes[i:j], threads[i:j])
+		if fbs != nil {
+			if fallback == nil {
+				fallback = make([]bool, len(shapes))
 			}
+			copy(fallback[i:j], fbs)
 		}
+		i = j
 	}
 	failed = false
 	writeJSON(w, http.StatusOK, BatchResponse{Threads: threads, Fallback: fallback})

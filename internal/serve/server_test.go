@@ -163,3 +163,49 @@ func TestServerErrors(t *testing.T) {
 		t.Error("client.PredictBatch(bg, nil) should error")
 	}
 }
+
+// TestServerBodyBounds pins the request-body bounds: each route reads its
+// body up to a constant sized from the route's own limit and answers 413
+// one byte past it, and the largest batch the validation accepts — 16384
+// shapes, every dimension 19 digits, the longest op name — still fits.
+func TestServerBodyBounds(t *testing.T) {
+	_, ts := testServer(t)
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	const shape = `{"m":9223372036854775807,"k":9223372036854775807,"n":9223372036854775807,"op":"syr2k"}`
+	batch := `{"shapes":[` + strings.Repeat(shape+",", MaxBatchShapes-1) + shape + `]}`
+	if got := post("/batch", batch); got != http.StatusOK {
+		t.Errorf("maximal legal batch (%d bytes): HTTP %d, want 200", len(batch), got)
+	}
+	const record = `{"m":9223372036854775807,"k":9223372036854775807,"n":9223372036854775807,"op":"syr2k","threads":9223372036854775807,"measured_ns":9223372036854775807}`
+	records := `{"records":[` + strings.Repeat(record+",", MaxMeasuredRecords-1) + record + `]}`
+	if got := post("/measured", records); got != http.StatusOK {
+		t.Errorf("maximal legal report (%d bytes): HTTP %d, want 200", len(records), got)
+	}
+
+	// All-blank bodies, so the decoder must read every byte looking for a
+	// value: at the bound that is a malformed body, past it a refused one.
+	for _, tc := range []struct {
+		path  string
+		bound int
+	}{
+		{"/predict", maxPredictBody},
+		{"/batch", maxBatchBody},
+		{"/measured", maxMeasuredBody},
+	} {
+		if got := post(tc.path, strings.Repeat(" ", tc.bound)); got != http.StatusBadRequest {
+			t.Errorf("%s with a body at the bound: HTTP %d, want 400", tc.path, got)
+		}
+		if got := post(tc.path, strings.Repeat(" ", tc.bound+1)); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a body one byte past the bound: HTTP %d, want 413", tc.path, got)
+		}
+	}
+}

@@ -103,6 +103,50 @@ func TestEngineTraceFlags(t *testing.T) {
 	}
 }
 
+// TestTraceMatchesLedger pins that the capture and the ledger count the same
+// decisions: after /predict and /batch traffic with repeats inside a batch
+// and across ops, the capture holds one decision record per prediction
+// /stats reports, and one FlagCacheHit record per cache hit — so a replay of
+// the capture sees the daemon's own hit rate.
+func TestTraceMatchesLedger(t *testing.T) {
+	srv, ts := testServer(t)
+	rec, collect := openRecorder(t, srv.Engine())
+	client := NewClient(ts.URL, nil)
+
+	a := PredictRequest{M: 512, K: 256, N: 384}
+	b := PredictRequest{M: 96, K: 64, N: 96, Op: "syrk"}
+	c := PredictRequest{M: 96, K: 64, N: 96, Op: "syr2k"}
+	if _, err := client.PredictBatch(bg, []PredictRequest{a, b, a, c, b, a}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Predict(bg, a); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := client.Stats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Engine; got.Predictions != 7 || got.CacheMisses != 3 {
+		t.Fatalf("ledger booked %d predictions with %d misses, want 7 with 3", got.Predictions, got.CacheMisses)
+	}
+	var decisions, hits int64
+	for _, r := range collect() {
+		if r.IsDecision() {
+			decisions++
+		}
+		if r.Flags == trace.FlagCacheHit {
+			hits++
+		}
+	}
+	if rec.Dropped() != 0 {
+		t.Fatalf("dropped %d", rec.Dropped())
+	}
+	if decisions != stats.Engine.Predictions || hits != stats.Engine.CacheHits {
+		t.Errorf("capture holds %d decisions with %d hits, /stats says %d with %d",
+			decisions, hits, stats.Engine.Predictions, stats.Engine.CacheHits)
+	}
+}
+
 // TestEngineTraceDetached pins that detaching the recorder stops recording
 // without disturbing serving.
 func TestEngineTraceDetached(t *testing.T) {

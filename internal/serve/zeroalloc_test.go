@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/drift"
+	"repro/internal/sampling"
 	"repro/internal/trace"
 )
 
@@ -58,6 +59,38 @@ func TestPredictZeroAlloc(t *testing.T) {
 		e.RecordMeasured(OpGEMM, 512, 256, 384, 8, 12345)
 	}); n != 0 {
 		t.Errorf("RecordMeasured with nothing attached allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestPredictBatchZeroAlloc pins that a batch is the decision loop and
+// nothing else: with a caller-supplied out, PredictBatchOpCtx over 16 shapes
+// allocates nothing whether every shape hits or every shape misses (rank,
+// cache insert with eviction).
+func TestPredictBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by the race detector")
+	}
+	e := NewEngine(lib(t), Options{CacheSize: 16, Shards: 1})
+	shapes := mixedShapes(16)
+	out := make([]int, len(shapes))
+	predictBatch(e, OpGEMM, shapes, out) // fills the cache: every later miss evicts
+	if n := testing.AllocsPerRun(200, func() {
+		predictBatch(e, OpGEMM, shapes, out)
+	}); n != 0 {
+		t.Errorf("all-hit PredictBatchOpCtx allocates %.1f/op, want 0", n)
+	}
+	m := 1000
+	if n := testing.AllocsPerRun(50, func() {
+		for i := range shapes {
+			shapes[i] = sampling.Shape{M: m, K: 64, N: 64}
+			m++
+		}
+		predictBatch(e, OpGEMM, shapes, out)
+	}); n != 0 {
+		t.Errorf("all-miss PredictBatchOpCtx allocates %.1f/op, want 0", n)
+	}
+	if st := e.Stats(); st.CacheHits != 16*201 || st.CacheMisses != 16*52 {
+		t.Errorf("batches booked %d hits / %d misses, want %d / %d", st.CacheHits, st.CacheMisses, 16*201, 16*52)
 	}
 }
 
