@@ -146,12 +146,31 @@ func (r *Report) Best(kind string) (core.ModelReport, bool) {
 // one shared serving engine that every runtime facade created from it
 // (BLAS, NewServer with default options) observes — one decision cache, one
 // set of statistics.
+//
+// The artefact may be trained for a larger machine than this one. Every
+// engine the library hands out therefore ranks its feasible view — the same
+// models over the candidates this host can run (hostThreads) — so no model
+// evaluation is spent on a thread count that could never execute. The
+// artefact-wide accessors (Candidates, OptimalThreadsOp, PredictRuntimeOp,
+// Save) keep describing the artefact as trained.
 type Library struct {
 	inner *core.Library
+	// feasible is inner.Feasible(hostThreads()) as of construction: inner
+	// itself when the host can run every candidate.
+	feasible *core.Library
 
 	engOnce sync.Once
 	eng     *serve.Engine
 }
+
+func newLibrary(inner *core.Library) *Library {
+	return &Library{inner: inner, feasible: inner.Feasible(hostThreads())}
+}
+
+// hostThreads is the most threads a call can run on here — the one
+// definition of "feasible" that sizes the local install sweep (buildConfig),
+// the ranked view (newLibrary) and the execution guard (BLAS.localClamp).
+func hostThreads() int { return runtime.GOMAXPROCS(0) }
 
 // Train runs the full installation workflow (Fig 2) — once per requested
 // operation — and returns the deployable library plus the model-comparison
@@ -169,7 +188,7 @@ func Train(opts TrainOptions) (*Library, *Report, error) {
 	for _, op := range res.Library.TrainedOps() {
 		rep.PerOp = append(rep.PerOp, OpReport{Op: op.String(), Rows: res.OpReports[op]})
 	}
-	return &Library{inner: res.Library}, rep, nil
+	return newLibrary(res.Library), rep, nil
 }
 
 func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
@@ -212,8 +231,10 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 		}
 	case "local":
 		timerSpec = simtime.RealSpec()
-		maxThreads = runtime.GOMAXPROCS(0) * 2
-		refThreads = runtime.GOMAXPROCS(0)
+		// Nothing above hostThreads is ever executed here, so nothing
+		// above it is timed.
+		maxThreads = hostThreads()
+		refThreads = hostThreads()
 		platform = "local"
 		if capMB == 0 {
 			capMB = 64
@@ -277,7 +298,7 @@ func Load(path string) (*Library, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Library{inner: inner}, nil
+	return newLibrary(inner), nil
 }
 
 // Save writes the installation artefacts to one JSON file.
@@ -289,7 +310,10 @@ func (l *Library) Platform() string { return l.inner.Platform }
 // ModelKind returns the selected model family (e.g. "xgb").
 func (l *Library) ModelKind() string { return l.inner.ModelKind() }
 
-// Candidates returns the thread counts the library ranks at runtime.
+// Candidates returns the thread counts the artefact was trained over — the
+// set OptimalThreadsOp and a daemon serving the file rank. The engines this
+// library hands out rank the subset this host can run; Engine.Candidates
+// reports that.
 func (l *Library) Candidates() []int {
 	return append([]int(nil), l.inner.Candidates...)
 }
@@ -347,26 +371,31 @@ func (l *Library) FormatVersion() int { return l.inner.Format() }
 // sharedEngine returns the library's lazily created default engine — the
 // single cache every facade shares.
 func (l *Library) sharedEngine() *serve.Engine {
-	l.engOnce.Do(func() { l.eng = serve.NewEngine(l.inner, serve.Options{}) })
+	l.engOnce.Do(func() { l.eng = serve.NewEngine(l.feasible, serve.Options{}) })
 	return l.eng
 }
 
 // Engine returns a concurrent prediction engine bound to this library: a
-// sharded LRU decision cache plus a ranking path over reusable buffers. The zero Options select the library's shared engine — the same
-// decision cache and statistics every BLAS facade observes; non-zero
-// Options build a private engine with that
-// configuration. Safe for concurrent use; see the internal/serve package.
+// sharded LRU decision cache plus a ranking path over reusable buffers. The
+// zero Options select the library's shared engine — the same decision cache
+// and statistics every BLAS facade observes; non-zero Options build a
+// private engine with that configuration. Either ranks the library's
+// feasible view (the candidates this host can run), so shared and private
+// engines decide alike. Safe for concurrent use; see the internal/serve
+// package.
 func (l *Library) Engine(opts ServeOptions) *serve.Engine {
 	if opts == (serve.Options{}) {
 		return l.sharedEngine()
 	}
-	return serve.NewEngine(l.inner, opts)
+	return serve.NewEngine(l.feasible, opts)
 }
 
 // NewServer returns an http.Handler serving this library's predictions at
 // /predict, /batch, /stats and /healthz (the adsala-serve daemon wraps it).
 // Zero Options mount the library's shared engine, so the server's /stats
-// agree with the in-process facades.
+// agree with the in-process facades. Like every engine of the library it
+// answers for this host: a daemon that serves callers on other machines
+// (adsala-serve) builds its engine on the artefact itself instead.
 func (l *Library) NewServer(opts ServeOptions) *serve.Server {
 	return serve.NewServer(l.Engine(opts))
 }

@@ -339,7 +339,8 @@ func BenchmarkModelEvalLatency(b *testing.B) {
 }
 
 // BenchmarkRankOp is the cold-path ranking cost per model kind and op: one
-// RankOpInto over the 16 Gadi candidates through a reused scratch, on the
+// RankOpInto over the 16 Gadi candidates (and, in the /feasible2 rows, over
+// the two a 2-processor host ranks) through a reused scratch, on the
 // benchmark artefact's training set-up (Gadi, quick, 120 shapes, seed 11)
 // with the selection forced to one kind. The boosters rank through their
 // batch method and everything else through the per-row loop, so a model or
@@ -357,16 +358,22 @@ func BenchmarkRankOp(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		lib := res.Library
-		scratch := lib.NewScratch()
-		for _, op := range lib.TrainedOps() {
-			b.Run(spec.Kind+"/"+op.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					// A never-repeating walk of the small domain, as cold_small.
-					lib.RankOpInto(op, 4+i%61, 4+(i/61)%61, 4+(i/3721)%61, scratch, nil)
-				}
-			})
+		// The artefact's 16 candidates, then the two a 2-processor host can
+		// run: the feasible view the benchmark's cold path ranks.
+		for _, row := range []struct {
+			suffix string
+			lib    *core.Library
+		}{{"", res.Library}, {"/feasible2", res.Library.Feasible(2)}} {
+			lib, scratch := row.lib, row.lib.NewScratch()
+			for _, op := range lib.TrainedOps() {
+				b.Run(spec.Kind+"/"+op.String()+row.suffix, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						// A never-repeating walk of the small domain, as cold_small.
+						lib.RankOpInto(op, 4+i%61, 4+(i/61)%61, 4+(i/3721)%61, scratch, nil)
+					}
+				})
+			}
 		}
 	}
 }
@@ -450,7 +457,7 @@ func BenchmarkGemmEndToEnd(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lib := &Library{inner: res.Library}
+	lib := newLibrary(res.Library)
 	g := lib.BLAS()
 	g.SetMaxLocalThreads(2)
 	rng := rand.New(rand.NewSource(4))

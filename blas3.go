@@ -2,7 +2,6 @@ package adsala
 
 import (
 	"context"
-	"runtime"
 	"time"
 
 	"repro/internal/blas"
@@ -26,8 +25,12 @@ func NewMatrixF64(rows, cols int) *MatrixF64 { return mat.NewF64(rows, cols) }
 // BLAS-3 operation: each call consults the library's per-op model bundle
 // for the thread count (decisions cached under the (op, shape) key in the
 // library's ONE shared engine) and executes on the packed blocked kernels.
-// Thread counts are clamped to the local GOMAXPROCS so a library trained
-// for a larger platform still runs correctly here.
+// The engine ranks only the candidates this host can run (the library's
+// feasible view, sized at GOMAXPROCS when the library was built), so a
+// library trained for a larger platform neither scores nor picks a thread
+// count that cannot execute here. The executed count is still clamped per
+// call: that guard covers SetMaxLocalThreads and a GOMAXPROCS lowered after
+// the library was built.
 //
 // Every facade obtained from the same Library — BLAS() calls, Engine with
 // default options — shares that one engine, so CacheStats and a serving
@@ -40,7 +43,7 @@ func NewMatrixF64(rows, cols int) *MatrixF64 { return mat.NewF64(rows, cols) }
 // pool. A BLAS is safe for concurrent use.
 type BLAS struct {
 	eng *serve.Engine
-	// maxLocal caps the executed thread count (0 = GOMAXPROCS).
+	// maxLocal caps the executed thread count (0 = hostThreads).
 	maxLocal int
 }
 
@@ -62,7 +65,7 @@ func (b *BLAS) localClamp() int {
 	if b.maxLocal > 0 {
 		return b.maxLocal
 	}
-	return runtime.GOMAXPROCS(0)
+	return hostThreads()
 }
 
 // clampThreads bounds a model decision to [1, max] for local execution.

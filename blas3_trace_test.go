@@ -9,6 +9,25 @@ import (
 	"repro/internal/trace"
 )
 
+// capturedRecords flushes the recorder and reads back everything it wrote
+// under prefix.
+func capturedRecords(t *testing.T, rec *trace.Recorder, prefix string) []trace.Record {
+	t.Helper()
+	rec.Flush()
+	files, err := trace.Files(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []trace.Record
+	if _, err := trace.ScanFiles(files, func(r *trace.Record) error {
+		recs = append(recs, *r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 // TestFacadeRecordsMeasured pins the in-process capture contract: a traced
 // facade call records both halves — the decision and a FlagMeasured record
 // carrying the executed thread count and a positive wall time at the same
@@ -36,18 +55,7 @@ func TestFacadeRecordsMeasured(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec.Flush()
-	files, err := trace.Files(prefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []trace.Record
-	if _, err := trace.ScanFiles(files, func(r *trace.Record) error {
-		recs = append(recs, *r)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	recs := capturedRecords(t, rec, prefix)
 	if len(recs) != 2 {
 		t.Fatalf("captured %d records, want decision + measurement: %+v", len(recs), recs)
 	}

@@ -1,6 +1,7 @@
 // adsala-predict queries a saved ADSALA library: for a given GEMM shape it
 // prints the predicted runtime of every candidate thread count and the
-// selected optimum.
+// selected optimum, then what this host would rank and pick — the library's
+// engine ranks only the candidates GOMAXPROCS lets it run.
 //
 // Usage:
 //
@@ -8,12 +9,14 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
+	"runtime"
 
 	adsala "repro"
 	"repro/internal/logx"
@@ -64,6 +67,13 @@ func run(args []string, out io.Writer) error {
 		tb.Row(tabulate.D(c), tabulate.F(lib.PredictRuntimeOp(adsala.OpGEMM, *m, *k, *n, c)*1e6, 2), mark)
 	}
 	fmt.Fprint(out, tb.String())
+
+	// The table above is the artefact's; an in-process caller on this host
+	// gets the decision of the library's engine.
+	eng := lib.Engine(adsala.ServeOptions{})
+	here, _ := eng.PredictOpCtx(context.Background(), adsala.OpGEMM, *m, *k, *n)
+	fmt.Fprintf(out, "\nrunnable here (GOMAXPROCS=%d): %d of %d candidates → %d threads\n",
+		runtime.GOMAXPROCS(0), len(eng.Candidates()), len(lib.Candidates()), here)
 	return nil
 }
 

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -64,6 +66,24 @@ func TestRunPrintsRanking(t *testing.T) {
 	}
 	if !strings.Contains(got, "platform=Gadi") {
 		t.Errorf("output missing the platform line:\n%s", got)
+	}
+	// After the artefact-wide table: what this host ranks and picks, which
+	// is the argmin of the table over the rows GOMAXPROCS can run.
+	host := runtime.GOMAXPROCS(0)
+	runnable, here, bestT := 0, 0, 0.0
+	for _, c := range lib.Candidates() {
+		if c > host {
+			continue
+		}
+		runnable++
+		if rt := lib.PredictRuntimeOp(adsala.OpGEMM, 512, 512, 512, c); here == 0 || rt < bestT {
+			here, bestT = c, rt
+		}
+	}
+	want := fmt.Sprintf("runnable here (GOMAXPROCS=%d): %d of %d candidates → %d threads\n",
+		host, runnable, len(lib.Candidates()), here)
+	if !strings.HasSuffix(got, want) {
+		t.Errorf("output does not end with %q:\n%s", want, got)
 	}
 	// One table row per candidate.
 	for _, c := range lib.Candidates() {

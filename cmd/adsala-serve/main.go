@@ -75,7 +75,6 @@ import (
 	"syscall"
 	"time"
 
-	adsala "repro"
 	"repro/internal/core"
 	"repro/internal/drift"
 	"repro/internal/logx"
@@ -147,18 +146,24 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 // newServer loads the library and returns the HTTP front end over its
 // engine, ready to serve. Progress lines go to out at the configured
 // -log-level.
+//
+// The daemon answers for callers on machines it cannot see, so it ranks the
+// artefact's whole candidate set (the executing client clamps), not this
+// host's feasible view as the in-process adsala.Library engines do. Start-up
+// and reload go through the one load closure, so they cannot disagree.
 func newServer(cfg config, out io.Writer) (*serve.Server, error) {
 	lg := logx.New(out, cfg.level)
-	lib, err := adsala.Load(cfg.libPath)
+	load := func() (*core.Library, error) { return core.Load(cfg.libPath) }
+	lib, err := load()
 	if err != nil {
 		return nil, err
 	}
-	eng := lib.Engine(serve.Options{
+	eng := serve.NewEngine(lib, serve.Options{
 		CacheSize: cfg.cacheSize,
 		Shards:    cfg.shards,
 	})
 	lg.Infof("loaded %s: platform=%s model=%s, cache %d entries / %d shards",
-		cfg.libPath, lib.Platform(), lib.ModelKind(), eng.Cache().Capacity(), eng.Cache().Shards())
+		cfg.libPath, lib.Platform, lib.ModelKind(), eng.Cache().Capacity(), eng.Cache().Shards())
 	opts := []serve.ServerOption{
 		serve.WithLimits(serve.Limits{
 			MaxInFlight:    cfg.maxInflight,
@@ -167,7 +172,7 @@ func newServer(cfg config, out io.Writer) (*serve.Server, error) {
 	}
 	if cfg.adminToken != "" || cfg.reloadOn != "" {
 		opts = append(opts, serve.WithReload(serve.ReloadConfig{
-			Load:  func() (*core.Library, error) { return core.Load(cfg.libPath) },
+			Load:  load,
 			Token: cfg.adminToken,
 			Logf:  lg.Infof,
 		}))

@@ -11,6 +11,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -219,6 +221,65 @@ func TestDaemonAdminReload(t *testing.T) {
 	}
 	if h, err = client.Healthz(context.Background()); err != nil || h.Generation != 1 || h.Status != "ok" {
 		t.Errorf("healthz after refused reload = (%+v, %v)", h, err)
+	}
+}
+
+// TestDaemonRanksArtefactAcrossReload pins that the daemon answers for
+// callers it cannot see: a shape whose optimum exceeds this host's
+// GOMAXPROCS gets the artefact-wide answer at start-up and the same answer
+// after /admin/reload of the same file (both engines come from one load
+// closure; neither is narrowed to what this host could run).
+func TestDaemonRanksArtefactAcrossReload(t *testing.T) {
+	path := savedLibrary(t)
+	lib, err := adsala.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := runtime.GOMAXPROCS(0)
+	var shape [3]int
+	want := 0
+	for _, sh := range [][3]int{{2048, 2048, 2048}, {4096, 4096, 4096}, {8000, 8000, 8000}} {
+		if got := lib.OptimalThreadsOp(adsala.OpGEMM, sh[0], sh[1], sh[2]); got > host {
+			shape, want = sh, got
+			break
+		}
+	}
+	if want == 0 {
+		t.Skipf("no probe shape's optimum exceeds GOMAXPROCS=%d", host)
+	}
+	var out bytes.Buffer
+	cfg, err := parseFlags([]string{"-lib", path, "-admin-token", "sesame"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServer(cfg, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := serve.NewClient(ts.URL, nil)
+	req := serve.PredictRequest{M: shape[0], K: shape[1], N: shape[2]}
+
+	before, err := client.Predict(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before != want {
+		t.Errorf("daemon chose %d for %v at start-up, artefact-wide optimum %d (GOMAXPROCS=%d)", before, shape, want, host)
+	}
+	if h, err := client.Reload(context.Background(), "sesame"); err != nil || h.Generation != 1 {
+		t.Fatalf("reload = (%+v, %v)", h, err)
+	}
+	after, err := client.Predict(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Errorf("daemon chose %d for %v after reloading the same file, %d before", after, shape, before)
+	}
+	if got, want := srv.Engine().Candidates(), lib.Candidates(); !slices.Equal(got, want) {
+		t.Errorf("daemon ranks %v, artefact carries %v", got, want)
 	}
 }
 

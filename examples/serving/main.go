@@ -11,9 +11,12 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"time"
 
 	adsala "repro"
+	"repro/internal/core"
 	"repro/internal/sampling"
 	"repro/internal/serve"
 )
@@ -31,8 +34,25 @@ func main() {
 	fmt.Printf("selected model: %s\n\n", lib.ModelKind())
 
 	// 2. Build the engine and serve it over HTTP on an ephemeral port. The
-	// decision cache starts empty; first-touch traffic fills it.
-	eng := lib.Engine(serve.Options{CacheSize: 1024, Shards: 16})
+	// decision cache starts empty; first-touch traffic fills it. As in
+	// adsala-serve, the engine is built on the saved artefact itself: a
+	// daemon answers for the machine the model describes, and ranks all of
+	// its candidates. (lib.Engine would rank only what this host can run —
+	// the right engine for in-process calls, not for remote ones.)
+	dir, err := os.MkdirTemp("", "adsala-serving-example")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "gadi.adsala.json")
+	if err := lib.Save(path); err != nil {
+		log.Fatal(err)
+	}
+	artefact, err := core.Load(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	eng := serve.NewEngine(artefact, serve.Options{CacheSize: 1024, Shards: 16})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

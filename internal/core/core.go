@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/features"
@@ -254,6 +255,37 @@ func (l *Library) SetModel(op ops.Op, m *OpModel) error {
 	}
 	l.plans[op] = p
 	return nil
+}
+
+// Feasible returns the library a host limited to max threads ranks: the same
+// models compiled over the candidates ≤ max, or over the smallest candidate
+// when none qualifies (a decision must name one). Scores are independent of
+// the other rows (RankOpInto's contract), so the view's decision is the
+// argmin of the full ranking's scores over the kept candidates, and its cold
+// rank costs only the rows that can run. When nothing is cut the receiver
+// itself is returned: an unclamped host ranks the artefact bit for bit as
+// before.
+func (l *Library) Feasible(max int) *Library {
+	var keep []int
+	for _, c := range l.Candidates {
+		if c <= max {
+			keep = append(keep, c)
+		}
+	}
+	if len(keep) == 0 && len(l.Candidates) > 0 {
+		keep = []int{slices.Min(l.Candidates)}
+	}
+	if len(keep) == len(l.Candidates) {
+		return l
+	}
+	view := &Library{Platform: l.Platform, Candidates: keep, format: l.format}
+	for _, op := range l.TrainedOps() {
+		if err := view.SetModel(op, l.plans[op].mod); err != nil {
+			// The model compiled against a superset of these candidates.
+			panic(fmt.Sprintf("core: feasible view: %v", err))
+		}
+	}
+	return view
 }
 
 // planFor returns the op's compiled model, falling back to GEMM's.

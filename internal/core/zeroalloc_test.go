@@ -25,6 +25,17 @@ func TestRankOpIntoZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("RankOpInto without scores allocates %.1f/op, want 0", n)
 	}
+	// The feasible views rank through the same path on their own plans and
+	// scratches: the benchmark's core.rank_allocs row is measured on one.
+	for _, max := range feasibleMaxes {
+		view := lib.Feasible(max)
+		vs := view.NewScratch()
+		if n := testing.AllocsPerRun(200, func() {
+			view.RankOpInto(ops.GEMM, 512, 256, 384, vs, scores[:len(view.Candidates)])
+		}); n != 0 {
+			t.Errorf("Feasible(%d).RankOpInto allocates %.1f/op, want 0", max, n)
+		}
+	}
 }
 
 // TestPredictOpSecondsIntoZeroAlloc pins the single-configuration scoring
