@@ -10,13 +10,21 @@
 //
 // There is one of each layer, shared by the three operations: one matrix
 // header (mat.Dense, held by value), one driver (drive), one per-part worker,
-// one macro-kernel and one tile store. GEMM is the unmasked case. The
-// symmetric updates are the same loops run as a lower pass — B is op(b)ᵀ read
-// straight out of b, the column limits of an MC block and of an MR band stop
-// at the diagonal instead of at the panel edge (reach), the store of a
-// diagonal-straddling tile is masked to j ≤ i, and rows are dealt by triangle
-// area — followed by a mirror into the upper triangle; SYRK is one such pass
-// with b = a, SYR2K two.
+// one macro-kernel and one tile store — storeTile for every tile the edge of
+// C or the diagonal clips, and the same arithmetic straight from the
+// accumulator registers for the full interior tiles of the assembly kernel.
+// GEMM is the unmasked case. The symmetric updates are the same loops run as
+// a lower pass — B is op(b)ᵀ read straight out of b, the column limits of an
+// MC block and of an MR band stop at the diagonal instead of at the panel
+// edge (reach), the store of a diagonal-straddling tile is masked to j ≤ i,
+// and rows are dealt by triangle area — followed by a mirror into the upper
+// triangle; SYRK is one such pass with b = a, SYR2K two.
+//
+// The data movement around the tile — packing rows into panel columns, the
+// mirror — runs on the vector unit too where the tile does: block transposes
+// in registers (kernel_amd64.s, behind the same CPU probe), with the Go loops
+// in pack.go and syrk.go as the reference and as what handles ragged panels,
+// the kc tail and everything that touches the diagonal.
 //
 // The package plays the role of the paper's vendor BLAS: ADSALA treats it as
 // a black box whose only tunable is the thread count. Its cost structure —

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -148,6 +149,62 @@ func TestBetaZeroOverwritesC(t *testing.T) {
 	}
 	if d := c.MaxAbsDiff(want); d > tolF32(6) {
 		t.Errorf("beta=0 result differs: %v", d)
+	}
+}
+
+// TestBetaZeroOverwritesCPacked is the same property on the packed path,
+// where it is the store of a register tile that must not read C: interior
+// tiles (stored by the assembly), edge and diagonal tiles (storeTile), every
+// operation, both precisions, with the rows dealt to one to four parts. C
+// starts as NaN and ±Inf, which beta = 0 must overwrite, not scale.
+func TestBetaZeroOverwritesCPacked(t *testing.T) {
+	t.Run("float32", func(t *testing.T) { testBetaZeroPacked[float32](t, 1e-4) })
+	t.Run("float64", func(t *testing.T) { testBetaZeroPacked[float64](t, 1e-12) })
+}
+
+func testBetaZeroPacked[T float32 | float64](t *testing.T, relTol float64) {
+	rng := rand.New(rand.NewSource(6))
+	poison := []T{T(math.NaN()), T(math.Inf(1)), T(math.Inf(-1))}
+	ctx := NewContext()
+	defer ctx.Close()
+	for _, dims := range [][3]int{{64, 64, 64}, {97, 33, 61}} {
+		m, k, n := dims[0], dims[1], dims[2]
+		for _, op := range []opKind{opGemm, opSyrk, opSyr2k} {
+			if op != opGemm {
+				n = m
+			}
+			a, _ := fenced[T](m, k, k, 0, 0, rng)
+			b, _ := fenced[T](k, n, n, 0, 0, rng)
+			if op != opGemm {
+				b, _ = fenced[T](n, k, k, 0, 0, rng)
+			}
+			// The references compute 0·C, so theirs starts as zeros.
+			want := mat.Dense[T]{Rows: m, Cols: n, Stride: n, Data: make([]T, m*n)}
+			switch op {
+			case opGemm:
+				naive(false, false, 0.5, a, b, 0, want)
+			case opSyrk:
+				naiveSyrk(false, 0.5, a, 0, want)
+			default:
+				naiveSyr2k(false, 0.5, a, b, 0, want)
+			}
+			for threads := 1; threads <= 4; threads++ {
+				c := mat.Dense[T]{Rows: m, Cols: n, Stride: n, Data: make([]T, m*n)}
+				for i := range c.Data {
+					c.Data[i] = poison[(i+threads)%len(poison)]
+				}
+				if err := drive(ctx, op, false, false, 0.5, a, b, 0, c, threads, paramsFor[T](ctx)); err != nil {
+					t.Fatal(err)
+				}
+				for i, got := range c.Data {
+					w := float64(want.Data[i])
+					if g := float64(got); math.IsNaN(g) || math.Abs(g-w) > relTol*float64(k+1) {
+						t.Fatalf("%v %dx%dx%d threads=%d: C(%d,%d) = %v, want %v: beta=0 read C",
+							op, m, k, n, threads, i/n, i%n, got, w)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -334,6 +334,8 @@ func reach(lower bool, nc, iEnd, jc int) int {
 // out of b, rows are dealt per jc panel by lower-triangle tiles instead of by
 // bands (syrkRows), and blocks entirely above the diagonal are skipped before
 // paying the A-packing copy.
+//
+//adsala:zeroalloc
 func worker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 	ar := &bufs.args
 	prm := ar.prm

@@ -16,6 +16,12 @@ import (
 // portable fallback: every non-amd64 GOARCH, and amd64 without AVX2/FMA.
 // The macro-kernel dispatches on the (MR, NR) pair from Params; Validate
 // restricts callers to these two.
+//
+// A full vector tile in the interior of C is stored from the accumulator
+// registers by the assembly's own epilogue. Every other tile — cut by the
+// edge of C or by the diagonal of a lower pass, and every tile of the Go
+// kernel — lands in a stack block and goes through storeTile, the one Go
+// store and the definition of what the epilogue must compute bit for bit.
 const (
 	goMR, goNR = 4, 4
 	vecMR      = 6
@@ -36,6 +42,18 @@ func vecNR[T float32 | float64]() int {
 	return 64 / int(unsafe.Sizeof(z))
 }
 
+// vecBlock is the edge of the square block the vector transposes move (pack.go,
+// mirrorLower): the elements of T in one YMM register, half a tile row.
+func vecBlock[T float32 | float64]() int { return vecNR[T]() / 2 }
+
+// The stores of the vector tile's epilogue (the mode of tileVec), one per arm
+// of storeTile.
+const (
+	storeSet   = iota // c ← alpha·acc; c is not read
+	storeAdd          // c ← c + alpha·acc
+	storeScale        // c ← beta·c + alpha·acc
+)
+
 // macroKernel multiplies the packed mc×kc A block with the packed kc×nc B
 // panel, updating C(ic:ic+mc, jc:jc+nc). first selects whether beta is
 // applied (only on the first KC iteration). Under lower only the elements on
@@ -47,6 +65,14 @@ func vecNR[T float32 | float64]() int {
 //adsala:zeroalloc
 func macroKernel[T float32 | float64](alpha T, packedA, packedB []T, beta T, c mat.Dense[T], ic, jc, mc, nc, kc int, first, lower bool, prm Params) {
 	mr, nr := prm.MR, prm.NR
+	vec := mr == vecMR // the vector tile of T, enforced by checkParams
+	mode := storeAdd
+	if first {
+		mode = storeScale
+		if beta == 0 {
+			mode = storeSet
+		}
+	}
 	var acc [maxTile]T
 	for i0 := 0; i0 < mc; i0 += mr {
 		ib := min(mr, mc-i0)
@@ -55,16 +81,20 @@ func macroKernel[T float32 | float64](alpha T, packedA, packedB []T, beta T, c m
 		for j0 := 0; j0 < jLim; j0 += nr {
 			jb := min(nr, jLim-j0)
 			bPanel := packedB[(j0/nr)*kc*nr:]
-			switch {
-			case mr == goMR:
-				micro4x4(aPanel, bPanel, kc, &acc)
-			default: // the vector tile of T, enforced by checkParams
-				microVec(aPanel, bPanel, kc, &acc)
-			}
 			ci, cj := ic+i0, jc+j0
 			diag := jb // cuts no row
 			if lower {
 				diag = ci - cj
+			}
+			if vec && ib == mr && jb == nr && diag >= nr-1 {
+				// Nothing clips this tile: C is its accumulator block.
+				tileVec(aPanel, bPanel, kc, c.Data[ci*c.Stride+cj:], c.Stride, alpha, beta, mode)
+				continue
+			}
+			if vec {
+				microVec(aPanel, bPanel, kc, &acc)
+			} else {
+				micro4x4(aPanel, bPanel, kc, &acc)
 			}
 			storeTile(alpha, beta, first, &acc, c, ci, cj, ib, jb, nr, diag)
 		}
@@ -197,29 +227,40 @@ func micro4x4[T float32 | float64](aPanel, bPanel []T, kc int, acc *[maxTile]T) 
 }
 
 // microVec computes one vector tile (6×vecNR, row-major acc) over kc rank-1
-// updates in assembly. The slice expressions are the bounds check: the
-// assembly reads exactly the kc·6 and kc·vecNR elements they cover, and
-// writes only acc. The pointer type switch picks the precision without
-// boxing anything.
+// updates: the assembly tile storing into the stack block, unscaled.
 //
 //adsala:zeroalloc
 func microVec[T float32 | float64](aPanel, bPanel []T, kc int, acc *[maxTile]T) {
-	a, b := aPanel[:kc*vecMR], bPanel[:kc*vecNR[T]()]
-	switch acc := any(acc).(type) {
-	case *[maxTile]float32:
-		sgemmKernel6x16(any(&a[0]).(*float32), any(&b[0]).(*float32), kc, acc)
-	case *[maxTile]float64:
-		dgemmKernel6x8(any(&a[0]).(*float64), any(&b[0]).(*float64), kc, acc)
+	tileVec(aPanel, bPanel, kc, acc[:], vecNR[T](), 1, 0, storeSet)
+}
+
+// tileVec computes one vector tile over kc rank-1 updates in assembly and
+// stores it, by mode, as the 6×vecNR block at c[0] with row stride ldc. The
+// slice expressions are the bounds check: the assembly reads exactly the kc·6
+// and kc·vecNR panel elements they cover and touches c only inside that
+// block. The pointer type switch picks the precision without boxing anything.
+//
+//adsala:zeroalloc
+func tileVec[T float32 | float64](aPanel, bPanel []T, kc int, c []T, ldc int, alpha, beta T, mode int) {
+	nr := vecNR[T]()
+	a, b := aPanel[:kc*vecMR], bPanel[:kc*nr]
+	c = c[:(vecMR-1)*ldc+nr]
+	switch c := any(&c[0]).(type) {
+	case *float32:
+		sgemmTile6x16(any(&a[0]).(*float32), any(&b[0]).(*float32), kc, c, ldc, float32(alpha), float32(beta), mode)
+	case *float64:
+		dgemmTile6x8(any(&a[0]).(*float64), any(&b[0]).(*float64), kc, c, ldc, float64(alpha), float64(beta), mode)
 	}
 }
 
-// storeTile writes the accumulated tile into C with alpha/beta handling,
-// clipping to the ib×jb valid region. nr is the accumulator row stride. Row i
-// keeps its first diag+i+1 columns: with diag = ci−cj that is the j ≤ i mask
-// of the lower triangle (it cuts only diagonal-straddling tiles; a tile fully
-// below the diagonal has diag+1 ≥ jb), and any diag ≥ jb−1 cuts nothing. One
-// min per row instead of a branch on a mask flag: the flag cost a measurable
-// 4 % of a 64³ SGEMM.
+// storeTile writes an accumulated edge tile into C with alpha/beta handling,
+// clipping to the ib×jb valid region. (Full interior vector tiles never get
+// here: the assembly stores them from its registers with this arithmetic, see
+// storeSet.) nr is the accumulator row stride. Row i keeps its first diag+i+1
+// columns: with diag = ci−cj that is the j ≤ i mask of the lower triangle (it
+// cuts only diagonal-straddling tiles; a tile fully below the diagonal has
+// diag+1 ≥ jb), and any diag ≥ jb−1 cuts nothing. One min per row instead of
+// a branch on a mask flag: the flag cost a measurable 4 % of a 64³ SGEMM.
 func storeTile[T float32 | float64](alpha, beta T, first bool, acc *[maxTile]T, c mat.Dense[T], ci, cj, ib, jb, nr, diag int) {
 	for i := 0; i < ib; i++ {
 		jbRow := min(jb, diag+i+1)

@@ -2,6 +2,8 @@
 
 package blas
 
+import "unsafe"
+
 // Architectures without an assembly tile: the probe says no, DefaultParams
 // resolves to the Go 4×4 tile and Validate rejects the vector tile, so the
 // kernels below are never reached; the team's spin hint is a no-op.
@@ -12,10 +14,22 @@ func cpuHasVectorTile() bool { return false }
 // loop around it (spinWait in team.go) is the whole wait.
 func spinHint() {}
 
-func sgemmKernel6x16(a, b *float32, kc int, acc *[maxTile]float32) {
-	panic("blas: no vector micro-kernel on this architecture")
+const noVec = "blas: no vector kernels on this architecture"
+
+func sgemmTile6x16(a, b *float32, kc int, c *float32, ldc int, alpha, beta float32, mode int) {
+	panic(noVec)
 }
 
-func dgemmKernel6x8(a, b *float64, kc int, acc *[maxTile]float64) {
-	panic("blas: no vector micro-kernel on this architecture")
+func dgemmTile6x8(a, b *float64, kc int, c *float64, ldc int, alpha, beta float64, mode int) {
+	panic(noVec)
 }
+
+func stranspose(dst *float32, ldd int, src *float32, lds, m, n int) { panic(noVec) }
+
+func dtranspose(dst *float64, ldd int, src *float64, lds, m, n int) { panic(noVec) }
+
+func spackA6(dst, src *float32, lds, n int) { panic(noVec) }
+
+func dpackA6(dst, src *float64, lds, n int) { panic(noVec) }
+
+func copyRows64(dst, src unsafe.Pointer, ldsBytes, rows int) { panic(noVec) }

@@ -146,19 +146,42 @@ const mirrorTile = 16
 // triangle, write them as the columns of mirrorTile row segments of the
 // upper — so both sides of a tile stay in L1; walking a whole column of the
 // lower triangle per output row instead costs a cache line per element.
+//
+// A tile wholly below the diagonal is a plain transpose, and where the vector
+// kernels run the whole blocks of a full-height tile row go through
+// transposeVec in one call. What straddles the diagonal (there a block
+// transpose would read the upper triangle, which another part may be writing
+// just then), the ragged columns at the right edge and a band's last, short
+// tile row stay on the scalar loop.
 func mirrorLower[T float32 | float64](c mat.Dense[T], lo, hi int) {
 	for i0 := lo; i0 < hi; i0 += mirrorTile {
 		i1 := min(i0+mirrorTile, hi)
-		for j0 := i0 + 1; j0 < c.Cols; j0 += mirrorTile {
-			j1 := min(j0+mirrorTile, c.Cols)
-			for j := j0; j < j1; j++ {
-				// Source row j, columns i0..min(i1, j)-1: all below the diagonal.
-				src := c.Data[j*c.Stride+i0 : j*c.Stride+min(i1, j)]
-				dst := i0*c.Stride + j
-				for _, v := range src {
-					c.Data[dst] = v
-					dst += c.Stride
-				}
+		// Source rows from i1 down lie below the diagonal in every column
+		// of this tile row: n of them, in whole blocks, are the vector part.
+		n := 0
+		if useVec && i1-i0 == mirrorTile {
+			n = (c.Cols - i1) &^ (vecBlock[T]() - 1)
+		}
+		mirrorCols(c, i0, i1, i0+1, i1)
+		if n > 0 {
+			transposeVec(c.Data[i0*c.Stride+i1:], c.Stride, c.Data[i1*c.Stride+i0:], c.Stride, n, mirrorTile)
+		}
+		mirrorCols(c, i0, i1, i1+n, c.Cols)
+	}
+}
+
+// mirrorCols is the scalar mirror of rows [i0, i1) into columns [jlo, jhi),
+// tile by tile: C(i, j) ← C(j, i) for the j > i among them.
+func mirrorCols[T float32 | float64](c mat.Dense[T], i0, i1, jlo, jhi int) {
+	for j0 := jlo; j0 < jhi; j0 += mirrorTile {
+		j1 := min(j0+mirrorTile, jhi)
+		for j := j0; j < j1; j++ {
+			// Source row j, columns i0..min(i1, j)-1: all below the diagonal.
+			src := c.Data[j*c.Stride+i0 : j*c.Stride+min(i1, j)]
+			dst := i0*c.Stride + j
+			for _, v := range src {
+				c.Data[dst] = v
+				dst += c.Stride
 			}
 		}
 	}
@@ -171,19 +194,22 @@ func mirrorRange(n, w, parts int) (lo, hi int) {
 	if parts <= 1 {
 		return 0, n
 	}
-	total := float64(n) * float64(n-1) / 2
-	bound := func(b int) int {
-		if b >= parts {
-			return n
-		}
-		target := total * float64(b) / float64(parts)
-		var acc float64
-		row := 0
-		for row < n && acc < target {
-			acc += float64(n - 1 - row)
-			row++
-		}
-		return row
+	return mirrorBound(n, w, parts), mirrorBound(n, w+1, parts)
+}
+
+// mirrorBound is boundary b of the parts+1 band boundaries of mirrorRange:
+// the first row at which the running copy count reaches b/parts of the total.
+func mirrorBound(n, b, parts int) int {
+	if b >= parts {
+		return n
 	}
-	return bound(w), bound(w + 1)
+	total := float64(n) * float64(n-1) / 2
+	target := total * float64(b) / float64(parts)
+	var acc float64
+	row := 0
+	for row < n && acc < target {
+		acc += float64(n - 1 - row)
+		row++
+	}
+	return row
 }
