@@ -8,7 +8,8 @@
 //	POST /register  accept a sweep spec (op, timing backend, domain, seed,
 //	                candidates, iters) and build the timing backend
 //	POST /work      accept one work unit ({start, count} into the sweep's
-//	                deterministic Halton sample stream); executes async
+//	                deterministic Halton sample stream); executes async,
+//	                one unit at a time
 //	GET  /result    poll one unit's result (?session=&id=)
 //	GET  /healthz   readiness probe: 503 until a sweep is registered and
 //	                once drain begins
@@ -35,7 +36,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -53,7 +53,6 @@ type config struct {
 	addr         string
 	name         string
 	sim          bool
-	concurrency  int
 	drainTimeout time.Duration
 	linger       time.Duration
 	pprof        bool
@@ -69,7 +68,6 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	fs.StringVar(&cfg.addr, "addr", ":9090", "listen address")
 	fs.StringVar(&cfg.name, "name", "", "worker name reported to the coordinator (default: the listen address)")
 	fs.BoolVar(&cfg.sim, "sim", false, "only accept simulator-backend sweeps (no real timing; for tests and CI)")
-	fs.IntVar(&cfg.concurrency, "concurrency", 1, "units executed in parallel (1 keeps the machine idle for timing)")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max wait for in-flight units on shutdown")
 	fs.DurationVar(&cfg.linger, "linger", 10*time.Second, "max wait after drain for the coordinator to fetch completed results")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -82,9 +80,6 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 		return cfg, err
 	}
 	cfg.level = lvl
-	if cfg.concurrency < 1 {
-		return cfg, fmt.Errorf("-concurrency must be >= 1, got %d", cfg.concurrency)
-	}
 	return cfg, nil
 }
 
@@ -104,11 +99,10 @@ func run(args []string, out io.Writer) error {
 	// per-unit execution noise at debug.
 	lg := logx.New(out, cfg.level)
 	worker := gather.NewWorker(gather.WorkerOptions{
-		Name:        name,
-		RequireSim:  cfg.sim,
-		Concurrency: cfg.concurrency,
-		Logf:        lg.Infof,
-		DebugLogf:   lg.Debugf,
+		Name:       name,
+		RequireSim: cfg.sim,
+		Logf:       lg.Infof,
+		DebugLogf:  lg.Debugf,
 	})
 	if cfg.pprof {
 		worker.EnablePprof()

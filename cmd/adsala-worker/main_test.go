@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -17,26 +18,47 @@ import (
 )
 
 func TestParseFlags(t *testing.T) {
-	cfg, err := parseFlags([]string{"-addr", ":9191", "-sim", "-name", "w7", "-concurrency", "2", "-pprof"}, io.Discard)
+	cfg, err := parseFlags([]string{"-addr", ":9191", "-sim", "-name", "w7", "-pprof"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.addr != ":9191" || !cfg.sim || cfg.name != "w7" || cfg.concurrency != 2 || !cfg.pprof {
+	if cfg.addr != ":9191" || !cfg.sim || cfg.name != "w7" || !cfg.pprof {
 		t.Errorf("parsed %+v", cfg)
 	}
-	if _, err := parseFlags([]string{"-concurrency", "0"}, io.Discard); err == nil {
-		t.Error("-concurrency 0 should error")
+	// Units run one at a time; a command line still asking for more fails
+	// and names the flag instead of being silently accepted.
+	if _, err := parseFlags([]string{"-sim", "-concurrency", "2"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-concurrency") {
+		t.Errorf("retired flag: err = %v, want an error naming -concurrency", err)
 	}
 	if _, err := parseFlags([]string{"-h"}, io.Discard); err == nil {
 		t.Error("help should surface flag.ErrHelp")
 	}
 }
 
+// lockedBuilder is a strings.Builder the daemon's goroutines (listener,
+// handlers, drain) may log into at once, as they do into os.Stdout.
+type lockedBuilder struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuilder) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuilder) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // TestRunServesSweep boots the daemon on a loopback port and drives one
 // distributed gather against it end to end.
 func TestRunServesSweep(t *testing.T) {
 	addr := "127.0.0.1:39417"
-	var out strings.Builder
+	var out lockedBuilder
 	errc := make(chan error, 1)
 	go func() { errc <- run([]string{"-addr", addr, "-sim"}, &out) }()
 
@@ -49,12 +71,7 @@ func TestRunServesSweep(t *testing.T) {
 		Seed:       3,
 		Op:         ops.GEMM,
 	}
-	coord := gather.New(gather.Config{
-		Workers:      []string{addr},
-		Timer:        spec,
-		UnitShapes:   2,
-		PollInterval: 2 * time.Millisecond,
-	})
+	coord := gather.New(gather.Config{Workers: []string{addr}, Timer: spec})
 
 	// The daemon needs a moment to bind; retry registration briefly.
 	var (

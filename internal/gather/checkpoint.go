@@ -162,10 +162,6 @@ func (c *checkpoint) append(res UnitResult) error {
 	return c.appendLine(res)
 }
 
-// enabled reports whether appends actually reach disk (checkpointing
-// configured), so the write counter only moves for real writes.
-func (c *checkpoint) enabled() bool { return c != nil }
-
 // close releases the file handle.
 func (c *checkpoint) close() {
 	if c != nil {

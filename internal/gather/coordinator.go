@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/retry"
 	"repro/internal/sampling"
 	"repro/internal/simtime"
@@ -27,41 +26,38 @@ type Config struct {
 	// Timer describes the timing backend every worker must build — the
 	// wire form of the timer the single-node path would use locally.
 	Timer simtime.Spec
-	// UnitShapes is the number of sweep shapes per work unit (default 4).
-	// Smaller units spread better and lose less work on failure; larger
-	// units amortise dispatch overhead.
-	UnitShapes int
 	// Checkpoint is the path prefix of the resumable JSONL checkpoint;
 	// the op's wire name is appended (e.g. "gather.ckpt.gemm"), since
 	// core.Train gathers one sweep per op through the same Coordinator.
 	// Empty disables checkpointing.
 	Checkpoint string
-	// UnitTimeout bounds one unit's dispatch-to-result wall time on one
-	// worker before the unit is reassigned (default 5m).
-	UnitTimeout time.Duration
-	// PollInterval is the result polling period (default 50ms).
-	PollInterval time.Duration
-	// MaxUnitRetries bounds reassignments per unit before the whole gather
-	// fails (default 8).
-	MaxUnitRetries int
-	// WorkerFailureLimit retires a worker after this many consecutive
-	// failed units (default 3).
-	WorkerFailureLimit int
-	// HTTP overrides the transport (default: 15s request timeout).
-	HTTP *http.Client
-	// Retry is the transport-level retry policy for register and dispatch
-	// POSTs (default: 3 attempts, 50 ms initial backoff capped at 500 ms).
-	// Result polling derives its own policy from PollInterval and
-	// UnitTimeout instead — the poll cadence is the retry cadence.
-	Retry retry.Policy
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
-	// Metrics, when non-nil, receives the coordinator's Prometheus
-	// instruments (unit dispatch/retry/duplicate counters, checkpoint
-	// writes, per-worker outcome counters and latency histograms).
-	// Counters accumulate across Gather calls on the same registry — a
-	// multi-op Train shares one set of instruments.
-	Metrics *obs.Registry
+}
+
+// tuning is the coordinator's dispatch policy. Every install runs with the
+// values New sets; tests in this package overwrite them for test latencies.
+type tuning struct {
+	// unitShapes is the number of sweep shapes per work unit. Smaller units
+	// spread better and lose less work on failure; larger units amortise
+	// dispatch overhead.
+	unitShapes int
+	// unitTimeout bounds one unit's dispatch-to-result wall time on one
+	// worker before the unit is reassigned.
+	unitTimeout time.Duration
+	// pollInterval is the result polling period.
+	pollInterval time.Duration
+	// maxUnitRetries bounds reassignments per unit before the whole gather
+	// fails.
+	maxUnitRetries int
+	// workerFailureLimit retires a worker after this many consecutive
+	// failed units.
+	workerFailureLimit int
+	http               *http.Client
+	// retry is the transport-level retry policy for register and dispatch
+	// POSTs. Result polling derives its own policy from pollInterval and
+	// unitTimeout instead — the poll cadence is the retry cadence.
+	retry retry.Policy
 }
 
 // Stats summarises one completed (or failed) Gather run.
@@ -86,46 +82,27 @@ type Stats struct {
 // merged sweep is ordered by sample index and therefore identical to the
 // single-node gather for a deterministic timer.
 type Coordinator struct {
-	cfg     Config
-	metrics *coordMetrics
+	cfg  Config
+	tune tuning
 
 	mu   sync.Mutex
 	last Stats
 }
 
-// New returns a Coordinator over the config with defaults applied.
+// New returns a Coordinator over the config.
 func New(cfg Config) *Coordinator {
-	if cfg.UnitShapes < 1 {
-		cfg.UnitShapes = 4
-	}
-	if cfg.UnitTimeout <= 0 {
-		cfg.UnitTimeout = 5 * time.Minute
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 50 * time.Millisecond
-	}
-	if cfg.MaxUnitRetries < 1 {
-		cfg.MaxUnitRetries = 8
-	}
-	if cfg.WorkerFailureLimit < 1 {
-		cfg.WorkerFailureLimit = 3
-	}
-	if cfg.HTTP == nil {
-		cfg.HTTP = &http.Client{Timeout: 15 * time.Second}
-	}
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry.MaxAttempts = 3
-	}
-	if cfg.Retry.Initial <= 0 {
-		cfg.Retry.Initial = 50 * time.Millisecond
-	}
-	if cfg.Retry.Max <= 0 {
-		cfg.Retry.Max = 500 * time.Millisecond
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	return &Coordinator{cfg: cfg, metrics: newCoordMetrics(cfg.Metrics)}
+	return &Coordinator{cfg: cfg, tune: tuning{
+		unitShapes:         4,
+		unitTimeout:        5 * time.Minute,
+		pollInterval:       50 * time.Millisecond,
+		maxUnitRetries:     8,
+		workerFailureLimit: 3,
+		http:               &http.Client{Timeout: 15 * time.Second},
+		retry:              retry.Policy{MaxAttempts: 3, Initial: 50 * time.Millisecond, Max: 500 * time.Millisecond},
+	}}
 }
 
 // Stats returns the statistics of the most recent Gather run.
@@ -225,7 +202,7 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 		return nil, err
 	}
 
-	units := planUnits(gcfg.NumShapes, c.cfg.UnitShapes)
+	units := planUnits(gcfg.NumShapes, c.tune.unitShapes)
 	stats := Stats{Units: len(units)}
 	// Record the run's statistics on every exit path — a failed sweep's
 	// counters (retries, resumed units, registered workers) are exactly
@@ -252,7 +229,6 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 	}
 	defer ck.close()
 	stats.Resumed = len(completed)
-	c.metrics.planned(len(units), len(completed))
 
 	// A fully-checkpointed sweep needs no fleet at all — re-running the
 	// install after a post-gather crash must not depend on the workers
@@ -283,7 +259,6 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 		return nil, fmt.Errorf("gather: none of the %d configured workers accepted the sweep", len(c.cfg.Workers))
 	}
 	stats.WorkersRegistered = len(live)
-	c.metrics.fleetRegistered(len(live))
 
 	r = &run{ctx: ctx, cancel: cancel}
 	for _, u := range units {
@@ -314,15 +289,11 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 	merge := func(res UnitResult) error {
 		if !mergeResult(completed, res) {
 			r.duplicates.Add(1)
-			c.metrics.unitDuplicate()
 			return nil
 		}
 		outstanding--
 		if err := ck.append(res); err != nil {
 			return err
-		}
-		if ck.enabled() {
-			c.metrics.checkpointWrite()
 		}
 		c.cfg.Logf("unit %d/%d merged (worker %s, %d remaining)",
 			res.UnitID+1, len(units), res.Worker, outstanding)
@@ -391,10 +362,11 @@ func mergeResult(completed map[int][]core.ShapeTimings, res UnitResult) bool {
 }
 
 // workerLoop claims units for one worker until the run ends or the worker
-// accumulates too many consecutive failures.
+// accumulates too many consecutive failures. It polls each unit to its end
+// before claiming the next, so a worker has one unit of this run in flight
+// (two only while a timed-out one still holds the worker's execution lock).
 func (c *Coordinator) workerLoop(r *run, base string, spec SweepSpec, results chan<- UnitResult) {
 	failures := 0
-	wv := c.metrics.worker(base)
 	for {
 		if r.ctx.Err() != nil {
 			return
@@ -406,30 +378,26 @@ func (c *Coordinator) workerLoop(r *run, base string, spec SweepSpec, results ch
 			select {
 			case <-r.ctx.Done():
 				return
-			case <-time.After(c.cfg.PollInterval):
+			case <-time.After(c.tune.pollInterval):
 			}
 			continue
 		}
-		start := time.Now()
 		res, err := c.runUnit(r.ctx, base, spec, pu.unit)
 		if err != nil {
 			if r.ctx.Err() != nil {
 				return
 			}
-			wv.observe(time.Since(start), true)
 			c.cfg.Logf("worker %s: unit %d attempt %d failed: %v", base, pu.unit.ID, pu.tries+1, err)
 			c.requeue(r, pu, base, err)
 			failures++
-			if failures >= c.cfg.WorkerFailureLimit {
+			if failures >= c.tune.workerFailureLimit {
 				c.cfg.Logf("worker %s retired after %d consecutive failures", base, failures)
 				return
 			}
 			continue
 		}
-		wv.observe(time.Since(start), false)
 		failures = 0
 		r.dispatched.Add(1)
-		c.metrics.unitDispatched()
 		select {
 		case results <- *res:
 		case <-r.ctx.Done():
@@ -442,12 +410,11 @@ func (c *Coordinator) workerLoop(r *run, base string, spec SweepSpec, results ch
 // unit has exhausted its retries.
 func (c *Coordinator) requeue(r *run, pu pendingUnit, base string, err error) {
 	pu.tries++
-	if pu.tries >= c.cfg.MaxUnitRetries {
+	if pu.tries >= c.tune.maxUnitRetries {
 		r.fail(fmt.Errorf("gather: unit %d failed %d times (last worker %s): %w", pu.unit.ID, pu.tries, base, err))
 		return
 	}
 	r.retries.Add(1)
-	c.metrics.unitRetried()
 	r.queue.push(pu)
 }
 
@@ -455,24 +422,35 @@ func (c *Coordinator) requeue(r *run, pu pendingUnit, base string, err error) {
 // the worker is still executing — the retry loop keeps polling on it.
 var errUnitPending = errors.New("unit still executing")
 
+// resultLimit bounds the /result body the coordinator reads for a unit of
+// count shapes timed at the given number of candidates: 4 KiB for the
+// envelope (session, ids, a worker name of up to some hundred characters),
+// then 128 bytes per shape and 128 per candidate timing. With 20-character
+// integers and 24-character float64s, a shape entry with its keys, brackets
+// and comma encodes in at most 98 bytes and a timing in 68.
+func resultLimit(count, candidates int) int64 {
+	return 4<<10 + int64(count)*128*int64(1+candidates)
+}
+
 // runUnit dispatches one unit to one worker and polls for its result until
-// UnitTimeout. The poll loop is a retry.Do with a fixed backoff equal to
-// PollInterval, unbounded attempts, and the unit timeout as the budget —
-// the single shared retry implementation instead of a bespoke loop.
+// the unit timeout. The poll loop is a retry.Do with a fixed backoff equal
+// to the poll interval, unbounded attempts, and the unit timeout as the
+// budget — the single shared retry implementation instead of a bespoke loop.
 func (c *Coordinator) runUnit(ctx context.Context, base string, spec SweepSpec, u Unit) (*UnitResult, error) {
 	if err := c.postJSON(ctx, base+"/work", WorkRequest{Session: spec.Session, Unit: u}, nil); err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
 	url := fmt.Sprintf("%s/result?session=%s&id=%d", base, spec.Session, u.ID)
+	limit := resultLimit(u.Count, len(spec.Candidates))
 	poll := retry.Policy{
 		MaxAttempts: -1,
-		Initial:     c.cfg.PollInterval,
-		Max:         c.cfg.PollInterval,
+		Initial:     c.tune.pollInterval,
+		Max:         c.tune.pollInterval,
 		Multiplier:  1,
-		Budget:      c.cfg.UnitTimeout,
+		Budget:      c.tune.unitTimeout,
 	}
 	res, err := retry.DoValue(ctx, poll, func(ctx context.Context) (*UnitResult, error) {
-		res, pending, err := c.getResult(ctx, url)
+		res, pending, err := c.getResult(ctx, url, limit)
 		if err != nil {
 			// Definitive worker answers (404/409/500, torn result bodies)
 			// fail the unit now; only "still executing" keeps polling.
@@ -488,7 +466,7 @@ func (c *Coordinator) runUnit(ctx context.Context, base string, spec SweepSpec, 
 			return nil, ctx.Err()
 		}
 		if errors.Is(err, context.DeadlineExceeded) {
-			return nil, fmt.Errorf("unit %d timed out after %v on %s", u.ID, c.cfg.UnitTimeout, base)
+			return nil, fmt.Errorf("unit %d timed out after %v on %s", u.ID, c.tune.unitTimeout, base)
 		}
 		return nil, err
 	}
@@ -508,13 +486,14 @@ func (c *Coordinator) runUnit(ctx context.Context, base string, spec SweepSpec, 
 // connection (or retiring the worker over a brief coordinator-side network
 // blip) wastes it all. Polling keeps going until the unit's deadline; a
 // permanently dead worker is caught there, and definitively by its next
-// dispatch. Definitive worker answers (404/409/500) still fail the unit.
-func (c *Coordinator) getResult(ctx context.Context, url string) (res *UnitResult, pending bool, err error) {
+// dispatch. Definitive worker answers (404/409/500) still fail the unit, and
+// so does a result body longer than limit bytes.
+func (c *Coordinator) getResult(ctx context.Context, url string, limit int64) (res *UnitResult, pending bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := c.cfg.HTTP.Do(req)
+	resp, err := c.tune.http.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The unit budget (or the run) expired mid-request; let the
@@ -528,7 +507,7 @@ func (c *Coordinator) getResult(ctx context.Context, url string) (res *UnitResul
 	switch resp.StatusCode {
 	case http.StatusOK:
 		res = &UnitResult{}
-		if err := json.NewDecoder(resp.Body).Decode(res); err != nil {
+		if err := json.NewDecoder(io.LimitReader(resp.Body, limit)).Decode(res); err != nil {
 			return nil, false, fmt.Errorf("decode result: %w", err)
 		}
 		return res, false, nil
@@ -549,7 +528,7 @@ func (c *Coordinator) postJSON(ctx context.Context, url string, body, out any) e
 	if err != nil {
 		return fmt.Errorf("encode request: %w", err)
 	}
-	p := c.cfg.Retry
+	p := c.tune.retry
 	p.OnRetry = func(attempt int, err error, backoff time.Duration) {
 		c.cfg.Logf("POST %s: attempt %d failed (%v), retrying in %v", url, attempt, err, backoff)
 	}
@@ -559,7 +538,7 @@ func (c *Coordinator) postJSON(ctx context.Context, url string, body, out any) e
 			return retry.Fatalf("build request: %w", err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.cfg.HTTP.Do(req)
+		resp, err := c.tune.http.Do(req)
 		if err != nil {
 			return err
 		}
@@ -574,7 +553,7 @@ func (c *Coordinator) postJSON(ctx context.Context, url string, body, out any) e
 		if out == nil {
 			return nil
 		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(out); err != nil {
 			return fmt.Errorf("decode response: %w", err)
 		}
 		return nil

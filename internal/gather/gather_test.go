@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -52,15 +54,13 @@ func startWorker(t *testing.T, opts WorkerOptions) (*Worker, *httptest.Server) {
 	return w, srv
 }
 
-// fastCoordinator returns a Config tuned for test latencies.
-func fastCoordinator(workers []string, spec simtime.Spec) Config {
-	return Config{
-		Workers:      workers,
-		Timer:        spec,
-		UnitShapes:   3,
-		PollInterval: 2 * time.Millisecond,
-		UnitTimeout:  5 * time.Second,
-	}
+// fastCoordinator returns a Coordinator tuned for test latencies.
+func fastCoordinator(workers []string, spec simtime.Spec) *Coordinator {
+	c := New(Config{Workers: workers, Timer: spec})
+	c.tune.unitShapes = 3
+	c.tune.pollInterval = 2 * time.Millisecond
+	c.tune.unitTimeout = 5 * time.Second
+	return c
 }
 
 // TestDistributedMatchesSingleNode pins the headline invariant: a
@@ -78,7 +78,7 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 
 			_, s1 := startWorker(t, WorkerOptions{Name: "w1"})
 			_, s2 := startWorker(t, WorkerOptions{Name: "w2"})
-			coord := New(fastCoordinator([]string{s1.URL, s2.URL}, spec))
+			coord := fastCoordinator([]string{s1.URL, s2.URL}, spec)
 			got, err := coord.Gather(context.Background(), gcfg)
 			if err != nil {
 				t.Fatal(err)
@@ -106,7 +106,7 @@ func TestCoordinatorFeedsTrain(t *testing.T) {
 
 	_, s1 := startWorker(t, WorkerOptions{Name: "w1"})
 	_, s2 := startWorker(t, WorkerOptions{Name: "w2"})
-	coord := New(fastCoordinator([]string{s1.URL, s2.URL}, spec))
+	coord := fastCoordinator([]string{s1.URL, s2.URL}, spec)
 
 	cfg := core.DefaultTrainConfig(gcfg, "Gadi", 48)
 	cfg.Models = core.DefaultModels(7, true)
@@ -153,8 +153,8 @@ func TestKilledWorkerMidUnit(t *testing.T) {
 
 	// Victim: slow enough that the kill lands mid-unit.
 	victim := NewWorker(WorkerOptions{
-		Name:      "victim",
-		ExecDelay: func(Unit) time.Duration { return 100 * time.Millisecond },
+		Name:     "victim",
+		execHook: func(Unit) { time.Sleep(100 * time.Millisecond) },
 	})
 	var kill sync.Once
 	var victimSrv *httptest.Server
@@ -176,12 +176,11 @@ func TestKilledWorkerMidUnit(t *testing.T) {
 	})
 	_, healthy := startWorker(t, WorkerOptions{Name: "healthy"})
 
-	cfg := fastCoordinator([]string{victimSrv.URL, healthy.URL}, spec)
-	cfg.WorkerFailureLimit = 2
+	coord := fastCoordinator([]string{victimSrv.URL, healthy.URL}, spec)
+	coord.tune.workerFailureLimit = 2
 	// Transport failures during polling retry until the unit deadline, so
 	// keep it short: the dead victim's in-flight unit must requeue fast.
-	cfg.UnitTimeout = 700 * time.Millisecond
-	coord := New(cfg)
+	coord.tune.unitTimeout = 700 * time.Millisecond
 	got, err := coord.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -208,15 +207,14 @@ func TestSlowWorkerReassigned(t *testing.T) {
 	}
 
 	_, slow := startWorker(t, WorkerOptions{
-		Name:      "slow",
-		ExecDelay: func(Unit) time.Duration { return 500 * time.Millisecond },
+		Name:     "slow",
+		execHook: func(Unit) { time.Sleep(500 * time.Millisecond) },
 	})
 	_, fast := startWorker(t, WorkerOptions{Name: "fast"})
 
-	cfg := fastCoordinator([]string{slow.URL, fast.URL}, spec)
-	cfg.UnitTimeout = 50 * time.Millisecond
-	cfg.WorkerFailureLimit = 1 // first timeout retires the slow worker
-	coord := New(cfg)
+	coord := fastCoordinator([]string{slow.URL, fast.URL}, spec)
+	coord.tune.unitTimeout = 50 * time.Millisecond
+	coord.tune.workerFailureLimit = 1 // first timeout retires the slow worker
 	got, err := coord.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -284,9 +282,8 @@ func TestDuplicateResultRejected(t *testing.T) {
 	t.Cleanup(byzSrv.Close)
 	_, honest := startWorker(t, WorkerOptions{Name: "honest"})
 
-	cfg := fastCoordinator([]string{byzSrv.URL, honest.URL}, spec)
-	cfg.WorkerFailureLimit = 2
-	coord := New(cfg)
+	coord := fastCoordinator([]string{byzSrv.URL, honest.URL}, spec)
+	coord.tune.workerFailureLimit = 2
 	got, err := coord.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -362,11 +359,10 @@ func TestCheckpointResume(t *testing.T) {
 	}))
 	t.Cleanup(flakySrv.Close)
 
-	cfg := fastCoordinator([]string{flakySrv.URL}, spec)
-	cfg.Checkpoint = ckpt
-	cfg.WorkerFailureLimit = 2
-	cfg.MaxUnitRetries = 2
-	coord1 := New(cfg)
+	coord1 := fastCoordinator([]string{flakySrv.URL}, spec)
+	coord1.cfg.Checkpoint = ckpt
+	coord1.tune.workerFailureLimit = 2
+	coord1.tune.maxUnitRetries = 2
 	if _, err := coord1.Gather(context.Background(), gcfg); err == nil {
 		t.Fatal("interrupted sweep should error")
 	}
@@ -388,9 +384,8 @@ func TestCheckpointResume(t *testing.T) {
 	// Phase 2: restart on a healthy worker. Only the remaining units may be
 	// dispatched.
 	healthySrv, seen := recordingWorker(t, WorkerOptions{Name: "healthy"})
-	cfg2 := fastCoordinator([]string{healthySrv.URL}, spec)
-	cfg2.Checkpoint = ckpt
-	coord := New(cfg2)
+	coord := fastCoordinator([]string{healthySrv.URL}, spec)
+	coord.cfg.Checkpoint = ckpt
 	got, err := coord.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -410,10 +405,9 @@ func TestCheckpointResume(t *testing.T) {
 
 	// Phase 3: a fully complete checkpoint needs no fleet at all — the
 	// workers are gone (dead address) and the sweep still assembles.
-	cfg3 := fastCoordinator([]string{"127.0.0.1:1"}, spec)
-	cfg3.Checkpoint = ckpt
-	cfg3.HTTP = &http.Client{Timeout: 200 * time.Millisecond}
-	coord3 := New(cfg3)
+	coord3 := fastCoordinator([]string{"127.0.0.1:1"}, spec)
+	coord3.cfg.Checkpoint = ckpt
+	coord3.tune.http = &http.Client{Timeout: 200 * time.Millisecond}
 	got3, err := coord3.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -461,9 +455,8 @@ func TestTransientPollBlipDoesNotDiscardUnit(t *testing.T) {
 	srv := httptest.NewServer(blippy)
 	t.Cleanup(srv.Close)
 
-	cfg := fastCoordinator([]string{srv.URL}, spec)
-	cfg.WorkerFailureLimit = 1 // a single counted failure would retire the only worker
-	coord := New(cfg)
+	coord := fastCoordinator([]string{srv.URL}, spec)
+	coord.tune.workerFailureLimit = 1 // a single counted failure would retire the only worker
 	got, err := coord.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -482,13 +475,13 @@ func TestCheckpointRejectsForeignSweep(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 6)
 	ckpt := filepath.Join(t.TempDir(), "gather.ckpt")
 	_, srv := startWorker(t, WorkerOptions{Name: "w"})
-	cfg := fastCoordinator([]string{srv.URL}, spec)
-	cfg.Checkpoint = ckpt
-	if _, err := New(cfg).Gather(context.Background(), gcfg); err != nil {
+	coord := fastCoordinator([]string{srv.URL}, spec)
+	coord.cfg.Checkpoint = ckpt
+	if _, err := coord.Gather(context.Background(), gcfg); err != nil {
 		t.Fatal(err)
 	}
 	gcfg.Seed = 99 // different sweep, same checkpoint path
-	if _, err := New(cfg).Gather(context.Background(), gcfg); err == nil || !strings.Contains(err.Error(), "different sweep") {
+	if _, err := coord.Gather(context.Background(), gcfg); err == nil || !strings.Contains(err.Error(), "different sweep") {
 		t.Fatalf("foreign checkpoint accepted: %v", err)
 	}
 }
@@ -503,9 +496,9 @@ func TestCheckpointToleratesPartialLine(t *testing.T) {
 	}
 	ckpt := filepath.Join(t.TempDir(), "gather.ckpt")
 	_, srv := startWorker(t, WorkerOptions{Name: "w"})
-	cfg := fastCoordinator([]string{srv.URL}, spec)
-	cfg.Checkpoint = ckpt
-	if _, err := New(cfg).Gather(context.Background(), gcfg); err != nil {
+	coord1 := fastCoordinator([]string{srv.URL}, spec)
+	coord1.cfg.Checkpoint = ckpt
+	if _, err := coord1.Gather(context.Background(), gcfg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -522,9 +515,8 @@ func TestCheckpointToleratesPartialLine(t *testing.T) {
 	}
 
 	_, srv2 := startWorker(t, WorkerOptions{Name: "w2"})
-	cfg2 := fastCoordinator([]string{srv2.URL}, spec)
-	cfg2.Checkpoint = ckpt
-	coord := New(cfg2)
+	coord := fastCoordinator([]string{srv2.URL}, spec)
+	coord.cfg.Checkpoint = ckpt
 	got, err := coord.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -539,10 +531,9 @@ func TestCheckpointToleratesPartialLine(t *testing.T) {
 	// The resumed file must be fully valid again (the partial line was
 	// truncated before appending, not appended onto): a further resume
 	// with no workers at all reads every unit back cleanly.
-	cfg3 := fastCoordinator([]string{"127.0.0.1:1"}, spec)
-	cfg3.Checkpoint = ckpt
-	cfg3.HTTP = &http.Client{Timeout: 200 * time.Millisecond}
-	coord3 := New(cfg3)
+	coord3 := fastCoordinator([]string{"127.0.0.1:1"}, spec)
+	coord3.cfg.Checkpoint = ckpt
+	coord3.tune.http = &http.Client{Timeout: 200 * time.Millisecond}
 	got3, err := coord3.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatalf("checkpoint corrupted by the truncated-line resume: %v", err)
@@ -562,12 +553,11 @@ func TestConcurrentMerge(t *testing.T) {
 	}
 	var urls []string
 	for i := 0; i < 4; i++ {
-		_, srv := startWorker(t, WorkerOptions{Name: "w", Concurrency: 2})
+		_, srv := startWorker(t, WorkerOptions{Name: "w"})
 		urls = append(urls, srv.URL)
 	}
-	cfg := fastCoordinator(urls, spec)
-	cfg.UnitShapes = 1
-	coord := New(cfg)
+	coord := fastCoordinator(urls, spec)
+	coord.tune.unitShapes = 1
 	got, err := coord.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -577,6 +567,134 @@ func TestConcurrentMerge(t *testing.T) {
 	}
 	if st := coord.Stats(); st.Units != 32 || st.Dispatched != 32 {
 		t.Errorf("stats = %+v, want all 32 units dispatched", st)
+	}
+}
+
+// TestOneUnitInFlightPerWorker pins the traffic that makes a per-worker
+// concurrency setting meaningless: in a fault-free sweep the coordinator
+// polls each unit to its end before dispatching the next to that worker,
+// so no worker ever has two units executing at once. It fails the day the
+// coordinator pipelines units to one worker.
+func TestOneUnitInFlightPerWorker(t *testing.T) {
+	gcfg, spec := testGatherConfig(t, ops.GEMM, 32)
+	var urls []string
+	peaks := make([]*atomic.Int64, 4)
+	for i := range peaks {
+		var cur atomic.Int64
+		peak := new(atomic.Int64)
+		peaks[i] = peak
+		// The hook runs before the execution lock, and its sleep keeps a
+		// unit visible long enough for a pipelined second one to overlap it.
+		_, srv := startWorker(t, WorkerOptions{Name: "w", execHook: func(Unit) {
+			storeMax(peak, cur.Add(1))
+			time.Sleep(2 * time.Millisecond)
+			cur.Add(-1)
+		}})
+		urls = append(urls, srv.URL)
+	}
+	coord := fastCoordinator(urls, spec)
+	coord.tune.unitShapes = 1
+	if _, err := coord.Gather(context.Background(), gcfg); err != nil {
+		t.Fatal(err)
+	}
+	if st := coord.Stats(); st.Retries != 0 || st.Dispatched != 32 {
+		t.Fatalf("stats = %+v, want a fault-free sweep of 32 units", st)
+	}
+	for i, peak := range peaks {
+		if got := peak.Load(); got != 1 {
+			t.Errorf("worker %d had %d units executing at once, want 1", i, got)
+		}
+	}
+}
+
+// storeMax raises a to v when v is larger.
+func storeMax(a *atomic.Int64, v int64) {
+	for m := a.Load(); v > m && !a.CompareAndSwap(m, v); m = a.Load() {
+	}
+}
+
+// endlessResult answers every /result poll with 200 and a JSON body that
+// never ends, delegating everything else to a real worker. It records the
+// most bytes one answer got written before the coordinator hung up, and
+// stops by itself at 64 MiB.
+type endlessResult struct {
+	inner   *Worker
+	maxSent atomic.Int64
+}
+
+func (e *endlessResult) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/result" {
+		e.inner.ServeHTTP(rw, r)
+		return
+	}
+	rw.Header().Set("Content-Type", "application/json")
+	sent := 0
+	if n, err := io.WriteString(rw, `{"timings":[`); err == nil {
+		sent = n
+		chunk := []byte(strings.Repeat(`{"shape":{"M":1,"K":1,"N":1},"times":[]},`, 100))
+		for sent < 64<<20 {
+			n, err := rw.Write(chunk)
+			sent += n
+			if err != nil {
+				break
+			}
+		}
+	}
+	storeMax(&e.maxSent, int64(sent))
+}
+
+// TestEndlessResultBodyBounded: the coordinator reads a worker's /result
+// through a limit derived from the unit, so a worker streaming a body
+// without end fails its unit with a decode error after that limit (plus
+// whatever the transport buffers), and the sweep completes elsewhere.
+func TestEndlessResultBodyBounded(t *testing.T) {
+	gcfg, spec := testGatherConfig(t, ops.GEMM, 9)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	endless := &endlessResult{inner: NewWorker(WorkerOptions{Name: "endless"})}
+	endlessSrv := httptest.NewUnstartedServer(endless)
+	// A fixed send buffer: left to autotune, loopback TCP lets the server
+	// queue megabytes before the coordinator's hang-up reaches it.
+	endlessSrv.Config.ConnState = func(c net.Conn, s http.ConnState) {
+		if tc, ok := c.(*net.TCPConn); ok && s == http.StateNew {
+			tc.SetWriteBuffer(16 << 10)
+		}
+	}
+	endlessSrv.Start()
+	t.Cleanup(endlessSrv.Close)
+	_, healthy := startWorker(t, WorkerOptions{Name: "healthy"})
+
+	coord := fastCoordinator([]string{endlessSrv.URL, healthy.URL}, spec)
+	var decodeFailures atomic.Int64
+	coord.cfg.Logf = func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, endlessSrv.URL+": unit") &&
+			strings.Contains(line, "decode result") {
+			decodeFailures.Add(1)
+		}
+	}
+	got, err := coord.Gather(context.Background(), gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("sweep beside an endless-body worker differs from single-node gather")
+	}
+	if decodeFailures.Load() < 1 {
+		t.Error("no unit on the endless-body worker failed with a decode error")
+	}
+
+	// Close waits for the streaming handlers to return.
+	endlessSrv.Close()
+	// Transport buffering: the coordinator's 4 KiB drain before it hangs up,
+	// plus the socket buffers on both ends (40–100 KiB measured on loopback).
+	const buffering = 512 << 10
+	limit := resultLimit(coord.tune.unitShapes, len(gcfg.Candidates))
+	sent := endless.maxSent.Load()
+	t.Logf("largest answer written: %d bytes (limit %d)", sent, limit)
+	if sent == 0 || sent > limit+buffering {
+		t.Errorf("endless worker wrote %d bytes into one answer, want at most the %d-byte limit + %d", sent, limit, buffering)
 	}
 }
 
@@ -750,7 +868,7 @@ func TestRepeatedGatherReexecutes(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	coord := New(fastCoordinator([]string{srv.URL}, spec))
+	coord := fastCoordinator([]string{srv.URL}, spec)
 	got1, err := coord.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -825,9 +943,9 @@ func TestCoordinatorNoWorkers(t *testing.T) {
 		t.Error("no workers should error")
 	}
 	// All workers unreachable.
-	cfg := fastCoordinator([]string{"127.0.0.1:1"}, spec)
-	cfg.HTTP = &http.Client{Timeout: 200 * time.Millisecond}
-	if _, err := New(cfg).Gather(context.Background(), gcfg); err == nil {
+	coord := fastCoordinator([]string{"127.0.0.1:1"}, spec)
+	coord.tune.http = &http.Client{Timeout: 200 * time.Millisecond}
+	if _, err := coord.Gather(context.Background(), gcfg); err == nil {
 		t.Error("unreachable workers should error")
 	}
 }

@@ -24,7 +24,7 @@ func TestDrainVsInflightResultRace(t *testing.T) {
 	w, srv := startWorker(t, WorkerOptions{
 		Name: "w1",
 		// Long enough that drain reliably lands while the unit is in flight.
-		ExecDelay: func(Unit) time.Duration { return 60 * time.Millisecond },
+		execHook: func(Unit) { time.Sleep(60 * time.Millisecond) },
 	})
 
 	sweep := SweepSpec{
@@ -32,7 +32,7 @@ func TestDrainVsInflightResultRace(t *testing.T) {
 		Candidates: gcfg.Candidates, Iters: gcfg.Iters, Run: "r1",
 	}
 	sweep.Session = sweep.Fingerprint()
-	coord := New(fastCoordinator([]string{srv.URL}, spec))
+	coord := fastCoordinator([]string{srv.URL}, spec)
 	ctx := context.Background()
 	if err := coord.postJSON(ctx, srv.URL+"/register", sweep, nil); err != nil {
 		t.Fatal(err)
@@ -76,7 +76,8 @@ func TestDrainVsInflightResultRace(t *testing.T) {
 	if w.Unfetched() != 1 {
 		t.Fatalf("Unfetched = %d after drain, want the completed unit", w.Unfetched())
 	}
-	res, pending, err := coord.getResult(ctx, srv.URL+"/result?session="+sweep.Session+"&id=0")
+	res, pending, err := coord.getResult(ctx, srv.URL+"/result?session="+sweep.Session+"&id=0",
+		resultLimit(unit.Count, len(sweep.Candidates)))
 	if err != nil || pending {
 		t.Fatalf("result after drain: (pending=%v, %v)", pending, err)
 	}
@@ -118,18 +119,17 @@ func TestChaosGatherMatchesSingleNode(t *testing.T) {
 		DropP:     0.08,
 		TruncateP: 0.05,
 	})
-	cfg := fastCoordinator([]string{s1.URL, s2.URL}, spec)
-	cfg.HTTP = &http.Client{
+	// Logf stays nil: chaos is noisy by design.
+	coord := fastCoordinator([]string{s1.URL, s2.URL}, spec)
+	coord.tune.http = &http.Client{
 		Transport: faults.Transport(http.DefaultTransport, sched, &st),
 		Timeout:   15 * time.Second,
 	}
 	// Generous failure budgets: chaos must cost retries, not the run.
-	cfg.MaxUnitRetries = 50
-	cfg.WorkerFailureLimit = 100
-	cfg.Retry = retry.Policy{MaxAttempts: 5, Initial: time.Millisecond, Max: 4 * time.Millisecond}
-	cfg.Logf = func(string, ...any) {} // chaos is noisy by design
+	coord.tune.maxUnitRetries = 50
+	coord.tune.workerFailureLimit = 100
+	coord.tune.retry = retry.Policy{MaxAttempts: 5, Initial: time.Millisecond, Max: 4 * time.Millisecond}
 
-	coord := New(cfg)
 	got, err := coord.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatalf("gather under chaos: %v", err)

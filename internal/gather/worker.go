@@ -25,10 +25,6 @@ type WorkerOptions struct {
 	// the cmd/adsala-worker -sim guard, so a CI or test worker can never be
 	// talked into wall-clock timing.
 	RequireSim bool
-	// Concurrency bounds simultaneously executing units. The default 1 is
-	// deliberate: timing wants an otherwise idle machine, and a worker
-	// running two units concurrently would perturb both measurements.
-	Concurrency int
 	// Logf receives lifecycle progress lines (sweep registration); nil
 	// discards them.
 	Logf func(format string, args ...any)
@@ -36,9 +32,10 @@ type WorkerOptions struct {
 	// noisy on big sweeps. Nil falls back to Logf, so embedders that wire
 	// only one sink keep today's behaviour.
 	DebugLogf func(format string, args ...any)
-	// ExecDelay, when non-nil, returns an artificial delay inserted before
-	// a unit executes — the fault-injection hook the slow-worker tests use.
-	ExecDelay func(u Unit) time.Duration
+	// execHook, when non-nil, runs first in every unit's execution
+	// goroutine, before the unit takes the execution lock: the point where
+	// the slow-worker tests inject delay and where the in-flight test counts.
+	execHook func(Unit)
 }
 
 // unitState tracks one dispatched unit on the worker.
@@ -55,14 +52,16 @@ type unitState struct {
 //
 // Protocol: the coordinator POSTs the SweepSpec to /register (building the
 // timing backend from the wire Spec), POSTs units to /work (accepted and
-// executed asynchronously, one at a time by default), and polls
+// executed asynchronously, one at a time), and polls
 // GET /result?session=&id= until the unit reports done. /drain stops the
 // worker accepting new units while in-flight ones finish — the graceful
 // shutdown path.
 type Worker struct {
 	opts WorkerOptions
 	mux  *http.ServeMux
-	sem  chan struct{}
+	// execMu runs units one at a time: timing wants an otherwise idle
+	// machine, and two units executing together would perturb both.
+	execMu sync.Mutex
 
 	draining atomic.Bool
 	inflight sync.WaitGroup
@@ -88,9 +87,6 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.Name == "" {
 		opts.Name = "adsala-worker"
 	}
-	if opts.Concurrency < 1 {
-		opts.Concurrency = 1
-	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
@@ -100,7 +96,6 @@ func NewWorker(opts WorkerOptions) *Worker {
 	w := &Worker{
 		opts:  opts,
 		mux:   http.NewServeMux(),
-		sem:   make(chan struct{}, opts.Concurrency),
 		units: make(map[int]*unitState),
 		reg:   obs.NewRegistry(),
 	}
@@ -192,9 +187,10 @@ func writeError(rw http.ResponseWriter, status int, format string, args ...any) 
 	writeJSON(rw, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// maxBodyBytes bounds the body of /register and /work: a sweep spec or a
-// work unit is a few hundred bytes (a spec's candidate list is one small
-// integer per thread count), so 16 KiB refuses nothing legitimate.
+// maxBodyBytes bounds the body of /register and /work, and the answer the
+// coordinator reads back from either: a sweep spec, a work unit or a
+// registration answer is a few hundred bytes (a spec's candidate list is one
+// small integer per thread count), so 16 KiB refuses nothing legitimate.
 const maxBodyBytes = 16 << 10
 
 // decodeBody decodes the JSON request body, of at most maxBodyBytes, into v.
@@ -320,16 +316,13 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 // the local gather.
 func (w *Worker) exec(session, run string, spec SweepSpec, op ops.Op, timer simtime.Timer, u Unit) {
 	defer w.inflight.Done()
-	w.sem <- struct{}{}
-	defer func() { <-w.sem }()
+	if w.opts.execHook != nil {
+		w.opts.execHook(u)
+	}
+	w.execMu.Lock()
+	defer w.execMu.Unlock()
 	w.running.Add(1)
 	defer w.running.Add(-1)
-
-	if w.opts.ExecDelay != nil {
-		if d := w.opts.ExecDelay(u); d > 0 {
-			time.Sleep(d)
-		}
-	}
 
 	start := time.Now()
 	res, err := runUnit(spec, op, timer, u, w.opts.Name)
@@ -385,8 +378,9 @@ func (w *Worker) handleResult(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	session := r.URL.Query().Get("session")
-	id, err := strconv.Atoi(r.URL.Query().Get("id"))
+	query := r.URL.Query()
+	session := query.Get("session")
+	id, err := strconv.Atoi(query.Get("id"))
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, "query parameter %q: want a unit id", "id")
 		return

@@ -93,9 +93,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observations in raw units.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Scale returns the exposition scale factor.
-func (h *Histogram) Scale() float64 { return h.scale }
-
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) in raw units: the upper
 // bound of the bucket where the cumulative count crosses q·count. The
 // estimate is exact for values below histSubCount and within 12.5% above.

@@ -344,9 +344,9 @@ func TestRealTimerKeepsOneOperandSet(t *testing.T) {
 	runtime.KeepAlive(rt)
 }
 
-// TestRealTimerConcurrentShapes: a worker shares one RealTimer across its
-// -concurrency units. Callers on different shapes evict each other's slot,
-// and each must still finish its own call on the operands it was handed.
+// TestRealTimerConcurrentShapes: a RealTimer is safe for concurrent use.
+// Callers on different shapes evict each other's slot, and each must still
+// finish its own call on the operands it was handed.
 func TestRealTimerConcurrentShapes(t *testing.T) {
 	rt := NewRealTimer()
 	var wg sync.WaitGroup
