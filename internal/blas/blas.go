@@ -3,10 +3,18 @@
 // BLIS five-loop blocked-and-packed design: the operand matrices are
 // partitioned into cache-sized panels (NC/KC/MC), panels are packed into
 // contiguous buffers, and an MR×NR register micro-kernel performs the
-// innermost rank-KC update — an AVX2/FMA assembly tile on amd64 CPUs that
-// have it, a pure-Go 4×4 tile everywhere else (kernel.go). A persistent
-// worker team parallelises the packing and MC loops, mirroring how MKL/BLIS
-// thread the same loops with an OpenMP thread pool.
+// innermost rank-KC update — an assembly tile on amd64 CPUs that have one, a
+// pure-Go 4×4 tile everywhere else (kernel.go). Two CPUID/XGETBV probes pick
+// the assembly tile once at start-up: 6 rows × two ZMM registers (6×32 in
+// float32, 6×16 in float64) where AVX512F runs and the OS saves the opmask
+// and ZMM state (XCR0 bits 5–7), 6 rows × two YMM registers (6×16, 6×8) where
+// only AVX2 and FMA do. A call under the default blocking whose C has no more
+// columns than one YMM tile row keeps the YMM tile (narrowShape, beside the
+// small-shape gate): like that gate it is a function of the dimensions only,
+// and both tiles sum each element in the same order, so neither choice moves
+// a result bit. A persistent worker team parallelises the packing and MC
+// loops, mirroring how MKL/BLIS thread the same loops with an OpenMP thread
+// pool.
 //
 // There is one of each layer, shared by the three operations: one matrix
 // header (mat.Dense, held by value), one driver (drive), one per-part worker,
@@ -21,8 +29,9 @@
 // triangle; SYRK is one such pass with b = a, SYR2K two.
 //
 // The data movement around the tile — packing rows into panel columns, the
-// mirror — runs on the vector unit too where the tile does: block transposes
-// in registers (kernel_amd64.s, behind the same CPU probe), with the Go loops
+// mirror — runs on the vector unit too where the tile does: YMM block
+// transposes in registers whichever tile runs, and a row copy as wide as the
+// tile (kernel_amd64.s, behind the same CPU probes), with the Go loops
 // in pack.go and syrk.go as the reference and as what handles ragged panels,
 // the kc tail and everything that touches the diagonal.
 //
@@ -52,10 +61,13 @@ type Params struct {
 
 // DefaultParams returns the blocking parameters a Context whose Params field
 // is zero uses, for element type T on this CPU. The cache blocks are
-// sized for typical L1/L2/L3 capacities and are multiples of both tiles; the
+// sized for typical L1/L2/L3 capacities and are multiples of every tile; the
 // register tile is the one place the default depends on T and the machine:
-// the vector tile (6×16 in float32, 6×8 in float64) where the CPU probe
-// found AVX2 and FMA, the Go 4×4 tile everywhere else (see kernel.go).
+// the ZMM tile (6×32 in float32, 6×16 in float64) where the CPU probe found
+// AVX-512 (AVX512F, with the OS saving the opmask and ZMM state), the YMM tile
+// (6×16, 6×8) where it found AVX2 and FMA only, the Go 4×4 tile everywhere
+// else (see kernel.go). A call under these defaults whose C has no more
+// columns than one YMM tile row still runs the YMM tile (narrowShape).
 func DefaultParams[T float32 | float64]() Params {
 	p := Params{MC: 120, KC: 256, NC: 2048, MR: goMR, NR: goNR}
 	if useVec {
@@ -70,10 +82,13 @@ func (p Params) Validate() error {
 	if p.MC < 1 || p.KC < 1 || p.NC < 1 {
 		return fmt.Errorf("blas: non-positive block sizes %+v", p)
 	}
-	vec := useVec && p.MR == vecMR && (p.NR == vecNR[float32]() || p.NR == vecNR[float64]())
+	vec := p.MR == vecMR && (isVecNR[float32](p.NR) || isVecNR[float64](p.NR))
 	if !vec && (p.MR != goMR || p.NR != goNR) {
 		have := "4x4"
-		if useVec {
+		switch {
+		case useZMM:
+			have = "4x4, 6x16 or 6x32 in float32, 6x8 or 6x16 in float64"
+		case useVec:
 			have = "4x4, 6x16 in float32, 6x8 in float64"
 		}
 		return fmt.Errorf("blas: micro-tile %dx%d unsupported (have %s)", p.MR, p.NR, have)
@@ -88,12 +103,12 @@ func (p Params) Validate() error {
 }
 
 // checkParams is Validate plus the half of the tile rule that needs the
-// element type: the vector tile's width is fixed per precision.
+// element type: the vector tiles' widths are fixed per precision.
 func checkParams[T float32 | float64](p Params) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if p.MR == vecMR && p.NR != vecNR[T]() {
+	if p.MR == vecMR && !isVecNR[T](p.NR) {
 		return fmt.Errorf("blas: micro-tile %dx%d is the other precision's (want %dx%d)", p.MR, p.NR, vecMR, vecNR[T]())
 	}
 	return nil

@@ -260,20 +260,26 @@ func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, al
 	// studying the packed algorithm (ablations, micro-tile comparisons)
 	// and must get exactly the configuration they asked for. The gate
 	// depends only on the dimensions, so results stay bit-identical across
-	// thread counts.
-	if prm == DefaultParams[T]() && smallShape(m, n, kSmall) {
-		switch op {
-		case opGemm:
-			smallGemm(transA, transB, alpha, a, b, beta, c, m, n, k)
-		case opSyrk:
-			smallSyrk(transA, alpha, a, beta, c, n, k)
-		default:
-			smallSyr2k(transA, alpha, a, b, beta, c, n, k)
+	// thread counts. So does the default's other dimension rule: a narrow C
+	// keeps the YMM tile.
+	if prm == DefaultParams[T]() {
+		if smallShape(m, n, kSmall) {
+			switch op {
+			case opGemm:
+				smallGemm(transA, transB, alpha, a, b, beta, c, m, n, k)
+			case opSyrk:
+				smallSyrk(transA, alpha, a, beta, c, n, k)
+			default:
+				smallSyr2k(transA, alpha, a, b, beta, c, n, k)
+			}
+			if lower {
+				mirrorLower(c, 0, n)
+			}
+			return nil
 		}
-		if lower {
-			mirrorLower(c, 0, n)
+		if narrowShape[T](n) {
+			prm.NR = ymmNR[T]()
 		}
-		return nil
 	}
 
 	// No point having workers with no MR-row band to own.

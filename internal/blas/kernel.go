@@ -6,16 +6,20 @@ import (
 	"repro/internal/mat"
 )
 
-// Register micro-kernels. There are two tiles. The vector tile is 6 rows by
-// two YMM registers (6×16 in float32, 6×8 in float64): twelve accumulator
-// registers, two for the streamed B row and two for the broadcast A values
-// fill the sixteen YMM registers of AVX2, and it runs an order of magnitude
-// faster than anything gc compiles from Go, which keeps one scalar per XMM
-// register. It is hand-written assembly (kernel_amd64.s) and the default
-// wherever it can run. The Go 4×4 tile with the k loop unrolled 4× is the
-// portable fallback: every non-amd64 GOARCH, and amd64 without AVX2/FMA.
-// The macro-kernel dispatches on the (MR, NR) pair from Params; Validate
-// restricts callers to these two.
+// Register micro-kernels. There are three tiles. The two vector tiles are 6
+// rows by two vector registers: twelve accumulator registers, two for the
+// streamed B row and two for the broadcast A values. On YMM registers (6×16 in
+// float32, 6×8 in float64) that fills the sixteen of AVX2; on ZMM registers
+// (6×32, 6×16) each multiply-add does twice the work. Both run an order of
+// magnitude faster than anything gc compiles from Go, which keeps one scalar
+// per XMM register. They are hand-written assembly (kernel_amd64.s); the
+// default is the ZMM tile wherever AVX-512 runs and the YMM tile wherever only
+// AVX2 does. The Go 4×4 tile with the k loop unrolled 4× is the portable
+// fallback: every non-amd64 GOARCH, and amd64 without AVX2/FMA. The
+// macro-kernel dispatches on the (MR, NR) pair from Params; Validate
+// restricts callers to these tiles. Every lane of either vector tile sums one
+// element in ascending p with one rounding per multiply-add, so the two give
+// the same bits, and which one a call runs is a matter of speed only.
 //
 // A full vector tile in the interior of C is stored from the accumulator
 // registers by the assembly's own epilogue. Every other tile — cut by the
@@ -25,26 +29,47 @@ import (
 const (
 	goMR, goNR = 4, 4
 	vecMR      = 6
-	// maxTile is the largest MR*NR product across the tiles (6×16); the
-	// macro-kernel's accumulator block is sized to it.
-	maxTile = vecMR * 16
+	// maxTile is the largest MR*NR product across the tiles (6×32, the ZMM
+	// tile in float32); the macro-kernel's accumulator block is sized to it.
+	maxTile = vecMR * 32
 )
 
-// useVec is the CPU probe's answer, taken once: whether the vector tile is
-// the default tile and accepted by Validate. A variable only so in-package
-// tests can force the fallback on an AVX2 machine.
-var useVec = cpuHasVectorTile()
+// useVec and useZMM are the CPU probes' answers, taken once: whether the YMM
+// tile, and on top of it the ZMM tile, may run. The widest tile that may is
+// the default and both are accepted by Validate. Variables only so in-package
+// tests can force the narrower tiles on a wider machine.
+var (
+	useVec = cpuHasVectorTile()
+	useZMM = cpuHasZMM()
+)
 
-// vecNR is the vector tile's width in elements of T: two 32-byte YMM
-// registers.
-func vecNR[T float32 | float64]() int {
+// ymmNR and zmmNR are the vector tiles' widths in elements of T: two 32-byte
+// YMM registers, or two 64-byte ZMM registers.
+func ymmNR[T float32 | float64]() int { return 64 / sizeOf[T]() }
+func zmmNR[T float32 | float64]() int { return 128 / sizeOf[T]() }
+
+func sizeOf[T float32 | float64]() int {
 	var z T
-	return 64 / int(unsafe.Sizeof(z))
+	return int(unsafe.Sizeof(z))
+}
+
+// vecNR is the default vector tile's width: the ZMM tile's where it runs.
+func vecNR[T float32 | float64]() int {
+	if useZMM {
+		return zmmNR[T]()
+	}
+	return ymmNR[T]()
+}
+
+// isVecNR reports whether nr is the width of a vector tile of T this CPU
+// runs.
+func isVecNR[T float32 | float64](nr int) bool {
+	return useVec && nr == ymmNR[T]() || useZMM && nr == zmmNR[T]()
 }
 
 // vecBlock is the edge of the square block the vector transposes move (pack.go,
-// mirrorLower): the elements of T in one YMM register, half a tile row.
-func vecBlock[T float32 | float64]() int { return vecNR[T]() / 2 }
+// mirrorLower): the elements of T in one YMM register, whichever tile runs.
+func vecBlock[T float32 | float64]() int { return 32 / sizeOf[T]() }
 
 // The stores of the vector tile's epilogue (the mode of tileVec), one per arm
 // of storeTile.
@@ -88,11 +113,11 @@ func macroKernel[T float32 | float64](alpha T, packedA, packedB []T, beta T, c m
 			}
 			if vec && ib == mr && jb == nr && diag >= nr-1 {
 				// Nothing clips this tile: C is its accumulator block.
-				tileVec(aPanel, bPanel, kc, c.Data[ci*c.Stride+cj:], c.Stride, alpha, beta, mode)
+				tileVec(aPanel, bPanel, kc, nr, c.Data[ci*c.Stride+cj:], c.Stride, alpha, beta, mode)
 				continue
 			}
 			if vec {
-				microVec(aPanel, bPanel, kc, &acc)
+				microVec(aPanel, bPanel, kc, nr, &acc)
 			} else {
 				micro4x4(aPanel, bPanel, kc, &acc)
 			}
@@ -226,30 +251,46 @@ func micro4x4[T float32 | float64](aPanel, bPanel []T, kc int, acc *[maxTile]T) 
 	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
 }
 
-// microVec computes one vector tile (6×vecNR, row-major acc) over kc rank-1
+// microVec computes one vector tile (6×nr, row-major acc) over kc rank-1
 // updates: the assembly tile storing into the stack block, unscaled.
 //
 //adsala:zeroalloc
-func microVec[T float32 | float64](aPanel, bPanel []T, kc int, acc *[maxTile]T) {
-	tileVec(aPanel, bPanel, kc, acc[:], vecNR[T](), 1, 0, storeSet)
+func microVec[T float32 | float64](aPanel, bPanel []T, kc, nr int, acc *[maxTile]T) {
+	tileVec(aPanel, bPanel, kc, nr, acc[:], nr, 1, 0, storeSet)
 }
 
 // tileVec computes one vector tile over kc rank-1 updates in assembly and
-// stores it, by mode, as the 6×vecNR block at c[0] with row stride ldc. The
-// slice expressions are the bounds check: the assembly reads exactly the kc·6
-// and kc·vecNR panel elements they cover and touches c only inside that
-// block. The pointer type switch picks the precision without boxing anything.
+// stores it, by mode, as the 6×nr block at c[0] with row stride ldc. nr is
+// the width of one of T's vector tiles (isVecNR) and picks it; any other
+// value runs the YMM tile at its own width, so the slice expressions below
+// always cover what the assembly touches. They are the bounds check: the
+// assembly reads exactly the kc·6 and kc·nr panel elements they cover and
+// touches c only inside that block. The pointer type switch picks the
+// precision without boxing anything.
 //
 //adsala:zeroalloc
-func tileVec[T float32 | float64](aPanel, bPanel []T, kc int, c []T, ldc int, alpha, beta T, mode int) {
-	nr := vecNR[T]()
+func tileVec[T float32 | float64](aPanel, bPanel []T, kc, nr int, c []T, ldc int, alpha, beta T, mode int) {
+	zmm := nr == zmmNR[T]()
+	if !zmm {
+		nr = ymmNR[T]()
+	}
 	a, b := aPanel[:kc*vecMR], bPanel[:kc*nr]
 	c = c[:(vecMR-1)*ldc+nr]
 	switch c := any(&c[0]).(type) {
 	case *float32:
-		sgemmTile6x16(any(&a[0]).(*float32), any(&b[0]).(*float32), kc, c, ldc, float32(alpha), float32(beta), mode)
+		a, b := any(&a[0]).(*float32), any(&b[0]).(*float32)
+		if zmm {
+			sgemmTile6x32(a, b, kc, c, ldc, float32(alpha), float32(beta), mode)
+		} else {
+			sgemmTile6x16(a, b, kc, c, ldc, float32(alpha), float32(beta), mode)
+		}
 	case *float64:
-		dgemmTile6x8(any(&a[0]).(*float64), any(&b[0]).(*float64), kc, c, ldc, float64(alpha), float64(beta), mode)
+		a, b := any(&a[0]).(*float64), any(&b[0]).(*float64)
+		if zmm {
+			dgemmTile6x16(a, b, kc, c, ldc, float64(alpha), float64(beta), mode)
+		} else {
+			dgemmTile6x8(a, b, kc, c, ldc, float64(alpha), float64(beta), mode)
+		}
 	}
 }
 

@@ -7,16 +7,22 @@ import "unsafe"
 // every length before the call: the assembly reads and writes exactly
 // what is listed here.
 
-// The register tile with its store. Reads kc·6 elements of a and kc·vecNR of
-// b; writes six rows of vecNR elements at c, ldc elements apart, by mode:
-// alpha·acc (storeSet, which never loads c), c + alpha·acc (storeAdd) or
-// beta·c + alpha·acc (storeScale).
+// The register tiles with their store, YMM (6×16, 6×8) and ZMM (6×32,
+// 6×16). Each reads kc·6 elements of a and kc·NR of b; writes six rows of NR
+// elements at c, ldc elements apart, by mode: alpha·acc (storeSet, which never
+// loads c), c + alpha·acc (storeAdd) or beta·c + alpha·acc (storeScale).
 
 //go:noescape
 func sgemmTile6x16(a, b *float32, kc int, c *float32, ldc int, alpha, beta float32, mode int)
 
 //go:noescape
 func dgemmTile6x8(a, b *float64, kc int, c *float64, ldc int, alpha, beta float64, mode int)
+
+//go:noescape
+func sgemmTile6x32(a, b *float32, kc int, c *float32, ldc int, alpha, beta float32, mode int)
+
+//go:noescape
+func dgemmTile6x16(a, b *float64, kc int, c *float64, ldc int, alpha, beta float64, mode int)
 
 // The block transpose: dst(j, i) = src(i, j) for i < m, j < n, rows of src
 // lds elements apart and rows of dst ldd. m and n are multiples of the
@@ -37,12 +43,15 @@ func spackA6(dst, src *float32, lds, n int)
 //go:noescape
 func dpackA6(dst, src *float64, lds, n int)
 
-// The B panel of the vector tile from an untransposed source: rows 64-byte
-// rows (one tile row in either precision), ldsBytes apart at src, copied back
-// to back to dst.
+// The B panel of a vector tile from an untransposed source: rows rows of one
+// tile row each (64 bytes for the YMM tile, 128 for the ZMM one, in either
+// precision), ldsBytes apart at src, copied back to back to dst.
 
 //go:noescape
 func copyRows64(dst, src unsafe.Pointer, ldsBytes, rows int)
+
+//go:noescape
+func copyRows128(dst, src unsafe.Pointer, ldsBytes, rows int)
 
 // spinHint is one PAUSE: it tells the core that the loop around it is a
 // spin-wait (see spinWait in team.go), which saves power, frees the sibling
@@ -71,4 +80,21 @@ func cpuHasVectorTile() bool {
 	const avx2 = 1 << 5
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&avx2 != 0
+}
+
+// cpuHasZMM reports whether the ZMM tiles and row copy may run as well: on
+// top of cpuHasVectorTile, the CPU has AVX512F (CPUID.7.0:EBX[16]) and the OS
+// saves the opmask registers and all 512 bits of the 32 ZMM registers (XCR0
+// bits 5–7: opmask, ZMM_Hi256, Hi16_ZMM).
+func cpuHasZMM() bool {
+	if !cpuHasVectorTile() {
+		return false
+	}
+	const opmask, zmmHi256, hi16ZMM = 1 << 5, 1 << 6, 1 << 7
+	if xcr0, _ := xgetbv(); xcr0&(opmask|zmmHi256|hi16ZMM) != opmask|zmmHi256|hi16ZMM {
+		return false
+	}
+	const avx512f = 1 << 16
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx512f != 0
 }

@@ -1,10 +1,11 @@
 #include "textflag.h"
 
-// AVX2/FMA register tiles. Both kernels keep a 6-row × 2-YMM accumulator
-// block in Y0–Y11 (row i in Y(2i), Y(2i+1)), stream one packed B row into
-// Y12/Y13 per rank-1 step and broadcast the six packed A values through
-// Y14/Y15. They read exactly kc·6 elements of a and kc·(2 YMM) elements of
-// b. Each accumulator lane sums in ascending p, the order the Go tile uses.
+// AVX2/FMA register tiles (the AVX-512 ones, ZTILE, follow them). Both
+// kernels keep a 6-row × 2-YMM accumulator block in Y0–Y11 (row i in Y(2i),
+// Y(2i+1)), stream one packed B row into Y12/Y13 per rank-1 step and
+// broadcast the six packed A values through Y14/Y15. They read exactly kc·6
+// elements of a and kc·(2 YMM) elements of b. Each accumulator lane sums in
+// ascending p, the order the Go tile uses.
 // The block never visits memory on its own: the epilogue scales it by alpha
 // and stores it as six rows of two YMM at c, ldc elements apart, in one of
 // three ways (the mode argument; storeSet, storeAdd, storeScale in
@@ -35,30 +36,30 @@
 	FMA  Y12, Y15, Y10;        \
 	FMA  Y13, Y15, Y11
 
-// The three stores of one accumulator row (R0, R1, already scaled by alpha)
-// to the C row at DX; each steps DX to the next row (R8 is ldc in bytes).
-// The operand order of every multiply and add is the one gc emits for
-// storeTile's scalar statements, so even a NaN keeps the payload it has
-// there.
-#define ROWSET(LD, R0, R1) \
+// The three stores of one accumulator row (R0, R1, already scaled by alpha,
+// W bytes each) to the C row at DX; each steps DX to the next row (R8 is ldc
+// in bytes). The operand order of every multiply and add is the one gc emits
+// for storeTile's scalar statements, so even a NaN keeps the payload it has
+// there. Both tiles share them: W is 32 with Y registers, 64 with Z.
+#define ROWSET(LD, W, R0, R1) \
 	LD   R0, (DX);         \
-	LD   R1, 32(DX);       \
+	LD   R1, W(DX);        \
 	ADDQ R8, DX
 
-#define ROWADD(LD, ADD, R0, R1) \
+#define ROWADD(LD, ADD, W, R0, R1) \
 	ADD  (DX), R0, R0;     \
-	ADD  32(DX), R1, R1;   \
-	ROWSET(LD, R0, R1)
+	ADD  W(DX), R1, R1;    \
+	ROWSET(LD, W, R0, R1)
 
-// Y15 holds beta.
-#define ROWSCALE(LD, MUL, ADD, R0, R1) \
-	LD   (DX), Y12;        \
-	LD   32(DX), Y13;      \
-	MUL  Y15, Y12, Y12;    \
-	MUL  Y15, Y13, Y13;    \
-	ADD  R0, Y12, Y12;     \
-	ADD  R1, Y13, Y13;     \
-	ROWSET(LD, Y12, Y13)
+// BETA holds beta; S0 and S1 are scratch.
+#define ROWSCALE(LD, MUL, ADD, W, R0, R1, S0, S1, BETA) \
+	LD   (DX), S0;         \
+	LD   W(DX), S1;        \
+	MUL  BETA, S0, S0;     \
+	MUL  BETA, S1, S1;     \
+	ADD  R0, S0, S0;       \
+	ADD  R1, S1, S1;       \
+	ROWSET(LD, W, S0, S1)
 
 // TILE is the whole tile: zero the accumulators, run the CX steps (unrolled
 // four times, then one at a time) over the panels at SI and DI, scale by the
@@ -118,31 +119,142 @@ scale:                   \
 	CMPQ R11, $1;        \
 	JEQ  add;            \
 	JHI  axpby;          \
-	ROWSET(LD, Y0, Y1);  \
-	ROWSET(LD, Y2, Y3);  \
-	ROWSET(LD, Y4, Y5);  \
-	ROWSET(LD, Y6, Y7);  \
-	ROWSET(LD, Y8, Y9);  \
-	ROWSET(LD, Y10, Y11); \
+	ROWSET(LD, 32, Y0, Y1);  \
+	ROWSET(LD, 32, Y2, Y3);  \
+	ROWSET(LD, 32, Y4, Y5);  \
+	ROWSET(LD, 32, Y6, Y7);  \
+	ROWSET(LD, 32, Y8, Y9);  \
+	ROWSET(LD, 32, Y10, Y11); \
 	VZEROUPPER;          \
 	RET;                 \
 add:                     \
-	ROWADD(LD, ADD, Y0, Y1);  \
-	ROWADD(LD, ADD, Y2, Y3);  \
-	ROWADD(LD, ADD, Y4, Y5);  \
-	ROWADD(LD, ADD, Y6, Y7);  \
-	ROWADD(LD, ADD, Y8, Y9);  \
-	ROWADD(LD, ADD, Y10, Y11); \
+	ROWADD(LD, ADD, 32, Y0, Y1);  \
+	ROWADD(LD, ADD, 32, Y2, Y3);  \
+	ROWADD(LD, ADD, 32, Y4, Y5);  \
+	ROWADD(LD, ADD, 32, Y6, Y7);  \
+	ROWADD(LD, ADD, 32, Y8, Y9);  \
+	ROWADD(LD, ADD, 32, Y10, Y11); \
 	VZEROUPPER;          \
 	RET;                 \
 axpby:                   \
 	BC   (R10), Y15;     \
-	ROWSCALE(LD, MUL, ADD, Y0, Y1);  \
-	ROWSCALE(LD, MUL, ADD, Y2, Y3);  \
-	ROWSCALE(LD, MUL, ADD, Y4, Y5);  \
-	ROWSCALE(LD, MUL, ADD, Y6, Y7);  \
-	ROWSCALE(LD, MUL, ADD, Y8, Y9);  \
-	ROWSCALE(LD, MUL, ADD, Y10, Y11); \
+	ROWSCALE(LD, MUL, ADD, 32, Y0, Y1, Y12, Y13, Y15);  \
+	ROWSCALE(LD, MUL, ADD, 32, Y2, Y3, Y12, Y13, Y15);  \
+	ROWSCALE(LD, MUL, ADD, 32, Y4, Y5, Y12, Y13, Y15);  \
+	ROWSCALE(LD, MUL, ADD, 32, Y6, Y7, Y12, Y13, Y15);  \
+	ROWSCALE(LD, MUL, ADD, 32, Y8, Y9, Y12, Y13, Y15);  \
+	ROWSCALE(LD, MUL, ADD, 32, Y10, Y11, Y12, Y13, Y15); \
+	VZEROUPPER;          \
+	RET
+
+// The AVX-512 register tiles: TILE on ZMM registers, so one B row is two
+// 64-byte registers (6×32 in float32, 6×16 in float64) and each rank-1 step
+// does twice the work of a YMM step for the same twelve multiply-adds. Z0–Z11
+// accumulate, Z12/Z13 stream B and Z14/Z15 broadcast A, exactly as in TILE;
+// every lane still sums in ascending p with one rounding per multiply-add,
+// so an element's bits do not depend on which tile computed it. Every
+// instruction is AVX512F. Only Z0–Z15 are touched, so the closing VZEROUPPER
+// leaves no dirty upper state behind.
+#define ZSTEP(LD, BC, FMA, ES, AO, BO) \
+	LD   BO(DI), Z12;          \
+	LD   (BO+64)(DI), Z13;     \
+	BC   AO(SI), Z14;          \
+	BC   (AO+ES)(SI), Z15;     \
+	FMA  Z12, Z14, Z0;         \
+	FMA  Z13, Z14, Z1;         \
+	FMA  Z12, Z15, Z2;         \
+	FMA  Z13, Z15, Z3;         \
+	BC   (AO+2*ES)(SI), Z14;   \
+	BC   (AO+3*ES)(SI), Z15;   \
+	FMA  Z12, Z14, Z4;         \
+	FMA  Z13, Z14, Z5;         \
+	FMA  Z12, Z15, Z6;         \
+	FMA  Z13, Z15, Z7;         \
+	BC   (AO+4*ES)(SI), Z14;   \
+	BC   (AO+5*ES)(SI), Z15;   \
+	FMA  Z12, Z14, Z8;         \
+	FMA  Z13, Z14, Z9;         \
+	FMA  Z12, Z15, Z10;        \
+	FMA  Z13, Z15, Z11
+
+// ZTILE is TILE with a 128-byte B row and the same arguments and epilogue.
+#define ZTILE(LD, BC, FMA, MUL, ADD, ES) \
+	VPXORD Z0, Z0, Z0;   \
+	VPXORD Z1, Z1, Z1;   \
+	VPXORD Z2, Z2, Z2;   \
+	VPXORD Z3, Z3, Z3;   \
+	VPXORD Z4, Z4, Z4;   \
+	VPXORD Z5, Z5, Z5;   \
+	VPXORD Z6, Z6, Z6;   \
+	VPXORD Z7, Z7, Z7;   \
+	VPXORD Z8, Z8, Z8;   \
+	VPXORD Z9, Z9, Z9;   \
+	VPXORD Z10, Z10, Z10; \
+	VPXORD Z11, Z11, Z11; \
+	MOVQ CX, BX;         \
+	SHRQ $2, BX;         \
+	JZ   tail;           \
+loop4:                   \
+	ZSTEP(LD, BC, FMA, ES, 0, 0);        \
+	ZSTEP(LD, BC, FMA, ES, 6*ES, 128);   \
+	ZSTEP(LD, BC, FMA, ES, 12*ES, 256);  \
+	ZSTEP(LD, BC, FMA, ES, 18*ES, 384);  \
+	ADDQ $(24*ES), SI;   \
+	ADDQ $512, DI;       \
+	DECQ BX;             \
+	JNZ  loop4;          \
+tail:                    \
+	ANDQ $3, CX;         \
+	JZ   scale;          \
+loop1:                   \
+	ZSTEP(LD, BC, FMA, ES, 0, 0); \
+	ADDQ $(6*ES), SI;    \
+	ADDQ $128, DI;       \
+	DECQ CX;             \
+	JNZ  loop1;          \
+scale:                   \
+	IMUL3Q $ES, R8, R8;  \
+	BC   (R9), Z14;      \
+	MUL  Z14, Z0, Z0;    \
+	MUL  Z14, Z1, Z1;    \
+	MUL  Z14, Z2, Z2;    \
+	MUL  Z14, Z3, Z3;    \
+	MUL  Z14, Z4, Z4;    \
+	MUL  Z14, Z5, Z5;    \
+	MUL  Z14, Z6, Z6;    \
+	MUL  Z14, Z7, Z7;    \
+	MUL  Z14, Z8, Z8;    \
+	MUL  Z14, Z9, Z9;    \
+	MUL  Z14, Z10, Z10;  \
+	MUL  Z14, Z11, Z11;  \
+	CMPQ R11, $1;        \
+	JEQ  add;            \
+	JHI  axpby;          \
+	ROWSET(LD, 64, Z0, Z1);  \
+	ROWSET(LD, 64, Z2, Z3);  \
+	ROWSET(LD, 64, Z4, Z5);  \
+	ROWSET(LD, 64, Z6, Z7);  \
+	ROWSET(LD, 64, Z8, Z9);  \
+	ROWSET(LD, 64, Z10, Z11); \
+	VZEROUPPER;          \
+	RET;                 \
+add:                     \
+	ROWADD(LD, ADD, 64, Z0, Z1);  \
+	ROWADD(LD, ADD, 64, Z2, Z3);  \
+	ROWADD(LD, ADD, 64, Z4, Z5);  \
+	ROWADD(LD, ADD, 64, Z6, Z7);  \
+	ROWADD(LD, ADD, 64, Z8, Z9);  \
+	ROWADD(LD, ADD, 64, Z10, Z11); \
+	VZEROUPPER;          \
+	RET;                 \
+axpby:                   \
+	BC   (R10), Z15;     \
+	ROWSCALE(LD, MUL, ADD, 64, Z0, Z1, Z12, Z13, Z15);  \
+	ROWSCALE(LD, MUL, ADD, 64, Z2, Z3, Z12, Z13, Z15);  \
+	ROWSCALE(LD, MUL, ADD, 64, Z4, Z5, Z12, Z13, Z15);  \
+	ROWSCALE(LD, MUL, ADD, 64, Z6, Z7, Z12, Z13, Z15);  \
+	ROWSCALE(LD, MUL, ADD, 64, Z8, Z9, Z12, Z13, Z15);  \
+	ROWSCALE(LD, MUL, ADD, 64, Z10, Z11, Z12, Z13, Z15); \
 	VZEROUPPER;          \
 	RET
 
@@ -297,6 +409,30 @@ TEXT ·dgemmTile6x8(SB), NOSPLIT, $0-64
 	MOVQ mode+56(FP), R11
 	TILE(VMOVUPD, VBROADCASTSD, VFMADD231PD, VMULPD, VADDPD, 8)
 
+// func sgemmTile6x32(a, b *float32, kc int, c *float32, ldc int, alpha, beta float32, mode int)
+TEXT ·sgemmTile6x32(SB), NOSPLIT, $0-56
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DI
+	MOVQ kc+16(FP), CX
+	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R8
+	LEAQ alpha+40(FP), R9
+	LEAQ beta+44(FP), R10
+	MOVQ mode+48(FP), R11
+	ZTILE(VMOVUPS, VBROADCASTSS, VFMADD231PS, VMULPS, VADDPS, 4)
+
+// func dgemmTile6x16(a, b *float64, kc int, c *float64, ldc int, alpha, beta float64, mode int)
+TEXT ·dgemmTile6x16(SB), NOSPLIT, $0-64
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DI
+	MOVQ kc+16(FP), CX
+	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R8
+	LEAQ alpha+40(FP), R9
+	LEAQ beta+48(FP), R10
+	MOVQ mode+56(FP), R11
+	ZTILE(VMOVUPD, VBROADCASTSD, VFMADD231PD, VMULPD, VADDPD, 8)
+
 // func stranspose(dst *float32, ldd int, src *float32, lds, m, n int)
 TEXT ·stranspose(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
@@ -393,29 +529,43 @@ done:
 	VZEROUPPER
 	RET
 
+// COPYROWS is the untransposed B panel of a vector tile: CX rows of two
+// W-byte registers (R0, R1), R8 bytes apart at SI, back to back at DI.
+#define COPYROWS(W, R0, R1) \
+	TESTQ CX, CX;        \
+	JZ   done;           \
+loop:                    \
+	VMOVUPS (SI), R0;    \
+	VMOVUPS W(SI), R1;   \
+	VMOVUPS R0, (DI);    \
+	VMOVUPS R1, W(DI);   \
+	ADDQ R8, SI;         \
+	ADDQ $(2*W), DI;     \
+	DECQ CX;             \
+	JNZ  loop;           \
+done:                    \
+	VZEROUPPER;          \
+	RET
+
 // func copyRows64(dst, src unsafe.Pointer, ldsBytes, rows int)
 //
-// The untransposed B panel of the vector tile: rows of 64 bytes, ldsBytes
-// apart at src, back to back at dst.
+// The YMM tile's rows: 64 bytes.
 TEXT ·copyRows64(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ ldsBytes+16(FP), R8
 	MOVQ rows+24(FP), CX
-	TESTQ CX, CX
-	JZ   done
-loop:
-	VMOVUPS (SI), Y0
-	VMOVUPS 32(SI), Y1
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	ADDQ R8, SI
-	ADDQ $64, DI
-	DECQ CX
-	JNZ  loop
-done:
-	VZEROUPPER
-	RET
+	COPYROWS(32, Y0, Y1)
+
+// func copyRows128(dst, src unsafe.Pointer, ldsBytes, rows int)
+//
+// The ZMM tile's rows: 128 bytes.
+TEXT ·copyRows128(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ ldsBytes+16(FP), R8
+	MOVQ rows+24(FP), CX
+	COPYROWS(64, Z0, Z1)
 
 // func spinHint()
 TEXT ·spinHint(SB), NOSPLIT, $0-0

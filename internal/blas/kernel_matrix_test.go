@@ -28,22 +28,51 @@ func forcePath(t *testing.T, limit int) {
 	t.Cleanup(func() { smallShapeLimit = old })
 }
 
-// forceGoTile makes the CPU probe answer "no vector tile" for the duration
+// forceGoTile makes the CPU probes answer "no vector tile" for the duration
 // of a test: DefaultParams resolves to the Go 4×4 tile and Validate rejects
-// the vector one, as on a machine without AVX2/FMA.
+// the vector ones, as on a machine without AVX2/FMA.
 func forceGoTile(t *testing.T) {
 	t.Helper()
-	old := useVec
-	useVec = false
-	t.Cleanup(func() { useVec = old })
+	oldVec, oldZMM := useVec, useZMM
+	useVec, useZMM = false, false
+	t.Cleanup(func() { useVec, useZMM = oldVec, oldZMM })
+}
+
+// forceNoZMM makes the AVX-512 probe answer no for the duration of a test:
+// DefaultParams resolves to the YMM tile and Validate rejects the ZMM one, as
+// on a machine with AVX2 and FMA only.
+func forceNoZMM(t *testing.T) {
+	t.Helper()
+	old := useZMM
+	useZMM = false
+	t.Cleanup(func() { useZMM = old })
+}
+
+// vecTile names a vector tile and its width in elements of the test's T.
+type vecTile struct {
+	name string
+	nr   int
+}
+
+// vecTiles returns the vector tiles T has on this machine: none, the YMM
+// tile, or the YMM and the ZMM tile.
+func vecTiles[T float32 | float64]() []vecTile {
+	var tiles []vecTile
+	if useVec {
+		tiles = append(tiles, vecTile{"ymm", ymmNR[T]()})
+	}
+	if useZMM {
+		tiles = append(tiles, vecTile{"zmm", zmmNR[T]()})
+	}
+	return tiles
 }
 
 // testTiles returns the micro-tiles T has a kernel for on this machine: the
-// Go 4×4 tile, and the vector tile where the CPU runs it.
+// Go 4×4 tile, and each vector tile the CPU runs.
 func testTiles[T float32 | float64]() [][2]int {
 	tiles := [][2]int{{goMR, goNR}}
-	if useVec {
-		tiles = append(tiles, [2]int{vecMR, vecNR[T]()})
+	for _, vt := range vecTiles[T]() {
+		tiles = append(tiles, [2]int{vecMR, vt.nr})
 	}
 	return tiles
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // fencedAcc surrounds the accumulator block with canary elements; the
-// kernel must write tile[:6·vecNR] and nothing else.
+// kernel must write tile[:6·NR] and nothing else.
 type fencedAcc[T float32 | float64] struct {
 	pre  [16]T
 	tile [maxTile]T
@@ -46,15 +46,14 @@ func sentinelPanel[T float32 | float64](n int, rng *rand.Rand) []T {
 	return buf[:n:n]
 }
 
-// checkVecTile runs one microVec call and compares every accumulator with a
-// float64 reference summed in ascending p. NaN and ±Inf must propagate
-// exactly as the reference has them.
-func checkVecTile[T float32 | float64](t *testing.T, a, b []T, kc int, relTol float64) {
+// checkVecTile runs one microVec call of the nr-wide tile and compares every
+// accumulator with a float64 reference summed in ascending p. NaN and ±Inf
+// must propagate exactly as the reference has them.
+func checkVecTile[T float32 | float64](t *testing.T, a, b []T, kc, nr int, relTol float64) {
 	t.Helper()
-	nr := vecNR[T]()
 	var f fencedAcc[T]
 	f.fill()
-	microVec(a, b, kc, &f.tile)
+	microVec(a, b, kc, nr, &f.tile)
 	for i := range f.pre {
 		if f.pre[i] != canary || f.post[i] != canary {
 			t.Fatalf("kc=%d: store outside the accumulator block (canary %d)", kc, i)
@@ -94,63 +93,74 @@ func testVecTile[T float32 | float64](t *testing.T, relTol float64) {
 	if !useVec {
 		t.Skip("no vector tile on this machine")
 	}
-	rng := rand.New(rand.NewSource(60))
-	nr := vecNR[T]()
-	for _, kc := range []int{1, 2, 3, 4, 5, 7, 8, 31, 255, 256, 257} {
-		a := sentinelPanel[T](kc*vecMR, rng)
-		b := sentinelPanel[T](kc*nr, rng)
-		checkVecTile(t, a, b, kc, relTol)
+	for _, vt := range vecTiles[T]() {
+		t.Run(vt.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(60))
+			nr := vt.nr
+			for _, kc := range []int{1, 2, 3, 4, 5, 7, 8, 31, 255, 256, 257} {
+				a := sentinelPanel[T](kc*vecMR, rng)
+				b := sentinelPanel[T](kc*nr, rng)
+				checkVecTile(t, a, b, kc, nr, relTol)
 
-		// Non-finite values inside the panels: a NaN in A poisons its row,
-		// an Inf in B its column, in the unrolled body and in the tail.
-		for _, p := range []int{0, kc / 2, kc - 1} {
-			a2, b2 := append([]T(nil), a...), append([]T(nil), b...)
-			a2[p*vecMR+rng.Intn(vecMR)] = T(math.NaN())
-			b2[p*nr+rng.Intn(nr)] = T(math.Inf(1 - 2*rng.Intn(2)))
-			checkVecTile(t, a2, b2, kc, relTol)
-		}
+				// Non-finite values inside the panels: a NaN in A poisons its
+				// row, an Inf in B its column, in the unrolled body and in the
+				// tail.
+				for _, p := range []int{0, kc / 2, kc - 1} {
+					a2, b2 := append([]T(nil), a...), append([]T(nil), b...)
+					a2[p*vecMR+rng.Intn(vecMR)] = T(math.NaN())
+					b2[p*nr+rng.Intn(nr)] = T(math.Inf(1 - 2*rng.Intn(2)))
+					checkVecTile(t, a2, b2, kc, nr, relTol)
+				}
+			}
+			// A panel shorter than kc steps must panic in Go, before the
+			// assembly.
+			defer func() {
+				if recover() == nil {
+					t.Error("short panel did not panic")
+				}
+			}()
+			var f fencedAcc[T]
+			microVec(make([]T, 4*vecMR), make([]T, 5*nr-1), 5, nr, &f.tile)
+		})
 	}
-	// A panel shorter than kc steps must panic in Go, before the assembly.
-	defer func() {
-		if recover() == nil {
-			t.Error("short panel did not panic")
-		}
-	}()
-	var f fencedAcc[T]
-	microVec(make([]T, 4*vecMR), make([]T, 5*nr-1), 5, &f.tile)
 }
 
 func TestVecTileF32(t *testing.T) { testVecTile[float32](t, 1e-6) }
 func TestVecTileF64(t *testing.T) { testVecTile[float64](t, 1e-15) }
 
 // TestVecTileF64FMAOrder pins the summation order bit for bit: each lane is
-// one fused multiply-add per p, ascending — what math.FMA computes.
+// one fused multiply-add per p, ascending — what math.FMA computes — in every
+// vector tile, which is why the tiles agree bit for bit.
 func TestVecTileF64FMAOrder(t *testing.T) {
 	if !useVec {
 		t.Skip("no vector tile on this machine")
 	}
-	rng := rand.New(rand.NewSource(61))
-	const kc, nr = 133, 8
-	a := sentinelPanel[float64](kc*vecMR, rng)
-	b := sentinelPanel[float64](kc*nr, rng)
-	var acc [maxTile]float64
-	microVec(a, b, kc, &acc)
-	for i := 0; i < vecMR; i++ {
-		for j := 0; j < nr; j++ {
-			var want float64
-			for p := 0; p < kc; p++ {
-				want = math.FMA(a[p*vecMR+i], b[p*nr+j], want)
-			}
-			if got := acc[i*nr+j]; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("acc(%d,%d) = %x, want %x", i, j, math.Float64bits(got), math.Float64bits(want))
+	for _, vt := range vecTiles[float64]() {
+		rng := rand.New(rand.NewSource(61))
+		const kc = 133
+		nr := vt.nr
+		a := sentinelPanel[float64](kc*vecMR, rng)
+		b := sentinelPanel[float64](kc*nr, rng)
+		var acc [maxTile]float64
+		microVec(a, b, kc, nr, &acc)
+		for i := 0; i < vecMR; i++ {
+			for j := 0; j < nr; j++ {
+				var want float64
+				for p := 0; p < kc; p++ {
+					want = math.FMA(a[p*vecMR+i], b[p*nr+j], want)
+				}
+				if got := acc[i*nr+j]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s acc(%d,%d) = %x, want %x", vt.name, i, j, math.Float64bits(got), math.Float64bits(want))
+				}
 			}
 		}
 	}
 }
 
 // TestVectorTileZeroAlloc pins the //adsala:zeroalloc contract of the
-// dispatch wrapper in both precisions, and the steady-state DGEMM through
-// it (the SGEMM/SSYRK/SSYR2K steady-state tests run the float32 tile).
+// dispatch wrapper in both precisions and every vector tile width, and the
+// steady-state DGEMM through it (the SGEMM/SSYRK/SSYR2K steady-state tests
+// run the float32 tile).
 func TestVectorTileZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed by the race detector")
@@ -160,15 +170,19 @@ func TestVectorTileZeroAlloc(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(62))
 	const kc = 64
-	a32, b32 := sentinelPanel[float32](kc*vecMR, rng), sentinelPanel[float32](kc*16, rng)
-	a64, b64 := sentinelPanel[float64](kc*vecMR, rng), sentinelPanel[float64](kc*8, rng)
-	var acc32 [maxTile]float32
-	var acc64 [maxTile]float64
-	if n := testing.AllocsPerRun(100, func() { microVec(a32, b32, kc, &acc32) }); n != 0 {
-		t.Errorf("microVec[float32]: %v allocs/op, want 0", n)
+	for _, vt := range vecTiles[float32]() {
+		a, b := sentinelPanel[float32](kc*vecMR, rng), sentinelPanel[float32](kc*vt.nr, rng)
+		var acc [maxTile]float32
+		if n := testing.AllocsPerRun(100, func() { microVec(a, b, kc, vt.nr, &acc) }); n != 0 {
+			t.Errorf("microVec[float32] %s: %v allocs/op, want 0", vt.name, n)
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() { microVec(a64, b64, kc, &acc64) }); n != 0 {
-		t.Errorf("microVec[float64]: %v allocs/op, want 0", n)
+	for _, vt := range vecTiles[float64]() {
+		a, b := sentinelPanel[float64](kc*vecMR, rng), sentinelPanel[float64](kc*vt.nr, rng)
+		var acc [maxTile]float64
+		if n := testing.AllocsPerRun(100, func() { microVec(a, b, kc, vt.nr, &acc) }); n != 0 {
+			t.Errorf("microVec[float64] %s: %v allocs/op, want 0", vt.name, n)
+		}
 	}
 
 	a, b, c := randF64(128, 96, rng), randF64(96, 112, rng), mat.NewF64(128, 112)
@@ -189,6 +203,40 @@ func TestVectorTileZeroAlloc(t *testing.T) {
 			t.Errorf("Context.DGEMM threads=%d: %v allocs/op, want 0", threads, n)
 		}
 	}
+}
+
+// BenchmarkTile is the packed-panel loop in GFLOP/s, each vector tile in
+// each precision: the macro-kernel over an already packed 120×256 A block and
+// 256×512 B block, storing into C as every KC block after the first does —
+// the tile with no packing, barrier or small path around it, as the README
+// quotes its peak.
+func BenchmarkTile(b *testing.B) {
+	for _, name := range []string{"ymm", "zmm"} {
+		b.Run(name+"/f32", func(b *testing.B) { benchTile[float32](b, name) })
+		b.Run(name+"/f64", func(b *testing.B) { benchTile[float64](b, name) })
+	}
+}
+
+func benchTile[T float32 | float64](b *testing.B, name string) {
+	nr := 0
+	for _, vt := range vecTiles[T]() {
+		if vt.name == name {
+			nr = vt.nr
+		}
+	}
+	if nr == 0 {
+		b.Skipf("no %s tile on this machine", name)
+	}
+	const mc, kc, nc = 120, 256, 512
+	rng := rand.New(rand.NewSource(63))
+	packedA, packedB := sentinelPanel[T](mc*kc, rng), sentinelPanel[T](kc*nc, rng)
+	c := mat.Dense[T]{Rows: mc, Cols: nc, Stride: nc, Data: make([]T, mc*nc)}
+	prm := Params{MC: mc, KC: kc, NC: nc, MR: vecMR, NR: nr}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		macroKernel(1, packedA, packedB, 1, c, 0, 0, mc, nc, kc, false, false, prm)
+	}
+	b.ReportMetric(2*mc*nc*kc*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 }
 
 // TestFallbackTile takes the CPU probe's false branch on any machine: the
@@ -229,5 +277,73 @@ func TestFallbackTile(t *testing.T) {
 		{"OperandHeaders", TestOperandHeaders},
 	} {
 		t.Run(tc.name, tc.run)
+	}
+}
+
+// TestYMMTile takes the AVX-512 probe's false branch on a machine where it
+// is true: the defaults resolve exactly as on an AVX2-only machine, the ZMM
+// tile is refused in both precisions, and the golden hash and the reference
+// tests pass on the YMM default. Without AVX-512 the plain run of those tests
+// already is this one.
+func TestYMMTile(t *testing.T) {
+	if !useZMM {
+		t.Skip("no ZMM tile on this machine: the default tile is the YMM one already")
+	}
+	forceNoZMM(t)
+	want := Params{MC: 120, KC: 256, NC: 2048, MR: 6, NR: 16}
+	if got := DefaultParams[float32](); got != want {
+		t.Fatalf("float32 defaults %+v without the ZMM tile, want %+v", got, want)
+	}
+	want.NR = 8
+	if got := DefaultParams[float64](); got != want {
+		t.Fatalf("float64 defaults %+v without the ZMM tile, want %+v", got, want)
+	}
+	zmm := Params{MC: 120, KC: 256, NC: 2048, MR: vecMR, NR: zmmNR[float32]()}
+	if err := zmm.Validate(); err == nil {
+		t.Error("6x32 validated although the probe said no")
+	}
+	zmm.NR = zmmNR[float64]() // 6x16 is float32's YMM tile, float64's ZMM tile
+	if err := checkParams[float64](zmm); err == nil {
+		t.Error("6x16 float64 accepted although the probe said no")
+	}
+	if got := testTiles[float32](); len(got) != 2 {
+		t.Fatalf("testTiles = %v, want the Go and the YMM tile", got)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"Golden", TestGolden},
+		{"SGEMMMatchesNaive", TestSGEMMMatchesNaive},
+		{"DGEMMMatchesNaive", TestDGEMMMatchesNaive},
+		{"SSYRKMatchesGEMMReference", TestSSYRKMatchesGEMMReference},
+		{"Syr2kSymmetryAndReference", TestSyr2kSymmetryAndReference},
+		{"KernelProperty", TestKernelProperty},
+		{"PackB", TestPackB},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+// TestTileProbe logs the tiles this machine runs — a green run on a CPU
+// without AVX-512 has not exercised the ZMM tile, and the log says so — and
+// pins how the probes order them: the ZMM tile implies the YMM tile, and the
+// default is the widest tile the machine runs.
+func TestTileProbe(t *testing.T) {
+	f32, f64 := DefaultParams[float32](), DefaultParams[float64]()
+	t.Logf("useVec=%t useZMM=%t: default tile %dx%d in float32, %dx%d in float64",
+		useVec, useZMM, f32.MR, f32.NR, f64.MR, f64.NR)
+	if useZMM && !useVec {
+		t.Fatal("the ZMM probe passed where the AVX2 one failed")
+	}
+	want32, want64 := goNR, goNR
+	switch {
+	case useZMM:
+		want32, want64 = 32, 16
+	case useVec:
+		want32, want64 = 16, 8
+	}
+	if f32.NR != want32 || f64.NR != want64 {
+		t.Errorf("default widths %d/%d, want %d/%d", f32.NR, f64.NR, want32, want64)
 	}
 }

@@ -15,12 +15,13 @@ import (
 // paper's Table VII cost breakdown labelled "data copy".
 //
 // Two of the four cases turn source rows into panel columns (packA
-// untransposed, packBRange transposed). For the vector tile's full panels
-// they run as in-register block transposes (transposeVec, packA6Vec: the
-// assembly next to the tile, behind the same useVec probe) over the whole
-// blocks of kc; the Go scatter loops below them are the reference, and what
-// still packs the Go tile's panels, ragged last panels and the kc mod block
-// tail. The other two cases are row copies.
+// untransposed, packBRange transposed). For the full panels of either vector
+// tile they run as in-register block transposes (transposeVec, packA6Vec: the
+// assembly next to the tiles, behind the same probes; a panel of either width
+// is a whole number of YMM blocks) over the whole blocks of kc; the Go
+// scatter loops below them are the reference, and what still packs the Go
+// tile's panels, ragged last panels and the kc mod block tail. The other two
+// cases are row copies.
 
 // transposeVec writes the transpose of the m×n block at src[0] (row stride
 // lds) to the n×m block at dst[0] (row stride ldd) in assembly. m and n are
@@ -49,14 +50,24 @@ func packA6Vec[T float32 | float64](panel, src []T, lds, n int) {
 	}
 }
 
-// copyRowsVec copies the n rows of vecNR elements at src[0], lds apart, back
-// to back into panel in assembly: a full row of the vector tile's B panel is
-// 64 bytes in either precision, two registers, where copy is a call into the
-// runtime per row. n is positive; it writes exactly panel[:n·vecNR].
-func copyRowsVec[T float32 | float64](panel, src []T, lds, n int) {
-	nr := vecNR[T]()
+// copyRowsVec copies the n rows of nr elements at src[0], lds apart, back to
+// back into panel in assembly: a full row of a vector tile's B panel is two
+// registers in either precision (64 bytes for the YMM tile, 128 for the ZMM
+// one), where copy is a call into the runtime per row. n is positive and nr
+// the width of one of the tiles, as tileVec takes it; it writes exactly
+// panel[:n·nr].
+func copyRowsVec[T float32 | float64](panel, src []T, lds, nr, n int) {
+	zmm := nr == zmmNR[T]()
+	if !zmm {
+		nr = ymmNR[T]()
+	}
 	_, _ = panel[n*nr-1], src[(n-1)*lds+nr-1]
-	copyRows64(unsafe.Pointer(&panel[0]), unsafe.Pointer(&src[0]), lds*int(unsafe.Sizeof(src[0])), n)
+	dst, from, ldsBytes := unsafe.Pointer(&panel[0]), unsafe.Pointer(&src[0]), lds*sizeOf[T]()
+	if zmm {
+		copyRows128(dst, from, ldsBytes, n)
+	} else {
+		copyRows64(dst, from, ldsBytes, n)
+	}
 }
 
 // packA copies the mc×kc block of op(A) starting at (ic, pc) into buf in
@@ -124,7 +135,7 @@ func packBRange[T float32 | float64](b mat.Dense[T], trans bool, pc, jc, kc, nc,
 			// of p; from p0 on, read each row contiguously and scatter with
 			// stride nr.
 			p0 := 0
-			if useVec && nr == vecNR[T]() && nb == nr {
+			if isVecNR[T](nr) && nb == nr {
 				if p0 = kc &^ (vecBlock[T]() - 1); p0 > 0 {
 					transposeVec(panel, nr, b.Data[(jc+j0)*b.Stride+pc:], b.Stride, nr, p0)
 				}
@@ -148,8 +159,8 @@ func packBRange[T float32 | float64](b mat.Dense[T], trans bool, pc, jc, kc, nc,
 		}
 		// op(B)(p, j) = B(p, j): each p step is one contiguous copy of nb
 		// elements.
-		if useVec && nr == vecNR[T]() && nb == nr {
-			copyRowsVec(panel, b.Data[pc*b.Stride+jc+j0:], b.Stride, kc)
+		if isVecNR[T](nr) && nb == nr {
+			copyRowsVec(panel, b.Data[pc*b.Stride+jc+j0:], b.Stride, nr, kc)
 			continue
 		}
 		for p := 0; p < kc; p++ {

@@ -159,14 +159,16 @@ func TestPackA(t *testing.T) {
 }
 
 // testPackB packs op(B)(pc:pc+kc, jc:jc+nc) for every residue of nc against
-// the tile width, whole and as the disjoint panel ranges of one to three
-// parts, and checks the whole buffer: panel[p·nr+j] = op(B)(pc+p, jc+j),
-// zero in the padded columns.
+// each tile width — the Go tile's, the YMM and the ZMM tile's, each on the
+// vector arm where this machine runs that tile and on the scalar loop where
+// it does not — whole and as the disjoint panel ranges of one to three parts,
+// and checks the whole buffer: panel[p·nr+j] = op(B)(pc+p, jc+j), zero in the
+// padded columns.
 func testPackB[T float32 | float64](t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	nan := T(math.NaN())
 	const pc, jc = 3, 5
-	for _, nr := range []int{goNR, vecNR[T]()} {
+	for _, nr := range []int{goNR, ymmNR[T](), zmmNR[T]()} {
 		for _, trans := range []bool{false, true} {
 			for nc := 1; nc <= 2*nr+1; nc++ {
 				for _, kc := range packKCs {

@@ -27,6 +27,19 @@ func smallShape(m, n, k int) bool {
 	return float64(m)*float64(n)*float64(k) <= float64(smallShapeLimit)
 }
 
+// narrowShape reports whether a packed call under the default blocking keeps
+// the YMM tile where the default is the ZMM one: its C has no more columns
+// than one YMM tile row (n ≤ 16 in float32, n ≤ 8 in float64). Every ZMM tile
+// of such a call would be clipped — half or more of its lanes padding, its
+// B panel packed by the scalar loop and its store through the stack block —
+// where the YMM tile covers the same columns with one full tile or a clipped
+// one half the width. Like smallShape it depends only on the dimensions, and
+// both tiles sum every element in the same order, so the choice changes no
+// result bit.
+func narrowShape[T float32 | float64](n int) bool {
+	return useZMM && n <= ymmNR[T]()
+}
+
 // smallGemm computes C ← alpha·op(A)·op(B) + beta·C without packing.
 // Callers have already handled the degenerate m/n/k = 0 and alpha = 0 cases.
 func smallGemm[T float32 | float64](transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], m, n, k int) {

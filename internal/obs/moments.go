@@ -75,15 +75,10 @@ func (m *Moments) Var() float64 {
 // Std returns the population standard deviation.
 func (m *Moments) Std() float64 { return math.Sqrt(m.Var()) }
 
-// Min returns the smallest observation (0 with no observations).
-func (m *Moments) Min() float64 { return m.min }
-
-// Max returns the largest observation (0 with no observations).
-func (m *Moments) Max() float64 { return m.max }
-
 // Summary is the JSON form of a Moments aggregate. The online /drift report
 // and the offline adsala-replay report both carry it, so residual statistics
-// from the two diff cleanly.
+// from the two diff cleanly. It is also where the smallest and largest
+// observation are read (0 with no observations).
 type Summary struct {
 	Count int64   `json:"count"`
 	Mean  float64 `json:"mean"`

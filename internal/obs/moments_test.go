@@ -27,8 +27,8 @@ func TestMomentsBasic(t *testing.T) {
 	momentsClose(t, "Mean", m.Mean(), 5)
 	momentsClose(t, "Var", m.Var(), 4)
 	momentsClose(t, "Std", m.Std(), 2)
-	momentsClose(t, "Min", m.Min(), 2)
-	momentsClose(t, "Max", m.Max(), 9)
+	momentsClose(t, "Min", m.Summary().Min, 2)
+	momentsClose(t, "Max", m.Summary().Max, 9)
 }
 
 // TestMomentsMerge pins the merge invariant replay relies on: merging
@@ -57,7 +57,7 @@ func TestMomentsMerge(t *testing.T) {
 		}
 		momentsClose(t, "merged Mean", a.Mean(), whole.Mean())
 		momentsClose(t, "merged Var", a.Var(), whole.Var())
-		momentsClose(t, "merged Min", a.Min(), whole.Min())
-		momentsClose(t, "merged Max", a.Max(), whole.Max())
+		momentsClose(t, "merged Min", a.Summary().Min, whole.Summary().Min)
+		momentsClose(t, "merged Max", a.Summary().Max, whole.Summary().Max)
 	}
 }

@@ -40,8 +40,8 @@ func TestWindowedMomentsMergeEqualsWhole(t *testing.T) {
 	}
 	approx("mean", got.Mean(), whole.Mean())
 	approx("std", got.Std(), whole.Std())
-	approx("min", got.Min(), whole.Min())
-	approx("max", got.Max(), whole.Max())
+	approx("min", got.Summary().Min, whole.Summary().Min)
+	approx("max", got.Summary().Max, whole.Summary().Max)
 }
 
 // TestWindowedMomentsEviction pins eviction: once timestamps advance past
@@ -56,21 +56,21 @@ func TestWindowedMomentsEviction(t *testing.T) {
 		w.Add(int64(i)*slot, float64(i+1))
 	}
 	m := w.MomentsAt(3 * slot)
-	if m.Count() != 4 || m.Min() != 1 || m.Max() != 4 {
-		t.Fatalf("pre-eviction: count=%d min=%v max=%v, want 4/1/4", m.Count(), m.Min(), m.Max())
+	if m.Count() != 4 || m.Summary().Min != 1 || m.Summary().Max != 4 {
+		t.Fatalf("pre-eviction: count=%d min=%v max=%v, want 4/1/4", m.Count(), m.Summary().Min, m.Summary().Max)
 	}
 
 	// Advance the read point one sub-window: the t=0 slot (value 1) expires.
 	m = w.MomentsAt(4 * slot)
-	if m.Count() != 3 || m.Min() != 2 {
-		t.Fatalf("after one slot expiry: count=%d min=%v, want 3/2", m.Count(), m.Min())
+	if m.Count() != 3 || m.Summary().Min != 2 {
+		t.Fatalf("after one slot expiry: count=%d min=%v, want 3/2", m.Count(), m.Summary().Min)
 	}
 
 	// A new observation at t=4s recycles the expired slot in place.
 	w.Add(4*slot, 5)
 	m = w.MomentsAt(4 * slot)
-	if m.Count() != 4 || m.Max() != 5 || m.Min() != 2 {
-		t.Fatalf("after recycle: count=%d min=%v max=%v, want 4/2/5", m.Count(), m.Min(), m.Max())
+	if m.Count() != 4 || m.Summary().Max != 5 || m.Summary().Min != 2 {
+		t.Fatalf("after recycle: count=%d min=%v max=%v, want 4/2/5", m.Count(), m.Summary().Min, m.Summary().Max)
 	}
 
 	// Far future: everything expired.
@@ -84,8 +84,8 @@ func TestWindowedMomentsEviction(t *testing.T) {
 	w.Add(100*slot, 9)
 	w.Add(96*slot, 123) // same ring position as t=100s, 4 slots older
 	m = w.MomentsAt(100 * slot)
-	if m.Count() != 1 || m.Max() != 9 {
-		t.Fatalf("stale add leaked in: count=%d max=%v, want 1/9", m.Count(), m.Max())
+	if m.Count() != 1 || m.Summary().Max != 9 {
+		t.Fatalf("stale add leaked in: count=%d max=%v, want 1/9", m.Count(), m.Summary().Max)
 	}
 }
 
@@ -122,8 +122,8 @@ func TestWindowedMomentsHammer(t *testing.T) {
 					t.Errorf("snapshot counted %d > %d added", n, added.Load())
 					return
 				}
-				if m.Min() < loBound || m.Max() > hiBound {
-					t.Errorf("snapshot range [%v, %v] escaped [%v, %v]", m.Min(), m.Max(), loBound, hiBound)
+				if m.Summary().Min < loBound || m.Summary().Max > hiBound {
+					t.Errorf("snapshot range [%v, %v] escaped [%v, %v]", m.Summary().Min, m.Summary().Max, loBound, hiBound)
 					return
 				}
 			}
@@ -150,8 +150,8 @@ func TestWindowedMomentsHammer(t *testing.T) {
 	if m.Count() > added.Load() {
 		t.Fatalf("final count %d > %d added", m.Count(), added.Load())
 	}
-	if m.Count() > 0 && (m.Min() < loBound || m.Max() > hiBound) {
-		t.Fatalf("final range [%v, %v] escaped [%v, %v]", m.Min(), m.Max(), loBound, hiBound)
+	if m.Count() > 0 && (m.Summary().Min < loBound || m.Summary().Max > hiBound) {
+		t.Fatalf("final range [%v, %v] escaped [%v, %v]", m.Summary().Min, m.Summary().Max, loBound, hiBound)
 	}
 }
 
