@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -36,7 +35,7 @@ func TestFacadeRecordsMeasured(t *testing.T) {
 	lib, _ := trainQuick(t)
 	b := lib.BLAS()
 	prefix := filepath.Join(t.TempDir(), "cap")
-	rec, err := trace.Open(prefix, trace.Options{FlushInterval: time.Hour})
+	rec, err := trace.Open(prefix, trace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func fixture(t *testing.T) (libPath, tracePrefix string, decisions int) {
 			return
 		}
 		fixTr = filepath.Join(dir, "cap")
-		rec, err := trace.Open(fixTr, trace.Options{FlushInterval: time.Hour})
+		rec, err := trace.Open(fixTr, trace.Options{})
 		if err != nil {
 			fixErr = err
 			return

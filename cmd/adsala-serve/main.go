@@ -268,14 +268,13 @@ func run(args []string, out io.Writer) error {
 		lg.Infof("serving on %s", cfg.addr)
 		errc <- srv.ListenAndServe()
 	}()
-	// Drift events surface in the log on a slot-duration cadence — the
-	// monitor's own eviction granularity, so every window rotation gets one
-	// evaluation. The monitor itself is wait-free; only this logging loop
-	// ticks.
+	// Drift events surface in the log on a slot-duration cadence — one
+	// eighth of the window, the monitor's own eviction granularity, so every
+	// window rotation gets one evaluation. Only this logging loop ticks.
 	if mon := handler.Engine().DriftMonitor(); mon != nil {
 		mc := mon.Config()
 		go func() {
-			tick := time.NewTicker(mc.Window / time.Duration(mc.Slots))
+			tick := time.NewTicker(mc.Window / 8)
 			defer tick.Stop()
 			for {
 				select {

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -113,7 +112,7 @@ func TestGuardHoldsWhenGOMAXPROCSDrops(t *testing.T) {
 	}
 
 	prefix := filepath.Join(t.TempDir(), "cap")
-	rec, err := trace.Open(prefix, trace.Options{FlushInterval: time.Hour})
+	rec, err := trace.Open(prefix, trace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,22 @@
-// Package drift is the online model-quality monitor: a lock-free,
-// constant-memory observer over the serving engine's measured-prediction
-// stream. Every executed kernel call whose wall time reaches
-// Engine.RecordMeasured — from the in-process BLAS facade or the daemon's
-// POST /measured ingestion — is free labelled data: the model predicted a
-// runtime, the machine produced one. The monitor folds each pair into
-// per-op, shape-bucketed sliding windows of the same residual statistics
-// adsala-replay computes offline (residual_log2 = log2(predicted/measured),
-// abs_rel_err = |predicted−measured|/measured), so the online numbers and a
-// replay of the same capture are directly comparable — and drift becomes
-// visible the moment it happens instead of at the next manual backtest.
+// Package drift is the online model-quality monitor: a constant-memory
+// observer over the serving engine's measured-prediction stream. Every
+// executed kernel call whose wall time reaches Engine.RecordMeasured — from
+// the in-process BLAS facade or the daemon's POST /measured ingestion — is
+// free labelled data: the model predicted a runtime, the machine produced
+// one. The monitor folds each pair into per-op, shape-bucketed sliding
+// windows of the same residual statistics adsala-replay computes offline
+// (residual_log2 = log2(predicted/measured), abs_rel_err =
+// |predicted−measured|/measured), so the online numbers and a replay of the
+// same capture are directly comparable — and drift becomes visible the
+// moment it happens instead of at the next manual backtest.
 //
 // Shapes bucket into small/medium/large by the op's FLOP count at the
 // observed triple (the registry's cost weight), because drift is rarely
 // uniform: co-tenancy hits large kernels first, frequency scaling hits
-// small ones. Each (op, bucket) cell holds two obs.WindowedMoments rings;
-// the observe path is a handful of atomic updates — 0 allocs/op, pinned by
-// AllocsPerRun and the adsala-vet zeroalloc analyzer — so it can sit
-// directly on the engine's measured hot path.
+// small ones. Each (op, bucket) cell is a ring of slots sub-windows of
+// obs.Moments behind the cell's own mutex; the observe path takes that lock
+// once — 0 allocs/op, pinned by AllocsPerRun and the adsala-vet zeroalloc
+// analyzer — so it can sit directly on the engine's measured hot path.
 //
 // A cell is "drifting" when its window holds at least MinSamples residuals
 // and the windowed |mean residual_log2| exceeds Threshold (log2 units: 1.0
@@ -30,6 +30,7 @@ package drift
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,14 +58,15 @@ const (
 // bucketNames are the bucket label values, indexed by bucket.
 var bucketNames = [numBuckets]string{"small", "medium", "large"}
 
+// slots is the number of mergeable sub-windows per window; eviction
+// granularity is Window/slots.
+const slots = 8
+
 // Config tunes a Monitor. The zero value selects the defaults.
 type Config struct {
 	// Window is the sliding-window span of the residual statistics
 	// (default 1m).
 	Window time.Duration
-	// Slots is the number of mergeable sub-windows per window (default 8);
-	// eviction granularity is Window/Slots.
-	Slots int
 	// Threshold is the drift trip point on |windowed mean residual_log2|
 	// (default 1.0 — predictions off by 2× on average).
 	Threshold float64
@@ -78,9 +80,6 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = time.Minute
 	}
-	if c.Slots <= 0 {
-		c.Slots = 8
-	}
 	if c.Threshold <= 0 {
 		c.Threshold = 1
 	}
@@ -90,14 +89,61 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// cell is one (op, bucket) sliding-window aggregation.
+// cell is one (op, bucket) sliding-window aggregation: a ring of slots
+// sub-windows, each the residual and abs-rel-err Moments of the
+// observations whose timestamp falls in it. epoch[i] is the 1-based
+// sub-window index slot i holds (0 = never used); an observation for a newer
+// sub-window recycles its slot in place. mu guards every field.
 type cell struct {
-	samples  atomic.Int64 // cumulative measurements routed here
-	residual *obs.WindowedMoments
-	absRel   *obs.WindowedMoments
+	mu       sync.Mutex
+	samples  int64 // cumulative measurements routed here
+	epoch    [slots]int64
+	residual [slots]obs.Moments
+	absRel   [slots]obs.Moments
 }
 
-// opAgg is one op's cumulative aggregation plus event-log edge state.
+// observe folds one observation into sub-window e. withResidual is false
+// for a measurement without a predicted label: it counts into the abs-rel
+// window only. An observation older than the window its ring slot now holds
+// is dropped.
+//
+//adsala:zeroalloc
+func (c *cell) observe(e int64, residual, absRel float64, withResidual bool) {
+	i := int(e % slots)
+	c.mu.Lock()
+	c.samples++
+	if c.epoch[i] != e {
+		if c.epoch[i] > e {
+			c.mu.Unlock()
+			return
+		}
+		c.epoch[i] = e
+		c.residual[i] = obs.Moments{}
+		c.absRel[i] = obs.Moments{}
+	}
+	if withResidual {
+		c.residual[i].Add(residual)
+	}
+	c.absRel[i].Add(absRel)
+	c.mu.Unlock()
+}
+
+// momentsAt merges the sub-windows inside the window ending at sub-window
+// hi — the current (partial) one included, so the effective span is between
+// window−slot and window — and returns the cumulative sample count beside.
+func (c *cell) momentsAt(hi int64) (samples int64, residual, absRel obs.Moments) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range c.epoch {
+		if e := c.epoch[i]; e > hi-slots && e <= hi {
+			residual.Merge(c.residual[i])
+			absRel.Merge(c.absRel[i])
+		}
+	}
+	return c.samples, residual, absRel
+}
+
+// opAgg is one op's cumulative aggregation.
 type opAgg struct {
 	measured    atomic.Int64 // measurements observed
 	unpredicted atomic.Int64 // measurements with no predicted label
@@ -106,10 +152,6 @@ type opAgg struct {
 	// of replay's measured_latency/predicted_latency tails.
 	measuredLat  *obs.Histogram
 	predictedLat *obs.Histogram
-	// lastState/lastEvent drive LogEvents' transition-edge detection:
-	// 0 = unknown, 1 = within threshold, 2 = drifting.
-	lastState atomic.Int32
-	lastEvent atomic.Int64
 }
 
 // Monitor is the online drift observer. One instance is attached to a
@@ -126,6 +168,13 @@ type Monitor struct {
 	flops []func(m, k, n int) float64
 	cells []cell  // ops.NumOps() × numBuckets, row-major by op
 	perOp []opAgg // indexed by ops.Op
+
+	// logMu guards LogEvents' transition-edge state, indexed by ops.Op:
+	// lastState is 0 = unknown, 1 = within threshold, 2 = drifting;
+	// lastEvent is the online time of the op's last logged transition.
+	logMu     sync.Mutex
+	lastState []int8
+	lastEvent []int64
 }
 
 // NewMonitor returns a monitor with the given configuration (zero values
@@ -133,20 +182,18 @@ type Monitor struct {
 func NewMonitor(cfg Config) *Monitor {
 	cfg = cfg.withDefaults()
 	m := &Monitor{
-		cfg:   cfg,
-		base:  time.Now(),
-		flops: make([]func(mm, k, n int) float64, ops.NumOps()),
-		cells: make([]cell, ops.NumOps()*numBuckets),
-		perOp: make([]opAgg, ops.NumOps()),
+		cfg:       cfg,
+		base:      time.Now(),
+		slotNanos: max(cfg.Window.Nanoseconds()/slots, 1),
+		flops:     make([]func(mm, k, n int) float64, ops.NumOps()),
+		cells:     make([]cell, ops.NumOps()*numBuckets),
+		perOp:     make([]opAgg, ops.NumOps()),
+		lastState: make([]int8, ops.NumOps()),
+		lastEvent: make([]int64, ops.NumOps()),
 	}
 	for _, spec := range ops.Specs() {
 		m.flops[spec.Op] = spec.Flops
 	}
-	for i := range m.cells {
-		m.cells[i].residual = obs.NewWindowedMoments(cfg.Window, cfg.Slots)
-		m.cells[i].absRel = obs.NewWindowedMoments(cfg.Window, cfg.Slots)
-	}
-	m.slotNanos = m.cells[0].residual.WindowNanos() / int64(cfg.Slots)
 	for i := range m.perOp {
 		m.perOp[i].measuredLat = obs.NewHistogram(1e-9)
 		m.perOp[i].predictedLat = obs.NewHistogram(1e-9)
@@ -188,6 +235,12 @@ func (m *Monitor) bucketOf(op ops.Op, mm, k, n int) int {
 	}
 }
 
+// epochOf maps a timestamp to its 1-based sub-window index (negative
+// timestamps clamp to the first).
+//
+//adsala:zeroalloc
+func (m *Monitor) epochOf(ts int64) int64 { return max(ts, 0)/m.slotNanos + 1 }
+
 // cellFor returns the (op, bucket) cell.
 //
 //adsala:zeroalloc
@@ -221,17 +274,15 @@ func (m *Monitor) ObserveAt(ts int64, op ops.Op, mm, k, n int, predictedNs, meas
 	a.measured.Add(1)
 	a.measuredLat.Observe(measuredNs)
 	c := m.cellFor(op, m.bucketOf(op, mm, k, n))
-	c.samples.Add(1)
 	measured := float64(measuredNs) * 1e-9
 	if predictedNs > 0 {
 		a.predictedLat.Observe(predictedNs)
 		predicted := float64(predictedNs) * 1e-9
-		c.residual.Add(ts, math.Log2(predicted/measured))
-		c.absRel.Add(ts, math.Abs(predicted-measured)/measured)
+		c.observe(m.epochOf(ts), math.Log2(predicted/measured), math.Abs(predicted-measured)/measured, true)
 		return
 	}
 	a.unpredicted.Add(1)
-	c.absRel.Add(ts, 1)
+	c.observe(m.epochOf(ts), 0, 1, false)
 }
 
 // isDrifting applies the trip rule to one windowed residual aggregate.
@@ -249,14 +300,23 @@ func (m *Monitor) Degraded() bool { return len(m.DriftingOps()) > 0 }
 func (m *Monitor) driftingAt(ts int64) []string {
 	var out []string
 	for op := 0; op < len(m.perOp); op++ {
-		for b := 0; b < numBuckets; b++ {
-			if m.isDrifting(m.cellFor(ops.Op(op), b).residual.MomentsAt(ts)) {
-				out = append(out, ops.Op(op).String())
-				break
-			}
+		if _, drifting := m.opResidualAt(ops.Op(op), ts); drifting {
+			out = append(out, ops.Op(op).String())
 		}
 	}
 	return out
+}
+
+// opResidualAt merges op's windowed residuals across its shape buckets at
+// ts and reports whether any bucket trips the drift rule.
+func (m *Monitor) opResidualAt(op ops.Op, ts int64) (merged obs.Moments, drifting bool) {
+	hi := m.epochOf(ts)
+	for b := 0; b < numBuckets; b++ {
+		_, res, _ := m.cellFor(op, b).momentsAt(hi)
+		merged.Merge(res)
+		drifting = drifting || m.isDrifting(res)
+	}
+	return merged, drifting
 }
 
 // BucketDrift is one (op, bucket) cell of the report. The windowed
@@ -303,7 +363,7 @@ func (m *Monitor) Snapshot() *Report { return m.SnapshotAt(m.nowNanos()) }
 // windowSeconds is the configured span of the sliding window. Divided, not
 // multiplied by 1e-9: 6e10 ns · 1e-9 is 60.00000000000001, 6e10 ns / 1e9 is 60.
 func (m *Monitor) windowSeconds() float64 {
-	return float64(m.slotNanos*int64(m.cfg.Slots)) / 1e9
+	return float64(m.slotNanos*slots) / 1e9
 }
 
 // SnapshotAt builds the report with the sliding window ending at ts (the
@@ -312,7 +372,7 @@ func (m *Monitor) SnapshotAt(ts int64) *Report {
 	rep := &Report{
 		Schema:        Schema,
 		WindowSeconds: m.windowSeconds(),
-		Slots:         m.cfg.Slots,
+		Slots:         slots,
 		Threshold:     m.cfg.Threshold,
 		MinSamples:    m.cfg.MinSamples,
 	}
@@ -331,13 +391,10 @@ func (m *Monitor) SnapshotAt(ts int64) *Report {
 		}
 		var res, abs obs.Moments
 		for b := 0; b < numBuckets; b++ {
-			c := m.cellFor(ops.Op(op), b)
-			samples := c.samples.Load()
+			samples, bres, babs := m.cellFor(ops.Op(op), b).momentsAt(m.epochOf(ts))
 			if samples == 0 {
 				continue
 			}
-			bres := c.residual.MomentsAt(ts)
-			babs := c.absRel.MomentsAt(ts)
 			res.Merge(bres)
 			abs.Merge(babs)
 			bd := BucketDrift{
@@ -375,49 +432,40 @@ func (m *Monitor) SnapshotAt(ts int64) *Report {
 // plus a per-op minimum gap of one window slot rate-limit the output, so a
 // flapping op cannot flood the log. Returns the number of events logged.
 func (m *Monitor) LogEvents(lg *logx.Logger) int {
+	m.logMu.Lock()
+	defer m.logMu.Unlock()
 	now := m.nowNanos()
 	logged := 0
 	for op := 0; op < len(m.perOp); op++ {
-		a := &m.perOp[op]
-		if a.measured.Load() == 0 {
+		if m.perOp[op].measured.Load() == 0 {
 			continue
 		}
-		var mo obs.Moments
-		drifting := false
-		for b := 0; b < numBuckets; b++ {
-			bm := m.cellFor(ops.Op(op), b).residual.MomentsAt(now)
-			mo.Merge(bm)
-			if m.isDrifting(bm) {
-				drifting = true
-			}
-		}
-		state := int32(1)
+		mo, drifting := m.opResidualAt(ops.Op(op), now)
+		state := int8(1)
 		if drifting {
 			state = 2
 		}
-		prev := a.lastState.Load()
+		prev := m.lastState[op]
 		if prev == state {
 			continue
 		}
 		if prev == 0 && state == 1 {
 			// First evaluation, healthy: record the state silently.
-			a.lastState.CompareAndSwap(prev, state)
+			m.lastState[op] = state
 			continue
 		}
-		if last := a.lastEvent.Load(); last != 0 && now-last < m.slotNanos {
+		if last := m.lastEvent[op]; last != 0 && now-last < m.slotNanos {
 			continue // rate limit: at most one transition per op per slot
 		}
-		if !a.lastState.CompareAndSwap(prev, state) {
-			continue // another LogEvents raced us; it logs
-		}
-		a.lastEvent.Store(now)
+		m.lastState[op] = state
+		m.lastEvent[op] = now
 		event := "drift_end"
 		if state == 2 {
 			event = "drift_start"
 		}
 		lg.Infof("drift: event=%s op=%s residual_log2_mean=%.4f window_samples=%d threshold=%.2f window=%s",
 			event, ops.Op(op).String(), mo.Mean(), mo.Count(), m.cfg.Threshold,
-			time.Duration(m.slotNanos*int64(m.cfg.Slots)))
+			time.Duration(m.slotNanos*slots))
 		logged++
 	}
 	return logged

@@ -91,8 +91,8 @@ func TestResidualDefinitions(t *testing.T) {
 }
 
 func TestDriftTripAndEviction(t *testing.T) {
-	m := NewMonitor(Config{Window: time.Minute, Slots: 4, Threshold: 0.5, MinSamples: 4})
-	window := m.slotNanos * int64(m.cfg.Slots)
+	m := NewMonitor(Config{Window: time.Minute, Threshold: 0.5, MinSamples: 4})
+	window := m.slotNanos * slots
 	ts := int64(1)
 
 	// Below MinSamples the cell cannot trip, however bad the residuals.
@@ -138,7 +138,7 @@ func TestLogEventsEdgesAndRateLimit(t *testing.T) {
 	// A short window keeps the real-clock portions of this test fast: slot
 	// duration is 250ms, which is both the eviction granularity and the
 	// per-op event rate limit.
-	m := NewMonitor(Config{Window: time.Second, Slots: 4, Threshold: 0.5, MinSamples: 4})
+	m := NewMonitor(Config{Window: 2 * time.Second, Threshold: 0.5, MinSamples: 4})
 	var buf bytes.Buffer
 	lg := logx.New(&buf, logx.Info)
 

@@ -30,11 +30,8 @@ func (m *Monitor) RegisterMetrics(r *obs.Registry) {
 		r.GaugeFunc("adsala_drift_op_drifting",
 			"1 when any of the op's shape buckets trips the drift threshold.",
 			func() float64 {
-				now := m.nowNanos()
-				for b := 0; b < numBuckets; b++ {
-					if m.isDrifting(m.cellFor(op, b).residual.MomentsAt(now)) {
-						return 1
-					}
+				if _, drifting := m.opResidualAt(op, m.nowNanos()); drifting {
+					return 1
 				}
 				return 0
 			}, lbl)
@@ -44,20 +41,20 @@ func (m *Monitor) RegisterMetrics(r *obs.Registry) {
 			r.GaugeFunc("adsala_drift_residual_log2_mean",
 				"Windowed mean of log2(predicted/measured) per op and shape bucket.",
 				func() float64 {
-					mo := c.residual.MomentsAt(m.nowNanos())
-					return mo.Mean()
+					_, res, _ := c.momentsAt(m.epochOf(m.nowNanos()))
+					return res.Mean()
 				}, lbl, bl)
 			r.GaugeFunc("adsala_drift_abs_rel_err_mean",
 				"Windowed mean of |predicted-measured|/measured per op and shape bucket.",
 				func() float64 {
-					mo := c.absRel.MomentsAt(m.nowNanos())
-					return mo.Mean()
+					_, _, abs := c.momentsAt(m.epochOf(m.nowNanos()))
+					return abs.Mean()
 				}, lbl, bl)
 			r.GaugeFunc("adsala_drift_window_samples",
 				"Residual observations currently inside the sliding window.",
 				func() float64 {
-					mo := c.residual.MomentsAt(m.nowNanos())
-					return float64(mo.Count())
+					_, res, _ := c.momentsAt(m.epochOf(m.nowNanos()))
+					return float64(res.Count())
 				}, lbl, bl)
 		}
 	}

@@ -68,18 +68,6 @@ type Gauge struct {
 //adsala:zeroalloc
 func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
 
-// Add adds d with a CAS loop (no allocation).
-//
-//adsala:zeroalloc
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, floatBits(bitsFloat(old)+d)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }
 

@@ -22,10 +22,10 @@ import (
 // round-off across the two clocks.
 func TestDriftOnlineReplayAgreement(t *testing.T) {
 	l := lib(t)
-	cfg := drift.Config{Window: time.Minute, Slots: 8, Threshold: 1.0, MinSamples: 8}
+	cfg := drift.Config{Window: time.Minute, Threshold: 1.0, MinSamples: 8}
 
 	prefix := filepath.Join(t.TempDir(), "cap")
-	rec, err := trace.Open(prefix, trace.Options{FlushInterval: time.Hour})
+	rec, err := trace.Open(prefix, trace.Options{})
 	if err != nil {
 		t.Fatalf("trace.Open: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestDriftOnlineReplayAgreement(t *testing.T) {
 func TestDriftRunDetectsInjectedDrift(t *testing.T) {
 	l := lib(t)
 	prefix := filepath.Join(t.TempDir(), "cap")
-	rec, err := trace.Open(prefix, trace.Options{FlushInterval: time.Hour})
+	rec, err := trace.Open(prefix, trace.Options{})
 	if err != nil {
 		t.Fatalf("trace.Open: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -52,11 +51,12 @@ func lib(t *testing.T) *core.Library {
 // capture drives a recorder-attached engine over the given shapes and
 // returns the trace files. legacyWarm > 0 prepends that many decision
 // records carrying trace.FlagWarmup, as captures of daemons that still had a
-// cache warm-up pass do.
-func capture(t *testing.T, l *core.Library, shapes []sampling.Shape, legacyWarm int, blockBytes int) []string {
+// cache warm-up pass do. flushEvery > 0 flushes the recorder after every
+// flushEvery shapes, so the capture spans several blocks.
+func capture(t *testing.T, l *core.Library, shapes []sampling.Shape, legacyWarm int, flushEvery int) []string {
 	t.Helper()
 	prefix := filepath.Join(t.TempDir(), "cap")
-	rec, err := trace.Open(prefix, trace.Options{FlushInterval: time.Hour, BlockBytes: blockBytes})
+	rec, err := trace.Open(prefix, trace.Options{})
 	if err != nil {
 		t.Fatalf("trace.Open: %v", err)
 	}
@@ -65,7 +65,10 @@ func capture(t *testing.T, l *core.Library, shapes []sampling.Shape, legacyWarm 
 	for i := 0; i < legacyWarm; i++ {
 		rec.Record(trace.Record{M: int32(100 + i), K: 100, N: 100, Threads: 1, Op: serve.OpGEMM, Flags: trace.FlagWarmup})
 	}
-	for _, sh := range shapes {
+	for i, sh := range shapes {
+		if flushEvery > 0 && i > 0 && i%flushEvery == 0 {
+			rec.Flush()
+		}
 		threads, _ := eng.PredictOpCtx(context.Background(), serve.OpGEMM, sh.M, sh.K, sh.N)
 		// Synthesise a measurement at the model's own estimate so the
 		// labelled-data path has plausible pred/measured pairs.
@@ -168,7 +171,7 @@ func TestReplayFiltersWarmup(t *testing.T) {
 func TestReplaySurfacesCorruption(t *testing.T) {
 	l := lib(t)
 	// Small blocks so truncating the file tail severs only the last block.
-	files := capture(t, l, testShapes(40), 0, 128)
+	files := capture(t, l, testShapes(40), 0, 4)
 	truncateFile(t, files[len(files)-1], 10)
 
 	rep, err := Run(l, files, Config{})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -14,7 +13,7 @@ import (
 func openRecorder(t *testing.T, e *Engine) (*trace.Recorder, func() []trace.Record) {
 	t.Helper()
 	prefix := filepath.Join(t.TempDir(), "cap")
-	rec, err := trace.Open(prefix, trace.Options{FlushInterval: time.Hour})
+	rec, err := trace.Open(prefix, trace.Options{})
 	if err != nil {
 		t.Fatalf("trace.Open: %v", err)
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/drift"
 	"repro/internal/sampling"
@@ -96,17 +95,14 @@ func TestPredictBatchZeroAlloc(t *testing.T) {
 
 // TestPredictTracedZeroAlloc pins that attaching a flight recorder keeps
 // the serve path allocation-free: both the cache-hit path (traceDecision +
-// ring push) and the cache-miss path (rankWith with the pooled score
+// buffered record) and the cache-miss path (rankWith with the pooled score
 // buffer, then the record) stay at 0 allocs/op.
 func TestPredictTracedZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed by the race detector")
 	}
 	e := NewEngine(lib(t), Options{})
-	rec, err := trace.Open(filepath.Join(t.TempDir(), "cap"), trace.Options{
-		RingSize:      1 << 16,
-		FlushInterval: time.Hour,
-	})
+	rec, err := trace.Open(filepath.Join(t.TempDir(), "cap"), trace.Options{})
 	if err != nil {
 		t.Fatalf("trace.Open: %v", err)
 	}
@@ -137,7 +133,7 @@ func TestPredictTracedZeroAlloc(t *testing.T) {
 		t.Errorf("RecordMeasured allocates %.1f/op, want 0", n)
 	}
 	if rec.Dropped() != 0 {
-		t.Fatalf("ring dropped %d records during the run; size the ring up", rec.Dropped())
+		t.Fatalf("recorder dropped %d records during the run", rec.Dropped())
 	}
 }
 

@@ -10,58 +10,52 @@ import (
 
 // Options configures a Recorder. The zero value selects the defaults.
 type Options struct {
-	// RingSize is the capacity of the in-memory record ring (rounded up to
-	// a power of two). When the drain goroutine falls behind by this many
-	// records, new records are dropped (and counted) instead of blocking
-	// the request path. 0 selects 8192.
-	RingSize int
-	// FlushInterval bounds how long an encoded partial block may sit in
-	// memory before it is written out, so a lightly loaded daemon's trace
-	// stays near-real-time on disk. 0 selects 500ms.
-	FlushInterval time.Duration
-	// MaxFileBytes and BlockBytes configure the underlying Writer.
+	// MaxFileBytes is the underlying Writer's size-based rotation threshold
+	// (0 selects 64 MiB).
 	MaxFileBytes int64
-	BlockBytes   int
 }
 
-func (o Options) withDefaults() Options {
-	if o.RingSize <= 0 {
-		o.RingSize = 8192
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 500 * time.Millisecond
-	}
-	return o
+// tuning is the recorder's buffering policy. Every daemon runs with
+// defaultTuning; tests in this package pass their own to open.
+type tuning struct {
+	// bufRecords is the capacity of the record buffer (and of its spare).
+	// Records offered while it is full — the drain is more than one tick
+	// behind — are dropped and counted instead of blocking the request path.
+	bufRecords int
+	// flushInterval bounds how long an encoded partial block may sit in
+	// memory before it is written out, so a lightly loaded daemon's trace
+	// stays near-real-time on disk.
+	flushInterval time.Duration
 }
 
-// ringSlot is one pre-allocated ring entry. seq is the Vyukov sequence
-// number: slot i is free for enqueue position pos when seq == pos, holds a
-// record for dequeue position pos when seq == pos+1, and returns to the
-// free state at seq == pos+ringSize after consumption.
-type ringSlot struct {
-	seq atomic.Uint64
-	rec Record
-}
+var defaultTuning = tuning{bufRecords: 8192, flushInterval: 500 * time.Millisecond}
 
-// Recorder is the flight recorder: a lock-free multi-producer ring drained
-// by one background goroutine into a rotating block Writer. Record never
-// blocks and never allocates; Close flushes everything that was accepted.
+// drainTick is how often the drain goroutine swaps the buffer out.
+const drainTick = 2 * time.Millisecond
+
+// Recorder is the flight recorder: producers write records into a
+// fixed-size buffer under one lock; every drainTick a background goroutine
+// swaps that buffer for its spare and encodes the full one, with the lock
+// released, into a rotating block Writer. Record never blocks on I/O and
+// never allocates; Close flushes everything that was accepted.
 type Recorder struct {
 	start time.Time
-	slots []ringSlot
-	mask  uint64
-	enq   atomic.Uint64
-	deq   uint64 // drain goroutine only
+	tune  tuning
 
-	records atomic.Int64 // accepted into the ring
-	dropped atomic.Int64 // rejected: ring full, closed, or writer failed
+	mu      sync.Mutex
+	buf     []Record // len bufRecords; buf[:n] holds the accepted records
+	n       int
+	lastTS  int64 // TS of the last accepted record
+	stopped bool  // closed, or a write error stopped the drain: records drop
+	records int64
+	dropped int64
+	err     error // first writer error
+
+	spare   []Record     // the drain goroutine's half of the swap
+	failed  bool         // drain goroutine only: the writer returned an error
 	written atomic.Int64 // bytes on disk (mirrors Writer.BytesWritten)
 
-	opts     Options
 	w        *Writer
-	failed   atomic.Bool // a write error stopped the drain; records now drop
-	err      error       // first writer error (owned by the drain goroutine)
-	closed   atomic.Bool
 	closeCh  chan struct{}
 	flushReq chan chan struct{}
 	done     chan struct{}
@@ -70,146 +64,119 @@ type Recorder struct {
 
 // Open starts a flight recorder writing `<prefix>-NNNNN.trace` files.
 func Open(prefix string, opts Options) (*Recorder, error) {
-	opts = opts.withDefaults()
-	size := 1
-	for size < opts.RingSize {
-		size <<= 1
-	}
+	return open(prefix, opts, defaultTuning)
+}
+
+func open(prefix string, opts Options, tune tuning) (*Recorder, error) {
 	start := time.Now()
-	w, err := NewWriter(prefix, start, WriterOptions{
-		MaxFileBytes: opts.MaxFileBytes,
-		BlockBytes:   opts.BlockBytes,
-	})
+	w, err := NewWriter(prefix, start, WriterOptions{MaxFileBytes: opts.MaxFileBytes})
 	if err != nil {
 		return nil, err
 	}
 	r := &Recorder{
 		start:    start,
-		slots:    make([]ringSlot, size),
-		mask:     uint64(size - 1),
-		opts:     opts,
+		tune:     tune,
+		buf:      make([]Record, tune.bufRecords),
+		spare:    make([]Record, tune.bufRecords),
 		w:        w,
 		closeCh:  make(chan struct{}),
 		flushReq: make(chan chan struct{}),
 		done:     make(chan struct{}),
-	}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
 	}
 	r.written.Store(w.BytesWritten())
 	go r.drain()
 	return r, nil
 }
 
-// Record stamps the event time onto rec and pushes it into the ring. It
-// never blocks: when the ring is full (the drain goroutine is behind), the
-// record is dropped and counted instead, so tracing can never stall the
-// serving path that produced the event.
+// Record stamps the event time onto rec and stores it in the buffer. A
+// record that took the lock after a later-stamped one is clamped to that
+// one's time, so records reach the writer in timestamp order. It never
+// waits for the drain's encoding or I/O: when the buffer is full (the drain
+// goroutine is behind), or the recorder is closed or has failed, the record
+// is dropped and counted instead, so tracing can never stall the serving
+// path that produced the event.
 //
 //adsala:zeroalloc
 func (r *Recorder) Record(rec Record) {
-	if r.closed.Load() || r.failed.Load() {
-		r.dropped.Add(1)
-		return
-	}
 	rec.TS = int64(time.Since(r.start))
-	for {
-		pos := r.enq.Load()
-		slot := &r.slots[pos&r.mask]
-		seq := slot.seq.Load()
-		if seq == pos {
-			if r.enq.CompareAndSwap(pos, pos+1) {
-				slot.rec = rec
-				slot.seq.Store(pos + 1)
-				r.records.Add(1)
-				return
-			}
-		} else if seq < pos {
-			// The slot still holds the record from one lap ago: ring full.
-			r.dropped.Add(1)
-			return
-		}
-		// seq > pos: another producer advanced enq under us; retry.
+	r.mu.Lock()
+	if r.stopped || r.n == len(r.buf) {
+		r.dropped++
+	} else {
+		rec.TS = max(rec.TS, r.lastTS)
+		r.lastTS = rec.TS
+		r.buf[r.n] = rec
+		r.n++
+		r.records++
 	}
+	r.mu.Unlock()
 }
 
-// drain is the single consumer: it moves ring records into the block
-// writer, flushes partial blocks on the FlushInterval, and performs the
-// final flush at Close.
+// drain is the single consumer: every drainTick it moves the buffered
+// records into the block writer, flushes partial blocks on the flush
+// interval, and performs the final flush at Close.
 func (r *Recorder) drain() {
 	defer close(r.done)
-	const poll = 2 * time.Millisecond
-	ticker := time.NewTicker(poll)
+	ticker := time.NewTicker(drainTick)
 	defer ticker.Stop()
 	lastFlush := time.Now()
 	for {
-		n := r.drainAvailable()
-		if n > 0 {
-			r.written.Store(r.w.BytesWritten())
-		}
 		select {
 		case <-r.closeCh:
-			r.drainAvailable()
-			if err := r.w.Close(); err != nil && r.err == nil {
-				r.err = err
-			}
+			r.drainBuffered()
+			r.writerDo(r.w.Close())
 			r.written.Store(r.w.BytesWritten())
 			return
 		case ack := <-r.flushReq:
-			r.drainAvailable()
-			if !r.failed.Load() {
+			r.drainBuffered()
+			if !r.failed {
 				r.writerDo(r.w.Flush())
 			}
 			r.written.Store(r.w.BytesWritten())
 			lastFlush = time.Now()
 			close(ack)
 		case <-ticker.C:
-			if time.Since(lastFlush) >= r.opts.FlushInterval {
-				if !r.failed.Load() {
-					r.writerDo(r.w.Flush())
-				}
-				r.written.Store(r.w.BytesWritten())
+			r.drainBuffered()
+			if time.Since(lastFlush) >= r.tune.flushInterval && !r.failed {
+				r.writerDo(r.w.Flush())
 				lastFlush = time.Now()
 			}
+			r.written.Store(r.w.BytesWritten())
 		}
 	}
 }
 
-// drainAvailable appends every ring record currently available to the
-// writer and returns how many it consumed.
-func (r *Recorder) drainAvailable() int {
-	n := 0
-	for {
-		pos := r.deq
-		slot := &r.slots[pos&r.mask]
-		if slot.seq.Load() != pos+1 {
-			return n
-		}
-		rec := slot.rec
-		slot.seq.Store(pos + uint64(len(r.slots)))
-		r.deq = pos + 1
-		n++
-		if !r.failed.Load() {
-			r.writerDo(r.w.Append(&rec))
-		}
+// drainBuffered swaps the filled buffer for the spare under the lock, then
+// appends its records to the writer with the lock released.
+func (r *Recorder) drainBuffered() {
+	r.mu.Lock()
+	full := r.buf[:r.n]
+	r.buf, r.spare = r.spare, r.buf
+	r.n = 0
+	r.mu.Unlock()
+	for i := 0; i < len(full) && !r.failed; i++ {
+		r.writerDo(r.w.Append(&full[i]))
 	}
 }
 
-// writerDo latches the first writer error and flips the recorder into the
-// failed state: a trace that can no longer be written (disk full, file
-// removed) must not take the daemon down with it, so recording degrades to
-// counting drops.
+// writerDo latches the first writer error and stops the recorder: a trace
+// that can no longer be written (disk full, file removed) must not take the
+// daemon down with it, so recording degrades to counting drops.
 func (r *Recorder) writerDo(err error) {
-	if err != nil && r.err == nil {
-		r.err = err
-		r.failed.Store(true)
+	if err == nil || r.failed {
+		return
 	}
+	r.failed = true
+	r.mu.Lock()
+	r.err = err
+	r.stopped = true
+	r.mu.Unlock()
 }
 
 // Flush blocks until everything accepted so far is drained and written
 // through to the current file — the test and tooling hook; the daemon path
-// relies on FlushInterval and Close. The drain goroutine owns the writer,
-// so the flush runs over there and this call synchronises with it.
+// relies on the flush interval and Close. The drain goroutine owns the
+// writer, so the flush runs over there and this call synchronises with it.
 func (r *Recorder) Flush() {
 	ack := make(chan struct{})
 	select {
@@ -222,31 +189,40 @@ func (r *Recorder) Flush() {
 	}
 }
 
-// Close stops the recorder: subsequent records drop, the ring drains, the
+// Close stops the recorder: subsequent records drop, the buffer drains, the
 // final partial block flushes, and the current file closes. It returns the
 // first writer error encountered over the recorder's lifetime.
 func (r *Recorder) Close() error {
-	r.closed.Store(true)
+	r.mu.Lock()
+	r.stopped = true
+	r.mu.Unlock()
 	r.once.Do(func() { close(r.closeCh) })
 	<-r.done
-	return r.err
+	return r.Err()
 }
 
-// Records returns how many records have been accepted into the ring.
-func (r *Recorder) Records() int64 { return r.records.Load() }
+// Records returns how many records have been accepted into the buffer.
+func (r *Recorder) Records() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.records
+}
 
-// Dropped returns how many records were dropped (ring full, recorder
+// Dropped returns how many records were dropped (buffer full, recorder
 // closed, or the writer failed).
-func (r *Recorder) Dropped() int64 { return r.dropped.Load() }
+func (r *Recorder) Dropped() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
 
 // BytesWritten returns the bytes written to disk so far.
 func (r *Recorder) BytesWritten() int64 { return r.written.Load() }
 
 // Err returns the first writer error, if any (records drop once it is set).
 func (r *Recorder) Err() error {
-	if !r.failed.Load() {
-		return nil
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.err
 }
 
@@ -255,11 +231,11 @@ func (r *Recorder) Err() error {
 // adsala_trace_bytes_written gauge.
 func (r *Recorder) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("adsala_trace_records_total",
-		"Flight-recorder records accepted into the trace ring.",
-		func() float64 { return float64(r.records.Load()) })
+		"Flight-recorder records accepted into the trace buffer.",
+		func() float64 { return float64(r.Records()) })
 	reg.CounterFunc("adsala_trace_dropped_total",
-		"Flight-recorder records dropped (ring full, recorder closed, or write failure).",
-		func() float64 { return float64(r.dropped.Load()) })
+		"Flight-recorder records dropped (buffer full, recorder closed, or write failure).",
+		func() float64 { return float64(r.Dropped()) })
 	reg.GaugeFunc("adsala_trace_bytes_written",
 		"Trace bytes written to disk across file rotations.",
 		func() float64 { return float64(r.written.Load()) })

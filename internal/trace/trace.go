@@ -5,12 +5,13 @@
 // adsala-replay uses to backtest candidate artefacts against the captured
 // traffic.
 //
-// The capture half is built for the serving hot path: Recorder.Record is a
-// lock-free push of a fixed-size struct into a pre-allocated ring — no
-// locks, no allocation, no I/O — and a single drain goroutine varint-encodes
-// the ring into CRC-framed blocks with size-based file rotation. When the
-// drain falls behind, the ring drops new records instead of blocking the
-// request that produced them (drop-don't-block), and every drop is counted.
+// The capture half is built for the serving hot path: Recorder.Record copies
+// a fixed-size struct into a pre-allocated buffer under one short lock — no
+// allocation, no I/O — and a single drain goroutine swaps the buffer out and
+// varint-encodes it into CRC-framed blocks with size-based file rotation.
+// When the buffer fills before the drain swaps it, new records are dropped
+// instead of blocking the request that produced them (drop-don't-block), and
+// every drop is counted.
 //
 // On disk a trace is a sequence of files `<prefix>-NNNNN.trace`, each a
 // fixed header followed by self-delimiting blocks:
@@ -55,7 +56,7 @@ const (
 )
 
 // Record is one flight-recorder event. The struct layout is the in-memory
-// ring slot; the on-disk encoding is the varint form described in the
+// buffer entry; the on-disk encoding is the varint form described in the
 // package comment.
 type Record struct {
 	// TS is the event time in monotonic nanoseconds since the recorder
@@ -107,8 +108,8 @@ const (
 )
 
 // appendRecord encodes rec into buf, expressing its timestamp as a delta
-// from prev (clamped at zero: the ring may reorder near-simultaneous
-// producers by a few records). It returns the extended buffer.
+// from prev (clamped at zero for a caller that appends out of timestamp
+// order; the Recorder never does). It returns the extended buffer.
 func appendRecord(buf []byte, rec *Record, prev int64) []byte {
 	delta := rec.TS - prev
 	if delta < 0 {

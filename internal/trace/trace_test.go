@@ -130,12 +130,12 @@ func TestWriterRotation(t *testing.T) {
 	}
 }
 
-// TestRecorderConcurrent hammers the ring from several producers and checks
+// TestRecorderConcurrent hammers the buffer from several producers and checks
 // accounting: accepted records all land on disk, accepted+dropped equals
 // what was offered.
 func TestRecorderConcurrent(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "cap")
-	r, err := Open(prefix, Options{RingSize: 1 << 12})
+	r, err := Open(prefix, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -177,13 +177,13 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
-// TestRecorderBackpressure pins drop-don't-block: with a tiny ring and a
+// TestRecorderBackpressure pins drop-don't-block: with a tiny buffer and a
 // stalled drain (huge flush interval keeps it polling but the test floods
 // faster than 2ms polls can drain), Record never blocks and drops are
 // counted.
 func TestRecorderBackpressure(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "cap")
-	r, err := Open(prefix, Options{RingSize: 16, FlushInterval: time.Hour})
+	r, err := open(prefix, Options{}, tuning{bufRecords: 16, flushInterval: time.Hour})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestRecorderBackpressure(t *testing.T) {
 // closing the recorder.
 func TestRecorderFlush(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "cap")
-	r, err := Open(prefix, Options{FlushInterval: time.Hour})
+	r, err := Open(prefix, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 // interval keeps block assembly out of the window anyway.
 func TestRecordZeroAlloc(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "cap")
-	r, err := Open(prefix, Options{RingSize: 1 << 16, FlushInterval: time.Hour})
+	r, err := open(prefix, Options{}, tuning{bufRecords: 1 << 16, flushInterval: time.Hour})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -29,6 +29,6 @@ func TestRecordZeroAlloc(t *testing.T) {
 		t.Fatalf("Recorder.Record allocates %v allocs/op, want 0", allocs)
 	}
 	if r.Dropped() != 0 {
-		t.Fatalf("ring dropped %d records during the run; size the ring up", r.Dropped())
+		t.Fatalf("buffer dropped %d records during the run; size the buffer up", r.Dropped())
 	}
 }
