@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -21,7 +22,7 @@ func TestCacheSizing(t *testing.T) {
 		t.Errorf("shards %d > capacity 2", c.Shards())
 	}
 	// Absurd sizes clamp instead of overflowing or hanging.
-	c = NewCache(1<<62+1, 1<<40)
+	c = NewCache(math.MaxInt, math.MaxInt)
 	if c.Capacity() != maxCapacity || c.Shards() != maxShards {
 		t.Errorf("clamp: cap %d shards %d, want %d/%d", c.Capacity(), c.Shards(), maxCapacity, maxShards)
 	}

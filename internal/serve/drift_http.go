@@ -52,8 +52,17 @@ func (s *Server) handleMeasured(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	var req MeasuredRequest
-	if status, err := decodeBody(w, r, maxMeasuredBody, &req); err != nil {
+	// Ingestion runs a model evaluation per record when a drift monitor is
+	// attached, so it sits under the same admission gate as the prediction
+	// endpoints.
+	if !s.admit(w, r) {
+		return
+	}
+	defer s.release()
+	c := newCodec()
+	defer c.free()
+	req := &c.measured
+	if status, err := decode(c, w, r, maxMeasuredBody, req, (*scanner).measured); err != nil {
 		writeError(w, status, "decode body: %v", err)
 		return
 	}
@@ -85,18 +94,12 @@ func (s *Server) handleMeasured(w http.ResponseWriter, r *http.Request) {
 		}
 		opOf[i] = op
 	}
-	// Ingestion runs a model evaluation per record when a drift monitor is
-	// attached, so it sits under the same admission gate as the prediction
-	// endpoints.
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.release()
 	for i, rec := range req.Records {
 		s.engine.RecordMeasured(opOf[i], rec.M, rec.K, rec.N, rec.Threads, rec.MeasuredNs)
 	}
 	failed = false
-	writeJSON(w, http.StatusOK, MeasuredResponse{Accepted: len(req.Records)})
+	c.buf = appendMeasured(c.buf[:0], &MeasuredResponse{Accepted: len(req.Records)})
+	reply(w, c.buf)
 }
 
 // handleDrift is GET /drift: the schema-versioned online drift report

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -177,40 +176,26 @@ type StatsResponse struct {
 // for as long as deciding that many shapes one by one takes.
 const MaxBatchShapes = 16384
 
-// Request-body bounds, applied before decoding — MaxBatchShapes is otherwise
-// first checked on a slice the whole body has already become — and sized
-// from each route's own limit, so that every request the validation accepts
-// still fits: a wire shape with three 19-digit dimensions and the longest op
-// name is 86 bytes, a measured record 64 more, and the per-element figures
-// round those up to leave room for indentation.
+// Request-body bounds, applied while the body is read — MaxBatchShapes is
+// otherwise first checked on a slice the whole body has already become — and
+// sized from each route's own limit, so that every request the validation
+// accepts still fits: a wire shape with three 19-digit dimensions and the
+// longest op name is 86 bytes, a measured record 64 more, and the
+// per-element figures round those up to leave room for indentation.
 const (
 	maxPredictBody  = 4 << 10
 	maxBatchBody    = MaxBatchShapes*128 + 1<<10
 	maxMeasuredBody = MaxMeasuredRecords*256 + 1<<10
 )
 
-// decodeBody decodes the JSON request body, of at most limit bytes, into v.
-// A failure comes with its status: 413 when the body ran past the bound, 400
-// for anything else.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (status int, err error) {
-	if err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err == nil {
-		return http.StatusOK, nil
-	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge, err
-	}
-	return http.StatusBadRequest, err
-}
-
 // Limits is the overload-protection configuration of a Server: bounded
 // in-flight admission with a short wait queue on the prediction endpoints,
 // plus a per-request deadline threaded into the engine. Probes, /stats and
 // /metrics are never limited — an overloaded daemon must stay observable.
 type Limits struct {
-	// MaxInFlight bounds concurrently admitted /predict + /batch requests.
-	// 0 selects the default (8×GOMAXPROCS); negative disables admission
-	// control entirely.
+	// MaxInFlight bounds concurrently admitted /predict, /batch and
+	// /measured requests. 0 selects the default (8×GOMAXPROCS); negative
+	// disables admission control entirely.
 	MaxInFlight int
 	// MaxQueue bounds requests waiting for an in-flight slot; arrivals
 	// beyond it shed immediately with 429. 0 selects the default
@@ -467,7 +452,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // admit runs the overload gate for one prediction request: true means
 // proceed (the caller must defer s.release()). On shed it writes the 429
-// answer — JSON body plus a Retry-After header — and counts it.
+// answer — JSON body plus a Retry-After header — and counts it. The limited
+// routes call it right after their method check, before the bounded read,
+// decode and validation, so a shed request has not read its body and the
+// in-flight limit bounds decode CPU and memory as well as decisions.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	if s.limit == nil {
 		return true
@@ -506,6 +494,9 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return context.WithTimeout(r.Context(), s.limits.RequestTimeout)
 }
 
+// writeJSON writes v through encoding/json: errors, /stats, the probes,
+// /drift and ?detail=1. The plain /predict, /batch and /measured answers are
+// appended by the codec instead (reply), byte for byte the same.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -521,27 +512,22 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // parsePredict extracts a shape and operation kind from either query
-// parameters (GET) or a JSON body (POST); a failure comes with its status.
-func parsePredict(w http.ResponseWriter, r *http.Request, query url.Values) (req PredictRequest, op Op, status int, err error) {
-	switch r.Method {
-	case http.MethodGet:
-		for _, f := range []struct {
-			name string
-			dst  *int
-		}{{"m", &req.M}, {"k", &req.K}, {"n", &req.N}} {
-			v, err := strconv.Atoi(query.Get(f.name))
-			if err != nil {
-				return req, 0, http.StatusBadRequest, fmt.Errorf("query parameter %q: want a positive integer", f.name)
+// parameters (GET) or the JSON body (POST), read and decoded by c; a failure
+// comes with its status.
+func (c *codec) parsePredict(w http.ResponseWriter, r *http.Request, query url.Values) (req PredictRequest, op Op, status int, err error) {
+	if r.Method == http.MethodGet {
+		var dims [3]int
+		for i, name := range [...]string{"m", "k", "n"} {
+			if dims[i], err = strconv.Atoi(query.Get(name)); err != nil {
+				return req, 0, http.StatusBadRequest, fmt.Errorf("query parameter %q: want a positive integer", name)
 			}
-			*f.dst = v
 		}
-		req.Op = query.Get("op")
-	case http.MethodPost:
-		if status, err := decodeBody(w, r, maxPredictBody, &req); err != nil {
+		req = PredictRequest{M: dims[0], K: dims[1], N: dims[2], Op: query.Get("op")}
+	} else {
+		if status, err := decode(c, w, r, maxPredictBody, &c.predict, (*scanner).predict); err != nil {
 			return req, 0, status, fmt.Errorf("decode body: %v", err)
 		}
-	default:
-		return req, 0, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method)
+		req = c.predict
 	}
 	op, err = req.parse()
 	return req, op, http.StatusBadRequest, err
@@ -552,17 +538,23 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	failed := true
 	defer func() { s.predict.observe(time.Since(start), failed) }()
 
-	// Parsed once: every Query call re-parses the raw query into a new map.
-	query := r.URL.Query()
-	req, op, status, err := parsePredict(w, r, query)
-	if err != nil {
-		writeError(w, status, "%v", err)
+	if r.Method != http.MethodGet && r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
 	if !s.admit(w, r) {
 		return
 	}
 	defer s.release()
+	c := newCodec()
+	defer c.free()
+	// Parsed once: every Query call re-parses the raw query into a new map.
+	query := r.URL.Query()
+	req, op, status, err := c.parsePredict(w, r, query)
+	if err != nil {
+		writeError(w, status, "%v", err)
+		return
+	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
@@ -575,11 +567,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		for i, sec := range scores {
 			resp.PredictedMicros[i] = sec * 1e6
 		}
-	} else {
-		resp.Threads, resp.Fallback = s.engine.PredictOpCtx(ctx, op, req.M, req.K, req.N)
+		failed = false
+		writeJSON(w, http.StatusOK, resp)
+		return
 	}
+	resp.Threads, resp.Fallback = s.engine.PredictOpCtx(ctx, op, req.M, req.K, req.N)
 	failed = false
-	writeJSON(w, http.StatusOK, resp)
+	c.buf = appendPredict(c.buf[:0], &resp)
+	reply(w, c.buf)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -591,8 +586,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	var req BatchRequest
-	if status, err := decodeBody(w, r, maxBatchBody, &req); err != nil {
+	if !s.admit(w, r) {
+		return
+	}
+	defer s.release()
+	c := newCodec()
+	defer c.free()
+	req := &c.batch
+	if status, err := decode(c, w, r, maxBatchBody, req, (*scanner).batch); err != nil {
 		writeError(w, status, "decode body: %v", err)
 		return
 	}
@@ -604,10 +605,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch of %d shapes exceeds limit %d", len(req.Shapes), MaxBatchShapes)
 		return
 	}
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.release()
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	// Validate the whole request, in request order, before deciding any of it.
@@ -642,7 +639,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		i = j
 	}
 	failed = false
-	writeJSON(w, http.StatusOK, BatchResponse{Threads: threads, Fallback: fallback})
+	c.buf = appendBatch(c.buf[:0], &BatchResponse{Threads: threads, Fallback: fallback})
+	reply(w, c.buf)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

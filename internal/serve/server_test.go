@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -165,9 +167,10 @@ func TestServerErrors(t *testing.T) {
 }
 
 // TestServerBodyBounds pins the request-body bounds: each route reads its
-// body up to a constant sized from the route's own limit and answers 413
-// one byte past it, and the largest batch the validation accepts — 16384
-// shapes, every dimension 19 digits, the longest op name — still fits.
+// whole body up to a constant sized from the route's own limit and answers
+// 413 one byte past it, and the largest batch the validation accepts — 16384
+// shapes, every dimension math.MaxInt (19 digits on 64-bit), the longest op
+// name — still fits.
 func TestServerBodyBounds(t *testing.T) {
 	_, ts := testServer(t)
 	post := func(path, body string) int {
@@ -180,15 +183,22 @@ func TestServerBodyBounds(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	const shape = `{"m":9223372036854775807,"k":9223372036854775807,"n":9223372036854775807,"op":"syr2k"}`
+	maxInt := strconv.Itoa(math.MaxInt)
+	shape := `{"m":` + maxInt + `,"k":` + maxInt + `,"n":` + maxInt + `,"op":"syr2k"}`
 	batch := `{"shapes":[` + strings.Repeat(shape+",", MaxBatchShapes-1) + shape + `]}`
 	if got := post("/batch", batch); got != http.StatusOK {
 		t.Errorf("maximal legal batch (%d bytes): HTTP %d, want 200", len(batch), got)
 	}
-	const record = `{"m":9223372036854775807,"k":9223372036854775807,"n":9223372036854775807,"op":"syr2k","threads":9223372036854775807,"measured_ns":9223372036854775807}`
+	record := shape[:len(shape)-1] + `,"threads":` + maxInt + `,"measured_ns":9223372036854775807}`
 	records := `{"records":[` + strings.Repeat(record+",", MaxMeasuredRecords-1) + record + `]}`
 	if got := post("/measured", records); got != http.StatusOK {
 		t.Errorf("maximal legal report (%d bytes): HTTP %d, want 200", len(records), got)
+	}
+	// The whole body is read before it is decoded, so a valid request
+	// followed by padding past the bound is refused too.
+	padded := `{"m":64,"k":64,"n":64}` + strings.Repeat(" ", maxPredictBody)
+	if got := post("/predict", padded); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("/predict with a valid value padded past the bound: HTTP %d, want 413", got)
 	}
 
 	// All-blank bodies, so the decoder must read every byte looking for a

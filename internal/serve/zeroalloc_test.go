@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
@@ -163,5 +167,65 @@ func TestRecordMeasuredDriftZeroAlloc(t *testing.T) {
 		e.RecordMeasured(OpSYRK, 512, 256, 512, 8, 12345)
 	}); n != 0 {
 		t.Errorf("drift-monitored RecordMeasured(SYRK) allocates %.1f/op, want 0", n)
+	}
+}
+
+// replayBody is a request body that can be rewound between runs.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
+
+// sinkWriter is a ResponseWriter that keeps its header map and the last
+// body, so repeated ServeHTTP calls measure the handler alone.
+type sinkWriter struct {
+	header http.Header
+	code   int
+	body   []byte
+}
+
+func (w *sinkWriter) Header() http.Header  { return w.header }
+func (w *sinkWriter) WriteHeader(code int) { w.code = code }
+func (w *sinkWriter) Write(b []byte) (int, error) {
+	w.body = append(w.body[:0], b...)
+	return len(b), nil
+}
+
+// TestServeHTTPAllocs pins the allocations of Server.ServeHTTP on a /predict
+// hit and a 16-shape /batch hit: admission, body read and decode, deadline,
+// decisions, answer. With encoding/json both ways these were 16 and 44; what
+// is left is the deadline context (4), the Content-Type header value, the
+// /predict query map and the /batch handler's three per-request slices.
+func TestServeHTTPAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by the race detector")
+	}
+	srv := NewServer(NewEngine(lib(t), Options{CacheSize: 256, Shards: 8}))
+	one, _ := json.Marshal(PredictRequest{M: 512, K: 256, N: 384, Op: "gemm"})
+	batch, _ := json.Marshal(BatchRequest{Shapes: requests(OpGEMM, mixedShapes(16))})
+	for _, tc := range []struct {
+		path string
+		body []byte
+		pin  float64
+	}{
+		{"/predict", one, 6},
+		{"/batch", batch, 8},
+	} {
+		var body replayBody
+		req := httptest.NewRequest(http.MethodPost, tc.path, nil)
+		req.Body = &body
+		w := &sinkWriter{header: http.Header{}}
+		serve := func() {
+			body.Reset(tc.body)
+			srv.ServeHTTP(w, req)
+		}
+		serve() // decide once: the measured calls are cache hits
+		n := testing.AllocsPerRun(200, serve)
+		if w.code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", tc.path, w.code, w.body)
+		}
+		t.Logf("%s: %.0f allocs/op", tc.path, n)
+		if n > tc.pin {
+			t.Errorf("%s hit allocates %.0f/op, pinned at %.0f", tc.path, n, tc.pin)
+		}
 	}
 }
