@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/features"
@@ -116,12 +119,15 @@ func trainOps(cfg TrainConfig) []ops.Op {
 // Train executes the installation workflow of Fig 2 end to end — once per
 // requested operation — and returns the deployable per-op Library bundle
 // plus the model-comparison reports.
+//
+// It runs in three phases. Every op is gathered in turn, so a real timer or
+// a remote fleet never shares the machine with other work. Then every op is
+// preprocessed and every (op, family) pair tuned and fitted on a pool of
+// GOMAXPROCS goroutines, each result in its own slot. Last, every model's
+// evaluation latency is measured and the selection made in op and family
+// order on an otherwise idle process. The fits depend only on their inputs
+// and seeds, so the models are those of a serial install.
 func Train(cfg TrainConfig) (*TrainResult, error) {
-	res := &TrainResult{
-		OpReports: make(map[ops.Op][]ModelReport),
-		OpData:    make(map[ops.Op][]ShapeTimings),
-	}
-	lib := &Library{Platform: cfg.Platform}
 	gatherer := cfg.Gatherer
 	if gatherer == nil {
 		gatherer = LocalGatherer{}
@@ -130,29 +136,41 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for _, op := range trainOps(cfg) {
+	opList := trainOps(cfg)
+	datas := make([][]ShapeTimings, len(opList))
+	for i, op := range opList {
 		g := cfg.Gather
 		g.Op = op
 		data, err := gatherer.Gather(ctx, g)
 		if err != nil {
 			return nil, fmt.Errorf("core: gather %v: %w", op, err)
 		}
-		model, reports, testIdx, err := trainSweep(cfg, op, data, nil)
+		datas[i] = data
+	}
+
+	sweeps, failed, err := fitSweeps(cfg, opList, datas, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: train %v: %w", opList[failed], err)
+	}
+	res := &TrainResult{
+		OpReports: make(map[ops.Op][]ModelReport),
+		OpData:    make(map[ops.Op][]ShapeTimings),
+	}
+	lib := &Library{Platform: cfg.Platform, Candidates: candidatesOf(datas[0][0])}
+	for _, sw := range sweeps {
+		model, reports, err := sw.selectModel(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("core: train %v: %w", op, err)
+			return nil, fmt.Errorf("core: train %v: %w", sw.op, err)
 		}
-		if op == ops.GEMM {
-			lib.Candidates = candidatesOf(data[0])
-		}
-		if err := lib.SetModel(op, model); err != nil {
+		if err := lib.SetModel(sw.op, model); err != nil {
 			return nil, err
 		}
-		res.OpReports[op] = reports
-		res.OpData[op] = data
-		if op == ops.GEMM {
+		res.OpReports[sw.op] = reports
+		res.OpData[sw.op] = sw.data
+		if sw.op == ops.GEMM {
 			res.Reports = reports
-			res.Data = data
-			res.TestIdx = testIdx
+			res.Data = sw.data
+			res.TestIdx = sw.testIdx
 		}
 	}
 	res.Library = lib
@@ -169,7 +187,12 @@ func TrainOnData(cfg TrainConfig, data []ShapeTimings) (*TrainResult, error) {
 // Table II feature columns (nil means all). Used by the feature-set
 // ablation.
 func TrainOnDataWithColumns(cfg TrainConfig, data []ShapeTimings, cols []string) (*TrainResult, error) {
-	model, reports, testIdx, err := trainSweep(cfg, ops.GEMM, data, cols)
+	sweeps, _, err := fitSweeps(cfg, []ops.Op{ops.GEMM}, [][]ShapeTimings{data}, cols)
+	if err != nil {
+		return nil, err
+	}
+	sw := sweeps[0]
+	model, reports, err := sw.selectModel(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -182,32 +205,110 @@ func TrainOnDataWithColumns(cfg TrainConfig, data []ShapeTimings, cols []string)
 		Reports:   reports,
 		OpReports: map[ops.Op][]ModelReport{ops.GEMM: reports},
 		Data:      data,
-		TestIdx:   testIdx,
+		TestIdx:   sw.testIdx,
 		OpData:    map[ops.Op][]ShapeTimings{ops.GEMM: data},
 	}, nil
 }
 
-// trainSweep runs preprocess → tune → fit → evaluate → select on one op's
-// gathered sweep and returns the selected OpModel, the full model
-// comparison, and the held-out shape indices.
-func trainSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string) (*OpModel, []ModelReport, []int, error) {
-	if len(data) < 10 {
-		return nil, nil, nil, fmt.Errorf("core: %d shapes is too few to train on", len(data))
-	}
-	if cfg.TestFrac <= 0 || cfg.TestFrac >= 1 {
-		return nil, nil, nil, fmt.Errorf("core: TestFrac %v outside (0,1)", cfg.TestFrac)
-	}
-	if len(cfg.Models) == 0 {
-		return nil, nil, nil, fmt.Errorf("core: no model specs")
-	}
-	if cfg.Gather.Iters < 1 {
-		return nil, nil, nil, fmt.Errorf("core: Gather.Iters %d < 1", cfg.Gather.Iters)
-	}
-	if _, ok := data[0].TimeAt(cfg.ReferenceThreads); !ok {
-		return nil, nil, nil, fmt.Errorf("core: reference thread count %d not among timed candidates", cfg.ReferenceThreads)
-	}
+// sweep is one op's gathered data on its way through the install: the
+// shape-level split, the fitted preprocessing pipeline, the transformed
+// training rows and held-out rows, and one fitted model per family.
+type sweep struct {
+	op       ops.Op
+	data     []ShapeTimings
+	cols     []string
+	testIdx  []int
+	testData []ShapeTimings
+	pipe     *preprocess.Pipeline
+	trainX   [][]float64
+	trainY   []float64
+	testX    [][]float64
+	testY    []float64
+	fits     []fitted // one per cfg.Models entry
+}
+
+// fitted is one family's tuned and fitted model and its held-out RMSE.
+type fitted struct {
+	grid  string
+	model ml.Regressor
+	rmse  float64
+}
+
+// fitSweeps preprocesses each op's sweep and tunes and fits every family on
+// it, on a pool of GOMAXPROCS goroutines: one task per op, then one per
+// (op, family), each fit waiting only for its own op's preprocessing. On
+// failure it returns the error a serial install would meet first, with the
+// index of its op.
+func fitSweeps(cfg TrainConfig, opList []ops.Op, datas [][]ShapeTimings, cols []string) ([]*sweep, int, error) {
 	if cfg.TuneFolds < 2 {
 		cfg.TuneFolds = 3
+	}
+	nops, nf := len(opList), len(cfg.Models)
+	sweeps := make([]*sweep, nops)
+	prepared := make([]chan struct{}, nops)
+	for i := range prepared {
+		prepared[i] = make(chan struct{})
+	}
+	// errs[i*(nf+1)] is op i's preprocessing error and errs[i*(nf+1)+1+j]
+	// its family j's: the order a serial install meets them in.
+	errs := make([]error, nops*(nf+1))
+	forEach(len(errs), func(t int) {
+		if t < nops {
+			sweeps[t], errs[t*(nf+1)] = prepareSweep(cfg, opList[t], datas[t], cols)
+			close(prepared[t])
+			return
+		}
+		// forEach hands out indices in order, so op i's preprocessing is
+		// running or done by now.
+		i, j := (t-nops)/nf, (t-nops)%nf
+		<-prepared[i]
+		if sw := sweeps[i]; sw != nil {
+			sw.fits[j], errs[i*(nf+1)+1+j] = sw.fitFamily(cfg, cfg.Models[j])
+		}
+	})
+	for t, err := range errs {
+		if err != nil {
+			return nil, t / (nf + 1), err
+		}
+	}
+	return sweeps, 0, nil
+}
+
+// forEach calls fn(0), …, fn(n-1) on min(n, GOMAXPROCS) goroutines, handing
+// out indices in order, and returns once every call has.
+func forEach(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(n, runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// prepareSweep validates the configuration against one op's sweep, splits it
+// by shape, fits the preprocessing pipeline on the training part and
+// transforms the held-out rows.
+func prepareSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string) (*sweep, error) {
+	if len(data) < 10 {
+		return nil, fmt.Errorf("core: %d shapes is too few to train on", len(data))
+	}
+	if cfg.TestFrac <= 0 || cfg.TestFrac >= 1 {
+		return nil, fmt.Errorf("core: TestFrac %v outside (0,1)", cfg.TestFrac)
+	}
+	if len(cfg.Models) == 0 {
+		return nil, fmt.Errorf("core: no model specs")
+	}
+	if cfg.Gather.Iters < 1 {
+		return nil, fmt.Errorf("core: Gather.Iters %d < 1", cfg.Gather.Iters)
+	}
+	if _, ok := data[0].TimeAt(cfg.ReferenceThreads); !ok {
+		return nil, fmt.Errorf("core: reference thread count %d not among timed candidates", cfg.ReferenceThreads)
 	}
 
 	// --- Shape-level stratified split -------------------------------------
@@ -232,12 +333,12 @@ func trainSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string) 
 	if cols != nil {
 		var err error
 		if trainSet, err = trainSet.Select(cols); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
 	pipe, transformed, err := preprocess.Fit(trainSet, cfg.Preproc)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 
 	// Transformed test rows for RMSE.
@@ -245,7 +346,7 @@ func trainSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string) 
 	testSet := features.Build(testRecs)
 	if cols != nil {
 		if testSet, err = testSet.Select(cols); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
 	testX := make([][]float64, len(testRecs))
@@ -258,46 +359,66 @@ func trainSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string) 
 		}
 		testY[i] = y
 	}
+	return &sweep{
+		op: op, data: data, cols: cols, testIdx: testIdx, testData: testData,
+		pipe: pipe, trainX: transformed.X, trainY: transformed.Y,
+		testX: testX, testY: testY,
+		fits: make([]fitted, len(cfg.Models)),
+	}, nil
+}
 
-	// --- Tune, fit and evaluate every candidate family ---------------------
-	candidates := candidatesOf(data[0])
-	var reports []ModelReport
-	models := make(map[string]ml.Regressor, len(cfg.Models))
-	for _, spec := range cfg.Models {
-		grid, err := tune.GridSearch(spec.Grid, transformed.X, transformed.Y, cfg.TuneFolds, cfg.Seed)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: tuning %s: %w", spec.Name, err)
-		}
-		model := grid.Best.Factory()
-		if err := model.Fit(transformed.X, transformed.Y); err != nil {
-			return nil, nil, nil, fmt.Errorf("core: fitting %s: %w", spec.Name, err)
-		}
-		models[spec.Kind] = model
+// fitFamily tunes one family's grid by cross validation, fits the winner on
+// the whole training part and scores it on the held-out rows. It only reads
+// the sweep, so every family of every op can fit at once.
+func (sw *sweep) fitFamily(cfg TrainConfig, spec ModelSpec) (fitted, error) {
+	grid, err := tune.GridSearch(spec.Grid, sw.trainX, sw.trainY, cfg.TuneFolds, cfg.Seed)
+	if err != nil {
+		return fitted{}, fmt.Errorf("core: tuning %s: %w", spec.Name, err)
+	}
+	model := grid.Best.Factory()
+	if err := model.Fit(sw.trainX, sw.trainY); err != nil {
+		return fitted{}, fmt.Errorf("core: fitting %s: %w", spec.Name, err)
+	}
+	rmse := ml.RMSE(ml.PredictBatch(model, sw.testX), sw.testY)
+	return fitted{grid: grid.Best.Label, model: model, rmse: rmse}, nil
+}
 
-		rmse := ml.RMSE(ml.PredictBatch(model, testX), testY)
+// evalLatency is measureEvalLatency; a variable so that a test can see when
+// the selection phase times the models.
+var evalLatency = measureEvalLatency
+
+// selectModel measures each fitted family's evaluation latency and
+// speedups in family order, and returns the selected OpModel with the full
+// model comparison. It must run with no fit in flight: t_eval decides the
+// selection.
+func (sw *sweep) selectModel(cfg TrainConfig) (*OpModel, []ModelReport, error) {
+	candidates := candidatesOf(sw.data[0])
+	reports := make([]ModelReport, len(cfg.Models))
+	for i, spec := range cfg.Models {
+		f := sw.fits[i]
 		// A throwaway single-model bundle, ranked through one scratch — the
 		// path (and the cost) the serving engine has.
 		probe := &Library{Platform: cfg.Platform, Candidates: candidates}
-		if err := probe.SetModel(op, &OpModel{
-			Kind: spec.Kind, Model: model, Pipeline: pipe, Columns: cols,
+		if err := probe.SetModel(sw.op, &OpModel{
+			Kind: spec.Kind, Model: f.model, Pipeline: sw.pipe, Columns: sw.cols,
 		}); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		scratch := probe.NewScratch()
-		evalSec := measureEvalLatency(probe, op, testData, scratch)
-		idealMean, idealAgg := speedups(probe, op, testData, cfg.ReferenceThreads, 0, scratch)
+		evalSec := evalLatency(probe, sw.op, sw.testData, scratch)
+		idealMean, idealAgg := speedups(probe, sw.op, sw.testData, cfg.ReferenceThreads, 0, scratch)
 		// The paper's timing protocol (§V-B.3) runs each shape in a
 		// 10-iteration loop with the §III-C prediction cache active, so one
 		// model evaluation amortises over the loop. Charge the same way.
-		estMean, estAgg := speedups(probe, op, testData, cfg.ReferenceThreads, evalSec/float64(cfg.Gather.Iters), scratch)
-		reports = append(reports, ModelReport{
-			Op:   op.String(),
-			Name: spec.Name, Kind: spec.Kind, GridChoice: grid.Best.Label,
-			RMSE:      rmse,
+		estMean, estAgg := speedups(probe, sw.op, sw.testData, cfg.ReferenceThreads, evalSec/float64(cfg.Gather.Iters), scratch)
+		reports[i] = ModelReport{
+			Op:   sw.op.String(),
+			Name: spec.Name, Kind: spec.Kind, GridChoice: f.grid,
+			RMSE:      f.rmse,
 			IdealMean: idealMean, IdealAgg: idealAgg,
 			EvalMicros: evalSec * 1e6,
 			EstMean:    estMean, EstAgg: estAgg,
-		})
+		}
 	}
 
 	// Normalised RMSE: worst model = 1.00 (the Tables III/IV convention).
@@ -320,11 +441,11 @@ func trainSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string) 
 	best := reports[bestIdx]
 	return &OpModel{
 		Kind:        best.Kind,
-		Model:       models[best.Kind],
-		Pipeline:    pipe,
-		Columns:     cols,
+		Model:       sw.fits[bestIdx].model,
+		Pipeline:    sw.pipe,
+		Columns:     sw.cols,
 		EvalSeconds: best.EvalMicros / 1e6,
-	}, reports, testIdx, nil
+	}, reports, nil
 }
 
 // speedups evaluates the model's thread choices on held-out shapes against
@@ -399,7 +520,7 @@ func stratifiedShapeSplit(data []ShapeTimings, refThreads int, testFrac float64,
 		}
 		return data[i].BestMeasured().Seconds
 	}
-	sort.Slice(order, func(a, b int) bool { return key(order[a]) < key(order[b]) })
+	slices.SortFunc(order, func(a, b int) int { return compareFloat(key(a), key(b)) })
 	rng := rand.New(rand.NewSource(seed))
 	stratum := int(1/testFrac + 0.5)
 	if stratum < 2 {
@@ -443,4 +564,19 @@ func RenderReport(reports []ModelReport) string {
 			tabulate.F(r.EvalMicros, 2), tabulate.F(r.EstMean, 2), tabulate.F(r.EstAgg, 2))
 	}
 	return tb.String()
+}
+
+// compareFloat is x < y as a three-way comparison: negative exactly when
+// x < y, positive exactly when y < x, zero otherwise, NaN included
+// (cmp.Compare orders NaN first). slices.SortFunc consults only cmp < 0 and
+// shares sort.Slice's pdqsort, so it leaves the permutation sort.Slice
+// leaves with less = x < y.
+func compareFloat(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case y < x:
+		return 1
+	}
+	return 0
 }

@@ -7,7 +7,7 @@ package boost
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/ml"
 )
@@ -103,7 +103,7 @@ func (x *XGB) Fit(X [][]float64, y []float64) error {
 		for i := range ord {
 			ord[i] = i
 		}
-		sort.Slice(ord, func(a, b int) bool { return X[ord[a]][f] < X[ord[b]][f] })
+		slices.SortFunc(ord, func(a, b int) int { return compareFloat(X[a][f], X[b][f]) })
 		orders[f] = ord
 	}
 
@@ -267,3 +267,18 @@ func (r *splitMix) next() uint64 {
 func (r *splitMix) float64() float64 { return float64(r.next()>>11) / float64(1<<53) }
 
 var _ ml.Regressor = (*XGB)(nil)
+
+// compareFloat is x < y as a three-way comparison: negative exactly when
+// x < y, positive exactly when y < x, zero otherwise, NaN included
+// (cmp.Compare orders NaN first). slices.SortFunc consults only cmp < 0 and
+// shares sort.Slice's pdqsort, so it leaves the permutation sort.Slice
+// leaves with less = x < y.
+func compareFloat(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case y < x:
+		return 1
+	}
+	return 0
+}

@@ -1,5 +1,5 @@
 // Package ensemble implements the bagging and boosting tree ensembles of
-// Tables III/IV: Random Forest (parallel bootstrap bagging) and AdaBoost.R2
+// Tables III/IV: Random Forest (bootstrap bagging) and AdaBoost.R2
 // (sequential weighted boosting).
 package ensemble
 
@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/ml"
 	"repro/internal/ml/tree"
@@ -30,9 +28,8 @@ type ForestParams struct {
 }
 
 // RandomForest averages bootstrap-trained, feature-subsampled CART trees.
-// Trees are fitted in parallel — the forest's slow *evaluation* (every tree
-// visited per prediction) is what sinks its estimated speedup in Tables
-// III/IV despite the excellent RMSE.
+// The forest's slow *evaluation* (every tree visited per prediction) is what
+// sinks its estimated speedup in Tables III/IV despite the excellent RMSE.
 type RandomForest struct {
 	Params ForestParams      `json:"params"`
 	Trees  []*tree.Regressor `json:"trees"`
@@ -44,7 +41,9 @@ func NewRandomForest(p ForestParams) *RandomForest { return &RandomForest{Params
 // Name implements ml.Regressor.
 func (f *RandomForest) Name() string { return "Random Forest" }
 
-// Fit implements ml.Regressor, training trees across GOMAXPROCS goroutines.
+// Fit implements ml.Regressor. Trees are fitted in order on the caller's
+// goroutine, each from its own seed; installation runs the model families
+// side by side, so a forest needs no pool of its own.
 func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 	if err := ml.ValidateXY(X, y); err != nil {
 		return err
@@ -65,46 +64,24 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 
 	n := len(y)
 	f.Trees = make([]*tree.Regressor, p.NTrees)
-	errs := make([]error, p.NTrees)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > p.NTrees {
-		workers = p.NTrees
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ti := range work {
-				rng := rand.New(rand.NewSource(p.Seed + int64(ti)*7919))
-				bx := make([][]float64, n)
-				by := make([]float64, n)
-				for i := 0; i < n; i++ {
-					j := rng.Intn(n)
-					bx[i], by[i] = X[j], y[j]
-				}
-				tr := tree.NewRegressor(tree.Params{
-					MaxDepth:       p.MaxDepth,
-					MinSamplesLeaf: p.MinSamplesLeaf,
-					MaxFeatures:    p.MaxFeatures,
-					Seed:           p.Seed + int64(ti),
-				})
-				errs[ti] = tr.Fit(bx, by)
-				f.Trees[ti] = tr
-			}
-		}()
-	}
-	for ti := 0; ti < p.NTrees; ti++ {
-		work <- ti
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for ti := range f.Trees {
+		rng := rand.New(rand.NewSource(p.Seed + int64(ti)*7919))
+		bx := make([][]float64, n)
+		by := make([]float64, n)
+		for i := 0; i < n; i++ {
+			j := rng.Intn(n)
+			bx[i], by[i] = X[j], y[j]
+		}
+		tr := tree.NewRegressor(tree.Params{
+			MaxDepth:       p.MaxDepth,
+			MinSamplesLeaf: p.MinSamplesLeaf,
+			MaxFeatures:    p.MaxFeatures,
+			Seed:           p.Seed + int64(ti),
+		})
+		if err := tr.Fit(bx, by); err != nil {
 			return fmt.Errorf("forest: %w", err)
 		}
+		f.Trees[ti] = tr
 	}
 	return nil
 }

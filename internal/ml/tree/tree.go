@@ -6,7 +6,7 @@ package tree
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/ml"
 )
@@ -228,7 +228,7 @@ func (g *grower) bestSplit(idx []int) (feature int, threshold float64, ok bool) 
 	bestGain := 1e-12
 	for _, f := range feats {
 		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return g.X[order[a]][f] < g.X[order[b]][f] })
+		slices.SortFunc(order, func(a, b int) int { return compareFloat(g.X[a][f], g.X[b][f]) })
 		var lw, lwy, lwyy float64
 		for pos := 0; pos < len(order)-1; pos++ {
 			i := order[pos]
@@ -264,3 +264,18 @@ func (g *grower) bestSplit(idx []int) (feature int, threshold float64, ok bool) 
 }
 
 var _ ml.Regressor = (*Regressor)(nil)
+
+// compareFloat is x < y as a three-way comparison: negative exactly when
+// x < y, positive exactly when y < x, zero otherwise, NaN included
+// (cmp.Compare orders NaN first). slices.SortFunc consults only cmp < 0 and
+// shares sort.Slice's pdqsort, so it leaves the permutation sort.Slice
+// leaves with less = x < y.
+func compareFloat(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case y < x:
+		return 1
+	}
+	return 0
+}
