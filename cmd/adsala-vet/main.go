@@ -1,5 +1,5 @@
 // Command adsala-vet runs the project's invariant analyzers (zeroalloc,
-// atomicfield, ctxflow, metricname — see internal/analysis) alongside the
+// ctxflow, metricname — see internal/analysis) alongside the
 // standard `go vet` passes over the named packages.
 //
 // Usage:

@@ -20,10 +20,12 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errb.String())
 	}
-	for _, name := range []string{"zeroalloc", "atomicfield", "ctxflow", "metricname"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing %q:\n%s", name, out.String())
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	if got, want := strings.Join(names, ","), "zeroalloc,ctxflow,metricname"; got != want {
+		t.Errorf("-list names %s, want %s:\n%s", got, want, out.String())
 	}
 }
 

@@ -1,16 +1,15 @@
 // adsala-worker is the distributed-gather worker daemon: it executes timing
 // work units dispatched by an adsala-train coordinator (-workers flag),
-// timing the registry kernels on this machine and answering result polls
-// over HTTP.
+// timing the registry kernels on this machine and answering each unit's
+// request with its timings over HTTP.
 //
 // Endpoints:
 //
 //	POST /register  accept a sweep spec (op, timing backend, domain, seed,
 //	                candidates, iters) and build the timing backend
-//	POST /work      accept one work unit ({start, count} into the sweep's
-//	                deterministic Halton sample stream); executes async,
-//	                one unit at a time
-//	GET  /result    poll one unit's result (?session=&id=)
+//	POST /work      execute one work unit ({start, count} into the sweep's
+//	                deterministic Halton sample stream), one unit at a time,
+//	                and answer with its timings
 //	GET  /healthz   readiness probe: 503 until a sweep is registered and
 //	                once drain begins
 //	GET  /livez     liveness probe: 200 whenever the process answers
@@ -27,9 +26,9 @@
 //	adsala-worker -addr :9090
 //	adsala-worker -addr :9091 -sim   # simulator-only (tests, CI)
 //
-// On SIGINT/SIGTERM the daemon drains: it refuses new units, finishes the
-// in-flight ones (the coordinator keeps polling /result meanwhile), then
-// exits.
+// On SIGINT/SIGTERM the daemon drains: it stops accepting connections,
+// lets the executing unit finish and answer its request (up to
+// -drain-timeout), then exits.
 package main
 
 import (
@@ -54,7 +53,6 @@ type config struct {
 	name         string
 	sim          bool
 	drainTimeout time.Duration
-	linger       time.Duration
 	pprof        bool
 	level        logx.Level
 }
@@ -69,7 +67,6 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	fs.StringVar(&cfg.name, "name", "", "worker name reported to the coordinator (default: the listen address)")
 	fs.BoolVar(&cfg.sim, "sim", false, "only accept simulator-backend sweeps (no real timing; for tests and CI)")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max wait for in-flight units on shutdown")
-	fs.DurationVar(&cfg.linger, "linger", 10*time.Second, "max wait after drain for the coordinator to fetch completed results")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 	level := logx.RegisterFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -129,26 +126,15 @@ func run(args []string, out io.Writer) error {
 		return err
 	case <-ctx.Done():
 		lg.Infof("draining")
+		// Shutdown closes the listener and idle connections, then waits for
+		// the executing unit's request to answer.
 		drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 		defer cancel()
-		if err := worker.Drain(drainCtx); err != nil {
+		if err := srv.Shutdown(drainCtx); err != nil {
 			lg.Infof("drain: %v (shutting down anyway)", err)
+			return srv.Close()
 		}
-		// Keep /result answering until the coordinator has collected every
-		// completed unit (bounded by -linger): shutting down the instant
-		// the kernels finish would discard exactly the work the drain
-		// waited for, and stall the coordinator for a full unit timeout.
-		if worker.Unfetched() > 0 {
-			lg.Infof("lingering for %d unfetched results", worker.Unfetched())
-			lingerCtx, cancel2 := context.WithTimeout(context.Background(), cfg.linger)
-			defer cancel2()
-			if err := worker.WaitFetched(lingerCtx); err != nil {
-				lg.Infof("linger: %v (shutting down anyway)", err)
-			}
-		}
-		shutdownCtx, cancel3 := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel3()
-		return srv.Shutdown(shutdownCtx)
+		return nil
 	}
 }
 

@@ -30,6 +30,10 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-sim", "-concurrency", "2"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-concurrency") {
 		t.Errorf("retired flag: err = %v, want an error naming -concurrency", err)
 	}
+	// A unit's result is its /work answer, so there is nothing to linger for.
+	if _, err := parseFlags([]string{"-sim", "-linger", "10s"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-linger") {
+		t.Errorf("retired flag: err = %v, want an error naming -linger", err)
+	}
 	if _, err := parseFlags([]string{"-h"}, io.Discard); err == nil {
 		t.Error("help should surface flag.ErrHelp")
 	}

@@ -1,16 +1,16 @@
 // Package analysis is the project's static-analysis suite: a small,
 // dependency-free analyzer framework (the same Analyzer/Pass/Diagnostic
 // shape as golang.org/x/tools/go/analysis, rebuilt on the standard
-// library so the module stays self-contained) plus four analyzers that
+// library so the module stays self-contained) plus three analyzers that
 // encode adsala's load-bearing invariants:
 //
 //   - zeroalloc: functions annotated //adsala:zeroalloc must not contain
 //     allocating constructs, transitively through same-module callees.
-//   - atomicfield: a struct field accessed through sync/atomic anywhere
-//     must be accessed atomically everywhere (the torn-read bug class).
 //   - ctxflow: no context.Background()/TODO() inside the serving, gather
 //     and retry library packages; exported HTTP-performing functions take
-//     a context; every *http.Response body is closed AND drained.
+//     a context; every *http.Response body is closed AND drained; no
+//     sync/atomic function is called (the typed wrappers only, so no
+//     access to an atomic value can be plain).
 //   - metricname: obs registrations use literal adsala_* names with
 //     conventional suffixes, and conflicting registrations are rejected
 //     at vet time instead of panicking at serve time.
@@ -76,7 +76,7 @@ type Diagnostic struct {
 
 // Analyzers returns the full project suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{ZeroAlloc, AtomicField, CtxFlow, MetricName}
+	return []*Analyzer{ZeroAlloc, CtxFlow, MetricName}
 }
 
 // ignoreDirective is one parsed //adsala:ignore comment.

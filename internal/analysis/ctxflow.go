@@ -6,7 +6,8 @@ import (
 	"strings"
 )
 
-// CtxFlow enforces the project's context and HTTP-response hygiene:
+// CtxFlow enforces the project's context, HTTP-response and atomics
+// hygiene:
 //
 //  1. Library code in internal/serve, internal/gather and internal/retry
 //     must not mint its own context via context.Background()/TODO() — the
@@ -23,9 +24,14 @@ import (
 //     reusable — the leaked-connection class of bug fixed in PR 7.
 //     Responses that escape the function (returned or passed on) are the
 //     callee's responsibility.
+//  4. No sync/atomic function is called anywhere: the typed wrappers
+//     (atomic.Int64, atomic.Bool, ...) make every access to a value
+//     atomic by construction, where atomic.AddInt64(&x.n, 1) leaves x.n
+//     open to a plain access that tears. The callee is resolved through
+//     the type checker, so an aliased import does not escape the rule.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "thread contexts through library code and close+drain every http.Response body",
+	Doc:  "thread contexts through library code, close+drain every http.Response body, call no sync/atomic functions",
 	Run:  runCtxFlow,
 }
 
@@ -46,6 +52,7 @@ func runCtxFlow(pass *Pass) error {
 			checkNoFreshContext(pass, f)
 		}
 		checkNewRequest(pass, f)
+		checkNoAtomicFuncs(pass, f)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -88,6 +95,27 @@ func checkNewRequest(pass *Pass, f *ast.File) {
 		fn := calleeFunc(pass.Info, call)
 		if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "net/http" && fn.Name() == "NewRequest" {
 			pass.Reportf(call.Pos(), "http.NewRequest drops the caller's context — use http.NewRequestWithContext")
+		}
+		return true
+	})
+}
+
+// checkNoAtomicFuncs reports calls of sync/atomic package functions; the
+// typed wrappers' methods have a receiver and pass.
+func checkNoAtomicFuncs(pass *Pass, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		fn := calleeFunc(pass.Info, call)
+		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+			return true
+		}
+		if sig, _ := fn.Type().(*types.Signature); sig != nil && sig.Recv() == nil {
+			pass.Reportf(call.Pos(),
+				"sync/atomic.%s — use a typed wrapper (atomic.Int64, atomic.Bool, ...) so no access can be plain",
+				fn.Name())
 		}
 		return true
 	})

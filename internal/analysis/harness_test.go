@@ -108,8 +108,10 @@ func TestZeroAllocGolden(t *testing.T) {
 	runGolden(t, ZeroAlloc, "./internal/analysis/testdata/src/zeroalloc_a")
 }
 
+// TestAtomicFieldGolden pins ctxflow's atomics rule: every sync/atomic
+// function call is reported, aliased or not, and typed wrappers pass.
 func TestAtomicFieldGolden(t *testing.T) {
-	runGolden(t, AtomicField, "./internal/analysis/testdata/src/atomicfield_a")
+	runGolden(t, CtxFlow, "./internal/analysis/testdata/src/atomicfield_a")
 }
 
 func TestCtxFlowGolden(t *testing.T) {

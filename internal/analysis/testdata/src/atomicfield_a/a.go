@@ -1,36 +1,37 @@
-// Package atomicfield_a exercises the atomicfield analyzer: mixed
-// atomic/plain access to the same field is the torn-read bug class.
+// Package atomicfield_a exercises ctxflow's atomics rule: a field reached
+// through a sync/atomic function can also be reached plainly, the
+// torn-read bug class, so every such call is reported and the typed
+// wrappers are the allowed form.
 package atomicfield_a
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	at "sync/atomic"
+)
 
 type counters struct {
 	hits   int64
 	misses int64
-	clean  int64
+	clean  atomic.Int64
 }
 
 func (c *counters) record() {
-	atomic.AddInt64(&c.hits, 1)
-	atomic.AddInt64(&c.misses, 1)
+	atomic.AddInt64(&c.hits, 1) // want `sync/atomic.AddInt64 — use a typed wrapper`
+	// The callee is resolved by type, so an aliased import does not hide it.
+	at.AddInt64(&c.misses, 1) // want `sync/atomic.AddInt64 — use a typed wrapper`
 }
 
 func (c *counters) snapshot() (int64, int64) {
-	h := atomic.LoadInt64(&c.hits)
-	m := c.misses // want `field misses is accessed atomically .* but plainly here`
-	return h, m
+	h := atomic.LoadInt64(&c.hits) // want `sync/atomic.LoadInt64 — use a typed wrapper`
+	return h, c.clean.Load()
 }
 
-func (c *counters) reset() {
-	c.misses = 0 // want `field misses is accessed atomically`
-}
-
-// touch only ever accesses clean plainly — no atomic site anywhere, so no
+// touch uses the typed wrapper, whose methods are the allowed form — no
 // finding (the negative case).
-func (c *counters) touch() { c.clean++ }
+func (c *counters) touch() { c.clean.Add(1) }
 
-// zero runs before any goroutine can see c; the plain write is justified
-// and suppressed.
+// zero runs before any goroutine can see c; the call is justified and
+// suppressed.
 func (c *counters) zero() {
-	c.hits = 0 //adsala:ignore atomicfield test fixture: runs before concurrency starts
+	atomic.StoreInt64(&c.hits, 0) //adsala:ignore ctxflow test fixture: runs before concurrency starts
 }

@@ -42,21 +42,20 @@ type tuning struct {
 	// spread better and lose less work on failure; larger units amortise
 	// dispatch overhead.
 	unitShapes int
-	// unitTimeout bounds one unit's dispatch-to-result wall time on one
-	// worker before the unit is reassigned.
+	// unitTimeout bounds one unit's POST /work on one worker — dispatch,
+	// execution and answer — before the unit is requeued.
 	unitTimeout time.Duration
-	// pollInterval is the result polling period.
-	pollInterval time.Duration
 	// maxUnitRetries bounds reassignments per unit before the whole gather
 	// fails.
 	maxUnitRetries int
 	// workerFailureLimit retires a worker after this many consecutive
 	// failed units.
 	workerFailureLimit int
-	http               *http.Client
-	// retry is the transport-level retry policy for register and dispatch
-	// POSTs. Result polling derives its own policy from pollInterval and
-	// unitTimeout instead — the poll cadence is the retry cadence.
+	// http carries every request. It has no overall timeout: a unit's
+	// answer legitimately takes as long as the unit's timing work.
+	http *http.Client
+	// retry is the transport-level retry policy of POST /register. A unit
+	// is never retried here: a failed /work goes back on the queue.
 	retry retry.Policy
 }
 
@@ -66,9 +65,9 @@ type Stats struct {
 	Units int
 	// Resumed counts units satisfied by the checkpoint without dispatch.
 	Resumed int
-	// Dispatched counts unit executions successfully fetched from workers.
+	// Dispatched counts units a worker answered with a matching result.
 	Dispatched int
-	// Retries counts re-dispatches after a worker failure or timeout.
+	// Retries counts units requeued after a failed or timed-out /work.
 	Retries int
 	// Duplicates counts results dropped by the merge dedup (a unit
 	// completing on two workers after a reassignment race).
@@ -97,11 +96,11 @@ func New(cfg Config) *Coordinator {
 	return &Coordinator{cfg: cfg, tune: tuning{
 		unitShapes:         4,
 		unitTimeout:        5 * time.Minute,
-		pollInterval:       50 * time.Millisecond,
 		maxUnitRetries:     8,
 		workerFailureLimit: 3,
-		http:               &http.Client{Timeout: 15 * time.Second},
-		retry:              retry.Policy{MaxAttempts: 3, Initial: 50 * time.Millisecond, Max: 500 * time.Millisecond},
+		http:               &http.Client{},
+		retry: retry.Policy{MaxAttempts: 3, Initial: 50 * time.Millisecond, Max: 500 * time.Millisecond,
+			AttemptTimeout: 15 * time.Second},
 	}}
 }
 
@@ -118,37 +117,14 @@ type pendingUnit struct {
 	tries int
 }
 
-// unitQueue is the mutex-guarded dispatch queue. A plain slice under a lock
-// (not a channel): failed units are requeued by worker loops while the
-// merger holds no reference to the queue, and a bounded channel could
-// deadlock a requeue.
-type unitQueue struct {
-	mu      sync.Mutex
-	pending []pendingUnit
-}
-
-func (q *unitQueue) push(pu pendingUnit) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.pending = append(q.pending, pu)
-}
-
-func (q *unitQueue) pop() (pendingUnit, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.pending) == 0 {
-		return pendingUnit{}, false
-	}
-	pu := q.pending[0]
-	q.pending = q.pending[1:]
-	return pu, true
-}
-
 // run is the shared state of one Gather execution.
 type run struct {
 	ctx    context.Context
 	cancel context.CancelFunc
-	queue  unitQueue
+	// queue holds the units waiting for a worker. Its capacity is the
+	// number of units to dispatch and each of them is queued, in flight or
+	// merged, so a requeue never blocks.
+	queue chan pendingUnit
 
 	fatalOnce sync.Once
 	fatalErr  error
@@ -197,7 +173,6 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 		Iters:      gcfg.Iters,
 	}
 	spec.Session = spec.Fingerprint()
-	spec.Run = newRunID()
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -247,8 +222,8 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 	var live []string
 	for _, addr := range c.cfg.Workers {
 		base := normalizeWorkerURL(addr)
-		var reg RegisterResponse
-		if err := c.postJSON(ctx, base+"/register", spec, &reg); err != nil {
+		reg, err := c.register(ctx, base, spec)
+		if err != nil {
 			c.cfg.Logf("worker %s: register failed: %v", base, err)
 			continue
 		}
@@ -260,10 +235,10 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 	}
 	stats.WorkersRegistered = len(live)
 
-	r = &run{ctx: ctx, cancel: cancel}
+	r = &run{ctx: ctx, cancel: cancel, queue: make(chan pendingUnit, len(units)-len(completed))}
 	for _, u := range units {
 		if _, done := completed[u.ID]; !done {
-			r.queue.push(pendingUnit{unit: u})
+			r.queue <- pendingUnit{unit: u}
 		}
 	}
 
@@ -362,25 +337,19 @@ func mergeResult(completed map[int][]core.ShapeTimings, res UnitResult) bool {
 }
 
 // workerLoop claims units for one worker until the run ends or the worker
-// accumulates too many consecutive failures. It polls each unit to its end
-// before claiming the next, so a worker has one unit of this run in flight
+// accumulates too many consecutive failures. Each unit is one request
+// answered with its result, so a worker has one unit of this run in flight
 // (two only while a timed-out one still holds the worker's execution lock).
+// With the queue empty it waits, because another worker may still fail and
+// requeue.
 func (c *Coordinator) workerLoop(r *run, base string, spec SweepSpec, results chan<- UnitResult) {
 	failures := 0
 	for {
-		if r.ctx.Err() != nil {
+		var pu pendingUnit
+		select {
+		case pu = <-r.queue:
+		case <-r.ctx.Done():
 			return
-		}
-		pu, ok := r.queue.pop()
-		if !ok {
-			// Queue drained but other workers may still fail and requeue;
-			// idle until the run finishes or work reappears.
-			select {
-			case <-r.ctx.Done():
-				return
-			case <-time.After(c.tune.pollInterval):
-			}
-			continue
 		}
 		res, err := c.runUnit(r.ctx, base, spec, pu.unit)
 		if err != nil {
@@ -415,14 +384,10 @@ func (c *Coordinator) requeue(r *run, pu pendingUnit, base string, err error) {
 		return
 	}
 	r.retries.Add(1)
-	r.queue.push(pu)
+	r.queue <- pu
 }
 
-// errUnitPending is the retryable sentinel one /result poll returns while
-// the worker is still executing — the retry loop keeps polling on it.
-var errUnitPending = errors.New("unit still executing")
-
-// resultLimit bounds the /result body the coordinator reads for a unit of
+// resultLimit bounds the /work answer the coordinator reads for a unit of
 // count shapes timed at the given number of candidates: 4 KiB for the
 // envelope (session, ids, a worker name of up to some hundred characters),
 // then 128 bytes per shape and 128 per candidate timing. With 20-character
@@ -432,43 +397,36 @@ func resultLimit(count, candidates int) int64 {
 	return 4<<10 + int64(count)*128*int64(1+candidates)
 }
 
-// runUnit dispatches one unit to one worker and polls for its result until
-// the unit timeout. The poll loop is a retry.Do with a fixed backoff equal
-// to the poll interval, unbounded attempts, and the unit timeout as the
-// budget — the single shared retry implementation instead of a bespoke loop.
+// runUnit executes one unit on one worker: one POST /work under the unit
+// timeout, answered with the unit's result. Any failure — the transport, a
+// refusal, a failed execution, a torn or mismatched answer — fails this
+// attempt, and the caller requeues the unit.
 func (c *Coordinator) runUnit(ctx context.Context, base string, spec SweepSpec, u Unit) (*UnitResult, error) {
-	if err := c.postJSON(ctx, base+"/work", WorkRequest{Session: spec.Session, Unit: u}, nil); err != nil {
-		return nil, fmt.Errorf("dispatch: %w", err)
-	}
-	url := fmt.Sprintf("%s/result?session=%s&id=%d", base, spec.Session, u.ID)
-	limit := resultLimit(u.Count, len(spec.Candidates))
-	poll := retry.Policy{
-		MaxAttempts: -1,
-		Initial:     c.tune.pollInterval,
-		Max:         c.tune.pollInterval,
-		Multiplier:  1,
-		Budget:      c.tune.unitTimeout,
-	}
-	res, err := retry.DoValue(ctx, poll, func(ctx context.Context) (*UnitResult, error) {
-		res, pending, err := c.getResult(ctx, url, limit)
-		if err != nil {
-			// Definitive worker answers (404/409/500, torn result bodies)
-			// fail the unit now; only "still executing" keeps polling.
-			return nil, retry.Fatal(err)
-		}
-		if pending {
-			return nil, errUnitPending
-		}
-		return res, nil
-	})
+	ctx, cancel := context.WithTimeout(ctx, c.tune.unitTimeout)
+	defer cancel()
+	blob, err := json.Marshal(WorkRequest{Session: spec.Session, Unit: u})
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
+		return nil, fmt.Errorf("encode request: %w", err)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/work", bytes.NewReader(blob))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.tune.http.Do(req)
+	if err != nil {
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			return nil, fmt.Errorf("unit %d timed out after %v on %s", u.ID, c.tune.unitTimeout, base)
 		}
 		return nil, err
+	}
+	defer drainAndClose(resp)
+	if resp.StatusCode != http.StatusOK {
+		return nil, httpError(resp)
+	}
+	res := &UnitResult{}
+	if err := json.NewDecoder(io.LimitReader(resp.Body, resultLimit(u.Count, len(spec.Candidates)))).Decode(res); err != nil {
+		return nil, fmt.Errorf("decode result: %w", err)
 	}
 	// Start matters as much as ID and Count: a result timing the wrong
 	// slice of the sample stream would merge into the wrong sweep positions
@@ -480,59 +438,22 @@ func (c *Coordinator) runUnit(ctx context.Context, base string, spec SweepSpec, 
 	return res, nil
 }
 
-// getResult performs one poll. pending is true while the worker is still
-// executing the unit — including on a transport failure: the unit may be
-// minutes into real timing work, and discarding it over one dropped
-// connection (or retiring the worker over a brief coordinator-side network
-// blip) wastes it all. Polling keeps going until the unit's deadline; a
-// permanently dead worker is caught there, and definitively by its next
-// dispatch. Definitive worker answers (404/409/500) still fail the unit, and
-// so does a result body longer than limit bytes.
-func (c *Coordinator) getResult(ctx context.Context, url string, limit int64) (res *UnitResult, pending bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// register POSTs the sweep spec to one worker's /register under the
+// transport retry policy. Transport errors and 5xx or 429 answers retry;
+// other statuses fail at once — the worker understood the spec and refused
+// it.
+func (c *Coordinator) register(ctx context.Context, base string, spec SweepSpec) (RegisterResponse, error) {
+	var reg RegisterResponse
+	blob, err := json.Marshal(spec)
 	if err != nil {
-		return nil, false, err
+		return reg, fmt.Errorf("encode request: %w", err)
 	}
-	resp, err := c.tune.http.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			// The unit budget (or the run) expired mid-request; let the
-			// retry loop translate it rather than masking it as a blip.
-			return nil, true, nil
-		}
-		c.cfg.Logf("poll %s: %v (retrying until the unit deadline)", url, err)
-		return nil, true, nil
-	}
-	defer drainAndClose(resp)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		res = &UnitResult{}
-		if err := json.NewDecoder(io.LimitReader(resp.Body, limit)).Decode(res); err != nil {
-			return nil, false, fmt.Errorf("decode result: %w", err)
-		}
-		return res, false, nil
-	case http.StatusAccepted:
-		return nil, true, nil
-	default:
-		return nil, false, httpError(resp)
-	}
-}
-
-// postJSON issues one POST under the transport retry policy and decodes the
-// answer into out (when non-nil). 2xx statuses succeed; transport errors and
-// 5xx answers retry (the worker's /work handler is idempotent for
-// re-dispatch, so a duplicate POST is safe); other statuses fail
-// immediately — the worker understood the request and refused it.
-func (c *Coordinator) postJSON(ctx context.Context, url string, body, out any) error {
-	blob, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("encode request: %w", err)
-	}
+	url := base + "/register"
 	p := c.tune.retry
 	p.OnRetry = func(attempt int, err error, backoff time.Duration) {
 		c.cfg.Logf("POST %s: attempt %d failed (%v), retrying in %v", url, attempt, err, backoff)
 	}
-	return retry.Do(ctx, p, func(ctx context.Context) error {
+	err = retry.Do(ctx, p, func(ctx context.Context) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(blob))
 		if err != nil {
 			return retry.Fatalf("build request: %w", err)
@@ -550,19 +471,17 @@ func (c *Coordinator) postJSON(ctx context.Context, url string, body, out any) e
 			}
 			return retry.Fatal(err)
 		}
-		if out == nil {
-			return nil
-		}
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(out); err != nil {
+		if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&reg); err != nil {
 			return fmt.Errorf("decode response: %w", err)
 		}
 		return nil
 	})
+	return reg, err
 }
 
 // drainAndClose consumes a bounded remainder of the response body before
 // closing it, so the keep-alive connection returns to the pool instead of
-// being torn down — with per-unit polling against every worker, leaked
+// being torn down — with one request per unit against every worker, leaked
 // connections would otherwise accumulate for the whole sweep.
 func drainAndClose(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
@@ -578,14 +497,6 @@ func httpError(resp *http.Response) error {
 		return fmt.Errorf("%s (HTTP %d)", apiErr.Error, resp.StatusCode)
 	}
 	return fmt.Errorf("HTTP %d", resp.StatusCode)
-}
-
-// runCounter disambiguates run IDs minted within one nanosecond tick.
-var runCounter atomic.Int64
-
-// newRunID mints a nonce unique per Gather invocation.
-func newRunID() string {
-	return fmt.Sprintf("%x-%x", time.Now().UnixNano(), runCounter.Add(1))
 }
 
 // normalizeWorkerURL accepts "host:port" or a full URL and returns a base

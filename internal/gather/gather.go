@@ -7,14 +7,16 @@
 //   - a Coordinator partitions the per-op sweep into work units
 //     (deterministic (start, count) slices of the accepted Halton sample
 //     stream, so any worker count reproduces the same total sweep),
-//     dispatches them over HTTP to registered workers, retries and
-//     reassigns units on worker failure or timeout, streams the
-//     ShapeTimings results back as they complete, and merges them — in
-//     sample order — into the exact input core.TrainOnData consumes;
-//   - a Worker is the HTTP daemon (cmd/adsala-worker) executing units
-//     through the operation registry's kernels on a simtime backend built
-//     from the coordinator's wire Spec (RealTimer for real installs, the
-//     Simulator for tests and CI);
+//     sends each to a registered worker as one POST /work that answers
+//     with the unit's ShapeTimings, requeues a unit whose request fails or
+//     times out (retiring a worker after repeated failures), and merges
+//     the answers — in sample order — into the exact input
+//     core.TrainOnData consumes;
+//   - a Worker is the HTTP daemon (cmd/adsala-worker) executing units,
+//     one at a time, inside the /work request through the operation
+//     registry's kernels on a simtime backend built from the
+//     coordinator's wire Spec (RealTimer for real installs, the Simulator
+//     for tests and CI);
 //   - a resumable on-disk checkpoint (JSONL of completed units) lets an
 //     interrupted sweep restart where it left off.
 //
@@ -49,15 +51,9 @@ type Unit struct {
 // SweepSpec fully describes one op's sweep, so a worker reconstructs
 // exactly the shapes and timings the coordinator's single-node path would
 // produce. Session is the fingerprint of the sweep-defining fields: it keys
-// the worker's unit state and the checkpoint file to one specific sweep.
-// Run is a per-Gather nonce: re-registering the same Session under a new
-// Run resets the worker's cached unit results, so a repeated real-timing
-// install re-measures instead of silently replaying the previous run's
-// wall-clock data. (Checkpoint identity deliberately ignores Run — resuming
-// an interrupted sweep is the same sweep.)
+// the worker's registration and the checkpoint file to one specific sweep.
 type SweepSpec struct {
 	Session    string          `json:"session"`
-	Run        string          `json:"run,omitempty"`
 	Op         string          `json:"op"`
 	Timer      simtime.Spec    `json:"timer"`
 	Domain     sampling.Domain `json:"domain"`
@@ -66,12 +62,11 @@ type SweepSpec struct {
 	Iters      int             `json:"iters"`
 }
 
-// Fingerprint returns the deterministic hash of the spec (Session and the
-// per-run nonce excluded): two parties computing the same fingerprint are
-// describing the same sweep.
+// Fingerprint returns the deterministic hash of the spec (Session
+// excluded): two parties computing the same fingerprint are describing the
+// same sweep.
 func (s SweepSpec) Fingerprint() string {
 	s.Session = ""
-	s.Run = ""
 	blob, err := json.Marshal(s)
 	if err != nil {
 		// Spec fields are plain data; Marshal cannot fail on them.
@@ -117,8 +112,8 @@ type WorkRequest struct {
 	Unit    Unit   `json:"unit"`
 }
 
-// UnitResult is one completed unit's timing sweep — the JSON body of a
-// successful GET /result and the line format of the checkpoint file.
+// UnitResult is one completed unit's timing sweep — the JSON answer of a
+// successful POST /work and the line format of the checkpoint file.
 type UnitResult struct {
 	Session string `json:"session"`
 	UnitID  int    `json:"unit_id"`
@@ -136,24 +131,19 @@ type RegisterResponse struct {
 	Backend string `json:"backend"`
 }
 
-// StatusResponse is the JSON answer of /work, pending /result polls, /drain
-// and the /healthz and /livez probes.
+// StatusResponse is the JSON answer of /drain and of the /healthz and
+// /livez probes.
 type StatusResponse struct {
 	Status string `json:"status"`
 	// Session through Draining are populated by the health probes.
+	// Completed counts the units this worker has executed to a result since
+	// it started; Inflight is 1 while a unit executes.
 	Session    string `json:"session,omitempty"`
 	Registered bool   `json:"registered,omitempty"`
 	Completed  int    `json:"completed,omitempty"`
 	Inflight   int    `json:"inflight,omitempty"`
 	Draining   bool   `json:"draining,omitempty"`
 }
-
-// Unit states reported by the worker.
-const (
-	statusAccepted = "accepted"
-	statusRunning  = "running"
-	statusDone     = "done"
-)
 
 // planUnits partitions numShapes into units of unitShapes (the last unit
 // may be smaller).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -54,11 +55,25 @@ func startWorker(t *testing.T, opts WorkerOptions) (*Worker, *httptest.Server) {
 	return w, srv
 }
 
+// after returns an execHook that holds a healthy worker's units until the
+// faulty worker beside it has been sent one, so the fault is exercised
+// whichever worker loop the scheduler starts first. The wait is bounded, so
+// a faulty worker that never gets a unit fails the test instead of hanging
+// it.
+func after(faultyStarted <-chan struct{}) func(Unit) error {
+	return func(Unit) error {
+		select {
+		case <-faultyStarted:
+		case <-time.After(5 * time.Second):
+		}
+		return nil
+	}
+}
+
 // fastCoordinator returns a Coordinator tuned for test latencies.
 func fastCoordinator(workers []string, spec simtime.Spec) *Coordinator {
 	c := New(Config{Workers: workers, Timer: spec})
 	c.tune.unitShapes = 3
-	c.tune.pollInterval = 2 * time.Millisecond
 	c.tune.unitTimeout = 5 * time.Second
 	return c
 }
@@ -154,14 +169,15 @@ func TestKilledWorkerMidUnit(t *testing.T) {
 	// Victim: slow enough that the kill lands mid-unit.
 	victim := NewWorker(WorkerOptions{
 		Name:     "victim",
-		execHook: func(Unit) { time.Sleep(100 * time.Millisecond) },
+		execHook: func(Unit) error { time.Sleep(100 * time.Millisecond); return nil },
 	})
 	var kill sync.Once
+	victimStarted := make(chan struct{})
 	var victimSrv *httptest.Server
 	victimSrv = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		victim.ServeHTTP(rw, r)
 		if r.URL.Path == "/work" {
 			kill.Do(func() {
+				close(victimStarted)
 				go func() {
 					time.Sleep(20 * time.Millisecond) // mid-unit: exec sleeps 100ms
 					victimSrv.CloseClientConnections()
@@ -169,18 +185,16 @@ func TestKilledWorkerMidUnit(t *testing.T) {
 				}()
 			})
 		}
+		victim.ServeHTTP(rw, r)
 	}))
 	t.Cleanup(func() {
 		defer func() { recover() }() // double-Close on the happy path
 		victimSrv.Close()
 	})
-	_, healthy := startWorker(t, WorkerOptions{Name: "healthy"})
+	_, healthy := startWorker(t, WorkerOptions{Name: "healthy", execHook: after(victimStarted)})
 
 	coord := fastCoordinator([]string{victimSrv.URL, healthy.URL}, spec)
 	coord.tune.workerFailureLimit = 2
-	// Transport failures during polling retry until the unit deadline, so
-	// keep it short: the dead victim's in-flight unit must requeue fast.
-	coord.tune.unitTimeout = 700 * time.Millisecond
 	got, err := coord.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,11 +220,17 @@ func TestSlowWorkerReassigned(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	slowStarted := make(chan struct{})
+	var once sync.Once
 	_, slow := startWorker(t, WorkerOptions{
-		Name:     "slow",
-		execHook: func(Unit) { time.Sleep(500 * time.Millisecond) },
+		Name: "slow",
+		execHook: func(Unit) error {
+			once.Do(func() { close(slowStarted) })
+			time.Sleep(500 * time.Millisecond)
+			return nil
+		},
 	})
-	_, fast := startWorker(t, WorkerOptions{Name: "fast"})
+	_, fast := startWorker(t, WorkerOptions{Name: "fast", execHook: after(slowStarted)})
 
 	coord := fastCoordinator([]string{slow.URL, fast.URL}, spec)
 	coord.tune.unitTimeout = 50 * time.Millisecond
@@ -227,8 +247,8 @@ func TestSlowWorkerReassigned(t *testing.T) {
 	}
 }
 
-// byzantineWorker implements the worker protocol but answers every /result
-// poll with a replay of the first unit it completed — the duplicate-result
+// byzantineWorker implements the worker protocol but answers every /work
+// with a replay of the first unit it completed — the duplicate-result
 // fault. The coordinator must reject the mismatched replays and reassign.
 type byzantineWorker struct {
 	inner  *Worker
@@ -237,7 +257,7 @@ type byzantineWorker struct {
 }
 
 func (b *byzantineWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/result" {
+	if r.URL.Path != "/work" {
 		b.inner.ServeHTTP(rw, r)
 		return
 	}
@@ -420,15 +440,16 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
-// blippyWorker fails the first two /result polls at the transport level
-// (connection closed mid-request) — a network blip, not a worker failure.
+// blippyWorker drops the first two /work connections at the transport
+// level (connection closed mid-request) — a network blip, not a worker
+// fault.
 type blippyWorker struct {
 	inner *Worker
 	blips atomic.Int64
 }
 
 func (b *blippyWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/result" && b.blips.Add(1) <= 2 {
+	if r.URL.Path == "/work" && b.blips.Add(1) <= 2 {
 		hj, ok := rw.(http.Hijacker)
 		if !ok {
 			panic("test server does not support hijacking")
@@ -442,10 +463,10 @@ func (b *blippyWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	b.inner.ServeHTTP(rw, r)
 }
 
-// TestTransientPollBlipDoesNotDiscardUnit pins the poll-retry contract: a
-// dropped connection during /result polling must not throw away the
-// in-flight unit or count toward retiring the worker.
-func TestTransientPollBlipDoesNotDiscardUnit(t *testing.T) {
+// TestDroppedWorkConnectionRedispatches pins what a blip costs: a /work
+// connection dropped mid-unit fails that attempt and the unit is dispatched
+// again, so the sweep completes byte-identical even on the only worker.
+func TestDroppedWorkConnectionRedispatches(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 6)
 	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
 	if err != nil {
@@ -456,16 +477,15 @@ func TestTransientPollBlipDoesNotDiscardUnit(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	coord := fastCoordinator([]string{srv.URL}, spec)
-	coord.tune.workerFailureLimit = 1 // a single counted failure would retire the only worker
 	got, err := coord.Gather(context.Background(), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("sweep with poll blips differs from single-node gather")
+		t.Fatal("sweep with dropped /work connections differs from single-node gather")
 	}
-	if st := coord.Stats(); st.Retries != 0 {
-		t.Errorf("poll blips caused %d retries; units should not have been discarded", st.Retries)
+	if st := coord.Stats(); st.Retries < 2 {
+		t.Errorf("two dropped connections caused %d retries, want at least 2 re-dispatches", st.Retries)
 	}
 }
 
@@ -572,7 +592,7 @@ func TestConcurrentMerge(t *testing.T) {
 
 // TestOneUnitInFlightPerWorker pins the traffic that makes a per-worker
 // concurrency setting meaningless: in a fault-free sweep the coordinator
-// polls each unit to its end before dispatching the next to that worker,
+// waits for each unit's answer before dispatching the next to that worker,
 // so no worker ever has two units executing at once. It fails the day the
 // coordinator pipelines units to one worker.
 func TestOneUnitInFlightPerWorker(t *testing.T) {
@@ -585,10 +605,11 @@ func TestOneUnitInFlightPerWorker(t *testing.T) {
 		peaks[i] = peak
 		// The hook runs before the execution lock, and its sleep keeps a
 		// unit visible long enough for a pipelined second one to overlap it.
-		_, srv := startWorker(t, WorkerOptions{Name: "w", execHook: func(Unit) {
+		_, srv := startWorker(t, WorkerOptions{Name: "w", execHook: func(Unit) error {
 			storeMax(peak, cur.Add(1))
 			time.Sleep(2 * time.Millisecond)
 			cur.Add(-1)
+			return nil
 		}})
 		urls = append(urls, srv.URL)
 	}
@@ -613,7 +634,7 @@ func storeMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// endlessResult answers every /result poll with 200 and a JSON body that
+// endlessResult answers every /work with 200 and a JSON body that
 // never ends, delegating everything else to a real worker. It records the
 // most bytes one answer got written before the coordinator hung up, and
 // stops by itself at 64 MiB.
@@ -623,7 +644,7 @@ type endlessResult struct {
 }
 
 func (e *endlessResult) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/result" {
+	if r.URL.Path != "/work" {
 		e.inner.ServeHTTP(rw, r)
 		return
 	}
@@ -643,8 +664,8 @@ func (e *endlessResult) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	storeMax(&e.maxSent, int64(sent))
 }
 
-// TestEndlessResultBodyBounded: the coordinator reads a worker's /result
-// through a limit derived from the unit, so a worker streaming a body
+// TestEndlessResultBodyBounded: the coordinator reads a worker's /work
+// answer through a limit derived from the unit, so a worker streaming a body
 // without end fails its unit with a decode error after that limit (plus
 // whatever the transport buffers), and the sweep completes elsewhere.
 func TestEndlessResultBodyBounded(t *testing.T) {
@@ -654,7 +675,14 @@ func TestEndlessResultBodyBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	endless := &endlessResult{inner: NewWorker(WorkerOptions{Name: "endless"})}
-	endlessSrv := httptest.NewUnstartedServer(endless)
+	endlessStarted := make(chan struct{})
+	var once sync.Once
+	endlessSrv := httptest.NewUnstartedServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/work" {
+			once.Do(func() { close(endlessStarted) })
+		}
+		endless.ServeHTTP(rw, r)
+	}))
 	// A fixed send buffer: left to autotune, loopback TCP lets the server
 	// queue megabytes before the coordinator's hang-up reaches it.
 	endlessSrv.Config.ConnState = func(c net.Conn, s http.ConnState) {
@@ -664,7 +692,7 @@ func TestEndlessResultBodyBounded(t *testing.T) {
 	}
 	endlessSrv.Start()
 	t.Cleanup(endlessSrv.Close)
-	_, healthy := startWorker(t, WorkerOptions{Name: "healthy"})
+	_, healthy := startWorker(t, WorkerOptions{Name: "healthy", execHook: after(endlessStarted)})
 
 	coord := fastCoordinator([]string{endlessSrv.URL, healthy.URL}, spec)
 	var decodeFailures atomic.Int64
@@ -699,7 +727,8 @@ func TestEndlessResultBodyBounded(t *testing.T) {
 }
 
 // TestWorkerEndpoints covers the protocol edges: bad session fingerprints,
-// -sim enforcement, drain refusing work, unknown results.
+// -sim enforcement, a failed execution and its re-execution, drain refusing
+// work.
 func TestWorkerEndpoints(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 6)
 	sweep := SweepSpec{
@@ -762,14 +791,14 @@ func TestWorkerEndpoints(t *testing.T) {
 			}
 		}
 	}
-	// Unknown unit result.
-	resp, err := http.Get(srv.URL + "/result?session=" + sweep.Session + "&id=42")
+	// A unit's result is its /work answer; the worker has no result route.
+	gresp, err := http.Get(srv.URL + "/result?session=" + sweep.Session + "&id=0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown unit: HTTP %d, want 404", resp.StatusCode)
+	gresp.Body.Close()
+	if gresp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /result: HTTP %d, want 404", gresp.StatusCode)
 	}
 	// Drain refuses new work.
 	if resp := post("/drain", nil); resp.StatusCode != http.StatusOK {
@@ -793,10 +822,9 @@ func TestWorkerEndpoints(t *testing.T) {
 	}
 }
 
-// TestFailedUnitReexecutesOnRedispatch pins the retry contract: a unit
-// whose previous execution FAILED on this worker must run again when
-// re-dispatched — a cached error replayed as "done" would burn the
-// coordinator's retry budget without any actual retry.
+// TestFailedUnitReexecutesOnRedispatch pins that a worker keeps no failed
+// result: a failed execution answers 500 with its error, and the next /work
+// of the same unit executes it afresh.
 func TestFailedUnitReexecutesOnRedispatch(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 6)
 	sweep := SweepSpec{
@@ -809,53 +837,45 @@ func TestFailedUnitReexecutesOnRedispatch(t *testing.T) {
 	}
 	sweep.Session = sweep.Fingerprint()
 
-	w, srv := startWorker(t, WorkerOptions{Name: "w"})
-	post := func(path string, body any) int {
+	var failNext atomic.Bool
+	_, srv := startWorker(t, WorkerOptions{Name: "w", execHook: func(Unit) error {
+		if failNext.Swap(false) {
+			return errors.New("injected transient failure")
+		}
+		return nil
+	}})
+	post := func(path string, body any) *http.Response {
 		t.Helper()
 		blob, _ := json.Marshal(body)
 		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(blob))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp.StatusCode
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
 	}
-	if code := post("/register", sweep); code != http.StatusOK {
-		t.Fatalf("register: HTTP %d", code)
+	if resp := post("/register", sweep); resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: HTTP %d", resp.StatusCode)
 	}
-	// Simulate a transient failure having been recorded for unit 0.
-	w.mu.Lock()
-	w.units[0] = &unitState{status: statusDone, err: "injected transient failure"}
-	w.mu.Unlock()
-
-	if code := post("/work", WorkRequest{Session: sweep.Session, Unit: Unit{ID: 0, Start: 0, Count: 2}}); code != http.StatusAccepted {
-		t.Fatalf("re-dispatch of failed unit: HTTP %d", code)
+	work := WorkRequest{Session: sweep.Session, Unit: Unit{ID: 0, Start: 0, Count: 2}}
+	failNext.Store(true)
+	if resp := post("/work", work); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("failed execution: HTTP %d, want 500", resp.StatusCode)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(srv.URL + "/result?session=" + sweep.Session + "&id=0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		code := resp.StatusCode
-		resp.Body.Close()
-		if code == http.StatusOK {
-			break // re-executed and succeeded
-		}
-		if code != http.StatusAccepted {
-			t.Fatalf("re-dispatched unit polled HTTP %d: the stale error was replayed", code)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("re-dispatched unit never completed")
-		}
-		time.Sleep(2 * time.Millisecond)
+	resp := post("/work", work)
+	var res UnitResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("re-dispatch of failed unit: HTTP %d (%v): the stale error was replayed", resp.StatusCode, err)
+	}
+	if res.UnitID != 0 || res.Count != 2 || len(res.Timings) != 2 {
+		t.Errorf("re-executed result = unit %d count %d with %d timings", res.UnitID, res.Count, len(res.Timings))
 	}
 }
 
-// TestRepeatedGatherReexecutes pins the run-nonce contract: a second
-// identical sweep against the same long-lived workers re-executes every
-// unit instead of replaying the first run's cached results — on a real
-// timing backend those would be stale measurements.
+// TestRepeatedGatherReexecutes pins that a worker keeps no results: a
+// second identical sweep against the same long-lived workers re-executes
+// every unit instead of replaying the first run's — on a real timing
+// backend those would be stale measurements.
 func TestRepeatedGatherReexecutes(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 6) // 2 units of 3
 	w := NewWorker(WorkerOptions{Name: "w"})
@@ -883,56 +903,6 @@ func TestRepeatedGatherReexecutes(t *testing.T) {
 	// On the deterministic simulator the re-executed run still matches.
 	if !reflect.DeepEqual(got1, got2) {
 		t.Error("re-executed sweep differs on the deterministic backend")
-	}
-}
-
-// TestWorkerUnfetchedTracking pins the drain-linger primitive: a completed
-// result counts as unfetched until /result serves it.
-func TestWorkerUnfetchedTracking(t *testing.T) {
-	gcfg, spec := testGatherConfig(t, ops.GEMM, 4)
-	sweep := SweepSpec{
-		Op: "gemm", Timer: spec, Domain: gcfg.Domain, Seed: gcfg.Seed,
-		Candidates: gcfg.Candidates, Iters: gcfg.Iters,
-	}
-	sweep.Session = sweep.Fingerprint()
-	w, srv := startWorker(t, WorkerOptions{Name: "w"})
-
-	blob, _ := json.Marshal(sweep)
-	resp, err := http.Post(srv.URL+"/register", "application/json", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	blob, _ = json.Marshal(WorkRequest{Session: sweep.Session, Unit: Unit{ID: 0, Start: 0, Count: 2}})
-	resp, err = http.Post(srv.URL+"/work", "application/json", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for w.Unfetched() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("unit never reached the unfetched-done state")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	resp, err = http.Get(srv.URL + "/result?session=" + sweep.Session + "&id=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("result: HTTP %d", resp.StatusCode)
-	}
-	if n := w.Unfetched(); n != 0 {
-		t.Errorf("Unfetched after serving the result = %d, want 0", n)
-	}
-	// WaitFetched returns immediately once everything is fetched.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := w.WaitFetched(ctx); err != nil {
-		t.Errorf("WaitFetched = %v", err)
 	}
 }
 

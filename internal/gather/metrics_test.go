@@ -61,11 +61,11 @@ func TestWorkerReadinessLifecycle(t *testing.T) {
 	// Register a sweep: readiness flips.
 	sweep := SweepSpec{
 		Op: "gemm", Timer: spec, Domain: gcfg.Domain, Seed: gcfg.Seed,
-		Candidates: gcfg.Candidates, Iters: gcfg.Iters, Run: "r1",
+		Candidates: gcfg.Candidates, Iters: gcfg.Iters,
 	}
 	sweep.Session = sweep.Fingerprint()
 	coord := fastCoordinator([]string{srv.URL}, spec)
-	if err := coord.postJSON(context.Background(), srv.URL+"/register", sweep, nil); err != nil {
+	if _, err := coord.register(context.Background(), srv.URL, sweep); err != nil {
 		t.Fatal(err)
 	}
 	if code, st := probe("/healthz"); code != http.StatusOK || st.Status != "ok" || !st.Registered {

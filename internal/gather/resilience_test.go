@@ -1,7 +1,9 @@
 package gather
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"reflect"
 	"sync"
@@ -14,84 +16,81 @@ import (
 	"repro/internal/retry"
 )
 
-// TestDrainVsInflightResultRace races POST /drain against a unit mid-
-// execution: drain must refuse new work immediately, wait for the in-flight
-// unit, and keep its completed result fetchable — a rolling restart must
-// not throw away minutes of timing work. Run under -race this also pins the
-// drain/exec synchronisation.
+// TestDrainVsInflightResultRace races POST /drain against a /work
+// mid-execution: drain must refuse new work at once, while the executing
+// request still answers 200 with the unit's full result — a rolling restart
+// must not throw away minutes of timing work. Run under -race this also pins
+// the drain/exec synchronisation.
 func TestDrainVsInflightResultRace(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 3)
-	w, srv := startWorker(t, WorkerOptions{
+	executing := make(chan struct{})
+	release := make(chan struct{})
+	_, srv := startWorker(t, WorkerOptions{
 		Name: "w1",
-		// Long enough that drain reliably lands while the unit is in flight.
-		execHook: func(Unit) { time.Sleep(60 * time.Millisecond) },
+		// Hold the unit in execution until drain has landed.
+		execHook: func(Unit) error {
+			close(executing)
+			<-release
+			return nil
+		},
 	})
+	// A failed check below must not leave the handler blocked when the
+	// server closes.
+	unblock := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unblock)
 
 	sweep := SweepSpec{
 		Op: "gemm", Timer: spec, Domain: gcfg.Domain, Seed: gcfg.Seed,
-		Candidates: gcfg.Candidates, Iters: gcfg.Iters, Run: "r1",
+		Candidates: gcfg.Candidates, Iters: gcfg.Iters,
 	}
 	sweep.Session = sweep.Fingerprint()
 	coord := fastCoordinator([]string{srv.URL}, spec)
 	ctx := context.Background()
-	if err := coord.postJSON(ctx, srv.URL+"/register", sweep, nil); err != nil {
+	if _, err := coord.register(ctx, srv.URL, sweep); err != nil {
 		t.Fatal(err)
 	}
 	unit := Unit{ID: 0, Start: 0, Count: 3}
-	if err := coord.postJSON(ctx, srv.URL+"/work", WorkRequest{Session: sweep.Session, Unit: unit}, nil); err != nil {
-		t.Fatal(err)
+	type answer struct {
+		res *UnitResult
+		err error
 	}
+	answered := make(chan answer, 1)
+	go func() {
+		res, err := coord.runUnit(ctx, srv.URL, sweep, unit)
+		answered <- answer{res, err}
+	}()
 
 	// Drain while the unit executes: the HTTP handler flips the flag at
-	// once; Worker.Drain blocks until the in-flight unit lands.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		resp, err := http.Post(srv.URL+"/drain", "application/json", nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("/drain answered HTTP %d", resp.StatusCode)
-		}
-	}()
-	wg.Wait()
+	// once.
+	<-executing
+	resp, err := http.Post(srv.URL+"/drain", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/drain answered HTTP %d", resp.StatusCode)
+	}
 
 	// New work is refused the moment draining starts...
-	err := coord.postJSON(ctx, srv.URL+"/work",
-		WorkRequest{Session: sweep.Session, Unit: Unit{ID: 1, Start: 3, Count: 3}}, nil)
-	if err == nil {
-		t.Error("draining worker accepted new work")
+	blob, _ := json.Marshal(WorkRequest{Session: sweep.Session, Unit: Unit{ID: 1, Start: 3, Count: 3}})
+	resp, err = http.Post(srv.URL+"/work", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("draining worker answered new work with HTTP %d, want 503", resp.StatusCode)
 	}
 
-	// ...but the in-flight unit completes and its result stays fetchable.
-	drainCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	if err := w.Drain(drainCtx); err != nil {
-		t.Fatalf("Drain did not settle: %v", err)
+	// ...but the executing unit completes and answers with its result.
+	unblock()
+	a := <-answered
+	if a.err != nil {
+		t.Fatalf("in-flight unit after drain: %v", a.err)
 	}
-	if w.Unfetched() != 1 {
-		t.Fatalf("Unfetched = %d after drain, want the completed unit", w.Unfetched())
-	}
-	res, pending, err := coord.getResult(ctx, srv.URL+"/result?session="+sweep.Session+"&id=0",
-		resultLimit(unit.Count, len(sweep.Candidates)))
-	if err != nil || pending {
-		t.Fatalf("result after drain: (pending=%v, %v)", pending, err)
-	}
-	if res.UnitID != 0 || res.Start != 0 || res.Count != 3 || len(res.Timings) != 3 {
+	if res := a.res; res.UnitID != 0 || res.Start != 0 || res.Count != 3 || len(res.Timings) != 3 {
 		t.Errorf("drained result = unit %d [%d,%d) with %d timings", res.UnitID, res.Start, res.Count, len(res.Timings))
-	}
-	// The lingering daemon may now exit: everything is fetched.
-	if w.Unfetched() != 0 {
-		t.Errorf("Unfetched = %d after fetch, want 0", w.Unfetched())
-	}
-	fetchCtx, cancel2 := context.WithTimeout(ctx, time.Second)
-	defer cancel2()
-	if err := w.WaitFetched(fetchCtx); err != nil {
-		t.Errorf("WaitFetched after full fetch: %v", err)
 	}
 }
 

@@ -1,12 +1,10 @@
 package gather
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,30 +30,23 @@ type WorkerOptions struct {
 	// noisy on big sweeps. Nil falls back to Logf, so embedders that wire
 	// only one sink keep today's behaviour.
 	DebugLogf func(format string, args ...any)
-	// execHook, when non-nil, runs first in every unit's execution
-	// goroutine, before the unit takes the execution lock: the point where
-	// the slow-worker tests inject delay and where the in-flight test counts.
-	execHook func(Unit)
-}
-
-// unitState tracks one dispatched unit on the worker.
-type unitState struct {
-	status  string // statusRunning or statusDone
-	err     string // non-empty: execution failed
-	fetched bool   // a successful result has been served to the coordinator
-	result  *UnitResult
+	// execHook, when non-nil, runs first in every unit's execution, before
+	// the unit takes the execution lock: the point where tests inject delay
+	// or a failed execution (a non-nil error) and where the in-flight test
+	// counts.
+	execHook func(Unit) error
 }
 
 // Worker executes timing-sweep work units for a coordinator. It is an
-// http.Handler exposing /register, /work, /result, /healthz and /drain; the
-// cmd/adsala-worker daemon mounts it behind an http.Server.
+// http.Handler exposing /register, /work, /healthz, /livez, /metrics and
+// /drain; the cmd/adsala-worker daemon mounts it behind an http.Server.
 //
 // Protocol: the coordinator POSTs the SweepSpec to /register (building the
-// timing backend from the wire Spec), POSTs units to /work (accepted and
-// executed asynchronously, one at a time), and polls
-// GET /result?session=&id= until the unit reports done. /drain stops the
-// worker accepting new units while in-flight ones finish — the graceful
-// shutdown path.
+// timing backend from the wire Spec), then POSTs units to /work, which
+// executes the unit inside the request, one at a time, and answers with its
+// UnitResult. /drain stops the worker accepting new units while the
+// executing one finishes; the daemon's graceful shutdown
+// (http.Server.Shutdown) waits for that request in the same way.
 type Worker struct {
 	opts WorkerOptions
 	mux  *http.ServeMux
@@ -64,7 +55,6 @@ type Worker struct {
 	execMu sync.Mutex
 
 	draining atomic.Bool
-	inflight sync.WaitGroup
 	running  atomic.Int64
 
 	reg            *obs.Registry
@@ -75,11 +65,9 @@ type Worker struct {
 
 	mu      sync.Mutex
 	session string
-	run     string
 	spec    SweepSpec
 	op      ops.Op
 	timer   simtime.Timer
-	units   map[int]*unitState
 }
 
 // NewWorker returns a Worker with the given options.
@@ -94,10 +82,9 @@ func NewWorker(opts WorkerOptions) *Worker {
 		opts.DebugLogf = opts.Logf
 	}
 	w := &Worker{
-		opts:  opts,
-		mux:   http.NewServeMux(),
-		units: make(map[int]*unitState),
-		reg:   obs.NewRegistry(),
+		opts: opts,
+		mux:  http.NewServeMux(),
+		reg:  obs.NewRegistry(),
 	}
 	w.unitsAccepted = w.reg.Counter("adsala_worker_units_accepted_total",
 		"Work units accepted for execution.")
@@ -128,12 +115,8 @@ func NewWorker(opts WorkerOptions) *Worker {
 			}
 			return 0
 		})
-	w.reg.GaugeFunc("adsala_worker_results_unfetched",
-		"Completed results not yet collected by a coordinator.",
-		func() float64 { return float64(w.Unfetched()) })
 	w.mux.HandleFunc("/register", w.handleRegister)
 	w.mux.HandleFunc("/work", w.handleWork)
-	w.mux.HandleFunc("/result", w.handleResult)
 	w.mux.HandleFunc("/healthz", w.handleHealthz)
 	w.mux.HandleFunc("/livez", w.handleLivez)
 	w.mux.HandleFunc("/drain", w.handleDrain)
@@ -154,24 +137,6 @@ func (w *Worker) EnablePprof() { obs.MountPprof(w.mux) }
 
 // ServeHTTP implements http.Handler.
 func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) { w.mux.ServeHTTP(rw, r) }
-
-// Drain stops the worker accepting new units and waits for in-flight ones
-// to finish (or ctx to expire). Completed results stay queryable via
-// /result until the process exits.
-func (w *Worker) Drain(ctx context.Context) error {
-	w.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		w.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
 
 func writeJSON(rw http.ResponseWriter, status int, v any) {
 	rw.Header().Set("Content-Type", "application/json")
@@ -244,18 +209,13 @@ func (w *Worker) handleRegister(rw http.ResponseWriter, r *http.Request) {
 	}
 
 	w.mu.Lock()
-	if w.session != spec.Session || w.run != spec.Run {
-		// A new sweep — or a fresh run of the same sweep — supersedes the
-		// previous unit state; results of in-flight old units are discarded
-		// when they land. Resetting on a new Run is what makes a repeated
-		// real-timing install re-measure instead of replaying cached
-		// wall-clock data from the previous run.
+	if w.session != spec.Session {
+		// A new sweep supersedes the previous one; a unit of the old sweep
+		// still executing finishes against the spec it started with.
 		w.session = spec.Session
-		w.run = spec.Run
 		w.spec = spec
 		w.op = op
 		w.timer = timer
-		w.units = make(map[int]*unitState)
 	}
 	w.mu.Unlock()
 	w.opts.Logf("registered sweep %s: op=%s backend=%s candidates=%d iters=%d",
@@ -289,35 +249,26 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusConflict, "session %q is not registered", req.Session)
 		return
 	}
-	if st, ok := w.units[req.Unit.ID]; ok && st.err == "" {
-		// Re-dispatch of a unit this worker already has running or done
-		// (e.g. after a coordinator-side poll failure): idempotent. A unit
-		// that FAILED falls through instead — caching the error would turn
-		// every retry into a replay of the stale failure, retiring a
-		// healthy worker without ever re-executing.
-		status := st.status
-		w.mu.Unlock()
-		writeJSON(rw, http.StatusAccepted, StatusResponse{Status: status})
-		return
-	}
-	w.units[req.Unit.ID] = &unitState{status: statusRunning}
-	session, run, spec, op, timer := w.session, w.run, w.spec, w.op, w.timer
+	spec, op, timer := w.spec, w.op, w.timer
 	w.mu.Unlock()
 
-	w.unitsAccepted.Inc()
-	w.inflight.Add(1)
-	go w.exec(session, run, spec, op, timer, req.Unit)
-	writeJSON(rw, http.StatusAccepted, StatusResponse{Status: statusAccepted})
+	res, err := w.exec(spec, op, timer, req.Unit)
+	if err != nil {
+		writeError(rw, http.StatusInternalServerError, "unit %d failed: %v", req.Unit.ID, err)
+		return
+	}
+	writeJSON(rw, http.StatusOK, res)
 }
 
-// exec runs one unit to completion and records its state. Units execute
+// exec runs one unit to completion under the execution lock. Units execute
 // through exactly the single-node sweep code path (core.SampleOpShapes +
 // core.MeasureSweep), which is what makes the distributed merge reproduce
 // the local gather.
-func (w *Worker) exec(session, run string, spec SweepSpec, op ops.Op, timer simtime.Timer, u Unit) {
-	defer w.inflight.Done()
+func (w *Worker) exec(spec SweepSpec, op ops.Op, timer simtime.Timer, u Unit) (*UnitResult, error) {
+	w.unitsAccepted.Inc()
+	var hookErr error
 	if w.opts.execHook != nil {
-		w.opts.execHook(u)
+		hookErr = w.opts.execHook(u)
 	}
 	w.execMu.Lock()
 	defer w.execMu.Unlock()
@@ -326,31 +277,18 @@ func (w *Worker) exec(session, run string, spec SweepSpec, op ops.Op, timer simt
 
 	start := time.Now()
 	res, err := runUnit(spec, op, timer, u, w.opts.Name)
+	if hookErr != nil { // an injected failure replaces the result
+		res, err = nil, hookErr
+	}
 	w.unitSeconds.ObserveSince(start)
 	if err != nil {
 		w.unitsFailed.Inc()
-	} else {
-		w.unitsCompleted.Inc()
-	}
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.session != session || w.run != run {
-		return // superseded by a new registration; drop the stale result
-	}
-	st := w.units[u.ID]
-	if st == nil {
-		return
-	}
-	if err != nil {
-		st.status = statusDone
-		st.err = err.Error()
 		w.opts.DebugLogf("unit %d failed: %v", u.ID, err)
-		return
+		return nil, err
 	}
-	st.status = statusDone
-	st.result = res
+	w.unitsCompleted.Inc()
 	w.opts.DebugLogf("unit %d done: shapes [%d, %d)", u.ID, u.Start, u.Start+u.Count)
+	return res, nil
 }
 
 // runUnit executes one unit against the spec and returns its result.
@@ -373,83 +311,11 @@ func runUnit(spec SweepSpec, op ops.Op, timer simtime.Timer, u Unit, worker stri
 	}, nil
 }
 
-func (w *Worker) handleResult(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(rw, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
-	query := r.URL.Query()
-	session := query.Get("session")
-	id, err := strconv.Atoi(query.Get("id"))
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, "query parameter %q: want a unit id", "id")
-		return
-	}
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.session == "" || session != w.session {
-		writeError(rw, http.StatusConflict, "session %q is not registered", session)
-		return
-	}
-	st, ok := w.units[id]
-	if !ok {
-		writeError(rw, http.StatusNotFound, "unit %d is not known to this worker", id)
-		return
-	}
-	switch {
-	case st.status == statusRunning:
-		writeJSON(rw, http.StatusAccepted, StatusResponse{Status: statusRunning})
-	case st.err != "":
-		writeError(rw, http.StatusInternalServerError, "unit %d failed: %s", id, st.err)
-	default:
-		st.fetched = true
-		writeJSON(rw, http.StatusOK, st.result)
-	}
-}
-
-// Unfetched returns the number of successfully completed units whose result
-// has not yet been served to a coordinator — the work a draining daemon
-// should linger for so it is not thrown away.
-func (w *Worker) Unfetched() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := 0
-	for _, st := range w.units {
-		if st.status == statusDone && st.err == "" && !st.fetched {
-			n++
-		}
-	}
-	return n
-}
-
-// WaitFetched blocks until every completed result has been fetched or ctx
-// expires — the post-drain linger that lets the coordinator collect the
-// final in-flight units before the daemon exits.
-func (w *Worker) WaitFetched(ctx context.Context) error {
-	for {
-		if w.Unfetched() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-}
-
 // statusBody assembles the shared health payload and whether the worker is
 // ready for coordinator traffic: registered and not draining.
 func (w *Worker) statusBody() (StatusResponse, bool) {
 	w.mu.Lock()
 	session := w.session
-	completed := 0
-	for _, st := range w.units {
-		if st.status == statusDone {
-			completed++
-		}
-	}
 	w.mu.Unlock()
 	draining := w.draining.Load()
 	status := "ok"
@@ -463,7 +329,7 @@ func (w *Worker) statusBody() (StatusResponse, bool) {
 		Status:     status,
 		Session:    session,
 		Registered: session != "",
-		Completed:  completed,
+		Completed:  int(w.unitsCompleted.Value()),
 		Inflight:   int(w.running.Load()),
 		Draining:   draining,
 	}, status == "ok"

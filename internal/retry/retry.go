@@ -1,10 +1,11 @@
 // Package retry is the one retry/backoff implementation shared by every
 // component that talks over a network: the serve client, the gather
-// coordinator, and anything later that needs to survive transient failure.
-// It provides capped exponential backoff with deterministic-seedable jitter,
-// per-attempt deadlines, a total wall-clock budget propagated through
-// context.Context, and a typed retryable-vs-fatal error split so callers
-// classify failures once instead of re-implementing ad-hoc loops.
+// coordinator's worker registration, and anything later that needs to
+// survive transient failure. It provides capped exponential backoff with
+// deterministic-seedable jitter, per-attempt deadlines, and a typed
+// retryable-vs-fatal error split so callers classify failures once instead
+// of re-implementing ad-hoc loops. The caller's context bounds the whole
+// loop.
 //
 // The default classification is optimistic: every error is retryable unless
 // wrapped with Fatal. That matches the call sites — transport errors,
@@ -26,9 +27,8 @@ import (
 // defaults; policies are plain values, safe to copy and share.
 type Policy struct {
 	// MaxAttempts bounds the number of operation invocations (not
-	// re-invocations): 1 means no retry at all. 0 selects the default (4).
-	// Negative means unbounded — the Budget or the caller's context must
-	// then terminate the loop.
+	// re-invocations): 1 means no retry at all. 0 or less selects the
+	// default (4).
 	MaxAttempts int
 	// Initial is the backoff before the second attempt (default 50ms).
 	Initial time.Duration
@@ -44,11 +44,6 @@ type Policy struct {
 	// context that expires this long after it starts. 0 means no
 	// per-attempt deadline beyond the caller's context.
 	AttemptTimeout time.Duration
-	// Budget bounds the whole loop — attempts plus backoffs — as a
-	// deadline on the derived context, so it propagates into the operation
-	// and into any nested retry.Do. 0 means no budget beyond the caller's
-	// context.
-	Budget time.Duration
 	// Rand supplies jitter randomness in [0, 1); nil selects the global
 	// math/rand source. Tests inject a seeded source for determinism.
 	Rand func() float64
@@ -63,29 +58,29 @@ type Policy struct {
 
 // Defaults for the zero Policy.
 const (
-	DefaultMaxAttempts = 4
-	DefaultInitial     = 50 * time.Millisecond
-	DefaultMax         = 2 * time.Second
-	DefaultMultiplier  = 2.0
-	DefaultJitter      = 0.2
+	defaultMaxAttempts = 4
+	defaultInitial     = 50 * time.Millisecond
+	defaultMax         = 2 * time.Second
+	defaultMultiplier  = 2.0
+	defaultJitter      = 0.2
 )
 
 // norm returns the policy with defaults applied.
 func (p Policy) norm() Policy {
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = DefaultMaxAttempts
+	if p.MaxAttempts <= 0 {
+		p.MaxAttempts = defaultMaxAttempts
 	}
 	if p.Initial <= 0 {
-		p.Initial = DefaultInitial
+		p.Initial = defaultInitial
 	}
 	if p.Max <= 0 {
-		p.Max = DefaultMax
+		p.Max = defaultMax
 	}
 	if p.Multiplier < 1 {
-		p.Multiplier = DefaultMultiplier
+		p.Multiplier = defaultMultiplier
 	}
 	if p.Jitter < 0 || p.Jitter > 1 {
-		p.Jitter = DefaultJitter
+		p.Jitter = defaultJitter
 	}
 	if p.Rand == nil {
 		p.Rand = globalFloat64
@@ -120,10 +115,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Backoff returns the wait before attempt+2 (Backoff(0) is the wait after
+// backoff returns the wait before attempt+2 (backoff(0) is the wait after
 // the first failure) for a normalised policy, before jitter: capped
 // exponential growth Initial * Multiplier^attempt.
-func (p Policy) Backoff(attempt int) time.Duration {
+func (p Policy) backoff(attempt int) time.Duration {
 	p = p.norm()
 	b := float64(p.Initial)
 	for i := 0; i < attempt; i++ {
@@ -189,27 +184,21 @@ func (e *ExhaustedError) Error() string {
 func (e *ExhaustedError) Unwrap() error { return e.Last }
 
 // Do runs op under the policy until it succeeds, returns a fatal error, the
-// attempts are exhausted, or the context (including the policy Budget)
-// expires. The context passed to op carries the per-attempt deadline when
-// AttemptTimeout is set and always carries the budget deadline, so the
-// operation's own network calls inherit both.
+// attempts are exhausted, or the context expires. The context passed to op
+// carries the per-attempt deadline when AttemptTimeout is set, so the
+// operation's own network calls inherit it.
 //
 // The returned error is nil on success; the fatal error as marked; an
 // *ExhaustedError wrapping the last attempt's error when retries ran out;
-// or the context error when the caller's context or the budget expired
-// between attempts. When the budget expires the last attempt error (if any)
-// is attached via ExhaustedError so the caller sees why the time was spent.
+// or the context error when the caller's context expired between attempts,
+// with the last attempt error (if any) attached via ExhaustedError so the
+// caller sees why the time was spent.
 func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error {
 	p = p.norm()
-	if p.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Budget)
-		defer cancel()
-	}
 	var last error
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return budgetError(err, attempt-1, last)
+			return expiredError(err, attempt-1, last)
 		}
 		actx := ctx
 		var cancel context.CancelFunc = func() {}
@@ -225,38 +214,24 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 			return err
 		}
 		last = err
-		if p.MaxAttempts > 0 && attempt >= p.MaxAttempts {
+		if attempt >= p.MaxAttempts {
 			return &ExhaustedError{Attempts: attempt, Last: last}
 		}
-		backoff := p.jittered(p.Backoff(attempt - 1))
+		backoff := p.jittered(p.backoff(attempt - 1))
 		if p.OnRetry != nil {
 			p.OnRetry(attempt, err, backoff)
 		}
 		if err := p.Sleep(ctx, backoff); err != nil {
-			return budgetError(err, attempt, last)
+			return expiredError(err, attempt, last)
 		}
 	}
 }
 
-// budgetError wraps a context expiry with the last attempt error when one
-// exists, so "the budget ran out" still explains what it ran out doing.
-func budgetError(ctxErr error, attempts int, last error) error {
+// expiredError wraps a context expiry with the last attempt error when one
+// exists, so "the context ran out" still explains what it ran out doing.
+func expiredError(ctxErr error, attempts int, last error) error {
 	if last == nil {
 		return ctxErr
 	}
 	return &ExhaustedError{Attempts: attempts, Last: fmt.Errorf("%w (last error: %v)", ctxErr, last)}
-}
-
-// DoValue is Do for operations producing a value.
-func DoValue[T any](ctx context.Context, p Policy, op func(ctx context.Context) (T, error)) (T, error) {
-	var out T
-	err := Do(ctx, p, func(ctx context.Context) error {
-		v, err := op(ctx)
-		if err != nil {
-			return err
-		}
-		out = v
-		return nil
-	})
-	return out, err
 }
