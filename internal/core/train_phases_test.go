@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/ml"
+	"repro/internal/ml/tune"
 	"repro/internal/ops"
 )
 
@@ -128,6 +129,65 @@ func TestTrainPhases(t *testing.T) {
 	}
 	if log.maxFitting < 2 {
 		t.Errorf("at most %d fit in flight at GOMAXPROCS 4, want the families fitted side by side", log.maxFitting)
+	}
+}
+
+// fitCounter is a real model that counts its Fit calls.
+type fitCounter struct {
+	ml.Regressor
+	fits *int
+}
+
+func (m fitCounter) Fit(X [][]float64, y []float64) error {
+	*m.fits++
+	return m.Regressor.Fit(X, y)
+}
+
+// TestFitFamilyFitsWinnerOnce: a one-point grid is fitted once, with no
+// cross validation; a two-point grid cross-validates both points over the k
+// folds and then fits the winner once more on the whole training part.
+func TestFitFamilyFitsWinnerOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	X := make([][]float64, 60)
+	y := make([]float64, len(X))
+	for i := range X {
+		X[i] = []float64{rng.Float64(), rng.Float64()}
+		y[i] = 2*X[i][0] - X[i][1]
+	}
+	sw := &sweep{trainX: X[:45], trainY: y[:45], testX: X[45:], testY: y[45:]}
+	cfg := TrainConfig{TuneFolds: 3}
+	for _, spec := range DefaultModels(1, true) {
+		if len(spec.Grid) > 2 {
+			spec.Grid = spec.Grid[:2]
+		}
+		built, fits := make([]int, len(spec.Grid)), make([]int, len(spec.Grid))
+		for i, c := range spec.Grid {
+			spec.Grid[i].Factory = func() ml.Regressor {
+				built[i]++
+				return fitCounter{c.Factory(), &fits[i]}
+			}
+		}
+		f, err := sw.fitFamily(cfg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win := slices.IndexFunc(spec.Grid, func(c tune.Candidate) bool { return c.Label == f.grid })
+		cv := 0
+		if len(spec.Grid) > 1 {
+			cv = cfg.TuneFolds
+		}
+		for i := range spec.Grid {
+			want := cv
+			if i == win {
+				want++
+			}
+			if built[i] != want || fits[i] != want {
+				t.Errorf("%s point %d (winner %d): built %d, fitted %d, want %d", spec.Name, i, win, built[i], fits[i], want)
+			}
+		}
+		if win < 0 || f.model.(fitCounter).fits != &fits[win] {
+			t.Errorf("%s: fitFamily returned grid %q and another point's model", spec.Name, f.grid)
+		}
 	}
 }
 

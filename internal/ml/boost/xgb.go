@@ -95,17 +95,25 @@ func (x *XGB) Fit(X [][]float64, y []float64) error {
 	}
 	grad := make([]float64, n)
 
-	// Pre-sorted feature orders, computed once and reused every round (the
-	// "exact greedy" block structure of the XGBoost paper).
-	orders := make([][]int, d)
+	// Pre-sorted feature columns, computed once and reused every round (the
+	// "exact greedy" column blocks of the XGBoost paper), then the rows in
+	// index order.
+	sorted := make([]xgbEntry, (d+1)*n)
 	for f := 0; f < d; f++ {
-		ord := make([]int, n)
-		for i := range ord {
-			ord[i] = i
+		col := sorted[f*n : (f+1)*n]
+		for i := range col {
+			col[i] = xgbEntry{X[i][f], i}
 		}
-		slices.SortFunc(ord, func(a, b int) int { return compareFloat(X[a][f], X[b][f]) })
-		orders[f] = ord
+		slices.SortFunc(col, func(a, b xgbEntry) int { return compareFloat(a.x, b.x) })
 	}
+	for i := range n {
+		sorted[d*n+i].row = i
+	}
+	b := &xgbBuilder{
+		grad: grad, p: p, d: d, n: n,
+		segs: make([]xgbEntry, (d+1)*n), scratch: make([]xgbEntry, n), left: make([]bool, n),
+	}
+	inSample := make([]bool, n)
 
 	rng := newSplitMix(uint64(p.Seed) + 0x1234)
 	x.Trees = x.Trees[:0]
@@ -113,7 +121,6 @@ func (x *XGB) Fit(X [][]float64, y []float64) error {
 		for i := range grad {
 			grad[i] = pred[i] - y[i] // squared loss gradient; hessian = 1
 		}
-		inSample := make([]bool, n)
 		if p.Subsample < 1 {
 			for i := range inSample {
 				inSample[i] = rng.float64() < p.Subsample
@@ -123,16 +130,9 @@ func (x *XGB) Fit(X [][]float64, y []float64) error {
 				inSample[i] = true
 			}
 		}
-		b := &xgbBuilder{X: X, grad: grad, in: inSample, orders: orders, p: p}
-		members := make([]bool, n)
-		for i := range members {
-			members[i] = inSample[i]
-		}
-		root := b.build(members, 0)
-		if len(b.nodes) == 0 {
-			break
-		}
-		_ = root
+		m := b.sample(sorted, inSample)
+		b.nodes = nil
+		b.build(0, m, 0)
 		x.Trees = append(x.Trees, b.nodes)
 		// Update predictions with the new tree.
 		for i := 0; i < n; i++ {
@@ -167,26 +167,54 @@ func evalTree(nodes []xgbNode, v []float64) float64 {
 	return nodes[i].Value
 }
 
-type xgbBuilder struct {
-	X      [][]float64
-	grad   []float64
-	in     []bool
-	orders [][]int
-	p      XGBParams
-	nodes  []xgbNode
+// xgbEntry is one row's value in one feature column.
+type xgbEntry struct {
+	x   float64
+	row int
 }
 
-// build grows one node over the member mask and returns its index.
-func (b *xgbBuilder) build(members []bool, depth int) int {
-	var g, h float64
-	cnt := 0
-	for i, m := range members {
-		if m {
-			g += b.grad[i]
-			h++ // hessian 1 per sample
-			cnt++
+// xgbBuilder grows one tree over the round's sample. segs holds d+1
+// segments of n entries: one per feature column sorted by value, then the
+// rows in index order. A node owns the same range [lo, hi) of every
+// segment, and a split partitions that range stably into left then right,
+// so each node scans only its own rows, in the order the whole segment
+// would visit them.
+type xgbBuilder struct {
+	grad    []float64
+	p       XGBParams
+	d, n    int
+	segs    []xgbEntry
+	scratch []xgbEntry // the right part during a partition
+	left    []bool     // by row: does the split being applied send it left
+	nodes   []xgbNode
+}
+
+// seg returns range [lo, hi) of segment s.
+func (b *xgbBuilder) seg(s, lo, hi int) []xgbEntry { return b.segs[s*b.n+lo : s*b.n+hi] }
+
+// sample fills every segment with the in-sample rows of sorted, in its
+// order, and returns their count.
+func (b *xgbBuilder) sample(sorted []xgbEntry, in []bool) int {
+	m := 0
+	for s := 0; s <= b.d; s++ {
+		m = 0
+		for _, e := range sorted[s*b.n : (s+1)*b.n] {
+			if in[e.row] {
+				b.segs[s*b.n+m] = e
+				m++
+			}
 		}
 	}
+	return m
+}
+
+// build grows one node over the range [lo, hi) and returns its index.
+func (b *xgbBuilder) build(lo, hi, depth int) int {
+	var g float64
+	for _, e := range b.seg(b.d, lo, hi) { // ascending row index
+		g += b.grad[e.row]
+	}
+	h := float64(hi - lo) // hessian 1 per sample
 	leafValue := 0.0
 	if h+b.p.Lambda > 0 {
 		leafValue = -g / (h + b.p.Lambda)
@@ -195,25 +223,20 @@ func (b *xgbBuilder) build(members []bool, depth int) int {
 		b.nodes = append(b.nodes, xgbNode{Feature: -1, Value: leafValue})
 		return len(b.nodes) - 1
 	}
-	if depth >= b.p.MaxDepth || cnt < 2 || h < 2*b.p.MinChildWeight {
+	if depth >= b.p.MaxDepth || hi-lo < 2 || h < 2*b.p.MinChildWeight {
 		return mkLeaf()
 	}
 
-	// Exact greedy split search using the pre-sorted orders.
+	// Exact greedy split search over the node's sorted column ranges.
 	baseScore := g * g / (h + b.p.Lambda)
 	bestGain := b.p.Gamma + 1e-12
 	bestF, bestThr := -1, 0.0
-	d := len(b.X[0])
-	for f := 0; f < d; f++ {
+	for f := 0; f < b.d; f++ {
 		var lg, lh float64
-		ord := b.orders[f]
 		prevX := math.Inf(-1)
 		prevSeen := false
-		for _, i := range ord {
-			if !members[i] {
-				continue
-			}
-			xi := b.X[i][f]
+		for _, e := range b.seg(f, lo, hi) {
+			xi := e.x
 			if prevSeen && xi != prevX && lh >= b.p.MinChildWeight && h-lh >= b.p.MinChildWeight {
 				rg, rh := g-lg, h-lh
 				gain := 0.5 * (lg*lg/(lh+b.p.Lambda) + rg*rg/(rh+b.p.Lambda) - baseScore)
@@ -221,7 +244,7 @@ func (b *xgbBuilder) build(members []bool, depth int) int {
 					bestGain, bestF, bestThr = gain, f, prevX+(xi-prevX)/2
 				}
 			}
-			lg += b.grad[i]
+			lg += b.grad[e.row]
 			lh++
 			prevX, prevSeen = xi, true
 		}
@@ -230,25 +253,38 @@ func (b *xgbBuilder) build(members []bool, depth int) int {
 		return mkLeaf()
 	}
 
-	leftM := make([]bool, len(members))
-	rightM := make([]bool, len(members))
-	for i, m := range members {
-		if !m {
-			continue
-		}
-		if b.X[i][bestF] <= bestThr {
-			leftM[i] = true
-		} else {
-			rightM[i] = true
-		}
+	for _, e := range b.seg(bestF, lo, hi) {
+		b.left[e.row] = e.x <= bestThr
+	}
+	mid := lo
+	for s := 0; s <= b.d; s++ {
+		mid = lo + b.partition(b.seg(s, lo, hi))
 	}
 	self := len(b.nodes)
 	b.nodes = append(b.nodes, xgbNode{Feature: bestF, Threshold: bestThr})
-	l := b.build(leftM, depth+1)
-	r := b.build(rightM, depth+1)
+	l := b.build(lo, mid, depth+1)
+	r := b.build(mid, hi, depth+1)
 	b.nodes[self].Left = l
 	b.nodes[self].Right = r
 	return self
+}
+
+// partition moves the entries whose row goes left to the front of seg and
+// the others after them, each part in its old order, and returns the size
+// of the left part.
+func (b *xgbBuilder) partition(seg []xgbEntry) int {
+	nl, nr := 0, 0
+	for _, e := range seg {
+		if b.left[e.row] {
+			seg[nl] = e
+			nl++
+		} else {
+			b.scratch[nr] = e
+			nr++
+		}
+	}
+	copy(seg[nl:], b.scratch[:nr])
+	return nl
 }
 
 // splitMix is a tiny deterministic PRNG for row subsampling.

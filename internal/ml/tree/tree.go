@@ -82,7 +82,10 @@ func (t *Regressor) FitWeighted(X [][]float64, y, w []float64) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	g := &grower{X: X, y: y, w: w, p: p, rng: rand.New(rand.NewSource(p.Seed + 1))}
+	g := &grower{
+		X: X, y: y, w: w, p: p, rng: rand.New(rand.NewSource(p.Seed + 1)),
+		feats: make([]int, len(X[0])), order: make([]xrow, len(y)),
+	}
 	t.Root = g.grow(idx, 0)
 	return nil
 }
@@ -155,6 +158,16 @@ type grower struct {
 	w   []float64
 	p   Params
 	rng *rand.Rand
+	// feats and order are bestSplit's scratch, reused at every node.
+	feats []int
+	order []xrow
+}
+
+// xrow is one row's value of the feature being sorted, kept beside the row
+// so that the sort compares contiguous values.
+type xrow struct {
+	x   float64
+	row int
 }
 
 func (g *grower) grow(idx []int, d int) *Node {
@@ -202,12 +215,11 @@ func (g *grower) leaf(idx []int) *Node {
 // bestSplit scans candidate features for the split maximising weighted
 // variance reduction via the sorted prefix-sum sweep.
 func (g *grower) bestSplit(idx []int) (feature int, threshold float64, ok bool) {
-	nf := len(g.X[0])
-	feats := make([]int, nf)
+	feats := g.feats
 	for i := range feats {
 		feats[i] = i
 	}
-	if g.p.MaxFeatures > 0 && g.p.MaxFeatures < nf {
+	if nf := len(feats); g.p.MaxFeatures > 0 && g.p.MaxFeatures < nf {
 		g.rng.Shuffle(nf, func(i, j int) { feats[i], feats[j] = feats[j], feats[i] })
 		feats = feats[:g.p.MaxFeatures]
 	}
@@ -224,19 +236,24 @@ func (g *grower) bestSplit(idx []int) (feature int, threshold float64, ok bool) 
 	}
 	baseSSE := totWYY - totWY*totWY/totW
 
-	order := make([]int, len(idx))
+	// pdqsort's permutation depends only on the comparison outcomes, so
+	// sorting (value, row) pairs leaves the rows, ties included, where
+	// sorting the row indices by value leaves them.
+	order := g.order[:len(idx)]
 	bestGain := 1e-12
 	for _, f := range feats {
-		copy(order, idx)
-		slices.SortFunc(order, func(a, b int) int { return compareFloat(g.X[a][f], g.X[b][f]) })
+		for k, i := range idx {
+			order[k] = xrow{g.X[i][f], i}
+		}
+		slices.SortFunc(order, func(a, b xrow) int { return compareFloat(a.x, b.x) })
 		var lw, lwy, lwyy float64
 		for pos := 0; pos < len(order)-1; pos++ {
-			i := order[pos]
+			i := order[pos].row
 			w, yv := g.w[i], g.y[i]
 			lw += w
 			lwy += w * yv
 			lwyy += w * yv * yv
-			xi, xn := g.X[i][f], g.X[order[pos+1]][f]
+			xi, xn := order[pos].x, order[pos+1].x
 			if xi == xn {
 				continue // can't split between equal values
 			}

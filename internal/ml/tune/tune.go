@@ -84,17 +84,23 @@ type Candidate struct {
 
 // GridResult reports the winning candidate of a grid search.
 type GridResult struct {
-	Best     Candidate
+	Best Candidate
+	// BestRMSE is Best's CV RMSE, NaN for a one-point grid.
 	BestRMSE float64
-	// All maps candidate labels to their CV RMSE.
+	// All maps candidate labels to their CV RMSE; nil for a one-point grid.
 	All map[string]float64
 }
 
 // GridSearch cross-validates every candidate and returns the one with the
-// lowest mean validation RMSE.
+// lowest mean validation RMSE. A one-point grid has nothing to select, so
+// its candidate is returned without cross validation. A grid none of whose
+// candidates has a finite CV RMSE is an error.
 func GridSearch(cands []Candidate, X [][]float64, y []float64, k int, seed int64) (GridResult, error) {
-	if len(cands) == 0 {
+	switch len(cands) {
+	case 0:
 		return GridResult{}, fmt.Errorf("tune: empty candidate grid")
+	case 1:
+		return GridResult{Best: cands[0], BestRMSE: math.NaN()}, nil
 	}
 	res := GridResult{All: make(map[string]float64, len(cands)), BestRMSE: math.Inf(1)}
 	for _, c := range cands {
@@ -107,6 +113,13 @@ func GridSearch(cands []Candidate, X [][]float64, y []float64, k int, seed int64
 			res.BestRMSE = rmse
 			res.Best = c
 		}
+	}
+	if math.IsInf(res.BestRMSE, 1) { // every CV RMSE was NaN or +Inf
+		labels := make([]string, len(cands))
+		for i, c := range cands {
+			labels[i] = c.Label
+		}
+		return GridResult{}, fmt.Errorf("tune: no candidate of grid %q has a finite CV RMSE", labels)
 	}
 	return res, nil
 }

@@ -1,7 +1,9 @@
 package tune
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/ml"
@@ -97,6 +99,66 @@ func TestGridSearchPicksBetterModel(t *testing.T) {
 func TestGridSearchEmpty(t *testing.T) {
 	if _, err := GridSearch(nil, [][]float64{{1}}, []float64{1}, 2, 1); err == nil {
 		t.Error("empty grid should error")
+	}
+}
+
+// counted builds the model of factory and counts the calls in *n.
+func counted(n *int, factory func() ml.Regressor) func() ml.Regressor {
+	return func() ml.Regressor { *n++; return factory() }
+}
+
+func TestGridSearchOnePointSkipsCV(t *testing.T) {
+	X, y := linearData(60, 3)
+	calls := 0
+	cands := []Candidate{{Label: "ols", Factory: counted(&calls, func() ml.Regressor { return &linear.Regression{} })}}
+	res, err := GridSearch(cands, X, y, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Errorf("a one-point grid built %d models, want 0", calls)
+	}
+	if res.Best.Label != "ols" || !math.IsNaN(res.BestRMSE) || res.All != nil {
+		t.Errorf("one-point grid result %+v", res)
+	}
+}
+
+func TestGridSearchCrossValidatesEveryPoint(t *testing.T) {
+	X, y := linearData(60, 4)
+	const k = 3
+	var stump, ols int
+	cands := []Candidate{
+		{Label: "stump", Factory: counted(&stump, func() ml.Regressor { return tree.NewRegressor(tree.Params{MaxDepth: 1}) })},
+		{Label: "ols", Factory: counted(&ols, func() ml.Regressor { return &linear.Regression{} })},
+	}
+	if _, err := GridSearch(cands, X, y, k, 1); err != nil {
+		t.Fatal(err)
+	}
+	if stump != k || ols != k {
+		t.Errorf("factories called %d and %d times, want %d each", stump, ols, k)
+	}
+}
+
+// nanModel fits anything and predicts NaN.
+type nanModel struct{}
+
+func (nanModel) Name() string                     { return "nan" }
+func (nanModel) Fit([][]float64, []float64) error { return nil }
+func (nanModel) Predict([]float64) float64        { return math.NaN() }
+
+func TestGridSearchNoFiniteRMSE(t *testing.T) {
+	X, y := linearData(60, 5)
+	nan := func() ml.Regressor { return nanModel{} }
+	_, err := GridSearch([]Candidate{{Label: "a", Factory: nan}, {Label: "b", Factory: nan}}, X, y, 3, 1)
+	if err == nil || !strings.Contains(err.Error(), `["a" "b"]`) {
+		t.Errorf("all-NaN grid: err = %v, want one naming the grid", err)
+	}
+	res, err := GridSearch([]Candidate{
+		{Label: "a", Factory: nan},
+		{Label: "ols", Factory: func() ml.Regressor { return &linear.Regression{} }},
+	}, X, y, 3, 1)
+	if err != nil || res.Best.Label != "ols" {
+		t.Errorf("one NaN point: best %q, err %v", res.Best.Label, err)
 	}
 }
 
