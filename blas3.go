@@ -215,6 +215,3 @@ func (b *BLAS) CacheStats() (hits, misses int64) {
 	st := b.eng.Stats()
 	return st.CacheHits, st.CacheMisses
 }
-
-// Stats returns the shared engine's full serving counters.
-func (b *BLAS) Stats() serve.Stats { return b.eng.Stats() }

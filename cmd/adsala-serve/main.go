@@ -9,7 +9,7 @@
 //	POST /batch                 {"shapes":[{"m":..,"k":..,"n":..,"op":..},...]}
 //	POST /measured              measured kernel wall times reported back by executing clients
 //	GET  /drift                 online model-quality drift report (requires -drift-window)
-//	GET  /stats                 cache, engine and HTTP latency metrics
+//	GET  /stats                 the decision ledger: predictions, cache hits and misses, fallbacks
 //	GET  /healthz               readiness probe: 503 while draining
 //	GET  /livez                 liveness probe: 200 whenever the process answers
 //	GET  /metrics               Prometheus text exposition
@@ -23,16 +23,15 @@
 // Usage:
 //
 //	adsala-serve -lib gadi.adsala.json -addr :8080
-//	adsala-serve -lib gadi.adsala.json -reload-on SIGHUP -admin-token s3cret
+//	adsala-serve -lib gadi.adsala.json -admin-token s3cret
 //
 // The decision cache starts empty and is filled by the traffic itself: the
 // first request for a shape ranks the candidates (microseconds), every
 // repeat is a cache hit. Nothing is persisted across restarts.
 //
-// Hot reload: -reload-on SIGHUP re-reads -lib and swaps the artefact
-// atomically on SIGHUP without dropping readiness; -admin-token
-// additionally mounts an authenticated POST /admin/reload doing the same
-// over HTTP. After a swap the decision cache starts empty again and live
+// Hot reload: SIGHUP re-reads -lib and swaps the artefact atomically
+// without dropping readiness; -admin-token additionally mounts an
+// authenticated POST /admin/reload doing the same over HTTP. After a swap the decision cache starts empty again and live
 // traffic is answered against the new models.
 //
 // Overload protection: -max-inflight bounds concurrently served prediction
@@ -71,7 +70,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -92,7 +90,6 @@ type config struct {
 	level     logx.Level
 
 	adminToken  string
-	reloadOn    string
 	maxInflight int
 	reqTimeout  time.Duration
 
@@ -116,7 +113,6 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	fs.IntVar(&cfg.shards, "shards", 16, "decision cache shard count (rounded to a power of two)")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 	fs.StringVar(&cfg.adminToken, "admin-token", "", "token authorising POST /admin/reload (empty disables the endpoint)")
-	fs.StringVar(&cfg.reloadOn, "reload-on", "", "signal triggering a hot artefact reload (only SIGHUP is supported; empty disables)")
 	fs.IntVar(&cfg.maxInflight, "max-inflight", 0, "max concurrently served prediction requests (0 = 8×GOMAXPROCS, negative disables shedding)")
 	fs.DurationVar(&cfg.reqTimeout, "request-timeout", 0, "per-request ranking deadline (0 = 2s, negative disables)")
 	fs.StringVar(&cfg.tracePrefix, "trace", "", "flight-recorder capture prefix: append one record per decision to <prefix>-NNNNN.trace files (empty disables)")
@@ -133,13 +129,6 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 		return cfg, err
 	}
 	cfg.level = lvl
-	switch strings.ToUpper(cfg.reloadOn) {
-	case "":
-	case "SIGHUP", "HUP":
-		cfg.reloadOn = "SIGHUP"
-	default:
-		return cfg, fmt.Errorf("-reload-on %q is not supported (want SIGHUP)", cfg.reloadOn)
-	}
 	return cfg, nil
 }
 
@@ -164,20 +153,16 @@ func newServer(cfg config, out io.Writer) (*serve.Server, error) {
 	})
 	lg.Infof("loaded %s: platform=%s model=%s, cache %d entries / %d shards",
 		cfg.libPath, lib.Platform, lib.ModelKind(), eng.Cache().Capacity(), eng.Cache().Shards())
-	opts := []serve.ServerOption{
+	srv := serve.NewServer(eng,
 		serve.WithLimits(serve.Limits{
 			MaxInFlight:    cfg.maxInflight,
 			RequestTimeout: cfg.reqTimeout,
 		}),
-	}
-	if cfg.adminToken != "" || cfg.reloadOn != "" {
-		opts = append(opts, serve.WithReload(serve.ReloadConfig{
+		serve.WithReload(serve.ReloadConfig{
 			Load:  load,
 			Token: cfg.adminToken,
 			Logf:  lg.Infof,
 		}))
-	}
-	srv := serve.NewServer(eng, opts...)
 	if cfg.pprof {
 		srv.EnablePprof()
 		lg.Infof("pprof enabled at /debug/pprof/")
@@ -230,23 +215,21 @@ func run(args []string, out io.Writer) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if cfg.reloadOn == "SIGHUP" {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		defer signal.Stop(hup)
-		go func() {
-			for range hup {
-				body, err := handler.Reload()
-				if err != nil {
-					// Reload keeps the old artefact serving on failure; the
-					// daemon stays healthy.
-					lg.Infof("WARNING: SIGHUP reload failed: %v", err)
-					continue
-				}
-				lg.Infof("SIGHUP reload complete: generation %d, %d ops", body.Generation, len(body.Ops))
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
+	go func() {
+		for range hup {
+			body, err := handler.Reload()
+			if err != nil {
+				// Reload keeps the old artefact serving on failure; the
+				// daemon stays healthy.
+				lg.Infof("WARNING: SIGHUP reload failed: %v", err)
+				continue
 			}
-		}()
-	}
+			lg.Infof("SIGHUP reload complete: generation %d, %d ops", body.Generation, len(body.Ops))
+		}
+	}()
 	// closeTrace drains and closes the flight recorder, if one is attached —
 	// run after the listener stops producing decisions, so the final partial
 	// block (and any write error the drain hit) surfaces before exit.

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -85,15 +86,16 @@ func TestParseFlags(t *testing.T) {
 		}
 	}
 
-	// The cache pre-population flags and the batch fan-out knob are gone: a
-	// command line that still carries one fails loudly, naming it, instead
-	// of booting silently without it.
+	// The cache pre-population flags, the batch fan-out knob and the reload
+	// signal choice are gone: a command line that still carries one fails
+	// loudly, naming it, instead of booting silently without it.
 	for _, retired := range [][]string{
 		{"-warmup", "256"},
 		{"-warmup-cap", "100"},
 		{"-warmup-seed", "1"},
 		{"-cache-snapshot", "f"},
 		{"-workers", "4"},
+		{"-reload-on", "SIGHUP"},
 	} {
 		_, err := parseFlags(append([]string{"-lib", "x.json"}, retired...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), retired[0]) {
@@ -126,25 +128,19 @@ func TestNewServerBadLibrary(t *testing.T) {
 	}
 }
 
-// TestReloadFlags pins the new resilience flag surface.
+// TestReloadFlags pins the resilience flag surface. SIGHUP always reloads,
+// so there is no flag to choose the signal.
 func TestReloadFlags(t *testing.T) {
 	cfg, err := parseFlags([]string{
-		"-lib", "x.json", "-admin-token", "s3cret", "-reload-on", "SIGHUP",
+		"-lib", "x.json", "-admin-token", "s3cret",
 		"-max-inflight", "32", "-request-timeout", "500ms",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.adminToken != "s3cret" || cfg.reloadOn != "SIGHUP" || cfg.maxInflight != 32 ||
+	if cfg.adminToken != "s3cret" || cfg.maxInflight != 32 ||
 		cfg.reqTimeout != 500*time.Millisecond {
 		t.Errorf("parsed %+v", cfg)
-	}
-	// HUP normalises; unknown signals error.
-	if cfg, err = parseFlags([]string{"-reload-on", "HUP"}, io.Discard); err != nil || cfg.reloadOn != "SIGHUP" {
-		t.Errorf("HUP alias: (%+v, %v)", cfg, err)
-	}
-	if _, err := parseFlags([]string{"-reload-on", "SIGUSR1"}, io.Discard); err == nil {
-		t.Error("unsupported reload signal should error")
 	}
 }
 
@@ -357,10 +353,46 @@ func TestDaemonRoundTrip(t *testing.T) {
 	if st.Engine.Predictions != 3 { // predict + batch of 2
 		t.Errorf("predictions %d, want 3", st.Engine.Predictions)
 	}
-	if st.Engine.CacheLen != 3 {
-		t.Errorf("cache holds %d decisions after three distinct shapes, want 3", st.Engine.CacheLen)
+	// The rest of the counting is on /metrics.
+	text := scrape(t, ts.URL)
+	if n := sumSamples(t, text, "adsala_serve_cache_entries{"); n != 3 {
+		t.Errorf("cache holds %v decisions after three distinct shapes, want 3", n)
 	}
-	if st.HTTP["predict"].Requests != 1 || st.HTTP["batch"].Requests != 1 {
-		t.Errorf("http stats %+v", st.HTTP)
+	for _, route := range []string{"predict", "batch"} {
+		if n := sumSamples(t, text, `adsala_http_request_seconds_count{route="`+route+`"}`); n != 1 {
+			t.Errorf("%s route served %v requests, want 1", route, n)
+		}
 	}
+}
+
+// scrape fetches a daemon's /metrics exposition.
+func scrape(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(blob)
+}
+
+// sumSamples sums the values of every exposition line starting with prefix.
+func sumSamples(t *testing.T, text, prefix string) float64 {
+	t.Helper()
+	var total float64
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		total += v
+	}
+	return total
 }

@@ -1,6 +1,6 @@
 // Serving: train a quick library, stand up the prediction-serving subsystem
 // (sharded decision cache + HTTP API), and drive it like a multi-tenant
-// client — single queries, a mixed-shape batch, and a look at the metrics.
+// client — single queries, a mixed-shape batch, and a look at the decision ledger.
 //
 //	go run ./examples/serving
 package main
@@ -100,15 +100,13 @@ func main() {
 	}
 	fmt.Printf("  ... and %d more\n", len(shapes)-4)
 
-	// 5. Metrics.
+	// 5. The decision ledger; everything else is on /metrics.
 	st, err := client.Stats(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n== /stats ==\n")
-	fmt.Printf("  predictions: %d, cache %d/%d entries, hit rate %.0f%%\n",
-		st.Engine.Predictions, st.Engine.CacheLen, st.Engine.CacheCap, 100*st.Engine.HitRate)
-	fmt.Printf("  mean ranking latency: %.1f us\n", st.Engine.MeanEvalMicros)
-	fmt.Printf("  /predict: %d requests, mean %.0f us\n",
-		st.HTTP["predict"].Requests, st.HTTP["predict"].MeanMicros)
+	fmt.Printf("  predictions: %d (%d cache hits, %d misses), hit rate %.0f%%\n",
+		st.Engine.Predictions, st.Engine.CacheHits, st.Engine.CacheMisses, 100*st.Engine.HitRate)
+	fmt.Printf("  per-op decisions, ranking latency, cache occupancy and HTTP timings: %s/metrics\n", base)
 }

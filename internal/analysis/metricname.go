@@ -35,11 +35,8 @@ var obsRegMethods = map[string]struct {
 	labelStart int
 	promType   string
 }{
-	"Counter":           {2, "counter"},
 	"CounterFunc":       {3, "counter"},
-	"Gauge":             {2, "gauge"},
 	"GaugeFunc":         {3, "gauge"},
-	"Histogram":         {3, "histogram"},
 	"RegisterHistogram": {3, "histogram"},
 }
 

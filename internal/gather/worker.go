@@ -57,10 +57,11 @@ type Worker struct {
 	draining atomic.Bool
 	running  atomic.Int64
 
+	// reg renders the unit ledger below on /metrics as views.
 	reg            *obs.Registry
-	unitsAccepted  *obs.Counter
-	unitsCompleted *obs.Counter
-	unitsFailed    *obs.Counter
+	unitsAccepted  atomic.Int64
+	unitsCompleted atomic.Int64
+	unitsFailed    atomic.Int64
 	unitSeconds    *obs.Histogram
 
 	mu      sync.Mutex
@@ -82,18 +83,22 @@ func NewWorker(opts WorkerOptions) *Worker {
 		opts.DebugLogf = opts.Logf
 	}
 	w := &Worker{
-		opts: opts,
-		mux:  http.NewServeMux(),
-		reg:  obs.NewRegistry(),
+		opts:        opts,
+		mux:         http.NewServeMux(),
+		reg:         obs.NewRegistry(),
+		unitSeconds: obs.NewHistogram(1e-9),
 	}
-	w.unitsAccepted = w.reg.Counter("adsala_worker_units_accepted_total",
-		"Work units accepted for execution.")
-	w.unitsCompleted = w.reg.Counter("adsala_worker_units_completed_total",
-		"Work units executed to a successful result.")
-	w.unitsFailed = w.reg.Counter("adsala_worker_units_failed_total",
-		"Work unit executions that ended in an error.")
-	w.unitSeconds = w.reg.Histogram("adsala_worker_unit_seconds",
-		"Wall time of one unit execution.", 1e-9)
+	w.reg.CounterFunc("adsala_worker_units_accepted_total",
+		"Work units accepted for execution.",
+		func() float64 { return float64(w.unitsAccepted.Load()) })
+	w.reg.CounterFunc("adsala_worker_units_completed_total",
+		"Work units executed to a successful result.",
+		func() float64 { return float64(w.unitsCompleted.Load()) })
+	w.reg.CounterFunc("adsala_worker_units_failed_total",
+		"Work unit executions that ended in an error.",
+		func() float64 { return float64(w.unitsFailed.Load()) })
+	w.reg.RegisterHistogram("adsala_worker_unit_seconds",
+		"Wall time of one unit execution.", w.unitSeconds)
 	w.reg.GaugeFunc("adsala_worker_inflight_units",
 		"Units currently executing.",
 		func() float64 { return float64(w.running.Load()) })
@@ -265,7 +270,7 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 // core.MeasureSweep), which is what makes the distributed merge reproduce
 // the local gather.
 func (w *Worker) exec(spec SweepSpec, op ops.Op, timer simtime.Timer, u Unit) (*UnitResult, error) {
-	w.unitsAccepted.Inc()
+	w.unitsAccepted.Add(1)
 	var hookErr error
 	if w.opts.execHook != nil {
 		hookErr = w.opts.execHook(u)
@@ -282,11 +287,11 @@ func (w *Worker) exec(spec SweepSpec, op ops.Op, timer simtime.Timer, u Unit) (*
 	}
 	w.unitSeconds.ObserveSince(start)
 	if err != nil {
-		w.unitsFailed.Inc()
+		w.unitsFailed.Add(1)
 		w.opts.DebugLogf("unit %d failed: %v", u.ID, err)
 		return nil, err
 	}
-	w.unitsCompleted.Inc()
+	w.unitsCompleted.Add(1)
 	w.opts.DebugLogf("unit %d done: shapes [%d, %d)", u.ID, u.Start, u.Start+u.Count)
 	return res, nil
 }
@@ -329,7 +334,7 @@ func (w *Worker) statusBody() (StatusResponse, bool) {
 		Status:     status,
 		Session:    session,
 		Registered: session != "",
-		Completed:  int(w.unitsCompleted.Value()),
+		Completed:  int(w.unitsCompleted.Load()),
 		Inflight:   int(w.running.Load()),
 		Draining:   draining,
 	}, status == "ok"

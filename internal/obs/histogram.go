@@ -166,6 +166,3 @@ func (h *Histogram) snapshotBuckets() (bounds []int64, counts []int64) {
 	}
 	return bounds, counts
 }
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }

@@ -70,23 +70,11 @@ func TestHistogramSmallValuesExact(t *testing.T) {
 }
 
 // TestObserveZeroAlloc pins the zero-allocation guarantee of the hot
-// path: Observe, ObserveSince and the counter/gauge operations must not
-// allocate.
+// path: Observe must not allocate.
 func TestObserveZeroAlloc(t *testing.T) {
 	h := NewHistogram(1e-9)
-	var c Counter
-	var g Gauge
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(123456) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { c.Add(3) }); n != 0 {
-		t.Errorf("Counter.Add allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
-		t.Errorf("Counter.Inc allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set(1.5) }); n != 0 {
-		t.Errorf("Gauge.Set allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -111,14 +99,5 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := h.Count(); got != workers*perWorker {
 		t.Fatalf("count = %d, want %d", got, workers*perWorker)
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(2.5)
-	g.Set(1.5)
-	if got := g.Value(); got != 1.5 {
-		t.Errorf("gauge = %v, want 1.5", got)
 	}
 }

@@ -1,20 +1,18 @@
 // Package obs is the observability core of the serving and training
-// daemons: dependency-free atomic counters, gauges and log-bucketed
-// latency histograms, collected in a Registry that renders
-// the Prometheus text exposition format.
+// daemons: dependency-free log-bucketed latency histograms and a Registry
+// that renders the Prometheus text exposition format.
 //
-// The design constraint is the serving hot path: recording a measurement
-// (Counter.Add, Gauge.Set, Histogram.Observe) touches only pre-allocated
-// atomics — no locks, no maps, no allocation — so a decision that takes a
-// few microseconds can be instrumented without distorting what it
-// measures. All layout work (label sets, bucket bounds, HELP/TYPE text)
-// happens once at registration; scrape-time reads walk the registered
-// series under a registry lock that the hot path never takes.
+// The registry owns no instruments. Every exported number is a view over
+// state its owner already keeps: CounterFunc and GaugeFunc read a
+// component's own atomics at scrape time, and RegisterHistogram attaches a
+// Histogram the component built with NewHistogram. Recording therefore
+// stays wherever the owner records — on the serving hot path, a few atomic
+// adds with no lock, map or allocation — and all layout work (label sets,
+// HELP/TYPE text) happens once at registration; scrape-time reads walk the
+// registered series under a registry lock that the hot path never takes.
 //
-// Metrics register idempotently: asking for the same (name, type, label
-// set) twice returns the same instrument, so per-sweep registration in a
-// long-lived process (one gather per op through one coordinator) needs no
-// caller-side caching.
+// Registration is idempotent: registering the same (name, type, label set)
+// again rebinds that one series instead of adding a second.
 package obs
 
 import (
@@ -23,7 +21,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Label is one name=value pair attached to a metric series.
@@ -35,42 +32,6 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(name, value string) Label { return Label{Name: name, Value: value} }
 
-// Counter is a monotonically increasing atomic counter.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-//
-//adsala:zeroalloc
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (negative n is ignored: counters are monotone).
-//
-//adsala:zeroalloc
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an atomic value that can go up and down. It stores float64
-// bits, so integer and fractional gauges share one type.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-//
-//adsala:zeroalloc
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }
-
 // metricKind discriminates the series types a family can hold.
 type metricKind int
 
@@ -78,36 +39,25 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindHistogram
-	kindCounterFunc
-	kindGaugeFunc
 )
 
 // promType returns the Prometheus TYPE keyword of the kind.
 func (k metricKind) promType() string {
 	switch k {
-	case kindCounter, kindCounterFunc:
+	case kindCounter:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGauge:
 		return "gauge"
 	default:
 		return "histogram"
 	}
 }
 
-// sameType reports whether two kinds expose as the same Prometheus type
-// (a family may mix e.g. Counter and CounterFunc series).
-func sameType(a, b metricKind) bool { return a.promType() == b.promType() }
-
-// series is one registered (labels → instrument) binding.
+// series is one registered (labels → view) binding.
 type series struct {
-	labels    []Label
 	labelText string // rendered {a="b",...} suffix, "" when unlabelled
-	kind      metricKind
-
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      func() float64
+	hist      *Histogram
+	fn        func() float64
 }
 
 // family groups every series sharing one metric name.
@@ -122,8 +72,8 @@ type family struct {
 
 // Registry collects metric families and renders them in the Prometheus
 // text exposition format. The zero value is not usable; call NewRegistry.
-// Registration and scraping lock the registry; recording into returned
-// instruments is lock-free.
+// Registration and scraping lock the registry; the views it reads are
+// whatever their owners made them.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -134,60 +84,24 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// Counter returns the counter registered under name with the given
-// labels, creating it on first use. Panics if name is already registered
-// as a different metric type (a programming error, like Prometheus client
-// libraries treat it).
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.getOrCreate(name, help, kindCounter, labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
-}
-
-// Gauge returns the gauge registered under name with the given labels,
-// creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.getOrCreate(name, help, kindGauge, labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
-}
-
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — the bridge for pre-existing atomic counters that must stay
-// authoritative (e.g. the serving engine's /stats fields).
+// time. Panics if name is already registered as a different metric type (a
+// programming error, like Prometheus client libraries treat it).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.getOrCreate(name, help, kindCounterFunc, labels)
-	s.fn = fn
+	r.getOrCreate(name, help, kindCounter, labels).fn = fn
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time
 // (cache occupancy, queue depths, readiness).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.getOrCreate(name, help, kindGaugeFunc, labels)
-	s.fn = fn
+	r.getOrCreate(name, help, kindGauge, labels).fn = fn
 }
 
-// Histogram returns the histogram registered under name with the given
-// labels, creating it with the scale on first use. scale converts
-// observed units into exposition units (1e-9 turns nanosecond
-// observations into Prometheus-conventional seconds; 1 keeps raw units).
-func (r *Registry) Histogram(name, help string, scale float64, labels ...Label) *Histogram {
-	s := r.getOrCreate(name, help, kindHistogram, labels)
-	if s.hist == nil {
-		s.hist = NewHistogram(scale)
-	}
-	return s.hist
-}
-
-// RegisterHistogram attaches an existing histogram (e.g. one owned by the
-// serving engine since construction) under name with the given labels.
+// RegisterHistogram attaches a histogram its owner keeps (built with
+// NewHistogram, whose scale sets the exposition units) under name with the
+// given labels.
 func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...Label) {
-	s := r.getOrCreate(name, help, kindHistogram, labels)
-	s.hist = h
+	r.getOrCreate(name, help, kindHistogram, labels).hist = h
 }
 
 // getOrCreate returns the series for (name, labels), creating family and
@@ -209,17 +123,15 @@ func (r *Registry) getOrCreate(name, help string, kind metricKind, labels []Labe
 	if !ok {
 		f = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
 		r.families[name] = f
-	} else if !sameType(f.kind, kind) {
+	} else if f.kind != kind {
 		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s",
 			name, f.kind.promType(), kind.promType()))
 	}
 	s, ok := f.series[labelText]
 	if !ok {
-		s = &series{labels: labels, labelText: labelText, kind: kind}
+		s = &series{labelText: labelText}
 		f.series[labelText] = s
 		f.order = append(f.order, labelText)
-	} else if s.kind != kind {
-		panic(fmt.Sprintf("obs: series %s%s registered with a different instrument kind", name, labelText))
 	}
 	return s
 }

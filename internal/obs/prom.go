@@ -26,22 +26,17 @@ func writeFamily(b *strings.Builder, f *family) {
 	b.WriteString(f.kind.promType())
 	b.WriteByte('\n')
 	for _, key := range f.order {
-		writeSeries(b, f.name, f.series[key])
+		writeSeries(b, f, f.series[key])
 	}
 }
 
 // writeSeries renders one series' sample lines.
-func writeSeries(b *strings.Builder, name string, s *series) {
-	switch s.kind {
-	case kindCounter:
-		writeSample(b, name, "", s.labelText, formatInt(s.counter.Value()))
-	case kindGauge:
-		writeSample(b, name, "", s.labelText, formatFloat(s.gauge.Value()))
-	case kindCounterFunc, kindGaugeFunc:
-		writeSample(b, name, "", s.labelText, formatFloat(s.fn()))
-	case kindHistogram:
-		writeHistogram(b, name, s)
+func writeSeries(b *strings.Builder, f *family, s *series) {
+	if f.kind == kindHistogram {
+		writeHistogram(b, f.name, s)
+		return
 	}
+	writeSample(b, f.name, "", s.labelText, formatFloat(s.fn()))
 }
 
 // writeHistogram renders the cumulative buckets, sum and count of one

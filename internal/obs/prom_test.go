@@ -3,32 +3,46 @@ package obs
 import (
 	"bufio"
 	"io"
+	"math"
 	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
-// buildTestRegistry assembles one of every instrument kind with
-// deterministic values — the fixture behind the golden-file test.
+// buildTestRegistry assembles one of every view kind over deterministic
+// owner state — the fixture behind the golden-file test.
 func buildTestRegistry() *Registry {
+	var requests [2]atomic.Int64
+	requests[0].Add(42)
+	requests[1].Add(7)
+	var errors atomic.Int64
+	errors.Add(1)
 	r := NewRegistry()
-	r.Counter("test_requests_total", "Requests served.", L("route", "predict")).Add(42)
-	r.Counter("test_requests_total", "Requests served.", L("route", "batch")).Add(7)
-	r.Counter("test_errors_total", "Errors encountered.").Inc()
-	r.Gauge("test_temperature", "A gauge.").Set(36.6)
+	r.CounterFunc("test_requests_total", "Requests served.", view(&requests[0]), L("route", "predict"))
+	r.CounterFunc("test_requests_total", "Requests served.", view(&requests[1]), L("route", "batch"))
+	r.CounterFunc("test_errors_total", "Errors encountered.", view(&errors))
+	r.GaugeFunc("test_temperature", "A gauge.", func() float64 { return 36.6 })
 	r.GaugeFunc("test_cache_entries", "Entries cached.", func() float64 { return 128 }, L("shard", "0"))
 	r.CounterFunc("test_decisions_total", "Decisions made.", func() float64 { return 99 }, L("op", "gemm"))
-	r.Counter("test_escaping_total", "Label escaping.",
+	r.CounterFunc("test_escaping_total", "Label escaping.", func() float64 { return 0 },
 		L("path", `C:\tmp`), L("quote", `say "hi"`), L("nl", "a\nb"))
 
-	h := r.Histogram("test_latency_seconds", "Latency distribution.", 1e-9, L("op", "gemm"))
+	h := NewHistogram(1e-9)
 	for _, ns := range []int64{500, 900, 1500, 3000, 3100, 64000, 1000000} {
 		h.Observe(ns)
 	}
-	r.Histogram("test_empty_seconds", "Never observed.", 1e-9)
+	r.RegisterHistogram("test_latency_seconds", "Latency distribution.", h, L("op", "gemm"))
+	r.RegisterHistogram("test_empty_seconds", "Never observed.", NewHistogram(1e-9))
 	return r
+}
+
+// view is a counter view over an owner's atomic, as the daemons register
+// theirs.
+func view(v *atomic.Int64) func() float64 {
+	return func() float64 { return float64(v.Load()) }
 }
 
 // TestExpositionGolden pins the full text exposition against the
@@ -173,7 +187,7 @@ func extractLE(t *testing.T, labels string) (le, rest string) {
 func TestLabelEscaping(t *testing.T) {
 	var b strings.Builder
 	r := NewRegistry()
-	r.Counter("esc_total", "x", L("v", "back\\slash \"quoted\"\nnewline")).Inc()
+	r.CounterFunc("esc_total", "x", func() float64 { return 1 }, L("v", "back\\slash \"quoted\"\nnewline"))
 	r.WriteText(&b)
 	want := `esc_total{v="back\\slash \"quoted\"\nnewline"} 1`
 	if !strings.Contains(b.String(), want) {
@@ -181,19 +195,25 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-// TestRegistryIdempotent checks that re-registering returns the same
-// instrument and type conflicts panic.
+// TestRegistryIdempotent checks that re-registering a series rebinds it
+// instead of adding a second one, and that type conflicts and invalid names
+// panic.
 func TestRegistryIdempotent(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("idem_total", "x", L("k", "v"))
-	b := r.Counter("idem_total", "x", L("k", "v"))
-	if a != b {
-		t.Error("re-registration returned a different counter")
+	r.CounterFunc("idem_total", "x", func() float64 { return 1 }, L("k", "v"))
+	r.CounterFunc("idem_total", "x", func() float64 { return 2 }, L("k", "v"))
+	h := NewHistogram(1e-9)
+	h.Observe(1000)
+	r.RegisterHistogram("idem_seconds", "x", h)
+	r.RegisterHistogram("idem_seconds", "x", h)
+	var b strings.Builder
+	r.WriteText(&b)
+	text := b.String()
+	if n := strings.Count(text, "idem_total{"); n != 1 || !strings.Contains(text, `idem_total{k="v"} 2`+"\n") {
+		t.Errorf("re-registration: %d counter series, want one bound to the latest view:\n%s", n, text)
 	}
-	h1 := r.Histogram("idem_seconds", "x", 1e-9)
-	h2 := r.Histogram("idem_seconds", "x", 1e-9)
-	if h1 != h2 {
-		t.Error("re-registration returned a different histogram")
+	if n := strings.Count(text, "idem_seconds_count "); n != 1 {
+		t.Errorf("re-registration: %d histogram series, want 1:\n%s", n, text)
 	}
 	func() {
 		defer func() {
@@ -201,7 +221,7 @@ func TestRegistryIdempotent(t *testing.T) {
 				t.Error("type conflict did not panic")
 			}
 		}()
-		r.Gauge("idem_total", "x")
+		r.GaugeFunc("idem_total", "x", func() float64 { return 0 })
 	}()
 	func() {
 		defer func() {
@@ -209,8 +229,23 @@ func TestRegistryIdempotent(t *testing.T) {
 				t.Error("invalid metric name did not panic")
 			}
 		}()
-		r.Counter("0bad-name", "x")
+		r.CounterFunc("0bad-name", "x", func() float64 { return 0 })
 	}()
+}
+
+// TestGauge checks that a gauge view reads its owner's value at scrape
+// time: the last value set, not the one at registration.
+func TestGauge(t *testing.T) {
+	var bits atomic.Uint64 // a fractional gauge its owner keeps as float64 bits
+	r := NewRegistry()
+	r.GaugeFunc("g", "x", func() float64 { return math.Float64frombits(bits.Load()) })
+	bits.Store(math.Float64bits(2.5))
+	bits.Store(math.Float64bits(1.5))
+	var b strings.Builder
+	r.WriteText(&b)
+	if !strings.Contains(b.String(), "\ng 1.5\n") {
+		t.Errorf("gauge view, want 1.5:\n%s", b.String())
+	}
 }
 
 // TestHandler serves the exposition over HTTP with the text content type.

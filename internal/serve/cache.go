@@ -237,15 +237,6 @@ func (c *Cache) Put(op Op, m, k, n, threads int) {
 	c.shards[key.hash()&c.shardMask].put(key, threads)
 }
 
-// len returns the number of cached decisions.
-func (c *Cache) len() int {
-	total := 0
-	for _, s := range c.shards {
-		total += s.len()
-	}
-	return total
-}
-
 // Capacity returns the total entry capacity across shards.
 func (c *Cache) Capacity() int { return c.capacity }
 

@@ -42,8 +42,8 @@ func TestCacheGetPut(t *testing.T) {
 	if th, _ := c.Get(OpGEMM, 1, 2, 3); th != 16 {
 		t.Fatalf("overwrite: got %d, want 16", th)
 	}
-	if c.len() != 1 {
-		t.Fatalf("len %d, want 1", c.len())
+	if entries(c) != 1 {
+		t.Fatalf("len %d, want 1", entries(c))
 	}
 	// Permuted dimensions are distinct keys.
 	c.Put(OpGEMM, 3, 2, 1, 4)
@@ -69,8 +69,8 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatalf("entry %d: (%d,%v)", want, th, ok)
 		}
 	}
-	if c.len() != 4 {
-		t.Fatalf("len %d, want 4", c.len())
+	if entries(c) != 4 {
+		t.Fatalf("len %d, want 4", entries(c))
 	}
 }
 
@@ -81,8 +81,8 @@ func TestCacheEvictionChurn(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		c.Put(OpGEMM, i, i*7, i*13, 1+i%32)
 	}
-	if c.len() > c.Capacity() {
-		t.Fatalf("len %d exceeds capacity %d", c.len(), c.Capacity())
+	if entries(c) > c.Capacity() {
+		t.Fatalf("len %d exceeds capacity %d", entries(c), c.Capacity())
 	}
 	// The most recent keys of each shard should still resolve correctly.
 	found := 0
@@ -118,8 +118,8 @@ func TestCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.len() > c.Capacity() {
-		t.Fatalf("len %d exceeds capacity %d", c.len(), c.Capacity())
+	if entries(c) > c.Capacity() {
+		t.Fatalf("len %d exceeds capacity %d", entries(c), c.Capacity())
 	}
 }
 
@@ -137,4 +137,13 @@ func TestShapeKeyHashSpread(t *testing.T) {
 			t.Errorf("shard %d received no keys", i)
 		}
 	}
+}
+
+// entries counts the decisions cached across every shard.
+func entries(c *Cache) int {
+	n := 0
+	for _, s := range c.shards {
+		n += s.len()
+	}
+	return n
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"net/http"
 	"time"
 
@@ -86,6 +87,10 @@ func (s *Server) handleMeasured(w http.ResponseWriter, r *http.Request) {
 		}
 		if rec.Threads < 1 {
 			writeError(w, http.StatusBadRequest, "record %d: threads must be positive, got %d", i, rec.Threads)
+			return
+		}
+		if rec.Threads > math.MaxInt32 {
+			writeError(w, http.StatusBadRequest, "record %d: threads must be at most %d, got %d", i, math.MaxInt32, rec.Threads)
 			return
 		}
 		if rec.MeasuredNs < 1 {

@@ -259,6 +259,14 @@ func TestMeasuredErrors(t *testing.T) {
 			return http.Post(ts.URL+"/measured", "application/json",
 				strings.NewReader(`{"records":[{"op":"gemm","m":1,"k":1,"n":1,"threads":0,"measured_ns":5}]}`))
 		}, http.StatusBadRequest},
+		{"dims beyond int32", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/measured", "application/json",
+				strings.NewReader(`{"records":[{"op":"gemm","m":2147483648,"k":1,"n":1,"threads":1,"measured_ns":5}]}`))
+		}, http.StatusBadRequest},
+		{"threads beyond int32", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/measured", "application/json",
+				strings.NewReader(`{"records":[{"op":"gemm","m":1,"k":1,"n":1,"threads":2147483648,"measured_ns":5}]}`))
+		}, http.StatusBadRequest},
 		{"bad measured_ns", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/measured", "application/json",
 				strings.NewReader(`{"records":[{"op":"gemm","m":1,"k":1,"n":1,"threads":1,"measured_ns":0}]}`))

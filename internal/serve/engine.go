@@ -47,17 +47,16 @@ type Engine struct {
 	opts  Options // the cache geometry serves every generation
 
 	// The decision ledger: per-op {hits, misses}, indexed by ops.Op. They
-	// are the only decision counters: decision counts and aggregates are
-	// sums taken when Stats or /metrics reads them.
+	// are the only decision counters: Stats sums them over the ops and
+	// /metrics renders them per op.
 	serving []opCounters
 
 	fallbacks atomic.Int64 // selections answered by the heuristic fallback
 
 	// decLatency holds one latency histogram per op for the cache-miss
-	// ranking path (nanosecond observations, exposed as seconds) — also the
-	// source of Stats.MeanEvalMicros. They live on the engine from
-	// construction — recording is a few atomic adds — and are attached to a
-	// Prometheus registry by RegisterMetrics.
+	// ranking path (nanosecond observations, exposed as seconds). They live
+	// on the engine from construction — recording is a few atomic adds —
+	// and are attached to a Prometheus registry by RegisterMetrics.
 	decLatency []*obs.Histogram
 
 	// recorder is the optional flight recorder (nil when tracing is off —
@@ -340,83 +339,33 @@ func (e *Engine) PredictBatchOpCtx(ctx context.Context, op Op, shapes []sampling
 	return out, fallback
 }
 
-// Stats is a point-in-time snapshot of the engine's counters.
+// Stats is the decision ledger: a point-in-time snapshot of the engine's
+// hit, miss and fallback counters. Everything else the engine counts is on
+// /metrics (RegisterMetrics).
 type Stats struct {
 	Predictions int64   `json:"predictions"`
 	CacheHits   int64   `json:"cache_hits"`
 	CacheMisses int64   `json:"cache_misses"`
 	HitRate     float64 `json:"hit_rate"`
-	CacheLen    int     `json:"cache_len"`
-	CacheCap    int     `json:"cache_capacity"`
-	Shards      int     `json:"shards"`
 	// Fallbacks counts decisions answered by the deterministic heuristic
 	// instead of a model — the degraded-mode traffic (model missing from
 	// the artefact, or the request deadline expired before ranking).
 	Fallbacks int64 `json:"fallbacks,omitempty"`
-	// Generation counts hot artefact reloads since boot.
-	Generation int64 `json:"artefact_generation"`
-	// MeanEvalMicros is the mean latency of one cache-miss candidate
-	// ranking in microseconds.
-	MeanEvalMicros float64 `json:"mean_eval_micros"`
-	// PerOp splits the counters by operation wire name; ops with no traffic
-	// are omitted.
-	PerOp map[string]OpStats `json:"per_op,omitempty"`
 }
 
-// OpStats is one operation's share of the counters.
-type OpStats struct {
-	Predictions int64   `json:"predictions"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	HitRate     float64 `json:"hit_rate"`
-}
-
-// hitRate is hits/(hits+misses), 0 with no traffic.
-func hitRate(hits, misses int64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
-// Stats returns the current counters. Each ledger atomic is loaded exactly
+// Stats returns the current ledger. Each per-op atomic is loaded exactly
 // once and every other figure is a sum or ratio of those loads, so one
-// response is internally consistent by construction: Predictions is
-// CacheHits + CacheMisses, HitRate is their ratio, and the aggregates are
-// the sums of the per-op rows of the same response.
+// snapshot is internally consistent by construction: Predictions is
+// CacheHits + CacheMisses and HitRate is their ratio.
 func (e *Engine) Stats() Stats {
-	st := e.state.Load()
-	s := Stats{
-		Fallbacks:  e.fallbacks.Load(),
-		Generation: st.generation,
-		CacheLen:   st.cache.len(),
-		CacheCap:   st.cache.Capacity(),
-		Shards:     st.cache.Shards(),
-	}
-	var evals, evalNanos int64
+	s := Stats{Fallbacks: e.fallbacks.Load()}
 	for i := range e.serving {
-		hits, misses := e.serving[i].hits.Load(), e.serving[i].misses.Load()
-		s.CacheHits += hits
-		s.CacheMisses += misses
-		evals += e.decLatency[i].Count()
-		evalNanos += e.decLatency[i].Sum()
-		if hits+misses == 0 {
-			continue
-		}
-		if s.PerOp == nil {
-			s.PerOp = make(map[string]OpStats, len(e.serving))
-		}
-		s.PerOp[Op(i).String()] = OpStats{
-			Predictions: hits + misses,
-			CacheHits:   hits,
-			CacheMisses: misses,
-			HitRate:     hitRate(hits, misses),
-		}
+		s.CacheHits += e.serving[i].hits.Load()
+		s.CacheMisses += e.serving[i].misses.Load()
 	}
 	s.Predictions = s.CacheHits + s.CacheMisses
-	s.HitRate = hitRate(s.CacheHits, s.CacheMisses)
-	if evals > 0 {
-		s.MeanEvalMicros = float64(evalNanos) / float64(evals) / 1e3
+	if s.Predictions > 0 {
+		s.HitRate = float64(s.CacheHits) / float64(s.Predictions)
 	}
 	return s
 }

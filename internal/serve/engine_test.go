@@ -113,8 +113,11 @@ func TestEngineMatchesLibrary(t *testing.T) {
 	if st.HitRate <= 0 || st.HitRate >= 1 {
 		t.Errorf("hit rate %v out of (0,1)", st.HitRate)
 	}
-	if st.MeanEvalMicros <= 0 {
-		t.Errorf("mean eval latency %v, want > 0", st.MeanEvalMicros)
+	// Every miss ranked, and the ranking latency is on /metrics.
+	text := engineMetrics(eng)
+	lbl := `{op="gemm"}`
+	if n, sum := metricValue(t, text, "adsala_serve_decision_latency_seconds_count"+lbl), metricValue(t, text, "adsala_serve_decision_latency_seconds_sum"+lbl); n != float64(st.CacheMisses) || sum <= 0 {
+		t.Errorf("decision latency histogram holds %v rankings over %vs, want %d rankings over a positive time", n, sum, st.CacheMisses)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ml"
+	"repro/internal/obs"
 	"repro/internal/sampling"
 )
 
@@ -99,7 +100,7 @@ func TestReloadDoesNotPoisonCache(t *testing.T) {
 				t.Errorf("slot %d of the batch in flight answered %d, want 7 from the artefact it started with", i, got)
 			}
 		}
-		if n := e.Cache().len(); n != 0 {
+		if n := entries(e.Cache()); n != 0 {
 			t.Errorf("the overtaken batch left %d decisions in the new generation's cache, want 0", n)
 		}
 	})
@@ -141,11 +142,39 @@ func metricValue(t *testing.T, text, series string) float64 {
 	return 0
 }
 
+// metricSum returns the sum of one metric's samples over every label set
+// (0 when it has none).
+func metricSum(t *testing.T, text, name string) float64 {
+	t.Helper()
+	var total float64
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, name)
+		if !ok || (rest == "" || rest[0] != ' ' && rest[0] != '{') {
+			continue
+		}
+		v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		total += v
+	}
+	return total
+}
+
+// engineMetrics renders the engine's /metrics views.
+func engineMetrics(e *Engine) string {
+	r := obs.NewRegistry()
+	e.RegisterMetrics(r)
+	var b strings.Builder
+	r.WriteText(&b)
+	return b.String()
+}
+
 // TestStatsAndMetricsAgree runs one request mix — hits, misses, a
 // deduplicated batch, a detail ranking, a malformed request, a measurement
-// report — and then reads /stats and /metrics back to back: both are
-// renderings of the same atomics, so every figure that appears on both
-// must reconcile exactly.
+// report — and then reads /stats, /metrics and /healthz back to back: they
+// render the same atomics, so the ledger on /stats must be the sum of the
+// per-op series on /metrics, and every other figure must reconcile exactly.
 func TestStatsAndMetricsAgree(t *testing.T) {
 	srv, ts := testServer(t)
 	client := NewClient(ts.URL, nil)
@@ -170,59 +199,61 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var stats StatsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
+	get := func(path string, out any) string {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if out != nil {
+			if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rec.Body.String()
 	}
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	text := rec.Body.String()
+	var stats StatsResponse
+	get("/stats", &stats)
+	text := get("/metrics", nil)
+	var health HealthResponse
+	get("/healthz", &health)
 
 	eng := stats.Engine
-	if eng.Predictions != 13 || len(eng.PerOp) != 3 {
-		t.Fatalf("request mix booked as %+v, want 13 predictions over three ops", eng)
+	if eng.Predictions != 13 {
+		t.Fatalf("request mix booked as %+v, want 13 predictions", eng)
 	}
-	var evalCount, evalSum float64
-	for op, per := range eng.PerOp {
-		lbl := `{op="` + op + `"}`
-		if got, want := metricValue(t, text, "adsala_serve_cache_hits_total"+lbl), float64(per.CacheHits); got != want {
-			t.Errorf("%s hits: /metrics %v, /stats %v", op, got, want)
+	var hits, misses, evalCount, evalSum float64
+	for _, op := range []Op{OpGEMM, OpSYRK, OpSYR2K} {
+		lbl := `{op="` + op.String() + `"}`
+		h := metricValue(t, text, "adsala_serve_cache_hits_total"+lbl)
+		m := metricValue(t, text, "adsala_serve_cache_misses_total"+lbl)
+		if d := metricValue(t, text, "adsala_serve_decisions_total"+lbl); d != h+m || d == 0 {
+			t.Errorf("%s: %v decisions, %v hits + %v misses; every op had traffic", op, d, h, m)
 		}
-		if got, want := metricValue(t, text, "adsala_serve_cache_misses_total"+lbl), float64(per.CacheMisses); got != want {
-			t.Errorf("%s misses: /metrics %v, /stats %v", op, got, want)
-		}
-		if got, want := metricValue(t, text, "adsala_serve_decisions_total"+lbl), float64(per.Predictions); got != want {
-			t.Errorf("%s decisions: /metrics %v, /stats %v", op, got, want)
-		}
+		hits += h
+		misses += m
 		evalCount += metricValue(t, text, "adsala_serve_decision_latency_seconds_count"+lbl)
 		evalSum += metricValue(t, text, "adsala_serve_decision_latency_seconds_sum"+lbl)
 	}
-	for series, want := range map[string]int64{
-		"adsala_serve_fallbacks_total":     eng.Fallbacks,
-		"adsala_serve_artefact_generation": eng.Generation,
-	} {
-		if got := metricValue(t, text, series); got != float64(want) {
-			t.Errorf("%s = %v, /stats says %d", series, got, want)
-		}
+	if hits != float64(eng.CacheHits) || misses != float64(eng.CacheMisses) {
+		t.Errorf("/metrics per-op rows sum to %v hits / %v misses, /stats says %d / %d", hits, misses, eng.CacheHits, eng.CacheMisses)
 	}
-	// mean_eval_micros is the latency histograms' sum over their count.
-	if want := evalSum / evalCount * 1e6; eng.MeanEvalMicros <= 0 || eng.MeanEvalMicros < want*0.999 || eng.MeanEvalMicros > want*1.001 {
-		t.Errorf("mean_eval_micros %v, histograms give %v", eng.MeanEvalMicros, want)
+	if got := metricValue(t, text, "adsala_serve_fallbacks_total"); got != float64(eng.Fallbacks) {
+		t.Errorf("adsala_serve_fallbacks_total = %v, /stats says %d", got, eng.Fallbacks)
 	}
-	for route, hs := range stats.HTTP {
+	if got := metricValue(t, text, "adsala_serve_artefact_generation"); got != float64(health.Generation) {
+		t.Errorf("adsala_serve_artefact_generation = %v, /healthz says %d", got, health.Generation)
+	}
+	// Every miss that was not a fallback ranked once, in measurable time.
+	if want := float64(eng.CacheMisses - eng.Fallbacks); evalCount != want || evalSum <= 0 {
+		t.Errorf("decision latency histograms hold %v rankings over %vs, want %v rankings over a positive time", evalCount, evalSum, want)
+	}
+	for _, route := range []string{"predict", "batch", "measured"} {
 		lbl := `route="` + route + `"}`
 		ok := metricValue(t, text, `adsala_http_requests_total{result="ok",`+lbl)
 		bad := metricValue(t, text, `adsala_http_requests_total{result="error",`+lbl)
-		if ok+bad != float64(hs.Requests) || bad != float64(hs.Errors) {
-			t.Errorf("route %s: /metrics ok %v + error %v, /stats requests %d errors %d", route, ok, bad, hs.Requests, hs.Errors)
-		}
-		if got := metricValue(t, text, `adsala_http_request_seconds_count{`+lbl); got != float64(hs.Requests) {
-			t.Errorf("route %s: latency histogram counts %v requests, /stats %d", route, got, hs.Requests)
+		if n := metricValue(t, text, `adsala_http_request_seconds_count{`+lbl); ok+bad != n || n == 0 {
+			t.Errorf("route %s: ok %v + error %v, latency histogram counts %v requests", route, ok, bad, n)
 		}
 	}
-	if p := stats.HTTP["predict"]; p.Requests != 11 || p.Errors != 1 {
-		t.Errorf("predict route = %+v, want 11 requests with 1 error", p)
+	if ok, bad := metricValue(t, text, `adsala_http_requests_total{result="ok",route="predict"}`), metricValue(t, text, `adsala_http_requests_total{result="error",route="predict"}`); ok != 10 || bad != 1 {
+		t.Errorf("predict route = %v ok + %v error, want 11 requests with 1 error", ok, bad)
 	}
 }

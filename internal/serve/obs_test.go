@@ -13,10 +13,9 @@ import (
 // TestStatsConsistentUnderLoad is the torn-read regression test: it
 // hammers the engine from several goroutines while polling Stats, and
 // asserts that every snapshot is internally consistent — Predictions is
-// exactly CacheHits + CacheMisses, the derived HitRate exactly
-// CacheHits/(CacheHits+CacheMisses) of the same snapshot, aggregate and per
-// op, and the aggregates exactly the sums of the per-op rows. Every figure
-// is derived from one load of each per-op {hits, misses} pair, so no
+// exactly CacheHits + CacheMisses and the derived HitRate exactly
+// CacheHits/(CacheHits+CacheMisses) of the same snapshot. Every figure is
+// derived from one load of each per-op {hits, misses} pair, so no
 // interleaving can pull them apart.
 func TestStatsConsistentUnderLoad(t *testing.T) {
 	e := NewEngine(lib(t), Options{CacheSize: 64, Shards: 4})
@@ -65,24 +64,6 @@ func checkStatsConsistent(t *testing.T, st Stats) {
 		}
 	} else if st.HitRate != 0 {
 		t.Fatalf("hit rate %v with no traffic", st.HitRate)
-	}
-	var hits, misses int64
-	for name, os := range st.PerOp {
-		if os.Predictions != os.CacheHits+os.CacheMisses {
-			t.Fatalf("op %s: predictions %d != hits %d + misses %d",
-				name, os.Predictions, os.CacheHits, os.CacheMisses)
-		}
-		if total := os.CacheHits + os.CacheMisses; total > 0 {
-			if want := float64(os.CacheHits) / float64(total); os.HitRate != want {
-				t.Fatalf("op %s: torn hit rate %v != %v", name, os.HitRate, want)
-			}
-		}
-		hits += os.CacheHits
-		misses += os.CacheMisses
-	}
-	if hits != st.CacheHits || misses != st.CacheMisses {
-		t.Fatalf("per-op rows sum to %d hits / %d misses, aggregates say %d / %d",
-			hits, misses, st.CacheHits, st.CacheMisses)
 	}
 }
 

@@ -6,8 +6,23 @@ import (
 	"repro/internal/sampling"
 )
 
+// opCounts is one op's row of the per-op /metrics series.
+type opCounts struct{ decisions, hits, misses float64 }
+
+// perOp reads one op's decision, hit and miss counters from an exposition.
+func perOp(t *testing.T, text string, op Op) opCounts {
+	t.Helper()
+	lbl := `{op="` + op.String() + `"}`
+	return opCounts{
+		decisions: metricValue(t, text, "adsala_serve_decisions_total"+lbl),
+		hits:      metricValue(t, text, "adsala_serve_cache_hits_total"+lbl),
+		misses:    metricValue(t, text, "adsala_serve_cache_misses_total"+lbl),
+	}
+}
+
 // TestPerOpStats pins the per-op serving counters: hits, misses and
-// predictions split by op while the aggregates keep their old meaning.
+// decisions split by op on /metrics, while the /stats aggregates keep their
+// meaning and are exactly the sums of the per-op rows.
 func TestPerOpStats(t *testing.T) {
 	l := lib(t)
 	eng := NewEngine(l, Options{CacheSize: 256})
@@ -24,51 +39,34 @@ func TestPerOpStats(t *testing.T) {
 		t.Fatalf("aggregates = %d/%d/%d, want 7 predictions, 2 hits, 5 misses",
 			st.Predictions, st.CacheHits, st.CacheMisses)
 	}
-	gemm := st.PerOp["gemm"]
-	if gemm.Predictions != 2 || gemm.CacheHits != 1 || gemm.CacheMisses != 1 || gemm.HitRate != 0.5 {
-		t.Errorf("gemm per-op stats = %+v", gemm)
-	}
-	syrk := st.PerOp["syrk"]
-	if syrk.Predictions != 2 || syrk.CacheHits != 0 || syrk.CacheMisses != 2 {
-		t.Errorf("syrk per-op stats = %+v", syrk)
-	}
-	syr2k := st.PerOp["syr2k"]
-	if syr2k.Predictions != 3 || syr2k.CacheHits != 1 || syr2k.CacheMisses != 2 {
-		t.Errorf("syr2k per-op stats = %+v", syr2k)
+	text := engineMetrics(eng)
+	for op, want := range map[Op]opCounts{
+		OpGEMM:  {decisions: 2, hits: 1, misses: 1},
+		OpSYRK:  {decisions: 2, hits: 0, misses: 2},
+		OpSYR2K: {decisions: 3, hits: 1, misses: 2},
+	} {
+		if got := perOp(t, text, op); got != want {
+			t.Errorf("%s per-op counters = %+v, want %+v", op, got, want)
+		}
 	}
 	// Per-op counters decompose the aggregates exactly.
-	var p, h, m int64
-	for _, os := range st.PerOp {
-		p += os.Predictions
-		h += os.CacheHits
-		m += os.CacheMisses
-	}
-	if p != st.Predictions || h != st.CacheHits || m != st.CacheMisses {
-		t.Errorf("per-op sums %d/%d/%d do not decompose aggregates %d/%d/%d",
+	if p, h, m := metricSum(t, text, "adsala_serve_decisions_total"), metricSum(t, text, "adsala_serve_cache_hits_total"), metricSum(t, text, "adsala_serve_cache_misses_total"); p != float64(st.Predictions) || h != float64(st.CacheHits) || m != float64(st.CacheMisses) {
+		t.Errorf("per-op sums %v/%v/%v do not decompose aggregates %d/%d/%d",
 			p, h, m, st.Predictions, st.CacheHits, st.CacheMisses)
 	}
 }
 
-// TestPerOpStatsAtEndpoint checks /stats carries the per_op section.
+// TestPerOpStatsAtEndpoint checks the daemon's /metrics carries the per-op
+// rows.
 func TestPerOpStatsAtEndpoint(t *testing.T) {
-	srv, ts := testServer(t)
+	_, ts := testServer(t)
 	client := NewClient(ts.URL, nil)
-	if _, err := client.Predict(bg, PredictRequest{M: 64, K: 64, N: 64, Op: OpSYRK.String()}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := client.Predict(bg, PredictRequest{M: 64, K: 64, N: 64, Op: OpSYRK.String()}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := client.Predict(bg, PredictRequest{M: 64, K: 64, N: 64, Op: OpSYRK.String()}); err != nil {
-		t.Fatal(err)
+	if got, want := perOp(t, scrapeMetrics(t, ts.URL), OpSYRK), (opCounts{decisions: 2, hits: 1, misses: 1}); got != want {
+		t.Errorf("syrk at /metrics = %+v, want %+v", got, want)
 	}
-	stats, err := client.Stats(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	syrk, ok := stats.Engine.PerOp["syrk"]
-	if !ok {
-		t.Fatalf("/stats has no per_op entry for syrk: %+v", stats.Engine.PerOp)
-	}
-	if syrk.Predictions != 2 || syrk.CacheHits != 1 || syrk.CacheMisses != 1 {
-		t.Errorf("syrk at /stats = %+v", syrk)
-	}
-	_ = srv
 }

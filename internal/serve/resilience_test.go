@@ -369,8 +369,8 @@ func TestDegradedFallbackNoModel(t *testing.T) {
 	if st.Fallbacks != 2 {
 		t.Errorf("fallbacks = %d, want 2 (fallback decisions must not be cached)", st.Fallbacks)
 	}
-	if st.CacheLen != 0 {
-		t.Errorf("cache holds %d entries after fallback-only traffic, want 0", st.CacheLen)
+	if n := metricSum(t, scrapeMetrics(t, ts.URL), "adsala_serve_cache_entries"); n != 0 {
+		t.Errorf("cache holds %v entries after fallback-only traffic, want 0", n)
 	}
 
 	// Batch: every slot tagged.

@@ -5,6 +5,7 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -30,11 +31,15 @@ type PredictRequest struct {
 }
 
 // parse is the one validation every wire shape passes — /predict, each
-// /batch slot, each /measured record: positive dimensions and a registered
-// operation name.
+// /batch slot, each /measured record: positive dimensions that fit an
+// int32, as the flight recorder stores them, on every platform, and a
+// registered operation name.
 func (r PredictRequest) parse() (Op, error) {
 	if r.M < 1 || r.K < 1 || r.N < 1 {
 		return 0, fmt.Errorf("dimensions must be positive, got %dx%dx%d", r.M, r.K, r.N)
+	}
+	if r.M > math.MaxInt32 || r.K > math.MaxInt32 || r.N > math.MaxInt32 {
+		return 0, fmt.Errorf("dimensions must be at most %d, got %dx%dx%d", math.MaxInt32, r.M, r.K, r.N)
 	}
 	return ParseOp(r.Op)
 }
@@ -99,46 +104,19 @@ type HealthResponse struct {
 	DriftingOps []string `json:"drifting_ops,omitempty"`
 }
 
-// endpointMetrics tracks request count and latency for one endpoint. The
-// JSON /stats snapshot and the Prometheus exposition are both views over
-// the same atomics — the latency histogram carries the request count and
-// total time — so the two surfaces can never disagree about what the server
-// did.
+// endpointMetrics tracks request count and latency for one endpoint: the
+// latency histogram carries the request count and total time, errors the
+// failed share. /metrics is their only rendering.
 type endpointMetrics struct {
 	errors  atomic.Int64
-	maxNS   atomic.Int64
 	latency *obs.Histogram
 }
 
 func (m *endpointMetrics) observe(d time.Duration, failed bool) {
-	ns := d.Nanoseconds()
-	m.latency.Observe(ns) // the request count: before errors, see register
+	m.latency.Observe(d.Nanoseconds()) // the request count: before errors, see register
 	if failed {
 		m.errors.Add(1)
 	}
-	for {
-		cur := m.maxNS.Load()
-		if ns <= cur || m.maxNS.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// EndpointStats is the exported snapshot of one endpoint's metrics.
-type EndpointStats struct {
-	Requests   int64   `json:"requests"`
-	Errors     int64   `json:"errors"`
-	MeanMicros float64 `json:"mean_micros"`
-	MaxMicros  float64 `json:"max_micros"`
-}
-
-func (m *endpointMetrics) snapshot() EndpointStats {
-	st := EndpointStats{Requests: m.latency.Count(), Errors: m.errors.Load()}
-	if st.Requests > 0 {
-		st.MeanMicros = float64(m.latency.Sum()) / float64(st.Requests) / 1e3
-		st.MaxMicros = float64(m.maxNS.Load()) / 1e3
-	}
-	return st
 }
 
 // register exposes the endpoint's counters and latency histogram under the
@@ -161,15 +139,17 @@ func (m *endpointMetrics) register(r *obs.Registry, route string) {
 		"HTTP request latency, by route.", m.latency, lbl)
 }
 
-// StatsResponse is the JSON answer of /stats.
+// StatsResponse is the JSON answer of /stats: the artefact being served
+// and the engine's decision ledger. Everything else the daemon counts —
+// per-op decisions, ranking latency, cache occupancy, HTTP requests — is on
+// /metrics.
 type StatsResponse struct {
 	Platform string `json:"platform"`
 	Model    string `json:"model"`
 	// Models lists the per-op model bundle: wire name → selected model
 	// family, for every op with a trained model of its own.
-	Models map[string]string        `json:"models,omitempty"`
-	Engine Stats                    `json:"engine"`
-	HTTP   map[string]EndpointStats `json:"http"`
+	Models map[string]string `json:"models,omitempty"`
+	Engine Stats             `json:"engine"`
 }
 
 // MaxBatchShapes bounds one /batch request, which holds its admission slot
@@ -654,11 +634,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Model:    lib.ModelKind(),
 		Models:   models,
 		Engine:   s.engine.Stats(),
-		HTTP: map[string]EndpointStats{
-			"predict":  s.predict.snapshot(),
-			"batch":    s.batch.snapshot(),
-			"measured": s.measured.snapshot(),
-		},
 	})
 }
 

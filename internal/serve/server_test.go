@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -103,11 +105,62 @@ func TestServerStatsAndHealth(t *testing.T) {
 	if st.Engine.Predictions < 7 || st.Engine.CacheHits < 1 {
 		t.Errorf("engine stats %+v", st.Engine)
 	}
-	if p := st.HTTP["predict"]; p.Requests != 2 || p.MeanMicros <= 0 || p.MaxMicros < p.MeanMicros {
-		t.Errorf("predict endpoint stats %+v", p)
+	text := scrapeMetrics(t, ts.URL)
+	if n, sum := metricValue(t, text, `adsala_http_request_seconds_count{route="predict"}`), metricValue(t, text, `adsala_http_request_seconds_sum{route="predict"}`); n != 2 || sum <= 0 {
+		t.Errorf("predict route: %v requests over %vs, want 2 over a positive time", n, sum)
 	}
-	if b := st.HTTP["batch"]; b.Requests != 1 {
-		t.Errorf("batch endpoint stats %+v", b)
+	if n := metricValue(t, text, `adsala_http_request_seconds_count{route="batch"}`); n != 1 {
+		t.Errorf("batch route: %v requests, want 1", n)
+	}
+}
+
+// TestStatsKeyTree pins the /stats surface to the facts nothing else
+// renders — the artefact being served and the decision ledger — so that no
+// twin of a /metrics series can grow back onto it.
+func TestStatsKeyTree(t *testing.T) {
+	srv, ts := testServer(t)
+	client := NewClient(ts.URL, nil)
+	for i := 0; i < 2; i++ {
+		if _, err := client.Predict(bg, PredictRequest{M: 100, K: 100, N: 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A fallback, so the omitempty ledger field is present too.
+	expired, cancel := context.WithCancel(bg)
+	cancel()
+	if _, fb := srv.Engine().PredictOpCtx(expired, OpGEMM, 300, 300, 300); !fb {
+		t.Fatal("an expired context did not fall back")
+	}
+
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		obj, ok := v.(map[string]any)
+		if !ok || prefix == "models." {
+			return // models is keyed by the artefact's ops
+		}
+		for k, sub := range obj {
+			keys = append(keys, prefix+k)
+			walk(prefix+k+".", sub)
+		}
+	}
+	walk("", body)
+	slices.Sort(keys)
+	want := []string{
+		"engine", "engine.cache_hits", "engine.cache_misses", "engine.fallbacks",
+		"engine.hit_rate", "engine.predictions", "model", "models", "platform",
+	}
+	if !slices.Equal(keys, want) {
+		t.Errorf("/stats keys = %v, want exactly %v", keys, want)
 	}
 }
 
@@ -141,6 +194,20 @@ func TestServerErrors(t *testing.T) {
 		{"batch bad shape", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/batch", "application/json", strings.NewReader(`{"shapes":[{"m":1,"k":1,"n":-2}]}`))
 		}, http.StatusBadRequest},
+		// Dimensions past math.MaxInt32, which the flight recorder stores
+		// as int32, are refused on every platform.
+		{"predict get beyond int32", func() (*http.Response, error) {
+			return http.Get(ts.URL + "/predict?m=2147483648&k=64&n=64")
+		}, http.StatusBadRequest},
+		{"predict post beyond int32", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/predict", "application/json", strings.NewReader(`{"m":64,"k":2147483648,"n":64}`))
+		}, http.StatusBadRequest},
+		{"predict post 19 digits", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/predict", "application/json", strings.NewReader(`{"m":64,"k":64,"n":9223372036854775807}`))
+		}, http.StatusBadRequest},
+		{"batch slot beyond int32", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/batch", "application/json", strings.NewReader(`{"shapes":[{"m":64,"k":64,"n":64},{"m":64,"k":64,"n":2147483648,"op":"syrk"}]}`))
+		}, http.StatusBadRequest},
 	} {
 		resp, err := tc.do()
 		if err != nil {
@@ -169,8 +236,7 @@ func TestServerErrors(t *testing.T) {
 // TestServerBodyBounds pins the request-body bounds: each route reads its
 // whole body up to a constant sized from the route's own limit and answers
 // 413 one byte past it, and the largest batch the validation accepts — 16384
-// shapes, every dimension math.MaxInt (19 digits on 64-bit), the longest op
-// name — still fits.
+// shapes, every dimension math.MaxInt32, the longest op name — still fits.
 func TestServerBodyBounds(t *testing.T) {
 	_, ts := testServer(t)
 	post := func(path, body string) int {
@@ -183,7 +249,7 @@ func TestServerBodyBounds(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	maxInt := strconv.Itoa(math.MaxInt)
+	maxInt := strconv.Itoa(math.MaxInt32)
 	shape := `{"m":` + maxInt + `,"k":` + maxInt + `,"n":` + maxInt + `,"op":"syr2k"}`
 	batch := `{"shapes":[` + strings.Repeat(shape+",", MaxBatchShapes-1) + shape + `]}`
 	if got := post("/batch", batch); got != http.StatusOK {
