@@ -479,6 +479,32 @@ func BenchmarkGemmEndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkFacadeHit is the facade's hit path: laps over tiny mixed-op
+// calls (SGEMM, DGEMM, SSYRK and SSYR2K at a small-path and a packed shape,
+// facadeCalls) with every decision a cache hit and nothing listening, so a
+// call is the decision, the clamp and the kernel. The steady state must
+// allocate nothing (CI's bench-smoke greps for 0 allocs/op).
+func BenchmarkFacadeHit(b *testing.B) {
+	lib, _, err := Train(TrainOptions{Platform: "Gadi", Quick: true, Shapes: 120, Seed: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := lib.BLAS()
+	calls := facadeCalls()
+	for _, c := range calls { // decide every shape, warm the pooled contexts
+		if err := c.run(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := calls[i%len(calls)].run(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- serving subsystem ----------------------------------------------------
 
 // benchServeShapes returns deterministic mixed GEMM shapes for the

@@ -2,6 +2,7 @@ package adsala
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/blas"
@@ -40,11 +41,14 @@ func NewMatrixF64(rows, cols int) *MatrixF64 { return mat.NewF64(rows, cols) }
 // The full predict→execute path is allocation-free in steady state: cache
 // hits rank nothing, and execution draws a warmed blas.Context (packed
 // panel buffers plus a persistent worker team) from the kernel's internal
-// pool. A BLAS is safe for concurrent use.
+// pool. A call pays only for what it uses: the kernel is timed only while a
+// flight recorder or drift monitor is attached to the engine, and a
+// decision of one thread runs without reading GOMAXPROCS. A BLAS is safe
+// for concurrent use, SetMaxLocalThreads included.
 type BLAS struct {
 	eng *serve.Engine
 	// maxLocal caps the executed thread count (0 = hostThreads).
-	maxLocal int
+	maxLocal atomic.Int64
 }
 
 // BLAS returns the generic BLAS-3 front end bound to the library's shared
@@ -58,14 +62,24 @@ func (b *BLAS) Engine() *serve.Engine { return b.eng }
 // SetMaxLocalThreads overrides the local execution clamp for calls through
 // this facade (useful in tests). It does not affect other facades sharing
 // the engine.
-func (b *BLAS) SetMaxLocalThreads(n int) { b.maxLocal = n }
+func (b *BLAS) SetMaxLocalThreads(n int) { b.maxLocal.Store(int64(n)) }
 
 // localClamp returns the largest thread count to actually run.
 func (b *BLAS) localClamp() int {
-	if b.maxLocal > 0 {
-		return b.maxLocal
+	if n := b.maxLocal.Load(); n > 0 {
+		return int(n)
 	}
 	return hostThreads()
+}
+
+// clamp bounds a model decision to what this facade executes. A decision
+// of at most one thread runs at one without reading localClamp: no clamp
+// lowers one thread, and GOMAXPROCS takes the scheduler lock.
+func (b *BLAS) clamp(threads int) int {
+	if threads <= 1 {
+		return 1
+	}
+	return clampThreads(threads, b.localClamp())
 }
 
 // clampThreads bounds a model decision to [1, max] for local execution.
@@ -83,7 +97,26 @@ func clampThreads(threads, max int) int {
 // canonical feature triple, clamped for local execution.
 func (b *BLAS) choose(op Op, m, k, n int) int {
 	threads, _ := b.eng.PredictOpCtx(context.Background(), op, m, k, n)
-	return clampThreads(threads, b.localClamp())
+	return b.clamp(threads)
+}
+
+// startClock reads the clock when the engine has a listener for the call's
+// measurement (Engine.Measuring) and returns the zero time otherwise. It is
+// asked once, before the kernel: a listener attached mid-call misses only
+// that call, as it would had the call finished before the attach.
+func (b *BLAS) startClock() time.Time {
+	if !b.eng.Measuring() {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// record reports a successful call's wall time since start to the engine,
+// when startClock found a listener.
+func (b *BLAS) record(start time.Time, err error, op Op, m, k, n, threads int) {
+	if err == nil && !start.IsZero() {
+		b.eng.RecordMeasured(op, m, k, n, threads, time.Since(start).Nanoseconds())
+	}
 }
 
 // opDims returns the (m, n, k) dimensions of op(A)·op(B).
@@ -111,20 +144,20 @@ func syrkDims(rows, cols int, trans bool) (n, k int) {
 // SGEMM computes C ← alpha·op(A)·op(B) + beta·C in single precision with
 // the model-selected thread count.
 //
-// Each facade call times its kernel execution and, when the engine carries
-// a flight recorder, appends a measurement record alongside the decision
-// record — the in-process path is where predicted and measured runtimes
-// pair up, turning every traced call into labelled evaluation data for
-// adsala-replay. The timing is two monotonic clock reads; no closures, no
-// allocation.
+// While the engine carries a flight recorder or a drift monitor, each
+// facade call times its kernel execution and reports it: the recorder
+// appends a measurement record alongside the decision record and the
+// monitor scores the pair — the in-process path is where predicted and
+// measured runtimes pair up, turning every traced call into labelled
+// evaluation data for adsala-replay. The timing is then two monotonic clock
+// reads; with no listener attached there are none. No closures, no
+// allocation either way.
 func (b *BLAS) SGEMM(transA, transB bool, alpha float32, a, bm *MatrixF32, beta float32, c *MatrixF32) error {
 	m, n, k := opDims(a, transA, bm, transB)
 	threads := b.choose(OpGEMM, m, k, n)
-	start := time.Now()
+	start := b.startClock()
 	err := blas.SGEMM(transA, transB, alpha, a, bm, beta, c, threads)
-	if err == nil {
-		b.eng.RecordMeasured(OpGEMM, m, k, n, threads, time.Since(start).Nanoseconds())
-	}
+	b.record(start, err, OpGEMM, m, k, n, threads)
 	return err
 }
 
@@ -132,11 +165,9 @@ func (b *BLAS) SGEMM(transA, transB bool, alpha float32, a, bm *MatrixF32, beta 
 func (b *BLAS) DGEMM(transA, transB bool, alpha float64, a, bm *MatrixF64, beta float64, c *MatrixF64) error {
 	m, n, k := opDims(a, transA, bm, transB)
 	threads := b.choose(OpGEMM, m, k, n)
-	start := time.Now()
+	start := b.startClock()
 	err := blas.DGEMM(transA, transB, alpha, a, bm, beta, c, threads)
-	if err == nil {
-		b.eng.RecordMeasured(OpGEMM, m, k, n, threads, time.Since(start).Nanoseconds())
-	}
+	b.record(start, err, OpGEMM, m, k, n, threads)
 	return err
 }
 
@@ -147,11 +178,9 @@ func (b *BLAS) DGEMM(transA, transB bool, alpha float64, a, bm *MatrixF64, beta 
 func (b *BLAS) SSYRK(trans bool, alpha float32, a *MatrixF32, beta float32, c *MatrixF32) error {
 	n, k := syrkDims(a.Rows, a.Cols, trans)
 	threads := b.choose(OpSYRK, n, k, n)
-	start := time.Now()
+	start := b.startClock()
 	err := blas.SSYRK(trans, alpha, a, beta, c, threads)
-	if err == nil {
-		b.eng.RecordMeasured(OpSYRK, n, k, n, threads, time.Since(start).Nanoseconds())
-	}
+	b.record(start, err, OpSYRK, n, k, n, threads)
 	return err
 }
 
@@ -159,11 +188,9 @@ func (b *BLAS) SSYRK(trans bool, alpha float32, a *MatrixF32, beta float32, c *M
 func (b *BLAS) DSYRK(trans bool, alpha float64, a *MatrixF64, beta float64, c *MatrixF64) error {
 	n, k := syrkDims(a.Rows, a.Cols, trans)
 	threads := b.choose(OpSYRK, n, k, n)
-	start := time.Now()
+	start := b.startClock()
 	err := blas.DSYRK(trans, alpha, a, beta, c, threads)
-	if err == nil {
-		b.eng.RecordMeasured(OpSYRK, n, k, n, threads, time.Since(start).Nanoseconds())
-	}
+	b.record(start, err, OpSYRK, n, k, n, threads)
 	return err
 }
 
@@ -175,11 +202,9 @@ func (b *BLAS) DSYRK(trans bool, alpha float64, a *MatrixF64, beta float64, c *M
 func (b *BLAS) SSYR2K(trans bool, alpha float32, a, bm *MatrixF32, beta float32, c *MatrixF32) error {
 	n, k := syrkDims(a.Rows, a.Cols, trans)
 	threads := b.choose(OpSYR2K, n, k, n)
-	start := time.Now()
+	start := b.startClock()
 	err := blas.SSYR2K(trans, alpha, a, bm, beta, c, threads)
-	if err == nil {
-		b.eng.RecordMeasured(OpSYR2K, n, k, n, threads, time.Since(start).Nanoseconds())
-	}
+	b.record(start, err, OpSYR2K, n, k, n, threads)
 	return err
 }
 
@@ -187,11 +212,9 @@ func (b *BLAS) SSYR2K(trans bool, alpha float32, a, bm *MatrixF32, beta float32,
 func (b *BLAS) DSYR2K(trans bool, alpha float64, a, bm *MatrixF64, beta float64, c *MatrixF64) error {
 	n, k := syrkDims(a.Rows, a.Cols, trans)
 	threads := b.choose(OpSYR2K, n, k, n)
-	start := time.Now()
+	start := b.startClock()
 	err := blas.DSYR2K(trans, alpha, a, bm, beta, c, threads)
-	if err == nil {
-		b.eng.RecordMeasured(OpSYR2K, n, k, n, threads, time.Since(start).Nanoseconds())
-	}
+	b.record(start, err, OpSYR2K, n, k, n, threads)
 	return err
 }
 
@@ -206,7 +229,7 @@ func (b *BLAS) LastChoice(op Op, m, k, n int) int {
 	if !ok {
 		return 0
 	}
-	return clampThreads(threads, b.localClamp())
+	return b.clamp(threads)
 }
 
 // CacheStats reports the serving (hits, misses) of the shared engine —

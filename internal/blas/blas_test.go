@@ -193,7 +193,7 @@ func testBetaZeroPacked[T float32 | float64](t *testing.T, relTol float64) {
 				for i := range c.Data {
 					c.Data[i] = poison[(i+threads)%len(poison)]
 				}
-				if err := drive(ctx, op, false, false, 0.5, a, b, 0, c, threads, paramsFor[T](ctx)); err != nil {
+				if err := drive(ctx, op, false, false, 0.5, a, b, 0, c, threads, ctx.Params); err != nil {
 					t.Fatal(err)
 				}
 				for i, got := range c.Data {
@@ -279,6 +279,43 @@ func TestParamsValidate(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Errorf("tile %dx%d should validate: %v", tile[0], tile[1], err)
 		}
+	}
+}
+
+// TestResolveParams pins what drive skips: the default blocking, asked for
+// by the zero Params or spelled out, passes checkParams on every tile set
+// the probes can pick, and only an explicit other blocking is checked.
+func TestResolveParams(t *testing.T) {
+	check := func(t *testing.T) {
+		t.Helper()
+		resolveCase[float32](t)
+		resolveCase[float64](t)
+	}
+	check(t)
+	t.Run("ymm", func(t *testing.T) { forceNoZMM(t); check(t) })
+	t.Run("go", func(t *testing.T) { forceGoTile(t); check(t) })
+}
+
+func resolveCase[T float32 | float64](t *testing.T) {
+	t.Helper()
+	def := DefaultParams[T]()
+	if err := checkParams[T](def); err != nil {
+		t.Errorf("%T default blocking %+v fails its check: %v", T(0), def, err)
+	}
+	for _, in := range []Params{{}, def} {
+		if got, isDef, err := resolveParams[T](in); got != def || !isDef || err != nil {
+			t.Errorf("%T resolveParams(%+v) = %+v, %v, %v; want the default", T(0), in, got, isDef, err)
+		}
+	}
+	other := def
+	other.KC /= 2
+	if got, isDef, err := resolveParams[T](other); got != other || isDef || err != nil {
+		t.Errorf("%T resolveParams(%+v) = %+v, %v, %v; want it explicit and valid", T(0), other, got, isDef, err)
+	}
+	bad := def
+	bad.MC++
+	if _, _, err := resolveParams[T](bad); err == nil || err.Error() != checkParams[T](bad).Error() {
+		t.Errorf("%T resolveParams(%+v) error %v, want checkParams' %v", T(0), bad, err, checkParams[T](bad))
 	}
 }
 

@@ -52,23 +52,27 @@ func (c *Context) Close() {
 	}
 }
 
-// paramsFor resolves the context's blocking parameters for element type T.
-func paramsFor[T float32 | float64](c *Context) Params {
-	if c.Params == (Params{}) {
-		return DefaultParams[T]()
+// resolveParams returns the blocking a call of element type T runs and
+// whether it is the default: the zero Params means DefaultParams, and an
+// explicit Params equal to it is the default too. Only an explicit
+// non-default blocking is checked; the default is valid by construction.
+func resolveParams[T float32 | float64](prm Params) (Params, bool, error) {
+	def := DefaultParams[T]()
+	if prm == (Params{}) || prm == def {
+		return def, true, nil
 	}
-	return c.Params
+	return prm, false, checkParams[T](prm)
 }
 
 // SGEMM computes C ← alpha·op(A)·op(B) + beta·C in single precision on this
 // context with the given number of threads (values < 1 mean 1).
 func (c *Context) SGEMM(transA, transB bool, alpha float32, a, b *mat.F32, beta float32, cm *mat.F32, threads int) error {
-	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, paramsFor[float32](c))
+	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, c.Params)
 }
 
 // DGEMM is the double-precision counterpart of SGEMM.
 func (c *Context) DGEMM(transA, transB bool, alpha float64, a, b *mat.F64, beta float64, cm *mat.F64, threads int) error {
-	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, paramsFor[float64](c))
+	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, c.Params)
 }
 
 // ctxPool backs the package-level entry points: steady-state calls reuse a
@@ -205,8 +209,11 @@ func (c *Context) ensureTeam(workers int) *team {
 // packed buffers, lower(alpha·op(A)·op(B)ᵀ + beta·C) and then
 // += lower(alpha·op(B)·op(A)ᵀ), the second ending in the mirror. The
 // symmetric updates pass their one transpose flag as both transA and transB.
+// prm is the call's blocking, the zero Params meaning the default
+// (resolveParams).
 func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], threads int, prm Params) error {
-	if err := checkParams[T](prm); err != nil {
+	prm, def, err := resolveParams[T](prm)
+	if err != nil {
 		return err
 	}
 	if op == opSyrk {
@@ -262,7 +269,7 @@ func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, al
 	// depends only on the dimensions, so results stay bit-identical across
 	// thread counts. So does the default's other dimension rule: a narrow C
 	// keeps the YMM tile.
-	if prm == DefaultParams[T]() {
+	if def {
 		if smallShape(m, n, kSmall) {
 			switch op {
 			case opGemm:
@@ -301,7 +308,7 @@ func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, al
 		parts: threads,
 		prm:   prm,
 	}
-	err := runCall(ctx, bufs, op)
+	err = runCall(ctx, bufs, op)
 	if err == nil && op == opSyr2k {
 		// Pass 2: lower(C) += alpha·op(B)·op(A)ᵀ (beta = 1 accumulates), then
 		// mirror the completed lower triangle band-parallel.

@@ -34,11 +34,22 @@ func (e *Engine) traceDecision(op Op, m, k, n, threads int, predNs int64, flags 
 	})
 }
 
+// Measuring reports whether RecordMeasured has anything to feed: a flight
+// recorder or a drift monitor is attached. A caller that times its kernel
+// only to report the time asks first and skips both clock reads when no one
+// listens.
+//
+//adsala:zeroalloc
+func (e *Engine) Measuring() bool {
+	return e.recorder.Load() != nil || e.drift.Load() != nil
+}
+
 // RecordMeasured folds one measurement — the measured wall time of one
 // executed kernel call at the given thread count — into the engine's
 // measured-prediction stream: the flight recorder appends a measurement
 // record, and the drift monitor (when attached) scores the pair online.
-// The in-process BLAS facade calls it after each successful execution; a
+// The in-process BLAS facade calls it after each successful execution that
+// began while Measuring was true; a
 // serving daemon itself only decides, so its stream fills through POST
 // /measured, where executing clients report their kernel wall times back.
 // A no-op with neither recorder nor monitor attached.
