@@ -5,21 +5,22 @@
 //
 // Endpoints:
 //
-//	POST /register  accept a sweep spec (op, timing backend, domain, seed,
-//	                candidates, iters) and build the timing backend
-//	POST /work      execute one work unit ({start, count} into the sweep's
-//	                deterministic Halton sample stream), one unit at a time,
-//	                and answer with its timings
-//	GET  /healthz   readiness probe: 503 until a sweep is registered and
-//	                once drain begins
-//	GET  /livez     liveness probe: 200 whenever the process answers
+//	POST /work      execute one work unit: the request carries the sweep spec
+//	                (op, timing backend, domain, seed, candidates, iters) and
+//	                the unit ({start, count} into the sweep's deterministic
+//	                Halton sample stream); units run one at a time, and the
+//	                answer is the unit's timings
+//	GET  /healthz   the one probe: 200 whenever the process answers, with the
+//	                units completed so far and whether one is executing
 //	GET  /metrics   Prometheus text exposition
-//	POST /drain     stop accepting new units; in-flight units finish
 //
-// The timing backend comes from the coordinator's spec: simtime.RealTimer
-// for real installs (the default), or the deterministic Simulator. With
-// -sim the worker only accepts simulator sweeps — the guard tests and CI
-// use so no wall-clock timing ever runs there.
+// The worker keeps no session: every request is checked on its own (a
+// spec whose session is its fingerprint, a unit and spec within fixed
+// bounds), so one worker can serve several coordinators. The timing
+// backend comes from the request's spec: simtime.RealTimer for real
+// installs (the default), or the deterministic Simulator. With -sim the
+// worker only accepts simulator sweeps — the guard tests and CI use so no
+// wall-clock timing ever runs there.
 //
 // Usage:
 //
@@ -98,7 +99,6 @@ func run(args []string, out io.Writer) error {
 	worker := gather.NewWorker(gather.WorkerOptions{
 		Name:       name,
 		RequireSim: cfg.sim,
-		Logf:       lg.Infof,
 		DebugLogf:  lg.Debugf,
 	})
 	if cfg.pprof {

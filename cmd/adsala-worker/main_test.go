@@ -77,7 +77,7 @@ func TestRunServesSweep(t *testing.T) {
 	}
 	coord := gather.New(gather.Config{Workers: []string{addr}, Timer: spec})
 
-	// The daemon needs a moment to bind; retry registration briefly.
+	// The daemon needs a moment to bind; retry the gather briefly.
 	var (
 		got []core.ShapeTimings
 		err error

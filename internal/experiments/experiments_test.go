@@ -6,6 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/ops"
 )
 
 // sharedLab trains once at quick scale and is reused across tests in this
@@ -340,4 +343,21 @@ func TestScales(t *testing.T) {
 	if s := QuickScale(); !s.QuickModels {
 		t.Errorf("QuickScale must use quick models")
 	}
+}
+
+// holdoutChoiceAgreement is the fraction of holdout shapes where the library's choice is within a factor of two of
+// the measured-optimal time.
+func holdoutChoiceAgreement(lib *core.Library, holdout []core.ShapeTimings) float64 {
+	good := 0
+	for _, st := range holdout {
+		choice := lib.OptimalThreadsOp(ops.GEMM, st.Shape.M, st.Shape.K, st.Shape.N)
+		chosen, ok := st.TimeAt(choice)
+		if !ok {
+			continue
+		}
+		if chosen <= 2*st.BestMeasured().Seconds {
+			good++
+		}
+	}
+	return float64(good) / float64(len(holdout))
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"repro/internal/ops"
 
-	"repro/internal/core"
 	"repro/internal/sampling"
 	"repro/internal/tabulate"
 )
@@ -191,22 +190,4 @@ func Fig14(w io.Writer, lab *Lab) error {
 	fmt.Fprintln(w, "paper: MKL's default performance is erratic on skinny shapes (sometimes")
 	fmt.Fprintln(w, "<1 GFLOPS); ML reaches 33.9x and 81.6x on 64,64,4096 and 64,2048,64.")
 	return nil
-}
-
-// holdoutChoiceAgreement is a convenience used by tests: the fraction of
-// holdout shapes where the library's choice is within a factor of two of
-// the measured-optimal time.
-func holdoutChoiceAgreement(lib *core.Library, holdout []core.ShapeTimings) float64 {
-	good := 0
-	for _, st := range holdout {
-		choice := lib.OptimalThreadsOp(ops.GEMM, st.Shape.M, st.Shape.K, st.Shape.N)
-		chosen, ok := st.TimeAt(choice)
-		if !ok {
-			continue
-		}
-		if chosen <= 2*st.BestMeasured().Seconds {
-			good++
-		}
-	}
-	return float64(good) / float64(len(holdout))
 }

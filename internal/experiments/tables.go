@@ -64,17 +64,6 @@ func speedupRow(lib *core.Library, holdout []core.ShapeTimings, refThreads, iter
 	return out
 }
 
-// filterByCap keeps holdout entries whose footprint is at most capMB.
-func filterByCap(holdout []core.ShapeTimings, capMB int) []core.ShapeTimings {
-	var out []core.ShapeTimings
-	for _, st := range holdout {
-		if st.Shape.Bytes(4) <= int64(capMB)*1000*1000 {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
 // speedupStats runs the Table V/VI protocol for one hyper-threading setting.
 func speedupStats(w io.Writer, lab *Lab, ht bool, title, paperNote string) error {
 	fmt.Fprintln(w, title)

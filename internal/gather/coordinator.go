@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/retry"
-	"repro/internal/sampling"
 	"repro/internal/simtime"
 )
 
@@ -54,9 +52,6 @@ type tuning struct {
 	// http carries every request. It has no overall timeout: a unit's
 	// answer legitimately takes as long as the unit's timing work.
 	http *http.Client
-	// retry is the transport-level retry policy of POST /register. A unit
-	// is never retried here: a failed /work goes back on the queue.
-	retry retry.Policy
 }
 
 // Stats summarises one completed (or failed) Gather run.
@@ -72,8 +67,6 @@ type Stats struct {
 	// Duplicates counts results dropped by the merge dedup (a unit
 	// completing on two workers after a reassignment race).
 	Duplicates int
-	// WorkersRegistered counts workers that accepted the sweep spec.
-	WorkersRegistered int
 }
 
 // Coordinator shards a timing sweep across a fleet of Workers. It
@@ -99,8 +92,6 @@ func New(cfg Config) *Coordinator {
 		maxUnitRetries:     8,
 		workerFailureLimit: 3,
 		http:               &http.Client{},
-		retry: retry.Policy{MaxAttempts: 3, Initial: 50 * time.Millisecond, Max: 500 * time.Millisecond,
-			AttemptTimeout: 15 * time.Second},
 	}}
 }
 
@@ -155,14 +146,8 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 	if gcfg.NumShapes < 1 {
 		return nil, fmt.Errorf("gather: NumShapes %d < 1", gcfg.NumShapes)
 	}
-	if len(gcfg.Candidates) == 0 {
-		return nil, fmt.Errorf("gather: no candidate thread counts")
-	}
 	if !gcfg.Op.Valid() {
 		return nil, fmt.Errorf("gather: unknown op %v", gcfg.Op)
-	}
-	if _, err := sampling.NewSampler(gcfg.Domain, gcfg.Seed); err != nil {
-		return nil, err
 	}
 	spec := SweepSpec{
 		Op:         gcfg.Op.String(),
@@ -173,15 +158,20 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 		Iters:      gcfg.Iters,
 	}
 	spec.Session = spec.Fingerprint()
-	if err := spec.validate(); err != nil {
+	if _, _, err := spec.validate(); err != nil {
+		return nil, err
+	}
+	units := planUnits(gcfg.NumShapes, c.tune.unitShapes)
+	// A sweep no worker would accept fails here: the last unit reaches
+	// furthest into the sample stream.
+	if err := (WorkRequest{Spec: spec, Unit: units[len(units)-1]}).bounded(); err != nil {
 		return nil, err
 	}
 
-	units := planUnits(gcfg.NumShapes, c.tune.unitShapes)
 	stats := Stats{Units: len(units)}
 	// Record the run's statistics on every exit path — a failed sweep's
-	// counters (retries, resumed units, registered workers) are exactly
-	// what the operator needs to diagnose it.
+	// counters (retries, resumed units) are exactly what the operator needs
+	// to diagnose it.
 	var r *run
 	defer func() {
 		if r != nil {
@@ -216,25 +206,6 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Register the fleet; workers that refuse or cannot be reached (after
-	// the transport retry budget) are dropped (and logged) — the sweep
-	// needs at least one.
-	var live []string
-	for _, addr := range c.cfg.Workers {
-		base := normalizeWorkerURL(addr)
-		reg, err := c.register(ctx, base, spec)
-		if err != nil {
-			c.cfg.Logf("worker %s: register failed: %v", base, err)
-			continue
-		}
-		c.cfg.Logf("worker %s registered (%s, backend %s)", base, reg.Worker, reg.Backend)
-		live = append(live, base)
-	}
-	if len(live) == 0 {
-		return nil, fmt.Errorf("gather: none of the %d configured workers accepted the sweep", len(c.cfg.Workers))
-	}
-	stats.WorkersRegistered = len(live)
-
 	r = &run{ctx: ctx, cancel: cancel, queue: make(chan pendingUnit, len(units)-len(completed))}
 	for _, u := range units {
 		if _, done := completed[u.ID]; !done {
@@ -242,9 +213,10 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 		}
 	}
 
-	results := make(chan UnitResult, len(live))
+	results := make(chan UnitResult, len(c.cfg.Workers))
 	var wg sync.WaitGroup
-	for _, base := range live {
+	for _, addr := range c.cfg.Workers {
+		base := normalizeWorkerURL(addr)
 		wg.Add(1)
 		go func(base string) {
 			defer wg.Done()
@@ -336,10 +308,14 @@ func mergeResult(completed map[int][]core.ShapeTimings, res UnitResult) bool {
 	return true
 }
 
-// workerLoop claims units for one worker until the run ends or the worker
-// accumulates too many consecutive failures. Each unit is one request
-// answered with its result, so a worker has one unit of this run in flight
-// (two only while a timed-out one still holds the worker's execution lock).
+// workerLoop claims units for one worker until the run ends, the worker
+// refuses the sweep, or it accumulates too many consecutive failures. A
+// refusal (a 4xx answer other than 429: the worker understood the request
+// and will not run it) retires the worker at once and requeues the unit
+// without charging it a retry, as a worker that refuses one unit of a sweep
+// refuses them all. Each unit is one request answered with its result, so a
+// worker has one unit of this run in flight (two only while a timed-out one
+// still holds the worker's execution lock).
 // With the queue empty it waits, because another worker may still fail and
 // requeue.
 func (c *Coordinator) workerLoop(r *run, base string, spec SweepSpec, results chan<- UnitResult) {
@@ -354,6 +330,12 @@ func (c *Coordinator) workerLoop(r *run, base string, spec SweepSpec, results ch
 		res, err := c.runUnit(r.ctx, base, spec, pu.unit)
 		if err != nil {
 			if r.ctx.Err() != nil {
+				return
+			}
+			var refused *refusal
+			if errors.As(err, &refused) {
+				c.cfg.Logf("worker %s refused the sweep, retired: %v", base, err)
+				r.queue <- pu
 				return
 			}
 			c.cfg.Logf("worker %s: unit %d attempt %d failed: %v", base, pu.unit.ID, pu.tries+1, err)
@@ -397,14 +379,15 @@ func resultLimit(count, candidates int) int64 {
 	return 4<<10 + int64(count)*128*int64(1+candidates)
 }
 
-// runUnit executes one unit on one worker: one POST /work under the unit
-// timeout, answered with the unit's result. Any failure — the transport, a
-// refusal, a failed execution, a torn or mismatched answer — fails this
-// attempt, and the caller requeues the unit.
+// runUnit executes one unit on one worker: one POST /work of the spec and
+// the unit under the unit timeout, answered with the unit's result. Any
+// failure — the transport, a refusal, a failed execution, a torn or
+// mismatched answer — fails this attempt, and the caller requeues the unit;
+// a refusal comes back as a *refusal.
 func (c *Coordinator) runUnit(ctx context.Context, base string, spec SweepSpec, u Unit) (*UnitResult, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.tune.unitTimeout)
 	defer cancel()
-	blob, err := json.Marshal(WorkRequest{Session: spec.Session, Unit: u})
+	blob, err := json.Marshal(WorkRequest{Spec: spec, Unit: u})
 	if err != nil {
 		return nil, fmt.Errorf("encode request: %w", err)
 	}
@@ -422,7 +405,11 @@ func (c *Coordinator) runUnit(ctx context.Context, base string, spec SweepSpec, 
 	}
 	defer drainAndClose(resp)
 	if resp.StatusCode != http.StatusOK {
-		return nil, httpError(resp)
+		err := httpError(resp)
+		if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
+			return nil, &refusal{err}
+		}
+		return nil, err
 	}
 	res := &UnitResult{}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, resultLimit(u.Count, len(spec.Candidates)))).Decode(res); err != nil {
@@ -438,46 +425,10 @@ func (c *Coordinator) runUnit(ctx context.Context, base string, spec SweepSpec, 
 	return res, nil
 }
 
-// register POSTs the sweep spec to one worker's /register under the
-// transport retry policy. Transport errors and 5xx or 429 answers retry;
-// other statuses fail at once — the worker understood the spec and refused
-// it.
-func (c *Coordinator) register(ctx context.Context, base string, spec SweepSpec) (RegisterResponse, error) {
-	var reg RegisterResponse
-	blob, err := json.Marshal(spec)
-	if err != nil {
-		return reg, fmt.Errorf("encode request: %w", err)
-	}
-	url := base + "/register"
-	p := c.tune.retry
-	p.OnRetry = func(attempt int, err error, backoff time.Duration) {
-		c.cfg.Logf("POST %s: attempt %d failed (%v), retrying in %v", url, attempt, err, backoff)
-	}
-	err = retry.Do(ctx, p, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(blob))
-		if err != nil {
-			return retry.Fatalf("build request: %w", err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.tune.http.Do(req)
-		if err != nil {
-			return err
-		}
-		defer drainAndClose(resp)
-		if resp.StatusCode < 200 || resp.StatusCode > 299 {
-			err := httpError(resp)
-			if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
-				return err
-			}
-			return retry.Fatal(err)
-		}
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&reg); err != nil {
-			return fmt.Errorf("decode response: %w", err)
-		}
-		return nil
-	})
-	return reg, err
-}
+// refusal is a worker's 4xx answer to /work, 429 excepted.
+type refusal struct{ err error }
+
+func (r *refusal) Error() string { return r.err.Error() }
 
 // drainAndClose consumes a bounded remainder of the response body before
 // closing it, so the keep-alive connection returns to the pool instead of

@@ -7,16 +7,17 @@
 //   - a Coordinator partitions the per-op sweep into work units
 //     (deterministic (start, count) slices of the accepted Halton sample
 //     stream, so any worker count reproduces the same total sweep),
-//     sends each to a registered worker as one POST /work that answers
-//     with the unit's ShapeTimings, requeues a unit whose request fails or
-//     times out (retiring a worker after repeated failures), and merges
+//     sends each to a worker as one POST /work carrying the sweep spec and
+//     the unit, answered with the unit's ShapeTimings, requeues a unit
+//     whose request fails or times out (retiring a worker after repeated
+//     failures, or at once when it refuses the sweep), and merges
 //     the answers — in sample order — into the exact input
 //     core.TrainOnData consumes;
 //   - a Worker is the HTTP daemon (cmd/adsala-worker) executing units,
 //     one at a time, inside the /work request through the operation
-//     registry's kernels on a simtime backend built from the
-//     coordinator's wire Spec (RealTimer for real installs, the Simulator
-//     for tests and CI);
+//     registry's kernels on a simtime backend built from the request's
+//     wire Spec (RealTimer for real installs, the Simulator for tests and
+//     CI). It keeps no session: each request carries everything it needs;
 //   - a resumable on-disk checkpoint (JSONL of completed units) lets an
 //     interrupted sweep restart where it left off.
 //
@@ -51,7 +52,8 @@ type Unit struct {
 // SweepSpec fully describes one op's sweep, so a worker reconstructs
 // exactly the shapes and timings the coordinator's single-node path would
 // produce. Session is the fingerprint of the sweep-defining fields: it keys
-// the worker's registration and the checkpoint file to one specific sweep.
+// the checkpoint file to one specific sweep, and a worker refuses a spec
+// whose Session is not its fingerprint.
 type SweepSpec struct {
 	Session    string          `json:"session"`
 	Op         string          `json:"op"`
@@ -77,39 +79,38 @@ func (s SweepSpec) Fingerprint() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// parseOp resolves and validates the spec's operation.
-func (s SweepSpec) parseOp() (ops.Op, error) {
+// validate checks the spec is executable — known op, candidates and
+// repetitions present, sampleable domain, buildable timer — and returns its
+// op and a timer built from its wire Spec.
+func (s SweepSpec) validate() (ops.Op, simtime.Timer, error) {
 	if s.Op == "" {
-		return 0, fmt.Errorf("gather: sweep spec names no op")
+		return 0, nil, fmt.Errorf("gather: sweep spec names no op")
 	}
-	return ops.Parse(s.Op)
-}
-
-// validate checks the spec is executable: known op, buildable timer,
-// sampleable domain, candidates present.
-func (s SweepSpec) validate() error {
-	if _, err := s.parseOp(); err != nil {
-		return err
+	op, err := ops.Parse(s.Op)
+	if err != nil {
+		return 0, nil, err
 	}
 	if len(s.Candidates) == 0 {
-		return fmt.Errorf("gather: sweep spec has no candidate thread counts")
+		return 0, nil, fmt.Errorf("gather: sweep spec has no candidate thread counts")
 	}
 	if s.Iters < 1 {
-		return fmt.Errorf("gather: sweep spec Iters %d < 1", s.Iters)
-	}
-	if _, err := s.Timer.Build(); err != nil {
-		return err
+		return 0, nil, fmt.Errorf("gather: sweep spec Iters %d < 1", s.Iters)
 	}
 	if _, err := sampling.NewSampler(s.Domain, s.Seed); err != nil {
-		return err
+		return 0, nil, err
 	}
-	return nil
+	timer, err := s.Timer.Build()
+	if err != nil {
+		return 0, nil, err
+	}
+	return op, timer, nil
 }
 
-// WorkRequest is the JSON body of POST /work on a worker.
+// WorkRequest is the JSON body of POST /work on a worker: the whole sweep
+// spec and the one unit of it to execute.
 type WorkRequest struct {
-	Session string `json:"session"`
-	Unit    Unit   `json:"unit"`
+	Spec SweepSpec `json:"spec"`
+	Unit Unit      `json:"unit"`
 }
 
 // UnitResult is one completed unit's timing sweep — the JSON answer of a
@@ -125,24 +126,13 @@ type UnitResult struct {
 	Timings []core.ShapeTimings `json:"timings"`
 }
 
-// RegisterResponse is the JSON answer of POST /register.
-type RegisterResponse struct {
-	Worker  string `json:"worker"`
-	Backend string `json:"backend"`
-}
-
-// StatusResponse is the JSON answer of /drain and of the /healthz and
-// /livez probes.
+// StatusResponse is the JSON answer of /healthz: Completed counts the
+// units this worker has executed to a result since it started; Inflight is
+// 1 while a unit executes.
 type StatusResponse struct {
-	Status string `json:"status"`
-	// Session through Draining are populated by the health probes.
-	// Completed counts the units this worker has executed to a result since
-	// it started; Inflight is 1 while a unit executes.
-	Session    string `json:"session,omitempty"`
-	Registered bool   `json:"registered,omitempty"`
-	Completed  int    `json:"completed,omitempty"`
-	Inflight   int    `json:"inflight,omitempty"`
-	Draining   bool   `json:"draining,omitempty"`
+	Status    string `json:"status"`
+	Completed int    `json:"completed"`
+	Inflight  int    `json:"inflight"`
 }
 
 // planUnits partitions numShapes into units of unitShapes (the last unit

@@ -70,12 +70,51 @@ func after(faultyStarted <-chan struct{}) func(Unit) error {
 	}
 }
 
+// meet returns two execHooks that hold each worker's first unit until the
+// other worker has started one, so both workers of a sweep execute at least
+// one unit whichever worker loop the scheduler starts first. The wait is
+// bounded, like after's.
+func meet() (func(Unit) error, func(Unit) error) {
+	hook := func(mine chan struct{}, once *sync.Once, theirs <-chan struct{}) func(Unit) error {
+		return func(Unit) error {
+			once.Do(func() { close(mine) })
+			select {
+			case <-theirs:
+			case <-time.After(5 * time.Second):
+			}
+			return nil
+		}
+	}
+	a, b := make(chan struct{}), make(chan struct{})
+	var onceA, onceB sync.Once
+	return hook(a, &onceA, b), hook(b, &onceB, a)
+}
+
 // fastCoordinator returns a Coordinator tuned for test latencies.
 func fastCoordinator(workers []string, spec simtime.Spec) *Coordinator {
 	c := New(Config{Workers: workers, Timer: spec})
 	c.tune.unitShapes = 3
 	c.tune.unitTimeout = 5 * time.Second
 	return c
+}
+
+// mergedWorkers makes the coordinator record the Worker name of every unit
+// result it merges, and returns the reader of the set.
+func mergedWorkers(c *Coordinator) func() map[string]bool {
+	var mu sync.Mutex
+	names := make(map[string]bool)
+	c.cfg.Logf = func(format string, args ...any) {
+		if strings.HasPrefix(format, "unit %d/%d merged (worker %s") {
+			mu.Lock()
+			names[args[2].(string)] = true
+			mu.Unlock()
+		}
+	}
+	return func() map[string]bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return names
+	}
 }
 
 // TestDistributedMatchesSingleNode pins the headline invariant: a
@@ -91,9 +130,11 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			_, s1 := startWorker(t, WorkerOptions{Name: "w1"})
-			_, s2 := startWorker(t, WorkerOptions{Name: "w2"})
+			hook1, hook2 := meet()
+			_, s1 := startWorker(t, WorkerOptions{Name: "w1", execHook: hook1})
+			_, s2 := startWorker(t, WorkerOptions{Name: "w2", execHook: hook2})
 			coord := fastCoordinator([]string{s1.URL, s2.URL}, spec)
+			merged := mergedWorkers(coord)
 			got, err := coord.Gather(context.Background(), gcfg)
 			if err != nil {
 				t.Fatal(err)
@@ -105,8 +146,8 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 			if st.Units != 5 || st.Dispatched != 5 || st.Duplicates != 0 {
 				t.Errorf("stats = %+v, want 5 units all dispatched, none duplicated", st)
 			}
-			if st.WorkersRegistered != 2 {
-				t.Errorf("WorkersRegistered = %d, want 2", st.WorkersRegistered)
+			if names := merged(); !names["w1"] || !names["w2"] {
+				t.Errorf("merged results came from workers %v, want both w1 and w2", names)
 			}
 		})
 	}
@@ -387,13 +428,16 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatal("interrupted sweep should error")
 	}
 	// Stats are recorded for failed runs too — they are the diagnostic.
-	if st := coord1.Stats(); st.Units != 5 || st.WorkersRegistered != 1 || st.Retries < 1 {
-		t.Errorf("failed-run stats = %+v, want 5 units, 1 worker, >=1 retry", st)
+	if st := coord1.Stats(); st.Units != 5 || st.Retries < 1 {
+		t.Errorf("failed-run stats = %+v, want 5 units, >=1 retry", st)
 	}
 
 	blob, err := os.ReadFile(ckpt + ".gemm")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), `"worker":"flaky"`) {
+		t.Errorf("no checkpointed unit names the flaky worker:\n%s", blob)
 	}
 	lines := strings.Count(strings.TrimRight(string(blob), "\n"), "\n") + 1
 	done := lines - 1 // minus header
@@ -726,99 +770,157 @@ func TestEndlessResultBodyBounded(t *testing.T) {
 	}
 }
 
-// TestWorkerEndpoints covers the protocol edges: bad session fingerprints,
-// -sim enforcement, a failed execution and its re-execution, drain refusing
-// work.
-func TestWorkerEndpoints(t *testing.T) {
-	gcfg, spec := testGatherConfig(t, ops.GEMM, 6)
-	sweep := SweepSpec{
-		Op:         "gemm",
-		Timer:      spec,
+// testSweep returns the wire spec of a test gather config, as the
+// coordinator builds it.
+func testSweep(gcfg core.GatherConfig, timer simtime.Spec) SweepSpec {
+	s := SweepSpec{
+		Op:         gcfg.Op.String(),
+		Timer:      timer,
 		Domain:     gcfg.Domain,
 		Seed:       gcfg.Seed,
 		Candidates: gcfg.Candidates,
 		Iters:      gcfg.Iters,
 	}
-	sweep.Session = sweep.Fingerprint()
+	s.Session = s.Fingerprint()
+	return s
+}
 
-	_, srv := startWorker(t, WorkerOptions{Name: "w", RequireSim: true})
-	post := func(path string, body any) *http.Response {
-		t.Helper()
-		blob, _ := json.Marshal(body)
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
+// postJSON POSTs body as JSON to base+path; the answer is closed at cleanup.
+func postJSON(t *testing.T, base, path string, body any) *http.Response {
+	t.Helper()
+	blob, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp, err := http.Post(base+path, "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
+}
+
+// atBounds returns a request exactly at every bound of bounded: the largest
+// unit at the end of the sample stream, the most repetitions, the most
+// candidates reaching the largest thread count, the paper's dimension bound
+// and the smallest cap.
+func atBounds(timer simtime.Spec) WorkRequest {
+	spec := SweepSpec{
+		Op:     "gemm",
+		Timer:  timer,
+		Domain: sampling.DefaultDomain().WithCapMB(1),
+		Seed:   7,
+		Iters:  maxIters,
+	}
+	for c := maxThreads - maxCandidates + 1; c <= maxThreads; c++ {
+		spec.Candidates = append(spec.Candidates, c)
+	}
+	spec.Session = spec.Fingerprint()
+	return WorkRequest{Spec: spec, Unit: Unit{ID: 9, Start: maxSweepShapes - maxUnitShapes, Count: maxUnitShapes}}
+}
+
+// overBounds returns one request per bound of bounded, each that bound + 1
+// away from atBounds and fingerprinted, keyed by the bound it breaks.
+func overBounds(timer simtime.Spec) map[string]WorkRequest {
+	edit := func(f func(*WorkRequest)) WorkRequest {
+		req := atBounds(timer)
+		req.Spec.Candidates = append([]int(nil), req.Spec.Candidates...)
+		f(&req)
+		req.Spec.Session = req.Spec.Fingerprint()
+		return req
+	}
+	return map[string]WorkRequest{
+		"count":        edit(func(r *WorkRequest) { r.Unit.Start--; r.Unit.Count++ }),
+		"end":          edit(func(r *WorkRequest) { r.Unit.Start++ }),
+		"iters":        edit(func(r *WorkRequest) { r.Spec.Iters++ }),
+		"candidates":   edit(func(r *WorkRequest) { r.Spec.Candidates = append(r.Spec.Candidates, 1) }),
+		"threads":      edit(func(r *WorkRequest) { r.Spec.Candidates[maxCandidates-1]++ }),
+		"zero-threads": edit(func(r *WorkRequest) { r.Spec.Candidates[0] = 0 }),
+		"max-dim":      edit(func(r *WorkRequest) { r.Spec.Domain.MaxDim++ }),
+		"cap":          edit(func(r *WorkRequest) { r.Spec.Domain.MaxBytes-- }),
+		"start":        edit(func(r *WorkRequest) { r.Unit.Start = -1 }),
+		"zero-count":   edit(func(r *WorkRequest) { r.Unit.Count = 0 }),
+	}
+}
+
+// TestWorkerEndpoints covers the protocol edges: bad session fingerprints,
+// -sim enforcement, the bounds on what one request may ask, the body bound,
+// and the routes the worker does not have.
+func TestWorkerEndpoints(t *testing.T) {
+	gcfg, spec := testGatherConfig(t, ops.GEMM, 6)
+	sweep := testSweep(gcfg, spec)
+	_, srv := startWorker(t, WorkerOptions{Name: "w", RequireSim: true})
+	unit := Unit{ID: 0, Start: 0, Count: 2}
 
 	// Tampered session fingerprint.
 	bad := sweep
 	bad.Session = "deadbeefdeadbeef"
-	if resp := post("/register", bad); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, srv.URL, "/work", WorkRequest{Spec: bad, Unit: unit}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("tampered session: HTTP %d, want 400", resp.StatusCode)
 	}
 	// Real-backend sweep against a -sim worker.
 	real := sweep
 	real.Timer = simtime.RealSpec()
 	real.Session = real.Fingerprint()
-	if resp := post("/register", real); resp.StatusCode != http.StatusConflict {
+	if resp := postJSON(t, srv.URL, "/work", WorkRequest{Spec: real, Unit: unit}); resp.StatusCode != http.StatusConflict {
 		t.Errorf("-sim worker accepted a real sweep: HTTP %d, want 409", resp.StatusCode)
 	}
-	// Work before registration.
-	if resp := post("/work", WorkRequest{Session: sweep.Session, Unit: Unit{ID: 0, Count: 1}}); resp.StatusCode != http.StatusConflict {
-		t.Errorf("work before register: HTTP %d, want 409", resp.StatusCode)
+	// A valid request executes and answers with its unit.
+	resp := postJSON(t, srv.URL, "/work", WorkRequest{Spec: sweep, Unit: unit})
+	var res UnitResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("work: HTTP %d (%v)", resp.StatusCode, err)
 	}
-	// Happy registration.
-	if resp := post("/register", sweep); resp.StatusCode != http.StatusOK {
-		t.Errorf("register: HTTP %d, want 200", resp.StatusCode)
+	if res.Session != sweep.Session || res.UnitID != 0 || res.Count != 2 || len(res.Timings) != 2 || res.Worker != "w" {
+		t.Errorf("work answered %+v", res)
 	}
-	// Bodies are read to maxBodyBytes and no further: all-blank bodies, so
-	// the decoder must read every byte looking for a value.
-	for _, path := range []string{"/register", "/work"} {
-		for _, tc := range []struct{ size, want int }{
-			{maxBodyBytes, http.StatusBadRequest},
-			{maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
-		} {
-			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(strings.Repeat(" ", tc.size)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != tc.want {
-				t.Errorf("%s with a %d-byte body: HTTP %d, want %d", path, tc.size, resp.StatusCode, tc.want)
-			}
+	// Each bound + 1 is refused before anything executes...
+	for name, req := range overBounds(spec) {
+		if resp := postJSON(t, srv.URL, "/work", req); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s one past its bound: HTTP %d, want 400", name, resp.StatusCode)
 		}
 	}
-	// A unit's result is its /work answer; the worker has no result route.
-	gresp, err := http.Get(srv.URL + "/result?session=" + sweep.Session + "&id=0")
-	if err != nil {
-		t.Fatal(err)
+	// ...and a request exactly at every bound is accepted. Executing it would
+	// time 1024 shapes × 64 candidates × 1000 repetitions, so this row stops
+	// at the acceptance the handler runs first.
+	blob, _ := json.Marshal(atBounds(spec))
+	if wk, status, err := decodeWork(bytes.NewReader(blob), true); err != nil || wk.unit.Count != maxUnitShapes {
+		t.Errorf("request at the bounds: HTTP %d (%v), want accepted", status, err)
 	}
-	gresp.Body.Close()
-	if gresp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET /result: HTTP %d, want 404", gresp.StatusCode)
+	// Bodies are read whole to maxBodyBytes and no further: all-blank
+	// bodies, and a valid request padded to the bound and one byte past it.
+	valid, _ := json.Marshal(WorkRequest{Spec: sweep, Unit: unit})
+	padded := func(size int) string { return string(valid) + strings.Repeat(" ", size-len(valid)) }
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{strings.Repeat(" ", maxBodyBytes), http.StatusBadRequest},
+		{strings.Repeat(" ", maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+		{padded(maxBodyBytes), http.StatusOK},
+		{padded(maxBodyBytes + 1), http.StatusRequestEntityTooLarge},
+		{string(valid) + `{}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(srv.URL+"/work", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("/work with a %d-byte body: HTTP %d, want %d", len(tc.body), resp.StatusCode, tc.want)
+		}
 	}
-	// Drain refuses new work.
-	if resp := post("/drain", nil); resp.StatusCode != http.StatusOK {
-		t.Errorf("drain: HTTP %d, want 200", resp.StatusCode)
-	}
-	if resp := post("/work", WorkRequest{Session: sweep.Session, Unit: Unit{ID: 0, Count: 1}}); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("work while draining: HTTP %d, want 503", resp.StatusCode)
-	}
-	// Healthz reports draining.
-	hresp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hresp.Body.Close()
-	var health StatusResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	if !health.Draining || health.Status != "draining" {
-		t.Errorf("healthz after drain = %+v", health)
+	// A unit's result is its /work answer and the spec rides in every
+	// request: there is no result, registration, drain or second probe route.
+	for _, path := range []string{"/result", "/register", "/drain", "/livez"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: HTTP %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -827,16 +929,6 @@ func TestWorkerEndpoints(t *testing.T) {
 // of the same unit executes it afresh.
 func TestFailedUnitReexecutesOnRedispatch(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 6)
-	sweep := SweepSpec{
-		Op:         "gemm",
-		Timer:      spec,
-		Domain:     gcfg.Domain,
-		Seed:       gcfg.Seed,
-		Candidates: gcfg.Candidates,
-		Iters:      gcfg.Iters,
-	}
-	sweep.Session = sweep.Fingerprint()
-
 	var failNext atomic.Bool
 	_, srv := startWorker(t, WorkerOptions{Name: "w", execHook: func(Unit) error {
 		if failNext.Swap(false) {
@@ -844,31 +936,92 @@ func TestFailedUnitReexecutesOnRedispatch(t *testing.T) {
 		}
 		return nil
 	}})
-	post := func(path string, body any) *http.Response {
-		t.Helper()
-		blob, _ := json.Marshal(body)
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-	if resp := post("/register", sweep); resp.StatusCode != http.StatusOK {
-		t.Fatalf("register: HTTP %d", resp.StatusCode)
-	}
-	work := WorkRequest{Session: sweep.Session, Unit: Unit{ID: 0, Start: 0, Count: 2}}
+	work := WorkRequest{Spec: testSweep(gcfg, spec), Unit: Unit{ID: 0, Start: 0, Count: 2}}
 	failNext.Store(true)
-	if resp := post("/work", work); resp.StatusCode != http.StatusInternalServerError {
+	if resp := postJSON(t, srv.URL, "/work", work); resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("failed execution: HTTP %d, want 500", resp.StatusCode)
 	}
-	resp := post("/work", work)
+	resp := postJSON(t, srv.URL, "/work", work)
 	var res UnitResult
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-dispatch of failed unit: HTTP %d (%v): the stale error was replayed", resp.StatusCode, err)
 	}
 	if res.UnitID != 0 || res.Count != 2 || len(res.Timings) != 2 {
 		t.Errorf("re-executed result = unit %d count %d with %d timings", res.UnitID, res.Count, len(res.Timings))
+	}
+}
+
+// TestTwoCoordinatorsShareWorker runs two sweeps with different seeds at
+// once against one worker: each request carries its own spec, so neither
+// sweep disturbs the other and each matches its single-node gather byte for
+// byte.
+func TestTwoCoordinatorsShareWorker(t *testing.T) {
+	_, srv := startWorker(t, WorkerOptions{Name: "shared"})
+	var wg sync.WaitGroup
+	for _, seed := range []int64{7, 8} {
+		gcfg, spec := testGatherConfig(t, ops.GEMM, 12)
+		gcfg.Seed = seed
+		want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := fastCoordinator([]string{srv.URL}, spec).Gather(context.Background(), gcfg)
+			if err != nil {
+				t.Errorf("seed %d: %v", seed, err)
+				return
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d: sweep beside another coordinator's differs from single-node gather", seed)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRefusingWorkerRetiredUncharged pins the refusal path: a worker that
+// answers /work with a 4xx is retired at its first answer and its unit goes
+// back on the queue without counting a retry, so the sweep completes on the
+// willing worker; with no willing worker the gather fails.
+func TestRefusingWorkerRetiredUncharged(t *testing.T) {
+	gcfg, spec := testGatherConfig(t, ops.GEMM, 9)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The refusal of a worker that will not run this sweep, such as a -sim
+	// worker sent a real-timing sweep.
+	refusedOnce := make(chan struct{})
+	var refusals atomic.Int64
+	refusing := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if refusals.Add(1) == 1 {
+			defer close(refusedOnce)
+		}
+		writeError(rw, http.StatusConflict, "sweep refused")
+	}))
+	t.Cleanup(refusing.Close)
+	_, willing := startWorker(t, WorkerOptions{Name: "willing", execHook: after(refusedOnce)})
+
+	coord := fastCoordinator([]string{refusing.URL, willing.URL}, spec)
+	got, err := coord.Gather(context.Background(), gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("sweep beside a refusing worker differs from single-node gather")
+	}
+	if st := coord.Stats(); st.Retries != 0 || st.Dispatched != st.Units {
+		t.Errorf("stats = %+v, want every unit dispatched and none charged a retry", st)
+	}
+	if n := refusals.Load(); n != 1 {
+		t.Errorf("the refusing worker was sent %d units, want 1", n)
+	}
+
+	_, err = fastCoordinator([]string{refusing.URL}, spec).Gather(context.Background(), gcfg)
+	if err == nil || !strings.Contains(err.Error(), "every worker retired") {
+		t.Errorf("gather with no willing worker: %v, want every worker retired", err)
 	}
 }
 

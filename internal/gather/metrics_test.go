@@ -1,11 +1,13 @@
 package gather
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ops"
@@ -29,62 +31,68 @@ func scrape(t *testing.T, base string) string {
 	return string(blob)
 }
 
-// TestWorkerReadinessLifecycle pins the probe contract: /healthz is 503
-// "starting" before the first registration, 200 "ok" after, 503
-// "draining" once drain begins; /livez answers 200 throughout.
+// TestWorkerReadinessLifecycle pins the one-probe contract: /healthz
+// answers 200 with exactly {status, completed, inflight} and status "ok"
+// whenever the process answers — before any work, while a unit is in its
+// request and after it — and there is no second probe.
 func TestWorkerReadinessLifecycle(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 6)
-	_ = gcfg
-	w, srv := startWorker(t, WorkerOptions{Name: "w1"})
+	executing := make(chan struct{})
+	release := make(chan struct{})
+	_, srv := startWorker(t, WorkerOptions{Name: "w1", execHook: func(Unit) error {
+		close(executing)
+		<-release
+		return nil
+	}})
+	unblock := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unblock)
 
-	probe := func(path string) (int, StatusResponse) {
+	probe := func(completed float64) {
 		t.Helper()
-		resp, err := http.Get(srv.URL + path)
+		resp, err := http.Get(srv.URL + "/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var st StatusResponse
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		var body map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 			t.Fatal(err)
 		}
-		return resp.StatusCode, st
+		_, hasInflight := body["inflight"]
+		if resp.StatusCode != http.StatusOK || len(body) != 3 || body["status"] != "ok" ||
+			body["completed"] != completed || !hasInflight {
+			t.Errorf("healthz = %d %v, want 200 {status: ok, completed: %v, inflight}", resp.StatusCode, body, completed)
+		}
 	}
+	probe(0)
 
-	if code, st := probe("/healthz"); code != http.StatusServiceUnavailable || st.Status != "starting" || st.Registered {
-		t.Fatalf("unregistered healthz = %d %+v", code, st)
+	answered := make(chan int, 1)
+	go func() {
+		blob, _ := json.Marshal(WorkRequest{Spec: testSweep(gcfg, spec), Unit: Unit{ID: 0, Start: 0, Count: 1}})
+		resp, err := http.Post(srv.URL+"/work", "application/json", bytes.NewReader(blob))
+		if err != nil {
+			answered <- 0
+			return
+		}
+		resp.Body.Close()
+		answered <- resp.StatusCode
+	}()
+	<-executing
+	probe(0)
+	unblock()
+	if code := <-answered; code != http.StatusOK {
+		t.Fatalf("work: HTTP %d", code)
 	}
-	if code, _ := probe("/livez"); code != http.StatusOK {
-		t.Fatalf("unregistered livez = %d", code)
-	}
+	probe(1)
 
-	// Register a sweep: readiness flips.
-	sweep := SweepSpec{
-		Op: "gemm", Timer: spec, Domain: gcfg.Domain, Seed: gcfg.Seed,
-		Candidates: gcfg.Candidates, Iters: gcfg.Iters,
-	}
-	sweep.Session = sweep.Fingerprint()
-	coord := fastCoordinator([]string{srv.URL}, spec)
-	if _, err := coord.register(context.Background(), srv.URL, sweep); err != nil {
-		t.Fatal(err)
-	}
-	if code, st := probe("/healthz"); code != http.StatusOK || st.Status != "ok" || !st.Registered {
-		t.Fatalf("registered healthz = %d %+v", code, st)
-	}
-
-	// Drain: readiness flips off again, liveness stays.
-	resp, err := http.Post(srv.URL+"/drain", "application/json", nil)
+	resp, err := http.Get(srv.URL + "/livez")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if code, st := probe("/healthz"); code != http.StatusServiceUnavailable || st.Status != "draining" {
-		t.Fatalf("draining healthz = %d %+v", code, st)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/livez: HTTP %d, want 404", resp.StatusCode)
 	}
-	if code, _ := probe("/livez"); code != http.StatusOK {
-		t.Fatalf("draining livez = %d", code)
-	}
-	_ = w
 }
 
 // TestWorkerPprofGate checks the worker's profiling endpoints stay off
@@ -127,13 +135,18 @@ func TestWorkerMetricsEndToEnd(t *testing.T) {
 		"adsala_worker_units_completed_total 3",
 		"adsala_worker_units_failed_total 0",
 		"adsala_worker_unit_seconds_count 3",
-		"adsala_worker_registered 1",
-		"adsala_worker_draining 0",
+		"adsala_worker_inflight_units 0",
 		`adsala_build_info{go_version="`,
 		"adsala_uptime_seconds",
 	} {
 		if !strings.Contains(wtext, want) {
 			t.Errorf("worker exposition lacks %q:\n%s", want, wtext)
+		}
+	}
+	// A worker holds no session and has no drain state to report.
+	for _, gone := range []string{"adsala_worker_registered", "adsala_worker_draining"} {
+		if strings.Contains(wtext, gone) {
+			t.Errorf("worker exposition still has %s:\n%s", gone, wtext)
 		}
 	}
 }

@@ -1,9 +1,8 @@
 package gather
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"net"
 	"net/http"
 	"reflect"
 	"sync"
@@ -13,21 +12,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/ops"
-	"repro/internal/retry"
 )
 
-// TestDrainVsInflightResultRace races POST /drain against a /work
-// mid-execution: drain must refuse new work at once, while the executing
-// request still answers 200 with the unit's full result — a rolling restart
-// must not throw away minutes of timing work. Run under -race this also pins
-// the drain/exec synchronisation.
+// TestDrainVsInflightResultRace races the daemon's drain —
+// http.Server.Shutdown — against a /work mid-execution: the listener closes
+// at once, so new connections are refused, while the executing request still
+// answers 200 with the unit's full result — a rolling restart must not throw
+// away minutes of timing work. Run under -race this also pins the
+// shutdown/exec synchronisation.
 func TestDrainVsInflightResultRace(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 3)
 	executing := make(chan struct{})
 	release := make(chan struct{})
 	_, srv := startWorker(t, WorkerOptions{
 		Name: "w1",
-		// Hold the unit in execution until drain has landed.
+		// Hold the unit in execution until the shutdown has landed.
 		execHook: func(Unit) error {
 			close(executing)
 			<-release
@@ -39,16 +38,8 @@ func TestDrainVsInflightResultRace(t *testing.T) {
 	unblock := sync.OnceFunc(func() { close(release) })
 	t.Cleanup(unblock)
 
-	sweep := SweepSpec{
-		Op: "gemm", Timer: spec, Domain: gcfg.Domain, Seed: gcfg.Seed,
-		Candidates: gcfg.Candidates, Iters: gcfg.Iters,
-	}
-	sweep.Session = sweep.Fingerprint()
 	coord := fastCoordinator([]string{srv.URL}, spec)
 	ctx := context.Background()
-	if _, err := coord.register(ctx, srv.URL, sweep); err != nil {
-		t.Fatal(err)
-	}
 	unit := Unit{ID: 0, Start: 0, Count: 3}
 	type answer struct {
 		res *UnitResult
@@ -56,41 +47,45 @@ func TestDrainVsInflightResultRace(t *testing.T) {
 	}
 	answered := make(chan answer, 1)
 	go func() {
-		res, err := coord.runUnit(ctx, srv.URL, sweep, unit)
+		res, err := coord.runUnit(ctx, srv.URL, testSweep(gcfg, spec), unit)
 		answered <- answer{res, err}
 	}()
 
-	// Drain while the unit executes: the HTTP handler flips the flag at
-	// once.
+	// Shut down while the unit executes: Shutdown closes the listener first,
+	// then waits for the executing request.
 	<-executing
-	resp, err := http.Post(srv.URL+"/drain", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- srv.Config.Shutdown(ctx) }()
+	addr := srv.Listener.Addr().String()
+	refused := false
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			refused = true
+			break
+		}
+		conn.Close()
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/drain answered HTTP %d", resp.StatusCode)
+	if !refused {
+		t.Error("the shutting-down worker still accepts connections")
 	}
-
-	// New work is refused the moment draining starts...
-	blob, _ := json.Marshal(WorkRequest{Session: sweep.Session, Unit: Unit{ID: 1, Start: 3, Count: 3}})
-	resp, err = http.Post(srv.URL+"/work", "application/json", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("draining worker answered new work with HTTP %d, want 503", resp.StatusCode)
+	select {
+	case err := <-shutdown:
+		t.Fatalf("Shutdown returned (%v) while a unit was executing", err)
+	default:
 	}
 
 	// ...but the executing unit completes and answers with its result.
 	unblock()
 	a := <-answered
 	if a.err != nil {
-		t.Fatalf("in-flight unit after drain: %v", a.err)
+		t.Fatalf("in-flight unit after shutdown began: %v", a.err)
 	}
 	if res := a.res; res.UnitID != 0 || res.Start != 0 || res.Count != 3 || len(res.Timings) != 3 {
 		t.Errorf("drained result = unit %d [%d,%d) with %d timings", res.UnitID, res.Start, res.Count, len(res.Timings))
+	}
+	if err := <-shutdown; err != nil {
+		t.Errorf("Shutdown: %v", err)
 	}
 }
 
@@ -127,7 +122,6 @@ func TestChaosGatherMatchesSingleNode(t *testing.T) {
 	// Generous failure budgets: chaos must cost retries, not the run.
 	coord.tune.maxUnitRetries = 50
 	coord.tune.workerFailureLimit = 100
-	coord.tune.retry = retry.Policy{MaxAttempts: 5, Initial: time.Millisecond, Max: 4 * time.Millisecond}
 
 	got, err := coord.Gather(context.Background(), gcfg)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -12,23 +13,20 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/ops"
+	"repro/internal/sampling"
 	"repro/internal/simtime"
 )
 
 // WorkerOptions configures a Worker.
 type WorkerOptions struct {
-	// Name is reported in results and /register answers (diagnostics).
+	// Name is reported in every unit result (diagnostics).
 	Name string
-	// RequireSim rejects registrations asking for the real-timing backend —
-	// the cmd/adsala-worker -sim guard, so a CI or test worker can never be
+	// RequireSim refuses work asking for the real-timing backend — the
+	// cmd/adsala-worker -sim guard, so a CI or test worker can never be
 	// talked into wall-clock timing.
 	RequireSim bool
-	// Logf receives lifecycle progress lines (sweep registration); nil
-	// discards them.
-	Logf func(format string, args ...any)
 	// DebugLogf receives per-unit progress lines — one per executed unit,
-	// noisy on big sweeps. Nil falls back to Logf, so embedders that wire
-	// only one sink keep today's behaviour.
+	// noisy on big sweeps; nil discards them.
 	DebugLogf func(format string, args ...any)
 	// execHook, when non-nil, runs first in every unit's execution, before
 	// the unit takes the execution lock: the point where tests inject delay
@@ -37,16 +35,17 @@ type WorkerOptions struct {
 	execHook func(Unit) error
 }
 
-// Worker executes timing-sweep work units for a coordinator. It is an
-// http.Handler exposing /register, /work, /healthz, /livez, /metrics and
-// /drain; the cmd/adsala-worker daemon mounts it behind an http.Server.
+// Worker executes timing-sweep work units for any coordinator. It is an
+// http.Handler exposing /work, /healthz and /metrics; the cmd/adsala-worker
+// daemon mounts it behind an http.Server.
 //
-// Protocol: the coordinator POSTs the SweepSpec to /register (building the
-// timing backend from the wire Spec), then POSTs units to /work, which
-// executes the unit inside the request, one at a time, and answers with its
-// UnitResult. /drain stops the worker accepting new units while the
-// executing one finishes; the daemon's graceful shutdown
-// (http.Server.Shutdown) waits for that request in the same way.
+// Protocol: the coordinator POSTs a WorkRequest — the sweep spec and one
+// unit of it — to /work, which checks the request, builds the timing
+// backend from the spec's wire Spec and executes the unit inside the
+// request, one unit at a time, answering with its UnitResult. The worker
+// keeps no session between requests, so coordinators running different
+// sweeps can share it. The daemon drains through http.Server.Shutdown,
+// which waits for the executing request to answer.
 type Worker struct {
 	opts WorkerOptions
 	mux  *http.ServeMux
@@ -54,8 +53,7 @@ type Worker struct {
 	// machine, and two units executing together would perturb both.
 	execMu sync.Mutex
 
-	draining atomic.Bool
-	running  atomic.Int64
+	running atomic.Int64
 
 	// reg renders the unit ledger below on /metrics as views.
 	reg            *obs.Registry
@@ -63,12 +61,6 @@ type Worker struct {
 	unitsCompleted atomic.Int64
 	unitsFailed    atomic.Int64
 	unitSeconds    *obs.Histogram
-
-	mu      sync.Mutex
-	session string
-	spec    SweepSpec
-	op      ops.Op
-	timer   simtime.Timer
 }
 
 // NewWorker returns a Worker with the given options.
@@ -76,11 +68,8 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.Name == "" {
 		opts.Name = "adsala-worker"
 	}
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
-	}
 	if opts.DebugLogf == nil {
-		opts.DebugLogf = opts.Logf
+		opts.DebugLogf = func(string, ...any) {}
 	}
 	w := &Worker{
 		opts:        opts,
@@ -102,29 +91,8 @@ func NewWorker(opts WorkerOptions) *Worker {
 	w.reg.GaugeFunc("adsala_worker_inflight_units",
 		"Units currently executing.",
 		func() float64 { return float64(w.running.Load()) })
-	w.reg.GaugeFunc("adsala_worker_draining",
-		"1 once drain has begun, else 0.",
-		func() float64 {
-			if w.draining.Load() {
-				return 1
-			}
-			return 0
-		})
-	w.reg.GaugeFunc("adsala_worker_registered",
-		"1 once a sweep session is registered, else 0.",
-		func() float64 {
-			w.mu.Lock()
-			defer w.mu.Unlock()
-			if w.session != "" {
-				return 1
-			}
-			return 0
-		})
-	w.mux.HandleFunc("/register", w.handleRegister)
 	w.mux.HandleFunc("/work", w.handleWork)
 	w.mux.HandleFunc("/healthz", w.handleHealthz)
-	w.mux.HandleFunc("/livez", w.handleLivez)
-	w.mux.HandleFunc("/drain", w.handleDrain)
 	w.mux.Handle("/metrics", w.reg.Handler())
 	obs.RegisterProcessMetrics(w.reg)
 	return w
@@ -157,75 +125,101 @@ func writeError(rw http.ResponseWriter, status int, format string, args ...any) 
 	writeJSON(rw, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// maxBodyBytes bounds the body of /register and /work, and the answer the
-// coordinator reads back from either: a sweep spec, a work unit or a
-// registration answer is a few hundred bytes (a spec's candidate list is one
-// small integer per thread count), so 16 KiB refuses nothing legitimate.
+// maxBodyBytes bounds the body of /work: a sweep spec and a unit are a few
+// hundred bytes (the candidate list is one small integer per thread count),
+// so 16 KiB refuses nothing legitimate.
 const maxBodyBytes = 16 << 10
 
-// decodeBody decodes the JSON request body, of at most maxBodyBytes, into v.
-// A failure comes with its status: 413 when the body ran past the bound, 400
-// for anything else.
-func decodeBody(rw http.ResponseWriter, r *http.Request, v any) (status int, err error) {
-	if err = json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxBodyBytes)).Decode(v); err == nil {
-		return http.StatusOK, nil
+// The bounds on what one /work may ask of a worker. Each is far above what
+// an install sends (units of 4 shapes, a sweep of some thousand shapes, 10
+// repetitions, a few dozen candidates) and low enough that no request can
+// exhaust the worker's memory or hold its execution lock for ever.
+const (
+	maxUnitShapes  = 1024    // shapes one unit samples and times
+	maxSweepShapes = 1 << 20 // end of a unit in the accepted-sample stream
+	maxIters       = 1000    // repetitions per configuration
+	maxCandidates  = 64      // thread counts per shape
+	maxThreads     = 4096    // one candidate thread count
+	// minCapBytes is adsala-train's smallest -cap (1 MB). With the
+	// paper's dimension bound (sampling.DefaultDomain().MaxDim) it keeps the
+	// rejection sampler's acceptance rate above zero, so the draws behind
+	// maxSweepShapes accepted samples are bounded too.
+	minCapBytes = 1000 * 1000
+)
+
+// bounded checks the request against the bounds above.
+func (req WorkRequest) bounded() error {
+	s, u := req.Spec, req.Unit
+	if u.Start < 0 || u.Count < 1 || u.Count > maxUnitShapes || u.Start > maxSweepShapes-u.Count {
+		return fmt.Errorf("gather: unit %d [%d, %d) is not 1 to %d shapes inside [0, %d)",
+			u.ID, u.Start, u.Start+u.Count, maxUnitShapes, maxSweepShapes)
 	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge, err
+	if s.Iters > maxIters {
+		return fmt.Errorf("gather: sweep spec Iters %d > %d", s.Iters, maxIters)
 	}
-	return http.StatusBadRequest, err
+	if len(s.Candidates) > maxCandidates {
+		return fmt.Errorf("gather: sweep spec has %d candidates, more than %d", len(s.Candidates), maxCandidates)
+	}
+	for _, c := range s.Candidates {
+		if c < 1 || c > maxThreads {
+			return fmt.Errorf("gather: candidate thread count %d outside [1, %d]", c, maxThreads)
+		}
+	}
+	if maxDim := sampling.DefaultDomain().MaxDim; s.Domain.MaxDim > maxDim {
+		return fmt.Errorf("gather: sweep domain MaxDim %d > %d", s.Domain.MaxDim, maxDim)
+	}
+	if s.Domain.MaxBytes < minCapBytes {
+		return fmt.Errorf("gather: sweep domain cap %d bytes < %d", s.Domain.MaxBytes, minCapBytes)
+	}
+	return nil
 }
 
-func (w *Worker) handleRegister(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(rw, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
+// work is one accepted /work request with the op and timer that execute it.
+type work struct {
+	spec  SweepSpec
+	unit  Unit
+	op    ops.Op
+	timer simtime.Timer
+}
+
+// decodeWork reads one /work body whole and checks it: within maxBodyBytes
+// (the caller's reader enforces it), one JSON value, a unit and spec within
+// the bounds, a Session that is the spec's fingerprint, the simulator
+// backend on a requireSim worker, and an executable spec. A refusal comes
+// with its status: 413 when the body ran past the bound, 409 for the real
+// backend on a requireSim worker, 400 for anything else.
+func decodeWork(body io.Reader, requireSim bool) (work, int, error) {
+	blob, err := io.ReadAll(body)
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		return work{}, status, fmt.Errorf("read work request: %w", err)
 	}
-	var spec SweepSpec
-	if status, err := decodeBody(rw, r, &spec); err != nil {
-		writeError(rw, status, "decode spec: %v", err)
-		return
+	var req WorkRequest
+	if err := json.Unmarshal(blob, &req); err != nil {
+		return work{}, http.StatusBadRequest, fmt.Errorf("decode work request: %w", err)
 	}
-	if err := spec.validate(); err != nil {
-		writeError(rw, http.StatusBadRequest, "%v", err)
-		return
+	spec := req.Spec
+	if err := req.bounded(); err != nil {
+		return work{}, http.StatusBadRequest, err
 	}
 	if got := spec.Fingerprint(); spec.Session != got {
-		writeError(rw, http.StatusBadRequest,
-			"session %q does not match the spec fingerprint %q", spec.Session, got)
-		return
+		return work{}, http.StatusBadRequest,
+			fmt.Errorf("gather: session %q does not match the spec fingerprint %q", spec.Session, got)
 	}
-	if w.opts.RequireSim && spec.Timer.Backend != simtime.BackendSim {
-		writeError(rw, http.StatusConflict,
-			"worker runs with -sim and only accepts the %q backend, not %q",
-			simtime.BackendSim, spec.Timer.Backend)
-		return
+	if requireSim && spec.Timer.Backend != simtime.BackendSim {
+		return work{}, http.StatusConflict,
+			fmt.Errorf("gather: worker runs with -sim and only accepts the %q backend, not %q",
+				simtime.BackendSim, spec.Timer.Backend)
 	}
-	op, err := spec.parseOp()
+	op, timer, err := spec.validate()
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, "%v", err)
-		return
+		return work{}, http.StatusBadRequest, err
 	}
-	timer, err := spec.Timer.Build()
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	w.mu.Lock()
-	if w.session != spec.Session {
-		// A new sweep supersedes the previous one; a unit of the old sweep
-		// still executing finishes against the spec it started with.
-		w.session = spec.Session
-		w.spec = spec
-		w.op = op
-		w.timer = timer
-	}
-	w.mu.Unlock()
-	w.opts.Logf("registered sweep %s: op=%s backend=%s candidates=%d iters=%d",
-		spec.Session, spec.Op, spec.Timer.Backend, len(spec.Candidates), spec.Iters)
-	writeJSON(rw, http.StatusOK, RegisterResponse{Worker: w.opts.Name, Backend: spec.Timer.Backend})
+	return work{spec: spec, unit: req.Unit, op: op, timer: timer}, http.StatusOK, nil
 }
 
 func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
@@ -233,33 +227,14 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	if w.draining.Load() {
-		writeError(rw, http.StatusServiceUnavailable, "worker is draining")
-		return
-	}
-	var req WorkRequest
-	if status, err := decodeBody(rw, r, &req); err != nil {
-		writeError(rw, status, "decode work request: %v", err)
-		return
-	}
-	if req.Unit.Start < 0 || req.Unit.Count < 1 {
-		writeError(rw, http.StatusBadRequest, "unit %d has invalid range [%d, %d)",
-			req.Unit.ID, req.Unit.Start, req.Unit.Start+req.Unit.Count)
-		return
-	}
-
-	w.mu.Lock()
-	if w.session == "" || req.Session != w.session {
-		w.mu.Unlock()
-		writeError(rw, http.StatusConflict, "session %q is not registered", req.Session)
-		return
-	}
-	spec, op, timer := w.spec, w.op, w.timer
-	w.mu.Unlock()
-
-	res, err := w.exec(spec, op, timer, req.Unit)
+	wk, status, err := decodeWork(http.MaxBytesReader(rw, r.Body, maxBodyBytes), w.opts.RequireSim)
 	if err != nil {
-		writeError(rw, http.StatusInternalServerError, "unit %d failed: %v", req.Unit.ID, err)
+		writeError(rw, status, "%v", err)
+		return
+	}
+	res, err := w.exec(wk)
+	if err != nil {
+		writeError(rw, http.StatusInternalServerError, "unit %d failed: %v", wk.unit.ID, err)
 		return
 	}
 	writeJSON(rw, http.StatusOK, res)
@@ -269,7 +244,8 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 // through exactly the single-node sweep code path (core.SampleOpShapes +
 // core.MeasureSweep), which is what makes the distributed merge reproduce
 // the local gather.
-func (w *Worker) exec(spec SweepSpec, op ops.Op, timer simtime.Timer, u Unit) (*UnitResult, error) {
+func (w *Worker) exec(wk work) (*UnitResult, error) {
+	u := wk.unit
 	w.unitsAccepted.Add(1)
 	var hookErr error
 	if w.opts.execHook != nil {
@@ -281,7 +257,7 @@ func (w *Worker) exec(spec SweepSpec, op ops.Op, timer simtime.Timer, u Unit) (*
 	defer w.running.Add(-1)
 
 	start := time.Now()
-	res, err := runUnit(spec, op, timer, u, w.opts.Name)
+	res, err := runUnit(wk, w.opts.Name)
 	if hookErr != nil { // an injected failure replaces the result
 		res, err = nil, hookErr
 	}
@@ -296,18 +272,19 @@ func (w *Worker) exec(spec SweepSpec, op ops.Op, timer simtime.Timer, u Unit) (*
 	return res, nil
 }
 
-// runUnit executes one unit against the spec and returns its result.
-func runUnit(spec SweepSpec, op ops.Op, timer simtime.Timer, u Unit, worker string) (*UnitResult, error) {
-	shapes, err := core.SampleOpShapes(spec.Domain, spec.Seed, op, u.Start, u.Count)
+// runUnit executes one unit and returns its result.
+func runUnit(wk work, worker string) (*UnitResult, error) {
+	u := wk.unit
+	shapes, err := core.SampleOpShapes(wk.spec.Domain, wk.spec.Seed, wk.op, u.Start, u.Count)
 	if err != nil {
 		return nil, err
 	}
-	timings, err := core.MeasureSweep(timer, op, shapes, spec.Candidates, spec.Iters)
+	timings, err := core.MeasureSweep(wk.timer, wk.op, shapes, wk.spec.Candidates, wk.spec.Iters)
 	if err != nil {
 		return nil, err
 	}
 	return &UnitResult{
-		Session: spec.Session,
+		Session: wk.spec.Session,
 		UnitID:  u.ID,
 		Start:   u.Start,
 		Count:   u.Count,
@@ -316,55 +293,12 @@ func runUnit(spec SweepSpec, op ops.Op, timer simtime.Timer, u Unit, worker stri
 	}, nil
 }
 
-// statusBody assembles the shared health payload and whether the worker is
-// ready for coordinator traffic: registered and not draining.
-func (w *Worker) statusBody() (StatusResponse, bool) {
-	w.mu.Lock()
-	session := w.session
-	w.mu.Unlock()
-	draining := w.draining.Load()
-	status := "ok"
-	switch {
-	case draining:
-		status = "draining"
-	case session == "":
-		status = "starting"
-	}
-	return StatusResponse{
-		Status:     status,
-		Session:    session,
-		Registered: session != "",
-		Completed:  int(w.unitsCompleted.Load()),
-		Inflight:   int(w.running.Load()),
-		Draining:   draining,
-	}, status == "ok"
-}
-
-// handleHealthz is the readiness probe: 200 only once a sweep session has
-// been registered and drain has not begun, 503 otherwise — so a load
-// balancer (or the CI wait loop) routing coordinator traffic by readiness
-// skips workers that would refuse it anyway.
+// handleHealthz is the one probe: 200 whenever the process answers, with
+// the units completed so far and whether one is executing.
 func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
-	body, ready := w.statusBody()
-	status := http.StatusOK
-	if !ready {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(rw, status, body)
-}
-
-// handleLivez is the liveness probe: 200 whenever the process answers,
-// registered or not.
-func (w *Worker) handleLivez(rw http.ResponseWriter, r *http.Request) {
-	body, _ := w.statusBody()
-	writeJSON(rw, http.StatusOK, body)
-}
-
-func (w *Worker) handleDrain(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(rw, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
-	w.draining.Store(true)
-	writeJSON(rw, http.StatusOK, StatusResponse{Status: "draining", Draining: true})
+	writeJSON(rw, http.StatusOK, StatusResponse{
+		Status:    "ok",
+		Completed: int(w.unitsCompleted.Load()),
+		Inflight:  int(w.running.Load()),
+	})
 }

@@ -243,34 +243,6 @@ func Gadi() *Node {
 	}
 }
 
-// Generic returns a single-socket topology with the given core count, used
-// for tests, examples and the real-timer path on the local host.
-func Generic(cores int) *Node {
-	if cores < 1 {
-		cores = 1
-	}
-	return &Node{
-		Name:              fmt.Sprintf("Generic-%d", cores),
-		Sockets:           1,
-		CoresPerSocket:    cores,
-		SMTPerCore:        2,
-		NUMAPerSocket:     1,
-		CoresPerCCX:       cores,
-		BaseGHz:           3.0,
-		FlopsPerCycleF32:  32,
-		L2KBPerCore:       512,
-		L3MBPerCCX:        16,
-		MemBWPerNUMA:      40,
-		InterSocketBW:     40,
-		SMTYield:          1.2,
-		SyncBaseNs:        1500,
-		SyncPerThreadNs:   60,
-		SyncCrossSocketNs: 0,
-		SpawnPerThreadNs:  300,
-		CoherenceNs:       20,
-	}
-}
-
 // ByName returns a preset topology by (case-sensitive) name.
 func ByName(name string) (*Node, error) {
 	switch name {

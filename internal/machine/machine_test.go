@@ -6,7 +6,7 @@ import (
 )
 
 func TestPresetsValidate(t *testing.T) {
-	for _, n := range []*Node{Setonix(), Gadi(), Generic(8), Generic(0)} {
+	for _, n := range []*Node{Setonix(), Gadi()} {
 		if err := n.Validate(); err != nil {
 			t.Errorf("%s: %v", n.Name, err)
 		}
@@ -161,7 +161,7 @@ func TestAffinityString(t *testing.T) {
 // preset and policy: occupied cores never exceed physical cores, doubled
 // cores never exceed occupied, compute units in [1, threads].
 func TestPlaceInvariantsProperty(t *testing.T) {
-	nodes := []*Node{Setonix(), Gadi(), Generic(7)}
+	nodes := []*Node{Setonix(), Gadi()}
 	f := func(praw uint16, polRaw, htRaw bool) bool {
 		p := int(praw%300) - 10 // include out-of-range values
 		pol := CoreBased

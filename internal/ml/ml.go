@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Regressor is a trainable model mapping a feature vector to a scalar
@@ -109,57 +108,6 @@ func RMSE(pred, y []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(y)))
-}
-
-// MAE returns the mean absolute error.
-func MAE(pred, y []float64) float64 {
-	if len(pred) != len(y) {
-		panic("ml: MAE length mismatch")
-	}
-	if len(y) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range y {
-		s += math.Abs(pred[i] - y[i])
-	}
-	return s / float64(len(y))
-}
-
-// R2 returns the coefficient of determination.
-func R2(pred, y []float64) float64 {
-	if len(pred) != len(y) {
-		panic("ml: R2 length mismatch")
-	}
-	if len(y) == 0 {
-		return 0
-	}
-	var mean float64
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(len(y))
-	var ssRes, ssTot float64
-	for i := range y {
-		d := pred[i] - y[i]
-		ssRes += d * d
-		t := y[i] - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		return 0
-	}
-	return 1 - ssRes/ssTot
-}
-
-// SortedNames returns map keys in sorted order (stable table rendering).
-func SortedNames[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Envelope wraps a trained model for JSON persistence: the concrete type is

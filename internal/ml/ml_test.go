@@ -22,16 +22,7 @@ func TestMetrics(t *testing.T) {
 	if got := RMSE(pred, y); math.Abs(got-math.Sqrt(4.0/3)) > 1e-12 {
 		t.Errorf("RMSE = %v", got)
 	}
-	if got := MAE(pred, y); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("MAE = %v", got)
-	}
-	if got := R2(y, y); got != 1 {
-		t.Errorf("perfect R2 = %v", got)
-	}
-	if got := R2([]float64{2, 2, 2}, []float64{1, 2, 3}); got != 0 {
-		t.Errorf("mean-predictor R2 = %v, want 0", got)
-	}
-	if RMSE(nil, nil) != 0 || MAE(nil, nil) != 0 || R2(nil, nil) != 0 {
+	if RMSE(nil, nil) != 0 {
 		t.Error("empty metrics should be 0")
 	}
 }
@@ -39,8 +30,6 @@ func TestMetrics(t *testing.T) {
 func TestMetricsPanicOnMismatch(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"RMSE": func() { RMSE([]float64{1}, []float64{1, 2}) },
-		"MAE":  func() { MAE([]float64{1}, []float64{1, 2}) },
-		"R2":   func() { R2([]float64{1}, []float64{1, 2}) },
 	} {
 		func() {
 			defer func() {
@@ -68,13 +57,6 @@ func TestValidateXY(t *testing.T) {
 	}
 	if err := ValidateXY([][]float64{{1}, {2}}, []float64{1, 2}); err != nil {
 		t.Errorf("valid data rejected: %v", err)
-	}
-}
-
-func TestSortedNames(t *testing.T) {
-	names := SortedNames(map[string]int{"z": 1, "a": 2, "m": 3})
-	if names[0] != "a" || names[1] != "m" || names[2] != "z" {
-		t.Errorf("SortedNames = %v", names)
 	}
 }
 

@@ -1,11 +1,10 @@
-// Package retry is the one retry/backoff implementation shared by every
-// component that talks over a network: the serve client, the gather
-// coordinator's worker registration, and anything later that needs to
-// survive transient failure. It provides capped exponential backoff with
-// deterministic-seedable jitter, per-attempt deadlines, and a typed
-// retryable-vs-fatal error split so callers classify failures once instead
-// of re-implementing ad-hoc loops. The caller's context bounds the whole
-// loop.
+// Package retry is the one retry/backoff implementation for a component
+// that talks over a network: the serve client, and anything later that
+// needs to survive transient failure. It provides capped exponential
+// backoff with deterministic-seedable jitter, per-attempt deadlines, and a
+// typed retryable-vs-fatal error split so callers classify failures once
+// instead of re-implementing ad-hoc loops. The caller's context bounds the
+// whole loop.
 //
 // The default classification is optimistic: every error is retryable unless
 // wrapped with Fatal. That matches the call sites — transport errors,
@@ -50,10 +49,6 @@ type Policy struct {
 	// Sleep replaces the inter-attempt wait; nil selects a real timer
 	// honouring ctx cancellation. Tests inject instant sleeps.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// OnRetry, when non-nil, observes each scheduled retry: the attempt
-	// that just failed (1-based), its error, and the backoff about to be
-	// slept. Used for logging and metrics; must not block.
-	OnRetry func(attempt int, err error, backoff time.Duration)
 }
 
 // Defaults for the zero Policy.
@@ -217,11 +212,7 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 		if attempt >= p.MaxAttempts {
 			return &ExhaustedError{Attempts: attempt, Last: last}
 		}
-		backoff := p.jittered(p.backoff(attempt - 1))
-		if p.OnRetry != nil {
-			p.OnRetry(attempt, err, backoff)
-		}
-		if err := p.Sleep(ctx, backoff); err != nil {
+		if err := p.Sleep(ctx, p.jittered(p.backoff(attempt-1))); err != nil {
 			return expiredError(err, attempt, last)
 		}
 	}

@@ -156,16 +156,3 @@ func TestCallerCancellationStopsLoop(t *testing.T) {
 		t.Fatalf("error %v, want Canceled", err)
 	}
 }
-
-func TestOnRetryObservesEveryRetry(t *testing.T) {
-	var seen []int
-	_ = Do(context.Background(), Policy{MaxAttempts: 4, Sleep: instant,
-		OnRetry: func(attempt int, err error, backoff time.Duration) {
-			seen = append(seen, attempt)
-		}}, func(ctx context.Context) error {
-		return errors.New("x")
-	})
-	if len(seen) != 3 || seen[0] != 1 || seen[2] != 3 {
-		t.Fatalf("OnRetry saw %v, want [1 2 3]", seen)
-	}
-}

@@ -67,21 +67,6 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)))
 }
 
-// Percentile returns the p-th percentile (p in [0,1]) of xs using linear
-// interpolation between closest ranks. It panics on empty input or p outside
-// [0, 1].
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("stats: percentile %v outside [0,1]", p))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
 func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
@@ -147,21 +132,6 @@ func (h *Histogram) Render(width int) string {
 		fmt.Fprintf(&b, "%10.0f-%-10.0f |%-*s %d\n", h.Lo+float64(i)*w, h.Lo+float64(i+1)*w, width, strings.Repeat("#", bar), c)
 	}
 	return b.String()
-}
-
-// GeoMean returns the geometric mean of xs; all values must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean requires positive values")
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }
 
 // Correlation returns the Pearson correlation coefficient of xs and ys.
