@@ -10,8 +10,7 @@
 //	POST /measured              measured kernel wall times reported back by executing clients
 //	GET  /drift                 online model-quality drift report (requires -drift-window)
 //	GET  /stats                 the decision ledger: predictions, cache hits and misses, fallbacks
-//	GET  /healthz               readiness probe: 503 while draining
-//	GET  /livez                 liveness probe: 200 whenever the process answers
+//	GET  /healthz               the one probe: 200 whenever the process answers
 //	GET  /metrics               Prometheus text exposition
 //
 // The op field selects the registered operation the decision is for
@@ -53,7 +52,7 @@
 // windows of the same residual statistics adsala-replay computes offline.
 // When an op's |windowed mean residual_log2| exceeds -drift-threshold (with
 // at least -drift-min-samples residuals in the window), /healthz flips to
-// "degraded": true naming the op while readiness stays 200, a structured
+// "degraded": true naming the op while the answer stays 200, a structured
 // drift_start event is logged, and adsala_drift_* gauges expose the window
 // on /metrics. GET /drift serves the full schema-versioned report; tune
 // thresholds offline by running the same detector over a capture with
@@ -274,9 +273,6 @@ func run(args []string, out io.Writer) error {
 		closeTrace()
 		return err
 	case <-ctx.Done():
-		// Flip readiness before the listener closes so probes observe the
-		// drain instead of racing connection resets.
-		handler.SetReady(false)
 		lg.Infof("shutting down")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

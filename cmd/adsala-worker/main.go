@@ -6,21 +6,24 @@
 // Endpoints:
 //
 //	POST /work      execute one work unit: the request carries the sweep spec
-//	                (op, timing backend, domain, seed, candidates, iters) and
-//	                the unit ({start, count} into the sweep's deterministic
-//	                Halton sample stream); units run one at a time, and the
-//	                answer is the unit's timings
+//	                (op, timing backend, domain, seed, candidates, iters),
+//	                the unit ({id, start, count} into the coordinator's
+//	                shape sample) and the unit's shapes; units run one at a
+//	                time, and the answer is the unit's timings
 //	GET  /healthz   the one probe: 200 whenever the process answers, with the
 //	                units completed so far and whether one is executing
 //	GET  /metrics   Prometheus text exposition
 //
-// The worker keeps no session: every request is checked on its own (a
-// spec whose session is its fingerprint, a unit and spec within fixed
-// bounds), so one worker can serve several coordinators. The timing
-// backend comes from the request's spec: simtime.RealTimer for real
-// installs (the default), or the deterministic Simulator. With -sim the
-// worker only accepts simulator sweeps — the guard tests and CI use so no
-// wall-clock timing ever runs there.
+// The coordinator samples the sweep; the worker samples nothing and times
+// exactly the shapes it is sent. It keeps no session: every request is
+// checked on its own (a spec whose session is its fingerprint, a unit and
+// spec within fixed bounds, every shape the op's canonical triple with each
+// dimension in [1, 74 000] and, for real timing, at most 500 MB of float32
+// operands), so one worker can serve several coordinators. The timing backend comes from the request's
+// spec: simtime.RealTimer for real installs (the default), or the
+// deterministic Simulator. With -sim the worker only accepts simulator
+// sweeps — the guard tests and CI use so no wall-clock timing ever runs
+// there.
 //
 // Usage:
 //

@@ -125,30 +125,29 @@ func (LocalGatherer) Gather(ctx context.Context, cfg GatherConfig) ([]ShapeTimin
 	if cfg.NumShapes < 1 {
 		return nil, fmt.Errorf("core: NumShapes %d < 1", cfg.NumShapes)
 	}
-	shapes, err := SampleOpShapes(cfg.Domain, cfg.Seed, cfg.Op, 0, cfg.NumShapes)
+	shapes, err := SampleOpShapes(cfg.Domain, cfg.Seed, cfg.Op, cfg.NumShapes)
 	if err != nil {
 		return nil, err
 	}
 	return MeasureSweep(cfg.Timer, cfg.Op, shapes, cfg.Candidates, cfg.Iters)
 }
 
-// SampleOpShapes draws count in-domain shapes of the op's sweep, starting at
-// the given index of the deterministic (domain, seed) accepted-sample stream
-// and mapped through the op's canonical feature triple. It is the shared
-// shape source of the local and distributed gathers: unit (start, count)
-// slices partition the exact sequence the single-node sweep walks.
-func SampleOpShapes(dom sampling.Domain, seed int64, op ops.Op, start, count int) ([]sampling.Shape, error) {
+// SampleOpShapes draws the first count in-domain shapes of the
+// deterministic (domain, seed) accepted-sample stream, mapped through the
+// op's canonical feature triple. It is the one shape source of the local and
+// distributed gathers: the coordinator draws the whole sweep with it and
+// sends each worker its unit's slice.
+func SampleOpShapes(dom sampling.Domain, seed int64, op ops.Op, count int) ([]sampling.Shape, error) {
 	if !op.Valid() {
 		return nil, fmt.Errorf("core: unknown op %v", op)
 	}
-	if start < 0 || count < 0 {
-		return nil, fmt.Errorf("core: negative shape range [%d, %d)", start, start+count)
+	if count < 0 {
+		return nil, fmt.Errorf("core: negative shape count %d", count)
 	}
 	sampler, err := sampling.NewSampler(dom, seed)
 	if err != nil {
 		return nil, err
 	}
-	sampler.Skip(start)
 	canon := op.Spec().Canon
 	out := make([]sampling.Shape, count)
 	for i := range out {

@@ -28,7 +28,7 @@ func TestSweepGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for op, want := range golden {
-		shapes, err := SampleOpShapes(sampling.DefaultDomain().WithCapMB(500), 11, op, 0, 12)
+		shapes, err := SampleOpShapes(sampling.DefaultDomain().WithCapMB(500), 11, op, 12)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@
 // means predictions are off by 2× on average). Any drifting cell marks its
 // op drifting; any drifting op marks the monitor degraded — which
 // /healthz surfaces as "degraded": true with the offending ops while
-// readiness stays 200 (degraded, not down: the daemon still serves, the
+// the answer stays 200 (degraded, not down: the daemon still serves, the
 // model is just stale). Thresholds are tuned offline by running the same
 // detector over a capture with adsala-replay -drift.
 package drift

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/sampling"
 )
 
 // Checkpoint file format (documented in the README "Distributed training"
@@ -41,10 +42,11 @@ type checkpoint struct {
 }
 
 // openCheckpoint loads (or creates) the checkpoint for one sweep and
-// returns the units already completed in it. path == "" disables
-// checkpointing: an empty map and a nil checkpoint (whose methods are
-// no-ops) come back.
-func openCheckpoint(path string, spec SweepSpec, units []Unit, numShapes int, logf func(string, ...any)) (map[int][]core.ShapeTimings, *checkpoint, error) {
+// returns the units already completed in it; every line must pass
+// checkResult against its unit's slice of the sweep's sample. path == ""
+// disables checkpointing: an empty map and a nil checkpoint (whose methods
+// are no-ops) come back.
+func openCheckpoint(path string, spec SweepSpec, units []Unit, sample []sampling.Shape, logf func(string, ...any)) (map[int][]core.ShapeTimings, *checkpoint, error) {
 	completed := make(map[int][]core.ShapeTimings)
 	if path == "" {
 		return completed, nil, nil
@@ -55,7 +57,7 @@ func openCheckpoint(path string, spec SweepSpec, units []Unit, numShapes int, lo
 		Session:   spec.Session,
 		Op:        spec.Op,
 		Units:     len(units),
-		NumShapes: numShapes,
+		NumShapes: len(sample),
 	}
 
 	blob, err := os.ReadFile(path)
@@ -114,9 +116,8 @@ func openCheckpoint(path string, spec SweepSpec, units []Unit, numShapes int, lo
 				path, i+2, res.UnitID, len(units))
 		}
 		u := units[res.UnitID]
-		if res.Start != u.Start || res.Count != u.Count || len(res.Timings) != u.Count {
-			return nil, nil, fmt.Errorf("gather: checkpoint %s line %d: unit %d does not match the plan (got [%d,%d) with %d timings, want [%d,%d))",
-				path, i+2, res.UnitID, res.Start, res.Start+res.Count, len(res.Timings), u.Start, u.Start+u.Count)
+		if err := checkResult(u, u.shapes(sample), spec.Candidates, spec.Session, res); err != nil {
+			return nil, nil, fmt.Errorf("gather: checkpoint %s line %d: %w", path, i+2, err)
 		}
 		completed[res.UnitID] = res.Timings
 		validEnd += len(line) + 1

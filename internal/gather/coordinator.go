@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sampling"
 	"repro/internal/simtime"
 )
 
@@ -161,11 +162,18 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 	if _, _, err := spec.validate(); err != nil {
 		return nil, err
 	}
-	units := planUnits(gcfg.NumShapes, c.tune.unitShapes)
-	// A sweep no worker would accept fails here: the last unit reaches
-	// furthest into the sample stream.
-	if err := (WorkRequest{Spec: spec, Unit: units[len(units)-1]}).bounded(); err != nil {
+	// The sweep's one draw, the single-node gather's own call: units are
+	// slices of it, so the merge in unit order is the single-node sweep.
+	sample, err := core.SampleOpShapes(gcfg.Domain, gcfg.Seed, gcfg.Op, gcfg.NumShapes)
+	if err != nil {
 		return nil, err
+	}
+	units := planUnits(gcfg.NumShapes, c.tune.unitShapes)
+	// A sweep no worker would accept fails here, before any dispatch.
+	for _, u := range units {
+		if err := (WorkRequest{Spec: spec, Unit: u, Shapes: u.shapes(sample)}).bounded(); err != nil {
+			return nil, err
+		}
 	}
 
 	stats := Stats{Units: len(units)}
@@ -188,7 +196,7 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 	if c.cfg.Checkpoint != "" {
 		ckPath = c.cfg.Checkpoint + "." + spec.Op
 	}
-	completed, ck, err := openCheckpoint(ckPath, spec, units, gcfg.NumShapes, c.cfg.Logf)
+	completed, ck, err := openCheckpoint(ckPath, spec, units, sample, c.cfg.Logf)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +228,7 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 		wg.Add(1)
 		go func(base string) {
 			defer wg.Done()
-			c.workerLoop(r, base, spec, results)
+			c.workerLoop(r, base, spec, sample, results)
 		}(base)
 	}
 	workersDone := make(chan struct{})
@@ -318,7 +326,7 @@ func mergeResult(completed map[int][]core.ShapeTimings, res UnitResult) bool {
 // still holds the worker's execution lock).
 // With the queue empty it waits, because another worker may still fail and
 // requeue.
-func (c *Coordinator) workerLoop(r *run, base string, spec SweepSpec, results chan<- UnitResult) {
+func (c *Coordinator) workerLoop(r *run, base string, spec SweepSpec, sample []sampling.Shape, results chan<- UnitResult) {
 	failures := 0
 	for {
 		var pu pendingUnit
@@ -327,7 +335,7 @@ func (c *Coordinator) workerLoop(r *run, base string, spec SweepSpec, results ch
 		case <-r.ctx.Done():
 			return
 		}
-		res, err := c.runUnit(r.ctx, base, spec, pu.unit)
+		res, err := c.runUnit(r.ctx, base, WorkRequest{Spec: spec, Unit: pu.unit, Shapes: pu.unit.shapes(sample)})
 		if err != nil {
 			if r.ctx.Err() != nil {
 				return
@@ -379,15 +387,16 @@ func resultLimit(count, candidates int) int64 {
 	return 4<<10 + int64(count)*128*int64(1+candidates)
 }
 
-// runUnit executes one unit on one worker: one POST /work of the spec and
-// the unit under the unit timeout, answered with the unit's result. Any
-// failure — the transport, a refusal, a failed execution, a torn or
-// mismatched answer — fails this attempt, and the caller requeues the unit;
-// a refusal comes back as a *refusal.
-func (c *Coordinator) runUnit(ctx context.Context, base string, spec SweepSpec, u Unit) (*UnitResult, error) {
+// runUnit executes one unit on one worker: one POST /work of the request
+// under the unit timeout, answered with the unit's result. Any failure — the
+// transport, a refusal, a failed execution, a torn answer or one that fails
+// checkResult — fails this attempt, and the caller requeues the unit; a
+// refusal comes back as a *refusal.
+func (c *Coordinator) runUnit(ctx context.Context, base string, work WorkRequest) (*UnitResult, error) {
+	u := work.Unit
 	ctx, cancel := context.WithTimeout(ctx, c.tune.unitTimeout)
 	defer cancel()
-	blob, err := json.Marshal(WorkRequest{Spec: spec, Unit: u})
+	blob, err := json.Marshal(work)
 	if err != nil {
 		return nil, fmt.Errorf("encode request: %w", err)
 	}
@@ -412,15 +421,11 @@ func (c *Coordinator) runUnit(ctx context.Context, base string, spec SweepSpec, 
 		return nil, err
 	}
 	res := &UnitResult{}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, resultLimit(u.Count, len(spec.Candidates)))).Decode(res); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, resultLimit(u.Count, len(work.Spec.Candidates)))).Decode(res); err != nil {
 		return nil, fmt.Errorf("decode result: %w", err)
 	}
-	// Start matters as much as ID and Count: a result timing the wrong
-	// slice of the sample stream would merge into the wrong sweep positions
-	// and silently corrupt the trained model.
-	if res.UnitID != u.ID || res.Start != u.Start || res.Count != u.Count || len(res.Timings) != u.Count {
-		return nil, fmt.Errorf("worker %s answered unit %d [%d,%d) with mismatched result (unit %d [%d,%d), %d timings)",
-			base, u.ID, u.Start, u.Start+u.Count, res.UnitID, res.Start, res.Start+res.Count, len(res.Timings))
+	if err := checkResult(u, work.Shapes, work.Spec.Candidates, work.Spec.Session, *res); err != nil {
+		return nil, fmt.Errorf("worker %s: %w", base, err)
 	}
 	return res, nil
 }

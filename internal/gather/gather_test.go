@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -785,6 +786,17 @@ func testSweep(gcfg core.GatherConfig, timer simtime.Spec) SweepSpec {
 	return s
 }
 
+// testWork returns the /work request of unit u of a test gather config, as
+// the coordinator builds it: the spec, the unit and its slice of the sample.
+func testWork(t testing.TB, gcfg core.GatherConfig, timer simtime.Spec, u Unit) WorkRequest {
+	t.Helper()
+	sample, err := core.SampleOpShapes(gcfg.Domain, gcfg.Seed, gcfg.Op, u.Start+u.Count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return WorkRequest{Spec: testSweep(gcfg, timer), Unit: u, Shapes: u.shapes(sample)}
+}
+
 // postJSON POSTs body as JSON to base+path; the answer is closed at cleanup.
 func postJSON(t *testing.T, base, path string, body any) *http.Response {
 	t.Helper()
@@ -800,10 +812,16 @@ func postJSON(t *testing.T, base, path string, body any) *http.Response {
 	return resp
 }
 
+// Shapes at the real backend's float32 cap of 500 MB and one element past
+// it: 4·(mk + kn + mn) is 500 000 000 and 500 000 004 bytes.
+var (
+	capShape     = sampling.Shape{M: 10000, K: 10000, N: 1250}
+	overCapShape = sampling.Shape{M: 2002, K: 59577, N: 93}
+)
+
 // atBounds returns a request exactly at every bound of bounded: the largest
-// unit at the end of the sample stream, the most repetitions, the most
-// candidates reaching the largest thread count, the paper's dimension bound
-// and the smallest cap.
+// unit of shapes at the paper's dimension bound, the most repetitions and
+// the most candidates reaching the largest thread count.
 func atBounds(timer simtime.Spec) WorkRequest {
 	spec := SweepSpec{
 		Op:     "gemm",
@@ -816,30 +834,55 @@ func atBounds(timer simtime.Spec) WorkRequest {
 		spec.Candidates = append(spec.Candidates, c)
 	}
 	spec.Session = spec.Fingerprint()
-	return WorkRequest{Spec: spec, Unit: Unit{ID: 9, Start: maxSweepShapes - maxUnitShapes, Count: maxUnitShapes}}
+	shapes := make([]sampling.Shape, maxUnitShapes)
+	for i := range shapes {
+		shapes[i] = sampling.Shape{M: 74000, K: 74000, N: 74000}
+	}
+	return WorkRequest{Spec: spec, Unit: Unit{ID: 9, Start: 4096, Count: maxUnitShapes}, Shapes: shapes}
+}
+
+// atCap returns a real-backend request whose every shape is exactly at the
+// float32 byte cap.
+func atCap() WorkRequest {
+	req := atBounds(simtime.RealSpec())
+	for i := range req.Shapes {
+		req.Shapes[i] = capShape
+	}
+	return req
 }
 
 // overBounds returns one request per bound of bounded, each that bound + 1
-// away from atBounds and fingerprinted, keyed by the bound it breaks.
+// away from atBounds (or, for the byte cap, from atCap) and fingerprinted,
+// keyed by the bound it breaks.
 func overBounds(timer simtime.Spec) map[string]WorkRequest {
-	edit := func(f func(*WorkRequest)) WorkRequest {
-		req := atBounds(timer)
+	edit := func(req WorkRequest, f func(*WorkRequest)) WorkRequest {
 		req.Spec.Candidates = append([]int(nil), req.Spec.Candidates...)
+		req.Shapes = append([]sampling.Shape(nil), req.Shapes...)
 		f(&req)
 		req.Spec.Session = req.Spec.Fingerprint()
 		return req
 	}
+	at := atBounds(timer)
 	return map[string]WorkRequest{
-		"count":        edit(func(r *WorkRequest) { r.Unit.Start--; r.Unit.Count++ }),
-		"end":          edit(func(r *WorkRequest) { r.Unit.Start++ }),
-		"iters":        edit(func(r *WorkRequest) { r.Spec.Iters++ }),
-		"candidates":   edit(func(r *WorkRequest) { r.Spec.Candidates = append(r.Spec.Candidates, 1) }),
-		"threads":      edit(func(r *WorkRequest) { r.Spec.Candidates[maxCandidates-1]++ }),
-		"zero-threads": edit(func(r *WorkRequest) { r.Spec.Candidates[0] = 0 }),
-		"max-dim":      edit(func(r *WorkRequest) { r.Spec.Domain.MaxDim++ }),
-		"cap":          edit(func(r *WorkRequest) { r.Spec.Domain.MaxBytes-- }),
-		"start":        edit(func(r *WorkRequest) { r.Unit.Start = -1 }),
-		"zero-count":   edit(func(r *WorkRequest) { r.Unit.Count = 0 }),
+		"count": edit(at, func(r *WorkRequest) {
+			r.Unit.Count++
+			r.Shapes = append(r.Shapes, r.Shapes[0])
+		}),
+		"count-mismatch": edit(at, func(r *WorkRequest) { r.Unit.Count-- }),
+		"iters":          edit(at, func(r *WorkRequest) { r.Spec.Iters++ }),
+		"candidates":     edit(at, func(r *WorkRequest) { r.Spec.Candidates = append(r.Spec.Candidates, 1) }),
+		"threads":        edit(at, func(r *WorkRequest) { r.Spec.Candidates[maxCandidates-1]++ }),
+		"zero-threads":   edit(at, func(r *WorkRequest) { r.Spec.Candidates[0] = 0 }),
+		"max-dim":        edit(at, func(r *WorkRequest) { r.Shapes[maxUnitShapes-1].K++ }),
+		"zero-dim":       edit(at, func(r *WorkRequest) { r.Shapes[0].N = 0 }),
+		"cap":            edit(atCap(), func(r *WorkRequest) { r.Shapes[maxUnitShapes-1] = overCapShape }),
+		"zero-count":     edit(at, func(r *WorkRequest) { r.Unit.Count, r.Shapes = 0, nil }),
+		// A SYRK shape with N ≠ M: 0.6 MB of operands as sent, but SYRK's
+		// benchmark sizes C from M alone and would allocate 22 GB.
+		"canonical": edit(atCap(), func(r *WorkRequest) {
+			r.Spec.Op = "syrk"
+			r.Unit.Count, r.Shapes = 1, []sampling.Shape{{M: 74000, K: 1, N: 1}}
+		}),
 	}
 }
 
@@ -848,31 +891,30 @@ func overBounds(timer simtime.Spec) map[string]WorkRequest {
 // and the routes the worker does not have.
 func TestWorkerEndpoints(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 6)
-	sweep := testSweep(gcfg, spec)
 	_, srv := startWorker(t, WorkerOptions{Name: "w", RequireSim: true})
-	unit := Unit{ID: 0, Start: 0, Count: 2}
+	work := testWork(t, gcfg, spec, Unit{ID: 0, Start: 0, Count: 2})
 
 	// Tampered session fingerprint.
-	bad := sweep
-	bad.Session = "deadbeefdeadbeef"
-	if resp := postJSON(t, srv.URL, "/work", WorkRequest{Spec: bad, Unit: unit}); resp.StatusCode != http.StatusBadRequest {
+	bad := work
+	bad.Spec.Session = "deadbeefdeadbeef"
+	if resp := postJSON(t, srv.URL, "/work", bad); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("tampered session: HTTP %d, want 400", resp.StatusCode)
 	}
 	// Real-backend sweep against a -sim worker.
-	real := sweep
-	real.Timer = simtime.RealSpec()
-	real.Session = real.Fingerprint()
-	if resp := postJSON(t, srv.URL, "/work", WorkRequest{Spec: real, Unit: unit}); resp.StatusCode != http.StatusConflict {
+	real := work
+	real.Spec.Timer = simtime.RealSpec()
+	real.Spec.Session = real.Spec.Fingerprint()
+	if resp := postJSON(t, srv.URL, "/work", real); resp.StatusCode != http.StatusConflict {
 		t.Errorf("-sim worker accepted a real sweep: HTTP %d, want 409", resp.StatusCode)
 	}
 	// A valid request executes and answers with its unit.
-	resp := postJSON(t, srv.URL, "/work", WorkRequest{Spec: sweep, Unit: unit})
+	resp := postJSON(t, srv.URL, "/work", work)
 	var res UnitResult
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("work: HTTP %d (%v)", resp.StatusCode, err)
 	}
-	if res.Session != sweep.Session || res.UnitID != 0 || res.Count != 2 || len(res.Timings) != 2 || res.Worker != "w" {
-		t.Errorf("work answered %+v", res)
+	if err := checkResult(work.Unit, work.Shapes, work.Spec.Candidates, work.Spec.Session, res); err != nil || res.Worker != "w" {
+		t.Errorf("work answered %+v: %v", res, err)
 	}
 	// Each bound + 1 is refused before anything executes...
 	for name, req := range overBounds(spec) {
@@ -881,15 +923,23 @@ func TestWorkerEndpoints(t *testing.T) {
 		}
 	}
 	// ...and a request exactly at every bound is accepted. Executing it would
-	// time 1024 shapes × 64 candidates × 1000 repetitions, so this row stops
+	// time 1024 shapes × 64 candidates × 1000 repetitions, so these rows stop
 	// at the acceptance the handler runs first.
-	blob, _ := json.Marshal(atBounds(spec))
-	if wk, status, err := decodeWork(bytes.NewReader(blob), true); err != nil || wk.unit.Count != maxUnitShapes {
-		t.Errorf("request at the bounds: HTTP %d (%v), want accepted", status, err)
+	for name, tc := range map[string]struct {
+		req        WorkRequest
+		requireSim bool
+	}{
+		"sim":      {atBounds(spec), true},
+		"real cap": {atCap(), false},
+	} {
+		blob, _ := json.Marshal(tc.req)
+		if wk, status, err := decodeWork(bytes.NewReader(blob), tc.requireSim); err != nil || len(wk.shapes) != maxUnitShapes {
+			t.Errorf("%s request at the bounds: HTTP %d (%v), want accepted", name, status, err)
+		}
 	}
 	// Bodies are read whole to maxBodyBytes and no further: all-blank
 	// bodies, and a valid request padded to the bound and one byte past it.
-	valid, _ := json.Marshal(WorkRequest{Spec: sweep, Unit: unit})
+	valid, _ := json.Marshal(work)
 	padded := func(size int) string { return string(valid) + strings.Repeat(" ", size-len(valid)) }
 	for _, tc := range []struct {
 		body string
@@ -936,7 +986,7 @@ func TestFailedUnitReexecutesOnRedispatch(t *testing.T) {
 		}
 		return nil
 	}})
-	work := WorkRequest{Spec: testSweep(gcfg, spec), Unit: Unit{ID: 0, Start: 0, Count: 2}}
+	work := testWork(t, gcfg, spec, Unit{ID: 0, Start: 0, Count: 2})
 	failNext.Store(true)
 	if resp := postJSON(t, srv.URL, "/work", work); resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("failed execution: HTTP %d, want 500", resp.StatusCode)
@@ -1071,4 +1121,174 @@ func TestCoordinatorNoWorkers(t *testing.T) {
 	if _, err := coord.Gather(context.Background(), gcfg); err == nil {
 		t.Error("unreachable workers should error")
 	}
+}
+
+// tamperingWorker answers its first /work with the real worker's result
+// edited by tamper, and every later one faithfully.
+type tamperingWorker struct {
+	inner    *Worker
+	tamper   func(*UnitResult)
+	tampered atomic.Bool
+}
+
+func (tw *tamperingWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/work" || tw.tampered.Swap(true) {
+		tw.inner.ServeHTTP(rw, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	tw.inner.ServeHTTP(rec, r)
+	var res UnitResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		panic(err)
+	}
+	tw.tamper(&res)
+	writeJSON(rw, rec.Code, res)
+}
+
+// TestMismatchedAnswerRequeued: an answer for another session, another
+// shape or another thread count fails checkResult, so the unit is requeued
+// and the sweep still completes byte-identical — nothing of the tampered
+// answer reaches the training data.
+func TestMismatchedAnswerRequeued(t *testing.T) {
+	gcfg, spec := testGatherConfig(t, ops.GEMM, 6)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tamper := range map[string]func(*UnitResult){
+		"foreign session": func(res *UnitResult) { res.Session = "ffffffffffffffff" },
+		"thread count":    func(res *UnitResult) { res.Timings[1].Times[2].Threads++ },
+		"shape":           func(res *UnitResult) { res.Timings[0].Shape.K++ },
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := httptest.NewServer(&tamperingWorker{inner: NewWorker(WorkerOptions{Name: "w"}), tamper: tamper})
+			t.Cleanup(srv.Close)
+			coord := fastCoordinator([]string{srv.URL}, spec)
+			got, err := coord.Gather(context.Background(), gcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("a tampered answer reached the merged sweep")
+			}
+			if st := coord.Stats(); st.Retries != 1 || st.Dispatched != st.Units {
+				t.Errorf("stats = %+v, want the tampered unit requeued once", st)
+			}
+		})
+	}
+}
+
+// TestRealSweepOverCapRefused: a real-timing sweep with a shape past the
+// 500 MB float32 cap is refused by the coordinator before any dispatch, and
+// a worker answers such a request 400 from decodeWork, before executing it.
+func TestRealSweepOverCapRefused(t *testing.T) {
+	gcfg, _ := testGatherConfig(t, ops.GEMM, 8)
+	gcfg.Domain = sampling.DefaultDomain().WithCapMB(100000)
+	var works atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		works.Add(1)
+		writeError(rw, http.StatusInternalServerError, "nothing should be dispatched")
+	}))
+	t.Cleanup(srv.Close)
+	_, err := New(Config{Workers: []string{srv.URL}, Timer: simtime.RealSpec()}).Gather(context.Background(), gcfg)
+	if err == nil || !strings.Contains(err.Error(), "bytes of float32 operands") {
+		t.Errorf("real sweep over the cap: %v, want refused for its operand bytes", err)
+	}
+	if n := works.Load(); n != 0 {
+		t.Errorf("%d units dispatched, want none", n)
+	}
+
+	for _, name := range []string{"cap", "canonical"} {
+		blob, _ := json.Marshal(overBounds(simtime.RealSpec())[name])
+		if _, status, err := decodeWork(bytes.NewReader(blob), false); status != http.StatusBadRequest {
+			t.Errorf("real /work over the %s bound: HTTP %d (%v), want 400", name, status, err)
+		}
+	}
+}
+
+// TestParentCheckpointResumes pins the checkpoint format across versions:
+// testdata/checkpoint-v1.syrk was written by the release before the
+// coordinator sent shapes (a 10-shape simulated SYRK sweep, units of 3, one
+// worker, on amd64), and it still resumes complete, with nothing dispatched
+// and the single-node sweep as its merge: shapes and thread counts exactly,
+// seconds to a relative 1e-12, since the simulator's math library rounds
+// the last bits differently on other architectures.
+func TestParentCheckpointResumes(t *testing.T) {
+	gcfg, spec := testGatherConfig(t, ops.SYRK, 10)
+	want, err := core.LocalGatherer{}.Gather(context.Background(), gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := copyFixture(t)
+	coord := fastCoordinator([]string{"127.0.0.1:1"}, spec)
+	coord.cfg.Checkpoint = prefix
+	got, err := coord.Gather(context.Background(), gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("resumed %d shapes, want %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Shape != w.Shape || len(g.Times) != len(w.Times) {
+			t.Fatalf("resumed shape %d = %+v, single-node %+v", i, g, w)
+		}
+		for j := range g.Times {
+			if g.Times[j].Threads != w.Times[j].Threads || math.Abs(g.Times[j].Seconds-w.Times[j].Seconds) > 1e-12*w.Times[j].Seconds {
+				t.Fatalf("resumed shape %d time %d = %+v, single-node %+v", i, j, g.Times[j], w.Times[j])
+			}
+		}
+	}
+	if st := coord.Stats(); st.Units != 4 || st.Resumed != 4 || st.Dispatched != 0 {
+		t.Errorf("stats = %+v, want all 4 units resumed and none dispatched", st)
+	}
+}
+
+// TestCheckpointRefusesMismatchedLine: a checkpoint line of the right unit
+// but another session, shape or thread count fails checkResult, and the
+// resume is refused rather than merged.
+func TestCheckpointRefusesMismatchedLine(t *testing.T) {
+	gcfg, spec := testGatherConfig(t, ops.SYRK, 10)
+	for name, edit := range map[string][2]string{
+		"session":      {`{"session":"48cb2dee8c41365b","unit_id":0`, `{"session":"ffffffffffffffff","unit_id":0`},
+		"shape":        {`{"M":4065,"K":1128,"N":4065}`, `{"M":4065,"K":1129,"N":4065}`},
+		"thread count": {`{"threads":48,`, `{"threads":47,`},
+	} {
+		t.Run(name, func(t *testing.T) {
+			prefix := copyFixture(t)
+			blob, err := os.ReadFile(prefix + ".syrk")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(blob, []byte(edit[0])) {
+				t.Fatalf("the fixture holds no %s", edit[0])
+			}
+			blob = bytes.Replace(blob, []byte(edit[0]), []byte(edit[1]), 1)
+			if err := os.WriteFile(prefix+".syrk", blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			coord := fastCoordinator([]string{"127.0.0.1:1"}, spec)
+			coord.cfg.Checkpoint = prefix
+			if _, err := coord.Gather(context.Background(), gcfg); err == nil || !strings.Contains(err.Error(), "line 2") {
+				t.Errorf("tampered checkpoint: %v, want line 2 refused", err)
+			}
+		})
+	}
+}
+
+// copyFixture copies testdata/checkpoint-v1.syrk into a fresh directory and
+// returns the checkpoint prefix the coordinator reads it under.
+func copyFixture(t *testing.T) string {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v1.syrk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := filepath.Join(t.TempDir(), "gather.ckpt")
+	if err := os.WriteFile(prefix+".syrk", blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return prefix
 }

@@ -67,8 +67,8 @@ func TestWorkerReadinessLifecycle(t *testing.T) {
 	probe(0)
 
 	answered := make(chan int, 1)
+	blob, _ := json.Marshal(testWork(t, gcfg, spec, Unit{ID: 0, Start: 0, Count: 1}))
 	go func() {
-		blob, _ := json.Marshal(WorkRequest{Spec: testSweep(gcfg, spec), Unit: Unit{ID: 0, Start: 0, Count: 1}})
 		resp, err := http.Post(srv.URL+"/work", "application/json", bytes.NewReader(blob))
 		if err != nil {
 			answered <- 0

@@ -40,14 +40,14 @@ func TestDrainVsInflightResultRace(t *testing.T) {
 
 	coord := fastCoordinator([]string{srv.URL}, spec)
 	ctx := context.Background()
-	unit := Unit{ID: 0, Start: 0, Count: 3}
+	work := testWork(t, gcfg, spec, Unit{ID: 0, Start: 0, Count: 3})
 	type answer struct {
 		res *UnitResult
 		err error
 	}
 	answered := make(chan answer, 1)
 	go func() {
-		res, err := coord.runUnit(ctx, srv.URL, testSweep(gcfg, spec), unit)
+		res, err := coord.runUnit(ctx, srv.URL, work)
 		answered <- answer{res, err}
 	}()
 

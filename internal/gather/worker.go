@@ -39,13 +39,14 @@ type WorkerOptions struct {
 // http.Handler exposing /work, /healthz and /metrics; the cmd/adsala-worker
 // daemon mounts it behind an http.Server.
 //
-// Protocol: the coordinator POSTs a WorkRequest — the sweep spec and one
-// unit of it — to /work, which checks the request, builds the timing
-// backend from the spec's wire Spec and executes the unit inside the
-// request, one unit at a time, answering with its UnitResult. The worker
-// keeps no session between requests, so coordinators running different
-// sweeps can share it. The daemon drains through http.Server.Shutdown,
-// which waits for the executing request to answer.
+// Protocol: the coordinator POSTs a WorkRequest — the sweep spec, one unit
+// of it and the unit's shapes — to /work, which checks the request, builds
+// the timing backend from the spec's wire Spec and times the shapes inside
+// the request, one unit at a time, answering with its UnitResult. The
+// worker samples nothing and keeps no session between requests, so
+// coordinators running different sweeps can share it. The daemon drains
+// through http.Server.Shutdown, which waits for the executing request to
+// answer.
 type Worker struct {
 	opts WorkerOptions
 	mux  *http.ServeMux
@@ -125,34 +126,36 @@ func writeError(rw http.ResponseWriter, status int, format string, args ...any) 
 	writeJSON(rw, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// maxBodyBytes bounds the body of /work: a sweep spec and a unit are a few
-// hundred bytes (the candidate list is one small integer per thread count),
-// so 16 KiB refuses nothing legitimate.
-const maxBodyBytes = 16 << 10
-
 // The bounds on what one /work may ask of a worker. Each is far above what
-// an install sends (units of 4 shapes, a sweep of some thousand shapes, 10
-// repetitions, a few dozen candidates) and low enough that no request can
-// exhaust the worker's memory or hold its execution lock for ever.
+// an install sends (units of 4 shapes, 10 repetitions, a few dozen
+// candidates) and low enough that no request can exhaust the worker's memory
+// or hold its execution lock for ever.
 const (
-	maxUnitShapes  = 1024    // shapes one unit samples and times
-	maxSweepShapes = 1 << 20 // end of a unit in the accepted-sample stream
-	maxIters       = 1000    // repetitions per configuration
-	maxCandidates  = 64      // thread counts per shape
-	maxThreads     = 4096    // one candidate thread count
-	// minCapBytes is adsala-train's smallest -cap (1 MB). With the
-	// paper's dimension bound (sampling.DefaultDomain().MaxDim) it keeps the
-	// rejection sampler's acceptance rate above zero, so the draws behind
-	// maxSweepShapes accepted samples are bounded too.
-	minCapBytes = 1000 * 1000
+	maxUnitShapes = 1024 // shapes one unit times
+	maxIters      = 1000 // repetitions per configuration
+	maxCandidates = 64   // thread counts per shape
+	maxThreads    = 4096 // one candidate thread count
 )
 
-// bounded checks the request against the bounds above.
+// maxBodyBytes bounds the body of /work: 16 KiB for the sweep spec and the
+// unit (a few hundred bytes; the candidate list is one small integer per
+// thread count), then 64 bytes per shape of the largest unit. With in-bound
+// dimensions of at most 5 digits, a shape with its keys, braces and comma
+// encodes in at most 32 bytes.
+const maxBodyBytes = 16<<10 + maxUnitShapes*64
+
+// bounded checks the request against the bounds above: a unit of 1 to
+// maxUnitShapes shapes that carries exactly its Count of them, each within
+// checkShape for the spec's op.
 func (req WorkRequest) bounded() error {
 	s, u := req.Spec, req.Unit
-	if u.Start < 0 || u.Count < 1 || u.Count > maxUnitShapes || u.Start > maxSweepShapes-u.Count {
-		return fmt.Errorf("gather: unit %d [%d, %d) is not 1 to %d shapes inside [0, %d)",
-			u.ID, u.Start, u.Start+u.Count, maxUnitShapes, maxSweepShapes)
+	op, err := ops.Parse(s.Op)
+	if err != nil {
+		return err
+	}
+	if u.Count < 1 || u.Count > maxUnitShapes || u.Count != len(req.Shapes) {
+		return fmt.Errorf("gather: unit %d carries %d shapes for a count of %d, want 1 to %d",
+			u.ID, len(req.Shapes), u.Count, maxUnitShapes)
 	}
 	if s.Iters > maxIters {
 		return fmt.Errorf("gather: sweep spec Iters %d > %d", s.Iters, maxIters)
@@ -165,26 +168,50 @@ func (req WorkRequest) bounded() error {
 			return fmt.Errorf("gather: candidate thread count %d outside [1, %d]", c, maxThreads)
 		}
 	}
-	if maxDim := sampling.DefaultDomain().MaxDim; s.Domain.MaxDim > maxDim {
-		return fmt.Errorf("gather: sweep domain MaxDim %d > %d", s.Domain.MaxDim, maxDim)
+	realTimer := s.Timer.Backend != simtime.BackendSim
+	for i, sh := range req.Shapes {
+		if err := checkShape(sh, op, realTimer); err != nil {
+			return fmt.Errorf("gather: unit %d shape %d: %w", u.ID, i, err)
+		}
 	}
-	if s.Domain.MaxBytes < minCapBytes {
-		return fmt.Errorf("gather: sweep domain cap %d bytes < %d", s.Domain.MaxBytes, minCapBytes)
+	return nil
+}
+
+// checkShape bounds one shape a worker is asked to time for op: each
+// dimension in [1, sampling.DefaultDomain().MaxDim], the paper's domain, the
+// op's canonical triple (the coordinator samples nothing else), and on the
+// real backend float32 operands of at most sampling.DefaultDomain().MaxBytes
+// (500 MB). Only for a canonical triple is Bytes(4) what ops.Spec.NewBench
+// allocates: SYRK and SYR2K size C from M alone, so {M: 74000, K: 1, N: 1}
+// would pass the cap and allocate 22 GB. The simulator allocates nothing,
+// and simulated SYRK sweeps over the default domain legitimately go past the
+// cap, so the byte cap does not apply to it.
+func checkShape(sh sampling.Shape, op ops.Op, realTimer bool) error {
+	dom := sampling.DefaultDomain()
+	if min(sh.M, sh.K, sh.N) < 1 || max(sh.M, sh.K, sh.N) > dom.MaxDim {
+		return fmt.Errorf("shape %v has a dimension outside [1, %d]", sh, dom.MaxDim)
+	}
+	if canon := op.Spec().Canon(sh); canon != sh {
+		return fmt.Errorf("shape %v is not canonical for %v, want %v", sh, op, canon)
+	}
+	if realTimer && sh.Bytes(4) > dom.MaxBytes {
+		return fmt.Errorf("shape %v needs %d bytes of float32 operands, more than %d", sh, sh.Bytes(4), dom.MaxBytes)
 	}
 	return nil
 }
 
 // work is one accepted /work request with the op and timer that execute it.
 type work struct {
-	spec  SweepSpec
-	unit  Unit
-	op    ops.Op
-	timer simtime.Timer
+	spec   SweepSpec
+	unit   Unit
+	shapes []sampling.Shape
+	op     ops.Op
+	timer  simtime.Timer
 }
 
 // decodeWork reads one /work body whole and checks it: within maxBodyBytes
-// (the caller's reader enforces it), one JSON value, a unit and spec within
-// the bounds, a Session that is the spec's fingerprint, the simulator
+// (the caller's reader enforces it), one JSON value, a unit, spec and shapes
+// within the bounds, a Session that is the spec's fingerprint, the simulator
 // backend on a requireSim worker, and an executable spec. A refusal comes
 // with its status: 413 when the body ran past the bound, 409 for the real
 // backend on a requireSim worker, 400 for anything else.
@@ -219,7 +246,7 @@ func decodeWork(body io.Reader, requireSim bool) (work, int, error) {
 	if err != nil {
 		return work{}, http.StatusBadRequest, err
 	}
-	return work{spec: spec, unit: req.Unit, op: op, timer: timer}, http.StatusOK, nil
+	return work{spec: spec, unit: req.Unit, shapes: req.Shapes, op: op, timer: timer}, http.StatusOK, nil
 }
 
 func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
@@ -241,9 +268,8 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 }
 
 // exec runs one unit to completion under the execution lock. Units execute
-// through exactly the single-node sweep code path (core.SampleOpShapes +
-// core.MeasureSweep), which is what makes the distributed merge reproduce
-// the local gather.
+// through exactly the single-node sweep's timing loop (core.MeasureSweep),
+// which is what makes the distributed merge reproduce the local gather.
 func (w *Worker) exec(wk work) (*UnitResult, error) {
 	u := wk.unit
 	w.unitsAccepted.Add(1)
@@ -275,11 +301,7 @@ func (w *Worker) exec(wk work) (*UnitResult, error) {
 // runUnit executes one unit and returns its result.
 func runUnit(wk work, worker string) (*UnitResult, error) {
 	u := wk.unit
-	shapes, err := core.SampleOpShapes(wk.spec.Domain, wk.spec.Seed, wk.op, u.Start, u.Count)
-	if err != nil {
-		return nil, err
-	}
-	timings, err := core.MeasureSweep(wk.timer, wk.op, shapes, wk.spec.Candidates, wk.spec.Iters)
+	timings, err := core.MeasureSweep(wk.timer, wk.op, wk.shapes, wk.spec.Candidates, wk.spec.Iters)
 	if err != nil {
 		return nil, err
 	}

@@ -98,13 +98,6 @@ func (s *Sequence) NextInto(dst []float64) {
 	s.index++
 }
 
-// Skip advances the sequence by n points without emitting them.
-func (s *Sequence) Skip(n int64) {
-	if n > 0 {
-		s.index += n
-	}
-}
-
 // Sample returns the next n points as an n × Dim matrix (row per point).
 func (s *Sequence) Sample(n int) [][]float64 {
 	out := make([][]float64, n)

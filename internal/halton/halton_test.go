@@ -83,28 +83,6 @@ func TestSeedChangesScrambling(t *testing.T) {
 	}
 }
 
-func TestSkip(t *testing.T) {
-	a, _ := New(2, 5)
-	b, _ := New(2, 5)
-	for i := 0; i < 10; i++ {
-		a.Next()
-	}
-	b.Skip(10)
-	pa, pb := a.Next(), b.Next()
-	if pa[0] != pb[0] || pa[1] != pb[1] {
-		t.Errorf("Skip(10) misaligned: %v vs %v", pa, pb)
-	}
-	// Negative and zero skips are no-ops.
-	b.Skip(0)
-	b.Skip(-3)
-	a.Next()
-	pa, pb = a.Next(), b.Next()
-	_ = pa
-	if pb[0] == 0 && pb[1] == 0 {
-		t.Error("Skip(-3) rewound the sequence")
-	}
-}
-
 func TestSample(t *testing.T) {
 	s, _ := New(3, 11)
 	pts := s.Sample(17)

@@ -92,7 +92,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time
-// (cache occupancy, queue depths, readiness).
+// (cache occupancy, queue depths).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.getOrCreate(name, help, kindGauge, labels).fn = fn
 }

@@ -113,17 +113,6 @@ func (s *Sampler) Next() Shape {
 	}
 }
 
-// Skip draws and discards n in-domain shapes, advancing the sampler to the
-// n-th accepted sample. This is the deterministic sharding primitive of the
-// distributed gather: a work unit is (start, count) into the accepted-sample
-// stream, so a worker reconstructs exactly its slice of the sweep and the
-// union over any worker count is the same total sweep.
-func (s *Sampler) Skip(n int) {
-	for i := 0; i < n; i++ {
-		s.Next()
-	}
-}
-
 // Sample returns the next n in-domain shapes.
 func (s *Sampler) Sample(n int) []Shape {
 	out := make([]Shape, n)

@@ -141,32 +141,6 @@ func TestPredesignedGrid(t *testing.T) {
 	}
 }
 
-// TestSamplerSkip pins the distributed-gather sharding primitive: skipping
-// n accepted samples lands exactly where drawing n would have, so unit
-// (start, count) slices reassemble the full sweep for any partition.
-func TestSamplerSkip(t *testing.T) {
-	dom := DefaultDomain().WithCapMB(100)
-	ref, err := NewSampler(dom, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Sample(20)
-
-	for _, start := range []int{0, 1, 7, 19} {
-		s, err := NewSampler(dom, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Skip(start)
-		got := s.Sample(20 - start)
-		for i, sh := range got {
-			if sh != want[start+i] {
-				t.Fatalf("Skip(%d): sample %d = %v, want %v", start, i, sh, want[start+i])
-			}
-		}
-	}
-}
-
 // Property: every sampled shape is in-domain for arbitrary caps.
 func TestSamplerDomainProperty(t *testing.T) {
 	f := func(capMB uint8, seed int64) bool {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,45 +68,41 @@ func checkStatsConsistent(t *testing.T, st Stats) {
 	}
 }
 
-// TestServerReadiness walks the probe lifecycle: "ok" from construction,
-// "draining" once readiness is flipped off, with /livez 200 throughout.
+// TestServerReadiness pins the one probe: /healthz answers 200 with
+// exactly the key tree below from the first answer (degraded and
+// drifting_ops join it only while drift monitoring reports drift), and there
+// is no second probe or readiness gate.
 func TestServerReadiness(t *testing.T) {
-	srv, ts := testServer(t)
-
-	get := func(path string) (int, HealthResponse) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var h HealthResponse
-		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, h
+	_, ts := testServer(t)
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(body))
+	for k := range body {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	want := []string{"artefact_generation", "format_version", "model", "ops", "platform", "status"}
+	if resp.StatusCode != http.StatusOK || !slices.Equal(keys, want) || body["status"] != "ok" {
+		t.Errorf("healthz = %d with keys %v (status %v), want 200 with %v and status ok", resp.StatusCode, keys, body["status"], want)
+	}
+	if ops, _ := body["ops"].([]any); body["format_version"].(float64) < 1 || len(ops) == 0 {
+		t.Errorf("health body lacks artefact info: %v", body)
 	}
 
-	if code, h := get("/healthz"); code != http.StatusOK || h.Status != "ok" || !h.Ready {
-		t.Fatalf("fresh server healthz = %d %+v", code, h)
+	livez, err := http.Get(ts.URL + "/livez")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, h := get("/healthz"); h.FormatVersion < 1 || len(h.Ops) == 0 {
-		t.Errorf("health body lacks artefact info: %+v", h)
-	}
-
-	if code, h := get("/livez"); code != http.StatusOK || !h.Ready {
-		t.Fatalf("fresh server livez = %d %+v", code, h)
-	}
-
-	srv.SetReady(false)
-	if code, h := get("/healthz"); code != http.StatusServiceUnavailable || h.Status != "draining" || h.Ready {
-		t.Fatalf("draining healthz = %d %+v", code, h)
-	}
-	if code, h := get("/livez"); code != http.StatusOK || h.Ready {
-		t.Fatalf("livez while draining = %d %+v", code, h)
-	}
-	if srv.Ready() {
-		t.Error("Ready() true after SetReady(false)")
+	livez.Body.Close()
+	if livez.StatusCode != http.StatusNotFound {
+		t.Errorf("/livez: HTTP %d, want 404", livez.StatusCode)
 	}
 }
 
@@ -153,7 +150,6 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		`adsala_serve_batch_size_count`,
 		`adsala_serve_cache_entries{shard="0"}`,
 		`adsala_serve_cache_capacity_entries`,
-		"adsala_serve_ready 1",
 		`adsala_http_requests_total{result="ok",route="predict"}`,
 		`adsala_http_request_seconds_count{route="batch"}`,
 		"adsala_serve_artefact_format_version",
@@ -168,6 +164,9 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	// per request whatever ops it mixes.
 	if count, sum := metricValue(t, text, "adsala_serve_batch_size_count"), metricValue(t, text, "adsala_serve_batch_size_sum"); count != 2 || sum != 11 {
 		t.Errorf("batch size histogram holds %v requests of %v shapes, want 2 of 11", count, sum)
+	}
+	if strings.Contains(text, "adsala_serve_ready") {
+		t.Error("the exposition still has the readiness gauge")
 	}
 	if strings.Contains(text, "-1") {
 		t.Errorf("negative value in exposition:\n%s", text)

@@ -76,13 +76,11 @@ type BatchResponse struct {
 	Fallback []bool `json:"fallback,omitempty"`
 }
 
-// HealthResponse is the JSON answer of /healthz (and /livez). Status is
-// "ok" when the daemon is ready to serve and "draining" once shutdown has
-// begun; draining answers /healthz with 503 so load balancers stop routing,
-// while /livez stays 200 for as long as the process can answer at all.
+// HealthResponse is the JSON answer of /healthz: 200 with Status "ok"
+// whenever the process answers. There is no draining state, since
+// http.Server.Shutdown closes the listener before anything else.
 type HealthResponse struct {
 	Status   string `json:"status"`
-	Ready    bool   `json:"ready"`
 	Platform string `json:"platform"`
 	Model    string `json:"model"`
 	// FormatVersion is the on-disk format version of the loaded artefact
@@ -97,7 +95,7 @@ type HealthResponse struct {
 	Generation int64 `json:"artefact_generation"`
 	// Degraded is true when the drift monitor reports the model's windowed
 	// prediction residuals past the configured threshold for at least one
-	// op; DriftingOps lists the offenders. Degraded is not down: readiness
+	// op; DriftingOps lists the offenders. Degraded is not down: /healthz
 	// stays 200 (the daemon still serves; the model is stale, and /drift
 	// has the details). Absent when drift monitoring is off.
 	Degraded    bool     `json:"degraded,omitempty"`
@@ -313,16 +311,12 @@ type Server struct {
 	// two concurrent reloads cannot interleave their load/swap pairs.
 	reload   *ReloadConfig
 	reloadMu sync.Mutex
-
-	// ready gates /healthz: NewServer starts ready (an engine implies a
-	// loaded artefact) and the daemon flips it false when shutdown begins.
-	ready atomic.Bool
 }
 
 // NewServer returns an HTTP handler exposing the engine at /predict,
-// /batch, /stats, /healthz, /livez and /metrics. The server starts ready;
-// use SetReady to gate traffic around drain. Overload protection is on by
-// default (see Limits); options adjust it, enable hot reload, and so on.
+// /batch, /measured, /stats, /drift, /healthz and /metrics. Overload
+// protection is on by default (see Limits); options adjust it, enable hot
+// reload, and so on.
 func NewServer(engine *Engine, opts ...ServerOption) *Server {
 	s := &Server{engine: engine, mux: http.NewServeMux(), reg: obs.NewRegistry()}
 	for _, opt := range opts {
@@ -340,7 +334,6 @@ func NewServer(engine *Engine, opts ...ServerOption) *Server {
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/drift", s.handleDrift)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/livez", s.handleLivez)
 	s.mux.Handle("/metrics", s.reg.Handler())
 	if s.reload != nil && s.reload.Token != "" {
 		s.mux.HandleFunc("/admin/reload", s.handleAdminReload)
@@ -353,14 +346,6 @@ func NewServer(engine *Engine, opts ...ServerOption) *Server {
 	s.measured.register(s.reg, "measured")
 	s.reg.RegisterHistogram("adsala_serve_batch_size",
 		"Shapes per /batch request.", s.batchSizes)
-	s.reg.GaugeFunc("adsala_serve_ready",
-		"1 when the daemon is accepting traffic, 0 while draining.",
-		func() float64 {
-			if s.ready.Load() {
-				return 1
-			}
-			return 0
-		})
 	s.reg.GaugeFunc("adsala_serve_artefact_format_version",
 		"On-disk format version of the loaded artefact.",
 		func() float64 { return float64(engine.Library().Format()) })
@@ -378,8 +363,6 @@ func NewServer(engine *Engine, opts ...ServerOption) *Server {
 			"Prediction requests waiting for an in-flight slot.",
 			func() float64 { return float64(s.limit.queued.Load()) })
 	}
-
-	s.ready.Store(true)
 	return s
 }
 
@@ -389,14 +372,6 @@ func (s *Server) Engine() *Engine { return s.engine }
 // Registry returns the server's metrics registry (served at /metrics), so
 // daemons can attach process-level instruments alongside the engine's.
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// SetReady flips the /healthz readiness gate. Daemons call SetReady(false)
-// at the start of graceful shutdown — before the listener closes — so
-// probes see the drain.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// Ready reports whether the server currently answers /healthz with 200.
-func (s *Server) Ready() bool { return s.ready.Load() }
 
 // EnablePprof mounts net/http/pprof under /debug/pprof/ (the shared
 // obs.MountPprof wiring). Off by default: profiling endpoints expose
@@ -637,21 +612,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// healthBody assembles the shared health payload.
-func (s *Server) healthBody(ready bool) HealthResponse {
+// healthBody assembles the health payload of /healthz and /admin/reload.
+func (s *Server) healthBody() HealthResponse {
 	lib := s.engine.Library()
-	status := "ok"
-	if !ready {
-		status = "draining"
-	}
 	trained := lib.TrainedOps()
 	names := make([]string, len(trained))
 	for i, op := range trained {
 		names[i] = op.String()
 	}
 	body := HealthResponse{
-		Status:        status,
-		Ready:         ready,
+		Status:        "ok",
 		Platform:      lib.Platform,
 		Model:         lib.ModelKind(),
 		FormatVersion: lib.Format(),
@@ -667,8 +637,8 @@ func (s *Server) healthBody(ready bool) HealthResponse {
 
 // Reload swaps the served artefact through the configured ReloadConfig:
 // load the replacement library and swap it into the engine atomically (the
-// new generation starts with an empty decision cache). Readiness is never
-// dropped — requests keep answering against the old artefact until the swap
+// new generation starts with an empty decision cache). Serving never
+// pauses — requests keep answering against the old artefact until the swap
 // lands and against the new one after, each distinct shape ranked once as
 // traffic refills the cache. Serialised: concurrent reloads apply one at a
 // time. Returns the post-swap health body (the /admin/reload answer and
@@ -693,7 +663,7 @@ func (s *Server) Reload() (HealthResponse, error) {
 	s.engine.SwapLibrary(lib)
 	logf("reloaded artefact: generation %d, format v%d, platform %s",
 		s.engine.Generation(), lib.Format(), lib.Platform)
-	return s.healthBody(s.ready.Load()), nil
+	return s.healthBody(), nil
 }
 
 // authorizedReload checks the reload token (Authorization: Bearer <token>
@@ -729,19 +699,8 @@ func (s *Server) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleHealthz is the readiness probe: 200 only when the daemon should
-// receive traffic, 503 while draining.
+// handleHealthz is the one probe: 200 with the health body whenever the
+// process answers.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ready := s.ready.Load()
-	status := http.StatusOK
-	if !ready {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, s.healthBody(ready))
-}
-
-// handleLivez is the liveness probe: 200 whenever the process can answer,
-// ready or not.
-func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.healthBody(s.ready.Load()))
+	writeJSON(w, http.StatusOK, s.healthBody())
 }
