@@ -7,9 +7,8 @@
 //
 //	POST /work      execute one work unit: the request carries the sweep spec
 //	                (op, timing backend, domain, seed, candidates, iters),
-//	                the unit ({id, start, count} into the coordinator's
-//	                shape sample) and the unit's shapes; units run one at a
-//	                time, and the answer is the unit's timings
+//	                the unit's id and its shapes; units run one at a time,
+//	                and the answer is the unit's timings
 //	GET  /healthz   the one probe: 200 whenever the process answers, with the
 //	                units completed so far and whether one is executing
 //	GET  /metrics   Prometheus text exposition

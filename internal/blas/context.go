@@ -85,6 +85,7 @@ var ctxPool = sync.Pool{New: func() any { return NewContext() }}
 type ctxBufs[T float32 | float64] struct {
 	packedB []T
 	packedA [][]T // one panel buffer per team part
+	small   []T   // the small path's staged lane operands (smallVec)
 	args    callArgs[T]
 	body    func(w int)
 }
@@ -271,6 +272,10 @@ func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, al
 	// keeps the YMM tile.
 	if def {
 		if smallShape(m, n, kSmall) {
+			if useVec {
+				smallVec(ctx, op, transA, transB, alpha, a, b, beta, c, m, n, k)
+				return nil
+			}
 			switch op {
 			case opGemm:
 				smallGemm(transA, transB, alpha, a, b, beta, c, m, n, k)

@@ -9,9 +9,11 @@ import (
 )
 
 // BenchmarkSmallCrossover is the sweep behind smallShapeLimit: every shape
-// runs once through the no-packing path and once through the packed path
-// with the default tile, single-threaded on a held Context. The limit sits
-// where the packed column starts to win; see small.go.
+// runs through the no-packing path twice — the Go loops ("loops", the
+// vector tile switched off for the call) and, where the vector tile runs,
+// their assembly ("vec") — and once through the packed path with the default
+// tile ("packed"), single-threaded on a held Context. The limit sits where
+// the packed column starts to win; see small.go.
 func BenchmarkSmallCrossover(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	type shape struct{ m, k, n int }
@@ -23,7 +25,8 @@ func BenchmarkSmallCrossover(b *testing.B) {
 	paths := []struct {
 		name  string
 		limit int
-	}{{"small", forceSmall}, {"packed", forcePacked}}
+		vec   bool
+	}{{"loops", forceSmall, false}, {"vec", forceSmall, true}, {"packed", forcePacked, useVec}}
 	ctx := NewContext()
 	defer ctx.Close()
 	for _, sh := range shapes {
@@ -45,10 +48,13 @@ func BenchmarkSmallCrossover(b *testing.B) {
 				continue
 			}
 			for _, p := range paths {
+				if p.vec && !useVec {
+					continue // no vector tile on this CPU
+				}
 				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", op.name, sh.m, sh.k, sh.n, p.name), func(b *testing.B) {
-					old := smallShapeLimit
-					smallShapeLimit = p.limit
-					defer func() { smallShapeLimit = old }()
+					oldLimit, oldVec := smallShapeLimit, useVec
+					smallShapeLimit, useVec = p.limit, p.vec
+					defer func() { smallShapeLimit, useVec = oldLimit, oldVec }()
 					for i := 0; i < b.N; i++ {
 						if err := op.run(); err != nil {
 							b.Fatal(err)

@@ -385,6 +385,692 @@ done:                    \
 	VZEROUPPER;          \
 	RET
 
+// The small path (smallGemm, smallSyrk, smallSyr2k) on YMM registers, one
+// call per BLAS call. A lane of a YMM register is one column j of C, and it
+// computes exactly what the Go loop computes for that element: the same
+// unfused multiplies and adds in the same order, starting from the same
+// value, and every multiply and add with its operands in the order gc emits
+// for the loop, so that where both are NaN the result keeps the same payload
+// (an SSE/AVX operation returns its first source then). In Go syntax that
+// first source is the middle operand: MUL Y2, Y1, Y3 is Y3 = Y1 ⊗ Y2.
+//
+// A row of C is walked one vector at a time, left to right (the dot forms
+// take four rows at once): whole vectors with plain loads and stores, then at
+// most one edge vector at the end of the row, whose loads and store go
+// through the mask in Y15 (VMASKMOVPS, which neither reads nor writes a
+// masked-out lane, so nothing past the row is touched). Operands that are read along j — B's rows, or
+// what the dot forms sum over — are the lane operand; the other one is
+// broadcast, one element per p.
+
+// edgemask is 32 bytes of ones and 32 of zeros: the mask of an edge vector
+// of R bytes (0 < R < 32) is the 32 bytes at edgemask<>+32−R. VMASKMOVPS
+// reads the top bit of every four bytes, so one table serves both precisions.
+DATA edgemask<>+0(SB)/8, $-1
+DATA edgemask<>+8(SB)/8, $-1
+DATA edgemask<>+16(SB)/8, $-1
+DATA edgemask<>+24(SB)/8, $-1
+DATA edgemask<>+32(SB)/8, $0
+DATA edgemask<>+40(SB)/8, $0
+DATA edgemask<>+48(SB)/8, $0
+DATA edgemask<>+56(SB)/8, $0
+GLOBL edgemask<>(SB), RODATA|NOPTR, $64
+
+// The loads and stores of a whole vector (…F) and of the edge (…M). Data
+// moves as bits, so the single-precision forms serve float64 too.
+#define LDF(M, D) VMOVUPS M, D
+#define LDM(M, D) VMASKMOVPS M, Y15, D
+#define STF(S, M) VMOVUPS S, M
+#define STM(S, M) VMASKMOVPS S, Y15, M
+
+// EDGE loads the mask of an edge of R bytes into Y15; T is scratch.
+#define EDGE(R, T) \
+	LEAQ edgemask<>+32(SB), T; \
+	SUBQ R, T;                 \
+	VMOVDQU (T), Y15
+
+// AXCHUNK is one vector of smallGemm's AXPY form at DX, B's columns at DI:
+// c is zeroed (mode storeSet at 8(SP)), loaded (storeAdd) or loaded and
+// scaled, c ⊗ beta (storeScale), as the loop does before its p loop; then
+// for each p, c ← (b ⊗ (a ⊗ alpha)) ⊕ c, with a(i, p) at AX stepping R9 and
+// B's row p at BX stepping R10; k is at 24(SP).
+#define AXCHUNK(BC, MUL, ADD, LDL, STC, LZ, LP) \
+	VXORPS Y0, Y0, Y0;   \
+	CMPQ 8(SP), $0;      \
+	JEQ  LZ;             \
+	LDL((DX), Y0);       \
+	CMPQ 8(SP), $1;      \
+	JEQ  LZ;             \
+	MUL  Y13, Y0, Y0;    \
+LZ:                      \
+	MOVQ SI, AX;         \
+	MOVQ DI, BX;         \
+	MOVQ 24(SP), CX;     \
+LP:                      \
+	BC   (AX), Y1;       \
+	MUL  Y14, Y1, Y1;    \
+	LDL((BX), Y2);       \
+	MUL  Y1, Y2, Y2;     \
+	ADD  Y0, Y2, Y0;     \
+	ADDQ R9, AX;         \
+	ADDQ R10, BX;        \
+	DECQ CX;             \
+	JNZ  LP;             \
+	STC(Y0, (DX))
+
+// AXPY is smallGemm's AXPY form (op(B) = B) over all of C, from the call's
+// arguments: a with strides AI along i and AP along p, b with row stride
+// LDB, c with row stride LDC (strides in elements). Locals: 0(SP) the
+// current C row, 8(SP) the mode, 16(SP) b, 24(SP) k, 32(SP) the vectors left
+// in the row. SI walks A's rows (R8 apart), DI and DX a row of B and of C,
+// R12 counts the rows down, R13 is the whole vectors of a row and R14 the
+// edge's bytes.
+#define AXPY(A, AI, AP, B, LDB, C, LDC, M, N, K, MODE, ALPHA, BETA, BC, MUL, ADD, LS, LV, VM) \
+	MOVQ A, SI;            \
+	MOVQ AI, R8;           \
+	MOVQ AP, R9;           \
+	MOVQ LDB, R10;         \
+	MOVQ LDC, R11;         \
+	MOVQ M, R12;           \
+	MOVQ N, R13;           \
+	SHLQ $LS, R8;          \
+	SHLQ $LS, R9;          \
+	SHLQ $LS, R10;         \
+	SHLQ $LS, R11;         \
+	MOVQ C, AX;            \
+	MOVQ AX, 0(SP);        \
+	MOVQ MODE, AX;         \
+	MOVQ AX, 8(SP);        \
+	MOVQ B, AX;            \
+	MOVQ AX, 16(SP);       \
+	MOVQ K, AX;            \
+	MOVQ AX, 24(SP);       \
+	LEAQ ALPHA, AX;        \
+	BC   (AX), Y14;        \
+	LEAQ BETA, AX;         \
+	BC   (AX), Y13;        \
+	MOVQ R13, R14;         \
+	ANDQ $VM, R14;         \
+	SHLQ $LS, R14;         \
+	SHRQ $LV, R13;         \
+	EDGE(R14, AX);         \
+row:                       \
+	MOVQ 16(SP), DI;       \
+	MOVQ 0(SP), DX;        \
+	MOVQ R13, 32(SP);      \
+	TESTQ R13, R13;        \
+	JZ   edge;             \
+full:                      \
+	AXCHUNK(BC, MUL, ADD, LDF, STF, fz, fp); \
+	ADDQ $32, DI;          \
+	ADDQ $32, DX;          \
+	DECQ 32(SP);           \
+	JNZ  full;             \
+edge:                      \
+	TESTQ R14, R14;        \
+	JZ   next;             \
+	AXCHUNK(BC, MUL, ADD, LDM, STM, ez, ep); \
+next:                      \
+	ADDQ R8, SI;           \
+	ADDQ R11, 0(SP);       \
+	DECQ R12;              \
+	JNZ  row;              \
+	VZEROUPPER;            \
+	RET
+
+// STAGE makes a dot form's lane operand row-major. If its stride along j,
+// R9 (elements), is 1 it is read in place. Otherwise it is op(M)ᵀ of a
+// row-major M at R8, n rows of k, R9 apart — y(p, j) = M(j, p), and the p
+// stride R13 is 1 — and is transposed block by block (LOADS, TR, STORES: VL
+// rows of VL elements, the vector length) into DI, k rows of n, each padded
+// to whole vectors. A block's loads are masked where a row of M ends inside
+// it; source rows past n repeat the last one and land in the padding lanes,
+// which no store to C reads. Afterwards R8 and R13 are the staged operand
+// and its row length, DI is past it (k rounded up to whole blocks of rows),
+// CX = k and R11 = n are kept; AX, BX, DX, R10, R12, R14, SI and all Y
+// registers are clobbered.
+#define STAGE(LOADS, TR, STORES, LS, LV, VM, ES, LR, LC, LF, LB, LD) \
+	CMPQ R9, $1;         \
+	JEQ  LD;             \
+	SHLQ $LS, R9;        \
+	LEAQ VM(R11), R10;   \
+	SHRQ $LV, R10;       \
+	SHLQ $(LV+LS), R10;  \
+	MOVQ R8, SI;         \
+	MOVQ DI, R8;         \
+	XORQ R12, R12;       \
+LR:                      \
+	XORQ BX, BX;         \
+	MOVQ SI, DX;         \
+LC:                      \
+	MOVQ R11, R14;       \
+	SUBQ BX, R14;        \
+	DECQ R14;            \
+	MOVQ CX, AX;         \
+	SUBQ R12, AX;        \
+	CMPQ AX, $VM;        \
+	JGT  LF;             \
+	SHLQ $LS, AX;        \
+	EDGE(AX, R13);       \
+	LOADS(LDM);          \
+	JMP  LB;             \
+LF:                      \
+	LOADS(LDF);          \
+LB:                      \
+	TR;                  \
+	MOVQ R12, AX;        \
+	IMULQ R10, AX;       \
+	ADDQ R8, AX;         \
+	LEAQ (AX)(BX*ES), AX; \
+	STORES;              \
+	ADDQ $(VM+1), BX;    \
+	MOVQ BX, AX;         \
+	IMULQ R9, AX;        \
+	LEAQ (SI)(AX*1), DX; \
+	CMPQ BX, R11;        \
+	JLT  LC;             \
+	ADDQ $(VM+1), R12;   \
+	ADDQ $((VM+1)*ES), SI; \
+	CMPQ R12, CX;        \
+	JLT  LR;             \
+	MOVQ R10, R13;       \
+	SHRQ $LS, R13;       \
+	IMULQ R10, R12;      \
+	LEAQ (R8)(R12*1), DI; \
+LD:
+
+// NEXTROW steps DX to the next source row of a block if there is one: R14
+// counts the rows left after the current one, R is the current row's index
+// in the block.
+#define NEXTROW(R) \
+	LEAQ (DX)(R9*1), AX; \
+	CMPQ R14, $R;        \
+	CMOVQGT AX, DX
+
+// The single-precision block: eight rows into Y0–Y7, transposed into Y8–Y15
+// (unpack pairs, shuffle quads, swap 128-bit lanes), stored as eight rows at
+// AX, R10 bytes apart.
+#define LOADS8(LDL) \
+	LDL((DX), Y0);       \
+	NEXTROW(0);          \
+	LDL((DX), Y1);       \
+	NEXTROW(1);          \
+	LDL((DX), Y2);       \
+	NEXTROW(2);          \
+	LDL((DX), Y3);       \
+	NEXTROW(3);          \
+	LDL((DX), Y4);       \
+	NEXTROW(4);          \
+	LDL((DX), Y5);       \
+	NEXTROW(5);          \
+	LDL((DX), Y6);       \
+	NEXTROW(6);          \
+	LDL((DX), Y7)
+
+#define TR8PS \
+	VUNPCKLPS Y1, Y0, Y8;  \
+	VUNPCKHPS Y1, Y0, Y9;  \
+	VUNPCKLPS Y3, Y2, Y10; \
+	VUNPCKHPS Y3, Y2, Y11; \
+	VUNPCKLPS Y5, Y4, Y12; \
+	VUNPCKHPS Y5, Y4, Y13; \
+	VUNPCKLPS Y7, Y6, Y14; \
+	VUNPCKHPS Y7, Y6, Y15; \
+	VSHUFPS $0x44, Y10, Y8, Y0;  \
+	VSHUFPS $0xEE, Y10, Y8, Y1;  \
+	VSHUFPS $0x44, Y11, Y9, Y2;  \
+	VSHUFPS $0xEE, Y11, Y9, Y3;  \
+	VSHUFPS $0x44, Y14, Y12, Y4; \
+	VSHUFPS $0xEE, Y14, Y12, Y5; \
+	VSHUFPS $0x44, Y15, Y13, Y6; \
+	VSHUFPS $0xEE, Y15, Y13, Y7; \
+	VPERM2F128 $0x20, Y4, Y0, Y8;  \
+	VPERM2F128 $0x20, Y5, Y1, Y9;  \
+	VPERM2F128 $0x20, Y6, Y2, Y10; \
+	VPERM2F128 $0x20, Y7, Y3, Y11; \
+	VPERM2F128 $0x31, Y4, Y0, Y12; \
+	VPERM2F128 $0x31, Y5, Y1, Y13; \
+	VPERM2F128 $0x31, Y6, Y2, Y14; \
+	VPERM2F128 $0x31, Y7, Y3, Y15
+
+#define STORES8 \
+	VMOVUPS Y8, (AX);    \
+	ADDQ R10, AX;        \
+	VMOVUPS Y9, (AX);    \
+	ADDQ R10, AX;        \
+	VMOVUPS Y10, (AX);   \
+	ADDQ R10, AX;        \
+	VMOVUPS Y11, (AX);   \
+	ADDQ R10, AX;        \
+	VMOVUPS Y12, (AX);   \
+	ADDQ R10, AX;        \
+	VMOVUPS Y13, (AX);   \
+	ADDQ R10, AX;        \
+	VMOVUPS Y14, (AX);   \
+	ADDQ R10, AX;        \
+	VMOVUPS Y15, (AX)
+
+// The double-precision block: four rows into Y0–Y3, transposed in place.
+#define LOADS4(LDL) \
+	LDL((DX), Y0);       \
+	NEXTROW(0);          \
+	LDL((DX), Y1);       \
+	NEXTROW(1);          \
+	LDL((DX), Y2);       \
+	NEXTROW(2);          \
+	LDL((DX), Y3)
+
+#define TR4PD \
+	VUNPCKLPD Y1, Y0, Y4; \
+	VUNPCKHPD Y1, Y0, Y5; \
+	VUNPCKLPD Y3, Y2, Y6; \
+	VUNPCKHPD Y3, Y2, Y7; \
+	VPERM2F128 $0x20, Y6, Y4, Y0; \
+	VPERM2F128 $0x20, Y7, Y5, Y1; \
+	VPERM2F128 $0x31, Y6, Y4, Y2; \
+	VPERM2F128 $0x31, Y7, Y5, Y3
+
+#define STORES4 \
+	VMOVUPS Y0, (AX);    \
+	ADDQ R10, AX;        \
+	VMOVUPS Y1, (AX);    \
+	ADDQ R10, AX;        \
+	VMOVUPS Y2, (AX);    \
+	ADDQ R10, AX;        \
+	VMOVUPS Y3, (AX)
+
+// The p loops of the dot forms, one vector of lanes over CX = k steps: the
+// broadcast operand x(i, p) at AX steps R12 bytes, the lane operand at R10
+// steps R13. P1 is a single product, sum ← sum ⊕ (Q1 ⊗ Q2) with Y1 the
+// broadcast and Y2 the lanes: P1X puts the broadcast first (GEMM without
+// transA, SYRK), P1Y the lanes (GEMM with both transposes). P2 is SYR2K's,
+// sum ← sum ⊕ ((x ⊗ y) ⊕ (u ⊗ v)), with u at BX stepping 48(SP) and v at
+// R11 stepping 56(SP).
+#define P1(BC, MUL, ADD, LDL, Q1, Q2, L) \
+L:                       \
+	BC   (AX), Y1;       \
+	LDL((R10), Y2);      \
+	MUL  Q2, Q1, Y2;     \
+	ADD  Y2, Y0, Y0;     \
+	ADDQ R12, AX;        \
+	ADDQ R13, R10;       \
+	DECQ CX;             \
+	JNZ  L
+
+#define P1X(BC, MUL, ADD, LDL, L) P1(BC, MUL, ADD, LDL, Y1, Y2, L)
+#define P1Y(BC, MUL, ADD, LDL, L) P1(BC, MUL, ADD, LDL, Y2, Y1, L)
+
+#define P2(BC, MUL, ADD, LDL, L) \
+L:                       \
+	BC   (AX), Y1;       \
+	LDL((R10), Y2);      \
+	MUL  Y2, Y1, Y2;     \
+	BC   (BX), Y3;       \
+	LDL((R11), Y4);      \
+	MUL  Y4, Y3, Y4;     \
+	ADD  Y4, Y2, Y2;     \
+	ADD  Y2, Y0, Y0;     \
+	ADDQ R12, AX;        \
+	ADDQ R13, R10;       \
+	ADDQ 48(SP), BX;     \
+	ADDQ 56(SP), R11;    \
+	DECQ CX;             \
+	JNZ  L
+
+// The four-row p loops of the dot forms: rows i0…i0+3 share each lane load.
+// x(i0+r, p) is at AX + r·R8 (R9 = 3·R8), u(i0+r, p) at BX + r·DX
+// (SI = 3·DX); the rows' sums are Y0–Y3. PRODX and PRODY are a product with
+// the broadcast B first or the lanes L first; the result replaces B.
+#define PRODX(MUL, B, L) MUL L, B, B
+#define PRODY(MUL, B, L) MUL B, L, B
+
+#define P14(BC, MUL, ADD, LDL, PROD, L) \
+L:                       \
+	LDL((R10), Y4);      \
+	BC   (AX), Y5;       \
+	BC   (AX)(R8*1), Y6; \
+	BC   (AX)(R8*2), Y7; \
+	BC   (AX)(R9*1), Y8; \
+	PROD(MUL, Y5, Y4);   \
+	PROD(MUL, Y6, Y4);   \
+	PROD(MUL, Y7, Y4);   \
+	PROD(MUL, Y8, Y4);   \
+	ADD  Y5, Y0, Y0;     \
+	ADD  Y6, Y1, Y1;     \
+	ADD  Y7, Y2, Y2;     \
+	ADD  Y8, Y3, Y3;     \
+	ADDQ R12, AX;        \
+	ADDQ R13, R10;       \
+	DECQ CX;             \
+	JNZ  L
+
+#define P14X(BC, MUL, ADD, LDL, L) P14(BC, MUL, ADD, LDL, PRODX, L)
+#define P14Y(BC, MUL, ADD, LDL, L) P14(BC, MUL, ADD, LDL, PRODY, L)
+
+// ROW2 is one row of P24: S ← S ⊕ ((X ⊗ y) ⊕ (u ⊗ v)), the broadcast x
+// already in X, u at the address UA; y is in Y4 and v in Y9.
+#define ROW2(BC, MUL, ADD, X, UA, T, S) \
+	MUL  Y4, X, X;       \
+	BC   UA, T;          \
+	MUL  Y9, T, T;       \
+	ADD  T, X, X;        \
+	ADD  X, S, S
+
+#define P24(BC, MUL, ADD, LDL, L) \
+L:                       \
+	LDL((R10), Y4);      \
+	LDL((R11), Y9);      \
+	BC   (AX), Y5;       \
+	BC   (AX)(R8*1), Y6; \
+	BC   (AX)(R8*2), Y7; \
+	BC   (AX)(R9*1), Y8; \
+	ROW2(BC, MUL, ADD, Y5, (BX), Y10, Y0);       \
+	ROW2(BC, MUL, ADD, Y6, (BX)(DX*1), Y11, Y1); \
+	ROW2(BC, MUL, ADD, Y7, (BX)(DX*2), Y10, Y2); \
+	ROW2(BC, MUL, ADD, Y8, (BX)(SI*1), Y11, Y3); \
+	ADDQ R12, AX;        \
+	ADDQ 48(SP), BX;     \
+	ADDQ R13, R10;       \
+	ADDQ 56(SP), R11;    \
+	DECQ CX;             \
+	JNZ  L
+
+// EPIROW stores one row of a four-row tile, its sum in ACC, at DX: the whole
+// vector, or the BX = n − j0 columns the row has left through the mask (Y15,
+// set by the tile). Then DX steps to the next row (SI = C's row stride in
+// bytes).
+#define EPIROW(MUL, ADD, EADD, VM, ACC, LFULL, LMSET, LFSET, LDONE) \
+	MUL  Y14, ACC, ACC;  \
+	CMPQ BX, $VM;        \
+	JGT  LFULL;          \
+	CMPQ 32(SP), $0;     \
+	JEQ  LMSET;          \
+	LDM((DX), Y12);      \
+	MUL  Y13, Y12, Y12;  \
+	EADD(ADD, ACC);      \
+LMSET:                   \
+	STM(ACC, (DX));      \
+	JMP  LDONE;          \
+LFULL:                   \
+	CMPQ 32(SP), $0;     \
+	JEQ  LFSET;          \
+	LDF((DX), Y12);      \
+	MUL  Y13, Y12, Y12;  \
+	EADD(ADD, ACC);      \
+LFSET:                   \
+	STF(ACC, (DX));      \
+LDONE:                   \
+	ADDQ SI, DX
+
+// The epilogue's add under storeScale: ACC = sum ⊗ alpha and Y12 = c ⊗ beta,
+// first ACC (GEMM, SYRK) or first Y12 (SYR2K), the order of the loop's
+// epilogue.
+#define EADD1(ADD, ACC) ADD Y12, ACC, ACC
+#define EADD2(ADD, ACC) ADD ACC, Y12, ACC
+
+// DCHUNK is one vector of a dot form at DX: the sum from +0 over the p loop
+// PL, then c ← sum ⊗ alpha, or under storeScale (the mode at 32(SP)) the
+// EADD of sum ⊗ alpha and c ⊗ beta.
+#define DCHUNK(BC, MUL, ADD, PL, EADD, LDL, STC, LP, LS) \
+	VXORPS Y0, Y0, Y0;   \
+	MOVQ SI, AX;         \
+	MOVQ DI, BX;         \
+	MOVQ R8, R10;        \
+	MOVQ R9, R11;        \
+	MOVQ 0(SP), CX;      \
+	PL(BC, MUL, ADD, LDL, LP); \
+	MUL  Y14, Y0, Y0;    \
+	CMPQ 32(SP), $0;     \
+	JEQ  LS;             \
+	LDL((DX), Y12);      \
+	MUL  Y13, Y12, Y12;  \
+	EADD(ADD, Y0);       \
+LS:                      \
+	STC(Y0, (DX))
+
+// DOT is a dot form over all of C. Under lower (16(SP) ≠ 0) row i computes
+// only the vectors up to the one that holds its diagonal and stores them
+// whole, up to n; what lands above the diagonal is overwritten by the mirror
+// at the end, so a row's one masked store is at its end, if anywhere, as
+// elsewhere. First four rows at a time (the four-row p loop PL4, one EPIROW
+// per row; 128(SP) is the tile's first row i0, 136(SP) its column j0,
+// 144(SP) and 152(SP) x and u at row i0), then the rows left one at a time
+// (PL through DCHUNK; R14 is i, and R8, R9 and DX walk y, v and C along the
+// row). On entry SI is x and DI is u (their rows advance 64(SP) and 72(SP)
+// bytes), R12 and R13 the p strides of x and y in bytes, Y14 and Y13 alpha
+// and beta. Locals: 0(SP) k, 8(SP) n, 16(SP) lower, 32(SP) the mode,
+// 40(SP) the current C row, 48(SP) and 56(SP) the p strides of u and v,
+// 80(SP) C's row stride in bytes, 88(SP) y, 96(SP) v, 104(SP) the vectors
+// left in the row, 112(SP) the edge's bytes, 120(SP) m. Under lower the
+// strict lower triangle is then mirrored into the upper one (MOV moves an
+// element's bits), row i to column i, as mirrorLower does; 24(SP) is C's
+// first row.
+#define DOT(BC, MUL, ADD, MOV, LS, LV, VM, PL, PL4, EADD) \
+	MOVQ 40(SP), AX;     \
+	MOVQ AX, 24(SP);     \
+	MOVQ SI, 144(SP);    \
+	MOVQ DI, 152(SP);    \
+	MOVQ $0, 128(SP);    \
+t4row:                   \
+	MOVQ 128(SP), AX;    \
+	ADDQ $4, AX;         \
+	CMPQ AX, 120(SP);    \
+	JGT  rows1;          \
+	MOVQ $0, 136(SP);    \
+t4col:                   \
+	MOVQ 8(SP), AX;      \
+	CMPQ 16(SP), $0;     \
+	JEQ  t4lim;          \
+	MOVQ 128(SP), AX;    \
+	ADDQ $4, AX;         \
+t4lim:                   \
+	CMPQ 136(SP), AX;    \
+	JGE  t4next;         \
+	MOVQ 144(SP), AX;    \
+	MOVQ 152(SP), BX;    \
+	MOVQ 136(SP), CX;    \
+	SHLQ $LS, CX;        \
+	MOVQ 88(SP), R10;    \
+	ADDQ CX, R10;        \
+	MOVQ 96(SP), R11;    \
+	ADDQ CX, R11;        \
+	MOVQ 64(SP), R8;     \
+	LEAQ (R8)(R8*2), R9; \
+	MOVQ 72(SP), DX;     \
+	LEAQ (DX)(DX*2), SI; \
+	VXORPS Y0, Y0, Y0;   \
+	VXORPS Y1, Y1, Y1;   \
+	VXORPS Y2, Y2, Y2;   \
+	VXORPS Y3, Y3, Y3;   \
+	MOVQ 8(SP), R14;     \
+	SUBQ 136(SP), R14;   \
+	MOVQ 0(SP), CX;      \
+	CMPQ R14, $VM;       \
+	JGT  t4full;         \
+	SHLQ $LS, R14;       \
+	EDGE(R14, DI);       \
+	PL4(BC, MUL, ADD, LDM, t4pm); \
+	JMP  t4epi;          \
+t4full:                  \
+	PL4(BC, MUL, ADD, LDF, t4pf); \
+t4epi:                   \
+	MOVQ 128(SP), AX;    \
+	IMULQ 80(SP), AX;    \
+	ADDQ 24(SP), AX;     \
+	MOVQ 136(SP), DX;    \
+	SHLQ $LS, DX;        \
+	ADDQ AX, DX;         \
+	MOVQ 80(SP), SI;     \
+	MOVQ 8(SP), BX;      \
+	SUBQ 136(SP), BX;    \
+	EPIROW(MUL, ADD, EADD, VM, Y0, e0f, e0m, e0s, e0d); \
+	EPIROW(MUL, ADD, EADD, VM, Y1, e1f, e1m, e1s, e1d); \
+	EPIROW(MUL, ADD, EADD, VM, Y2, e2f, e2m, e2s, e2d); \
+	EPIROW(MUL, ADD, EADD, VM, Y3, e3f, e3m, e3s, e3d); \
+	ADDQ $(VM+1), 136(SP); \
+	JMP  t4col;          \
+t4next:                  \
+	ADDQ $4, 128(SP);    \
+	MOVQ 64(SP), AX;     \
+	SHLQ $2, AX;         \
+	ADDQ AX, 144(SP);    \
+	MOVQ 72(SP), AX;     \
+	SHLQ $2, AX;         \
+	ADDQ AX, 152(SP);    \
+	JMP  t4row;          \
+rows1:                   \
+	MOVQ 128(SP), R14;   \
+	MOVQ 144(SP), SI;    \
+	MOVQ 152(SP), DI;    \
+	MOVQ R14, AX;        \
+	IMULQ 80(SP), AX;    \
+	ADDQ AX, 40(SP);     \
+	CMPQ R14, 120(SP);   \
+	JGE  mirror;         \
+row:                     \
+	MOVQ 8(SP), AX;      \
+	CMPQ 16(SP), $0;     \
+	JEQ  cols;           \
+	LEAQ VM+1(R14), AX;  \
+	SHRQ $LV, AX;        \
+	SHLQ $LV, AX;        \
+	CMPQ AX, 8(SP);      \
+	CMOVQGT 8(SP), AX;   \
+cols:                    \
+	MOVQ AX, BX;         \
+	ANDQ $VM, BX;        \
+	SHLQ $LS, BX;        \
+	MOVQ BX, 112(SP);    \
+	SHRQ $LV, AX;        \
+	MOVQ AX, 104(SP);    \
+	MOVQ 88(SP), R8;     \
+	MOVQ 96(SP), R9;     \
+	MOVQ 40(SP), DX;     \
+	TESTQ AX, AX;        \
+	JZ   edge;           \
+full:                    \
+	DCHUNK(BC, MUL, ADD, PL, EADD, LDF, STF, fp, fs); \
+	ADDQ $32, R8;        \
+	ADDQ $32, R9;        \
+	ADDQ $32, DX;        \
+	DECQ 104(SP);        \
+	JNZ  full;           \
+edge:                    \
+	MOVQ 112(SP), BX;    \
+	TESTQ BX, BX;        \
+	JZ   next;           \
+	EDGE(BX, AX);        \
+	DCHUNK(BC, MUL, ADD, PL, EADD, LDM, STM, ep, es); \
+next:                    \
+	ADDQ 64(SP), SI;     \
+	ADDQ 72(SP), DI;     \
+	MOVQ 80(SP), AX;     \
+	ADDQ AX, 40(SP);     \
+	INCQ R14;            \
+	CMPQ R14, 120(SP);   \
+	JLT  row;            \
+mirror:                  \
+	CMPQ 16(SP), $0;     \
+	JEQ  done;           \
+	MOVQ 24(SP), SI;     \
+	MOVQ SI, DX;         \
+	MOVQ 80(SP), R8;     \
+	MOVQ $1, R14;        \
+mrow:                    \
+	CMPQ R14, 120(SP);   \
+	JGE  done;           \
+	ADDQ R8, SI;         \
+	ADDQ $(1<<LS), DX;   \
+	MOVQ SI, AX;         \
+	MOVQ DX, BX;         \
+	MOVQ R14, CX;        \
+mcol:                    \
+	MOV  (AX), R10;      \
+	MOV  R10, (BX);      \
+	ADDQ $(1<<LS), AX;   \
+	ADDQ R8, BX;         \
+	DECQ CX;             \
+	JNZ  mcol;           \
+	INCQ R14;            \
+	JMP  mrow;           \
+done:                    \
+	VZEROUPPER;          \
+	RET
+
+// DOTARGS is the entry of a single-product dot form (GEMM with transB,
+// SYRK): it stages the lane operand y in scr and sets up what DOT reads from
+// the call's arguments. x(i, p) is at X + I·XI + p·XP and y(p, j) at
+// Y + p·YP + j·YJ (elements).
+#define DOTARGS(X, XI, XP, Y, YP, YJ, SCR, C, LDC, M, N, K, LOWER, MODE, ALPHA, BETA, BC, LOADS, TR, STORES, LS, LV, VM, ES) \
+	MOVQ Y, R8;          \
+	MOVQ YP, R13;        \
+	MOVQ YJ, R9;         \
+	MOVQ SCR, DI;        \
+	MOVQ N, R11;         \
+	MOVQ K, CX;          \
+	STAGE(LOADS, TR, STORES, LS, LV, VM, ES, yr, yc, yf, yb, yd); \
+	SHLQ $LS, R13;       \
+	MOVQ R8, 88(SP);     \
+	MOVQ LOWER, AX;      \
+	MOVQ AX, 16(SP);     \
+	MOVQ M, AX;          \
+	DOTCOMMON(X, XI, XP, C, LDC, MODE, ALPHA, BETA, BC, LS)
+
+// DOT2ARGS is SYR2K's entry: both lane operands, y and then v, are staged
+// in scr; u(i, p) is at U + i·UI + p·UP. C is n×n and only its lower
+// triangle is written.
+#define DOT2ARGS(X, XI, XP, U, UI, UP, Y, YP, YJ, V, VP, VJ, SCR, C, LDC, N, K, MODE, ALPHA, BETA, BC, LOADS, TR, STORES, LS, LV, VM, ES) \
+	MOVQ SCR, DI;        \
+	MOVQ N, R11;         \
+	MOVQ K, CX;          \
+	MOVQ Y, R8;          \
+	MOVQ YP, R13;        \
+	MOVQ YJ, R9;         \
+	STAGE(LOADS, TR, STORES, LS, LV, VM, ES, yr, yc, yf, yb, yd); \
+	MOVQ R8, 88(SP);     \
+	MOVQ R13, 24(SP);    \
+	MOVQ V, R8;          \
+	MOVQ VP, R13;        \
+	MOVQ VJ, R9;         \
+	STAGE(LOADS, TR, STORES, LS, LV, VM, ES, vr, vc, vf, vb, vd); \
+	MOVQ R8, 96(SP);     \
+	SHLQ $LS, R13;       \
+	MOVQ R13, 56(SP);    \
+	MOVQ 24(SP), R13;    \
+	SHLQ $LS, R13;       \
+	MOVQ U, DI;          \
+	MOVQ UI, AX;         \
+	SHLQ $LS, AX;        \
+	MOVQ AX, 72(SP);     \
+	MOVQ UP, AX;         \
+	SHLQ $LS, AX;        \
+	MOVQ AX, 48(SP);     \
+	MOVQ $1, 16(SP);     \
+	MOVQ R11, AX;        \
+	DOTCOMMON(X, XI, XP, C, LDC, MODE, ALPHA, BETA, BC, LS)
+
+// DOTCOMMON finishes both entries: m arrives in AX, n in R11 and k in CX.
+#define DOTCOMMON(X, XI, XP, C, LDC, MODE, ALPHA, BETA, BC, LS) \
+	MOVQ AX, 120(SP);    \
+	MOVQ R11, 8(SP);     \
+	MOVQ CX, 0(SP);      \
+	MOVQ MODE, AX;       \
+	MOVQ AX, 32(SP);     \
+	MOVQ C, AX;          \
+	MOVQ AX, 40(SP);     \
+	MOVQ LDC, AX;        \
+	SHLQ $LS, AX;        \
+	MOVQ AX, 80(SP);     \
+	MOVQ XI, AX;         \
+	SHLQ $LS, AX;        \
+	MOVQ AX, 64(SP);     \
+	MOVQ X, SI;          \
+	MOVQ XP, R12;        \
+	SHLQ $LS, R12;       \
+	LEAQ ALPHA, AX;      \
+	BC   (AX), Y14;      \
+	LEAQ BETA, AX;       \
+	BC   (AX), Y13
+
 // func sgemmTile6x16(a, b *float32, kc int, c *float32, ldc int, alpha, beta float32, mode int)
 TEXT ·sgemmTile6x16(SB), NOSPLIT, $0-56
 	MOVQ a+0(FP), SI
@@ -566,6 +1252,47 @@ TEXT ·copyRows128(SB), NOSPLIT, $0-32
 	MOVQ ldsBytes+16(FP), R8
 	MOVQ rows+24(FP), CX
 	COPYROWS(64, Z0, Z1)
+
+// The small path's entries, one per form and precision (see small.go). The
+// dot forms keep 160 bytes of locals: DOT's list above.
+
+// func ssmallAxpy(a *float32, ai, ap int, b *float32, ldb int, c *float32, ldc, m, n, k, mode int, alpha, beta float32)
+TEXT ·ssmallAxpy(SB), NOSPLIT, $40-96
+	AXPY(a+0(FP), ai+8(FP), ap+16(FP), b+24(FP), ldb+32(FP), c+40(FP), ldc+48(FP), m+56(FP), n+64(FP), k+72(FP), mode+80(FP), alpha+88(FP), beta+92(FP), VBROADCASTSS, VMULPS, VADDPS, 2, 3, 7)
+
+// func dsmallAxpy(a *float64, ai, ap int, b *float64, ldb int, c *float64, ldc, m, n, k, mode int, alpha, beta float64)
+TEXT ·dsmallAxpy(SB), NOSPLIT, $40-104
+	AXPY(a+0(FP), ai+8(FP), ap+16(FP), b+24(FP), ldb+32(FP), c+40(FP), ldc+48(FP), m+56(FP), n+64(FP), k+72(FP), mode+80(FP), alpha+88(FP), beta+96(FP), VBROADCASTSD, VMULPD, VADDPD, 3, 2, 3)
+
+// func ssmallDot(x *float32, xi, xp int, y *float32, yp, yj int, scr, c *float32, ldc, m, n, k, lower, mode int, alpha, beta float32)
+TEXT ·ssmallDot(SB), NOSPLIT, $160-120
+	DOTARGS(x+0(FP), xi+8(FP), xp+16(FP), y+24(FP), yp+32(FP), yj+40(FP), scr+48(FP), c+56(FP), ldc+64(FP), m+72(FP), n+80(FP), k+88(FP), lower+96(FP), mode+104(FP), alpha+112(FP), beta+116(FP), VBROADCASTSS, LOADS8, TR8PS, STORES8, 2, 3, 7, 4)
+	DOT(VBROADCASTSS, VMULPS, VADDPS, MOVL, 2, 3, 7, P1X, P14X, EADD1)
+
+// func dsmallDot(x *float64, xi, xp int, y *float64, yp, yj int, scr, c *float64, ldc, m, n, k, lower, mode int, alpha, beta float64)
+TEXT ·dsmallDot(SB), NOSPLIT, $160-128
+	DOTARGS(x+0(FP), xi+8(FP), xp+16(FP), y+24(FP), yp+32(FP), yj+40(FP), scr+48(FP), c+56(FP), ldc+64(FP), m+72(FP), n+80(FP), k+88(FP), lower+96(FP), mode+104(FP), alpha+112(FP), beta+120(FP), VBROADCASTSD, LOADS4, TR4PD, STORES4, 3, 2, 3, 8)
+	DOT(VBROADCASTSD, VMULPD, VADDPD, MOVQ, 3, 2, 3, P1X, P14X, EADD1)
+
+// func ssmallDotT(x *float32, xi, xp int, y *float32, yp, yj int, scr, c *float32, ldc, m, n, k, lower, mode int, alpha, beta float32)
+TEXT ·ssmallDotT(SB), NOSPLIT, $160-120
+	DOTARGS(x+0(FP), xi+8(FP), xp+16(FP), y+24(FP), yp+32(FP), yj+40(FP), scr+48(FP), c+56(FP), ldc+64(FP), m+72(FP), n+80(FP), k+88(FP), lower+96(FP), mode+104(FP), alpha+112(FP), beta+116(FP), VBROADCASTSS, LOADS8, TR8PS, STORES8, 2, 3, 7, 4)
+	DOT(VBROADCASTSS, VMULPS, VADDPS, MOVL, 2, 3, 7, P1Y, P14Y, EADD1)
+
+// func dsmallDotT(x *float64, xi, xp int, y *float64, yp, yj int, scr, c *float64, ldc, m, n, k, lower, mode int, alpha, beta float64)
+TEXT ·dsmallDotT(SB), NOSPLIT, $160-128
+	DOTARGS(x+0(FP), xi+8(FP), xp+16(FP), y+24(FP), yp+32(FP), yj+40(FP), scr+48(FP), c+56(FP), ldc+64(FP), m+72(FP), n+80(FP), k+88(FP), lower+96(FP), mode+104(FP), alpha+112(FP), beta+120(FP), VBROADCASTSD, LOADS4, TR4PD, STORES4, 3, 2, 3, 8)
+	DOT(VBROADCASTSD, VMULPD, VADDPD, MOVQ, 3, 2, 3, P1Y, P14Y, EADD1)
+
+// func ssmallDot2(x *float32, xi, xp int, u *float32, ui, up int, y *float32, yp, yj int, v *float32, vp, vj int, scr, c *float32, ldc, n, k, mode int, alpha, beta float32)
+TEXT ·ssmallDot2(SB), NOSPLIT, $160-152
+	DOT2ARGS(x+0(FP), xi+8(FP), xp+16(FP), u+24(FP), ui+32(FP), up+40(FP), y+48(FP), yp+56(FP), yj+64(FP), v+72(FP), vp+80(FP), vj+88(FP), scr+96(FP), c+104(FP), ldc+112(FP), n+120(FP), k+128(FP), mode+136(FP), alpha+144(FP), beta+148(FP), VBROADCASTSS, LOADS8, TR8PS, STORES8, 2, 3, 7, 4)
+	DOT(VBROADCASTSS, VMULPS, VADDPS, MOVL, 2, 3, 7, P2, P24, EADD2)
+
+// func dsmallDot2(x *float64, xi, xp int, u *float64, ui, up int, y *float64, yp, yj int, v *float64, vp, vj int, scr, c *float64, ldc, n, k, mode int, alpha, beta float64)
+TEXT ·dsmallDot2(SB), NOSPLIT, $160-160
+	DOT2ARGS(x+0(FP), xi+8(FP), xp+16(FP), u+24(FP), ui+32(FP), up+40(FP), y+48(FP), yp+56(FP), yj+64(FP), v+72(FP), vp+80(FP), vj+88(FP), scr+96(FP), c+104(FP), ldc+112(FP), n+120(FP), k+128(FP), mode+136(FP), alpha+144(FP), beta+152(FP), VBROADCASTSD, LOADS4, TR4PD, STORES4, 3, 2, 3, 8)
+	DOT(VBROADCASTSD, VMULPD, VADDPD, MOVQ, 3, 2, 3, P2, P24, EADD2)
 
 // func spinHint()
 TEXT ·spinHint(SB), NOSPLIT, $0-0

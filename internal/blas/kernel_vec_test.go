@@ -331,8 +331,20 @@ func TestYMMTile(t *testing.T) {
 // default is the widest tile the machine runs.
 func TestTileProbe(t *testing.T) {
 	f32, f64 := DefaultParams[float32](), DefaultParams[float64]()
-	t.Logf("useVec=%t useZMM=%t: default tile %dx%d in float32, %dx%d in float64",
-		useVec, useZMM, f32.MR, f32.NR, f64.MR, f64.NR)
+	// One small-path call that stages op(B)ᵀ on a fresh context: only the
+	// assembly form fills the context's staging scratch, so this is what
+	// ran, not what the probe promised.
+	ctx := NewContext()
+	a, c := mat.NewF32(4, 4), mat.NewF32(4, 4)
+	if err := ctx.SGEMM(false, true, 1, a, a, 0, c, 1); err != nil {
+		t.Fatal(err)
+	}
+	smallVec := len(ctx.f32.small) > 0
+	t.Logf("useVec=%t useZMM=%t smallVec=%t: default tile %dx%d in float32, %dx%d in float64",
+		useVec, useZMM, smallVec, f32.MR, f32.NR, f64.MR, f64.NR)
+	if smallVec != useVec {
+		t.Errorf("the small path ran its assembly: %t, where the vector tile runs: %t", smallVec, useVec)
+	}
 	if useZMM && !useVec {
 		t.Fatal("the ZMM probe passed where the AVX2 one failed")
 	}

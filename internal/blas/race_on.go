@@ -2,6 +2,8 @@
 
 package blas
 
-// raceEnabled reports whether the race detector is active; the allocation-
-// count tests skip under it because instrumentation perturbs alloc counts.
+// raceEnabled reports whether the race detector is active. Instrumentation
+// perturbs alloc counts, so the allocation-count tests skip under it, and the
+// operand order gc emits for the small-path loops, so TestSmallVecBits
+// compares NaN payloads only without it.
 const raceEnabled = true

@@ -116,7 +116,7 @@ func openCheckpoint(path string, spec SweepSpec, units []Unit, sample []sampling
 				path, i+2, res.UnitID, len(units))
 		}
 		u := units[res.UnitID]
-		if err := checkResult(u, u.shapes(sample), spec.Candidates, spec.Session, res); err != nil {
+		if err := checkResult(u.ID, u.shapes(sample), spec.Candidates, spec.Session, res); err != nil {
 			return nil, nil, fmt.Errorf("gather: checkpoint %s line %d: %w", path, i+2, err)
 		}
 		completed[res.UnitID] = res.Timings

@@ -171,7 +171,7 @@ func (c *Coordinator) Gather(ctx context.Context, gcfg core.GatherConfig) ([]cor
 	units := planUnits(gcfg.NumShapes, c.tune.unitShapes)
 	// A sweep no worker would accept fails here, before any dispatch.
 	for _, u := range units {
-		if err := (WorkRequest{Spec: spec, Unit: u, Shapes: u.shapes(sample)}).bounded(); err != nil {
+		if err := (WorkRequest{Spec: spec, ID: u.ID, Shapes: u.shapes(sample)}).bounded(); err != nil {
 			return nil, err
 		}
 	}
@@ -335,7 +335,7 @@ func (c *Coordinator) workerLoop(r *run, base string, spec SweepSpec, sample []s
 		case <-r.ctx.Done():
 			return
 		}
-		res, err := c.runUnit(r.ctx, base, WorkRequest{Spec: spec, Unit: pu.unit, Shapes: pu.unit.shapes(sample)})
+		res, err := c.runUnit(r.ctx, base, spec, pu.unit, pu.unit.shapes(sample))
 		if err != nil {
 			if r.ctx.Err() != nil {
 				return
@@ -387,13 +387,14 @@ func resultLimit(count, candidates int) int64 {
 	return 4<<10 + int64(count)*128*int64(1+candidates)
 }
 
-// runUnit executes one unit on one worker: one POST /work of the request
-// under the unit timeout, answered with the unit's result. Any failure — the
-// transport, a refusal, a failed execution, a torn answer or one that fails
-// checkResult — fails this attempt, and the caller requeues the unit; a
-// refusal comes back as a *refusal.
-func (c *Coordinator) runUnit(ctx context.Context, base string, work WorkRequest) (*UnitResult, error) {
-	u := work.Unit
+// runUnit executes unit u on one worker: one POST /work of the unit's ID
+// and shapes under the unit timeout, answered with the unit's result, which
+// it places at u in the sample. Any failure — the transport, a refusal, a
+// failed execution, a torn answer or one that fails checkResult — fails this
+// attempt, and the caller requeues the unit; a refusal comes back as a
+// *refusal.
+func (c *Coordinator) runUnit(ctx context.Context, base string, spec SweepSpec, u Unit, shapes []sampling.Shape) (*UnitResult, error) {
+	work := WorkRequest{Spec: spec, ID: u.ID, Shapes: shapes}
 	ctx, cancel := context.WithTimeout(ctx, c.tune.unitTimeout)
 	defer cancel()
 	blob, err := json.Marshal(work)
@@ -421,12 +422,13 @@ func (c *Coordinator) runUnit(ctx context.Context, base string, work WorkRequest
 		return nil, err
 	}
 	res := &UnitResult{}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, resultLimit(u.Count, len(work.Spec.Candidates)))).Decode(res); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, resultLimit(u.Count, len(spec.Candidates)))).Decode(res); err != nil {
 		return nil, fmt.Errorf("decode result: %w", err)
 	}
-	if err := checkResult(u, work.Shapes, work.Spec.Candidates, work.Spec.Session, *res); err != nil {
+	if err := checkResult(u.ID, shapes, spec.Candidates, spec.Session, *res); err != nil {
 		return nil, fmt.Errorf("worker %s: %w", base, err)
 	}
+	res.Start, res.Count = u.Start, u.Count
 	return res, nil
 }
 

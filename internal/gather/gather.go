@@ -8,7 +8,7 @@
 //     single-node gather's own call (core.SampleOpShapes), partitions it
 //     into work units (contiguous (start, count) slices of that sample),
 //     sends each to a worker as one POST /work carrying the sweep spec, the
-//     unit and the unit's shapes, answered with the unit's ShapeTimings,
+//     unit's ID and its shapes, answered with the unit's ShapeTimings,
 //     requeues a unit whose request fails, times out or is answered for
 //     other shapes or thread counts (retiring a worker after repeated
 //     failures, or at once when it refuses the sweep), and merges the
@@ -112,15 +112,19 @@ func (s SweepSpec) validate() (ops.Op, simtime.Timer, error) {
 }
 
 // WorkRequest is the JSON body of POST /work on a worker: the whole sweep
-// spec, the one unit of it to execute and that unit's shapes.
+// spec, the ID of the one unit of it to execute and that unit's shapes.
+// Where the unit sits in the sample is the coordinator's business; the
+// worker only echoes the ID.
 type WorkRequest struct {
 	Spec   SweepSpec        `json:"spec"`
-	Unit   Unit             `json:"unit"`
+	ID     int              `json:"id"`
 	Shapes []sampling.Shape `json:"shapes"`
 }
 
 // UnitResult is one completed unit's timing sweep — the JSON answer of a
-// successful POST /work and the line format of the checkpoint file.
+// successful POST /work and the line format of the checkpoint file. Start
+// and Count place the unit in the sample; a worker leaves them zero and the
+// coordinator fills them from its plan before it merges the answer.
 type UnitResult struct {
 	Session string `json:"session"`
 	UnitID  int    `json:"unit_id"`
@@ -132,22 +136,22 @@ type UnitResult struct {
 	Timings []core.ShapeTimings `json:"timings"`
 }
 
-// checkResult reports whether res answers unit u of the sweep with the given
-// session: its session and unit ID, then one timing per shape sent, each for
-// that slot's shape at exactly the candidate thread counts in order. Any
-// other answer would merge into the wrong sweep positions, or into the
-// training data at thread counts nobody asked for. It checks every /work
+// checkResult reports whether res answers unit id of the sweep with the
+// given session: its session and unit ID, then one timing per shape sent,
+// each for that slot's shape at exactly the candidate thread counts in
+// order. Any other answer would merge into the wrong sweep positions, or into
+// the training data at thread counts nobody asked for. It checks every /work
 // answer and every checkpoint line a resume reads.
-func checkResult(u Unit, shapes []sampling.Shape, candidates []int, session string, res UnitResult) error {
-	if res.Session != session || res.UnitID != u.ID || len(res.Timings) != len(shapes) {
+func checkResult(id int, shapes []sampling.Shape, candidates []int, session string, res UnitResult) error {
+	if res.Session != session || res.UnitID != id || len(res.Timings) != len(shapes) {
 		return fmt.Errorf("unit %d of session %s answered as unit %d of session %s with %d timings, want %d",
-			u.ID, session, res.UnitID, res.Session, len(res.Timings), len(shapes))
+			id, session, res.UnitID, res.Session, len(res.Timings), len(shapes))
 	}
 	threadsAsked := func(ct core.CandidateTime, c int) bool { return ct.Threads == c }
 	for i, st := range res.Timings {
 		if st.Shape != shapes[i] || !slices.EqualFunc(st.Times, candidates, threadsAsked) {
 			return fmt.Errorf("unit %d slot %d timed shape %v at %v, want %v at threads %v",
-				u.ID, i, st.Shape, st.Times, shapes[i], candidates)
+				id, i, st.Shape, st.Times, shapes[i], candidates)
 		}
 	}
 	return nil

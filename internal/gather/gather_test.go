@@ -61,8 +61,8 @@ func startWorker(t *testing.T, opts WorkerOptions) (*Worker, *httptest.Server) {
 // whichever worker loop the scheduler starts first. The wait is bounded, so
 // a faulty worker that never gets a unit fails the test instead of hanging
 // it.
-func after(faultyStarted <-chan struct{}) func(Unit) error {
-	return func(Unit) error {
+func after(faultyStarted <-chan struct{}) func(int) error {
+	return func(int) error {
 		select {
 		case <-faultyStarted:
 		case <-time.After(5 * time.Second):
@@ -75,9 +75,9 @@ func after(faultyStarted <-chan struct{}) func(Unit) error {
 // other worker has started one, so both workers of a sweep execute at least
 // one unit whichever worker loop the scheduler starts first. The wait is
 // bounded, like after's.
-func meet() (func(Unit) error, func(Unit) error) {
-	hook := func(mine chan struct{}, once *sync.Once, theirs <-chan struct{}) func(Unit) error {
-		return func(Unit) error {
+func meet() (func(int) error, func(int) error) {
+	hook := func(mine chan struct{}, once *sync.Once, theirs <-chan struct{}) func(int) error {
+		return func(int) error {
 			once.Do(func() { close(mine) })
 			select {
 			case <-theirs:
@@ -211,7 +211,7 @@ func TestKilledWorkerMidUnit(t *testing.T) {
 	// Victim: slow enough that the kill lands mid-unit.
 	victim := NewWorker(WorkerOptions{
 		Name:     "victim",
-		execHook: func(Unit) error { time.Sleep(100 * time.Millisecond); return nil },
+		execHook: func(int) error { time.Sleep(100 * time.Millisecond); return nil },
 	})
 	var kill sync.Once
 	victimStarted := make(chan struct{})
@@ -266,7 +266,7 @@ func TestSlowWorkerReassigned(t *testing.T) {
 	var once sync.Once
 	_, slow := startWorker(t, WorkerOptions{
 		Name: "slow",
-		execHook: func(Unit) error {
+		execHook: func(int) error {
 			once.Do(func() { close(slowStarted) })
 			time.Sleep(500 * time.Millisecond)
 			return nil
@@ -383,7 +383,7 @@ func recordingWorker(t *testing.T, opts WorkerOptions) (*httptest.Server, *sync.
 			body, _ := io.ReadAll(r.Body)
 			r.Body.Close()
 			if json.Unmarshal(body, &req) == nil {
-				seen.Store(req.Unit.ID, true)
+				seen.Store(req.ID, true)
 			}
 			r.Body = io.NopCloser(bytes.NewReader(body))
 		}
@@ -650,7 +650,7 @@ func TestOneUnitInFlightPerWorker(t *testing.T) {
 		peaks[i] = peak
 		// The hook runs before the execution lock, and its sleep keeps a
 		// unit visible long enough for a pipelined second one to overlap it.
-		_, srv := startWorker(t, WorkerOptions{Name: "w", execHook: func(Unit) error {
+		_, srv := startWorker(t, WorkerOptions{Name: "w", execHook: func(int) error {
 			storeMax(peak, cur.Add(1))
 			time.Sleep(2 * time.Millisecond)
 			cur.Add(-1)
@@ -787,14 +787,15 @@ func testSweep(gcfg core.GatherConfig, timer simtime.Spec) SweepSpec {
 }
 
 // testWork returns the /work request of unit u of a test gather config, as
-// the coordinator builds it: the spec, the unit and its slice of the sample.
+// the coordinator builds it: the spec, the unit's ID and its slice of the
+// sample.
 func testWork(t testing.TB, gcfg core.GatherConfig, timer simtime.Spec, u Unit) WorkRequest {
 	t.Helper()
 	sample, err := core.SampleOpShapes(gcfg.Domain, gcfg.Seed, gcfg.Op, u.Start+u.Count)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return WorkRequest{Spec: testSweep(gcfg, timer), Unit: u, Shapes: u.shapes(sample)}
+	return WorkRequest{Spec: testSweep(gcfg, timer), ID: u.ID, Shapes: u.shapes(sample)}
 }
 
 // postJSON POSTs body as JSON to base+path; the answer is closed at cleanup.
@@ -838,7 +839,7 @@ func atBounds(timer simtime.Spec) WorkRequest {
 	for i := range shapes {
 		shapes[i] = sampling.Shape{M: 74000, K: 74000, N: 74000}
 	}
-	return WorkRequest{Spec: spec, Unit: Unit{ID: 9, Start: 4096, Count: maxUnitShapes}, Shapes: shapes}
+	return WorkRequest{Spec: spec, ID: 9, Shapes: shapes}
 }
 
 // atCap returns a real-backend request whose every shape is exactly at the
@@ -864,24 +865,20 @@ func overBounds(timer simtime.Spec) map[string]WorkRequest {
 	}
 	at := atBounds(timer)
 	return map[string]WorkRequest{
-		"count": edit(at, func(r *WorkRequest) {
-			r.Unit.Count++
-			r.Shapes = append(r.Shapes, r.Shapes[0])
-		}),
-		"count-mismatch": edit(at, func(r *WorkRequest) { r.Unit.Count-- }),
-		"iters":          edit(at, func(r *WorkRequest) { r.Spec.Iters++ }),
-		"candidates":     edit(at, func(r *WorkRequest) { r.Spec.Candidates = append(r.Spec.Candidates, 1) }),
-		"threads":        edit(at, func(r *WorkRequest) { r.Spec.Candidates[maxCandidates-1]++ }),
-		"zero-threads":   edit(at, func(r *WorkRequest) { r.Spec.Candidates[0] = 0 }),
-		"max-dim":        edit(at, func(r *WorkRequest) { r.Shapes[maxUnitShapes-1].K++ }),
-		"zero-dim":       edit(at, func(r *WorkRequest) { r.Shapes[0].N = 0 }),
-		"cap":            edit(atCap(), func(r *WorkRequest) { r.Shapes[maxUnitShapes-1] = overCapShape }),
-		"zero-count":     edit(at, func(r *WorkRequest) { r.Unit.Count, r.Shapes = 0, nil }),
+		"count":        edit(at, func(r *WorkRequest) { r.Shapes = append(r.Shapes, r.Shapes[0]) }),
+		"iters":        edit(at, func(r *WorkRequest) { r.Spec.Iters++ }),
+		"candidates":   edit(at, func(r *WorkRequest) { r.Spec.Candidates = append(r.Spec.Candidates, 1) }),
+		"threads":      edit(at, func(r *WorkRequest) { r.Spec.Candidates[maxCandidates-1]++ }),
+		"zero-threads": edit(at, func(r *WorkRequest) { r.Spec.Candidates[0] = 0 }),
+		"max-dim":      edit(at, func(r *WorkRequest) { r.Shapes[maxUnitShapes-1].K++ }),
+		"zero-dim":     edit(at, func(r *WorkRequest) { r.Shapes[0].N = 0 }),
+		"cap":          edit(atCap(), func(r *WorkRequest) { r.Shapes[maxUnitShapes-1] = overCapShape }),
+		"zero-count":   edit(at, func(r *WorkRequest) { r.Shapes = nil }),
 		// A SYRK shape with N ≠ M: 0.6 MB of operands as sent, but SYRK's
 		// benchmark sizes C from M alone and would allocate 22 GB.
 		"canonical": edit(atCap(), func(r *WorkRequest) {
 			r.Spec.Op = "syrk"
-			r.Unit.Count, r.Shapes = 1, []sampling.Shape{{M: 74000, K: 1, N: 1}}
+			r.Shapes = []sampling.Shape{{M: 74000, K: 1, N: 1}}
 		}),
 	}
 }
@@ -913,7 +910,7 @@ func TestWorkerEndpoints(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("work: HTTP %d (%v)", resp.StatusCode, err)
 	}
-	if err := checkResult(work.Unit, work.Shapes, work.Spec.Candidates, work.Spec.Session, res); err != nil || res.Worker != "w" {
+	if err := checkResult(work.ID, work.Shapes, work.Spec.Candidates, work.Spec.Session, res); err != nil || res.Worker != "w" {
 		t.Errorf("work answered %+v: %v", res, err)
 	}
 	// Each bound + 1 is refused before anything executes...
@@ -980,7 +977,7 @@ func TestWorkerEndpoints(t *testing.T) {
 func TestFailedUnitReexecutesOnRedispatch(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 6)
 	var failNext atomic.Bool
-	_, srv := startWorker(t, WorkerOptions{Name: "w", execHook: func(Unit) error {
+	_, srv := startWorker(t, WorkerOptions{Name: "w", execHook: func(int) error {
 		if failNext.Swap(false) {
 			return errors.New("injected transient failure")
 		}
@@ -996,8 +993,8 @@ func TestFailedUnitReexecutesOnRedispatch(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-dispatch of failed unit: HTTP %d (%v): the stale error was replayed", resp.StatusCode, err)
 	}
-	if res.UnitID != 0 || res.Count != 2 || len(res.Timings) != 2 {
-		t.Errorf("re-executed result = unit %d count %d with %d timings", res.UnitID, res.Count, len(res.Timings))
+	if res.UnitID != 0 || len(res.Timings) != 2 {
+		t.Errorf("re-executed result = unit %d with %d timings, want unit 0 with 2", res.UnitID, len(res.Timings))
 	}
 }
 

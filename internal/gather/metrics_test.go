@@ -39,7 +39,7 @@ func TestWorkerReadinessLifecycle(t *testing.T) {
 	gcfg, spec := testGatherConfig(t, ops.GEMM, 6)
 	executing := make(chan struct{})
 	release := make(chan struct{})
-	_, srv := startWorker(t, WorkerOptions{Name: "w1", execHook: func(Unit) error {
+	_, srv := startWorker(t, WorkerOptions{Name: "w1", execHook: func(int) error {
 		close(executing)
 		<-release
 		return nil

@@ -27,7 +27,7 @@ func TestDrainVsInflightResultRace(t *testing.T) {
 	_, srv := startWorker(t, WorkerOptions{
 		Name: "w1",
 		// Hold the unit in execution until the shutdown has landed.
-		execHook: func(Unit) error {
+		execHook: func(int) error {
 			close(executing)
 			<-release
 			return nil
@@ -40,14 +40,15 @@ func TestDrainVsInflightResultRace(t *testing.T) {
 
 	coord := fastCoordinator([]string{srv.URL}, spec)
 	ctx := context.Background()
-	work := testWork(t, gcfg, spec, Unit{ID: 0, Start: 0, Count: 3})
+	u := Unit{ID: 0, Start: 0, Count: 3}
+	work := testWork(t, gcfg, spec, u)
 	type answer struct {
 		res *UnitResult
 		err error
 	}
 	answered := make(chan answer, 1)
 	go func() {
-		res, err := coord.runUnit(ctx, srv.URL, work)
+		res, err := coord.runUnit(ctx, srv.URL, work.Spec, u, work.Shapes)
 		answered <- answer{res, err}
 	}()
 

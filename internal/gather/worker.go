@@ -28,19 +28,19 @@ type WorkerOptions struct {
 	// DebugLogf receives per-unit progress lines — one per executed unit,
 	// noisy on big sweeps; nil discards them.
 	DebugLogf func(format string, args ...any)
-	// execHook, when non-nil, runs first in every unit's execution, before
-	// the unit takes the execution lock: the point where tests inject delay
-	// or a failed execution (a non-nil error) and where the in-flight test
-	// counts.
-	execHook func(Unit) error
+	// execHook, when non-nil, runs first in every unit's execution with the
+	// unit's ID, before the unit takes the execution lock: the point where
+	// tests inject delay or a failed execution (a non-nil error) and where
+	// the in-flight test counts.
+	execHook func(id int) error
 }
 
 // Worker executes timing-sweep work units for any coordinator. It is an
 // http.Handler exposing /work, /healthz and /metrics; the cmd/adsala-worker
 // daemon mounts it behind an http.Server.
 //
-// Protocol: the coordinator POSTs a WorkRequest — the sweep spec, one unit
-// of it and the unit's shapes — to /work, which checks the request, builds
+// Protocol: the coordinator POSTs a WorkRequest — the sweep spec, one unit's
+// ID and the unit's shapes — to /work, which checks the request, builds
 // the timing backend from the spec's wire Spec and times the shapes inside
 // the request, one unit at a time, answering with its UnitResult. The
 // worker samples nothing and keeps no session between requests, so
@@ -145,17 +145,15 @@ const (
 const maxBodyBytes = 16<<10 + maxUnitShapes*64
 
 // bounded checks the request against the bounds above: a unit of 1 to
-// maxUnitShapes shapes that carries exactly its Count of them, each within
-// checkShape for the spec's op.
+// maxUnitShapes shapes, each within checkShape for the spec's op.
 func (req WorkRequest) bounded() error {
-	s, u := req.Spec, req.Unit
+	s := req.Spec
 	op, err := ops.Parse(s.Op)
 	if err != nil {
 		return err
 	}
-	if u.Count < 1 || u.Count > maxUnitShapes || u.Count != len(req.Shapes) {
-		return fmt.Errorf("gather: unit %d carries %d shapes for a count of %d, want 1 to %d",
-			u.ID, len(req.Shapes), u.Count, maxUnitShapes)
+	if n := len(req.Shapes); n < 1 || n > maxUnitShapes {
+		return fmt.Errorf("gather: unit %d carries %d shapes, want 1 to %d", req.ID, n, maxUnitShapes)
 	}
 	if s.Iters > maxIters {
 		return fmt.Errorf("gather: sweep spec Iters %d > %d", s.Iters, maxIters)
@@ -171,7 +169,7 @@ func (req WorkRequest) bounded() error {
 	realTimer := s.Timer.Backend != simtime.BackendSim
 	for i, sh := range req.Shapes {
 		if err := checkShape(sh, op, realTimer); err != nil {
-			return fmt.Errorf("gather: unit %d shape %d: %w", u.ID, i, err)
+			return fmt.Errorf("gather: unit %d shape %d: %w", req.ID, i, err)
 		}
 	}
 	return nil
@@ -203,7 +201,7 @@ func checkShape(sh sampling.Shape, op ops.Op, realTimer bool) error {
 // work is one accepted /work request with the op and timer that execute it.
 type work struct {
 	spec   SweepSpec
-	unit   Unit
+	id     int
 	shapes []sampling.Shape
 	op     ops.Op
 	timer  simtime.Timer
@@ -246,7 +244,7 @@ func decodeWork(body io.Reader, requireSim bool) (work, int, error) {
 	if err != nil {
 		return work{}, http.StatusBadRequest, err
 	}
-	return work{spec: spec, unit: req.Unit, shapes: req.Shapes, op: op, timer: timer}, http.StatusOK, nil
+	return work{spec: spec, id: req.ID, shapes: req.Shapes, op: op, timer: timer}, http.StatusOK, nil
 }
 
 func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
@@ -261,7 +259,7 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 	}
 	res, err := w.exec(wk)
 	if err != nil {
-		writeError(rw, http.StatusInternalServerError, "unit %d failed: %v", wk.unit.ID, err)
+		writeError(rw, http.StatusInternalServerError, "unit %d failed: %v", wk.id, err)
 		return
 	}
 	writeJSON(rw, http.StatusOK, res)
@@ -271,11 +269,10 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 // through exactly the single-node sweep's timing loop (core.MeasureSweep),
 // which is what makes the distributed merge reproduce the local gather.
 func (w *Worker) exec(wk work) (*UnitResult, error) {
-	u := wk.unit
 	w.unitsAccepted.Add(1)
 	var hookErr error
 	if w.opts.execHook != nil {
-		hookErr = w.opts.execHook(u)
+		hookErr = w.opts.execHook(wk.id)
 	}
 	w.execMu.Lock()
 	defer w.execMu.Unlock()
@@ -290,26 +287,23 @@ func (w *Worker) exec(wk work) (*UnitResult, error) {
 	w.unitSeconds.ObserveSince(start)
 	if err != nil {
 		w.unitsFailed.Add(1)
-		w.opts.DebugLogf("unit %d failed: %v", u.ID, err)
+		w.opts.DebugLogf("unit %d failed: %v", wk.id, err)
 		return nil, err
 	}
 	w.unitsCompleted.Add(1)
-	w.opts.DebugLogf("unit %d done: shapes [%d, %d)", u.ID, u.Start, u.Start+u.Count)
+	w.opts.DebugLogf("unit %d done: %d shapes", wk.id, len(wk.shapes))
 	return res, nil
 }
 
 // runUnit executes one unit and returns its result.
 func runUnit(wk work, worker string) (*UnitResult, error) {
-	u := wk.unit
 	timings, err := core.MeasureSweep(wk.timer, wk.op, wk.shapes, wk.spec.Candidates, wk.spec.Iters)
 	if err != nil {
 		return nil, err
 	}
 	return &UnitResult{
 		Session: wk.spec.Session,
-		UnitID:  u.ID,
-		Start:   u.Start,
-		Count:   u.Count,
+		UnitID:  wk.id,
 		Worker:  worker,
 		Timings: timings,
 	}, nil

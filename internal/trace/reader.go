@@ -2,12 +2,14 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // ErrStop lets a scan callback terminate the scan early without an error
@@ -121,13 +123,9 @@ func ScanFile(path string, fn func(*Record) error) (ScanStats, error) {
 			dropTail(int64(blockHdr), fmt.Sprintf("implausible block length %d", plen))
 			return st, nil
 		}
-		if cap(payload) < plen {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		pn, err := io.ReadFull(br, payload)
+		payload, err = readPayload(br, payload, plen)
 		if err != nil {
-			dropTail(int64(blockHdr+pn), "truncated final block")
+			dropTail(int64(blockHdr+len(payload)), "truncated final block")
 			return st, nil
 		}
 		blockLen := int64(blockHdr + plen)
@@ -159,11 +157,33 @@ func ScanFile(path string, fn func(*Record) error) (ScanStats, error) {
 	}
 }
 
+// readPayload reads a block's n-byte payload into buf, growing it only as
+// the bytes arrive, a step at a time: a declared length is not an allocation
+// request, so a torn or forged block header costs what the file holds, not
+// what it claims. On a short read it returns what was read with the error.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	const step = 4 << 10
+	buf = buf[:0]
+	for len(buf) < n {
+		k := min(n-len(buf), step)
+		buf = slices.Grow(buf, k)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
 // errBadBlock marks a CRC-valid payload that fails to decode.
 var errBadBlock = errors.New("trace: malformed block payload")
 
 // scanBlock decodes one block payload, passing each record to fn. It
-// returns how many records fn consumed.
+// returns how many records fn consumed. A record is accepted only in the
+// encoding a writer gives it (appendRecord: minimal uvarints, values in
+// range), so what a scan returns from a CRC-valid block is always a prefix
+// of the records a writer put there.
 func scanBlock(payload []byte, rec *Record, fn func(*Record) error) (int, error) {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
@@ -177,9 +197,10 @@ func scanBlock(payload []byte, rec *Record, fn func(*Record) error) (int, error)
 	pos += n
 	prev := int64(first)
 	done := 0
+	var enc [maxRecordLen]byte
 	for i := uint64(0); i < count; i++ {
 		n := decodeRecord(payload[pos:], rec, prev)
-		if n == 0 {
+		if n == 0 || !bytes.Equal(appendRecord(enc[:0], rec, prev), payload[pos:pos+n]) {
 			return done, errBadBlock
 		}
 		pos += n
