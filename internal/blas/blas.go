@@ -69,12 +69,17 @@ type Params struct {
 // else (see kernel.go). A call under these defaults whose C has no more
 // columns than one YMM tile row still runs the YMM tile (narrowShape).
 func DefaultParams[T float32 | float64]() Params {
-	p := Params{MC: 120, KC: 256, NC: 2048, MR: goMR, NR: goNR}
+	p := Params{MC: 120, KC: defaultKC, NC: 2048, MR: goMR, NR: goNR}
 	if useVec {
 		p.MR, p.NR = vecMR, vecNR[T]()
 	}
 	return p
 }
+
+// defaultKC is the default blocking's depth: the packed path sums each
+// element of C in chunks of this many p, one rounding per multiply-add within
+// a chunk.
+const defaultKC = 256
 
 // Validate reports whether the parameters can drive the packed kernel in
 // some precision on this CPU.

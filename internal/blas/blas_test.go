@@ -303,18 +303,18 @@ func resolveCase[T float32 | float64](t *testing.T) {
 		t.Errorf("%T default blocking %+v fails its check: %v", T(0), def, err)
 	}
 	for _, in := range []Params{{}, def} {
-		if got, isDef, err := resolveParams[T](in); got != def || !isDef || err != nil {
-			t.Errorf("%T resolveParams(%+v) = %+v, %v, %v; want the default", T(0), in, got, isDef, err)
+		if isDef, err := resolveParams[T](in); !isDef || err != nil {
+			t.Errorf("%T resolveParams(%+v) = %v, %v; want the default", T(0), in, isDef, err)
 		}
 	}
 	other := def
 	other.KC /= 2
-	if got, isDef, err := resolveParams[T](other); got != other || isDef || err != nil {
-		t.Errorf("%T resolveParams(%+v) = %+v, %v, %v; want it explicit and valid", T(0), other, got, isDef, err)
+	if isDef, err := resolveParams[T](other); isDef || err != nil {
+		t.Errorf("%T resolveParams(%+v) = %v, %v; want it explicit and valid", T(0), other, isDef, err)
 	}
 	bad := def
 	bad.MC++
-	if _, _, err := resolveParams[T](bad); err == nil || err.Error() != checkParams[T](bad).Error() {
+	if _, err := resolveParams[T](bad); err == nil || err.Error() != checkParams[T](bad).Error() {
 		t.Errorf("%T resolveParams(%+v) error %v, want checkParams' %v", T(0), bad, err, checkParams[T](bad))
 	}
 }

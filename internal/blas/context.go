@@ -52,16 +52,15 @@ func (c *Context) Close() {
 	}
 }
 
-// resolveParams returns the blocking a call of element type T runs and
-// whether it is the default: the zero Params means DefaultParams, and an
-// explicit Params equal to it is the default too. Only an explicit
-// non-default blocking is checked; the default is valid by construction.
-func resolveParams[T float32 | float64](prm Params) (Params, bool, error) {
-	def := DefaultParams[T]()
-	if prm == (Params{}) || prm == def {
-		return def, true, nil
+// resolveParams reports whether prm asks for the default blocking — the
+// zero Params, or an explicit Params equal to DefaultParams — and checks any
+// other blocking, which is the caller's. The default is valid by
+// construction.
+func resolveParams[T float32 | float64](prm Params) (bool, error) {
+	if prm == (Params{}) || prm == DefaultParams[T]() {
+		return true, nil
 	}
-	return prm, false, checkParams[T](prm)
+	return false, checkParams[T](prm)
 }
 
 // SGEMM computes C ← alpha·op(A)·op(B) + beta·C in single precision on this
@@ -210,12 +209,16 @@ func (c *Context) ensureTeam(workers int) *team {
 // packed buffers, lower(alpha·op(A)·op(B)ᵀ + beta·C) and then
 // += lower(alpha·op(B)·op(A)ᵀ), the second ending in the mirror. The
 // symmetric updates pass their one transpose flag as both transA and transB.
-// prm is the call's blocking, the zero Params meaning the default
-// (resolveParams).
+// prm is the call's blocking, the zero Params meaning the default.
 func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], threads int, prm Params) error {
-	prm, def, err := resolveParams[T](prm)
-	if err != nil {
-		return err
+	// The zero Params costs one compare here; the default blocking itself
+	// is built only for a packed call.
+	def := prm == (Params{})
+	if !def {
+		var err error
+		if def, err = resolveParams[T](prm); err != nil {
+			return err
+		}
 	}
 	if op == opSyrk {
 		b = a // the second operand of the lower pass is the first
@@ -225,20 +228,13 @@ func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, al
 	}
 	lower := op != opGemm
 	m, k := opDims(a, transA)
-	n, kSmall := m, k
+	n := m
 	if lower {
 		if bn, bk := opDims(b, transB); bn != n || bk != k {
 			return fmt.Errorf("blas: %v op(B) is %dx%d, want %dx%d to match op(A)", op, bn, bk, n, k)
 		}
 		if c.Rows != n || c.Cols != n {
 			return fmt.Errorf("blas: %v C is %dx%d, want %dx%d", op, c.Rows, c.Cols, n, n)
-		}
-		if op == opSyr2k {
-			// The packed rank-2k update pays the fixed cost of a pass
-			// (packing, barriers) twice while smallSyr2k fuses both products
-			// into one sweep, so its crossover sits at about twice SYRK's
-			// n·n·k (measured: 12³ against about 10³).
-			kSmall = (k + 1) / 2
 		}
 	} else {
 		var kb int
@@ -263,15 +259,17 @@ func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, al
 	}
 
 	// Small shapes skip packing entirely: below the threshold the panel
-	// copies and phase barriers cost more than they save. Only the default
-	// blocking takes this path — explicit Params mean the caller is
-	// studying the packed algorithm (ablations, micro-tile comparisons)
-	// and must get exactly the configuration they asked for. The gate
-	// depends only on the dimensions, so results stay bit-identical across
-	// thread counts. So does the default's other dimension rule: a narrow C
-	// keeps the YMM tile.
+	// copies and phase barriers cost more than they save, and the call runs
+	// one thread whatever was asked. Only the default blocking takes this
+	// path — explicit Params mean the caller is studying the packed
+	// algorithm (ablations, micro-tile comparisons) and must get exactly the
+	// configuration they asked for. The gate depends only on the dimensions,
+	// so results stay bit-identical across thread counts; on the vector unit
+	// the small path computes the packed path's bits, so there it moves none.
+	// So does the default's other dimension rule: a narrow C keeps the YMM
+	// tile.
 	if def {
-		if smallShape(m, n, kSmall) {
+		if smallShape(op, m, n, k) {
 			if useVec {
 				smallVec(ctx, op, transA, transB, alpha, a, b, beta, c, m, n, k)
 				return nil
@@ -289,6 +287,7 @@ func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, al
 			}
 			return nil
 		}
+		prm = DefaultParams[T]()
 		if narrowShape[T](n) {
 			prm.NR = ymmNR[T]()
 		}
@@ -313,7 +312,7 @@ func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, al
 		parts: threads,
 		prm:   prm,
 	}
-	err = runCall(ctx, bufs, op)
+	err := runCall(ctx, bufs, op)
 	if err == nil && op == opSyr2k {
 		// Pass 2: lower(C) += alpha·op(B)·op(A)ᵀ (beta = 1 accumulates), then
 		// mirror the completed lower triangle band-parallel.

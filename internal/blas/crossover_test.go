@@ -11,9 +11,11 @@ import (
 // BenchmarkSmallCrossover is the sweep behind smallShapeLimit: every shape
 // runs through the no-packing path twice — the Go loops ("loops", the
 // vector tile switched off for the call) and, where the vector tile runs,
-// their assembly ("vec") — and once through the packed path with the default
-// tile ("packed"), single-threaded on a held Context. The limit sits where
-// the packed column starts to win; see small.go.
+// its assembly ("vec") — and through the packed path with the default tile at
+// one thread ("packed") and at two ("packed2"), on a held Context. A call
+// under the gate runs one thread whatever was asked, so the limit is where
+// the small path stops beating the packed path at any thread count; see
+// small.go. The forced arms fail the benchmark on any error.
 func BenchmarkSmallCrossover(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	type shape struct{ m, k, n int }
@@ -21,12 +23,14 @@ func BenchmarkSmallCrossover(b *testing.B) {
 	for _, d := range []int{4, 6, 8, 9, 10, 11, 12, 14, 16, 20, 24, 32, 40} {
 		shapes = append(shapes, shape{d, d, d})
 	}
-	shapes = append(shapes, shape{4, 64, 4}, shape{4, 256, 4}, shape{8, 16, 4}, shape{32, 2, 32}, shape{64, 1, 64}, shape{2, 8, 128})
+	shapes = append(shapes, shape{4, 64, 4}, shape{4, 256, 4}, shape{8, 16, 4}, shape{16, 4, 16}, shape{12, 16, 12},
+		shape{32, 2, 32}, shape{64, 1, 64}, shape{2, 8, 128})
 	paths := []struct {
-		name  string
-		limit int
-		vec   bool
-	}{{"loops", forceSmall, false}, {"vec", forceSmall, true}, {"packed", forcePacked, useVec}}
+		name    string
+		limit   int
+		vec     bool
+		threads int
+	}{{"loops", forceSmall, false, 1}, {"vec", forceSmall, true, 1}, {"packed", forcePacked, useVec, 1}, {"packed2", forcePacked, useVec, 2}}
 	ctx := NewContext()
 	defer ctx.Close()
 	for _, sh := range shapes {
@@ -36,12 +40,12 @@ func BenchmarkSmallCrossover(b *testing.B) {
 		a2 := randF32(sh.m, sh.k, rng)
 		ops := []struct {
 			name string
-			run  func() error
+			run  func(threads int) error
 		}{
-			{"gemm_nn", func() error { return ctx.SGEMM(false, false, 1, a, bm, 0, c, 1) }},
-			{"gemm_nt", func() error { return ctx.SGEMM(false, true, 1, a, bt, 0, c, 1) }},
-			{"syrk", func() error { return ctx.SSYRK(false, 1, a, 0, sq, 1) }},
-			{"syr2k", func() error { return ctx.SSYR2K(false, 1, a, a2, 0, sq, 1) }},
+			{"gemm_nn", func(threads int) error { return ctx.SGEMM(false, false, 1, a, bm, 0, c, threads) }},
+			{"gemm_nt", func(threads int) error { return ctx.SGEMM(false, true, 1, a, bt, 0, c, threads) }},
+			{"syrk", func(threads int) error { return ctx.SSYRK(false, 1, a, 0, sq, threads) }},
+			{"syr2k", func(threads int) error { return ctx.SSYR2K(false, 1, a, a2, 0, sq, threads) }},
 		}
 		for _, op := range ops {
 			if op.name != "gemm_nn" && op.name != "gemm_nt" && sh.m != sh.n {
@@ -53,10 +57,10 @@ func BenchmarkSmallCrossover(b *testing.B) {
 				}
 				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", op.name, sh.m, sh.k, sh.n, p.name), func(b *testing.B) {
 					oldLimit, oldVec := smallShapeLimit, useVec
-					smallShapeLimit, useVec = p.limit, p.vec
+					smallShapeLimit, useVec = limitsAll(p.limit), p.vec
 					defer func() { smallShapeLimit, useVec = oldLimit, oldVec }()
 					for i := 0; i < b.N; i++ {
-						if err := op.run(); err != nil {
+						if err := op.run(p.threads); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -3,8 +3,8 @@ package blas
 import "unsafe"
 
 // The vector kernels, implemented in kernel_amd64.s. The Go wrappers next to
-// their callers (tileVec in kernel.go, the …Vec functions in pack.go) check
-// every length before the call: the assembly reads and writes exactly
+// their callers (tileVec in kernel.go, the …Vec functions in pack.go,
+// smallPass in small.go) check every length before the call: the assembly reads and writes exactly
 // what is listed here.
 
 // The register tiles with their store, YMM (6×16, 6×8) and ZMM (6×32,
@@ -53,44 +53,23 @@ func copyRows64(dst, src unsafe.Pointer, ldsBytes, rows int)
 //go:noescape
 func copyRows128(dst, src unsafe.Pointer, ldsBytes, rows int)
 
-// The small path in one call each (smallVec in small.go is their Go side):
-// C ← alpha·op(A)·op(B) + beta·C, or the lower triangle of a symmetric
-// update, on YMM registers with exactly the Go loops' arithmetic. Strides
-// are in elements. The axpy form is smallGemm without transB: element
-// (i, p) of op(A) at a[i·ai+p·ap], B row-major, the mode one of storeSet,
-// storeAdd, storeScale. The dot forms sum x(i, p) = x[i·xi+p·xp] against the
-// lane operand y(p, j) = y[p·yp+j·yj]. When yj ≠ 1, y is the transpose of a
-// row-major matrix (yp = 1) and is first transposed into scr: k·n elements,
-// each rounded up to whole vectors. Under lower a row i computes only up to
-// the vector that holds column i, and the strict lower triangle is then
-// mirrored into the upper one (over whatever those vectors stored there); the
-// mode is storeSet or storeScale. smallDot puts x first in every product,
-// smallDotT y; smallDot2 is SYR2K's sum of two products, u and v the second
-// pair, v staged after y, always lower.
+// The small path in one call per pass (smallVec in small.go is their Go
+// side), on YMM registers with the packed tile's arithmetic: C(i, j) ←
+// alpha ⊗ Σp x(i, p)·y(p, j), one fused multiply-add per p from +0, stored by
+// mode (storeSet or storeScale, with beta). Strides are in elements:
+// x(i, p) = x[i·xi+p·xp] is broadcast, y(p, j) = y[p·yp+j·yj] is the lane
+// operand. When yj ≠ 1, y is the transpose of a row-major matrix (yp = 1)
+// and is first transposed into scr: k·n elements, each rounded up to whole
+// vectors. Under lowerOnly and lowerMirror only the lower triangle is
+// needed: a row i computes up to the vector that holds column i, and
+// lowerMirror then mirrors the strict lower triangle into the upper one (over
+// whatever those vectors stored there).
 
 //go:noescape
-func ssmallAxpy(a *float32, ai, ap int, b *float32, ldb int, c *float32, ldc, m, n, k, mode int, alpha, beta float32)
+func ssmall(x *float32, xi, xp int, y *float32, yp, yj int, scr, c *float32, ldc, m, n, k, lower, mode int, alpha, beta float32)
 
 //go:noescape
-func dsmallAxpy(a *float64, ai, ap int, b *float64, ldb int, c *float64, ldc, m, n, k, mode int, alpha, beta float64)
-
-//go:noescape
-func ssmallDot(x *float32, xi, xp int, y *float32, yp, yj int, scr, c *float32, ldc, m, n, k, lower, mode int, alpha, beta float32)
-
-//go:noescape
-func dsmallDot(x *float64, xi, xp int, y *float64, yp, yj int, scr, c *float64, ldc, m, n, k, lower, mode int, alpha, beta float64)
-
-//go:noescape
-func ssmallDotT(x *float32, xi, xp int, y *float32, yp, yj int, scr, c *float32, ldc, m, n, k, lower, mode int, alpha, beta float32)
-
-//go:noescape
-func dsmallDotT(x *float64, xi, xp int, y *float64, yp, yj int, scr, c *float64, ldc, m, n, k, lower, mode int, alpha, beta float64)
-
-//go:noescape
-func ssmallDot2(x *float32, xi, xp int, u *float32, ui, up int, y *float32, yp, yj int, v *float32, vp, vj int, scr, c *float32, ldc, n, k, mode int, alpha, beta float32)
-
-//go:noescape
-func dsmallDot2(x *float64, xi, xp int, u *float64, ui, up int, y *float64, yp, yj int, v *float64, vp, vj int, scr, c *float64, ldc, n, k, mode int, alpha, beta float64)
+func dsmall(x *float64, xi, xp int, y *float64, yp, yj int, scr, c *float64, ldc, m, n, k, lower, mode int, alpha, beta float64)
 
 // spinHint is one PAUSE: it tells the core that the loop around it is a
 // spin-wait (see spinWait in team.go), which saves power, frees the sibling

@@ -51,14 +51,19 @@
 	ADD  W(DX), R1, R1;    \
 	ROWSET(LD, W, R0, R1)
 
+// SCALEC is storeScale's arithmetic on one register: S holds c and becomes
+// (c ⊗ beta) ⊕ R, beta in BETA and R the scaled sum. The small path's
+// epilogue is built on it too.
+#define SCALEC(MUL, ADD, S, R, BETA) \
+	MUL  BETA, S, S;       \
+	ADD  R, S, S
+
 // BETA holds beta; S0 and S1 are scratch.
 #define ROWSCALE(LD, MUL, ADD, W, R0, R1, S0, S1, BETA) \
 	LD   (DX), S0;         \
 	LD   W(DX), S1;        \
-	MUL  BETA, S0, S0;     \
-	MUL  BETA, S1, S1;     \
-	ADD  R0, S0, S0;       \
-	ADD  R1, S1, S1;       \
+	SCALEC(MUL, ADD, S0, R0, BETA); \
+	SCALEC(MUL, ADD, S1, R1, BETA); \
 	ROWSET(LD, W, S0, S1)
 
 // TILE is the whole tile: zero the accumulators, run the CX steps (unrolled
@@ -385,22 +390,25 @@ done:                    \
 	VZEROUPPER;          \
 	RET
 
-// The small path (smallGemm, smallSyrk, smallSyr2k) on YMM registers, one
-// call per BLAS call. A lane of a YMM register is one column j of C, and it
-// computes exactly what the Go loop computes for that element: the same
-// unfused multiplies and adds in the same order, starting from the same
-// value, and every multiply and add with its operands in the order gc emits
-// for the loop, so that where both are NaN the result keeps the same payload
-// (an SSE/AVX operation returns its first source then). In Go syntax that
-// first source is the middle operand: MUL Y2, Y1, Y3 is Y3 = Y1 ⊗ Y2.
+// The small path on YMM registers, one call per BLAS call (one per pass of
+// SYR2K), reading its operands in place. A lane of a YMM register is one
+// column j of C, and it computes exactly what the packed tile computes for
+// that element: a +0 accumulator, one fused multiply-add per p in ascending
+// p with the tile's operand roles — the lane operand where the tile has its
+// B row, the broadcast where it has A —, then alpha ⊗ acc, stored by
+// storeSet or by storeScale's SCALEC. The bits are the tile's, NaN payloads
+// included (an SSE/AVX operation returns its first NaN source; in Go syntax
+// that is the middle operand: MUL Y2, Y1, Y3 is Y3 = Y1 ⊗ Y2).
 //
-// A row of C is walked one vector at a time, left to right (the dot forms
-// take four rows at once): whole vectors with plain loads and stores, then at
-// most one edge vector at the end of the row, whose loads and store go
-// through the mask in Y15 (VMASKMOVPS, which neither reads nor writes a
-// masked-out lane, so nothing past the row is touched). Operands that are read along j — B's rows, or
-// what the dot forms sum over — are the lane operand; the other one is
-// broadcast, one element per p.
+// C is walked in groups of rows: eight at a time where the group's columns
+// fit one vector (C at most one vector wide, the first rows of a lower
+// pass), else four, each row left to right in tiles of two vectors or of
+// one. Every element sums in one chain, so more rows mean more chains in
+// flight, not another order. Whole vectors go with plain loads and stores,
+// at most one edge vector per row, at its end, through the mask in Y15
+// (VMASKMOVPS, which neither reads nor writes a masked-out lane, so nothing
+// past the row is touched). The operand read along j is the lane operand;
+// the other one is broadcast, one element per p.
 
 // edgemask is 32 bytes of ones and 32 of zeros: the mask of an edge vector
 // of R bytes (0 < R < 32) is the 32 bytes at edgemask<>+32−R. VMASKMOVPS
@@ -428,96 +436,7 @@ GLOBL edgemask<>(SB), RODATA|NOPTR, $64
 	SUBQ R, T;                 \
 	VMOVDQU (T), Y15
 
-// AXCHUNK is one vector of smallGemm's AXPY form at DX, B's columns at DI:
-// c is zeroed (mode storeSet at 8(SP)), loaded (storeAdd) or loaded and
-// scaled, c ⊗ beta (storeScale), as the loop does before its p loop; then
-// for each p, c ← (b ⊗ (a ⊗ alpha)) ⊕ c, with a(i, p) at AX stepping R9 and
-// B's row p at BX stepping R10; k is at 24(SP).
-#define AXCHUNK(BC, MUL, ADD, LDL, STC, LZ, LP) \
-	VXORPS Y0, Y0, Y0;   \
-	CMPQ 8(SP), $0;      \
-	JEQ  LZ;             \
-	LDL((DX), Y0);       \
-	CMPQ 8(SP), $1;      \
-	JEQ  LZ;             \
-	MUL  Y13, Y0, Y0;    \
-LZ:                      \
-	MOVQ SI, AX;         \
-	MOVQ DI, BX;         \
-	MOVQ 24(SP), CX;     \
-LP:                      \
-	BC   (AX), Y1;       \
-	MUL  Y14, Y1, Y1;    \
-	LDL((BX), Y2);       \
-	MUL  Y1, Y2, Y2;     \
-	ADD  Y0, Y2, Y0;     \
-	ADDQ R9, AX;         \
-	ADDQ R10, BX;        \
-	DECQ CX;             \
-	JNZ  LP;             \
-	STC(Y0, (DX))
-
-// AXPY is smallGemm's AXPY form (op(B) = B) over all of C, from the call's
-// arguments: a with strides AI along i and AP along p, b with row stride
-// LDB, c with row stride LDC (strides in elements). Locals: 0(SP) the
-// current C row, 8(SP) the mode, 16(SP) b, 24(SP) k, 32(SP) the vectors left
-// in the row. SI walks A's rows (R8 apart), DI and DX a row of B and of C,
-// R12 counts the rows down, R13 is the whole vectors of a row and R14 the
-// edge's bytes.
-#define AXPY(A, AI, AP, B, LDB, C, LDC, M, N, K, MODE, ALPHA, BETA, BC, MUL, ADD, LS, LV, VM) \
-	MOVQ A, SI;            \
-	MOVQ AI, R8;           \
-	MOVQ AP, R9;           \
-	MOVQ LDB, R10;         \
-	MOVQ LDC, R11;         \
-	MOVQ M, R12;           \
-	MOVQ N, R13;           \
-	SHLQ $LS, R8;          \
-	SHLQ $LS, R9;          \
-	SHLQ $LS, R10;         \
-	SHLQ $LS, R11;         \
-	MOVQ C, AX;            \
-	MOVQ AX, 0(SP);        \
-	MOVQ MODE, AX;         \
-	MOVQ AX, 8(SP);        \
-	MOVQ B, AX;            \
-	MOVQ AX, 16(SP);       \
-	MOVQ K, AX;            \
-	MOVQ AX, 24(SP);       \
-	LEAQ ALPHA, AX;        \
-	BC   (AX), Y14;        \
-	LEAQ BETA, AX;         \
-	BC   (AX), Y13;        \
-	MOVQ R13, R14;         \
-	ANDQ $VM, R14;         \
-	SHLQ $LS, R14;         \
-	SHRQ $LV, R13;         \
-	EDGE(R14, AX);         \
-row:                       \
-	MOVQ 16(SP), DI;       \
-	MOVQ 0(SP), DX;        \
-	MOVQ R13, 32(SP);      \
-	TESTQ R13, R13;        \
-	JZ   edge;             \
-full:                      \
-	AXCHUNK(BC, MUL, ADD, LDF, STF, fz, fp); \
-	ADDQ $32, DI;          \
-	ADDQ $32, DX;          \
-	DECQ 32(SP);           \
-	JNZ  full;             \
-edge:                      \
-	TESTQ R14, R14;        \
-	JZ   next;             \
-	AXCHUNK(BC, MUL, ADD, LDM, STM, ez, ep); \
-next:                      \
-	ADDQ R8, SI;           \
-	ADDQ R11, 0(SP);       \
-	DECQ R12;              \
-	JNZ  row;              \
-	VZEROUPPER;            \
-	RET
-
-// STAGE makes a dot form's lane operand row-major. If its stride along j,
+// STAGE makes the lane operand row-major. If its stride along j,
 // R9 (elements), is 1 it is read in place. Otherwise it is op(M)ᵀ of a
 // row-major M at R8, n rows of k, R9 apart — y(p, j) = M(j, p), and the p
 // stride R13 is 1 — and is transposed block by block (LOADS, TR, STORES: VL
@@ -678,397 +597,387 @@ LD:
 	ADDQ R10, AX;        \
 	VMOVUPS Y3, (AX)
 
-// The p loops of the dot forms, one vector of lanes over CX = k steps: the
-// broadcast operand x(i, p) at AX steps R12 bytes, the lane operand at R10
-// steps R13. P1 is a single product, sum ← sum ⊕ (Q1 ⊗ Q2) with Y1 the
-// broadcast and Y2 the lanes: P1X puts the broadcast first (GEMM without
-// transA, SYRK), P1Y the lanes (GEMM with both transposes). P2 is SYR2K's,
-// sum ← sum ⊕ ((x ⊗ y) ⊕ (u ⊗ v)), with u at BX stepping 48(SP) and v at
-// R11 stepping 56(SP).
-#define P1(BC, MUL, ADD, LDL, Q1, Q2, L) \
-L:                       \
-	BC   (AX), Y1;       \
-	LDL((R10), Y2);      \
-	MUL  Q2, Q1, Y2;     \
-	ADD  Y2, Y0, Y0;     \
-	ADDQ R12, AX;        \
-	ADDQ R13, R10;       \
-	DECQ CX;             \
+// The p loops, CX = k steps over four rows of C: the lane operand at R10
+// steps R13 bytes, the broadcast x(i0+r, p) is at (AX, BX, DX, SI)+R12 and
+// R12 steps R11 bytes. P42 runs two vectors of lanes, the second loaded by
+// LD1; row r sums in Y(2r) and Y(2r+1). P41 runs one vector, loaded by LD0;
+// row r sums in Y(r).
+#define P42(BC, FMA, LD1, L) \
+L:                        \
+	LDF((R10), Y8);       \
+	LD1(32(R10), Y9);     \
+	BC   (AX)(R12*1), Y10; \
+	BC   (BX)(R12*1), Y11; \
+	FMA  Y8, Y10, Y0;     \
+	FMA  Y9, Y10, Y1;     \
+	FMA  Y8, Y11, Y2;     \
+	FMA  Y9, Y11, Y3;     \
+	BC   (DX)(R12*1), Y10; \
+	BC   (SI)(R12*1), Y11; \
+	FMA  Y8, Y10, Y4;     \
+	FMA  Y9, Y10, Y5;     \
+	FMA  Y8, Y11, Y6;     \
+	FMA  Y9, Y11, Y7;     \
+	ADDQ R11, R12;        \
+	ADDQ R13, R10;        \
+	DECQ CX;              \
 	JNZ  L
 
-#define P1X(BC, MUL, ADD, LDL, L) P1(BC, MUL, ADD, LDL, Y1, Y2, L)
-#define P1Y(BC, MUL, ADD, LDL, L) P1(BC, MUL, ADD, LDL, Y2, Y1, L)
-
-#define P2(BC, MUL, ADD, LDL, L) \
-L:                       \
-	BC   (AX), Y1;       \
-	LDL((R10), Y2);      \
-	MUL  Y2, Y1, Y2;     \
-	BC   (BX), Y3;       \
-	LDL((R11), Y4);      \
-	MUL  Y4, Y3, Y4;     \
-	ADD  Y4, Y2, Y2;     \
-	ADD  Y2, Y0, Y0;     \
-	ADDQ R12, AX;        \
-	ADDQ R13, R10;       \
-	ADDQ 48(SP), BX;     \
-	ADDQ 56(SP), R11;    \
-	DECQ CX;             \
+#define P41(BC, FMA, LD0, L) \
+L:                        \
+	LD0((R10), Y8);       \
+	BC   (AX)(R12*1), Y10; \
+	BC   (BX)(R12*1), Y11; \
+	FMA  Y8, Y10, Y0;     \
+	FMA  Y8, Y11, Y1;     \
+	BC   (DX)(R12*1), Y10; \
+	BC   (SI)(R12*1), Y11; \
+	FMA  Y8, Y10, Y2;     \
+	FMA  Y8, Y11, Y3;     \
+	ADDQ R11, R12;        \
+	ADDQ R13, R10;        \
+	DECQ CX;              \
 	JNZ  L
 
-// The four-row p loops of the dot forms: rows i0…i0+3 share each lane load.
-// x(i0+r, p) is at AX + r·R8 (R9 = 3·R8), u(i0+r, p) at BX + r·DX
-// (SI = 3·DX); the rows' sums are Y0–Y3. PRODX and PRODY are a product with
-// the broadcast B first or the lanes L first; the result replaces B.
-#define PRODX(MUL, B, L) MUL L, B, B
-#define PRODY(MUL, B, L) MUL B, L, B
-
-#define P14(BC, MUL, ADD, LDL, PROD, L) \
-L:                       \
-	LDL((R10), Y4);      \
-	BC   (AX), Y5;       \
-	BC   (AX)(R8*1), Y6; \
-	BC   (AX)(R8*2), Y7; \
-	BC   (AX)(R9*1), Y8; \
-	PROD(MUL, Y5, Y4);   \
-	PROD(MUL, Y6, Y4);   \
-	PROD(MUL, Y7, Y4);   \
-	PROD(MUL, Y8, Y4);   \
-	ADD  Y5, Y0, Y0;     \
-	ADD  Y6, Y1, Y1;     \
-	ADD  Y7, Y2, Y2;     \
-	ADD  Y8, Y3, Y3;     \
-	ADDQ R12, AX;        \
-	ADDQ R13, R10;       \
-	DECQ CX;             \
+// P81 runs one vector of lanes, loaded by LD0, over eight rows of C, the
+// broadcast x(i0+r, p) at (AX, BX, DX, SI, R8, R9, DI, R14)+R12; row r sums
+// in Y(r).
+#define P81(BC, FMA, LD0, L) \
+L:                        \
+	LD0((R10), Y8);       \
+	BC   (AX)(R12*1), Y9;  \
+	BC   (BX)(R12*1), Y10; \
+	BC   (DX)(R12*1), Y11; \
+	BC   (SI)(R12*1), Y12; \
+	FMA  Y8, Y9, Y0;      \
+	FMA  Y8, Y10, Y1;     \
+	FMA  Y8, Y11, Y2;     \
+	FMA  Y8, Y12, Y3;     \
+	BC   (R8)(R12*1), Y9;  \
+	BC   (R9)(R12*1), Y10; \
+	BC   (DI)(R12*1), Y11; \
+	BC   (R14)(R12*1), Y12; \
+	FMA  Y8, Y9, Y4;      \
+	FMA  Y8, Y10, Y5;     \
+	FMA  Y8, Y11, Y6;     \
+	FMA  Y8, Y12, Y7;     \
+	ADDQ R11, R12;        \
+	ADDQ R13, R10;        \
+	DECQ CX;              \
 	JNZ  L
 
-#define P14X(BC, MUL, ADD, LDL, L) P14(BC, MUL, ADD, LDL, PRODX, L)
-#define P14Y(BC, MUL, ADD, LDL, L) P14(BC, MUL, ADD, LDL, PRODY, L)
+// EPIV stores one vector of four rows, their sums in A0–A3, at byte OFF of
+// column j0 (CX bytes) of the rows at R8, R9, DI and R14: alpha ⊗ acc as the
+// tile scales it, then storeSet or, by the mode at 32(SP), storeScale. Rows
+// past m repeat the last one; every c is loaded before any is stored, so a
+// repeated row stores the same value twice.
+#define EPIV(LD, ST, MUL, ADD, OFF, A0, A1, A2, A3, LSET, LEND) \
+	MUL  Y14, A0, A0;     \
+	MUL  Y14, A1, A1;     \
+	MUL  Y14, A2, A2;     \
+	MUL  Y14, A3, A3;     \
+	CMPQ 32(SP), $0;      \
+	JEQ  LSET;            \
+	LD(OFF(R8)(CX*1), Y8);   \
+	LD(OFF(R9)(CX*1), Y9);   \
+	LD(OFF(DI)(CX*1), Y10);  \
+	LD(OFF(R14)(CX*1), Y11); \
+	SCALEC(MUL, ADD, Y8, A0, Y13);  \
+	SCALEC(MUL, ADD, Y9, A1, Y13);  \
+	SCALEC(MUL, ADD, Y10, A2, Y13); \
+	SCALEC(MUL, ADD, Y11, A3, Y13); \
+	ST(Y8, OFF(R8)(CX*1));   \
+	ST(Y9, OFF(R9)(CX*1));   \
+	ST(Y10, OFF(DI)(CX*1));  \
+	ST(Y11, OFF(R14)(CX*1)); \
+	JMP  LEND;            \
+LSET:                     \
+	ST(A0, OFF(R8)(CX*1));   \
+	ST(A1, OFF(R9)(CX*1));   \
+	ST(A2, OFF(DI)(CX*1));   \
+	ST(A3, OFF(R14)(CX*1));  \
+LEND:
 
-// ROW2 is one row of P24: S ← S ⊕ ((X ⊗ y) ⊕ (u ⊗ v)), the broadcast x
-// already in X, u at the address UA; y is in Y4 and v in Y9.
-#define ROW2(BC, MUL, ADD, X, UA, T, S) \
-	MUL  Y4, X, X;       \
-	BC   UA, T;          \
-	MUL  Y9, T, T;       \
-	ADD  T, X, X;        \
-	ADD  X, S, S
+// EPIROWS loads the four C row pointers of the group and j0 in bytes for
+// EPIV.
+#define EPIROWS(LS) \
+	MOVQ 112(SP), R8;     \
+	MOVQ 120(SP), R9;     \
+	MOVQ 128(SP), DI;     \
+	MOVQ 136(SP), R14;    \
+	MOVQ 104(SP), CX;     \
+	SHLQ $LS, CX
 
-#define P24(BC, MUL, ADD, LDL, L) \
-L:                       \
-	LDL((R10), Y4);      \
-	LDL((R11), Y9);      \
-	BC   (AX), Y5;       \
-	BC   (AX)(R8*1), Y6; \
-	BC   (AX)(R8*2), Y7; \
-	BC   (AX)(R9*1), Y8; \
-	ROW2(BC, MUL, ADD, Y5, (BX), Y10, Y0);       \
-	ROW2(BC, MUL, ADD, Y6, (BX)(DX*1), Y11, Y1); \
-	ROW2(BC, MUL, ADD, Y7, (BX)(DX*2), Y10, Y2); \
-	ROW2(BC, MUL, ADD, Y8, (BX)(SI*1), Y11, Y3); \
-	ADDQ R12, AX;        \
-	ADDQ 48(SP), BX;     \
-	ADDQ R13, R10;       \
-	ADDQ 56(SP), R11;    \
-	DECQ CX;             \
-	JNZ  L
+// ROWPTR sets the pointer P to row R of a group, S bytes past PREV, row
+// R−1's, while the group has more than R rows (R14 of them are left), and to
+// PREV after that: rows past m repeat the last one. ROWPTRS sets rows 1–3
+// from row 0's P0.
+#define ROWPTR(PREV, P, S, R) \
+	LEAQ (PREV)(S*1), P;  \
+	CMPQ R14, $R;         \
+	CMOVQLE PREV, P
 
-// EPIROW stores one row of a four-row tile, its sum in ACC, at DX: the whole
-// vector, or the BX = n − j0 columns the row has left through the mask (Y15,
-// set by the tile). Then DX steps to the next row (SI = C's row stride in
-// bytes).
-#define EPIROW(MUL, ADD, EADD, VM, ACC, LFULL, LMSET, LFSET, LDONE) \
-	MUL  Y14, ACC, ACC;  \
-	CMPQ BX, $VM;        \
-	JGT  LFULL;          \
-	CMPQ 32(SP), $0;     \
-	JEQ  LMSET;          \
-	LDM((DX), Y12);      \
-	MUL  Y13, Y12, Y12;  \
-	EADD(ADD, ACC);      \
-LMSET:                   \
-	STM(ACC, (DX));      \
-	JMP  LDONE;          \
-LFULL:                   \
-	CMPQ 32(SP), $0;     \
-	JEQ  LFSET;          \
-	LDF((DX), Y12);      \
-	MUL  Y13, Y12, Y12;  \
-	EADD(ADD, ACC);      \
-LFSET:                   \
-	STF(ACC, (DX));      \
-LDONE:                   \
-	ADDQ SI, DX
+#define ROWPTRS(P0, P1, P2, P3, S) \
+	ROWPTR(P0, P1, S, 1); \
+	ROWPTR(P1, P2, S, 2); \
+	ROWPTR(P2, P3, S, 3)
 
-// The epilogue's add under storeScale: ACC = sum ⊗ alpha and Y12 = c ⊗ beta,
-// first ACC (GEMM, SYRK) or first Y12 (SYR2K), the order of the loop's
-// epilogue.
-#define EADD1(ADD, ACC) ADD Y12, ACC, ACC
-#define EADD2(ADD, ACC) ADD ACC, Y12, ACC
+// G8 is a group of eight rows whose columns fit one vector, loaded by LD
+// and stored by ST: one P81 tile at j0 = 0. The rows past m repeat the last
+// one; when four or fewer rows are left the second half stores nothing, so
+// no half loads a c the other stored.
+#define G8(BC, FMA, MUL, ADD, LD, ST, LP, S0, E0, S1, E1, LDONE) \
+	MOVQ 56(SP), R10;     \
+	MOVQ 64(SP), AX;      \
+	ROWPTRS(AX, BX, DX, SI, R10); \
+	ROWPTR(SI, R8, R10, 4);  \
+	ROWPTR(R8, R9, R10, 5);  \
+	ROWPTR(R9, DI, R10, 6);  \
+	ROWPTR(DI, R12, R10, 7); \
+	MOVQ R12, R14;        \
+	MOVQ 72(SP), R10;     \
+	XORQ R12, R12;        \
+	MOVQ 0(SP), CX;       \
+	VXORPS Y0, Y0, Y0;    \
+	VXORPS Y1, Y1, Y1;    \
+	VXORPS Y2, Y2, Y2;    \
+	VXORPS Y3, Y3, Y3;    \
+	VXORPS Y4, Y4, Y4;    \
+	VXORPS Y5, Y5, Y5;    \
+	VXORPS Y6, Y6, Y6;    \
+	VXORPS Y7, Y7, Y7;    \
+	P81(BC, FMA, LD, LP); \
+	MOVQ 112(SP), R8;     \
+	MOVQ 120(SP), R9;     \
+	MOVQ 128(SP), DI;     \
+	MOVQ 136(SP), R14;    \
+	EPIV(LD, ST, MUL, ADD, 0, Y0, Y1, Y2, Y3, S0, E0); \
+	MOVQ 88(SP), AX;      \
+	SUBQ 80(SP), AX;      \
+	CMPQ AX, $4;          \
+	JLE  LDONE;           \
+	MOVQ 144(SP), R8;     \
+	MOVQ 152(SP), R9;     \
+	MOVQ 160(SP), DI;     \
+	MOVQ 168(SP), R14;    \
+	EPIV(LD, ST, MUL, ADD, 0, Y4, Y5, Y6, Y7, S1, E1); \
+LDONE:
 
-// DCHUNK is one vector of a dot form at DX: the sum from +0 over the p loop
-// PL, then c ← sum ⊗ alpha, or under storeScale (the mode at 32(SP)) the
-// EADD of sum ⊗ alpha and c ⊗ beta.
-#define DCHUNK(BC, MUL, ADD, PL, EADD, LDL, STC, LP, LS) \
-	VXORPS Y0, Y0, Y0;   \
-	MOVQ SI, AX;         \
-	MOVQ DI, BX;         \
-	MOVQ R8, R10;        \
-	MOVQ R9, R11;        \
-	MOVQ 0(SP), CX;      \
-	PL(BC, MUL, ADD, LDL, LP); \
-	MUL  Y14, Y0, Y0;    \
-	CMPQ 32(SP), $0;     \
-	JEQ  LS;             \
-	LDL((DX), Y12);      \
-	MUL  Y13, Y12, Y12;  \
-	EADD(ADD, Y0);       \
-LS:                      \
-	STC(Y0, (DX))
-
-// DOT is a dot form over all of C. Under lower (16(SP) ≠ 0) row i computes
-// only the vectors up to the one that holds its diagonal and stores them
-// whole, up to n; what lands above the diagonal is overwritten by the mirror
-// at the end, so a row's one masked store is at its end, if anywhere, as
-// elsewhere. First four rows at a time (the four-row p loop PL4, one EPIROW
-// per row; 128(SP) is the tile's first row i0, 136(SP) its column j0,
-// 144(SP) and 152(SP) x and u at row i0), then the rows left one at a time
-// (PL through DCHUNK; R14 is i, and R8, R9 and DX walk y, v and C along the
-// row). On entry SI is x and DI is u (their rows advance 64(SP) and 72(SP)
-// bytes), R12 and R13 the p strides of x and y in bytes, Y14 and Y13 alpha
-// and beta. Locals: 0(SP) k, 8(SP) n, 16(SP) lower, 32(SP) the mode,
-// 40(SP) the current C row, 48(SP) and 56(SP) the p strides of u and v,
-// 80(SP) C's row stride in bytes, 88(SP) y, 96(SP) v, 104(SP) the vectors
-// left in the row, 112(SP) the edge's bytes, 120(SP) m. Under lower the
-// strict lower triangle is then mirrored into the upper one (MOV moves an
-// element's bits), row i to column i, as mirrorLower does; 24(SP) is C's
-// first row.
-#define DOT(BC, MUL, ADD, MOV, LS, LV, VM, PL, PL4, EADD) \
-	MOVQ 40(SP), AX;     \
-	MOVQ AX, 24(SP);     \
-	MOVQ SI, 144(SP);    \
-	MOVQ DI, 152(SP);    \
-	MOVQ $0, 128(SP);    \
-t4row:                   \
-	MOVQ 128(SP), AX;    \
-	ADDQ $4, AX;         \
-	CMPQ AX, 120(SP);    \
-	JGT  rows1;          \
-	MOVQ $0, 136(SP);    \
-t4col:                   \
-	MOVQ 8(SP), AX;      \
-	CMPQ 16(SP), $0;     \
-	JEQ  t4lim;          \
-	MOVQ 128(SP), AX;    \
-	ADDQ $4, AX;         \
-t4lim:                   \
-	CMPQ 136(SP), AX;    \
-	JGE  t4next;         \
-	MOVQ 144(SP), AX;    \
-	MOVQ 152(SP), BX;    \
-	MOVQ 136(SP), CX;    \
-	SHLQ $LS, CX;        \
-	MOVQ 88(SP), R10;    \
-	ADDQ CX, R10;        \
-	MOVQ 96(SP), R11;    \
-	ADDQ CX, R11;        \
-	MOVQ 64(SP), R8;     \
-	LEAQ (R8)(R8*2), R9; \
-	MOVQ 72(SP), DX;     \
-	LEAQ (DX)(DX*2), SI; \
-	VXORPS Y0, Y0, Y0;   \
-	VXORPS Y1, Y1, Y1;   \
-	VXORPS Y2, Y2, Y2;   \
-	VXORPS Y3, Y3, Y3;   \
-	MOVQ 8(SP), R14;     \
-	SUBQ 136(SP), R14;   \
-	MOVQ 0(SP), CX;      \
-	CMPQ R14, $VM;       \
-	JGT  t4full;         \
-	SHLQ $LS, R14;       \
-	EDGE(R14, DI);       \
-	PL4(BC, MUL, ADD, LDM, t4pm); \
-	JMP  t4epi;          \
-t4full:                  \
-	PL4(BC, MUL, ADD, LDF, t4pf); \
-t4epi:                   \
-	MOVQ 128(SP), AX;    \
-	IMULQ 80(SP), AX;    \
-	ADDQ 24(SP), AX;     \
-	MOVQ 136(SP), DX;    \
-	SHLQ $LS, DX;        \
-	ADDQ AX, DX;         \
-	MOVQ 80(SP), SI;     \
-	MOVQ 8(SP), BX;      \
-	SUBQ 136(SP), BX;    \
-	EPIROW(MUL, ADD, EADD, VM, Y0, e0f, e0m, e0s, e0d); \
-	EPIROW(MUL, ADD, EADD, VM, Y1, e1f, e1m, e1s, e1d); \
-	EPIROW(MUL, ADD, EADD, VM, Y2, e2f, e2m, e2s, e2d); \
-	EPIROW(MUL, ADD, EADD, VM, Y3, e3f, e3m, e3s, e3d); \
-	ADDQ $(VM+1), 136(SP); \
-	JMP  t4col;          \
-t4next:                  \
-	ADDQ $4, 128(SP);    \
-	MOVQ 64(SP), AX;     \
-	SHLQ $2, AX;         \
-	ADDQ AX, 144(SP);    \
-	MOVQ 72(SP), AX;     \
-	SHLQ $2, AX;         \
-	ADDQ AX, 152(SP);    \
-	JMP  t4row;          \
-rows1:                   \
-	MOVQ 128(SP), R14;   \
-	MOVQ 144(SP), SI;    \
-	MOVQ 152(SP), DI;    \
-	MOVQ R14, AX;        \
-	IMULQ 80(SP), AX;    \
-	ADDQ AX, 40(SP);     \
-	CMPQ R14, 120(SP);   \
-	JGE  mirror;         \
-row:                     \
-	MOVQ 8(SP), AX;      \
-	CMPQ 16(SP), $0;     \
-	JEQ  cols;           \
-	LEAQ VM+1(R14), AX;  \
-	SHRQ $LV, AX;        \
-	SHLQ $LV, AX;        \
-	CMPQ AX, 8(SP);      \
-	CMOVQGT 8(SP), AX;   \
-cols:                    \
-	MOVQ AX, BX;         \
-	ANDQ $VM, BX;        \
-	SHLQ $LS, BX;        \
-	MOVQ BX, 112(SP);    \
-	SHRQ $LV, AX;        \
-	MOVQ AX, 104(SP);    \
-	MOVQ 88(SP), R8;     \
-	MOVQ 96(SP), R9;     \
-	MOVQ 40(SP), DX;     \
-	TESTQ AX, AX;        \
-	JZ   edge;           \
-full:                    \
-	DCHUNK(BC, MUL, ADD, PL, EADD, LDF, STF, fp, fs); \
-	ADDQ $32, R8;        \
-	ADDQ $32, R9;        \
-	ADDQ $32, DX;        \
-	DECQ 104(SP);        \
-	JNZ  full;           \
-edge:                    \
-	MOVQ 112(SP), BX;    \
-	TESTQ BX, BX;        \
-	JZ   next;           \
-	EDGE(BX, AX);        \
-	DCHUNK(BC, MUL, ADD, PL, EADD, LDM, STM, ep, es); \
-next:                    \
-	ADDQ 64(SP), SI;     \
-	ADDQ 72(SP), DI;     \
-	MOVQ 80(SP), AX;     \
-	ADDQ AX, 40(SP);     \
-	INCQ R14;            \
-	CMPQ R14, 120(SP);   \
-	JLT  row;            \
-mirror:                  \
-	CMPQ 16(SP), $0;     \
-	JEQ  done;           \
-	MOVQ 24(SP), SI;     \
-	MOVQ SI, DX;         \
-	MOVQ 80(SP), R8;     \
-	MOVQ $1, R14;        \
-mrow:                    \
-	CMPQ R14, 120(SP);   \
-	JGE  done;           \
-	ADDQ R8, SI;         \
-	ADDQ $(1<<LS), DX;   \
-	MOVQ SI, AX;         \
-	MOVQ DX, BX;         \
-	MOVQ R14, CX;        \
-mcol:                    \
-	MOV  (AX), R10;      \
-	MOV  R10, (BX);      \
-	ADDQ $(1<<LS), AX;   \
-	ADDQ R8, BX;         \
-	DECQ CX;             \
-	JNZ  mcol;           \
-	INCQ R14;            \
-	JMP  mrow;           \
-done:                    \
-	VZEROUPPER;          \
+// SMALL is the small path over all of C, from what SMALLARGS set up: R11 and
+// R13 are the p strides of x and of the lane operand in bytes, Y14 and Y13
+// alpha and beta. Locals: 0(SP) k, 8(SP) n, 16(SP) lower, 24(SP) C, 32(SP)
+// the mode, 40(SP) the group's first C row, 48(SP) C's row stride and 56(SP)
+// x's i stride in bytes, 64(SP) the group's first x row, 72(SP) the lane
+// operand, 80(SP) the group's first row i0, 88(SP) m, 96(SP) the columns the
+// group needs, 104(SP) the tile's first column j0, 112(SP)–168(SP) the
+// group's C rows (four, or eight for G8). Under lowerOnly or lowerMirror
+// (16(SP) = 1, 2) a group of rows i0…i0+h−1 needs only the columns up to
+// i0+h−1; its tiles store whole vectors up to n all the same, so a row's
+// one masked store stays at its end. Under lowerMirror the strict lower
+// triangle is then mirrored into the upper one (MOV moves an element's
+// bits), row i to column i, over what those vectors stored there.
+#define SMALL(BC, FMA, MUL, ADD, MOV, LS, VM) \
+	MOVQ $0, 80(SP);      \
+group:                    \
+	MOVQ 88(SP), R14;     \
+	SUBQ 80(SP), R14;     \
+	MOVQ 8(SP), R8;       \
+	CMPQ 16(SP), $0;      \
+	JEQ  g8lim;           \
+	MOVQ 80(SP), R9;      \
+	ADDQ $8, R9;          \
+	CMPQ R9, R8;          \
+	CMOVQLT R9, R8;       \
+g8lim:                    \
+	CMPQ R8, $(VM+1);     \
+	JGT  group4;          \
+	MOVQ 48(SP), R9;      \
+	MOVQ 40(SP), R8;      \
+	ROWPTRS(R8, R10, R12, CX, R9); \
+	MOVQ R8, 112(SP);     \
+	MOVQ R10, 120(SP);    \
+	MOVQ R12, 128(SP);    \
+	MOVQ CX, 136(SP);     \
+	ROWPTR(CX, R8, R9, 4);   \
+	ROWPTR(R8, R10, R9, 5);  \
+	ROWPTR(R10, R12, R9, 6); \
+	ROWPTR(R12, CX, R9, 7);  \
+	MOVQ R8, 144(SP);     \
+	MOVQ R10, 152(SP);    \
+	MOVQ R12, 160(SP);    \
+	MOVQ CX, 168(SP);     \
+	MOVQ 8(SP), AX;       \
+	CMPQ AX, $(VM+1);     \
+	JGE  g8f;             \
+	SHLQ $LS, AX;         \
+	EDGE(AX, BX);         \
+	G8(BC, FMA, MUL, ADD, LDM, STM, p8m, m8s0, m8e0, m8s1, m8e1, m8d); \
+	JMP  g8next;          \
+g8f:                      \
+	G8(BC, FMA, MUL, ADD, LDF, STF, p8f, f8s0, f8e0, f8s1, f8e1, f8d); \
+g8next:                   \
+	MOVQ $8, R9;          \
+	JMP  advance;         \
+group4:                   \
+	MOVQ 56(SP), R9;      \
+	MOVQ 64(SP), AX;      \
+	ROWPTRS(AX, BX, DX, SI, R9); \
+	MOVQ 48(SP), R9;      \
+	MOVQ 40(SP), R8;      \
+	ROWPTRS(R8, R10, R12, CX, R9); \
+	MOVQ R8, 112(SP);     \
+	MOVQ R10, 120(SP);    \
+	MOVQ R12, 128(SP);    \
+	MOVQ CX, 136(SP);     \
+	MOVQ 8(SP), R8;       \
+	CMPQ 16(SP), $0;      \
+	JEQ  glim;            \
+	MOVQ 80(SP), R9;      \
+	ADDQ $4, R9;          \
+	CMPQ R9, R8;          \
+	CMOVQLT R9, R8;       \
+glim:                     \
+	MOVQ R8, 96(SP);      \
+	MOVQ $0, 104(SP);     \
+tile:                     \
+	MOVQ 104(SP), R9;     \
+	MOVQ 96(SP), R8;      \
+	SUBQ R9, R8;          \
+	JLE  gnext;           \
+	MOVQ 8(SP), R14;      \
+	SUBQ R9, R14;         \
+	SHLQ $LS, R9;         \
+	MOVQ 72(SP), R10;     \
+	ADDQ R9, R10;         \
+	XORQ R12, R12;        \
+	MOVQ 0(SP), CX;       \
+	CMPQ R8, $(VM+1);     \
+	JLE  one;             \
+	VXORPS Y0, Y0, Y0;    \
+	VXORPS Y1, Y1, Y1;    \
+	VXORPS Y2, Y2, Y2;    \
+	VXORPS Y3, Y3, Y3;    \
+	VXORPS Y4, Y4, Y4;    \
+	VXORPS Y5, Y5, Y5;    \
+	VXORPS Y6, Y6, Y6;    \
+	VXORPS Y7, Y7, Y7;    \
+	CMPQ R14, $(2*(VM+1)); \
+	JGE  ff;              \
+	SUBQ $(VM+1), R14;    \
+	SHLQ $LS, R14;        \
+	EDGE(R14, R9);        \
+	P42(BC, FMA, LDM, pfm); \
+	EPIROWS(LS);          \
+	EPIV(LDF, STF, MUL, ADD, 0, Y0, Y2, Y4, Y6, fm0s, fm0e);  \
+	EPIV(LDM, STM, MUL, ADD, 32, Y1, Y3, Y5, Y7, fm1s, fm1e); \
+	JMP  two;             \
+ff:                       \
+	P42(BC, FMA, LDF, pff); \
+	EPIROWS(LS);          \
+	EPIV(LDF, STF, MUL, ADD, 0, Y0, Y2, Y4, Y6, ff0s, ff0e);  \
+	EPIV(LDF, STF, MUL, ADD, 32, Y1, Y3, Y5, Y7, ff1s, ff1e); \
+two:                      \
+	ADDQ $(2*(VM+1)), 104(SP); \
+	JMP  tile;            \
+one:                      \
+	VXORPS Y0, Y0, Y0;    \
+	VXORPS Y1, Y1, Y1;    \
+	VXORPS Y2, Y2, Y2;    \
+	VXORPS Y3, Y3, Y3;    \
+	CMPQ R14, $(VM+1);    \
+	JGE  f1;              \
+	SHLQ $LS, R14;        \
+	EDGE(R14, R9);        \
+	P41(BC, FMA, LDM, pm);  \
+	EPIROWS(LS);          \
+	EPIV(LDM, STM, MUL, ADD, 0, Y0, Y1, Y2, Y3, m1s, m1e); \
+	JMP  next1;           \
+f1:                       \
+	P41(BC, FMA, LDF, pf);  \
+	EPIROWS(LS);          \
+	EPIV(LDF, STF, MUL, ADD, 0, Y0, Y1, Y2, Y3, f1s, f1e); \
+next1:                    \
+	ADDQ $(VM+1), 104(SP); \
+	JMP  tile;            \
+gnext:                    \
+	MOVQ $4, R9;          \
+advance:                  \
+	ADDQ R9, 80(SP);      \
+	MOVQ 80(SP), R8;      \
+	CMPQ R8, 88(SP);      \
+	JGE  mirror;          \
+	MOVQ 56(SP), R8;      \
+	IMULQ R9, R8;         \
+	ADDQ R8, 64(SP);      \
+	MOVQ 48(SP), R8;      \
+	IMULQ R9, R8;         \
+	ADDQ R8, 40(SP);      \
+	JMP  group;           \
+mirror:                   \
+	CMPQ 16(SP), $2;      \
+	JNE  done;            \
+	MOVQ 24(SP), SI;      \
+	MOVQ SI, DX;          \
+	MOVQ 48(SP), R8;      \
+	MOVQ $1, R14;         \
+mrow:                     \
+	CMPQ R14, 88(SP);     \
+	JGE  done;            \
+	ADDQ R8, SI;          \
+	ADDQ $(1<<LS), DX;    \
+	MOVQ SI, AX;          \
+	MOVQ DX, BX;          \
+	MOVQ R14, CX;         \
+mcol:                     \
+	MOV  (AX), R10;       \
+	MOV  R10, (BX);       \
+	ADDQ $(1<<LS), AX;    \
+	ADDQ R8, BX;          \
+	DECQ CX;              \
+	JNZ  mcol;            \
+	INCQ R14;             \
+	JMP  mrow;            \
+done:                     \
+	VZEROUPPER;           \
 	RET
 
-// DOTARGS is the entry of a single-product dot form (GEMM with transB,
-// SYRK): it stages the lane operand y in scr and sets up what DOT reads from
-// the call's arguments. x(i, p) is at X + I·XI + p·XP and y(p, j) at
-// Y + p·YP + j·YJ (elements).
-#define DOTARGS(X, XI, XP, Y, YP, YJ, SCR, C, LDC, M, N, K, LOWER, MODE, ALPHA, BETA, BC, LOADS, TR, STORES, LS, LV, VM, ES) \
-	MOVQ Y, R8;          \
-	MOVQ YP, R13;        \
-	MOVQ YJ, R9;         \
-	MOVQ SCR, DI;        \
-	MOVQ N, R11;         \
-	MOVQ K, CX;          \
+// SMALLARGS is the entry: it stages the lane operand y in scr and sets up
+// what SMALL reads from the call's arguments. x(i, p) is at X + i·XI + p·XP
+// and y(p, j) at Y + p·YP + j·YJ (elements).
+#define SMALLARGS(X, XI, XP, Y, YP, YJ, SCR, C, LDC, M, N, K, LOWER, MODE, ALPHA, BETA, BC, LOADS, TR, STORES, LS, LV, VM, ES) \
+	MOVQ Y, R8;           \
+	MOVQ YP, R13;         \
+	MOVQ YJ, R9;          \
+	MOVQ SCR, DI;         \
+	MOVQ N, R11;          \
+	MOVQ K, CX;           \
 	STAGE(LOADS, TR, STORES, LS, LV, VM, ES, yr, yc, yf, yb, yd); \
-	SHLQ $LS, R13;       \
-	MOVQ R8, 88(SP);     \
-	MOVQ LOWER, AX;      \
-	MOVQ AX, 16(SP);     \
-	MOVQ M, AX;          \
-	DOTCOMMON(X, XI, XP, C, LDC, MODE, ALPHA, BETA, BC, LS)
-
-// DOT2ARGS is SYR2K's entry: both lane operands, y and then v, are staged
-// in scr; u(i, p) is at U + i·UI + p·UP. C is n×n and only its lower
-// triangle is written.
-#define DOT2ARGS(X, XI, XP, U, UI, UP, Y, YP, YJ, V, VP, VJ, SCR, C, LDC, N, K, MODE, ALPHA, BETA, BC, LOADS, TR, STORES, LS, LV, VM, ES) \
-	MOVQ SCR, DI;        \
-	MOVQ N, R11;         \
-	MOVQ K, CX;          \
-	MOVQ Y, R8;          \
-	MOVQ YP, R13;        \
-	MOVQ YJ, R9;         \
-	STAGE(LOADS, TR, STORES, LS, LV, VM, ES, yr, yc, yf, yb, yd); \
-	MOVQ R8, 88(SP);     \
-	MOVQ R13, 24(SP);    \
-	MOVQ V, R8;          \
-	MOVQ VP, R13;        \
-	MOVQ VJ, R9;         \
-	STAGE(LOADS, TR, STORES, LS, LV, VM, ES, vr, vc, vf, vb, vd); \
-	MOVQ R8, 96(SP);     \
-	SHLQ $LS, R13;       \
-	MOVQ R13, 56(SP);    \
-	MOVQ 24(SP), R13;    \
-	SHLQ $LS, R13;       \
-	MOVQ U, DI;          \
-	MOVQ UI, AX;         \
-	SHLQ $LS, AX;        \
-	MOVQ AX, 72(SP);     \
-	MOVQ UP, AX;         \
-	SHLQ $LS, AX;        \
-	MOVQ AX, 48(SP);     \
-	MOVQ $1, 16(SP);     \
-	MOVQ R11, AX;        \
-	DOTCOMMON(X, XI, XP, C, LDC, MODE, ALPHA, BETA, BC, LS)
-
-// DOTCOMMON finishes both entries: m arrives in AX, n in R11 and k in CX.
-#define DOTCOMMON(X, XI, XP, C, LDC, MODE, ALPHA, BETA, BC, LS) \
-	MOVQ AX, 120(SP);    \
-	MOVQ R11, 8(SP);     \
-	MOVQ CX, 0(SP);      \
-	MOVQ MODE, AX;       \
-	MOVQ AX, 32(SP);     \
-	MOVQ C, AX;          \
-	MOVQ AX, 40(SP);     \
-	MOVQ LDC, AX;        \
-	SHLQ $LS, AX;        \
-	MOVQ AX, 80(SP);     \
-	MOVQ XI, AX;         \
-	SHLQ $LS, AX;        \
-	MOVQ AX, 64(SP);     \
-	MOVQ X, SI;          \
-	MOVQ XP, R12;        \
-	SHLQ $LS, R12;       \
-	LEAQ ALPHA, AX;      \
-	BC   (AX), Y14;      \
-	LEAQ BETA, AX;       \
+	SHLQ $LS, R13;        \
+	MOVQ R8, 72(SP);      \
+	MOVQ CX, 0(SP);       \
+	MOVQ R11, 8(SP);      \
+	MOVQ M, AX;           \
+	MOVQ AX, 88(SP);      \
+	MOVQ LOWER, AX;       \
+	MOVQ AX, 16(SP);      \
+	MOVQ MODE, AX;        \
+	MOVQ AX, 32(SP);      \
+	MOVQ C, AX;           \
+	MOVQ AX, 24(SP);      \
+	MOVQ AX, 40(SP);      \
+	MOVQ LDC, AX;         \
+	SHLQ $LS, AX;         \
+	MOVQ AX, 48(SP);      \
+	MOVQ XI, AX;          \
+	SHLQ $LS, AX;         \
+	MOVQ AX, 56(SP);      \
+	MOVQ X, AX;           \
+	MOVQ AX, 64(SP);      \
+	MOVQ XP, R11;         \
+	SHLQ $LS, R11;        \
+	LEAQ ALPHA, AX;       \
+	BC   (AX), Y14;       \
+	LEAQ BETA, AX;        \
 	BC   (AX), Y13
 
 // func sgemmTile6x16(a, b *float32, kc int, c *float32, ldc int, alpha, beta float32, mode int)
@@ -1253,46 +1162,18 @@ TEXT ·copyRows128(SB), NOSPLIT, $0-32
 	MOVQ rows+24(FP), CX
 	COPYROWS(64, Z0, Z1)
 
-// The small path's entries, one per form and precision (see small.go). The
-// dot forms keep 160 bytes of locals: DOT's list above.
+// The small path's entries, one per precision (see small.go), with SMALL's
+// 176 bytes of locals.
 
-// func ssmallAxpy(a *float32, ai, ap int, b *float32, ldb int, c *float32, ldc, m, n, k, mode int, alpha, beta float32)
-TEXT ·ssmallAxpy(SB), NOSPLIT, $40-96
-	AXPY(a+0(FP), ai+8(FP), ap+16(FP), b+24(FP), ldb+32(FP), c+40(FP), ldc+48(FP), m+56(FP), n+64(FP), k+72(FP), mode+80(FP), alpha+88(FP), beta+92(FP), VBROADCASTSS, VMULPS, VADDPS, 2, 3, 7)
+// func ssmall(x *float32, xi, xp int, y *float32, yp, yj int, scr, c *float32, ldc, m, n, k, lower, mode int, alpha, beta float32)
+TEXT ·ssmall(SB), NOSPLIT, $176-120
+	SMALLARGS(x+0(FP), xi+8(FP), xp+16(FP), y+24(FP), yp+32(FP), yj+40(FP), scr+48(FP), c+56(FP), ldc+64(FP), m+72(FP), n+80(FP), k+88(FP), lower+96(FP), mode+104(FP), alpha+112(FP), beta+116(FP), VBROADCASTSS, LOADS8, TR8PS, STORES8, 2, 3, 7, 4)
+	SMALL(VBROADCASTSS, VFMADD231PS, VMULPS, VADDPS, MOVL, 2, 7)
 
-// func dsmallAxpy(a *float64, ai, ap int, b *float64, ldb int, c *float64, ldc, m, n, k, mode int, alpha, beta float64)
-TEXT ·dsmallAxpy(SB), NOSPLIT, $40-104
-	AXPY(a+0(FP), ai+8(FP), ap+16(FP), b+24(FP), ldb+32(FP), c+40(FP), ldc+48(FP), m+56(FP), n+64(FP), k+72(FP), mode+80(FP), alpha+88(FP), beta+96(FP), VBROADCASTSD, VMULPD, VADDPD, 3, 2, 3)
-
-// func ssmallDot(x *float32, xi, xp int, y *float32, yp, yj int, scr, c *float32, ldc, m, n, k, lower, mode int, alpha, beta float32)
-TEXT ·ssmallDot(SB), NOSPLIT, $160-120
-	DOTARGS(x+0(FP), xi+8(FP), xp+16(FP), y+24(FP), yp+32(FP), yj+40(FP), scr+48(FP), c+56(FP), ldc+64(FP), m+72(FP), n+80(FP), k+88(FP), lower+96(FP), mode+104(FP), alpha+112(FP), beta+116(FP), VBROADCASTSS, LOADS8, TR8PS, STORES8, 2, 3, 7, 4)
-	DOT(VBROADCASTSS, VMULPS, VADDPS, MOVL, 2, 3, 7, P1X, P14X, EADD1)
-
-// func dsmallDot(x *float64, xi, xp int, y *float64, yp, yj int, scr, c *float64, ldc, m, n, k, lower, mode int, alpha, beta float64)
-TEXT ·dsmallDot(SB), NOSPLIT, $160-128
-	DOTARGS(x+0(FP), xi+8(FP), xp+16(FP), y+24(FP), yp+32(FP), yj+40(FP), scr+48(FP), c+56(FP), ldc+64(FP), m+72(FP), n+80(FP), k+88(FP), lower+96(FP), mode+104(FP), alpha+112(FP), beta+120(FP), VBROADCASTSD, LOADS4, TR4PD, STORES4, 3, 2, 3, 8)
-	DOT(VBROADCASTSD, VMULPD, VADDPD, MOVQ, 3, 2, 3, P1X, P14X, EADD1)
-
-// func ssmallDotT(x *float32, xi, xp int, y *float32, yp, yj int, scr, c *float32, ldc, m, n, k, lower, mode int, alpha, beta float32)
-TEXT ·ssmallDotT(SB), NOSPLIT, $160-120
-	DOTARGS(x+0(FP), xi+8(FP), xp+16(FP), y+24(FP), yp+32(FP), yj+40(FP), scr+48(FP), c+56(FP), ldc+64(FP), m+72(FP), n+80(FP), k+88(FP), lower+96(FP), mode+104(FP), alpha+112(FP), beta+116(FP), VBROADCASTSS, LOADS8, TR8PS, STORES8, 2, 3, 7, 4)
-	DOT(VBROADCASTSS, VMULPS, VADDPS, MOVL, 2, 3, 7, P1Y, P14Y, EADD1)
-
-// func dsmallDotT(x *float64, xi, xp int, y *float64, yp, yj int, scr, c *float64, ldc, m, n, k, lower, mode int, alpha, beta float64)
-TEXT ·dsmallDotT(SB), NOSPLIT, $160-128
-	DOTARGS(x+0(FP), xi+8(FP), xp+16(FP), y+24(FP), yp+32(FP), yj+40(FP), scr+48(FP), c+56(FP), ldc+64(FP), m+72(FP), n+80(FP), k+88(FP), lower+96(FP), mode+104(FP), alpha+112(FP), beta+120(FP), VBROADCASTSD, LOADS4, TR4PD, STORES4, 3, 2, 3, 8)
-	DOT(VBROADCASTSD, VMULPD, VADDPD, MOVQ, 3, 2, 3, P1Y, P14Y, EADD1)
-
-// func ssmallDot2(x *float32, xi, xp int, u *float32, ui, up int, y *float32, yp, yj int, v *float32, vp, vj int, scr, c *float32, ldc, n, k, mode int, alpha, beta float32)
-TEXT ·ssmallDot2(SB), NOSPLIT, $160-152
-	DOT2ARGS(x+0(FP), xi+8(FP), xp+16(FP), u+24(FP), ui+32(FP), up+40(FP), y+48(FP), yp+56(FP), yj+64(FP), v+72(FP), vp+80(FP), vj+88(FP), scr+96(FP), c+104(FP), ldc+112(FP), n+120(FP), k+128(FP), mode+136(FP), alpha+144(FP), beta+148(FP), VBROADCASTSS, LOADS8, TR8PS, STORES8, 2, 3, 7, 4)
-	DOT(VBROADCASTSS, VMULPS, VADDPS, MOVL, 2, 3, 7, P2, P24, EADD2)
-
-// func dsmallDot2(x *float64, xi, xp int, u *float64, ui, up int, y *float64, yp, yj int, v *float64, vp, vj int, scr, c *float64, ldc, n, k, mode int, alpha, beta float64)
-TEXT ·dsmallDot2(SB), NOSPLIT, $160-160
-	DOT2ARGS(x+0(FP), xi+8(FP), xp+16(FP), u+24(FP), ui+32(FP), up+40(FP), y+48(FP), yp+56(FP), yj+64(FP), v+72(FP), vp+80(FP), vj+88(FP), scr+96(FP), c+104(FP), ldc+112(FP), n+120(FP), k+128(FP), mode+136(FP), alpha+144(FP), beta+152(FP), VBROADCASTSD, LOADS4, TR4PD, STORES4, 3, 2, 3, 8)
-	DOT(VBROADCASTSD, VMULPD, VADDPD, MOVQ, 3, 2, 3, P2, P24, EADD2)
+// func dsmall(x *float64, xi, xp int, y *float64, yp, yj int, scr, c *float64, ldc, m, n, k, lower, mode int, alpha, beta float64)
+TEXT ·dsmall(SB), NOSPLIT, $176-128
+	SMALLARGS(x+0(FP), xi+8(FP), xp+16(FP), y+24(FP), yp+32(FP), yj+40(FP), scr+48(FP), c+56(FP), ldc+64(FP), m+72(FP), n+80(FP), k+88(FP), lower+96(FP), mode+104(FP), alpha+112(FP), beta+120(FP), VBROADCASTSD, LOADS4, TR4PD, STORES4, 3, 2, 3, 8)
+	SMALL(VBROADCASTSD, VFMADD231PD, VMULPD, VADDPD, MOVQ, 3, 3)
 
 // func spinHint()
 TEXT ·spinHint(SB), NOSPLIT, $0-0

@@ -19,13 +19,24 @@ import (
 	"repro/internal/mat"
 )
 
-// forcePath pins the small-shape threshold for the duration of a test so a
-// case exercises exactly one execution path.
+// forcePath pins the small-shape threshold of every op, on either kind of
+// host, for the duration of a test so a case exercises exactly one execution
+// path (on the vector unit the gate's k ≤ defaultKC still holds).
 func forcePath(t *testing.T, limit int) {
 	t.Helper()
 	old := smallShapeLimit
-	smallShapeLimit = limit
+	smallShapeLimit = limitsAll(limit)
 	t.Cleanup(func() { smallShapeLimit = old })
+}
+
+// limitsAll is a smallShapeLimit with every entry set to limit.
+func limitsAll(limit int) (l [2][3]int) {
+	for v := range l {
+		for op := range l[v] {
+			l[v][op] = limit
+		}
+	}
+	return l
 }
 
 // forceGoTile makes the CPU probes answer "no vector tile" for the duration
@@ -251,21 +262,46 @@ func TestSmallPathMatchesNaiveMatrix(t *testing.T) {
 	}
 }
 
-// TestSmallShapeGate pins the gate itself at the default limit: the boundary
-// at 8³, and products that wrap an int — 2048³ and 65536²·1 are 0 in 32 bits
+// TestSmallShapeGate pins the gate itself at the default limits, per op and
+// per kind of host: the boundaries, the vector unit's k ≤ defaultKC, and
+// products that wrap an int — 2048³ and 65536²·1 are 0 in 32 bits
 // (GOARCH=386, where the first sent an 8.6-GFLOP call down the scalar loop),
-// 2²¹·2²¹·2²² is 0 in 64.
+// 2²¹·2²¹·2²² is 0 in 64. Only the gate reads useVec here, so both answers
+// are checked on any host.
 func TestSmallShapeGate(t *testing.T) {
-	for _, tc := range []struct {
+	type gateCase struct {
+		op      opKind
 		m, n, k int
 		want    bool
+	}
+	wraps := []gateCase{
+		{opGemm, 2048, 2048, 2048, false}, {opGemm, 65536, 65536, 1, false}, {opGemm, 1 << 21, 1 << 21, 1 << 22, false},
+		{opSyrk, 65536, 65536, 1, false}, {opSyr2k, 1 << 21, 1 << 21, 1 << 22, false},
+	}
+	for _, host := range []struct {
+		vec   bool
+		cases []gateCase
 	}{
-		{1, 1, 1, true}, {8, 8, 8, true}, {8, 8, 9, false}, {1, 512, 1, true}, {513, 1, 1, false},
-		{2048, 2048, 2048, false}, {65536, 65536, 1, false}, {1 << 21, 1 << 21, 1 << 22, false},
+		{false, []gateCase{
+			{opGemm, 1, 1, 1, true}, {opGemm, 8, 8, 8, true}, {opGemm, 8, 8, 9, false}, {opGemm, 1, 512, 1, true}, {opGemm, 513, 1, 1, false},
+			{opGemm, 1, 1, 512, true}, {opSyrk, 8, 8, 8, true}, {opSyrk, 8, 8, 9, false},
+			{opSyr2k, 8, 8, 16, true}, {opSyr2k, 8, 8, 17, false}, {opSyr2k, 1, 1, 1024, true},
+		}},
+		{true, []gateCase{
+			{opGemm, 1, 1, 1, true}, {opGemm, 16, 16, 16, true}, {opGemm, 16, 16, 17, false}, {opGemm, 1, 4096, 1, true},
+			{opGemm, 4097, 1, 1, false}, {opGemm, 4, 4, 256, true}, {opGemm, 1, 1, 257, false},
+			{opSyrk, 32, 32, 32, true}, {opSyrk, 32, 32, 33, false}, {opSyrk, 11, 11, 256, true}, {opSyrk, 2, 2, 257, false},
+			{opSyr2k, 32, 32, 32, true}, {opSyr2k, 33, 33, 31, false}, {opSyr2k, 1, 1, 256, true}, {opSyr2k, 1, 1, 257, false},
+		}},
 	} {
-		if got := smallShape(tc.m, tc.n, tc.k); got != tc.want {
-			t.Errorf("smallShape(%d, %d, %d) = %v, want %v", tc.m, tc.n, tc.k, got, tc.want)
+		old := useVec
+		useVec = host.vec
+		for _, tc := range append(host.cases, wraps...) {
+			if got := smallShape(tc.op, tc.m, tc.n, tc.k); got != tc.want {
+				t.Errorf("useVec=%v: smallShape(%v, %d, %d, %d) = %v, want %v", host.vec, tc.op, tc.m, tc.n, tc.k, got, tc.want)
+			}
 		}
+		useVec = old
 	}
 }
 

@@ -46,34 +46,10 @@ func copyRows64(dst, src unsafe.Pointer, ldsBytes, rows int) { panic(noVec) }
 
 func copyRows128(dst, src unsafe.Pointer, ldsBytes, rows int) { panic(noVec) }
 
-func ssmallAxpy(a *float32, ai, ap int, b *float32, ldb int, c *float32, ldc, m, n, k, mode int, alpha, beta float32) {
+func ssmall(x *float32, xi, xp int, y *float32, yp, yj int, scr, c *float32, ldc, m, n, k, lower, mode int, alpha, beta float32) {
 	panic(noVec)
 }
 
-func dsmallAxpy(a *float64, ai, ap int, b *float64, ldb int, c *float64, ldc, m, n, k, mode int, alpha, beta float64) {
-	panic(noVec)
-}
-
-func ssmallDot(x *float32, xi, xp int, y *float32, yp, yj int, scr, c *float32, ldc, m, n, k, lower, mode int, alpha, beta float32) {
-	panic(noVec)
-}
-
-func dsmallDot(x *float64, xi, xp int, y *float64, yp, yj int, scr, c *float64, ldc, m, n, k, lower, mode int, alpha, beta float64) {
-	panic(noVec)
-}
-
-func ssmallDotT(x *float32, xi, xp int, y *float32, yp, yj int, scr, c *float32, ldc, m, n, k, lower, mode int, alpha, beta float32) {
-	panic(noVec)
-}
-
-func dsmallDotT(x *float64, xi, xp int, y *float64, yp, yj int, scr, c *float64, ldc, m, n, k, lower, mode int, alpha, beta float64) {
-	panic(noVec)
-}
-
-func ssmallDot2(x *float32, xi, xp int, u *float32, ui, up int, y *float32, yp, yj int, v *float32, vp, vj int, scr, c *float32, ldc, n, k, mode int, alpha, beta float32) {
-	panic(noVec)
-}
-
-func dsmallDot2(x *float64, xi, xp int, u *float64, ui, up int, y *float64, yp, yj int, v *float64, vp, vj int, scr, c *float64, ldc, n, k, mode int, alpha, beta float64) {
+func dsmall(x *float64, xi, xp int, y *float64, yp, yj int, scr, c *float64, ldc, m, n, k, lower, mode int, alpha, beta float64) {
 	panic(noVec)
 }

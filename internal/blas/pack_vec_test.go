@@ -315,10 +315,11 @@ func benchPack[T float32 | float64](b *testing.B) {
 }
 
 // BenchmarkMirror reports the single-part mirror of an n×n float32 C per
-// element written (n·(n−1)/2 of them).
+// element written (n·(n−1)/2 of them): n = 16 and 29 are one and two tile
+// rows, mostly diagonal tiles.
 func BenchmarkMirror(b *testing.B) {
 	rng := rand.New(rand.NewSource(76))
-	for _, n := range []int{128, 256, 500} {
+	for _, n := range []int{16, 29, 128, 256, 500} {
 		c := randF32(n, n, rng)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -9,28 +9,53 @@ import "repro/internal/mat"
 // always streams a contiguous row of B (or of C), which is what the packed
 // layout would have bought anyway at these sizes.
 
-// smallShapeLimit bounds m·n·k for the no-packing path. The limit was
-// measured with the Go loops below as the small path (BenchmarkSmallCrossover's
-// "loops" arm) against the packed path on the vector tile, single thread:
-// the packed path overtakes the loops at 8³ for GEMM and at about 10³ for
-// SYRK — 16³ already runs five times faster packed — so the limit is 8³.
-// Against the scalar Go tile it was 40³; the fallback tile shares the new
-// limit at no cost, it runs within 10 % of these loops from 12³ to 48³.
-// Where the vector tile runs, the small path is now the loops' assembly
-// ("vec"), which the packed GEMM overtakes only between 16³ and 32³ and the
-// packed SYRK and SYR2K not yet at 32³. The limit stays: above it the packed
-// tile rounds once per multiply-add and the small path twice, so moving it
-// would change result bits (goldenVecTile). A variable rather than a constant
-// so the test matrix can force either path.
-var smallShapeLimit = 8 * 8 * 8
+// smallShapeLimit bounds m·n·k for the no-packing path, per op (indexed by
+// opKind; SYR2K counts k once, as SYRK does): [1] where the small path runs
+// on the vector unit, [0] where it is the Go loops. A variable rather than a
+// constant so the test matrix can force either path.
+//
+// On the vector unit the small path computes every element with the packed
+// tile's arithmetic (see smallVec), so the limit moves no result bit — only
+// time, and the thread count: a call under it runs one thread whatever was
+// asked. It also needs k ≤ defaultKC there: the packed path sums an element
+// in chunks of KC, the small path in one chain. Measured with
+// BenchmarkSmallCrossover (float32, 2-vCPU AVX-512 Xeon, medians of five, ns:
+// small path / packed at one thread / packed at two): GEMM 16³ 278 / 873 /
+// 3094, 24³ 666 / 1664 / 4273, 32³ 1363 / 1715 / 4373, 40³ 2949 / 5520 / 7936;
+// SYRK 32³ 1749 / 2917 / 7157, 40³ 2738 / 6021 / 9184; SYR2K 32³ 2337 /
+// 6030 / 12356, 40³ 4961 / 10160 / 15896. The small path wins at one thread
+// throughout, and a second thread adds at least one team round: 2.2–2.7 µs
+// here (packed at two less packed at one for GEMM; SYR2K pays two rounds).
+// Up to 32³ each op's one-thread small call costs less than one round alone,
+// so no thread count can beat it; at 40³ none does. So:
+//   - SYRK and SYR2K 32³. Their staging takes at most 16 KiB in float32,
+//     24.5 KiB in float64.
+//   - GEMM 16³: the lane operand a GEMM with transB and a padded B stages
+//     grows with the limit — k·n rounded up to whole 8×8 (float32) or 4×4
+//     (float64) blocks, at most 32 bytes per unit of it, at k = 1 — and the
+//     Context keeps it: 128 KiB at 16³, 1 MiB at 32³.
+//
+// TestSmallScratchBound holds the staging bounds at the worst shapes.
+//
+// The Go loops round twice per multiply-add where the Go tile rounds once
+// (unless gc fuses), so there the limit decides result bits. It stays 8³,
+// where the packed Go tile overtakes the loops; SYR2K's 2·8³ is the old
+// n·n·⌈k/2⌉ ≤ 8³ with k counted once.
+var smallShapeLimit = [2][3]int{
+	{8 * 8 * 8, 8 * 8 * 8, 2 * 8 * 8 * 8},
+	{16 * 16 * 16, 32 * 32 * 32, 32 * 32 * 32},
+}
 
-// smallShape reports whether an m×n×k problem should skip packing. It must
-// depend only on the dimensions — never on the thread count — so that
-// results stay bit-identical across thread counts. The product is taken in
-// float64, exact far beyond any limit: in a 32-bit int 2048³ wraps to 0 and
-// would send an 8.6-GFLOP call down the scalar loop.
-func smallShape(m, n, k int) bool {
-	return float64(m)*float64(n)*float64(k) <= float64(smallShapeLimit)
+// smallShape reports whether an m×n×k call of op should skip packing. It
+// depends only on the dimensions and the host — never on the thread count.
+// The product is taken in float64, exact far beyond any limit: in a 32-bit
+// int 2048³ wraps to 0 and would send an 8.6-GFLOP call down the small path.
+func smallShape(op opKind, m, n, k int) bool {
+	mnk := float64(m) * float64(n) * float64(k)
+	if useVec {
+		return k <= defaultKC && mnk <= float64(smallShapeLimit[1][op])
+	}
+	return mnk <= float64(smallShapeLimit[0][op])
 }
 
 // narrowShape reports whether a packed call under the default blocking keeps
@@ -104,45 +129,55 @@ func smallGemm[T float32 | float64](transA, transB bool, alpha T, a, b mat.Dense
 }
 
 // The small path on the vector unit: where the vector tile runs (useVec),
-// each call is one assembly call (kernel_amd64.s) that computes every
-// element of C with the same multiplies and adds as the loops above, in the
-// same order and with the same operand order, so the result is the same bit
-// for bit, NaN payloads included. The loops stay the path everywhere else
-// and the reference the assembly is tested against.
-//
-// GEMM without transB keeps the AXPY form, lanes over j. The dot forms — GEMM
-// with transB, SYRK and SYR2K — become AXPY forms over j as well: lane j sums
-// x(i, p) ⊗ y(p, j) over p = 0, 1, … from +0, where y(p, j) is op(B)(p, j)
-// (GEMM) or op(A)(j, p). When y is not stored row-major the assembly first
-// transposes it, as bits, into scratch. SYRK and SYR2K mirror their
-// lower triangle in the same call.
+// each call is one assembly call per pass (kernel_amd64.s) that computes
+// every element of C exactly as the packed tile does — a +0 accumulator, one
+// fused multiply-add per p in ascending p, the B-panel operand in the lanes
+// and the A-panel operand broadcast, then alpha·acc stored by storeSet or
+// storeScale — so the result is the packed path's bit for bit, NaN payloads
+// included, and which path a call takes moves no bit. The operands are read
+// in place: x(i, p) is op(A)(i, p), y(p, j) is what the packed path's B panel
+// holds, op(B)(p, j) for GEMM and op(B)(j, p) for a lower pass. When y is not
+// stored row-major the assembly first transposes it, as bits, into scratch.
+// SYR2K runs like the packed SYR2K: a lower pass of alpha·op(A)·op(B)ᵀ with
+// beta, a second of alpha·op(B)·op(A)ᵀ with beta = 1, then the mirror (which
+// SYRK's one pass ends with too). The loops stay the path everywhere else.
 
-// smallVec runs a small-path call in assembly. Symmetric updates come back
-// mirrored. The scratch the lane operands are staged in grows with the
-// Context, to the largest call seen; the wrappers below allocate nothing.
+// The lower argument of ssmall and dsmall.
+const (
+	fullC       = iota // all of C
+	lowerOnly          // C's lower triangle
+	lowerMirror        // C's lower triangle, then mirrored
+)
+
+// smallVec runs a small-path call in assembly. The scratch the lane
+// operands are staged in grows with the Context, to the largest call seen;
+// smallPass allocates nothing.
 func smallVec[T float32 | float64](ctx *Context, op opKind, transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], m, n, k int) {
-	// The lane operands that may need staging: op(B)ᵀ of a GEMM with
-	// transB, A's rows of an untransposed SYRK, both operands' of SYR2K.
-	operands := 0
-	switch {
-	case op == opGemm && transB, op == opSyrk && !transA:
-		operands = 1
-	case op == opSyr2k && !transA:
-		operands = 2
-	}
 	bufs := bufsFor[T](ctx)
-	if need := operands * staged[T](2, n, k); len(bufs.small) < need {
-		bufs.small = make([]T, need)
-	}
+	xi, xp := opStrides(a.Stride, transA)
 	switch op {
 	case opGemm:
-		smallGemmVec(transA, transB, alpha, a, b, beta, c, m, n, k, bufs.small)
+		// y(p, j) = op(B)(p, j).
+		yp, yj := opStrides(b.Stride, transB)
+		smallPass(a.Data, xi, xp, b.Data, yp, yj, stage(bufs, yj, n, k), c, m, n, k, fullC, alpha, beta)
 	case opSyrk:
-		xi, xp := opStrides(a.Stride, transA)
-		dotVec(false, a.Data, xi, xp, a.Data, xp, xi, bufs.small, c, n, n, k, true, alpha, beta)
+		// y(p, j) = op(A)(j, p).
+		smallPass(a.Data, xi, xp, a.Data, xp, xi, stage(bufs, xi, n, k), c, n, n, k, lowerMirror, alpha, beta)
 	default:
-		smallSyr2kVec(transA, alpha, a, b, beta, c, n, k, bufs.small)
+		bi, bp := opStrides(b.Stride, transA)
+		smallPass(a.Data, xi, xp, b.Data, bp, bi, stage(bufs, bi, n, k), c, n, n, k, lowerOnly, alpha, beta)
+		smallPass(b.Data, bi, bp, a.Data, xp, xi, stage(bufs, xi, n, k), c, n, n, k, lowerMirror, alpha, 1)
 	}
+}
+
+// stage returns the scratch a k×n lane operand with j stride yj is staged
+// in, growing the context's to fit.
+func stage[T float32 | float64](bufs *ctxBufs[T], yj, n, k int) []T {
+	need := staged[T](laneStride(yj, n), n, k)
+	if len(bufs.small) < need {
+		bufs.small = make([]T, need)
+	}
+	return bufs.small[:need]
 }
 
 // opStrides returns where op(M)(i, p) sits, M[i·si+p·sp], for M or Mᵀ.
@@ -153,95 +188,27 @@ func opStrides(stride int, trans bool) (si, sp int) {
 	return stride, 1
 }
 
-// smallGemmVec is smallGemm in one assembly call. The index expressions are
-// the bounds check: the assembly touches nothing past the last element of
-// op(A), op(B) and C they name.
+// smallPass is one pass in one assembly call: C(i, j) ← alpha·Σp x(i, p)·
+// y(p, j) (+ beta·C(i, j)) with x(i, p) = x[i·xi+p·xp] and y(p, j) =
+// y[p·yp+j·yj], over all of C or, by lower, its lower triangle (m = n). scr
+// is the staging scratch for y (stage). The index expressions are the bounds
+// check: the assembly touches nothing past the last element of x, y and C
+// they name.
 //
 //adsala:zeroalloc
-func smallGemmVec[T float32 | float64](transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], m, n, k int, scr []T) {
-	ai, ap := opStrides(a.Stride, transA)
-	if transB {
-		// op(B)(p, j) = B(j, p).
-		dotVec(transA, a.Data, ai, ap, b.Data, 1, b.Stride, scr, c, m, n, k, false, alpha, beta)
-		return
-	}
-	_, _, _ = a.Data[(m-1)*ai+(k-1)*ap], b.Data[(k-1)*b.Stride+n-1], c.Data[(m-1)*c.Stride+n-1]
-	mode := storeScale
-	if beta == 0 {
-		mode = storeSet
-	} else if beta == 1 {
-		mode = storeAdd
-	}
-	switch cp := any(&c.Data[0]).(type) {
-	case *float32:
-		ssmallAxpy(any(&a.Data[0]).(*float32), ai, ap, any(&b.Data[0]).(*float32), b.Stride, cp, c.Stride, m, n, k, mode, float32(alpha), float32(beta))
-	case *float64:
-		dsmallAxpy(any(&a.Data[0]).(*float64), ai, ap, any(&b.Data[0]).(*float64), b.Stride, cp, c.Stride, m, n, k, mode, float64(alpha), float64(beta))
-	}
-}
-
-// dotVec is a single-product dot form in one assembly call: C(i, j), j ≤ i
-// under lower, ← alpha·Σp x[i·xi+p·xp]·y[p·yp+j·yj] (+ beta·C(i, j)), each
-// product with x first, or y first under yFirst (the order of smallGemm's
-// transA loop). Under lower (SYRK) m = n and C comes back mirrored.
-//
-//adsala:zeroalloc
-func dotVec[T float32 | float64](yFirst bool, x []T, xi, xp int, y []T, yp, yj int, scr []T, c mat.Dense[T], m, n, k int, lower bool, alpha, beta T) {
+func smallPass[T float32 | float64](x []T, xi, xp int, y []T, yp, yj int, scr []T, c mat.Dense[T], m, n, k, lower int, alpha, beta T) {
 	yj = laneStride(yj, n)
 	scr = scr[:staged[T](yj, n, k)]
 	_, _, _ = x[(m-1)*xi+(k-1)*xp], y[(k-1)*yp+(n-1)*yj], c.Data[(m-1)*c.Stride+n-1]
-	low, mode := 0, storeScale
-	if lower {
-		low = 1
-	}
-	if beta == 0 {
-		mode = storeSet
-	}
-	switch cp := any(&c.Data[0]).(type) {
-	case *float32:
-		xv, yv, sv := any(&x[0]).(*float32), any(&y[0]).(*float32), any(first(scr)).(*float32)
-		if yFirst {
-			ssmallDotT(xv, xi, xp, yv, yp, yj, sv, cp, c.Stride, m, n, k, low, mode, float32(alpha), float32(beta))
-		} else {
-			ssmallDot(xv, xi, xp, yv, yp, yj, sv, cp, c.Stride, m, n, k, low, mode, float32(alpha), float32(beta))
-		}
-	case *float64:
-		xv, yv, sv := any(&x[0]).(*float64), any(&y[0]).(*float64), any(first(scr)).(*float64)
-		if yFirst {
-			dsmallDotT(xv, xi, xp, yv, yp, yj, sv, cp, c.Stride, m, n, k, low, mode, float64(alpha), float64(beta))
-		} else {
-			dsmallDot(xv, xi, xp, yv, yp, yj, sv, cp, c.Stride, m, n, k, low, mode, float64(alpha), float64(beta))
-		}
-	}
-}
-
-// smallSyr2kVec is smallSyr2k in one assembly call. With X, U = A, B the
-// loop's sum is x(i, p)·u(j, p) + u(i, p)·x(j, p) over op(X), op(U); under
-// trans the loop adds its second product to its first, so X, U = B, A.
-//
-//adsala:zeroalloc
-func smallSyr2kVec[T float32 | float64](trans bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], n, k int, scr []T) {
-	x, u := a, b
-	if trans {
-		x, u = b, a
-	}
-	xi, xp := opStrides(x.Stride, trans)
-	ui, up := opStrides(u.Stride, trans)
-	// The lane operands are op(U)ᵀ and op(X)ᵀ, staged one after the other.
-	yj, vj := laneStride(ui, n), laneStride(xi, n)
-	scr = scr[:staged[T](yj, n, k)+staged[T](vj, n, k)]
-	_, _, _ = x.Data[(n-1)*xi+(k-1)*xp], u.Data[(n-1)*ui+(k-1)*up], c.Data[(n-1)*c.Stride+n-1]
 	mode := storeScale
 	if beta == 0 {
 		mode = storeSet
 	}
 	switch cp := any(&c.Data[0]).(type) {
 	case *float32:
-		xv, uv := any(&x.Data[0]).(*float32), any(&u.Data[0]).(*float32)
-		ssmallDot2(xv, xi, xp, uv, ui, up, uv, up, yj, xv, xp, vj, any(first(scr)).(*float32), cp, c.Stride, n, k, mode, float32(alpha), float32(beta))
+		ssmall(any(&x[0]).(*float32), xi, xp, any(&y[0]).(*float32), yp, yj, any(first(scr)).(*float32), cp, c.Stride, m, n, k, lower, mode, float32(alpha), float32(beta))
 	case *float64:
-		xv, uv := any(&x.Data[0]).(*float64), any(&u.Data[0]).(*float64)
-		dsmallDot2(xv, xi, xp, uv, ui, up, uv, up, yj, xv, xp, vj, any(first(scr)).(*float64), cp, c.Stride, n, k, mode, float64(alpha), float64(beta))
+		dsmall(any(&x[0]).(*float64), xi, xp, any(&y[0]).(*float64), yp, yj, any(first(scr)).(*float64), cp, c.Stride, m, n, k, lower, mode, float64(alpha), float64(beta))
 	}
 }
 
@@ -262,8 +229,8 @@ func staged[T float32 | float64](yj, n, k int) int {
 	if yj == 1 {
 		return 0
 	}
-	vl := vecBlock[T]()
-	return (k + vl - 1) / vl * vl * ((n + vl - 1) / vl * vl)
+	vm := vecBlock[T]() - 1
+	return (k + vm) &^ vm * ((n + vm) &^ vm)
 }
 
 // first is a pointer to s[0], or nil for an empty s.

@@ -9,20 +9,21 @@ import (
 )
 
 // smallVecCases is the number of seeded shapes TestSmallVecBits runs per
-// op and precision.
+// op and precision; -short (the race detector's run, where the instrumented
+// packed path is ten times slower) runs the first fifth.
 const smallVecCases = 10000
 
-// TestSmallVecBits pins the vector small path to the Go loops bit for bit:
-// every shape under the gate (m·n·k ≤ 512, SYR2K n·n·⌈k/2⌉ ≤ 512), every
-// transpose flag, padded strides, alpha and beta from {0, 1, −1, 0.5} and
-// a NaN (which pins the operand order of a ⊗ alpha and c ⊗ beta), and
-// operands that carry NaNs with distinct payloads — often in both operands
-// of a product, and in C under beta — ±Inf, −0 and subnormals. The results
-// are compared as bits over the whole of C's backing array, padding
-// included. Under -race a NaN need only meet a NaN: the instrumented build
-// spills the loops' sums and gc then emits some adds with the other operand
-// first (prod + sum for sum += prod), so the oracle's payloads are those of
-// another loop.
+// TestSmallVecBits pins the vector small path to the packed path bit for
+// bit: every call is made twice through drive, once as the gate sends it and
+// once with the small path forced shut, and the two results are compared as
+// bits over the whole of C's backing array, padding included. The shapes
+// cover each op's whole gate on the vector unit, k on both sides of
+// defaultKC (above it the gate must send the call to the packed path);
+// every transpose flag, padded strides, 1–3 threads, alpha and beta from
+// {0, 1, −1, 0.5} and a NaN (which pins the operand order of alpha ⊗ acc and
+// c ⊗ beta), and operands that carry NaNs with distinct payloads — often in
+// both operands of a product, and in C under beta — ±Inf, −0 and
+// subnormals.
 func TestSmallVecBits(t *testing.T) {
 	if !useVec {
 		t.Skip("no vector tile on this CPU")
@@ -36,15 +37,22 @@ func testSmallVecBits[T float32 | float64](t *testing.T, seed int64) {
 	ctx := NewContext()
 	defer ctx.Close()
 	scalars := [...]T{0, 1, -1, 0.5, T(math.Float32frombits(0x7fc0a5a5))}
+	gate := smallShapeLimit
+	cases := smallVecCases
+	if testing.Short() {
+		cases /= 5
+	}
 	for _, op := range []opKind{opGemm, opSyrk, opSyr2k} {
-		for i := 0; i < smallVecCases; i++ {
-			m, n, k := smallVecShape(op, rng)
+		small := 0
+		for i := 0; i < cases; i++ {
+			m, n, k := smallVecShape(gate[1][op], op, rng)
 			transA, transB := i&1 != 0, i&2 != 0
 			if op != opGemm {
 				transB = transA
 			}
 			alpha, beta := scalars[rng.Intn(len(scalars))], scalars[rng.Intn(len(scalars))]
 			special := [...]float64{0, 0.02, 0.25}[rng.Intn(3)]
+			threads := 1 + rng.Intn(3)
 			ar, ac := m, k
 			if transA {
 				ar, ac = k, m
@@ -60,45 +68,46 @@ func testSmallVecBits[T float32 | float64](t *testing.T, seed int64) {
 			b := specialView[T](br, bc, rng.Intn(4), special, rng)
 			want := specialView[T](m, n, rng.Intn(4), special, rng)
 			got := cloneView(want)
-			switch op {
-			case opGemm:
-				smallGemm(transA, transB, alpha, a, b, beta, want, m, n, k)
-			case opSyrk:
-				smallSyrk(transA, alpha, a, beta, want, n, k)
-			default:
-				smallSyr2k(transA, alpha, a, b, beta, want, n, k)
+			smallShapeLimit = limitsAll(forcePacked)
+			err := drive(ctx, op, transA, transB, alpha, a, b, beta, want, threads, Params{})
+			smallShapeLimit = gate
+			if err != nil {
+				t.Fatal(err)
 			}
-			if op != opGemm {
-				mirrorLower(want, 0, n)
+			if smallShape(op, m, n, k) {
+				small++
 			}
-			smallVec(ctx, op, transA, transB, alpha, a, b, beta, got, m, n, k)
+			if err := drive(ctx, op, transA, transB, alpha, a, b, beta, got, threads, Params{}); err != nil {
+				t.Fatal(err)
+			}
 			for e := range want.Data {
-				g, w := got.Data[e], want.Data[e]
-				if bitsOf(g) != bitsOf(w) && !(raceEnabled && g != g && w != w) {
-					t.Fatalf("%v m=%d n=%d k=%d transA=%v transB=%v alpha=%v beta=%v strides a%d b%d c%d: element %d (row %d, col %d) is %#x, the loop's %#x",
+				if bitsOf(got.Data[e]) != bitsOf(want.Data[e]) {
+					t.Fatalf("%v m=%d n=%d k=%d transA=%v transB=%v alpha=%v beta=%v strides a%d b%d c%d: element %d (row %d, col %d) is %#x, the packed path's %#x",
 						op, m, n, k, transA, transB, alpha, beta, a.Stride, b.Stride, want.Stride,
 						e, e/want.Stride, e%want.Stride, bitsOf(got.Data[e]), bitsOf(want.Data[e]))
 				}
 			}
 		}
+		// The gate must have sent most shapes to the small path, or this
+		// compared the packed path with itself.
+		if small < cases*3/4 {
+			t.Errorf("%v: %d of %d shapes took the small path", op, small, cases)
+		}
 	}
 }
 
-// smallVecShape draws a shape under the small path's gate for op: each
-// dimension log-uniform in [1, 512], so both tiny squares and the 1×1×512
-// extremes come up; the symmetric updates have m = n.
-func smallVecShape(op opKind, rng *rand.Rand) (m, n, k int) {
-	dim := func() int { return int(math.Exp(rng.Float64() * math.Log(513))) }
+// smallVecShape draws a shape under an m·n·k limit for op: k log-uniform
+// in [1, 2·defaultKC], so it lands on both sides of defaultKC, and m and n
+// log-uniform in [1, limit], so tiny squares and the 1×limit×1 extremes come
+// up; the symmetric updates have m = n.
+func smallVecShape(limit int, op opKind, rng *rand.Rand) (m, n, k int) {
+	dim := func(hi int) int { return int(math.Exp(rng.Float64() * math.Log(float64(hi)+1))) }
 	for {
-		m, n, k = dim(), dim(), dim()
-		kSmall := k
+		m, n, k = dim(limit), dim(limit), dim(2*defaultKC)
 		if op != opGemm {
 			n = m
-			if op == opSyr2k {
-				kSmall = (k + 1) / 2
-			}
 		}
-		if m*n*kSmall <= 512 {
+		if m*n*k <= limit {
 			return m, n, k
 		}
 	}
@@ -140,4 +149,56 @@ func specialValue[T float32 | float64](special float64, rng *rand.Rand) T {
 		return T(math.Float32frombits(uint32(1+rng.Intn(1<<23-1)) | uint32(rng.Intn(2))<<31))
 	}
 	return T(math.Float64frombits(uint64(1+rng.Int63n(1<<52-1)) | uint64(rng.Intn(2))<<63))
+}
+
+// TestSmallScratchBound holds the staging bounds small.go states for the
+// vector unit's gate: the most scratch one call stages, over every (n, k)
+// the gate admits (m = 1 for GEMM; SYR2K stages its two lane operands one
+// after the other in the same scratch), in both precisions; and a GEMM at
+// the worst shape, k = 1 with a padded B, grows a fresh Context's scratch to
+// exactly that.
+func TestSmallScratchBound(t *testing.T) {
+	for _, tc := range []struct {
+		op       opKind
+		f32, f64 int // bytes
+	}{{opGemm, 128 << 10, 128 << 10}, {opSyrk, 16 << 10, 49 << 9}, {opSyr2k, 16 << 10, 49 << 9}} {
+		if got := maxStaged[float32](tc.op); got != tc.f32 {
+			t.Errorf("%v float32: at most %d bytes staged, small.go states %d", tc.op, got, tc.f32)
+		}
+		if got := maxStaged[float64](tc.op); got != tc.f64 {
+			t.Errorf("%v float64: at most %d bytes staged, small.go states %d", tc.op, got, tc.f64)
+		}
+	}
+	if !useVec {
+		return // the Go loops stage nothing
+	}
+	n := smallShapeLimit[1][opGemm]
+	a, c := mat.NewF32(1, 1), mat.NewF32(1, n)
+	b := &mat.F32{Rows: n, Cols: 1, Stride: 2, Data: make([]float32, 2*n-1)}
+	ctx := NewContext()
+	defer ctx.Close()
+	if err := ctx.SGEMM(false, true, 1, a, b, 0, c, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(ctx.f32.small) * 4; got != 128<<10 {
+		t.Errorf("GEMM 1×%d×1 with transB staged %d bytes, want %d", n, got, 128<<10)
+	}
+}
+
+// maxStaged is the most scratch, in bytes, a call of op under the vector
+// unit's gate stages for its lane operand.
+func maxStaged[T float32 | float64](op opKind) (most int) {
+	limit := smallShapeLimit[1][op]
+	for n := 1; ; n++ {
+		m := 1
+		if op != opGemm {
+			m = n
+		}
+		if m*n > limit {
+			return most
+		}
+		for k := 1; k <= defaultKC && m*n*k <= limit; k++ {
+			most = max(most, staged[T](2, n, k)*sizeOf[T]())
+		}
+	}
 }

@@ -149,10 +149,12 @@ const mirrorTile = 16
 //
 // A tile wholly below the diagonal is a plain transpose, and where the vector
 // kernels run the whole blocks of a full-height tile row go through
-// transposeVec in one call. What straddles the diagonal (there a block
-// transpose would read the upper triangle, which another part may be writing
-// just then), the ragged columns at the right edge and a band's last, short
-// tile row stay on the scalar loop.
+// transposeVec in one call. The tile on the diagonal is copied in vecBlock
+// rows at a time, the same way: a block row's whole blocks left of the
+// diagonal read only the lower triangle too. What straddles the diagonal
+// (there a block transpose would read the upper triangle, which another part
+// may be writing just then), the ragged columns at the right edge and a
+// band's last, short tile row stay on the scalar loop.
 func mirrorLower[T float32 | float64](c mat.Dense[T], lo, hi int) {
 	for i0 := lo; i0 < hi; i0 += mirrorTile {
 		i1 := min(i0+mirrorTile, hi)
@@ -162,11 +164,36 @@ func mirrorLower[T float32 | float64](c mat.Dense[T], lo, hi int) {
 		if useVec && i1-i0 == mirrorTile {
 			n = (c.Cols - i1) &^ (vecBlock[T]() - 1)
 		}
-		mirrorCols(c, i0, i1, i0+1, i1)
+		mirrorDiag(c, i0, i1)
 		if n > 0 {
 			transposeVec(c.Data[i0*c.Stride+i1:], c.Stride, c.Data[i1*c.Stride+i0:], c.Stride, n, mirrorTile)
 		}
 		mirrorCols(c, i0, i1, i1+n, c.Cols)
+	}
+}
+
+// mirrorDiag mirrors the tile of rows and columns [i0, i1) on the diagonal.
+// Where the vector kernels run, each full block row [b0, b0+vb) copies the
+// whole blocks right of its diagonal block, whose sources are rows b0+vb on
+// below its columns, with one transposeVec; only the diagonal blocks and the
+// ragged columns at the tile's edge stay on the scalar loop.
+func mirrorDiag[T float32 | float64](c mat.Dense[T], i0, i1 int) {
+	if !useVec {
+		mirrorCols(c, i0, i1, i0+1, i1)
+		return
+	}
+	vb := vecBlock[T]()
+	for b0 := i0; b0 < i1; b0 += vb {
+		b1 := min(b0+vb, i1)
+		mirrorCols(c, b0, b1, b0+1, b1)
+		n := 0
+		if b1-b0 == vb {
+			n = (i1 - b1) &^ (vb - 1)
+		}
+		if n > 0 {
+			transposeVec(c.Data[b0*c.Stride+b1:], c.Stride, c.Data[b1*c.Stride+b0:], c.Stride, n, vb)
+		}
+		mirrorCols(c, b0, b1, b1+n, i1)
 	}
 }
 
