@@ -282,9 +282,10 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-// TestResolveParams pins what drive skips: the default blocking, asked for
-// by the zero Params or spelled out, passes checkParams on every tile set
-// the probes can pick, and only an explicit other blocking is checked.
+// TestResolveParams pins what drive skips: the default blocking spelled out
+// is taken as the default and passes checkParams on every tile set the
+// probes can pick, and only an explicit other blocking is checked (drive
+// takes the zero Params as the default before it calls resolveParams).
 func TestResolveParams(t *testing.T) {
 	check := func(t *testing.T) {
 		t.Helper()
@@ -302,10 +303,8 @@ func resolveCase[T float32 | float64](t *testing.T) {
 	if err := checkParams[T](def); err != nil {
 		t.Errorf("%T default blocking %+v fails its check: %v", T(0), def, err)
 	}
-	for _, in := range []Params{{}, def} {
-		if isDef, err := resolveParams[T](in); !isDef || err != nil {
-			t.Errorf("%T resolveParams(%+v) = %v, %v; want the default", T(0), in, isDef, err)
-		}
+	if isDef, err := resolveParams[T](def); !isDef || err != nil {
+		t.Errorf("%T resolveParams(%+v) = %v, %v; want the default", T(0), def, isDef, err)
 	}
 	other := def
 	other.KC /= 2

@@ -52,12 +52,12 @@ func (c *Context) Close() {
 	}
 }
 
-// resolveParams reports whether prm asks for the default blocking — the
-// zero Params, or an explicit Params equal to DefaultParams — and checks any
-// other blocking, which is the caller's. The default is valid by
-// construction.
+// resolveParams reports whether an explicit, non-zero prm asks for the
+// default blocking — it equals DefaultParams — and checks any other
+// blocking, which is the caller's. The default is valid by construction.
+// drive decides the zero Params itself, with one compare.
 func resolveParams[T float32 | float64](prm Params) (bool, error) {
-	if prm == (Params{}) || prm == DefaultParams[T]() {
+	if prm == DefaultParams[T]() {
 		return true, nil
 	}
 	return false, checkParams[T](prm)

@@ -400,11 +400,11 @@ done:                    \
 // included (an SSE/AVX operation returns its first NaN source; in Go syntax
 // that is the middle operand: MUL Y2, Y1, Y3 is Y3 = Y1 ⊗ Y2).
 //
-// C is walked in groups of rows: eight at a time where the group's columns
-// fit one vector (C at most one vector wide, the first rows of a lower
-// pass), else four, each row left to right in tiles of two vectors or of
-// one. Every element sums in one chain, so more rows mean more chains in
-// flight, not another order. Whole vectors go with plain loads and stores,
+// C is walked in groups of rows: eight at a time where more than four rows
+// are left and the group's columns fit one vector (C at most one vector
+// wide, the first rows of a lower pass), else four, each row left to right
+// in tiles of two vectors or of one. Every element sums in one chain, so
+// more rows mean more chains in flight, not another order. Whole vectors go with plain loads and stores,
 // at most one edge vector per row, at its end, through the mask in Y15
 // (VMASKMOVPS, which neither reads nor writes a masked-out lane, so nothing
 // past the row is touched). The operand read along j is the lane operand;
@@ -723,10 +723,10 @@ LEND:
 	ROWPTR(P2, P3, S, 3)
 
 // G8 is a group of eight rows whose columns fit one vector, loaded by LD
-// and stored by ST: one P81 tile at j0 = 0. The rows past m repeat the last
-// one; when four or fewer rows are left the second half stores nothing, so
-// no half loads a c the other stored.
-#define G8(BC, FMA, MUL, ADD, LD, ST, LP, S0, E0, S1, E1, LDONE) \
+// and stored by ST: one P81 tile at j0 = 0. It runs only while more than
+// four rows are left, so the rows past m, which repeat the last one, are all
+// in the second half, and no half loads a c the other stored.
+#define G8(BC, FMA, MUL, ADD, LD, ST, LP, S0, E0, S1, E1) \
 	MOVQ 56(SP), R10;     \
 	MOVQ 64(SP), AX;      \
 	ROWPTRS(AX, BX, DX, SI, R10); \
@@ -752,16 +752,11 @@ LEND:
 	MOVQ 128(SP), DI;     \
 	MOVQ 136(SP), R14;    \
 	EPIV(LD, ST, MUL, ADD, 0, Y0, Y1, Y2, Y3, S0, E0); \
-	MOVQ 88(SP), AX;      \
-	SUBQ 80(SP), AX;      \
-	CMPQ AX, $4;          \
-	JLE  LDONE;           \
 	MOVQ 144(SP), R8;     \
 	MOVQ 152(SP), R9;     \
 	MOVQ 160(SP), DI;     \
 	MOVQ 168(SP), R14;    \
-	EPIV(LD, ST, MUL, ADD, 0, Y4, Y5, Y6, Y7, S1, E1); \
-LDONE:
+	EPIV(LD, ST, MUL, ADD, 0, Y4, Y5, Y6, Y7, S1, E1)
 
 // SMALL is the small path over all of C, from what SMALLARGS set up: R11 and
 // R13 are the p strides of x and of the lane operand in bytes, Y14 and Y13
@@ -781,6 +776,8 @@ LDONE:
 group:                    \
 	MOVQ 88(SP), R14;     \
 	SUBQ 80(SP), R14;     \
+	CMPQ R14, $4;         \
+	JLE  group4;          \
 	MOVQ 8(SP), R8;       \
 	CMPQ 16(SP), $0;      \
 	JEQ  g8lim;           \
@@ -811,10 +808,10 @@ g8lim:                    \
 	JGE  g8f;             \
 	SHLQ $LS, AX;         \
 	EDGE(AX, BX);         \
-	G8(BC, FMA, MUL, ADD, LDM, STM, p8m, m8s0, m8e0, m8s1, m8e1, m8d); \
+	G8(BC, FMA, MUL, ADD, LDM, STM, p8m, m8s0, m8e0, m8s1, m8e1); \
 	JMP  g8next;          \
 g8f:                      \
-	G8(BC, FMA, MUL, ADD, LDF, STF, p8f, f8s0, f8e0, f8s1, f8e1, f8d); \
+	G8(BC, FMA, MUL, ADD, LDF, STF, p8f, f8s0, f8e0, f8s1, f8e1); \
 g8next:                   \
 	MOVQ $8, R9;          \
 	JMP  advance;         \

@@ -286,6 +286,7 @@ func TestSmallShapeGate(t *testing.T) {
 			{opGemm, 1, 1, 1, true}, {opGemm, 8, 8, 8, true}, {opGemm, 8, 8, 9, false}, {opGemm, 1, 512, 1, true}, {opGemm, 513, 1, 1, false},
 			{opGemm, 1, 1, 512, true}, {opSyrk, 8, 8, 8, true}, {opSyrk, 8, 8, 9, false},
 			{opSyr2k, 8, 8, 16, true}, {opSyr2k, 8, 8, 17, false}, {opSyr2k, 1, 1, 1024, true},
+			{opSyr2k, 3, 3, 112, true}, {opSyr2k, 3, 3, 113, false}, {opSyr2k, 1, 1, 1023, true}, {opSyr2k, 1, 1, 1025, false},
 		}},
 		{true, []gateCase{
 			{opGemm, 1, 1, 1, true}, {opGemm, 16, 16, 16, true}, {opGemm, 16, 16, 17, false}, {opGemm, 1, 4096, 1, true},

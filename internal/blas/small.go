@@ -10,8 +10,9 @@ import "repro/internal/mat"
 // layout would have bought anyway at these sizes.
 
 // smallShapeLimit bounds m·n·k for the no-packing path, per op (indexed by
-// opKind; SYR2K counts k once, as SYRK does): [1] where the small path runs
-// on the vector unit, [0] where it is the Go loops. A variable rather than a
+// opKind): [1] where the small path runs on the vector unit, SYR2K counting
+// k once, as SYRK does; [0] where it is the Go loops, SYR2K counting k
+// rounded up to even (see smallShape). A variable rather than a
 // constant so the test matrix can force either path.
 //
 // On the vector unit the small path computes every element with the packed
@@ -27,7 +28,10 @@ import "repro/internal/mat"
 // throughout, and a second thread adds at least one team round: 2.2–2.7 µs
 // here (packed at two less packed at one for GEMM; SYR2K pays two rounds).
 // Up to 32³ each op's one-thread small call costs less than one round alone,
-// so no thread count can beat it; at 40³ none does. So:
+// so no thread count can beat it; at 40³ none does. That ceiling holds for
+// this box only: the round was measured on 2 vCPUs, and on a host with more
+// cores, where a packed call could split over more threads, it is
+// unverified. So:
 //   - SYRK and SYR2K 32³. Their staging takes at most 16 KiB in float32,
 //     24.5 KiB in float64.
 //   - GEMM 16³: the lane operand a GEMM with transB and a padded B stages
@@ -39,8 +43,8 @@ import "repro/internal/mat"
 //
 // The Go loops round twice per multiply-add where the Go tile rounds once
 // (unless gc fuses), so there the limit decides result bits. It stays 8³,
-// where the packed Go tile overtakes the loops; SYR2K's 2·8³ is the old
-// n·n·⌈k/2⌉ ≤ 8³ with k counted once.
+// where the packed Go tile overtakes the loops; SYR2K keeps its
+// n·n·⌈k/2⌉ ≤ 8³, taken as n·n·2⌈k/2⌉ ≤ 2·8³.
 var smallShapeLimit = [2][3]int{
 	{8 * 8 * 8, 8 * 8 * 8, 2 * 8 * 8 * 8},
 	{16 * 16 * 16, 32 * 32 * 32, 32 * 32 * 32},
@@ -51,11 +55,14 @@ var smallShapeLimit = [2][3]int{
 // The product is taken in float64, exact far beyond any limit: in a 32-bit
 // int 2048³ wraps to 0 and would send an 8.6-GFLOP call down the small path.
 func smallShape(op opKind, m, n, k int) bool {
-	mnk := float64(m) * float64(n) * float64(k)
 	if useVec {
-		return k <= defaultKC && mnk <= float64(smallShapeLimit[1][op])
+		return k <= defaultKC && float64(m)*float64(n)*float64(k) <= float64(smallShapeLimit[1][op])
 	}
-	return mnk <= float64(smallShapeLimit[0][op])
+	kk := float64(k)
+	if op == opSyr2k {
+		kk += float64(k & 1) // 2⌈k/2⌉
+	}
+	return float64(m)*float64(n)*kk <= float64(smallShapeLimit[0][op])
 }
 
 // narrowShape reports whether a packed call under the default blocking keeps
