@@ -21,7 +21,10 @@
 // one macro-kernel and one tile store — storeTile for every tile the edge of
 // C or the diagonal clips, and the same arithmetic straight from the
 // accumulator registers for the full interior tiles of the assembly kernel.
-// GEMM is the unmasked case. The symmetric updates are the same loops run as
+// Calls under the small-shape gate skip packing and run one thread; they
+// compute every element as the packed path does, on every host, so the
+// gate, like the thread count, moves no result bit. GEMM is the unmasked
+// case. The symmetric updates are the same loops run as
 // a lower pass — B is op(b)ᵀ read straight out of b, the column limits of an
 // MC block and of an MR band stop at the diagonal instead of at the panel
 // edge (reach), the store of a diagonal-straddling tile is masked to j ≤ i,

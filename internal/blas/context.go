@@ -84,7 +84,7 @@ var ctxPool = sync.Pool{New: func() any { return NewContext() }}
 type ctxBufs[T float32 | float64] struct {
 	packedB []T
 	packedA [][]T // one panel buffer per team part
-	small   []T   // the small path's staged lane operands (smallVec)
+	small   []T   // the vector small path's staged lane operands (smallPass)
 	args    callArgs[T]
 	body    func(w int)
 }
@@ -203,7 +203,7 @@ func (c *Context) ensureTeam(workers int) *team {
 // drive is the five-loop driver of every operation: argument checking,
 // degenerate cases, the small-shape fast path, buffer/team setup, and the
 // worker dispatch. What differs between the operations is all here — the
-// dimension rule and its error text, the small-shape gate and loop, and the
+// dimension rule and its error text, the small-shape gate, and the
 // passes: GEMM is one full pass; SYRK is one lower-triangle pass with b = a
 // that ends in the mirror; SYR2K is two lower-triangle passes over the same
 // packed buffers, lower(alpha·op(A)·op(B)ᵀ + beta·C) and then
@@ -263,28 +263,12 @@ func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, al
 	// one thread whatever was asked. Only the default blocking takes this
 	// path — explicit Params mean the caller is studying the packed
 	// algorithm (ablations, micro-tile comparisons) and must get exactly the
-	// configuration they asked for. The gate depends only on the dimensions,
-	// so results stay bit-identical across thread counts; on the vector unit
-	// the small path computes the packed path's bits, so there it moves none.
-	// So does the default's other dimension rule: a narrow C keeps the YMM
-	// tile.
+	// configuration they asked for. The small path computes the packed
+	// path's bits, so the gate moves none, and neither does the default's
+	// other dimension rule: a narrow C keeps the YMM tile.
 	if def {
 		if smallShape(op, m, n, k) {
-			if useVec {
-				smallVec(ctx, op, transA, transB, alpha, a, b, beta, c, m, n, k)
-				return nil
-			}
-			switch op {
-			case opGemm:
-				smallGemm(transA, transB, alpha, a, b, beta, c, m, n, k)
-			case opSyrk:
-				smallSyrk(transA, alpha, a, beta, c, n, k)
-			default:
-				smallSyr2k(transA, alpha, a, b, beta, c, n, k)
-			}
-			if lower {
-				mirrorLower(c, 0, n)
-			}
+			smallCall(ctx, op, transA, transB, alpha, a, b, beta, c, m, n, k)
 			return nil
 		}
 		prm = DefaultParams[T]()

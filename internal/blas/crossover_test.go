@@ -9,13 +9,15 @@ import (
 )
 
 // BenchmarkSmallCrossover is the sweep behind smallShapeLimit: every shape
-// runs through the no-packing path twice — the Go loops ("loops", the
-// vector tile switched off for the call) and, where the vector tile runs,
-// its assembly ("vec") — and through the packed path with the default tile at
-// one thread ("packed") and at two ("packed2"), on a held Context. A call
-// under the gate runs one thread whatever was asked, so the limit is where
-// the small path stops beating the packed path at any thread count; see
-// small.go. The forced arms fail the benchmark on any error.
+// runs through the no-packing path and the packed path, on a held Context,
+// on each host the machine can be: with the vector tile switched off for the
+// call, the Go pass ("go") and the packed Go tile at one thread
+// ("gopacked"); where the vector tile runs, its assembly ("vec") and the
+// packed path with the default tile at one thread ("packed") and at two
+// ("packed2"). A call under the gate runs one thread whatever was asked, so
+// the limit is where the small path stops beating the packed path at any
+// thread count; see small.go. The forced arms fail the benchmark on any
+// error.
 func BenchmarkSmallCrossover(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	type shape struct{ m, k, n int }
@@ -30,7 +32,7 @@ func BenchmarkSmallCrossover(b *testing.B) {
 		limit   int
 		vec     bool
 		threads int
-	}{{"loops", forceSmall, false, 1}, {"vec", forceSmall, true, 1}, {"packed", forcePacked, useVec, 1}, {"packed2", forcePacked, useVec, 2}}
+	}{{"go", forceSmall, false, 1}, {"gopacked", forcePacked, false, 1}, {"vec", forceSmall, true, 1}, {"packed", forcePacked, true, 1}, {"packed2", forcePacked, true, 2}}
 	ctx := NewContext()
 	defer ctx.Close()
 	for _, sh := range shapes {
@@ -56,9 +58,9 @@ func BenchmarkSmallCrossover(b *testing.B) {
 					continue // no vector tile on this CPU
 				}
 				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", op.name, sh.m, sh.k, sh.n, p.name), func(b *testing.B) {
-					oldLimit, oldVec := smallShapeLimit, useVec
-					smallShapeLimit, useVec = limitsAll(p.limit), p.vec
-					defer func() { smallShapeLimit, useVec = oldLimit, oldVec }()
+					oldLimit, oldVec, oldZMM := smallShapeLimit, useVec, useZMM
+					smallShapeLimit, useVec, useZMM = limitsAll(p.limit), p.vec, p.vec && useZMM
+					defer func() { smallShapeLimit, useVec, useZMM = oldLimit, oldVec, oldZMM }()
 					for i := 0; i < b.N; i++ {
 						if err := op.run(p.threads); err != nil {
 							b.Fatal(err)

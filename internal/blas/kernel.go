@@ -25,7 +25,8 @@ import (
 // registers by the assembly's own epilogue. Every other tile — cut by the
 // edge of C or by the diagonal of a lower pass, and every tile of the Go
 // kernel — lands in a stack block and goes through storeTile, the one Go
-// store and the definition of what the epilogue must compute bit for bit.
+// store and the definition of what the epilogue must compute bit for bit
+// (storeFirst, its first-chunk half, stores the Go small path too).
 const (
 	goMR, goNR = 4, 4
 	vecMR      = 6
@@ -311,28 +312,35 @@ func storeTile[T float32 | float64](alpha, beta T, first bool, acc *[maxTile]T, 
 		row := c.Data[(ci+i)*c.Stride+cj : (ci+i)*c.Stride+cj+jbRow]
 		av := acc[i*nr : i*nr+jbRow]
 		switch {
-		case !first:
-			if alpha == 1 {
-				for j, v := range av {
-					row[j] += v
-				}
-			} else {
-				for j, v := range av {
-					row[j] += alpha * v
-				}
-			}
-		case beta == 0:
-			if alpha == 1 {
-				copy(row, av)
-			} else {
-				for j, v := range av {
-					row[j] = alpha * v
-				}
+		case first:
+			storeFirst(alpha, beta, row, av)
+		case alpha == 1:
+			for j, v := range av {
+				row[j] += v
 			}
 		default:
 			for j, v := range av {
-				row[j] = beta*row[j] + alpha*v
+				row[j] += alpha * v
 			}
+		}
+	}
+}
+
+// storeFirst stores the sums av of a tile's first KC chunk into row, a row of
+// C: alpha·v (v itself when alpha is 1) where beta is 0, else beta·c + alpha·v.
+// storeTile and the Go small path (goPass) store with it, and the vector
+// tile's storeSet and storeScale compute the same, NaN payloads included.
+func storeFirst[T float32 | float64](alpha, beta T, row, av []T) {
+	switch {
+	case beta != 0:
+		for j, v := range av {
+			row[j] = beta*row[j] + alpha*v
+		}
+	case alpha == 1:
+		copy(row, av)
+	default:
+		for j, v := range av {
+			row[j] = alpha * v
 		}
 	}
 }

@@ -263,9 +263,9 @@ func TestSmallPathMatchesNaiveMatrix(t *testing.T) {
 }
 
 // TestSmallShapeGate pins the gate itself at the default limits, per op and
-// per kind of host: the boundaries, the vector unit's k ≤ defaultKC, and
-// products that wrap an int — 2048³ and 65536²·1 are 0 in 32 bits
-// (GOARCH=386, where the first sent an 8.6-GFLOP call down the scalar loop),
+// per kind of host: the boundaries, k ≤ defaultKC, SYR2K's k counted once,
+// and products that wrap an int — 2048³ and 65536²·1 are 0 in 32 bits
+// (GOARCH=386, where the first sent an 8.6-GFLOP call down the small path),
 // 2²¹·2²¹·2²² is 0 in 64. Only the gate reads useVec here, so both answers
 // are checked on any host.
 func TestSmallShapeGate(t *testing.T) {
@@ -284,9 +284,9 @@ func TestSmallShapeGate(t *testing.T) {
 	}{
 		{false, []gateCase{
 			{opGemm, 1, 1, 1, true}, {opGemm, 8, 8, 8, true}, {opGemm, 8, 8, 9, false}, {opGemm, 1, 512, 1, true}, {opGemm, 513, 1, 1, false},
-			{opGemm, 1, 1, 512, true}, {opSyrk, 8, 8, 8, true}, {opSyrk, 8, 8, 9, false},
-			{opSyr2k, 8, 8, 16, true}, {opSyr2k, 8, 8, 17, false}, {opSyr2k, 1, 1, 1024, true},
-			{opSyr2k, 3, 3, 112, true}, {opSyr2k, 3, 3, 113, false}, {opSyr2k, 1, 1, 1023, true}, {opSyr2k, 1, 1, 1025, false},
+			{opGemm, 2, 1, 256, true}, {opGemm, 1, 1, 257, false}, {opSyrk, 8, 8, 8, true}, {opSyrk, 8, 8, 9, false},
+			{opSyr2k, 8, 8, 16, true}, {opSyr2k, 8, 8, 17, false}, {opSyr2k, 3, 3, 113, true}, {opSyr2k, 3, 3, 114, false},
+			{opSyr2k, 1, 1, 256, true}, {opSyr2k, 1, 1, 257, false},
 		}},
 		{true, []gateCase{
 			{opGemm, 1, 1, 1, true}, {opGemm, 16, 16, 16, true}, {opGemm, 16, 16, 17, false}, {opGemm, 1, 4096, 1, true},

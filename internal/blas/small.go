@@ -4,22 +4,19 @@ import "repro/internal/mat"
 
 // Small-shape fast path: below a FLOP threshold the packed algorithm's
 // panel copies, buffer setup and phase barriers dominate the useful work,
-// so tiny GEMMs run a single-threaded blocked loop directly on the operands
-// instead. The loop order is chosen per transB so the innermost loop
-// always streams a contiguous row of B (or of C), which is what the packed
-// layout would have bought anyway at these sizes.
+// so tiny calls read their operands in place on one thread instead. Each
+// element of C is computed with the packed tile's own arithmetic — on the
+// vector unit in assembly, elsewhere by the Go pass — so which path a call
+// takes moves no result bit, only time and the thread count.
 
 // smallShapeLimit bounds m·n·k for the no-packing path, per op (indexed by
-// opKind): [1] where the small path runs on the vector unit, SYR2K counting
-// k once, as SYRK does; [0] where it is the Go loops, SYR2K counting k
-// rounded up to even (see smallShape). A variable rather than a
-// constant so the test matrix can force either path.
+// opKind): [0] where the Go pass runs it, [1] where it runs on the vector
+// unit. A variable rather than a constant so the test matrix can force
+// either path.
 //
-// On the vector unit the small path computes every element with the packed
-// tile's arithmetic (see smallVec), so the limit moves no result bit — only
-// time, and the thread count: a call under it runs one thread whatever was
-// asked. It also needs k ≤ defaultKC there: the packed path sums an element
-// in chunks of KC, the small path in one chain. Measured with
+// A call under the limit runs one thread whatever was asked. It also needs
+// k ≤ defaultKC: the packed path sums an element in chunks of KC, the small
+// path in one chain. On the vector unit, measured with
 // BenchmarkSmallCrossover (float32, 2-vCPU AVX-512 Xeon, medians of five, ns:
 // small path / packed at one thread / packed at two): GEMM 16³ 278 / 873 /
 // 3094, 24³ 666 / 1664 / 4273, 32³ 1363 / 1715 / 4373, 40³ 2949 / 5520 / 7936;
@@ -41,10 +38,13 @@ import "repro/internal/mat"
 //
 // TestSmallScratchBound holds the staging bounds at the worst shapes.
 //
-// The Go loops round twice per multiply-add where the Go tile rounds once
-// (unless gc fuses), so there the limit decides result bits. It stays 8³,
-// where the packed Go tile overtakes the loops; SYR2K keeps its
-// n·n·⌈k/2⌉ ≤ 8³, taken as n·n·2⌈k/2⌉ ≤ 2·8³.
+// The Go pass stages nothing. Its limits stay where the Go loops it replaced
+// crossed the packed Go tile: 8³ for GEMM and SYRK, 2·8³ for SYR2K, whose
+// packed form pays two passes. At one thread the Go pass beats the packed Go
+// tile at every shape of the sweep under them, by 1.6–3.3× (go / gopacked
+// arms, README "Small path on the Go tile"), and still at 11³ and 12×16×12
+// for all three ops, so they could rise; like the vector limits they move
+// only time and the thread count.
 var smallShapeLimit = [2][3]int{
 	{8 * 8 * 8, 8 * 8 * 8, 2 * 8 * 8 * 8},
 	{16 * 16 * 16, 32 * 32 * 32, 32 * 32 * 32},
@@ -55,14 +55,11 @@ var smallShapeLimit = [2][3]int{
 // The product is taken in float64, exact far beyond any limit: in a 32-bit
 // int 2048³ wraps to 0 and would send an 8.6-GFLOP call down the small path.
 func smallShape(op opKind, m, n, k int) bool {
+	limit := smallShapeLimit[0][op]
 	if useVec {
-		return k <= defaultKC && float64(m)*float64(n)*float64(k) <= float64(smallShapeLimit[1][op])
+		limit = smallShapeLimit[1][op]
 	}
-	kk := float64(k)
-	if op == opSyr2k {
-		kk += float64(k & 1) // 2⌈k/2⌉
-	}
-	return float64(m)*float64(n)*kk <= float64(smallShapeLimit[0][op])
+	return k <= defaultKC && float64(m)*float64(n)*float64(k) <= float64(limit)
 }
 
 // narrowShape reports whether a packed call under the default blocking keeps
@@ -78,103 +75,64 @@ func narrowShape[T float32 | float64](n int) bool {
 	return useZMM && n <= ymmNR[T]()
 }
 
-// smallGemm computes C ← alpha·op(A)·op(B) + beta·C without packing.
-// Callers have already handled the degenerate m/n/k = 0 and alpha = 0 cases.
-func smallGemm[T float32 | float64](transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], m, n, k int) {
-	if !transB {
-		// AXPY form: C(i, :) accumulates alpha·op(A)(i, p) · B(p, :), with
-		// the inner loop contiguous over both B's row and C's row.
-		for i := 0; i < m; i++ {
-			crow := c.Data[i*c.Stride : i*c.Stride+n]
-			if beta == 0 {
-				for j := range crow {
-					crow[j] = 0
-				}
-			} else if beta != 1 {
-				for j := range crow {
-					crow[j] *= beta
-				}
-			}
-			for p := 0; p < k; p++ {
-				var aip T
-				if transA {
-					aip = alpha * a.Data[p*a.Stride+i]
-				} else {
-					aip = alpha * a.Data[i*a.Stride+p]
-				}
-				brow := b.Data[p*b.Stride : p*b.Stride+n]
-				for j, bv := range brow {
-					crow[j] += aip * bv
-				}
-			}
-		}
-		return
-	}
-	// Dot form: op(B)(p, j) = B(j, p), so B's row j is contiguous over p.
-	for i := 0; i < m; i++ {
-		crow := c.Data[i*c.Stride : i*c.Stride+n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*b.Stride : j*b.Stride+k]
-			var sum T
-			if transA {
-				for p, bv := range brow {
-					sum += a.Data[p*a.Stride+i] * bv
-				}
-			} else {
-				arow := a.Data[i*a.Stride : i*a.Stride+k]
-				for p, av := range arow {
-					sum += av * brow[p]
-				}
-			}
-			if beta == 0 {
-				crow[j] = alpha * sum
-			} else {
-				crow[j] = alpha*sum + beta*crow[j]
-			}
-		}
-	}
-}
-
-// The small path on the vector unit: where the vector tile runs (useVec),
-// each call is one assembly call per pass (kernel_amd64.s) that computes
-// every element of C exactly as the packed tile does — a +0 accumulator, one
+// A small-path call computes each element of C as the packed path does:
+// C(i, j) ← alpha·Σp x(i, p)·y(p, j) (+ beta·C(i, j)) over all of C or its
+// lower triangle, x(i, p) being op(A)(i, p) and y(p, j) what the packed
+// path's B panel holds, op(B)(p, j) for GEMM and op(B)(j, p) for a lower
+// pass. SYR2K adds the product with the operands swapped as the packed
+// SYR2K's second pass does: alpha·op(B)·op(A)ᵀ, stored with beta = 1. The
+// symmetric updates end with the mirror. Where the vector tile runs (useVec),
+// each product is one assembly call (kernel_amd64.s): a +0 accumulator, one
 // fused multiply-add per p in ascending p, the B-panel operand in the lanes
 // and the A-panel operand broadcast, then alpha·acc stored by storeSet or
-// storeScale — so the result is the packed path's bit for bit, NaN payloads
-// included, and which path a call takes moves no bit. The operands are read
-// in place: x(i, p) is op(A)(i, p), y(p, j) is what the packed path's B panel
-// holds, op(B)(p, j) for GEMM and op(B)(j, p) for a lower pass. When y is not
-// stored row-major the assembly first transposes it, as bits, into scratch.
-// SYR2K runs like the packed SYR2K: a lower pass of alpha·op(A)·op(B)ᵀ with
-// beta, a second of alpha·op(B)·op(A)ᵀ with beta = 1, then the mirror (which
-// SYRK's one pass ends with too). The loops stay the path everywhere else.
+// storeScale — the packed tile's bits, NaN payloads included. Elsewhere
+// goPass computes them with the Go tile's arithmetic.
 
-// The lower argument of ssmall and dsmall.
+// The lower argument of a pass: what of C it computes. The assembly takes
+// the first three.
 const (
 	fullC       = iota // all of C
 	lowerOnly          // C's lower triangle
 	lowerMirror        // C's lower triangle, then mirrored
+	rank2              // as lowerMirror, adding the product with x and y swapped
 )
 
-// smallVec runs a small-path call in assembly. The scratch the lane
-// operands are staged in grows with the Context, to the largest call seen;
-// smallPass allocates nothing.
-func smallVec[T float32 | float64](ctx *Context, op opKind, transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], m, n, k int) {
+// smallCall runs a small-path call on one thread. The scratch the vector
+// pass stages lane operands in grows with the Context, to the largest call
+// seen.
+func smallCall[T float32 | float64](ctx *Context, op opKind, transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], m, n, k int) {
 	bufs := bufsFor[T](ctx)
 	xi, xp := opStrides(a.Stride, transA)
 	switch op {
 	case opGemm:
 		// y(p, j) = op(B)(p, j).
 		yp, yj := opStrides(b.Stride, transB)
-		smallPass(a.Data, xi, xp, b.Data, yp, yj, stage(bufs, yj, n, k), c, m, n, k, fullC, alpha, beta)
+		smallPass(bufs, a.Data, xi, xp, b.Data, yp, yj, c, m, n, k, fullC, alpha, beta)
 	case opSyrk:
 		// y(p, j) = op(A)(j, p).
-		smallPass(a.Data, xi, xp, a.Data, xp, xi, stage(bufs, xi, n, k), c, n, n, k, lowerMirror, alpha, beta)
+		smallPass(bufs, a.Data, xi, xp, a.Data, xp, xi, c, n, n, k, lowerMirror, alpha, beta)
 	default:
+		// y(p, j) = op(B)(j, p), and swapped x(i, p) = op(B)(i, p),
+		// y(p, j) = op(A)(j, p).
 		bi, bp := opStrides(b.Stride, transA)
-		smallPass(a.Data, xi, xp, b.Data, bp, bi, stage(bufs, bi, n, k), c, n, n, k, lowerOnly, alpha, beta)
-		smallPass(b.Data, bi, bp, a.Data, xp, xi, stage(bufs, xi, n, k), c, n, n, k, lowerMirror, alpha, 1)
+		smallPass(bufs, a.Data, xi, xp, b.Data, bp, bi, c, n, n, k, rank2, alpha, beta)
 	}
+}
+
+// smallPass computes C(i, j) ← alpha·Σp x(i, p)·y(p, j) (+ beta·C(i, j))
+// with x(i, p) = x[i·xi+p·xp] and y(p, j) = y[p·yp+j·yj], over what lower
+// names (m = n unless fullC). One of y's strides is 1. Under rank2 the swap
+// is x(i, p) = y[i·yj+p·yp] and y(p, j) = x[p·xp+j·xi].
+func smallPass[T float32 | float64](bufs *ctxBufs[T], x []T, xi, xp int, y []T, yp, yj int, c mat.Dense[T], m, n, k, lower int, alpha, beta T) {
+	if !useVec {
+		goPass(x, xi, xp, y, yp, yj, c, m, n, k, lower, alpha, beta)
+		return
+	}
+	if lower == rank2 {
+		vecPass(x, xi, xp, y, yp, laneStride(yj, n), stage(bufs, yj, n, k), c, m, n, k, lowerOnly, alpha, beta)
+		x, xi, xp, y, yp, yj, lower, beta = y, yj, yp, x, xp, xi, lowerMirror, 1
+	}
+	vecPass(x, xi, xp, y, yp, laneStride(yj, n), stage(bufs, yj, n, k), c, m, n, k, lower, alpha, beta)
 }
 
 // stage returns the scratch a k×n lane operand with j stride yj is staged
@@ -195,16 +153,13 @@ func opStrides(stride int, trans bool) (si, sp int) {
 	return stride, 1
 }
 
-// smallPass is one pass in one assembly call: C(i, j) ← alpha·Σp x(i, p)·
-// y(p, j) (+ beta·C(i, j)) with x(i, p) = x[i·xi+p·xp] and y(p, j) =
-// y[p·yp+j·yj], over all of C or, by lower, its lower triangle (m = n). scr
-// is the staging scratch for y (stage). The index expressions are the bounds
-// check: the assembly touches nothing past the last element of x, y and C
+// vecPass is one product in one assembly call, ssmall or dsmall. scr is the
+// staging scratch for y (stage). The index expressions are the bounds check:
+// the assembly touches nothing past the last element of x, y, scr and C
 // they name.
 //
 //adsala:zeroalloc
-func smallPass[T float32 | float64](x []T, xi, xp int, y []T, yp, yj int, scr []T, c mat.Dense[T], m, n, k, lower int, alpha, beta T) {
-	yj = laneStride(yj, n)
+func vecPass[T float32 | float64](x []T, xi, xp int, y []T, yp, yj int, scr []T, c mat.Dense[T], m, n, k, lower int, alpha, beta T) {
 	scr = scr[:staged[T](yj, n, k)]
 	_, _, _ = x[(m-1)*xi+(k-1)*xp], y[(k-1)*yp+(n-1)*yj], c.Data[(m-1)*c.Stride+n-1]
 	mode := storeScale
@@ -217,6 +172,132 @@ func smallPass[T float32 | float64](x []T, xi, xp int, y []T, yp, yj int, scr []
 	case *float64:
 		dsmall(any(&x[0]).(*float64), xi, xp, any(&y[0]).(*float64), yp, yj, any(first(scr)).(*float64), cp, c.Stride, m, n, k, lower, mode, float64(alpha), float64(beta))
 	}
+}
+
+// goPass is smallPass with the Go tile's arithmetic: each element sums from
+// +0, one sum += x·y per p in ascending p (micro4x4's operand order), and
+// storeFirst stores it as storeTile stores a packed call's first KC chunk.
+// So the result is the packed Go path's bit for bit, except for which
+// payload a NaN carries: gc picks the operand order of each product. It sums
+// two rows by four columns at a time into sums, a row chunk of goChunk
+// columns each, and then stores them. A lower pass runs each pair of rows up
+// to the group of four that holds the second one's diagonal; what that
+// stores above the diagonal, the mirror overwrites. A rank2 pass sums the
+// first product over all of C, and goStore makes both products of it.
+//
+//adsala:zeroalloc
+func goPass[T float32 | float64](x []T, xi, xp int, y []T, yp, yj int, c mat.Dense[T], m, n, k, lower int, alpha, beta T) {
+	var sums [2 * goChunk]T
+	for i := 0; i < m; i += 2 {
+		i1 := min(i+1, m-1) // an odd last row is summed twice, stored once
+		cols := n
+		if lower == lowerMirror {
+			cols = min(n, (i1+4)&^3)
+		}
+		x0, x1 := x[i*xi:], x[i1*xi:]
+		for j0 := 0; j0 < cols; j0 += goChunk {
+			w := min(goChunk, cols-j0)
+			s0, s1 := sums[:w], sums[goChunk:goChunk+w]
+			j := 0
+			for ; j+4 <= w; j += 4 {
+				s0[j], s0[j+1], s0[j+2], s0[j+3], s1[j], s1[j+1], s1[j+2], s1[j+3] = sums2x4(x0, x1, xp, y[(j0+j)*yj:], yp, yj, k)
+			}
+			for ; j < w; j++ {
+				s0[j], s1[j] = sum1(x0, xp, y[(j0+j)*yj:], yp, k), sum1(x1, xp, y[(j0+j)*yj:], yp, k)
+			}
+			goStore(c, i, j0, s0, lower, alpha, beta)
+			if i1 > i {
+				goStore(c, i1, j0, s1, lower, alpha, beta)
+			}
+		}
+	}
+	if lower != fullC {
+		mirrorLower(c, 0, m)
+	}
+}
+
+// goChunk is how many columns of a row goPass sums before it stores them.
+// Even, so that a pair of rows i, i+1 never has its diagonal elements in two
+// chunks (see goStore).
+const goChunk = 32
+
+// goStore stores the sums s of row i of C from column j0 on. Under rank2 s
+// is that row of the first product in full: where j ≤ i it is the first
+// product's sum for C(i, j), stored with beta; where j > i it is the second
+// product's sum for C(j, i) — the same products in the same order — and is
+// kept in C(i, j), which the mirror overwrites, until row j stores it with
+// beta = 1, beside its own on the diagonal.
+func goStore[T float32 | float64](c mat.Dense[T], i, j0 int, s []T, lower int, alpha, beta T) {
+	crow := c.Data[i*c.Stride+j0:][:len(s)]
+	if lower != rank2 {
+		storeFirst(alpha, beta, crow, s)
+		return
+	}
+	d := min(max(i+1-j0, 0), len(s))
+	storeFirst(alpha, beta, crow[:d], s[:d])
+	copy(crow[d:], s[d:])
+	for q := range s[:d] {
+		if j := j0 + q; j < i {
+			s[q] = c.Data[j*c.Stride+i]
+		}
+	}
+	storeFirst(alpha, 1, crow[:d], s[:d])
+}
+
+// sums2x4 returns Σp x0[p·xp]·y[p·yp+q·yj] and the same of x1, p < k, for the
+// four columns q < 4, in eight add chains: along the rows of y where they
+// are contiguous (yj = 1), else down its four columns (yp = 1).
+func sums2x4[T float32 | float64](x0, x1 []T, xp int, y []T, yp, yj, k int) (s0, s1, s2, s3, t0, t1, t2, t3 T) {
+	if yj == 1 {
+		for p, o, q := 0, 0, 0; p < k; p, o, q = p+1, o+xp, q+yp {
+			u, v, yr := x0[o], x1[o], y[q:q+4]
+			s0 += u * yr[0]
+			s1 += u * yr[1]
+			s2 += u * yr[2]
+			s3 += u * yr[3]
+			t0 += v * yr[0]
+			t1 += v * yr[1]
+			t2 += v * yr[2]
+			t3 += v * yr[3]
+		}
+		return
+	}
+	y0, y1, y2, y3 := y[:k], y[yj:][:k], y[2*yj:][:k], y[3*yj:][:k]
+	if xp == 1 {
+		x0, x1 = x0[:k], x1[:k]
+		for p, w := range y0 {
+			u, v := x0[p], x1[p]
+			s0 += u * w
+			s1 += u * y1[p]
+			s2 += u * y2[p]
+			s3 += u * y3[p]
+			t0 += v * w
+			t1 += v * y1[p]
+			t2 += v * y2[p]
+			t3 += v * y3[p]
+		}
+		return
+	}
+	for p, o := 0, 0; p < k; p, o = p+1, o+xp {
+		u, v := x0[o], x1[o]
+		s0 += u * y0[p]
+		s1 += u * y1[p]
+		s2 += u * y2[p]
+		s3 += u * y3[p]
+		t0 += v * y0[p]
+		t1 += v * y1[p]
+		t2 += v * y2[p]
+		t3 += v * y3[p]
+	}
+	return
+}
+
+// sum1 returns Σp x[p·xp]·y[p·yp], p < k.
+func sum1[T float32 | float64](x []T, xp int, y []T, yp, k int) (s T) {
+	for p := 0; p < k; p++ {
+		s += x[p*xp] * y[p*yp]
+	}
+	return s
 }
 
 // laneStride is the j stride the assembly is given for a lane operand of

@@ -17,7 +17,7 @@ import "repro/internal/mat"
 // ownership and summation order depend only on the dimensions and the
 // blocking parameters, so results are bit-identical across thread counts, and
 // both passes reuse the context's packed panels (steady-state calls allocate
-// nothing). This file holds the entry points and the no-packing loop.
+// nothing). This file holds the entry points.
 
 // SSYR2K computes the single-precision symmetric rank-2k update using the
 // given number of worker goroutines (threads < 1 is treated as 1). The call
@@ -45,45 +45,4 @@ func (c *Context) SSYR2K(trans bool, alpha float32, a, b *mat.F32, beta float32,
 // DSYR2K is the double-precision counterpart of SSYR2K.
 func (c *Context) DSYR2K(trans bool, alpha float64, a, b *mat.F64, beta float64, cm *mat.F64, threads int) error {
 	return drive(c, opSyr2k, trans, trans, alpha, *a, *b, beta, *cm, threads, c.Params)
-}
-
-// smallSyr2k computes the lower triangle of
-// alpha·(op(A)·op(B)ᵀ + op(B)·op(A)ᵀ) + beta·C without packing. Callers
-// handle the degenerate n/k = 0 and alpha = 0 cases and the mirror pass.
-func smallSyr2k[T float32 | float64](trans bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], n, k int) {
-	for i := 0; i < n; i++ {
-		row := c.Data[i*c.Stride : i*c.Stride+i+1]
-		if !trans {
-			// op(X) = X: rows i and j of A and B are contiguous dot operands.
-			ai := a.Data[i*a.Stride : i*a.Stride+k]
-			bi := b.Data[i*b.Stride : i*b.Stride+k]
-			for j := 0; j <= i; j++ {
-				aj := a.Data[j*a.Stride : j*a.Stride+k]
-				bj := b.Data[j*b.Stride : j*b.Stride+k]
-				var sum T
-				for p, av := range ai {
-					sum += av*bj[p] + bi[p]*aj[p]
-				}
-				if beta == 0 {
-					row[j] = alpha * sum
-				} else {
-					row[j] = alpha*sum + beta*row[j]
-				}
-			}
-			continue
-		}
-		// op(X) = Xᵀ: columns i and j, strided reads.
-		for j := 0; j <= i; j++ {
-			var sum T
-			for p := 0; p < k; p++ {
-				sum += a.Data[p*a.Stride+i]*b.Data[p*b.Stride+j] +
-					b.Data[p*b.Stride+i]*a.Data[p*a.Stride+j]
-			}
-			if beta == 0 {
-				row[j] = alpha * sum
-			} else {
-				row[j] = alpha*sum + beta*row[j]
-			}
-		}
-	}
 }

@@ -22,7 +22,7 @@ import "repro/internal/mat"
 // of the worker team owns a contiguous run of MR-row bands of C chosen so
 // that the lower-triangle tiles, not the rows, are shared out evenly
 // (syrkRows). What this file holds is what only the symmetric updates need:
-// that partition, the no-packing loop, and the mirror.
+// that partition and the mirror.
 
 // SSYRK computes the single-precision symmetric rank-k update using the
 // given number of worker goroutines (threads < 1 is treated as 1). The call
@@ -95,44 +95,6 @@ func syrkRows(n, jc, nc int, prm Params, w, parts int) (lo, hi int) {
 		acc += syrkBandWeight(b, n, jc, nc, prm)
 	}
 	return min(blo*prm.MR, n), min(bhi*prm.MR, n)
-}
-
-// smallSyrk computes the lower triangle of alpha·op(A)·op(A)ᵀ + beta·C
-// without packing. Callers handle the degenerate n/k = 0 and alpha = 0
-// cases and the mirror pass.
-func smallSyrk[T float32 | float64](trans bool, alpha T, a mat.Dense[T], beta T, c mat.Dense[T], n, k int) {
-	for i := 0; i < n; i++ {
-		row := c.Data[i*c.Stride : i*c.Stride+i+1]
-		if !trans {
-			// op(A) = A: rows i and j of A are contiguous dot operands.
-			ai := a.Data[i*a.Stride : i*a.Stride+k]
-			for j := 0; j <= i; j++ {
-				aj := a.Data[j*a.Stride : j*a.Stride+k]
-				var sum T
-				for p, av := range ai {
-					sum += av * aj[p]
-				}
-				if beta == 0 {
-					row[j] = alpha * sum
-				} else {
-					row[j] = alpha*sum + beta*row[j]
-				}
-			}
-			continue
-		}
-		// op(A) = Aᵀ: columns i and j of A, strided reads.
-		for j := 0; j <= i; j++ {
-			var sum T
-			for p := 0; p < k; p++ {
-				sum += a.Data[p*a.Stride+i] * a.Data[p*a.Stride+j]
-			}
-			if beta == 0 {
-				row[j] = alpha * sum
-			} else {
-				row[j] = alpha*sum + beta*row[j]
-			}
-		}
-	}
 }
 
 // mirrorTile is the edge of the square tiles mirrorLower copies in: 16
