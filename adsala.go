@@ -169,7 +169,7 @@ func newLibrary(inner *core.Library) *Library {
 
 // hostThreads is the most threads a call can run on here — the one
 // definition of "feasible" that sizes the local install sweep (buildConfig),
-// the ranked view (newLibrary) and the execution guard (BLAS.localClamp).
+// the ranked view (newLibrary) and the execution guard (clamp).
 func hostThreads() int { return runtime.GOMAXPROCS(0) }
 
 // Train runs the full installation workflow (Fig 2) — once per requested

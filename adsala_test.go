@@ -101,7 +101,7 @@ func TestGemmProducesCorrectResult(t *testing.T) {
 func TestGemmCacheAndClamp(t *testing.T) {
 	lib, _ := trainQuick(t)
 	g := lib.BLAS()
-	g.SetMaxLocalThreads(2)
+	atGOMAXPROCS(t, 2)
 	// LastChoice is a read-only peek: before any call the shape is uncached
 	// and it must report 0 without running a prediction or moving counters.
 	if got := g.LastChoice(OpGEMM, 16, 16, 16); got != 0 {
@@ -138,7 +138,7 @@ func TestGemmCacheAndClamp(t *testing.T) {
 func TestSyrkFacade(t *testing.T) {
 	lib, _ := trainQuick(t)
 	s := lib.BLAS()
-	s.SetMaxLocalThreads(2)
+	atGOMAXPROCS(t, 2)
 	rng := rand.New(rand.NewSource(3))
 	a := NewMatrixF32(24, 9)
 	c := NewMatrixF32(24, 24)

@@ -250,67 +250,6 @@ func BenchmarkKernelConcurrentCallers(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroTiles compares the register micro-tiles through the same
-// blocked driver: the Go 4×4 fallback and, where the CPU runs it, the
-// vector tile that is the default (see internal/blas/kernel.go).
-func BenchmarkMicroTiles(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	A := mat.NewF32(256, 256)
-	B := mat.NewF32(256, 256)
-	C := mat.NewF32(256, 256)
-	A.FillRandom(rng)
-	B.FillRandom(rng)
-	def := blas.DefaultParams[float32]()
-	tiles := [][2]int{{4, 4}}
-	if def.MR != 4 {
-		tiles = append(tiles, [2]int{def.MR, def.NR})
-	}
-	for _, tile := range tiles {
-		p := def
-		p.MR, p.NR = tile[0], tile[1]
-		b.Run(fmt.Sprintf("%dx%d", tile[0], tile[1]), func(b *testing.B) {
-			ctx := &blas.Context{Params: p}
-			defer ctx.Close()
-			b.SetBytes(2 * 256 * 256 * 256)
-			for i := 0; i < b.N; i++ {
-				if err := ctx.SGEMM(false, false, 1, A, B, 0, C, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBlockingParams ablates the cache-blocking parameters of the GEMM
-// substrate (DESIGN.md §5): default vs small blocks.
-func BenchmarkBlockingParams(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	A := mat.NewF32(256, 256)
-	B := mat.NewF32(256, 256)
-	C := mat.NewF32(256, 256)
-	A.FillRandom(rng)
-	B.FillRandom(rng)
-	def := blas.DefaultParams[float32]()
-	for _, cfg := range []struct {
-		name string
-		p    blas.Params
-	}{
-		{"default", def},
-		{"tiny-blocks", blas.Params{MC: 8 * def.MR, KC: 32, NC: 4 * def.NR, MR: def.MR, NR: def.NR}},
-		{"deep-k", blas.Params{MC: 16 * def.MR, KC: 512, NC: 64 * def.NR, MR: def.MR, NR: def.NR}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			ctx := &blas.Context{Params: cfg.p}
-			defer ctx.Close()
-			for i := 0; i < b.N; i++ {
-				if err := ctx.SGEMM(false, false, 1, A, B, 0, C, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- model evaluation latency (the t_eval of Tables III/IV) ---------------
 
 func BenchmarkModelEvalLatency(b *testing.B) {
@@ -459,7 +398,7 @@ func BenchmarkGemmEndToEnd(b *testing.B) {
 	}
 	lib := newLibrary(res.Library)
 	g := lib.BLAS()
-	g.SetMaxLocalThreads(2)
+	atGOMAXPROCS(b, 2)
 	rng := rand.New(rand.NewSource(4))
 	A := mat.NewF32(128, 128)
 	B := mat.NewF32(128, 128)

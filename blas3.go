@@ -2,7 +2,6 @@ package adsala
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blas"
@@ -30,8 +29,8 @@ func NewMatrixF64(rows, cols int) *MatrixF64 { return mat.NewF64(rows, cols) }
 // feasible view, sized at GOMAXPROCS when the library was built), so a
 // library trained for a larger platform neither scores nor picks a thread
 // count that cannot execute here. The executed count is still clamped per
-// call: that guard covers SetMaxLocalThreads and a GOMAXPROCS lowered after
-// the library was built.
+// call to GOMAXPROCS: that guard covers a GOMAXPROCS lowered after the
+// library was built.
 //
 // Every facade obtained from the same Library — BLAS() calls, Engine with
 // default options — shares that one engine, so CacheStats and a serving
@@ -44,11 +43,9 @@ func NewMatrixF64(rows, cols int) *MatrixF64 { return mat.NewF64(rows, cols) }
 // pool. A call pays only for what it uses: the kernel is timed only while a
 // flight recorder or drift monitor is attached to the engine, and a
 // decision of one thread runs without reading GOMAXPROCS. A BLAS is safe
-// for concurrent use, SetMaxLocalThreads included.
+// for concurrent use.
 type BLAS struct {
 	eng *serve.Engine
-	// maxLocal caps the executed thread count (0 = hostThreads).
-	maxLocal atomic.Int64
 }
 
 // BLAS returns the generic BLAS-3 front end bound to the library's shared
@@ -59,45 +56,21 @@ func (l *Library) BLAS() *BLAS { return &BLAS{eng: l.sharedEngine()} }
 // shared engine).
 func (b *BLAS) Engine() *serve.Engine { return b.eng }
 
-// SetMaxLocalThreads overrides the local execution clamp for calls through
-// this facade (useful in tests). It does not affect other facades sharing
-// the engine.
-func (b *BLAS) SetMaxLocalThreads(n int) { b.maxLocal.Store(int64(n)) }
-
-// localClamp returns the largest thread count to actually run.
-func (b *BLAS) localClamp() int {
-	if n := b.maxLocal.Load(); n > 0 {
-		return int(n)
-	}
-	return hostThreads()
-}
-
-// clamp bounds a model decision to what this facade executes. A decision
-// of at most one thread runs at one without reading localClamp: no clamp
+// clamp bounds a model decision to what this host executes. A decision of
+// at most one thread runs at one without reading hostThreads: no clamp
 // lowers one thread, and GOMAXPROCS takes the scheduler lock.
-func (b *BLAS) clamp(threads int) int {
+func clamp(threads int) int {
 	if threads <= 1 {
 		return 1
 	}
-	return clampThreads(threads, b.localClamp())
-}
-
-// clampThreads bounds a model decision to [1, max] for local execution.
-func clampThreads(threads, max int) int {
-	if threads > max {
-		threads = max
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	return threads
+	return min(threads, hostThreads())
 }
 
 // choose returns the model-selected thread count for one op at its
 // canonical feature triple, clamped for local execution.
 func (b *BLAS) choose(op Op, m, k, n int) int {
 	threads, _ := b.eng.PredictOpCtx(context.Background(), op, m, k, n)
-	return b.clamp(threads)
+	return clamp(threads)
 }
 
 // startClock reads the clock when the engine has a listener for the call's
@@ -229,7 +202,7 @@ func (b *BLAS) LastChoice(op Op, m, k, n int) int {
 	if !ok {
 		return 0
 	}
-	return b.clamp(threads)
+	return clamp(threads)
 }
 
 // CacheStats reports the serving (hits, misses) of the shared engine —

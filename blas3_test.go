@@ -3,7 +3,6 @@ package adsala
 import (
 	"math/rand"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -200,12 +199,12 @@ func TestFacadeMeasuresWhatListens(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := b.LastChoice(c.op, c.m, c.k, c.n); got != 2 {
-			t.Fatalf("LastChoice = %d with no override at GOMAXPROCS 2, want the model's 2", got)
+			t.Fatalf("LastChoice = %d at GOMAXPROCS 2, want the model's 2", got)
 		}
 		rec, prefix := openRecorder(t)
 		b.Engine().SetRecorder(rec)
 		defer b.Engine().SetRecorder(nil)
-		b.SetMaxLocalThreads(1)
+		atGOMAXPROCS(t, 1) // lowered after the library was built
 		if err := c.run(b); err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +213,7 @@ func TestFacadeMeasuresWhatListens(t *testing.T) {
 			t.Errorf("captured %+v, want the decision at 2 threads and the measurement at the 1 that ran", recs)
 		}
 		if got := b.LastChoice(c.op, c.m, c.k, c.n); got != 1 {
-			t.Errorf("LastChoice = %d under SetMaxLocalThreads(1), want 1", got)
+			t.Errorf("LastChoice = %d at GOMAXPROCS 1, want 1", got)
 		}
 	})
 }
@@ -229,40 +228,4 @@ func decidesTwo(t *testing.T, trained *Library) *Library {
 		t.Fatal(err)
 	}
 	return newLibrary(inner)
-}
-
-// TestSetMaxLocalThreadsConcurrent: the override may change while calls run
-// (a BLAS is safe for concurrent use). Every call executes one of the
-// values it held; run under -race, a plain field would be reported.
-func TestSetMaxLocalThreadsConcurrent(t *testing.T) {
-	atGOMAXPROCS(t, 2)
-	lib, _ := trainQuick(t)
-	b := decidesTwo(t, lib).BLAS()
-	c := facadeCalls()[4] // packed SGEMM
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				b.SetMaxLocalThreads(1 + i%2)
-			}
-		}
-	}()
-	for i := 0; i < 200; i++ {
-		if err := c.run(b); err != nil {
-			t.Error(err)
-			break
-		}
-		if got := b.LastChoice(c.op, c.m, c.k, c.n); got != 1 && got != 2 {
-			t.Errorf("LastChoice = %d while the override moves between 1 and 2", got)
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

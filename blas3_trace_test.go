@@ -70,7 +70,7 @@ func TestFacadeRecordsMeasured(t *testing.T) {
 	}
 	// The decision records the model's raw choice; execution (and hence the
 	// measurement) runs it through the local clamp.
-	if want := clampThreads(int(dec.Threads), b.localClamp()); meas.Op != dec.Op || int(meas.Threads) != want {
+	if want := clamp(int(dec.Threads)); meas.Op != dec.Op || int(meas.Threads) != want {
 		t.Errorf("measurement (op %v, threads %d) disagrees with clamped decision (op %v, threads %d)",
 			meas.Op, meas.Threads, dec.Op, want)
 	}

@@ -14,9 +14,10 @@ import (
 	"repro/internal/trace"
 )
 
-// atGOMAXPROCS runs the rest of the test with the given processor count and
-// restores the previous one at cleanup. No test of this package is parallel.
-func atGOMAXPROCS(t *testing.T, n int) {
+// atGOMAXPROCS runs the rest of the test or benchmark with the given
+// processor count and restores the previous one at cleanup. No test of this
+// package is parallel.
+func atGOMAXPROCS(t testing.TB, n int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })

@@ -9,8 +9,8 @@ import (
 // CtxFlow enforces the project's context, HTTP-response and atomics
 // hygiene:
 //
-//  1. Library code in internal/serve, internal/gather and internal/retry
-//     must not mint its own context via context.Background()/TODO() — the
+//  1. Library code in internal/serve and internal/gather must not mint
+//     its own context via context.Background()/TODO() — the
 //     caller's deadline and cancellation must flow through (PR 7 made
 //     every client and coordinator path context-bounded; this keeps it
 //     that way). Compatibility wrappers that intentionally detach carry
@@ -37,7 +37,7 @@ var CtxFlow = &Analyzer{
 
 // ctxRestricted lists the import-path suffixes of the packages where
 // minting a fresh context is forbidden (library code on request paths).
-var ctxRestricted = []string{"internal/serve", "internal/gather", "internal/retry"}
+var ctxRestricted = []string{"internal/serve", "internal/gather"}
 
 func runCtxFlow(pass *Pass) error {
 	restricted := false

@@ -193,7 +193,7 @@ func testBetaZeroPacked[T float32 | float64](t *testing.T, relTol float64) {
 				for i := range c.Data {
 					c.Data[i] = poison[(i+threads)%len(poison)]
 				}
-				if err := drive(ctx, op, false, false, 0.5, a, b, 0, c, threads, ctx.Params); err != nil {
+				if err := drive(ctx, op, false, false, 0.5, a, b, 0, c, threads, Params{}); err != nil {
 					t.Fatal(err)
 				}
 				for i, got := range c.Data {
@@ -326,9 +326,9 @@ func TestCustomParams(t *testing.T) {
 	NaiveSGEMM(false, false, 1, a, b, 0, want)
 	p := Params{MC: 16, KC: 8, NC: 12, MR: 4, NR: 4}
 	c := mat.NewF32(50, 40)
-	ctx := &Context{Params: p}
+	ctx := NewContext()
 	defer ctx.Close()
-	if err := ctx.SGEMM(false, false, 1, a, b, 0, c, 3); err != nil {
+	if err := drive(ctx, opGemm, false, false, 1, *a, *b, 0, *c, 3, p); err != nil {
 		t.Fatal(err)
 	}
 	if d := c.MaxAbsDiff(want); d > tolF32(70) {

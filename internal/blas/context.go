@@ -26,13 +26,6 @@ import (
 // Close has a GC cleanup that stops its workers once the Context is
 // unreachable, so pooled Contexts do not leak goroutines.
 type Context struct {
-	// Params overrides the blocking parameters of every call on this
-	// context; the zero value means DefaultParams for the call's element
-	// type. It exists for the blocking benchmarks and the micro-tile test
-	// matrices — the pooled contexts behind the package functions never
-	// set it.
-	Params Params
-
 	tm  *team
 	bar barrier
 	f32 ctxBufs[float32]
@@ -66,12 +59,12 @@ func resolveParams[T float32 | float64](prm Params) (bool, error) {
 // SGEMM computes C ← alpha·op(A)·op(B) + beta·C in single precision on this
 // context with the given number of threads (values < 1 mean 1).
 func (c *Context) SGEMM(transA, transB bool, alpha float32, a, b *mat.F32, beta float32, cm *mat.F32, threads int) error {
-	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, c.Params)
+	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, Params{})
 }
 
 // DGEMM is the double-precision counterpart of SGEMM.
 func (c *Context) DGEMM(transA, transB bool, alpha float64, a, b *mat.F64, beta float64, cm *mat.F64, threads int) error {
-	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, c.Params)
+	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, Params{})
 }
 
 // ctxPool backs the package-level entry points: steady-state calls reuse a

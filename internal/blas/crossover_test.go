@@ -12,9 +12,9 @@ import (
 // runs through the no-packing path and the packed path, on a held Context,
 // on each host the machine can be: with the vector tile switched off for the
 // call, the Go pass ("go") and the packed Go tile at one thread
-// ("gopacked"); where the vector tile runs, its assembly ("vec") and the
-// packed path with the default tile at one thread ("packed") and at two
-// ("packed2"). A call under the gate runs one thread whatever was asked, so
+// ("gopacked") and at two ("gopacked2"); where the vector tile runs, its
+// assembly ("vec") and the packed path with the default tile at one thread
+// ("packed") and at two ("packed2"). A call under the gate runs one thread whatever was asked, so
 // the limit is where the small path stops beating the packed path at any
 // thread count; see small.go. The forced arms fail the benchmark on any
 // error.
@@ -32,7 +32,7 @@ func BenchmarkSmallCrossover(b *testing.B) {
 		limit   int
 		vec     bool
 		threads int
-	}{{"go", forceSmall, false, 1}, {"gopacked", forcePacked, false, 1}, {"vec", forceSmall, true, 1}, {"packed", forcePacked, true, 1}, {"packed2", forcePacked, true, 2}}
+	}{{"go", forceSmall, false, 1}, {"gopacked", forcePacked, false, 1}, {"gopacked2", forcePacked, false, 2}, {"vec", forceSmall, true, 1}, {"packed", forcePacked, true, 1}, {"packed2", forcePacked, true, 2}}
 	ctx := NewContext()
 	defer ctx.Close()
 	for _, sh := range shapes {

@@ -72,26 +72,14 @@ func goldenMatrix[T float32 | float64](r, c, extra int, rng *rand.Rand) *mat.Den
 	return m
 }
 
-// goldenCall runs one op through the exported Context methods.
-func goldenCall[T float32 | float64](ctx *Context, op opKind, transA, transB bool, alpha T, a, b *mat.Dense[T], beta T, c *mat.Dense[T], threads int) error {
-	if a32, ok := any(a).(*mat.F32); ok {
-		b32, c32 := any(b).(*mat.F32), any(c).(*mat.F32)
-		switch op {
-		case opSyrk:
-			return ctx.SSYRK(transA, float32(alpha), a32, float32(beta), c32, threads)
-		case opSyr2k:
-			return ctx.SSYR2K(transA, float32(alpha), a32, b32, float32(beta), c32, threads)
-		}
-		return ctx.SGEMM(transA, transB, float32(alpha), a32, b32, float32(beta), c32, threads)
+// goldenCall runs one op through drive under blocking prm. The symmetric
+// updates take their one transpose flag as both, as their entry points pass
+// it.
+func goldenCall[T float32 | float64](ctx *Context, prm Params, op opKind, transA, transB bool, alpha T, a, b *mat.Dense[T], beta T, c *mat.Dense[T], threads int) error {
+	if op != opGemm {
+		transB = transA
 	}
-	a64, b64, c64 := any(a).(*mat.F64), any(b).(*mat.F64), any(c).(*mat.F64)
-	switch op {
-	case opSyrk:
-		return ctx.DSYRK(transA, float64(alpha), a64, float64(beta), c64, threads)
-	case opSyr2k:
-		return ctx.DSYR2K(transA, float64(alpha), a64, b64, float64(beta), c64, threads)
-	}
-	return ctx.DGEMM(transA, transB, float64(alpha), a64, b64, float64(beta), c64, threads)
+	return drive(ctx, op, transA, transB, alpha, *a, *b, beta, *c, threads, prm)
 }
 
 // goldenParams is blocking shrunk until MC, KC and NC boundaries — several of
@@ -111,7 +99,7 @@ func goldenSum[T float32 | float64](t *testing.T, h hash.Hash64, seed int64) {
 	var word [8]byte
 	combo := 0
 	for _, prm := range []Params{{}, goldenParams[T]()} {
-		ctx := &Context{Params: prm}
+		ctx := NewContext()
 		defer ctx.Close()
 		for _, sh := range goldenShapes {
 			for _, op := range []opKind{opGemm, opSyrk, opSyr2k} {
@@ -142,7 +130,7 @@ func goldenSum[T float32 | float64](t *testing.T, h hash.Hash64, seed int64) {
 					c0 := goldenMatrix[T](m, n, extra[2], rng)
 					for threads := 1; threads <= 4; threads++ {
 						c := &mat.Dense[T]{Rows: m, Cols: n, Stride: c0.Stride, Data: append([]T(nil), c0.Data...)}
-						if err := goldenCall(ctx, op, transA, transB, alpha, a, b, beta, c, threads); err != nil {
+						if err := goldenCall(ctx, prm, op, transA, transB, alpha, a, b, beta, c, threads); err != nil {
 							t.Fatalf("%v %v ta=%v tb=%v threads=%d: %v", op, sh, transA, transB, threads, err)
 						}
 						for _, v := range c.Data {

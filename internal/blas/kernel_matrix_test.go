@@ -172,7 +172,7 @@ func TestPackedMatchesNaiveMatrix(t *testing.T) {
 		if err := prm.Validate(); err != nil {
 			t.Fatalf("tile %dx%d params: %v", mr, nr, err)
 		}
-		ctx := &Context{Params: prm}
+		ctx := NewContext()
 		defer ctx.Close()
 		mDims := matrixDims(mr)
 		nDims := matrixDims(nr)
@@ -205,7 +205,7 @@ func TestPackedMatchesNaiveMatrix(t *testing.T) {
 					c := stridedF32(m, n, extra, rng)
 					want := c.Clone()
 					NaiveSGEMM(transA, transB, alpha, a, b, beta, want)
-					if err := ctx.SGEMM(transA, transB, alpha, a, b, beta, c, threads); err != nil {
+					if err := drive(ctx, opGemm, transA, transB, alpha, *a, *b, beta, *c, threads, prm); err != nil {
 						t.Fatalf("tile %dx%d m=%d k=%d n=%d ta=%v tb=%v: %v", mr, nr, m, k, n, transA, transB, err)
 					}
 					if d := c.Clone().MaxAbsDiff(want); d > tolF32(k) {
@@ -283,9 +283,9 @@ func TestSmallShapeGate(t *testing.T) {
 		cases []gateCase
 	}{
 		{false, []gateCase{
-			{opGemm, 1, 1, 1, true}, {opGemm, 8, 8, 8, true}, {opGemm, 8, 8, 9, false}, {opGemm, 1, 512, 1, true}, {opGemm, 513, 1, 1, false},
-			{opGemm, 2, 1, 256, true}, {opGemm, 1, 1, 257, false}, {opSyrk, 8, 8, 8, true}, {opSyrk, 8, 8, 9, false},
-			{opSyr2k, 8, 8, 16, true}, {opSyr2k, 8, 8, 17, false}, {opSyr2k, 3, 3, 113, true}, {opSyr2k, 3, 3, 114, false},
+			{opGemm, 1, 1, 1, true}, {opGemm, 20, 20, 20, true}, {opGemm, 20, 20, 21, false}, {opGemm, 1, 8000, 1, true}, {opGemm, 8001, 1, 1, false},
+			{opGemm, 31, 1, 256, true}, {opGemm, 1, 1, 257, false}, {opSyrk, 20, 20, 20, true}, {opSyrk, 20, 20, 21, false},
+			{opSyr2k, 20, 20, 20, true}, {opSyr2k, 20, 20, 21, false}, {opSyr2k, 6, 6, 222, true}, {opSyr2k, 6, 6, 223, false},
 			{opSyr2k, 1, 1, 256, true}, {opSyr2k, 1, 1, 257, false},
 		}},
 		{true, []gateCase{

@@ -38,15 +38,16 @@ import "repro/internal/mat"
 //
 // TestSmallScratchBound holds the staging bounds at the worst shapes.
 //
-// The Go pass stages nothing. Its limits stay where the Go loops it replaced
-// crossed the packed Go tile: 8³ for GEMM and SYRK, 2·8³ for SYR2K, whose
-// packed form pays two passes. At one thread the Go pass beats the packed Go
-// tile at every shape of the sweep under them, by 1.6–3.3× (go / gopacked
-// arms, README "Small path on the Go tile"), and still at 11³ and 12×16×12
-// for all three ops, so they could rise; like the vector limits they move
-// only time and the thread count.
+// The Go pass stages nothing, and its limit is 20³ for all three ops. At one
+// thread it beats the packed Go tile at every cube of the sweep up to 40³
+// (go / gopacked arms), but at two the packed GEMM catches up: 24³ GEMM nn
+// runs 10 500 ns on the Go pass and 10 763 packed at two threads, ahead in 5
+// of 10 runs; 32³ GEMM nt 26 328 against 19 860, behind in 10 of 10
+// (gopacked2 arm, float32, 2-vCPU Xeon, medians of ten). At 20³ and every
+// swept shape under it the Go pass wins at one and at two threads, for all
+// three ops (README "Small path on the Go tile").
 var smallShapeLimit = [2][3]int{
-	{8 * 8 * 8, 8 * 8 * 8, 2 * 8 * 8 * 8},
+	{20 * 20 * 20, 20 * 20 * 20, 20 * 20 * 20},
 	{16 * 16 * 16, 32 * 32 * 32, 32 * 32 * 32},
 }
 

@@ -118,7 +118,9 @@ func testSmallBits[T float32 | float64](t *testing.T, seed int64) {
 // smallBitsShape draws a shape under an m·n·k limit for op: k log-uniform
 // in [1, 2·defaultKC], so it lands on both sides of defaultKC, and m and n
 // log-uniform in [1, limit], so tiny squares and the 1×limit×1 extremes come
-// up; the symmetric updates have m = n.
+// up; the symmetric updates have m = n. The product is taken in float64, as
+// smallShape takes it: at the Go tile's 20³ limit an int32 m·n·k wraps, and
+// GOARCH=386 drew 3007×3834 GEMMs.
 func smallBitsShape(limit int, op opKind, rng *rand.Rand) (m, n, k int) {
 	dim := func(hi int) int { return int(math.Exp(rng.Float64() * math.Log(float64(hi)+1))) }
 	for {
@@ -126,7 +128,7 @@ func smallBitsShape(limit int, op opKind, rng *rand.Rand) (m, n, k int) {
 		if op != opGemm {
 			n = m
 		}
-		if m*n*k <= limit {
+		if float64(m)*float64(n)*float64(k) <= float64(limit) {
 			return m, n, k
 		}
 	}

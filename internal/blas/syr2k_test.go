@@ -23,7 +23,7 @@ func TestSyr2kPackedMatchesNaiveMatrix(t *testing.T) {
 		if err := prm.Validate(); err != nil {
 			t.Fatalf("tile %dx%d params: %v", mr, nr, err)
 		}
-		ctx := &Context{Params: prm}
+		ctx := NewContext()
 		defer ctx.Close()
 		nDims := []int{1, mr - 1, mr + 1, 2*mr - 1, 2 * mr, 4*mr + 1, 17, 33}
 		kDims := []int{1, 9, 10, 11, 21}
@@ -50,7 +50,7 @@ func TestSyr2kPackedMatchesNaiveMatrix(t *testing.T) {
 				symmetrise(c)
 				want := c.Clone()
 				NaiveSSYR2K(trans, alpha, a, b, beta, want)
-				if err := ctx.SSYR2K(trans, alpha, a, b, beta, c, threads); err != nil {
+				if err := drive(ctx, opSyr2k, trans, trans, alpha, *a, *b, beta, *c, threads, prm); err != nil {
 					t.Fatalf("tile %dx%d n=%d k=%d trans=%v: %v", mr, nr, n, k, trans, err)
 				}
 				if d := c.Clone().MaxAbsDiff(want); d > 2*tolF32(2*k) {

@@ -43,12 +43,12 @@ func DSYRK(trans bool, alpha float64, a *mat.F64, beta float64, c *mat.F64, thre
 // SSYRK computes C ← alpha·op(A)·op(A)ᵀ + beta·C in single precision on this
 // context with the given number of threads (values < 1 mean 1).
 func (c *Context) SSYRK(trans bool, alpha float32, a *mat.F32, beta float32, cm *mat.F32, threads int) error {
-	return drive(c, opSyrk, trans, trans, alpha, *a, *a, beta, *cm, threads, c.Params)
+	return drive(c, opSyrk, trans, trans, alpha, *a, *a, beta, *cm, threads, Params{})
 }
 
 // DSYRK is the double-precision counterpart of SSYRK.
 func (c *Context) DSYRK(trans bool, alpha float64, a *mat.F64, beta float64, cm *mat.F64, threads int) error {
-	return drive(c, opSyrk, trans, trans, alpha, *a, *a, beta, *cm, threads, c.Params)
+	return drive(c, opSyrk, trans, trans, alpha, *a, *a, beta, *cm, threads, Params{})
 }
 
 // syrkBandWeight is the phase-2 cost of MR band b within the panel at jc:

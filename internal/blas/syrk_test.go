@@ -78,7 +78,7 @@ func TestSyrkPackedMatchesNaiveMatrix(t *testing.T) {
 		if err := prm.Validate(); err != nil {
 			t.Fatalf("tile %dx%d params: %v", mr, nr, err)
 		}
-		ctx := &Context{Params: prm}
+		ctx := NewContext()
 		defer ctx.Close()
 		// Dimensions straddling MR/NR/MC/NC boundaries: 1, tile±1, one and
 		// two full MC blocks ± 1, and a KC-boundary k set.
@@ -106,7 +106,7 @@ func TestSyrkPackedMatchesNaiveMatrix(t *testing.T) {
 				symmetrise(c)
 				want := c.Clone()
 				NaiveSSYRK(trans, alpha, a, beta, want)
-				if err := ctx.SSYRK(trans, alpha, a, beta, c, threads); err != nil {
+				if err := drive(ctx, opSyrk, trans, trans, alpha, *a, *a, beta, *c, threads, prm); err != nil {
 					t.Fatalf("tile %dx%d n=%d k=%d trans=%v: %v", mr, nr, n, k, trans, err)
 				}
 				if d := c.Clone().MaxAbsDiff(want); d > tolF32(k) {

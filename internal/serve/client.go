@@ -6,12 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/retry"
 )
 
 // maxResponseBytes caps how much of a response body the client will read.
@@ -21,7 +20,7 @@ import (
 const maxResponseBytes = 8 << 20
 
 // StatusError is a non-200 answer from the server. Status 429 and all 5xx
-// are retryable (the client's retry policy handles them transparently);
+// are retryable (the client's retry schedule handles them transparently);
 // other 4xx are fatal — the request itself is wrong and resending the same
 // bytes cannot fix it.
 type StatusError struct {
@@ -46,47 +45,50 @@ func (e *StatusError) Retryable() bool {
 
 // Client is a Go client for the adsala-serve HTTP API. Transient failures —
 // transport errors, torn responses, 5xx answers and 429 sheds — are retried
-// under a capped-backoff retry.Policy; 4xx answers fail immediately.
+// on the client's fixed schedule (see do); 4xx answers fail after one
+// attempt.
 type Client struct {
-	base  string
-	http  *http.Client
-	retry retry.Policy
+	base string
+	http *http.Client
+	// The retry schedule: attempts calls in all, the first backoff and its
+	// cap. NewClient sets the client constants; in-package tests shorten
+	// them.
+	attempts            int
+	backoff, maxBackoff time.Duration
 }
 
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// WithRetryPolicy replaces the client's retry policy. A zero Policy gets
-// the retry package defaults; set MaxAttempts to 1 to disable retries.
-func WithRetryPolicy(p retry.Policy) ClientOption {
-	return func(c *Client) { c.retry = p }
-}
+// The client's retry schedule: three attempts, 50 ms before the second,
+// doubling, capped at 1 s.
+const (
+	clientAttempts   = 3
+	clientBackoff    = 50 * time.Millisecond
+	clientMaxBackoff = time.Second
+)
 
 // NewClient returns a client for the server at baseURL (e.g.
 // "http://localhost:8080"). A nil httpClient selects a default with a 10 s
-// timeout. The default retry policy makes 3 attempts with 50 ms initial
-// backoff, capped at 1 s.
-func NewClient(baseURL string, httpClient *http.Client, opts ...ClientOption) *Client {
+// timeout.
+func NewClient(baseURL string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: 10 * time.Second}
 	}
-	c := &Client{
-		base: strings.TrimRight(baseURL, "/"),
-		http: httpClient,
-		retry: retry.Policy{
-			MaxAttempts: 3,
-			Initial:     50 * time.Millisecond,
-			Max:         time.Second,
-		},
+	return &Client{
+		base:       strings.TrimRight(baseURL, "/"),
+		http:       httpClient,
+		attempts:   clientAttempts,
+		backoff:    clientBackoff,
+		maxBackoff: clientMaxBackoff,
 	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c
 }
 
-// do issues one request under the retry policy and decodes the JSON answer
-// into out. header, when non-nil, holds extra request headers.
+// do issues one request and decodes the JSON answer into out; header, when
+// non-nil, holds extra request headers. A retryable failure is retried after
+// a backoff that starts at c.backoff and doubles up to c.maxBackoff, each
+// sleep drawn from [0.8·b, b] so that clients shed together do not return
+// together, until c.attempts calls have been made. ctx bounds the whole
+// loop: once it expires the error is ctx's, naming the last failure. After
+// the last attempt the error wraps the last failure, so errors.As still
+// finds its *StatusError.
 func (c *Client) do(ctx context.Context, method, path string, header http.Header, body, out any) error {
 	var blob []byte
 	if body != nil {
@@ -95,23 +97,62 @@ func (c *Client) do(ctx context.Context, method, path string, header http.Header
 			return fmt.Errorf("serve: encode request: %w", err)
 		}
 	}
-	return retry.Do(ctx, c.retry, func(ctx context.Context) error {
-		return c.attempt(ctx, method, path, header, blob, out)
-	})
+	var last error
+	for attempt := 0; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return expired(err, last)
+		}
+		retry, err := c.attempt(ctx, method, path, header, blob, out)
+		if err == nil || !retry {
+			return err
+		}
+		last = err
+		if attempt+1 >= c.attempts {
+			return fmt.Errorf("after %d attempts: %w", attempt+1, last)
+		}
+		t := time.NewTimer(jitter(c.pause(attempt)))
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return expired(ctx.Err(), last)
+		case <-t.C:
+		}
+	}
+}
+
+// pause is the backoff after failed attempt n (from 0), before jitter.
+func (c *Client) pause(n int) time.Duration {
+	b := c.backoff
+	for ; n > 0 && b < c.maxBackoff; n-- {
+		b *= 2
+	}
+	return min(b, c.maxBackoff)
+}
+
+// jitter draws a sleep from [0.8·b, b] from the concurrency-safe global
+// source.
+func jitter(b time.Duration) time.Duration { return b - rand.N(b/5+1) }
+
+// expired is a context expiry that still says what the time was spent on.
+func expired(ctxErr, last error) error {
+	if last == nil {
+		return ctxErr
+	}
+	return fmt.Errorf("%w (last error: %w)", ctxErr, last)
 }
 
 // attempt is one request/response cycle. It closes the response body on
-// every path, caps reads at maxResponseBytes, and classifies failures:
-// transport errors and torn/garbled bodies are retryable, 4xx (except 429)
-// fatal.
-func (c *Client) attempt(ctx context.Context, method, path string, header http.Header, blob []byte, out any) error {
+// every path, caps reads at maxResponseBytes, and reports whether a failure
+// is worth retrying: transport errors, torn/garbled bodies, 429 and 5xx are;
+// a request that cannot be built and any other 4xx are not.
+func (c *Client) attempt(ctx context.Context, method, path string, header http.Header, blob []byte, out any) (retry bool, err error) {
 	var rd io.Reader
 	if blob != nil {
 		rd = bytes.NewReader(blob)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return retry.Fatalf("serve: build request: %w", err)
+		return false, fmt.Errorf("serve: build request: %w", err)
 	}
 	if blob != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -123,7 +164,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, header http.H
 	if err != nil {
 		// Transport-level failure: connection refused, reset, timeout. All
 		// retryable — the server may be restarting or shedding hard.
-		return fmt.Errorf("serve: %s %s: %w", method, path, err)
+		return true, fmt.Errorf("serve: %s %s: %w", method, path, err)
 	}
 	defer func() {
 		// Drain a bounded remainder so the connection can be reused, then
@@ -138,21 +179,17 @@ func (c *Client) attempt(ctx context.Context, method, path string, header http.H
 		if json.NewDecoder(limited).Decode(&apiErr) == nil && apiErr.Error != "" {
 			sErr.Message = apiErr.Error
 		}
-		wrapped := fmt.Errorf("serve: %s %s: %w", method, path, sErr)
-		if !sErr.Retryable() {
-			return retry.Fatal(wrapped)
-		}
-		return wrapped
+		return sErr.Retryable(), fmt.Errorf("serve: %s %s: %w", method, path, sErr)
 	}
 	if out == nil {
-		return nil
+		return false, nil
 	}
 	if err := json.NewDecoder(limited).Decode(out); err != nil {
 		// A torn or garbled body usually means the connection died
 		// mid-answer; a fresh attempt gets a fresh stream.
-		return fmt.Errorf("serve: decode %s response: %w", path, err)
+		return true, fmt.Errorf("serve: decode %s response: %w", path, err)
 	}
-	return nil
+	return false, nil
 }
 
 // Predict asks the server for the optimal thread count of one shape; the

@@ -189,7 +189,8 @@ func (*countingBody) Close() error { return nil }
 // no queue, each limited route sheds with 429 before it reads a byte of its
 // body.
 func TestShedReadsNoBody(t *testing.T) {
-	srv := NewServer(NewEngine(lib(t), Options{}), WithLimits(Limits{MaxInFlight: 1, MaxQueue: -1}))
+	srv := NewServer(NewEngine(lib(t), Options{}), WithLimits(Limits{MaxInFlight: 1}))
+	srv.limit.maxQueue = 0
 	if !srv.limit.acquire(context.Background()) {
 		t.Fatal("could not take the only slot")
 	}

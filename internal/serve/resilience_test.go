@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/retry"
 )
 
 // modellessLibrary returns an artefact with candidates but no trained
@@ -66,11 +65,8 @@ func waitGoroutines(t *testing.T, want int) {
 // slots free, and no goroutines may leak.
 func TestOverloadSheds(t *testing.T) {
 	eng := NewEngine(lib(t), Options{CacheSize: 256, Shards: 8})
-	srv := NewServer(eng, WithLimits(Limits{
-		MaxInFlight: 2,
-		MaxQueue:    2,
-		QueueWait:   30 * time.Millisecond,
-	}))
+	srv := NewServer(eng, WithLimits(Limits{MaxInFlight: 2})) // and a queue of 2
+	srv.limit.wait = 30 * time.Millisecond
 	// A blocking route through the same admit/release gate as /predict,
 	// so the test can hold both in-flight slots deterministically.
 	gate := make(chan struct{})
@@ -194,7 +190,8 @@ func TestReloadUnderLoad(t *testing.T) {
 	defer ts.Close()
 
 	// No retries: a single failed request fails the test.
-	client := NewClient(ts.URL, nil, WithRetryPolicy(retry.Policy{MaxAttempts: 1}))
+	client := NewClient(ts.URL, nil)
+	client.attempts = 1
 	want := l.OptimalThreadsOp(OpGEMM, 512, 512, 512)
 
 	stop := make(chan struct{})
@@ -515,7 +512,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 
 // TestClientSurvivesFaultyServer drives the client through the fault
 // harness: injected 5xx answers, dropped connections and truncated bodies
-// must all be absorbed by the retry policy — every request eventually
+// must all be absorbed by the retry schedule — every request eventually
 // succeeds with the right answer, and the schedule must actually have
 // fired (a pass without faults would prove nothing).
 func TestClientSurvivesFaultyServer(t *testing.T) {
@@ -531,11 +528,9 @@ func TestClientSurvivesFaultyServer(t *testing.T) {
 	ts := httptest.NewServer(faults.Handler(inner, sched, &st))
 	defer ts.Close()
 
-	client := NewClient(ts.URL, nil, WithRetryPolicy(retry.Policy{
-		MaxAttempts: 8,
-		Initial:     time.Millisecond,
-		Max:         4 * time.Millisecond,
-	}))
+	client := fastClient(ts.URL)
+	client.attempts = 8
+	client.maxBackoff = 4 * time.Millisecond
 	want := eng.Library().OptimalThreadsOp(OpGEMM, 512, 512, 512)
 	for i := 0; i < 30; i++ {
 		got, err := client.Predict(bg, PredictRequest{M: 512, K: 512, N: 512})
@@ -565,11 +560,7 @@ func TestClientFatalOn4xx(t *testing.T) {
 		writeError(w, <-status, "injected")
 	}))
 	defer ts.Close()
-	client := NewClient(ts.URL, nil, WithRetryPolicy(retry.Policy{
-		MaxAttempts: 3,
-		Initial:     time.Millisecond,
-		Max:         time.Millisecond,
-	}))
+	client := fastClient(ts.URL)
 
 	status <- http.StatusBadRequest
 	_, err := client.Predict(bg, PredictRequest{M: 1, K: 1, N: 1})

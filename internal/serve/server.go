@@ -170,35 +170,27 @@ const (
 // in-flight admission with a short wait queue on the prediction endpoints,
 // plus a per-request deadline threaded into the engine. Probes, /stats and
 // /metrics are never limited — an overloaded daemon must stay observable.
+// The queue is as deep as MaxInFlight, and a queued request waits at most
+// 50 ms.
 type Limits struct {
 	// MaxInFlight bounds concurrently admitted /predict, /batch and
 	// /measured requests. 0 selects the default (8×GOMAXPROCS); negative
 	// disables admission control entirely.
 	MaxInFlight int
-	// MaxQueue bounds requests waiting for an in-flight slot; arrivals
-	// beyond it shed immediately with 429. 0 selects the default
-	// (MaxInFlight); negative means no queue (shed as soon as full).
-	MaxQueue int
-	// QueueWait is how long a queued request waits for a slot before it
-	// sheds with 429 (default 50ms) — short on purpose: a deep slow queue
-	// is worse than a fast no.
-	QueueWait time.Duration
 	// RequestTimeout is the per-request deadline threaded into the engine
 	// (default 2s; negative disables). A request that exhausts it mid-rank
 	// degrades to the heuristic answer instead of erroring.
 	RequestTimeout time.Duration
 }
 
+// queueWait is how long a queued request waits for a slot before it sheds
+// with 429 — short on purpose: a deep slow queue is worse than a fast no.
+const queueWait = 50 * time.Millisecond
+
 // withDefaults resolves the zero values.
 func (l Limits) withDefaults() Limits {
 	if l.MaxInFlight == 0 {
 		l.MaxInFlight = 8 * runtime.GOMAXPROCS(0)
-	}
-	if l.MaxQueue == 0 {
-		l.MaxQueue = l.MaxInFlight
-	}
-	if l.QueueWait <= 0 {
-		l.QueueWait = 50 * time.Millisecond
 	}
 	if l.RequestTimeout == 0 {
 		l.RequestTimeout = 2 * time.Second
@@ -207,7 +199,8 @@ func (l Limits) withDefaults() Limits {
 }
 
 // limiter is the admission gate: a semaphore of in-flight slots plus a
-// counted short wait queue.
+// counted short wait queue. newLimiter sets the queue to the server's
+// constants; in-package tests change it.
 type limiter struct {
 	sem      chan struct{}
 	queued   atomic.Int64
@@ -219,20 +212,16 @@ func newLimiter(l Limits) *limiter {
 	if l.MaxInFlight < 0 {
 		return nil
 	}
-	maxQueue := int64(l.MaxQueue)
-	if l.MaxQueue < 0 {
-		maxQueue = 0
-	}
 	return &limiter{
 		sem:      make(chan struct{}, l.MaxInFlight),
-		maxQueue: maxQueue,
-		wait:     l.QueueWait,
+		maxQueue: int64(l.MaxInFlight),
+		wait:     queueWait,
 	}
 }
 
 // acquire admits the request or reports shed. The wait queue is bounded by
 // count and by time, so admission never queues unboundedly: beyond
-// maxQueue waiters, or after QueueWait, the caller sheds.
+// maxQueue waiters, or after wait, the caller sheds.
 func (l *limiter) acquire(ctx context.Context) bool {
 	select {
 	case l.sem <- struct{}{}:

@@ -19,7 +19,7 @@ func TestSharedEngineAcrossFacades(t *testing.T) {
 	b := lib.BLAS()
 	g := lib.BLAS()
 	s := lib.BLAS()
-	g.SetMaxLocalThreads(2)
+	atGOMAXPROCS(t, 2)
 
 	rng := rand.New(rand.NewSource(9))
 	a := NewMatrixF32(16, 16)
@@ -161,7 +161,7 @@ func TestPerOpTrainingThroughPublicAPI(t *testing.T) {
 	// End to end: SYR2K executes through the facade (GEMM model fallback)
 	// and produces the right numbers.
 	b := lib.BLAS()
-	b.SetMaxLocalThreads(2)
+	atGOMAXPROCS(t, 2)
 	rng := rand.New(rand.NewSource(10))
 	a := NewMatrixF32(24, 9)
 	x := NewMatrixF32(24, 9)
