@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -71,56 +72,101 @@ func TestClientJitterBounds(t *testing.T) {
 	}
 }
 
-// TestClientRetriesTransientFailures pins what is retried: 429, 5xx, a
-// dropped connection and a torn body each get three attempts — two
-// failures then a good answer succeed, three failures fail, and the error
-// still unwraps to the last answer's *StatusError.
-func TestClientRetriesTransientFailures(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		status int // 0: not an HTTP error
-		fail   func(w http.ResponseWriter)
-	}{
-		{"429", http.StatusTooManyRequests, func(w http.ResponseWriter) { writeError(w, http.StatusTooManyRequests, "shed") }},
-		{"503", http.StatusServiceUnavailable, func(w http.ResponseWriter) { writeError(w, http.StatusServiceUnavailable, "down") }},
-		{"drop", 0, func(w http.ResponseWriter) {
-			conn, _, err := w.(http.Hijacker).Hijack()
-			if err == nil {
-				conn.Close()
-			}
-		}},
-		{"torn", 0, func(w http.ResponseWriter) {
-			w.WriteHeader(http.StatusOK)
-			w.Write([]byte(`{"threads":`))
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var calls, failures atomic.Int64
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if calls.Add(1) <= failures.Load() {
-					tc.fail(w)
-					return
-				}
-				w.Write([]byte(`{"threads":4}`))
-			}))
-			defer ts.Close()
-			client := fastClient(ts.URL)
+// transientFailures are the failures the client retries: 429, 5xx, a
+// dropped connection and a torn body. status is the *StatusError the
+// exhausted error must still unwrap to (0: not an HTTP error).
+var transientFailures = []struct {
+	name   string
+	status int
+	fail   func(w http.ResponseWriter)
+}{
+	{"429", http.StatusTooManyRequests, func(w http.ResponseWriter) { writeError(w, http.StatusTooManyRequests, "shed") }},
+	{"503", http.StatusServiceUnavailable, func(w http.ResponseWriter) { writeError(w, http.StatusServiceUnavailable, "down") }},
+	{"drop", 0, func(w http.ResponseWriter) {
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err == nil {
+			conn.Close()
+		}
+	}},
+	{"torn", 0, func(w http.ResponseWriter) {
+		w.WriteHeader(http.StatusOK)
+		w.Write([]byte(`{"threads":`))
+	}},
+}
 
-			failures.Store(2)
-			got, err := client.Predict(bg, PredictRequest{M: 8, K: 8, N: 8})
+// failingServer fails its first `failures` calls with fail, then answers
+// {"threads":4}; calls counts every request.
+func failingServer(t *testing.T, failures int64, fail func(w http.ResponseWriter)) (ts *httptest.Server, calls *atomic.Int64) {
+	calls = new(atomic.Int64)
+	ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) <= failures {
+			fail(w)
+			return
+		}
+		w.Write([]byte(`{"threads":4}`))
+	}))
+	t.Cleanup(ts.Close)
+	return ts, calls
+}
+
+// TestClientSucceedsFirstAttempt: a good first answer is returned after
+// exactly one call, with no backoff slept (the backoff is an hour).
+func TestClientSucceedsFirstAttempt(t *testing.T) {
+	ts, calls := failingServer(t, 0, nil)
+	c := NewClient(ts.URL, nil)
+	c.backoff = time.Hour
+	got, err := c.Predict(bg, PredictRequest{M: 8, K: 8, N: 8})
+	if err != nil || got != 4 || calls.Load() != 1 {
+		t.Fatalf("first-attempt 200: threads %d, err %v after %d calls; want 4, nil after 1", got, err, calls.Load())
+	}
+}
+
+// TestClientRetriesUntilSuccess: for each transient failure, two failures
+// then a good answer succeed on the third attempt.
+func TestClientRetriesUntilSuccess(t *testing.T) {
+	for _, tc := range transientFailures {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, calls := failingServer(t, 2, tc.fail)
+			got, err := fastClient(ts.URL).Predict(bg, PredictRequest{M: 8, K: 8, N: 8})
 			if err != nil || got != 4 || calls.Load() != 3 {
 				t.Fatalf("two failures then 200: threads %d, err %v after %d calls; want 4, nil after 3", got, err, calls.Load())
 			}
+		})
+	}
+}
 
-			calls.Store(0)
-			failures.Store(3)
-			_, err = client.Predict(bg, PredictRequest{M: 8, K: 8, N: 8})
+// TestClientExhaustsAttempts: for each transient failure, three failures
+// fail after three attempts, and the error still unwraps to the last
+// answer's *StatusError.
+func TestClientExhaustsAttempts(t *testing.T) {
+	for _, tc := range transientFailures {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, calls := failingServer(t, 3, tc.fail)
+			_, err := fastClient(ts.URL).Predict(bg, PredictRequest{M: 8, K: 8, N: 8})
 			if err == nil || calls.Load() != 3 || !strings.Contains(err.Error(), "after 3 attempts") {
 				t.Fatalf("three failures: err %v after %d calls, want exhaustion after 3", err, calls.Load())
 			}
 			var sErr *StatusError
 			if tc.status != 0 && (!errors.As(err, &sErr) || sErr.Status != tc.status) {
 				t.Errorf("exhausted error %v does not unwrap to the HTTP %d StatusError", err, tc.status)
+			}
+		})
+	}
+}
+
+// TestClientFatalStopsImmediately: every non-429 4xx fails after one
+// attempt, even with attempts to spare, and the error unwraps to its
+// *StatusError.
+func TestClientFatalStopsImmediately(t *testing.T) {
+	for _, status := range []int{http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity} {
+		t.Run(strconv.Itoa(status), func(t *testing.T) {
+			ts, calls := failingServer(t, 1, func(w http.ResponseWriter) { writeError(w, status, "bad request") })
+			c := fastClient(ts.URL)
+			c.attempts = 5
+			_, err := c.Predict(bg, PredictRequest{M: 8, K: 8, N: 8})
+			var sErr *StatusError
+			if calls.Load() != 1 || !errors.As(err, &sErr) || sErr.Status != status {
+				t.Fatalf("HTTP %d: err %v after %d calls, want its StatusError after 1", status, err, calls.Load())
 			}
 		})
 	}
