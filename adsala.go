@@ -25,15 +25,12 @@
 package adsala
 
 import (
-	"context"
 	"fmt"
-	"log"
 	"runtime"
 	"strings"
 	"sync"
 
 	"repro/internal/core"
-	distgather "repro/internal/gather"
 	"repro/internal/machine"
 	"repro/internal/ops"
 	"repro/internal/sampling"
@@ -78,27 +75,6 @@ type TrainOptions struct {
 	// timing sweep through its registered kernel and cost profile; ops
 	// without a model fall back to the GEMM model at serving time.
 	Ops []Op
-	// Workers lists adsala-worker daemon addresses ("host:port" or URLs) to
-	// shard the install-time timing sweep across. Empty keeps the
-	// single-node in-process gather. The workers time with the same backend
-	// this process would use (the platform's simulator, or RealTimer for
-	// "local"), and the merged sweep is ordered by sample index — for the
-	// deterministic simulator it is identical to the single-node sweep.
-	Workers []string
-	// Checkpoint is the path prefix of the distributed gather's resumable
-	// JSONL checkpoint (the op's wire name is appended per sweep). Empty
-	// disables checkpointing. Only meaningful with Workers.
-	Checkpoint string
-	// Logf receives install-time progress lines (currently the distributed
-	// gather's dispatch and merge narrative). Nil keeps the historical
-	// default of log.Printf with a "gather: " prefix; adsala-train wires
-	// its -log-level logger here so verbosity is controlled in one place.
-	Logf func(format string, args ...any)
-	// Context bounds the installation: cancelling it abandons the timing
-	// gather between units (adsala-train wires SIGINT here, so Ctrl-C on a
-	// distributed sweep stops dispatch cleanly and the checkpoint keeps
-	// what was merged). Nil means no externally-imposed bound.
-	Context context.Context
 }
 
 // Report is the model-comparison outcome of installation (Tables III/IV):
@@ -202,7 +178,7 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 	}
 
 	var (
-		timerSpec  simtime.Spec
+		timer      simtime.Timer
 		maxThreads int
 		refThreads int
 		platform   string
@@ -219,7 +195,10 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 		if err != nil {
 			return core.TrainConfig{}, err
 		}
-		timerSpec = simtime.SimSpec(name, seed, !opts.NoHT)
+		sim := simtime.DefaultConfig(node)
+		sim.HT = !opts.NoHT
+		sim.Seed = seed
+		timer = simtime.New(sim)
 		maxThreads = node.MaxThreads(!opts.NoHT)
 		refThreads = node.PhysicalCores()
 		platform = name
@@ -230,7 +209,7 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 			shapes = 300
 		}
 	case "local":
-		timerSpec = simtime.RealSpec()
+		timer = simtime.NewRealTimer()
 		// Nothing above hostThreads is ever executed here, so nothing
 		// above it is timed.
 		maxThreads = hostThreads()
@@ -246,12 +225,6 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 		return core.TrainConfig{}, fmt.Errorf("adsala: unknown platform %q (want Setonix, Gadi or local)", opts.Platform)
 	}
 
-	// The constructor the workers use on the spec's wire form: coordinator
-	// and fleet time identically by construction.
-	timer, err := timerSpec.Build()
-	if err != nil {
-		return core.TrainConfig{}, err
-	}
 	gather := core.GatherConfig{
 		Timer:      timer,
 		Domain:     sampling.DefaultDomain().WithCapMB(capMB),
@@ -268,23 +241,6 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 	cfg := core.DefaultTrainConfig(gather, platform, refThreads)
 	cfg.Models = core.DefaultModels(seed, opts.Quick)
 	cfg.Ops = opts.Ops
-	if len(opts.Workers) > 0 {
-		// A distributed sweep can run for hours; surface dispatch and merge
-		// progress through the caller's logger (the standard one when unset).
-		logf := opts.Logf
-		if logf == nil {
-			logf = func(format string, args ...any) {
-				log.Printf("gather: "+format, args...)
-			}
-		}
-		cfg.Gatherer = distgather.New(distgather.Config{
-			Workers:    opts.Workers,
-			Timer:      timerSpec,
-			Checkpoint: opts.Checkpoint,
-			Logf:       logf,
-		})
-	}
-	cfg.Context = opts.Context
 	return cfg, nil
 }
 

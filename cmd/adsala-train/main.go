@@ -9,35 +9,24 @@
 //	adsala-train -platform Gadi -cap 500 -shapes 300 -out gadi.adsala.json
 //	adsala-train -platform local -out local.adsala.json
 //	adsala-train -platform Gadi -ops gemm,syrk -out gadi.adsala.json
-//	adsala-train -platform Gadi -workers host1:9090,host2:9090 \
-//	    -checkpoint gather.ckpt -out gadi.adsala.json
 //
 // -ops trains one model per listed operation (GEMM is always trained); the
 // artefact stores the per-op bundle in format v2, and the report prints one
 // comparison table per op.
 //
-// -workers shards the timing sweep across a fleet of adsala-worker daemons
-// (the slowest stage of installation; see the README "Distributed
-// training" section). The merged sweep is ordered by sample index, so a
-// simulated-platform distributed gather trains the identical model the
-// single-node path would. -checkpoint makes the sweep resumable: completed
-// work units are appended to a JSONL file and skipped on restart.
+// The library file is replaced atomically: an install stopped by a signal
+// exits non-zero and leaves whatever -out held before.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 
 	adsala "repro"
-	"repro/internal/logx"
 )
 
 func run(args []string, out io.Writer) error {
@@ -51,10 +40,7 @@ func run(args []string, out io.Writer) error {
 		quick    = fs.Bool("quick", false, "smaller model grids and ensembles")
 		noHT     = fs.Bool("no-ht", false, "disable hyper-threading on the simulated platform")
 		opsFlag  = fs.String("ops", "gemm", "comma-separated operations to train models for (gemm,syrk,syr2k); gemm is always included")
-		workers  = fs.String("workers", "", "comma-separated adsala-worker addresses to shard the timing sweep across (empty = single-node gather)")
-		ckpt     = fs.String("checkpoint", "", "resumable gather checkpoint path prefix (distributed gather only; per-op suffix appended)")
 		outPath  = fs.String("out", "adsala.json", "output library file")
-		levelStr = logx.RegisterFlag(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -63,50 +49,19 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	level, err := logx.ParseLevel(*levelStr)
-	if err != nil {
-		return err
-	}
-	lg := logx.New(os.Stderr, level)
-
 	trainOps, err := adsala.ParseOps(*opsFlag)
 	if err != nil {
 		return err
 	}
-	var workerList []string
-	if *workers != "" {
-		for _, w := range strings.Split(*workers, ",") {
-			if w = strings.TrimSpace(w); w != "" {
-				workerList = append(workerList, w)
-			}
-		}
-		if len(workerList) == 0 {
-			return errors.New("-workers lists no usable addresses")
-		}
-	}
-	if *ckpt != "" && len(workerList) == 0 {
-		return errors.New("-checkpoint requires -workers (the single-node gather is not checkpointed)")
-	}
-	// Ctrl-C / SIGTERM cancels the timing gather between units instead of
-	// killing the process mid-write: a checkpointed distributed sweep keeps
-	// everything merged so far and resumes on the next run.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	lib, report, err := adsala.Train(adsala.TrainOptions{
-		Context:    ctx,
-		Platform:   *platform,
-		CapMB:      *capMB,
-		Shapes:     *shapes,
-		Iters:      *iters,
-		Seed:       *seed,
-		Quick:      *quick,
-		NoHT:       *noHT,
-		Ops:        trainOps,
-		Workers:    workerList,
-		Checkpoint: *ckpt,
-		Logf: func(format string, args ...any) {
-			lg.Infof("gather: "+format, args...)
-		},
+		Platform: *platform,
+		CapMB:    *capMB,
+		Shapes:   *shapes,
+		Iters:    *iters,
+		Seed:     *seed,
+		Quick:    *quick,
+		NoHT:     *noHT,
+		Ops:      trainOps,
 	})
 	if err != nil {
 		return err

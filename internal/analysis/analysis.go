@@ -6,8 +6,8 @@
 //
 //   - zeroalloc: functions annotated //adsala:zeroalloc must not contain
 //     allocating constructs, transitively through same-module callees.
-//   - ctxflow: no context.Background()/TODO() inside the serving and
-//     gather library packages; exported HTTP-performing functions take
+//   - ctxflow: no context.Background()/TODO() inside the serving
+//     library package; exported HTTP-performing functions take
 //     a context; every *http.Response body is closed AND drained; no
 //     sync/atomic function is called (the typed wrappers only, so no
 //     access to an atomic value can be plain).

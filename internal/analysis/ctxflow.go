@@ -9,12 +9,11 @@ import (
 // CtxFlow enforces the project's context, HTTP-response and atomics
 // hygiene:
 //
-//  1. Library code in internal/serve and internal/gather must not mint
-//     its own context via context.Background()/TODO() — the
-//     caller's deadline and cancellation must flow through (PR 7 made
-//     every client and coordinator path context-bounded; this keeps it
-//     that way). Compatibility wrappers that intentionally detach carry
-//     an //adsala:ignore.
+//  1. Library code in internal/serve must not mint its own context via
+//     context.Background()/TODO() — the caller's deadline and
+//     cancellation must flow through every client and server path.
+//     Compatibility wrappers that intentionally detach carry an
+//     //adsala:ignore.
 //  2. Exported functions that perform HTTP I/O directly must take a
 //     context.Context parameter, and http.NewRequest is rejected in
 //     favour of http.NewRequestWithContext.
@@ -35,18 +34,12 @@ var CtxFlow = &Analyzer{
 	Run:  runCtxFlow,
 }
 
-// ctxRestricted lists the import-path suffixes of the packages where
-// minting a fresh context is forbidden (library code on request paths).
-var ctxRestricted = []string{"internal/serve", "internal/gather"}
+// ctxRestricted is the import-path suffix of the package where minting a
+// fresh context is forbidden (library code on request paths).
+const ctxRestricted = "internal/serve"
 
 func runCtxFlow(pass *Pass) error {
-	restricted := false
-	for _, suffix := range ctxRestricted {
-		if strings.HasSuffix(pass.Pkg.Path(), suffix) {
-			restricted = true
-			break
-		}
-	}
+	restricted := strings.HasSuffix(pass.Pkg.Path(), ctxRestricted)
 	for _, f := range pass.Files {
 		if restricted {
 			checkNoFreshContext(pass, f)

@@ -41,7 +41,7 @@ func dupB(r *obs.Registry) {
 }
 
 // workerA/workerB are the sanctioned multi-site shape: labels distinguish
-// the series (mirrors the gather worker registrations) — no finding.
+// the series — no finding.
 func workerA(r *obs.Registry) {
 	r.CounterFunc("adsala_worker_units_total", "units", value, obs.Label{Name: "worker", Value: "a"})
 }

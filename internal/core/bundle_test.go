@@ -145,12 +145,12 @@ func TestSaveLoadV2Bundle(t *testing.T) {
 func TestGatherRejectsUnknownOpTimer(t *testing.T) {
 	g := quickGather(12)
 	g.Op = ops.Op(250)
-	if _, err := gather(g); err == nil {
+	if _, err := Gather(g); err == nil {
 		t.Error("gather with an unknown op should error")
 	}
 	g = quickGather(12)
 	g.Iters = 0
-	if _, err := gather(g); err == nil {
+	if _, err := Gather(g); err == nil {
 		t.Error("gather with Iters 0 should error")
 	}
 }

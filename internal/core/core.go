@@ -9,7 +9,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -24,15 +23,15 @@ import (
 
 // CandidateTime is one measured (thread count, wall seconds) pair.
 type CandidateTime struct {
-	Threads int     `json:"threads"`
-	Seconds float64 `json:"seconds"`
+	Threads int
+	Seconds float64
 }
 
 // ShapeTimings holds the timing sweep of one GEMM shape across every
 // candidate thread count.
 type ShapeTimings struct {
-	Shape sampling.Shape  `json:"shape"`
-	Times []CandidateTime `json:"times"`
+	Shape sampling.Shape
+	Times []CandidateTime
 }
 
 // TimeAt returns the measured seconds at the given thread count.
@@ -93,94 +92,37 @@ type GatherConfig struct {
 	Op ops.Op
 }
 
-// Gatherer produces the timing sweep of one operation. Two implementations
-// exist: LocalGatherer runs the sweep in-process on cfg.Timer (the paper's
-// single-node install path), and gather.Coordinator shards it across a fleet
-// of adsala-worker daemons. Train picks whichever TrainConfig names; the
-// merged distributed sweep is defined to be identical to the local one for a
-// deterministic timer, so the choice never changes what gets trained.
-type Gatherer interface {
-	// Gather runs one op's sweep under the caller's context: cancelling
-	// ctx abandons the sweep (a distributed gather stops dispatching and
-	// in-flight units are released to their workers' drain handling).
-	Gather(ctx context.Context, cfg GatherConfig) ([]ShapeTimings, error)
-}
-
-// LocalGatherer is the in-process Gatherer. The context is consulted before
-// the sweep only — a running sweep is not interruptible.
-type LocalGatherer struct{}
-
-// Gather implements Gatherer on cfg.Timer locally: it samples NumShapes
-// quasi-random shapes and times each at every candidate thread count with
-// the configured operation's kernel.
-func (LocalGatherer) Gather(ctx context.Context, cfg GatherConfig) ([]ShapeTimings, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Timer == nil {
+// Gather runs one op's timing sweep on cfg.Timer (the paper's single-node
+// install path): it draws the first NumShapes in-domain shapes of the
+// deterministic (Domain, Seed) sample stream, maps each through the op's
+// canonical feature triple, and times it at every candidate thread count with
+// the op's kernel, averaging Iters repetitions per configuration.
+func Gather(cfg GatherConfig) ([]ShapeTimings, error) {
+	switch {
+	case cfg.Timer == nil:
 		return nil, fmt.Errorf("core: GatherConfig.Timer is nil")
-	}
-	if cfg.NumShapes < 1 {
+	case !cfg.Op.Valid():
+		return nil, fmt.Errorf("core: unknown op %v", cfg.Op)
+	case cfg.NumShapes < 1:
 		return nil, fmt.Errorf("core: NumShapes %d < 1", cfg.NumShapes)
-	}
-	shapes, err := SampleOpShapes(cfg.Domain, cfg.Seed, cfg.Op, cfg.NumShapes)
-	if err != nil {
-		return nil, err
-	}
-	return MeasureSweep(cfg.Timer, cfg.Op, shapes, cfg.Candidates, cfg.Iters)
-}
-
-// SampleOpShapes draws the first count in-domain shapes of the
-// deterministic (domain, seed) accepted-sample stream, mapped through the
-// op's canonical feature triple. It is the one shape source of the local and
-// distributed gathers: the coordinator draws the whole sweep with it and
-// sends each worker its unit's slice.
-func SampleOpShapes(dom sampling.Domain, seed int64, op ops.Op, count int) ([]sampling.Shape, error) {
-	if !op.Valid() {
-		return nil, fmt.Errorf("core: unknown op %v", op)
-	}
-	if count < 0 {
-		return nil, fmt.Errorf("core: negative shape count %d", count)
-	}
-	sampler, err := sampling.NewSampler(dom, seed)
-	if err != nil {
-		return nil, err
-	}
-	canon := op.Spec().Canon
-	out := make([]sampling.Shape, count)
-	for i := range out {
-		out[i] = canon(sampler.Next())
-	}
-	return out, nil
-}
-
-// MeasureSweep times every shape at every candidate thread count with the
-// op's kernel on the given timer, averaging iters repetitions (at least 1)
-// per configuration. It is the inner loop of Gather, exported so
-// distributed workers execute their units through exactly the code path of
-// the single-node sweep.
-func MeasureSweep(timer simtime.Timer, op ops.Op, shapes []sampling.Shape, candidates []int, iters int) ([]ShapeTimings, error) {
-	if timer == nil {
-		return nil, fmt.Errorf("core: MeasureSweep timer is nil")
-	}
-	if !op.Valid() {
-		return nil, fmt.Errorf("core: unknown op %v", op)
-	}
-	if len(candidates) == 0 {
+	case len(cfg.Candidates) == 0:
 		return nil, fmt.Errorf("core: no candidate thread counts")
+	case cfg.Iters < 1:
+		return nil, fmt.Errorf("core: iters %d < 1", cfg.Iters)
 	}
-	if iters < 1 {
-		return nil, fmt.Errorf("core: iters %d < 1", iters)
+	sampler, err := sampling.NewSampler(cfg.Domain, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]ShapeTimings, 0, len(shapes))
-	for _, sh := range shapes {
-		st := ShapeTimings{Shape: sh, Times: make([]CandidateTime, 0, len(candidates))}
-		for _, p := range candidates {
-			st.Times = append(st.Times, CandidateTime{Threads: p, Seconds: timer.Measure(op, sh.M, sh.K, sh.N, p, iters)})
+	canon := cfg.Op.Spec().Canon
+	out := make([]ShapeTimings, cfg.NumShapes)
+	for i := range out {
+		sh := canon(sampler.Next())
+		times := make([]CandidateTime, len(cfg.Candidates))
+		for j, p := range cfg.Candidates {
+			times[j] = CandidateTime{Threads: p, Seconds: cfg.Timer.Measure(cfg.Op, sh.M, sh.K, sh.N, p, cfg.Iters)}
 		}
-		out = append(out, st)
+		out[i] = ShapeTimings{Shape: sh, Times: times}
 	}
 	return out, nil
 }

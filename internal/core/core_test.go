@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,11 +14,6 @@ import (
 )
 
 // quickGather returns a small simulated-Gadi gather config for tests.
-// gather runs the in-process sweep.
-func gather(cfg GatherConfig) ([]ShapeTimings, error) {
-	return LocalGatherer{}.Gather(context.Background(), cfg)
-}
-
 func quickGather(shapes int) GatherConfig {
 	sim := simtime.New(simtime.DefaultConfig(machine.Gadi()))
 	return GatherConfig{
@@ -58,7 +52,7 @@ func TestGatherLocalItersExact(t *testing.T) {
 		Iters:      3,
 		Seed:       1,
 	}
-	data, err := gather(cfg)
+	data, err := Gather(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,22 +87,22 @@ func TestDefaultCandidates(t *testing.T) {
 }
 
 func TestGatherValidation(t *testing.T) {
-	if _, err := gather(GatherConfig{}); err == nil {
+	if _, err := Gather(GatherConfig{}); err == nil {
 		t.Error("nil timer should error")
 	}
 	cfg := quickGather(0)
-	if _, err := gather(cfg); err == nil {
+	if _, err := Gather(cfg); err == nil {
 		t.Error("zero shapes should error")
 	}
 	cfg = quickGather(3)
 	cfg.Candidates = nil
-	if _, err := gather(cfg); err == nil {
+	if _, err := Gather(cfg); err == nil {
 		t.Error("no candidates should error")
 	}
 }
 
 func TestGatherShapes(t *testing.T) {
-	data, err := gather(quickGather(12))
+	data, err := Gather(quickGather(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +134,7 @@ func TestGatherShapes(t *testing.T) {
 }
 
 func TestRecordsFlattening(t *testing.T) {
-	data, _ := gather(quickGather(4))
+	data, _ := Gather(quickGather(4))
 	recs := Records(data)
 	if len(recs) != 4*len(DefaultCandidates(96)) {
 		t.Fatalf("%d records", len(recs))
@@ -193,7 +187,7 @@ func TestTrainEndToEnd(t *testing.T) {
 }
 
 func TestTrainOnDataValidation(t *testing.T) {
-	data, _ := gather(quickGather(12))
+	data, _ := Gather(quickGather(12))
 	cfg := DefaultTrainConfig(quickGather(12), "Gadi", 48)
 	cfg.Models = DefaultModels(1, true)
 

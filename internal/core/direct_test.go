@@ -7,7 +7,7 @@ import (
 )
 
 func TestDirectThreadModel(t *testing.T) {
-	data, err := gather(quickGather(60))
+	data, err := Gather(quickGather(60))
 	if err != nil {
 		t.Fatal(err)
 	}

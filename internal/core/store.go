@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"repro/internal/ml"
 	"repro/internal/ops"
@@ -50,7 +51,9 @@ const (
 	formatVersion   = 2
 )
 
-// Save writes the library artefact to path in the v2 per-op format.
+// Save writes the library artefact to path in the v2 per-op format. The file
+// is written beside path under a temporary name and renamed over it, so a
+// process killed mid-save leaves the previous artefact whole.
 func (l *Library) Save(path string) error {
 	f := libraryFileV2{
 		FormatVersion: formatVersion,
@@ -83,10 +86,37 @@ func (l *Library) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("core: encode library: %w", err)
 	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
+	if err := writeFileAtomic(path, blob); err != nil {
 		return fmt.Errorf("core: write library: %w", err)
 	}
 	return nil
+}
+
+// writeFileAtomic replaces path with blob by way of a temporary file in the
+// same directory, synced before the rename so that a crash cannot leave a
+// renamed but empty file.
+func writeFileAtomic(path string, blob []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(blob)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // unmarshalOpModel decodes one serialized model bundle entry.

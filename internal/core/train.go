@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -41,14 +40,6 @@ type TrainConfig struct {
 	// means GEMM only. GEMM is always trained — it is the primary model and
 	// the fallback for operations without one of their own.
 	Ops []ops.Op
-	// Gatherer produces each op's timing sweep. Nil selects LocalGatherer
-	// (the in-process single-node sweep); a gather.Coordinator shards the
-	// same sweep across a worker fleet.
-	Gatherer Gatherer
-	// Context bounds the installation: cancelling it abandons the gather
-	// between units (adsala-train wires SIGINT here so a distributed sweep
-	// shuts its fleet dispatch down cleanly). Nil means Background.
-	Context context.Context
 }
 
 // DefaultTrainConfig assembles the paper's settings around a gather config.
@@ -120,28 +111,20 @@ func trainOps(cfg TrainConfig) []ops.Op {
 // requested operation — and returns the deployable per-op Library bundle
 // plus the model-comparison reports.
 //
-// It runs in three phases. Every op is gathered in turn, so a real timer or
-// a remote fleet never shares the machine with other work. Then every op is
+// It runs in three phases. Every op is gathered in turn, so a real timer
+// never shares the machine with other work. Then every op is
 // preprocessed and every (op, family) pair tuned and fitted on a pool of
 // GOMAXPROCS goroutines, each result in its own slot. Last, every model's
 // evaluation latency is measured and the selection made in op and family
 // order on an otherwise idle process. The fits depend only on their inputs
 // and seeds, so the models are those of a serial install.
 func Train(cfg TrainConfig) (*TrainResult, error) {
-	gatherer := cfg.Gatherer
-	if gatherer == nil {
-		gatherer = LocalGatherer{}
-	}
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	opList := trainOps(cfg)
 	datas := make([][]ShapeTimings, len(opList))
 	for i, op := range opList {
 		g := cfg.Gather
 		g.Op = op
-		data, err := gatherer.Gather(ctx, g)
+		data, err := Gather(g)
 		if err != nil {
 			return nil, fmt.Errorf("core: gather %v: %w", op, err)
 		}

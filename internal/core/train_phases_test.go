@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -18,15 +17,17 @@ import (
 	"repro/internal/ml"
 	"repro/internal/ml/tune"
 	"repro/internal/ops"
+	"repro/internal/simtime"
 )
 
-// phaseLog watches one Train: its gatherer and its models' Fit calls report
+// phaseLog watches one Train: its timer and its models' Fit calls report
 // in, and so does the selection phase through evalLatency.
 type phaseLog struct {
 	t            *testing.T
-	ops          int32
-	gathering    atomic.Int32 // Gather calls in flight
-	gathered     atomic.Int32 // Gather calls returned
+	perOp        int64        // Measure calls one op's sweep makes
+	timings      int64        // Measure calls the sweeps of every op make
+	measuring    atomic.Int32 // Measure calls in flight
+	measured     atomic.Int64 // Measure calls returned
 	fitting      atomic.Int32 // Fit calls in flight
 	mu           sync.Mutex
 	lastGather   time.Time
@@ -36,24 +37,30 @@ type phaseLog struct {
 	fitsInFlight []int32 // fitting at each evalLatency call
 }
 
-type phaseGatherer struct{ log *phaseLog }
+// phaseTimer is the sweep's timer, reporting every measurement to the log.
+type phaseTimer struct {
+	simtime.Timer
+	log *phaseLog
+}
 
-func (g phaseGatherer) Gather(ctx context.Context, cfg GatherConfig) ([]ShapeTimings, error) {
-	l := g.log
-	if n := l.gathering.Add(1); n != 1 {
-		l.t.Errorf("%d gathers in flight", n)
+func (pt phaseTimer) Measure(op ops.Op, m, k, n, threads, iters int) float64 {
+	l := pt.log
+	if c := l.measuring.Add(1); c != 1 {
+		l.t.Errorf("%d timings in flight", c)
 	}
-	if n := l.fitting.Load(); n != 0 {
-		l.t.Errorf("gather %v entered with %d fits in flight", cfg.Op, n)
+	if c := l.fitting.Load(); c != 0 {
+		l.t.Errorf("gather %v timed with %d fits in flight", op, c)
 	}
-	time.Sleep(5 * time.Millisecond) // widen the window an overlap would need
-	data, err := LocalGatherer{}.Gather(ctx, cfg)
+	if l.measured.Load()%l.perOp == 0 { // the first timing of an op's sweep
+		time.Sleep(5 * time.Millisecond) // widen the window an overlap would need
+	}
+	secs := pt.Timer.Measure(op, m, k, n, threads, iters)
 	l.mu.Lock()
 	l.lastGather = time.Now()
 	l.mu.Unlock()
-	l.gathered.Add(1)
-	l.gathering.Add(-1)
-	return data, err
+	l.measured.Add(1)
+	l.measuring.Add(-1)
+	return secs
 }
 
 // phaseModel is a real model whose Fit reports to the log.
@@ -67,8 +74,8 @@ func (m *phaseModel) Fit(X [][]float64, y []float64) error {
 	start := time.Now()
 	n := l.fitting.Add(1)
 	defer l.fitting.Add(-1)
-	if g := l.gathered.Load(); g != l.ops {
-		l.t.Errorf("a fit started after %d of %d gathers", g, l.ops)
+	if g := l.measured.Load(); g != l.timings {
+		l.t.Errorf("a fit started after %d of %d timings", g, l.timings)
 	}
 	l.mu.Lock()
 	if l.fits == 0 || start.Before(l.firstFit) {
@@ -81,12 +88,17 @@ func (m *phaseModel) Fit(X [][]float64, y []float64) error {
 	return m.Regressor.Fit(X, y)
 }
 
-// TestTrainPhases pins the install's three phases: gathers run one at a
+// TestTrainPhases pins the install's three phases: timings run one at a
 // time and all return before the first fit starts; fits run side by side;
 // and no fit is in flight while the selection phase times a model.
 func TestTrainPhases(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	log := &phaseLog{t: t, ops: 2}
+	cfg := DefaultTrainConfig(quickGather(30), "Gadi", 48)
+	cfg.Ops = []ops.Op{ops.SYRK}
+	g := cfg.Gather
+	perOp := int64(g.NumShapes * len(g.Candidates))
+	log := &phaseLog{t: t, perOp: perOp, timings: 2 * perOp} // GEMM and SYRK
+	cfg.Gather.Timer = phaseTimer{g.Timer, log}
 	defer func(f func(*Library, ops.Op, []ShapeTimings, *Scratch) float64) { evalLatency = f }(evalLatency)
 	inner := evalLatency
 	evalLatency = func(lib *Library, op ops.Op, test []ShapeTimings, s *Scratch) float64 {
@@ -97,9 +109,6 @@ func TestTrainPhases(t *testing.T) {
 		return inner(lib, op, test, s)
 	}
 
-	cfg := DefaultTrainConfig(quickGather(30), "Gadi", 48)
-	cfg.Ops = []ops.Op{ops.SYRK}
-	cfg.Gatherer = phaseGatherer{log}
 	cfg.Models = nil
 	for _, spec := range DefaultModels(1, true)[:4] { // linear, elasticnet, bayesridge, tree
 		for i, c := range spec.Grid {
@@ -113,13 +122,13 @@ func TestTrainPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if log.gathered.Load() != log.ops {
-		t.Fatalf("%d gathers, want %d", log.gathered.Load(), log.ops)
+	if log.measured.Load() != log.timings {
+		t.Fatalf("%d timings, want %d", log.measured.Load(), log.timings)
 	}
 	if log.fits == 0 || !log.lastGather.Before(log.firstFit) {
-		t.Errorf("last gather returned at %v, first fit started at %v (%d fits)", log.lastGather, log.firstFit, log.fits)
+		t.Errorf("last timing returned at %v, first fit started at %v (%d fits)", log.lastGather, log.firstFit, log.fits)
 	}
-	if want := int(log.ops) * len(cfg.Models); log.evals != want {
+	if want := 2 * len(cfg.Models); log.evals != want {
 		t.Errorf("%d evaluation timings, want %d", log.evals, want)
 	}
 	for i, n := range log.fitsInFlight {

@@ -10,7 +10,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -135,5 +134,5 @@ func (l *Lab) Holdout(p Platform, capMB int, ht bool) ([]core.ShapeTimings, erro
 	cfg := l.gatherConfig(p, capMB, ht)
 	cfg.NumShapes = l.Scale.HoldoutShapes
 	cfg.Seed = l.Scale.Seed + 7919 // disjoint scramble from the training sweep
-	return core.LocalGatherer{}.Gather(context.Background(), cfg)
+	return core.Gather(cfg)
 }

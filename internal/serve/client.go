@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -85,7 +86,8 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 // non-nil, holds extra request headers. A retryable failure is retried after
 // a backoff that starts at c.backoff and doubles up to c.maxBackoff, each
 // sleep drawn from [0.8·b, b] so that clients shed together do not return
-// together, until c.attempts calls have been made. ctx bounds the whole
+// together, until c.attempts calls have been made. A shed's Retry-After hint,
+// capped at c.maxBackoff, is the least the sleep lasts. ctx bounds the whole
 // loop: once it expires the error is ctx's, naming the last failure. After
 // the last attempt the error wraps the last failure, so errors.As still
 // finds its *StatusError.
@@ -110,7 +112,12 @@ func (c *Client) do(ctx context.Context, method, path string, header http.Header
 		if attempt+1 >= c.attempts {
 			return fmt.Errorf("after %d attempts: %w", attempt+1, last)
 		}
-		t := time.NewTimer(jitter(c.pause(attempt)))
+		wait := jitter(c.pause(attempt))
+		var sErr *StatusError
+		if errors.As(last, &sErr) {
+			wait = max(wait, min(sErr.RetryAfter, c.maxBackoff))
+		}
+		t := time.NewTimer(wait)
 		select {
 		case <-ctx.Done():
 			t.Stop()

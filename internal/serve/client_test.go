@@ -172,6 +172,28 @@ func TestClientFatalStopsImmediately(t *testing.T) {
 	}
 }
 
+// TestClientHonoursRetryAfter: a shed's Retry-After hint is the least the
+// backoff sleeps, capped at maxBackoff. The backoff is 1 ms and the hint 30 s,
+// so the one sleep lasts the 150 ms cap: shorter means the hint was ignored,
+// seconds longer that it was not capped.
+func TestClientHonoursRetryAfter(t *testing.T) {
+	ts, calls := failingServer(t, 1, func(w http.ResponseWriter) {
+		w.Header().Set("Retry-After", "30")
+		writeError(w, http.StatusTooManyRequests, "shed")
+	})
+	c := NewClient(ts.URL, nil)
+	c.backoff, c.maxBackoff = time.Millisecond, 150*time.Millisecond
+	start := time.Now()
+	got, err := c.Predict(bg, PredictRequest{M: 8, K: 8, N: 8})
+	d := time.Since(start)
+	if err != nil || got != 4 || calls.Load() != 2 {
+		t.Fatalf("429 then 200: threads %d, err %v after %d calls; want 4, nil after 2", got, err, calls.Load())
+	}
+	if d < c.maxBackoff || d > 10*time.Second {
+		t.Errorf("retried after %v, want the hint capped at %v", d, c.maxBackoff)
+	}
+}
+
 // TestClientBuildErrorFailsOnce: a request that cannot be built is not
 // retried. The backoff is an hour, so a retry would hang the test.
 func TestClientBuildErrorFailsOnce(t *testing.T) {

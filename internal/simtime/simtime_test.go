@@ -314,7 +314,7 @@ func TestRealTimerRepetitionCount(t *testing.T) {
 
 // TestRealTimerKeepsOneOperandSet is the retention regression: a sweep
 // visits each shape once, so after 20 distinct shapes the timer must
-// reference the last operand set only — not all 20, which on a worker that
+// reference the last operand set only — not all 20, which in a process that
 // lives for a whole real-timing sweep grows until the OOM killer ends it.
 func TestRealTimerKeepsOneOperandSet(t *testing.T) {
 	const dim, shapes = 300, 20
