@@ -178,7 +178,7 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 	}
 
 	var (
-		timer      simtime.Timer
+		timerSpec  simtime.Spec
 		maxThreads int
 		refThreads int
 		platform   string
@@ -195,10 +195,7 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 		if err != nil {
 			return core.TrainConfig{}, err
 		}
-		sim := simtime.DefaultConfig(node)
-		sim.HT = !opts.NoHT
-		sim.Seed = seed
-		timer = simtime.New(sim)
+		timerSpec = simtime.SimSpec(name, seed, !opts.NoHT)
 		maxThreads = node.MaxThreads(!opts.NoHT)
 		refThreads = node.PhysicalCores()
 		platform = name
@@ -209,7 +206,7 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 			shapes = 300
 		}
 	case "local":
-		timer = simtime.NewRealTimer()
+		timerSpec = simtime.RealSpec()
 		// Nothing above hostThreads is ever executed here, so nothing
 		// above it is timed.
 		maxThreads = hostThreads()
@@ -225,6 +222,10 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 		return core.TrainConfig{}, fmt.Errorf("adsala: unknown platform %q (want Setonix, Gadi or local)", opts.Platform)
 	}
 
+	timer, err := timerSpec.Build()
+	if err != nil {
+		return core.TrainConfig{}, err
+	}
 	gather := core.GatherConfig{
 		Timer:      timer,
 		Domain:     sampling.DefaultDomain().WithCapMB(capMB),

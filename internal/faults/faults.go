@@ -1,7 +1,8 @@
 // Package faults is the reusable fault-injection harness behind the chaos
-// tests: http.Handler middleware that injects latency, HTTP error statuses,
-// connection drops and partial (truncated) responses from a seeded, fully
-// deterministic schedule.
+// tests: composable http.RoundTripper and http.Handler middleware that
+// inject latency, transport errors, connection drops, HTTP error statuses
+// and partial (truncated) responses from a seeded, fully deterministic
+// schedule.
 //
 // Determinism is the design constraint. Concurrent clients interleave
 // non-deterministically, so a schedule driven by a shared RNG stream would
@@ -16,6 +17,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -29,11 +31,12 @@ const (
 	None Kind = iota
 	// Latency delays the call, then passes it through.
 	Latency
-	// Error answers with the plan's Status — the dependency answered,
-	// badly.
+	// Error fails the call at the transport layer (RoundTripper) or
+	// answers with InjectStatus (Handler) — the dependency answered, badly.
 	Error
-	// Drop aborts the connection without a response — the dependency
-	// vanished.
+	// Drop severs the connection: the RoundTripper returns a mid-flight
+	// transport error, the Handler aborts the connection without a
+	// response — the dependency vanished.
 	Drop
 	// Truncate serves a partial response body that ends early — the
 	// dependency died mid-answer.
@@ -68,7 +71,7 @@ type Plan struct {
 	LatencyP float64
 	// Delay is the injected latency (default 10ms when LatencyP > 0).
 	Delay time.Duration
-	// ErrorP is the probability of an error status.
+	// ErrorP is the probability of a transport error / error status.
 	ErrorP float64
 	// Status is the HTTP status a Handler answers on an Error fault
 	// (default 500).
@@ -156,6 +159,92 @@ func (s *Stats) count(delay bool, kind Kind) {
 	case Truncate:
 		s.Truncates.Add(1)
 	}
+}
+
+// DroppedError is the transport error a Drop fault surfaces client-side.
+type DroppedError struct{ Call int64 }
+
+func (e *DroppedError) Error() string {
+	return fmt.Sprintf("faults: connection dropped (injected, call %d)", e.Call)
+}
+
+// InjectedError is the transport error an Error fault surfaces client-side.
+type InjectedError struct{ Call int64 }
+
+func (e *InjectedError) Error() string {
+	return fmt.Sprintf("faults: transport error (injected, call %d)", e.Call)
+}
+
+// Transport wraps an http.RoundTripper with fault injection. A nil next
+// selects http.DefaultTransport. The returned transport numbers calls from
+// 0 and records them in stats (which may be nil).
+func Transport(next http.RoundTripper, sched Schedule, stats *Stats) http.RoundTripper {
+	if next == nil {
+		next = http.DefaultTransport
+	}
+	if stats == nil {
+		stats = &Stats{}
+	}
+	return &transport{next: next, sched: sched, stats: stats}
+}
+
+type transport struct {
+	next  http.RoundTripper
+	sched Schedule
+	stats *Stats
+	calls atomic.Int64
+}
+
+func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
+	call := t.calls.Add(1) - 1
+	delay, kind := t.sched.Decide(call)
+	t.stats.count(delay, kind)
+	if delay {
+		if err := sleepCtx(req.Context(), delayOf(t.sched)); err != nil {
+			return nil, err
+		}
+	}
+	switch kind {
+	case Error:
+		return nil, &InjectedError{Call: call}
+	case Drop:
+		return nil, &DroppedError{Call: call}
+	case Truncate:
+		resp, err := t.next.RoundTrip(req)
+		if err != nil {
+			return nil, err
+		}
+		return truncateResponse(resp), nil
+	default:
+		return t.next.RoundTrip(req)
+	}
+}
+
+// truncateResponse halves the body and makes the read end in
+// io.ErrUnexpectedEOF, the shape a torn TCP stream decodes into.
+func truncateResponse(resp *http.Response) *http.Response {
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		blob = nil
+	}
+	half := blob[:len(blob)/2]
+	resp.Body = io.NopCloser(&tornReader{r: bytes.NewReader(half)})
+	resp.ContentLength = -1
+	resp.Header.Del("Content-Length")
+	return resp
+}
+
+// tornReader yields its bytes then fails with ErrUnexpectedEOF instead of a
+// clean EOF, so JSON decoders see a torn stream, not a short document.
+type tornReader struct{ r io.Reader }
+
+func (t *tornReader) Read(p []byte) (int, error) {
+	n, err := t.r.Read(p)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return n, err
 }
 
 // Handler wraps an http.Handler with server-side fault injection. Error

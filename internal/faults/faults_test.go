@@ -2,6 +2,7 @@ package faults
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -61,6 +62,70 @@ type alwaysKind struct{ kind Kind }
 
 func (a alwaysKind) Decide(int64) (bool, Kind) { return false, a.kind }
 
+func TestTransportError(t *testing.T) {
+	srv := httptest.NewServer(okHandler())
+	defer srv.Close()
+	var st Stats
+	cl := &http.Client{Transport: Transport(nil, alwaysKind{Error}, &st)}
+	_, err := cl.Get(srv.URL)
+	var inj *InjectedError
+	if !errors.As(err, &inj) {
+		t.Fatalf("error %v, want InjectedError", err)
+	}
+	if st.Errors.Load() != 1 || st.Calls.Load() != 1 {
+		t.Fatalf("stats errors=%d calls=%d, want 1/1", st.Errors.Load(), st.Calls.Load())
+	}
+}
+
+func TestTransportDrop(t *testing.T) {
+	srv := httptest.NewServer(okHandler())
+	defer srv.Close()
+	cl := &http.Client{Transport: Transport(nil, alwaysKind{Drop}, nil)}
+	_, err := cl.Get(srv.URL)
+	var d *DroppedError
+	if !errors.As(err, &d) {
+		t.Fatalf("error %v, want DroppedError", err)
+	}
+}
+
+func TestTransportTruncate(t *testing.T) {
+	srv := httptest.NewServer(okHandler())
+	defer srv.Close()
+	cl := &http.Client{Transport: Transport(nil, alwaysKind{Truncate}, nil)}
+	resp, err := cl.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var v map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	if err == nil {
+		t.Fatal("decoding a truncated body succeeded")
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("decode error %v, want ErrUnexpectedEOF", err)
+	}
+}
+
+func TestTransportPassThrough(t *testing.T) {
+	srv := httptest.NewServer(okHandler())
+	defer srv.Close()
+	var st Stats
+	cl := &http.Client{Transport: Transport(nil, NewSeeded(1, Plan{}), &st)}
+	resp, err := cl.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var v struct{ Answer int }
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil || v.Answer != 42 {
+		t.Fatalf("decode = (%+v, %v), want clean pass-through", v, err)
+	}
+	if st.Fired() {
+		t.Fatal("empty plan injected faults")
+	}
+}
+
 func TestHandlerErrorStatus(t *testing.T) {
 	sched := NewSeeded(1, Plan{ErrorP: 1, Status: http.StatusBadGateway})
 	srv := httptest.NewServer(Handler(okHandler(), sched, nil))
@@ -118,12 +183,10 @@ func TestHandlerLatency(t *testing.T) {
 }
 
 func TestConcurrentCallsRace(t *testing.T) {
-	var st Stats
-	srv := httptest.NewServer(Handler(okHandler(), NewSeeded(3, Plan{ErrorP: 0.3, DropP: 0.2, TruncateP: 0.2}), &st))
+	srv := httptest.NewServer(Handler(okHandler(), NewSeeded(3, Plan{ErrorP: 0.3, DropP: 0.2}), nil))
 	defer srv.Close()
-	// No connection is reused, so the transport retries no dropped GET and
-	// the handler sees each call exactly once.
-	cl := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	var st Stats
+	cl := &http.Client{Transport: Transport(nil, NewSeeded(4, Plan{ErrorP: 0.2, TruncateP: 0.2}), &st)}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -140,6 +203,6 @@ func TestConcurrentCallsRace(t *testing.T) {
 	}
 	wg.Wait()
 	if st.Calls.Load() != 200 {
-		t.Fatalf("handler counted %d calls, want 200", st.Calls.Load())
+		t.Fatalf("transport counted %d calls, want 200", st.Calls.Load())
 	}
 }

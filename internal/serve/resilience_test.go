@@ -550,6 +550,36 @@ func TestClientSurvivesFaultyServer(t *testing.T) {
 	}
 }
 
+// TestClientSurvivesFaultyTransport injects the faults on the client's side
+// of the wire: transport errors and drops that never reach the server, and
+// bodies torn after the server answered. Each must be retried like its
+// server-side twin, and the schedule must have fired every kind.
+func TestClientSurvivesFaultyTransport(t *testing.T) {
+	eng := NewEngine(lib(t), Options{CacheSize: 256, Shards: 8})
+	ts := httptest.NewServer(NewServer(eng))
+	defer ts.Close()
+	var st faults.Stats
+	sched := faults.NewSeeded(12, faults.Plan{ErrorP: 0.2, DropP: 0.15, TruncateP: 0.15})
+	client := NewClient(ts.URL, &http.Client{Transport: faults.Transport(nil, sched, &st)})
+	client.attempts = 8
+	client.backoff, client.maxBackoff = time.Millisecond, 4*time.Millisecond
+
+	want := eng.Library().OptimalThreadsOp(OpGEMM, 512, 512, 512)
+	for i := 0; i < 30; i++ {
+		got, err := client.Predict(bg, PredictRequest{M: 512, K: 512, N: 512})
+		if err != nil {
+			t.Fatalf("request %d failed through retries: %v", i, err)
+		}
+		if got != want {
+			t.Fatalf("request %d answered %d, want %d", i, got, want)
+		}
+	}
+	if st.Errors.Load() == 0 || st.Drops.Load() == 0 || st.Truncates.Load() == 0 {
+		t.Errorf("fault mix incomplete: %d errors, %d drops, %d truncates",
+			st.Errors.Load(), st.Drops.Load(), st.Truncates.Load())
+	}
+}
+
 // TestClientFatalOn4xx pins the fatal classification: a 400 must surface
 // immediately (exactly one attempt), while 429 and 5xx retry.
 func TestClientFatalOn4xx(t *testing.T) {

@@ -6,13 +6,11 @@ import (
 	"repro/internal/machine"
 )
 
-// Timing-backend specification. The distributed gather must tell remote
-// workers how to construct the exact timer the coordinator would use locally
-// — a Timer value cannot travel over the wire, but a Spec can. The training
-// path and the workers both construct their timer with Build, so they time
-// identically by construction (the Simulator is a pure function of its
-// Config, so a sim sweep sharded across any number of workers merges
-// byte-identical to the single-node gather).
+// Timing-backend specification. A Spec names a timer by value: the
+// simulated platform with its seed and HT setting, or the local RealTimer.
+// adsala's install path builds its timer with Build, and a Spec survives a
+// JSON round trip, so the same description always rebuilds a timer that
+// times identically (the Simulator is a pure function of its Config).
 
 // Backend names accepted by Spec.
 const (
@@ -22,7 +20,7 @@ const (
 	BackendReal = "real"
 )
 
-// Spec is a wire-serialisable description of a timing backend.
+// Spec is a JSON-serialisable description of a timing backend.
 type Spec struct {
 	// Backend is BackendSim or BackendReal.
 	Backend string `json:"backend"`

@@ -8,20 +8,20 @@ import (
 	"repro/internal/ops"
 )
 
-// TestSpecBuildSim pins the distributed-gather contract: a Spec that
-// travelled over the wire builds a Simulator timing identically to the one
-// the training path constructs locally.
+// TestSpecBuildSim pins the Spec contract: a Spec that went through a JSON
+// round trip builds a Simulator timing identically to one constructed
+// directly from DefaultConfig.
 func TestSpecBuildSim(t *testing.T) {
 	spec := SimSpec("Gadi", 5, true)
 	blob, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wired Spec
-	if err := json.Unmarshal(blob, &wired); err != nil {
+	var decoded Spec
+	if err := json.Unmarshal(blob, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	timer, err := wired.Build()
+	timer, err := decoded.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestSpecBuildSim(t *testing.T) {
 		for _, op := range []ops.Op{ops.GEMM, ops.SYRK} {
 			want := local.Measure(op, c[0], c[1], c[2], c[3], 3)
 			if got := timer.Measure(op, c[0], c[1], c[2], c[3], 3); got != want {
-				t.Errorf("%v %v: wired simulator %v, local %v", op, c, got, want)
+				t.Errorf("%v %v: decoded simulator %v, direct %v", op, c, got, want)
 			}
 		}
 	}
