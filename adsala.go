@@ -178,7 +178,7 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 	}
 
 	var (
-		timerSpec  simtime.Spec
+		timer      simtime.Timer
 		maxThreads int
 		refThreads int
 		platform   string
@@ -195,7 +195,10 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 		if err != nil {
 			return core.TrainConfig{}, err
 		}
-		timerSpec = simtime.SimSpec(name, seed, !opts.NoHT)
+		simCfg := simtime.DefaultConfig(node)
+		simCfg.HT = !opts.NoHT
+		simCfg.Seed = seed
+		timer = simtime.New(simCfg)
 		maxThreads = node.MaxThreads(!opts.NoHT)
 		refThreads = node.PhysicalCores()
 		platform = name
@@ -206,7 +209,7 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 			shapes = 300
 		}
 	case "local":
-		timerSpec = simtime.RealSpec()
+		timer = simtime.NewRealTimer()
 		// Nothing above hostThreads is ever executed here, so nothing
 		// above it is timed.
 		maxThreads = hostThreads()
@@ -222,10 +225,6 @@ func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
 		return core.TrainConfig{}, fmt.Errorf("adsala: unknown platform %q (want Setonix, Gadi or local)", opts.Platform)
 	}
 
-	timer, err := timerSpec.Build()
-	if err != nil {
-		return core.TrainConfig{}, err
-	}
 	gather := core.GatherConfig{
 		Timer:      timer,
 		Domain:     sampling.DefaultDomain().WithCapMB(capMB),

@@ -56,14 +56,14 @@ import (
 	"repro/internal/mat"
 )
 
-// Params holds the blocking parameters of the five-loop algorithm.
-type Params struct {
+// params holds the blocking parameters of the five-loop algorithm.
+type params struct {
 	MC, KC, NC int // cache block sizes (rows of A, depth, cols of B)
 	MR, NR     int // register micro-tile
 }
 
-// DefaultParams returns the blocking parameters a Context whose Params field
-// is zero uses, for element type T on this CPU. The cache blocks are
+// defaultParams returns the blocking parameters a call with the zero params
+// uses, for element type T on this CPU. The cache blocks are
 // sized for typical L1/L2/L3 capacities and are multiples of every tile; the
 // register tile is the one place the default depends on T and the machine:
 // the ZMM tile (6×32 in float32, 6×16 in float64) where the CPU probe found
@@ -71,8 +71,8 @@ type Params struct {
 // (6×16, 6×8) where it found AVX2 and FMA only, the Go 4×4 tile everywhere
 // else (see kernel.go). A call under these defaults whose C has no more
 // columns than one YMM tile row still runs the YMM tile (narrowShape).
-func DefaultParams[T float32 | float64]() Params {
-	p := Params{MC: 120, KC: defaultKC, NC: 2048, MR: goMR, NR: goNR}
+func defaultParams[T float32 | float64]() params {
+	p := params{MC: 120, KC: defaultKC, NC: 2048, MR: goMR, NR: goNR}
 	if useVec {
 		p.MR, p.NR = vecMR, vecNR[T]()
 	}
@@ -84,9 +84,9 @@ func DefaultParams[T float32 | float64]() Params {
 // a chunk.
 const defaultKC = 256
 
-// Validate reports whether the parameters can drive the packed kernel in
+// validate reports whether the parameters can drive the packed kernel in
 // some precision on this CPU.
-func (p Params) Validate() error {
+func (p params) validate() error {
 	if p.MC < 1 || p.KC < 1 || p.NC < 1 {
 		return fmt.Errorf("blas: non-positive block sizes %+v", p)
 	}
@@ -110,10 +110,10 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// checkParams is Validate plus the half of the tile rule that needs the
+// checkParams is validate plus the half of the tile rule that needs the
 // element type: the vector tiles' widths are fixed per precision.
-func checkParams[T float32 | float64](p Params) error {
-	if err := p.Validate(); err != nil {
+func checkParams[T float32 | float64](p params) error {
+	if err := p.validate(); err != nil {
 		return err
 	}
 	if p.MR == vecMR && !isVecNR[T](p.NR) {

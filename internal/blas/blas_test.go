@@ -193,7 +193,7 @@ func testBetaZeroPacked[T float32 | float64](t *testing.T, relTol float64) {
 				for i := range c.Data {
 					c.Data[i] = poison[(i+threads)%len(poison)]
 				}
-				if err := drive(ctx, op, false, false, 0.5, a, b, 0, c, threads, Params{}); err != nil {
+				if err := drive(ctx, op, false, false, 0.5, a, b, 0, c, threads, params{}); err != nil {
 					t.Fatal(err)
 				}
 				for i, got := range c.Data {
@@ -246,37 +246,37 @@ func TestThreadCountClamping(t *testing.T) {
 }
 
 func TestParamsValidate(t *testing.T) {
-	good := DefaultParams[float32]()
-	if err := good.Validate(); err != nil {
+	good := defaultParams[float32]()
+	if err := good.validate(); err != nil {
 		t.Errorf("default params invalid: %v", err)
 	}
-	if err := DefaultParams[float64]().Validate(); err != nil {
+	if err := defaultParams[float64]().validate(); err != nil {
 		t.Errorf("default float64 params invalid: %v", err)
 	}
 	bad := good
 	bad.MC = 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("MC=0 should fail")
 	}
 	for _, tile := range [][2]int{{8, 8}, {8, 4}, {4, 8}, {6, 4}, {4, 16}} {
-		bad = Params{MC: 16 * tile[0], KC: 64, NC: 16 * tile[1], MR: tile[0], NR: tile[1]}
-		if err := bad.Validate(); err == nil {
+		bad = params{MC: 16 * tile[0], KC: 64, NC: 16 * tile[1], MR: tile[0], NR: tile[1]}
+		if err := bad.validate(); err == nil {
 			t.Errorf("unsupported micro-tile %dx%d should fail", tile[0], tile[1])
 		}
 	}
 	bad = good
 	bad.MC = 130 // a multiple of neither MR
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("MC not multiple of MR should fail")
 	}
 	bad = good
 	bad.NC = 2050
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("NC not multiple of NR should fail")
 	}
 	for _, tile := range append(testTiles[float32](), testTiles[float64]()...) {
-		p := Params{MC: 16 * tile[0], KC: 64, NC: 16 * tile[1], MR: tile[0], NR: tile[1]}
-		if err := p.Validate(); err != nil {
+		p := params{MC: 16 * tile[0], KC: 64, NC: 16 * tile[1], MR: tile[0], NR: tile[1]}
+		if err := p.validate(); err != nil {
 			t.Errorf("tile %dx%d should validate: %v", tile[0], tile[1], err)
 		}
 	}
@@ -285,7 +285,7 @@ func TestParamsValidate(t *testing.T) {
 // TestResolveParams pins what drive skips: the default blocking spelled out
 // is taken as the default and passes checkParams on every tile set the
 // probes can pick, and only an explicit other blocking is checked (drive
-// takes the zero Params as the default before it calls resolveParams).
+// takes the zero params as the default before it calls resolveParams).
 func TestResolveParams(t *testing.T) {
 	check := func(t *testing.T) {
 		t.Helper()
@@ -299,7 +299,7 @@ func TestResolveParams(t *testing.T) {
 
 func resolveCase[T float32 | float64](t *testing.T) {
 	t.Helper()
-	def := DefaultParams[T]()
+	def := defaultParams[T]()
 	if err := checkParams[T](def); err != nil {
 		t.Errorf("%T default blocking %+v fails its check: %v", T(0), def, err)
 	}
@@ -324,7 +324,7 @@ func TestCustomParams(t *testing.T) {
 	b := randF32(70, 40, rng)
 	want := mat.NewF32(50, 40)
 	NaiveSGEMM(false, false, 1, a, b, 0, want)
-	p := Params{MC: 16, KC: 8, NC: 12, MR: 4, NR: 4}
+	p := params{MC: 16, KC: 8, NC: 12, MR: 4, NR: 4}
 	c := mat.NewF32(50, 40)
 	ctx := NewContext()
 	defer ctx.Close()

@@ -46,11 +46,11 @@ func (c *Context) Close() {
 }
 
 // resolveParams reports whether an explicit, non-zero prm asks for the
-// default blocking — it equals DefaultParams — and checks any other
+// default blocking — it equals defaultParams — and checks any other
 // blocking, which is the caller's. The default is valid by construction.
-// drive decides the zero Params itself, with one compare.
-func resolveParams[T float32 | float64](prm Params) (bool, error) {
-	if prm == DefaultParams[T]() {
+// drive decides the zero params itself, with one compare.
+func resolveParams[T float32 | float64](prm params) (bool, error) {
+	if prm == defaultParams[T]() {
 		return true, nil
 	}
 	return false, checkParams[T](prm)
@@ -59,12 +59,12 @@ func resolveParams[T float32 | float64](prm Params) (bool, error) {
 // SGEMM computes C ← alpha·op(A)·op(B) + beta·C in single precision on this
 // context with the given number of threads (values < 1 mean 1).
 func (c *Context) SGEMM(transA, transB bool, alpha float32, a, b *mat.F32, beta float32, cm *mat.F32, threads int) error {
-	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, Params{})
+	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, params{})
 }
 
 // DGEMM is the double-precision counterpart of SGEMM.
 func (c *Context) DGEMM(transA, transB bool, alpha float64, a, b *mat.F64, beta float64, cm *mat.F64, threads int) error {
-	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, Params{})
+	return drive(c, opGemm, transA, transB, alpha, *a, *b, beta, *cm, threads, params{})
 }
 
 // ctxPool backs the package-level entry points: steady-state calls reuse a
@@ -96,7 +96,7 @@ type callArgs[T float32 | float64] struct {
 	a, b, c        mat.Dense[T]
 	m, n, k        int
 	parts          int
-	prm            Params
+	prm            params
 }
 
 // bufsFor selects the context's buffer set for T.
@@ -202,11 +202,11 @@ func (c *Context) ensureTeam(workers int) *team {
 // packed buffers, lower(alpha·op(A)·op(B)ᵀ + beta·C) and then
 // += lower(alpha·op(B)·op(A)ᵀ), the second ending in the mirror. The
 // symmetric updates pass their one transpose flag as both transA and transB.
-// prm is the call's blocking, the zero Params meaning the default.
-func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], threads int, prm Params) error {
-	// The zero Params costs one compare here; the default blocking itself
+// prm is the call's blocking, the zero params meaning the default.
+func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], threads int, prm params) error {
+	// The zero params costs one compare here; the default blocking itself
 	// is built only for a packed call.
-	def := prm == (Params{})
+	def := prm == (params{})
 	if !def {
 		var err error
 		if def, err = resolveParams[T](prm); err != nil {
@@ -254,7 +254,7 @@ func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, al
 	// Small shapes skip packing entirely: below the threshold the panel
 	// copies and phase barriers cost more than they save, and the call runs
 	// one thread whatever was asked. Only the default blocking takes this
-	// path — explicit Params mean the caller is studying the packed
+	// path — explicit params mean the caller is studying the packed
 	// algorithm (ablations, micro-tile comparisons) and must get exactly the
 	// configuration they asked for. The small path computes the packed
 	// path's bits, so the gate moves none, and neither does the default's
@@ -264,7 +264,7 @@ func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, al
 			smallCall(ctx, op, transA, transB, alpha, a, b, beta, c, m, n, k)
 			return nil
 		}
-		prm = DefaultParams[T]()
+		prm = defaultParams[T]()
 		if narrowShape[T](n) {
 			prm.NR = ymmNR[T]()
 		}

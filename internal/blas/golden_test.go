@@ -75,7 +75,7 @@ func goldenMatrix[T float32 | float64](r, c, extra int, rng *rand.Rand) *mat.Den
 // goldenCall runs one op through drive under blocking prm. The symmetric
 // updates take their one transpose flag as both, as their entry points pass
 // it.
-func goldenCall[T float32 | float64](ctx *Context, prm Params, op opKind, transA, transB bool, alpha T, a, b *mat.Dense[T], beta T, c *mat.Dense[T], threads int) error {
+func goldenCall[T float32 | float64](ctx *Context, prm params, op opKind, transA, transB bool, alpha T, a, b *mat.Dense[T], beta T, c *mat.Dense[T], threads int) error {
 	if op != opGemm {
 		transB = transA
 	}
@@ -84,8 +84,8 @@ func goldenCall[T float32 | float64](ctx *Context, prm Params, op opKind, transA
 
 // goldenParams is blocking shrunk until MC, KC and NC boundaries — several of
 // each — land inside the golden shapes.
-func goldenParams[T float32 | float64]() Params {
-	p := DefaultParams[T]()
+func goldenParams[T float32 | float64]() params {
+	p := defaultParams[T]()
 	p.MC, p.KC, p.NC = 2*p.MR, 10, 2*p.NR
 	return p
 }
@@ -98,7 +98,7 @@ func goldenSum[T float32 | float64](t *testing.T, h hash.Hash64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	var word [8]byte
 	combo := 0
-	for _, prm := range []Params{{}, goldenParams[T]()} {
+	for _, prm := range []params{{}, goldenParams[T]()} {
 		ctx := NewContext()
 		defer ctx.Close()
 		for _, sh := range goldenShapes {

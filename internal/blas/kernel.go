@@ -16,7 +16,7 @@ import (
 // default is the ZMM tile wherever AVX-512 runs and the YMM tile wherever only
 // AVX2 does. The Go 4×4 tile with the k loop unrolled 4× is the portable
 // fallback: every non-amd64 GOARCH, and amd64 without AVX2/FMA. The
-// macro-kernel dispatches on the (MR, NR) pair from Params; Validate
+// macro-kernel dispatches on the (MR, NR) pair from params; validate
 // restricts callers to these tiles. Every lane of either vector tile sums one
 // element in ascending p with one rounding per multiply-add, so the two give
 // the same bits, and which one a call runs is a matter of speed only.
@@ -37,7 +37,7 @@ const (
 
 // useVec and useZMM are the CPU probes' answers, taken once: whether the YMM
 // tile, and on top of it the ZMM tile, may run. The widest tile that may is
-// the default and both are accepted by Validate. Variables only so in-package
+// the default and both are accepted by validate. Variables only so in-package
 // tests can force the narrower tiles on a wider machine.
 var (
 	useVec = cpuHasVectorTile()
@@ -89,7 +89,7 @@ const (
 // and have their store cut to j ≤ i (storeTile's diag).
 //
 //adsala:zeroalloc
-func macroKernel[T float32 | float64](alpha T, packedA, packedB []T, beta T, c mat.Dense[T], ic, jc, mc, nc, kc int, first, lower bool, prm Params) {
+func macroKernel[T float32 | float64](alpha T, packedA, packedB []T, beta T, c mat.Dense[T], ic, jc, mc, nc, kc int, first, lower bool, prm params) {
 	mr, nr := prm.MR, prm.NR
 	vec := mr == vecMR // the vector tile of T, enforced by checkParams
 	mode := storeAdd

@@ -40,7 +40,7 @@ func limitsAll(limit int) (l [2][3]int) {
 }
 
 // forceGoTile makes the CPU probes answer "no vector tile" for the duration
-// of a test: DefaultParams resolves to the Go 4×4 tile and Validate rejects
+// of a test: defaultParams resolves to the Go 4×4 tile and validate rejects
 // the vector ones, as on a machine without AVX2/FMA.
 func forceGoTile(t *testing.T) {
 	t.Helper()
@@ -50,7 +50,7 @@ func forceGoTile(t *testing.T) {
 }
 
 // forceNoZMM makes the AVX-512 probe answer no for the duration of a test:
-// DefaultParams resolves to the YMM tile and Validate rejects the ZMM one, as
+// defaultParams resolves to the YMM tile and validate rejects the ZMM one, as
 // on a machine with AVX2 and FMA only.
 func forceNoZMM(t *testing.T) {
 	t.Helper()
@@ -168,8 +168,8 @@ func TestPackedMatchesNaiveMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, tile := range testTiles[float32]() {
 		mr, nr := tile[0], tile[1]
-		prm := Params{MC: 2 * mr, KC: 10, NC: 2 * nr, MR: mr, NR: nr}
-		if err := prm.Validate(); err != nil {
+		prm := params{MC: 2 * mr, KC: 10, NC: 2 * nr, MR: mr, NR: nr}
+		if err := prm.validate(); err != nil {
 			t.Fatalf("tile %dx%d params: %v", mr, nr, err)
 		}
 		ctx := NewContext()

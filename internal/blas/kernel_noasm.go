@@ -4,8 +4,8 @@ package blas
 
 import "unsafe"
 
-// Architectures without an assembly tile: the probes say no, DefaultParams
-// resolves to the Go 4×4 tile and Validate rejects the vector tiles, so the
+// Architectures without an assembly tile: the probes say no, defaultParams
+// resolves to the Go 4×4 tile and validate rejects the vector tiles, so the
 // kernels below are never reached; the team's spin hint is a no-op.
 
 func cpuHasVectorTile() bool { return false }

@@ -231,7 +231,7 @@ func benchTile[T float32 | float64](b *testing.B, name string) {
 	rng := rand.New(rand.NewSource(63))
 	packedA, packedB := sentinelPanel[T](mc*kc, rng), sentinelPanel[T](kc*nc, rng)
 	c := mat.Dense[T]{Rows: mc, Cols: nc, Stride: nc, Data: make([]T, mc*nc)}
-	prm := Params{MC: mc, KC: kc, NC: nc, MR: vecMR, NR: nr}
+	prm := params{MC: mc, KC: kc, NC: nc, MR: vecMR, NR: nr}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		macroKernel(1, packedA, packedB, 1, c, 0, 0, mc, nc, kc, false, false, prm)
@@ -244,16 +244,16 @@ func benchTile[T float32 | float64](b *testing.B, name string) {
 // refused, and the package's reference tests pass on the fallback default.
 func TestFallbackTile(t *testing.T) {
 	forceGoTile(t)
-	for _, p := range []Params{DefaultParams[float32](), DefaultParams[float64]()} {
+	for _, p := range []params{defaultParams[float32](), defaultParams[float64]()} {
 		if p.MR != goMR || p.NR != goNR {
 			t.Fatalf("default tile %dx%d without the vector tile, want %dx%d", p.MR, p.NR, goMR, goNR)
 		}
-		if err := p.Validate(); err != nil {
+		if err := p.validate(); err != nil {
 			t.Fatalf("fallback defaults invalid: %v", err)
 		}
 	}
-	vec := Params{MC: 120, KC: 256, NC: 2048, MR: vecMR, NR: vecNR[float32]()}
-	if err := vec.Validate(); err == nil {
+	vec := params{MC: 120, KC: 256, NC: 2048, MR: vecMR, NR: vecNR[float32]()}
+	if err := vec.validate(); err == nil {
 		t.Error("vector tile validated although the probe said no")
 	}
 	if got := testTiles[float32](); len(got) != 1 {
@@ -290,16 +290,16 @@ func TestYMMTile(t *testing.T) {
 		t.Skip("no ZMM tile on this machine: the default tile is the YMM one already")
 	}
 	forceNoZMM(t)
-	want := Params{MC: 120, KC: 256, NC: 2048, MR: 6, NR: 16}
-	if got := DefaultParams[float32](); got != want {
+	want := params{MC: 120, KC: 256, NC: 2048, MR: 6, NR: 16}
+	if got := defaultParams[float32](); got != want {
 		t.Fatalf("float32 defaults %+v without the ZMM tile, want %+v", got, want)
 	}
 	want.NR = 8
-	if got := DefaultParams[float64](); got != want {
+	if got := defaultParams[float64](); got != want {
 		t.Fatalf("float64 defaults %+v without the ZMM tile, want %+v", got, want)
 	}
-	zmm := Params{MC: 120, KC: 256, NC: 2048, MR: vecMR, NR: zmmNR[float32]()}
-	if err := zmm.Validate(); err == nil {
+	zmm := params{MC: 120, KC: 256, NC: 2048, MR: vecMR, NR: zmmNR[float32]()}
+	if err := zmm.validate(); err == nil {
 		t.Error("6x32 validated although the probe said no")
 	}
 	zmm.NR = zmmNR[float64]() // 6x16 is float32's YMM tile, float64's ZMM tile
@@ -330,7 +330,7 @@ func TestYMMTile(t *testing.T) {
 // pins how the probes order them: the ZMM tile implies the YMM tile, and the
 // default is the widest tile the machine runs.
 func TestTileProbe(t *testing.T) {
-	f32, f64 := DefaultParams[float32](), DefaultParams[float64]()
+	f32, f64 := defaultParams[float32](), defaultParams[float64]()
 	// One small-path call that stages op(B)ᵀ on a fresh context: only the
 	// assembly form fills the context's staging scratch, so this is what
 	// ran, not what the probe promised.

@@ -289,7 +289,7 @@ func BenchmarkPack(b *testing.B) {
 
 func benchPack[T float32 | float64](b *testing.B) {
 	const mc, kc, nc = 120, 256, 512
-	prm := DefaultParams[T]()
+	prm := defaultParams[T]()
 	rng := rand.New(rand.NewSource(75))
 	src, _ := fenced[T](512, 512, 512, 0, 0, rng)
 	buf := make([]T, kc*nc)

@@ -110,7 +110,7 @@ func randCase[T float32 | float64](op opKind, rng *rand.Rand) *propCase[T] {
 	return pc
 }
 
-func (pc *propCase[T]) run(ctx *Context, c mat.Dense[T], threads int, prm Params) error {
+func (pc *propCase[T]) run(ctx *Context, c mat.Dense[T], threads int, prm params) error {
 	return drive(ctx, pc.op, pc.transA, pc.transB, pc.alpha, pc.a, pc.b, pc.beta, c, threads, prm)
 }
 
@@ -161,10 +161,10 @@ func testKernelProperty[T float32 | float64](t *testing.T, seed int64, eps float
 			for _, tile := range testTiles[T]() {
 				// Default blocking (small shapes take the no-packing path), or
 				// blocks shrunk until their boundaries land inside the shape.
-				prm := DefaultParams[T]()
+				prm := defaultParams[T]()
 				prm.MR, prm.NR = tile[0], tile[1]
 				if rng.Intn(2) == 0 {
-					prm = Params{MC: tile[0] * (1 + rng.Intn(4)), KC: 1 + rng.Intn(48), NC: tile[1] * (1 + rng.Intn(4)), MR: tile[0], NR: tile[1]}
+					prm = params{MC: tile[0] * (1 + rng.Intn(4)), KC: 1 + rng.Intn(48), NC: tile[1] * (1 + rng.Intn(4)), MR: tile[0], NR: tile[1]}
 				}
 				var serial mat.Dense[T]
 				for _, threads := range []int{1, 2, 3, 5, 8} {
@@ -190,7 +190,7 @@ func testKernelProperty[T float32 | float64](t *testing.T, seed int64, eps float
 
 // checkAgainst compares one result with the reference: logical region within
 // tol, padding untouched, and symmetric updates exactly symmetric.
-func checkAgainst[T float32 | float64](t *testing.T, pc *propCase[T], prm Params, got, want mat.Dense[T], tol float64) {
+func checkAgainst[T float32 | float64](t *testing.T, pc *propCase[T], prm params, got, want mat.Dense[T], tol float64) {
 	t.Helper()
 	for i := 0; i < got.Rows; i++ {
 		for j := 0; j < got.Cols; j++ {
@@ -242,7 +242,7 @@ func testOperandHeaders[T float32 | float64](t *testing.T) {
 				return pc
 			}
 			pc := fresh()
-			if err := pc.run(ctx, pc.c, threads, DefaultParams[T]()); err != nil {
+			if err := pc.run(ctx, pc.c, threads, defaultParams[T]()); err != nil {
 				t.Fatalf("%v threads=%d: shortest valid strided views refused: %v", op, threads, err)
 			}
 			operands := []string{"A", "B", "C"}
@@ -258,7 +258,7 @@ func testOperandHeaders[T float32 | float64](t *testing.T) {
 					} else {
 						v.Stride = v.Cols - 1
 					}
-					err := pc.run(ctx, pc.c, threads, DefaultParams[T]())
+					err := pc.run(ctx, pc.c, threads, defaultParams[T]())
 					if err == nil {
 						t.Fatalf("%v threads=%d: short %s of %s accepted", op, threads, defect, name)
 					}
@@ -271,7 +271,7 @@ func testOperandHeaders[T float32 | float64](t *testing.T) {
 			}
 			// The context must still work after the refusals.
 			pc = fresh()
-			if err := pc.run(ctx, pc.c, threads, DefaultParams[T]()); err != nil {
+			if err := pc.run(ctx, pc.c, threads, defaultParams[T]()); err != nil {
 				t.Fatalf("%v threads=%d after refusals: %v", op, threads, err)
 			}
 		}

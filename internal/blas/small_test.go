@@ -86,7 +86,7 @@ func testSmallBits[T float32 | float64](t *testing.T, seed int64) {
 			want := specialView[T](m, n, rng.Intn(4), special, rng)
 			got := cloneView(want)
 			smallShapeLimit = limitsAll(forcePacked)
-			err := drive(ctx, op, transA, transB, alpha, a, b, beta, want, threads, Params{})
+			err := drive(ctx, op, transA, transB, alpha, a, b, beta, want, threads, params{})
 			smallShapeLimit = gate
 			if err != nil {
 				t.Fatal(err)
@@ -94,7 +94,7 @@ func testSmallBits[T float32 | float64](t *testing.T, seed int64) {
 			if smallShape(op, m, n, k) {
 				small++
 			}
-			if err := drive(ctx, op, transA, transB, alpha, a, b, beta, got, threads, Params{}); err != nil {
+			if err := drive(ctx, op, transA, transB, alpha, a, b, beta, got, threads, params{}); err != nil {
 				t.Fatal(err)
 			}
 			for e := range want.Data {

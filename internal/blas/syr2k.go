@@ -39,10 +39,10 @@ func DSYR2K(trans bool, alpha float64, a, b *mat.F64, beta float64, c *mat.F64, 
 // precision on this context with the given number of threads (values < 1
 // mean 1).
 func (c *Context) SSYR2K(trans bool, alpha float32, a, b *mat.F32, beta float32, cm *mat.F32, threads int) error {
-	return drive(c, opSyr2k, trans, trans, alpha, *a, *b, beta, *cm, threads, Params{})
+	return drive(c, opSyr2k, trans, trans, alpha, *a, *b, beta, *cm, threads, params{})
 }
 
 // DSYR2K is the double-precision counterpart of SSYR2K.
 func (c *Context) DSYR2K(trans bool, alpha float64, a, b *mat.F64, beta float64, cm *mat.F64, threads int) error {
-	return drive(c, opSyr2k, trans, trans, alpha, *a, *b, beta, *cm, threads, Params{})
+	return drive(c, opSyr2k, trans, trans, alpha, *a, *b, beta, *cm, threads, params{})
 }

@@ -19,8 +19,8 @@ func TestSyr2kPackedMatchesNaiveMatrix(t *testing.T) {
 	betas := []float32{0, 1, -0.5}
 	for _, tile := range testTiles[float32]() {
 		mr, nr := tile[0], tile[1]
-		prm := Params{MC: 2 * mr, KC: 10, NC: 2 * nr, MR: mr, NR: nr}
-		if err := prm.Validate(); err != nil {
+		prm := params{MC: 2 * mr, KC: 10, NC: 2 * nr, MR: mr, NR: nr}
+		if err := prm.validate(); err != nil {
 			t.Fatalf("tile %dx%d params: %v", mr, nr, err)
 		}
 		ctx := NewContext()

@@ -43,19 +43,19 @@ func DSYRK(trans bool, alpha float64, a *mat.F64, beta float64, c *mat.F64, thre
 // SSYRK computes C ← alpha·op(A)·op(A)ᵀ + beta·C in single precision on this
 // context with the given number of threads (values < 1 mean 1).
 func (c *Context) SSYRK(trans bool, alpha float32, a *mat.F32, beta float32, cm *mat.F32, threads int) error {
-	return drive(c, opSyrk, trans, trans, alpha, *a, *a, beta, *cm, threads, Params{})
+	return drive(c, opSyrk, trans, trans, alpha, *a, *a, beta, *cm, threads, params{})
 }
 
 // DSYRK is the double-precision counterpart of SSYRK.
 func (c *Context) DSYRK(trans bool, alpha float64, a *mat.F64, beta float64, cm *mat.F64, threads int) error {
-	return drive(c, opSyrk, trans, trans, alpha, *a, *a, beta, *cm, threads, Params{})
+	return drive(c, opSyrk, trans, trans, alpha, *a, *a, beta, *cm, threads, params{})
 }
 
 // syrkBandWeight is the phase-2 cost of MR band b within the panel at jc:
 // the NR tiles of its rows that reach the lower triangle,
 // ceil(min(nc, i0+ib-jc)/NR) for rows i0..i0+ib-1. Zero when the band lies
 // entirely above the diagonal.
-func syrkBandWeight(b, n, jc, nc int, prm Params) int {
+func syrkBandWeight(b, n, jc, nc int, prm params) int {
 	i0 := b * prm.MR
 	ib := min(prm.MR, n-i0)
 	cols := min(nc, i0+ib-jc)
@@ -73,7 +73,7 @@ func syrkBandWeight(b, n, jc, nc int, prm Params) int {
 // (6×16 tile) the split falls at row 270, 408 tiles against 376, where
 // whole MC blocks gave rows 0–359 to one part. The split is a pure function
 // of (n, jc, nc, prm, parts), never of timing.
-func syrkRows(n, jc, nc int, prm Params, w, parts int) (lo, hi int) {
+func syrkRows(n, jc, nc int, prm params, w, parts int) (lo, hi int) {
 	if parts <= 1 {
 		return 0, n
 	}

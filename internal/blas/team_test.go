@@ -29,7 +29,7 @@ func TestPartitionProperties(t *testing.T) {
 	for _, tile := range bothTiles {
 		mr, nr := tile[0], tile[1]
 		for _, nc := range []int{2048, 4 * nr} { // one panel; several, so jc > 0
-			prm := Params{MC: 120, KC: 256, NC: nc, MR: mr, NR: nr}
+			prm := params{MC: 120, KC: 256, NC: nc, MR: mr, NR: nr}
 			for n := 1; n <= 300; n++ {
 				for parts := 1; parts <= 9; parts++ {
 					checkCover(t, fmt.Sprintf("GEMM %dx%d m=%d parts=%d", mr, nr, n, parts), n, mr, parts,
@@ -73,7 +73,7 @@ func TestPartitionProperties(t *testing.T) {
 
 	// Beyond the exhaustive range, at the default blocking: the sizes and
 	// part counts the whole-block partition was tested with.
-	def := DefaultParams[float32]()
+	def := defaultParams[float32]()
 	for _, n := range []int{1, 100, 257, 1000} {
 		for _, parts := range []int{1, 2, 3, 7, 16} {
 			for jc := 0; jc < n; jc += def.NC {
@@ -85,7 +85,7 @@ func TestPartitionProperties(t *testing.T) {
 
 	// The shape that motivated the rule: whole MC = 120 blocks split n = 378
 	// into rows 0–359 and 360–377, about 90/10 of the triangle.
-	prm := Params{MC: 120, KC: 256, NC: 2048, MR: vecMR, NR: 16}
+	prm := params{MC: 120, KC: 256, NC: 2048, MR: vecMR, NR: 16}
 	_, split := syrkRows(378, 0, 378, prm, 0, 2)
 	var first, total int
 	for b := 0; b < bands(378, vecMR); b++ {
@@ -208,7 +208,7 @@ func TestTeamFaultFailsCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	const n, k = 60, 20
 	for _, tile := range testTiles[float32]() {
-		prm := Params{MC: 2 * tile[0], KC: 8, NC: 2 * tile[1], MR: tile[0], NR: tile[1]}
+		prm := params{MC: 2 * tile[0], KC: 8, NC: 2 * tile[1], MR: tile[0], NR: tile[1]}
 		a, b := randView[float32](n, k, rng), randView[float32](n, k, rng)
 		for _, op := range []opKind{opGemm, opSyrk, opSyr2k} {
 			pc := &propCase[float32]{op: op, transB: op == opGemm, alpha: 1, beta: 0, a: a, b: b, c: randView[float32](n, n, rng)}

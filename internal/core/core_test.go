@@ -192,11 +192,6 @@ func TestTrainOnDataValidation(t *testing.T) {
 	cfg.Models = DefaultModels(1, true)
 
 	bad := cfg
-	bad.TestFrac = 0
-	if _, err := TrainOnData(bad, data); err == nil {
-		t.Error("TestFrac=0 should error")
-	}
-	bad = cfg
 	bad.ReferenceThreads = 31
 	if _, err := TrainOnData(bad, data); err == nil {
 		t.Error("reference not in candidates should error")

@@ -28,13 +28,8 @@ type TrainConfig struct {
 	// (the paper uses the physical core count). It must be a member of
 	// Gather.Candidates.
 	ReferenceThreads int
-	// TestFrac is the held-out fraction of shapes (paper: 0.30).
-	TestFrac float64
-	// TuneFolds is k for cross validation during hyper-parameter tuning.
-	TuneFolds int
-	Preproc   preprocess.Options
-	Models    []ModelSpec
-	Seed      int64
+	Preproc          preprocess.Options
+	Models           []ModelSpec
 	// Ops lists the operations to gather timings for and train per-op
 	// models on (§VII future work: ML thread selection beyond GEMM). Empty
 	// means GEMM only. GEMM is always trained — it is the primary model and
@@ -48,13 +43,17 @@ func DefaultTrainConfig(g GatherConfig, platform string, referenceThreads int) T
 		Gather:           g,
 		Platform:         platform,
 		ReferenceThreads: referenceThreads,
-		TestFrac:         0.30,
-		TuneFolds:        3,
 		Preproc:          preprocess.DefaultOptions(),
 		Models:           DefaultModels(g.Seed, false),
-		Seed:             g.Seed,
 	}
 }
+
+const (
+	// testFrac is the held-out fraction of shapes (paper: 0.30).
+	testFrac = 0.30
+	// tuneFolds is k for cross validation during hyper-parameter tuning.
+	tuneFolds = 3
+)
 
 // ModelReport is one row of Table III/IV.
 type ModelReport struct {
@@ -223,9 +222,6 @@ type fitted struct {
 // failure it returns the error a serial install would meet first, with the
 // index of its op.
 func fitSweeps(cfg TrainConfig, opList []ops.Op, datas [][]ShapeTimings, cols []string) ([]*sweep, int, error) {
-	if cfg.TuneFolds < 2 {
-		cfg.TuneFolds = 3
-	}
 	nops, nf := len(opList), len(cfg.Models)
 	sweeps := make([]*sweep, nops)
 	prepared := make([]chan struct{}, nops)
@@ -246,7 +242,7 @@ func fitSweeps(cfg TrainConfig, opList []ops.Op, datas [][]ShapeTimings, cols []
 		i, j := (t-nops)/nf, (t-nops)%nf
 		<-prepared[i]
 		if sw := sweeps[i]; sw != nil {
-			sw.fits[j], errs[i*(nf+1)+1+j] = sw.fitFamily(cfg, cfg.Models[j])
+			sw.fits[j], errs[i*(nf+1)+1+j] = sw.fitFamily(cfg.Models[j], cfg.Gather.Seed)
 		}
 	})
 	for t, err := range errs {
@@ -281,9 +277,6 @@ func prepareSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string
 	if len(data) < 10 {
 		return nil, fmt.Errorf("core: %d shapes is too few to train on", len(data))
 	}
-	if cfg.TestFrac <= 0 || cfg.TestFrac >= 1 {
-		return nil, fmt.Errorf("core: TestFrac %v outside (0,1)", cfg.TestFrac)
-	}
 	if len(cfg.Models) == 0 {
 		return nil, fmt.Errorf("core: no model specs")
 	}
@@ -297,7 +290,7 @@ func prepareSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string
 	// --- Shape-level stratified split -------------------------------------
 	// Stratify by the reference-thread runtime so train and test cover the
 	// same size spectrum (§IV-C).
-	testIdx := stratifiedShapeSplit(data, cfg.ReferenceThreads, cfg.TestFrac, cfg.Seed)
+	testIdx := stratifiedShapeSplit(data, cfg.ReferenceThreads, testFrac, cfg.Gather.Seed)
 	inTest := make([]bool, len(data))
 	for _, i := range testIdx {
 		inTest[i] = true
@@ -353,8 +346,8 @@ func prepareSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string
 // fitFamily tunes one family's grid by cross validation, fits the winner on
 // the whole training part and scores it on the held-out rows. It only reads
 // the sweep, so every family of every op can fit at once.
-func (sw *sweep) fitFamily(cfg TrainConfig, spec ModelSpec) (fitted, error) {
-	grid, err := tune.GridSearch(spec.Grid, sw.trainX, sw.trainY, cfg.TuneFolds, cfg.Seed)
+func (sw *sweep) fitFamily(spec ModelSpec, seed int64) (fitted, error) {
+	grid, err := tune.GridSearch(spec.Grid, sw.trainX, sw.trainY, tuneFolds, seed)
 	if err != nil {
 		return fitted{}, fmt.Errorf("core: tuning %s: %w", spec.Name, err)
 	}

@@ -164,7 +164,6 @@ func TestFitFamilyFitsWinnerOnce(t *testing.T) {
 		y[i] = 2*X[i][0] - X[i][1]
 	}
 	sw := &sweep{trainX: X[:45], trainY: y[:45], testX: X[45:], testY: y[45:]}
-	cfg := TrainConfig{TuneFolds: 3}
 	for _, spec := range DefaultModels(1, true) {
 		if len(spec.Grid) > 2 {
 			spec.Grid = spec.Grid[:2]
@@ -176,14 +175,14 @@ func TestFitFamilyFitsWinnerOnce(t *testing.T) {
 				return fitCounter{c.Factory(), &fits[i]}
 			}
 		}
-		f, err := sw.fitFamily(cfg, spec)
+		f, err := sw.fitFamily(spec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		win := slices.IndexFunc(spec.Grid, func(c tune.Candidate) bool { return c.Label == f.grid })
 		cv := 0
 		if len(spec.Grid) > 1 {
-			cv = cfg.TuneFolds
+			cv = tuneFolds
 		}
 		for i := range spec.Grid {
 			want := cv

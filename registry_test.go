@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/simtime"
 )
 
@@ -86,6 +87,31 @@ func TestNoHTReachesSimulator(t *testing.T) {
 	}
 	if max := cfg.Gather.Candidates[len(cfg.Gather.Candidates)-1]; max != 96 {
 		t.Errorf("default candidates top out at %d, want 96", max)
+	}
+
+	// The built simulator is the node's default one with only HT and Seed
+	// set: noise, blocking and affinity all come from DefaultConfig.
+	for _, name := range []string{"Gadi", "Setonix"} {
+		for _, noHT := range []bool{false, true} {
+			cfg, err := buildConfig(TrainOptions{Platform: name, NoHT: noHT, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := cfg.Gather.Timer.(*simtime.Simulator).Config()
+			node, err := machine.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := simtime.DefaultConfig(node)
+			want.HT, want.Seed = !noHT, 7
+			if *got.Node != *want.Node {
+				t.Errorf("%s NoHT=%v: simulator node %+v, want %+v", name, noHT, *got.Node, *want.Node)
+			}
+			got.Node = want.Node
+			if got != want {
+				t.Errorf("%s NoHT=%v: simulator config %+v, want %+v", name, noHT, got, want)
+			}
+		}
 	}
 }
 
