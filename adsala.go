@@ -332,7 +332,7 @@ func (l *Library) sharedEngine() *serve.Engine {
 }
 
 // Engine returns a concurrent prediction engine bound to this library: a
-// sharded LRU decision cache plus a ranking path over reusable buffers. The
+// sharded CLOCK decision cache plus a ranking path over reusable buffers. The
 // zero Options select the library's shared engine — the same decision cache
 // and statistics every BLAS facade observes; non-zero Options build a
 // private engine with that configuration. Either ranks the library's

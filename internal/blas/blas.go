@@ -159,28 +159,28 @@ func (o opKind) String() string { return [...]string{"GEMM", "SYRK", "SYR2K"}[o]
 // checkOperands validates the three operand headers of one call (SYRK
 // passes its A twice). The driver calls it before any work is handed to the
 // team, so that input alone can never make a part panic; a part that panics
-// anyway (an indexing bug) fails the call with an error (runCall).
-func checkOperands[T float32 | float64](op opKind, a, b, c mat.Dense[T]) error {
-	if err := checkHeader(a, op, "A"); err != nil {
-		return err
-	}
-	if err := checkHeader(b, op, "B"); err != nil {
-		return err
-	}
-	return checkHeader(c, op, "C")
-}
-
-// checkHeader reports a header the kernels would index out of range with: a
-// stride shorter than a row, or data that ends before the last element. A
-// strided sub-matrix whose data ends with its last row is valid. The test is
-// a handful of compares on the call path; describing the defect is kept out
-// of line.
-func checkHeader[T float32 | float64](v mat.Dense[T], op opKind, name string) error {
-	if v.Rows == 0 || v.Cols == 0 ||
-		v.Rows > 0 && v.Cols > 0 && v.Stride >= v.Cols && len(v.Data) >= (v.Rows-1)*v.Stride+v.Cols {
+// anyway (an indexing bug) fails the call with an error (runCall). The test
+// is a handful of compares per header on the call path; finding and
+// describing the first defect is kept out of line.
+func checkOperands[T float32 | float64](op opKind, a, b, c *mat.Dense[T]) error {
+	if validHeader(a) && validHeader(b) && validHeader(c) {
 		return nil
 	}
-	return headerError(v, op, name)
+	for i, v := range [...]*mat.Dense[T]{a, b, c} {
+		if !validHeader(v) {
+			return headerError(*v, op, [...]string{"A", "B", "C"}[i])
+		}
+	}
+	return nil
+}
+
+// validHeader reports whether the kernels can index a header in range: it
+// is empty, or its stride covers a row and its data ends at or after the
+// last element. A strided sub-matrix whose data ends with its last row is
+// valid.
+func validHeader[T float32 | float64](v *mat.Dense[T]) bool {
+	return v.Rows == 0 || v.Cols == 0 ||
+		v.Rows > 0 && v.Cols > 0 && v.Stride >= v.Cols && len(v.Data) >= (v.Rows-1)*v.Stride+v.Cols
 }
 
 func headerError[T float32 | float64](v mat.Dense[T], op opKind, name string) error {

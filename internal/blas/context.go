@@ -77,7 +77,7 @@ var ctxPool = sync.Pool{New: func() any { return NewContext() }}
 type ctxBufs[T float32 | float64] struct {
 	packedB []T
 	packedA [][]T // one panel buffer per team part
-	small   []T   // the vector small path's staged lane operands (smallPass)
+	small   []T   // the vector small path's staged lane operands (smallCall)
 	args    callArgs[T]
 	body    func(w int)
 }
@@ -204,9 +204,10 @@ func (c *Context) ensureTeam(workers int) *team {
 // symmetric updates pass their one transpose flag as both transA and transB.
 // prm is the call's blocking, the zero params meaning the default.
 func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], threads int, prm params) error {
-	// The zero params costs one compare here; the default blocking itself
-	// is built only for a packed call.
-	def := prm == (params{})
+	// The zero params costs one test here (an OR of the fields is zero only
+	// when all are, and needs no call to memequal); the default blocking
+	// itself is built only for a packed call.
+	def := prm.MC|prm.KC|prm.NC|prm.MR|prm.NR == 0
 	if !def {
 		var err error
 		if def, err = resolveParams[T](prm); err != nil {
@@ -216,7 +217,7 @@ func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, al
 	if op == opSyrk {
 		b = a // the second operand of the lower pass is the first
 	}
-	if err := checkOperands(op, a, b, c); err != nil {
+	if err := checkOperands(op, &a, &b, &c); err != nil {
 		return err
 	}
 	lower := op != opGemm
@@ -261,7 +262,7 @@ func drive[T float32 | float64](ctx *Context, op opKind, transA, transB bool, al
 	// other dimension rule: a narrow C keeps the YMM tile.
 	if def {
 		if smallShape(op, m, n, k) {
-			smallCall(ctx, op, transA, transB, alpha, a, b, beta, c, m, n, k)
+			smallCall(ctx, op, transA, transB, alpha, &a, &b, &c, beta, m, n, k)
 			return nil
 		}
 		prm = defaultParams[T]()

@@ -4,7 +4,7 @@ import "unsafe"
 
 // The vector kernels, implemented in kernel_amd64.s. The Go wrappers next to
 // their callers (tileVec in kernel.go, the …Vec functions in pack.go,
-// vecPass in small.go) check every length before the call: the assembly
+// smallCall in small.go) check every length before the call: the assembly
 // reads and writes exactly what is listed here.
 
 // The register tiles with their store, YMM (6×16, 6×8) and ZMM (6×32,
@@ -53,7 +53,7 @@ func copyRows64(dst, src unsafe.Pointer, ldsBytes, rows int)
 //go:noescape
 func copyRows128(dst, src unsafe.Pointer, ldsBytes, rows int)
 
-// The small path in one call per pass (smallPass in small.go is their Go
+// The small path in one call per pass (smallCall in small.go is their Go
 // side), on YMM registers with the packed tile's arithmetic: C(i, j) ←
 // alpha ⊗ Σp x(i, p)·y(p, j), one fused multiply-add per p from +0, stored by
 // mode (storeSet or storeScale, with beta). Strides are in elements:

@@ -1,6 +1,10 @@
 package blas
 
-import "repro/internal/mat"
+import (
+	"unsafe"
+
+	"repro/internal/mat"
+)
 
 // Small-shape fast path: below a FLOP threshold the packed algorithm's
 // panel copies, buffer setup and phase barriers dominate the useful work,
@@ -98,52 +102,70 @@ const (
 	rank2              // as lowerMirror, adding the product with x and y swapped
 )
 
-// smallCall runs a small-path call on one thread. The scratch the vector
-// pass stages lane operands in grows with the Context, to the largest call
-// seen.
-func smallCall[T float32 | float64](ctx *Context, op opKind, transA, transB bool, alpha T, a, b mat.Dense[T], beta T, c mat.Dense[T], m, n, k int) {
-	bufs := bufsFor[T](ctx)
+// smallCall runs a small-path call on one thread, in one step from drive:
+// it works out the pass arguments once — x(i, p) = op(A)(i, p), y(p, j) and
+// what of C the pass computes — and makes the assembly call, ssmall or dsmall
+// (SYR2K: two, the second with x and y swapped and beta = 1), or where the
+// vector tile does not run the goPass call. The scratch a lane operand is
+// staged in grows with the Context, to the largest call seen.
+//
+//adsala:zeroalloc
+func smallCall[T float32 | float64](ctx *Context, op opKind, transA, transB bool, alpha T, a, b, c *mat.Dense[T], beta T, m, n, k int) {
+	x, y := a.Data, b.Data
 	xi, xp := opStrides(a.Stride, transA)
+	var yp, yj int
+	lower := fullC
 	switch op {
 	case opGemm:
 		// y(p, j) = op(B)(p, j).
-		yp, yj := opStrides(b.Stride, transB)
-		smallPass(bufs, a.Data, xi, xp, b.Data, yp, yj, c, m, n, k, fullC, alpha, beta)
+		yp, yj = opStrides(b.Stride, transB)
 	case opSyrk:
 		// y(p, j) = op(A)(j, p).
-		smallPass(bufs, a.Data, xi, xp, a.Data, xp, xi, c, n, n, k, lowerMirror, alpha, beta)
+		y, yp, yj, lower = x, xp, xi, lowerMirror
 	default:
 		// y(p, j) = op(B)(j, p), and swapped x(i, p) = op(B)(i, p),
 		// y(p, j) = op(A)(j, p).
-		bi, bp := opStrides(b.Stride, transA)
-		smallPass(bufs, a.Data, xi, xp, b.Data, bp, bi, c, n, n, k, rank2, alpha, beta)
+		yj, yp = opStrides(b.Stride, transA)
+		lower = rank2
 	}
-}
-
-// smallPass computes C(i, j) ← alpha·Σp x(i, p)·y(p, j) (+ beta·C(i, j))
-// with x(i, p) = x[i·xi+p·xp] and y(p, j) = y[p·yp+j·yj], over what lower
-// names (m = n unless fullC). One of y's strides is 1. Under rank2 the swap
-// is x(i, p) = y[i·yj+p·yp] and y(p, j) = x[p·xp+j·xi].
-func smallPass[T float32 | float64](bufs *ctxBufs[T], x []T, xi, xp int, y []T, yp, yj int, c mat.Dense[T], m, n, k, lower int, alpha, beta T) {
 	if !useVec {
-		goPass(x, xi, xp, y, yp, yj, c, m, n, k, lower, alpha, beta)
+		goPass(x, xi, xp, y, yp, yj, *c, m, n, k, lower, alpha, beta)
 		return
 	}
+	// The index expressions are the bounds check: the assembly touches
+	// nothing past the last element of x, y and C they name (a rank2 call's
+	// second pass reads the same two elements the other way round), nor past
+	// the scratch it is given.
+	_, _, _ = x[(m-1)*xi+(k-1)*xp], y[(k-1)*yp+(n-1)*yj], c.Data[(m-1)*c.Stride+n-1]
+	bufs := bufsFor[T](ctx)
+	mode := storeScale
+	if beta == 0 {
+		mode = storeSet
+	}
+	pass := lower
 	if lower == rank2 {
-		vecPass(x, xi, xp, y, yp, laneStride(yj, n), stage(bufs, yj, n, k), c, m, n, k, lowerOnly, alpha, beta)
-		x, xi, xp, y, yp, yj, lower, beta = y, yj, yp, x, xp, xi, lowerMirror, 1
+		pass = lowerOnly
 	}
-	vecPass(x, xi, xp, y, yp, laneStride(yj, n), stage(bufs, yj, n, k), c, m, n, k, lower, alpha, beta)
-}
-
-// stage returns the scratch a k×n lane operand with j stride yj is staged
-// in, growing the context's to fit.
-func stage[T float32 | float64](bufs *ctxBufs[T], yj, n, k int) []T {
-	need := staged[T](laneStride(yj, n), n, k)
-	if len(bufs.small) < need {
-		bufs.small = make([]T, need)
+	for {
+		yl := laneStride(yj, n)
+		if need := staged[T](yl, n, k); len(bufs.small) < need {
+			//adsala:ignore zeroalloc grow-only: the scratch grows to the largest call seen, then every call reuses it (TestSmallScratchBound)
+			bufs.small = make([]T, need)
+		}
+		// T's size is a constant in each instantiation: the branch picks
+		// the precision without boxing or switching on a type.
+		scr := unsafe.Pointer(unsafe.SliceData(bufs.small))
+		xs, ys, cs := unsafe.Pointer(&x[0]), unsafe.Pointer(&y[0]), unsafe.Pointer(&c.Data[0])
+		if sizeOf[T]() == 4 {
+			ssmall((*float32)(xs), xi, xp, (*float32)(ys), yp, yl, (*float32)(scr), (*float32)(cs), c.Stride, m, n, k, pass, mode, float32(alpha), float32(beta))
+		} else {
+			dsmall((*float64)(xs), xi, xp, (*float64)(ys), yp, yl, (*float64)(scr), (*float64)(cs), c.Stride, m, n, k, pass, mode, float64(alpha), float64(beta))
+		}
+		if pass != lowerOnly {
+			return
+		}
+		x, xi, xp, y, yp, yj, pass, mode, beta = y, yj, yp, x, xp, xi, lowerMirror, storeScale, 1
 	}
-	return bufs.small[:need]
 }
 
 // opStrides returns where op(M)(i, p) sits, M[i·si+p·sp], for M or Mᵀ.
@@ -154,28 +176,7 @@ func opStrides(stride int, trans bool) (si, sp int) {
 	return stride, 1
 }
 
-// vecPass is one product in one assembly call, ssmall or dsmall. scr is the
-// staging scratch for y (stage). The index expressions are the bounds check:
-// the assembly touches nothing past the last element of x, y, scr and C
-// they name.
-//
-//adsala:zeroalloc
-func vecPass[T float32 | float64](x []T, xi, xp int, y []T, yp, yj int, scr []T, c mat.Dense[T], m, n, k, lower int, alpha, beta T) {
-	scr = scr[:staged[T](yj, n, k)]
-	_, _, _ = x[(m-1)*xi+(k-1)*xp], y[(k-1)*yp+(n-1)*yj], c.Data[(m-1)*c.Stride+n-1]
-	mode := storeScale
-	if beta == 0 {
-		mode = storeSet
-	}
-	switch cp := any(&c.Data[0]).(type) {
-	case *float32:
-		ssmall(any(&x[0]).(*float32), xi, xp, any(&y[0]).(*float32), yp, yj, any(first(scr)).(*float32), cp, c.Stride, m, n, k, lower, mode, float32(alpha), float32(beta))
-	case *float64:
-		dsmall(any(&x[0]).(*float64), xi, xp, any(&y[0]).(*float64), yp, yj, any(first(scr)).(*float64), cp, c.Stride, m, n, k, lower, mode, float64(alpha), float64(beta))
-	}
-}
-
-// goPass is smallPass with the Go tile's arithmetic: each element sums from
+// goPass is a small-path pass with the Go tile's arithmetic: each element sums from
 // +0, one sum += x·y per p in ascending p (micro4x4's operand order), and
 // storeFirst stores it as storeTile stores a packed call's first KC chunk.
 // So the result is the packed Go path's bit for bit, except for which
@@ -320,12 +321,4 @@ func staged[T float32 | float64](yj, n, k int) int {
 	}
 	vm := vecBlock[T]() - 1
 	return (k + vm) &^ vm * ((n + vm) &^ vm)
-}
-
-// first is a pointer to s[0], or nil for an empty s.
-func first[T any](s []T) *T {
-	if len(s) == 0 {
-		return nil
-	}
-	return &s[0]
 }

@@ -223,3 +223,60 @@ func maxStaged[T float32 | float64](op opKind) (most int) {
 		}
 	}
 }
+
+// TestSmallCallZeroAlloc pins the //adsala:zeroalloc contract of the small
+// path's entry: once a Context's staging scratch has grown to a shape, a
+// call of that shape through drive — checks, gate, smallCall, the assembly
+// or the Go pass — allocates nothing, for every op, both precisions, with and
+// without a staged lane operand, on the vector unit and on the Go tile.
+func TestSmallCallZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by the race detector")
+	}
+	t.Run("vec", func(t *testing.T) {
+		if !useVec {
+			t.Skip("no vector tile on this CPU")
+		}
+		testSmallCallZeroAlloc[float32](t)
+		testSmallCallZeroAlloc[float64](t)
+	})
+	t.Run("go", func(t *testing.T) {
+		forceGoTile(t)
+		testSmallCallZeroAlloc[float32](t)
+		testSmallCallZeroAlloc[float64](t)
+	})
+}
+
+func testSmallCallZeroAlloc[T float32 | float64](t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	ctx := NewContext()
+	defer ctx.Close()
+	const n, k = 12, 9
+	for _, op := range []opKind{opGemm, opSyrk, opSyr2k} {
+		for _, trans := range []bool{false, true} {
+			a, b := specialView[T](n, k, 1, 0, rng), specialView[T](k, n, 2, 0, rng)
+			if op != opGemm || trans {
+				b = specialView[T](n, k, 2, 0, rng)
+			}
+			if trans {
+				a = specialView[T](k, n, 1, 0, rng)
+				if op != opGemm {
+					b = specialView[T](k, n, 2, 0, rng)
+				}
+			}
+			c := specialView[T](n, n, 3, 0, rng)
+			call := func() {
+				if err := drive(ctx, op, trans, trans, 1, a, b, 0.5, c, 2, params{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !smallShape(op, n, n, k) {
+				t.Fatalf("%v %dx%dx%d is not under the small-path gate", op, n, n, k)
+			}
+			call() // grow the scratch
+			if allocs := testing.AllocsPerRun(50, call); allocs != 0 {
+				t.Errorf("%T %v trans=%v: %v allocs/op, want 0", T(0), op, trans, allocs)
+			}
+		}
+	}
+}

@@ -1,5 +1,5 @@
 // Package serve is the concurrent prediction-serving subsystem: a sharded
-// LRU decision cache generalising the single-shape runtime cache of §III-C,
+// CLOCK decision cache generalising the single-shape runtime cache of §III-C,
 // a decision engine over reusable buffers (one decision path: cache probe,
 // rank, put — a batch is that path once per shape), and an HTTP front end
 // (server + client) so a trained library can answer thread-selection queries
@@ -9,12 +9,18 @@
 // The paper's Fig 3 runtime path caches only the last GEMM shape behind one
 // mutex; under multi-tenant traffic (many goroutines, mixed shapes) that
 // serializes every selection on the lock and thrashes the one-entry cache.
-// Here decisions are memoised per shape in power-of-two shards with
-// per-shard locking, so concurrent mixed-shape prediction scales with the
-// core count.
+// Here decisions are memoised per shape in power-of-two shards, each an
+// open-addressed table that readers probe without a lock (a sequence word
+// tells them whether a writer was at work) and writers change under the
+// shard's mutex, so concurrent mixed-shape prediction scales with the core
+// count and a repeated shape costs one probe.
 package serve
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+)
 
 // shapeKey identifies one (operation, shape) configuration in the decision
 // cache. Keying on the op keeps SYRK and GEMM decisions for the same shape
@@ -38,120 +44,202 @@ func (s shapeKey) hash() uint64 {
 	return h
 }
 
-// entry is one slot of a shard's intrusive LRU list.
-type entry struct {
-	key        shapeKey
-	threads    int
-	prev, next int // indices into the shard's entries; -1 = none
+// A cell's meta word: whether the cell holds an entry, whether that entry
+// was read since the clock hand last passed it, the entry's op, and its
+// thread count, signed, in the top 48 bits.
+const (
+	metaUsed    = 1 << 0
+	metaRef     = 1 << 1
+	metaOpShift = 8
+	metaKey     = metaUsed | 0xff<<metaOpShift // the bits a probe compares
+	metaThreads = 16                           // shift of the thread count
+)
+
+func packMeta(op Op, threads int) uint64 {
+	return metaUsed | uint64(op)<<metaOpShift | uint64(int64(threads))<<metaThreads
 }
 
-// shard is one power-of-two slice of the cache: a map from shape to slot
-// plus an intrusive doubly-linked LRU list over a fixed slot array, so
-// steady-state operation allocates nothing.
+func threadsOf(meta uint64) int { return int(int64(meta) >> metaThreads) }
+
+// cell is one slot of a shard's table. Every word is atomic so that a reader
+// holding no lock can probe while a writer changes the table; the shard's
+// sequence word tells the reader whether what it read was whole. The
+// dimensions are full words, so shapes above MaxInt32 key exactly.
+type cell struct {
+	m, k, n, meta atomic.Uint64
+}
+
+// shard is one power-of-two slice of the cache: an open-addressed table,
+// twice the shard's capacity in size, with linear probing from the hash bits
+// above the shard bits, and a CLOCK hand over its cells. Readers take no
+// lock: they read seq, probe, and read seq again, and take mu only when a
+// writer was at work. Writers hold mu and keep seq odd while they change the
+// table. Steady-state operation allocates nothing.
 type shard struct {
-	mu      sync.Mutex
-	slots   map[shapeKey]int
-	entries []entry
-	head    int // most recently used; -1 when empty
-	tail    int // least recently used; -1 when empty
-	free    []int
+	seq   atomic.Uint64 // odd while a put changes the table
+	mu    sync.Mutex
+	cells []cell
+	home  []uint32 // each used cell's probe start, so a deletion never rehashes; under mu
+	mask  uint64   // len(cells) - 1
+	hand  uint64   // the next cell the clock looks at; under mu
+	count int      // used cells; under mu
+	limit int      // the shard's capacity
 }
 
 func newShard(capacity int) *shard {
-	s := &shard{
-		slots:   make(map[shapeKey]int, capacity),
-		entries: make([]entry, capacity),
-		head:    -1,
-		tail:    -1,
-		free:    make([]int, capacity),
-	}
-	for i := range s.free {
-		s.free[i] = capacity - 1 - i // pop from the back: slot 0 first
-	}
-	return s
-}
-
-// unlink removes slot i from the LRU list. Caller holds mu.
-func (s *shard) unlink(i int) {
-	e := &s.entries[i]
-	if e.prev >= 0 {
-		s.entries[e.prev].next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next >= 0 {
-		s.entries[e.next].prev = e.prev
-	} else {
-		s.tail = e.prev
+	return &shard{
+		cells: make([]cell, 2*capacity),
+		home:  make([]uint32, 2*capacity),
+		mask:  uint64(2*capacity - 1),
+		limit: capacity,
 	}
 }
 
-// pushFront makes slot i the most recently used. Caller holds mu.
-func (s *shard) pushFront(i int) {
-	e := &s.entries[i]
-	e.prev, e.next = -1, s.head
-	if s.head >= 0 {
-		s.entries[s.head].prev = i
+// find probes for key from its home cell, h & mask (h is the key's hash
+// without the shard bits), and returns the cell index and its meta word, or -1 when an empty cell ends the probe first. Without mu a
+// concurrent put can tear what it reads; the caller's sequence check
+// discards that. The bound keeps a torn view from probing forever.
+func (s *shard) find(key shapeKey, h uint64) (int, uint64) {
+	want := metaUsed | uint64(key.op)<<metaOpShift
+	i := h & s.mask
+	for range len(s.cells) {
+		c := &s.cells[i]
+		w := c.meta.Load()
+		if w&metaUsed == 0 {
+			break
+		}
+		if w&metaKey == want && c.m.Load() == uint64(key.m) && c.k.Load() == uint64(key.k) && c.n.Load() == uint64(key.n) {
+			return int(i), w
+		}
+		i = (i + 1) & s.mask
 	}
-	s.head = i
-	if s.tail < 0 {
-		s.tail = i
-	}
+	return -1, 0
 }
 
-func (s *shard) get(key shapeKey) (int, bool) {
+// get returns key's thread count. When touch is set and the entry's
+// referenced bit is clear, it sets it, so the hand passes the entry over
+// once; an entry already referenced is not written, so repeated hits on a
+// shape write no shared memory.
+//
+//adsala:zeroalloc
+func (s *shard) get(key shapeKey, h uint64, touch bool) (int, bool) {
+	if seq := s.seq.Load(); seq&1 == 0 {
+		i, w := s.find(key, h)
+		if s.seq.Load() == seq {
+			if i < 0 {
+				return 0, false
+			}
+			if touch && w&metaRef == 0 {
+				// Lost to a concurrent put, the bit is only a hint.
+				s.cells[i].meta.CompareAndSwap(w, w|metaRef)
+			}
+			return threadsOf(w), true
+		}
+	}
+	// A put was at work: wait for it rather than spin.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := s.slots[key]
-	if !ok {
+	i, w := s.find(key, h)
+	if i < 0 {
 		return 0, false
 	}
-	if s.head != i {
-		s.unlink(i)
-		s.pushFront(i)
+	if touch && w&metaRef == 0 {
+		s.cells[i].meta.Or(metaRef)
 	}
-	return s.entries[i].threads, true
+	return threadsOf(w), true
 }
 
-func (s *shard) put(key shapeKey, threads int) {
+func (s *shard) put(key shapeKey, h uint64, threads int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i, ok := s.slots[key]; ok {
-		s.entries[i].threads = threads
-		if s.head != i {
-			s.unlink(i)
-			s.pushFront(i)
-		}
+	s.seq.Add(1)
+	defer s.seq.Add(1)
+	if i, w := s.find(key, h); i >= 0 {
+		s.cells[i].meta.Store(w&metaRef | packMeta(key.op, threads))
 		return
 	}
-	var i int
-	if n := len(s.free); n > 0 {
-		i = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		i = s.tail // evict the least recently used
-		s.unlink(i)
-		delete(s.slots, s.entries[i].key)
+	if s.count == s.limit {
+		s.evict()
 	}
-	s.entries[i] = entry{key: key, threads: threads}
-	s.slots[key] = i
-	s.pushFront(i)
+	i := h & s.mask
+	for s.cells[i].meta.Load()&metaUsed != 0 {
+		i = (i + 1) & s.mask
+	}
+	c := &s.cells[i]
+	c.m.Store(uint64(key.m))
+	c.k.Store(uint64(key.k))
+	c.n.Store(uint64(key.n))
+	c.meta.Store(packMeta(key.op, threads))
+	s.home[i] = uint32(h & s.mask)
+	s.count++
+}
+
+// evict removes one entry: the hand clears referenced bits until it reaches
+// an entry whose bit is clear. Readers may set bits again behind it, so
+// after two turns of the table it takes the entry it stands on. The hand
+// turns against the probe direction, so it meets each run of used cells at
+// its end, where a deletion has nothing to shift back. Turning with the
+// probes it would meet each run at its start, and the runs just ahead of it,
+// holding the oldest entries, are the longest: every deletion would scan a
+// whole run. Caller holds mu.
+func (s *shard) evict() {
+	for step := 0; ; step++ {
+		i := s.hand
+		w := s.cells[i].meta.Load()
+		if w&metaUsed != 0 {
+			if w&metaRef == 0 || step >= 2*len(s.cells) {
+				s.remove(i)
+				return
+			}
+			s.cells[i].meta.And(^uint64(metaRef))
+		}
+		s.hand = (i - 1) & s.mask
+	}
+}
+
+// remove empties cell i by backward-shift deletion: each later entry of the
+// probe run whose home does not lie between the hole and itself moves back
+// into the hole, so no probe ever needs a tombstone. Caller holds mu.
+func (s *shard) remove(i uint64) {
+	for j := (i + 1) & s.mask; ; j = (j + 1) & s.mask {
+		cj := &s.cells[j]
+		w := cj.meta.Load()
+		if w&metaUsed == 0 {
+			break
+		}
+		if (j-uint64(s.home[j]))&s.mask < (j-i)&s.mask {
+			continue // its home lies after the hole
+		}
+		ci := &s.cells[i]
+		ci.m.Store(cj.m.Load())
+		ci.k.Store(cj.k.Load())
+		ci.n.Store(cj.n.Load())
+		ci.meta.Store(w)
+		s.home[i] = s.home[j]
+		i = j
+	}
+	s.cells[i].meta.Store(0)
+	s.count--
 }
 
 func (s *shard) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.slots)
+	return s.count
 }
 
-// Cache is a sharded, power-of-two-sized LRU decision cache mapping
+// Cache is a sharded, power-of-two-sized CLOCK decision cache mapping
 // (operation, shape) to the chosen thread count. Shards are selected by
-// shape hash and each has its own lock, so the cache is safe for heavy
-// concurrent use. It keeps no counters: hits and misses are booked by the
-// engine, per op.
+// shape hash; each is an open-addressed table read without a lock and
+// written under its own mutex, so the cache is safe for heavy concurrent
+// use and a hit costs one probe. A full shard evicts the first entry the
+// clock hand finds unread since its last pass, so any working set no larger
+// than a shard's capacity stays resident. It keeps no counters: hits and
+// misses are booked by the engine, per op.
 type Cache struct {
 	shards    []*shard
 	shardMask uint64
+	shardBits uint // the hash bits the shard index takes; a probe starts from the rest
 	capacity  int
 }
 
@@ -199,6 +287,7 @@ func NewCache(capacity, shards int) *Cache {
 	c := &Cache{
 		shards:    make([]*shard, shards),
 		shardMask: uint64(shards - 1),
+		shardBits: uint(bits.TrailingZeros(uint(shards))),
 		capacity:  capacity,
 	}
 	per := capacity / shards
@@ -208,33 +297,33 @@ func NewCache(capacity, shards int) *Cache {
 	return c
 }
 
-// Get returns the cached decision for an op over an m×k×n shape, promoting
-// it to most recently used.
+// Get returns the cached decision for an op over an m×k×n shape, marking it
+// referenced so that the clock hand passes it over once.
+//
+//adsala:zeroalloc
 func (c *Cache) Get(op Op, m, k, n int) (threads int, ok bool) {
 	key := shapeKey{op, m, k, n}
-	return c.shards[key.hash()&c.shardMask].get(key)
+	h := key.hash()
+	return c.shards[h&c.shardMask].get(key, h>>c.shardBits, true)
 }
 
-// peek returns the cached decision without touching the LRU order — the
+// peek returns the cached decision without marking it referenced — the
 // read-only introspection path (Engine.CachedChoice), which must not
 // distort retention.
+//
+//adsala:zeroalloc
 func (c *Cache) peek(op Op, m, k, n int) (threads int, ok bool) {
 	key := shapeKey{op, m, k, n}
-	s := c.shards[key.hash()&c.shardMask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i, ok := s.slots[key]
-	if !ok {
-		return 0, false
-	}
-	return s.entries[i].threads, true
+	h := key.hash()
+	return c.shards[h&c.shardMask].get(key, h>>c.shardBits, false)
 }
 
-// Put records the decision for an op over an m×k×n shape, evicting the least
-// recently used entry of the target shard when it is full.
+// Put records the decision for an op over an m×k×n shape. When the target
+// shard is full it first evicts the entry the clock hand settles on.
 func (c *Cache) Put(op Op, m, k, n, threads int) {
 	key := shapeKey{op, m, k, n}
-	c.shards[key.hash()&c.shardMask].put(key, threads)
+	h := key.hash()
+	c.shards[h&c.shardMask].put(key, h>>c.shardBits, threads)
 }
 
 // Capacity returns the total entry capacity across shards.

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+
+	"repro/internal/sampling"
 )
 
 // The request/response codec of POST /predict, /batch and /measured. A body
@@ -19,14 +21,20 @@ import (
 // byte for byte what json.Encoder writes.
 
 // codec is one request's pooled scratch: the body it read and then the
-// answer it writes, and the decoded /predict, /batch or /measured request,
-// whose slices keep their capacity from one request to the next.
+// answer it writes, the decoded /predict, /batch or /measured request, and
+// the /batch handler's per-shape working slices, all of which keep their
+// capacity from one request to the next.
 type codec struct {
 	buf      []byte
 	scan     scanner // here rather than on the stack: scan funcs are called indirectly
 	predict  PredictRequest
 	batch    BatchRequest
 	measured MeasuredRequest
+
+	// /batch: the validated shapes, each shape's op and the decisions.
+	shapes  []sampling.Shape
+	opOf    []Op
+	threads []int
 }
 
 var codecs = sync.Pool{New: func() any { return new(codec) }}
@@ -40,13 +48,22 @@ const (
 
 func newCodec() *codec { return codecs.Get().(*codec) }
 
+// batchSlices returns the codec's /batch working slices resliced to n
+// shapes, growing them when they are shorter.
+func (c *codec) batchSlices(n int) ([]sampling.Shape, []Op, []int) {
+	if cap(c.shapes) < n {
+		c.shapes, c.opOf, c.threads = make([]sampling.Shape, n), make([]Op, n), make([]int, n)
+	}
+	return c.shapes[:n], c.opOf[:n], c.threads[:n]
+}
+
 // free returns c to the pool; nothing it holds may be used afterwards.
 func (c *codec) free() {
 	if cap(c.buf) > maxPooledBytes {
 		c.buf = nil
 	}
 	if cap(c.batch.Shapes) > maxPooledSlots {
-		c.batch.Shapes = nil
+		c.batch.Shapes, c.shapes, c.opOf, c.threads = nil, nil, nil, nil
 	}
 	if cap(c.measured.Records) > maxPooledSlots {
 		c.measured.Records = nil

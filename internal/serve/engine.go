@@ -27,7 +27,8 @@ type Options struct {
 
 // Engine answers thread-selection queries for one trained library. It
 // generalises the §III-C repeated-shape cache: decisions are memoised in a
-// sharded LRU keyed by (operation, shape), misses rank the candidates with
+// sharded CLOCK table keyed by (operation, shape) and read without a lock,
+// misses rank the candidates with
 // pooled scratch buffers (no per-call allocation in steady state), and a
 // batch is the same decision once per shape, in order. Safe for concurrent
 // use; the parallelism is across calls, never inside one.
@@ -242,7 +243,7 @@ func (e *Engine) counters(op Op) *opCounters {
 }
 
 // CachedChoice returns the cached decision for (op, shape) without ranking,
-// counting, or LRU promotion — the read-only introspection path.
+// counting, or marking it referenced — the read-only introspection path.
 func (e *Engine) CachedChoice(op Op, m, k, n int) (threads int, ok bool) {
 	return e.state.Load().cache.peek(op, m, k, n)
 }

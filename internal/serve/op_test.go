@@ -44,8 +44,8 @@ func TestCacheOpKeying(t *testing.T) {
 	}
 }
 
-// TestCachePeekCountsNothing pins the read-only contract of peek: the LRU
-// order is untouched (the cache itself keeps no hit or miss counters).
+// TestCachePeekCountsNothing pins the read-only contract of peek: it sets
+// no referenced bit (the cache itself keeps no hit or miss counters).
 func TestCachePeekCountsNothing(t *testing.T) {
 	c := NewCache(4, 1) // single shard, 4 slots
 	c.Put(OpGEMM, 1, 1, 1, 2)
@@ -55,15 +55,17 @@ func TestCachePeekCountsNothing(t *testing.T) {
 	if _, ok := c.peek(OpGEMM, 9, 9, 9); ok {
 		t.Error("peek of absent key reported present")
 	}
-	// peek must not refresh recency: fill the shard, peek the oldest, add
-	// one more — the peeked entry is still the LRU and must be evicted.
+	// peek must not mark the entry read: fill the shard, read the other
+	// three, peek the first, add one more — the peeked entry is the only
+	// one the clock hand finds unread, and must be evicted.
 	for i := 2; i <= 4; i++ {
 		c.Put(OpGEMM, i, i, i, i)
+		c.Get(OpGEMM, i, i, i)
 	}
 	c.peek(OpGEMM, 1, 1, 1)
 	c.Put(OpGEMM, 5, 5, 5, 5)
 	if _, ok := c.peek(OpGEMM, 1, 1, 1); ok {
-		t.Error("peeked entry survived eviction: peek refreshed the LRU order")
+		t.Error("peeked entry survived eviction: peek marked it read")
 	}
 }
 

@@ -552,8 +552,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	// Validate the whole request, in request order, before deciding any of it.
-	shapes := make([]sampling.Shape, len(req.Shapes))
-	opOf := make([]Op, len(req.Shapes))
+	shapes, opOf, threads := c.batchSlices(len(req.Shapes))
 	for i, sh := range req.Shapes {
 		op, err := sh.parse()
 		if err != nil {
@@ -566,7 +565,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The engine decides one operation per call, so a mixed-op batch goes to
 	// it as its runs of consecutive same-op shapes, each answered in place:
 	// the response is in request order by construction.
-	threads := make([]int, len(shapes))
 	var fallback []bool
 	for i := 0; i < len(shapes); {
 		j := i + 1

@@ -33,6 +33,30 @@ func TestRankWithZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestCacheZeroAlloc pins the //adsala:zeroalloc contract of the cache's
+// read path: a Get hit (setting the referenced bit, then with it set), a Get
+// miss and a peek allocate nothing, and neither does a Put that evicts.
+func TestCacheZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by the race detector")
+	}
+	c := NewCache(16, 1)
+	for i := 0; i < 16; i++ {
+		c.Put(OpGEMM, i, i, i, 1+i%4)
+	}
+	i := 0
+	for name, f := range map[string]func(){
+		"Get hit":  func() { c.Get(OpGEMM, i%16, i%16, i%16); i++ },
+		"Get miss": func() { c.Get(OpSYRK, 99, 99, 99) },
+		"peek":     func() { c.peek(OpGEMM, 3, 3, 3) },
+		"Put":      func() { c.Put(OpGEMM, 100+i, 7, 7, 2); i++ },
+	} {
+		if n := testing.AllocsPerRun(200, f); n != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", name, n)
+		}
+	}
+}
+
 // TestPredictZeroAlloc pins the untraced serve path end to end: a cache hit
 // (state load, shard probe, one ledger add), a full cache miss (rank, cache
 // insert with eviction) and RecordMeasured with nothing attached all stay
@@ -193,8 +217,9 @@ func (w *sinkWriter) Write(b []byte) (int, error) {
 // TestServeHTTPAllocs pins the allocations of Server.ServeHTTP on a /predict
 // hit and a 16-shape /batch hit: admission, body read and decode, deadline,
 // decisions, answer. With encoding/json both ways these were 16 and 44; what
-// is left is the deadline context (4), the Content-Type header value, the
-// /predict query map and the /batch handler's three per-request slices.
+// is left is the deadline context (4), the Content-Type header value and the
+// /predict query map. The /batch handler's shape, op and decision slices
+// live in the pooled codec.
 func TestServeHTTPAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed by the race detector")
@@ -208,7 +233,7 @@ func TestServeHTTPAllocs(t *testing.T) {
 		pin  float64
 	}{
 		{"/predict", one, 6},
-		{"/batch", batch, 8},
+		{"/batch", batch, 5},
 	} {
 		var body replayBody
 		req := httptest.NewRequest(http.MethodPost, tc.path, nil)
