@@ -67,7 +67,8 @@ func BenchmarkFig13PredesignedSetonix(b *testing.B)      { benchExperiment(b, "f
 func BenchmarkFig14PredesignedGadi(b *testing.B)         { benchExperiment(b, "fig14") }
 func BenchmarkTable7ProfileBreakdown(b *testing.B)       { benchExperiment(b, "table7") }
 
-// --- ablation benches (DESIGN.md §5) -------------------------------------
+// --- ablation benches: what the preprocessing stack, the Table II ------
+// --- Group 2 features and the runtime target each contribute -------------
 
 func BenchmarkAblationPreproc(b *testing.B)  { benchExperiment(b, "ablation-preproc") }
 func BenchmarkAblationFeatures(b *testing.B) { benchExperiment(b, "ablation-features") }

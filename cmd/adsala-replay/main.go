@@ -57,7 +57,6 @@ type config struct {
 	baselinePath string
 	jsonOut      bool
 	cacheSize    int
-	shards       int
 	minAgreement float64
 
 	driftMode       bool
@@ -76,7 +75,6 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	fs.StringVar(&cfg.baselinePath, "baseline", "", "second library to replay the same trace against and diff")
 	fs.BoolVar(&cfg.jsonOut, "json", false, "emit the report as JSON")
 	fs.IntVar(&cfg.cacheSize, "cache", 4096, "simulated decision cache capacity (match the recording daemon's -cache)")
-	fs.IntVar(&cfg.shards, "shards", 16, "simulated decision cache shard count")
 	fs.Float64Var(&cfg.minAgreement, "min-agreement", -1, "exit non-zero when decision agreement falls below this fraction (negative disables)")
 	fs.BoolVar(&cfg.driftMode, "drift", false, "also run the online drift detector over the capture on the trace's own clock")
 	fs.DurationVar(&cfg.driftWindow, "drift-window", time.Minute, "drift detector sliding window")
@@ -147,7 +145,7 @@ func runOne(libPath string, files []string, cfg config) (*replay.Report, error) 
 	if err != nil {
 		return nil, err
 	}
-	return replay.Run(lib, files, replay.Config{CacheSize: cfg.cacheSize, Shards: cfg.shards})
+	return replay.Run(lib, files, replay.Config{CacheSize: cfg.cacheSize})
 }
 
 // printText renders one report as human-readable lines.

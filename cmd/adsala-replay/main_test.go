@@ -113,10 +113,14 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-trace", "cap", "-lib", "x", "-min-agreement", "1.5"}, io.Discard); err == nil {
 		t.Error("-min-agreement > 1 should error")
 	}
-	// -include-warmup is gone: a command line that still carries it fails
-	// loudly, naming it.
-	if _, err := parseFlags([]string{"-trace", "cap", "-lib", "x", "-include-warmup"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-include-warmup") {
-		t.Errorf("parseFlags(-include-warmup) = %v, want an error naming the flag", err)
+	// -include-warmup and -shards are gone: a command line that still
+	// carries one fails loudly, naming it. The simulated cache has the
+	// daemon's shard count by construction.
+	for _, retired := range [][]string{{"-include-warmup"}, {"-shards", "16"}} {
+		_, err := parseFlags(append([]string{"-trace", "cap", "-lib", "x"}, retired...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), retired[0]) {
+			t.Errorf("parseFlags(%v) = %v, want an error naming the flag", retired, err)
+		}
 	}
 
 	cfg, err = parseFlags([]string{"-trace", "cap", "-lib", "x.json", "-drift",

@@ -21,23 +21,22 @@
 //
 // Usage:
 //
-//	adsala-serve -lib gadi.adsala.json -addr :8080
-//	adsala-serve -lib gadi.adsala.json -admin-token s3cret
+//	adsala-serve -lib gadi.adsala.json -addr :8080 -cache 4096
 //
 // The decision cache starts empty and is filled by the traffic itself: the
 // first request for a shape ranks the candidates (microseconds), every
 // repeat is a cache hit. Nothing is persisted across restarts.
 //
-// Hot reload: SIGHUP re-reads -lib and swaps the artefact atomically
-// without dropping readiness; -admin-token additionally mounts an
-// authenticated POST /admin/reload doing the same over HTTP. After a swap the decision cache starts empty again and live
-// traffic is answered against the new models.
+// Hot reload: SIGHUP re-reads -lib and swaps the artefact atomically, and
+// logs one line naming the new generation — or, when the file does not
+// load, the generation still serving. After a swap the decision cache
+// starts empty again and live traffic is answered against the new models.
 //
 // Overload protection: -max-inflight bounds concurrently served prediction
-// requests (excess waits briefly, then sheds with 429 + Retry-After);
-// -request-timeout bounds each request's ranking work. Requests that
-// cannot rank in time are answered by a deterministic heuristic and tagged
-// "fallback": true.
+// requests (excess waits briefly, then sheds with 429 + Retry-After).
+// Decisions run under the request's own context: shapes of a request the
+// client abandoned before they were ranked are answered by a deterministic
+// heuristic and tagged "fallback": true.
 //
 // Trace capture: -trace <prefix> turns on the flight recorder — one compact
 // binary record per decision appended to rotating `<prefix>-NNNNN.trace`
@@ -81,16 +80,12 @@ import (
 
 // config is the parsed command line of the daemon.
 type config struct {
-	libPath   string
-	addr      string
-	cacheSize int
-	shards    int
-	pprof     bool
-	level     logx.Level
-
-	adminToken  string
+	libPath     string
+	addr        string
+	cacheSize   int
+	pprof       bool
+	level       logx.Level
 	maxInflight int
-	reqTimeout  time.Duration
 
 	tracePrefix string
 	traceMaxMB  int
@@ -109,11 +104,8 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	fs.StringVar(&cfg.libPath, "lib", "adsala.json", "library file written by adsala-train")
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&cfg.cacheSize, "cache", 4096, "decision cache capacity (entries, rounded to a power of two)")
-	fs.IntVar(&cfg.shards, "shards", 16, "decision cache shard count (rounded to a power of two)")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
-	fs.StringVar(&cfg.adminToken, "admin-token", "", "token authorising POST /admin/reload (empty disables the endpoint)")
 	fs.IntVar(&cfg.maxInflight, "max-inflight", 0, "max concurrently served prediction requests (0 = 8×GOMAXPROCS, negative disables shedding)")
-	fs.DurationVar(&cfg.reqTimeout, "request-timeout", 0, "per-request ranking deadline (0 = 2s, negative disables)")
 	fs.StringVar(&cfg.tracePrefix, "trace", "", "flight-recorder capture prefix: append one record per decision to <prefix>-NNNNN.trace files (empty disables)")
 	fs.IntVar(&cfg.traceMaxMB, "trace-max-mb", 64, "trace file rotation threshold in MiB (negative disables rotation)")
 	fs.DurationVar(&cfg.driftWindow, "drift-window", 0, "sliding window of the online drift monitor (0 disables drift monitoring)")
@@ -146,22 +138,12 @@ func newServer(cfg config, out io.Writer) (*serve.Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := serve.NewEngine(lib, serve.Options{
-		CacheSize: cfg.cacheSize,
-		Shards:    cfg.shards,
-	})
+	eng := serve.NewEngine(lib, serve.Options{CacheSize: cfg.cacheSize})
 	lg.Infof("loaded %s: platform=%s model=%s, cache %d entries / %d shards",
 		cfg.libPath, lib.Platform, lib.ModelKind(), eng.Cache().Capacity(), eng.Cache().Shards())
 	srv := serve.NewServer(eng,
-		serve.WithLimits(serve.Limits{
-			MaxInFlight:    cfg.maxInflight,
-			RequestTimeout: cfg.reqTimeout,
-		}),
-		serve.WithReload(serve.ReloadConfig{
-			Load:  load,
-			Token: cfg.adminToken,
-			Logf:  lg.Infof,
-		}))
+		serve.WithLimits(serve.Limits{MaxInFlight: cfg.maxInflight}),
+		serve.WithReload(load))
 	if cfg.pprof {
 		srv.EnablePprof()
 		lg.Infof("pprof enabled at /debug/pprof/")
@@ -194,6 +176,23 @@ func newServer(cfg config, out io.Writer) (*serve.Server, error) {
 	return srv, nil
 }
 
+// reloadOn reloads the artefact once per signal received on hup, until hup
+// is closed, and logs one line per reload.
+func reloadOn(hup <-chan os.Signal, srv *serve.Server, lg *logx.Logger) {
+	for range hup {
+		body, err := srv.Reload()
+		if err != nil {
+			// Reload keeps the old artefact serving on failure; the daemon
+			// stays healthy.
+			lg.Infof("WARNING: SIGHUP reload failed (still serving generation %d): %v",
+				srv.Engine().Generation(), err)
+			continue
+		}
+		lg.Infof("SIGHUP reload complete: generation %d, format v%d, %d ops",
+			body.Generation, body.FormatVersion, len(body.Ops))
+	}
+}
+
 func run(args []string, out io.Writer) error {
 	cfg, err := parseFlags(args, out)
 	if errors.Is(err, flag.ErrHelp) {
@@ -217,18 +216,7 @@ func run(args []string, out io.Writer) error {
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
-	go func() {
-		for range hup {
-			body, err := handler.Reload()
-			if err != nil {
-				// Reload keeps the old artefact serving on failure; the
-				// daemon stays healthy.
-				lg.Infof("WARNING: SIGHUP reload failed: %v", err)
-				continue
-			}
-			lg.Infof("SIGHUP reload complete: generation %d, %d ops", body.Generation, len(body.Ops))
-		}
-	}()
+	go reloadOn(hup, handler, lg)
 	// closeTrace drains and closes the flight recorder, if one is attached —
 	// run after the listener stops producing decisions, so the final partial
 	// block (and any write error the drain hit) surfaces before exit.

@@ -16,10 +16,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
-	"time"
 
 	adsala "repro"
+	"repro/internal/logx"
 	"repro/internal/serve"
 )
 
@@ -61,11 +62,11 @@ func savedLibrary(t *testing.T) string {
 }
 
 func TestParseFlags(t *testing.T) {
-	cfg, err := parseFlags([]string{"-lib", "x.json", "-addr", ":9090", "-cache", "100", "-shards", "3"}, io.Discard)
+	cfg, err := parseFlags([]string{"-lib", "x.json", "-addr", ":9090", "-cache", "100"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.libPath != "x.json" || cfg.addr != ":9090" || cfg.cacheSize != 100 || cfg.shards != 3 {
+	if cfg.libPath != "x.json" || cfg.addr != ":9090" || cfg.cacheSize != 100 {
 		t.Errorf("parsed %+v", cfg)
 	}
 
@@ -86,9 +87,10 @@ func TestParseFlags(t *testing.T) {
 		}
 	}
 
-	// The cache pre-population flags, the batch fan-out knob and the reload
-	// signal choice are gone: a command line that still carries one fails
-	// loudly, naming it, instead of booting silently without it.
+	// The cache pre-population flags, the batch fan-out knob, the reload
+	// signal choice, the HTTP reload token, the per-request deadline and the
+	// cache shard count are gone: a command line that still carries one
+	// fails loudly, naming it, instead of booting silently without it.
 	for _, retired := range [][]string{
 		{"-warmup", "256"},
 		{"-warmup-cap", "100"},
@@ -96,6 +98,9 @@ func TestParseFlags(t *testing.T) {
 		{"-cache-snapshot", "f"},
 		{"-workers", "4"},
 		{"-reload-on", "SIGHUP"},
+		{"-admin-token", "s3cret"},
+		{"-request-timeout", "500ms"},
+		{"-shards", "8"},
 	} {
 		_, err := parseFlags(append([]string{"-lib", "x.json"}, retired...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), retired[0]) {
@@ -109,7 +114,7 @@ func TestHelpPrintsUsage(t *testing.T) {
 	if _, err := parseFlags([]string{"-h"}, &usage); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("parseFlags(-h) = %v, want flag.ErrHelp", err)
 	}
-	if !strings.Contains(usage.String(), "-lib") || !strings.Contains(usage.String(), "-request-timeout") {
+	if !strings.Contains(usage.String(), "-lib") || !strings.Contains(usage.String(), "-max-inflight") {
 		t.Errorf("usage text missing flags:\n%s", usage.String())
 	}
 	// run treats a help request as success.
@@ -128,26 +133,38 @@ func TestNewServerBadLibrary(t *testing.T) {
 	}
 }
 
-// TestReloadFlags pins the resilience flag surface. SIGHUP always reloads,
-// so there is no flag to choose the signal.
+// TestReloadFlags pins the resilience flag surface: -max-inflight alone.
+// SIGHUP is the one reload path, so there is no flag to choose the signal
+// or to authorise a reload over HTTP.
 func TestReloadFlags(t *testing.T) {
-	cfg, err := parseFlags([]string{
-		"-lib", "x.json", "-admin-token", "s3cret",
-		"-max-inflight", "32", "-request-timeout", "500ms",
-	}, io.Discard)
+	cfg, err := parseFlags([]string{"-lib", "x.json", "-max-inflight", "32"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.adminToken != "s3cret" || cfg.maxInflight != 32 ||
-		cfg.reqTimeout != 500*time.Millisecond {
+	if cfg.maxInflight != 32 {
 		t.Errorf("parsed %+v", cfg)
 	}
 }
 
-// TestDaemonAdminReload boots the daemon with an admin token, swaps the
-// artefact through POST /admin/reload, and checks the generation advances
-// while the server keeps answering.
-func TestDaemonAdminReload(t *testing.T) {
+// sighup feeds n signals through the daemon's SIGHUP loop, as the real
+// signal would, and returns once the loop has handled them all, with the
+// lines it logged.
+func sighup(srv *serve.Server, n int) []string {
+	hup := make(chan os.Signal, n)
+	for i := 0; i < n; i++ {
+		hup <- syscall.SIGHUP
+	}
+	close(hup)
+	var log bytes.Buffer
+	reloadOn(hup, srv, logx.New(&log, logx.Info))
+	return strings.Split(strings.TrimSuffix(log.String(), "\n"), "\n")
+}
+
+// TestDaemonSIGHUPReload boots the daemon, swaps the artefact through its
+// SIGHUP loop, and checks the generation advances while the server keeps
+// answering, that a refused load keeps the old artefact and generation, and
+// that each reload logs exactly one line. There is no HTTP reload route.
+func TestDaemonSIGHUPReload(t *testing.T) {
 	// A private copy: the test rewrites the artefact the daemon reloads.
 	blob, err := os.ReadFile(savedLibrary(t))
 	if err != nil {
@@ -158,7 +175,7 @@ func TestDaemonAdminReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	cfg, err := parseFlags([]string{"-lib", path, "-admin-token", "sesame"}, &out)
+	cfg, err := parseFlags([]string{"-lib", path}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +183,7 @@ func TestDaemonAdminReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	boot := out.String()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := serve.NewClient(ts.URL, nil)
@@ -173,22 +191,24 @@ func TestDaemonAdminReload(t *testing.T) {
 	if _, err := client.Predict(context.Background(), serve.PredictRequest{M: 96, K: 96, N: 96}); err != nil {
 		t.Fatal(err)
 	}
-	h, err := client.Reload(context.Background(), "sesame")
-	if err != nil {
+	if lines := sighup(srv, 1); len(lines) != 1 || !strings.HasPrefix(lines[0], "SIGHUP reload complete: generation 1,") {
+		t.Errorf("reload logged %q, want one line naming generation 1", lines)
+	}
+	// Reloading over HTTP is not a route.
+	if resp, err := http.Post(ts.URL+"/admin/reload", "", nil); err != nil {
 		t.Fatal(err)
-	}
-	if h.Generation != 1 {
-		t.Errorf("generation after reload = %d, want 1", h.Generation)
-	}
-	// Wrong token is rejected.
-	if _, err := client.Reload(context.Background(), "wrong"); err == nil {
-		t.Error("wrong admin token accepted")
+	} else {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST /admin/reload: HTTP %d, want 404", resp.StatusCode)
+		}
 	}
 	// Still serving after the swap.
 	if _, err := client.Predict(context.Background(), serve.PredictRequest{M: 96, K: 96, N: 96}); err != nil {
 		t.Errorf("predict after reload: %v", err)
 	}
-	if h, err = client.Healthz(context.Background()); err != nil || h.Generation != 1 || h.Status != "ok" {
+	h, err := client.Healthz(context.Background())
+	if err != nil || h.Generation != 1 || h.Status != "ok" {
 		t.Errorf("healthz after reload = (%+v, %v)", h, err)
 	}
 
@@ -206,8 +226,9 @@ func TestDaemonAdminReload(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Reload(context.Background(), "sesame"); err == nil {
-		t.Error("reload of an artefact with a zero-thread candidate succeeded")
+	lines := sighup(srv, 1)
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "WARNING: SIGHUP reload failed (still serving generation 1):") {
+		t.Errorf("refused reload logged %q, want one warning naming generation 1", lines)
 	}
 	if after, err := client.Predict(context.Background(), serve.PredictRequest{M: 300, K: 200, N: 100}); err != nil || after != before {
 		t.Errorf("predict after refused reload = (%d, %v), want %d", after, err, before)
@@ -218,12 +239,17 @@ func TestDaemonAdminReload(t *testing.T) {
 	if h, err = client.Healthz(context.Background()); err != nil || h.Generation != 1 || h.Status != "ok" {
 		t.Errorf("healthz after refused reload = (%+v, %v)", h, err)
 	}
+	// The reload lines are the loop's alone: the server logged nothing past
+	// start-up.
+	if out.String() != boot {
+		t.Errorf("server logged during reloads: %q", strings.TrimPrefix(out.String(), boot))
+	}
 }
 
 // TestDaemonRanksArtefactAcrossReload pins that the daemon answers for
 // callers it cannot see: a shape whose optimum exceeds this host's
 // GOMAXPROCS gets the artefact-wide answer at start-up and the same answer
-// after /admin/reload of the same file (both engines come from one load
+// after a SIGHUP reload of the same file (both engines come from one load
 // closure; neither is narrowed to what this host could run).
 func TestDaemonRanksArtefactAcrossReload(t *testing.T) {
 	path := savedLibrary(t)
@@ -244,7 +270,7 @@ func TestDaemonRanksArtefactAcrossReload(t *testing.T) {
 		t.Skipf("no probe shape's optimum exceeds GOMAXPROCS=%d", host)
 	}
 	var out bytes.Buffer
-	cfg, err := parseFlags([]string{"-lib", path, "-admin-token", "sesame"}, &out)
+	cfg, err := parseFlags([]string{"-lib", path}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +290,8 @@ func TestDaemonRanksArtefactAcrossReload(t *testing.T) {
 	if before != want {
 		t.Errorf("daemon chose %d for %v at start-up, artefact-wide optimum %d (GOMAXPROCS=%d)", before, shape, want, host)
 	}
-	if h, err := client.Reload(context.Background(), "sesame"); err != nil || h.Generation != 1 {
-		t.Fatalf("reload = (%+v, %v)", h, err)
+	if lines := sighup(srv, 1); srv.Engine().Generation() != 1 {
+		t.Fatalf("reload logged %q, generation %d, want 1", lines, srv.Engine().Generation())
 	}
 	after, err := client.Predict(context.Background(), req)
 	if err != nil {
@@ -285,7 +311,7 @@ func TestDaemonRanksArtefactAcrossReload(t *testing.T) {
 func TestDaemonRoundTrip(t *testing.T) {
 	path := savedLibrary(t)
 	var out bytes.Buffer
-	cfg, err := parseFlags([]string{"-lib", path, "-cache", "256", "-shards", "8"}, &out)
+	cfg, err := parseFlags([]string{"-lib", path, "-cache", "256"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +319,7 @@ func TestDaemonRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "cache 256 entries / 8 shards") {
+	if !strings.Contains(out.String(), "cache 256 entries / 16 shards") {
 		t.Errorf("load not reported: %q", out.String())
 	}
 	ts := httptest.NewServer(srv)

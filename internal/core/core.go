@@ -141,12 +141,11 @@ func Records(data []ShapeTimings) []features.Record {
 // OpModel is one operation's trained artefact: the preprocessing pipeline
 // and runtime-prediction regressor of Fig 2, plus bookkeeping.
 type OpModel struct {
-	Kind     string
-	Model    ml.Regressor
-	Pipeline *preprocess.Pipeline
-	// Columns restricts the Table II feature set (nil = all features); used
-	// by the feature-set ablation.
-	Columns     []string
+	Kind  string
+	Model ml.Regressor
+	// Pipeline.InputCols names the Table II features the model reads, in
+	// order: all of them, or the subset of a feature-set ablation.
+	Pipeline    *preprocess.Pipeline
 	EvalSeconds float64 // measured model-evaluation latency per selection
 }
 

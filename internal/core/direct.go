@@ -7,7 +7,8 @@ import (
 	"repro/internal/ml/boost"
 )
 
-// DirectThreadModel is the ablation baseline of DESIGN.md §5: instead of
+// DirectThreadModel is the baseline of the target ablation, which tests the
+// paper's choice of target: instead of
 // regressing runtime per (shape, threads) and taking the argmin (§IV-A), it
 // regresses the optimal thread count directly from the shape. One row per
 // shape, so it sees |candidates|-times less signal.

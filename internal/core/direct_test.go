@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/ops"
@@ -47,5 +48,20 @@ func TestLibraryColumnsRestriction(t *testing.T) {
 	}
 	if len(sub.Library.ModelFor(ops.GEMM).Pipeline.InputCols) != 5 {
 		t.Errorf("pipeline sees %d cols, want 5", len(sub.Library.ModelFor(ops.GEMM).Pipeline.InputCols))
+	}
+	// The pipeline's input_cols are the one record of the restriction: the
+	// artefact round-trips and decides alike without a list of its own.
+	path := filepath.Join(t.TempDir(), "sub.json")
+	if err := sub.Library.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range [][3]int{{500, 500, 500}, {64, 2048, 64}, {3000, 100, 700}} {
+		if a, b := back.OptimalThreadsOp(ops.GEMM, sh[0], sh[1], sh[2]), sub.Library.OptimalThreadsOp(ops.GEMM, sh[0], sh[1], sh[2]); a != b {
+			t.Errorf("%v: reloaded restricted library decides %d, trained %d", sh, a, b)
+		}
 	}
 }

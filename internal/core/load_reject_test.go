@@ -42,7 +42,7 @@ func TestLoadRejectsWhatWouldPanicOnFirstMiss(t *testing.T) {
 	width := len(res.Library.ModelFor(ops.GEMM).Pipeline.Keep)
 
 	// Each case edits the top-level object (file) or the gemm model entry
-	// (entry: pipeline, model, columns), which v1 keeps at the top level.
+	// (entry: pipeline, model), which v1 keeps at the top level.
 	pipeline := func(entry jsonObj) jsonObj { return entry["pipeline"].(jsonObj) }
 	rootNode := func(entry jsonObj) jsonObj {
 		trees := entry["model"].(jsonObj)["model"].(jsonObj)["trees"].([]any)
@@ -62,7 +62,7 @@ func TestLoadRejectsWhatWouldPanicOnFirstMiss(t *testing.T) {
 			sc["std"] = append(sc["std"].([]any), 1.0)
 			keep := p["keep"].([]any)
 			keep[len(keep)-1] = float64(len(features.Columns()))
-		}, "input_cols has 18 columns"},
+		}, `input_cols[17] = "bogus" is not a Table II feature`},
 		{"short scaler.std", func(_, e jsonObj) {
 			sc := pipeline(e)["scaler"].(jsonObj)
 			sc["std"] = sc["std"].([]any)[:3]
@@ -82,13 +82,8 @@ func TestLoadRejectsWhatWouldPanicOnFirstMiss(t *testing.T) {
 			f["candidates"].([]any)[0] = 0.0
 		}, "candidates[0] = 0"},
 		{"unknown restricted column", func(_, e jsonObj) {
-			cols := make([]any, len(features.Columns()))
-			for i, c := range features.Columns() {
-				cols[i] = c
-			}
-			cols[2] = "flops"
-			e["columns"] = cols
-		}, `columns[2] = "flops"`},
+			pipeline(e)["input_cols"].([]any)[2] = "flops"
+		}, `input_cols[2] = "flops" is not a Table II feature`},
 	}
 
 	// asV1 rearranges a v2 file into the legacy single-model layout.

@@ -45,26 +45,19 @@ func compilePlan(m *OpModel, candidates []int) (*rankPlan, error) {
 		}
 	}
 
-	// src maps a pipeline input column to its Table II column: the identity,
-	// or the named subset of a column-restricted (ablation) model.
-	all := features.Columns()
-	names := m.Columns
-	if len(names) == 0 {
-		names = all
-	}
-	src := make([]int, len(names))
-	for i, name := range names {
-		if src[i] = slices.Index(all, name); src[i] < 0 {
-			return nil, fmt.Errorf("columns[%d] = %q is not a Table II feature", i, name)
-		}
-	}
-
 	pipe := m.Pipeline
 	if err := pipe.Validate(); err != nil {
 		return nil, err
 	}
-	if len(pipe.InputCols) != len(src) {
-		return nil, fmt.Errorf("pipeline input_cols has %d columns, the feature row has %d", len(pipe.InputCols), len(src))
+	// src maps a pipeline input column to its Table II column by name: the
+	// identity for a full-feature model, a subset for a column-restricted
+	// (ablation) one.
+	all := features.Columns()
+	src := make([]int, len(pipe.InputCols))
+	for i, name := range pipe.InputCols {
+		if src[i] = slices.Index(all, name); src[i] < 0 {
+			return nil, fmt.Errorf("input_cols[%d] = %q is not a Table II feature", i, name)
+		}
 	}
 	w := len(pipe.Keep)
 	if w == 0 {

@@ -47,13 +47,10 @@ func referenceRank(l *Library, op ops.Op, m, k, n int) (best int, seconds []floa
 	all := features.Columns()
 	var bt float64
 	for i, cand := range l.Candidates {
-		row := features.Row(m, k, n, cand)
-		if len(mod.Columns) > 0 {
-			restricted := make([]float64, len(mod.Columns))
-			for j, name := range mod.Columns {
-				restricted[j] = row[slices.Index(all, name)]
-			}
-			row = restricted
+		full := features.Row(m, k, n, cand)
+		row := make([]float64, len(mod.Pipeline.InputCols))
+		for j, name := range mod.Pipeline.InputCols {
+			row[j] = full[slices.Index(all, name)]
 		}
 		pred := mod.Model.Predict(mod.Pipeline.Transform(row))
 		seconds = append(seconds, mod.Pipeline.UntransformTarget(pred))

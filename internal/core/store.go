@@ -20,7 +20,6 @@ import (
 // opModelFile is one serialized per-op model of a v2 artefact.
 type opModelFile struct {
 	ModelKind   string          `json:"model_kind"`
-	Columns     []string        `json:"columns,omitempty"`
 	EvalSeconds float64         `json:"eval_seconds"`
 	Pipeline    json.RawMessage `json:"pipeline"`
 	Model       json.RawMessage `json:"model"`
@@ -39,7 +38,6 @@ type libraryFileV1 struct {
 	FormatVersion int             `json:"format_version"`
 	Platform      string          `json:"platform"`
 	ModelKind     string          `json:"model_kind"`
-	Columns       []string        `json:"columns,omitempty"`
 	Candidates    []int           `json:"candidates"`
 	EvalSeconds   float64         `json:"eval_seconds"`
 	Pipeline      json.RawMessage `json:"pipeline"`
@@ -73,7 +71,6 @@ func (l *Library) Save(path string) error {
 		}
 		f.Ops[op.String()] = opModelFile{
 			ModelKind:   m.Kind,
-			Columns:     m.Columns,
 			EvalSeconds: m.EvalSeconds,
 			Pipeline:    pipe,
 			Model:       model,
@@ -133,7 +130,6 @@ func unmarshalOpModel(f opModelFile) (*OpModel, error) {
 		Kind:        f.ModelKind,
 		Model:       model,
 		Pipeline:    pipe,
-		Columns:     f.Columns,
 		EvalSeconds: f.EvalSeconds,
 	}, nil
 }
@@ -171,7 +167,6 @@ func loadV1(path string, blob []byte) (*Library, error) {
 	}
 	m, err := unmarshalOpModel(opModelFile{
 		ModelKind:   f.ModelKind,
-		Columns:     f.Columns,
 		EvalSeconds: f.EvalSeconds,
 		Pipeline:    f.Pipeline,
 		Model:       f.Model,

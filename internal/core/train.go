@@ -198,7 +198,6 @@ func TrainOnDataWithColumns(cfg TrainConfig, data []ShapeTimings, cols []string)
 type sweep struct {
 	op       ops.Op
 	data     []ShapeTimings
-	cols     []string
 	testIdx  []int
 	testData []ShapeTimings
 	pipe     *preprocess.Pipeline
@@ -336,7 +335,7 @@ func prepareSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string
 		testY[i] = y
 	}
 	return &sweep{
-		op: op, data: data, cols: cols, testIdx: testIdx, testData: testData,
+		op: op, data: data, testIdx: testIdx, testData: testData,
 		pipe: pipe, trainX: transformed.X, trainY: transformed.Y,
 		testX: testX, testY: testY,
 		fits: make([]fitted, len(cfg.Models)),
@@ -376,7 +375,7 @@ func (sw *sweep) selectModel(cfg TrainConfig) (*OpModel, []ModelReport, error) {
 		// path (and the cost) the serving engine has.
 		probe := &Library{Platform: cfg.Platform, Candidates: candidates}
 		if err := probe.SetModel(sw.op, &OpModel{
-			Kind: spec.Kind, Model: f.model, Pipeline: sw.pipe, Columns: sw.cols,
+			Kind: spec.Kind, Model: f.model, Pipeline: sw.pipe,
 		}); err != nil {
 			return nil, nil, err
 		}
@@ -419,7 +418,6 @@ func (sw *sweep) selectModel(cfg TrainConfig) (*OpModel, []ModelReport, error) {
 		Kind:        best.Kind,
 		Model:       sw.fits[bestIdx].model,
 		Pipeline:    sw.pipe,
-		Columns:     sw.cols,
 		EvalSeconds: best.EvalMicros / 1e6,
 	}, reports, nil
 }

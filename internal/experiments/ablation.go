@@ -13,8 +13,9 @@ import (
 )
 
 // AblationPreproc quantifies the contribution of the preprocessing stack
-// (DESIGN.md §5): estimated mean speedup of the shipped XGBoost model with
-// the full pipeline vs no Yeo-Johnson/LOF/correlation pruning.
+// (§IV-C), which the paper applies but does not measure on its own:
+// estimated mean speedup of the shipped XGBoost model with the full
+// pipeline vs no Yeo-Johnson/LOF/correlation pruning.
 func AblationPreproc(w io.Writer, lab *Lab) error {
 	p, _ := PlatformByName("Gadi")
 	full, err := lab.Train(p, 500, true)

@@ -3,7 +3,9 @@
 // checks (Fig 4), affinity curves (Fig 7), optimal-thread and speedup
 // heatmaps (Figs 9, 10), the model-comparison tables (III, IV), speedup
 // statistics (V, VI), GFLOPS series (Figs 11-14) and the profiling breakdown
-// (Table VII), plus the ablations called out in DESIGN.md §5.
+// (Table VII), plus three ablations the paper does not run: the
+// preprocessing stack, the Group 2 features and the runtime-regression
+// target, each removed in turn to show what it contributes.
 //
 // Experiments share a Lab, which memoises the expensive artefacts (gathered
 // timing sweeps and trained libraries) per platform and memory cap.

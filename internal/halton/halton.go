@@ -16,7 +16,9 @@ import (
 // Primes suitable as Halton bases, in order. The paper states bases 2, 3 and
 // 4; base 4 is composite and breaks the equidistribution guarantee of the
 // van der Corput radical inverse, so this implementation uses consecutive
-// primes instead (see DESIGN.md §2).
+// primes instead: 4 = 2², so the base-4 dimension's digits are pairs of the
+// base-2 dimension's and the two are correlated, where pairwise coprime
+// bases cover every pair of dimensions evenly.
 var defaultBases = []int{2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
 
 // Sequence is a scrambled Halton sequence over a fixed number of dimensions.

@@ -22,7 +22,8 @@ type Options struct {
 	// LogTarget fits models to ln(y) instead of y. The paper regresses raw
 	// runtime; runtimes in this domain span five orders of magnitude, so the
 	// log keeps small-GEMM residuals visible to the loss. Predictions are
-	// mapped back with exp. Documented as a deviation in DESIGN.md.
+	// mapped back with exp. This deviates from the paper, which regresses the
+	// runtime itself.
 	LogTarget bool
 }
 

@@ -31,11 +31,11 @@ import (
 
 // Config tunes a replay run.
 type Config struct {
-	// CacheSize and Shards configure the replay engine's decision cache;
-	// zero selects the serve defaults. Match the recording daemon's flags
-	// to make the simulated hit rate comparable.
+	// CacheSize is the replay engine's decision-cache capacity; zero
+	// selects the serve default. Match the recording daemon's -cache to
+	// make the simulated hit rate comparable (the shard count is the
+	// daemon's own by construction).
 	CacheSize int
-	Shards    int
 }
 
 // OpReport is one operation's replay score.
@@ -116,7 +116,7 @@ func Run(lib *core.Library, files []string, cfg Config) (*Report, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("replay: no trace files")
 	}
-	eng := serve.NewEngine(lib, serve.Options{CacheSize: cfg.CacheSize, Shards: cfg.Shards})
+	eng := serve.NewEngine(lib, serve.Options{CacheSize: cfg.CacheSize})
 	scratch := lib.NewScratch()
 	scores := make([]float64, len(lib.Candidates))
 
@@ -165,7 +165,7 @@ func Run(lib *core.Library, files []string, cfg Config) (*Report, error) {
 		rep.Measured++
 		st.measured++
 		measured := float64(rec.MeasuredNs) * 1e-9
-		predicted := lib.PredictOpSeconds(rec.Op, m, k, n, int(rec.Threads))
+		predicted := lib.PredictOpSecondsInto(rec.Op, m, k, n, int(rec.Threads), scratch)
 		st.measuredLat.Observe(rec.MeasuredNs)
 		st.predictedLat.Observe(int64(predicted * 1e9))
 		if predicted > 0 {

@@ -82,8 +82,7 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 	}
 }
 
-// do issues one request and decodes the JSON answer into out; header, when
-// non-nil, holds extra request headers. A retryable failure is retried after
+// do issues one request and decodes the JSON answer into out. A retryable failure is retried after
 // a backoff that starts at c.backoff and doubles up to c.maxBackoff, each
 // sleep drawn from [0.8·b, b] so that clients shed together do not return
 // together, until c.attempts calls have been made. A shed's Retry-After hint,
@@ -91,7 +90,7 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 // loop: once it expires the error is ctx's, naming the last failure. After
 // the last attempt the error wraps the last failure, so errors.As still
 // finds its *StatusError.
-func (c *Client) do(ctx context.Context, method, path string, header http.Header, body, out any) error {
+func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var blob []byte
 	if body != nil {
 		var err error
@@ -104,7 +103,7 @@ func (c *Client) do(ctx context.Context, method, path string, header http.Header
 		if err := ctx.Err(); err != nil {
 			return expired(err, last)
 		}
-		retry, err := c.attempt(ctx, method, path, header, blob, out)
+		retry, err := c.attempt(ctx, method, path, blob, out)
 		if err == nil || !retry {
 			return err
 		}
@@ -152,7 +151,7 @@ func expired(ctxErr, last error) error {
 // every path, caps reads at maxResponseBytes, and reports whether a failure
 // is worth retrying: transport errors, torn/garbled bodies, 429 and 5xx are;
 // a request that cannot be built and any other 4xx are not.
-func (c *Client) attempt(ctx context.Context, method, path string, header http.Header, blob []byte, out any) (retry bool, err error) {
+func (c *Client) attempt(ctx context.Context, method, path string, blob []byte, out any) (retry bool, err error) {
 	var rd io.Reader
 	if blob != nil {
 		rd = bytes.NewReader(blob)
@@ -163,9 +162,6 @@ func (c *Client) attempt(ctx context.Context, method, path string, header http.H
 	}
 	if blob != nil {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	for name, vals := range header {
-		req.Header[name] = vals
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -204,7 +200,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, header http.H
 // pass the (n, k, n) triple).
 func (c *Client) Predict(ctx context.Context, req PredictRequest) (int, error) {
 	var resp PredictResponse
-	if err := c.do(ctx, http.MethodPost, "/predict", nil, req, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/predict", req, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Threads, nil
@@ -213,7 +209,7 @@ func (c *Client) Predict(ctx context.Context, req PredictRequest) (int, error) {
 // PredictDetail returns the full candidate ranking for one shape.
 func (c *Client) PredictDetail(ctx context.Context, req PredictRequest) (PredictResponse, error) {
 	var resp PredictResponse
-	err := c.do(ctx, http.MethodPost, "/predict?detail=1", nil, req, &resp)
+	err := c.do(ctx, http.MethodPost, "/predict?detail=1", req, &resp)
 	return resp, err
 }
 
@@ -223,7 +219,7 @@ func (c *Client) PredictDetail(ctx context.Context, req PredictRequest) (Predict
 // its slot.
 func (c *Client) PredictBatch(ctx context.Context, reqs []PredictRequest) ([]int, error) {
 	var resp BatchResponse
-	if err := c.do(ctx, http.MethodPost, "/batch", nil, BatchRequest{Shapes: reqs}, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/batch", BatchRequest{Shapes: reqs}, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Threads) != len(reqs) {
@@ -238,7 +234,7 @@ func (c *Client) PredictBatch(ctx context.Context, reqs []PredictRequest) ([]int
 // zero — ingestion is all-or-nothing).
 func (c *Client) ReportMeasured(ctx context.Context, records []MeasuredRecord) (int, error) {
 	var resp MeasuredResponse
-	if err := c.do(ctx, http.MethodPost, "/measured", nil, MeasuredRequest{Records: records}, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/measured", MeasuredRequest{Records: records}, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Accepted, nil
@@ -248,7 +244,7 @@ func (c *Client) ReportMeasured(ctx context.Context, records []MeasuredRecord) (
 // runs with drift monitoring on).
 func (c *Client) Drift(ctx context.Context) (*DriftReport, error) {
 	var resp DriftReport
-	if err := c.do(ctx, http.MethodGet, "/drift", nil, nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/drift", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -257,23 +253,14 @@ func (c *Client) Drift(ctx context.Context) (*DriftReport, error) {
 // Stats fetches the server's engine and HTTP metrics.
 func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 	var resp StatsResponse
-	err := c.do(ctx, http.MethodGet, "/stats", nil, nil, &resp)
+	err := c.do(ctx, http.MethodGet, "/stats", nil, &resp)
 	return resp, err
 }
 
 // Healthz checks server readiness.
 func (c *Client) Healthz(ctx context.Context) (HealthResponse, error) {
 	var resp HealthResponse
-	err := c.do(ctx, http.MethodGet, "/healthz", nil, nil, &resp)
-	return resp, err
-}
-
-// Reload asks the server to hot-swap its artefact through POST
-// /admin/reload, authenticating with token. The answer is the post-swap
-// health body (new generation, format version and op list).
-func (c *Client) Reload(ctx context.Context, token string) (HealthResponse, error) {
-	var resp HealthResponse
-	err := c.do(ctx, http.MethodPost, "/admin/reload", http.Header{"X-Adsala-Admin-Token": {token}}, nil, &resp)
+	err := c.do(ctx, http.MethodGet, "/healthz", nil, &resp)
 	return resp, err
 }
 

@@ -157,9 +157,9 @@ func (e *Engine) Cache() *Cache { return e.state.Load().cache }
 // model and is cached under (op, shape). It degrades instead of failing —
 // the answer is never an error. Cached decisions are served regardless of
 // ctx (a cache read is nanoseconds). A cache miss ranks the candidates
-// unless the artefact holds no model for the op or ctx has already expired
-// (an overloaded or deadline-blown request must not queue behind a model
-// evaluation it has no time for) — in those cases the deterministic
+// unless the artefact holds no model for the op or ctx has already ended
+// (a request its client abandoned must not queue behind a model evaluation
+// nobody will read) — in those cases the deterministic
 // heuristic answers instead, fallback returns true, and the decision is NOT
 // cached, so the model takes over the moment it can answer again.
 func (e *Engine) PredictOpCtx(ctx context.Context, op Op, m, k, n int) (threads int, fallback bool) {
@@ -350,7 +350,7 @@ type Stats struct {
 	HitRate     float64 `json:"hit_rate"`
 	// Fallbacks counts decisions answered by the deterministic heuristic
 	// instead of a model — the degraded-mode traffic (model missing from
-	// the artefact, or the request deadline expired before ranking).
+	// the artefact, or the request's context ended before ranking).
 	Fallbacks int64 `json:"fallbacks,omitempty"`
 }
 

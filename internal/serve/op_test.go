@@ -180,7 +180,7 @@ func TestServerOpField(t *testing.T) {
 // clientDo posts through the client's transport (helper for raw batch
 // bodies the typed client API does not express).
 func clientDo(c *Client, path string, body, out any) error {
-	return c.do(bg, http.MethodPost, path, nil, body, out)
+	return c.do(bg, http.MethodPost, path, body, out)
 }
 
 // TestClientMixedOpBatchRoundTrip drives a three-op interleaved batch

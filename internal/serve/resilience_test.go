@@ -179,12 +179,7 @@ func TestOverloadSheds(t *testing.T) {
 func TestReloadUnderLoad(t *testing.T) {
 	l := lib(t)
 	eng := NewEngine(l, Options{CacheSize: 256, Shards: 8})
-	srv := NewServer(eng,
-		WithReload(ReloadConfig{
-			Load:  func() (*core.Library, error) { return l, nil },
-			Token: "sesame",
-		}),
-	)
+	srv := NewServer(eng, WithReload(func() (*core.Library, error) { return l, nil }))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -225,10 +220,10 @@ func TestReloadUnderLoad(t *testing.T) {
 		}(g)
 	}
 
-	// Two swaps mid-traffic, through the authenticated admin endpoint.
+	// Two swaps mid-traffic, through Server.Reload (what SIGHUP calls).
 	for swap := 0; swap < 2; swap++ {
 		time.Sleep(30 * time.Millisecond)
-		h, err := client.Reload(bg, "sesame")
+		h, err := srv.Reload()
 		if err != nil {
 			t.Fatalf("swap %d: %v", swap+1, err)
 		}
@@ -260,77 +255,6 @@ func TestReloadUnderLoad(t *testing.T) {
 	}
 	if hits := eng.Stats().CacheHits; hits <= hits0 {
 		t.Errorf("cache did not recover after reload: hits %d -> %d", hits0, hits)
-	}
-}
-
-// TestAdminReloadAuth pins the admin endpoint's contract: token required
-// (constant-time compare, both header forms), POST only, and the endpoint
-// absent entirely when no token is configured.
-func TestAdminReloadAuth(t *testing.T) {
-	l := lib(t)
-	eng := NewEngine(l, Options{CacheSize: 64, Shards: 2})
-	srv := NewServer(eng, WithReload(ReloadConfig{
-		Load:  func() (*core.Library, error) { return l, nil },
-		Token: "sesame",
-	}))
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	post := func(token, header string) int {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/admin/reload", nil)
-		if token != "" {
-			req.Header.Set(header, token)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if got := post("", ""); got != http.StatusUnauthorized {
-		t.Errorf("no token: HTTP %d, want 401", got)
-	}
-	if got := post("wrong", "X-Adsala-Admin-Token"); got != http.StatusUnauthorized {
-		t.Errorf("wrong token: HTTP %d, want 401", got)
-	}
-	if got := post("sesame", "X-Adsala-Admin-Token"); got != http.StatusOK {
-		t.Errorf("header token: HTTP %d, want 200", got)
-	}
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/admin/reload", nil)
-	req.Header.Set("Authorization", "Bearer sesame")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("bearer token: HTTP %d, want 200", resp.StatusCode)
-	}
-	// GET is not allowed even when authorised.
-	getReq, _ := http.NewRequest(http.MethodGet, ts.URL+"/admin/reload", nil)
-	getReq.Header.Set("X-Adsala-Admin-Token", "sesame")
-	if resp, err := http.DefaultClient.Do(getReq); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("GET /admin/reload: HTTP %d, want 405", resp.StatusCode)
-		}
-	}
-
-	// No token configured: the endpoint is not mounted.
-	bare := httptest.NewServer(NewServer(NewEngine(l, Options{CacheSize: 64, Shards: 2})))
-	defer bare.Close()
-	if resp, err := http.Post(bare.URL+"/admin/reload", "", nil); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("unconfigured /admin/reload: HTTP %d, want 404", resp.StatusCode)
-		}
 	}
 }
 
@@ -403,23 +327,24 @@ func TestDegradedFallbackNoModel(t *testing.T) {
 	}
 }
 
-// TestRequestTimeoutFallsBack pins the deadline degradation: a request
-// whose budget expired before ranking answers the heuristic (tagged) for a
-// cache miss, while cached decisions are still served normally.
-func TestRequestTimeoutFallsBack(t *testing.T) {
+// TestCancelledRequestFallback pins the cancellation degradation: a
+// request whose context ended before ranking (the client gone, or its own
+// timeout fired) answers the heuristic (tagged) for a cache miss, while
+// cached decisions are still served normally.
+func TestCancelledRequestFallback(t *testing.T) {
 	eng := NewEngine(lib(t), Options{CacheSize: 64, Shards: 2})
 	ctx, cancel := context.WithCancel(bg)
-	cancel() // expired before the call — the worst case
+	cancel() // cancelled before the call — the worst case
 
 	threads, fb := eng.PredictOpCtx(ctx, OpGEMM, 300, 300, 300)
 	if !fb || threads != heuristicChoice(eng.Candidates(), OpGEMM, 300, 300, 300) {
-		t.Fatalf("expired-ctx miss = (%d, %v), want tagged heuristic", threads, fb)
+		t.Fatalf("cancelled-ctx miss = (%d, %v), want tagged heuristic", threads, fb)
 	}
 	if st := eng.Stats(); st.Fallbacks != 1 {
 		t.Errorf("fallbacks = %d, want 1", st.Fallbacks)
 	}
 
-	// Warm the shape with a live context, then the expired context serves
+	// Warm the shape with a live context, then the cancelled context serves
 	// the cached (model) decision — no fallback.
 	want, fb := eng.PredictOpCtx(bg, OpGEMM, 300, 300, 300)
 	if fb {
@@ -427,42 +352,64 @@ func TestRequestTimeoutFallsBack(t *testing.T) {
 	}
 	got, fb := eng.PredictOpCtx(ctx, OpGEMM, 300, 300, 300)
 	if fb || got != want {
-		t.Errorf("expired-ctx hit = (%d, %v), want cached (%d, false)", got, fb, want)
+		t.Errorf("cancelled-ctx hit = (%d, %v), want cached (%d, false)", got, fb, want)
 	}
 
-	// Over HTTP the -request-timeout budget reaches the engine on every
-	// /predict form: with a budget that is gone before the handler gets to
-	// the engine, the plain and the ?detail=1 path both answer the tagged
-	// heuristic, cache nothing and advance the fallback counter.
-	srv := NewServer(eng, WithLimits(Limits{RequestTimeout: time.Nanosecond}))
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	for i, path := range []string{"/predict", "/predict?detail=1"} {
-		m := 700 + i // a shape of its own: never cached
+	// Over HTTP the request's own context reaches the engine on every
+	// decision path: a request cancelled before the handler gets to the
+	// engine answers the tagged heuristic on the plain and the ?detail=1
+	// /predict and in every /batch slot, caches nothing and advances the
+	// fallback counter once per decision.
+	srv := NewServer(eng)
+	for i, tc := range []struct{ path, body string }{
+		{"/predict", `{"m":700,"k":300,"n":300}`},
+		{"/predict?detail=1", `{"m":701,"k":300,"n":300}`},
+		{"/batch", `{"shapes":[{"m":702,"k":300,"n":300},{"m":703,"k":300,"n":300}]}`},
+	} {
 		before := eng.Stats().Fallbacks
-		resp, err := http.Post(ts.URL+path, "application/json",
-			strings.NewReader(fmt.Sprintf(`{"m":%d,"k":300,"n":300}`, m)))
-		if err != nil {
-			t.Fatal(err)
+		req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)).WithContext(ctx)
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s cancelled: HTTP %d: %s", tc.path, w.Code, w.Body)
 		}
-		var pr PredictResponse
-		err = json.NewDecoder(resp.Body).Decode(&pr)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
+		var ms []int
+		if tc.path == "/batch" {
+			var br BatchResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &br); err != nil {
+				t.Fatal(err)
+			}
+			ms = []int{702, 703}
+			for j, m := range ms {
+				if j >= len(br.Threads) || j >= len(br.Fallback) || !br.Fallback[j] ||
+					br.Threads[j] != heuristicChoice(eng.Candidates(), OpGEMM, m, 300, 300) {
+					t.Errorf("%s cancelled = %+v, want the tagged heuristic answer in every slot", tc.path, br)
+					break
+				}
+			}
+		} else {
+			var pr PredictResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &pr); err != nil {
+				t.Fatal(err)
+			}
+			ms = []int{700 + i}
+			if !pr.Fallback || pr.Threads != heuristicChoice(eng.Candidates(), OpGEMM, ms[0], 300, 300) {
+				t.Errorf("%s cancelled = %+v, want the tagged heuristic answer", tc.path, pr)
+			}
 		}
-		if !pr.Fallback || pr.Threads != heuristicChoice(eng.Candidates(), OpGEMM, m, 300, 300) {
-			t.Errorf("%s past its deadline = %+v, want the tagged heuristic answer", path, pr)
+		for _, m := range ms {
+			if _, ok := eng.CachedChoice(OpGEMM, m, 300, 300); ok {
+				t.Errorf("%s cached a fallback decision for m=%d", tc.path, m)
+			}
 		}
-		if _, ok := eng.CachedChoice(OpGEMM, m, 300, 300); ok {
-			t.Errorf("%s cached a fallback decision", path)
-		}
-		if got := eng.Stats().Fallbacks; got != before+1 {
-			t.Errorf("%s: fallbacks %d -> %d, want +1", path, before, got)
+		if got := eng.Stats().Fallbacks; got != before+int64(len(ms)) {
+			t.Errorf("%s: fallbacks %d -> %d, want +%d", tc.path, before, got, len(ms))
 		}
 	}
-	if text := scrapeMetrics(t, ts.URL); !strings.Contains(text, "adsala_serve_fallbacks_total 3") {
-		t.Error("adsala_serve_fallbacks_total is not 3 on /metrics")
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if text := scrapeMetrics(t, ts.URL); !strings.Contains(text, "adsala_serve_fallbacks_total 5") {
+		t.Error("adsala_serve_fallbacks_total is not 5 on /metrics")
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"crypto/subtle"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -54,7 +53,7 @@ type PredictResponse struct {
 	// Fallback is true when the decision came from the deterministic
 	// heuristic instead of a model — the degraded-mode tag of the
 	// resilience contract (artefact holds no model for the op, or the
-	// request deadline expired before ranking).
+	// request was cancelled before ranking).
 	Fallback bool `json:"fallback,omitempty"`
 	// Candidates and PredictedMicros are present only when detail was
 	// requested: the ranked thread counts and their predicted runtimes.
@@ -167,20 +166,17 @@ const (
 )
 
 // Limits is the overload-protection configuration of a Server: bounded
-// in-flight admission with a short wait queue on the prediction endpoints,
-// plus a per-request deadline threaded into the engine. Probes, /stats and
-// /metrics are never limited — an overloaded daemon must stay observable.
-// The queue is as deep as MaxInFlight, and a queued request waits at most
-// 50 ms.
+// in-flight admission with a short wait queue on the prediction endpoints.
+// Probes, /stats and /metrics are never limited — an overloaded daemon must
+// stay observable. The queue is as deep as MaxInFlight, and a queued request
+// waits at most 50 ms. Decisions run under the request's own context: a
+// request cancelled mid-rank (the client gone, or its own timeout fired)
+// degrades its undecided shapes to the heuristic answer instead of erroring.
 type Limits struct {
 	// MaxInFlight bounds concurrently admitted /predict, /batch and
 	// /measured requests. 0 selects the default (8×GOMAXPROCS); negative
 	// disables admission control entirely.
 	MaxInFlight int
-	// RequestTimeout is the per-request deadline threaded into the engine
-	// (default 2s; negative disables). A request that exhausts it mid-rank
-	// degrades to the heuristic answer instead of erroring.
-	RequestTimeout time.Duration
 }
 
 // queueWait is how long a queued request waits for a slot before it sheds
@@ -191,9 +187,6 @@ const queueWait = 50 * time.Millisecond
 func (l Limits) withDefaults() Limits {
 	if l.MaxInFlight == 0 {
 		l.MaxInFlight = 8 * runtime.GOMAXPROCS(0)
-	}
-	if l.RequestTimeout == 0 {
-		l.RequestTimeout = 2 * time.Second
 	}
 	return l
 }
@@ -247,19 +240,6 @@ func (l *limiter) acquire(ctx context.Context) bool {
 
 func (l *limiter) release() { <-l.sem }
 
-// ReloadConfig wires hot artefact reload into a Server.
-type ReloadConfig struct {
-	// Load produces the replacement library (typically re-reading the
-	// artefact path the daemon booted from). Required.
-	Load func() (*core.Library, error)
-	// Token authenticates POST /admin/reload (Authorization: Bearer <token>
-	// or X-Adsala-Admin-Token). Empty leaves the endpoint unmounted —
-	// reloads then happen only through Server.Reload (the SIGHUP path).
-	Token string
-	// Logf receives reload progress lines; nil discards them.
-	Logf func(format string, args ...any)
-}
-
 // ServerOption customises a Server at construction.
 type ServerOption func(*Server)
 
@@ -270,10 +250,11 @@ func WithLimits(l Limits) ServerOption {
 	return func(s *Server) { s.limits = l }
 }
 
-// WithReload enables hot artefact reload (Server.Reload and, when a token
-// is set, POST /admin/reload).
-func WithReload(rc ReloadConfig) ServerOption {
-	return func(s *Server) { s.reload = &rc }
+// WithReload enables hot artefact reload through Server.Reload: load
+// produces the replacement library (typically re-reading the artefact path
+// the daemon booted from).
+func WithReload(load func() (*core.Library, error)) ServerOption {
+	return func(s *Server) { s.load = load }
 }
 
 // Server is the HTTP front end of the serving subsystem. It satisfies
@@ -296,9 +277,10 @@ type Server struct {
 	shed   atomic.Int64 // requests answered 429
 	panics atomic.Int64 // handler panics recovered to 500
 
-	// Hot reload: nil when not configured. reloadMu serialises swaps so
-	// two concurrent reloads cannot interleave their load/swap pairs.
-	reload   *ReloadConfig
+	// Hot reload: load is nil when not configured. reloadMu serialises
+	// swaps so two concurrent reloads cannot interleave their load/swap
+	// pairs.
+	load     func() (*core.Library, error)
 	reloadMu sync.Mutex
 }
 
@@ -324,9 +306,6 @@ func NewServer(engine *Engine, opts ...ServerOption) *Server {
 	s.mux.HandleFunc("/drift", s.handleDrift)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.Handle("/metrics", s.reg.Handler())
-	if s.reload != nil && s.reload.Token != "" {
-		s.mux.HandleFunc("/admin/reload", s.handleAdminReload)
-	}
 
 	engine.RegisterMetrics(s.reg)
 	obs.RegisterProcessMetrics(s.reg)
@@ -430,14 +409,6 @@ type shedResponse struct {
 	RetryAfterMS int64  `json:"retry_after_ms"`
 }
 
-// requestCtx derives the per-request deadline context.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.limits.RequestTimeout <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), s.limits.RequestTimeout)
-}
-
 // writeJSON writes v through encoding/json: errors, /stats, the probes,
 // /drift and ?detail=1. The plain /predict, /batch and /measured answers are
 // appended by the codec instead (reply), byte for byte the same.
@@ -499,13 +470,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-
 	resp := PredictResponse{M: req.M, K: req.K, N: req.N, Op: op.String()}
 	if query.Get("detail") == "1" {
 		var scores []float64
-		scores, resp.Threads, resp.Fallback = s.engine.RankOpCtx(ctx, op, req.M, req.K, req.N)
+		scores, resp.Threads, resp.Fallback = s.engine.RankOpCtx(r.Context(), op, req.M, req.K, req.N)
 		resp.Candidates = s.engine.Candidates()
 		resp.PredictedMicros = make([]float64, len(scores))
 		for i, sec := range scores {
@@ -515,7 +483,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	resp.Threads, resp.Fallback = s.engine.PredictOpCtx(ctx, op, req.M, req.K, req.N)
+	resp.Threads, resp.Fallback = s.engine.PredictOpCtx(r.Context(), op, req.M, req.K, req.N)
 	failed = false
 	c.buf = appendPredict(c.buf[:0], &resp)
 	reply(w, c.buf)
@@ -549,8 +517,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch of %d shapes exceeds limit %d", len(req.Shapes), MaxBatchShapes)
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
 	// Validate the whole request, in request order, before deciding any of it.
 	shapes, opOf, threads := c.batchSlices(len(req.Shapes))
 	for i, sh := range req.Shapes {
@@ -571,7 +537,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for j < len(shapes) && opOf[j] == opOf[i] {
 			j++
 		}
-		_, fbs := s.engine.PredictBatchOpCtx(ctx, opOf[i], shapes[i:j], threads[i:j])
+		_, fbs := s.engine.PredictBatchOpCtx(r.Context(), opOf[i], shapes[i:j], threads[i:j])
 		if fbs != nil {
 			if fallback == nil {
 				fallback = make([]bool, len(shapes))
@@ -599,7 +565,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// healthBody assembles the health payload of /healthz and /admin/reload.
+// healthBody assembles the health payload of /healthz and of Reload.
 func (s *Server) healthBody() HealthResponse {
 	lib := s.engine.Library()
 	trained := lib.TrainedOps()
@@ -622,68 +588,26 @@ func (s *Server) healthBody() HealthResponse {
 	return body
 }
 
-// Reload swaps the served artefact through the configured ReloadConfig:
-// load the replacement library and swap it into the engine atomically (the
-// new generation starts with an empty decision cache). Serving never
-// pauses — requests keep answering against the old artefact until the swap
-// lands and against the new one after, each distinct shape ranked once as
-// traffic refills the cache. Serialised: concurrent reloads apply one at a
-// time. Returns the post-swap health body (the /admin/reload answer and
-// what SIGHUP handlers log).
+// Reload swaps the served artefact through the load function given to
+// WithReload: load the replacement library and swap it into the engine
+// atomically (the new generation starts with an empty decision cache).
+// Serving never pauses — requests keep answering against the old artefact
+// until the swap lands and against the new one after, each distinct shape
+// ranked once as traffic refills the cache. A failed load leaves the old
+// artefact serving. Serialised: concurrent reloads apply one at a time.
+// Returns the post-swap health body; the caller logs the outcome.
 func (s *Server) Reload() (HealthResponse, error) {
-	if s.reload == nil || s.reload.Load == nil {
+	if s.load == nil {
 		return HealthResponse{}, fmt.Errorf("serve: reload is not configured")
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	logf := s.reload.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	lib, err := s.reload.Load()
+	lib, err := s.load()
 	if err != nil {
-		// The old artefact keeps serving — a failed load must not degrade
-		// a healthy daemon.
-		logf("reload failed (still serving generation %d): %v", s.engine.Generation(), err)
 		return HealthResponse{}, err
 	}
 	s.engine.SwapLibrary(lib)
-	logf("reloaded artefact: generation %d, format v%d, platform %s",
-		s.engine.Generation(), lib.Format(), lib.Platform)
 	return s.healthBody(), nil
-}
-
-// authorizedReload checks the reload token (Authorization: Bearer <token>
-// or X-Adsala-Admin-Token) in constant time.
-func (s *Server) authorizedReload(r *http.Request) bool {
-	token := s.reload.Token
-	got := r.Header.Get("X-Adsala-Admin-Token")
-	if got == "" {
-		const prefix = "Bearer "
-		if auth := r.Header.Get("Authorization"); len(auth) > len(prefix) && auth[:len(prefix)] == prefix {
-			got = auth[len(prefix):]
-		}
-	}
-	return subtle.ConstantTimeCompare([]byte(got), []byte(token)) == 1
-}
-
-// handleAdminReload is POST /admin/reload: authenticated hot artefact
-// swap. Mounted only when a ReloadConfig with a token was supplied.
-func (s *Server) handleAdminReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
-	if !s.authorizedReload(r) {
-		writeError(w, http.StatusUnauthorized, "missing or invalid reload token")
-		return
-	}
-	body, err := s.Reload()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "reload: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
 }
 
 // handleHealthz is the one probe: 200 with the health body whenever the

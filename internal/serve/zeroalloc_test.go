@@ -215,11 +215,11 @@ func (w *sinkWriter) Write(b []byte) (int, error) {
 }
 
 // TestServeHTTPAllocs pins the allocations of Server.ServeHTTP on a /predict
-// hit and a 16-shape /batch hit: admission, body read and decode, deadline,
-// decisions, answer. With encoding/json both ways these were 16 and 44; what
-// is left is the deadline context (4), the Content-Type header value and the
-// /predict query map. The /batch handler's shape, op and decision slices
-// live in the pooled codec.
+// hit and a 16-shape /batch hit: admission, body read and decode, decisions,
+// answer. With encoding/json both ways these were 16 and 44; what is left is
+// the Content-Type header value and the /predict query map. The decisions
+// run under the request's own context, and the /batch handler's shape, op
+// and decision slices live in the pooled codec.
 func TestServeHTTPAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed by the race detector")
@@ -232,8 +232,8 @@ func TestServeHTTPAllocs(t *testing.T) {
 		body []byte
 		pin  float64
 	}{
-		{"/predict", one, 6},
-		{"/batch", batch, 5},
+		{"/predict", one, 2},
+		{"/batch", batch, 1},
 	} {
 		var body replayBody
 		req := httptest.NewRequest(http.MethodPost, tc.path, nil)
