@@ -26,16 +26,12 @@ package adsala
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/ops"
-	"repro/internal/sampling"
 	"repro/internal/serve"
-	"repro/internal/simtime"
 )
 
 // Matrix type re-exports so that callers of the public API do not need to
@@ -47,41 +43,14 @@ type (
 	MatrixF64 = matF64
 )
 
-// TrainOptions configures installation-time training.
-type TrainOptions struct {
-	// Platform selects the timing substrate: "Setonix" or "Gadi" train
-	// against the corresponding simulated HPC node; "local" times the
-	// built-in GEMM kernels on this machine.
-	Platform string
-	// CapMB bounds the aggregate GEMM footprint of the sampled shapes
-	// (paper: 100 or 500). Default 500 for simulated platforms, 64 for
-	// local.
-	CapMB int
-	// Shapes is the number of sampled GEMM shapes (paper: 1763).
-	// Default 300 (simulated) / 40 (local).
-	Shapes int
-	// Iters is the number of timing repetitions per configuration
-	// (paper: 10). Default 3.
-	Iters int
-	// Quick shrinks model grids and ensemble sizes (for demos and tests).
-	Quick bool
-	// NoHT disables hyper-threading on simulated platforms (hyper-threading
-	// is on by default; setting NoHT caps thread counts at the physical
-	// core count).
-	NoHT bool
-	Seed int64
-	// Ops lists the operations to train per-op models for, beyond the
-	// always-trained GEMM (e.g. [OpSYRK, OpSYR2K]). Each op gathers its own
-	// timing sweep through its registered kernel and cost profile; ops
-	// without a model fall back to the GEMM model at serving time.
-	Ops []Op
-}
+// TrainOptions configures installation-time training: the install
+// recipe's options (core.InstallOptions documents each field and its
+// default).
+type TrainOptions = core.InstallOptions
 
 // Report is the model-comparison outcome of installation (Tables III/IV):
 // the primary GEMM comparison plus one section per additionally trained op.
 type Report struct {
-	// Rows is the primary (GEMM) model comparison.
-	Rows []core.ModelReport
 	// PerOp holds one section per trained operation, GEMM first.
 	PerOp []OpReport
 }
@@ -96,7 +65,7 @@ type OpReport struct {
 // models beyond GEMM were trained.
 func (r *Report) String() string {
 	if len(r.PerOp) <= 1 {
-		return core.RenderReport(r.Rows)
+		return core.RenderReport(r.gemm())
 	}
 	var b strings.Builder
 	for i, sec := range r.PerOp {
@@ -108,14 +77,22 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Best returns the primary-comparison row for the given model kind.
+// Best returns the GEMM comparison's row for the given model kind.
 func (r *Report) Best(kind string) (core.ModelReport, bool) {
-	for _, row := range r.Rows {
+	for _, row := range r.gemm() {
 		if row.Kind == kind {
 			return row, true
 		}
 	}
 	return core.ModelReport{}, false
+}
+
+// gemm is the primary (GEMM) comparison: the first section's rows.
+func (r *Report) gemm() []core.ModelReport {
+	if len(r.PerOp) == 0 {
+		return nil
+	}
+	return r.PerOp[0].Rows
 }
 
 // Library is a trained ADSALA artefact: a per-operation model bundle plus
@@ -125,13 +102,13 @@ func (r *Report) Best(kind string) (core.ModelReport, bool) {
 //
 // The artefact may be trained for a larger machine than this one. Every
 // engine the library hands out therefore ranks its feasible view — the same
-// models over the candidates this host can run (hostThreads) — so no model
+// models over the candidates this host can run (core.HostThreads) — so no model
 // evaluation is spent on a thread count that could never execute. The
 // artefact-wide accessors (Candidates, OptimalThreadsOp, PredictRuntimeOp,
 // Save) keep describing the artefact as trained.
 type Library struct {
 	inner *core.Library
-	// feasible is inner.Feasible(hostThreads()) as of construction: inner
+	// feasible is inner.Feasible(core.HostThreads()) as of construction: inner
 	// itself when the host can run every candidate.
 	feasible *core.Library
 
@@ -140,19 +117,14 @@ type Library struct {
 }
 
 func newLibrary(inner *core.Library) *Library {
-	return &Library{inner: inner, feasible: inner.Feasible(hostThreads())}
+	return &Library{inner: inner, feasible: inner.Feasible(core.HostThreads())}
 }
-
-// hostThreads is the most threads a call can run on here — the one
-// definition of "feasible" that sizes the local install sweep (buildConfig),
-// the ranked view (newLibrary) and the execution guard (clamp).
-func hostThreads() int { return runtime.GOMAXPROCS(0) }
 
 // Train runs the full installation workflow (Fig 2) — once per requested
 // operation — and returns the deployable library plus the model-comparison
 // report.
 func Train(opts TrainOptions) (*Library, *Report, error) {
-	cfg, err := buildConfig(opts)
+	cfg, err := core.Recipe(opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -160,88 +132,11 @@ func Train(opts TrainOptions) (*Library, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &Report{Rows: res.Reports}
+	rep := &Report{}
 	for _, op := range res.Library.TrainedOps() {
 		rep.PerOp = append(rep.PerOp, OpReport{Op: op.String(), Rows: res.OpReports[op]})
 	}
 	return newLibrary(res.Library), rep, nil
-}
-
-func buildConfig(opts TrainOptions) (core.TrainConfig, error) {
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	iters := opts.Iters
-	if iters == 0 {
-		iters = 3
-	}
-
-	var (
-		timer      simtime.Timer
-		maxThreads int
-		refThreads int
-		platform   string
-		capMB      = opts.CapMB
-		shapes     = opts.Shapes
-	)
-	switch strings.ToLower(opts.Platform) {
-	case "", "gadi", "setonix":
-		name := "Gadi"
-		if strings.EqualFold(opts.Platform, "setonix") {
-			name = "Setonix"
-		}
-		node, err := machine.ByName(name)
-		if err != nil {
-			return core.TrainConfig{}, err
-		}
-		simCfg := simtime.DefaultConfig(node)
-		simCfg.HT = !opts.NoHT
-		simCfg.Seed = seed
-		timer = simtime.New(simCfg)
-		maxThreads = node.MaxThreads(!opts.NoHT)
-		refThreads = node.PhysicalCores()
-		platform = name
-		if capMB == 0 {
-			capMB = 500
-		}
-		if shapes == 0 {
-			shapes = 300
-		}
-	case "local":
-		timer = simtime.NewRealTimer()
-		// Nothing above hostThreads is ever executed here, so nothing
-		// above it is timed.
-		maxThreads = hostThreads()
-		refThreads = hostThreads()
-		platform = "local"
-		if capMB == 0 {
-			capMB = 64
-		}
-		if shapes == 0 {
-			shapes = 40
-		}
-	default:
-		return core.TrainConfig{}, fmt.Errorf("adsala: unknown platform %q (want Setonix, Gadi or local)", opts.Platform)
-	}
-
-	gather := core.GatherConfig{
-		Timer:      timer,
-		Domain:     sampling.DefaultDomain().WithCapMB(capMB),
-		NumShapes:  shapes,
-		Candidates: core.DefaultCandidates(maxThreads),
-		Iters:      iters,
-		Seed:       seed,
-	}
-	if platform == "local" {
-		// Local timing of the built-in kernels: keep shapes small enough to
-		// finish quickly.
-		gather.Domain.MaxDim = 768
-	}
-	cfg := core.DefaultTrainConfig(gather, platform, refThreads)
-	cfg.Models = core.DefaultModels(seed, opts.Quick)
-	cfg.Ops = opts.Ops
-	return cfg, nil
 }
 
 // ParseOps maps a comma-separated list of operation wire names (e.g.

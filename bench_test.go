@@ -254,11 +254,7 @@ func BenchmarkKernelConcurrentCallers(b *testing.B) {
 // --- model evaluation latency (the t_eval of Tables III/IV) ---------------
 
 func BenchmarkModelEvalLatency(b *testing.B) {
-	p, err := experiments.PlatformByName("Gadi")
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := lab().Train(p, 500, true)
+	res, err := lab().Train("Gadi", 500, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -288,7 +284,7 @@ func BenchmarkModelEvalLatency(b *testing.B) {
 // several-fold row (and a non-zero allocs/op as a broken zero-alloc pin).
 func BenchmarkRankOp(b *testing.B) {
 	opts := TrainOptions{Platform: "Gadi", Quick: true, Shapes: 120, Seed: 11, Ops: []Op{OpSYRK, OpSYR2K}}
-	cfg, err := buildConfig(opts)
+	cfg, err := core.Recipe(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -361,13 +357,12 @@ func BenchmarkHaltonSampling(b *testing.B) {
 }
 
 func BenchmarkModelFitXGBQuick(b *testing.B) {
-	p, _ := experiments.PlatformByName("Gadi")
-	res, err := lab().Train(p, 500, true)
+	res, err := lab().Train("Gadi", 500, true)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// Refit the selected model family on the gathered data each iteration.
-	data := res.Data
+	data := res.OpData[ops.GEMM]
 	recs := core.Records(data)
 	X := make([][]float64, len(recs))
 	y := make([]float64, len(recs))
@@ -392,8 +387,7 @@ func BenchmarkModelFitXGBQuick(b *testing.B) {
 // execution on a pooled context — and reports allocations: the steady state
 // must allocate nothing per call.
 func BenchmarkGemmEndToEnd(b *testing.B) {
-	p, _ := experiments.PlatformByName("Gadi")
-	res, err := lab().Train(p, 500, true)
+	res, err := lab().Train("Gadi", 500, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -461,8 +455,7 @@ func benchServeShapes(n int) []sampling.Shape {
 // concurrent mixed-shape traffic (8 goroutines, the multi-tenant scenario
 // the serving subsystem targets).
 func BenchmarkConcurrentPrediction(b *testing.B) {
-	p, _ := experiments.PlatformByName("Gadi")
-	res, err := lab().Train(p, 500, true)
+	res, err := lab().Train("Gadi", 500, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -486,8 +479,7 @@ func BenchmarkConcurrentPrediction(b *testing.B) {
 
 // BenchmarkBatchPredict measures the batch ranking path at two sizes.
 func BenchmarkBatchPredict(b *testing.B) {
-	p, _ := experiments.PlatformByName("Gadi")
-	res, err := lab().Train(p, 500, true)
+	res, err := lab().Train("Gadi", 500, true)
 	if err != nil {
 		b.Fatal(err)
 	}

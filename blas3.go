@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/blas"
+	"repro/internal/core"
 	"repro/internal/mat"
 	"repro/internal/serve"
 )
@@ -57,13 +58,13 @@ func (l *Library) BLAS() *BLAS { return &BLAS{eng: l.sharedEngine()} }
 func (b *BLAS) Engine() *serve.Engine { return b.eng }
 
 // clamp bounds a model decision to what this host executes. A decision of
-// at most one thread runs at one without reading hostThreads: no clamp
+// at most one thread runs at one without reading core.HostThreads: no clamp
 // lowers one thread, and GOMAXPROCS takes the scheduler lock.
 func clamp(threads int) int {
 	if threads <= 1 {
 		return 1
 	}
-	return min(threads, hostThreads())
+	return min(threads, core.HostThreads())
 }
 
 // choose returns the model-selected thread count for one op at its

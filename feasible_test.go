@@ -190,7 +190,7 @@ func TestAllCandidatesAboveHost(t *testing.T) {
 func TestLocalInstallSweepsWhatRuns(t *testing.T) {
 	for _, procs := range []int{1, 2, 5} {
 		atGOMAXPROCS(t, procs)
-		cfg, err := buildConfig(TrainOptions{Platform: "local"})
+		cfg, err := core.Recipe(TrainOptions{Platform: "local"})
 		if err != nil {
 			t.Fatal(err)
 		}

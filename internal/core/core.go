@@ -83,7 +83,7 @@ type GatherConfig struct {
 	Candidates []int
 	// Iters is the number of timing repetitions averaged per configuration
 	// (the paper uses 10; §V-B.3). It must be at least 1: the one default
-	// is the facade's (adsala.TrainOptions.Iters), nothing below it guesses.
+	// is the install recipe's (InstallOptions.Iters), nothing below it guesses.
 	Iters int
 	Seed  int64
 	// Op selects the operation to time. The zero value is ops.GEMM (the

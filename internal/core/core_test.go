@@ -143,12 +143,13 @@ func TestRecordsFlattening(t *testing.T) {
 
 func TestTrainEndToEnd(t *testing.T) {
 	res := quickTrain(t, 70)
-	if len(res.Reports) != 8 {
-		t.Fatalf("%d model reports, want 8", len(res.Reports))
+	reports := res.OpReports[ops.GEMM]
+	if len(reports) != 8 {
+		t.Fatalf("%d model reports, want 8", len(reports))
 	}
 	// Normalised RMSE convention: worst model exactly 1.
 	worst := 0.0
-	for _, r := range res.Reports {
+	for _, r := range reports {
 		if r.NormRMSE > worst {
 			worst = r.NormRMSE
 		}
@@ -165,7 +166,7 @@ func TestTrainEndToEnd(t *testing.T) {
 	// Tree ensembles must out-predict linear models on this surface
 	// (the central observation of Tables III/IV).
 	rmse := map[string]float64{}
-	for _, r := range res.Reports {
+	for _, r := range reports {
 		rmse[r.Kind] = r.RMSE
 	}
 	if rmse["xgb"] >= rmse["linear"] {
@@ -180,7 +181,7 @@ func TestTrainEndToEnd(t *testing.T) {
 		t.Errorf("selected kind %q not among specs", res.Library.ModelKind())
 	}
 	// Report renders all rows.
-	txt := RenderReport(res.Reports)
+	txt := RenderReport(reports)
 	if !strings.Contains(txt, "XGBoost") || !strings.Contains(txt, "EstMean") {
 		t.Errorf("report rendering:\n%s", txt)
 	}
@@ -193,15 +194,15 @@ func TestTrainOnDataValidation(t *testing.T) {
 
 	bad := cfg
 	bad.ReferenceThreads = 31
-	if _, err := TrainOnData(bad, data); err == nil {
+	if _, err := TrainOnData(bad, data, nil); err == nil {
 		t.Error("reference not in candidates should error")
 	}
 	bad = cfg
 	bad.Models = nil
-	if _, err := TrainOnData(bad, data); err == nil {
+	if _, err := TrainOnData(bad, data, nil); err == nil {
 		t.Error("no models should error")
 	}
-	if _, err := TrainOnData(cfg, data[:3]); err == nil {
+	if _, err := TrainOnData(cfg, data[:3], nil); err == nil {
 		t.Error("too few shapes should error")
 	}
 }

@@ -39,7 +39,7 @@ func TestLibraryColumnsRestriction(t *testing.T) {
 	// Rebuild a library restricted to Group 1 columns via the training path.
 	cfg := DefaultTrainConfig(quickGather(50), "Gadi", 48)
 	cfg.Models = DefaultModels(1, true)[:1] // linear only: fast
-	sub, err := TrainOnDataWithColumns(cfg, res.Data, []string{"m", "k", "n", "n_threads", "m*k*n"})
+	sub, err := TrainOnData(cfg, res.OpData[ops.GEMM], []string{"m", "k", "n", "n_threads", "m*k*n"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,7 +165,7 @@ func TestBatchedRankColumnRestricted(t *testing.T) {
 	for _, kind := range []string{"xgb", "lgbm", "linear"} {
 		spec, _ := SpecByKind(specs, kind)
 		cfg.Models = []ModelSpec{spec}
-		res, err := TrainOnDataWithColumns(cfg, data, features.Group1Columns())
+		res, err := TrainOnData(cfg, data, features.Group1Columns())
 		if err != nil {
 			t.Fatal(err)
 		}

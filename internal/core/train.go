@@ -75,16 +75,12 @@ type ModelReport struct {
 // TrainResult is the outcome of the installation workflow.
 type TrainResult struct {
 	Library *Library
-	// Reports is the primary (GEMM) model comparison.
-	Reports []ModelReport
-	// OpReports holds the comparison per trained operation (GEMM included).
+	// OpReports holds the model comparison per trained operation (GEMM
+	// included).
 	OpReports map[ops.Op][]ModelReport
-	// Data and TestIdx expose the GEMM sweep and its held-out shape indices
-	// so experiments can reuse them without re-timing; OpData holds every
-	// op's sweep.
-	Data    []ShapeTimings
-	TestIdx []int
-	OpData  map[ops.Op][]ShapeTimings
+	// OpData holds every op's sweep, so experiments can reuse it without
+	// re-timing.
+	OpData map[ops.Op][]ShapeTimings
 }
 
 // trainOps normalises cfg.Ops: GEMM first and exactly once, order of the
@@ -149,32 +145,20 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 		}
 		res.OpReports[sw.op] = reports
 		res.OpData[sw.op] = sw.data
-		if sw.op == ops.GEMM {
-			res.Reports = reports
-			res.Data = sw.data
-			res.TestIdx = sw.testIdx
-		}
 	}
 	res.Library = lib
 	return res, nil
 }
 
-// TrainOnData runs the workflow on a pre-gathered GEMM sweep (used by
-// experiments that share one gather across several studies).
-func TrainOnData(cfg TrainConfig, data []ShapeTimings) (*TrainResult, error) {
-	return TrainOnDataWithColumns(cfg, data, nil)
-}
-
-// TrainOnDataWithColumns is TrainOnData restricted to a subset of the
-// Table II feature columns (nil means all). Used by the feature-set
-// ablation.
-func TrainOnDataWithColumns(cfg TrainConfig, data []ShapeTimings, cols []string) (*TrainResult, error) {
+// TrainOnData runs the workflow on a pre-gathered GEMM sweep, restricted to
+// the named Table II feature columns (nil means all), for studies that share
+// one gather across several trainings.
+func TrainOnData(cfg TrainConfig, data []ShapeTimings, cols []string) (*TrainResult, error) {
 	sweeps, _, err := fitSweeps(cfg, []ops.Op{ops.GEMM}, [][]ShapeTimings{data}, cols)
 	if err != nil {
 		return nil, err
 	}
-	sw := sweeps[0]
-	model, reports, err := sw.selectModel(cfg)
+	model, reports, err := sweeps[0].selectModel(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -184,10 +168,7 @@ func TrainOnDataWithColumns(cfg TrainConfig, data []ShapeTimings, cols []string)
 	}
 	return &TrainResult{
 		Library:   lib,
-		Reports:   reports,
 		OpReports: map[ops.Op][]ModelReport{ops.GEMM: reports},
-		Data:      data,
-		TestIdx:   sw.testIdx,
 		OpData:    map[ops.Op][]ShapeTimings{ops.GEMM: data},
 	}, nil
 }
@@ -198,7 +179,6 @@ func TrainOnDataWithColumns(cfg TrainConfig, data []ShapeTimings, cols []string)
 type sweep struct {
 	op       ops.Op
 	data     []ShapeTimings
-	testIdx  []int
 	testData []ShapeTimings
 	pipe     *preprocess.Pipeline
 	trainX   [][]float64
@@ -335,7 +315,7 @@ func prepareSweep(cfg TrainConfig, op ops.Op, data []ShapeTimings, cols []string
 		testY[i] = y
 	}
 	return &sweep{
-		op: op, data: data, testIdx: testIdx, testData: testData,
+		op: op, data: data, testData: testData,
 		pipe: pipe, trainX: transformed.X, trainY: transformed.Y,
 		testX: testX, testY: testY,
 		fits: make([]fitted, len(cfg.Models)),

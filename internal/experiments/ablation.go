@@ -17,24 +17,25 @@ import (
 // estimated mean speedup of the shipped XGBoost model with the full
 // pipeline vs no Yeo-Johnson/LOF/correlation pruning.
 func AblationPreproc(w io.Writer, lab *Lab) error {
-	p, _ := PlatformByName("Gadi")
-	full, err := lab.Train(p, 500, true)
+	full, err := lab.Train("Gadi", 500, true)
 	if err != nil {
 		return err
 	}
-	cfg := core.DefaultTrainConfig(lab.gatherConfig(p, 500, true), p.Name, p.RefThreads)
-	cfg.Models = xgbOnly(lab)
-	cfg.Preproc = preprocess.Options{LogTarget: true} // no YJ? YJ always applies; disable LOF+pruning
-	cfg.Preproc.LOFNeighbours = 0
-	cfg.Preproc.CorrThreshold = 0
-	bare, err := core.TrainOnData(cfg, full.Data)
+	cfg, err := xgbOnly(lab)
+	if err != nil {
+		return err
+	}
+	// Yeo-Johnson and scaling always apply; LOF and correlation pruning are
+	// off.
+	cfg.Preproc = preprocess.Options{LogTarget: true}
+	bare, err := core.TrainOnData(cfg, full.OpData[ops.GEMM], nil)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "Ablation: preprocessing stack (Gadi, <= 500 MB, XGBoost)")
 	tb := tabulate.New("pipeline", "features kept", "est mean speedup", "est agg speedup")
-	fullXGB := reportFor(full.Reports, "xgb")
-	bareXGB := reportFor(bare.Reports, "xgb")
+	fullXGB := reportFor(full, "xgb")
+	bareXGB := reportFor(bare, "xgb")
 	tb.Row("full (YJ+LOF+corr prune)", tabulate.D(len(full.Library.ModelFor(ops.GEMM).Pipeline.Keep)),
 		tabulate.F(fullXGB.EstMean, 2), tabulate.F(fullXGB.EstAgg, 2))
 	tb.Row("no LOF / no pruning", tabulate.D(len(bare.Library.ModelFor(ops.GEMM).Pipeline.Keep)),
@@ -46,23 +47,24 @@ func AblationPreproc(w io.Writer, lab *Lab) error {
 // AblationFeatures compares the full Table II feature set against Group 1
 // (serial terms) alone.
 func AblationFeatures(w io.Writer, lab *Lab) error {
-	p, _ := PlatformByName("Gadi")
-	full, err := lab.Train(p, 500, true)
+	full, err := lab.Train("Gadi", 500, true)
 	if err != nil {
 		return err
 	}
 
 	// Retrain XGBoost with only Group 1 columns by re-deriving the dataset.
-	cfg := core.DefaultTrainConfig(lab.gatherConfig(p, 500, true), p.Name, p.RefThreads)
-	cfg.Models = xgbOnly(lab)
-	g1, err := core.TrainOnDataWithColumns(cfg, full.Data, features.Group1Columns())
+	cfg, err := xgbOnly(lab)
+	if err != nil {
+		return err
+	}
+	g1, err := core.TrainOnData(cfg, full.OpData[ops.GEMM], features.Group1Columns())
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "Ablation: feature groups (Gadi, <= 500 MB, XGBoost)")
 	tb := tabulate.New("feature set", "est mean speedup", "norm RMSE")
-	fullXGB := reportFor(full.Reports, "xgb")
-	g1XGB := reportFor(g1.Reports, "xgb")
+	fullXGB := reportFor(full, "xgb")
+	g1XGB := reportFor(g1, "xgb")
 	tb.Row("Group 1 + Group 2 (Table II)", tabulate.F(fullXGB.EstMean, 2), tabulate.F(fullXGB.NormRMSE, 2))
 	tb.Row("Group 1 only (serial terms)", tabulate.F(g1XGB.EstMean, 2), tabulate.F(g1XGB.NormRMSE, 2))
 	fmt.Fprint(w, tb.String())
@@ -74,25 +76,20 @@ func AblationFeatures(w io.Writer, lab *Lab) error {
 // AblationTarget compares the paper's runtime-regression-plus-argmin scheme
 // against directly regressing the optimal thread count.
 func AblationTarget(w io.Writer, lab *Lab) error {
-	p, _ := PlatformByName("Gadi")
-	full, err := lab.Train(p, 500, true)
-	if err != nil {
-		return err
-	}
-	holdout, err := lab.Holdout(p, 500, true)
+	full, holdout, refThreads, err := lab.evaluation("Gadi", 500, true)
 	if err != nil {
 		return err
 	}
 
 	// Direct scheme: one row per shape, target = measured-best thread count.
-	direct, err := core.TrainDirectThreadModel(full.Data, lab.Scale.Seed, lab.Scale.QuickModels)
+	direct, err := core.TrainDirectThreadModel(full.OpData[ops.GEMM], lab.Scale.Seed, lab.Scale.QuickModels)
 	if err != nil {
 		return err
 	}
 
 	var runtimeSp, directSp []float64
 	for _, st := range holdout {
-		ref, ok := st.TimeAt(p.RefThreads)
+		ref, ok := st.TimeAt(refThreads)
 		if !ok {
 			continue
 		}
@@ -131,18 +128,26 @@ func nearestTime(st core.ShapeTimings, want int) (float64, bool) {
 	return bestSec, found
 }
 
-func xgbOnly(lab *Lab) []core.ModelSpec {
-	specs := core.DefaultModels(lab.Scale.Seed, lab.Scale.QuickModels)
-	for _, s := range specs {
+// xgbOnly is the Gadi 500 MB install recipe the ablations retrain, with
+// XGBoost as its only model family.
+func xgbOnly(lab *Lab) (core.TrainConfig, error) {
+	cfg, err := lab.Config("Gadi", 500, true)
+	if err != nil {
+		return cfg, err
+	}
+	for _, s := range cfg.Models {
 		if s.Kind == "xgb" {
-			return []core.ModelSpec{s}
+			cfg.Models = []core.ModelSpec{s}
+			return cfg, nil
 		}
 	}
-	return specs[:1]
+	cfg.Models = cfg.Models[:1]
+	return cfg, nil
 }
 
-func reportFor(reports []core.ModelReport, kind string) core.ModelReport {
-	for _, r := range reports {
+// reportFor is the GEMM comparison row of one model kind.
+func reportFor(res *core.TrainResult, kind string) core.ModelReport {
+	for _, r := range res.OpReports[ops.GEMM] {
 		if r.Kind == kind {
 			return r
 		}

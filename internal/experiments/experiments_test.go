@@ -54,16 +54,37 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
+// TestPlatforms pins the paper's testbeds as the install recipe resolves
+// them: Setonix then Gadi, each baselined at its physical core count, and an
+// unknown name refused by every Lab entry point.
 func TestPlatforms(t *testing.T) {
-	ps := Platforms()
-	if len(ps) != 2 {
-		t.Fatalf("%d platforms", len(ps))
+	want := []struct {
+		name, blas string
+		ref        int
+	}{{"Setonix", "BLIS", 128}, {"Gadi", "MKL", 48}}
+	if len(testbeds) != len(want) {
+		t.Fatalf("%d testbeds, want %d", len(testbeds), len(want))
 	}
-	if _, err := PlatformByName("Setonix"); err != nil {
-		t.Error(err)
+	for i, w := range want {
+		if testbeds[i].name != w.name || blasName(w.name) != w.blas {
+			t.Errorf("testbed %d = %+v, want %s on %s", i, testbeds[i], w.name, w.blas)
+		}
+		cfg, err := sharedLab.Config(w.name, 500, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Platform != w.name || cfg.ReferenceThreads != w.ref {
+			t.Errorf("%s: recipe platform %q, reference %d threads, want %d", w.name, cfg.Platform, cfg.ReferenceThreads, w.ref)
+		}
 	}
-	if _, err := PlatformByName("Fugaku"); err == nil {
+	if _, err := sharedLab.Config("Fugaku", 500, true); err == nil {
 		t.Error("unknown platform should error")
+	}
+	if _, err := sharedLab.Sim("Fugaku", true); err == nil {
+		t.Error("unknown platform should have no simulator")
+	}
+	if _, err := sharedLab.Train("Fugaku", 500, true); err == nil {
+		t.Error("unknown platform should not train")
 	}
 }
 
@@ -319,12 +340,11 @@ func TestAblations(t *testing.T) {
 }
 
 func TestHoldoutAgreement(t *testing.T) {
-	p, _ := PlatformByName("Gadi")
-	res, err := sharedLab.Train(p, 500, true)
+	res, err := sharedLab.Train("Gadi", 500, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	holdout, err := sharedLab.Holdout(p, 500, true)
+	holdout, err := sharedLab.Holdout("Gadi", 500, true)
 	if err != nil {
 		t.Fatal(err)
 	}

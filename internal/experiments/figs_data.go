@@ -28,13 +28,16 @@ func measuredOptimal(sim *simtime.Simulator, sh sampling.Shape, candidates []int
 
 // optimalThreadSample collects measured-optimal thread counts over a Halton
 // sample of the domain.
-func optimalThreadSample(lab *Lab, p Platform, capMB, n int, filter func(sampling.Shape) bool) ([]int, []sampling.Shape, error) {
-	sim := lab.Sim(p, true)
+func optimalThreadSample(lab *Lab, platform string, capMB, n int, filter func(sampling.Shape) bool) ([]int, []sampling.Shape, error) {
+	sim, err := lab.Sim(platform, true)
+	if err != nil {
+		return nil, nil, err
+	}
 	sampler, err := sampling.NewSampler(sampling.DefaultDomain().WithCapMB(capMB), lab.Scale.Seed+13)
 	if err != nil {
 		return nil, nil, err
 	}
-	cands := allThreadCounts(p.Node.MaxThreads(true))
+	cands := allThreadCounts(sim.MaxThreads())
 	var optima []int
 	var shapes []sampling.Shape
 	for len(optima) < n {
@@ -76,9 +79,8 @@ func allThreadCounts(max int) []int {
 // Fig1 regenerates the histogram of optimal thread counts on Gadi for GEMMs
 // within 100 MB (Fig 1): the mass must sit well below the 48-core default.
 func Fig1(w io.Writer, lab *Lab) error {
-	p, _ := PlatformByName("Gadi")
 	n := lab.Scale.HoldoutShapes * 2
-	optima, _, err := optimalThreadSample(lab, p, 100, n, nil)
+	optima, _, err := optimalThreadSample(lab, "Gadi", 100, n, nil)
 	if err != nil {
 		return err
 	}
@@ -102,9 +104,8 @@ func Fig1(w io.Writer, lab *Lab) error {
 // Fig8 regenerates the Setonix histogram for shapes with min(m,k,n) < 1000
 // within 500 MB (Fig 8): optima concentrate below half the 256 threads.
 func Fig8(w io.Writer, lab *Lab) error {
-	p, _ := PlatformByName("Setonix")
 	n := lab.Scale.HoldoutShapes * 2
-	optima, _, err := optimalThreadSample(lab, p, 500, n, func(s sampling.Shape) bool {
+	optima, _, err := optimalThreadSample(lab, "Setonix", 500, n, func(s sampling.Shape) bool {
 		return s.MinDim() < 1000
 	})
 	if err != nil {
@@ -134,8 +135,10 @@ func Fig4(w io.Writer, lab *Lab) error {
 	if err != nil {
 		return err
 	}
-	p, _ := PlatformByName("Setonix")
-	sim := lab.Sim(p, true)
+	sim, err := lab.Sim("Setonix", true)
+	if err != nil {
+		return err
+	}
 	n := lab.Scale.TrainShapes
 	var recs []features.Record
 	for i := 0; i < n; i++ {
@@ -174,7 +177,7 @@ func Fig4(w io.Writer, lab *Lab) error {
 // platforms, over a 500 MB sample.
 func Fig7(w io.Writer, lab *Lab) error {
 	fmt.Fprintf(w, "Fig 7: thread affinity comparison (mean GEMM duration, microseconds)\n")
-	for _, p := range Platforms() {
+	for _, bed := range testbeds {
 		sampler, err := sampling.NewSampler(sampling.DefaultDomain(), lab.Scale.Seed+3)
 		if err != nil {
 			return err
@@ -182,15 +185,17 @@ func Fig7(w io.Writer, lab *Lab) error {
 		nShapes := lab.Scale.HoldoutShapes
 		shapes := sampler.Sample(nShapes)
 
-		mkSim := func(pol machine.AffinityPolicy) *simtime.Simulator {
-			cfg := simtime.DefaultConfig(p.Node)
-			cfg.Policy = pol
-			cfg.Seed = lab.Scale.Seed
-			return simtime.New(cfg)
+		// The install's simulator, and the same one under thread-based
+		// placement.
+		coreSim, err := lab.Sim(bed.name, true)
+		if err != nil {
+			return err
 		}
-		coreSim, threadSim := mkSim(machine.CoreBased), mkSim(machine.ThreadBased)
+		cfg := coreSim.Config()
+		cfg.Policy = machine.ThreadBased
+		threadSim := simtime.New(cfg)
 
-		max := p.Node.MaxThreads(true)
+		max := coreSim.MaxThreads()
 		counts := []int{2, 4, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256}
 		tb := tabulate.New("threads", "core-based", "thread-based", "core wins")
 		crossover := -1
@@ -214,7 +219,7 @@ func Fig7(w io.Writer, lab *Lab) error {
 			}
 			tb.Row(tabulate.D(th), tabulate.F(meanC, 1), tabulate.F(meanT, 1), wins)
 		}
-		fmt.Fprintf(w, "-- %s --\n%s", p.Name, tb.String())
+		fmt.Fprintf(w, "-- %s --\n%s", bed.name, tb.String())
 	}
 	fmt.Fprintf(w, "paper: core-based affinity is faster below ~half the hardware threads,\n")
 	fmt.Fprintf(w, "converging to parity at full occupancy; the paper adopts core-based.\n")
@@ -224,14 +229,18 @@ func Fig7(w io.Writer, lab *Lab) error {
 // Fig9 regenerates the optimal-thread heatmaps (Fig 9a/9b) as √-scaled 2-D
 // grids over (m, k), (m, n) and (k, n) with the mean optimum per cell.
 func Fig9(w io.Writer, lab *Lab) error {
-	for _, p := range Platforms() {
+	for _, bed := range testbeds {
 		n := lab.Scale.HoldoutShapes * 2
-		optima, shapes, err := optimalThreadSample(lab, p, 500, n, nil)
+		optima, shapes, err := optimalThreadSample(lab, bed.name, 500, n, nil)
+		if err != nil {
+			return err
+		}
+		sim, err := lab.Sim(bed.name, true)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "Fig 9 (%s): mean optimal threads per sqrt-scaled bin, %d samples (max %d)\n",
-			p.Name, n, p.Node.MaxThreads(true))
+			bed.name, n, sim.MaxThreads())
 		pairs := []struct {
 			label string
 			xa    func(sampling.Shape) int

@@ -12,16 +12,12 @@ import (
 // Fig10 regenerates the speedup heatmaps (Fig 10a/10b): per-shape ADSALA
 // speedups over the holdout, binned on √-scaled (m,k)/(m,n)/(k,n) axes.
 func Fig10(w io.Writer, lab *Lab) error {
-	for _, p := range Platforms() {
-		res, err := lab.Train(p, 500, true)
+	for _, bed := range testbeds {
+		res, holdout, ref, err := lab.evaluation(bed.name, 500, true)
 		if err != nil {
 			return err
 		}
-		holdout, err := lab.Holdout(p, 500, true)
-		if err != nil {
-			return err
-		}
-		speedups := speedupRow(res.Library, holdout, p.RefThreads, lab.Scale.Iters)
+		speedups := speedupRow(res.Library, holdout, ref, lab.Scale.Iters)
 		shapes := make([]sampling.Shape, len(speedups))
 		// speedupRow preserves holdout order and only skips entries missing
 		// the reference timing, which Gather never produces.
@@ -38,7 +34,7 @@ func Fig10(w io.Writer, lab *Lab) error {
 			}
 		}
 		fmt.Fprintf(w, "Fig 10 (%s): mean speedup x10 per sqrt-scaled bin (ref %d threads)\n",
-			p.Name, p.RefThreads)
+			bed.name, ref)
 		fmt.Fprintf(w, "accelerated shapes: %d/%d\n", accel, len(speedups))
 		fmt.Fprintf(w, "[m x k]\n%s", renderHeat(shapes, tenths,
 			func(s sampling.Shape) int { return s.M }, func(s sampling.Shape) int { return s.K }))
@@ -57,15 +53,7 @@ func gflopsOf(sh sampling.Shape, seconds float64) float64 {
 // figMemoryBuckets implements Figs 11 and 12: mean GFLOPS of max-thread vs
 // ML-selected GEMM per 100 MB footprint bucket.
 func figMemoryBuckets(w io.Writer, lab *Lab, platform string) error {
-	p, err := PlatformByName(platform)
-	if err != nil {
-		return err
-	}
-	res, err := lab.Train(p, 500, true)
-	if err != nil {
-		return err
-	}
-	holdout, err := lab.Holdout(p, 500, true)
+	res, holdout, ref, err := lab.evaluation(platform, 500, true)
 	if err != nil {
 		return err
 	}
@@ -83,20 +71,21 @@ func figMemoryBuckets(w io.Writer, lab *Lab, platform string) error {
 		if b > 4 {
 			b = 4
 		}
-		ref, _ := st.TimeAt(p.RefThreads)
+		base, _ := st.TimeAt(ref)
 		choice := res.Library.OptimalThreadsOp(ops.GEMM, st.Shape.M, st.Shape.K, st.Shape.N)
 		chosen, ok := st.TimeAt(choice)
 		if !ok {
 			continue
 		}
 		buckets[b].flops += float64(st.Shape.Flops())
-		buckets[b].tBase += ref
+		buckets[b].tBase += base
 		buckets[b].tML += chosen + res.Library.EvalSeconds()/float64(lab.Scale.Iters)
 		buckets[b].n++
 	}
+	vendor := blasName(platform)
 	fmt.Fprintf(w, "Aggregate GFLOPS (FP32) by GEMM memory footprint — %s (%s baseline at %d threads)\n",
-		p.Name, p.BLASName, p.RefThreads)
-	tb := tabulate.New("bucket (MB)", "n", p.BLASName+" max threads", p.BLASName+" with ML", "ratio")
+		platform, vendor, ref)
+	tb := tabulate.New("bucket (MB)", "n", vendor+" max threads", vendor+" with ML", "ratio")
 	labels := []string{"0-100", "100-200", "200-300", "300-400", "400-500"}
 	for i, b := range buckets {
 		if b.n == 0 || b.tBase == 0 || b.tML == 0 {
@@ -132,19 +121,18 @@ func Fig12(w io.Writer, lab *Lab) error {
 // figPredesigned implements Figs 13 and 14: GFLOPS of the default max-thread
 // configuration vs ML selection over the predesigned sweep grids.
 func figPredesigned(w io.Writer, lab *Lab, platform string) error {
-	p, err := PlatformByName(platform)
+	res, err := lab.Train(platform, 500, true)
 	if err != nil {
 		return err
 	}
-	res, err := lab.Train(p, 500, true)
+	sim, err := lab.Sim(platform, true)
 	if err != nil {
 		return err
 	}
-	sim := lab.Sim(p, true)
-	max := p.Node.MaxThreads(true)
+	max := sim.MaxThreads()
 
 	fmt.Fprintf(w, "GFLOPS (FP32) on predesigned shapes — %s (%s default = %d threads)\n",
-		p.Name, p.BLASName, max)
+		platform, blasName(platform), max)
 	tb := tabulate.New("family", "sweep", "default", "with ML", "ml threads", "speedup")
 	grid := sampling.Predesigned()
 	var worstDefault, bestSpeedup float64

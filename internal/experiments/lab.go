@@ -16,8 +16,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/machine"
-	"repro/internal/sampling"
 	"repro/internal/simtime"
 )
 
@@ -47,30 +45,19 @@ func PaperScale() Scale {
 	return Scale{TrainShapes: 1763, HoldoutShapes: 174, Iters: 10, QuickModels: false, Seed: 1}
 }
 
-// Platform bundles a simulated node with its experiment parameters.
-type Platform struct {
-	Name       string
-	Node       *machine.Node
-	RefThreads int // speedup baseline: physical core count
-	BLASName   string
-}
+// testbeds are the paper's two platforms in its column order, each with the
+// vendor BLAS its baseline ran. The label is for display only: the timer,
+// sweep and reference thread count of a platform come from core.Recipe.
+var testbeds = []struct{ name, blas string }{{"Setonix", "BLIS"}, {"Gadi", "MKL"}}
 
-// Platforms returns the paper's two testbeds.
-func Platforms() []Platform {
-	return []Platform{
-		{Name: "Setonix", Node: machine.Setonix(), RefThreads: 128, BLASName: "BLIS"},
-		{Name: "Gadi", Node: machine.Gadi(), RefThreads: 48, BLASName: "MKL"},
-	}
-}
-
-// PlatformByName returns the named platform.
-func PlatformByName(name string) (Platform, error) {
-	for _, p := range Platforms() {
-		if p.Name == name {
-			return p, nil
+// blasName is the display label of a testbed's vendor BLAS.
+func blasName(platform string) string {
+	for _, bed := range testbeds {
+		if bed.name == platform {
+			return bed.blas
 		}
 	}
-	return Platform{}, fmt.Errorf("experiments: unknown platform %q", name)
+	return "BLAS"
 }
 
 // Lab memoises gathers and trainings shared across experiments.
@@ -86,30 +73,35 @@ func NewLab(sc Scale) *Lab {
 	return &Lab{Scale: sc, trains: make(map[string]*core.TrainResult)}
 }
 
-// Sim builds the standard simulator for a platform (HT on, core affinity,
-// SGEMM, 4% noise).
-func (l *Lab) Sim(p Platform, ht bool) *simtime.Simulator {
-	cfg := simtime.DefaultConfig(p.Node)
-	cfg.HT = ht
-	cfg.Seed = l.Scale.Seed
-	return simtime.New(cfg)
-}
-
-// gatherConfig assembles the sweep settings for a platform and memory cap.
-func (l *Lab) gatherConfig(p Platform, capMB int, ht bool) core.GatherConfig {
-	return core.GatherConfig{
-		Timer:      l.Sim(p, ht),
-		Domain:     sampling.DefaultDomain().WithCapMB(capMB),
-		NumShapes:  l.Scale.TrainShapes,
-		Candidates: core.DefaultCandidates(p.Node.MaxThreads(ht)),
-		Iters:      l.Scale.Iters,
-		Seed:       l.Scale.Seed,
+// options are the install options of a (platform, cap, ht) run at the
+// lab's scale: what adsala.Train is given for the same install.
+func (l *Lab) options(platform string, capMB int, ht bool) core.InstallOptions {
+	return core.InstallOptions{
+		Platform: platform,
+		CapMB:    capMB,
+		Shapes:   l.Scale.TrainShapes,
+		Iters:    l.Scale.Iters,
+		Quick:    l.Scale.QuickModels,
+		NoHT:     !ht,
+		Seed:     l.Scale.Seed,
 	}
 }
 
+// Config is the install recipe Train runs for (platform, cap, ht):
+// core.Recipe of the lab's options.
+func (l *Lab) Config(platform string, capMB int, ht bool) (core.TrainConfig, error) {
+	return core.Recipe(l.options(platform, capMB, ht))
+}
+
+// Sim is the simulator the platform's install times on (the lab's seed as
+// its noise seed), for studies that query it directly.
+func (l *Lab) Sim(platform string, ht bool) (*simtime.Simulator, error) {
+	return core.Simulator(l.options(platform, 0, ht))
+}
+
 // Train returns the memoised installation run for (platform, cap, ht).
-func (l *Lab) Train(p Platform, capMB int, ht bool) (*core.TrainResult, error) {
-	key := fmt.Sprintf("%s/%d/%v", p.Name, capMB, ht)
+func (l *Lab) Train(platform string, capMB int, ht bool) (*core.TrainResult, error) {
+	key := fmt.Sprintf("%s/%d/%v", platform, capMB, ht)
 	l.mu.Lock()
 	if res, ok := l.trains[key]; ok {
 		l.mu.Unlock()
@@ -117,9 +109,10 @@ func (l *Lab) Train(p Platform, capMB int, ht bool) (*core.TrainResult, error) {
 	}
 	l.mu.Unlock()
 
-	ref := p.RefThreads
-	cfg := core.DefaultTrainConfig(l.gatherConfig(p, capMB, ht), p.Name, ref)
-	cfg.Models = core.DefaultModels(l.Scale.Seed, l.Scale.QuickModels)
+	cfg, err := l.Config(platform, capMB, ht)
+	if err != nil {
+		return nil, err
+	}
 	res, err := core.Train(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training %s: %w", key, err)
@@ -130,11 +123,33 @@ func (l *Lab) Train(p Platform, capMB int, ht bool) (*core.TrainResult, error) {
 	return res, nil
 }
 
+// evaluation returns the install for (platform, cap, ht), its holdout and
+// the recipe's reference thread count: what every speedup study compares.
+func (l *Lab) evaluation(platform string, capMB int, ht bool) (*core.TrainResult, []core.ShapeTimings, int, error) {
+	cfg, err := l.Config(platform, capMB, ht)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	res, err := l.Train(platform, capMB, ht)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	holdout, err := l.Holdout(platform, capMB, ht)
+	return res, holdout, cfg.ReferenceThreads, err
+}
+
 // Holdout samples the independent low-discrepancy evaluation set used by
-// Tables V/VI and Figs 10-12 (§VI-C), timed on the same simulator.
-func (l *Lab) Holdout(p Platform, capMB int, ht bool) ([]core.ShapeTimings, error) {
-	cfg := l.gatherConfig(p, capMB, ht)
-	cfg.NumShapes = l.Scale.HoldoutShapes
-	cfg.Seed = l.Scale.Seed + 7919 // disjoint scramble from the training sweep
-	return core.Gather(cfg)
+// Tables V/VI and Figs 10-12 (§VI-C), timed on the install's simulator:
+// the recipe's sweep with the holdout's shape count and a sampler seed
+// 7919 past the install's (a disjoint scramble). The simulator keeps the
+// install's noise seed.
+func (l *Lab) Holdout(platform string, capMB int, ht bool) ([]core.ShapeTimings, error) {
+	cfg, err := l.Config(platform, capMB, ht)
+	if err != nil {
+		return nil, err
+	}
+	g := cfg.Gather
+	g.NumShapes = l.Scale.HoldoutShapes
+	g.Seed = l.Scale.Seed + 7919
+	return core.Gather(g)
 }

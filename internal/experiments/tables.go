@@ -24,17 +24,17 @@ func Table4(w io.Writer, lab *Lab) error {
 }
 
 func modelTable(w io.Writer, lab *Lab, platform, paperNote string) error {
-	p, err := PlatformByName(platform)
+	cfg, err := lab.Config(platform, 500, true)
 	if err != nil {
 		return err
 	}
-	res, err := lab.Train(p, 500, true)
+	res, err := lab.Train(platform, 500, true)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Table for %s (<= 500 MB, %d shapes, reference %d threads)\n",
-		platform, lab.Scale.TrainShapes, p.RefThreads)
-	fmt.Fprint(w, core.RenderReport(res.Reports))
+		platform, cfg.Gather.NumShapes, cfg.ReferenceThreads)
+	fmt.Fprint(w, core.RenderReport(res.OpReports[ops.GEMM]))
 	fmt.Fprintf(w, "selected model: %s\n%s\n", res.Library.ModelKind(), paperNote)
 	return nil
 }
@@ -69,20 +69,16 @@ func speedupStats(w io.Writer, lab *Lab, ht bool, title, paperNote string) error
 	fmt.Fprintln(w, title)
 	tb := tabulate.New("statistic", "Setonix 0-500", "Setonix 0-100", "Gadi 0-500", "Gadi 0-100")
 	cols := make([][]float64, 0, 4)
-	for _, p := range Platforms() {
+	for _, bed := range testbeds {
 		// The 0-100 MB column uses a dedicated 100 MB-capped install run and
 		// holdout, matching the paper's per-range experiments (Fig 1 and the
 		// abstract quote both come from dedicated <= 100 MB datasets).
 		for _, capMB := range []int{500, 100} {
-			res, err := lab.Train(p, capMB, ht)
+			res, holdout, ref, err := lab.evaluation(bed.name, capMB, ht)
 			if err != nil {
 				return err
 			}
-			holdout, err := lab.Holdout(p, capMB, ht)
-			if err != nil {
-				return err
-			}
-			cols = append(cols, speedupRow(res.Library, holdout, p.RefThreads, lab.Scale.Iters))
+			cols = append(cols, speedupRow(res.Library, holdout, ref, lab.Scale.Iters))
 		}
 	}
 	summaries := make([]stats.Summary, len(cols))
@@ -128,12 +124,14 @@ func Table6(w io.Writer, lab *Lab) error {
 // decomposition of two skinny GEMMs at max threads vs the ML-chosen count
 // on Gadi, scaled to the paper's 1000 repetitions.
 func Table7(w io.Writer, lab *Lab) error {
-	p, _ := PlatformByName("Gadi")
-	res, err := lab.Train(p, 500, true)
+	res, err := lab.Train("Gadi", 500, true)
 	if err != nil {
 		return err
 	}
-	sim := lab.Sim(p, true)
+	sim, err := lab.Sim("Gadi", true)
+	if err != nil {
+		return err
+	}
 	const reps = 1000
 	cases := [][3]int{{64, 2048, 64}, {64, 64, 4096}}
 	fmt.Fprintf(w, "Table VII: time breakdown on Gadi, %d repetitions (seconds)\n", reps)
@@ -144,7 +142,7 @@ func Table7(w io.Writer, lab *Lab) error {
 		for _, cfg := range []struct {
 			label   string
 			threads int
-		}{{"no ML", 96}, {"with ML", ml}} {
+		}{{"no ML", sim.MaxThreads()}, {"with ML", ml}} {
 			b := sim.Breakdown(m, k, n, cfg.threads)
 			tb.Row(
 				fmt.Sprintf("%d,%d,%d", m, k, n), cfg.label, tabulate.D(cfg.threads),

@@ -10,7 +10,10 @@
 // Table VII) and the affinity/NUMA effects of §V-B.
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // AffinityPolicy mirrors the OpenMP OMP_PLACES setting studied in Fig 7.
 type AffinityPolicy int
@@ -243,12 +246,12 @@ func Gadi() *Node {
 	}
 }
 
-// ByName returns a preset topology by (case-sensitive) name.
+// ByName returns a preset topology by name, ignoring case.
 func ByName(name string) (*Node, error) {
-	switch name {
-	case "Setonix", "setonix":
+	switch strings.ToLower(name) {
+	case "setonix":
 		return Setonix(), nil
-	case "Gadi", "gadi":
+	case "gadi":
 		return Gadi(), nil
 	default:
 		return nil, fmt.Errorf("machine: unknown preset %q (want Setonix or Gadi)", name)

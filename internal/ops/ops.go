@@ -147,8 +147,8 @@ func (op Op) String() string { return op.Spec().Name }
 // Valid reports whether op is a registered operation.
 func (op Op) Valid() bool { return op < numOps }
 
-// Names returns the registered wire names in op order.
-func Names() []string {
+// names returns the registered wire names in op order.
+func names() []string {
 	out := make([]string, numOps)
 	for i, s := range table {
 		out[i] = s.Name
@@ -167,7 +167,7 @@ func Parse(s string) (Op, error) {
 			return spec.Op, nil
 		}
 	}
-	return 0, fmt.Errorf("ops: unknown op %q (want one of: %s)", s, strings.Join(Names(), ", "))
+	return 0, fmt.Errorf("ops: unknown op %q (want one of: %s)", s, strings.Join(names(), ", "))
 }
 
 // ParseList maps a comma-separated list of wire names to ops, deduplicated

@@ -26,7 +26,7 @@ func TestParseAndString(t *testing.T) {
 	if !GEMM.Valid() || !SYR2K.Valid() || Op(numOps).Valid() {
 		t.Error("Valid() wrong")
 	}
-	if len(Names()) != NumOps() || len(Specs()) != NumOps() || len(All()) != NumOps() {
+	if len(names()) != NumOps() || len(Specs()) != NumOps() || len(All()) != NumOps() {
 		t.Error("registry enumeration sizes disagree")
 	}
 }

@@ -39,8 +39,8 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("HTTP %d", e.Status)
 }
 
-// Retryable reports whether resending the identical request can succeed.
-func (e *StatusError) Retryable() bool {
+// retryable reports whether resending the identical request can succeed.
+func (e *StatusError) retryable() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status >= 500
 }
 
@@ -182,7 +182,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, blob []byte, 
 		if json.NewDecoder(limited).Decode(&apiErr) == nil && apiErr.Error != "" {
 			sErr.Message = apiErr.Error
 		}
-		return sErr.Retryable(), fmt.Errorf("serve: %s %s: %w", method, path, sErr)
+		return sErr.retryable(), fmt.Errorf("serve: %s %s: %w", method, path, sErr)
 	}
 	if out == nil {
 		return false, nil

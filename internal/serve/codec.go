@@ -223,7 +223,7 @@ func (s *scanner) int64Value(dst *int64) bool {
 
 // op scans an op name. A registered name (or "") is stored as the registry's
 // own string, so the hit path allocates nothing; any other name is copied
-// for ParseOp to reject.
+// for parseOp to reject.
 func (s *scanner) op(dst *string) bool {
 	name, ok := s.str()
 	if !ok {

@@ -291,7 +291,7 @@ func (e *Engine) Candidates() []int {
 	return append([]int(nil), e.state.Load().lib.Candidates...)
 }
 
-// RankOpCtx returns the per-candidate predicted runtimes (seconds, aligned
+// rankOpCtx returns the per-candidate predicted runtimes (seconds, aligned
 // with Candidates()) and the selected thread count for one shape. The cache
 // cannot answer it (it stores decisions, not score vectors), so every call
 // ranks afresh and is counted as one cache miss — keeping the /stats
@@ -299,7 +299,7 @@ func (e *Engine) Candidates() []int {
 // as PredictOpCtx does: on a model-less artefact or an expired ctx the
 // heuristic answers with zeroed scores (nothing was scored), fallback is
 // true and nothing is cached.
-func (e *Engine) RankOpCtx(ctx context.Context, op Op, m, k, n int) (scores []float64, best int, fallback bool) {
+func (e *Engine) rankOpCtx(ctx context.Context, op Op, m, k, n int) (scores []float64, best int, fallback bool) {
 	st := e.state.Load()
 	scores = make([]float64, len(st.lib.Candidates))
 	best, fallback = e.miss(ctx, st, op, m, k, n, scores)

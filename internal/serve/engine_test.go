@@ -124,7 +124,7 @@ func TestEngineMatchesLibrary(t *testing.T) {
 func TestEngineRankDetail(t *testing.T) {
 	l := lib(t)
 	eng := NewEngine(l, Options{})
-	scores, best, _ := eng.RankOpCtx(bg, OpGEMM, 512, 512, 512)
+	scores, best, _ := eng.rankOpCtx(bg, OpGEMM, 512, 512, 512)
 	cands := eng.Candidates()
 	if len(scores) != len(cands) {
 		t.Fatalf("%d scores for %d candidates", len(scores), len(cands))

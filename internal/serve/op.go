@@ -22,7 +22,7 @@ const (
 	OpSYR2K = ops.SYR2K
 )
 
-// ParseOp maps a wire name to an Op via the registry. The empty string
+// parseOp maps a wire name to an Op via the registry. The empty string
 // selects OpGEMM so pre-op clients (and hand-written queries) keep working
 // unchanged.
-func ParseOp(s string) (Op, error) { return ops.Parse(s) }
+func parseOp(s string) (Op, error) { return ops.Parse(s) }

@@ -14,12 +14,12 @@ func TestOpParseAndString(t *testing.T) {
 		in   string
 		want Op
 	}{{"", OpGEMM}, {"gemm", OpGEMM}, {"syrk", OpSYRK}, {"syr2k", OpSYR2K}} {
-		got, err := ParseOp(tc.in)
+		got, err := parseOp(tc.in)
 		if err != nil || got != tc.want {
-			t.Errorf("ParseOp(%q) = (%v, %v), want %v", tc.in, got, err, tc.want)
+			t.Errorf("parseOp(%q) = (%v, %v), want %v", tc.in, got, err, tc.want)
 		}
 	}
-	if _, err := ParseOp("trsm"); err == nil {
+	if _, err := parseOp("trsm"); err == nil {
 		t.Error("unknown op should error")
 	}
 	if OpGEMM.String() != "gemm" || OpSYRK.String() != "syrk" || OpSYR2K.String() != "syr2k" {
@@ -103,7 +103,7 @@ func TestEngineOpSeparation(t *testing.T) {
 func TestRankCountsConsistently(t *testing.T) {
 	l := lib(t)
 	eng := NewEngine(l, Options{CacheSize: 64, Shards: 4})
-	scores, best, _ := eng.RankOpCtx(bg, OpGEMM, 400, 300, 200)
+	scores, best, _ := eng.rankOpCtx(bg, OpGEMM, 400, 300, 200)
 	if len(scores) != len(eng.Candidates()) || best < 1 {
 		t.Fatalf("Rank = (%v, %d)", scores, best)
 	}

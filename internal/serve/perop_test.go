@@ -30,7 +30,7 @@ func TestPerOpStats(t *testing.T) {
 	predict(eng, OpGEMM, 100, 100, 100)      // gemm miss
 	predict(eng, OpGEMM, 100, 100, 100)      // gemm hit
 	predict(eng, OpSYRK, 100, 100, 100)      // syrk miss (distinct key)
-	eng.RankOpCtx(bg, OpSYRK, 200, 100, 200) // syrk miss by contract
+	eng.rankOpCtx(bg, OpSYRK, 200, 100, 200) // syrk miss by contract
 	shapes := []sampling.Shape{{M: 50, K: 50, N: 50}, {M: 50, K: 50, N: 50}, {M: 60, K: 60, N: 60}}
 	predictBatch(eng, OpSYR2K, shapes, nil) // 2 syr2k misses + 1 dedup hit
 

@@ -310,13 +310,13 @@ func TestDegradedFallbackNoModel(t *testing.T) {
 	}
 
 	// Detail path degrades too: zero scores, heuristic best.
-	scores, best, fb := eng.RankOpCtx(bg, OpGEMM, 100, 100, 100)
+	scores, best, fb := eng.rankOpCtx(bg, OpGEMM, 100, 100, 100)
 	if !fb || best != heuristicChoice(eng.Candidates(), OpGEMM, 100, 100, 100) {
-		t.Errorf("RankOpCtx = (%d, fallback %v), want tagged heuristic", best, fb)
+		t.Errorf("rankOpCtx = (%d, fallback %v), want tagged heuristic", best, fb)
 	}
 	for _, s := range scores {
 		if s != 0 {
-			t.Errorf("RankOpCtx scores = %v, want zeros without a model", scores)
+			t.Errorf("rankOpCtx scores = %v, want zeros without a model", scores)
 			break
 		}
 	}

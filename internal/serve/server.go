@@ -40,7 +40,7 @@ func (r PredictRequest) parse() (Op, error) {
 	if r.M > math.MaxInt32 || r.K > math.MaxInt32 || r.N > math.MaxInt32 {
 		return 0, fmt.Errorf("dimensions must be at most %d, got %dx%dx%d", math.MaxInt32, r.M, r.K, r.N)
 	}
-	return ParseOp(r.Op)
+	return parseOp(r.Op)
 }
 
 // PredictResponse is the JSON answer of /predict.
@@ -240,20 +240,20 @@ func (l *limiter) acquire(ctx context.Context) bool {
 
 func (l *limiter) release() { <-l.sem }
 
-// ServerOption customises a Server at construction.
-type ServerOption func(*Server)
+// serverOption customises a Server at construction.
+type serverOption func(*Server)
 
 // WithLimits sets the overload-protection limits (see Limits; the zero
 // value selects the defaults, which are also applied when the option is
 // omitted).
-func WithLimits(l Limits) ServerOption {
+func WithLimits(l Limits) serverOption {
 	return func(s *Server) { s.limits = l }
 }
 
 // WithReload enables hot artefact reload through Server.Reload: load
 // produces the replacement library (typically re-reading the artefact path
 // the daemon booted from).
-func WithReload(load func() (*core.Library, error)) ServerOption {
+func WithReload(load func() (*core.Library, error)) serverOption {
 	return func(s *Server) { s.load = load }
 }
 
@@ -288,7 +288,7 @@ type Server struct {
 // /batch, /measured, /stats, /drift, /healthz and /metrics. Overload
 // protection is on by default (see Limits); options adjust it, enable hot
 // reload, and so on.
-func NewServer(engine *Engine, opts ...ServerOption) *Server {
+func NewServer(engine *Engine, opts ...serverOption) *Server {
 	s := &Server{engine: engine, mux: http.NewServeMux(), reg: obs.NewRegistry()}
 	for _, opt := range opts {
 		opt(s)
@@ -473,7 +473,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	resp := PredictResponse{M: req.M, K: req.K, N: req.N, Op: op.String()}
 	if query.Get("detail") == "1" {
 		var scores []float64
-		scores, resp.Threads, resp.Fallback = s.engine.RankOpCtx(r.Context(), op, req.M, req.K, req.N)
+		scores, resp.Threads, resp.Fallback = s.engine.rankOpCtx(r.Context(), op, req.M, req.K, req.N)
 		resp.Candidates = s.engine.Candidates()
 		resp.PredictedMicros = make([]float64, len(scores))
 		for i, sec := range scores {

@@ -25,8 +25,7 @@ func (s *Simulator) BreakdownOp(op ops.Op, m, k, n, threads int) Breakdown {
 
 	// Mirror pass: the n×n output is read (lower) and written (upper) once,
 	// streamed at one NUMA domain's bandwidth.
-	prec := float64(s.cfg.Precision.Bytes())
-	mirror := 2 * float64(m) * float64(n) * prec / (s.cfg.Node.MemBWPerNUMA * 1e9)
+	mirror := 2 * float64(m) * float64(n) * elemBytes / (s.cfg.Node.MemBWPerNUMA * 1e9)
 
 	switch op {
 	case ops.SYRK:

@@ -16,7 +16,7 @@ func TestSimulatorOpTiming(t *testing.T) {
 	// noise draw (no op mixed into the hash).
 	cfg := s.Config()
 	z := gaussian(hash6(cfg.Seed, m, k, n, p, 0))
-	want := s.Breakdown(m, k, n, p).Total() * math.Exp(cfg.NoiseSigma*z-0.5*cfg.NoiseSigma*cfg.NoiseSigma)
+	want := s.Breakdown(m, k, n, p).Total() * math.Exp(noiseSigma*z-0.5*noiseSigma*noiseSigma)
 	if got := s.Measure(ops.GEMM, m, k, n, p, 1); got != want {
 		t.Errorf("Measure(gemm) = %v, paper draw = %v", got, want)
 	}

@@ -47,55 +47,36 @@ type Timer interface {
 	Measure(op ops.Op, m, k, n, threads, iters int) float64
 }
 
-// Precision selects the GEMM data type.
-type Precision int
-
-const (
-	F32 Precision = iota // single precision (SGEMM)
-	F64                  // double precision (DGEMM)
-)
-
-// Bytes returns the element size in bytes.
-func (p Precision) Bytes() int64 {
-	if p == F64 {
-		return 8
-	}
-	return 4
-}
-
 // Config parameterises a Simulator.
 type Config struct {
-	Node      *machine.Node
-	Policy    machine.AffinityPolicy
-	HT        bool // hyper-threading enabled (thread counts may exceed cores)
-	Precision Precision
-
-	// NoiseSigma is the standard deviation of the multiplicative log-normal
-	// measurement noise. Zero disables noise. The paper runs 10 iterations
-	// per configuration to suppress exactly this noise.
-	NoiseSigma float64
-	Seed       int64
-
-	// Blocking parameters of the simulated BLAS (panel sizes driving barrier
-	// counts and packing volume).
-	NC, KC, MC int
+	Node   *machine.Node
+	Policy machine.AffinityPolicy
+	HT     bool // hyper-threading enabled (thread counts may exceed cores)
+	Seed   int64
 }
 
 // DefaultConfig returns a Simulator configuration for the given node with
-// hyper-threading on, core-based affinity, SGEMM, and 4% measurement noise.
+// hyper-threading on, core-based affinity and seed 1.
 func DefaultConfig(node *machine.Node) Config {
 	return Config{
-		Node:       node,
-		Policy:     machine.CoreBased,
-		HT:         true,
-		Precision:  F32,
-		NoiseSigma: 0.04,
-		Seed:       1,
-		NC:         4096,
-		KC:         256,
-		MC:         144,
+		Node:   node,
+		Policy: machine.CoreBased,
+		HT:     true,
+		Seed:   1,
 	}
 }
+
+const (
+	// noiseSigma is the standard deviation of the multiplicative log-normal
+	// measurement noise. The paper runs 10 iterations per configuration to
+	// suppress exactly this noise.
+	noiseSigma = 0.04
+	// elemBytes is the element size of the simulated SGEMM.
+	elemBytes = 4
+	// nc and kc are the panel sizes of the simulated BLAS, which drive the
+	// barrier count and the packing volume.
+	nc, kc = 4096, 256
+)
 
 // Breakdown is the wall-time decomposition of one GEMM call, in seconds.
 // It matches the component split of Table VII (spawn folded into Sync there).
@@ -123,15 +104,6 @@ func New(cfg Config) *Simulator {
 	}
 	if err := cfg.Node.Validate(); err != nil {
 		panic("simtime: " + err.Error())
-	}
-	if cfg.NC <= 0 {
-		cfg.NC = 4096
-	}
-	if cfg.KC <= 0 {
-		cfg.KC = 256
-	}
-	if cfg.MC <= 0 {
-		cfg.MC = 144
 	}
 	return &Simulator{cfg: cfg}
 }
@@ -171,7 +143,6 @@ func (s *Simulator) Breakdown(m, k, n, threads int) Breakdown {
 	node := s.cfg.Node
 	pl := node.Place(s.EffectiveThreads(m, k, n, threads), s.cfg.Policy, s.cfg.HT)
 	p := float64(pl.Threads)
-	prec := s.cfg.Precision.Bytes()
 
 	flops := 2 * float64(m) * float64(k) * float64(n)
 
@@ -181,7 +152,7 @@ func (s *Simulator) Breakdown(m, k, n, threads int) Breakdown {
 	// --- Barriers --------------------------------------------------------
 	// One barrier after the shared B-pack and one closing each (jc, pc)
 	// iteration, plus the final join.
-	iters := float64(ceilDiv(n, s.cfg.NC) * ceilDiv(k, s.cfg.KC))
+	iters := float64(ceilDiv(n, nc) * ceilDiv(k, kc))
 	barrier := node.SyncBaseNs + node.SyncPerThreadNs*p
 	if pl.SocketsUsed > 1 {
 		barrier += node.SyncCrossSocketNs * p
@@ -198,10 +169,10 @@ func (s *Simulator) Breakdown(m, k, n, threads int) Breakdown {
 	bw := s.effectiveBandwidth(pl)
 
 	// --- Packing (data copy) ---------------------------------------------
-	copySec := s.copyTime(m, k, n, pl, prec, bw, flops)
+	copySec := s.copyTime(m, k, n, pl, bw, flops)
 
 	// --- Kernel ------------------------------------------------------------
-	kernel := s.kernelTime(m, k, n, pl, prec, bw, flops)
+	kernel := s.kernelTime(m, k, n, pl, bw, flops)
 
 	return Breakdown{Spawn: spawn, Sync: sync, Copy: copySec, Kernel: kernel}
 }
@@ -248,23 +219,23 @@ func cTiles(m, n int) float64 {
 //     through contended cache lines. This coherence storm is the mechanism
 //     behind the 163 ms data-copy time of 64×2048×64 at 96 threads in
 //     Table VII.
-func (s *Simulator) copyTime(m, k, n int, pl machine.Placement, prec int64, bw, flops float64) float64 {
+func (s *Simulator) copyTime(m, k, n int, pl machine.Placement, bw, flops float64) float64 {
 	node := s.cfg.Node
 	p := float64(pl.Threads)
 
 	if pl.Threads == 1 {
 		// Single-threaded small GEMM takes the unpacked direct path when the
 		// operands fit in the last-level cache.
-		bytes := float64(prec) * (float64(m)*float64(k) + float64(k)*float64(n) + float64(m)*float64(n))
+		bytes := elemBytes * (float64(m)*float64(k) + float64(k)*float64(n) + float64(m)*float64(n))
 		l3 := node.L3MBPerCCX * 1e6 * float64(pl.CCXUsed)
 		if bytes <= l3 {
 			return 0
 		}
 	}
 
-	volA := float64(m) * float64(k) * float64(ceilDiv(n, s.cfg.NC))
+	volA := float64(m) * float64(k) * float64(ceilDiv(n, nc))
 	volB := float64(k) * float64(n)
-	vol := (volA + volB) * float64(prec)
+	vol := (volA + volB) * elemBytes
 
 	// Mild duplication: per-thread useful work below ~1 MFLOP makes packing
 	// partially duplicated across the team.
@@ -280,8 +251,8 @@ func (s *Simulator) copyTime(m, k, n int, pl machine.Placement, prec int64, bw, 
 	tiles := cTiles(m, n)
 	if p > tiles {
 		sharers := p / tiles
-		rounds := math.Min(float64(ceilDiv(k, s.cfg.KC)), 6)
-		linesC := float64(m) * float64(n) * float64(prec) / 64
+		rounds := math.Min(float64(ceilDiv(k, kc)), 6)
+		linesC := float64(m) * float64(n) * elemBytes / 64
 		t += linesC * sharers * rounds * p * node.CoherenceNs * 1e-9
 	}
 	return t
@@ -290,12 +261,9 @@ func (s *Simulator) copyTime(m, k, n int, pl machine.Placement, prec int64, bw, 
 // kernelTime models the packed micro-kernel phase as a roofline of compute
 // and memory streaming, degraded by K-amortisation, tile granularity and
 // load imbalance.
-func (s *Simulator) kernelTime(m, k, n int, pl machine.Placement, prec int64, bw, flops float64) float64 {
+func (s *Simulator) kernelTime(m, k, n int, pl machine.Placement, bw, flops float64) float64 {
 	node := s.cfg.Node
 	perCoreGF := node.BaseGHz * node.FlopsPerCycleF32
-	if s.cfg.Precision == F64 {
-		perCoreGF /= 2
-	}
 
 	// Tile-level parallelism: the jr/ir loops expose ceil(m/8)*ceil(n/8)
 	// register tiles.
@@ -325,7 +293,7 @@ func (s *Simulator) kernelTime(m, k, n int, pl machine.Placement, prec int64, bw
 	}
 
 	// Memory-bound floor: each operand streamed at least once per KC sweep.
-	bytes := float64(prec) * (float64(m)*float64(k) + float64(k)*float64(n) + 2*float64(m)*float64(n))
+	bytes := elemBytes * (float64(m)*float64(k) + float64(k)*float64(n) + 2*float64(m)*float64(n))
 	tMem := bytes / bw
 	return maxF(tFlops, tMem)
 }
@@ -347,22 +315,17 @@ func (s *Simulator) Measure(op ops.Op, m, k, n, threads, iters int) float64 {
 }
 
 // noise returns the multiplicative log-normal error of the rep-th
-// measurement of the configuration (1 when noise is off). Non-GEMM ops mix
-// the op into the hash, so per-op sweeps of the same triple see independent
-// measurement noise (as separate real runs would); GEMM keeps the draw of
-// the paper's sweep.
+// measurement of the configuration. Non-GEMM ops mix the op into the hash,
+// so per-op sweeps of the same triple see independent measurement noise (as
+// separate real runs would); GEMM keeps the draw of the paper's sweep.
 func (s *Simulator) noise(op ops.Op, m, k, n, threads, rep int) float64 {
-	sigma := s.cfg.NoiseSigma
-	if sigma <= 0 {
-		return 1
-	}
 	var h uint64
 	if op == ops.GEMM {
 		h = hash6(s.cfg.Seed, int64(m), int64(k), int64(n), int64(threads), int64(rep))
 	} else {
 		h = hash6(s.cfg.Seed, int64(op)+0x5ca1ab1e, int64(m), int64(k), int64(n), int64(threads), int64(rep))
 	}
-	return math.Exp(sigma*gaussian(h) - 0.5*sigma*sigma)
+	return math.Exp(noiseSigma*gaussian(h) - 0.5*noiseSigma*noiseSigma)
 }
 
 // GFLOPS returns the noiseless throughput of the configuration in GFLOPS.

@@ -11,17 +11,9 @@ import (
 	"repro/internal/ops"
 )
 
-func gadiSim() *Simulator {
-	cfg := DefaultConfig(machine.Gadi())
-	cfg.NoiseSigma = 0
-	return New(cfg)
-}
+func gadiSim() *Simulator { return New(DefaultConfig(machine.Gadi())) }
 
-func setonixSim() *Simulator {
-	cfg := DefaultConfig(machine.Setonix())
-	cfg.NoiseSigma = 0
-	return New(cfg)
-}
+func setonixSim() *Simulator { return New(DefaultConfig(machine.Setonix())) }
 
 func optimal(s *Simulator, m, k, n int) (int, float64) {
 	best, bt := 1, math.Inf(1)
@@ -127,7 +119,6 @@ func TestAffinityCoreBeatsThreadAtLowCounts(t *testing.T) {
 	node := machine.Gadi()
 	mk := func(pol machine.AffinityPolicy) *Simulator {
 		cfg := DefaultConfig(node)
-		cfg.NoiseSigma = 0
 		cfg.Policy = pol
 		return New(cfg)
 	}
@@ -186,9 +177,7 @@ func TestEffectiveThreadsThrottle(t *testing.T) {
 }
 
 func TestNoiseStatistics(t *testing.T) {
-	cfg := DefaultConfig(machine.Gadi())
-	cfg.NoiseSigma = 0.05
-	s := New(cfg)
+	s := New(DefaultConfig(machine.Gadi()))
 	base := s.Breakdown(512, 512, 512, 16).Total()
 	var sum float64
 	const reps = 400
@@ -214,9 +203,7 @@ func TestNoiseStatistics(t *testing.T) {
 }
 
 func TestMeasureMeanMatchesManualAverage(t *testing.T) {
-	cfg := DefaultConfig(machine.Setonix())
-	cfg.NoiseSigma = 0.04
-	s := New(cfg)
+	s := New(DefaultConfig(machine.Setonix()))
 	base := s.Breakdown(300, 300, 300, 8).Total()
 	var manual float64
 	for r := 0; r < 10; r++ {
@@ -247,22 +234,6 @@ func TestGFLOPSBelowPeak(t *testing.T) {
 		if g <= 0 || g > peak {
 			t.Errorf("p=%d: GFLOPS %v outside (0, %v]", p, g, peak)
 		}
-	}
-}
-
-func TestPrecisionF64Slower(t *testing.T) {
-	cfg := DefaultConfig(machine.Gadi())
-	cfg.NoiseSigma = 0
-	f32 := New(cfg)
-	cfg.Precision = F64
-	f64 := New(cfg)
-	t32 := f32.Breakdown(2048, 2048, 2048, 48).Total()
-	t64 := f64.Breakdown(2048, 2048, 2048, 48).Total()
-	if t64 <= t32 {
-		t.Errorf("DGEMM %v not slower than SGEMM %v", t64, t32)
-	}
-	if F32.Bytes() != 4 || F64.Bytes() != 8 {
-		t.Error("Precision.Bytes wrong")
 	}
 }
 

@@ -16,9 +16,9 @@ func writeTrace(t *testing.T, n int) (path string, blocks [][2]int64) {
 	prefix := filepath.Join(t.TempDir(), "cap")
 	// BlockBytes 1 forces a flush after every record-ish; use explicit
 	// Flush batching instead for deterministic block boundaries.
-	w, err := NewWriter(prefix, time.Now(), WriterOptions{BlockBytes: 1 << 20})
+	w, err := newWriter(prefix, time.Now(), writerOptions{BlockBytes: 1 << 20})
 	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
+		t.Fatalf("newWriter: %v", err)
 	}
 	const perBlock = 10
 	prev := w.BytesWritten()
@@ -153,7 +153,7 @@ func TestReaderCorruption(t *testing.T) {
 			}
 
 			var got []Record
-			st, err := ScanFile(path, func(r *Record) error {
+			st, err := scanFile(path, func(r *Record) error {
 				got = append(got, *r)
 				return nil
 			})
@@ -164,7 +164,7 @@ func TestReaderCorruption(t *testing.T) {
 				return
 			}
 			if err != nil {
-				t.Fatalf("ScanFile: %v", err)
+				t.Fatalf("scanFile: %v", err)
 			}
 			if len(got) != tc.wantRecords {
 				t.Fatalf("recovered %d records, want %d", len(got), tc.wantRecords)
@@ -213,7 +213,7 @@ func TestReaderRecoveredTimelineUnskewed(t *testing.T) {
 	path, blocks := writeTrace(t, n)
 
 	var clean []Record
-	if _, err := ScanFile(path, func(r *Record) error {
+	if _, err := scanFile(path, func(r *Record) error {
 		clean = append(clean, *r)
 		return nil
 	}); err != nil {
@@ -231,7 +231,7 @@ func TestReaderRecoveredTimelineUnskewed(t *testing.T) {
 	}
 
 	var damaged []Record
-	if _, err := ScanFile(path, func(r *Record) error {
+	if _, err := scanFile(path, func(r *Record) error {
 		damaged = append(damaged, *r)
 		return nil
 	}); err != nil {

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// FuzzScanTrace feeds arbitrary bytes to ScanFile as a trace file, the
+// FuzzScanTrace feeds arbitrary bytes to scanFile as a trace file, the
 // reader's trust boundary. It must never panic. It must allocate within a
 // bound proportional to the input: a declared block length is not an
 // allocation request. And it must return only records a clean writer
@@ -31,7 +31,7 @@ func FuzzScanTrace(f *testing.F) {
 		got := make([]Record, 0, len(raw)/9+1)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		st, err := ScanFile(path, func(r *Record) error {
+		st, err := scanFile(path, func(r *Record) error {
 			got = append(got, *r)
 			return nil
 		})
@@ -41,7 +41,7 @@ func FuzzScanTrace(f *testing.F) {
 		}
 		want, ok := cleanRecords(raw)
 		if ok != (err == nil) {
-			t.Fatalf("ScanFile error %v, but the header is valid: %v", err, ok)
+			t.Fatalf("scanFile error %v, but the header is valid: %v", err, ok)
 		}
 		if len(got) != len(want) || st.Records != int64(len(got)) {
 			t.Fatalf("scan returned %d records (stats %d), want %d", len(got), st.Records, len(want))
@@ -62,7 +62,7 @@ func FuzzScanTrace(f *testing.F) {
 func scanAllocBound(n int) uint64 { return 128<<10 + 64*uint64(n) }
 
 // cleanRecords is the oracle: the records a scan of raw returns, and false
-// when raw has no valid header (ScanFile's error). The framing is walked as
+// when raw has no valid header (scanFile's error). The framing is walked as
 // the package comment documents it; a block whose magic or length is wrong
 // ends the file, a CRC mismatch skips the block.
 func cleanRecords(raw []byte) ([]Record, bool) {

@@ -54,7 +54,7 @@ func (s *ScanStats) merge(o ScanStats) {
 func ScanFiles(paths []string, fn func(*Record) error) (ScanStats, error) {
 	var total ScanStats
 	for _, path := range paths {
-		st, err := ScanFile(path, fn)
+		st, err := scanFile(path, fn)
 		total.merge(st)
 		if errors.Is(err, ErrStop) {
 			return total, nil
@@ -66,10 +66,10 @@ func ScanFiles(paths []string, fn func(*Record) error) (ScanStats, error) {
 	return total, nil
 }
 
-// ScanFile streams one trace file through fn (see ScanFiles). A missing or
+// scanFile streams one trace file through fn (see ScanFiles). A missing or
 // version-skewed header is an error — there is nothing to recover — while
 // damage after the header is recovered around and reported in the stats.
-func ScanFile(path string, fn func(*Record) error) (ScanStats, error) {
+func scanFile(path string, fn func(*Record) error) (ScanStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return ScanStats{}, err

@@ -69,7 +69,7 @@ func Open(prefix string, opts Options) (*Recorder, error) {
 
 func open(prefix string, opts Options, tune tuning) (*Recorder, error) {
 	start := time.Now()
-	w, err := NewWriter(prefix, start, WriterOptions{MaxFileBytes: opts.MaxFileBytes})
+	w, err := newWriter(prefix, start, writerOptions{MaxFileBytes: opts.MaxFileBytes})
 	if err != nil {
 		return nil, err
 	}

@@ -45,9 +45,9 @@ func testRecord(i int) Record {
 // across multiple blocks.
 func TestWriterRoundTrip(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "cap")
-	w, err := NewWriter(prefix, time.Now(), WriterOptions{BlockBytes: 256})
+	w, err := newWriter(prefix, time.Now(), writerOptions{BlockBytes: 256})
 	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
+		t.Fatalf("newWriter: %v", err)
 	}
 	const n = 500
 	want := make([]Record, n)
@@ -82,9 +82,9 @@ func TestWriterRoundTrip(t *testing.T) {
 // continues after the highest existing index instead of clobbering.
 func TestWriterRotation(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "cap")
-	w, err := NewWriter(prefix, time.Now(), WriterOptions{BlockBytes: 128, MaxFileBytes: 512})
+	w, err := newWriter(prefix, time.Now(), writerOptions{BlockBytes: 128, MaxFileBytes: 512})
 	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
+		t.Fatalf("newWriter: %v", err)
 	}
 	const n = 400
 	for i := 0; i < n; i++ {
@@ -109,9 +109,9 @@ func TestWriterRotation(t *testing.T) {
 	}
 
 	// Restart on the same prefix: must not clobber, must extend the sequence.
-	w2, err := NewWriter(prefix, time.Now(), WriterOptions{})
+	w2, err := newWriter(prefix, time.Now(), writerOptions{})
 	if err != nil {
-		t.Fatalf("NewWriter (restart): %v", err)
+		t.Fatalf("newWriter (restart): %v", err)
 	}
 	rec := testRecord(0)
 	if err := w2.Append(&rec); err != nil {
@@ -238,9 +238,9 @@ func TestRecorderFlush(t *testing.T) {
 // concrete trace file path.
 func TestFilesAcceptsSingleFile(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "cap")
-	w, err := NewWriter(prefix, time.Now(), WriterOptions{})
+	w, err := newWriter(prefix, time.Now(), writerOptions{})
 	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
+		t.Fatalf("newWriter: %v", err)
 	}
 	rec := testRecord(1)
 	if err := w.Append(&rec); err != nil {

@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// WriterOptions configures the block writer. The zero value selects the
+// writerOptions configures the block writer. The zero value selects the
 // defaults.
-type WriterOptions struct {
+type writerOptions struct {
 	// MaxFileBytes is the size-based rotation threshold: once the current
 	// file reaches it, the next block opens a new `<prefix>-NNNNN.trace`.
 	// 0 selects 64 MiB; negative disables rotation.
@@ -22,7 +22,7 @@ type WriterOptions struct {
 	BlockBytes int
 }
 
-func (o WriterOptions) withDefaults() WriterOptions {
+func (o writerOptions) withDefaults() writerOptions {
 	if o.MaxFileBytes == 0 {
 		o.MaxFileBytes = 64 << 20
 	}
@@ -38,7 +38,7 @@ func (o WriterOptions) withDefaults() WriterOptions {
 // drive one directly).
 type Writer struct {
 	prefix string
-	opts   WriterOptions
+	opts   writerOptions
 	start  time.Time
 
 	f         *os.File
@@ -57,11 +57,11 @@ type Writer struct {
 	prevTS  int64
 }
 
-// NewWriter opens a block writer over `<prefix>-NNNNN.trace` files,
+// newWriter opens a block writer over `<prefix>-NNNNN.trace` files,
 // continuing after the highest existing index so a restarted daemon never
 // clobbers an earlier capture. start anchors the wall-clock header field of
 // every file; record timestamps are monotonic nanoseconds relative to it.
-func NewWriter(prefix string, start time.Time, opts WriterOptions) (*Writer, error) {
+func newWriter(prefix string, start time.Time, opts writerOptions) (*Writer, error) {
 	if prefix == "" {
 		return nil, fmt.Errorf("trace: empty file prefix")
 	}

@@ -2,12 +2,16 @@ package adsala
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
-	"repro/internal/machine"
+	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/simtime"
 )
 
@@ -63,7 +67,7 @@ func TestSharedEngineAcrossFacades(t *testing.T) {
 // must reach simtime.Config.HT (it disables hyper-threading) and cap the
 // candidate thread counts at the physical core count.
 func TestNoHTReachesSimulator(t *testing.T) {
-	cfg, err := buildConfig(TrainOptions{Platform: "Gadi", NoHT: true})
+	cfg, err := core.Recipe(TrainOptions{Platform: "Gadi", NoHT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func TestNoHTReachesSimulator(t *testing.T) {
 		t.Errorf("NoHT candidates top out at %d, want Gadi's 48 physical cores", max)
 	}
 	// Default: hyper-threading on, 96 hardware threads.
-	cfg, err = buildConfig(TrainOptions{Platform: "Gadi"})
+	cfg, err = core.Recipe(TrainOptions{Platform: "Gadi"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,30 +93,84 @@ func TestNoHTReachesSimulator(t *testing.T) {
 		t.Errorf("default candidates top out at %d, want 96", max)
 	}
 
-	// The built simulator is the node's default one with only HT and Seed
-	// set: noise, blocking and affinity all come from DefaultConfig.
-	for _, name := range []string{"Gadi", "Setonix"} {
-		for _, noHT := range []bool{false, true} {
-			cfg, err := buildConfig(TrainOptions{Platform: name, NoHT: noHT, Seed: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := cfg.Gather.Timer.(*simtime.Simulator).Config()
-			node, err := machine.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := simtime.DefaultConfig(node)
-			want.HT, want.Seed = !noHT, 7
-			if *got.Node != *want.Node {
-				t.Errorf("%s NoHT=%v: simulator node %+v, want %+v", name, noHT, *got.Node, *want.Node)
-			}
-			got.Node = want.Node
-			if got != want {
-				t.Errorf("%s NoHT=%v: simulator config %+v, want %+v", name, noHT, got, want)
+}
+
+// TestLabTrainsTheInstallRecipe pins "one recipe": on Setonix and Gadi, with
+// hyper-threading on and off, at the adsala-bench default and quick scales,
+// the TrainConfig the experiments' Lab trains is the one adsala.Train builds
+// for the same options — adsala-train's defaults plus the scale's shapes,
+// iterations, model grids and seed. Its holdout is the same sweep with the
+// sampler seed moved 7919 on and the simulator's noise seed left alone.
+func TestLabTrainsTheInstallRecipe(t *testing.T) {
+	for _, sc := range []experiments.Scale{experiments.DefaultScale(), experiments.QuickScale()} {
+		lab := experiments.NewLab(sc)
+		for _, name := range []string{"Setonix", "Gadi"} {
+			for _, ht := range []bool{true, false} {
+				opts := TrainOptions{Platform: name, Shapes: sc.TrainShapes, Iters: sc.Iters,
+					Quick: sc.QuickModels, NoHT: !ht, Seed: sc.Seed}
+				want, err := core.Recipe(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := lab.Config(name, 500, ht)
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := fmt.Sprintf("%s HT=%v shapes=%d", name, ht, sc.TrainShapes)
+				gs, ws := got.Gather.Timer.(*simtime.Simulator).Config(), want.Gather.Timer.(*simtime.Simulator).Config()
+				if *gs.Node != *ws.Node || gs.Policy != ws.Policy || gs.HT != ws.HT || gs.Seed != ws.Seed || gs.HT != ht {
+					t.Errorf("%s: lab timer %+v, adsala.Train's %+v", where, gs, ws)
+				}
+				if got.Gather.Domain != want.Gather.Domain || got.Gather.NumShapes != want.Gather.NumShapes ||
+					!slices.Equal(got.Gather.Candidates, want.Gather.Candidates) ||
+					got.Gather.Iters != want.Gather.Iters || got.Gather.Seed != want.Gather.Seed || got.Gather.Op != want.Gather.Op {
+					t.Errorf("%s: lab sweep %+v, adsala.Train's %+v", where, got.Gather, want.Gather)
+				}
+				if got.ReferenceThreads != want.ReferenceThreads || got.Platform != want.Platform ||
+					got.Preproc != want.Preproc || !slices.Equal(got.Ops, want.Ops) {
+					t.Errorf("%s: lab trains ref %d on %q, adsala.Train ref %d on %q",
+						where, got.ReferenceThreads, got.Platform, want.ReferenceThreads, want.Platform)
+				}
+				if k, w := kinds(got.Models), kinds(want.Models); !slices.Equal(k, w) {
+					t.Errorf("%s: lab model kinds %v, adsala.Train's %v", where, k, w)
+				}
+				if sc.TrainShapes > 100 {
+					continue // the holdout check runs at quick scale
+				}
+				holdout, err := lab.Holdout(name, 500, ht)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := want.Gather
+				g.NumShapes, g.Seed = sc.HoldoutShapes, sc.Seed+7919
+				ref, err := core.Gather(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(holdout, ref) {
+					t.Errorf("%s: holdout is not the recipe's sweep at sampler seed %d, noise seed %d", where, g.Seed, sc.Seed)
+				}
+				// One Seed for both would time other shapes' noise: the check
+				// above tells the two apart.
+				one := g
+				one.Timer, err = core.Simulator(TrainOptions{Platform: name, NoHT: !ht, Seed: g.Seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if same, err := core.Gather(one); err != nil || reflect.DeepEqual(holdout, same) {
+					t.Errorf("%s: holdout unchanged with the noise seed at the sampler's (%v)", where, err)
+				}
 			}
 		}
 	}
+}
+
+func kinds(specs []core.ModelSpec) []string {
+	var out []string
+	for _, s := range specs {
+		out = append(out, s.Kind)
+	}
+	return out
 }
 
 // TestV1ArtefactBackwardCompat loads the committed pre-registry (format v1)
